@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-sarif lint-self lint-budget test race bench bench-contend bench-json bench-smoke bench-gate schedcheck fuzz check
+.PHONY: all build vet lint lint-sarif lint-self lint-budget test bench-test race bench bench-contend bench-json bench-smoke bench-gate schedcheck fuzz check
 
 all: check
 
@@ -16,7 +16,7 @@ vet:
 	$(GO) vet ./...
 
 # Static enforcement of the executor's concurrency and determinism
-# invariants (DESIGN.md §10, §15, §16): blocking under vm.mu, DMA
+# invariants (DESIGN.md §10): blocking under vm.mu, DMA
 # claim-state writes outside the transition helpers, wall-clock/rand/
 # map-order nondeterminism in the deterministic core, mutex copies —
 # plus the interprocedural passes (the global lock-order graph,
@@ -58,6 +58,12 @@ lint-budget:
 
 test:
 	$(GO) test ./...
+
+# bench/ is a nested module (the harmonybench harness behind
+# BENCHMARK.json), so `go test ./...` from the root never reaches its
+# unit and smoke tests; this does (~15 s).
+bench-test:
+	$(GO) test -C bench ./...
 
 # The exec executor, memory manager and collectives are the packages
 # with real concurrency or async error delivery; race-check them
@@ -127,4 +133,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s -test.fuzzminimizetime 5s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz FuzzRetune -fuzztime 10s -test.fuzzminimizetime 5s ./internal/tuner/
 
-check: lint build test race fuzz bench-smoke bench-contend schedcheck
+check: lint build test bench-test race fuzz bench-smoke bench-contend schedcheck

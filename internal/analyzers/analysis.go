@@ -1,24 +1,23 @@
 // Package analyzers is harmonylint: a suite of static analysis passes
 // that mechanically enforce the executor's concurrency and determinism
-// invariants — the hand-maintained rules that PRs 1–3 documented in
-// comments (the vm.mu locking discipline, the "every resident claim is
-// committed" DMA rule, bit-exact determinism across interleavings) and
-// that the race detector can only catch probabilistically. Each
-// analyzer rejects a whole class of regression before any test runs:
+// invariants — the vm.mu locking discipline, the "every resident claim
+// is committed" DMA rule, the pin budget, bit-exact determinism across
+// interleavings — which the race detector can only catch
+// probabilistically. Each analyzer rejects a whole class of regression
+// before any test runs:
 //
 //   - lockhold: blocking operations (channel send/recv, select without
-//     default, time.Sleep, WaitGroup.Wait, WaitIdle) while a mutex is
-//     held, and return paths that leak a held lock. Doc-comment
-//     contracts ("Requires mu held", "mu held on entry, released on
-//     return") set the expected entry/exit lock state for helpers.
+//     default, time.Sleep, WaitGroup.Wait, WaitIdle, waitSettle) at any
+//     point some path reaches with a mutex held.
 //   - claimdiscipline: writes to a buffer's DMA-state fields outside
-//     the claim/commit/settle transition helpers, and buffers made
-//     resident under a synchronous claim without a commit or settle
-//     before the lock is released (DESIGN.md §9's "every resident
-//     claim is committed").
+//     the claim/commit/settle transition helpers, non-CAS transitions
+//     inside them, and a buffer published to the LRU on a path where
+//     its synchronous claim is still uncommitted (DESIGN.md §9's
+//     "every resident claim is committed").
 //   - determinism: wall-clock reads (time.Now/Since/Until), math/rand
-//     global state, and map iteration inside the deterministic core
-//     (internal/sched, internal/exec, internal/nn, internal/fault).
+//     global state, and map iteration inside the deterministic core,
+//     plus taint flow of such values into the core through any call
+//     chain.
 //   - hygiene: lock-containing values copied by value (params,
 //     results, range copies, assignments).
 //   - errcheck: error returns from the VM / memory-manager / DMA
@@ -28,18 +27,15 @@
 //     iteration lexically inside adaptation/retune decision functions
 //     (names matching adapt|retune) in internal/exec and
 //     internal/tuner — the tuner may measure wall time, but its
-//     decisions must replay from logged inputs alone. The
-//     interprocedural upgrade also traces tainted values through call
-//     chains into the deterministic core and adaptation decisions.
-//   - lockorder: the global lock-acquisition graph built from
-//     interprocedural summaries — cycles, recursive acquisitions, and
-//     same-class shard nesting outside the documented ascending-device
-//     order are rejected at any call depth.
+//     decisions must replay from logged inputs alone.
+//   - lockorder: the global lock-acquisition graph — cycles, recursive
+//     acquisitions, and same-class shard nesting outside the documented
+//     ascending-device order are rejected at any call depth.
 //   - chanlife: every spawned goroutine must reach a shutdown
 //     construct (channel receive/range, select, WaitGroup.Done,
 //     Cond.Wait) at some call depth, and done-named channels must
 //     deliver their completion signal exactly once (closed or
-//     single-sender, never both). Replaces hygiene's shallow ctxleak.
+//     single-sender, never both).
 //   - atomicproto: extracts the claim/commit/settle/pin transition
 //     table from internal/claimword's source by AST interpretation and
 //     cross-checks it field-by-field against the independent spec
@@ -47,25 +43,29 @@
 //     alone trips the gate.
 //   - pinbalance: every pin (State.Pin, vm.pin, settle with a +1
 //     delta) is released, handed off, or covered by a documented
-//     "pins it" ownership contract on every CFG path, including early
+//     "pins it" ownership contract on every path, including early
 //     error returns — the paper's pin-budget invariant at source level.
 //   - claimlife: every DMA claim (vm.claim) reaches commit or settle —
 //     directly, through a callee, or by handoff to the worker queue —
 //     on every path; a dropped claim wedges the buffer's claim word.
-//   - errpath: locks, shard locks and snapshot handles still held at
-//     an early error return, with the concrete leaking path printed in
-//     the diagnostic — the cases lockhold's intersection joins had to
-//     suppress.
+//   - errpath: locks, shard locks and snapshot handles still held at a
+//     function exit, early error returns included, with the concrete
+//     leaking path printed in the diagnostic.
 //
-// The per-function summaries behind the interprocedural passes (locks
-// acquired/released, channels sent/closed, goroutines spawned,
-// claimword transitions invoked, taint sources reached) live in
-// interproc.go; lockorder, chanlife and the determinism taint upgrade
-// are RunProject analyzers over that call graph. The path-sensitive
-// lifecycle passes (pinbalance, claimlife, errpath) add a third layer:
-// per-function control-flow graphs (cfg.go) explored by a worklist
-// engine (dataflow.go) that keeps every branch outcome distinct, so
-// leak diagnostics print the concrete path.
+// Three layers sit under the passes. cfg.go builds per-function
+// control-flow graphs and is the only code that knows Go's statement
+// semantics. dataflow.go holds the one worklist (explore) and, on it,
+// the lifecycle engine: the lock, claim and pin lifecycles are each
+// explored once per Program, keeping every branch outcome distinct, and
+// yield both leak findings (errpath, claimlife, pinbalance) and
+// observer findings about what happens while a resource is open
+// (lockhold, claimdiscipline rule 3). interproc.go builds, over the
+// same graphs and the same worklist, one Summary per function — locks
+// acquired and with what held, channels sent/closed, goroutines
+// spawned, taint sources reached, the doc-comment lock contract — and
+// closes them over the call graph for lockorder, chanlife and the
+// determinism taint upgrade. DESIGN.md §10 has the invariant → pass →
+// mechanism table.
 //
 // The framework below is a self-contained, offline re-implementation
 // of the golang.org/x/tools/go/analysis surface this module needs
@@ -356,6 +356,36 @@ func namedIn(t types.Type, pkgPath, name string) bool {
 // behind a pointer).
 func isMutex(t types.Type) bool {
 	return namedIn(t, "sync", "Mutex") || namedIn(t, "sync", "RWMutex")
+}
+
+// isChan reports whether e has channel type.
+func isChan(info *types.Info, e ast.Expr) bool {
+	t := info.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Chan)
+	return ok
+}
+
+// mutexCall matches x.Lock/RLock/Unlock/RUnlock on a sync mutex,
+// returning x and whether the call acquires.
+func mutexCall(info *types.Info, call *ast.CallExpr) (x ast.Expr, lock, ok bool) {
+	sel, isSel := call.Fun.(*ast.SelectorExpr)
+	if !isSel {
+		return nil, false, false
+	}
+	switch sel.Sel.Name {
+	case "Lock", "RLock":
+		lock = true
+	case "Unlock", "RUnlock":
+	default:
+		return nil, false, false
+	}
+	if t := info.TypeOf(sel.X); t == nil || !isMutex(t) {
+		return nil, false, false
+	}
+	return sel.X, lock, true
 }
 
 // pkgFunc matches a call to a package-level function, e.g.

@@ -1,9 +1,10 @@
 package analyzers
 
-// cfg.go builds per-function control-flow graphs from the AST. The
-// graphs are the substrate for the path-sensitive lifecycle passes
-// (pinbalance, claimlife, errpath in dataflow.go): where the summary
-// walker in interproc.go joins branches by intersection, a CFG keeps
+// cfg.go builds control-flow graphs from the AST and is the only code
+// in the package that knows Go's statement semantics: every pass that
+// needs to follow control flow — the interprocedural summaries
+// (interproc.go) and the lifecycle explorations (dataflow.go) — walks
+// these graphs, so a new Go construct is taught here once. A CFG keeps
 // every path distinct, so "the error return at line N leaks the pin
 // taken at line M" becomes a provable — and printable — fact.
 //
@@ -14,6 +15,14 @@ package analyzers
 //     their block; the dataflow engine stacks their effects and applies
 //     them on function exit, which models Go's defer-runs-at-return
 //     semantics without exploding the graph.
+//   - Compound statements are dissolved into blocks and edges; their
+//     parts (conditions, tags, case expressions, comm statements)
+//     appear as nodes of their own. Two compound statements also
+//     appear as marker nodes, because they act at a point of their own:
+//     a *ast.RangeStmt in its loop header stands for one iteration step
+//     (a receive, when ranging over a channel), and a *ast.SelectStmt
+//     in the block that enters it stands for the wait itself. Walk
+//     nodes with inspectNode, which treats the markers as leaves.
 //   - An Edge carries the branch condition it was taken under (Cond +
 //     TakenTrue), so a consumer can classify `if err != nil` guards and
 //     resolve conditional acquisitions (`if err := st.Pin(); err != nil`
@@ -36,7 +45,8 @@ import (
 	"go/types"
 )
 
-// CFG is the control-flow graph of one function body.
+// CFG is the control-flow graph of one function body. Decl is nil for
+// the body of a function literal.
 type CFG struct {
 	Decl   *ast.FuncDecl
 	Blocks []*Block
@@ -48,6 +58,10 @@ type Block struct {
 	ID    int
 	Nodes []ast.Node // statements and control expressions, in order
 	Succs []*Edge
+
+	// Comm is set on the first block of a select arm: Nodes[0] is the
+	// arm's communication, which the select already waited for.
+	Comm ast.Stmt
 
 	Return *ast.ReturnStmt // set when the block ends in an explicit return
 	Panics bool            // ends in a call to the panic builtin
@@ -69,14 +83,34 @@ func NewCFG(fd *ast.FuncDecl) *CFG {
 	if fd == nil || fd.Body == nil {
 		return nil
 	}
-	b := &cfgBuilder{cfg: &CFG{Decl: fd}, gotos: make(map[string]*Block)}
+	c := newBodyCFG(fd.Body)
+	c.Decl = fd
+	return c
+}
+
+// newBodyCFG builds the graph for one function body, declared or
+// literal.
+func newBodyCFG(body *ast.BlockStmt) *CFG {
+	b := &cfgBuilder{cfg: &CFG{}, gotos: make(map[string]*Block)}
 	b.cfg.Entry = b.newBlock()
 	b.cur = b.cfg.Entry
-	b.stmts(fd.Body.List)
+	b.stmts(body.List)
 	if b.cur != nil {
 		b.cur.Falls = true
 	}
 	return b.cfg
+}
+
+// inspectNode walks one block node like ast.Inspect, except that the
+// RangeStmt and SelectStmt markers are leaves: their operands, arms and
+// bodies are nodes of other blocks.
+func inspectNode(n ast.Node, f func(ast.Node) bool) {
+	switch n.(type) {
+	case *ast.RangeStmt, *ast.SelectStmt:
+		f(n)
+		return
+	}
+	ast.Inspect(n, f)
 }
 
 // Exits returns the blocks where execution leaves the function, in
@@ -304,6 +338,7 @@ func (b *cfgBuilder) rangeStmt(s *ast.RangeStmt) {
 	label := b.takeLabel()
 	b.add(s.X)
 	header := b.newBlock()
+	header.Nodes = append(header.Nodes, s)
 	b.edge(b.cur, header, nil, false)
 
 	body := b.newBlock()
@@ -401,10 +436,8 @@ func (b *cfgBuilder) typeSwitchStmt(s *ast.TypeSwitchStmt) {
 
 func (b *cfgBuilder) selectStmt(s *ast.SelectStmt) {
 	label := b.takeLabel()
+	b.add(s)
 	entry := b.cur
-	if entry == nil {
-		entry = b.newBlock()
-	}
 	after := b.newBlock()
 	b.stack = append(b.stack, cfgFrame{label: label, brk: after})
 	// A select with cases always leaves through one of them (a default
@@ -417,6 +450,7 @@ func (b *cfgBuilder) selectStmt(s *ast.SelectStmt) {
 		cb := b.newBlock()
 		if cc.Comm != nil {
 			cb.Nodes = append(cb.Nodes, cc.Comm)
+			cb.Comm = cc.Comm
 		}
 		b.edge(entry, cb, nil, false)
 		b.cur = cb

@@ -2,9 +2,7 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 )
 
 // ClaimDiscipline enforces the DMA buffer state machine of DESIGN.md
@@ -27,10 +25,12 @@ import (
 //     claim winner (it just won the word CAS, so it owns the slot) and
 //     otherwise cleared by CompareAndSwap in settle.
 //
-//  3. "Every resident claim is waitable": under a synchronous
-//     uncommitted claim (claim(b, st, false, false, need)), the buffer
-//     must be committed (or settled) before lruPush publishes it to a
-//     shard's LRU list. The eviction scan discovers buffers through
+//  3. "Every resident claim is waitable": on no path may lruPush
+//     publish a buffer to a shard's LRU list while a synchronous
+//     uncommitted claim (claim(b, st, false, false, need)) on it is
+//     still open — commit or settle comes first. This rule is the
+//     observer of the claim-lifecycle exploration claimlife reports
+//     leaks from (claimSpec). The eviction scan discovers buffers through
 //     that list; one carrying a sync uncommitted claim is exactly the
 //     state reserve must not wait on — the deadlock class moveP2P's
 //     reserve-before-claim ordering exists to prevent.
@@ -41,6 +41,9 @@ var ClaimDiscipline = &Analyzer{
 		"inside them, and buffers published to the LRU under an uncommitted " +
 		"synchronous claim",
 	Run: runClaimDiscipline,
+	RunProject: func(pass *ProjectPass) error {
+		return reportFindings(pass, pass.Prog.lifecycle(claimSpec).observed)
+	},
 }
 
 // claimAtomics are the buffer fields owned by the state machine,
@@ -68,7 +71,6 @@ var transitionHelpers = map[string]bool{
 func runClaimDiscipline(pass *Pass) error {
 	forEachFunc(pass.Files, func(fd *ast.FuncDecl) {
 		checkClaimWordWrites(pass, fd)
-		checkPublishCommit(pass, fd)
 	})
 	return nil
 }
@@ -143,84 +145,33 @@ func checkClaimWordWrites(pass *Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// claimEvent is one state-machine-relevant statement, in source order.
-type claimEvent struct {
-	pos  token.Pos
-	kind string       // "claim", "publish", "resolve"
-	obj  types.Object // the buffer variable
-}
-
-// checkPublishCommit implements rule 3 with a source-order scan: the
-// straight-line style of the VM (claim → reserve → install fields →
-// commit → lruPush) makes lexical order a faithful proxy for execution
-// order, and the fixtures pin that interpretation.
-func checkPublishCommit(pass *Pass, fd *ast.FuncDecl) {
-	var events []claimEvent
-	rootObj := func(e ast.Expr) types.Object {
-		id, ok := e.(*ast.Ident)
-		if !ok {
-			return nil
-		}
-		if o := pass.Info.Uses[id]; o != nil {
-			return o
-		}
-		return pass.Info.Defs[id]
-	}
-	isFalse := func(e ast.Expr) bool {
-		id, ok := e.(*ast.Ident)
+// observePublish is claimSpec's observer and implements rule 3: a
+// buffer handed to lruPush while the path's open claim on it is a
+// synchronous uncommitted one (claim(b, st, false, false, need)) is
+// published too early. Async claims are committed by the DMA worker and
+// committed-at-claim ones are waitable from their first visible word,
+// so neither counts.
+func observePublish(e *lifeEngine, n ast.Node, st *lifeState) {
+	isFalse := func(x ast.Expr) bool {
+		id, ok := x.(*ast.Ident)
 		return ok && id.Name == "false"
 	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
+	inspectNode(n, func(x ast.Node) bool {
+		if _, ok := x.(*ast.FuncLit); ok {
+			return false
+		}
+		call, ok := x.(*ast.CallExpr)
+		if !ok || len(call.Args) != 2 || !isBufferType(e.pkg.Info.TypeOf(call.Args[1])) {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
+		if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "lruPush" {
 			return true
 		}
-		switch sel.Sel.Name {
-		case "claim":
-			// claim(b, st, async, committed, need): only synchronous
-			// uncommitted claims are tracked — async claims are
-			// committed by the DMA worker, and committed-at-claim ones
-			// are waitable from their first visible word.
-			if len(call.Args) == 5 && isBufferType(pass.Info.TypeOf(call.Args[0])) &&
-				isFalse(call.Args[2]) && isFalse(call.Args[3]) {
-				events = append(events, claimEvent{call.Pos(), "claim", rootObj(call.Args[0])})
-			}
-		case "commit":
-			if len(call.Args) == 1 && isBufferType(pass.Info.TypeOf(call.Args[0])) {
-				events = append(events, claimEvent{call.Pos(), "resolve", rootObj(call.Args[0])})
-			}
-		case "settle":
-			if len(call.Args) == 3 && isBufferType(pass.Info.TypeOf(call.Args[0])) {
-				events = append(events, claimEvent{call.Pos(), "resolve", rootObj(call.Args[0])})
-			}
-		case "lruPush":
-			if len(call.Args) == 2 && isBufferType(pass.Info.TypeOf(call.Args[1])) {
-				events = append(events, claimEvent{call.Pos(), "publish", rootObj(call.Args[1])})
-			}
+		o := st.held(exprString(call.Args[1]))
+		if o != nil && len(o.call.Args) == 5 && isFalse(o.call.Args[2]) && isFalse(o.call.Args[3]) {
+			e.observef(call.Pos(),
+				"buffer published to the LRU under an uncommitted synchronous claim; commit or settle before lruPush (every resident claim must complete autonomously)")
 		}
 		return true
 	})
-	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
-
-	claimed := map[types.Object]bool{}
-	for _, ev := range events {
-		if ev.obj == nil {
-			continue
-		}
-		switch ev.kind {
-		case "claim":
-			claimed[ev.obj] = true
-		case "resolve":
-			claimed[ev.obj] = false
-		case "publish":
-			if claimed[ev.obj] {
-				pass.Reportf(ev.pos,
-					"buffer published to the LRU under an uncommitted synchronous claim; commit or settle before lruPush (every resident claim must complete autonomously)")
-			}
-		}
-	}
 }

@@ -26,20 +26,23 @@ var Claimlife = &Analyzer{
 	Doc: "report DMA claims (vm.claim) that some CFG path drops without " +
 		"reaching commit, settle or a handoff to the worker queue; a " +
 		"dropped claim permanently wedges the buffer's claim word",
-	RunProject: runClaimlife,
+	RunProject: func(pass *ProjectPass) error {
+		return reportFindings(pass, pass.Prog.lifecycle(claimSpec).leaks)
+	},
 }
 
-func runClaimlife(pass *ProjectPass) error {
-	return runLifecycle(pass, &lifeSpec{
-		name:     "claimlife",
-		kind:     "claim",
-		leakVerb: "is neither committed, settled nor handed off",
-		classify: classifyClaim,
-		closers: map[string]bool{
-			"commit": true, "Commit": true,
-			"settle": true, "Settle": true,
-		},
-	})
+// claimSpec is the claim lifecycle: claimlife reports its leaks,
+// claimdiscipline its observer's findings.
+var claimSpec = &lifeSpec{
+	name:     "claim",
+	kind:     "claim",
+	leakVerb: "is neither committed, settled nor handed off",
+	classify: classifyClaim,
+	closers: map[string]bool{
+		"commit": true, "Commit": true,
+		"settle": true, "Settle": true,
+	},
+	observe: observePublish,
 }
 
 func classifyClaim(e *lifeEngine, call *ast.CallExpr) []lifeEvent {

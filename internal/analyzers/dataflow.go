@@ -1,23 +1,31 @@
 package analyzers
 
-// dataflow.go is the path-sensitive worklist engine the lifecycle
-// passes (pinbalance, claimlife, errpath) share. It enumerates the
-// distinct abstract states of a function over its CFG (cfg.go): each
-// state is the multiset of currently-open paired resources, the stack
-// of deferred close effects, and whether the path has crossed an
-// `err != nil` guard. Where the summary walker in interproc.go joins
-// branches by intersection — sound for suppressing lock-order edges,
-// useless for proving "every Pin reaches Unpin" — this engine keeps
-// every branch outcome separate and carries a human-readable trace, so
-// a diagnostic can print the concrete leaking path.
+// dataflow.go holds the package's one worklist (explore) and the
+// lifecycle engine built on it. explore enumerates the distinct
+// abstract states of a function over its CFG (cfg.go); the summary
+// builder in interproc.go runs it over held-lock sets, and the
+// lifecycle engine runs it over paired resources: each state is the
+// multiset of currently-open resources, the stack of deferred close
+// effects, and whether the path has crossed an `err != nil` guard.
+// Every branch outcome stays separate and carries a human-readable
+// trace, so a diagnostic can print the concrete leaking path.
 //
-// The lattice per pass is the same shape: open-resource counts
+// Three lifecycle specs exist — locks and snapshot handles (errpath.go),
+// DMA claims (claimlife.go), pins (pinbalance.go). Each is explored
+// once per Program and cached on it (Program.lifecycle); a spec yields
+// leak findings at function exits and, through its observer, findings
+// about what happens while a resource is open: lockhold reads the lock
+// spec's observer (blocking while a lock is held), claimdiscipline the
+// claim spec's (published while a claim is open).
+//
+// The lattice per spec is the same shape: open-resource counts
 // (saturating at a small bound so loops converge) ordered by multiset
 // inclusion, with the error flag and defer stack as extra state
 // components. Joins never happen — states with distinct keys are
 // explored separately, deduplicated per block, and capped (per block
-// and per function) so pathological functions degrade to silence, not
-// to nontermination or noise.
+// and per function). A function that hits a cap is recorded on the
+// Program (truncated), so tests can prove that silence means "no
+// finding" and not "gave up".
 //
 // Ownership semantics shared by all passes:
 //
@@ -32,11 +40,11 @@ package analyzers
 //     Passing it bare to a *resolvable* callee is transparent — unless
 //     the callee transitively performs one of the pass's closing
 //     operations (Program.TransResOps), in which case it counts as the
-//     release, at any call depth.
+//     release, at any call depth. Locks are exempt: a mutex is not a
+//     value, so mentioning it (&x.mu, a capturing closure) moves nothing.
 //   - defer: deferred close effects accumulate per path and apply at
 //     every exit before the leak check, modeling Go's defer-at-return.
-//   - Panic exits are exempt: a panicking path is already lost, and
-//     the paired-resource budget argument only covers error returns.
+//   - Panic exits are exempt: a panicking path is already lost.
 
 import (
 	"fmt"
@@ -95,43 +103,70 @@ type lifeSpec struct {
 	// exitAllowed licenses leaving the function with res still open
 	// (entry-held locks without a release contract, "pins it" docs).
 	exitAllowed func(e *lifeEngine, res string) bool
-	// errExitsOnly restricts reports to error-path exits.
-	errExitsOnly bool
+	// observe, when set, sees every node with the state in force before
+	// the node's own effects; it reports through e.observef.
+	observe func(e *lifeEngine, n ast.Node, st *lifeState)
 }
 
-// runLifecycle drives spec over every summarized function body.
-func runLifecycle(pass *ProjectPass, spec *lifeSpec) error {
-	prog := pass.Prog
-	for _, k := range prog.Order {
-		sum := prog.Funcs[k]
-		if sum.Decl == nil || sum.Decl.Body == nil {
-			continue
-		}
-		// claimword's own transition helpers are pure word arithmetic;
-		// the protocol there is atomicproto's jurisdiction.
-		if isClaimwordPath(sum.Pkg.Path) {
-			continue
-		}
-		cfg := prog.FuncCFG(k)
-		if cfg == nil {
+// lifeFinding is one diagnostic of a lifecycle exploration, held until
+// the analyzer that owns it reports it.
+type lifeFinding struct {
+	pos token.Pos
+	msg string
+}
+
+// lifeResult is what one spec found over the whole program: resources
+// still open at an exit, and what its observer saw on the way.
+type lifeResult struct {
+	leaks, observed []lifeFinding
+}
+
+// truncation names one exploration that a bound cut short.
+type truncation struct {
+	spec string
+	fn   FuncKey
+}
+
+// lifecycle explores spec over every declared function body, once per
+// Program.
+func (p *Program) lifecycle(spec *lifeSpec) *lifeResult {
+	if r, ok := p.life[spec]; ok {
+		return r
+	}
+	r := &lifeResult{}
+	p.life[spec] = r
+	for _, k := range p.Order {
+		sum := p.Funcs[k]
+		if sum.Decl == nil {
 			continue
 		}
 		e := &lifeEngine{
-			pass:     pass,
+			res:      r,
 			spec:     spec,
-			prog:     prog,
+			prog:     p,
 			pkg:      sum.Pkg,
 			sum:      sum,
-			cfg:      cfg,
+			cfg:      p.FuncCFG(k),
 			reported: make(map[token.Pos]bool),
 		}
-		e.run()
+		if !e.run() {
+			p.truncated = append(p.truncated, truncation{spec.name, k})
+		}
+	}
+	return r
+}
+
+// reportFindings hands a lifecycle exploration's findings to the
+// analyzer that owns them.
+func reportFindings(pass *ProjectPass, fs []lifeFinding) error {
+	for _, f := range fs {
+		pass.Reportf(f.pos, "%s", f.msg)
 	}
 	return nil
 }
 
-// Exploration bounds: beyond these the function degrades to silence
-// (dropping paths can only lose reports, never invent them).
+// Exploration bounds. Dropping paths can only lose reports, never
+// invent them, and every function that hits one is recorded.
 const (
 	maxOpenCount   = 3
 	maxBlockStates = 64
@@ -139,11 +174,62 @@ const (
 	maxTraceSteps  = 12
 )
 
-// openRes is one tracked resource on a path.
+// explore is the package's one worklist. Breadth-first from the entry
+// block it enumerates every distinct (block, state) pair: visit gets
+// the state at a block's start and returns the state at its end
+// without mutating its argument, cross carries that over one out-edge,
+// and key tells states apart. It returns false when a bound cut the
+// enumeration short.
+func explore[S any](cfg *CFG, entry S, key func(S) string, visit func(*Block, S) S, cross func(S, *Edge) S) bool {
+	type work struct {
+		blk *Block
+		st  S
+	}
+	type blockState struct {
+		blk int
+		key string
+	}
+	complete := true
+	seen := make(map[blockState]bool)
+	perBlock := make([]int, len(cfg.Blocks))
+	mark := func(blk *Block, st S) bool {
+		k := blockState{blk.ID, key(st)}
+		if seen[k] {
+			return false
+		}
+		if perBlock[blk.ID] >= maxBlockStates {
+			complete = false
+			return false
+		}
+		seen[k] = true
+		perBlock[blk.ID]++
+		return true
+	}
+	queue := []work{{cfg.Entry, entry}}
+	mark(cfg.Entry, entry)
+	for visits := 0; len(queue) > 0; visits++ {
+		if visits >= maxPathVisits {
+			return false
+		}
+		w := queue[0]
+		queue = queue[1:]
+		out := visit(w.blk, w.st)
+		for _, edge := range w.blk.Succs {
+			if ns := cross(out, edge); mark(edge.To, ns) {
+				queue = append(queue, work{edge.To, ns})
+			}
+		}
+	}
+	return complete
+}
+
+// openRes is one tracked resource on a path. call is the opening call
+// (nil for a resource held on entry).
 type openRes struct {
 	res  string
 	n    int
 	pos  token.Pos
+	call *ast.CallExpr
 	what string
 	kind string
 }
@@ -192,7 +278,7 @@ func (st *lifeState) key() string {
 	return b.String()
 }
 
-func (st *lifeState) openAt(res, what, kind string, pos token.Pos) {
+func (st *lifeState) openAt(res, what, kind string, pos token.Pos, call *ast.CallExpr) {
 	i := sort.Search(len(st.open), func(i int) bool { return st.open[i].res >= res })
 	if i < len(st.open) && st.open[i].res == res {
 		if st.open[i].n < maxOpenCount {
@@ -202,7 +288,7 @@ func (st *lifeState) openAt(res, what, kind string, pos token.Pos) {
 	}
 	st.open = append(st.open, openRes{})
 	copy(st.open[i+1:], st.open[i:])
-	st.open[i] = openRes{res: res, n: 1, pos: pos, what: what, kind: kind}
+	st.open[i] = openRes{res: res, n: 1, pos: pos, call: call, what: what, kind: kind}
 }
 
 // closeRes decrements res if open; closing what was never opened is a
@@ -218,13 +304,22 @@ func (st *lifeState) closeRes(res string) {
 	}
 }
 
-func (st *lifeState) isOpen(res string) bool {
+// held returns the open entry for res, or nil when res is not open.
+func (st *lifeState) held(res string) *openRes {
 	for i := range st.open {
-		if st.open[i].res == res {
-			return st.open[i].n > 0
+		if st.open[i].res == res && st.open[i].n > 0 {
+			return &st.open[i]
 		}
 	}
-	return false
+	return nil
+}
+
+// movable reports whether res is open and a value whose ownership a
+// hand-off can transfer. A lock is not: storing &x.mu or capturing x.mu
+// in a closure leaves it held by this path.
+func (st *lifeState) movable(res string) bool {
+	o := st.held(res)
+	return o != nil && o.kind != lockKind
 }
 
 func (st *lifeState) step(s string) {
@@ -235,15 +330,15 @@ func (st *lifeState) step(s string) {
 
 // lifeEngine explores one function for one spec.
 type lifeEngine struct {
-	pass *ProjectPass
+	res  *lifeResult
 	spec *lifeSpec
 	prog *Program
 	pkg  *Package
 	sum  *Summary
 	cfg  *CFG
+	blk  *Block // the block being visited
 
-	reported map[token.Pos]bool // one report per open site
-	visits   int
+	reported map[token.Pos]bool // one report per open site or observed position
 }
 
 func (e *lifeEngine) posStr(pos token.Pos) string {
@@ -251,58 +346,41 @@ func (e *lifeEngine) posStr(pos token.Pos) string {
 	return fmt.Sprintf("%s:%d", shortFile(p.Filename), p.Line)
 }
 
-func (e *lifeEngine) run() {
+// run explores the function; false means a bound cut it short.
+func (e *lifeEngine) run() bool {
 	entry := &lifeState{}
 	if e.spec.entryOpen != nil {
 		for _, res := range e.spec.entryOpen(e) {
-			entry.openAt(res, "held on entry", e.spec.kind, e.cfg.Decl.Pos())
+			entry.openAt(res, "held on entry", e.spec.kind, e.cfg.Decl.Pos(), nil)
 		}
 	}
-	type work struct {
-		blk *Block
-		st  *lifeState
-	}
-	seen := make(map[int]map[string]bool)
-	mark := func(blk *Block, st *lifeState) bool {
-		m := seen[blk.ID]
-		if m == nil {
-			m = make(map[string]bool)
-			seen[blk.ID] = m
-		}
-		k := st.key()
-		if m[k] || len(m) >= maxBlockStates {
-			return false
-		}
-		m[k] = true
-		return true
-	}
-	queue := []work{{e.cfg.Entry, entry}}
-	mark(e.cfg.Entry, entry)
-	for len(queue) > 0 {
-		w := queue[0]
-		queue = queue[1:]
-		if e.visits++; e.visits > maxPathVisits {
-			return
-		}
-		st := w.st.clone()
-		for _, n := range w.blk.Nodes {
-			e.transfer(n, st)
-		}
-		if len(w.blk.Succs) == 0 {
-			e.finish(w.blk, st)
-			continue
-		}
-		for _, edge := range w.blk.Succs {
-			ns := e.cross(st, edge)
-			if mark(edge.To, ns) {
-				queue = append(queue, work{edge.To, ns})
+	return explore(e.cfg, entry, (*lifeState).key,
+		func(blk *Block, in *lifeState) *lifeState {
+			st := in.clone()
+			e.blk = blk
+			for _, n := range blk.Nodes {
+				e.transfer(n, st)
 			}
-		}
+			if len(blk.Succs) == 0 {
+				e.finish(blk, st)
+			}
+			return st
+		}, e.cross)
+}
+
+// observef records an observer finding, once per position.
+func (e *lifeEngine) observef(pos token.Pos, format string, args ...any) {
+	if !e.reported[pos] {
+		e.reported[pos] = true
+		e.res.observed = append(e.res.observed, lifeFinding{pos, fmt.Sprintf(format, args...)})
 	}
 }
 
 // transfer applies one node's effects to the state.
 func (e *lifeEngine) transfer(n ast.Node, st *lifeState) {
+	if e.spec.observe != nil {
+		e.spec.observe(e, n, st)
+	}
 	if d, ok := n.(*ast.DeferStmt); ok {
 		e.deferNode(d, st)
 		return
@@ -317,7 +395,7 @@ func (e *lifeEngine) transfer(n ast.Node, st *lifeState) {
 // the escape scan does not double-count their argument mentions.
 func (e *lifeEngine) applyCalls(n ast.Node, st *lifeState) map[*ast.CallExpr]map[string]bool {
 	classified := make(map[*ast.CallExpr]map[string]bool)
-	ast.Inspect(n, func(x ast.Node) bool {
+	inspectNode(n, func(x ast.Node) bool {
 		if _, ok := x.(*ast.FuncLit); ok {
 			return false
 		}
@@ -347,7 +425,7 @@ func (e *lifeEngine) applyCalls(n ast.Node, st *lifeState) map[*ast.CallExpr]map
 			case lifeOpen:
 				e.commitPend(st)
 				if ev.cond == condAlways {
-					st.openAt(ev.res, ev.what, ev.kind, call.Pos())
+					st.openAt(ev.res, ev.what, ev.kind, call.Pos(), call)
 					st.step(fmt.Sprintf("%s at %s", ev.what, e.posStr(call.Pos())))
 					continue
 				}
@@ -380,7 +458,7 @@ func (e *lifeEngine) commitPend(st *lifeState) {
 	}
 	p := st.pend
 	st.pend = nil
-	st.openAt(p.ev.res, p.ev.what, p.ev.kind, p.call.Pos())
+	st.openAt(p.ev.res, p.ev.what, p.ev.kind, p.call.Pos(), p.call)
 	st.step(fmt.Sprintf("%s at %s", p.ev.what, e.posStr(p.call.Pos())))
 }
 
@@ -414,7 +492,7 @@ func (e *lifeEngine) deferNode(d *ast.DeferStmt, st *lifeState) {
 // scanEscapes releases tracked resources the node hands off: stored,
 // sent, returned, captured, or passed to calls (see escapeArg).
 func (e *lifeEngine) scanEscapes(n ast.Node, st *lifeState, classified map[*ast.CallExpr]map[string]bool) {
-	ast.Inspect(n, func(x ast.Node) bool {
+	inspectNode(n, func(x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.FuncLit:
 			e.escapeCaptures(x, st)
@@ -445,7 +523,7 @@ func (e *lifeEngine) scanEscapes(n ast.Node, st *lifeState, classified map[*ast.
 // which case the call is the release ("balanced at any call depth").
 func (e *lifeEngine) escapeArg(a ast.Expr, call *ast.CallExpr, st *lifeState, skip map[string]bool) {
 	bare := exprString(ast.Unparen(a))
-	if st.isOpen(bare) && !skip[bare] {
+	if st.movable(bare) && !skip[bare] {
 		if key, ok := e.calleeKey(call); ok {
 			if e.calleeCloses(key) {
 				st.closeRes(bare)
@@ -466,7 +544,7 @@ func (e *lifeEngine) escapeArg(a ast.Expr, call *ast.CallExpr, st *lifeState, sk
 // store-like position (assignment RHS, send, return).
 func (e *lifeEngine) escapeValue(v ast.Expr, st *lifeState, how string) {
 	bare := exprString(ast.Unparen(v))
-	if st.isOpen(bare) {
+	if st.movable(bare) {
 		st.closeRes(bare)
 		st.step(fmt.Sprintf("%s %s at %s", bare, how, e.posStr(v.Pos())))
 		return
@@ -500,7 +578,7 @@ func (e *lifeEngine) escapeCaptures(lit *ast.FuncLit, st *lifeState) {
 		if !ok {
 			return true
 		}
-		if s := exprString(ex); st.isOpen(s) {
+		if s := exprString(ex); st.movable(s) {
 			st.closeRes(s)
 			st.step(fmt.Sprintf("%s captured by closure at %s", s, e.posStr(lit.Pos())))
 		}
@@ -631,9 +709,6 @@ func (e *lifeEngine) finish(blk *Block, st *lifeState) {
 		if o.n <= 0 {
 			continue
 		}
-		if e.spec.errExitsOnly && !errExit {
-			continue
-		}
 		if e.spec.exitAllowed != nil && e.spec.exitAllowed(e, o.res) {
 			continue
 		}
@@ -647,9 +722,14 @@ func (e *lifeEngine) finish(blk *Block, st *lifeState) {
 		}
 		path := strings.Join(append(append([]string(nil), st.steps...),
 			exitDesc+" at "+e.posStr(exitPos)), " -> ")
-		e.pass.Reportf(o.pos, "%s on %s taken at %s %s on %s ending at the %s at %s; path: %s",
-			o.kind, o.res, e.posStr(o.pos), e.spec.leakVerb,
-			pathKind, exitDesc, e.posStr(exitPos), path)
+		origin := "taken at " + e.posStr(o.pos)
+		if o.call == nil {
+			origin = o.what // held on entry
+		}
+		e.res.leaks = append(e.res.leaks, lifeFinding{o.pos, fmt.Sprintf(
+			"%s on %s %s %s on %s ending at the %s at %s; path: %s",
+			o.kind, o.res, origin, e.spec.leakVerb,
+			pathKind, exitDesc, e.posStr(exitPos), path)})
 	}
 }
 

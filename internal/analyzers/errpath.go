@@ -1,14 +1,12 @@
 package analyzers
 
-// errpath upgrades lockhold's leaked-lock check from intersection-join
-// approximation to per-path evidence. lockhold's walker merges branch
-// arms; when they disagree about a mutex it degrades to lsUnknown and
-// suppresses reports — precisely the shape of the bug class that
-// matters most here: a lock (or shard lock, or snapshot handle) taken,
-// then an early `if err != nil { return err }` that skips the release.
-// errpath walks the CFG instead, so each diagnostic carries the
-// concrete leaking path: where the resource was taken, which error
-// guard was crossed, and which return leaked it.
+// errpath proves that every lock, shard lock and snapshot handle a
+// function takes is released on every path out of it. It walks the CFG,
+// so each diagnostic carries the concrete leaking path: where the
+// resource was taken, which guards were crossed, and which exit leaked
+// it — including the shape a branch-merging checker cannot see, a lock
+// taken and then an early `if err != nil { return err }` that skips
+// the release.
 //
 // Tracked resources:
 //
@@ -18,16 +16,14 @@ package analyzers
 //   - Handle-style snapshots: `snap := x.Snapshot()` where the result
 //     type has a Release method, paired with `snap.Release()`.
 //
-// Doc contracts compose exactly as in lockhold: "Requires mu held" /
-// "Requires sh.mu held" licenses both entering and leaving with that
-// lock held (unless "released on return" demands the release), and a
-// call to a method documented as entry-held + released-on-return
-// transfers the lock out of the caller.
+// Doc contracts (parseContracts): "Requires mu held" / "Requires sh.mu
+// held" licenses both entering and leaving with that lock held, unless
+// "released on return" demands the release on every exit; a call to a
+// method documented as entry-held + released-on-return transfers the
+// lock out of the caller. Panic paths are exempt.
 //
-// Reports fire only on error exits — paths through an `err != nil`
-// guard or returns yielding a non-nil error — because that is the
-// blind spot: happy-path leaks survive agreement across branches and
-// lockhold already rejects them. Panic paths are exempt.
+// The exploration behind this pass is lockSpec, run once per Program;
+// lockhold reports what its observer sees while a lock is held.
 
 import (
 	"go/ast"
@@ -36,42 +32,54 @@ import (
 
 var Errpath = &Analyzer{
 	Name: "errpath",
-	Doc: "report locks, shard locks and snapshot handles still held at an " +
-		"early error return, with the concrete leaking path (acquisition, " +
-		"error guard, return) printed in each diagnostic; supersedes the " +
-		"cases lockhold's intersection joins had to suppress",
-	RunProject: runErrpath,
+	Doc: "report locks, shard locks and snapshot handles still held at a " +
+		"function exit — early error returns included — with the concrete " +
+		"leaking path (acquisition, guards, exit) printed in each diagnostic",
+	RunProject: func(pass *ProjectPass) error {
+		return reportFindings(pass, pass.Prog.lifecycle(lockSpec).leaks)
+	},
 }
 
-func runErrpath(pass *ProjectPass) error {
-	return runLifecycle(pass, &lifeSpec{
-		name:         "errpath",
-		kind:         "lock",
-		leakVerb:     "is still held",
-		classify:     classifyErrpath,
-		closers:      map[string]bool{"Release": true},
-		entryOpen:    errpathEntryOpen,
-		exitAllowed:  errpathExitAllowed,
-		errExitsOnly: true,
-	})
+const lockKind = "lock"
+
+// lockSpec is the lock lifecycle: errpath reports its leaks, lockhold
+// its observer's findings.
+var lockSpec = &lifeSpec{
+	name:      "lock",
+	kind:      lockKind,
+	leakVerb:  "is still held",
+	classify:  classifyErrpath,
+	closers:   map[string]bool{"Release": true},
+	entryOpen: func(e *lifeEngine) []string { return e.sum.heldOnEntry },
+	// Leaving with an entry-held lock still held is the contract,
+	// unless it demands the release.
+	exitAllowed: func(e *lifeEngine, res string) bool {
+		if e.sum.releasedOnReturn {
+			return false
+		}
+		for _, r := range e.sum.heldOnEntry {
+			if r == res {
+				return true
+			}
+		}
+		return false
+	},
+	observe: observeBlocking,
 }
 
 func classifyErrpath(e *lifeEngine, call *ast.CallExpr) []lifeEvent {
+	info := e.pkg.Info
+	if x, lock, ok := mutexCall(info, call); ok {
+		if lock {
+			return []lifeEvent{{op: lifeOpen, res: exprString(x), cond: condAlways, what: exprString(call)}}
+		}
+		return []lifeEvent{{op: lifeClose, res: exprString(x)}}
+	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return nil
 	}
-	info := e.pkg.Info
 	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		if t := info.TypeOf(sel.X); t != nil && isMutex(t) {
-			return []lifeEvent{{op: lifeOpen, res: exprString(sel.X),
-				cond: condAlways, what: exprString(call)}}
-		}
-	case "Unlock", "RUnlock":
-		if t := info.TypeOf(sel.X); t != nil && isMutex(t) {
-			return []lifeEvent{{op: lifeClose, res: exprString(sel.X)}}
-		}
 	case "Snapshot":
 		// Handle-style acquisition: the result owns a Release.
 		if len(call.Args) == 0 && resultHasRelease(info, call) {
@@ -86,11 +94,8 @@ func classifyErrpath(e *lifeEngine, call *ast.CallExpr) []lifeEvent {
 		// A callee documented "mu held on entry, released on return"
 		// takes the lock with it.
 		if key, ok := e.calleeKey(call); ok {
-			if sum := e.prog.Funcs[key]; sum != nil && sum.Decl != nil && sum.Decl.Doc != nil {
-				doc := sum.Decl.Doc.Text()
-				if entryHeldRe.MatchString(doc) && releasedRe.MatchString(doc) {
-					return []lifeEvent{{op: lifeClose, res: exprString(sel.X) + ".mu"}}
-				}
+			if sum := e.prog.Funcs[key]; sum.recvHeld && sum.releasedOnReturn {
+				return []lifeEvent{{op: lifeClose, res: exprString(sel.X) + ".mu"}}
 			}
 		}
 	}
@@ -110,42 +115,4 @@ func resultHasRelease(info *types.Info, call *ast.CallExpr) bool {
 	obj, _, _ := types.LookupFieldOrMethod(t, true, nil, "Release")
 	fn, ok := obj.(*types.Func)
 	return ok && fn != nil
-}
-
-// errpathEntryOpen reads the function's lock contract: "Requires mu
-// held" opens the receiver's mu, "Requires sh.mu held" the parameter's.
-func errpathEntryOpen(e *lifeEngine) []string {
-	fd := e.sum.Decl
-	if fd.Doc == nil {
-		return nil
-	}
-	doc := fd.Doc.Text()
-	var open []string
-	if entryHeldRe.MatchString(doc) && fd.Recv != nil &&
-		len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
-		open = append(open, fd.Recv.List[0].Names[0].Name+".mu")
-	}
-	for _, m := range paramHeldRe.FindAllStringSubmatch(doc, -1) {
-		open = append(open, m[1]+".mu")
-	}
-	return open
-}
-
-// errpathExitAllowed licenses exiting with an entry-held lock still
-// held, unless the contract demands it released on return.
-func errpathExitAllowed(e *lifeEngine, res string) bool {
-	fd := e.sum.Decl
-	if fd.Doc == nil {
-		return false
-	}
-	doc := fd.Doc.Text()
-	if releasedRe.MatchString(doc) {
-		return false
-	}
-	for _, r := range errpathEntryOpen(e) {
-		if r == res {
-			return true
-		}
-	}
-	return false
 }

@@ -10,4 +10,8 @@ func TestErrpath(t *testing.T) {
 	mustDiag(t, diags, "errpath", `lock on sh\.mu taken at .* is still held on an error path`)
 	mustDiag(t, diags, "errpath", `lock on s\.rw taken at .* is still held on an error path`)
 	mustDiag(t, diags, "errpath", `snapshot on snap taken at .* is still held on an error path`)
+	// And the exits no error marks: a plain early return, and an
+	// entry-held lock whose "released on return" contract one path breaks.
+	mustDiag(t, diags, "errpath", `lock on s\.mu taken at .* is still held on a path ending at the return`)
+	mustDiag(t, diags, "errpath", `lock on s\.mu held on entry`)
 }

@@ -3,33 +3,33 @@ package analyzers
 // interproc.go is harmonylint's interprocedural dataflow layer: a call
 // graph over every loaded package plus one Summary per function body —
 // which locks it acquires and with what already held, which channels
-// it sends on or closes, which goroutines it spawns, which claimword
-// transitions it invokes, whether it can learn about shutdown, and
-// whether it observes wall-clock or global-rand state. The lockorder,
-// chanlife and atomicproto passes and the determinism taint upgrade
-// consume these summaries instead of re-walking syntax, which is what
-// lets them follow a contract through any call depth rather than
-// stopping at the first function boundary the way the PR-4 analyzers
-// did.
+// it sends on or closes, which goroutines it spawns, which
+// paired-resource operations it performs, which doc-comment lock
+// contract it declares, whether it can learn about shutdown, and
+// whether it observes wall-clock or global-rand state. The lockorder
+// and chanlife passes, the determinism taint upgrade and the lifecycle
+// explorations consume these summaries instead of re-walking syntax,
+// which is what lets them follow a contract through any call depth
+// rather than stopping at the first function boundary.
 //
 // Two deliberate approximations keep the layer sound for its clients
 // without a full abstract interpreter:
 //
-//   - The summary walker's held-lock sets use straight-line Lock/Unlock
-//     tracking with branch joins by intersection (a lock counts as held
-//     after an if only when both arms kept it), deferred Unlocks treated
-//     as "held until return". Disagreement therefore drops locks, which
-//     can only suppress lock-order edges, never invent them. Questions
-//     intersection cannot answer — "is this resource released on every
+//   - A call site's or acquisition's held-lock set is the must-held set:
+//     the summary builder runs the package's worklist (explore, in
+//     dataflow.go) over the function's CFG with the set of held lock
+//     classes as the state, and a lock counts as held at a node only
+//     when every state reaching the node holds it. A deferred Unlock
+//     leaves the lock held until return. Disagreement therefore drops
+//     locks, which can only suppress lock-order edges, never invent
+//     them. Per-path questions — "is this resource released on every
 //     path, including the early error returns?" — belong to the
-//     path-sensitive CFG engine in cfg.go/dataflow.go, which the
-//     pinbalance, claimlife and errpath passes run over the per-function
-//     graphs cached here (FuncCFG).
+//     lifecycle explorations in dataflow.go, over the same graphs
+//     (FuncCFG).
 //   - Only statically resolvable calls propagate: a call through an
 //     interface or a function value contributes no edge. That is the
 //     sanctioned escape hatch (trace.Clock exists exactly so the
-//     deterministic core can time things through an interface), and it
-//     matches how the PR-4 analyzers already scoped their checks.
+//     deterministic core can time things through an interface).
 //
 // CRITICAL identity note: Load type-checks each top-level package in
 // its own types universe while imports resolve through the shared
@@ -43,6 +43,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -174,9 +175,6 @@ type Summary struct {
 	Acquires []lockEvent
 	ChanOps  []chanOp
 	Taints   []taintUse
-	// ClaimCalls lists claimword transition helpers this function
-	// invokes (Claim, Commit, Settle, Pin, Unpin, ConsumePrefetch).
-	ClaimCalls []string
 	// ResOps lists the paired-resource operation names this function
 	// calls directly (Pin/Unpin, claim/commit/settle, Release and
 	// their case variants). The lifecycle passes use the transitive
@@ -185,8 +183,16 @@ type Summary struct {
 	ResOps []string
 
 	// EntryHeld are lock classes the doc contract declares held on
-	// entry ("Requires mu held", "Requires sh.mu held").
-	EntryHeld []LockClass
+	// entry ("Requires mu held", "Requires sh.mu held"); heldOnEntry
+	// are the same locks as the body spells them ("v.mu", "sh.mu"), and
+	// recvHeld says the receiver's mu is among them.
+	EntryHeld   []LockClass
+	heldOnEntry []string
+	recvHeld    bool
+	// releasedOnReturn: the doc demands the entry-held locks released
+	// on every return ("mu held on entry, released on return"), so a
+	// call to this method takes the receiver's lock off its caller.
+	releasedOnReturn bool
 	// ShardOrderOK: the doc declares the ascending device/shard
 	// acquisition contract, licensing same-class shard nesting.
 	ShardOrderOK bool
@@ -209,13 +215,16 @@ type Program struct {
 	shutdown map[FuncKey]bool
 	transAcq map[FuncKey]map[LockClass]bool
 	transRes map[FuncKey]map[string]bool
-	cfgs     map[FuncKey]*CFG // per-function CFGs, built once, shared by all passes
+	cfgs     map[FuncKey]*CFG          // per-function CFGs, built once, shared by all passes
+	life     map[*lifeSpec]*lifeResult // lifecycle explorations, run once each
+	// truncated lists every exploration a bound cut short; empty means
+	// each "no finding" below is a proof, not a cap.
+	truncated []truncation
 }
 
 // FuncCFG returns the function's control-flow graph, building it on
-// first request and caching it for every subsequent pass in the same
-// RunProject call (the loader-perf contract: three path-sensitive
-// passes, one CFG construction).
+// first request and caching it for the summary builder and every pass
+// in the same RunProject call.
 func (p *Program) FuncCFG(k FuncKey) *CFG {
 	if c, ok := p.cfgs[k]; ok {
 		return c
@@ -236,12 +245,6 @@ var resOpNames = map[string]bool{
 	"Settle": true, "settle": true, "Release": true,
 }
 
-// claimTransitions are internal/claimword's pure transition functions.
-var claimTransitions = map[string]bool{
-	"Claim": true, "Commit": true, "Settle": true,
-	"Pin": true, "Unpin": true, "ConsumePrefetch": true,
-}
-
 // BuildProgram summarizes every function in the loaded packages and
 // closes the taint, shutdown-reachability and transitive-acquisition
 // relations over the call graph.
@@ -250,6 +253,7 @@ func BuildProgram(pkgs []*Package) *Program {
 		Pkgs:  pkgs,
 		Funcs: make(map[FuncKey]*Summary),
 		cfgs:  make(map[FuncKey]*CFG),
+		life:  make(map[*lifeSpec]*lifeResult),
 	}
 	if len(pkgs) > 0 {
 		prog.Fset = pkgs[0].Fset
@@ -263,14 +267,19 @@ func BuildProgram(pkgs []*Package) *Program {
 			}
 			sum := &Summary{Key: key, Decl: fd, Pkg: pkg}
 			parseContracts(pkg, fd, sum)
-			prog.add(sum)
-			w := &sumWalker{pkg: pkg, prog: prog, sum: sum}
-			held := make(map[LockClass]bool)
-			for _, c := range sum.EntryHeld {
-				held[c] = true
+			if !prog.add(sum) {
+				return
 			}
-			w.stmts(fd.Body.List, held)
+			var held heldSet
+			for _, c := range sum.EntryHeld {
+				held = held.with(c)
+			}
+			w := &sumBuilder{pkg: pkg, prog: prog, sum: sum}
+			w.body(prog.FuncCFG(key), held)
 		})
+	}
+	for _, k := range prog.Order {
+		prog.Funcs[k].sortEvents()
 	}
 	prog.closeTaint()
 	prog.closeShutdown()
@@ -279,34 +288,80 @@ func BuildProgram(pkgs []*Package) *Program {
 	return prog
 }
 
-func (p *Program) add(s *Summary) {
+// sortEvents puts each event list in source order; the builder records
+// in block order.
+func (s *Summary) sortEvents() {
+	sortByPos(s.Calls, func(c callSite) token.Pos { return c.pos })
+	sortByPos(s.Spawns, func(c spawnSite) token.Pos { return c.pos })
+	sortByPos(s.Acquires, func(a lockEvent) token.Pos { return a.pos })
+	sortByPos(s.ChanOps, func(c chanOp) token.Pos { return c.pos })
+	sortByPos(s.Taints, func(u taintUse) token.Pos { return u.pos })
+}
+
+func sortByPos[T any](s []T, pos func(T) token.Pos) {
+	if len(s) < 2 {
+		return
+	}
+	sort.SliceStable(s, func(i, j int) bool { return pos(s[i]) < pos(s[j]) })
+}
+
+// add registers s under its key; false when the key is taken (several
+// init functions, say — the first wins).
+func (p *Program) add(s *Summary) bool {
 	if _, dup := p.Funcs[s.Key]; dup {
-		return // e.g. same name under build-tag variants; first wins
+		return false
 	}
 	p.Funcs[s.Key] = s
 	p.Order = append(p.Order, s.Key)
+	return true
 }
 
-// parseContracts reads the doc-comment lock contracts (shared with
-// lockhold: entryHeldRe, paramHeldRe, shardOrderRe).
+// The doc-comment lock contracts, read once per function into its
+// Summary by parseContracts; every pass takes them from there.
+var (
+	entryHeldRe = regexp.MustCompile(`(?i)\brequires\s+mu\s+held|\bmu\s+held\s+on\s+entry`)
+	paramHeldRe = regexp.MustCompile(`(?i)\brequires\s+(\w+)\.mu\s+held`)
+	releasedRe  = regexp.MustCompile(`(?i)\breleased\s+on\s+return`)
+	// shardOrderRe is the declaration that licenses holding two shard
+	// locks at once, in ascending device-index order.
+	shardOrderRe = regexp.MustCompile(`(?i)ascending\s+(device|shard)`)
+)
+
+// parseContracts reads the function's lock contract: "Requires mu
+// held" / "mu held on entry" puts the receiver's mu in the held state
+// on entry, "Requires sh.mu held" the mu of the parameter of that name
+// (the sharded helpers take their vmShard/devShard explicitly).
+// Returning with such a lock held is then expected unless the doc also
+// says "released on return".
 func parseContracts(pkg *Package, fd *ast.FuncDecl, sum *Summary) {
 	if fd.Doc == nil {
 		return
 	}
 	doc := fd.Doc.Text()
 	sum.ShardOrderOK = shardOrderRe.MatchString(doc)
-	if entryHeldRe.MatchString(doc) && fd.Recv != nil && len(fd.Recv.List) > 0 {
-		if c, ok := fieldLockClass(pkg, fd.Recv.List[0].Type, "mu"); ok {
+	sum.releasedOnReturn = releasedRe.MatchString(doc)
+	held := func(f *ast.Field, name string) bool {
+		c, ok := fieldLockClass(pkg, f.Type, "mu")
+		if ok {
 			sum.EntryHeld = append(sum.EntryHeld, c)
+			if name != "" {
+				sum.heldOnEntry = append(sum.heldOnEntry, name+".mu")
+			}
 		}
+		return ok
+	}
+	if entryHeldRe.MatchString(doc) && fd.Recv != nil && len(fd.Recv.List) > 0 {
+		recv, name := fd.Recv.List[0], ""
+		if len(recv.Names) == 1 {
+			name = recv.Names[0].Name
+		}
+		sum.recvHeld = held(recv, name)
 	}
 	for _, m := range paramHeldRe.FindAllStringSubmatch(doc, -1) {
 		for _, f := range fd.Type.Params.List {
 			for _, name := range f.Names {
 				if name.Name == m[1] {
-					if c, ok := fieldLockClass(pkg, f.Type, "mu"); ok {
-						sum.EntryHeld = append(sum.EntryHeld, c)
-					}
+					held(f, name.Name)
 				}
 			}
 		}
@@ -330,251 +385,201 @@ func fieldLockClass(pkg *Package, typeExpr ast.Expr, field string) (LockClass, b
 	return LockClass{Pkg: n.Obj().Pkg().Path(), Owner: n.Obj().Name(), Name: field}, true
 }
 
-// ----------------------------------------------------------- the walker
+// ----------------------------------------------------- the summary builder
 
-type sumWalker struct {
+// heldSet is a set of lock classes, sorted and never modified in place,
+// so a snapshot can be kept by just keeping the slice.
+type heldSet []LockClass
+
+func lessClass(a, b LockClass) bool {
+	if a.Pkg != b.Pkg {
+		return a.Pkg < b.Pkg
+	}
+	if a.Owner != b.Owner {
+		return a.Owner < b.Owner
+	}
+	return a.Name < b.Name
+}
+
+func (h heldSet) find(c LockClass) (int, bool) {
+	i := sort.Search(len(h), func(i int) bool { return !lessClass(h[i], c) })
+	return i, i < len(h) && h[i] == c
+}
+
+func (h heldSet) with(c LockClass) heldSet {
+	i, ok := h.find(c)
+	if ok {
+		return h
+	}
+	out := make(heldSet, 0, len(h)+1)
+	return append(append(append(out, h[:i]...), c), h[i:]...)
+}
+
+func (h heldSet) without(c LockClass) heldSet {
+	i, ok := h.find(c)
+	if !ok {
+		return h
+	}
+	out := make(heldSet, 0, len(h)-1)
+	return append(append(out, h[:i]...), h[i+1:]...)
+}
+
+func (h heldSet) intersect(o heldSet) heldSet {
+	var out heldSet
+	for _, c := range h {
+		if _, ok := o.find(c); ok {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+func (h heldSet) key() string {
+	var b strings.Builder
+	for _, c := range h {
+		b.WriteString(c.Pkg)
+		b.WriteByte('.')
+		b.WriteString(c.Owner)
+		b.WriteByte('.')
+		b.WriteString(c.Name)
+		b.WriteByte(';')
+	}
+	return b.String()
+}
+
+// sumBuilder fills one Summary. held is the must-held lock set at the
+// node being recorded.
+type sumBuilder struct {
 	pkg  *Package
 	prog *Program
 	sum  *Summary
+	held heldSet
 }
 
-func copyHeld(h map[LockClass]bool) map[LockClass]bool {
-	c := make(map[LockClass]bool, len(h))
-	for k, v := range h {
-		c[k] = v
+// body summarizes one function body entered with the given locks held.
+// The worklist first finds, per block, the locks every state reaching
+// it holds; one pass over the blocks then records each node's events
+// against that set.
+func (w *sumBuilder) body(cfg *CFG, entry heldSet) {
+	in := make([]heldSet, len(cfg.Blocks))
+	reached := make([]bool, len(cfg.Blocks))
+	complete := explore(cfg, entry, heldSet.key,
+		func(blk *Block, h heldSet) heldSet {
+			if reached[blk.ID] {
+				in[blk.ID] = in[blk.ID].intersect(h)
+			} else {
+				reached[blk.ID], in[blk.ID] = true, h
+			}
+			for _, n := range blk.Nodes {
+				h = w.lockEffects(n, h)
+			}
+			return h
+		},
+		func(h heldSet, _ *Edge) heldSet { return h })
+	if !complete {
+		w.prog.truncated = append(w.prog.truncated, truncation{"summary", w.sum.Key})
 	}
-	return c
+	outer := w.held
+	for _, blk := range cfg.Blocks {
+		if !reached[blk.ID] {
+			continue
+		}
+		w.held = in[blk.ID]
+		for _, n := range blk.Nodes {
+			w.node(n)
+		}
+	}
+	w.held = outer
 }
 
-func intersectHeld(a, b map[LockClass]bool) map[LockClass]bool {
-	out := make(map[LockClass]bool)
-	for k := range a {
-		if b[k] {
-			out[k] = true
-		}
+// mutexOp matches a mutex Lock or Unlock and resolves the mutex to its
+// class.
+func (w *sumBuilder) mutexOp(call *ast.CallExpr) (c LockClass, lock, ok bool) {
+	x, lock, ok := mutexCall(w.pkg.Info, call)
+	if ok {
+		c, ok = w.lockClassOf(x)
 	}
-	return out
+	return c, lock, ok
 }
 
-func heldList(h map[LockClass]bool) []LockClass {
-	if len(h) == 0 {
-		return nil
+// lockEffects applies the node's Lock and Unlock calls to held. Deferred
+// calls run at return and spawned ones elsewhere, so neither changes
+// what is held here; a deferred Unlock thereby keeps its lock held
+// until return.
+func (w *sumBuilder) lockEffects(n ast.Node, held heldSet) heldSet {
+	switch n.(type) {
+	case *ast.DeferStmt, *ast.GoStmt:
+		return held
 	}
-	out := make([]LockClass, 0, len(h))
-	for k := range h {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		if a.Owner != b.Owner {
-			return a.Owner < b.Owner
-		}
-		return a.Name < b.Name
-	})
-	return out
-}
-
-func (w *sumWalker) stmts(list []ast.Stmt, held map[LockClass]bool) map[LockClass]bool {
-	for _, s := range list {
-		held = w.stmt(s, held)
-	}
-	return held
-}
-
-// stmt processes one statement and returns the held-lock set after it.
-func (w *sumWalker) stmt(s ast.Stmt, held map[LockClass]bool) map[LockClass]bool {
-	switch s := s.(type) {
-	case nil:
-		return held
-	case *ast.BlockStmt:
-		return w.stmts(s.List, held)
-	case *ast.ExprStmt:
-		w.scanExpr(s.X, held)
-		return held
-	case *ast.SendStmt:
-		w.scanExpr(s.Chan, held)
-		w.scanExpr(s.Value, held)
-		if c, ok := w.chanClassOf(s.Chan); ok {
-			w.sum.ChanOps = append(w.sum.ChanOps, chanOp{pos: s.Pos(), class: c, send: true})
-		}
-		return held
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.scanExpr(e, held)
-		}
-		for _, e := range s.Lhs {
-			w.scanExpr(e, held)
-		}
-		return held
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.scanExpr(e, held)
-		}
-		return held
-	case *ast.IncDecStmt:
-		w.scanExpr(s.X, held)
-		return held
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.scanExpr(v, held)
-					}
+	inspectNode(n, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			if c, lock, ok := w.mutexOp(x); ok {
+				if lock {
+					held = held.with(c)
+				} else {
+					held = held.without(c)
 				}
 			}
 		}
-		return held
-	case *ast.GoStmt:
-		w.goStmt(s, held)
-		return held
-	case *ast.DeferStmt:
-		w.deferStmt(s)
-		return held
-	case *ast.IfStmt:
-		held = w.stmt(s.Init, held)
-		w.scanExpr(s.Cond, held)
-		thenOut := w.stmts(s.Body.List, copyHeld(held))
-		elseOut := copyHeld(held)
-		if s.Else != nil {
-			elseOut = w.stmt(s.Else, elseOut)
-		}
-		return intersectHeld(thenOut, elseOut)
-	case *ast.ForStmt:
-		held = w.stmt(s.Init, held)
-		if s.Cond != nil {
-			w.scanExpr(s.Cond, held)
-		}
-		bodyOut := w.stmts(s.Body.List, copyHeld(held))
-		bodyOut = w.stmt(s.Post, bodyOut)
-		// The loop may run zero times; locks must survive both paths.
-		return intersectHeld(held, bodyOut)
-	case *ast.RangeStmt:
-		w.scanExpr(s.X, held)
-		if t := w.pkg.Info.TypeOf(s.X); t != nil {
-			if _, isChan := t.Underlying().(*types.Chan); isChan {
+		return true
+	})
+	return held
+}
+
+// node records the calls, taints, lock transitions, channel operations
+// and shutdown constructs of one CFG node, in lexical order. A function
+// literal that is not spawned is summarized into the same Summary with
+// nothing held (it runs later, locks notwithstanding).
+func (w *sumBuilder) node(n ast.Node) {
+	inspectNode(n, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.GoStmt:
+			w.goStmt(x)
+			return false
+		case *ast.DeferStmt:
+			w.deferStmt(x)
+			return false
+		case *ast.FuncLit:
+			w.body(newBodyCFG(x.Body), nil)
+			return false
+		case *ast.SendStmt:
+			if c, ok := w.chanClassOf(x.Chan); ok {
+				w.sum.ChanOps = append(w.sum.ChanOps, chanOp{pos: x.Pos(), class: c, send: true})
+			}
+		case *ast.RangeStmt:
+			if isChan(w.pkg.Info, x.X) {
 				w.sum.DirectShutdown = true
 			}
-		}
-		bodyOut := w.stmts(s.Body.List, copyHeld(held))
-		return intersectHeld(held, bodyOut)
-	case *ast.SwitchStmt:
-		held = w.stmt(s.Init, held)
-		if s.Tag != nil {
-			w.scanExpr(s.Tag, held)
-		}
-		return w.caseBodies(s.Body, held)
-	case *ast.TypeSwitchStmt:
-		held = w.stmt(s.Init, held)
-		w.stmt(s.Assign, copyHeld(held))
-		return w.caseBodies(s.Body, held)
-	case *ast.SelectStmt:
-		w.sum.DirectShutdown = true
-		outs := []map[LockClass]bool{}
-		for _, cl := range s.Body.List {
-			cc, ok := cl.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			h := copyHeld(held)
-			h = w.stmt(cc.Comm, h)
-			h = w.stmts(cc.Body, h)
-			outs = append(outs, h)
-		}
-		out := held
-		for _, h := range outs {
-			out = intersectHeld(out, h)
-		}
-		return out
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, held)
-	default: // BranchStmt, EmptyStmt, ...
-		return held
-	}
-}
-
-// caseBodies joins the arms of a switch: a lock is held after it only
-// if every arm (and the no-default fallthrough path) kept it.
-func (w *sumWalker) caseBodies(body *ast.BlockStmt, held map[LockClass]bool) map[LockClass]bool {
-	out := held
-	hasDefault := false
-	var outs []map[LockClass]bool
-	for _, cl := range body.List {
-		cc, ok := cl.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		for _, e := range cc.List {
-			w.scanExpr(e, held)
-		}
-		outs = append(outs, w.stmts(cc.Body, copyHeld(held)))
-	}
-	if hasDefault && len(outs) > 0 {
-		out = outs[0]
-		outs = outs[1:]
-	}
-	for _, h := range outs {
-		out = intersectHeld(out, h)
-	}
-	return out
-}
-
-// scanExpr records the calls, taints, lock transitions, channel closes
-// and shutdown constructs inside one expression, in lexical order.
-// Function literals are walked into the same summary with an empty
-// held set (they run later, locks notwithstanding), matching how the
-// PR-4 ctxleak heuristic treated nested bodies.
-func (w *sumWalker) scanExpr(e ast.Expr, held map[LockClass]bool) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			w.stmts(n.Body.List, make(map[LockClass]bool))
-			return false
+		case *ast.SelectStmt:
+			w.sum.DirectShutdown = true
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
+			if x.Op == token.ARROW {
 				w.sum.DirectShutdown = true
 			}
 		case *ast.CallExpr:
-			w.call(n, held)
+			w.call(x)
 		}
 		return true
 	})
 }
 
 // call classifies one call expression: lock transition, taint source,
-// claimword transition, channel close, shutdown signal, or a plain
-// (possibly resolvable) call.
-func (w *sumWalker) call(call *ast.CallExpr, held map[LockClass]bool) {
+// channel close, shutdown signal, or a plain (possibly resolvable)
+// call.
+func (w *sumBuilder) call(call *ast.CallExpr) {
 	info := w.pkg.Info
 
-	// Mutex transitions.
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		switch sel.Sel.Name {
-		case "Lock", "RLock", "Unlock", "RUnlock":
-			if t := info.TypeOf(sel.X); t != nil && isMutex(t) {
-				if c, ok := w.lockClassOf(sel.X); ok {
-					switch sel.Sel.Name {
-					case "Lock", "RLock":
-						w.sum.Acquires = append(w.sum.Acquires, lockEvent{
-							pos: call.Pos(), class: c, held: heldList(held),
-						})
-						held[c] = true
-					default:
-						delete(held, c)
-					}
-				}
-				return
-			}
+	if c, lock, ok := w.mutexOp(call); ok {
+		if lock {
+			w.sum.Acquires = append(w.sum.Acquires, lockEvent{pos: call.Pos(), class: c, held: w.held})
+			w.held = w.held.with(c)
+		} else {
+			w.held = w.held.without(c)
 		}
+		return
 	}
 
 	// Wall-clock and global-rand taint sources.
@@ -622,14 +627,11 @@ func (w *sumWalker) call(call *ast.CallExpr, held map[LockClass]bool) {
 	if fn == nil {
 		return
 	}
-	if claimTransitions[fn.Name()] && fn.Pkg() != nil && isClaimwordPath(fn.Pkg().Path()) {
-		w.sum.ClaimCalls = append(w.sum.ClaimCalls, fn.Name())
-	}
 	if resOpNames[fn.Name()] {
 		w.sum.ResOps = append(w.sum.ResOps, fn.Name())
 	}
 	if key, ok := keyOf(fn); ok {
-		w.sum.Calls = append(w.sum.Calls, callSite{pos: call.Pos(), callee: key, held: heldList(held)})
+		w.sum.Calls = append(w.sum.Calls, callSite{pos: call.Pos(), callee: key, held: w.held})
 	}
 }
 
@@ -654,9 +656,9 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 
 // goStmt records a spawn site and, for literals, synthesizes a summary
 // for the spawned body so the lifecycle fixpoint can see through it.
-func (w *sumWalker) goStmt(g *ast.GoStmt, held map[LockClass]bool) {
+func (w *sumBuilder) goStmt(g *ast.GoStmt) {
 	for _, a := range g.Call.Args {
-		w.scanExpr(a, held)
+		w.node(a)
 	}
 	if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
 		pos := w.pkg.Fset.Position(g.Pos())
@@ -665,8 +667,8 @@ func (w *sumWalker) goStmt(g *ast.GoStmt, held map[LockClass]bool) {
 			Pkg: w.pkg,
 		}
 		w.prog.add(syn)
-		lw := &sumWalker{pkg: w.pkg, prog: w.prog, sum: syn}
-		lw.stmts(lit.Body.List, make(map[LockClass]bool))
+		lw := &sumBuilder{pkg: w.pkg, prog: w.prog, sum: syn}
+		lw.body(newBodyCFG(lit.Body), nil)
 		w.sum.Spawns = append(w.sum.Spawns, spawnSite{pos: g.Pos(), callee: syn.Key, label: "func literal"})
 		return
 	}
@@ -679,31 +681,22 @@ func (w *sumWalker) goStmt(g *ast.GoStmt, held map[LockClass]bool) {
 	w.sum.Spawns = append(w.sum.Spawns, sp)
 }
 
-// deferStmt: a deferred Unlock keeps the lock "held until return" (the
-// standard Lock/defer-Unlock idiom); other deferred calls are recorded
-// with an empty held set, since they run at an unknown exit state.
-func (w *sumWalker) deferStmt(d *ast.DeferStmt) {
-	call := d.Call
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if sel.Sel.Name == "Unlock" || sel.Sel.Name == "RUnlock" {
-			if t := w.pkg.Info.TypeOf(sel.X); t != nil && isMutex(t) {
-				return
-			}
-		}
-	}
-	w.scanExpr(call.Fun, make(map[LockClass]bool))
-	for _, a := range call.Args {
-		w.scanExpr(a, make(map[LockClass]bool))
-	}
-	if lit, ok := call.Fun.(*ast.FuncLit); ok {
-		_ = lit // already walked by scanExpr above
+// deferStmt: a deferred Unlock changes nothing here (the lock stays
+// held until return, the standard Lock/defer-Unlock idiom); any other
+// deferred call is recorded with nothing held, since it runs at an
+// unknown exit state.
+func (w *sumBuilder) deferStmt(d *ast.DeferStmt) {
+	if _, lock, ok := w.mutexOp(d.Call); ok && !lock {
 		return
 	}
-	w.call(call, make(map[LockClass]bool))
+	outer := w.held
+	w.held = nil
+	w.node(d.Call)
+	w.held = outer
 }
 
 // lockClassOf resolves the mutex expression x of x.Lock() to a class.
-func (w *sumWalker) lockClassOf(e ast.Expr) (LockClass, bool) {
+func (w *sumBuilder) lockClassOf(e ast.Expr) (LockClass, bool) {
 	info := w.pkg.Info
 	switch e := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
@@ -758,7 +751,7 @@ func (w *sumWalker) lockClassOf(e ast.Expr) (LockClass, bool) {
 
 // chanClassOf resolves a send/close target to a channel class, when it
 // is a plain field or variable reference.
-func (w *sumWalker) chanClassOf(e ast.Expr) (chanClass, bool) {
+func (w *sumBuilder) chanClassOf(e ast.Expr) (chanClass, bool) {
 	info := w.pkg.Info
 	switch e := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
@@ -899,11 +892,12 @@ func (p *Program) closeAcquires() {
 // TransAcquires returns the sorted lock classes the function may
 // acquire at any call depth.
 func (p *Program) TransAcquires(k FuncKey) []LockClass {
-	m := p.transAcq[k]
-	if len(m) == 0 {
-		return nil
+	var out heldSet
+	for c := range p.transAcq[k] {
+		out = append(out, c)
 	}
-	return heldList(m)
+	sort.Slice(out, func(i, j int) bool { return lessClass(out[i], out[j]) })
+	return out
 }
 
 // closeResOps: transitive paired-resource operation sets — every

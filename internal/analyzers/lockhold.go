@@ -3,8 +3,6 @@ package analyzers
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
-	"regexp"
 	"strings"
 )
 
@@ -12,607 +10,112 @@ import (
 // vm.go "Locking:" contract): mutexes like vm.mu and Manager.mu guard
 // metadata only, so no goroutine may block while holding one — copy
 // execution, channel waits and sleeps always run with the lock
-// released. The analyzer tracks each function's lock state
-// flow-sensitively and reports:
+// released. It reports blocking operations at a point some path
+// reaches with a mutex held: channel send or receive, range over a
+// channel, select without a default, time.Sleep, sync.WaitGroup.Wait,
+// VM.WaitIdle and waitSettle. sync.Cond.Wait is exempt — it releases
+// the mutex while parked.
 //
-//   - blocking operations while a tracked mutex is held: channel send
-//     or receive, range over a channel, select without a default,
-//     time.Sleep, sync.WaitGroup.Wait, and VM.WaitIdle. sync.Cond.Wait
-//     is exempt — it releases the mutex while parked.
-//   - return paths that leak a held lock.
-//
-// The walker here joins branches by agreement: when two arms disagree
-// about a mutex the state degrades to lsUnknown and reports stop.
-// That keeps this pass quiet on release-on-one-arm shapes — exactly
-// the `if err != nil { return err }` leak — which are errpath's
-// jurisdiction now: the CFG engine (cfg.go, dataflow.go) re-checks
-// every lock per path and reports the concrete leaking trace.
-//
-// Unexported helpers that run under the caller's lock declare it in
-// their doc comment, and the analyzer honors those contracts: a doc
-// matching "Requires mu held" or "mu held on entry" starts the
-// receiver's mu in the held state; "Requires <param>.mu held" does the
-// same for a parameter with a mu field (the sharded VM's per-device
-// helpers take their vmShard explicitly). Returning with the lock held
-// is then expected unless the doc also says "released on return", in
-// which case every return path must have released it.
-//
-// Shard lock order: mutexes hanging off a type whose name ends in
-// "Shard" (vmShard, devShard) follow the fixed-acquisition-order
-// discipline of DESIGN.md §12 — no path may take a second shard lock
-// while holding one, unless its doc comment declares the ascending
-// device/shard order contract ("in ascending device order").
+// The pass is the observer of the lock-lifecycle exploration errpath
+// reports leaks from (lockSpec in errpath.go): the held locks at each
+// node, per path, are that exploration's state, including locks the
+// doc contract declares held on entry ("Requires mu held", "Requires
+// sh.mu held") and locks a callee's "released on return" contract takes
+// away. Leaked locks are errpath's report and nested shard locks
+// lockorder's; this pass owns only what happens while a lock is held.
 var Lockhold = &Analyzer{
 	Name: "lockhold",
-	Doc: "report blocking operations while a mutex is held, return paths " +
-		"that leak a held lock, and nested shard locks without a declared " +
-		"ascending-order contract; doc contracts like \"Requires mu held\" " +
-		"set the expected entry/exit state",
-	Run: runLockhold,
+	Doc: "report blocking operations (channel operations, select without " +
+		"default, time.Sleep, WaitGroup.Wait, WaitIdle, waitSettle) at any " +
+		"point some path reaches with a mutex held; doc contracts like " +
+		"\"Requires mu held\" set the entry state",
+	RunProject: func(pass *ProjectPass) error {
+		return reportFindings(pass, pass.Prog.lifecycle(lockSpec).observed)
+	},
 }
 
-var (
-	entryHeldRe = regexp.MustCompile(`(?i)\brequires\s+mu\s+held|\bmu\s+held\s+on\s+entry`)
-	paramHeldRe = regexp.MustCompile(`(?i)\brequires\s+(\w+)\.mu\s+held`)
-	releasedRe  = regexp.MustCompile(`(?i)\breleased\s+on\s+return`)
-	// shardOrderRe is the doc-comment declaration that licenses holding
-	// two shard locks at once, in ascending device-index order.
-	shardOrderRe = regexp.MustCompile(`(?i)ascending\s+(device|shard)`)
-	// blockingFunc names in-module functions that park the caller,
-	// mapped to the label shown in the report.
-	blockingFunc = map[string]string{
-		"WaitIdle":   "drains async DMA",
-		"waitSettle": "blocks on claim settle",
-	}
-)
-
-// lockSt is one mutex's abstract state at a program point.
-type lockSt int
-
-const (
-	lsUnlocked lockSt = iota
-	lsLocked          // held; must be released before return
-	lsDeferred        // held; a deferred Unlock releases it at return
-	lsUnknown         // branches disagree; suppress reports until re-anchored
-)
-
-// lockKey identifies a mutex by the root variable it hangs off plus
-// the selector path, so vm.mu in two functions with different
-// receivers are tracked independently.
-type lockKey struct {
-	root types.Object
-	path string
+// blockingFunc names in-module functions that park the caller, mapped
+// to the label shown in the report.
+var blockingFunc = map[string]string{
+	"WaitIdle":   "drains async DMA",
+	"waitSettle": "blocks on claim settle",
 }
 
-func runLockhold(pass *Pass) error {
-	// Methods documented to take mu held and release it ("mu held on
-	// entry, released on return") transfer lock ownership: a call site
-	// transitions the receiver's mu to unlocked.
-	releasers := map[types.Object]bool{}
-	forEachFunc(pass.Files, func(fd *ast.FuncDecl) {
-		if fd.Doc == nil || fd.Recv == nil {
-			return
-		}
-		doc := fd.Doc.Text()
-		if entryHeldRe.MatchString(doc) && releasedRe.MatchString(doc) {
-			if obj := pass.Info.Defs[fd.Name]; obj != nil {
-				releasers[obj] = true
-			}
-		}
-	})
-	forEachFunc(pass.Files, func(fd *ast.FuncDecl) {
-		w := &lockWalker{pass: pass, releasers: releasers, state: map[lockKey]lockSt{},
-			exitOK: map[lockKey]bool{}, shardHeld: map[lockKey]bool{}}
-		if fd.Doc != nil {
-			doc := fd.Doc.Text()
-			w.shardNestOK = shardOrderRe.MatchString(doc)
-			// Receiver contract: helpers documented to run under the
-			// caller's lock start with the receiver's mu held.
-			if entryHeldRe.MatchString(doc) && fd.Recv != nil &&
-				len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
-				recv := pass.Info.Defs[fd.Recv.List[0].Names[0]]
-				if recv != nil && hasMutexField(recv.Type(), "mu") {
-					k := lockKey{root: recv, path: "mu"}
-					w.state[k] = lsLocked
-					w.exitOK[k] = !releasedRe.MatchString(doc)
-				}
-			}
-			// Parameter contract: "Requires sh.mu held" binds to the
-			// parameter of that name (the sharded helpers pass their
-			// vmShard/devShard explicitly).
-			for _, m := range paramHeldRe.FindAllStringSubmatch(doc, -1) {
-				obj := paramNamed(pass, fd, m[1])
-				if obj == nil || !hasMutexField(obj.Type(), "mu") {
-					continue
-				}
-				k := lockKey{root: obj, path: "mu"}
-				w.state[k] = lsLocked
-				w.exitOK[k] = !releasedRe.MatchString(doc)
-				if isShardOwner(obj.Type()) {
-					w.shardHeld[k] = true
-				}
-			}
-		}
-		if term := w.walkStmts(fd.Body.List); !term {
-			w.checkLeak(fd.Body.Rbrace)
-		}
-	})
-	return nil
-}
-
-// paramNamed resolves a function parameter by name.
-func paramNamed(pass *Pass, fd *ast.FuncDecl, name string) types.Object {
-	if fd.Type.Params == nil {
-		return nil
-	}
-	for _, f := range fd.Type.Params.List {
-		for _, id := range f.Names {
-			if id.Name == name {
-				return pass.Info.Defs[id]
-			}
-		}
-	}
-	return nil
-}
-
-// isShardOwner reports whether t (after pointers) is a named type
-// participating in the shard lock-order discipline — its name ends in
-// "Shard" (vmShard, devShard).
-func isShardOwner(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	return ok && strings.HasSuffix(n.Obj().Name(), "Shard")
-}
-
-// hasMutexField reports whether t (after pointers) is a struct with a
-// mutex-typed field of the given name.
-func hasMutexField(t types.Type, name string) bool {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	s, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < s.NumFields(); i++ {
-		f := s.Field(i)
-		if f.Name() == name && isMutex(f.Type()) {
-			return true
-		}
-	}
-	return false
-}
-
-type lockWalker struct {
-	pass        *Pass
-	releasers   map[types.Object]bool // methods whose contract releases the receiver's mu
-	state       map[lockKey]lockSt
-	exitOK      map[lockKey]bool // contract allows returning with this mutex held
-	shardHeld   map[lockKey]bool // keys known to be shard locks (per-device mutexes)
-	shardNestOK bool             // doc declares the ascending shard-order contract
-}
-
-// keyOf resolves a mutex receiver expression (vm.mu, m.mu, mu) to a
-// tracking key. Selector chains must bottom out in a plain identifier.
-func (w *lockWalker) keyOf(e ast.Expr) (lockKey, bool) {
-	path := ""
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			if path == "" {
-				path = x.Sel.Name
-			} else {
-				path = x.Sel.Name + "." + path
-			}
-			e = x.X
-		case *ast.Ident:
-			obj := w.pass.Info.Uses[x]
-			if obj == nil {
-				obj = w.pass.Info.Defs[x]
-			}
-			if obj == nil {
-				return lockKey{}, false
-			}
-			if path == "" {
-				path = x.Name
-			}
-			return lockKey{root: obj, path: path}, true
-		default:
-			return lockKey{}, false
-		}
-	}
-}
-
-// classify matches a call against the mutex Lock/Unlock surface.
-func (w *lockWalker) classify(call *ast.CallExpr) (k lockKey, op string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return lockKey{}, "", false
-	}
-	name := sel.Sel.Name
-	if name != "Lock" && name != "Unlock" && name != "RLock" && name != "RUnlock" {
-		return lockKey{}, "", false
-	}
-	if t := w.pass.Info.TypeOf(sel.X); t == nil || !isMutex(t) {
-		return lockKey{}, "", false
-	}
-	k, kok := w.keyOf(sel.X)
-	if !kok {
-		return lockKey{}, "", false
-	}
-	switch name {
-	case "Lock", "RLock":
-		return k, "lock", true
-	default:
-		return k, "unlock", true
-	}
-}
-
-// heldMutex returns a description of some currently-held mutex, if any.
-func (w *lockWalker) heldMutex() (string, bool) {
-	for k, st := range w.state {
-		if st == lsLocked || st == lsDeferred {
-			return k.path, true
-		}
-	}
-	return "", false
-}
-
-func (w *lockWalker) reportBlocking(pos token.Pos, what string) {
-	if mu, held := w.heldMutex(); held {
-		w.pass.Reportf(pos, "%s while %s is held; blocking operations must run with the lock released", what, mu)
-	}
-}
-
-func (w *lockWalker) checkLeak(pos token.Pos) {
-	for k, st := range w.state {
-		if st == lsLocked && !w.exitOK[k] {
-			w.pass.Reportf(pos, "return path leaks held lock %s (no unlock or deferred unlock on this path)", k.path)
-		}
-	}
-}
-
-// handleExpr scans an expression tree for lock transitions, receives
-// and blocking calls. Func literals are skipped: their bodies run at
-// some other time, under some other lock state.
-func (w *lockWalker) handleExpr(e ast.Expr) {
-	if e == nil {
+// observeBlocking is lockSpec's observer: it reports every blocking
+// operation in node n when st holds a lock. Deferred and spawned calls
+// run later, under some other lock state, and so do function literals.
+func observeBlocking(e *lifeEngine, n ast.Node, st *lifeState) {
+	switch n.(type) {
+	case *ast.DeferStmt, *ast.GoStmt:
 		return
 	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
+	held := ""
+	for _, o := range st.open {
+		if o.n > 0 && o.kind == lockKind {
+			// st.open is sorted, so with several locks held the report
+			// names the lexically first — the same one every run. The
+			// root variable is dropped: "mu" for v.mu and sh.mu alike.
+			held = o.res[strings.IndexByte(o.res, '.')+1:]
+			break
+		}
+	}
+	if held == "" {
+		return
+	}
+	report := func(pos token.Pos, what string) {
+		e.observef(pos, "%s while %s is held; blocking operations must run with the lock released", what, held)
+	}
+	info := e.pkg.Info
+	inspectNode(n, func(x ast.Node) bool {
+		switch x := x.(type) {
 		case *ast.FuncLit:
 			return false
+		case *ast.SendStmt:
+			// A select arm's own communication is what the select
+			// waited for; only its operands can block separately.
+			if x != e.blk.Comm {
+				report(x.Arrow, "channel send")
+			}
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				w.reportBlocking(n.Pos(), "channel receive")
+			if x.Op == token.ARROW && !isCommRecv(e.blk.Comm, x) {
+				report(x.Pos(), "channel receive")
+			}
+		case *ast.RangeStmt:
+			if isChan(info, x.X) {
+				report(x.Pos(), "range over channel")
+			}
+		case *ast.SelectStmt:
+			if !hasDefaultComm(x.Body) {
+				report(x.Pos(), "select without default")
 			}
 		case *ast.CallExpr:
-			if k, op, ok := w.classify(n); ok {
-				if op == "lock" {
-					if w.isShardLock(n) {
-						w.checkShardNesting(n.Pos(), k)
-						w.shardHeld[k] = true
-					}
-					w.state[k] = lsLocked
-				} else {
-					w.state[k] = lsUnlocked
-				}
-				return false
-			}
-			if _, ok := methodOn(w.pass.Info, n, "sync", "Cond", "Wait"); ok {
+			if _, ok := methodOn(info, x, "sync", "Cond", "Wait"); ok {
 				return false // Cond.Wait releases the mutex while parked
 			}
-			if _, ok := methodOn(w.pass.Info, n, "sync", "WaitGroup", "Wait"); ok {
-				w.reportBlocking(n.Pos(), "sync.WaitGroup.Wait")
+			if _, ok := methodOn(info, x, "sync", "WaitGroup", "Wait"); ok {
+				report(x.Pos(), "sync.WaitGroup.Wait")
 			}
-			if pkgFunc(w.pass.Info, n, "time", "Sleep") {
-				w.reportBlocking(n.Pos(), "time.Sleep")
+			if pkgFunc(info, x, "time", "Sleep") {
+				report(x.Pos(), "time.Sleep")
 			}
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+			if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
 				if desc, blocks := blockingFunc[sel.Sel.Name]; blocks {
-					w.reportBlocking(n.Pos(), sel.Sel.Name+" ("+desc+")")
+					report(x.Pos(), sel.Sel.Name+" ("+desc+")")
 				}
 			}
-			w.applyContract(n)
 		}
 		return true
 	})
 }
 
-// isShardLock reports whether a Lock call's mutex hangs off a
-// shard-discipline type (x.mu.Lock() with x a *vmShard/*devShard).
-func (w *lockWalker) isShardLock(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	muSel, ok := sel.X.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	return isShardOwner(w.pass.Info.TypeOf(muSel.X))
-}
-
-// checkShardNesting reports taking a second shard lock while one is
-// held, unless the function's doc declares the ascending-order
-// contract. Per-device shards must never deadlock against each other,
-// so nesting is banned by default (DESIGN.md §12: visit shards one at
-// a time, in ascending device order).
-func (w *lockWalker) checkShardNesting(pos token.Pos, k lockKey) {
-	if w.shardNestOK {
-		return
-	}
-	for k2, isShard := range w.shardHeld {
-		if !isShard || k2 == k {
-			continue
-		}
-		if st := w.state[k2]; st == lsLocked || st == lsDeferred {
-			w.pass.Reportf(pos,
-				"second shard lock %s.mu acquired while %s.mu is held; acquire shards one at a time or declare the ascending device order contract in the doc comment",
-				k.root.Name(), k2.root.Name())
-			return
-		}
-	}
-}
-
-// applyContract transitions the receiver's mu to unlocked when the
-// call resolves to a method whose doc contract releases it on return
-// (swapIn, moveP2P: "mu held on entry, released on return").
-func (w *lockWalker) applyContract(call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !w.releasers[w.pass.Info.Uses[sel.Sel]] {
-		return
-	}
-	k, ok := w.keyOf(sel.X)
-	if !ok {
-		return
-	}
-	if _, bare := sel.X.(*ast.Ident); bare {
-		k.path = "mu" // keyOf reports a bare receiver as its own name
-	} else {
-		k.path += ".mu"
-	}
-	w.state[k] = lsUnlocked
-}
-
-func (w *lockWalker) branch() map[lockKey]lockSt {
-	c := make(map[lockKey]lockSt, len(w.state))
-	for k, v := range w.state {
-		c[k] = v
-	}
-	return c
-}
-
-// merge folds a branch's exit state into the current one: agreement
-// keeps the value, disagreement degrades to lsUnknown (reports are
-// suppressed rather than guessed).
-func (w *lockWalker) merge(other map[lockKey]lockSt) {
-	for k, v := range other {
-		if cur, ok := w.state[k]; !ok {
-			w.state[k] = v
-		} else if cur != v {
-			w.state[k] = lsUnknown
-		}
-	}
-	for k, cur := range w.state {
-		if _, ok := other[k]; !ok && cur != lsUnlocked {
-			w.state[k] = lsUnknown
-		}
-	}
-}
-
-// walkStmts walks a statement list in order, returning true when the
-// list definitely terminates the enclosing path (return, or an
-// infinite loop with no break).
-func (w *lockWalker) walkStmts(list []ast.Stmt) bool {
-	for _, s := range list {
-		if w.walkStmt(s) {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *lockWalker) walkStmt(s ast.Stmt) bool {
-	switch s := s.(type) {
+// isCommRecv reports whether recv is the receive a select arm's
+// communication performs: `<-ch`, `v := <-ch` or `v, ok = <-ch`.
+func isCommRecv(comm ast.Stmt, recv *ast.UnaryExpr) bool {
+	switch c := comm.(type) {
 	case *ast.ExprStmt:
-		w.handleExpr(s.X)
-	case *ast.SendStmt:
-		w.reportBlocking(s.Arrow, "channel send")
-		w.handleExpr(s.Chan)
-		w.handleExpr(s.Value)
+		return ast.Unparen(c.X) == recv
 	case *ast.AssignStmt:
-		for _, r := range s.Rhs {
-			w.handleExpr(r)
-		}
-		for _, l := range s.Lhs {
-			w.handleExpr(l)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.handleExpr(v)
-					}
-				}
-			}
-		}
-	case *ast.IncDecStmt:
-		w.handleExpr(s.X)
-	case *ast.DeferStmt:
-		if k, op, ok := w.classify(s.Call); ok && op == "unlock" {
-			w.state[k] = lsDeferred
-		}
-		// Other deferred calls run at return time; their bodies are
-		// not analyzed under the current lock state.
-	case *ast.GoStmt:
-		// The goroutine runs concurrently under its own lock state;
-		// hygiene's ctxleak check owns go-statement discipline.
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			w.handleExpr(r)
-		}
-		w.checkLeak(s.Pos())
-		return true
-	case *ast.BranchStmt:
-		// break/continue/goto end the linear walk of this list; the
-		// loop-level merge approximates where control lands.
-		return s.Tok != token.FALLTHROUGH
-	case *ast.BlockStmt:
-		return w.walkStmts(s.List)
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.handleExpr(s.Cond)
-		entry := w.branch()
-		thenTerm := w.walkStmts(s.Body.List)
-		thenState := w.state
-		w.state = entry
-		elseTerm := false
-		if s.Else != nil {
-			elseTerm = w.walkStmt(s.Else)
-		}
-		if thenTerm && elseTerm {
-			return true
-		}
-		if thenTerm {
-			return false // keep else/fallthrough state
-		}
-		if elseTerm {
-			w.state = thenState
-			return false
-		}
-		elseState := w.state
-		w.state = thenState
-		w.merge(elseState)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.handleExpr(s.Cond)
-		entry := w.branch()
-		bodyTerm := w.walkStmts(s.Body.List)
-		if s.Post != nil {
-			w.walkStmt(s.Post)
-		}
-		bodyState := w.state
-		w.state = entry
-		if !bodyTerm {
-			w.merge(bodyState)
-		}
-		if s.Cond == nil && !hasBreak(s.Body) {
-			return true // for{} with no break: code after is unreachable
-		}
-	case *ast.RangeStmt:
-		w.handleExpr(s.X)
-		if t := w.pass.Info.TypeOf(s.X); t != nil {
-			if _, isChan := t.Underlying().(*types.Chan); isChan {
-				w.reportBlocking(s.Pos(), "range over channel")
-			}
-		}
-		entry := w.branch()
-		bodyTerm := w.walkStmts(s.Body.List)
-		bodyState := w.state
-		w.state = entry
-		if !bodyTerm {
-			w.merge(bodyState)
-		}
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.handleExpr(s.Tag)
-		w.walkCases(s.Body, hasDefaultClause(s.Body))
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.walkCases(s.Body, hasDefaultClause(s.Body))
-	case *ast.SelectStmt:
-		if !hasDefaultComm(s.Body) {
-			w.reportBlocking(s.Pos(), "select without default")
-		}
-		w.walkCases(s.Body, true)
-	}
-	return false
-}
-
-// walkCases analyzes each case clause of a switch/select body from the
-// shared entry state and merges the non-terminating exits. When no
-// default exists, the entry state itself is a possible exit.
-func (w *lockWalker) walkCases(body *ast.BlockStmt, hasDefault bool) {
-	entry := w.branch()
-	var exits []map[lockKey]lockSt
-	for _, c := range body.List {
-		w.state = w.copyOf(entry)
-		var stmts []ast.Stmt
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				w.handleExpr(e)
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm != nil {
-				// The winning comm op itself was already accounted for
-				// by the select-level blocking report; walk it only for
-				// lock transitions hidden in sub-expressions.
-				w.walkCommStmt(c.Comm)
-			}
-			stmts = c.Body
-		}
-		if !w.walkStmts(stmts) {
-			exits = append(exits, w.state)
-		}
-	}
-	if !hasDefault || len(exits) == 0 {
-		exits = append(exits, entry)
-	}
-	w.state = exits[0]
-	for _, e := range exits[1:] {
-		w.merge(e)
-	}
-}
-
-// walkCommStmt handles a select comm statement without re-reporting
-// its send/receive as blocking (the select itself was reported).
-func (w *lockWalker) walkCommStmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case *ast.SendStmt:
-		w.handleExpr(s.Value)
-	case *ast.AssignStmt:
-		// <-ch on the RHS: skip the receive, walk nothing else risky.
-	case *ast.ExprStmt:
-		// bare <-ch
-	}
-}
-
-func (w *lockWalker) copyOf(m map[lockKey]lockSt) map[lockKey]lockSt {
-	c := make(map[lockKey]lockSt, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-// hasDefaultClause reports whether a switch body has a default case.
-func hasDefaultClause(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok && cc.List == nil {
-			return true
-		}
+		return len(c.Rhs) == 1 && ast.Unparen(c.Rhs[0]) == recv
 	}
 	return false
 }
@@ -625,49 +128,4 @@ func hasDefaultComm(body *ast.BlockStmt) bool {
 		}
 	}
 	return false
-}
-
-// hasBreak reports whether body contains a break that exits this loop.
-// Unlabeled breaks inside nested loops, switches and selects bind to
-// those constructs instead; labeled breaks are conservatively assumed
-// to exit.
-func hasBreak(body *ast.BlockStmt) bool {
-	var scan func(stmts []ast.Stmt) bool
-	var scanStmt func(s ast.Stmt) bool
-	scanStmt = func(s ast.Stmt) bool {
-		switch s := s.(type) {
-		case *ast.BranchStmt:
-			return s.Tok == token.BREAK
-		case *ast.BlockStmt:
-			return scan(s.List)
-		case *ast.LabeledStmt:
-			return scanStmt(s.Stmt)
-		case *ast.IfStmt:
-			if scan(s.Body.List) {
-				return true
-			}
-			if s.Else != nil {
-				return scanStmt(s.Else)
-			}
-		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-			found := false
-			ast.Inspect(s, func(n ast.Node) bool {
-				if b, ok := n.(*ast.BranchStmt); ok && b.Tok == token.BREAK && b.Label != nil {
-					found = true
-				}
-				return !found
-			})
-			return found
-		}
-		return false
-	}
-	scan = func(stmts []ast.Stmt) bool {
-		for _, s := range stmts {
-			if scanStmt(s) {
-				return true
-			}
-		}
-		return false
-	}
-	return scan(body.List)
 }

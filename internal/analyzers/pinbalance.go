@@ -37,25 +37,25 @@ var Pinbalance = &Analyzer{
 		"CFG path — typically an early error return — neither releases, " +
 		"hands off, nor covers with a documented \"pins it\" ownership " +
 		"contract; the leaked pin permanently shrinks the device budget",
-	RunProject: runPinbalance,
+	RunProject: func(pass *ProjectPass) error {
+		return reportFindings(pass, pass.Prog.lifecycle(pinSpec).leaks)
+	},
 }
 
 // pinContractRe licenses exiting with pins open: the doc states the
 // function pins on behalf of its caller or a recorded owner.
 var pinContractRe = regexp.MustCompile(`(?i)\bpins\s+(it|them)\b|\bpins?\b[^.]*\bowned by\b|\bpinned on return\b`)
 
-func runPinbalance(pass *ProjectPass) error {
-	return runLifecycle(pass, &lifeSpec{
-		name:     "pinbalance",
-		kind:     "pin",
-		leakVerb: "is not released",
-		classify: classifyPin,
-		closers:  map[string]bool{"Unpin": true, "unpin": true},
-		exitAllowed: func(e *lifeEngine, res string) bool {
-			doc := e.sum.Decl.Doc
-			return doc != nil && pinContractRe.MatchString(doc.Text())
-		},
-	})
+var pinSpec = &lifeSpec{
+	name:     "pin",
+	kind:     "pin",
+	leakVerb: "is not released",
+	classify: classifyPin,
+	closers:  map[string]bool{"Unpin": true, "unpin": true},
+	exitAllowed: func(e *lifeEngine, res string) bool {
+		doc := e.sum.Decl.Doc
+		return doc != nil && pinContractRe.MatchString(doc.Text())
+	},
 }
 
 func classifyPin(e *lifeEngine, call *ast.CallExpr) []lifeEvent {

@@ -1,7 +1,7 @@
 // Package errpath is the fixture for the errpath analyzer: locks,
-// shard locks and snapshot handles must not still be held at an early
-// error return. Happy-path leaks are lockhold's jurisdiction; errpath
-// reports only error exits, with the concrete leaking path.
+// shard locks and snapshot handles must not still be held at any
+// function exit — early error returns included — unless the doc
+// contract says so; each report prints the concrete leaking path.
 package errpath
 
 import (
@@ -108,14 +108,65 @@ func snapReleased(src *source, s *store) error {
 	return nil
 }
 
-// happyLeak holds the lock at a non-error return. That is lockhold's
-// report, not errpath's: no error guard is crossed and no error
-// returned, so errpath stays silent here.
-func happyLeak(s *store) {
-	s.mu.Lock()
+// evictShard documents the parameter contract and drops the lock
+// around a slow copy, reacquiring before return — no leak either way.
+// Requires sh.mu held (released around the copy).
+func evictShard(sh *devShard, bad bool) error {
+	if bad {
+		return errSentinel
+	}
+	sh.mu.Unlock()
+	sh.mu.Lock()
+	return nil
 }
 
 // -------------------------------------------------------------- leaks
+
+// happyLeak holds the lock at a non-error return: no error guard is
+// crossed and no error returned.
+func happyLeak(s *store) {
+	s.mu.Lock() // want `lock on s.mu taken at .* is still held on a path ending at the function exit`
+}
+
+// leakOnEarlyReturn forgets the unlock on the early return; the guard
+// is a plain bool and the result a concrete type, so nothing marks the
+// path as an error path.
+func (s *store) leakOnEarlyReturn(bad bool) error {
+	s.mu.Lock() // want `lock on s.mu taken at .* is still held on a path ending at the return`
+	if bad {
+		return errSentinel
+	}
+	s.mu.Unlock()
+	return nil
+}
+
+// handoffLeak claims the release contract but keeps the lock on one
+// path: mu held on entry, released on return.
+func (s *store) handoffLeak(bad bool) { // want `lock on s.mu held on entry is still held on a path ending at the return`
+	if bad {
+		return
+	}
+	s.mu.Unlock()
+}
+
+// paramLeakNoContract has no doc contract, so the lock it takes on the
+// parameter must be released on every path.
+func paramLeakNoContract(sh *devShard, bad bool) error {
+	sh.mu.Lock() // want `lock on sh.mu taken at .* is still held on a path ending at the return`
+	if bad {
+		return errSentinel
+	}
+	sh.mu.Unlock()
+	return nil
+}
+
+// closureDoesNotRelease: an unlock inside a closure nobody runs is not a
+// release; a mutex is not a value whose ownership a capture moves.
+func closureDoesNotRelease(s *store) {
+	s.mu.Lock() // want `lock on s.mu taken at .* is still held on a path ending at the function exit`
+	f := func() { s.mu.Unlock() }
+	_ = f
+}
 
 // leakOnError takes the lock, then the error return skips the release.
 func leakOnError(s *store) error {
@@ -158,3 +209,9 @@ func leakSnapshot(src *source, s *store) error {
 	snap.Release()
 	return nil
 }
+
+var errSentinel = sentinelErr{}
+
+type sentinelErr struct{}
+
+func (sentinelErr) Error() string { return "sentinel" }

@@ -1,6 +1,7 @@
 // Package lockhold is the fixture for the lockhold analyzer: blocking
-// operations under a held mutex, leaked locks on return paths, and the
-// doc-comment contracts that adjust the expected entry/exit state.
+// operations under a held mutex, and the doc-comment contracts that
+// adjust the expected entry state. Leaked locks are pinned by the
+// errpath fixture, nested shard locks by the lockorder fixture.
 package lockhold
 
 import (
@@ -10,6 +11,7 @@ import (
 
 type vmish struct {
 	mu   sync.Mutex
+	aux  sync.Mutex
 	cond *sync.Cond
 	work chan int
 	done chan struct{}
@@ -81,6 +83,40 @@ func (v *vmish) selectWithDefault() {
 	v.mu.Unlock()
 }
 
+// twoLocksHeld parks under two mutexes; the report names the lexically
+// first held lock (v.aux before v.mu), the same one on every run,
+// whatever order they were taken in.
+func (v *vmish) twoLocksHeld() {
+	v.mu.Lock()
+	v.aux.Lock()
+	<-v.done // want "channel receive while aux is held"
+	v.aux.Unlock()
+	v.mu.Unlock()
+}
+
+// capturedStillHeld: a closure that mentions the mutex does not take it
+// away — the spawned goroutine contends for v.mu, this path still holds
+// it at the receive.
+func (v *vmish) capturedStillHeld() {
+	v.mu.Lock()
+	go func() {
+		v.mu.Lock()
+		v.mu.Unlock()
+		v.wg.Done()
+	}()
+	<-v.done // want "channel receive while mu is held"
+	v.mu.Unlock()
+}
+
+// addressedStillHeld: handing &v.mu to sync.NewCond stores a pointer to
+// the mutex, not the critical section.
+func (v *vmish) addressedStillHeld() {
+	v.mu.Lock()
+	v.cond = sync.NewCond(&v.mu)
+	<-v.done // want "channel receive while mu is held"
+	v.mu.Unlock()
+}
+
 // condWait is exempt: sync.Cond.Wait releases the mutex while parked.
 func (v *vmish) condWait() {
 	v.mu.Lock()
@@ -96,16 +132,6 @@ func (v *vmish) rangeChanUnderLock() {
 		_ = x
 	}
 	v.mu.Unlock()
-}
-
-// leakOnEarlyReturn forgets the unlock on the error path.
-func (v *vmish) leakOnEarlyReturn(bad bool) error {
-	v.mu.Lock()
-	if bad {
-		return errSentinel // want "return path leaks held lock mu"
-	}
-	v.mu.Unlock()
-	return nil
 }
 
 // deferUnlock is the idiomatic leak-proof shape.
@@ -135,18 +161,8 @@ func (v *vmish) handoff() {
 	v.mu.Unlock()
 }
 
-// handoffLeak claims the release contract but keeps the lock on one
-// path: mu held on entry, released on return.
-func (v *vmish) handoffLeak(bad bool) {
-	if bad {
-		return // want "return path leaks held lock mu"
-	}
-	v.mu.Unlock()
-}
-
-// callsHandoff relies on handoff's "released on return" contract: the
-// analyzer transitions mu to unlocked at the call, so neither the
-// receive nor the return is flagged.
+// callsHandoff relies on handoff's "released on return" contract: mu
+// counts as released at the call, so the receive is not flagged.
 func (v *vmish) callsHandoff() int {
 	v.mu.Lock()
 	v.handoff()
@@ -166,8 +182,7 @@ func (v *vmish) allowedRecv() int {
 func (v *vmish) touch() {}
 
 // vmShard mirrors the executor's per-device shard: a mutex plus
-// payload. The "Shard" name suffix opts its mu into the fixed
-// acquisition-order discipline.
+// payload.
 type vmShard struct {
 	mu   sync.Mutex
 	used int64
@@ -183,29 +198,6 @@ func (v *vmish) reserveShard(sh *vmShard, bytes int64) {
 	sh.used += bytes
 }
 
-// evictShard documents the parameter contract and drops the lock
-// around a slow copy, reacquiring before return — no leak either way.
-// Requires sh.mu held (released around the copy).
-func (v *vmish) evictShard(sh *vmShard, bad bool) error {
-	if bad {
-		return errSentinel
-	}
-	sh.mu.Unlock()
-	sh.mu.Lock()
-	return nil
-}
-
-// paramLeakNoContract has no doc contract, so the lock it takes on the
-// parameter must be released on every path.
-func (v *vmish) paramLeakNoContract(sh *vmShard, bad bool) error {
-	sh.mu.Lock()
-	if bad {
-		return errSentinel // want "return path leaks held lock mu"
-	}
-	sh.mu.Unlock()
-	return nil
-}
-
 // blockUnderShardContract: the param contract puts sh.mu in the held
 // state, so parking under it is flagged just like a receiver lock.
 // Requires sh.mu held.
@@ -218,51 +210,6 @@ func (v *vmish) waitSettleUnderLock(sh *vmShard) {
 	sh.mu.Lock()
 	v.waitSettle() // want "waitSettle \\(blocks on claim settle\\) while mu is held"
 	sh.mu.Unlock()
-}
-
-// nestedShards takes a second shard lock while holding one — the
-// deadlock class the fixed device order exists to prevent.
-func (v *vmish) nestedShards(a, b *vmShard) {
-	a.mu.Lock()
-	b.mu.Lock() // want "second shard lock b.mu acquired while a.mu is held"
-	b.mu.Unlock()
-	a.mu.Unlock()
-}
-
-// sweepShards visits shards one at a time; never holds two.
-func (v *vmish) sweepShards(shards []*vmShard) int64 {
-	var total int64
-	for _, sh := range shards {
-		sh.mu.Lock()
-		total += sh.used
-		sh.mu.Unlock()
-	}
-	return total
-}
-
-// orderedShards declares the contract, licensing the nesting: shards
-// are locked in ascending device order.
-func (v *vmish) orderedShards(a, b *vmShard) {
-	a.mu.Lock()
-	b.mu.Lock()
-	b.mu.Unlock()
-	a.mu.Unlock()
-}
-
-// nestedUnderContract holds one shard by contract and takes another —
-// still a nesting violation without the order declaration.
-// Requires sh.mu held.
-func (v *vmish) nestedUnderContract(sh, other *vmShard) {
-	other.mu.Lock() // want "second shard lock other.mu acquired while sh.mu is held"
-	other.mu.Unlock()
-}
-
-// nonShardNesting: plain mutexes are outside the shard discipline.
-func (v *vmish) nonShardNesting(w *vmish) {
-	v.mu.Lock()
-	w.mu.Lock()
-	w.mu.Unlock()
-	v.mu.Unlock()
 }
 
 var errSentinel = sentinelErr{}

@@ -143,3 +143,43 @@ func moveAscending(lo, hi *devShard, n int64) {
 	hi.used += n
 	hi.mu.Unlock()
 }
+
+// nestedShards takes a second shard lock while holding one, within one
+// function — the deadlock class the fixed device order exists to
+// prevent.
+func nestedShards(a, b *devShard) {
+	a.mu.Lock()
+	b.mu.Lock() // want `second shard lock lockorder\.devShard\.mu acquired while lockorder\.devShard\.mu is held`
+	b.mu.Unlock()
+	a.mu.Unlock()
+}
+
+// orderedShards declares the contract, licensing the nesting: shards
+// are locked in ascending device order.
+func orderedShards(a, b *devShard) {
+	a.mu.Lock()
+	b.mu.Lock()
+	b.mu.Unlock()
+	a.mu.Unlock()
+}
+
+// nestedUnderContract holds one shard by contract and takes another —
+// still a nesting violation without the order declaration.
+// Requires sh.mu held.
+func nestedUnderContract(sh, other *devShard) {
+	other.mu.Lock() // want `second shard lock lockorder\.devShard\.mu acquired while lockorder\.devShard\.mu is held`
+	other.mu.Unlock()
+}
+
+// mergeNames nests the same lock class on a type that is not a *Shard:
+// the shard-nesting rule (and its ascending-order license) does not
+// apply, the class-level recursive-acquisition rule does.
+func mergeNames(dst, src *registry) {
+	dst.mu.Lock()
+	src.mu.Lock() // want `recursive acquisition of lockorder\.registry\.mu while it is already held`
+	for k, v := range src.names {
+		dst.names[k] = v
+	}
+	src.mu.Unlock()
+	dst.mu.Unlock()
+}
