@@ -1,7 +1,8 @@
 # Developer entry points. `make check` is the tier-1 gate: everything
 # a change must pass before merging, including the invariant linter
-# (harmonylint), the race detector over the concurrent executor and
-# memory manager, and a time-boxed fuzz of the checkpoint loader.
+# (harmonylint), the race detector over the nine packages with
+# concurrency or plan code the executor runs (see `race`), and a
+# time-boxed fuzz of the checkpoint loader.
 
 GO ?= go
 
@@ -65,11 +66,16 @@ test:
 bench-test:
 	$(GO) test -C bench ./...
 
-# The exec executor, memory manager and collectives are the packages
-# with real concurrency or async error delivery; race-check them
+# The packages that spawn goroutines or take locks — the exec executor,
+# memory manager and collectives (real concurrency, async error
+# delivery), the nn kernel worker pool, the fault injector and the
+# parallel sweep — plus the plan code exec runs on its workers (sched's
+# weave, schedcheck's proofs, the tuner's preflight); race-check them
 # specifically (the full suite under -race is much slower).
 race:
-	$(GO) test -race ./internal/exec/... ./internal/memory/... ./internal/collective/...
+	$(GO) test -race ./internal/exec/... ./internal/memory/... ./internal/collective/... \
+		./internal/nn/... ./internal/fault/... ./internal/sweep/... \
+		./internal/sched/... ./internal/schedcheck/... ./internal/tuner/...
 
 # Executor ablation: serial reference vs parallel device workers,
 # plus the swap-bound sync-vs-prefetch matrix.

@@ -300,12 +300,12 @@ func (vm *VM) EnsureAsync(dev int, t *tensor.Tensor) {
 	}
 	sh := vm.shards[dev]
 	if w.Resident() {
-		if b.devID == dev {
+		if int(b.devID.Load()) == dev {
 			// Already where the upcoming task needs it: bump it so
 			// eviction prefers colder pages. Re-validate under the shard
 			// lock — only idle-resident-here buffers are linked here.
 			sh.mu.Lock()
-			if w2 := b.load(); w2.State() == claimword.Idle && w2.Resident() && b.devID == dev {
+			if w2 := b.load(); w2.State() == claimword.Idle && w2.Resident() && int(b.devID.Load()) == dev {
 				vm.touch(sh, b)
 			}
 			sh.mu.Unlock()
@@ -337,7 +337,7 @@ func (vm *VM) EnsureAsync(dev int, t *tensor.Tensor) {
 		return // raced with a demand path; it will do the work
 	}
 	b.dev = make([]float32, b.floats())
-	b.devID = dev
+	b.devID.Store(int32(dev))
 	b.dirty.Store(false)
 	vm.commit(b) // async: residency + prefetched mark in one CAS
 	sh.used += bytes

@@ -17,236 +17,12 @@ package exec
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"harmony/internal/graph"
 	"harmony/internal/sched"
 )
-
-// streamEntry is one slot in a device worker's execution stream:
-// either a compute task from the schedule queue or a rendezvous (coll
-// indexes the rendezvous list returned by buildStreams; -1 for
-// compute). A rendezvous covers one collective on the monolithic path
-// and one whole bucket of collectives on the chunked path; task is its
-// first member (used for labels and anchor bookkeeping).
-type streamEntry struct {
-	task *graph.Task
-	coll int
-}
-
-// buildStreams weaves each rendezvous into the queue of every
-// participating device. Participants of an AllReduce are devices
-// 0..N-1 — replica i's gradients live on device i, exactly as
-// runCollective ensures them.
-//
-// Anchor placement differs by path, and the difference is the whole
-// overlap story:
-//
-//   - monolithic (no comm plan): each collective is its own rendezvous
-//     (rdvTasks[i] has one member), anchored just before its earliest
-//     successor on the device — the all-park barrier runs as late as
-//     the schedule allows;
-//   - chunked (Schedule.Comm): each bucket is one rendezvous whose
-//     members are its collectives in plan order, anchored just AFTER
-//     the last member dependency on the device — the earliest point
-//     the member gradients exist. The scheduler defers the bucket's
-//     updates past the next bucket's backwards (commUpdateGroups), so
-//     the entries after the anchor are compute: a worker that finishes
-//     its chunks departs into backward work while other workers still
-//     reduce. Both placements validate that every dependency precedes
-//     the anchor and every successor follows it.
-func buildStreams(s *sched.Schedule) ([][]streamEntry, [][]*graph.Task, []int, error) {
-	type qpos struct{ dev, idx int }
-	pos := make(map[int]qpos)
-	for d, q := range s.Queues {
-		for i, t := range q {
-			pos[t.ID] = qpos{d, i}
-		}
-	}
-	var rdvTasks [][]*graph.Task
-	if s.Comm != nil {
-		for _, b := range s.Comm {
-			members := make([]*graph.Task, len(b.Members))
-			for i, ci := range b.Members {
-				members[i] = s.Collectives[ci]
-			}
-			rdvTasks = append(rdvTasks, members)
-		}
-	} else {
-		for _, c := range s.Collectives {
-			rdvTasks = append(rdvTasks, []*graph.Task{c})
-		}
-	}
-	parties := make([]int, len(rdvTasks))
-	// anchors[d][i] lists rendezvous to run right before queue index i.
-	anchors := make([]map[int][]int, s.NGPUs)
-	for d := range anchors {
-		anchors[d] = make(map[int][]int)
-	}
-	for ri, members := range rdvTasks {
-		n := 0
-		for _, c := range members {
-			if c.Kind != graph.AllReduce {
-				return nil, nil, nil, fmt.Errorf("exec: unsupported collective kind %v in schedule", c.Kind)
-			}
-			if len(c.Inputs) == 0 || len(c.Inputs) > s.NGPUs {
-				return nil, nil, nil, fmt.Errorf("exec: collective %s has %d inputs for %d devices", c, len(c.Inputs), s.NGPUs)
-			}
-			if n != 0 && len(c.Inputs) != n {
-				return nil, nil, nil, fmt.Errorf("exec: rendezvous %d members disagree on party count", ri)
-			}
-			n = len(c.Inputs)
-		}
-		parties[ri] = n
-		for d := 0; d < n; d++ {
-			var anchor int
-			if s.Comm != nil {
-				// Earliest legal point: right after the last member
-				// dependency scheduled on this device.
-				anchor = 0
-				for _, c := range members {
-					for _, dep := range c.Deps {
-						if p, ok := pos[dep.ID]; ok && p.dev == d && p.idx+1 > anchor {
-							anchor = p.idx + 1
-						}
-					}
-				}
-			} else {
-				// Latest legal point: right before the earliest member
-				// successor on this device.
-				anchor = len(s.Queues[d])
-				for _, c := range members {
-					for _, succ := range c.Succs {
-						if p, ok := pos[succ.ID]; ok && p.dev == d && p.idx < anchor {
-							anchor = p.idx
-						}
-					}
-				}
-				for _, c := range members {
-					for _, dep := range c.Deps {
-						if p, ok := pos[dep.ID]; ok && p.dev == d && p.idx >= anchor {
-							return nil, nil, nil, fmt.Errorf("exec: collective %s on gpu%d depends on %s scheduled after its successors",
-								c, d, dep)
-						}
-					}
-				}
-			}
-			for _, c := range members {
-				for _, succ := range c.Succs {
-					if p, ok := pos[succ.ID]; ok && p.dev == d && p.idx < anchor {
-						return nil, nil, nil, fmt.Errorf("exec: collective %s on gpu%d has successor %s scheduled before its dependencies",
-							c, d, succ)
-					}
-				}
-			}
-			anchors[d][anchor] = append(anchors[d][anchor], ri)
-		}
-	}
-	streams := make([][]streamEntry, s.NGPUs)
-	for d, q := range s.Queues {
-		st := make([]streamEntry, 0, len(q)+len(anchors[d]))
-		for i := 0; i <= len(q); i++ {
-			for _, ri := range anchors[d][i] {
-				st = append(st, streamEntry{task: rdvTasks[ri][0], coll: ri})
-			}
-			if i < len(q) {
-				st = append(st, streamEntry{task: q[i], coll: -1})
-			}
-		}
-		streams[d] = st
-	}
-	return streams, rdvTasks, parties, nil
-}
-
-// validateStreams proves the woven schedule can complete by running it
-// to a fixed point without executing any math: cursors advance when a
-// head task's dependencies are met, collectives when all participants
-// have arrived. A stuck fixed point is reported as a deadlock with
-// each device's blocked head — the dispatcher refuses to launch
-// workers that would hang forever on a cyclic schedule.
-func validateStreams(tasks []*graph.Task, streams [][]streamEntry, rdvTasks [][]*graph.Task, parties []int) error {
-	depsLeft := make([]int, len(tasks))
-	total := 0
-	for _, t := range tasks {
-		depsLeft[t.ID] = len(t.Deps)
-		total++
-	}
-	cursors := make([]int, len(streams))
-	arrived := make([]int, len(parties))
-	collDone := make([]bool, len(parties))
-	collMarked := make(map[[2]int]bool) // (device, stream index) arrival recorded
-	finish := func(t *graph.Task) {
-		for _, s := range t.Succs {
-			depsLeft[s.ID]--
-		}
-	}
-	// A rendezvous completes when every participant has arrived and all
-	// member dependencies are met; completing it finishes every member.
-	// This is conservative for the chunked path (the real executor
-	// releases each member as its last chunk retires, and lets finished
-	// workers depart early), so a schedule passing here can only
-	// complete more easily at runtime.
-	membersReady := func(ri int) bool {
-		for _, m := range rdvTasks[ri] {
-			if depsLeft[m.ID] > 0 {
-				return false
-			}
-		}
-		return true
-	}
-	done := 0
-	for done < total {
-		progress := false
-		for d := range streams {
-			for cursors[d] < len(streams[d]) {
-				e := streams[d][cursors[d]]
-				if e.coll >= 0 {
-					key := [2]int{d, cursors[d]}
-					if !collMarked[key] {
-						collMarked[key] = true
-						arrived[e.coll]++
-						progress = true
-					}
-					if !collDone[e.coll] {
-						if arrived[e.coll] == parties[e.coll] && membersReady(e.coll) {
-							collDone[e.coll] = true
-							for _, m := range rdvTasks[e.coll] {
-								finish(m)
-								done++
-							}
-							progress = true
-						} else {
-							break // parked at the rendezvous
-						}
-					}
-					cursors[d]++
-					continue
-				}
-				if depsLeft[e.task.ID] > 0 {
-					break
-				}
-				finish(e.task)
-				done++
-				cursors[d]++
-				progress = true
-			}
-		}
-		if !progress {
-			var stuck []string
-			for d := range streams {
-				if cursors[d] < len(streams[d]) {
-					e := streams[d][cursors[d]]
-					stuck = append(stuck, fmt.Sprintf("gpu%d@%s(%d deps left)", d, e.task, depsLeft[e.task.ID]))
-				}
-			}
-			return fmt.Errorf("exec: schedule deadlocked with %d/%d tasks done; blocked: %s",
-				done, total, strings.Join(stuck, ", "))
-		}
-	}
-	return nil
-}
 
 // rendezvous is one collective's runtime barrier state.
 type rendezvous struct {
@@ -319,17 +95,17 @@ func (ex *executor) complete(t *graph.Task) {
 }
 
 // run executes the streams and blocks until every worker has joined.
-func (ex *executor) run(streams [][]streamEntry, parties []int) error {
-	rdvs := make([]*rendezvous, len(parties))
-	for i, p := range parties {
+func (ex *executor) run(ws *sched.Streams) error {
+	rdvs := make([]*rendezvous, len(ws.Parties))
+	for i, p := range ws.Parties {
 		rdvs[i] = &rendezvous{parties: int32(p), done: make(chan struct{})}
 	}
 	var wg sync.WaitGroup
-	for d := range streams {
+	for d := range ws.Dev {
 		wg.Add(1)
 		go func(d int) {
 			defer wg.Done()
-			ex.worker(d, streams[d], rdvs)
+			ex.worker(d, ws.Dev[d], rdvs)
 		}(d)
 	}
 	wg.Wait()
@@ -338,24 +114,24 @@ func (ex *executor) run(streams [][]streamEntry, parties []int) error {
 
 // worker drains one device's stream in order, blocking on each entry
 // until the dispatcher releases it.
-func (ex *executor) worker(d int, stream []streamEntry, rdvs []*rendezvous) {
+func (ex *executor) worker(d int, stream []sched.StreamEntry, rdvs []*rendezvous) {
 	for i, e := range stream {
 		select {
 		case <-ex.abort:
 			return
 		default:
 		}
-		if e.coll >= 0 {
+		if e.Rdv >= 0 {
 			if ex.tr.comm != nil {
-				if !ex.reduceBucket(d, e.coll) {
+				if !ex.reduceBucket(d, e.Rdv) {
 					return
 				}
-			} else if !ex.arrive(d, rdvs[e.coll], e.task) {
+			} else if !ex.arrive(d, rdvs[e.Rdv], e.Task) {
 				return
 			}
 			continue
 		}
-		t := e.task
+		t := e.Task
 		select {
 		case <-ex.ready[t.ID]:
 		case <-ex.abort:

@@ -131,40 +131,3 @@ func TestCyclicScheduleReportsDeadlock(t *testing.T) {
 		t.Fatalf("second step: %v", err2)
 	}
 }
-
-// ------------------------------------------------------ stream weaving
-
-// TestBuildStreamsWeavesCollectives checks every collective appears in
-// each participant's stream exactly once, before its first successor.
-func TestBuildStreamsWeavesCollectives(t *testing.T) {
-	tr, err := NewTrainer(trainerConfig(sched.HarmonyDP, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.s.Collectives) == 0 {
-		t.Fatal("DP schedule has no collectives")
-	}
-	for ci, c := range tr.s.Collectives {
-		for d := 0; d < len(c.Inputs); d++ {
-			found := 0
-			collIdx := -1
-			for i, e := range tr.streams[d] {
-				if e.coll == ci {
-					found++
-					collIdx = i
-				}
-			}
-			if found != 1 {
-				t.Fatalf("collective %d appears %d times in gpu%d's stream", ci, found, d)
-			}
-			for _, succ := range c.Succs {
-				for i, e := range tr.streams[d] {
-					if e.coll < 0 && e.task.ID == succ.ID && i < collIdx {
-						t.Fatalf("collective %d at %d after its successor %s at %d on gpu%d",
-							ci, collIdx, succ, i, d)
-					}
-				}
-			}
-		}
-	}
-}

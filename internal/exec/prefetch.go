@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"harmony/internal/hw"
+	"harmony/internal/sched"
 	"harmony/internal/sim"
 	"harmony/internal/tensor"
 	"harmony/internal/trace"
@@ -51,7 +52,7 @@ type pfDev struct {
 
 // issue runs on device worker d between the dispatcher releasing
 // stream[i] and its kernel launching.
-func (p *prefetcher) issue(d int, stream []streamEntry, i int) {
+func (p *prefetcher) issue(d int, stream []sched.StreamEntry, i int) {
 	dev := p.tr.pdev(d)
 	p.tr.vm.CleanAhead(dev, p.clean)
 	window := p.depth
@@ -63,9 +64,9 @@ func (p *prefetcher) issue(d int, stream []streamEntry, i int) {
 		// call's own scan so an entry never covers itself. Collective
 		// entries ensure their own views at rendezvous and are not
 		// prefetch targets, so they do not count.
-		if e := stream[i]; e.coll < 0 && len(e.task.Inputs) > 0 {
+		if e := stream[i]; e.Rdv < 0 && len(e.Task.Inputs) > 0 {
 			covered := true
-			for _, in := range e.task.Inputs {
+			for _, in := range e.Task.Inputs {
 				if !pd.seen[in.ID] {
 					covered = false
 					break
@@ -83,11 +84,11 @@ func (p *prefetcher) issue(d int, stream []streamEntry, i int) {
 	var want int64
 	for j := i + 1; j < len(stream) && seen < window; j++ {
 		e := stream[j]
-		if e.coll >= 0 {
+		if e.Rdv >= 0 {
 			continue // collectives ensure their own views at rendezvous
 		}
 		seen++
-		for _, in := range e.task.Inputs {
+		for _, in := range e.Task.Inputs {
 			p.tr.vm.EnsureAsync(dev, in)
 			if pd == nil {
 				continue

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
-	"time"
 
 	"harmony/internal/fault"
 	"harmony/internal/graph"
@@ -142,15 +141,10 @@ type Trainer struct {
 	vm      *VM
 	step    int
 
-	// streams are the per-device execution streams with rendezvous
-	// woven in at their anchors; rdvTasks[i] lists rendezvous i's
-	// member collectives (one on the monolithic path, a whole bucket
-	// on the chunked path) and parties[i] is how many device workers
-	// meet there. Built once at NewTrainer, checked for liveness once
-	// at the first Step.
-	streams   [][]streamEntry
-	rdvTasks  [][]*graph.Task
-	parties   []int
+	// streams is the plan with its rendezvous woven in (sched.Weave):
+	// what the device workers drain and what schedcheck proves. Woven
+	// once per plan, checked for liveness once at the first Step.
+	streams   *sched.Streams
 	validated bool
 	valErr    error
 
@@ -251,51 +245,39 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	streams, rdvTasks, parties, err := buildStreams(s)
+	streams, err := executorStreams(s)
 	if err != nil {
 		return nil, err
 	}
 	if !cfg.NoVerify {
-		if err := schedcheck.Check(s, planTopology(cfg, s)).Err(); err != nil {
+		topo := schedcheck.Topology{Devices: cfg.Devices, DeviceBytes: cfg.DeviceBytes}
+		if err := schedcheck.Check(s, topo).Err(); err != nil {
 			return nil, fmt.Errorf("exec: plan rejected by preflight verification (-verify=false or NoVerify to skip):\n%w", err)
 		}
 	}
 	tr := &Trainer{
-		cfg:      cfg,
-		layers:   layers,
-		inDim:    layers[0].InSize(),
-		classes:  layers[len(layers)-1].OutSize(),
-		g:        g,
-		s:        s,
-		vm:       NewVM(cfg.Devices, cfg.DeviceBytes, s.MemPolicy),
-		streams:  streams,
-		rdvTasks: rdvTasks,
-		parties:  parties,
-		comm:     buildCommPlan(s),
-		devMap:   make([]int, cfg.Devices),
-		alive:    make([]bool, cfg.Devices),
+		cfg:     cfg,
+		layers:  layers,
+		inDim:   layers[0].InSize(),
+		classes: layers[len(layers)-1].OutSize(),
+		g:       g,
+		s:       s,
+		streams: streams,
+		comm:    buildCommPlan(s),
+		devMap:  make([]int, cfg.Devices),
+		alive:   make([]bool, cfg.Devices),
 	}
 	for d := range tr.devMap {
 		tr.devMap[d] = d
 		tr.alive[d] = true
 	}
-	if d := tr.prefetchDepth(); d > 0 {
-		tr.pf = &prefetcher{tr: tr, depth: d, clean: 1}
-		if s.Opts.AdaptivePrefetch {
-			tr.armAdaptive()
-		}
-	}
-	tr.configureVM()
+	tr.armPrefetch()
+	tr.freshVM()
 	// Persistent state: identical weights in every replica, zero
 	// gradients and optimizer state.
 	for r := 0; r < replicas; r++ {
 		for l, layer := range tr.layers {
-			w := tr.vm.HostAlloc(g.W[r][l])
-			nn.InitKernel(layer, w, cfg.Seed+uint64(l)*7919)
-			tr.vm.HostAlloc(g.DW[r][l])
-			if g.K[r][l].Bytes > 0 {
-				tr.vm.HostAlloc(g.K[r][l])
-			}
+			nn.InitKernel(layer, tr.vm.HostAlloc(g.W[r][l]), cfg.Seed+uint64(l)*7919)
 		}
 	}
 	if cfg.Recover {
@@ -323,10 +305,37 @@ func (tr *Trainer) prefetchDepth() int {
 	}
 }
 
-// configureVM arms the (possibly rebuilt) VM with fault injection,
-// link modeling, tracing and — when prefetch is on — the async DMA
-// engine. Shared by NewTrainer, recovery and retune.
-func (tr *Trainer) configureVM() {
+// executorStreams weaves a schedule into the streams the device
+// workers drain, refusing collectives the executor cannot reduce (only
+// AllReduce; the sharded modes' gathers exist for the simulator).
+func executorStreams(s *sched.Schedule) (*sched.Streams, error) {
+	for _, c := range s.Collectives {
+		if c.Kind != graph.AllReduce {
+			return nil, fmt.Errorf("exec: unsupported collective kind %v in schedule", c.Kind)
+		}
+	}
+	return sched.Weave(s)
+}
+
+// topology is the machine the running plan is verified against: the
+// configured devices under the current virtual→physical binding.
+func (tr *Trainer) topology() schedcheck.Topology {
+	return schedcheck.Topology{Devices: tr.cfg.Devices, DeviceBytes: tr.cfg.DeviceBytes, Binding: tr.devMap}
+}
+
+// freshVM replaces the trainer's VM with an empty one for the current
+// plan — armed with fault injection, link modeling, tracing and (when
+// prefetch is on) the async DMA engine, and holding zeroed host backing
+// for every persistent tensor, exactly as at construction — folding the
+// old VM's counters into statsBase. The caller fills the state in:
+// initial weights, or a checkpoint. Only at a step boundary: the old
+// VM's in-flight DMAs must already be drained.
+func (tr *Trainer) freshVM() {
+	if tr.vm != nil {
+		tr.vm.Close()
+		tr.statsBase = tr.statsBase.add(tr.vm.StatsSnapshot())
+	}
+	tr.vm = NewVM(tr.cfg.Devices, tr.cfg.DeviceBytes, tr.s.MemPolicy)
 	tr.vm.SetFaultInjection(tr.cfg.Injector, tr.maxRetries(), func() int { return tr.step })
 	tr.vm.SetLinkBandwidth(tr.cfg.LinkBytesPerSec)
 	if tr.rec != nil {
@@ -336,26 +345,34 @@ func (tr *Trainer) configureVM() {
 		tr.vm.StartEngine(0) // default budget: half the device capacity
 		tr.pf.applyBudgets() // adaptive: align shard budgets with the controllers
 	}
+	for r := 0; r < tr.g.Cfg.Replicas; r++ {
+		for l := range tr.layers {
+			tr.vm.HostAlloc(tr.g.W[r][l])
+			tr.vm.HostAlloc(tr.g.DW[r][l])
+			if tr.g.K[r][l].Bytes > 0 {
+				tr.vm.HostAlloc(tr.g.K[r][l])
+			}
+		}
+	}
 }
 
-// planTopology is the schedcheck preflight topology for a plan.
-// Adaptive plans verify residency against the maximum admissible
-// prefetch budget — the engine cap the controller can grow to — not
-// the tuned starting point, so no reachable controller state can
-// exceed what was verified.
-func planTopology(cfg TrainerConfig, s *sched.Schedule) schedcheck.Topology {
-	topo := schedcheck.Topology{Devices: cfg.Devices, DeviceBytes: cfg.DeviceBytes}
-	if s.Opts.AdaptivePrefetch {
-		topo.AdaptiveBudgetMaxBytes = cfg.DeviceBytes / 2
+// armPrefetch (re)builds the prefetcher for the current plan: none when
+// the resolved depth is 0, with adaptive controllers when the plan
+// adapts.
+func (tr *Trainer) armPrefetch() {
+	tr.pf, tr.adaptStats = nil, nil
+	if d := tr.prefetchDepth(); d > 0 {
+		tr.pf = &prefetcher{tr: tr, depth: d, clean: 1}
+		if tr.s.Opts.AdaptivePrefetch {
+			tr.armAdaptive()
+		}
 	}
-	return topo
 }
 
 // armAdaptive attaches one controller per virtual device to the
 // prefetcher, starting every window at the static depth and every
 // budget at the engine cap (so an adaptive run's first step matches a
-// static run's exactly). Called at construction and again by Retune
-// when the adopted plan keeps adaptation on.
+// static run's exactly).
 func (tr *Trainer) armAdaptive() {
 	o := tr.s.Opts
 	bMax := tr.cfg.DeviceBytes / 2
@@ -462,12 +479,7 @@ func (tr *Trainer) injectOp(op fault.Op, dev, layer int) error {
 	if in.Rules() == 0 {
 		return nil
 	}
-	err := in.Inject(op, dev, tr.step, layer)
-	for attempt := 0; fault.IsTransient(err) && attempt < tr.maxRetries(); attempt++ {
-		in.NoteRetry(op, dev, tr.step)
-		time.Sleep(fault.Backoff(attempt))
-		err = in.Inject(op, dev, tr.step, layer)
-	}
+	_, err := injectRetrying(in, op, dev, tr.step, layer, tr.maxRetries())
 	return err
 }
 
@@ -557,13 +569,15 @@ func (tr *Trainer) Step(inputs [][][]float32, labels [][][]int) (float32, error)
 			}
 		}
 	}
-	// Prove the woven streams can complete before touching any weight:
-	// a cyclic or mis-anchored schedule is reported as a deadlock
-	// instead of hanging the device workers. Re-armed (not once-only)
-	// because Retune swaps the streams mid-run; Step is documented
-	// non-concurrent, so a plain flag suffices.
+	// Prove the streams the workers are about to drain can complete
+	// before touching any weight: a cyclic schedule is reported as a
+	// deadlock instead of hanging the device workers. Re-armed (not
+	// once-only) because Retune swaps the streams mid-run; Step is
+	// documented non-concurrent, so a plain flag suffices.
 	if !tr.validated {
-		tr.valErr = validateStreams(tr.g.Tasks, tr.streams, tr.rdvTasks, tr.parties)
+		if err := schedcheck.Liveness(tr.g.Tasks, tr.streams); err != nil {
+			tr.valErr = fmt.Errorf("exec: %w", err)
+		}
 		tr.validated = true
 	}
 	if tr.valErr != nil {
@@ -622,7 +636,7 @@ func (tr *Trainer) runStep(inputs [][][]float32, labels [][][]int) (float32, err
 	if tr.cfg.Serial {
 		err = ex.runSerial()
 	} else {
-		err = ex.run(tr.streams, tr.parties)
+		err = ex.run(tr.streams)
 	}
 	// Drain the DMA engine at the step boundary — on failure too, so
 	// recovery never discards a VM with live DMAs and stats snapshots
@@ -711,130 +725,21 @@ func (tr *Trainer) recoverFrom(dev int) error {
 		tr.devMap[d] = survivors[next%len(survivors)]
 		next++
 	}
-	if err := tr.checkPinBudget(tr.s); err != nil {
-		return err
+	// Streams that now share a survivor add their pin demands up;
+	// refuse a binding the VM could fail on.
+	if err := schedcheck.Residency(tr.s, tr.topology()); err != nil {
+		return fmt.Errorf("exec: pin budget exceeded under the surviving binding: %w", err)
 	}
 
-	// Roll back: discard the (possibly mid-iteration) VM wholesale and
-	// restore the last completed step into a fresh one. Rebuilding
-	// re-materializes persistent tensors exactly as NewTrainer did, so
-	// restoring the snapshot yields bit-identical state to a fresh
-	// trainer that loaded the same checkpoint.
-	tr.vm.Close() // runStep already drained in-flight DMAs; stop the workers
-	tr.statsBase = tr.statsBase.add(tr.vm.StatsSnapshot())
-	tr.vm = NewVM(tr.cfg.Devices, tr.cfg.DeviceBytes, tr.s.MemPolicy)
-	tr.configureVM()
-	for r := 0; r < tr.g.Cfg.Replicas; r++ {
-		for l := range tr.layers {
-			tr.vm.HostAlloc(tr.g.W[r][l])
-			tr.vm.HostAlloc(tr.g.DW[r][l])
-			if tr.g.K[r][l].Bytes > 0 {
-				tr.vm.HostAlloc(tr.g.K[r][l])
-			}
-		}
-	}
+	// Roll back: discard the (possibly mid-iteration) VM wholesale —
+	// runStep already drained its in-flight DMAs — and restore the last
+	// completed step into a fresh one. Rebuilding re-materializes
+	// persistent tensors exactly as NewTrainer did, so restoring the
+	// snapshot yields bit-identical state to a fresh trainer that
+	// loaded the same checkpoint.
+	tr.freshVM()
 	if err := tr.Load(bytes.NewReader(tr.snap)); err != nil {
 		return fmt.Errorf("exec: rollback: %w", err)
-	}
-	return nil
-}
-
-// checkPinBudget verifies the given schedule is feasible under the
-// current device binding: when several virtual devices share one
-// physical device their worst-case concurrently-pinned bytes add up.
-// Per virtual device that is the largest single-task pin set
-// (inputs+outputs+workspace — one task in flight per stream); during
-// a monolithic collective all participants park, so its demand is the
-// sum of the participating replicas' buffers bound to the device.
-// Chunked plans overlap collective and compute instead of parking, so
-// their demand is additive across workers (see the s.Comm branch
-// below). Conservative by design: it never passes a binding the VM
-// could fail on. Recovery
-// checks the live schedule against a shrunken binding; Retune checks
-// a candidate schedule before adoption.
-func (tr *Trainer) checkPinBudget(s *sched.Schedule) error {
-	maxPin := make([]int64, len(tr.devMap))
-	for d, q := range s.Queues {
-		for _, t := range q {
-			var pin int64
-			for _, in := range t.Inputs {
-				pin += in.Bytes
-			}
-			for _, out := range t.Outputs {
-				pin += out.Bytes
-			}
-			pin += t.WorkspaceBytes
-			if pin > maxPin[d] {
-				maxPin[d] = pin
-			}
-		}
-	}
-	need := make([]int64, len(tr.devMap))
-	if s.Comm != nil {
-		// Chunked collectives overlap compute: while worker d reduces
-		// a chunk (pinning all replica views of one member) the other
-		// workers may be computing or reducing their own chunks. Per
-		// worker the instantaneous demand is either its largest task
-		// pin or its largest member's view pins, whichever lands on
-		// each physical device; the per-device total is the sum across
-		// workers. Conservative: it assumes every worker simultaneously
-		// holds its worst case.
-		for d := range tr.devMap {
-			// chunkPin[p] = worst member view demand worker d can pin
-			// on physical device p at once.
-			chunkPin := make([]int64, len(tr.devMap))
-			for _, b := range s.Comm {
-				for mi, ci := range b.Members {
-					mine := false
-					for _, c := range b.Chunks {
-						if c.Member == mi && c.Reducer == d {
-							mine = true
-							break
-						}
-					}
-					if !mine {
-						continue
-					}
-					views := make([]int64, len(tr.devMap))
-					for i, in := range s.Collectives[ci].Inputs {
-						views[tr.pdev(i)] += in.Bytes
-					}
-					for p, v := range views {
-						if v > chunkPin[p] {
-							chunkPin[p] = v
-						}
-					}
-				}
-			}
-			for p := range need {
-				contrib := chunkPin[p]
-				if p == tr.pdev(d) && maxPin[d] > contrib {
-					contrib = maxPin[d]
-				}
-				need[p] += contrib
-			}
-		}
-	} else {
-		for d, p := range tr.devMap {
-			need[p] += maxPin[d]
-		}
-		for _, c := range s.Collectives {
-			coll := make([]int64, len(tr.devMap))
-			for i, in := range c.Inputs {
-				coll[tr.pdev(i)] += in.Bytes
-			}
-			for p, b := range coll {
-				if b > need[p] {
-					need[p] = b
-				}
-			}
-		}
-	}
-	for p, b := range need {
-		if tr.alive[p] && b > tr.cfg.DeviceBytes {
-			return fmt.Errorf("exec: pin budget exceeded on surviving gpu%d: need %d bytes, capacity %d",
-				p, b, tr.cfg.DeviceBytes)
-		}
 	}
 	return nil
 }
@@ -904,22 +809,26 @@ func (tr *Trainer) Retune(req RetuneRequest) error {
 	if err != nil {
 		return fmt.Errorf("exec: retune: %w", err)
 	}
-	streams2, rdvTasks2, parties2, err := buildStreams(s2)
+	streams2, err := executorStreams(s2)
 	if err != nil {
 		return fmt.Errorf("exec: retune: %w", err)
 	}
-	cfg2 := tr.cfg
-	cfg2.MicrobatchSize, cfg2.Microbatches = mbs, mbc
+	// The candidate must be live and fit under the live device binding
+	// (post-recovery, several streams may share a survivor). The full
+	// preflight proves both; with verification off they are still
+	// checked on their own.
+	topo := tr.topology()
 	if !tr.cfg.NoVerify {
-		if verr := schedcheck.Check(s2, planTopology(cfg2, s2)).Err(); verr != nil {
+		if verr := schedcheck.Check(s2, topo).Err(); verr != nil {
 			return fmt.Errorf("exec: retune rejected by preflight verification (plan unchanged):\n%w", verr)
 		}
-	}
-	if err := validateStreams(g2.Tasks, streams2, rdvTasks2, parties2); err != nil {
-		return fmt.Errorf("exec: retune: %w", err)
-	}
-	if err := tr.checkPinBudget(s2); err != nil {
-		return fmt.Errorf("exec: retune: %w", err)
+	} else {
+		if err := schedcheck.Liveness(g2.Tasks, streams2); err != nil {
+			return fmt.Errorf("exec: retune: %w", err)
+		}
+		if err := schedcheck.Residency(s2, topo); err != nil {
+			return fmt.Errorf("exec: retune: %w", err)
+		}
 	}
 
 	// A graph or memory-policy change needs a fresh VM; carry the
@@ -936,37 +845,17 @@ func (tr *Trainer) Retune(req RetuneRequest) error {
 	}
 
 	// ---- adopt ----
-	tr.cfg = cfg2
+	tr.cfg.MicrobatchSize, tr.cfg.Microbatches = mbs, mbc
 	if req.Options != nil {
 		o := opts
 		tr.cfg.Options = &o
 	}
-	tr.g, tr.s, tr.streams, tr.rdvTasks, tr.parties = g2, s2, streams2, rdvTasks2, parties2
+	tr.g, tr.s, tr.streams = g2, s2, streams2
 	tr.comm = buildCommPlan(s2)
-	tr.validated, tr.valErr = true, nil // validateStreams just passed
+	tr.validated, tr.valErr = true, nil // liveness just proven
+	tr.armPrefetch()
 	if heavy {
-		tr.vm.Close() // step boundary: WaitIdle already drained in-flight DMAs
-		tr.statsBase = tr.statsBase.add(tr.vm.StatsSnapshot())
-		tr.vm = NewVM(tr.cfg.Devices, tr.cfg.DeviceBytes, s2.MemPolicy)
-	}
-	tr.pf, tr.adaptStats = nil, nil
-	if d := tr.prefetchDepth(); d > 0 {
-		tr.pf = &prefetcher{tr: tr, depth: d, clean: 1}
-		if s2.Opts.AdaptivePrefetch {
-			tr.armAdaptive()
-		}
-	}
-	if heavy {
-		tr.configureVM()
-		for r := 0; r < tr.g.Cfg.Replicas; r++ {
-			for l := range tr.layers {
-				tr.vm.HostAlloc(tr.g.W[r][l])
-				tr.vm.HostAlloc(tr.g.DW[r][l])
-				if tr.g.K[r][l].Bytes > 0 {
-					tr.vm.HostAlloc(tr.g.K[r][l])
-				}
-			}
-		}
+		tr.freshVM() // step boundary: WaitIdle already drained in-flight DMAs
 		if err := tr.Load(bytes.NewReader(snap)); err != nil {
 			return fmt.Errorf("exec: retune state restore: %w", err)
 		}

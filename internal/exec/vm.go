@@ -95,10 +95,13 @@ func (s VMStats) add(o VMStats) VMStats {
 //     resident-idle or claimed-resident; unlinking happens only under
 //     the shard lock while holding the claim.
 type buffer struct {
-	t     *tensor.Tensor
-	host  []float32 // backing copy; nil until first host materialization
-	dev   []float32 // device copy; nil when not resident
-	devID int
+	t    *tensor.Tensor
+	host []float32 // backing copy; nil until first host materialization
+	dev  []float32 // device copy; nil when not resident
+	// devID is the device holding dev, -1 when not resident. Written
+	// only by the claim holder; atomic because Ensure and EnsureAsync
+	// read it optimistically before they pin or claim.
+	devID atomic.Int32
 	dirty atomic.Bool // device copy newer than host copy
 
 	// word is the packed DMA/residency/pin state machine; done points
@@ -113,6 +116,12 @@ type buffer struct {
 
 	// Intrusive per-shard LRU list (least-recent at head).
 	prev, next *buffer
+}
+
+func newBuffer(t *tensor.Tensor) *buffer {
+	b := &buffer{t: t}
+	b.devID.Store(-1)
+	return b
 }
 
 func (b *buffer) floats() int { return int(b.t.Bytes / 4) }
@@ -308,23 +317,33 @@ func (vm *VM) inject(op fault.Op, dev int, t *tensor.Tensor) error {
 	if t != nil {
 		layer = t.Layer
 	}
-	sh := vm.shards[dev]
-	err := inj.Inject(op, dev, step, layer)
-	for attempt := 0; fault.IsTransient(err) && attempt < maxRetries; attempt++ {
+	retries, err := injectRetrying(inj, op, dev, step, layer, maxRetries)
+	if retries > 0 || err != nil {
+		sh := vm.shards[dev]
 		sh.mu.Lock()
-		sh.stats.FaultsInjected++
-		sh.stats.Retries++
+		sh.stats.Retries += retries
+		sh.stats.FaultsInjected += retries // every retry answers an injected fault
+		if err != nil {
+			sh.stats.FaultsInjected++
+		}
 		sh.mu.Unlock()
+	}
+	return err
+}
+
+// injectRetrying consults the injector for one operation, retrying
+// transient faults up to maxRetries times with fault.Backoff between
+// attempts, and reports how many retries it took. The backoff sleeps on
+// the calling goroutine, so call it without any lock held.
+func injectRetrying(inj *fault.Injector, op fault.Op, dev, step, layer, maxRetries int) (int, error) {
+	err := inj.Inject(op, dev, step, layer)
+	attempt := 0
+	for ; fault.IsTransient(err) && attempt < maxRetries; attempt++ {
 		inj.NoteRetry(op, dev, step)
 		time.Sleep(fault.Backoff(attempt))
 		err = inj.Inject(op, dev, step, layer)
 	}
-	if err != nil {
-		sh.mu.Lock()
-		sh.stats.FaultsInjected++
-		sh.mu.Unlock()
-	}
-	return err
+	return attempt, err
 }
 
 // lookup resolves a tensor ID to its buffer under the map lock.
@@ -432,7 +451,7 @@ func (vm *VM) HostAlloc(t *tensor.Tensor) []float32 {
 	defer vm.bufMu.Unlock()
 	b, ok := vm.bufs[t.ID]
 	if !ok {
-		b = &buffer{t: t, devID: -1}
+		b = newBuffer(t)
 		vm.bufs[t.ID] = b
 	}
 	if b.host == nil {
@@ -458,7 +477,7 @@ func (vm *VM) Host(t *tensor.Tensor) ([]float32, error) {
 		// Claim held: dev/host/dirty are ours to read.
 		resident := b.load().Resident()
 		if resident && b.dirty.Load() {
-			dev := b.devID
+			dev := int(b.devID.Load())
 			if err := vm.inject(fault.SwapOut, dev, b.t); err != nil {
 				vm.settle(b, true, 0)
 				return nil, err
@@ -506,14 +525,14 @@ func (vm *VM) Ensure(dev int, t *tensor.Tensor) ([]float32, error) {
 			vm.waitSettle(b)
 			continue
 		}
-		if w.Resident() && b.devID == dev {
+		if w.Resident() && int(b.devID.Load()) == dev {
 			if !vm.pin(b, w) {
 				continue // word moved under us; re-evaluate
 			}
 			// Pinned: residency and placement are now frozen. Re-check
 			// the placement read that preceded the pin (an eviction and
 			// re-fetch elsewhere could have recycled the word bits).
-			if b.devID != dev {
+			if int(b.devID.Load()) != dev {
 				vm.unpin(b)
 				continue
 			}
@@ -536,7 +555,7 @@ func (vm *VM) Ensure(dev int, t *tensor.Tensor) ([]float32, error) {
 				// tensor is a dependency bug — fail loudly instead of
 				// corrupting the running task's view.
 				return nil, fmt.Errorf("exec: tensor %s pinned on gpu%d while requested on gpu%d (dependency bug)",
-					t, b.devID, dev)
+					t, b.devID.Load(), dev)
 			}
 			if vm.pol.P2P {
 				dst, err := vm.moveP2P(dev, b)
@@ -583,7 +602,7 @@ func (vm *VM) swapIn(dev int, b *buffer) ([]float32, error) {
 	}
 	dst := make([]float32, b.floats())
 	b.dev = dst
-	b.devID = dev
+	b.devID.Store(int32(dev))
 	vm.commit(b) // reserve done: only the copy remains
 	sh.used += b.t.Bytes
 	vm.lruPush(sh, b)
@@ -634,12 +653,12 @@ func (vm *VM) moveP2P(dev int, b *buffer) ([]float32, error) {
 		vm.uncharge(dsh, bytes)
 		return nil, errRetry
 	}
-	if w := b.load(); !w.Resident() || b.devID == dev {
+	if w := b.load(); !w.Resident() || int(b.devID.Load()) == dev {
 		vm.settle(b, w.Resident(), 0)
 		vm.uncharge(dsh, bytes)
 		return nil, errRetry
 	}
-	src, srcDev := b.dev, b.devID
+	src, srcDev := b.dev, int(b.devID.Load())
 	dst := make([]float32, b.floats())
 
 	if err := vm.inject(fault.P2P, dev, b.t); err != nil {
@@ -663,7 +682,7 @@ func (vm *VM) moveP2P(dev int, b *buffer) ([]float32, error) {
 	}
 	ssh.mu.Unlock()
 	b.dev = dst
-	b.devID = dev
+	b.devID.Store(int32(dev))
 	dsh.mu.Lock()
 	vm.lruPush(dsh, b)
 	dsh.stats.P2PBytes += bytes
@@ -695,7 +714,7 @@ func (vm *VM) bounce(b *buffer) error {
 	if b.host == nil {
 		b.host = make([]float32, b.floats())
 	}
-	dev := b.devID
+	dev := int(b.devID.Load())
 	if err := vm.inject(fault.SwapOut, dev, b.t); err != nil {
 		vm.settle(b, true, 0)
 		return err
@@ -711,14 +730,8 @@ func (vm *VM) bounce(b *buffer) error {
 	sh.stats.SwapOutBytes += b.t.Bytes
 	sh.stats.SwapOuts++
 	sh.syncOuts++
-	vm.lruRemove(sh, b)
-	sh.used -= b.t.Bytes
-	if vm.consumePrefetch(b) {
-		sh.pfBytes -= b.t.Bytes
-	}
+	vm.unlink(sh, b)
 	sh.mu.Unlock()
-	b.dev = nil
-	b.devID = -1
 	vm.settle(b, false, 0)
 	return nil
 }
@@ -730,7 +743,7 @@ func (vm *VM) Alloc(dev int, t *tensor.Tensor) ([]float32, error) {
 		vm.bufMu.Lock()
 		b, ok := vm.bufs[t.ID]
 		if !ok {
-			b = &buffer{t: t, devID: -1}
+			b = newBuffer(t)
 			vm.bufs[t.ID] = b
 		}
 		vm.bufMu.Unlock()
@@ -761,7 +774,7 @@ func (vm *VM) Alloc(dev int, t *tensor.Tensor) ([]float32, error) {
 		}
 		dst := make([]float32, b.floats())
 		b.dev = dst
-		b.devID = dev
+		b.devID.Store(int32(dev))
 		b.dirty.Store(true)
 		vm.commit(b)
 		sh.used += t.Bytes
@@ -868,13 +881,7 @@ func (vm *VM) evict(sh *vmShard, b *buffer) error {
 	if vm.pol.DirtyTracking && !b.dirty.Load() && b.host != nil {
 		sh.stats.DropBytes += b.t.Bytes
 		sh.stats.Drops++
-		vm.lruRemove(sh, b)
-		sh.used -= b.t.Bytes
-		if vm.consumePrefetch(b) {
-			sh.pfBytes -= b.t.Bytes
-		}
-		b.dev = nil
-		b.devID = -1
+		vm.unlink(sh, b)
 		vm.settle(b, false, 0)
 		return nil
 	}
@@ -901,13 +908,7 @@ func (vm *VM) evict(sh *vmShard, b *buffer) error {
 	sh.stats.SwapOutBytes += b.t.Bytes
 	sh.stats.SwapOuts++
 	sh.syncOuts++
-	vm.lruRemove(sh, b)
-	sh.used -= b.t.Bytes
-	if vm.consumePrefetch(b) {
-		sh.pfBytes -= b.t.Bytes
-	}
-	b.dev = nil
-	b.devID = -1
+	vm.unlink(sh, b)
 	vm.settle(b, false, 0)
 	return nil
 }
@@ -915,16 +916,24 @@ func (vm *VM) evict(sh *vmShard, b *buffer) error {
 // dropResidency releases b's device residency. Requires the caller to
 // hold b's claim; takes (and releases) the shard lock of b's device.
 func (vm *VM) dropResidency(b *buffer) {
-	sh := vm.shards[b.devID]
+	sh := vm.shards[b.devID.Load()]
 	sh.mu.Lock()
+	vm.unlink(sh, b)
+	sh.mu.Unlock()
+}
+
+// unlink takes b, resident on sh's device, off the device: out of the
+// LRU, its bytes and any unconsumed prefetch charge returned, its
+// device copy forgotten. Requires sh.mu held and b's claim owned by the
+// caller.
+func (vm *VM) unlink(sh *vmShard, b *buffer) {
 	vm.lruRemove(sh, b)
 	sh.used -= b.t.Bytes
 	if vm.consumePrefetch(b) {
 		sh.pfBytes -= b.t.Bytes
 	}
-	sh.mu.Unlock()
 	b.dev = nil
-	b.devID = -1
+	b.devID.Store(-1)
 }
 
 // Invalidate discards any device copy without writeback, making the

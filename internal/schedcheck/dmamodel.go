@@ -75,7 +75,6 @@ type dmaModel struct {
 	budgets    []int64 // per modeled device prefetch budget
 	skipCommit bool
 	dt         bool // plan uses dirty tracking: clean victims may be dropped
-	maxStates  int
 }
 
 // Dynamic state, encoded to a fixed-width key for memoization.
@@ -393,7 +392,7 @@ func (m *dmaModel) explore() (int, *trace.Trace, string) {
 	fail := func(st *mstate, msg string) (int, *trace.Trace, string) {
 		return visited, m.counterexample(parents, st, msg), msg
 	}
-	for len(work) > 0 && visited < m.maxStates {
+	for len(work) > 0 && visited < modelMaxStates {
 		st := work[0]
 		work = work[1:]
 		visited++
@@ -441,28 +440,13 @@ func (m *dmaModel) counterexample(parents map[mkey]mparent, bad *mstate, msg str
 	return tl
 }
 
-// buildDMAModel derives the model from a plan: the first MaxModelTasks
-// tasks of the first MaxModelDevices device queues, their persistent
+// buildDMAModel derives the model from a plan: the first modelTasks
+// tasks of the first modelDevices device queues, their persistent
 // tensors, and a prefetch op per task boundary when the plan prefetches.
 func buildDMAModel(s *sched.Schedule, topo Topology, capTight bool) (*dmaModel, bool) {
-	devs := topo.MaxModelDevices
-	if devs <= 0 {
-		devs = 2
-	}
-	if devs > s.NGPUs {
-		devs = s.NGPUs
-	}
-	tasksPer := topo.MaxModelTasks
-	if tasksPer <= 0 {
-		tasksPer = 2
-	}
-	maxStates := topo.MaxStates
-	if maxStates <= 0 {
-		maxStates = 200000
-	}
+	devs := min(modelDevices, s.NGPUs)
 	m := &dmaModel{
 		skipCommit: topo.Mutation == "skip-commit",
-		maxStates:  maxStates,
 		dt:         s.MemPolicy.DirtyTracking,
 	}
 	index := make(map[*tensor.Tensor]int)
@@ -470,8 +454,8 @@ func buildDMAModel(s *sched.Schedule, topo Topology, capTight bool) (*dmaModel, 
 	for d := 0; d < devs; d++ {
 		var script []mop
 		q := s.Queues[d]
-		if len(q) > tasksPer {
-			q = q[:tasksPer]
+		if len(q) > modelTasks {
+			q = q[:modelTasks]
 		}
 		persistent := func(t int) []*tensor.Tensor {
 			var out []*tensor.Tensor

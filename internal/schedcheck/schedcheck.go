@@ -4,19 +4,21 @@
 // proves source-level invariants, and this package proves the matching
 // plan-level ones — without executing a single kernel:
 //
-//  1. Deadlock-freedom: the happens-before graph woven from per-device
-//     queues, task dependencies and collective rendezvous points must
-//     let every task complete. Precedence violations (a task queued
-//     before its same-device dependency) and cross-device rendezvous
-//     cycles (two devices meeting the same pair of collectives in
-//     opposite orders) are rejected with a Gantt counterexample.
+//  1. Deadlock-freedom: the happens-before graph of the woven streams
+//     (sched.Weave: per-device queues with the collective rendezvous
+//     placed in them — the very streams the executor's workers drain)
+//     and the task dependencies must let every task complete.
+//     Precedence violations (a task queued before its same-device
+//     dependency) and cross-device rendezvous cycles (two devices
+//     meeting the same pair of collectives in opposite orders) are
+//     rejected with a Gantt counterexample.
 //  2. Residency: per-device peak pinned bytes — the largest single
-//     task's inputs+outputs+workspace, or a collective's parked
-//     demand — must fit under the device capacity the memory manager
-//     enforces at runtime. The prefetch byte budget is reported on top
-//     as the expected steady-state peak (prefetch itself only ever
-//     uses spare capacity, so it cannot make a feasible plan
-//     infeasible).
+//     task's inputs+outputs+workspace of every stream bound to the
+//     device (Topology.Binding), or a collective's parked demand —
+//     must fit under the device capacity the memory manager enforces
+//     at runtime. The prefetch byte budget is reported on top as the
+//     expected steady-state peak (prefetch itself only ever uses spare
+//     capacity, so it cannot make a feasible plan infeasible).
 //  3. Swap volume: the per-iteration weight / gradient / optimizer
 //     traffic implied by the queue order (computed structurally from
 //     pin-adjacency runs) must agree with internal/analytic's closed
@@ -28,8 +30,17 @@
 //     invariant (DESIGN.md §9) for all interleavings of the device
 //     workers and their DMA engines.
 //
+// Where a rendezvous sits in a stream is the planner's decision and
+// lives only in sched.Weave; what makes this package an independent
+// check on the executor is everything it does with the streams — the
+// fixed-point replay, the residency bound, the volume model and the DMA
+// exploration share no code with it.
+//
 // The executor runs Check as a preflight gate (exec.TrainerConfig
-// .NoVerify opts out); cmd/schedcheck exposes it as a CLI.
+// .NoVerify opts out) and calls Liveness and Residency, proofs 1 and 2
+// on their own, where it needs just those: before the first step, after
+// a device dies, before adopting a retuned plan. cmd/schedcheck exposes
+// Check as a CLI.
 package schedcheck
 
 import (
@@ -40,47 +51,78 @@ import (
 	"harmony/internal/hw"
 	"harmony/internal/sched"
 	"harmony/internal/sim"
+	"harmony/internal/tensor"
 	"harmony/internal/trace"
 )
 
 // Topology describes the machine a plan is checked against.
 type Topology struct {
 	// Devices is the number of physical devices; DeviceBytes each
-	// one's memory capacity (the memory.Manager / exec.VM budget).
+	// one's memory capacity (the exec.VM budget). Devices <= 0 means
+	// one per plan device.
 	Devices     int
 	DeviceBytes int64
-	// PrefetchBudgetBytes caps prefetched bytes per device. 0 means
-	// half the device capacity when the plan enables prefetch,
-	// mirroring exec.VM.StartEngine's default.
-	PrefetchBudgetBytes int64
-	// AdaptiveBudgetMaxBytes is the largest prefetch budget the
-	// adaptive controller may grow to (exec.VM's engine cap). For
-	// plans with AdaptivePrefetch, residency is verified against the
-	// maximum of this and the static budget — the worst admissible
-	// controller state — rather than whatever budget a run happens to
-	// start at. 0 falls back to the static budget.
-	AdaptiveBudgetMaxBytes int64
-
-	// MaxModelDevices and MaxModelTasks bound the DMA state-machine
-	// exploration: the first MaxModelDevices device queues, the first
-	// MaxModelTasks tasks of each (0 means 2 and 2). MaxStates caps
-	// the explored state count (0 means 200000).
-	MaxModelDevices int
-	MaxModelTasks   int
-	MaxStates       int
 
 	// Mutation seeds a deliberate bug into the DMA model to prove the
 	// checker catches it (the analyzers' seeded-violation pattern):
 	// "skip-commit" makes the modeled sync swap-in path mark a buffer
 	// resident without committing its claim.
 	Mutation string
+
+	// Binding maps the plan's (virtual) device d to the physical
+	// device Binding[d] whose memory it uses; nil is the identity. The
+	// executor re-binds a dead device's stream onto a survivor, so
+	// several streams may share one device and their pin demands add
+	// up — residency is proven per physical device under this map.
+	Binding []int
 }
 
-func (t Topology) prefetchBudget() int64 {
-	if t.PrefetchBudgetBytes > 0 {
-		return t.PrefetchBudgetBytes
+// DMA exploration bounds: the first modelDevices device queues, the
+// first modelTasks tasks of each, at most modelMaxStates states.
+const (
+	modelDevices   = 2
+	modelTasks     = 2
+	modelMaxStates = 200000
+)
+
+// prefetchBudget is the prefetched-byte cap per device: half the
+// capacity, exec.VM.StartEngine's default and the ceiling the adaptive
+// controller may grow to — so adaptive plans are verified at the worst
+// admissible controller state.
+func (t Topology) prefetchBudget() int64 { return t.DeviceBytes / 2 }
+
+// phys is the physical device backing plan device d.
+func (t Topology) phys(d int) int {
+	if t.Binding == nil {
+		return d
 	}
-	return t.DeviceBytes / 2
+	return t.Binding[d]
+}
+
+// fit resolves the topology's defaults against a plan and rejects a
+// topology the plan cannot be placed on.
+func (t *Topology) fit(s *sched.Schedule, r *Report) bool {
+	if t.Devices <= 0 {
+		t.Devices = s.NGPUs
+	}
+	if t.Devices < s.NGPUs {
+		r.addf("plan", nil, "plan needs %d devices, topology has %d", s.NGPUs, t.Devices)
+		return false
+	}
+	if t.Binding == nil {
+		return true
+	}
+	if len(t.Binding) != s.NGPUs {
+		r.addf("plan", nil, "binding covers %d devices, plan has %d", len(t.Binding), s.NGPUs)
+		return false
+	}
+	for d, p := range t.Binding {
+		if p < 0 || p >= t.Devices {
+			r.addf("plan", nil, "gpu%d bound to device %d, topology has %d", d, p, t.Devices)
+			return false
+		}
+	}
+	return true
 }
 
 // Violation is one verified defect in the plan.
@@ -159,24 +201,44 @@ func Check(s *sched.Schedule, topo Topology) *Report {
 		r.addf("plan", nil, "nil schedule")
 		return r
 	}
-	if topo.Devices <= 0 {
-		topo.Devices = s.NGPUs
-	}
-	if topo.Devices < s.NGPUs {
-		r.addf("plan", nil, "plan needs %d devices, topology has %d", s.NGPUs, topo.Devices)
+	if !topo.fit(s, r) {
 		return r
 	}
 	if !checkShape(s, r) {
 		return r // coverage broken: downstream checks would mislead
 	}
-	entries, parties, ok := weave(s, r)
-	if ok {
-		replay(s, entries, parties, r)
+	ws, err := sched.Weave(s)
+	if err != nil {
+		r.addf("plan", nil, "%v", err)
+	} else {
+		replay(s.Graph.Tasks, ws, r)
 	}
 	checkResidency(s, topo, r)
-	checkVolume(s, entries, r)
+	checkVolume(s, ws, r)
 	exploreDMA(s, topo, r)
 	return r
+}
+
+// Liveness is the deadlock-freedom proof on its own: it replays woven
+// streams to a fixed point and returns nil, or the deadlock with its
+// Gantt counterexample. The executor runs it on the very streams its
+// workers are about to drain.
+func Liveness(tasks []*graph.Task, ws *sched.Streams) error {
+	r := &Report{}
+	replay(tasks, ws, r)
+	return r.Err()
+}
+
+// Residency is the pin-budget proof on its own: nil, or the capacity
+// violation of the first physical device the plan cannot fit on under
+// topo.Binding. Recovery re-runs it when a device dies and its stream
+// is re-bound to a survivor.
+func Residency(s *sched.Schedule, topo Topology) error {
+	r := &Report{}
+	if topo.fit(s, r) {
+		checkResidency(s, topo, r)
+	}
+	return r.Err()
 }
 
 // checkShape validates task coverage and device assignment: every
@@ -281,138 +343,6 @@ func checkComm(s *sched.Schedule, r *Report) {
 	}
 }
 
-// entry is one slot of a device's woven stream: a queue task or a
-// collective rendezvous (coll indexes the rendezvous list, -1 for
-// compute). A rendezvous covers one collective on monolithic plans or
-// one comm bucket's members on chunked plans (Schedule.Comm); members
-// holds the covered collectives in plan order and t is the first of
-// them (the label used in counterexamples). The weave mirrors the
-// executor's buildStreams but is maintained independently — schedcheck
-// is the check on the executor, not a re-export of it.
-type entry struct {
-	t       *graph.Task
-	coll    int
-	members []*graph.Task
-}
-
-// weave inserts each collective rendezvous into every participating
-// device's stream, anchored immediately before the rendezvous's first
-// successor on that device (across all members, for bucketed plans —
-// the planner regroups the members' updates after the deepest member's
-// backward precisely so this single anchor precedes every one of
-// them). Participant i of a rendezvous is device i (replica and shard
-// i's tensors live there — the executor's binding rule).
-func weave(s *sched.Schedule, r *Report) ([][]entry, []int, bool) {
-	type qpos struct{ dev, idx int }
-	pos := make(map[int]qpos, len(s.Graph.Tasks))
-	for d, q := range s.Queues {
-		for i, t := range q {
-			pos[t.ID] = qpos{d, i}
-		}
-	}
-	var rdv [][]*graph.Task
-	if s.Comm != nil {
-		for _, b := range s.Comm {
-			members := make([]*graph.Task, len(b.Members))
-			for i, ci := range b.Members {
-				members[i] = s.Collectives[ci]
-			}
-			rdv = append(rdv, members)
-		}
-	} else {
-		for _, c := range s.Collectives {
-			rdv = append(rdv, []*graph.Task{c})
-		}
-	}
-	parties := make([]int, len(rdv))
-	anchors := make([]map[int][]int, s.NGPUs)
-	for d := range anchors {
-		anchors[d] = make(map[int][]int)
-	}
-	pre := len(r.Violations)
-	for ri, members := range rdv {
-		n := 0
-		bad := false
-		for _, c := range members {
-			if len(c.Inputs) == 0 || len(c.Inputs) > s.NGPUs {
-				r.addf("plan", nil, "collective %s has %d inputs for %d devices", c, len(c.Inputs), s.NGPUs)
-				bad = true
-			}
-			if n != 0 && len(c.Inputs) != n {
-				r.addf("plan", nil, "rendezvous %d members disagree on party count (%d vs %d)", ri, n, len(c.Inputs))
-				bad = true
-			}
-			n = len(c.Inputs)
-		}
-		if bad {
-			continue
-		}
-		parties[ri] = n
-		for d := 0; d < n; d++ {
-			// Mirror the executor's anchor rule exactly: chunked
-			// rendezvous at the earliest legal point (right after the
-			// last member dependency on the device, so workers depart
-			// into later backwards while other chunks reduce);
-			// monolithic at the latest (right before the earliest
-			// member successor).
-			var anchor int
-			if s.Comm != nil {
-				anchor = 0
-				for _, c := range members {
-					for _, dep := range c.Deps {
-						if p, ok := pos[dep.ID]; ok && p.dev == d && p.idx+1 > anchor {
-							anchor = p.idx + 1
-						}
-					}
-				}
-			} else {
-				anchor = len(s.Queues[d])
-				for _, c := range members {
-					for _, succ := range c.Succs {
-						if p, ok := pos[succ.ID]; ok && p.dev == d && p.idx < anchor {
-							anchor = p.idx
-						}
-					}
-				}
-				for _, c := range members {
-					for _, dep := range c.Deps {
-						if p, ok := pos[dep.ID]; ok && p.dev == d && p.idx >= anchor {
-							r.addf("plan", nil, "collective %s on gpu%d depends on %s scheduled after the rendezvous's successors (precedence violation)",
-								c, d, dep)
-						}
-					}
-				}
-			}
-			for _, c := range members {
-				for _, succ := range c.Succs {
-					if p, ok := pos[succ.ID]; ok && p.dev == d && p.idx < anchor {
-						r.addf("plan", nil, "collective %s on gpu%d has successor %s scheduled before the rendezvous anchor (precedence violation)",
-							c, d, succ)
-					}
-				}
-			}
-			anchors[d][anchor] = append(anchors[d][anchor], ri)
-		}
-	}
-	if len(r.Violations) != pre {
-		return nil, nil, false
-	}
-	streams := make([][]entry, s.NGPUs)
-	for d, q := range s.Queues {
-		st := make([]entry, 0, len(q))
-		for i := 0; i <= len(q); i++ {
-			for _, ri := range anchors[d][i] {
-				st = append(st, entry{t: rdv[ri][0], coll: ri, members: rdv[ri]})
-			}
-			if i < len(q) {
-				st = append(st, entry{t: q[i], coll: -1})
-			}
-		}
-		streams[d] = st
-	}
-	return streams, parties, true
-}
-
 // replay runs the woven streams to a fixed point without executing
 // anything: a cursor advances when its head task's dependencies are
 // complete, a rendezvous completes when all participants have parked
@@ -424,128 +354,144 @@ func weave(s *sched.Schedule, r *Report) ([][]entry, []int, bool) {
 // happens-before check: a stuck fixed point is a deadlock (dependency
 // precedence violation or rendezvous cycle), and the completed prefix
 // plus the blocked heads form the counterexample.
-func replay(s *sched.Schedule, streams [][]entry, parties []int, r *Report) {
-	depsLeft := make([]int, len(s.Graph.Tasks))
-	total := 0
-	for _, t := range s.Graph.Tasks {
+func replay(tasks []*graph.Task, ws *sched.Streams, r *Report) {
+	if done, msg := fixedPoint(tasks, ws, nil); msg != "" {
+		// Stuck: replay once more, this time drawing the timeline. The
+		// passing path never renders a label.
+		tl := &trace.Trace{}
+		fixedPoint(tasks, ws, tl)
+		r.addf("deadlock", tl, "%s", msg)
+	} else {
+		r.TasksChecked = done
+	}
+}
+
+// fixedPoint is the replay loop. It returns the number of tasks
+// completed and, when that is not all of them, the blocked heads; a
+// non-nil tl receives one span per completed task and a fault-lane
+// span per blocked head.
+func fixedPoint(tasks []*graph.Task, ws *sched.Streams, tl *trace.Trace) (int, string) {
+	depsLeft := make([]int, len(tasks))
+	for _, t := range tasks {
 		depsLeft[t.ID] = len(t.Deps)
-		total++
 	}
-	cursors := make([]int, len(streams))
-	arrived := make([]int, len(parties))
-	collDone := make([]bool, len(parties))
-	marked := make(map[[2]int]bool)
-	tl := &trace.Trace{}
+	cursors := make([]int, len(ws.Dev))
+	parked := make([]bool, len(ws.Dev)) // arrival at the head rendezvous recorded
+	arrived := make([]int, len(ws.Parties))
+	rdvDone := make([]bool, len(ws.Parties))
 	step := 0
-	finish := func(t *graph.Task, dev int) {
-		for _, succ := range t.Succs {
-			depsLeft[succ.ID]--
+	span := func(d int, t *graph.Task) {
+		if tl != nil {
+			tl.Add(hw.DeviceID(d), trace.Compute, t.String(), sim.Time(step), sim.Time(step+1))
 		}
-		if dev >= 0 {
-			tl.Add(hw.DeviceID(dev), trace.Compute, t.String(), sim.Time(step), sim.Time(step+1))
-		} else {
-			// Rendezvous complete once; show the span on every
-			// participant so the rendezvous ordering is visible.
-			for d := 0; d < len(streams); d++ {
-				if cursors[d] < len(streams[d]) && streams[d][cursors[d]].t == t {
-					tl.Add(hw.DeviceID(d), trace.Compute, t.String(), sim.Time(step), sim.Time(step+1))
-				}
-			}
-		}
-		step++
 	}
-	membersLeft := func(e entry) int {
+	membersLeft := func(ri int) int {
 		left := 0
-		for _, m := range e.members {
+		for _, m := range ws.Members[ri] {
 			left += depsLeft[m.ID]
 		}
 		return left
 	}
 	done := 0
-	for done < total {
-		progress := false
-		for d := range streams {
-			for cursors[d] < len(streams[d]) {
-				e := streams[d][cursors[d]]
-				if e.coll >= 0 {
-					key := [2]int{d, cursors[d]}
-					if !marked[key] {
-						marked[key] = true
-						arrived[e.coll]++
+	for progress := true; done < len(tasks) && progress; {
+		progress = false
+		for d, st := range ws.Dev {
+			for cursors[d] < len(st) {
+				e := st[cursors[d]]
+				if e.Rdv >= 0 {
+					if !parked[d] {
+						parked[d] = true
+						arrived[e.Rdv]++
 						progress = true
 					}
-					if !collDone[e.coll] {
-						if arrived[e.coll] == parties[e.coll] && membersLeft(e) == 0 {
-							collDone[e.coll] = true
-							// finish the first member before advancing
-							// any cursor so the trace span lands on
-							// every parked participant.
-							finish(e.t, -1)
-							for _, m := range e.members[1:] {
-								for _, succ := range m.Succs {
-									depsLeft[succ.ID]--
-								}
-							}
-							done += len(e.members)
-							progress = true
-						} else {
+					if !rdvDone[e.Rdv] {
+						if arrived[e.Rdv] < ws.Parties[e.Rdv] || membersLeft(e.Rdv) > 0 {
 							break // parked at the rendezvous
 						}
+						rdvDone[e.Rdv] = true
+						// The rendezvous completes once; show the span on
+						// every participant — all are parked at it — so the
+						// rendezvous ordering is visible.
+						for p := 0; p < ws.Parties[e.Rdv]; p++ {
+							span(p, e.Task)
+						}
+						step++
+						for _, m := range ws.Members[e.Rdv] {
+							for _, succ := range m.Succs {
+								depsLeft[succ.ID]--
+							}
+						}
+						done += len(ws.Members[e.Rdv])
+						progress = true
 					}
+					parked[d] = false
 					cursors[d]++
 					continue
 				}
-				if depsLeft[e.t.ID] > 0 {
+				if depsLeft[e.Task.ID] > 0 {
 					break
 				}
-				finish(e.t, d)
+				for _, succ := range e.Task.Succs {
+					depsLeft[succ.ID]--
+				}
+				span(d, e.Task)
+				step++
 				done++
 				cursors[d]++
 				progress = true
 			}
 		}
-		if !progress {
-			var stuck []string
-			for d := range streams {
-				if cursors[d] >= len(streams[d]) {
-					continue
-				}
-				e := streams[d][cursors[d]]
-				why := fmt.Sprintf("%d deps left", depsLeft[e.t.ID])
-				if e.coll >= 0 {
-					if left := membersLeft(e); left > 0 {
-						why = fmt.Sprintf("%d member deps left", left)
-					} else {
-						why = fmt.Sprintf("rendezvous %d/%d arrived", arrived[e.coll], parties[e.coll])
-					}
-				}
-				stuck = append(stuck, fmt.Sprintf("gpu%d@%s(%s)", d, e.t, why))
-				tl.Add(hw.DeviceID(d), trace.Fault, "!"+e.t.String()+" "+why,
-					sim.Time(step), sim.Time(step+1))
+	}
+	if done == len(tasks) {
+		return done, ""
+	}
+	var stuck []string
+	for d, st := range ws.Dev {
+		if cursors[d] >= len(st) {
+			continue
+		}
+		e := st[cursors[d]]
+		why := fmt.Sprintf("%d deps left", depsLeft[e.Task.ID])
+		if e.Rdv >= 0 {
+			if left := membersLeft(e.Rdv); left > 0 {
+				why = fmt.Sprintf("%d member deps left", left)
+			} else {
+				why = fmt.Sprintf("rendezvous %d/%d arrived", arrived[e.Rdv], ws.Parties[e.Rdv])
 			}
-			r.addf("deadlock", tl, "%d/%d tasks completable; blocked: %s",
-				done, total, strings.Join(stuck, ", "))
-			return
+		}
+		stuck = append(stuck, fmt.Sprintf("gpu%d@%s(%s)", d, e.Task, why))
+		if tl != nil {
+			tl.Add(hw.DeviceID(d), trace.Fault, "!"+e.Task.String()+" "+why, sim.Time(step), sim.Time(step+1))
 		}
 	}
-	r.TasksChecked = done
+	return done, fmt.Sprintf("%d/%d tasks completable; blocked: %s", done, len(tasks), strings.Join(stuck, ", "))
 }
 
-// checkResidency symbolically computes each device's peak pinned bytes
-// and rejects plans that cannot fit. The model mirrors the executor's
-// pin-budget rule exactly: one task in flight per stream (its inputs,
-// outputs and workspace pinned together) and, during a collective, the
-// per-device buffers of all parked participants. Chunked plans
-// (Schedule.Comm) use the executor's additive rule instead: collectives
-// overlap compute there, so each worker may simultaneously hold either
-// its largest task pin or its largest assigned member's replica views —
-// per physical device, the demands sum across workers rather than max.
-// The prefetch budget is reported as expected steady-state residency
-// but never gates — the async engine only ever claims spare capacity.
+// pinPeak is a pinned-byte bound and, when one task alone explains it,
+// that task: idx is its position in plan device dev's queue (-1 for a
+// collective).
+type pinPeak struct {
+	bytes    int64
+	t        *graph.Task
+	dev, idx int
+}
+
+// checkResidency symbolically computes each physical device's peak
+// pinned bytes and rejects plans that cannot fit. This is the bound the
+// executor's VM lives under: one task in flight per stream (its inputs,
+// outputs and workspace pinned together), summed over the streams
+// topo.Binding puts on the device, and, during a monolithic collective,
+// the per-device buffers of all parked participants. Chunked plans
+// (Schedule.Comm) overlap collectives with compute instead of parking,
+// so each worker may simultaneously hold either its largest task pin or
+// its largest assigned member's replica views — per physical device,
+// the demands sum across workers rather than max. Conservative by
+// design: it assumes every worker holds its worst case at once, so it
+// never passes a binding the VM could fail on. The prefetch budget is
+// reported as expected steady-state residency but never gates — the
+// async engine only ever claims spare capacity.
 func checkResidency(s *sched.Schedule, topo Topology, r *Report) {
-	peak := make([]int64, s.NGPUs)
-	peakTask := make([]*graph.Task, s.NGPUs)
-	peakIdx := make([]int, s.NGPUs)
+	worst := make([]pinPeak, s.NGPUs) // per stream
 	for d, q := range s.Queues {
 		for i, t := range q {
 			var pin int64
@@ -556,18 +502,27 @@ func checkResidency(s *sched.Schedule, topo Topology, r *Report) {
 				pin += out.Bytes
 			}
 			pin += t.WorkspaceBytes
-			if pin > peak[d] {
-				peak[d], peakTask[d], peakIdx[d] = pin, t, i
+			if pin > worst[d].bytes {
+				worst[d] = pinPeak{pin, t, d, i}
 			}
 		}
 	}
+	// views adds a collective's per-participant buffers to the physical
+	// devices holding them (participant i's live on plan device i).
+	views := func(to []int64, ts []*tensor.Tensor) {
+		for i, t := range ts {
+			if i < s.NGPUs {
+				to[topo.phys(i)] += t.Bytes
+			}
+		}
+	}
+	peak := make([]pinPeak, topo.Devices) // per physical device
 	if s.Comm != nil {
-		need := make([]int64, s.NGPUs)
-		for d := 0; d < s.NGPUs; d++ {
+		for d, w := range worst {
 			// chunkPin[p] = worst member view demand worker d can pin
 			// on device p at once (a chunk reduction pins all replica
 			// views of its member, each on its home device).
-			chunkPin := make([]int64, s.NGPUs)
+			chunkPin := make([]int64, topo.Devices)
 			for _, b := range s.Comm {
 				for mi, ci := range b.Members {
 					mine := false
@@ -580,100 +535,78 @@ func checkResidency(s *sched.Schedule, topo Topology, r *Report) {
 					if !mine {
 						continue
 					}
-					views := make([]int64, s.NGPUs)
-					for i, in := range s.Collectives[ci].Inputs {
-						if i < s.NGPUs {
-							views[i] += in.Bytes
-						}
-					}
-					for p, v := range views {
-						if v > chunkPin[p] {
-							chunkPin[p] = v
-						}
+					member := make([]int64, topo.Devices)
+					views(member, s.Collectives[ci].Inputs)
+					for p, v := range member {
+						chunkPin[p] = max(chunkPin[p], v)
 					}
 				}
 			}
-			for p := range need {
-				contrib := chunkPin[p]
-				if p == d && peak[d] > contrib {
-					contrib = peak[d]
+			for p := range peak {
+				if p == topo.phys(d) {
+					peak[p].bytes += max(chunkPin[p], w.bytes)
+				} else {
+					peak[p].bytes += chunkPin[p]
 				}
-				need[p] += contrib
-			}
-		}
-		for p, b := range need {
-			if b > peak[p] {
-				peak[p], peakTask[p], peakIdx[p] = b, nil, -1
 			}
 		}
 	} else {
+		for d, w := range worst {
+			peak[topo.phys(d)].bytes += w.bytes
+		}
 		for _, c := range s.Collectives {
-			coll := make([]int64, s.NGPUs)
-			for i, in := range c.Inputs {
-				if i < s.NGPUs {
-					coll[i] += in.Bytes
-				}
-			}
+			coll := make([]int64, topo.Devices)
+			views(coll, c.Inputs)
 			if len(c.Outputs) == len(c.Inputs) {
 				// Gathers materialize a full output per shard device.
-				for i, out := range c.Outputs {
-					if i < s.NGPUs {
-						coll[i] += out.Bytes
-					}
-				}
+				views(coll, c.Outputs)
 			}
-			for d, b := range coll {
-				if b > peak[d] {
-					peak[d], peakTask[d], peakIdx[d] = b, c, -1
+			for p, b := range coll {
+				if b > peak[p].bytes {
+					peak[p] = pinPeak{bytes: b, t: c, idx: -1}
 				}
 			}
 		}
 	}
-	r.PeakPinBytes = peak
-	r.PeakResidentBytes = make([]int64, s.NGPUs)
+	for d, w := range worst {
+		// A bound that one stream's worst task reaches alone is blamed
+		// on that task.
+		if p := topo.phys(d); w.t != nil && peak[p].bytes == w.bytes {
+			peak[p] = w
+		}
+	}
+	r.PeakPinBytes = make([]int64, topo.Devices)
+	r.PeakResidentBytes = make([]int64, topo.Devices)
 	budget := int64(0)
 	if s.Prefetch {
 		budget = topo.prefetchBudget()
 	}
-	if s.Opts.AdaptivePrefetch && topo.AdaptiveBudgetMaxBytes > budget {
-		// Adaptive plans are verified at the controller's ceiling:
-		// the online retuner may grow the budget up to the engine
-		// cap, and no reachable state may exceed what was verified.
-		budget = topo.AdaptiveBudgetMaxBytes
-	}
-	for d, b := range peak {
-		resident := b + budget
-		if resident > topo.DeviceBytes {
-			resident = topo.DeviceBytes
-		}
-		r.PeakResidentBytes[d] = resident
-		if b <= topo.DeviceBytes {
+	for p, pk := range peak {
+		r.PeakPinBytes[p] = pk.bytes
+		r.PeakResidentBytes[p] = min(pk.bytes+budget, topo.DeviceBytes)
+		if pk.bytes <= topo.DeviceBytes {
 			continue
 		}
 		tl := &trace.Trace{}
-		if t := peakTask[d]; t != nil && peakIdx[d] >= 0 {
+		why := "worst tasks of the streams bound to it, summed"
+		if s.Comm != nil {
+			why = "chunked collectives: additive demand across workers"
+		}
+		if pk.t != nil {
+			why = fmt.Sprintf("worst task %s: inputs+outputs+workspace", pk.t)
+		}
+		if pk.t != nil && pk.idx >= 0 {
 			// Counterexample: the queue prefix leading to the peak task,
 			// with the offender on the fault lane.
-			lo := peakIdx[d] - 24
-			if lo < 0 {
-				lo = 0
+			lo := max(pk.idx-24, 0)
+			for i := lo; i < pk.idx; i++ {
+				tl.Add(hw.DeviceID(p), trace.Compute, s.Queues[pk.dev][i].String(), sim.Time(i-lo), sim.Time(i-lo+1))
 			}
-			for i := lo; i < peakIdx[d]; i++ {
-				tl.Add(hw.DeviceID(d), trace.Compute, s.Queues[d][i].String(), sim.Time(i-lo), sim.Time(i-lo+1))
-			}
-			tl.Add(hw.DeviceID(d), trace.Fault,
-				fmt.Sprintf("!%s pins %d > capacity %d", t, b, topo.DeviceBytes),
-				sim.Time(peakIdx[d]-lo), sim.Time(peakIdx[d]-lo+1))
+			tl.Add(hw.DeviceID(p), trace.Fault,
+				fmt.Sprintf("!%s pins %d > capacity %d", pk.t, pk.bytes, topo.DeviceBytes),
+				sim.Time(pk.idx-lo), sim.Time(pk.idx-lo+1))
 		}
-		what := "collective"
-		if s.Comm != nil {
-			what = "chunked collectives (additive demand across workers)"
-		}
-		if peakTask[d] != nil {
-			what = peakTask[d].String()
-		}
-		r.addf("capacity", tl,
-			"gpu%d peak pinned bytes %d exceed capacity %d (worst task %s: inputs+outputs+workspace)",
-			d, b, topo.DeviceBytes, what)
+		r.addf("capacity", tl, "gpu%d peak pinned bytes %d exceed capacity %d (%s)",
+			p, pk.bytes, topo.DeviceBytes, why)
 	}
 }

@@ -1,6 +1,7 @@
 package schedcheck
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -313,4 +314,78 @@ func TestCommResidencyAdditive(t *testing.T) {
 	if !strings.Contains(v.Msg, "chunked") {
 		t.Fatalf("violation does not name the chunked demand: %s", v.Msg)
 	}
+}
+
+// The device binding is a pure relabeling: over the whole property
+// sweep, the identity binding and no binding give the same per-device
+// pin bound.
+func TestIdentityBindingMatchesNil(t *testing.T) {
+	plans := 0
+	for _, mode := range []sched.Mode{sched.DPBaseline, sched.HarmonyDP, sched.PPBaseline,
+		sched.HarmonyPP, sched.TPBaseline, sched.HarmonyTP} {
+		for _, n := range []int{1, 2, 3} {
+			if n == 1 && (mode.IsPipeline() || mode.IsSharded()) || n == 3 && mode.IsSharded() {
+				continue // the sweep's shapes (TestPropertySweep)
+			}
+			identity := make([]int, n)
+			for d := range identity {
+				identity[d] = d
+			}
+			for _, m := range []int{1, 4} {
+				for _, opts := range sched.OptionVariants(mode, m) {
+					s := buildPlan(t, opts, 6, m, n)
+					a, b := &Report{}, &Report{}
+					checkResidency(s, Topology{Devices: n, DeviceBytes: 1 << 30}, a)
+					checkResidency(s, Topology{Devices: n, DeviceBytes: 1 << 30, Binding: identity}, b)
+					if !reflect.DeepEqual(a.PeakPinBytes, b.PeakPinBytes) || !reflect.DeepEqual(a.PeakResidentBytes, b.PeakResidentBytes) {
+						t.Errorf("%v n=%d m=%d opts=%+v: nil binding %v, identity %v", mode, n, m, opts, a.PeakPinBytes, b.PeakPinBytes)
+					}
+					plans++
+				}
+			}
+		}
+	}
+	t.Logf("swept %d plans", plans)
+}
+
+// After recovery two streams share the survivor and their pin demands
+// add up there. The expected bounds are what the executor's own
+// pin-budget check — deleted in favour of this one — computed for the
+// same plans and binding at the commit before it went.
+func TestAliasedBindingResidency(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		opts           sched.Options
+		identity, both int64
+	}{
+		{"monolithic", sched.DefaultOptions(sched.HarmonyDP), 20288, 40576},
+		{"chunked", commOpts(4, 0), 24288, 40576},
+	} {
+		s := buildPlan(t, tc.opts, 6, 2, 2)
+		r := Check(s, roomy())
+		if !r.OK() || !reflect.DeepEqual(r.PeakPinBytes, []int64{tc.identity, tc.identity}) {
+			t.Fatalf("%s, identity: peaks %v (%v), want %d each", tc.name, r.PeakPinBytes, r.Err(), tc.identity)
+		}
+		onto1 := Topology{DeviceBytes: 1 << 30, Binding: []int{1, 1}}
+		r = Check(s, onto1)
+		if !r.OK() || !reflect.DeepEqual(r.PeakPinBytes, []int64{0, tc.both}) {
+			t.Fatalf("%s, both streams on gpu1: peaks %v (%v), want [0 %d]", tc.name, r.PeakPinBytes, r.Err(), tc.both)
+		}
+		// The standalone proof gates on exactly that bound: a survivor
+		// big enough for one stream but not two is refused.
+		onto1.DeviceBytes = tc.both
+		if err := Residency(s, onto1); err != nil {
+			t.Errorf("%s: capacity at the bound rejected: %v", tc.name, err)
+		}
+		onto1.DeviceBytes = tc.both - 1
+		if err := Residency(s, onto1); err == nil || !strings.Contains(err.Error(), "gpu1") {
+			t.Errorf("%s: capacity below the aliased bound accepted: %v", tc.name, err)
+		}
+		if err := Residency(s, Topology{DeviceBytes: tc.both - 1}); err != nil {
+			t.Errorf("%s: the same capacity must fit unaliased: %v", tc.name, err)
+		}
+	}
+	s := buildPlan(t, sched.DefaultOptions(sched.HarmonyDP), 6, 2, 2)
+	wantViolation(t, Check(s, Topology{DeviceBytes: 1 << 30, Binding: []int{0}}), "plan", false)
+	wantViolation(t, Check(s, Topology{DeviceBytes: 1 << 30, Binding: []int{0, 2}}), "plan", false)
 }

@@ -40,23 +40,23 @@ type touch struct {
 }
 
 // classTouches returns the tensors of the given persistent kind that
-// an entry touches on device dev, in touch order. Compute tasks touch
-// at most one tensor per persistent class (their own layer's); a
+// stream entry e touches on device dev, in touch order. Compute tasks
+// touch at most one tensor per persistent class (their own layer's); a
 // rendezvous touches each member's per-device input — one tensor per
 // member for a chunked bucket, in member (descending layer) order.
-func classTouches(e entry, dev int, kind tensor.Kind) []touch {
-	if e.coll >= 0 {
+func classTouches(ws *sched.Streams, e sched.StreamEntry, dev int, kind tensor.Kind) []touch {
+	if e.Rdv >= 0 {
 		var out []touch
-		for _, m := range e.members {
+		for _, m := range ws.Members[e.Rdv] {
 			if dev < len(m.Inputs) && m.Inputs[dev].Kind == kind {
 				out = append(out, touch{m.Inputs[dev], taskMutates(m, m.Inputs[dev])})
 			}
 		}
 		return out
 	}
-	for _, in := range e.t.Inputs {
+	for _, in := range e.Task.Inputs {
 		if in.Kind == kind {
-			return []touch{{in, taskMutates(e.t, in)}}
+			return []touch{{in, taskMutates(e.Task, in)}}
 		}
 	}
 	return nil
@@ -79,13 +79,13 @@ type tensorRun struct {
 
 // classVolume returns one device's per-iteration (in, out) bytes for a
 // persistent tensor class under the run model above.
-func classVolume(entries []entry, dev int, kind tensor.Kind, dirtyTracking bool) (int64, int64) {
+func classVolume(ws *sched.Streams, dev int, kind tensor.Kind, dirtyTracking bool) (int64, int64) {
 	var runs []tensorRun
 	gapless := true
-	for _, e := range entries {
-		ts := classTouches(e, dev, kind)
+	for _, e := range ws.Dev[dev] {
+		ts := classTouches(ws, e, dev, kind)
 		if len(ts) == 0 {
-			if e.coll >= 0 {
+			if e.Rdv >= 0 {
 				continue // transparent: pins its own shard, allocates nothing
 			}
 			gapless = false
@@ -128,15 +128,15 @@ func classVolume(entries []entry, dev int, kind tensor.Kind, dirtyTracking bool)
 // tolerance to widen): the weight class must match Corrected exactly,
 // optimizer state must match Ideal exactly, and the gradient class
 // must sit within the one known boundary merge of Ideal.
-func checkVolume(s *sched.Schedule, entries [][]entry, r *Report) {
-	if entries == nil {
-		return
+func checkVolume(s *sched.Schedule, ws *sched.Streams, r *Report) {
+	if ws == nil {
+		return // the plan did not weave; already reported
 	}
 	dt := s.MemPolicy.DirtyTracking
-	for d := range entries {
-		wIn, wOut := classVolume(entries[d], d, tensor.Weight, dt)
-		gIn, gOut := classVolume(entries[d], d, tensor.WeightGrad, dt)
-		kIn, kOut := classVolume(entries[d], d, tensor.OptState, dt)
+	for d := range ws.Dev {
+		wIn, wOut := classVolume(ws, d, tensor.Weight, dt)
+		gIn, gOut := classVolume(ws, d, tensor.WeightGrad, dt)
+		kIn, kOut := classVolume(ws, d, tensor.OptState, dt)
 		r.WeightSwapBytes += wIn + wOut
 		r.GradSwapBytes += gIn + gOut
 		r.OptStateSwapBytes += kIn + kOut

@@ -124,15 +124,19 @@ type FaultEvent = fault.Event
 
 // NewTrainer validates the configuration and builds the trainer.
 func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
+	return newTrainer(cfg, cfg.Widths, nil)
+}
+
+// newTrainer builds a trainer for an explicit kernel stack, or for the
+// MLP of the given widths when kernels is nil; widths[0] is the input
+// dimension Step slices batches by either way.
+func newTrainer(cfg TrainerConfig, widths []int, kernels []nn.Kernel) (*Trainer, error) {
 	if cfg.BatchSize <= 0 {
 		return nil, fmt.Errorf("harmony: BatchSize must be positive")
 	}
 	mbCount := cfg.Microbatches
 	if mbCount == 0 {
-		mbCount = cfg.BatchSize
-		if mbCount > 8 {
-			mbCount = 8
-		}
+		mbCount = min(cfg.BatchSize, 8)
 	}
 	if cfg.BatchSize%mbCount != 0 {
 		return nil, fmt.Errorf("harmony: BatchSize %d not divisible into %d microbatches", cfg.BatchSize, mbCount)
@@ -160,7 +164,8 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 		return nil, err
 	}
 	inner, err := exec.NewTrainer(exec.TrainerConfig{
-		Widths:           cfg.Widths,
+		Widths:           widths,
+		Kernels:          kernels,
 		Mode:             mode,
 		Devices:          cfg.Devices,
 		DeviceBytes:      cfg.DeviceBytes,
@@ -187,7 +192,7 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 	return &Trainer{
 		inner:    inner,
 		inj:      inj,
-		widths:   cfg.Widths,
+		widths:   widths,
 		mbSize:   cfg.BatchSize / mbCount,
 		mbCount:  mbCount,
 		mode:     cfg.Mode,
@@ -293,31 +298,7 @@ func NewBlobs(dim, classes int, noise float32, seed uint64) *Blobs {
 // starting point of the paper's Fig. 1 — running through the same
 // coherent virtual memory as the MLP trainer.
 func NewLeNetTrainer(cfg TrainerConfig) (*Trainer, error) {
-	if cfg.BatchSize <= 0 {
-		return nil, fmt.Errorf("harmony: BatchSize must be positive")
-	}
-	mbCount := cfg.Microbatches
-	if mbCount == 0 {
-		mbCount = cfg.BatchSize
-		if mbCount > 8 {
-			mbCount = 8
-		}
-	}
-	if cfg.BatchSize%mbCount != 0 {
-		return nil, fmt.Errorf("harmony: BatchSize %d not divisible into %d microbatches", cfg.BatchSize, mbCount)
-	}
-	lr := cfg.LR
-	if lr == 0 {
-		lr = 0.05
-	}
-	opt := exec.SGD
-	if cfg.Adam {
-		opt = exec.Adam
-		if cfg.LR == 0 {
-			lr = 0.005
-		}
-	}
-	kernels := []nn.Kernel{
+	return newTrainer(cfg, []int{32 * 32, 10}, []nn.Kernel{
 		nn.Conv2D{Cin: 1, H: 32, W: 32, Cout: 6, K: 5, ReLU: true},
 		nn.MaxPool2D{C: 6, H: 28, W: 28, P: 2},
 		nn.Conv2D{Cin: 6, H: 14, W: 14, Cout: 16, K: 5, ReLU: true},
@@ -325,51 +306,7 @@ func NewLeNetTrainer(cfg TrainerConfig) (*Trainer, error) {
 		nn.Dense{In: 16 * 5 * 5, Out: 120, ReLU: true},
 		nn.Dense{In: 120, Out: 84, ReLU: true},
 		nn.Dense{In: 84, Out: 10},
-	}
-	mode := cfg.Mode.sched()
-	var schedOpts *execOptions
-	if cfg.Toggles != nil {
-		o := cfg.Toggles.apply(defaultOptions(mode))
-		schedOpts = &o
-	}
-	inj, err := fault.Parse(cfg.FaultSpec, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := exec.NewTrainer(exec.TrainerConfig{
-		Kernels:          kernels,
-		Mode:             mode,
-		Devices:          cfg.Devices,
-		DeviceBytes:      cfg.DeviceBytes,
-		MicrobatchSize:   cfg.BatchSize / mbCount,
-		Microbatches:     mbCount,
-		Optimizer:        opt,
-		LR:               lr,
-		Seed:             cfg.Seed,
-		Options:          schedOpts,
-		Serial:           cfg.Serial,
-		Injector:         inj,
-		MaxRetries:       cfg.MaxRetries,
-		Recover:          cfg.Recover,
-		PrefetchDepth:    cfg.PrefetchDepth,
-		AdaptivePrefetch: cfg.AdaptivePrefetch,
-		LinkBytesPerSec:  cfg.LinkBytesPerSec,
-		NoVerify:         cfg.NoVerify,
-		CommChunks:       cfg.CommChunks,
-		CommBucketBytes:  cfg.CommBucketBytes,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Trainer{
-		inner:    inner,
-		inj:      inj,
-		widths:   []int{32 * 32, 10},
-		mbSize:   cfg.BatchSize / mbCount,
-		mbCount:  mbCount,
-		mode:     cfg.Mode,
-		adaptive: cfg.AdaptivePrefetch,
-	}, nil
 }
 
 // AdaptDecision is one adaptive-prefetch controller decision: which
