@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-sarif lint-self lint-budget test bench-test race bench bench-contend bench-json bench-smoke bench-gate schedcheck fuzz check
+.PHONY: all build vet lint lint-sarif lint-self lint-budget test bench-test race bench bench-contend bench-json bench-smoke bench-gate schedcheck fuzz loc check
 
 all: check
 
@@ -132,11 +132,28 @@ schedcheck:
 	! $(GO) run ./cmd/harmonytrain -arch mlp -widths 64,32,10 -devices 2 -device-mem 16384 -steps 1
 
 # Time-boxed fuzzing: the checkpoint loader must reject arbitrary
-# bytes with errors (never panics or huge allocations), and the
-# retuner must admit only plans that pass the schedcheck preflight,
-# whatever the measured profile claims.
+# bytes with errors (never panics or huge allocations), the retuner
+# must admit only plans that pass the schedcheck preflight, whatever
+# the measured profile claims, and the fault-spec grammar must accept
+# only rules an injector can evaluate.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s -test.fuzzminimizetime 5s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz FuzzRetune -fuzztime 10s -test.fuzzminimizetime 5s ./internal/tuner/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -test.fuzzminimizetime 5s ./internal/fault/
+
+# Code-size ledger for the simplicity PRs: non-blank, non-comment,
+# non-test Go lines per package, or per file of one package with
+# `make loc PKG=internal/exec`. Pure shell; a line counts as a comment
+# when it starts with //.
+loc:
+	@count() { cat "$$@" | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'; }; \
+	src() { ls $$1/*.go | grep -v '_test\.go$$'; }; \
+	pkgs="$(PKG)"; \
+	if [ -n "$$pkgs" ]; then \
+		for f in $$(src $$pkgs); do printf '%6d  %s\n' $$(count $$f) $$f; done; \
+	else \
+		pkgs=$$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path '*/testdata/*' | xargs -n1 dirname | sort -u | sed 's|^\./||'); \
+	fi; \
+	for d in $$pkgs; do printf '%6d  %s\n' $$(count $$(src $$d)) $$d; done
 
 check: lint build test bench-test race fuzz bench-smoke bench-contend schedcheck

@@ -11,6 +11,7 @@ import (
 
 	"harmony/internal/fault"
 	"harmony/internal/graph"
+	"harmony/internal/nn"
 	"harmony/internal/sched"
 	"harmony/internal/trace"
 )
@@ -65,14 +66,21 @@ type CommStats struct {
 // far. Safe to call between steps (same contract as Stats).
 func (tr *Trainer) CommStats() CommStats { return tr.commStats }
 
-// runCollectiveChunk reduces the element range [lo, hi) of one
-// AllReduce member across all replicas, on behalf of device worker
-// dev. The summation order per element is fixed replica order —
-// identical to runCollective's — so any partition into chunks yields
-// bit-identical results. Each chunk is an independent unit of fault
-// injection and recovery: a fatal fault here retires the reducing
-// worker's physical device through the usual rollback-and-resume path.
-func (tr *Trainer) runCollectiveChunk(dev int, ar *graph.Task, lo, hi int) error {
+// reduce averages the element range [lo, hi) of AllReduce ar across
+// all replicas (real math: the buffers end up identical on every
+// device), on behalf of device worker dev — the one reduction both
+// rendezvous share. chunk says the range is one plan-time chunk, traced
+// and counted as such; otherwise it is the whole payload of a monolithic
+// rendezvous, where dev is the last arrival (-1 on the serial path,
+// where a fatal collective fault has no single device to retire and is
+// therefore unrecoverable). The range fans across the kernel worker
+// pool over disjoint sub-ranges; each element still sums the replicas
+// in fixed order, so the result is bit-identical at any worker count
+// and under any partition into chunks. Each call is an independent unit
+// of fault injection and recovery: a fatal fault here retires the
+// reducing worker's physical device through the usual
+// rollback-and-resume path.
+func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) error {
 	if ar.Kind != graph.AllReduce {
 		return fmt.Errorf("exec: unsupported collective kind %v", ar.Kind)
 	}
@@ -83,48 +91,44 @@ func (tr *Trainer) runCollectiveChunk(dev int, ar *graph.Task, lo, hi int) error
 	if err := tr.injectOp(fault.Collective, tr.pdev(dev), ar.Layer); err != nil {
 		return err
 	}
-	if r := tr.rec; r != nil {
+	if r := tr.rec; r != nil && dev >= 0 {
+		label := ar.String()
+		if chunk {
+			label = fmt.Sprintf("%s[%d:%d]", ar, lo, hi)
+		}
 		start := tr.vm.clk.Now()
-		defer func() {
-			r.add(tr.pdev(dev), trace.Comms, fmt.Sprintf("%s[%d:%d]", ar, lo, hi), start, tr.vm.clk.Now())
-		}()
+		defer func() { r.add(tr.pdev(dev), trace.Comms, label, start, tr.vm.clk.Now()) }()
 	}
 	views := make([][]float32, n)
-	for i, in := range ar.Inputs {
-		v, err := tr.vm.Ensure(tr.pdev(i), in) // replica i trains on device i
-		if err != nil {
-			return err
-		}
-		views[i] = v
+	if err := tr.acquire(ar, -1, views, nil); err != nil {
+		return err
 	}
-	// This chunk's share of the remote gradient traffic: pull n-1
-	// remote slices, push the reduced slice back. Charged on the
-	// reducing worker's goroutine, so chunks assigned to different
-	// workers cross the modeled interconnect concurrently — and hide
-	// behind other workers' compute instead of parking it.
+	// Remote gradient traffic crosses the modeled interconnect: the
+	// reducer pulls n-1 remote slices and pushes the reduced slice back,
+	// charged on its own goroutine. A monolithic rendezvous pays the full
+	// payload on the critical path while every participant parks; chunks
+	// assigned to different workers cross concurrently and hide behind
+	// other workers' compute.
 	tr.vm.linkSleep(2 * int64(n-1) * int64(hi-lo) * 4)
 	inv := float32(1) / float32(n)
-	for j := lo; j < hi; j++ {
-		var s float32
-		for i := 0; i < n; i++ {
-			s += views[i][j]
+	grain := max((1<<16)/(2*n), 1) // ~64k scalar ops per pool chunk
+	nn.ParallelFor(hi-lo, grain, func(a, b int) {
+		for j := lo + a; j < lo+b; j++ {
+			var s float32
+			for i := 0; i < n; i++ {
+				s += views[i][j]
+			}
+			s *= inv
+			for i := 0; i < n; i++ {
+				views[i][j] = s
+			}
 		}
-		s *= inv
-		for i := 0; i < n; i++ {
-			views[i][j] = s
-		}
+	})
+	if chunk {
+		tr.commMu.Lock()
+		tr.commStats.ChunksReduced++
+		tr.commStats.BytesReduced += int64(hi-lo) * 4
+		tr.commMu.Unlock()
 	}
-	for _, in := range ar.Inputs {
-		if err := tr.vm.MarkDirty(in); err != nil {
-			return err
-		}
-		if err := tr.vm.Unpin(in); err != nil {
-			return err
-		}
-	}
-	tr.commMu.Lock()
-	tr.commStats.ChunksReduced++
-	tr.commStats.BytesReduced += int64(hi-lo) * 4
-	tr.commMu.Unlock()
-	return nil
+	return tr.release(ar)
 }

@@ -166,21 +166,6 @@ func (vm *VM) waitSettle(b *buffer) {
 	<-*p
 }
 
-// waitableInFlight returns the least-recently-used buffer on sh whose
-// in-flight operation completes autonomously — an async DMA-worker op
-// or a committed sync claim — or nil. Scanning the shard's LRU list
-// (not the buffer map) keeps the choice deterministic for a given
-// residency history and touches only resident buffers. Requires sh.mu
-// held.
-func (vm *VM) waitableInFlight(sh *vmShard) *buffer {
-	for b := sh.lru.head; b != nil; b = b.next {
-		if b.load().Waitable() {
-			return b
-		}
-	}
-	return nil
-}
-
 // ---------------------------------------------------------- DMA engine
 
 // StartEngine launches one DMA worker goroutine per device and allows
@@ -435,13 +420,8 @@ func (vm *VM) service(req dmaReq) {
 	bytes := b.t.Bytes
 	switch req.kind {
 	case dmaSwapIn:
-		err := vm.inject(fault.SwapIn, req.dev, b.t)
+		busy, err := vm.transfer(xferPrefetch, req.dev, b.t, b.dev, b.host)
 		if err == nil {
-			start := vm.clk.Now()
-			copyChunked(b.dev, b.host)
-			vm.linkSleep(bytes)
-			busy := vm.clk.Now().Sub(start)
-			vm.record(req.dev, trace.Prefetch, "pf "+b.t.String(), start)
 			b.dirty.Store(false)
 			sh.mu.Lock()
 			sh.stats.SwapInBytes += bytes
@@ -459,13 +439,8 @@ func (vm *VM) service(req dmaReq) {
 		vm.latchAsyncErr(err)
 		vm.settle(b, false, 0)
 	case dmaWriteback:
-		err := vm.inject(fault.SwapOut, req.dev, b.t)
+		busy, err := vm.transfer(xferClean, req.dev, b.t, b.host, b.dev)
 		if err == nil {
-			start := vm.clk.Now()
-			copyChunked(b.host, b.dev)
-			vm.linkSleep(bytes)
-			busy := vm.clk.Now().Sub(start)
-			vm.record(req.dev, trace.SwapOut, "cl "+b.t.String(), start)
 			b.dirty.Store(false)
 			sh.mu.Lock()
 			sh.stats.SwapOutBytes += bytes
@@ -479,6 +454,45 @@ func (vm *VM) service(req dmaReq) {
 		vm.latchAsyncErr(err)
 		vm.settle(b, true, 0)
 	}
+}
+
+// xfer names one kind of tensor copy: the fault site it answers to and
+// the trace lane and label prefix its span carries.
+type xfer struct {
+	op     fault.Op
+	lane   trace.Lane
+	prefix string
+}
+
+var (
+	xferIn       = xfer{fault.SwapIn, trace.SwapIn, "in "}
+	xferOut      = xfer{fault.SwapOut, trace.SwapOut, "out "}
+	xferP2P      = xfer{fault.P2P, trace.P2P, "p2p "}
+	xferPrefetch = xfer{fault.SwapIn, trace.Prefetch, "pf "}
+	xferClean    = xfer{fault.SwapOut, trace.SwapOut, "cl "}
+)
+
+// transfer is the VM's one copy path, shared by every swap, p2p move and
+// async DMA: consult the injector for dev's x.op site (transient faults
+// retry in place), copy src into dst, charge the modeled link, and emit
+// the span on dev's x.lane. It returns how long the copy held the link.
+// Callers hold t's buffer claim and no shard lock; residency, dirty bits
+// and stats stay theirs.
+func (vm *VM) transfer(x xfer, dev int, t *tensor.Tensor, dst, src []float32) (time.Duration, error) {
+	if err := vm.inject(x.op, dev, t); err != nil {
+		return 0, err
+	}
+	start := vm.clk.Now()
+	copyChunked(dst, src)
+	vm.linkSleep(t.Bytes)
+	end := vm.clk.Now()
+	vm.cfgMu.Lock()
+	rec := vm.rec
+	vm.cfgMu.Unlock()
+	if rec != nil {
+		rec(dev, x.lane, x.prefix+t.String(), start, end)
+	}
+	return end.Sub(start), nil
 }
 
 // copyChunked copies src into dst through the shared kernel worker
@@ -501,15 +515,4 @@ func (vm *VM) linkSleep(bytes int64) {
 		return
 	}
 	time.Sleep(time.Duration(bytes * int64(time.Second) / bps))
-}
-
-// record emits one DMA span to the installed recorder, if any.
-func (vm *VM) record(dev int, lane trace.Lane, label string, start time.Time) {
-	vm.cfgMu.Lock()
-	rec := vm.rec
-	vm.cfgMu.Unlock()
-	if rec == nil {
-		return
-	}
-	rec(dev, lane, label, start, vm.clk.Now())
 }

@@ -1,18 +1,21 @@
 // The parallel executor maps each virtual device to a real worker
 // goroutine. Tasks are released by a dependency-count dispatcher the
 // moment their last dependency completes (a closed channel per task —
-// no polling), each device worker drains its schedule queue in order,
-// and collectives rendezvous across the participating device workers:
-// every participant parks at the collective's position in its queue
-// and the last to arrive performs the reduction, fanned across the
-// kernel worker pool.
+// no polling), and each device worker drains its woven stream
+// (sched.Weave) in order: compute entries run through Trainer.runTask,
+// rendezvous entries are a collective's position in that stream. On a
+// monolithic plan every participant parks there and the last to arrive
+// reduces the whole payload (arrive); on a chunked plan there is no
+// barrier — each worker reduces the chunks the plan assigned to it and
+// moves on, overlapping the collective's tail with its compute stream
+// (reduceBucket). Both end in the same Trainer.reduce.
 //
 // Determinism: per-task math is bit-identical to the serial path (see
-// internal/nn), collectives reduce replicas in fixed order, and losses
-// are accumulated in task-ID order by Trainer.Step — so the parallel
-// executor produces bit-identical weights and losses to the serial
-// one, regardless of interleaving. Only data-movement counters (which
-// depend on LRU timing) may differ.
+// internal/nn), collectives reduce replicas in fixed order whatever the
+// partition into chunks, and losses are accumulated in task-ID order by
+// Trainer.Step — so the parallel executor produces bit-identical weights
+// and losses to the serial one, regardless of interleaving. Only
+// data-movement counters (which depend on LRU timing) may differ.
 package exec
 
 import (
@@ -183,7 +186,7 @@ func (ex *executor) runSerial() error {
 			if depsLeft[ar.ID] > 0 {
 				continue
 			}
-			if err := tr.runCollective(-1, ar); err != nil {
+			if err := tr.reduce(-1, ar, 0, int(ar.CommBytes/4), false); err != nil {
 				return err
 			}
 			complete(ar)
@@ -236,7 +239,7 @@ func (ex *executor) arrive(d int, r *rendezvous, t *graph.Task) bool {
 	case <-ex.abort:
 		return false
 	}
-	if err := ex.tr.runCollective(d, t); err != nil {
+	if err := ex.tr.reduce(d, t, 0, int(t.CommBytes/4), false); err != nil {
 		ex.fail(fmt.Errorf("exec: %s: %w", t, err))
 		return false
 	}
@@ -272,7 +275,7 @@ func (ex *executor) reduceBucket(d int, bi int) bool {
 			return false
 		}
 		for _, c := range chunks[lo:idx] {
-			if err := ex.tr.runCollectiveChunk(d, m, c.Lo, c.Hi); err != nil {
+			if err := ex.tr.reduce(d, m, c.Lo, c.Hi, true); err != nil {
 				ex.fail(fmt.Errorf("exec: %s[%d:%d]: %w", m, c.Lo, c.Hi, err))
 				return false
 			}

@@ -509,9 +509,10 @@ func kernelModel(layers []nn.Kernel, adam bool) *models.Model {
 }
 
 // Stats returns data-movement counters accumulated so far, including
-// those of VMs discarded by recovery. The snapshot is taken under the
-// VM lock, so it is safe to call between steps of a parallel trainer
-// (never concurrently with one).
+// those of VMs discarded by recovery. The live VM's share is a sweep of
+// its per-device shards, one shard lock at a time; call it between
+// steps of a parallel trainer (never concurrently with one), when the
+// DMA engine is drained and the sum is settled.
 func (tr *Trainer) Stats() VMStats { return tr.statsBase.add(tr.vm.StatsSnapshot()) }
 
 // Model reports the derived model's footprint for sizing examples.
@@ -874,10 +875,22 @@ func (tr *Trainer) Retune(req RetuneRequest) error {
 	return nil
 }
 
+// maxViews bounds a compute task's declared inputs or outputs
+// (Backward reads W, dW, stash and dY), so a kernel's views travel in
+// fixed-size arrays instead of per-task slices.
+const maxViews = 4
+
 // runTask executes one compute task with real kernels. It returns a
 // loss value when the task is the final layer's backward (which owns
-// the loss computation).
+// the loss computation). The task's declaration is its access plan:
+// acquire pins t.Inputs and t.Outputs, the kernel runs on views bound
+// by declared position, release retires them — the same footprint
+// schedcheck's residency proof sums, so a plan admitted at its proven
+// bound runs at it.
 func (tr *Trainer) runTask(dev int, t *graph.Task, labels [][][]int) (float32, bool, error) {
+	if t.Kind > graph.Update || len(t.Inputs) > maxViews || len(t.Outputs) > maxViews {
+		return 0, false, fmt.Errorf("exec: unexpected task kind %v in queue", t.Kind)
+	}
 	// Late binding happens here: dev is the schedule's virtual device;
 	// all memory traffic below targets the physical device backing it.
 	dev = tr.pdev(dev)
@@ -888,231 +901,113 @@ func (tr *Trainer) runTask(dev int, t *graph.Task, labels [][][]int) (float32, b
 		start := tr.vm.clk.Now()
 		defer func() { r.add(dev, trace.Compute, t.String(), start, tr.vm.clk.Now()) }()
 	}
-	g := tr.g
+	layer := tr.layers[t.Layer]
 	batch := tr.cfg.MicrobatchSize
+	var dy []float32
+	var loss float32
+	counted := t.Kind == graph.Backward && t.Layer == len(tr.layers)-1
+	if counted {
+		// The loss read is the one undeclared access: the final backward
+		// turns the logits (which it only frees) and the labels into the
+		// loss gradient. It finishes — logits unpinned — before the
+		// declared footprint is acquired, so the two are never held
+		// together.
+		logits := tr.g.Act[t.Replica][t.Layer+1][t.Microbatch]
+		y, err := tr.vm.Ensure(dev, logits)
+		if err != nil {
+			return 0, false, err
+		}
+		dy = nn.GetScratch(batch * tr.classes)
+		defer nn.PutScratch(dy)
+		loss = nn.SoftmaxXent(y, labels[t.Replica][t.Microbatch], dy, batch, tr.classes)
+		if err := tr.vm.Unpin(logits); err != nil {
+			return 0, false, err
+		}
+	}
+	var in, out [maxViews][]float32
+	if err := tr.acquire(t, dev, in[:len(t.Inputs)], out[:len(t.Outputs)]); err != nil {
+		return 0, false, err
+	}
 	switch t.Kind {
-	case graph.Forward:
-		layer := tr.layers[t.Layer]
-		w, err := tr.vm.Ensure(dev, g.W[t.Replica][t.Layer])
-		if err != nil {
-			return 0, false, err
+	case graph.Forward: // W, x → y, stash
+		layer.Forward(in[0], in[1], out[0], out[1], batch)
+	case graph.Backward: // W, dW, stash, dY → dx
+		if !counted {
+			dy = in[3]
 		}
-		x, err := tr.vm.Ensure(dev, g.Act[t.Replica][t.Layer][t.Microbatch])
-		if err != nil {
-			return 0, false, err
-		}
-		y, err := tr.vm.Alloc(dev, g.Act[t.Replica][t.Layer+1][t.Microbatch])
-		if err != nil {
-			return 0, false, err
-		}
-		stash, err := tr.vm.Alloc(dev, g.Stash[t.Replica][t.Layer][t.Microbatch])
-		if err != nil {
-			return 0, false, err
-		}
-		layer.Forward(w, x, y, stash, batch)
-		if err := tr.unpin(g.W[t.Replica][t.Layer], g.Act[t.Replica][t.Layer][t.Microbatch],
-			g.Act[t.Replica][t.Layer+1][t.Microbatch], g.Stash[t.Replica][t.Layer][t.Microbatch]); err != nil {
-			return 0, false, err
-		}
-		return 0, false, tr.freeAll(t.Frees)
-
-	case graph.Backward:
-		layer := tr.layers[t.Layer]
-		R := len(tr.layers)
-		w, err := tr.vm.Ensure(dev, g.W[t.Replica][t.Layer])
-		if err != nil {
-			return 0, false, err
-		}
-		dw, err := tr.vm.Ensure(dev, g.DW[t.Replica][t.Layer])
-		if err != nil {
-			return 0, false, err
-		}
-		stash, err := tr.vm.Ensure(dev, g.Stash[t.Replica][t.Layer][t.Microbatch])
-		if err != nil {
-			return 0, false, err
-		}
-		var dy []float32
-		var loss float32
-		counted := false
-		pinnedDY := false
-		if t.Layer == R-1 {
-			// The loss gradient is produced here from the final
-			// activations and the labels.
-			logits, err := tr.vm.Ensure(dev, g.Act[t.Replica][t.Layer+1][t.Microbatch])
-			if err != nil {
-				return 0, false, err
-			}
-			classes := layer.OutSize()
-			dy = nn.GetScratch(batch * classes)
-			defer nn.PutScratch(dy)
-			loss = nn.SoftmaxXent(logits, labels[t.Replica][t.Microbatch], dy, batch, classes)
-			counted = true
-			if err := tr.vm.Unpin(g.Act[t.Replica][t.Layer+1][t.Microbatch]); err != nil {
-				return 0, false, err
-			}
-		} else {
-			dy, err = tr.vm.Ensure(dev, g.Grad[t.Replica][t.Layer+1][t.Microbatch])
-			if err != nil {
-				return 0, false, err
-			}
-			pinnedDY = true
-		}
-		var dx []float32
-		if t.Layer > 0 {
-			dx, err = tr.vm.Alloc(dev, g.Grad[t.Replica][t.Layer][t.Microbatch])
-			if err != nil {
-				return 0, false, err
-			}
-		}
-		layer.Backward(w, stash, dy, dx, dw, batch)
-		if err := tr.vm.MarkDirty(g.DW[t.Replica][t.Layer]); err != nil {
-			return 0, false, err
-		}
-		if err := tr.unpin(g.W[t.Replica][t.Layer], g.DW[t.Replica][t.Layer],
-			g.Stash[t.Replica][t.Layer][t.Microbatch]); err != nil {
-			return 0, false, err
-		}
-		if pinnedDY {
-			if err := tr.vm.Unpin(g.Grad[t.Replica][t.Layer+1][t.Microbatch]); err != nil {
-				return 0, false, err
-			}
-		}
-		if t.Layer > 0 {
-			if err := tr.vm.Unpin(g.Grad[t.Replica][t.Layer][t.Microbatch]); err != nil {
-				return 0, false, err
-			}
-		}
-		return loss, counted, tr.freeAll(t.Frees)
-
-	case graph.Update:
-		layer := tr.layers[t.Layer]
-		if layer.ParamCount() == 0 {
-			// Parameter-free layers (pooling) have nothing to update.
-			return 0, false, nil
-		}
-		w, err := tr.vm.Ensure(dev, g.W[t.Replica][t.Layer])
-		if err != nil {
-			return 0, false, err
-		}
-		dw, err := tr.vm.Ensure(dev, g.DW[t.Replica][t.Layer])
-		if err != nil {
-			return 0, false, err
-		}
+		layer.Backward(in[0], in[2], dy, out[0], in[1], batch)
+	case graph.Update: // W, dW, K
 		n := layer.ParamCount()
 		if tr.cfg.Optimizer == Adam {
-			k, err := tr.vm.Ensure(dev, g.K[t.Replica][t.Layer])
-			if err != nil {
-				return 0, false, err
-			}
-			nn.Adam(w[:n], dw[:n], k[:n], k[n:2*n], tr.cfg.LR, 0.9, 0.999, 1e-8, tr.step)
-			if err := tr.vm.MarkDirty(g.K[t.Replica][t.Layer]); err != nil {
-				return 0, false, err
-			}
-			if err := tr.vm.Unpin(g.K[t.Replica][t.Layer]); err != nil {
-				return 0, false, err
-			}
+			nn.Adam(in[0][:n], in[1][:n], in[2][:n], in[2][n:2*n], tr.cfg.LR, 0.9, 0.999, 1e-8, tr.step)
 		} else {
-			nn.SGD(w[:n], dw[:n], tr.cfg.LR)
+			nn.SGD(in[0][:n], in[1][:n], tr.cfg.LR)
 		}
-		if err := tr.vm.MarkDirty(g.W[t.Replica][t.Layer]); err != nil {
-			return 0, false, err
-		}
-		if err := tr.vm.MarkDirty(g.DW[t.Replica][t.Layer]); err != nil {
-			return 0, false, err
-		}
-		if err := tr.unpin(g.W[t.Replica][t.Layer], g.DW[t.Replica][t.Layer]); err != nil {
-			return 0, false, err
-		}
-		return 0, false, nil
-
-	default:
-		return 0, false, fmt.Errorf("exec: unexpected task kind %v in queue", t.Kind)
 	}
+	return loss, counted, tr.release(t)
 }
 
-// runCollective executes a collective task. AllReduce averages the
-// gradient buffers across replicas (real math: the buffers end up
-// identical on every device). The reduction fans across the kernel
-// worker pool over disjoint index ranges; each element still sums the
-// replicas in fixed order, so the result is bit-identical at any
-// worker count.
-func (tr *Trainer) runCollective(dev int, ar *graph.Task) error {
-	if ar.Kind != graph.AllReduce {
-		return fmt.Errorf("exec: unsupported collective kind %v", ar.Kind)
-	}
-	n := len(ar.Inputs)
-	if n == 0 {
-		return fmt.Errorf("exec: collective %s has no inputs", ar)
-	}
-	// dev is the worker performing the rendezvous reduction (-1 on the
-	// serial path, where a fatal collective fault has no single device
-	// to retire and is therefore unrecoverable).
-	if err := tr.injectOp(fault.Collective, tr.pdev(dev), ar.Layer); err != nil {
-		return err
-	}
-	if r := tr.rec; r != nil && dev >= 0 {
-		start := tr.vm.clk.Now()
-		defer func() { r.add(tr.pdev(dev), trace.Comms, ar.String(), start, tr.vm.clk.Now()) }()
-	}
-	views := make([][]float32, n)
-	for i, in := range ar.Inputs {
-		v, err := tr.vm.Ensure(tr.pdev(i), in) // replica i trains on device i
-		if err != nil {
+// acquire pins a task's declared footprint and binds its views: every
+// input is made resident (Ensure) and every output created (Alloc), in
+// declared order, in[i] and out[i] viewing t.Inputs[i] and t.Outputs[i].
+// A compute task's tensors live on dev; a collective's i-th input is
+// replica i's buffer and lives on the device replica i trains on. Zero-
+// byte tensors (a parameter-free layer's W and dW, K under SGD) have no
+// footprint and are never touched: their views stay nil. On error the
+// pins taken so far stay behind — the failed iteration's VM is
+// discarded, not unwound (see runStep).
+func (tr *Trainer) acquire(t *graph.Task, dev int, in, out [][]float32) error {
+	var err error
+	for i, x := range t.Inputs {
+		if x.Bytes == 0 {
+			continue
+		}
+		d := dev
+		if t.Kind == graph.AllReduce {
+			d = tr.pdev(i)
+		}
+		if in[i], err = tr.vm.Ensure(d, x); err != nil {
 			return err
 		}
-		views[i] = v
 	}
-	// Remote gradient traffic crosses the modeled interconnect: the
-	// reducer pulls n-1 remote replicas' buffers and pushes the result
-	// back, all charged serially on this worker while every other
-	// participant parks — the all-park rendezvous pays the full link
-	// latency on the critical path.
-	tr.vm.linkSleep(2 * int64(n-1) * ar.Inputs[0].Bytes)
-	floats := int(ar.Inputs[0].Bytes / 4)
-	inv := float32(1) / float32(n)
-	grain := (1 << 16) / (2 * n) // ~64k scalar ops per chunk
-	if grain < 1 {
-		grain = 1
-	}
-	nn.ParallelFor(floats, grain, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			var s float32
-			for i := 0; i < n; i++ {
-				s += views[i][j]
-			}
-			s *= inv
-			for i := 0; i < n; i++ {
-				views[i][j] = s
-			}
+	for i, x := range t.Outputs {
+		if x.Bytes == 0 {
+			continue
 		}
-	})
-	for _, in := range ar.Inputs {
-		if err := tr.vm.MarkDirty(in); err != nil {
-			return err
-		}
-		if err := tr.vm.Unpin(in); err != nil {
+		if out[i], err = tr.vm.Alloc(dev, x); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// unpin releases pins on a batch of tensors. An unpin failure is a
-// plumbing bug, but it surfaces as a returned error (not a panic) so
-// the executor can abort the iteration cleanly and the recovery layer
-// can decide what to do with it.
-func (tr *Trainer) unpin(ts ...*tensor.Tensor) error {
-	for _, t := range ts {
-		if err := tr.vm.Unpin(t); err != nil {
+// release retires what acquire pinned once the kernel has run: in-place
+// mutations are marked dirty, inputs and outputs unpinned, and tensors
+// whose last use this was destroyed. A failure here is a plumbing bug,
+// but it surfaces as a returned error (not a panic) so the executor can
+// abort the iteration cleanly and the recovery layer can decide what to
+// do with it.
+func (tr *Trainer) release(t *graph.Task) error {
+	for _, x := range t.Mutates {
+		if x.Bytes == 0 {
+			continue
+		}
+		if err := tr.vm.MarkDirty(x); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-func (tr *Trainer) freeAll(ts []*tensor.Tensor) error {
-	for _, t := range ts {
-		if err := tr.vm.Free(t); err != nil {
+	for _, ts := range [2][]*tensor.Tensor{t.Inputs, t.Outputs} {
+		for _, x := range ts {
+			if x.Bytes == 0 {
+				continue
+			}
+			if err := tr.vm.Unpin(x); err != nil {
+				return err
+			}
+		}
+	}
+	for _, x := range t.Frees {
+		if err := tr.vm.Free(x); err != nil {
 			return err
 		}
 	}

@@ -415,29 +415,38 @@ func (vm *VM) touch(sh *vmShard, b *buffer) {
 	vm.lruPush(sh, b)
 }
 
-// victim returns the least-recently-used evictable buffer on sh:
-// resident, idle and unpinned per its claim word. The intrusive list
-// makes this O(1) plus the pinned/claimed prefix. Requires sh.mu
-// held; the word check is advisory — evict re-validates by claiming.
-func (vm *VM) victim(sh *vmShard) *buffer {
+// victim scans sh's LRU list once and returns the least-recently-used
+// evictable buffer — resident, idle and unpinned per its claim word —
+// or, when nothing is evictable, the least-recently-used buffer whose
+// in-flight operation completes autonomously (an async DMA-worker op
+// or a committed sync claim) for reserve to wait on. One pass, each
+// word observed once: claims settle without the shard lock, and a
+// separate second scan for waiters would miss a DMA that landed between
+// the two and report a full device. Walking the list (not the buffer
+// map) keeps the choice deterministic for a given residency history.
+// Requires sh.mu held; the word check is advisory — evict re-validates
+// by claiming.
+func (vm *VM) victim(sh *vmShard) (evictable, waitable *buffer) {
 	// Prefetched-but-unused pages are about to be demanded by the
 	// schedule; evicting one turns a hit into a re-fetch. Prefer any
 	// other victim, falling back only when nothing else is evictable.
 	var prefetched *buffer
 	for b := sh.lru.head; b != nil; b = b.next {
-		w := b.load()
-		if w.State() != claimword.Idle || w.Pins() > 0 {
-			continue
-		}
-		if w.Prefetched() {
+		switch w := b.load(); {
+		case w.State() != claimword.Idle:
+			if waitable == nil && w.Waitable() {
+				waitable = b
+			}
+		case w.Pins() > 0: // held by a running task: neither
+		case w.Prefetched():
 			if prefetched == nil {
 				prefetched = b
 			}
-			continue
+		default:
+			return b, nil
 		}
-		return b
 	}
-	return prefetched
+	return prefetched, waitable
 }
 
 // --------------------------------------------------------- public API
@@ -478,14 +487,10 @@ func (vm *VM) Host(t *tensor.Tensor) ([]float32, error) {
 		resident := b.load().Resident()
 		if resident && b.dirty.Load() {
 			dev := int(b.devID.Load())
-			if err := vm.inject(fault.SwapOut, dev, b.t); err != nil {
+			if _, err := vm.transfer(xferOut, dev, b.t, b.host, b.dev); err != nil {
 				vm.settle(b, true, 0)
 				return nil, err
 			}
-			start := vm.clk.Now()
-			copyChunked(b.host, b.dev)
-			vm.linkSleep(b.t.Bytes)
-			vm.record(dev, trace.SwapOut, "out "+b.t.String(), start)
 			b.dirty.Store(false)
 			sh := vm.shards[dev]
 			sh.mu.Lock()
@@ -608,16 +613,11 @@ func (vm *VM) swapIn(dev int, b *buffer) ([]float32, error) {
 	vm.lruPush(sh, b)
 	sh.mu.Unlock()
 
-	if err := vm.inject(fault.SwapIn, dev, b.t); err != nil {
+	if _, err := vm.transfer(xferIn, dev, b.t, dst, b.host); err != nil {
 		vm.dropResidency(b)
 		vm.settle(b, false, 0)
 		return nil, err
 	}
-	start := vm.clk.Now()
-	copyChunked(dst, b.host)
-	vm.linkSleep(b.t.Bytes)
-	vm.record(dev, trace.SwapIn, "in "+b.t.String(), start)
-
 	b.dirty.Store(false)
 	sh.mu.Lock()
 	sh.stats.SwapInBytes += b.t.Bytes
@@ -661,16 +661,11 @@ func (vm *VM) moveP2P(dev int, b *buffer) ([]float32, error) {
 	src, srcDev := b.dev, int(b.devID.Load())
 	dst := make([]float32, b.floats())
 
-	if err := vm.inject(fault.P2P, dev, b.t); err != nil {
+	if _, err := vm.transfer(xferP2P, dev, b.t, dst, src); err != nil {
 		vm.settle(b, true, 0)
 		vm.uncharge(dsh, bytes)
 		return nil, err
 	}
-
-	start := vm.clk.Now()
-	copyChunked(dst, src)
-	vm.linkSleep(bytes)
-	vm.record(dev, trace.P2P, "p2p "+b.t.String(), start)
 
 	pf := vm.consumePrefetch(b) // prefetched to the wrong device: not a hit
 	ssh := vm.shards[srcDev]
@@ -715,15 +710,10 @@ func (vm *VM) bounce(b *buffer) error {
 		b.host = make([]float32, b.floats())
 	}
 	dev := int(b.devID.Load())
-	if err := vm.inject(fault.SwapOut, dev, b.t); err != nil {
+	if _, err := vm.transfer(xferOut, dev, b.t, b.host, b.dev); err != nil {
 		vm.settle(b, true, 0)
 		return err
 	}
-	start := vm.clk.Now()
-	copyChunked(b.host, b.dev)
-	vm.linkSleep(b.t.Bytes)
-	vm.record(dev, trace.SwapOut, "out "+b.t.String(), start)
-
 	b.dirty.Store(false)
 	sh := vm.shards[dev]
 	sh.mu.Lock()
@@ -848,11 +838,11 @@ func (vm *VM) reserve(sh *vmShard, bytes int64) error {
 		return fmt.Errorf("exec: tensor of %d bytes exceeds device capacity %d", bytes, vm.capacity)
 	}
 	for sh.used+bytes > vm.capacity {
-		victim := vm.victim(sh)
+		victim, inflight := vm.victim(sh)
 		if victim == nil {
-			if w := vm.waitableInFlight(sh); w != nil {
+			if inflight != nil {
 				sh.mu.Unlock()
-				vm.waitSettle(w)
+				vm.waitSettle(inflight)
 				sh.mu.Lock()
 				continue
 			}
@@ -892,13 +882,7 @@ func (vm *VM) evict(sh *vmShard, b *buffer) error {
 	}
 	src, host := b.dev, b.host
 	sh.mu.Unlock()
-	err := vm.inject(fault.SwapOut, sh.dev, b.t)
-	if err == nil {
-		start := vm.clk.Now()
-		copyChunked(host, src)
-		vm.linkSleep(b.t.Bytes)
-		vm.record(sh.dev, trace.SwapOut, "out "+b.t.String(), start)
-	}
+	_, err := vm.transfer(xferOut, sh.dev, b.t, host, src)
 	sh.mu.Lock()
 	if err != nil {
 		vm.settle(b, true, 0) // stays resident (and dirty)

@@ -288,7 +288,10 @@ func Parse(spec string, seed uint64) (*Injector, error) {
 				}
 			case "prob":
 				r.Prob, err = strconv.ParseFloat(v, 64)
-				if err == nil && (r.Prob < 0 || r.Prob > 1) {
+				// Phrased as "not inside" so NaN, which compares false
+				// both ways, is rejected too — Inject's r.Prob < 1 would
+				// otherwise treat a NaN rule as certain.
+				if err == nil && !(r.Prob >= 0 && r.Prob <= 1) {
 					return nil, fmt.Errorf("fault: prob %q outside [0,1]", v)
 				}
 			case "delay":

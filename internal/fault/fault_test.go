@@ -34,7 +34,7 @@ func TestParseEmptyAndErrors(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"op=warp", "mode=loud", "dev=x", "step=-1", "count=-2",
-		"prob=1.5", "delay=fast", "frobnicate=1", "op",
+		"prob=1.5", "prob=NaN", "delay=fast", "frobnicate=1", "op",
 	} {
 		if _, err := Parse(bad, 0); err == nil {
 			t.Errorf("spec %q accepted", bad)

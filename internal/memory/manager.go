@@ -309,9 +309,9 @@ func (m *Manager) Stats(dev hw.DeviceID) DeviceStats {
 	return m.devs[dev].statsSnapshot()
 }
 
-// TotalStats sums statistics across devices.
-// TotalStats sweeps the shards one at a time in ascending device
-// order; each device's contribution is a consistent snapshot.
+// TotalStats sums statistics across devices, sweeping the shards one
+// at a time in ascending device order; each device's contribution is a
+// consistent snapshot.
 func (m *Manager) TotalStats() DeviceStats {
 	var s DeviceStats
 	for _, d := range m.devs {
