@@ -78,9 +78,14 @@ race:
 		./internal/sched/... ./internal/schedcheck/... ./internal/tuner/...
 
 # Executor ablation: serial reference vs parallel device workers,
-# plus the swap-bound sync-vs-prefetch matrix.
+# plus the swap-bound sync-vs-prefetch matrix; then the step's two
+# per-element layers alone — the Dense kernel sequence of the three
+# MLP shapes harmonybench trains (nominal GFLOP/s, forward and
+# backward) and one collective chunk of its comm-bound shape.
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkTrainerStep' -benchmem .
+	$(GO) test -run XXX -bench 'BenchmarkDenseStep' -benchmem ./internal/nn/
+	$(GO) test -run XXX -bench 'BenchmarkReduceChunk' -benchmem ./internal/exec/
 
 # Contention-scaling smoke (part of `make check`): the sharded Ensure
 # hot path under a Zipf working set and under one goroutine per device

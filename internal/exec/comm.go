@@ -112,18 +112,7 @@ func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) error
 	tr.vm.linkSleep(2 * int64(n-1) * int64(hi-lo) * 4)
 	inv := float32(1) / float32(n)
 	grain := max((1<<16)/(2*n), 1) // ~64k scalar ops per pool chunk
-	nn.ParallelFor(hi-lo, grain, func(a, b int) {
-		for j := lo + a; j < lo+b; j++ {
-			var s float32
-			for i := 0; i < n; i++ {
-				s += views[i][j]
-			}
-			s *= inv
-			for i := 0; i < n; i++ {
-				views[i][j] = s
-			}
-		}
-	})
+	nn.ParallelFor(hi-lo, grain, func(a, b int) { averageViews(views, lo+a, lo+b, inv) })
 	if chunk {
 		tr.commMu.Lock()
 		tr.commStats.ChunksReduced++
@@ -131,4 +120,35 @@ func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) error
 		tr.commMu.Unlock()
 	}
 	return tr.release(ar)
+}
+
+// reduceBlock is how many elements averageViews carries at a time:
+// 8 KiB of float32, so the accumulating block stays in L1 while every
+// replica's block streams past it once.
+const reduceBlock = 2048
+
+// averageViews sets elements [lo, hi) of every view to inv times
+// their sum over the views. It walks a block replica by replica,
+// accumulating in place in views[0]; each element still adds the
+// replicas to +0 in index order, then scales — the same operations in
+// the same order as summing one element at a time, so the same bits.
+func averageViews(views [][]float32, lo, hi int, inv float32) {
+	for ; lo < hi; lo += reduceBlock {
+		acc := views[0][lo:min(lo+reduceBlock, hi)]
+		for j, v := range acc {
+			acc[j] = 0 + v // not a no-op: +0 + -0 is +0
+		}
+		for _, view := range views[1:] {
+			src := view[lo:][:len(acc)]
+			for j, v := range src {
+				acc[j] += v
+			}
+		}
+		for j := range acc {
+			acc[j] *= inv
+		}
+		for _, view := range views[1:] {
+			copy(view[lo:], acc)
+		}
+	}
 }

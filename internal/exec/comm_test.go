@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -158,5 +160,72 @@ func TestChunkedPlanSurvivesRetune(t *testing.T) {
 	}
 	if tr.s.Opts.CommChunks != 4 || tr.s.Opts.CommBucketBytes != 8<<10 {
 		t.Fatalf("comm knobs lost across retune: %+v", tr.s.Opts)
+	}
+}
+
+// averageElementwise is the reduction as it stood before averageViews
+// walked it in blocks: one element at a time across the replicas.
+func averageElementwise(views [][]float32, lo, hi int, inv float32) {
+	for j := lo; j < hi; j++ {
+		var s float32
+		for i := range views {
+			s += views[i][j]
+		}
+		s *= inv
+		for i := range views {
+			views[i][j] = s
+		}
+	}
+}
+
+// The blocked reduction must leave the very bits the element-major
+// one did, for any replica count and any range relative to the block
+// size — including -0 inputs, whose sum from +0 is +0.
+func TestAverageViewsBitIdenticalToElementwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, replicas := range []int{1, 2, 3, 4, 7} {
+		for _, span := range [][2]int{{0, 1}, {3, 3}, {5, reduceBlock + 5}, {1, 2*reduceBlock + 77}, {0, 3 * reduceBlock}} {
+			n := span[1] + 9
+			got, want := make([][]float32, replicas), make([][]float32, replicas)
+			for r := range got {
+				got[r] = make([]float32, n)
+				for j := range got[r] {
+					if got[r][j] = float32(rng.NormFloat64()); rng.Intn(8) == 0 {
+						got[r][j] = float32(math.Copysign(0, -1))
+					}
+				}
+				want[r] = append([]float32(nil), got[r]...)
+			}
+			inv := float32(1) / float32(replicas)
+			averageViews(got, span[0], span[1], inv)
+			averageElementwise(want, span[0], span[1], inv)
+			for r := range got {
+				for j := range got[r] {
+					if math.Float32bits(got[r][j]) != math.Float32bits(want[r][j]) {
+						t.Fatalf("%d replicas, range %v: view %d[%d] = %v (%#x), elementwise %v (%#x)", replicas, span, r, j,
+							got[r][j], math.Float32bits(got[r][j]), want[r][j], math.Float32bits(want[r][j]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkReduceChunk reduces one chunk of harmonybench's train-comm
+// step: four replicas, an eighth of a 1536×1536 layer's gradient.
+func BenchmarkReduceChunk(b *testing.B) {
+	const replicas, n = 4, (1536*1536 + 1536) / 8
+	views := make([][]float32, replicas)
+	for r := range views {
+		views[r] = make([]float32, n)
+		for j := range views[r] {
+			views[r][j] = float32(r + j%7)
+		}
+	}
+	b.SetBytes(2 * replicas * n * 4) // every replica's chunk read once and written once
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		averageViews(views, 0, n, 1.0/replicas)
 	}
 }

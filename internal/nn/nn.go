@@ -41,33 +41,35 @@ func (l Dense) Forward(params, x, y, stash []float32, batch int) {
 		panic(fmt.Sprintf("nn: stash %d < %d", len(stash), batch*l.In))
 	}
 	copy(stash, x[:batch*l.In])
-	w := params[:l.In*l.Out]
-	b := params[l.In*l.Out:]
 	// Rows of the batch are independent and write disjoint slices of
 	// y, so chunking over rows is bit-identical to the serial loop.
-	ParallelFor(batch, grainFor(2*l.In*l.Out), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xi := x[i*l.In : (i+1)*l.In]
-			yi := y[i*l.Out : (i+1)*l.Out]
-			copy(yi, b[:l.Out])
-			for k, xv := range xi {
-				if xv == 0 {
-					continue
-				}
-				row := w[k*l.Out : (k+1)*l.Out]
-				for j, wv := range row {
-					yi[j] += xv * wv
-				}
-			}
-			if l.ReLU {
-				for j := range yi {
-					if yi[j] < 0 {
-						yi[j] = 0
-					}
+	if grain := grainFor(2 * l.In * l.Out); runsInline(batch, grain) {
+		l.forwardRows(params, x, y, 0, batch)
+	} else {
+		ParallelFor(batch, grain, func(lo, hi int) { l.forwardRows(params, x, y, lo, hi) })
+	}
+}
+
+func (l Dense) forwardRows(params, x, y []float32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		yi := y[i*l.Out : (i+1)*l.Out]
+		l.preact(params, x[i*l.In:(i+1)*l.In], yi)
+		if l.ReLU {
+			for j, v := range yi {
+				if v < 0 {
+					yi[j] = 0
 				}
 			}
 		}
-	})
+	}
+}
+
+// preact writes one sample's pre-activation b + xi·W into z: the
+// forward pass and the backward pass's ReLU-mask recompute share it,
+// so the mask is taken from the very bits the forward pass clamped.
+func (l Dense) preact(params, xi, z []float32) {
+	copy(z, params[l.In*l.Out:])
+	axpyRows(z, params[:l.In*l.Out], xi, 1)
 }
 
 // Backward computes dx[batch,In] and accumulates parameter gradients
@@ -76,92 +78,166 @@ func (l Dense) Forward(params, x, y, stash []float32, batch int) {
 //
 // The pass is split into phases so each can fan across the worker
 // pool without changing any element's accumulation order: the mask
-// and dx are row-disjoint over the batch, while gb and gw chunk over
-// output columns and weight rows respectively, keeping the batch loop
-// innermost (and in order) per accumulated element. The results are
-// bit-identical to a serial run.
+// and dx are row-disjoint over the batch, while gw chunks over weight
+// rows, each row still accumulating the batch in order. The results
+// are bit-identical to a serial run.
 func (l Dense) Backward(params, stash, dy, dx, grad []float32, batch int) {
-	w := params[:l.In*l.Out]
-	gw := grad[:l.In*l.Out]
-	gb := grad[l.In*l.Out:]
+	nw := l.In * l.Out
+	stash = stash[:batch*l.In]
+	gw := grad[:nw]
+	gb := grad[nw : nw+l.Out]
+	rowGrain := grainFor(2 * nw)
 	// Recompute the pre-activation sign when the layer has ReLU. The
-	// mask and per-row pre-activations come from the scratch pool:
-	// this is the hot per-call allocation of the backward pass.
-	masked := dy
+	// masked gradient comes from the scratch pool; each row is first
+	// the pre-activation, then overwritten in place by its mask of dy.
+	masked := dy[:batch*l.Out]
 	if l.ReLU {
-		masked = GetZeroedScratch(batch * l.Out)
-		defer PutScratch(masked)
-		b := params[l.In*l.Out:]
-		ParallelFor(batch, grainFor(2*l.In*l.Out), func(lo, hi int) {
-			zi := GetScratch(l.Out)
-			defer PutScratch(zi)
-			for i := lo; i < hi; i++ {
-				xi := stash[i*l.In : (i+1)*l.In]
-				copy(zi, b[:l.Out])
-				for k, xv := range xi {
-					if xv == 0 {
-						continue
-					}
-					row := w[k*l.Out : (k+1)*l.Out]
-					for j, wv := range row {
-						zi[j] += xv * wv
-					}
-				}
-				di := dy[i*l.Out : (i+1)*l.Out]
-				mi := masked[i*l.Out : (i+1)*l.Out]
-				for j := range zi {
-					if zi[j] > 0 {
-						mi[j] = di[j]
-					}
-				}
-			}
-		})
-	}
-	// Bias gradient: chunk over output columns; each column sums the
-	// batch in order.
-	ParallelFor(l.Out, grainFor(batch), func(lo, hi int) {
-		for i := 0; i < batch; i++ {
-			di := masked[i*l.Out : (i+1)*l.Out]
-			for j := lo; j < hi; j++ {
-				gb[j] += di[j]
-			}
+		masked = GetScratch(batch * l.Out)
+		if runsInline(batch, rowGrain) {
+			l.maskRows(params, stash, dy, masked, 0, batch)
+		} else {
+			ParallelFor(batch, rowGrain, func(lo, hi int) { l.maskRows(params, stash, dy, masked, lo, hi) })
 		}
-	})
+	}
+	// Bias gradient: each column sums the batch in order. It is 1/In of
+	// the pass's work, so it does not fan out.
+	for i := 0; i < batch; i++ {
+		for j, dv := range masked[i*l.Out : (i+1)*l.Out] {
+			gb[j] += dv
+		}
+	}
 	// Weight gradient: chunk over weight rows k (the input dimension);
 	// each gw row accumulates the batch in order.
-	ParallelFor(l.In, grainFor(2*batch*l.Out), func(lo, hi int) {
-		for i := 0; i < batch; i++ {
-			xi := stash[i*l.In : (i+1)*l.In]
-			di := masked[i*l.Out : (i+1)*l.Out]
-			for k := lo; k < hi; k++ {
-				xv := xi[k]
-				if xv == 0 {
-					continue
-				}
-				gRow := gw[k*l.Out : (k+1)*l.Out]
-				for j, dv := range di {
-					gRow[j] += xv * dv
-				}
-			}
-		}
-	})
+	if grain := grainFor(2 * batch * l.Out); runsInline(l.In, grain) {
+		l.weightGradRows(stash, masked, gw, 0, l.In)
+	} else {
+		ParallelFor(l.In, grain, func(lo, hi int) { l.weightGradRows(stash, masked, gw, lo, hi) })
+	}
 	// Input gradient: rows are disjoint over the batch.
 	if dx != nil {
-		ParallelFor(batch, grainFor(2*l.In*l.Out), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				di := masked[i*l.Out : (i+1)*l.Out]
-				dxi := dx[i*l.In : (i+1)*l.In]
-				for k := range dxi {
-					row := w[k*l.Out : (k+1)*l.Out]
-					var s float32
-					for j, dv := range di {
-						s += row[j] * dv
-					}
-					dxi[k] = s
-				}
-			}
-		})
+		if runsInline(batch, rowGrain) {
+			l.inputGradRows(params, masked, dx, 0, batch)
+		} else {
+			ParallelFor(batch, rowGrain, func(lo, hi int) { l.inputGradRows(params, masked, dx, lo, hi) })
+		}
 	}
+	if l.ReLU {
+		PutScratch(masked)
+	}
+}
+
+func (l Dense) maskRows(params, stash, dy, masked []float32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		mi := masked[i*l.Out : (i+1)*l.Out]
+		l.preact(params, stash[i*l.In:(i+1)*l.In], mi)
+		di := dy[i*l.Out:][:len(mi)]
+		for j, z := range mi {
+			if z > 0 {
+				mi[j] = di[j]
+			} else {
+				mi[j] = 0
+			}
+		}
+	}
+}
+
+func (l Dense) weightGradRows(stash, masked, gw []float32, lo, hi int) {
+	for k := lo; k < hi; k++ {
+		axpyRows(gw[k*l.Out:(k+1)*l.Out], masked, stash[k:], l.In)
+	}
+}
+
+func (l Dense) inputGradRows(params, masked, dx []float32, lo, hi int) {
+	n := l.Out
+	for i := lo; i < hi; i++ {
+		d := masked[i*n : (i+1)*n]
+		dxi := dx[i*l.In : (i+1)*l.In]
+		k := 0
+		for ; k+4 <= len(dxi); k += 4 {
+			r := params[k*n : (k+4)*n]
+			dxi[k], dxi[k+1], dxi[k+2], dxi[k+3] = dot4(d, r[:n], r[n:2*n], r[2*n:3*n], r[3*n:])
+		}
+		for ; k < len(dxi); k++ {
+			dxi[k] = dot(d, params[k*n:(k+1)*n])
+		}
+	}
+}
+
+// The micro-kernels below are register tiles of the loops they
+// replaced (kept as the oracle in nn_test.go). A tile changes which
+// elements are in flight together, never the order in which one
+// element's terms are added, and every accumulate keeps the oracle's
+// single `s += a*b` shape, so the results are the same bits on every
+// target, with or without fused multiply-add. DESIGN.md §7 has the
+// argument in full.
+
+// axpyRows adds coef[t*stride]·rows[t*len(dst):(t+1)*len(dst)] to dst
+// for t = 0, 1, … to the end of coef, in order, skipping zero
+// coefficients. A skipped term is not a no-op to add (dst + 0·w is not
+// dst for w = ±Inf or NaN, nor for dst = -0), so the four rows of a
+// tile are the next four non-zero terms, not the next four rows.
+func axpyRows(dst, rows, coef []float32, stride int) {
+	n := len(dst)
+	var r [4][]float32
+	var c [4]float32
+	m := 0
+	for t, off := 0, 0; off < len(coef); t, off = t+1, off+stride {
+		cv := coef[off]
+		if cv == 0 {
+			continue
+		}
+		r[m], c[m] = rows[t*n:(t+1)*n], cv
+		if m++; m == 4 {
+			axpy4(dst, r[0], r[1], r[2], r[3], c[0], c[1], c[2], c[3])
+			m = 0
+		}
+	}
+	for t := 0; t < m; t++ {
+		axpy(dst, r[t], c[t])
+	}
+}
+
+// axpy4 is dst += c0·r0, then c1·r1, c2·r2, c3·r3, with one load and
+// one store of dst for the four.
+func axpy4(dst, r0, r1, r2, r3 []float32, c0, c1, c2, c3 float32) {
+	r0, r1, r2, r3 = r0[:len(dst)], r1[:len(dst)], r2[:len(dst)], r3[:len(dst)]
+	for j, s := range dst {
+		s += c0 * r0[j]
+		s += c1 * r1[j]
+		s += c2 * r2[j]
+		s += c3 * r3[j]
+		dst[j] = s
+	}
+}
+
+func axpy(dst, r []float32, c float32) {
+	r = r[:len(dst)]
+	for j, s := range dst {
+		s += c * r[j]
+		dst[j] = s
+	}
+}
+
+// dot4 is four dot products against d at once: each sums j in order
+// in its own accumulator, the four sharing the loads of d and
+// overlapping their add latencies.
+func dot4(d, r0, r1, r2, r3 []float32) (s0, s1, s2, s3 float32) {
+	r0, r1, r2, r3 = r0[:len(d)], r1[:len(d)], r2[:len(d)], r3[:len(d)]
+	for j, dv := range d {
+		s0 += r0[j] * dv
+		s1 += r1[j] * dv
+		s2 += r2[j] * dv
+		s3 += r3[j] * dv
+	}
+	return
+}
+
+func dot(d, r []float32) (s float32) {
+	r = r[:len(d)]
+	for j, dv := range d {
+		s += r[j] * dv
+	}
+	return
 }
 
 func (l Dense) check(op string, params, x, y []float32, batch int) {
@@ -216,6 +292,7 @@ func SoftmaxXent(logits []float32, labels []int, dlogits []float32, batch, class
 
 // SGD applies w -= lr·g and zeroes the gradient buffer.
 func SGD(w, g []float32, lr float32) {
+	g = g[:len(w)]
 	for i := range w {
 		w[i] -= lr * g[i]
 		g[i] = 0

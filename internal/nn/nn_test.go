@@ -2,8 +2,12 @@ package nn
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func almost(a, b, tol float64) bool {
@@ -395,4 +399,289 @@ func TestInitKernelZerosBias(t *testing.T) {
 	}
 	// Pool init is a no-op and must not panic on empty params.
 	InitKernel(MaxPool2D{C: 1, H: 2, W: 2, P: 2}, nil, 1)
+}
+
+// refForward and refBackward are the Dense loops as they stood before
+// the register-tiled kernels replaced them: one weight row, one batch
+// row, one dot product at a time. They are the oracle the tiled
+// kernels must match bit for bit.
+func refForward(l Dense, params, x, y, stash []float32, batch int) {
+	copy(stash, x[:batch*l.In])
+	w := params[:l.In*l.Out]
+	b := params[l.In*l.Out:]
+	for i := 0; i < batch; i++ {
+		xi := x[i*l.In : (i+1)*l.In]
+		yi := y[i*l.Out : (i+1)*l.Out]
+		copy(yi, b[:l.Out])
+		for k, xv := range xi {
+			if xv == 0 {
+				continue
+			}
+			row := w[k*l.Out : (k+1)*l.Out]
+			for j, wv := range row {
+				yi[j] += xv * wv
+			}
+		}
+		if l.ReLU {
+			for j := range yi {
+				if yi[j] < 0 {
+					yi[j] = 0
+				}
+			}
+		}
+	}
+}
+
+func refBackward(l Dense, params, stash, dy, dx, grad []float32, batch int) {
+	w := params[:l.In*l.Out]
+	gw := grad[:l.In*l.Out]
+	gb := grad[l.In*l.Out:]
+	masked := dy
+	if l.ReLU {
+		masked = make([]float32, batch*l.Out)
+		b := params[l.In*l.Out:]
+		zi := make([]float32, l.Out)
+		for i := 0; i < batch; i++ {
+			xi := stash[i*l.In : (i+1)*l.In]
+			copy(zi, b[:l.Out])
+			for k, xv := range xi {
+				if xv == 0 {
+					continue
+				}
+				row := w[k*l.Out : (k+1)*l.Out]
+				for j, wv := range row {
+					zi[j] += xv * wv
+				}
+			}
+			di := dy[i*l.Out : (i+1)*l.Out]
+			mi := masked[i*l.Out : (i+1)*l.Out]
+			for j := range zi {
+				if zi[j] > 0 {
+					mi[j] = di[j]
+				}
+			}
+		}
+	}
+	for i := 0; i < batch; i++ {
+		di := masked[i*l.Out : (i+1)*l.Out]
+		for j := 0; j < l.Out; j++ {
+			gb[j] += di[j]
+		}
+	}
+	for i := 0; i < batch; i++ {
+		xi := stash[i*l.In : (i+1)*l.In]
+		di := masked[i*l.Out : (i+1)*l.Out]
+		for k := 0; k < l.In; k++ {
+			xv := xi[k]
+			if xv == 0 {
+				continue
+			}
+			gRow := gw[k*l.Out : (k+1)*l.Out]
+			for j, dv := range di {
+				gRow[j] += xv * dv
+			}
+		}
+	}
+	if dx != nil {
+		for i := 0; i < batch; i++ {
+			di := masked[i*l.Out : (i+1)*l.Out]
+			dxi := dx[i*l.In : (i+1)*l.In]
+			for k := range dxi {
+				row := w[k*l.Out : (k+1)*l.Out]
+				var s float32
+				for j, dv := range di {
+					s += row[j] * dv
+				}
+				dxi[k] = s
+			}
+		}
+	}
+}
+
+// TestDenseBitIdenticalToOracle draws layer shapes around the tile
+// width (1, primes, non-multiples of four), batches 1–9 and inputs
+// salted with +0, -0 and all-zero rows, and requires the tiled kernels
+// to reproduce the oracle's y, stash, dx and grad bit for bit at pool
+// sizes 1, 2 and 3, on top of a non-zero incoming grad. The weights
+// carry ±Inf and NaN now and then: a zero input must still skip them.
+func TestDenseBitIdenticalToOracle(t *testing.T) {
+	defer SetWorkers(runtime.GOMAXPROCS(0))
+	dims := []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 31, 67, 128, 257}
+	negZero := float32(math.Copysign(0, -1))
+	rng := rand.New(rand.NewSource(15))
+	fill := func(s []float32, special float64, specials ...float32) {
+		for i := range s {
+			if s[i] = float32(rng.NormFloat64()); rng.Float64() < special {
+				s[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+	}
+	sameBits := func(name string, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			// Which NaN comes out of NaN + NaN is the hardware's choice
+			// by operand position, which no Go source pins down.
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) && !(got[i] != got[i] && want[i] != want[i]) {
+				t.Fatalf("%s[%d] = %v (%#x), oracle %v (%#x)", name, i,
+					got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			}
+		}
+	}
+	for draw := 0; draw < 300; draw++ {
+		l := Dense{In: dims[rng.Intn(len(dims))], Out: dims[rng.Intn(len(dims))], ReLU: rng.Intn(2) == 0}
+		batch := 1 + rng.Intn(9)
+		// A few big layers so that pools of 2 and 3 really split.
+		if draw%25 == 0 {
+			l.In, l.Out, batch = 200+rng.Intn(9), 180+rng.Intn(9), 9
+		}
+		SetWorkers(1 + draw%3)
+		params := make([]float32, l.ParamCount())
+		fill(params, 0)
+		if draw%5 == 0 {
+			fill(params, 0.02, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), negZero)
+		}
+		x := make([]float32, batch*l.In)
+		fill(x, 0.4, 0, negZero)
+		if batch > 1 {
+			clear(x[l.In : 2*l.In])
+		}
+		dy := make([]float32, batch*l.Out)
+		fill(dy, 0.1, 0, negZero)
+		grad0 := make([]float32, l.ParamCount())
+		fill(grad0, 0.1, 0, negZero)
+		withDx := rng.Intn(4) > 0
+
+		run := func(fwd func(Dense, []float32, []float32, []float32, []float32, int),
+			bwd func(Dense, []float32, []float32, []float32, []float32, []float32, int)) (y, stash, dx, grad []float32) {
+			y = make([]float32, batch*l.Out)
+			stash = make([]float32, batch*l.In)
+			fwd(l, params, x, y, stash, batch)
+			if withDx {
+				dx = make([]float32, batch*l.In)
+			}
+			grad = append([]float32(nil), grad0...)
+			bwd(l, params, stash, dy, dx, grad, batch)
+			return
+		}
+		y, stash, dx, grad := run(Dense.Forward, Dense.Backward)
+		wy, wstash, wdx, wgrad := run(refForward, refBackward)
+		t.Logf("draw %d: %+v batch %d workers %d dx %v", draw, l, batch, Workers(), withDx)
+		sameBits("y", y, wy)
+		sameBits("stash", stash, wstash)
+		sameBits("dx", dx, wdx)
+		sameBits("grad", grad, wgrad)
+	}
+}
+
+// poolRetains reports whether sync.Pool keeps what it is given: under
+// the race detector it drops a quarter of all Puts on purpose, and an
+// allocation count means nothing there.
+func poolRetains() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		p.Put(new(int))
+		if p.Get() == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSteadyStateAllocs pins the zero-allocation claims: on a
+// one-worker pool a scratch round trip, a Dense.Forward and a
+// Dense.Backward allocate nothing once the pool is warm.
+func TestSteadyStateAllocs(t *testing.T) {
+	if !poolRetains() {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	defer SetWorkers(runtime.GOMAXPROCS(0))
+	SetWorkers(1)
+	l := Dense{In: 67, Out: 31, ReLU: true}
+	const batch = 5
+	params := make([]float32, l.ParamCount())
+	fillRand(params, 1)
+	x := make([]float32, batch*l.In)
+	fillRand(x, 2)
+	dy := make([]float32, batch*l.Out)
+	fillRand(dy, 3)
+	y := make([]float32, batch*l.Out)
+	stash := make([]float32, batch*l.In)
+	dx := make([]float32, batch*l.In)
+	grad := make([]float32, l.ParamCount())
+	for name, fn := range map[string]func(){
+		"PutScratch(GetScratch(n))": func() { PutScratch(GetScratch(4096)) },
+		"Dense.Forward":             func() { l.Forward(params, x, y, stash, batch) },
+		"Dense.Backward":            func() { l.Backward(params, stash, dy, dx, grad, batch) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, n)
+		}
+	}
+}
+
+// BenchmarkDenseStep runs one replica's Dense kernel sequence of a
+// training step — per microbatch, Forward up the stack and Backward
+// down it — on the three MLP shapes harmonybench trains, and reports
+// nominal GFLOP/s (2·In·Out per sample forward, twice that backward;
+// skipped zeros count as done) for the two passes separately.
+func BenchmarkDenseStep(b *testing.B) {
+	// The pool was sized before -cpu took effect.
+	defer SetWorkers(Workers())
+	SetWorkers(runtime.GOMAXPROCS(0))
+	for _, shape := range []struct {
+		name        string
+		widths      []int
+		mb, mbCount int
+	}{
+		{"compute-784x512x512x10-mb8x8", []int{784, 512, 512, 10}, 8, 8},
+		{"comm-64x1536x1536x1536x10-mb4x1", []int{64, 1536, 1536, 1536, 10}, 4, 1},
+		{"swap-256x512x512x512x10-mb1x8", []int{256, 512, 512, 512, 10}, 1, 8},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			var layers []Dense
+			var params, grads, stash, dxs [][]float32
+			acts := [][]float32{make([]float32, shape.mb*shape.widths[0])}
+			fillRand(acts[0], 1)
+			var flops float64
+			for i := 0; i+1 < len(shape.widths); i++ {
+				l := Dense{In: shape.widths[i], Out: shape.widths[i+1], ReLU: i+2 < len(shape.widths)}
+				layers = append(layers, l)
+				p := make([]float32, l.ParamCount())
+				XavierInit(l, p, uint64(i+1))
+				params = append(params, p)
+				grads = append(grads, make([]float32, l.ParamCount()))
+				stash = append(stash, make([]float32, shape.mb*l.In))
+				dxs = append(dxs, make([]float32, shape.mb*l.In))
+				acts = append(acts, make([]float32, shape.mb*l.Out))
+				flops += 2 * float64(l.In*l.Out) * float64(shape.mb*shape.mbCount)
+			}
+			dy := make([]float32, shape.mb*shape.widths[len(layers)])
+			fillRand(dy, 2)
+			var fwd, bwd time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for m := 0; m < shape.mbCount; m++ {
+					start := time.Now()
+					for i, l := range layers {
+						l.Forward(params[i], acts[i], acts[i+1], stash[i], shape.mb)
+					}
+					mid := time.Now()
+					up := dy
+					for i := len(layers) - 1; i >= 0; i-- {
+						var dx []float32
+						if i > 0 {
+							dx = dxs[i]
+						}
+						layers[i].Backward(params[i], stash[i], up, dx, grads[i], shape.mb)
+						up = dx
+					}
+					fwd += mid.Sub(start)
+					bwd += time.Since(mid)
+				}
+			}
+			b.ReportMetric(flops*float64(b.N)/fwd.Seconds()/1e9, "fwd-GFLOP/s")
+			b.ReportMetric(2*flops*float64(b.N)/bwd.Seconds()/1e9, "bwd-GFLOP/s")
+		})
+	}
 }

@@ -10,8 +10,8 @@ import (
 //
 //   - a persistent worker pool sized to runtime.GOMAXPROCS(0), shared
 //     by every kernel invocation (no per-call goroutine spawn), and
-//   - sync.Pool-backed float32 scratch buffers so backward passes do
-//     not allocate in their inner loops.
+//   - sync.Pool-backed float32 scratch buffers, so a kernel call in
+//     the steady state allocates nothing.
 //
 // Parallel kernels are written to be bit-identical to their serial
 // counterparts: work is only split along axes whose per-element
@@ -106,6 +106,15 @@ func ParallelFor(n, grain int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
+// runsInline reports whether ParallelFor(n, grain, fn) would run fn
+// on the calling goroutine alone. fn travels to the workers through a
+// channel, so a closure passed to ParallelFor is heap-allocated where
+// it is written even on a call that never fans out; the Dense kernels
+// ask first and call their range function directly when they can.
+func runsInline(n, grain int) bool {
+	return n <= grain || activePool.Load().size == 1
+}
+
 // grainFor sizes ParallelFor chunks so each carries roughly 64k scalar
 // operations when one item costs perItem operations: tiny layers stay
 // serial, large ones fan out.
@@ -120,18 +129,26 @@ func grainFor(perItem int) int {
 	return g
 }
 
-// scratch recycles float32 buffers across kernel calls. Buffers are
-// stored by pointer to avoid re-boxing the slice header on every Put.
-var scratch = sync.Pool{New: func() any { s := make([]float32, 0, 1024); return &s }}
+// scratch recycles float32 buffers across kernel calls. A sync.Pool
+// holds pointers, so a buffer waits in it inside a *[]float32 box;
+// the box a Get empties waits in boxes for the next Put, and a
+// Get/Put round trip allocates nothing.
+var scratch, boxes sync.Pool
 
 // GetScratch returns a length-n buffer with undefined contents,
 // drawn from the shared scratch pool. Pair with PutScratch.
 func GetScratch(n int) []float32 {
-	p := scratch.Get().(*[]float32)
-	if cap(*p) < n {
-		*p = make([]float32, n)
+	p, _ := scratch.Get().(*[]float32)
+	if p == nil {
+		return make([]float32, n)
 	}
-	return (*p)[:n]
+	s := *p
+	*p = nil
+	boxes.Put(p)
+	if cap(s) < n {
+		return make([]float32, n)
+	}
+	return s[:n]
 }
 
 // GetZeroedScratch returns a length-n zeroed buffer from the pool.
@@ -147,6 +164,10 @@ func PutScratch(s []float32) {
 	if cap(s) == 0 {
 		return
 	}
-	s = s[:0]
-	scratch.Put(&s)
+	p, _ := boxes.Get().(*[]float32)
+	if p == nil {
+		p = new([]float32)
+	}
+	*p = s
+	scratch.Put(p)
 }
