@@ -1,12 +1,13 @@
 # Developer entry points. `make check` is the tier-1 gate: everything
-# a change must pass before merging, including the invariant linter
-# (harmonylint), the race detector over the nine packages with
-# concurrency or plan code the executor runs (see `race`), and a
-# time-boxed fuzz of the checkpoint loader.
+# a change must pass before merging — the invariant linter
+# (harmonylint), the build, both modules' tests, the race detector over
+# the root module (see `race`), the time-boxed fuzzes, the contention
+# bench smoke and the static plan-verification gate. Performance is
+# not gated here: a claim is decided by `make bench-pair`.
 
 GO ?= go
 
-.PHONY: all build vet lint lint-sarif lint-self lint-budget test bench-test race bench bench-contend bench-json bench-smoke bench-gate schedcheck fuzz loc check
+.PHONY: all build vet lint lint-sarif lint-self lint-budget test bench-test race bench bench-contend bench-pair schedcheck fuzz loc check
 
 all: check
 
@@ -62,24 +63,21 @@ test:
 
 # bench/ is a nested module (the harmonybench harness behind
 # BENCHMARK.json), so `go test ./...` from the root never reaches its
-# unit and smoke tests; this does (~15 s).
+# unit tests and its -smoke pass, which drives every workload and
+# every reference variant (sync, prefetch, adaptive, chunked,
+# monolithic, serial) through the real trainer; this does (~15 s).
 bench-test:
 	$(GO) test -C bench ./...
 
-# The packages that spawn goroutines or take locks — the exec executor,
-# memory manager and collectives (real concurrency, async error
-# delivery), the nn kernel worker pool, the fault injector and the
-# parallel sweep — plus the plan code exec runs on its workers (sched's
-# weave, schedcheck's proofs, the tuner's preflight); race-check them
-# specifically (the full suite under -race is much slower).
+# The whole root module under the race detector (~30 s), except
+# internal/analyzers: the analyzers are single-threaded, and their
+# tests, which type-check the tree over and over, take another 80 s
+# under -race to find that out.
 race:
-	$(GO) test -race ./internal/exec/... ./internal/memory/... ./internal/collective/... \
-		./internal/nn/... ./internal/fault/... ./internal/sweep/... \
-		./internal/sched/... ./internal/schedcheck/... ./internal/tuner/...
+	$(GO) test -race $$($(GO) list ./... | grep -v internal/analyzers)
 
-# Executor ablation: serial reference vs parallel device workers,
-# plus the swap-bound sync-vs-prefetch matrix; then the step's two
-# per-element layers alone — the Dense kernel sequence of the three
+# Executor ablation: serial reference vs parallel device workers;
+# then the step's two per-element layers alone — the Dense kernel sequence of the three
 # MLP shapes harmonybench trains (nominal GFLOP/s, forward and
 # backward) and one collective chunk of its comm-bound shape.
 bench:
@@ -89,36 +87,24 @@ bench:
 
 # Contention-scaling smoke (part of `make check`): the sharded Ensure
 # hot path under a Zipf working set and under one goroutine per device
-# at 1..64 devices. The full ns/op flatness guard lives in bench-gate;
-# this target just proves both benches run clean.
+# at 1..64 devices. The ns/op curve is the by-hand number; what it
+# shows — a resident Ensure takes no lock another device can hold — is
+# a test (TestEnsureHitTakesOnlyItsOwnShard), so this target only
+# proves both benches run clean.
 bench-contend:
 	$(GO) test -run XXX -bench 'BenchmarkEnsureContended|BenchmarkVMEvictionZipf' -benchtime 10000x ./internal/exec/
 
-# Machine-readable swap-overlap report: sync vs static prefetch vs
-# adaptive prefetch per-step times, swap volumes, DMA overlap
-# fractions and window trajectories on the swap-bound configs.
-# Regenerates the checked-in BENCH_trainer.json.
-bench-json:
-	$(GO) run ./cmd/benchtrainer -steps 4 -out BENCH_trainer.json
-
-# One-step smoke of the same harness (part of `make check`): proves
-# the sync and prefetch paths both train and the report writes.
-bench-smoke:
-	$(GO) run ./cmd/benchtrainer -steps 1 -out /dev/null
-
-# Performance regression gate: regenerate the swap-overlap report and
-# fail if (a) the swap-bound config's prefetch speedup dropped >20%
-# against the checked-in baseline, (b) the adaptive controller hides
-# >5 points less DMA overlap than the static window on the same row,
-# (c) the sharded Ensure hot path stopped scaling — ns/op growing
-# >15% from 16 to 64 devices means a cross-device lock is back on the
-# claim path — or (d) chunked collectives on the dp4-comm row lost
-# their edge: >10% slower than the monolithic rendezvous in the same
-# report, or comm overlap >5 points below the checked-in baseline.
-# CI runs this on every push.
-bench-gate:
-	$(GO) run ./cmd/benchtrainer -steps 4 -out /tmp/BENCH_trainer.new.json
-	$(GO) run ./cmd/benchgate -old BENCH_trainer.json -new /tmp/BENCH_trainer.new.json -row dp1-hostlink -max-regress 0.20 -max-scale-degrade 0.15 -max-comm-overlap-drop 0.05 -max-comm-slowdown 0.10
+# The paired-run protocol that decides a performance claim
+# (EXPERIMENTS.md, "Making a performance claim"): per workload, PAIRS
+# alternating runs (ten by default) of the benchmark BENCHMARK.json
+# declares on REF and on the working tree, then one traced pass a
+# side. Fails on a regression past a metric's declared bound, an unmet
+# CLAIM (metric@workload) or a higher share of failed ops. The report
+# prints here; the per-run JSON lines land in benchpair.jsonl. About
+# 25 min for all six workloads at PAIRS=5.
+bench-pair:
+	@test -n "$(REF)" || { echo "usage: make bench-pair REF=<commit> [PAIRS=n] [WORKLOADS=a,b] [CLAIM=metric@workload]"; exit 2; }
+	$(GO) run ./cmd/benchpair -ref $(REF) $(if $(PAIRS),-pairs $(PAIRS)) $(if $(WORKLOADS),-workloads $(WORKLOADS)) $(if $(CLAIM),-claim $(CLAIM)) > benchpair.jsonl
 
 # Static plan verification gate (part of `make check`): every clean
 # plan shape must PASS, and each seeded plan bug — rendezvous cycle,
@@ -161,4 +147,4 @@ loc:
 	fi; \
 	for d in $$pkgs; do printf '%6d  %s\n' $$(count $$(src $$d)) $$d; done
 
-check: lint build test bench-test race fuzz bench-smoke bench-contend schedcheck
+check: lint build test bench-test race fuzz bench-contend schedcheck

@@ -309,135 +309,6 @@ func BenchmarkTrainerStepParallel(b *testing.B) {
 	}
 }
 
-// swapBoundConfig is the swap-bound workload for the async-DMA
-// benches: the model's footprint overflows each device, and a modeled
-// host link makes every demand swap cost real wall time. PrefetchDepth
-// -1 is the synchronous baseline (all swapping on the critical path);
-// a positive depth lets the DMA workers hide the link time behind
-// compute. The single-device DP shape is the headline: with one
-// device every demand miss serializes behind the link, so prefetch
-// has the most to hide.
-func swapBoundConfig(depth, devices int, p2p bool, link int64) TrainerConfig {
-	tg := &Toggles{}
-	if !p2p {
-		tg.P2P = Bool(false)
-	}
-	mode := HarmonyDP
-	widths := []int{256, 512, 512, 512, 10}
-	if devices > 1 {
-		mode = HarmonyPP
-		widths = []int{256, 640, 640, 640, 10}
-	}
-	return TrainerConfig{
-		Widths:          widths,
-		Mode:            mode,
-		Devices:         devices,
-		DeviceBytes:     4 << 20,
-		BatchSize:       8,
-		Seed:            1,
-		Toggles:         tg,
-		PrefetchDepth:   depth,
-		LinkBytesPerSec: link,
-	}
-}
-
-// timeSwapSteps measures mean wall time per Step (after one warm-up
-// step) and returns the trainer's data-movement counters plus, for
-// adaptive plans, the per-device window stats.
-func timeSwapSteps(b *testing.B, cfg TrainerConfig, steps int) (time.Duration, Stats, []AdaptWindowStats) {
-	b.Helper()
-	tr, err := NewTrainer(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer tr.Close()
-	blobs := NewBlobs(cfg.Widths[0], cfg.Widths[len(cfg.Widths)-1], 1.0, 3)
-	x, y := blobs.Batch(tr.SamplesPerStep(), 0)
-	if _, err := tr.Step(x, y); err != nil {
-		b.Fatal(err)
-	}
-	start := time.Now()
-	for i := 0; i < steps; i++ {
-		if _, err := tr.Step(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return time.Since(start) / time.Duration(steps), tr.Stats(), tr.AdaptStats()
-}
-
-// swapBoundVariants is the prefetch-on/off × p2p-on/off bench matrix.
-// dp1-hostlink is the acceptance row (expect ≥1.3× with prefetch);
-// the two-device rows exercise the p2p toggle, where demand misses
-// already overlap across device workers and the margin is smaller.
-var swapBoundVariants = []struct {
-	name    string
-	devices int
-	p2p     bool
-	link    int64
-}{
-	{"dp1-hostlink", 1, false, 1 << 27},
-	{"pp2-p2p", 2, true, 96 << 20},
-	{"pp2-host-bounce", 2, false, 96 << 20},
-}
-
-// BenchmarkTrainerStepSwapBound is the PR's acceptance benchmark:
-// prefetch vs. the synchronous baseline on swap-bound configs
-// (footprint > device capacity), with p2p on and off. The speedup
-// metric compares fixed runs of both executors inside each prefetch
-// sub-bench; overlap-frac is async DMA busy time over wall time.
-func BenchmarkTrainerStepSwapBound(b *testing.B) {
-	const measured = 4
-	for _, v := range swapBoundVariants {
-		for _, sub := range []struct {
-			suffix   string
-			depth    int
-			adaptive bool
-		}{
-			{"sync", -1, false},
-			{"prefetch", 4, false},
-			{"adaptive", 4, true},
-		} {
-			b.Run(v.name+"/"+sub.suffix, func(b *testing.B) {
-				cfg := swapBoundConfig(sub.depth, v.devices, v.p2p, v.link)
-				cfg.AdaptivePrefetch = sub.adaptive
-				var speedup, swappedMB, overlap float64
-				var windows []AdaptWindowStats
-				if sub.depth > 0 {
-					syncT, _, _ := timeSwapSteps(b, swapBoundConfig(-1, v.devices, v.p2p, v.link), measured)
-					pfT, st, ws := timeSwapSteps(b, cfg, measured)
-					speedup = float64(syncT) / float64(pfT)
-					swappedMB = float64(st.SwapInBytes+st.SwapOutBytes) / (1 << 20)
-					overlap = float64(st.AsyncDMANanos) / float64(pfT.Nanoseconds()*int64(measured))
-					windows = ws
-				}
-				tr, err := NewTrainer(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer tr.Close()
-				blobs := NewBlobs(cfg.Widths[0], cfg.Widths[len(cfg.Widths)-1], 1.0, 3)
-				x, y := blobs.Batch(tr.SamplesPerStep(), 0)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := tr.Step(x, y); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if sub.depth > 0 { // after ResetTimer, which clears metrics
-					b.ReportMetric(speedup, "speedup-vs-sync")
-					b.ReportMetric(swappedMB, "MB-swapped")
-					b.ReportMetric(overlap, "overlap-frac")
-				}
-				for _, ws := range windows { // adaptive rows only
-					b.ReportMetric(float64(ws.WindowMin), fmt.Sprintf("dev%d-window-min", ws.Dev))
-					b.ReportMetric(float64(ws.WindowMax), fmt.Sprintf("dev%d-window-max", ws.Dev))
-					b.ReportMetric(float64(ws.Resizes), fmt.Sprintf("dev%d-resizes", ws.Dev))
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkSimulatorSpeed measures raw simulator performance: events
 // per wall second for a 4-GPU BERT-48 iteration (useful when scaling
 // the sweeps).

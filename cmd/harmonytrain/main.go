@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -39,6 +40,7 @@ func main() {
 		batch     = flag.Int("batch", 32, "per-replica batch size")
 		steps     = flag.Int("steps", 40, "training iterations")
 		adam      = flag.Bool("adam", true, "use Adam (SGD otherwise)")
+		lr        = flag.Float64("lr", 0, "learning rate (0 = 0.005 with Adam, 0.05 with SGD)")
 		noise     = flag.Float64("noise", 1.5, "dataset difficulty (blob noise)")
 		seed      = flag.Uint64("seed", 1, "weight and data seed")
 		savePath  = flag.String("save", "", "write a checkpoint here after training")
@@ -72,7 +74,7 @@ func main() {
 	)
 	cfg := harmony.TrainerConfig{
 		Mode: mode, Devices: *devices, BatchSize: *batch,
-		Adam: *adam, Seed: *seed,
+		Adam: *adam, LR: float32(*lr), Seed: *seed,
 		FaultSpec: *faultSpec, MaxRetries: *maxRetry, Recover: *recov,
 		PrefetchDepth: *prefetch, AdaptivePrefetch: *adaptive,
 		LinkBytesPerSec: *linkBW,
@@ -173,6 +175,12 @@ func main() {
 		loss, err := tr.Step(x, y)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "harmonytrain: step %d: %v\n", s, err)
+			os.Exit(1)
+		}
+		// A diverged run has nothing worth reporting or saving, and
+		// every later step would only train NaNs.
+		if math.IsNaN(float64(loss)) || math.IsInf(float64(loss), 0) {
+			fmt.Fprintf(os.Stderr, "harmonytrain: step %d: loss is %v: training diverged, nothing saved (try a lower -lr)\n", s, loss)
 			os.Exit(1)
 		}
 		if s%10 == 0 || s == *steps-1 {

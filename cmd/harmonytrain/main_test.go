@@ -1,0 +1,74 @@
+package main
+
+// CLI contract of a diverging run: the binary is built once and run as
+// a user would run it, on README's swap-bound shape (without the
+// modeled link, which changes the step time and not one bit of the
+// math).
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"testing"
+)
+
+var swapBound = []string{"-arch", "mlp", "-widths", "256,512,512,512,10", "-mode", "harmony-dp", "-devices", "1",
+	"-device-mem", "4194304", "-batch", "8", "-adam=false", "-prefetch-depth", "4", "-steps", "30"}
+
+func harmonytrain(t *testing.T, bin string, args ...string) (stdout, stderr string, exit int) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	cmd := exec.Command(bin, append(append([]string(nil), swapBound...), args...)...)
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatal(err)
+	}
+	return out.String(), errb.String(), cmd.ProcessState.ExitCode()
+}
+
+func TestDivergenceStopsTheRun(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "harmonytrain")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+
+	// SGD at the default 0.05 overflows on this shape within ten steps.
+	// The run must stop there, say where, and leave no checkpoint.
+	ckpt := filepath.Join(t.TempDir(), "diverged.ckpt")
+	stdout, stderr, exit := harmonytrain(t, bin, "-save", ckpt)
+	if exit == 0 {
+		t.Errorf("diverging run exited 0\n%s", stdout)
+	}
+	if !regexp.MustCompile(`step \d+: loss is (NaN|[+-]Inf)`).MatchString(stderr) {
+		t.Errorf("stderr does not name the diverging step: %q", stderr)
+	}
+	if regexp.MustCompile(`loss (NaN|[+-]Inf)|accuracy`).MatchString(stdout) {
+		t.Errorf("the run went on past a non-finite loss:\n%s", stdout)
+	}
+	if _, err := os.Stat(ckpt); err == nil {
+		t.Error("a diverged run wrote a checkpoint")
+	}
+
+	// -lr reaches the trainer: at 0.005 the same run converges.
+	stdout, stderr, exit = harmonytrain(t, bin, "-lr", "0.005")
+	if exit != 0 {
+		t.Fatalf("-lr 0.005: exit %d\n%s%s", exit, stdout, stderr)
+	}
+	var losses []float64
+	for _, m := range regexp.MustCompile(`(?m)^step +\d+ +loss (\S+)$`).FindAllStringSubmatch(stdout, -1) {
+		v, err := strconv.ParseFloat(m[1], 64)
+		if err != nil {
+			t.Fatalf("loss %q: %v", m[1], err)
+		}
+		losses = append(losses, v)
+	}
+	if len(losses) < 2 || !(losses[len(losses)-1] < losses[0]/2) {
+		t.Errorf("-lr 0.005: losses %v, want a finite, falling sequence", losses)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"harmony/internal/memory"
 	"harmony/internal/tensor"
@@ -177,4 +178,95 @@ func errValue(t *tensor.Tensor, got, want float32) error {
 
 func (e *valueErr) Error() string {
 	return e.t.String() + " snapshot mismatch"
+}
+
+// TestEnsureHitTakesOnlyItsOwnShard pins, without a stopwatch, the
+// property behind BenchmarkEnsureContended's flat curve (DESIGN.md
+// §12): a resident Ensure/Unpin on device d takes no lock another
+// device can hold. Every lock a neighbour could be sitting on — the
+// other shards', the DMA engine's, the knobs' — is held while d runs
+// its hit path, which must finish regardless. The control shows the
+// test can see a lock on the path: with d's own shard held, the same
+// loop must not finish until it is released.
+func TestEnsureHitTakesOnlyItsOwnShard(t *testing.T) {
+	const (
+		devs   = 4
+		d      = 2
+		perDev = 16
+		bytes  = 64
+		pairs  = 4000
+	)
+	reg := tensor.NewRegistry()
+	vm := NewVM(devs, perDev*bytes, memory.Policy{DirtyTracking: true})
+	vm.StartEngine(perDev * bytes)
+	defer vm.Close()
+	var set []*tensor.Tensor
+	for i := 0; i < perDev; i++ {
+		ts := reg.New(tName("h", d, i), tensor.Activation, bytes, i, d)
+		vm.HostAlloc(ts)
+		if _, err := vm.Ensure(d, ts); err != nil { // resident from here on
+			t.Fatal(err)
+		}
+		if err := vm.Unpin(ts); err != nil {
+			t.Fatal(err)
+		}
+		set = append(set, ts)
+	}
+	hits := func() <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			for i := 0; i < pairs; i++ {
+				ts := set[i%perDev]
+				if _, err := vm.Ensure(d, ts); err != nil {
+					done <- err
+					return
+				}
+				if err := vm.Unpin(ts); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		return done
+	}
+	others := []sync.Locker{&vm.engMu, &vm.cfgMu}
+	for _, sh := range vm.shards {
+		if sh.dev != d {
+			others = append(others, &sh.mu)
+		}
+	}
+
+	for _, l := range others {
+		l.Lock()
+	}
+	done, blocked := hits(), false
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(30 * time.Second):
+		blocked = true
+	}
+	for _, l := range others {
+		l.Unlock()
+	}
+	if blocked {
+		t.Fatalf("%d resident Ensure/Unpin pairs on gpu%d did not finish while the other shards, engMu and cfgMu were held: the hit path takes a lock another device can hold", pairs, d)
+	}
+
+	own := &vm.shards[d].mu
+	own.Lock()
+	done = hits()
+	select {
+	case <-done:
+		own.Unlock()
+		t.Fatalf("the hit path on gpu%d finished while its own shard lock was held: this test cannot see the locks it is about", d)
+	case <-time.After(100 * time.Millisecond):
+	}
+	own.Unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 }
