@@ -1,9 +1,10 @@
 # Developer entry points. `make check` is the tier-1 gate: everything
-# a change must pass before merging — the invariant linter
-# (harmonylint), the build, both modules' tests, the race detector over
-# the root module (see `race`), the time-boxed fuzzes, the contention
-# bench smoke and the static plan-verification gate. Performance is
-# not gated here: a claim is decided by `make bench-pair`.
+# a change must pass before merging — vet, gofmt and the invariant
+# linter (harmonylint), the build, both modules' tests, the race
+# detector over the root module (see `race`), the time-boxed fuzzes,
+# the contention bench smoke and the static plan-verification gate.
+# Performance is not gated here: a claim is decided by `make
+# bench-pair`.
 
 GO ?= go
 
@@ -18,16 +19,18 @@ vet:
 	$(GO) vet ./...
 
 # Static enforcement of the executor's concurrency and determinism
-# invariants (DESIGN.md §10): blocking under vm.mu, DMA
+# invariants (DESIGN.md §10), one gate each. go vet holds copied locks
+# (copylocks); gofmt -l must name no file (.bench_build/ is the
+# benchmark's build cache); harmonylint holds blocking under vm.mu, DMA
 # claim-state writes outside the transition helpers, wall-clock/rand/
-# map-order nondeterminism in the deterministic core, mutex copies —
-# plus the interprocedural passes (the global lock-order graph,
-# goroutine and done-channel lifecycle, the claimword/schedcheck
-# protocol cross-check, call-chain taint flow) and the path-sensitive
-# CFG passes (pin balance, claim lifecycle, error-path lock/snapshot
-# leaks). The ./... pattern covers cmd/ and internal/ alike. Runs from
-# the module root; exits non-zero on findings.
+# map-order nondeterminism in the deterministic core — plus the
+# interprocedural passes (the global lock-order graph, goroutine and
+# done-channel lifecycle, call-chain taint flow) and the
+# path-sensitive CFG passes (pin balance, claim lifecycle, error-path
+# lock/snapshot leaks). The ./... pattern covers cmd/ and internal/
+# alike. Runs from the module root; exits non-zero on findings.
 lint: vet
+	@! gofmt -l . | grep -v '^\.bench_build/' || { echo "gofmt -l names the files above"; exit 1; }
 	$(GO) run ./cmd/harmonylint ./...
 
 # SARIF log for CI code scanning: same findings and exit code as
@@ -123,13 +126,10 @@ schedcheck:
 	! $(GO) run ./cmd/harmonytrain -arch mlp -widths 64,32,10 -devices 2 -device-mem 16384 -steps 1
 
 # Time-boxed fuzzing: the checkpoint loader must reject arbitrary
-# bytes with errors (never panics or huge allocations), the retuner
-# must admit only plans that pass the schedcheck preflight, whatever
-# the measured profile claims, and the fault-spec grammar must accept
-# only rules an injector can evaluate.
+# bytes with errors (never panics or huge allocations), and the
+# fault-spec grammar must accept only rules an injector can evaluate.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s -test.fuzzminimizetime 5s ./internal/exec/
-	$(GO) test -run '^$$' -fuzz FuzzRetune -fuzztime 10s -test.fuzzminimizetime 5s ./internal/tuner/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -test.fuzzminimizetime 5s ./internal/fault/
 
 # Code-size ledger for the simplicity PRs: non-blank, non-comment,

@@ -97,9 +97,6 @@ type Toggles struct {
 	// WaveInterleave runs pipeline waves in 1F1B order, bounding
 	// in-flight stash per stage (for stash-heavy workloads).
 	WaveInterleave *bool
-	// AdaptivePrefetch turns the fixed prefetch lookahead into an
-	// online per-device controller (see TrainerConfig.AdaptivePrefetch).
-	AdaptivePrefetch *bool
 }
 
 func (t *Toggles) apply(o sched.Options) sched.Options {
@@ -120,7 +117,6 @@ func (t *Toggles) apply(o sched.Options) sched.Options {
 	set(&o.DeferBlockedUpdates, t.DeferBlockedUpdates)
 	set(&o.LookaheadEviction, t.LookaheadEviction)
 	set(&o.WaveInterleave, t.WaveInterleave)
-	set(&o.AdaptivePrefetch, t.AdaptivePrefetch)
 	if t.GroupSize > 0 {
 		o.GroupSize = t.GroupSize
 	}
@@ -181,10 +177,3 @@ func (s Server) GPUs() int { return s.cfg.TotalGPUs() }
 
 // Box exposes the underlying configuration for advanced callers.
 func (s Server) Box() hw.BoxConfig { return s.cfg }
-
-// execOptions aliases the scheduler's option set for the trainer
-// plumbing.
-type execOptions = sched.Options
-
-// defaultOptions returns the scheduler defaults for a mode.
-func defaultOptions(m sched.Mode) sched.Options { return sched.DefaultOptions(m) }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"harmony/internal/models"
+	"harmony/internal/sched"
 )
 
 func TestModeStrings(t *testing.T) {
@@ -38,7 +39,7 @@ func TestServerBuilders(t *testing.T) {
 }
 
 func TestTogglesApply(t *testing.T) {
-	base := defaultOptions(HarmonyDP.sched())
+	base := sched.DefaultOptions(HarmonyDP.sched())
 	if !base.Grouping {
 		t.Fatal("harmony default should group")
 	}

@@ -18,16 +18,9 @@
 //     global state, and map iteration inside the deterministic core,
 //     plus taint flow of such values into the core through any call
 //     chain.
-//   - hygiene: lock-containing values copied by value (params,
-//     results, range copies, assignments).
 //   - errcheck: error returns from the VM / memory-manager / DMA
 //     surface dropped inside internal/exec (bare-statement calls,
 //     blank assignments, go/defer drops).
-//   - adaptinputs: wall-clock reads, math/rand global state and map
-//     iteration lexically inside adaptation/retune decision functions
-//     (names matching adapt|retune) in internal/exec and
-//     internal/tuner — the tuner may measure wall time, but its
-//     decisions must replay from logged inputs alone.
 //   - lockorder: the global lock-acquisition graph — cycles, recursive
 //     acquisitions, and same-class shard nesting outside the documented
 //     ascending-device order are rejected at any call depth.
@@ -36,11 +29,6 @@
 //     Cond.Wait) at some call depth, and done-named channels must
 //     deliver their completion signal exactly once (closed or
 //     single-sender, never both).
-//   - atomicproto: extracts the claim/commit/settle/pin transition
-//     table from internal/claimword's source by AST interpretation and
-//     cross-checks it field-by-field against the independent spec
-//     table the schedcheck DMA model explores; editing either side
-//     alone trips the gate.
 //   - pinbalance: every pin (State.Pin, vm.pin, settle with a +1
 //     delta) is released, handed off, or covered by a documented
 //     "pins it" ownership contract on every path, including early
@@ -51,6 +39,12 @@
 //   - errpath: locks, shard locks and snapshot handles still held at a
 //     function exit, early error returns included, with the concrete
 //     leaking path printed in the diagnostic.
+//
+// Two neighbouring invariants have their one gate elsewhere, so this
+// package imports nothing of the module it lints: copied locks are
+// go vet's copylocks (`make lint` runs vet first), and the claim
+// machine's transition table is checked against its spec by
+// schedcheck's TestProtoTableMatchesClaimword.
 //
 // Three layers sit under the passes. cfg.go builds per-function
 // control-flow graphs and is the only code that knows Go's statement
@@ -145,8 +139,8 @@ func (d Diagnostic) String() string {
 // All returns the full harmonylint suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Lockhold, ClaimDiscipline, Determinism, Hygiene, Errcheck, AdaptInputs,
-		Lockorder, Chanlife, Atomicproto,
+		Lockhold, ClaimDiscipline, Determinism, Errcheck,
+		Lockorder, Chanlife,
 		Pinbalance, Claimlife, Errpath,
 	}
 }

@@ -18,7 +18,7 @@ func TestDirectiveHygiene(t *testing.T) {
 		t.Fatalf("RunAll: %v", err)
 	}
 	mustDiag(t, diags, "lint", `names unknown analyzer "speling"`)
-	mustDiag(t, diags, "lint", `//lint:allow hygiene has no reason`)
+	mustDiag(t, diags, "lint", `//lint:allow determinism has no reason`)
 	mustDiag(t, diags, "lint", `suppresses nothing; remove the stale directive`)
 	if len(diags) != 3 {
 		t.Errorf("want exactly 3 lint diagnostics, got %d:\n%s", len(diags), diagDump(diags))
@@ -29,9 +29,8 @@ func TestDirectiveHygiene(t *testing.T) {
 // docs refer to.
 func TestAllNames(t *testing.T) {
 	want := map[string]bool{
-		"lockhold": true, "claimdiscipline": true, "determinism": true, "hygiene": true,
-		"errcheck": true, "adaptinputs": true,
-		"lockorder": true, "chanlife": true, "atomicproto": true,
+		"lockhold": true, "claimdiscipline": true, "determinism": true, "errcheck": true,
+		"lockorder": true, "chanlife": true,
 		"pinbalance": true, "claimlife": true, "errpath": true,
 	}
 	all := All()

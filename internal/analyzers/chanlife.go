@@ -1,10 +1,9 @@
 package analyzers
 
 // Chanlife verifies the executor's goroutine/channel lifecycle
-// protocol interprocedurally, replacing the shallow ctxleak heuristic
-// that hygiene carried since PR 4 (which only looked inside the
-// spawned body itself and forced //lint:allow noise whenever the
-// shutdown construct lived one call deeper).
+// protocol interprocedurally: a check that looks only inside the
+// spawned body itself forces //lint:allow noise whenever the shutdown
+// construct lives one call deeper.
 //
 //   - Every `go` statement whose target resolves statically must reach
 //     a shutdown construct at SOME call depth: a select, a channel

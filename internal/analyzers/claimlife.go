@@ -11,11 +11,11 @@ package analyzers
 //
 // This is the path-sensitive complement to the existing checks:
 // claimdiscipline rejects state writes outside the transition helpers,
-// atomicproto proves the transition *table* matches the schedcheck
-// spec, and claimlife proves every *use* of the table runs to
-// completion. Settling a request someone else claimed (dmaWorker's
-// service loop) is fine: closing a claim that was never opened on the
-// path is a no-op.
+// schedcheck's TestProtoTableMatchesClaimword proves the transition
+// *table* matches its spec, and claimlife proves every *use* of the
+// table runs to completion. Settling a request someone else claimed
+// (dmaWorker's service loop) is fine: closing a claim that was never
+// opened on the path is a no-op.
 
 import (
 	"go/ast"

@@ -13,7 +13,8 @@ import (
 // Three constructs silently break that property and are therefore
 // banned from the deterministic core — internal/sched, internal/exec,
 // internal/nn, internal/fault, internal/sim, internal/collective,
-// internal/graph and internal/schedcheck:
+// internal/graph, internal/schedcheck, internal/memory,
+// internal/runtime and internal/hw:
 //
 //   - wall-clock reads (time.Now, time.Since, time.Until): any value
 //     derived from them differs across runs. Timing belongs behind
@@ -34,15 +35,20 @@ import (
 // The per-package pass is lexical; the whole-program pass adds
 // summary-based taint flow on top: a function outside the core that
 // reaches time.Now or global rand at ANY call depth must not be called
-// from inside the core, and a function taking adaptation/retune
-// decisions must not call anything tainted at all. Interface calls
-// (trace.Clock) do not propagate taint — that interface exists exactly
-// so timing can be injected at the edges.
+// from inside the core. Interface calls (trace.Clock) do not propagate
+// taint — that interface exists exactly so timing can be injected at
+// the edges.
+//
+// The core includes all of internal/exec, so the adaptive-prefetch
+// controller and Trainer.Retune need no rule of their own: every
+// adaptation decision replays from logged inputs alone (DESIGN.md §13)
+// because nothing in the package may read the clock, global rand or
+// map order.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock reads, math/rand global state and map iteration " +
-		"in the deterministic core (internal/{sched,exec,nn,fault,sim,collective,graph,schedcheck}), " +
-		"and taint flow of wall-clock/rand values into the core or into adapt/retune decisions through any call chain",
+		"in the deterministic core (internal/{sched,exec,nn,fault,sim,collective,graph,schedcheck,memory,runtime,hw}), " +
+		"and taint flow of wall-clock/rand values into the core through any call chain",
 	Run:        runDeterminism,
 	RunProject: runDeterminismTaint,
 }
@@ -56,6 +62,9 @@ var deterministicCore = []string{
 	// builder feed every simulated result; the static verifier's
 	// counterexamples must reproduce bit-exactly to be debuggable.
 	"internal/sim", "internal/collective", "internal/graph", "internal/schedcheck",
+	// The simulator's memory manager, executor and hardware model order
+	// every event behind the golden simulation (bench/golden).
+	"internal/memory", "internal/runtime", "internal/hw",
 }
 
 func inDeterministicCore(path string) bool {
@@ -114,15 +123,10 @@ func runDeterminism(pass *Pass) error {
 
 // runDeterminismTaint is the summary-based upgrade: instead of
 // spotting time.Now lexically, it follows wall-clock/rand values
-// through the call graph. Two sinks:
-//
-//   - a function in the deterministic core calling an out-of-core
-//     function that reaches a taint source at any depth (the callee's
-//     own body is outside the lexical rule's scope, so PR-4's pass
-//     never saw it);
-//   - an adaptation/retune decision function (adaptFuncRe, the
-//     adaptinputs scope) calling ANY tainted function — decisions must
-//     replay from logged inputs alone, wherever the helper lives.
+// through the call graph. The sink is a function in the deterministic
+// core calling an out-of-core function that reaches a taint source at
+// any depth (the callee's own body is outside the lexical rule's
+// scope, so PR-4's pass never saw it).
 //
 // Only statically resolvable calls propagate: routing time through the
 // trace.Clock interface remains the sanctioned boundary.
@@ -130,32 +134,21 @@ func runDeterminismTaint(pass *ProjectPass) error {
 	prog := pass.Prog
 	for _, k := range prog.Order {
 		s := prog.Funcs[k]
-		coreCaller := inDeterministicCore(s.Key.Pkg)
-		adaptCaller := inAdaptScope(s.Key.Pkg) && adaptFuncRe.MatchString(s.Key.Name)
-		if !coreCaller && !adaptCaller {
+		if !inDeterministicCore(s.Key.Pkg) {
 			continue
 		}
 		for _, c := range s.Calls {
-			if prog.Funcs[c.callee] == nil {
-				continue // external: no summary
-			}
-			wtn := prog.TaintWitness(c.callee)
-			if wtn == "" {
+			// No summary: external. A tainted callee inside the core
+			// is already flagged in its own body by the lexical pass;
+			// a second report at every caller would be noise.
+			if prog.Funcs[c.callee] == nil || inDeterministicCore(c.callee.Pkg) {
 				continue
 			}
-			switch {
-			case adaptCaller:
-				pass.Reportf(c.pos,
-					"adaptation decision %s calls %s, which reaches %s; decisions must replay from logged inputs alone",
-					s.Key, c.callee, wtn)
-			case !inDeterministicCore(c.callee.Pkg):
+			if wtn := prog.TaintWitness(c.callee); wtn != "" {
 				pass.Reportf(c.pos,
 					"call to %s reaches %s at some call depth; wall-clock/rand values must not flow into the deterministic core — inject a trace.Clock or thread a seeded *rand.Rand",
 					c.callee, wtn)
 			}
-			// No report when the tainted callee is itself inside the
-			// core: its body is already flagged by the lexical pass,
-			// and a second report at every caller would be noise.
 		}
 	}
 	return nil

@@ -635,11 +635,6 @@ func (w *sumBuilder) call(call *ast.CallExpr) {
 	}
 }
 
-// isClaimwordPath matches the real package and its fixtures.
-func isClaimwordPath(path string) bool {
-	return strings.HasSuffix(path, "internal/claimword") || path == "claimword"
-}
-
 // calleeFunc resolves the *types.Func a call statically targets, or
 // nil for function values, builtins and conversions.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {

@@ -1,4 +1,4 @@
-// Package directives is the fixture for //lint:allow hygiene: a
+// Package directives is the fixture for //lint:allow's own rules: a
 // directive must name a known analyzer, carry a reason, and actually
 // suppress something.
 package directives
@@ -8,7 +8,7 @@ import "time"
 // stale carries a directive that suppresses nothing: time.Unix is
 // deterministic, so no analyzer fires here.
 func stale() time.Time {
-	//lint:allow hygiene nothing here for hygiene to flag
+	//lint:allow determinism nothing here for determinism to flag
 	return time.Unix(0, 0)
 }
 
@@ -17,5 +17,5 @@ func unknownAnalyzer() {
 }
 
 func missingReason() {
-	//lint:allow hygiene
+	//lint:allow determinism
 }

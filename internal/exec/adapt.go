@@ -85,6 +85,11 @@ type adaptController struct {
 	trimRun   int // consecutive steps the trim condition held
 }
 
+// adaptWindowMin and adaptWindowMax bound every device's lookahead
+// window (entries, not bytes): the controller never stops prefetching
+// altogether and never looks further than eight entries ahead.
+const adaptWindowMin, adaptWindowMax = 1, 8
+
 // hysteresisSteps is how many consecutive steps a grow/shrink/trim
 // condition must hold before the controller acts. One-step blips
 // (warmup, recovery re-staging) never move the knobs.

@@ -421,14 +421,12 @@ func TestRetuneRejectionKeepsPlan(t *testing.T) {
 	var losses []float32
 	for s := 0; s < steps; s++ {
 		if s == 1 {
-			// Invalid window bounds: schedcheck's plan rule must
-			// reject before anything is swapped.
+			// An option set the planner refuses is rejected before
+			// anything is swapped.
 			opts := sched.DefaultOptions(mode)
-			opts.AdaptivePrefetch = true
-			opts.WindowMin, opts.WindowMax = 5, 2
-			err := tr.Retune(RetuneRequest{Options: &opts})
-			if err == nil {
-				t.Fatal("invalid window bounds accepted")
+			opts.CommChunks = -1
+			if err := tr.Retune(RetuneRequest{Options: &opts}); err == nil {
+				t.Fatal("negative comm chunk count accepted")
 			}
 			// The trainer's own batch-product rule also rejects with
 			// the plan untouched.

@@ -84,8 +84,8 @@ type TrainerConfig struct {
 	// counter — never wall time — so adaptive runs stay bit-identical
 	// and emit identical decision logs across repeats and executors.
 	// Shorthand for Options.AdaptivePrefetch; implies prefetch.
-	// PrefetchDepth is the starting window, clamped to the plan's
-	// [WindowMin, WindowMax]. The serial reference path still never
+	// PrefetchDepth is the starting window, clamped to the
+	// controller's [1, 8]. The serial reference path still never
 	// prefetches, so adaptive+Serial is the static serial baseline.
 	AdaptivePrefetch bool
 
@@ -357,31 +357,26 @@ func (tr *Trainer) freshVM() {
 }
 
 // armPrefetch (re)builds the prefetcher for the current plan: none when
-// the resolved depth is 0, with adaptive controllers when the plan
-// adapts.
+// the resolved depth is 0. When the plan adapts, each virtual device
+// gets a controller whose window starts at the static depth and whose
+// budget starts at the engine cap (so an adaptive run's first step
+// matches a static run's exactly).
 func (tr *Trainer) armPrefetch() {
 	tr.pf, tr.adaptStats = nil, nil
-	if d := tr.prefetchDepth(); d > 0 {
-		tr.pf = &prefetcher{tr: tr, depth: d, clean: 1}
-		if tr.s.Opts.AdaptivePrefetch {
-			tr.armAdaptive()
-		}
+	d := tr.prefetchDepth()
+	if d == 0 {
+		return
 	}
-}
-
-// armAdaptive attaches one controller per virtual device to the
-// prefetcher, starting every window at the static depth and every
-// budget at the engine cap (so an adaptive run's first step matches a
-// static run's exactly).
-func (tr *Trainer) armAdaptive() {
-	o := tr.s.Opts
-	bMax := tr.cfg.DeviceBytes / 2
+	tr.pf = &prefetcher{tr: tr, depth: d, clean: 1}
+	if !tr.s.Opts.AdaptivePrefetch {
+		return
+	}
 	tr.pf.devs = make([]*pfDev, tr.s.NGPUs)
 	tr.adaptStats = make([]AdaptWindowStats, tr.s.NGPUs)
-	for d := range tr.pf.devs {
-		ctl := newAdaptController(tr.pf.depth, o.WindowMin, o.WindowMax, bMax)
-		tr.pf.devs[d] = &pfDev{ctl: ctl, seen: make(map[int]bool)}
-		tr.adaptStats[d] = AdaptWindowStats{Dev: d, WindowMin: ctl.window, WindowMax: ctl.window}
+	for dev := range tr.pf.devs {
+		ctl := newAdaptController(d, adaptWindowMin, adaptWindowMax, tr.cfg.DeviceBytes/2)
+		tr.pf.devs[dev] = &pfDev{ctl: ctl, seen: make(map[int]bool)}
+		tr.adaptStats[dev] = AdaptWindowStats{Dev: dev, WindowMin: ctl.window, WindowMax: ctl.window}
 	}
 }
 
@@ -515,7 +510,7 @@ func kernelModel(layers []nn.Kernel, adam bool) *models.Model {
 // DMA engine is drained and the sum is settled.
 func (tr *Trainer) Stats() VMStats { return tr.statsBase.add(tr.vm.StatsSnapshot()) }
 
-// Model reports the derived model's footprint for sizing examples.
+// FootprintBytes reports the derived model's footprint for sizing examples.
 func (tr *Trainer) FootprintBytes() int64 {
 	var total int64
 	for _, t := range tr.g.Reg.All() {

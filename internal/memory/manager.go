@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"sync"
 
-	"harmony/internal/fault"
 	"harmony/internal/hw"
 	"harmony/internal/sim"
 	"harmony/internal/tensor"
@@ -262,15 +261,6 @@ type Manager struct {
 	// (a large value when it is never used again). Installed by the
 	// runtime, which knows the schedule.
 	NextUse func(id int, dev hw.DeviceID) int
-
-	// Fault injection (SetFaultInjection): every DMA the manager
-	// issues consults inj first; transient faults are re-attempted
-	// after a simulated backoff, up to maxRetries times. Retries only
-	// delay the transfer — tensor state machines and byte accounting
-	// are untouched until the transfer really starts.
-	inj        *fault.Injector
-	maxRetries int
-	retries    int
 }
 
 // New creates a manager for all tensors in reg over the topology.
@@ -368,61 +358,13 @@ func (m *Manager) setFatal(err error) {
 	}
 }
 
-// SetFaultInjection arms the manager with a fault injector (nil
-// disarms). Simulated transfers carry step 0, so only rules with no
-// step constraint match them; the simulator has no recovery path, so
-// fatal faults (and transients whose retries are exhausted) poison
-// the run via Err.
-func (m *Manager) SetFaultInjection(inj *fault.Injector, maxRetries int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.inj = inj
-	m.maxRetries = maxRetries
-}
-
-// Retries reports how many injected-fault retries the manager issued.
-func (m *Manager) Retries() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.retries
-}
-
-// transfer issues a DMA after consulting the fault injector. On a
-// transient fault the attempt is re-scheduled fault.Backoff(n) of
-// simulated time later — the flaky-link settling the retry layer
-// models — so downstream completion callbacks simply fire late.
-// Requires mu held; like Topology.Transfer, callbacks fire from later
-// engine events, never synchronously.
-func (m *Manager) transfer(op fault.Op, layer int, src, dst hw.DeviceID, bytes int64, done func(at sim.Time)) {
-	gpu := src
-	if gpu == hw.Host {
-		gpu = dst
-	}
-	var attempt func(n int)
-	attempt = func(n int) {
-		err := m.inj.Inject(op, int(gpu), 0, layer)
-		if err == nil {
-			if terr := m.top.Transfer(src, dst, bytes, done); terr != nil {
-				m.setFatal(terr)
-			}
-			return
-		}
-		if fault.IsTransient(err) && n < m.maxRetries {
-			m.retries++
-			m.inj.NoteRetry(op, int(gpu), 0)
-			m.eng.After(sim.Time(fault.Backoff(n).Seconds()), func() {
-				m.mu.Lock()
-				defer m.mu.Unlock()
-				if m.fatal != nil {
-					return
-				}
-				attempt(n + 1)
-			})
-			return
-		}
+// transfer issues a DMA; a transfer the topology refuses poisons the
+// run via Err. Requires mu held; like Topology.Transfer, done fires
+// from a later engine event, never synchronously.
+func (m *Manager) transfer(src, dst hw.DeviceID, bytes int64, done func(at sim.Time)) {
+	if err := m.top.Transfer(src, dst, bytes, done); err != nil {
 		m.setFatal(err)
 	}
-	attempt(0)
 }
 
 // Acquire requests residency of inputs on dev, plus space for outputs
@@ -783,7 +725,7 @@ func (m *Manager) startEviction(d *devShard, st *tensor.State) {
 	// Transfer never fires its callback synchronously (it schedules an
 	// engine event), so re-taking mu in the completion closure cannot
 	// deadlock against the lock we hold here.
-	m.transfer(fault.SwapOut, st.Tensor.Layer, d.dev.ID, hw.Host, bytes, func(at sim.Time) {
+	m.transfer(d.dev.ID, hw.Host, bytes, func(at sim.Time) {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		if err := st.EndSwapOut(); err != nil {
@@ -815,7 +757,7 @@ func (m *Manager) startSwapIn(d *devShard, st *tensor.State, a *acquire) {
 		s.SwapIns++
 		s.KindSwapIn[st.Tensor.Kind] += bytes
 	})
-	m.transfer(fault.SwapIn, st.Tensor.Layer, hw.Host, d.dev.ID, bytes, func(at sim.Time) {
+	m.transfer(hw.Host, d.dev.ID, bytes, func(at sim.Time) {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		if err := st.EndSwapIn(); err != nil {
@@ -852,7 +794,7 @@ func (m *Manager) startMigrate(d *devShard, st *tensor.State) {
 		s.P2PInBytes += bytes
 		s.KindP2P[st.Tensor.Kind] += bytes
 	})
-	m.transfer(fault.P2P, st.Tensor.Layer, src.dev.ID, d.dev.ID, bytes, func(at sim.Time) {
+	m.transfer(src.dev.ID, d.dev.ID, bytes, func(at sim.Time) {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		if err := st.EndMigrate(d.dev.ID); err != nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"harmony/internal/fault"
 	"harmony/internal/hw"
 	"harmony/internal/sim"
 	"harmony/internal/tensor"
@@ -566,86 +565,5 @@ func TestManagerRandomWorkloadInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// --------------------------------------------------- fault injection
-
-// TestTransientSwapFaultRetriesAndSucceeds arms the manager with two
-// transient swap-in faults and checks the acquire still lands — just
-// later in simulated time — with the retries counted.
-func TestTransientSwapFaultRetriesAndSucceeds(t *testing.T) {
-	r := newRig(t, 1000)
-	w := r.reg.New("w", tensor.Weight, 400, 0, -1)
-	m := New(r.eng, r.top, r.reg, Policy{})
-	inj := fault.New(1, fault.Rule{Op: fault.SwapIn, Dev: -1, Layer: -1, Count: 2})
-	m.SetFaultInjection(inj, 3)
-	if err := m.InitHost(w); err != nil {
-		t.Fatal(err)
-	}
-	done := acquireSync(t, m, 0, []*tensor.Tensor{w}, nil, 0)
-	r.run(t, m)
-	if !*done {
-		t.Fatal("acquire never granted despite retries")
-	}
-	if got := m.Retries(); got != 2 {
-		t.Fatalf("retries = %d, want 2", got)
-	}
-	if inj, ret := inj.Stats(); inj != 2 || ret != 2 {
-		t.Fatalf("injector stats = %d faults, %d retries", inj, ret)
-	}
-	// The retry backoff pushed completion later than a clean run.
-	if r.eng.Now() == 0 {
-		t.Fatal("simulated clock did not advance")
-	}
-}
-
-// TestTransientFaultExhaustsRetriesAndPoisons checks that a transient
-// fault outlasting the retry budget surfaces through Err instead of
-// hanging the acquire.
-func TestTransientFaultExhaustsRetriesAndPoisons(t *testing.T) {
-	r := newRig(t, 1000)
-	w := r.reg.New("w", tensor.Weight, 400, 0, -1)
-	m := New(r.eng, r.top, r.reg, Policy{})
-	m.SetFaultInjection(fault.New(1, fault.Rule{Op: fault.SwapIn, Dev: -1, Layer: -1, Count: 0}), 2)
-	if err := m.InitHost(w); err != nil {
-		t.Fatal(err)
-	}
-	granted := false
-	m.Acquire(0, []*tensor.Tensor{w}, nil, 0, func() { granted = true }, func(err error) {
-		t.Errorf("acquire fail callback: %v", err)
-	})
-	if _, err := r.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if granted {
-		t.Fatal("acquire granted despite unrecoverable fault")
-	}
-	if err := m.Err(); err == nil || !fault.IsTransient(err) {
-		t.Fatalf("Err() = %v, want the injected transient fault", err)
-	}
-}
-
-// TestFatalSwapFaultPoisonsRun checks fatal faults bypass the retry
-// layer entirely.
-func TestFatalSwapFaultPoisonsRun(t *testing.T) {
-	r := newRig(t, 1000)
-	w := r.reg.New("w", tensor.Weight, 400, 0, -1)
-	m := New(r.eng, r.top, r.reg, Policy{})
-	m.SetFaultInjection(fault.New(1, fault.Rule{Op: fault.SwapIn, Mode: fault.Fatal, Dev: 0, Layer: -1, Count: 1}), 5)
-	if err := m.InitHost(w); err != nil {
-		t.Fatal(err)
-	}
-	m.Acquire(0, []*tensor.Tensor{w}, nil, 0, func() {
-		t.Error("acquire granted past a fatal fault")
-	}, func(err error) {})
-	if _, err := r.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Retries() != 0 {
-		t.Fatalf("retries = %d, want 0 for a fatal fault", m.Retries())
-	}
-	if dev, ok := fault.AsFatal(m.Err()); !ok || dev != 0 {
-		t.Fatalf("Err() = %v, want fatal on dev 0", m.Err())
 	}
 }

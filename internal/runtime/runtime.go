@@ -263,11 +263,9 @@ func (r *runner) run() (*Result, error) {
 		return nil, err
 	}
 
-	var measStart sim.Time
 	var devSnap []memory.DeviceStats
 	var busySnap []sim.Time
 	snapshot := func() {
-		measStart = r.eng.Now()
 		devSnap = devSnap[:0]
 		busySnap = busySnap[:0]
 		for d := 0; d < r.sch.NGPUs; d++ {
@@ -333,7 +331,6 @@ func (r *runner) run() (*Result, error) {
 		res.PerDevDemand = append(res.PerDevDemand, cur.HighWaterDemand)
 		res.ComputeBusy = append(res.ComputeBusy, r.top.GPUs[d].Compute.BusyTime-busySnap[d])
 	}
-	_ = measStart
 	return res, nil
 }
 

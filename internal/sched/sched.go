@@ -84,17 +84,11 @@ type Options struct {
 	// AdaptivePrefetch lets the executor retune each device's
 	// prefetch lookahead window and byte budget online, between
 	// iterations, from deterministic per-step coverage counters (§4's
-	// open problem of online tuning). Implies Prefetch. The window
-	// stays inside [WindowMin, WindowMax], so static verification can
-	// bound residency by the maximum admissible budget rather than
+	// open problem of online tuning). Implies Prefetch. The byte
+	// budget never exceeds the engine cap, so static verification
+	// bounds residency by the maximum admissible budget rather than
 	// the starting one.
 	AdaptivePrefetch bool
-	// WindowMin and WindowMax bound the adaptive lookahead window
-	// (entries, not bytes). Zero values default to 1 and 8 when
-	// AdaptivePrefetch is set; WindowMin must never drop below 1 and
-	// must not exceed WindowMax — schedcheck rejects such plans.
-	WindowMin int
-	WindowMax int
 	// DirtyTracking drops clean tensors on eviction instead of
 	// writing them back.
 	DirtyTracking bool
@@ -228,20 +222,8 @@ func Build(g *graph.Graph, opts Options, nGPUs int) (*Schedule, error) {
 		return nil, fmt.Errorf("sched: %s has no gradient AllReduce to chunk (gathers are on the critical path)", opts.Mode)
 	}
 	if opts.AdaptivePrefetch {
-		// Adaptive mode is a refinement of static prefetch: normalize
-		// the window bounds here so every consumer (executor,
-		// schedcheck, variants sweep) sees the same resolved values.
+		// Adaptive mode is a refinement of static prefetch.
 		opts.Prefetch = true
-		if opts.WindowMin == 0 {
-			opts.WindowMin = 1
-		}
-		if opts.WindowMax == 0 {
-			opts.WindowMax = 8
-		}
-		if opts.WindowMin < 1 || opts.WindowMin > opts.WindowMax {
-			return nil, fmt.Errorf("sched: adaptive window bounds [%d, %d] invalid (need 1 <= min <= max)",
-				opts.WindowMin, opts.WindowMax)
-		}
 	}
 	s := &Schedule{
 		Graph:  g,

@@ -76,7 +76,6 @@ func OptionVariants(mode Mode, microbatches int) []Options {
 		if o.Grouping && o.JIT && o.DirtyTracking && o.Prefetch && o.GroupSize == 0 && !o.DeferBlockedUpdates {
 			a := o
 			a.AdaptivePrefetch = true
-			a.WindowMin, a.WindowMax = 1, 8
 			out = append(out, a)
 		}
 	}

@@ -247,16 +247,9 @@ func Residency(s *sched.Schedule, topo Topology) error {
 // hw.Host, and the dependency graph is acyclic.
 func checkShape(s *sched.Schedule, r *Report) bool {
 	pre := len(r.Violations)
-	if s.Opts.AdaptivePrefetch {
-		// sched.Build normalizes these, but a hand-built schedule can
-		// carry bounds the adaptive controller would violate.
-		if s.Opts.WindowMin < 1 || s.Opts.WindowMin > s.Opts.WindowMax {
-			r.addf("plan", nil, "adaptive prefetch window bounds [%d, %d] invalid (need 1 <= min <= max)",
-				s.Opts.WindowMin, s.Opts.WindowMax)
-		}
-		if !s.Prefetch {
-			r.addf("plan", nil, "AdaptivePrefetch set but the schedule's prefetch flag is off")
-		}
+	if s.Opts.AdaptivePrefetch && !s.Prefetch {
+		// sched.Build sets both; a hand-built schedule may not.
+		r.addf("plan", nil, "AdaptivePrefetch set but the schedule's prefetch flag is off")
 	}
 	if len(s.Assign) != len(s.Graph.Tasks) {
 		r.addf("plan", nil, "Assign covers %d tasks, graph has %d", len(s.Assign), len(s.Graph.Tasks))

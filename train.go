@@ -8,6 +8,7 @@ import (
 	"harmony/internal/exec"
 	"harmony/internal/fault"
 	"harmony/internal/nn"
+	"harmony/internal/sched"
 	"harmony/internal/trace"
 )
 
@@ -154,9 +155,9 @@ func newTrainer(cfg TrainerConfig, widths []int, kernels []nn.Kernel) (*Trainer,
 		opt = exec.Adam
 	}
 	mode := cfg.Mode.sched()
-	var schedOpts *execOptions
+	var schedOpts *sched.Options
 	if cfg.Toggles != nil {
-		o := cfg.Toggles.apply(defaultOptions(mode))
+		o := cfg.Toggles.apply(sched.DefaultOptions(mode))
 		schedOpts = &o
 	}
 	inj, err := fault.Parse(cfg.FaultSpec, cfg.Seed)
@@ -349,19 +350,15 @@ func (t *Trainer) Retune(microbatches int, toggles *Toggles) error {
 		req.Microbatches = mbc
 	}
 	if toggles != nil {
-		o := toggles.apply(defaultOptions(t.mode.sched()))
-		if toggles.AdaptivePrefetch == nil {
-			o.AdaptivePrefetch = t.adaptive
-		}
+		// A toggle swap keeps the configured adaptive flag.
+		o := toggles.apply(sched.DefaultOptions(t.mode.sched()))
+		o.AdaptivePrefetch = t.adaptive
 		req.Options = &o
 	}
 	if err := t.inner.Retune(req); err != nil {
 		return err
 	}
 	t.mbSize, t.mbCount = batch/mbc, mbc
-	if toggles != nil && toggles.AdaptivePrefetch != nil {
-		t.adaptive = *toggles.AdaptivePrefetch
-	}
 	return nil
 }
 
