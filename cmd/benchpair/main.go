@@ -19,7 +19,9 @@
 // by side. Verdicts per cell:
 //
 //   - unresolved: the parent's own inter-quartile distance, over its
-//     median, exceeds the metric's declared bound — too noisy to tell
+//     median, exceeds the metric's declared bound — too noisy to tell,
+//     unless every run of the change reads better than every run of
+//     the parent, which no spread of the parent's explains
 //   - regressed: the change's median is worse than the parent's by more
 //     than the bound
 //   - gain (only the -claim cell): the change wins at least 9/10 of the
@@ -242,7 +244,7 @@ func measure(ctx context.Context, b *benchmark, dirs [2]string, pairs int, workl
 				}
 			}
 			pq, cq := quartiles(vals[0]), quartiles(vals[1])
-			worse, v, cellOK := verdict(m, pq, cq, wins, pairs, claim == m.Name+"@"+w)
+			worse, v, cellOK := verdict(m, pq, cq, wins, pairs, claim == m.Name+"@"+w, runsApart(m, vals[0], vals[1]))
 			fmt.Fprintf(report, "| %s | %s | %.4g / %.4g / %.4g | %.4g / %.4g / %.4g | %+.1f%% | %d/%d | %s |\n",
 				m.Name, m.Better, pq[0], pq[1], pq[2], cq[0], cq[1], cq[2], 100*worse, wins, pairs, v)
 			ok = ok && cellOK
@@ -300,10 +302,23 @@ func quartiles(xs []float64) (q [3]float64) {
 	return q
 }
 
+// runsApart reports whether every run of the change reads better than
+// every run of the parent.
+func runsApart(m metric, parent, change []float64) bool {
+	if len(parent) == 0 || len(change) == 0 {
+		return false
+	}
+	if m.Better == "higher" {
+		return slices.Min(change) > slices.Max(parent)
+	}
+	return slices.Max(change) < slices.Min(parent)
+}
+
 // verdict applies the simplicity-review rules to one cell. worse is the
 // fraction of the parent's median by which the change's median is
-// worse (negative: better).
-func verdict(m metric, pq, cq [3]float64, wins, pairs int, claimed bool) (worse float64, v string, ok bool) {
+// worse (negative: better); apart is the guides' exception to
+// unresolved, and changes no other verdict.
+func verdict(m metric, pq, cq [3]float64, wins, pairs int, claimed, apart bool) (worse float64, v string, ok bool) {
 	if pq[1] == 0 || cq[1] == 0 {
 		return 0, "**NO DATA**", false
 	}
@@ -317,7 +332,7 @@ func verdict(m metric, pq, cq [3]float64, wins, pairs int, claimed bool) (worse 
 		return worse, "**gain: claim met**", true
 	case claimed:
 		return worse, "**gain: claim NOT met**", false
-	case iqr > m.Bound:
+	case iqr > m.Bound && !apart:
 		return worse, "unresolved", true
 	case worse > m.Bound:
 		return worse, "**REGRESSED**", false

@@ -194,6 +194,7 @@ func TestVerdict(t *testing.T) {
 	lower := metric{Name: "op_ms", Better: "lower", Bound: 0.25}
 	higher := metric{Name: "work_per_s", Better: "higher", Bound: 0.25}
 	tight := [3]float64{98, 100, 102}
+	wide := [3]float64{85, 100, 111} // spread 0.26 of the median
 	at := func(med float64) [3]float64 { return [3]float64{med, med, med} }
 	for _, c := range []struct {
 		name        string
@@ -201,25 +202,31 @@ func TestVerdict(t *testing.T) {
 		pq, cq      [3]float64
 		wins, pairs int
 		claimed     bool
+		apart       bool // every run of the change better than every run of the parent
 		want        string
 		ok          bool
 	}{
-		{"within the bound", lower, tight, at(124), 0, 10, false, "no regression", true},
-		{"past the bound", lower, tight, at(126), 0, 10, false, "**REGRESSED**", false},
-		{"better", lower, tight, at(50), 10, 10, false, "no regression", true},
-		{"higher is better: drop within the bound", higher, tight, at(76), 0, 10, false, "no regression", true},
-		{"higher is better: drop past the bound", higher, tight, at(74), 0, 10, false, "**REGRESSED**", false},
-		{"higher is better: rise", higher, tight, at(200), 10, 10, false, "no regression", true},
-		{"parent spread wider than the bound", lower, [3]float64{85, 100, 111}, at(300), 0, 10, false, "unresolved", true},
-		{"claim: 9/10 wins and clear of the spread", lower, tight, at(95), 9, 10, true, "**gain: claim met**", true},
-		{"claim: higher is better", higher, tight, at(105), 10, 10, true, "**gain: claim met**", true},
-		{"claim: 8/10 wins", lower, tight, at(50), 8, 10, true, "**gain: claim NOT met**", false},
-		{"claim: 17/20 wins", lower, tight, at(50), 17, 20, true, "**gain: claim NOT met**", false},
-		{"claim: inside the parent's spread", lower, tight, at(97), 10, 10, true, "**gain: claim NOT met**", false},
-		{"claim: got worse", lower, tight, at(130), 0, 10, true, "**gain: claim NOT met**", false},
-		{"nothing measured on the change", lower, tight, at(0), 0, 10, false, "**NO DATA**", false},
+		{"within the bound", lower, tight, at(124), 0, 10, false, false, "no regression", true},
+		{"past the bound", lower, tight, at(126), 0, 10, false, false, "**REGRESSED**", false},
+		{"better", lower, tight, at(50), 10, 10, false, true, "no regression", true},
+		{"higher is better: drop within the bound", higher, tight, at(76), 0, 10, false, false, "no regression", true},
+		{"higher is better: drop past the bound", higher, tight, at(74), 0, 10, false, false, "**REGRESSED**", false},
+		{"higher is better: rise", higher, tight, at(200), 10, 10, false, true, "no regression", true},
+		{"parent spread wider than the bound", lower, wide, at(300), 0, 10, false, false, "unresolved", true},
+		{"wide parent, change better in the median only", lower, wide, at(80), 7, 10, false, false, "unresolved", true},
+		{"wide parent, every run of the change better", lower, wide, at(50), 10, 10, false, true, "no regression", true},
+		{"wide parent, higher is better, every run better", higher, wide, at(200), 10, 10, false, true, "no regression", true},
+		{"claim: 9/10 wins and clear of the spread", lower, tight, at(95), 9, 10, true, false, "**gain: claim met**", true},
+		{"claim: higher is better", higher, tight, at(105), 10, 10, true, true, "**gain: claim met**", true},
+		{"claim: 8/10 wins", lower, tight, at(50), 8, 10, true, false, "**gain: claim NOT met**", false},
+		{"claim: 17/20 wins", lower, tight, at(50), 17, 20, true, false, "**gain: claim NOT met**", false},
+		{"claim: inside the parent's spread", lower, tight, at(97), 10, 10, true, true, "**gain: claim NOT met**", false},
+		{"claim: got worse", lower, tight, at(130), 0, 10, true, false, "**gain: claim NOT met**", false},
+		{"claim: wide parent, every run better, clear of the spread", lower, wide, at(50), 10, 10, true, true, "**gain: claim met**", true},
+		{"claim: wide parent, every run better, inside the spread", lower, wide, at(80), 10, 10, true, true, "**gain: claim NOT met**", false},
+		{"nothing measured on the change", lower, tight, at(0), 0, 10, false, false, "**NO DATA**", false},
 	} {
-		if _, got, ok := verdict(c.m, c.pq, c.cq, c.wins, c.pairs, c.claimed); got != c.want || ok != c.ok {
+		if _, got, ok := verdict(c.m, c.pq, c.cq, c.wins, c.pairs, c.claimed, c.apart); got != c.want || ok != c.ok {
 			t.Errorf("%s: verdict %q ok=%v, want %q ok=%v", c.name, got, ok, c.want, c.ok)
 		}
 	}
@@ -247,6 +254,19 @@ func TestVerdictsEndToEnd(t *testing.T) {
 	if !ok {
 		t.Error("unresolved is not a failure")
 	}
+	wantIn(t, row(t, report, "op_ms"), "unresolved")
+
+	// The exception: no spread of the parent's explains a change whose
+	// every run is better than the parent's best — in either direction
+	// of better — while one overlapping run keeps the cell unresolved.
+	s = newScene(t)
+	s.series("alpha", wide, []float64{50, 50, 50, 50, 50, 50, 50, 50, 50, 59})
+	_, _, report = s.measure(10, []string{"alpha"}, "")
+	wantIn(t, row(t, report, "op_ms"), "no regression", "| 10/10 |")
+	wantIn(t, row(t, report, "work_per_s"), "no regression", "| 10/10 |")
+	s = newScene(t)
+	s.series("alpha", wide, []float64{50, 50, 50, 50, 50, 50, 50, 50, 50, 60})
+	_, _, report = s.measure(10, []string{"alpha"}, "")
 	wantIn(t, row(t, report, "op_ms"), "unresolved")
 
 	s = newScene(t)

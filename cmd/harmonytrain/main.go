@@ -207,9 +207,9 @@ func main() {
 	}
 	st := tr.Stats()
 	fmt.Printf("accuracy %.1f%% on %d held-out samples\n", 100*float64(correct)/float64(total), total)
-	fmt.Printf("virtual-memory traffic: %.1f MB in, %.1f MB out, %.1f MB p2p, %d drops\n",
+	fmt.Printf("virtual-memory traffic: %.1f MB in, %.1f MB out, %.1f MB p2p, %d drops, %d zero-fills (%.1f MB not moved)\n",
 		float64(st.SwapInBytes)/(1<<20), float64(st.SwapOutBytes)/(1<<20),
-		float64(st.P2PBytes)/(1<<20), st.Drops)
+		float64(st.P2PBytes)/(1<<20), st.Drops, st.ZeroFills, float64(st.ZeroFillBytes)/(1<<20))
 	if st.PrefetchIssued > 0 || st.CleanAheads > 0 {
 		hitPct := 0.0
 		if st.PrefetchIssued > 0 {

@@ -69,5 +69,7 @@ func main() {
 	fmt.Printf("\naccuracy: %.1f%% on %d held-out samples\n", 100*float64(correct)/float64(total), total)
 	fmt.Printf("real data moved by the coherent virtual memory: %.1f MB swapped in, %.1f MB out, %.1f MB p2p\n",
 		float64(st.SwapInBytes)/(1<<20), float64(st.SwapOutBytes)/(1<<20), float64(st.P2PBytes)/(1<<20))
+	fmt.Printf("not moved: %d zero-fills (%.1f MB of just-applied gradients the plan knows are zeros)\n",
+		st.ZeroFills, float64(st.ZeroFillBytes)/(1<<20))
 	fmt.Println("(training was bit-identical to an unconstrained run: see internal/exec tests)")
 }

@@ -14,10 +14,14 @@ import (
 // shape × mode × prefetch × optimizer matrix is built once with room to
 // spare, rebuilt — verified — at exactly the largest PeakPinBytes the
 // residency proof reports for it, and must then train to bit-identical
-// losses. It holds because runTask pins the declaration schedcheck sums
-// (acquire/release), nothing more; the regression it guards is the
-// final backward holding the logits on top of its declared footprint,
-// which failed every SGD run of the two smallest shapes here.
+// losses and weights. It holds because runTask pins the declaration
+// schedcheck sums (acquire/release), nothing more; the regression it
+// guards is the final backward holding the logits on top of its declared
+// footprint, which failed every SGD run of the two smallest shapes here.
+// The bound is also where eviction is hardest, so the tight run is where
+// known-zero pages earn their keep: every dirty-tracking plan must have
+// filled its gradients without a copy, most of them again after an
+// update's mark and an eviction, and no baseline plan ever.
 func TestAdmittedAtBoundRuns(t *testing.T) {
 	shapes := [][]int{{64, 10}, {16, 4, 100}, {256, 64, 10}, {128, 96, 64, 10}}
 	plans := []struct {
@@ -33,7 +37,7 @@ func TestAdmittedAtBoundRuns(t *testing.T) {
 		{"pp2", sched.HarmonyPP, 2, 0},
 		{"pp-baseline", sched.PPBaseline, 2, 0},
 	}
-	ran := 0
+	ran, refilled := 0, 0
 	for _, widths := range shapes {
 		for _, p := range plans {
 			if p.mode.IsPipeline() && len(widths) == 2 {
@@ -57,15 +61,25 @@ func TestAdmittedAtBoundRuns(t *testing.T) {
 					}
 					ran++
 					t.Run(fmt.Sprintf("%v/%s/depth%d/opt%d", widths, p.name, depth, opt), func(t *testing.T) {
-						roomy, want := runTrainer(t, cfg, 2)
+						roomy, want := runTrainer(t, cfg, 3)
 						defer roomy.Close()
 						topo := schedcheck.Topology{Devices: cfg.Devices, DeviceBytes: cfg.DeviceBytes}
 						cfg.DeviceBytes = slices.Max(schedcheck.Check(roomy.s, topo).PeakPinBytes)
 						cfg.NoVerify = false
-						tight, got := runTrainer(t, cfg, 2)
+						tight, got := runTrainer(t, cfg, 3)
 						defer tight.Close()
 						if !slices.Equal(got, want) {
 							t.Fatalf("losses at the %d-byte bound %v != %v with room to spare", cfg.DeviceBytes, got, want)
+						}
+						assertSameRun(t, roomy, tight, want, got)
+						born := len(tight.layers) * tight.Replicas()
+						switch fills := tight.Stats().ZeroFills; {
+						case !tight.s.MemPolicy.DirtyTracking && fills != 0:
+							t.Fatalf("the naive policy zero-filled %d pages", fills)
+						case tight.s.MemPolicy.DirtyTracking && fills < born:
+							t.Fatalf("%d zero-fills for %d gradients born zero", fills, born)
+						case fills > born:
+							refilled++
 						}
 					})
 				}
@@ -74,5 +88,8 @@ func TestAdmittedAtBoundRuns(t *testing.T) {
 	}
 	if ran != 88 {
 		t.Fatalf("matrix ran %d configs, want 88", ran)
+	}
+	if refilled < 40 { // 52 of the 60 dirty-tracking configs when written; the count moves with LRU timing
+		t.Fatalf("only %d configs refilled a gradient from an update's mark: the matrix no longer exercises known-zero pages", refilled)
 	}
 }

@@ -119,7 +119,7 @@ func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) error
 		tr.commStats.BytesReduced += int64(hi-lo) * 4
 		tr.commMu.Unlock()
 	}
-	return tr.release(ar)
+	return tr.release(ar, nil)
 }
 
 // reduceBlock is how many elements averageViews carries at a time:

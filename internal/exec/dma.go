@@ -287,17 +287,20 @@ func (vm *VM) EnsureAsync(dev int, t *tensor.Tensor) {
 	if w.Resident() {
 		if int(b.devID.Load()) == dev {
 			// Already where the upcoming task needs it: bump it so
-			// eviction prefers colder pages. Re-validate under the shard
-			// lock — only idle-resident-here buffers are linked here.
+			// eviction prefers colder pages — unless it is known-zero,
+			// which stays the first to go: losing it costs the task a
+			// memset, losing a colder page costs a transfer. Re-validate
+			// under the shard lock — only idle-resident-here buffers are
+			// linked here.
 			sh.mu.Lock()
-			if w2 := b.load(); w2.State() == claimword.Idle && w2.Resident() && int(b.devID.Load()) == dev {
+			if w2 := b.load(); w2.State() == claimword.Idle && w2.Resident() && int(b.devID.Load()) == dev && b.state.Load() != pageZero {
 				vm.touch(sh, b)
 			}
 			sh.mu.Unlock()
 		}
 		return
 	}
-	if b.host == nil {
+	if !b.backed() {
 		return
 	}
 	bytes := t.Bytes
@@ -323,7 +326,6 @@ func (vm *VM) EnsureAsync(dev int, t *tensor.Tensor) {
 	}
 	b.dev = make([]float32, b.floats())
 	b.devID.Store(int32(dev))
-	b.dirty.Store(false)
 	vm.commit(b) // async: residency + prefetched mark in one CAS
 	sh.used += bytes
 	sh.pfBytes += bytes
@@ -335,8 +337,9 @@ func (vm *VM) EnsureAsync(dev int, t *tensor.Tensor) {
 // CleanAhead asynchronously writes back up to max dirty, idle,
 // unpinned LRU buffers on dev (device copies kept, now clean), so
 // later evictions find pages they can drop instead of stalling on a
-// synchronous write-back. No-op without dirty tracking — dropping
-// clean pages is only legal under that policy.
+// synchronous write-back. Known-zero pages are not dirty: they can
+// already be dropped. No-op without dirty tracking — dropping clean
+// pages is only legal under that policy.
 func (vm *VM) CleanAhead(dev int, max int) {
 	if !vm.engOn.Load() || vm.closed.Load() || !vm.pol.DirtyTracking {
 		return
@@ -358,14 +361,11 @@ func (vm *VM) CleanAhead(dev int, max int) {
 	issued := 0
 	for b := sh.lru.head; b != nil && issued < max; b = b.next {
 		w := b.load()
-		if w.State() != claimword.Idle || w.Pins() > 0 || !b.dirty.Load() {
+		if w.State() != claimword.Idle || w.Pins() > 0 || b.state.Load() != pageDirty {
 			continue
 		}
 		if !vm.claim(b, claimword.SwapOut, true, false, claimword.NeedUnpinned) {
 			continue // raced with a pin; skip this page
-		}
-		if b.host == nil {
-			b.host = make([]float32, b.floats())
 		}
 		sh.stats.CleanAheads++
 		vm.enqueue(sh, dmaReq{b: b, kind: dmaWriteback, dev: dev})
@@ -416,44 +416,93 @@ func (vm *VM) dmaWorker(dev int) {
 // service performs one async DMA outside the shard lock.
 func (vm *VM) service(req dmaReq) {
 	b := req.b
-	sh := vm.shards[req.dev]
-	bytes := b.t.Bytes
 	switch req.kind {
 	case dmaSwapIn:
-		busy, err := vm.transfer(xferPrefetch, req.dev, b.t, b.dev, b.host)
-		if err == nil {
-			b.dirty.Store(false)
-			sh.mu.Lock()
-			sh.stats.SwapInBytes += bytes
-			sh.stats.SwapIns++
-			sh.stats.AsyncDMANanos += busy.Nanoseconds()
-			sh.mu.Unlock()
-			vm.settle(b, true, 0) // stays prefetched until the demand hit
+		if err := vm.fill(xferPrefetch, req.dev, b); err != nil {
+			// Failed prefetch: roll the residency back (dropResidency
+			// returns the bytes to the budget) and let the demand path
+			// retry (and surface) the fault. Fatal faults are also latched
+			// so WaitIdle reports them even if no demand follows.
+			vm.dropResidency(b)
+			vm.latchAsyncErr(err)
+			vm.settle(b, false, 0)
 			return
 		}
-		// Failed prefetch: roll the residency back (dropResidency
-		// returns the bytes to the budget) and let the demand path
-		// retry (and surface) the fault. Fatal faults are also latched
-		// so WaitIdle reports them even if no demand follows.
-		vm.dropResidency(b)
-		vm.latchAsyncErr(err)
-		vm.settle(b, false, 0)
+		vm.settle(b, true, 0) // stays prefetched until the demand hit
 	case dmaWriteback:
-		busy, err := vm.transfer(xferClean, req.dev, b.t, b.host, b.dev)
-		if err == nil {
-			b.dirty.Store(false)
-			sh.mu.Lock()
-			sh.stats.SwapOutBytes += bytes
-			sh.stats.SwapOuts++
-			sh.stats.AsyncDMANanos += busy.Nanoseconds()
-			sh.mu.Unlock()
-			vm.settle(b, true, 0)
-			return
+		if err := vm.writeBack(xferClean, req.dev, b); err != nil {
+			vm.latchAsyncErr(err) // the page simply stays dirty
 		}
-		// Failed clean-ahead: the page simply stays dirty.
-		vm.latchAsyncErr(err)
 		vm.settle(b, true, 0)
 	}
+}
+
+// writeBack and fill are the two directions a page crosses the host
+// link in, and the only places that decide whether it has to: a
+// known-zero page (MarkZero) has no bytes worth moving either way. Both
+// run under b's claim with no shard lock held, and own the bookkeeping
+// of the copy they make — state, movement counters, the write-back
+// stall count clean-ahead arms on — so their callers keep only what is
+// theirs: claims, residency and pins.
+
+// writeBack makes b's device copy on dev safe to lose: it copies it to
+// the host (allocating the backing on first use) and leaves the page
+// clean. A known-zero page is already safe to lose and nothing moves.
+func (vm *VM) writeBack(x xfer, dev int, b *buffer) error {
+	if b.state.Load() == pageZero {
+		return nil
+	}
+	if b.host == nil {
+		b.host = make([]float32, b.floats())
+	}
+	busy, err := vm.transfer(x, dev, b.t, b.host, b.dev)
+	if err != nil {
+		return err
+	}
+	b.state.Store(pageClean)
+	sh := vm.shards[dev]
+	sh.mu.Lock()
+	sh.stats.SwapOutBytes += b.t.Bytes
+	sh.stats.SwapOuts++
+	if x.async {
+		sh.stats.AsyncDMANanos += busy.Nanoseconds()
+	} else {
+		sh.syncOuts++
+	}
+	sh.mu.Unlock()
+	return nil
+}
+
+// fill loads b's content into its freshly reserved device copy on dev:
+// a copy from the host backing, after which the page is clean — or, for
+// a known-zero page, the memset a real device would issue instead of a
+// PCIe transfer, which leaves it known-zero. The memset is issued even
+// though today's device copies come zeroed from make: that b.dev holds
+// the page's content on return is fill's contract, not the allocator's.
+// No copy means no link time and no fault site (internal/fault).
+func (vm *VM) fill(x xfer, dev int, b *buffer) error {
+	sh := vm.shards[dev]
+	if b.state.Load() == pageZero {
+		clear(b.dev)
+		sh.mu.Lock()
+		sh.stats.ZeroFillBytes += b.t.Bytes
+		sh.stats.ZeroFills++
+		sh.mu.Unlock()
+		return nil
+	}
+	busy, err := vm.transfer(x, dev, b.t, b.dev, b.host)
+	if err != nil {
+		return err
+	}
+	b.state.Store(pageClean)
+	sh.mu.Lock()
+	sh.stats.SwapInBytes += b.t.Bytes
+	sh.stats.SwapIns++
+	if x.async {
+		sh.stats.AsyncDMANanos += busy.Nanoseconds()
+	}
+	sh.mu.Unlock()
+	return nil
 }
 
 // xfer names one kind of tensor copy: the fault site it answers to and
@@ -462,14 +511,15 @@ type xfer struct {
 	op     fault.Op
 	lane   trace.Lane
 	prefix string
+	async  bool // runs on a DMA worker: its link time overlaps compute
 }
 
 var (
-	xferIn       = xfer{fault.SwapIn, trace.SwapIn, "in "}
-	xferOut      = xfer{fault.SwapOut, trace.SwapOut, "out "}
-	xferP2P      = xfer{fault.P2P, trace.P2P, "p2p "}
-	xferPrefetch = xfer{fault.SwapIn, trace.Prefetch, "pf "}
-	xferClean    = xfer{fault.SwapOut, trace.SwapOut, "cl "}
+	xferIn       = xfer{fault.SwapIn, trace.SwapIn, "in ", false}
+	xferOut      = xfer{fault.SwapOut, trace.SwapOut, "out ", false}
+	xferP2P      = xfer{fault.P2P, trace.P2P, "p2p ", false}
+	xferPrefetch = xfer{fault.SwapIn, trace.Prefetch, "pf ", true}
+	xferClean    = xfer{fault.SwapOut, trace.SwapOut, "cl ", true}
 )
 
 // transfer is the VM's one copy path, shared by every swap, p2p move and

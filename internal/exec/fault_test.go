@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -29,8 +30,11 @@ func faultyConfig(t *testing.T, mode sched.Mode, spec string, recover bool) Trai
 // weights — the currency of every fault-tolerance guarantee below.
 func assertSameRun(t *testing.T, a, b *Trainer, lossA, lossB []float32) {
 	t.Helper()
+	if len(lossA) != len(lossB) {
+		t.Fatalf("%d losses vs %d", len(lossA), len(lossB))
+	}
 	for s := range lossA {
-		if lossA[s] != lossB[s] {
+		if math.Float32bits(lossA[s]) != math.Float32bits(lossB[s]) {
 			t.Fatalf("step %d loss: %v vs %v", s, lossA[s], lossB[s])
 		}
 	}
@@ -45,7 +49,7 @@ func assertSameRun(t *testing.T, a, b *Trainer, lossA, lossB []float32) {
 				t.Fatal(err)
 			}
 			for i := range wa {
-				if wa[i] != wb[i] {
+				if math.Float32bits(wa[i]) != math.Float32bits(wb[i]) {
 					t.Fatalf("replica %d layer %d weight %d: %v vs %v", r, l, i, wa[i], wb[i])
 				}
 			}

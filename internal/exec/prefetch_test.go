@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -208,31 +209,92 @@ func TestWaitIdleSurfacesFatalAsyncFault(t *testing.T) {
 
 // TestPrefetchBitExactMatrix is the tentpole guarantee: the serial
 // reference, the synchronous parallel executor, and the parallel
-// executor with prefetch at several depths all produce bit-identical
-// losses and weights in both DP and PP modes. Prefetch may change
-// data movement, never math.
+// executor with prefetch at several depths and with the adaptive
+// controller all produce bit-identical losses and weights, under both
+// optimizers, in DP on one and two devices and in PP. Prefetch and
+// eviction may change data movement, never math.
+//
+// The reference each variant is held to runs on a device so large that
+// nothing is ever evicted: whatever the VM believes about a page (clean,
+// dirty, known-zero), no page there is ever rebuilt from that belief, so
+// a wrong known-zero mark — a gradient dropped while it still held
+// something — cannot hide in the reference. The variants run on a device
+// too small for W + dW and must have refilled a gradient from its mark.
+// (Checked by mutation: a MarkDirty that keeps the known-zero mark fails
+// every cell at step 1.)
 func TestPrefetchBitExactMatrix(t *testing.T) {
 	nn.SetWorkers(4)
 	defer nn.SetWorkers(runtime.GOMAXPROCS(0))
-	const steps = 3
-	for _, mode := range []sched.Mode{sched.HarmonyDP, sched.HarmonyPP} {
-		t.Run(mode.String(), func(t *testing.T) {
-			ref := trainerConfig(mode, 2)
-			ref.Serial = true
-			a, lossA := runTrainer(t, ref, steps)
-			for _, depth := range []int{-1, 1, 2, 4} {
-				cfg := trainerConfig(mode, 2)
-				cfg.PrefetchDepth = depth
-				b, lossB := runTrainer(t, cfg, steps)
-				assertSameRun(t, a, b, lossA, lossB)
-				st := b.Stats()
-				if depth < 0 && st.PrefetchIssued != 0 {
-					t.Fatalf("depth %d: prefetch ran while disabled: %+v", depth, st)
+	const steps = 6
+	plans := []struct {
+		mode    sched.Mode
+		devices []int
+	}{
+		{sched.HarmonyDP, []int{1, 2}},
+		{sched.HarmonyPP, []int{2}},
+	}
+	variants := []struct {
+		name     string
+		serial   bool
+		depth    int
+		adaptive bool
+	}{
+		{"serial", true, 0, false},
+		{"sync", false, -1, false},
+		{"depth1", false, 1, false},
+		{"depth2", false, 2, false},
+		{"depth4", false, 4, false},
+		{"adaptive", false, 4, true},
+	}
+	run := func(t *testing.T, base TrainerConfig) {
+		ref := base
+		ref.Serial = true
+		ref.DeviceBytes = 1 << 30
+		a, lossA := runTrainer(t, ref, steps)
+		defer a.Close()
+		nDW := len(a.layers) * a.Replicas()
+		if st := a.Stats(); st.Drops != 0 || st.SwapOuts != 0 || st.ZeroFills != nDW {
+			t.Fatalf("the reference device evicted, or filled more than each gradient's first touch: %+v", st)
+		}
+		for _, v := range variants {
+			cfg := base
+			cfg.Serial, cfg.PrefetchDepth, cfg.AdaptivePrefetch = v.serial, v.depth, v.adaptive
+			b, lossB := runTrainer(t, cfg, steps)
+			assertSameRun(t, a, b, lossA, lossB)
+			st := b.Stats()
+			prefetches := !v.serial && v.depth > 0
+			if !prefetches && st.PrefetchIssued != 0 {
+				t.Fatalf("%s: prefetch ran while disabled: %+v", v.name, st)
+			}
+			if prefetches && st.PrefetchIssued == 0 {
+				t.Fatalf("%s: prefetch never fired under memory pressure", v.name)
+			}
+			if st.ZeroFills <= nDW || st.Drops == 0 {
+				t.Fatalf("%s: no gradient was dropped and refilled from its mark: %+v", v.name, st)
+			}
+			b.Close()
+		}
+	}
+	for _, p := range plans {
+		t.Run(p.mode.String(), func(t *testing.T) {
+			for _, devices := range p.devices {
+				for _, opt := range []Optimizer{SGD, Adam} {
+					base := trainerConfig(p.mode, devices)
+					base.Widths = []int{16, 32, 32, 32, 4} // W + dW = 22304 bytes
+					base.Optimizer = opt
+					// Two waves of two microbatches: a layer's gradient sits
+					// half-accumulated while every other layer runs, so it is
+					// evicted dirty within a step as well as known-zero between
+					// steps — a mark that outlived a write would lose it there.
+					opts := sched.DefaultOptions(p.mode)
+					opts.GroupSize = 2
+					base.Options = &opts
+					if opt == Adam {
+						// One layer's update pins W + dW + two moments (16.9 KB).
+						base.DeviceBytes, base.LR = 20<<10, 0.005
+					}
+					t.Run(fmt.Sprintf("%ddev/opt%d", devices, opt), func(t *testing.T) { run(t, base) })
 				}
-				if depth > 0 && st.PrefetchIssued == 0 {
-					t.Fatalf("depth %d: prefetch never fired under memory pressure", depth)
-				}
-				b.Close()
 			}
 		})
 	}

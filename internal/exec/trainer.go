@@ -325,9 +325,11 @@ func (tr *Trainer) topology() schedcheck.Topology {
 
 // freshVM replaces the trainer's VM with an empty one for the current
 // plan — armed with fault injection, link modeling, tracing and (when
-// prefetch is on) the async DMA engine, and holding zeroed host backing
-// for every persistent tensor, exactly as at construction — folding the
-// old VM's counters into statsBase. The caller fills the state in:
+// prefetch is on) the async DMA engine, and holding every persistent
+// tensor zeroed, exactly as at construction — weights and optimizer
+// state as host backing, gradients as known-zero pages with no copy
+// anywhere, which is the state every update leaves them in — folding
+// the old VM's counters into statsBase. The caller fills the state in:
 // initial weights, or a checkpoint. Only at a step boundary: the old
 // VM's in-flight DMAs must already be drained.
 func (tr *Trainer) freshVM() {
@@ -348,7 +350,7 @@ func (tr *Trainer) freshVM() {
 	for r := 0; r < tr.g.Cfg.Replicas; r++ {
 		for l := range tr.layers {
 			tr.vm.HostAlloc(tr.g.W[r][l])
-			tr.vm.HostAlloc(tr.g.DW[r][l])
+			tr.vm.ZeroAlloc(tr.g.DW[r][l])
 			if tr.g.K[r][l].Bytes > 0 {
 				tr.vm.HostAlloc(tr.g.K[r][l])
 			}
@@ -900,6 +902,7 @@ func (tr *Trainer) runTask(dev int, t *graph.Task, labels [][][]int) (float32, b
 	batch := tr.cfg.MicrobatchSize
 	var dy []float32
 	var loss float32
+	var zeroed *tensor.Tensor
 	counted := t.Kind == graph.Backward && t.Layer == len(tr.layers)-1
 	if counted {
 		// The loss read is the one undeclared access: the final backward
@@ -938,8 +941,13 @@ func (tr *Trainer) runTask(dev int, t *graph.Task, labels [][][]int) (float32, b
 		} else {
 			nn.SGD(in[0][:n], in[1][:n], tr.cfg.LR)
 		}
+		// Both optimizers end by resetting the gradient they applied
+		// (Fig. 5(a)'s "Reset dW′"; a checkpoint already omits dW on the
+		// strength of it), so from here to the next backward the VM need
+		// not move the page.
+		zeroed = t.Inputs[1]
 	}
-	return loss, counted, tr.release(t)
+	return loss, counted, tr.release(t, zeroed)
 }
 
 // acquire pins a task's declared footprint and binds its views: every
@@ -977,17 +985,24 @@ func (tr *Trainer) acquire(t *graph.Task, dev int, in, out [][]float32) error {
 }
 
 // release retires what acquire pinned once the kernel has run: in-place
-// mutations are marked dirty, inputs and outputs unpinned, and tensors
-// whose last use this was destroyed. A failure here is a plumbing bug,
-// but it surfaces as a returned error (not a panic) so the executor can
-// abort the iteration cleanly and the recovery layer can decide what to
-// do with it.
-func (tr *Trainer) release(t *graph.Task) error {
+// mutations are marked dirty — zeroed, when non-nil, is the one of them
+// the kernel left all zeros, and is marked so instead — inputs and
+// outputs unpinned, and tensors whose last use this was destroyed. A
+// failure here is a plumbing bug, but it surfaces as a returned error
+// (not a panic) so the executor can abort the iteration cleanly and the
+// recovery layer can decide what to do with it.
+func (tr *Trainer) release(t *graph.Task, zeroed *tensor.Tensor) error {
 	for _, x := range t.Mutates {
 		if x.Bytes == 0 {
 			continue
 		}
-		if err := tr.vm.MarkDirty(x); err != nil {
+		var err error
+		if x == zeroed {
+			err = tr.vm.MarkZero(x)
+		} else {
+			err = tr.vm.MarkDirty(x)
+		}
+		if err != nil {
 			return err
 		}
 	}

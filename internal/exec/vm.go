@@ -3,8 +3,11 @@
 // graphs and schedules as the simulator, but on capacity-limited
 // *virtual devices* whose memories form a coherent virtual memory
 // backed by host buffers. Swaps are real memcpys; capacity limits are
-// enforced exactly; eviction is LRU with the same dirty-tracking and
-// p2p policies as the simulated memory manager.
+// enforced exactly; eviction takes the pages that are free to lose
+// first — the ones the plan says are all zeros (MarkZero) — and is LRU
+// among the rest, with the same dirty-tracking and p2p policies as the
+// simulated memory manager. A known-zero page never crosses the link:
+// it is dropped without a write-back and comes back as a zero-fill.
 //
 // This is the proof that the paper's design trains models end to end:
 // the quickstart and mnist examples push a model whose footprint
@@ -36,6 +39,12 @@ type VMStats struct {
 	SwapOuts     int
 	Drops        int
 	P2PMoves     int
+	// ZeroFills counts known-zero pages (MarkZero) made resident by a
+	// memset instead of a copy, demand or prefetch; their evictions
+	// count under Drops. The Swap* counters stay what they were: bytes
+	// and copies that crossed the link.
+	ZeroFills     int
+	ZeroFillBytes int64
 	// FaultsInjected counts injected transfer faults observed by this
 	// VM; Retries counts the re-attempts the retry layer issued for
 	// them (successful retries leave FaultsInjected > Retries only
@@ -66,6 +75,8 @@ func (s VMStats) add(o VMStats) VMStats {
 	s.SwapOuts += o.SwapOuts
 	s.Drops += o.Drops
 	s.P2PMoves += o.P2PMoves
+	s.ZeroFills += o.ZeroFills
+	s.ZeroFillBytes += o.ZeroFillBytes
 	s.FaultsInjected += o.FaultsInjected
 	s.Retries += o.Retries
 	s.PrefetchIssued += o.PrefetchIssued
@@ -83,13 +94,17 @@ func (s VMStats) add(o VMStats) VMStats {
 //     helpers in dma.go (claim/commit/settle/pin/unpin/
 //     consumePrefetch), only via CAS — the claimdiscipline analyzer
 //     enforces this.
-//   - dev, devID, host, dirty: owned by the claim holder. Claims
+//   - dev, devID, host, state: owned by the claim holder. Claims
 //     require idleness and (except snapshot write-backs) zero pins, so
 //     a successful claim CAS excludes every other writer; lock-free
 //     readers first observe an idle word via an atomic load, which
-//     happens-after the settle that published the fields. dirty is
-//     atomic because pin holders (MarkDirty) write it while shard
-//     scans (CleanAhead, victim selection) read it.
+//     happens-after the settle that published the fields. state is
+//     atomic because pin holders write it (MarkDirty, MarkZero) while
+//     shard scans (CleanAhead, EnsureAsync's LRU bump) read it. A claim
+//     holder stores pageClean, after the copy that made it true (and
+//     pageDirty on the page Alloc creates); on an existing page
+//     pageDirty and pageZero are stored under a pin, by the task that
+//     just wrote the device copy.
 //   - last, prev, next: LRU bookkeeping, guarded by the owning
 //     device's shard mutex. A buffer is linked iff its word is
 //     resident-idle or claimed-resident; unlinking happens only under
@@ -102,7 +117,7 @@ type buffer struct {
 	// only by the claim holder; atomic because Ensure and EnsureAsync
 	// read it optimistically before they pin or claim.
 	devID atomic.Int32
-	dirty atomic.Bool // device copy newer than host copy
+	state atomic.Uint32 // pageClean, pageDirty or pageZero
 
 	// word is the packed DMA/residency/pin state machine; done points
 	// to the current claim's wakeup channel, closed at settle. done is
@@ -118,6 +133,22 @@ type buffer struct {
 	prev, next *buffer
 }
 
+// A page's state says what losing its device copy would lose.
+const (
+	// pageClean: the host copy is current. Evicting drops the device
+	// copy under dirty tracking; a non-resident page is always clean
+	// or zero.
+	pageClean uint32 = iota
+	// pageDirty: the device copy is newer than the host copy (or the
+	// only one) and must be written back before it goes.
+	pageDirty
+	// pageZero: every element is +0, on the plan's word (MarkZero) and
+	// not by inspection. The page needs no backing store: it is evicted
+	// as a drop, its host copy released, and made resident again by a
+	// memset. Entered only under MemPolicy.DirtyTracking.
+	pageZero
+)
+
 func newBuffer(t *tensor.Tensor) *buffer {
 	b := &buffer{t: t}
 	b.devID.Store(-1)
@@ -125,6 +156,10 @@ func newBuffer(t *tensor.Tensor) *buffer {
 }
 
 func (b *buffer) floats() int { return int(b.t.Bytes / 4) }
+
+// backed reports whether a non-resident b can be made resident: it has
+// a host copy to read, or is known to be all zeros and needs none.
+func (b *buffer) backed() bool { return b.host != nil || b.state.Load() == pageZero }
 
 // load atomically observes b's claim word.
 func (b *buffer) load() claimword.Word { return claimword.Word(b.word.Load()) }
@@ -415,11 +450,28 @@ func (vm *VM) touch(sh *vmShard, b *buffer) {
 	vm.lruPush(sh, b)
 }
 
+// demote moves a linked buffer to the head of sh's list: the next
+// victim, ahead of everything the LRU order would pick. Requires sh.mu
+// held and b linked on sh.
+func (vm *VM) demote(sh *vmShard, b *buffer) {
+	vm.lruRemove(sh, b)
+	l := &sh.lru
+	b.next = l.head
+	if l.head != nil {
+		l.head.prev = b
+	} else {
+		l.tail = b
+	}
+	l.head = b
+}
+
 // victim scans sh's LRU list once and returns the least-recently-used
 // evictable buffer — resident, idle and unpinned per its claim word —
 // or, when nothing is evictable, the least-recently-used buffer whose
 // in-flight operation completes autonomously (an async DMA-worker op
-// or a committed sync claim) for reserve to wait on. One pass, each
+// or a committed sync claim) for reserve to wait on. Known-zero pages
+// need no special case here: MarkZero put them at the head, so the
+// victims that are free to lose are the first ones met. One pass, each
 // word observed once: claims settle without the shard lock, and a
 // separate second scan for waiters would miss a DMA that landed between
 // the two and report a full device. Walking the list (not the buffer
@@ -454,7 +506,9 @@ func (vm *VM) victim(sh *vmShard) (evictable, waitable *buffer) {
 // HostAlloc materializes a tensor's host backing (zeroed) and returns
 // it. Idempotent for already-materialized tensors. Host backing is a
 // setup-time operation: callers must not race it with transfers of
-// the same tensor.
+// the same tensor. The caller may go on to write the slice, so a
+// known-zero page becomes an ordinary clean one, with a fresh backing in
+// place of any stale one.
 func (vm *VM) HostAlloc(t *tensor.Tensor) []float32 {
 	vm.bufMu.Lock()
 	defer vm.bufMu.Unlock()
@@ -463,16 +517,37 @@ func (vm *VM) HostAlloc(t *tensor.Tensor) []float32 {
 		b = newBuffer(t)
 		vm.bufs[t.ID] = b
 	}
-	if b.host == nil {
+	if b.state.CompareAndSwap(pageZero, pageClean) || b.host == nil {
 		b.host = make([]float32, b.floats())
 	}
 	return b.host
 }
 
+// ZeroAlloc materializes t as all zeros. Under dirty tracking that is a
+// known-zero page with no copy anywhere — its first Ensure is a memset,
+// not a swap-in; the naive policy gets the zeroed host backing it would
+// have had from HostAlloc. Setup-time, like HostAlloc, and only for a
+// tensor the VM has not seen.
+func (vm *VM) ZeroAlloc(t *tensor.Tensor) {
+	if !vm.pol.DirtyTracking {
+		vm.HostAlloc(t)
+		return
+	}
+	vm.bufMu.Lock()
+	defer vm.bufMu.Unlock()
+	if _, ok := vm.bufs[t.ID]; !ok {
+		b := newBuffer(t)
+		b.state.Store(pageZero)
+		vm.bufs[t.ID] = b
+	}
+}
+
 // Host returns the host backing, swapping the device copy back first
 // if it is dirty (used to read results out). The claim is taken with
 // committed set: a snapshot write-back holds everything it needs, so
-// eviction on the buffer's device may wait on it.
+// eviction on the buffer's device may wait on it. A known-zero page has
+// no backing to return; it is given a fresh zeroed one and becomes an
+// ordinary clean page, because the caller may write what it is handed.
 func (vm *VM) Host(t *tensor.Tensor) ([]float32, error) {
 	for {
 		b, ok := vm.lookup(t.ID)
@@ -483,21 +558,17 @@ func (vm *VM) Host(t *tensor.Tensor) ([]float32, error) {
 			vm.waitSettle(b)
 			continue
 		}
-		// Claim held: dev/host/dirty are ours to read.
+		// Claim held: dev/host/state are ours to read.
 		resident := b.load().Resident()
-		if resident && b.dirty.Load() {
-			dev := int(b.devID.Load())
-			if _, err := vm.transfer(xferOut, dev, b.t, b.host, b.dev); err != nil {
+		switch st := b.state.Load(); {
+		case st == pageDirty && resident:
+			if err := vm.writeBack(xferOut, int(b.devID.Load()), b); err != nil {
 				vm.settle(b, true, 0)
 				return nil, err
 			}
-			b.dirty.Store(false)
-			sh := vm.shards[dev]
-			sh.mu.Lock()
-			sh.stats.SwapOutBytes += b.t.Bytes
-			sh.stats.SwapOuts++
-			sh.syncOuts++
-			sh.mu.Unlock()
+		case st == pageZero:
+			b.host = make([]float32, b.floats())
+			b.state.Store(pageClean)
 		}
 		host := b.host
 		vm.settle(b, resident, 0)
@@ -577,7 +648,7 @@ func (vm *VM) Ensure(dev int, t *tensor.Tensor) ([]float32, error) {
 			}
 			continue // now host-only; swap in on the next pass
 		}
-		if b.host == nil {
+		if !b.backed() {
 			return nil, fmt.Errorf("exec: tensor %s has no valid copy to swap in", t)
 		}
 		dst, err := vm.swapIn(dev, b)
@@ -588,12 +659,12 @@ func (vm *VM) Ensure(dev int, t *tensor.Tensor) ([]float32, error) {
 	}
 }
 
-// swapIn demand-loads host-only b onto dev and pins it. The memcpy
-// runs on the caller's goroutine with no shard lock held. b is
-// claimed but non-resident while reserving, so no eviction scan can
-// see it; residency and the committed mark are established by a
-// single commit CAS, upholding the invariant that every claim on a
-// resident buffer completes autonomously.
+// swapIn demand-loads non-resident b onto dev and pins it. The fill runs
+// on the caller's goroutine with no shard lock held. b is claimed but
+// non-resident while reserving, so no eviction scan can see it;
+// residency and the committed mark are established by a single commit
+// CAS, upholding the invariant that every claim on a resident buffer
+// completes autonomously.
 func (vm *VM) swapIn(dev int, b *buffer) ([]float32, error) {
 	if !vm.claim(b, claimword.SwapIn, false, false, claimword.NeedEmpty) {
 		return nil, errRetry
@@ -608,21 +679,16 @@ func (vm *VM) swapIn(dev int, b *buffer) ([]float32, error) {
 	dst := make([]float32, b.floats())
 	b.dev = dst
 	b.devID.Store(int32(dev))
-	vm.commit(b) // reserve done: only the copy remains
+	vm.commit(b) // reserve done: only the fill remains
 	sh.used += b.t.Bytes
 	vm.lruPush(sh, b)
 	sh.mu.Unlock()
 
-	if _, err := vm.transfer(xferIn, dev, b.t, dst, b.host); err != nil {
+	if err := vm.fill(xferIn, dev, b); err != nil {
 		vm.dropResidency(b)
 		vm.settle(b, false, 0)
 		return nil, err
 	}
-	b.dirty.Store(false)
-	sh.mu.Lock()
-	sh.stats.SwapInBytes += b.t.Bytes
-	sh.stats.SwapIns++
-	sh.mu.Unlock()
 	vm.settle(b, true, +1)
 	return dst, nil
 }
@@ -706,22 +772,11 @@ func (vm *VM) bounce(b *buffer) error {
 		vm.settle(b, false, 0)
 		return nil // evicted meanwhile; already host-only
 	}
-	if b.host == nil {
-		b.host = make([]float32, b.floats())
-	}
-	dev := int(b.devID.Load())
-	if _, err := vm.transfer(xferOut, dev, b.t, b.host, b.dev); err != nil {
+	if err := vm.writeBack(xferOut, int(b.devID.Load()), b); err != nil {
 		vm.settle(b, true, 0)
 		return err
 	}
-	b.dirty.Store(false)
-	sh := vm.shards[dev]
-	sh.mu.Lock()
-	sh.stats.SwapOutBytes += b.t.Bytes
-	sh.stats.SwapOuts++
-	sh.syncOuts++
-	vm.unlink(sh, b)
-	sh.mu.Unlock()
+	vm.dropResidency(b)
 	vm.settle(b, false, 0)
 	return nil
 }
@@ -742,7 +797,7 @@ func (vm *VM) Alloc(dev int, t *tensor.Tensor) ([]float32, error) {
 			vm.waitSettle(b)
 			continue
 		}
-		if w.Resident() || b.host != nil {
+		if w.Resident() || b.backed() {
 			return nil, fmt.Errorf("exec: tensor %s already materialized", t)
 		}
 		// Claim while reserving: reserve may drop the shard lock to
@@ -751,7 +806,7 @@ func (vm *VM) Alloc(dev int, t *tensor.Tensor) ([]float32, error) {
 		if !vm.claim(b, claimword.SwapIn, false, false, claimword.NeedEmpty) {
 			continue
 		}
-		if b.host != nil { // re-check under claim ownership
+		if b.backed() { // re-check under claim ownership
 			vm.settle(b, false, 0)
 			return nil, fmt.Errorf("exec: tensor %s already materialized", t)
 		}
@@ -765,7 +820,7 @@ func (vm *VM) Alloc(dev int, t *tensor.Tensor) ([]float32, error) {
 		dst := make([]float32, b.floats())
 		b.dev = dst
 		b.devID.Store(int32(dev))
-		b.dirty.Store(true)
+		b.state.Store(pageDirty)
 		vm.commit(b)
 		sh.used += t.Bytes
 		vm.lruPush(sh, b)
@@ -777,14 +832,41 @@ func (vm *VM) Alloc(dev int, t *tensor.Tensor) ([]float32, error) {
 
 // MarkDirty records an in-place mutation of the device copy. The
 // caller must hold a pin on t (task outputs are pinned while their
-// kernels run), which is what makes the dirty write race-free against
-// eviction's clean checks.
+// kernels run), which is what makes the state write race-free against
+// eviction's clean checks. Whatever the page was — clean or known-zero
+// — it is an ordinary dirty page from here on.
 func (vm *VM) MarkDirty(t *tensor.Tensor) error {
 	b, ok := vm.lookup(t.ID)
 	if !ok || !b.load().Resident() {
 		return fmt.Errorf("exec: MarkDirty on non-resident %s", t)
 	}
-	b.dirty.Store(true)
+	b.state.Store(pageDirty)
+	return nil
+}
+
+// MarkZero is MarkDirty for a mutation that left every element of the
+// device copy +0. The VM takes the caller's word for it and from then
+// on moves no byte of the page: it becomes the device's next victim —
+// the one page that costs no link time to lose now and none to bring
+// back — eviction drops it (releasing any host copy), and the next
+// Ensure or prefetch memsets it (DESIGN.md §9, "Known-zero pages"). The
+// next MarkDirty ends that. The naive policy writes every page back
+// unconditionally and evicts in plain LRU order, so there the page is
+// simply dirty.
+func (vm *VM) MarkZero(t *tensor.Tensor) error {
+	b, ok := vm.lookup(t.ID)
+	if !ok || !b.load().Resident() {
+		return fmt.Errorf("exec: MarkZero on non-resident %s", t)
+	}
+	if !vm.pol.DirtyTracking {
+		b.state.Store(pageDirty)
+		return nil
+	}
+	b.state.Store(pageZero)
+	sh := vm.shards[b.devID.Load()] // the caller's pin freezes placement
+	sh.mu.Lock()
+	vm.demote(sh, b)
+	sh.mu.Unlock()
 	return nil
 }
 
@@ -859,16 +941,16 @@ func (vm *VM) reserve(sh *vmShard, bytes int64) error {
 	return nil
 }
 
-// evict removes b from sh: dirty-tracked clean buffers are dropped,
-// everything else is written back first. Requires sh.mu held
-// (released around the write-back copy). The eviction claim carries
+// evict removes b from sh: known-zero pages and dirty-tracked clean ones
+// are dropped, everything else is written back first. Requires sh.mu
+// held (released around the write-back copy). The eviction claim carries
 // committed in its CAS — write-backs never reserve — so concurrent
 // reserves on the shard may wait on it from its first visible word.
 func (vm *VM) evict(sh *vmShard, b *buffer) error {
 	if !vm.claim(b, claimword.SwapOut, false, true, claimword.NeedUnpinned) {
 		return errRetry // raced with a pin or another claim
 	}
-	if vm.pol.DirtyTracking && !b.dirty.Load() && b.host != nil {
+	if st := b.state.Load(); st == pageZero || vm.pol.DirtyTracking && st == pageClean && b.host != nil {
 		sh.stats.DropBytes += b.t.Bytes
 		sh.stats.Drops++
 		vm.unlink(sh, b)
@@ -877,21 +959,13 @@ func (vm *VM) evict(sh *vmShard, b *buffer) error {
 	}
 	// Write back. Naive virtualization (DirtyTracking off) writes back
 	// unconditionally.
-	if b.host == nil {
-		b.host = make([]float32, b.floats())
-	}
-	src, host := b.dev, b.host
 	sh.mu.Unlock()
-	_, err := vm.transfer(xferOut, sh.dev, b.t, host, src)
+	err := vm.writeBack(xferOut, sh.dev, b)
 	sh.mu.Lock()
 	if err != nil {
 		vm.settle(b, true, 0) // stays resident (and dirty)
 		return err
 	}
-	b.dirty.Store(false)
-	sh.stats.SwapOutBytes += b.t.Bytes
-	sh.stats.SwapOuts++
-	sh.syncOuts++
 	vm.unlink(sh, b)
 	vm.settle(b, false, 0)
 	return nil
@@ -908,8 +982,10 @@ func (vm *VM) dropResidency(b *buffer) {
 
 // unlink takes b, resident on sh's device, off the device: out of the
 // LRU, its bytes and any unconsumed prefetch charge returned, its
-// device copy forgotten. Requires sh.mu held and b's claim owned by the
-// caller.
+// device copy forgotten — and, for a known-zero page, whatever stale
+// host copy an earlier write-back left, so the page holds no memory
+// anywhere until it is filled again. Requires sh.mu held and b's claim
+// owned by the caller.
 func (vm *VM) unlink(sh *vmShard, b *buffer) {
 	vm.lruRemove(sh, b)
 	sh.used -= b.t.Bytes
@@ -918,6 +994,9 @@ func (vm *VM) unlink(sh *vmShard, b *buffer) {
 	}
 	b.dev = nil
 	b.devID.Store(-1)
+	if b.state.Load() == pageZero {
+		b.host = nil
+	}
 }
 
 // Invalidate discards any device copy without writeback, making the
@@ -950,7 +1029,7 @@ func (vm *VM) Invalidate(t *tensor.Tensor) error {
 			vm.settle(b, false, 0)
 			continue
 		}
-		b.dirty.Store(false)
+		b.state.Store(pageClean)
 		vm.dropResidency(b)
 		vm.settle(b, false, 0)
 		return nil

@@ -1,9 +1,12 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,14 +17,19 @@ import (
 // TestConcurrentVMHotPath hammers the sharded hot path from one
 // goroutine per device — demand Ensure with dirty writes, prefetch
 // EnsureAsync, CleanAhead, implicit eviction under capacity pressure —
-// while a checkpoint goroutine snapshots shared tensors with Host.
-// Run under -race (make race) this exercises every lock-free word
+// while a checkpoint goroutine snapshots shared tensors with Host and an
+// optimizer-like goroutine flips one page of device 0 between known-zero
+// (MarkZero) and dirty (MarkDirty) under its pin, checking on every
+// visit that the page still holds all of what it last left there while
+// device 0's demand traffic evicts it and its DMA lane prefetches it
+// back. Run under -race (make race) this exercises every lock-free word
 // transition; the final sweep checks accounting invariants and
-// bit-exact data survival across swaps, drops and p2p moves.
+// bit-exact data survival across swaps, drops, zero-fills and p2p moves.
 //
 // Shared tensors are read-only (two tasks writing one tensor
 // concurrently is a schedule bug the VM rejects); private tensors are
-// written only by their owning device's goroutine.
+// written only by their owning device's goroutine, the flipped page
+// only by the flipper.
 func TestConcurrentVMHotPath(t *testing.T) {
 	const (
 		devs    = 4
@@ -51,14 +59,38 @@ func TestConcurrentVMHotPath(t *testing.T) {
 		shared = append(shared, ts)
 	}
 
+	flip := reg.New("flip", tensor.WeightGrad, bytes, 0, -1)
+	vm.ZeroAlloc(flip)
+
 	var wg sync.WaitGroup
-	errc := make(chan error, devs+1)
+	errc := make(chan error, devs+2)
+	flipped := make(chan struct{}) // closed when the flipper is through
+	var visits atomic.Int64        // device 0's iterations, the flipper's clock...
+	var stopped atomic.Bool        // ...until device 0 fails and stops it
 	for d := 0; d < devs; d++ {
 		wg.Add(1)
 		go func(d int) {
 			defer wg.Done()
+			if d == 0 {
+				defer stopped.Store(true)
+			}
 			rng := rand.New(rand.NewSource(int64(d)))
-			for i := 0; i < iters; i++ {
+			for i := 0; ; i++ {
+				if i >= iters {
+					// Device 0 keeps its traffic up for as long as the
+					// flipper needs evicting.
+					select {
+					case <-flipped:
+						return
+					default:
+					}
+					if d != 0 {
+						return
+					}
+				}
+				if d == 0 {
+					visits.Add(1)
+				}
 				var ts *tensor.Tensor
 				write := false
 				if rng.Intn(4) == 0 {
@@ -94,6 +126,9 @@ func TestConcurrentVMHotPath(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					vm.EnsureAsync(d, private[d][rng.Intn(perDev)])
 				}
+				if d == 0 && rng.Intn(2) == 0 {
+					vm.EnsureAsync(0, flip)
+				}
 				if rng.Intn(8) == 0 {
 					vm.CleanAhead(d, 2)
 				}
@@ -112,6 +147,45 @@ func TestConcurrentVMHotPath(t *testing.T) {
 			if got, want := host[0], float32(100+j%nShared); got != want {
 				errc <- errValue(shared[j%nShared], got, want)
 				return
+			}
+		}
+	}()
+	var flipLast float32 // what the flipper left in every element; read after wg.Wait
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(flipped)
+		for i := 0; i < iters/2; i++ {
+			buf, err := vm.Ensure(0, flip)
+			if err != nil {
+				errc <- err
+				return
+			}
+			for _, v := range buf {
+				if math.Float32bits(v) != math.Float32bits(flipLast) {
+					errc <- errValue(flip, v, flipLast)
+					return
+				}
+			}
+			mark := vm.MarkZero
+			if flipLast = 0; i%2 == 0 {
+				flipLast, mark = float32(i+1), vm.MarkDirty
+			}
+			for j := range buf {
+				buf[j] = flipLast
+			}
+			if err := mark(flip); err != nil {
+				errc <- err
+				return
+			}
+			if err := vm.Unpin(flip); err != nil {
+				errc <- err
+				return
+			}
+			// Unpinned: give device 0 a few visits to evict it in this state.
+			fb, _ := vm.lookup(flip.ID)
+			for seen := visits.Load(); fb.load().Resident() && visits.Load()-seen < 16 && !stopped.Load(); {
+				runtime.Gosched()
 			}
 		}
 	}()
@@ -157,9 +231,21 @@ func TestConcurrentVMHotPath(t *testing.T) {
 			}
 		}
 	}
+	host, err := vm.Host(flip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range host {
+		if math.Float32bits(v) != math.Float32bits(flipLast) {
+			t.Fatalf("%s corrupted: got %v want %v", flip, v, flipLast)
+		}
+	}
 	s := vm.StatsSnapshot()
 	if s.SwapIns == 0 {
 		t.Fatal("stress never swapped: capacity pressure miscalibrated")
+	}
+	if s.ZeroFills < 2 {
+		t.Fatalf("the flipped page was never evicted and refilled while known-zero (%d zero-fills): pressure miscalibrated", s.ZeroFills)
 	}
 }
 

@@ -23,6 +23,12 @@
 // kills device 1's kernel launch at step 3 and makes the first two
 // matching swap-ins fail transiently.
 //
+// A site is an operation that runs: swap-in, swap-out and p2p are
+// copies over a link. Where the trainer's VM moves a page without one —
+// a gradient buffer it knows to be all zeros is evicted as a drop and
+// made resident again by a memset (exec.VM.MarkZero) — there is no site,
+// and no rule fires.
+//
 // Modes: a transient fault is retryable (the retry layers in
 // internal/exec and internal/memory re-attempt it with backoff), a
 // fatal fault kills the device worker (the trainer's recovery path
@@ -54,9 +60,11 @@ const (
 	OpAny Op = iota
 	// Kernel is a compute-task launch on a device worker.
 	Kernel
-	// SwapIn is a host→device copy.
+	// SwapIn is a host→device copy (a zero-fill copies nothing and is
+	// not one).
 	SwapIn
-	// SwapOut is a device→host writeback.
+	// SwapOut is a device→host writeback (a drop writes nothing back
+	// and is not one).
 	SwapOut
 	// P2P is a device→device move.
 	P2P

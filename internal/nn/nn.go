@@ -290,7 +290,10 @@ func SoftmaxXent(logits []float32, labels []int, dlogits []float32, batch, class
 	return float32(loss / float64(batch))
 }
 
-// SGD applies w -= lr·g and zeroes the gradient buffer.
+// SGD applies w -= lr·g and zeroes the gradient buffer: every element
+// of g is +0 on return, which internal/exec relies on to never move a
+// just-applied gradient (VM.MarkZero). Any optimizer added beside these
+// two owes the same reset.
 func SGD(w, g []float32, lr float32) {
 	g = g[:len(w)]
 	for i := range w {

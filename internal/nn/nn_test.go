@@ -137,6 +137,38 @@ func TestSGDStep(t *testing.T) {
 	}
 }
 
+// TestOptimizersResetGradientBitZero is the contract exec's known-zero
+// pages rest on (exec.VM.MarkZero): whatever a gradient buffer held —
+// negatives, -0, infinities, NaN — every element is +0 after the
+// optimizer has applied it, bit for bit. An optimizer that forgets the
+// reset, or resets to -0, fails here and not as silently lost gradients
+// in a trainer that swaps.
+func TestOptimizersResetGradientBitZero(t *testing.T) {
+	nasty := func() []float32 {
+		nan, inf := float32(math.NaN()), float32(math.Inf(1))
+		g := []float32{1, -1, float32(math.Copysign(0, -1)), inf, -inf, nan, 1e-45, -3e38}
+		for i := 0; i < 1000; i++ {
+			g = append(g, float32(i%17)-8.5)
+		}
+		return g
+	}
+	check := func(name string, g []float32) {
+		t.Helper()
+		for i, v := range g {
+			if b := math.Float32bits(v); b != 0 {
+				t.Fatalf("%s left g[%d] = %v (bits %#x), want +0", name, i, v, b)
+			}
+		}
+	}
+	g := nasty()
+	SGD(make([]float32, len(g)), g, 0.1)
+	check("SGD", g)
+	g = nasty()
+	n := len(g)
+	Adam(make([]float32, n), g, make([]float32, n), make([]float32, n), 0.01, 0.9, 0.999, 1e-8, 3)
+	check("Adam", g)
+}
+
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize (w-3)² with Adam; gradient = 2(w-3).
 	w := []float32{0}

@@ -23,6 +23,12 @@
 // touch the class on that device: an AllReduce pins the device's own
 // gradient shard and allocates nothing, so it cannot evict the weights
 // around it (this is precisely the residency JIT updates rely on).
+//
+// This volume, like internal/analytic's (4m+2)·N·|W|, 3·N·|W| and
+// 3·|W|, is the paper's model, which counts the gradient buffer's round
+// trip; the trainer no longer moves a just-applied gradient (exec's
+// known-zero pages, DESIGN.md §9), so for the dW class both are an upper
+// bound on what exec.VM moves, not a prediction of it.
 package schedcheck
 
 import (
