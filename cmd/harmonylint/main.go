@@ -7,9 +7,13 @@
 //
 //	harmonylint [-v] [-json|-sarif] [packages]
 //
-// Packages are go list patterns; the default is ./.... The tool must
-// run from inside the module (the Makefile does), because imports are
-// type-checked from source rather than fetched from a module proxy.
+// Packages are go list patterns; the default is ./..., and patterns
+// that match no package are an error. The tool runs from inside the
+// module (the Makefile does) and needs what go vet needs: the go tool
+// and a writable build cache — one `go list -deps -export` names the
+// packages and the standard library's export data — but no network
+// and no module cache. A tree that does not compile is reported by go
+// list, with the compiler's file:line.
 //
 // -json emits the findings as a JSON array of {file, line, column,
 // analyzer, message} objects; -sarif emits a SARIF 2.1.0 log with one

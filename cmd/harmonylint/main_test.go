@@ -137,9 +137,13 @@ func TestRunCleanExitsZero(t *testing.T) {
 
 func TestRunBadPatternExitsTwo(t *testing.T) {
 	tmp := violatingModule(t)
-	code, _, stderr := runIn(t, tmp, "./no/such/dir")
-	if code != 2 {
-		t.Fatalf("want exit 2 on load failure, got %d (stderr: %s)", code, stderr)
+	// A directory that is not there, and a wildcard that matches no
+	// package: neither is a clean lint of nothing.
+	for _, pattern := range []string{"./no/such/dir", "./nosuch..."} {
+		code, stdout, stderr := runIn(t, tmp, pattern)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, pattern[2:]) {
+			t.Fatalf("%s: want exit 2 on load failure, got %d (stdout: %q, stderr: %q)", pattern, code, stdout, stderr)
+		}
 	}
 	if code, _, _ := runIn(t, tmp, "-json", "-sarif", "."); code != 2 {
 		t.Fatalf("want exit 2 when -json and -sarif are combined, got %d", code)

@@ -59,12 +59,16 @@ func main() {
 	)
 	flag.Parse()
 
-	mode := map[string]harmony.Mode{
+	mode, ok := map[string]harmony.Mode{
 		"dp-baseline": harmony.DPBaseline,
 		"harmony-dp":  harmony.HarmonyDP,
 		"pp-baseline": harmony.PPBaseline,
 		"harmony-pp":  harmony.HarmonyPP,
 	}[*modeName]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "harmonytrain: unknown mode %q (want %s)\n", *modeName, flag.Lookup("mode").Usage)
+		os.Exit(2)
+	}
 
 	var (
 		tr      *harmony.Trainer

@@ -32,11 +32,29 @@ func harmonytrain(t *testing.T, bin string, args ...string) (stdout, stderr stri
 	return out.String(), errb.String(), cmd.ProcessState.ExitCode()
 }
 
-func TestDivergenceStopsTheRun(t *testing.T) {
+func build(t *testing.T) string {
+	t.Helper()
 	bin := filepath.Join(t.TempDir(), "harmonytrain")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	return bin
+}
+
+// A mistyped -mode is a usage error naming the modes there are, not a
+// run of whichever mode is the zero value.
+func TestUnknownModeIsRejected(t *testing.T) {
+	stdout, stderr, exit := harmonytrain(t, build(t), "-mode", "harmonydp", "-steps", "1")
+	if exit != 2 || stdout != "" {
+		t.Errorf("-mode harmonydp: exit %d, want 2 and nothing trained\n%s", exit, stdout)
+	}
+	if !regexp.MustCompile(`unknown mode "harmonydp".*dp-baseline, harmony-dp, pp-baseline, harmony-pp`).MatchString(stderr) {
+		t.Errorf("stderr does not name the bad mode and the valid ones: %q", stderr)
+	}
+}
+
+func TestDivergenceStopsTheRun(t *testing.T) {
+	bin := build(t)
 
 	// SGD at the default 0.05 overflows on this shape within ten steps.
 	// The run must stop there, say where, and leave no checkpoint.

@@ -81,15 +81,20 @@ func (m Mode) sched() sched.Mode {
 // Toggles exposes the paper's optimizations individually for
 // ablation; the zero value of a field means "use the mode's default".
 type Toggles struct {
-	Grouping            *bool
-	JIT                 *bool
-	P2P                 *bool
-	Packing             *bool
-	Prefetch            *bool
-	DirtyTracking       *bool
+	Grouping      *bool
+	JIT           *bool
+	P2P           *bool
+	Packing       *bool
+	Prefetch      *bool
+	DirtyTracking *bool
+	// DeferBlockedUpdates lets a device run past an update task whose
+	// collective is not ready. It acts in Simulate and Tune only: the
+	// real trainer ignores it.
 	DeferBlockedUpdates *bool
 	// LookaheadEviction switches eviction from LRU to
-	// schedule-informed Belady (the scheduler/swapper co-design).
+	// schedule-informed Belady (the scheduler/swapper co-design). It
+	// acts in Simulate and Tune only: the real trainer's VM evicts by
+	// LRU and ignores it.
 	LookaheadEviction *bool
 	// GroupSize bounds the input-batch grouping window (0 = the
 	// whole mini-batch); see the memory–performance tango.

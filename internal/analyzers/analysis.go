@@ -65,7 +65,10 @@
 // of the golang.org/x/tools/go/analysis surface this module needs
 // (Analyzer / Pass / Diagnostic plus an analysistest-style fixture
 // runner); the container has no module proxy access, so the suite
-// builds on the standard library's go/ast and go/types only.
+// builds on the standard library's go/ast and go/types only. load.go
+// type-checks every package of the module once, in dependency order
+// and in one types universe, with the standard library read from the
+// compiler's export data.
 //
 // False positives are silenced with an explained allowlist directive
 // on the flagged line or the line above:
@@ -203,13 +206,6 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) []*directive {
 func (d *directive) covers(a string, pos token.Position) bool {
 	return d.analyzer == a && d.pos.Filename == pos.Filename &&
 		(d.pos.Line == pos.Line || d.pos.Line == pos.Line-1)
-}
-
-// RunAll runs the given analyzers over one loaded package. It is the
-// single-package form of RunProject, kept for the fixture runner and
-// for callers that load packages one at a time.
-func RunAll(pkg *Package, analyzers ...*Analyzer) ([]Diagnostic, error) {
-	return RunProject([]*Package{pkg}, analyzers...)
 }
 
 // RunProject runs the given analyzers over the whole loaded program:

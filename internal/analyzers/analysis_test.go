@@ -9,13 +9,13 @@ import (
 // directive naming an unknown analyzer, lacking a reason, or
 // suppressing nothing is reported under the "lint" analyzer.
 func TestDirectiveHygiene(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "src", "directives"), "directives")
+	pkgs, err := LoadDirs(filepath.Join("testdata", "src"), "directives")
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	diags, err := RunAll(pkg, All()...)
+	diags, err := RunProject(pkgs, All()...)
 	if err != nil {
-		t.Fatalf("RunAll: %v", err)
+		t.Fatalf("RunProject: %v", err)
 	}
 	mustDiag(t, diags, "lint", `names unknown analyzer "speling"`)
 	mustDiag(t, diags, "lint", `//lint:allow determinism has no reason`)
@@ -47,9 +47,10 @@ func TestAllNames(t *testing.T) {
 	}
 }
 
-// TestLoadRealPackages smoke-tests the offline loader against this
-// module's own sources: go list enumeration plus source-importer
-// type-checking must succeed with no module cache and no network.
+// TestLoadRealPackages smoke-tests the loader against this module's
+// own sources: one go list, the package checked from source, its
+// standard-library imports read from export data — no module cache,
+// no network.
 func TestLoadRealPackages(t *testing.T) {
 	pkgs, err := Load("../..", "./internal/trace")
 	if err != nil {

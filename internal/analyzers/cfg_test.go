@@ -10,8 +10,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -252,7 +250,6 @@ x = 3`)
 // TestCFGErrCondSense: nested error guards classify by edge direction,
 // through the type-checked loader.
 func TestCFGErrCondSense(t *testing.T) {
-	tmp := t.TempDir()
 	src := `package guards
 
 func f(a, b error, x int) int {
@@ -268,13 +265,11 @@ func f(a, b error, x int) int {
 	return 4
 }
 `
-	if err := os.WriteFile(filepath.Join(tmp, "guards.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := LoadDir(tmp, "guards")
+	pkgs, err := LoadDirs(writeModule(t, map[string]string{"guards/guards.go": src}), "guards")
 	if err != nil {
 		t.Fatalf("loading: %v", err)
 	}
+	pkg := pkgs[0]
 	var fd *ast.FuncDecl
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {

@@ -56,11 +56,11 @@ func TestNoTruncation(t *testing.T) {
 		if ent.Name() == "taint" {
 			continue // a two-package project, loaded below
 		}
-		pkg, err := LoadDir(filepath.Join(root, ent.Name()), ent.Name())
+		pkgs, err := LoadDirs(root, ent.Name())
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", ent.Name(), err)
 		}
-		check(ent.Name(), []*Package{pkg})
+		check(ent.Name(), pkgs)
 	}
 	pkgs, err := LoadDirs(filepath.Join(root, "taint"), "clockutil", "internal/exec")
 	if err != nil {

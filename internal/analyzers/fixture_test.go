@@ -71,22 +71,12 @@ func parseWants(t *testing.T, pkg *Package) []*wantEntry {
 	return wants
 }
 
-// runFixture loads testdata/src/<name>, runs the analyzer (directives
-// included, via RunAll) and checks the diagnostics against the want
-// comments.
+// runFixture loads the one package testdata/src/<name>, runs the
+// analyzer (directives included) and checks the diagnostics against
+// the want comments.
 func runFixture(t *testing.T, name string, a *Analyzer) []Diagnostic {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", name)
-	pkg, err := LoadDir(dir, name)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", name, err)
-	}
-	diags, err := RunAll(pkg, a)
-	if err != nil {
-		t.Fatalf("running %s on fixture %s: %v", a.Name, name, err)
-	}
-	checkWants(t, diags, []*Package{pkg})
-	return diags
+	return runProjectFixture(t, "", []string{name}, a)
 }
 
 // runProjectFixture loads several directories under testdata/src/<name>
@@ -99,11 +89,11 @@ func runProjectFixture(t *testing.T, name string, rels []string, a *Analyzer) []
 	root := filepath.Join("testdata", "src", name)
 	pkgs, err := LoadDirs(root, rels...)
 	if err != nil {
-		t.Fatalf("loading project fixture %s: %v", name, err)
+		t.Fatalf("loading fixture %s %v: %v", root, rels, err)
 	}
 	diags, err := RunProject(pkgs, a)
 	if err != nil {
-		t.Fatalf("running %s on project fixture %s: %v", a.Name, name, err)
+		t.Fatalf("running %s on fixture %s %v: %v", a.Name, root, rels, err)
 	}
 	checkWants(t, diags, pkgs)
 	return diags

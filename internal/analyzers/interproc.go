@@ -31,12 +31,9 @@ package analyzers
 //     sanctioned escape hatch (trace.Clock exists exactly so the
 //     deterministic core can time things through an interface).
 //
-// CRITICAL identity note: Load type-checks each top-level package in
-// its own types universe while imports resolve through the shared
-// source importer, so the same function can be represented by distinct
-// *types.Func objects in different packages. Everything here therefore
-// keys functions by FuncKey — import path, receiver type name, function
-// name — never by object identity.
+// Functions are keyed by FuncKey — import path, receiver type name,
+// function name — and locks by LockClass: printable, order-stable names
+// that diagnostics are sorted by and tests can spell.
 
 import (
 	"fmt"

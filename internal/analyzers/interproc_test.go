@@ -5,8 +5,6 @@ package analyzers
 // inline program rather than through an analyzer's diagnostics.
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -94,15 +92,11 @@ func middle(o *owner) {
 // loadEngine writes the inline program to a temp dir and loads it.
 func loadEngine(t *testing.T) *Program {
 	t.Helper()
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "engine.go"), []byte(engineSrc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := LoadDir(dir, "engine")
+	pkgs, err := LoadDirs(writeModule(t, map[string]string{"engine/engine.go": engineSrc}), "engine")
 	if err != nil {
 		t.Fatalf("loading engine package: %v", err)
 	}
-	return BuildProgram([]*Package{pkg})
+	return BuildProgram(pkgs)
 }
 
 func engineKey(name, recv string) FuncKey {

@@ -9,6 +9,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -25,119 +26,122 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Load enumerates packages matching the go list patterns (relative to
-// dir), parses their non-test sources and type-checks them. It works
-// fully offline: imports — standard library and module-internal alike
-// — are resolved by the compiler's source importer, which type-checks
-// dependencies from source instead of fetching export data, so the
-// linter needs neither a populated module cache nor network access.
+// Load enumerates the packages matching the go list patterns (relative
+// to dir) with one `go list -deps -export`, then parses and type-checks
+// the non-test sources of every module package in the listing exactly
+// once, in the listing's dependency order and in one types universe: a
+// package imported by two others is the same *types.Package in both,
+// and the standard library is read from the compiler's export data the
+// listing names. Dependencies the patterns did not match are checked —
+// their importers need their types — but not returned; the matched
+// packages come back sorted by import path.
+//
+// It needs what `go vet` needs: the go tool and a writable build
+// cache, no network and no module cache. A tree that does not compile
+// is go list's error, with the compiler's file:line; so is a pattern
+// that names no directory. A pattern that matches no package with Go
+// files is an error here.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	metas, err := goList(dir, patterns...)
+	listed, err := goList(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	var pkgs []*Package
-	for _, m := range metas {
-		if len(m.GoFiles) == 0 {
-			continue
+	exports := make(map[string]string) // standard library: import path → export file
+	var module []listedPackage
+	for _, m := range listed {
+		if m.Standard {
+			exports[m.ImportPath] = m.Export
+		} else if len(m.GoFiles) > 0 {
+			module = append(module, m)
 		}
-		var paths []string
-		for _, f := range m.GoFiles {
-			paths = append(paths, filepath.Join(m.Dir, f))
-		}
-		pkg, err := check(fset, imp, m.ImportPath, m.Dir, paths)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
 	}
-	return pkgs, nil
-}
-
-// LoadDir parses and type-checks every .go file directly inside dir as
-// a single package with the given import path. Used by the fixture
-// runner, whose testdata packages are invisible to go list.
-func LoadDir(dir, importPath string) (*Package, error) {
-	paths, err := dirGoFiles(dir)
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+	pkgs, err := checkAll(fset, std, module)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	return check(fset, imp, importPath, dir, paths)
+	roots := pkgs[:0]
+	for i, pkg := range pkgs {
+		if !module[i].DepOnly {
+			roots = append(roots, pkg)
+		}
+	}
+	if len(roots) == 0 {
+		return nil, fmt.Errorf("analyzers: no packages with Go files match %v", patterns)
+	}
+	sort.Slice(roots, func(i, j int) bool { return roots[i].Path < roots[j].Path })
+	return roots, nil
 }
 
-// LoadDirs type-checks several fixture directories under root as one
-// program sharing a FileSet, in the given order; each directory's
-// path relative to root is its import path, so an earlier package can
-// be imported by a later one (`import "clockutil"`). Used by the
-// whole-program fixture runner to exercise cross-package dataflow —
-// taint entering a core-named package from a helper package — which a
-// single LoadDir package cannot express.
+// LoadDirs type-checks several fixture directories under root — which
+// are invisible to go list — as one program, in the given order; each
+// directory's path relative to root is its import path, so an earlier
+// package can be imported by a later one (`import "clockutil"`). The
+// handful of standard-library packages fixtures import are checked
+// from source.
 func LoadDirs(root string, rels ...string) ([]*Package, error) {
-	fset := token.NewFileSet()
-	imp := &chainImporter{
-		local:    make(map[string]*types.Package),
-		fallback: importer.ForCompiler(fset, "source", nil),
-	}
-	var pkgs []*Package
+	var dirs []listedPackage
 	for _, rel := range rels {
 		dir := filepath.Join(root, filepath.FromSlash(rel))
-		paths, err := dirGoFiles(dir)
+		ents, err := os.ReadDir(dir)
 		if err != nil {
 			return nil, err
 		}
-		pkg, err := check(fset, imp, rel, dir, paths)
+		m := listedPackage{ImportPath: rel, Dir: dir}
+		for _, e := range ents { // sorted by name
+			if !e.IsDir() && filepath.Ext(e.Name()) == ".go" {
+				m.GoFiles = append(m.GoFiles, e.Name())
+			}
+		}
+		if len(m.GoFiles) == 0 {
+			return nil, fmt.Errorf("analyzers: no .go files in %s", dir)
+		}
+		dirs = append(dirs, m)
+	}
+	fset := token.NewFileSet()
+	return checkAll(fset, importer.ForCompiler(fset, "source", nil), dirs)
+}
+
+// checkAll is the one loader: it parses and type-checks the listed
+// packages from source, each once and in the order given, which must
+// put every package after the listed packages it imports. All share
+// fset and one importer, so they share one types universe.
+func checkAll(fset *token.FileSet, std types.Importer, listed []listedPackage) ([]*Package, error) {
+	imp := &chainImporter{checked: make(map[string]*types.Package), std: std}
+	var pkgs []*Package
+	for _, m := range listed {
+		pkg, err := check(fset, imp, m)
 		if err != nil {
 			return nil, err
 		}
-		imp.local[rel] = pkg.Types
+		imp.checked[m.ImportPath] = pkg.Types
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
 }
 
-// chainImporter serves already-checked fixture packages by import
-// path before falling back to the source importer for the standard
-// library.
+// chainImporter serves the packages checkAll has already checked by
+// import path, and everything else — the standard library — from std.
 type chainImporter struct {
-	local    map[string]*types.Package
-	fallback types.Importer
+	checked map[string]*types.Package
+	std     types.Importer
 }
 
 func (c *chainImporter) Import(path string) (*types.Package, error) {
-	if p := c.local[path]; p != nil {
+	if p := c.checked[path]; p != nil {
 		return p, nil
 	}
-	return c.fallback.Import(path)
-}
-
-// dirGoFiles lists the .go files directly inside dir, sorted.
-func dirGoFiles(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var paths []string
-	for _, e := range ents {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" {
-			paths = append(paths, filepath.Join(dir, e.Name()))
-		}
-	}
-	sort.Strings(paths)
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("analyzers: no .go files in %s", dir)
-	}
-	return paths, nil
+	return c.std.Import(path)
 }
 
 // check parses and type-checks one package's files.
-func check(fset *token.FileSet, imp types.Importer, importPath, dir string, paths []string) (*Package, error) {
+func check(fset *token.FileSet, imp types.Importer, m listedPackage) (*Package, error) {
 	var files []*ast.File
-	for _, p := range paths {
-		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
+	for _, name := range m.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(m.Dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -148,16 +152,15 @@ func check(fset *token.FileSet, imp types.Importer, importPath, dir string, path
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(importPath, fset, files, info)
+	tpkg, err := conf.Check(m.ImportPath, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("analyzers: type-checking %s: %w", importPath, err)
+		return nil, fmt.Errorf("analyzers: type-checking %s: %w", m.ImportPath, err)
 	}
 	return &Package{
-		Path:  importPath,
-		Dir:   dir,
+		Path:  m.ImportPath,
+		Dir:   m.Dir,
 		Fset:  fset,
 		Files: files,
 		Types: tpkg,
@@ -169,13 +172,18 @@ func check(fset *token.FileSet, imp types.Importer, importPath, dir string, path
 type listedPackage struct {
 	ImportPath string
 	Dir        string
-	GoFiles    []string
+	GoFiles    []string // build-constraint-filtered, relative to Dir
+	Standard   bool     // part of the standard library
+	DepOnly    bool     // listed as a dependency, not matched by a pattern
+	Export     string   // file holding the compiler's export data
 }
 
-// goList shells out to the go tool to enumerate packages and their
-// build-constraint-filtered source files.
+// goList shells out to the go tool, once, for the packages matching
+// the patterns and everything they import, dependencies first (-deps
+// lists depth-first post-order). -export compiles what the build
+// cache lacks, so a package that does not build fails here.
 func goList(dir string, patterns ...string) ([]listedPackage, error) {
-	args := append([]string{"list", "-json=ImportPath,Dir,GoFiles"}, patterns...)
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Standard,DepOnly,Export"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var out, errb bytes.Buffer

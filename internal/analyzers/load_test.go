@@ -1,11 +1,15 @@
 package analyzers
 
-// Tests for the offline loader: build-constraint filtering, error
-// surfaces (missing package, syntax error, type error), and the
-// chained fixture importer's stdlib fallback.
+// Tests for the loader: one types universe across module packages and
+// the standard library, dependencies the patterns did not name, the
+// order of what comes back, build-constraint filtering, error surfaces
+// (missing package, empty match, syntax error, type error), and the
+// fixture loader's source-importer fallback.
 
 import (
+	"go/types"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -51,16 +55,27 @@ func TestLoadBuildTags(t *testing.T) {
 	}
 }
 
-// TestLoadMissingPackage: a pattern matching nothing is an error from
-// go list, not a silent empty result.
+// TestLoadMissingPackage: patterns that name nothing to lint are an
+// error, not a silent empty result for the passes to find clean. A
+// missing directory is go list's error; a wildcard that matches
+// nothing is only a warning to go list (exit 0), and a directory
+// holding nothing but tests lists with no Go files, so Load reports
+// those itself, naming the patterns.
 func TestLoadMissingPackage(t *testing.T) {
 	tmp := writeModule(t, map[string]string{
-		"pkg/a.go": "package pkg\n",
+		"pkg/a.go":           "package pkg\n",
+		"onlytest/a_test.go": "package onlytest\n",
 	})
-	if _, err := Load(tmp, "./nosuchdir"); err == nil {
-		t.Fatal("Load of a missing package succeeded")
-	} else if !strings.Contains(err.Error(), "go list") {
-		t.Errorf("error %q does not identify the go list stage", err)
+	for pattern, want := range map[string]string{
+		"./nosuchdir": "go list",
+		"./nosuch...": "./nosuch...",
+		"./onlytest":  "./onlytest",
+	} {
+		if pkgs, err := Load(tmp, pattern); err == nil {
+			t.Errorf("Load(%s) returned %d packages and no error", pattern, len(pkgs))
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("Load(%s): error %q does not mention %q", pattern, err, want)
+		}
 	}
 }
 
@@ -76,39 +91,162 @@ func TestLoadSyntaxError(t *testing.T) {
 	}
 }
 
-// TestLoadDirTypeError: LoadDir surfaces type-check failures with the
-// package path.
+// TestLoadDirTypeError: the fixture loader surfaces type-check
+// failures with the package path.
 func TestLoadDirTypeError(t *testing.T) {
-	dir := t.TempDir()
-	src := "package pkg\n\nfunc Bad() int { return \"not an int\" }\n"
-	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadDir(dir, "pkg"); err == nil {
-		t.Fatal("LoadDir of an ill-typed package succeeded")
+	tmp := writeModule(t, map[string]string{
+		"pkg/a.go": "package pkg\n\nfunc Bad() int { return \"not an int\" }\n",
+	})
+	if _, err := LoadDirs(tmp, "pkg"); err == nil {
+		t.Fatal("LoadDirs of an ill-typed package succeeded")
 	} else if !strings.Contains(err.Error(), "type-checking pkg") {
 		t.Errorf("error %q does not identify the type-check stage", err)
 	}
 }
 
+// TestLoadDepOnlyTypeError: a type error in a dependency the patterns
+// did not name is reported at its own file, not at the importer's.
+func TestLoadDepOnlyTypeError(t *testing.T) {
+	tmp := writeModule(t, map[string]string{
+		"a/a.go": "package a\n\nimport \"loadtest/b\"\n\nfunc A() int { return b.B() }\n",
+		"b/b.go": "package b\n\nfunc B() int { return \"not an int\" }\n",
+	})
+	if _, err := Load(tmp, "./a"); err == nil {
+		t.Fatal("Load over an ill-typed dependency succeeded")
+	} else if !strings.Contains(err.Error(), "b.go:3") {
+		t.Errorf("error %q does not name the bad file and line", err)
+	}
+}
+
+// chain is a → b → z with a → z: the leaf sorts last by import path and
+// is listed first by dependency order, and a sees z both directly and
+// through b.
+func chain(t *testing.T) string {
+	return writeModule(t, map[string]string{
+		"a/a.go": "package a\n\nimport (\n\t\"loadtest/b\"\n\t\"loadtest/z\"\n\t\"sync\"\n)\n\nvar Mu sync.Mutex\n\nvar Direct z.T\n\nvar ViaB = b.Get()\n",
+		"b/b.go": "package b\n\nimport \"loadtest/z\"\n\nfunc Get() *z.T { return new(z.T) }\n",
+		"z/z.go": "package z\n\nimport \"sync\"\n\ntype T struct{ Mu sync.Mutex }\n",
+	})
+}
+
+// named is the defining object of the named type of a package-level
+// variable or struct field, pointers stripped.
+func named(t *testing.T, obj types.Object) *types.TypeName {
+	t.Helper()
+	typ := obj.Type()
+	if p, ok := typ.(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	n, ok := typ.(*types.Named)
+	if !ok {
+		t.Fatalf("%v is not of a named type", obj)
+	}
+	return n.Obj()
+}
+
+func paths(pkgs []*Package) []string {
+	var out []string
+	for _, pkg := range pkgs {
+		out = append(out, pkg.Path)
+	}
+	return out
+}
+
+func imports(pkg, dep *Package) bool {
+	for _, imp := range pkg.Types.Imports() {
+		if imp == dep.Types {
+			return true
+		}
+	}
+	return false
+}
+
+// TestLoadOneUniverse: every module package is checked once, so an
+// importer holds the very *types.Package the root is, the returned
+// roots are sorted by import path whatever order they were checked in,
+// and the standard library is one copy too — sync.Mutex reached from a
+// and from z is the same object.
+func TestLoadOneUniverse(t *testing.T) {
+	pkgs, err := Load(chain(t), "./...")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(pkgs) != 3 || pkgs[0].Path != "loadtest/a" || pkgs[1].Path != "loadtest/b" || pkgs[2].Path != "loadtest/z" {
+		t.Fatalf("want [a b z] sorted by import path, got %v", paths(pkgs))
+	}
+	a, b, z := pkgs[0], pkgs[1], pkgs[2]
+	if !imports(a, b) || !imports(a, z) || !imports(b, z) {
+		t.Error("an importer's copy of a module package is not the root's *types.Package")
+	}
+	zT := z.Types.Scope().Lookup("T")
+	if got := named(t, a.Types.Scope().Lookup("ViaB")); got != zT {
+		t.Errorf("z.T reached from a through b is %p, z's own is %p", got, zT)
+	}
+	fromA := named(t, a.Types.Scope().Lookup("Mu"))
+	fromZ := named(t, zT.Type().Underlying().(*types.Struct).Field(0))
+	if fromA != fromZ {
+		t.Errorf("sync.Mutex is %p from a and %p from z: two copies of the standard library", fromA, fromZ)
+	}
+}
+
+// TestLoadUnlistedMiddle: with a and z named and b — the link between
+// them — not, b is still checked from source in the same universe (a
+// must not meet a second z through b's export data) but is not
+// returned.
+func TestLoadUnlistedMiddle(t *testing.T) {
+	pkgs, err := Load(chain(t), "./a", "./z")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(pkgs) != 2 || pkgs[0].Path != "loadtest/a" || pkgs[1].Path != "loadtest/z" {
+		t.Fatalf("want exactly [a z], got %v", paths(pkgs))
+	}
+	a, z := pkgs[0], pkgs[1]
+	zT := z.Types.Scope().Lookup("T")
+	if !imports(a, z) || named(t, a.Types.Scope().Lookup("Direct")) != zT || named(t, a.Types.Scope().Lookup("ViaB")) != zT {
+		t.Error("a's view of z, directly or through the unlisted b, is not z.Types")
+	}
+}
+
+// TestLoadLiveTree: over this module, Load returns the packages go
+// list names (TestNoTruncation holds that their explorations
+// complete), and the linter still links nothing of the module it
+// lints: internal/analyzers' only harmony/ dependency is itself.
+func TestLoadLiveTree(t *testing.T) {
+	root := filepath.Join("..", "..")
+	list := func(args ...string) []string {
+		cmd := exec.Command("go", append([]string{"list"}, args...)...)
+		cmd.Dir = root
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go list %v: %v", args, err)
+		}
+		return strings.Fields(string(out))
+	}
+	pkgs, err := Load(root, "./...")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	got, want := paths(pkgs), list("-f", "{{if .GoFiles}}{{.ImportPath}}{{end}}", "./...")
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("Load returned\n  %v\ngo list ./... names\n  %v", got, want)
+	}
+	for _, dep := range list("-deps", "./internal/analyzers") {
+		if strings.HasPrefix(dep, "harmony/") && dep != "harmony/internal/analyzers" {
+			t.Errorf("internal/analyzers links %s, a package of the module it lints", dep)
+		}
+	}
+}
+
 // TestLoadDirsFallbackImporter: a later fixture directory resolves an
-// earlier one by rel path through the local map, while stdlib imports
-// fall through to the source importer — both in one program.
+// earlier one by rel path among the packages already checked, while
+// stdlib imports fall through to the source importer — both in one
+// program.
 func TestLoadDirsFallbackImporter(t *testing.T) {
-	root := t.TempDir()
-	files := map[string]string{
+	root := writeModule(t, map[string]string{
 		"base/base.go": "package base\n\nimport \"sync\"\n\nvar Mu sync.Mutex\n",
 		"top/top.go":   "package top\n\nimport \"base\"\n\nfunc Touch() { base.Mu.Lock(); base.Mu.Unlock() }\n",
-	}
-	for rel, src := range files {
-		path := filepath.Join(root, filepath.FromSlash(rel))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 	pkgs, err := LoadDirs(root, "base", "top")
 	if err != nil {
 		t.Fatalf("LoadDirs: %v", err)
@@ -120,6 +258,9 @@ func TestLoadDirsFallbackImporter(t *testing.T) {
 	// diagnostics over them) are mutually consistent.
 	if pkgs[0].Fset != pkgs[1].Fset {
 		t.Error("LoadDirs packages do not share a FileSet")
+	}
+	if !imports(pkgs[1], pkgs[0]) {
+		t.Error("top's copy of base is not the *types.Package LoadDirs returned")
 	}
 	// Order matters: the dependency must be listed first.
 	if _, err := LoadDirs(root, "top", "base"); err == nil {

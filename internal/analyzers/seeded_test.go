@@ -66,25 +66,10 @@ func seedFile(t *testing.T, tmp, rel, src string) {
 }
 
 // runSeeded loads the given packages from the temp module and runs one
-// analyzer over them as a project. The load happens with the process
-// chdir'd into the temp module: the source importer resolves imports
-// relative to the working directory, and module-internal imports must
-// land on the seeded copies, not this repo's originals.
+// analyzer over them as a project.
 func runSeeded(t *testing.T, tmp string, a *Analyzer, patterns ...string) []Diagnostic {
 	t.Helper()
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(tmp); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := os.Chdir(wd); err != nil {
-			t.Fatalf("restoring working directory: %v", err)
-		}
-	}()
-	pkgs, err := Load(".", patterns...)
+	pkgs, err := Load(tmp, patterns...)
 	if err != nil {
 		t.Fatalf("loading seeded module: %v", err)
 	}

@@ -454,11 +454,16 @@ func TestLookaheadFallsBackToLRUWithoutOracle(t *testing.T) {
 // Fuzz-style property test: a random but legal sequence of acquires
 // and releases never violates the manager's core invariants — usage
 // never exceeds capacity, accounting matches residency, and every
-// request eventually completes.
+// request eventually completes. The draws are seeded, so tier-1 is the
+// same run every time; the named cases are inputs on which an earlier
+// generator asked for a tensor on one device while its acquire on the
+// other was still queued, and the two requests stole it from each
+// other until go test's timeout.
 func TestManagerRandomWorkloadInvariants(t *testing.T) {
 	f := func(seed int64, opsRaw uint8, dirty, p2p bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		eng := sim.NewEngine()
+		eng.Limit = 100_000 // a livelock fails here, on quick's "failed on input" line
 		cfg := hw.Commodity1080TiBox(2)
 		cfg.GPUMemBytes = 2000
 		top, err := hw.NewBox(eng, cfg)
@@ -480,6 +485,7 @@ func TestManagerRandomWorkloadInvariants(t *testing.T) {
 			mut bool
 		}
 		var holds []held
+		busy := make(map[*tensor.Tensor]bool) // requested and not yet released
 		granted := 0
 		wanted := 0
 		ops := int(opsRaw%30) + 5
@@ -489,6 +495,7 @@ func TestManagerRandomWorkloadInvariants(t *testing.T) {
 				k := rng.Intn(len(holds))
 				h := holds[k]
 				holds = append(holds[:k], holds[k+1:]...)
+				delete(busy, h.t)
 				var muts []*tensor.Tensor
 				if h.mut {
 					muts = []*tensor.Tensor{h.t}
@@ -499,24 +506,19 @@ func TestManagerRandomWorkloadInvariants(t *testing.T) {
 				}
 				continue
 			}
-			// Acquire a tensor not currently held (holding the same
-			// tensor twice on different devices would deadlock by
-			// design — a task conflict the scheduler never creates).
+			// Acquire a tensor neither held nor waited for (wanting
+			// the same tensor twice on different devices would
+			// deadlock by design — a task conflict the scheduler never
+			// creates).
 			cand := tensors[rng.Intn(len(tensors))]
-			conflict := false
-			for _, h := range holds {
-				if h.t == cand {
-					conflict = true
-					break
-				}
-			}
-			if conflict {
+			if busy[cand] {
 				continue
 			}
 			dev := hw.DeviceID(rng.Intn(2))
 			mut := rng.Intn(2) == 0
 			wanted++
 			h := held{dev: dev, t: cand, mut: mut}
+			busy[cand] = true
 			m.Acquire(dev, []*tensor.Tensor{cand}, nil, 0, func() {
 				granted++
 				holds = append(holds, h)
@@ -563,7 +565,23 @@ func TestManagerRandomWorkloadInvariants(t *testing.T) {
 		}
 		return granted == wanted && m.Err() == nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	for _, c := range []struct {
+		seed       int64
+		ops        uint8
+		dirty, p2p bool
+	}{
+		{-5206971755474102141, 0x59, false, false},
+		{4539929807818900944, 0x4a, true, true},
+		{8228412490955372308, 0x59, true, true},
+		{1295111333329180313, 0xde, true, true},
+		{-260292641719306718, 0xb2, true, false},
+		{-8907179352239023119, 0x6c, false, false},
+	} {
+		if !f(c.seed, c.ops, c.dirty, c.p2p) {
+			t.Errorf("failed on input %d, %#x, %v, %v", c.seed, c.ops, c.dirty, c.p2p)
+		}
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

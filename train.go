@@ -38,7 +38,9 @@ type TrainerConfig struct {
 	Adam bool
 	LR   float32
 	Seed uint64
-	// Toggles override the mode's default optimizations.
+	// Toggles override the mode's default optimizations. The trainer
+	// ignores LookaheadEviction and DeferBlockedUpdates, which act in
+	// the simulator only.
 	Toggles *Toggles
 	// Serial forces the single-threaded reference executor instead of
 	// the default parallel device-worker executor. Both produce
