@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-sarif test bench-test race bench bench-contend bench-pair schedcheck fuzz loc check
+.PHONY: all build vet lint lint-sarif test bench-test race bench-contend bench-pair schedcheck fuzz loc check
 
 all: check
 
@@ -60,15 +60,6 @@ bench-test:
 # out.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v internal/analyzers)
-
-# Executor ablation: serial reference vs parallel device workers;
-# then the step's two per-element layers alone — the Dense kernel sequence of the three
-# MLP shapes harmonybench trains (nominal GFLOP/s, forward and
-# backward) and one collective chunk of its comm-bound shape.
-bench:
-	$(GO) test -run XXX -bench 'BenchmarkTrainerStep' -benchmem .
-	$(GO) test -run XXX -bench 'BenchmarkDenseStep' -benchmem ./internal/nn/
-	$(GO) test -run XXX -bench 'BenchmarkReduceChunk' -benchmem ./internal/exec/
 
 # Contention-scaling smoke (part of `make check`): the sharded Ensure
 # hot path under a Zipf working set and under one goroutine per device

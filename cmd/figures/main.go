@@ -2,9 +2,10 @@
 // evaluation as text tables (and optional CSV): Fig. 1 (model
 // growth), Fig. 2(a) (DP swap bottleneck), Fig. 2(c) (PP swap
 // imbalance), Fig. 4 (Harmony-PP schedule), Fig. 5 (analytical vs
-// simulated swap volumes), plus the extension tables EXT1
-// (baseline vs Harmony throughput) and EXT2 (memory–performance
-// tango sweep).
+// simulated swap volumes), the extension tables EXT1 (baseline vs
+// Harmony throughput), EXT2 (memory–performance tango sweep), EXT3
+// (parallelism strategies), EXT4 (multi-machine layouts) and EXT5
+// (feasibility), and the ablation table.
 //
 // Usage:
 //
@@ -17,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"harmony/internal/experiments"
 	"harmony/internal/hw"
@@ -26,42 +28,43 @@ import (
 	"harmony/internal/tuner"
 )
 
+// artifacts is every table and figure, in the order "all" prints them.
+var artifacts = []struct {
+	name string
+	run  func(csv bool) error
+}{
+	{"1", fig1}, {"2a", fig2a}, {"2c", fig2c}, {"4", fig4}, {"5", fig5},
+	{"ext1", ext1}, {"ext2", ext2}, {"ext3", ext3}, {"ext4", ext4}, {"ext5", ext5},
+	{"abl", abl},
+}
+
 func main() {
-	fig := flag.String("fig", "all", "which artifact: 1, 2a, 2c, 4, 5, ext1, ext2 or all")
+	names := make([]string, len(artifacts))
+	for i, a := range artifacts {
+		names[i] = a.name
+	}
+	known := strings.Join(names, ", ") + " or all"
+	fig := flag.String("fig", "all", "which artifact: "+known)
 	csv := flag.Bool("csv", false, "also print CSV rows")
 	flag.Parse()
 
-	runners := map[string]func(bool) error{
-		"1":    fig1,
-		"2a":   fig2a,
-		"2c":   fig2c,
-		"4":    fig4,
-		"5":    fig5,
-		"ext1": ext1,
-		"ext2": ext2,
-		"ext3": ext3,
-		"ext4": ext4,
-		"ext5": ext5,
-	}
-	order := []string{"1", "2a", "2c", "4", "5", "ext1", "ext2", "ext3", "ext4", "ext5"}
-	if *fig != "all" {
-		r, ok := runners[*fig]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "figures: unknown artifact %q (want 1, 2a, 2c, 4, 5, ext1..ext5, all)\n", *fig)
-			os.Exit(2)
+	ran := false
+	for _, a := range artifacts {
+		if *fig != "all" && *fig != a.name {
+			continue
 		}
-		if err := r(*csv); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+		if err := a.run(*csv); err != nil {
+			fmt.Fprintf(os.Stderr, "figures: %s: %v\n", a.name, err)
 			os.Exit(1)
 		}
-		return
-	}
-	for _, k := range order {
-		if err := runners[k](*csv); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %s: %v\n", k, err)
-			os.Exit(1)
+		if *fig == "all" {
+			fmt.Println()
 		}
-		fmt.Println()
+		ran = true
+	}
+	if !ran {
+		fmt.Fprintf(os.Stderr, "figures: unknown artifact %q (want %s)\n", *fig, known)
+		os.Exit(2)
 	}
 }
 
@@ -290,6 +293,28 @@ func ext5(csv bool) error {
 			fmt.Printf("%s,%d,%s,%.4f,%.3f,%.3f,%v\n",
 				r.Model, r.Params, r.Strategy, r.IterSeconds, r.FineTuneDays, r.PreTrainYears, r.Feasible)
 		}
+	}
+	return nil
+}
+
+func abl(csv bool) error {
+	fmt.Println("== Ablations: one Harmony optimization changed at a time (Harmony-DP, 12×2M-param layers, 2×48 MiB GPUs, 4 microbatches) ==")
+	fmt.Println("(expect: grouping is the biggest lever; p2p and prefetch neutral at one replica per GPU; lookahead eviction a wash vs LRU)")
+	rows, err := experiments.Ablation()
+	if err != nil {
+		return err
+	}
+	t := report.NewTable(
+		report.Column{Header: "configuration"},
+		report.Column{Header: "throughput s/s", Align: report.Right},
+		report.Column{Header: "swap GB/iter", Align: report.Right},
+	)
+	for _, r := range rows {
+		t.Row(r.Name, r.Throughput, r.SwapGB)
+	}
+	fmt.Print(t)
+	if csv {
+		fmt.Print(t.CSV())
 	}
 	return nil
 }

@@ -87,6 +87,12 @@ func main() {
 		CommBucketBytes: *commBkt,
 	}
 	retuneStep, retuneMB, err := parseRetune(*retune)
+	if err == nil && *retune != "" && retuneStep >= *steps {
+		err = fmt.Errorf("-retune step %d is never reached with -steps %d", retuneStep, *steps)
+	}
+	if err == nil && *deviceMem < 0 {
+		err = fmt.Errorf("-device-mem %d is negative (0 = half the footprint)", *deviceMem)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "harmonytrain: %v\n", err)
 		os.Exit(2)
@@ -166,7 +172,7 @@ func main() {
 	var stepTL *trace.Trace
 	for s := 0; s < *steps; s++ {
 		if retuneStep > 0 && s == retuneStep {
-			if rerr := tr.Retune(retuneMB, nil); rerr != nil {
+			if rerr := tr.Retune(retuneMB); rerr != nil {
 				fmt.Printf("retune before step %d rejected; keeping the current plan:\n%v\n", s, rerr)
 			} else {
 				fmt.Printf("retuned before step %d: %d microbatches\n", s, retuneMB)

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -50,6 +51,27 @@ func TestUnknownModeIsRejected(t *testing.T) {
 	}
 	if !regexp.MustCompile(`unknown mode "harmonydp".*dp-baseline, harmony-dp, pp-baseline, harmony-pp`).MatchString(stderr) {
 		t.Errorf("stderr does not name the bad mode and the valid ones: %q", stderr)
+	}
+}
+
+// A flag value that cannot take effect is a usage error naming the
+// flag, not a run that quietly does something else.
+func TestFlagsWithNoEffectAreRejected(t *testing.T) {
+	bin := build(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-retune", "step=5,microbatches=4", "-steps", "2"}, `-retune step 5 is never reached with -steps 2`},
+		{[]string{"-device-mem", "-5", "-steps", "1"}, `-device-mem -5 is negative`},
+	} {
+		stdout, stderr, exit := harmonytrain(t, bin, tc.args...)
+		if exit != 2 || stdout != "" {
+			t.Errorf("%v: exit %d, want 2 and nothing trained\n%s", tc.args, exit, stdout)
+		}
+		if !strings.Contains(stderr, tc.want) {
+			t.Errorf("%v: stderr %q does not say %q", tc.args, stderr, tc.want)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@
 //     discrete-event model of a commodity GPU server (the substitute
 //     for the paper's 4×1080Ti testbed) and reports throughput and
 //     swap traffic. Every figure of the paper is regenerated this
-//     way (see cmd/figures and bench_test.go).
+//     way (see cmd/figures and internal/experiments).
 //
 //   - Tune searches the §4 "memory–performance tango": microbatch
 //     size, group size, prefetching and update deferral.
@@ -88,13 +88,14 @@ type Toggles struct {
 	Prefetch      *bool
 	DirtyTracking *bool
 	// DeferBlockedUpdates lets a device run past an update task whose
-	// collective is not ready. It acts in Simulate and Tune only: the
-	// real trainer ignores it.
+	// collective is not ready. It acts in Simulate and Tune only:
+	// setting it in TrainerConfig.Toggles is rejected by NewTrainer.
 	DeferBlockedUpdates *bool
 	// LookaheadEviction switches eviction from LRU to
 	// schedule-informed Belady (the scheduler/swapper co-design). It
 	// acts in Simulate and Tune only: the real trainer's VM evicts by
-	// LRU and ignores it.
+	// LRU, and setting it in TrainerConfig.Toggles is rejected by
+	// NewTrainer.
 	LookaheadEviction *bool
 	// GroupSize bounds the input-batch grouping window (0 = the
 	// whole mini-batch); see the memory–performance tango.

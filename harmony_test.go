@@ -206,6 +206,21 @@ func TestTrainerValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("non-divisible batch accepted")
 	}
+	// A toggle only the simulator reads is refused by name, whichever
+	// way it is set, instead of being accepted to no effect.
+	for _, v := range []bool{false, true} {
+		for field, tg := range map[string]*Toggles{
+			"LookaheadEviction":   {LookaheadEviction: Bool(v)},
+			"DeferBlockedUpdates": {DeferBlockedUpdates: Bool(v)},
+		} {
+			_, err := NewTrainer(TrainerConfig{
+				Widths: []int{4, 2}, Devices: 1, DeviceBytes: 1 << 20, BatchSize: 4, Toggles: tg,
+			})
+			if err == nil || !strings.Contains(err.Error(), "Toggles."+field) {
+				t.Fatalf("simulator-only toggle %s=%v: got %v, want an error naming the field", field, v, err)
+			}
+		}
+	}
 }
 
 func TestSimulateRecomputeTradesComputeForMemory(t *testing.T) {

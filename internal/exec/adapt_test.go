@@ -3,13 +3,16 @@ package exec
 import (
 	"math/rand"
 	"reflect"
+	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"harmony/internal/data"
 	"harmony/internal/nn"
 	"harmony/internal/sched"
+	"harmony/internal/schedcheck"
 )
 
 // ------------------------------------ controller properties (unit)
@@ -303,54 +306,6 @@ func TestAdaptiveBitExactUnderRecovery(t *testing.T) {
 
 // --------------------------------------------------- retune (e2e)
 
-// TestRetuneOptionsSwapBitExact: a light retune (same graph, new
-// schedule options) between steps must keep training bit-identical to
-// an uninterrupted run whose plan was the retune target from step 0 is
-// NOT required — microbatch math is unchanged, so the guarantee is
-// stronger: the whole run must match the serial reference exactly.
-func TestRetuneOptionsSwapBitExact(t *testing.T) {
-	nn.SetWorkers(4)
-	defer nn.SetWorkers(runtime.GOMAXPROCS(0))
-	const steps = 4
-	for _, mode := range []sched.Mode{sched.HarmonyDP, sched.HarmonyPP} {
-		t.Run(mode.String(), func(t *testing.T) {
-			ref := trainerConfig(mode, 2)
-			ref.Serial = true
-			a, lossA := runTrainer(t, ref, steps)
-
-			cfg := trainerConfig(mode, 2)
-			tr, err := NewTrainer(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tr.Close()
-			blobs := data.NewBlobs(cfg.Widths[0], cfg.Widths[len(cfg.Widths)-1], 0.5, 7)
-			var losses []float32
-			for s := 0; s < steps; s++ {
-				if s == 2 {
-					// Mid-run: switch the same graph to an adaptive
-					// prefetch plan.
-					opts := sched.DefaultOptions(mode)
-					opts.AdaptivePrefetch = true
-					if err := tr.Retune(RetuneRequest{Options: &opts}); err != nil {
-						t.Fatalf("light retune rejected: %v", err)
-					}
-					if tr.AdaptStats() == nil {
-						t.Fatal("retune to adaptive plan did not arm controllers")
-					}
-				}
-				in, lb := blobs.ReplicaBatches(tr.Replicas(), cfg.Microbatches, cfg.MicrobatchSize, uint64(s))
-				loss, err := tr.Step(in, lb)
-				if err != nil {
-					t.Fatal(err)
-				}
-				losses = append(losses, loss)
-			}
-			assertSameRun(t, a, tr, lossA, losses)
-		})
-	}
-}
-
 // TestRetuneMicrobatchReshapeDeterministic: a heavy retune (graph and
 // VM rebuilt, state round-tripped through the checkpoint) must be
 // deterministic — two identical runs retuning at the same step produce
@@ -411,7 +366,10 @@ func TestRetuneRejectionKeepsPlan(t *testing.T) {
 	ref.Serial = true
 	a, lossA := runTrainer(t, ref, steps)
 
+	// A device one byte above what the running plan ever pins at once:
+	// the plan is admitted, any coarser split is not.
 	cfg := trainerConfig(mode, 2)
+	cfg.DeviceBytes = slices.Max(schedcheck.Check(a.s, a.topology()).PeakPinBytes) + 1
 	tr, err := NewTrainer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -421,12 +379,13 @@ func TestRetuneRejectionKeepsPlan(t *testing.T) {
 	var losses []float32
 	for s := 0; s < steps; s++ {
 		if s == 1 {
-			// An option set the planner refuses is rejected before
-			// anything is swapped.
-			opts := sched.DefaultOptions(mode)
-			opts.CommChunks = -1
-			if err := tr.Retune(RetuneRequest{Options: &opts}); err == nil {
-				t.Fatal("negative comm chunk count accepted")
+			// One microbatch of the whole batch quadruples every
+			// activation: the verifier refuses the reshape with its
+			// counterexample before anything is swapped.
+			err := tr.Retune(RetuneRequest{MicrobatchSize: 32, Microbatches: 1})
+			if err == nil || !strings.Contains(err.Error(), "plan unchanged") ||
+				!regexp.MustCompile(`peak pinned bytes \d+ exceed capacity`).MatchString(err.Error()) {
+				t.Fatalf("over-capacity reshape not rejected with a counterexample: %v", err)
 			}
 			// The trainer's own batch-product rule also rejects with
 			// the plan untouched.

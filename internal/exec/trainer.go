@@ -743,27 +743,23 @@ func (tr *Trainer) recoverFrom(dev int) error {
 }
 
 // RetuneRequest describes a mid-run plan change for Trainer.Retune.
-// Zero/nil fields keep the current value. A microbatch reshape must
+// Zero fields keep the current value. A microbatch reshape must
 // preserve the per-replica batch (MicrobatchSize × Microbatches), so
 // the Step input contract is unchanged apart from the slicing.
 type RetuneRequest struct {
 	MicrobatchSize int
 	Microbatches   int
-	// Options replaces the schedule's option set (Mode is forced to
-	// the trainer's). nil keeps the current options.
-	Options *sched.Options
 }
 
 // Retune swaps the trainer's execution plan between iterations: it
-// rebuilds the schedule (and, for a microbatch reshape or memory
-// policy change, the task graph and VM) for the requested
-// configuration, runs the full schedcheck preflight on the candidate
-// plan, and adopts it only if verification passes. An infeasible
-// retune returns the verifier's Gantt counterexample and leaves the
-// running plan untouched — the next Step continues exactly as before.
-// Training state survives adoption: a heavy retune round-trips
-// weights, optimizer state and the step counter through the
-// microbatch-independent checkpoint format.
+// rebuilds the task graph and schedule for the requested microbatch
+// shape under the current options, runs the full schedcheck preflight
+// on the candidate plan, and adopts it only if verification passes. An
+// infeasible retune returns the verifier's Gantt counterexample and
+// leaves the running plan untouched — the next Step continues exactly
+// as before. Training state survives adoption: weights, optimizer
+// state and the step counter round-trip through the
+// microbatch-independent checkpoint format into a fresh VM.
 //
 // Call only between Steps (same non-concurrency contract as Step).
 func (tr *Trainer) Retune(req RetuneRequest) error {
@@ -778,32 +774,22 @@ func (tr *Trainer) Retune(req RetuneRequest) error {
 		return fmt.Errorf("exec: retune must preserve the per-replica batch: %d×%d != %d×%d",
 			mbs, mbc, tr.cfg.MicrobatchSize, tr.cfg.Microbatches)
 	}
-	opts := tr.s.Opts
-	if req.Options != nil {
-		opts = *req.Options
-		opts.Mode = tr.cfg.Mode
-	}
-	graphChanged := mbs != tr.cfg.MicrobatchSize || mbc != tr.cfg.Microbatches
-	if !graphChanged && opts == tr.s.Opts {
+	if mbs == tr.cfg.MicrobatchSize {
 		return nil
 	}
 
 	// Build and verify the candidate plan without touching the live
 	// one: any failure below this point leaves the trainer unchanged.
-	g2 := tr.g
-	if graphChanged {
-		var err error
-		g2, err = graph.Build(graph.Config{
-			Model:          kernelModel(tr.layers, tr.cfg.Optimizer == Adam),
-			MicrobatchSize: mbs,
-			Microbatches:   mbc,
-			Replicas:       tr.g.Cfg.Replicas,
-		})
-		if err != nil {
-			return fmt.Errorf("exec: retune: %w", err)
-		}
+	g2, err := graph.Build(graph.Config{
+		Model:          kernelModel(tr.layers, tr.cfg.Optimizer == Adam),
+		MicrobatchSize: mbs,
+		Microbatches:   mbc,
+		Replicas:       tr.g.Cfg.Replicas,
+	})
+	if err != nil {
+		return fmt.Errorf("exec: retune: %w", err)
 	}
-	s2, err := sched.Build(g2, opts, tr.cfg.Devices)
+	s2, err := sched.Build(g2, tr.s.Opts, tr.cfg.Devices)
 	if err != nil {
 		return fmt.Errorf("exec: retune: %w", err)
 	}
@@ -829,45 +815,26 @@ func (tr *Trainer) Retune(req RetuneRequest) error {
 		}
 	}
 
-	// A graph or memory-policy change needs a fresh VM; carry the
-	// training state across in the checkpoint format (captured while
-	// the old graph's tensor handles are still live).
-	heavy := graphChanged || s2.MemPolicy != tr.s.MemPolicy
-	var snap []byte
-	if heavy {
-		var buf bytes.Buffer
-		if err := tr.Save(&buf); err != nil {
-			return fmt.Errorf("exec: retune: %w", err)
-		}
-		snap = buf.Bytes()
+	// The new graph's tensors need a fresh VM; carry the training state
+	// across in the checkpoint format (captured while the old graph's
+	// tensor handles are still live).
+	var snap bytes.Buffer
+	if err := tr.Save(&snap); err != nil {
+		return fmt.Errorf("exec: retune: %w", err)
 	}
 
 	// ---- adopt ----
 	tr.cfg.MicrobatchSize, tr.cfg.Microbatches = mbs, mbc
-	if req.Options != nil {
-		o := opts
-		tr.cfg.Options = &o
-	}
 	tr.g, tr.s, tr.streams = g2, s2, streams2
 	tr.comm = buildCommPlan(s2)
 	tr.validated, tr.valErr = true, nil // liveness just proven
 	tr.armPrefetch()
-	if heavy {
-		tr.freshVM() // step boundary: WaitIdle already drained in-flight DMAs
-		if err := tr.Load(bytes.NewReader(snap)); err != nil {
-			return fmt.Errorf("exec: retune state restore: %w", err)
-		}
-		if tr.cfg.Recover {
-			if err := tr.snapshot(); err != nil {
-				return err
-			}
-		}
-	} else if tr.pf != nil {
-		tr.vm.StartEngine(0) // idempotent; arms the engine if the old plan never did
-		for p := 0; p < tr.cfg.Devices; p++ {
-			tr.vm.SetPrefetchBudget(p, 0) // 0 clamps back to the engine cap
-		}
-		tr.pf.applyBudgets()
+	tr.freshVM() // step boundary: WaitIdle already drained in-flight DMAs
+	if err := tr.Load(&snap); err != nil {
+		return fmt.Errorf("exec: retune state restore: %w", err)
+	}
+	if tr.cfg.Recover {
+		return tr.snapshot()
 	}
 	return nil
 }

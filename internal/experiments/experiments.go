@@ -1,7 +1,7 @@
 // Package experiments defines one runnable experiment per table and
 // figure in the paper, mapping workloads and parameters (DESIGN.md's
 // per-experiment index) onto the simulator and returning structured
-// rows that cmd/figures renders and bench_test.go regenerates.
+// rows that cmd/figures renders and this package's tests pin.
 package experiments
 
 import (
@@ -14,7 +14,6 @@ import (
 	"harmony/internal/models"
 	"harmony/internal/runtime"
 	"harmony/internal/sched"
-	"harmony/internal/sim"
 	"harmony/internal/sweep"
 	"harmony/internal/trace"
 )
@@ -372,11 +371,6 @@ func Ext1(model *models.Model, gpuCounts []int, batchPerDev int, gpuMemBytes int
 	return rows, nil
 }
 
-// ---------------------------------------------------------------- helpers
-
-// Duration formats a sim.Time for tables.
-func Duration(t sim.Time) string { return fmt.Sprintf("%.3fs", float64(t)) }
-
 // ---------------------------------------------------------------- EXT3
 
 // Ext3Row compares the three parallelism strategies the paper's task
@@ -573,4 +567,51 @@ func trimReason(s string) string {
 		return s[:87] + "..."
 	}
 	return s
+}
+
+// ---------------------------------------------------------------- TAB-ABL
+
+// AblationRow is one configuration of the ablation table: the
+// Harmony-DP default with one optimization changed.
+type AblationRow struct {
+	Name       string
+	Throughput float64 // samples/s
+	SwapGB     float64 // swap-in + swap-out per iteration
+}
+
+// Ablation flips each Harmony optimization off one at a time
+// (DESIGN.md §5) on a memory-pressured DP workload — 12 uniform layers
+// of 2 M parameters, 2 GPUs of 48 MiB, 4 microbatches of 1 — so the
+// deltas against the first row, all-on, quantify each technique's
+// contribution. The last row swaps LRU for schedule-informed (Belady)
+// eviction, the paper's scheduler/swapper co-design.
+func Ablation() ([]AblationRow, error) {
+	model := models.Uniform("ablation", 12, 2_000_000, 64<<10, 2e10)
+	box := hw.Commodity1080TiBox(2)
+	box.GPUMemBytes = 48 << 20
+	variants := []struct {
+		name string
+		set  func(*sched.Options)
+	}{
+		{"all-on", func(*sched.Options) {}},
+		{"no-grouping", func(o *sched.Options) { o.Grouping = false }},
+		{"no-jit", func(o *sched.Options) { o.JIT = false }},
+		{"no-p2p", func(o *sched.Options) { o.P2P = false }},
+		{"no-prefetch", func(o *sched.Options) { o.Prefetch = false }},
+		{"no-dirty-tracking", func(o *sched.Options) { o.DirtyTracking = false }},
+		{"no-defer", func(o *sched.Options) { o.DeferBlockedUpdates = false }},
+		{"group-of-2", func(o *sched.Options) { o.GroupSize = 2 }},
+		{"lookahead-eviction", func(o *sched.Options) { o.LookaheadEviction = true }},
+	}
+	var rows []AblationRow
+	for _, v := range variants {
+		opts := sched.DefaultOptions(sched.HarmonyDP)
+		v.set(&opts)
+		res, err := run(model, sched.HarmonyDP, opts, box, 1, 4, 2, 1, 2)
+		if err != nil {
+			return nil, fmt.Errorf("ablation %s: %w", v.name, err)
+		}
+		rows = append(rows, AblationRow{v.name, res.Throughput, GB(res.SwapInBytes + res.SwapOutBytes)})
+	}
+	return rows, nil
 }

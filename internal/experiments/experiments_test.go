@@ -261,3 +261,44 @@ func TestExt5Shape(t *testing.T) {
 		}
 	}
 }
+
+func TestAblationShape(t *testing.T) {
+	rows, err := Ablation()
+	if err != nil || len(rows) != 9 {
+		t.Fatalf("Ablation: %d rows, %v; want nine", len(rows), err)
+	}
+	byName := map[string]AblationRow{}
+	for _, r := range rows {
+		byName[r.Name] = r
+	}
+	for _, name := range []string{"all-on", "no-grouping", "no-jit", "no-p2p", "no-prefetch",
+		"no-dirty-tracking", "no-defer", "group-of-2", "lookahead-eviction"} {
+		if _, ok := byName[name]; !ok {
+			t.Fatalf("row %q missing: %+v", name, rows)
+		}
+	}
+	on := byName["all-on"]
+	// Grouping is the biggest single lever: without it every
+	// microbatch re-swaps the weights.
+	if g := byName["no-grouping"]; g.SwapGB < 2*on.SwapGB || g.Throughput >= on.Throughput {
+		t.Errorf("no-grouping %+v should move ≥2x all-on's bytes (%+v) at lower throughput", g, on)
+	}
+	for _, name := range []string{"no-jit", "no-dirty-tracking"} {
+		if byName[name].SwapGB <= on.SwapGB {
+			t.Errorf("%s moves %.3f GB, no more than all-on's %.3f", name, byName[name].SwapGB, on.SwapGB)
+		}
+	}
+	// One replica per GPU: there is no peer to copy from, and prefetch
+	// changes when bytes move, not how many.
+	if p := byName["no-p2p"]; p.Throughput != on.Throughput || p.SwapGB != on.SwapGB {
+		t.Errorf("no-p2p %+v should equal all-on %+v exactly", p, on)
+	}
+	if p := byName["no-prefetch"]; p.SwapGB != on.SwapGB {
+		t.Errorf("no-prefetch moves %.3f GB, all-on %.3f: same bytes expected", p.SwapGB, on.SwapGB)
+	}
+	// The recorded wash: once grouping and JIT have shaped the
+	// reference stream, Belady has little left to win over LRU.
+	if r := byName["lookahead-eviction"].Throughput / on.Throughput; r < 0.99 || r > 1.01 {
+		t.Errorf("lookahead/LRU throughput = %.4f, want within 1%%", r)
+	}
+}

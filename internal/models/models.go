@@ -116,22 +116,6 @@ func (m *Model) ActivationBytes(microbatch int) int64 {
 	return b
 }
 
-// FwdFLOPs is the forward cost of one sample through the whole model.
-func (m *Model) FwdFLOPs() float64 {
-	var f float64
-	for _, l := range m.Layers {
-		f += l.FwdFLOPsPerSample
-	}
-	return f
-}
-
-// TrainingFootprint estimates the total bytes needed to train with m
-// microbatches in flight of the given size: persistent state plus
-// stashed activations. Used to decide whether a model "fits".
-func (m *Model) TrainingFootprint(microbatch, inflight int) int64 {
-	return m.PersistentBytes() + int64(inflight)*m.ActivationBytes(microbatch)
-}
-
 // TransformerConfig parameterizes a GPT/BERT-class encoder stack.
 type TransformerConfig struct {
 	Name      string

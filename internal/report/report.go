@@ -134,6 +134,3 @@ func (t *Table) CSV() string {
 	}
 	return b.String()
 }
-
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }

@@ -68,9 +68,6 @@ func TestRowArityPanics(t *testing.T) {
 func TestCellAndRows(t *testing.T) {
 	tb := NewTable(Column{Header: "v", Align: Right})
 	tb.Row(Cell("%.1f%%", 12.345))
-	if tb.Rows() != 1 {
-		t.Fatal("row count")
-	}
 	if !strings.Contains(tb.String(), "12.3%") {
 		t.Fatalf("cell formatting: %q", tb.String())
 	}

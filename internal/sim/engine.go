@@ -28,11 +28,9 @@ const Infinity = Time(math.MaxFloat64)
 // broken by seq, the order in which events were scheduled, which makes
 // the simulation fully deterministic.
 type event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	dead bool // cancelled
-	idx  int  // heap index
+	at  Time
+	seq uint64
+	fn  func()
 }
 
 // eventHeap orders events by (at, seq).
@@ -45,22 +43,13 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.idx = -1
 	*h = old[:n-1]
 	return e
 }
@@ -91,35 +80,22 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Handle identifies a scheduled event so it can be cancelled.
-type Handle struct{ ev *event }
-
 // At schedules fn to run at absolute time t. Scheduling in the past is
 // a programming error and panics: it would silently corrupt causality.
-func (e *Engine) At(t Time, fn func()) Handle {
+func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	ev := &event{at: t, seq: e.seq, fn: fn}
+	heap.Push(&e.events, &event{at: t, seq: e.seq, fn: fn})
 	e.seq++
-	heap.Push(&e.events, ev)
-	return Handle{ev}
 }
 
 // After schedules fn to run d seconds from now.
-func (e *Engine) After(d Time, fn func()) Handle {
+func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return e.At(e.now+d, fn)
-}
-
-// Cancel prevents a scheduled event from firing. Cancelling an already
-// fired or cancelled event is a no-op.
-func (e *Engine) Cancel(h Handle) {
-	if h.ev != nil && !h.ev.dead {
-		h.ev.dead = true
-	}
+	e.At(e.now+d, fn)
 }
 
 // Stop makes Run return after the current event completes.
@@ -132,9 +108,6 @@ func (e *Engine) Run() (Time, error) {
 	e.stopped = false
 	for len(e.events) > 0 && !e.stopped {
 		ev := heap.Pop(&e.events).(*event)
-		if ev.dead {
-			continue
-		}
 		if ev.at < e.now {
 			return e.now, fmt.Errorf("sim: time went backwards: %v -> %v", e.now, ev.at)
 		}
@@ -147,34 +120,3 @@ func (e *Engine) Run() (Time, error) {
 	}
 	return e.now, nil
 }
-
-// RunUntil executes events with time ≤ deadline, leaving later events
-// queued. It returns the virtual time after the last executed event
-// (or the deadline if no event fired at it).
-func (e *Engine) RunUntil(deadline Time) (Time, error) {
-	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
-		ev := e.events[0]
-		if ev.at > deadline {
-			break
-		}
-		heap.Pop(&e.events)
-		if ev.dead {
-			continue
-		}
-		e.now = ev.at
-		e.Processed++
-		if e.Limit > 0 && e.Processed > e.Limit {
-			return e.now, fmt.Errorf("sim: event limit %d exceeded at t=%v", e.Limit, e.now)
-		}
-		ev.fn()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return e.now, nil
-}
-
-// Pending reports the number of events still queued (including
-// cancelled ones not yet popped).
-func (e *Engine) Pending() int { return len(e.events) }

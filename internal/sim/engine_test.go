@@ -59,19 +59,6 @@ func TestEngineAfterUsesCurrentTime(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	h := e.At(1, func() { ran = true })
-	e.Cancel(h)
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
-}
-
 func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
 	e.At(10, func() {
@@ -115,31 +102,6 @@ func TestEngineLimit(t *testing.T) {
 	e.After(1, spin)
 	if _, err := e.Run(); err == nil {
 		t.Fatal("expected event-limit error")
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	for _, at := range []Time{1, 2, 3, 4} {
-		at := at
-		e.At(at, func() { fired = append(fired, at) })
-	}
-	now, err := e.RunUntil(2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if now != 2.5 {
-		t.Fatalf("now = %v, want 2.5", now)
-	}
-	if len(fired) != 2 {
-		t.Fatalf("fired %v, want events at 1 and 2 only", fired)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 4 {
-		t.Fatalf("fired %v after Run, want all 4", fired)
 	}
 }
 
@@ -267,41 +229,6 @@ func TestChainEmptyIsPureDelay(t *testing.T) {
 	}
 	if doneAt != 1.5 {
 		t.Fatalf("done at %v, want 1.5", doneAt)
-	}
-}
-
-func TestCancelAfterFireIsNoop(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	h := e.At(1, func() { ran = true })
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	e.Cancel(h) // already fired; must not panic or corrupt
-	if !ran {
-		t.Fatal("event should have run")
-	}
-}
-
-func TestFIFOUtilization(t *testing.T) {
-	e := NewEngine()
-	r := NewFIFO(e, "u")
-	if r.Utilization() != 0 {
-		t.Fatal("utilization before time passes should be 0")
-	}
-	r.Acquire(2, nil, nil)
-	e.At(4, func() {}) // extend the clock past the service
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if u := r.Utilization(); u != 0.5 {
-		t.Fatalf("utilization = %v, want 0.5", u)
-	}
-	if r.Busy() || r.QueueLen() != 0 {
-		t.Fatal("resource should be idle")
-	}
-	if r.Name() != "u" {
-		t.Fatal("name lost")
 	}
 }
 

@@ -6,7 +6,7 @@ package sim
 // holds the resource exclusively for a caller-computed service time.
 type FIFO struct {
 	eng  *Engine
-	name string
+	name string // diagnostic: read in debugger and %+v dumps only
 
 	busy  bool
 	queue []*fifoReq
@@ -14,7 +14,6 @@ type FIFO struct {
 	// Accounting.
 	BusyTime Time   // total time spent serving
 	Served   uint64 // completed requests
-	lastIdle Time   // when the resource last became busy (for BusyTime)
 }
 
 type fifoReq struct {
@@ -27,9 +26,6 @@ type fifoReq struct {
 func NewFIFO(eng *Engine, name string) *FIFO {
 	return &FIFO{eng: eng, name: name}
 }
-
-// Name returns the resource's diagnostic name.
-func (f *FIFO) Name() string { return f.name }
 
 // Acquire enqueues a request that will hold the resource for service
 // seconds. start (optional) fires when service begins; done fires when
@@ -52,7 +48,6 @@ func (f *FIFO) dispatch() {
 	r := f.queue[0]
 	f.queue = f.queue[1:]
 	f.busy = true
-	f.lastIdle = f.eng.Now()
 	if r.start != nil {
 		r.start(f.eng.Now())
 	}
@@ -65,21 +60,6 @@ func (f *FIFO) dispatch() {
 		}
 		f.dispatch()
 	})
-}
-
-// Busy reports whether the resource is currently serving a request.
-func (f *FIFO) Busy() bool { return f.busy }
-
-// QueueLen reports the number of waiting (not yet started) requests.
-func (f *FIFO) QueueLen() int { return len(f.queue) }
-
-// Utilization returns BusyTime divided by the elapsed time span, or 0
-// before any time has passed.
-func (f *FIFO) Utilization() float64 {
-	if f.eng.Now() == 0 {
-		return 0
-	}
-	return float64(f.BusyTime) / float64(f.eng.Now())
 }
 
 // Chain acquires a sequence of FIFO resources simultaneously for the

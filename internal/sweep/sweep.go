@@ -68,21 +68,3 @@ func Run[C, R any](configs []C, workers int, fn func(C) (R, error)) ([]R, error)
 	wg.Wait()
 	return results, firstErr
 }
-
-// Grid builds the cartesian product of two axes as (A, B) pairs in
-// row-major order — the usual shape of a two-parameter figure sweep.
-func Grid[A, B any](as []A, bs []B) []Pair[A, B] {
-	out := make([]Pair[A, B], 0, len(as)*len(bs))
-	for _, a := range as {
-		for _, b := range bs {
-			out = append(out, Pair[A, B]{a, b})
-		}
-	}
-	return out
-}
-
-// Pair is one cell of a two-axis grid.
-type Pair[A, B any] struct {
-	A A
-	B B
-}

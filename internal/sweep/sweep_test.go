@@ -76,16 +76,6 @@ func TestRunRecoversPanics(t *testing.T) {
 	}
 }
 
-func TestGrid(t *testing.T) {
-	g := Grid([]int{1, 2}, []string{"a", "b", "c"})
-	if len(g) != 6 {
-		t.Fatalf("grid size = %d", len(g))
-	}
-	if g[0] != (Pair[int, string]{1, "a"}) || g[5] != (Pair[int, string]{2, "c"}) {
-		t.Fatalf("grid order wrong: %v", g)
-	}
-}
-
 // Property: Run with any worker count equals the serial map.
 func TestRunEquivalentToSerial(t *testing.T) {
 	f := func(raw []uint8, workersRaw uint8) bool {

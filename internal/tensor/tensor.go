@@ -105,12 +105,6 @@ func (r *Registry) New(name string, kind Kind, bytes int64, layer, microbatch in
 // Len returns the number of registered tensors.
 func (r *Registry) Len() int { return len(r.tensors) }
 
-// ByID returns the tensor with the given ID.
-func (r *Registry) ByID(id int) *Tensor { return r.tensors[id] }
-
-// ByName returns the tensor with the given name, or nil.
-func (r *Registry) ByName(name string) *Tensor { return r.byName[name] }
-
 // All returns all tensors in ID order. The returned slice must not be
 // modified.
 func (r *Registry) All() []*Tensor { return r.tensors }

@@ -17,12 +17,6 @@ func TestRegistryBasics(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d", r.Len())
 	}
-	if r.ByID(1) != x || r.ByName("w0") != w {
-		t.Fatal("lookup mismatch")
-	}
-	if r.ByName("missing") != nil {
-		t.Fatal("missing name should return nil")
-	}
 	if got := r.TotalBytes(); got != 1200 {
 		t.Fatalf("TotalBytes = %d", got)
 	}

@@ -38,9 +38,9 @@ type TrainerConfig struct {
 	Adam bool
 	LR   float32
 	Seed uint64
-	// Toggles override the mode's default optimizations. The trainer
-	// ignores LookaheadEviction and DeferBlockedUpdates, which act in
-	// the simulator only.
+	// Toggles override the mode's default optimizations.
+	// LookaheadEviction and DeferBlockedUpdates act in the simulator
+	// only: NewTrainer rejects a Toggles that sets either.
 	Toggles *Toggles
 	// Serial forces the single-threaded reference executor instead of
 	// the default parallel device-worker executor. Both produce
@@ -111,14 +111,11 @@ type TrainerConfig struct {
 
 // Trainer trains a real model through Harmony's runtime.
 type Trainer struct {
-	inner    *exec.Trainer
-	inj      *fault.Injector
-	widths   []int
-	mbSize   int
-	mbCount  int
-	mode     Mode
-	adaptive bool
-	step     uint64
+	inner   *exec.Trainer
+	inj     *fault.Injector
+	widths  []int
+	mbSize  int
+	mbCount int
 }
 
 // FaultEvent is one fault-injection notification: an injected fault
@@ -158,8 +155,16 @@ func newTrainer(cfg TrainerConfig, widths []int, kernels []nn.Kernel) (*Trainer,
 	}
 	mode := cfg.Mode.sched()
 	var schedOpts *sched.Options
-	if cfg.Toggles != nil {
-		o := cfg.Toggles.apply(sched.DefaultOptions(mode))
+	if tg := cfg.Toggles; tg != nil {
+		// exec.VM evicts by LRU and no device worker runs past a
+		// blocked update: refuse what would be accepted to no effect.
+		if tg.LookaheadEviction != nil {
+			return nil, fmt.Errorf("harmony: TrainerConfig.Toggles.LookaheadEviction acts in Simulate and Tune only")
+		}
+		if tg.DeferBlockedUpdates != nil {
+			return nil, fmt.Errorf("harmony: TrainerConfig.Toggles.DeferBlockedUpdates acts in Simulate and Tune only")
+		}
+		o := tg.apply(sched.DefaultOptions(mode))
 		schedOpts = &o
 	}
 	inj, err := fault.Parse(cfg.FaultSpec, cfg.Seed)
@@ -193,13 +198,11 @@ func newTrainer(cfg TrainerConfig, widths []int, kernels []nn.Kernel) (*Trainer,
 		return nil, err
 	}
 	return &Trainer{
-		inner:    inner,
-		inj:      inj,
-		widths:   widths,
-		mbSize:   cfg.BatchSize / mbCount,
-		mbCount:  mbCount,
-		mode:     cfg.Mode,
-		adaptive: cfg.AdaptivePrefetch,
+		inner:   inner,
+		inj:     inj,
+		widths:  widths,
+		mbSize:  cfg.BatchSize / mbCount,
+		mbCount: mbCount,
 	}, nil
 }
 
@@ -226,7 +229,6 @@ func (t *Trainer) Step(inputs []float32, labels []int) (float32, error) {
 			lb[r][i] = labels[off : off+t.mbSize]
 		}
 	}
-	t.step++
 	return t.inner.Step(in, lb)
 }
 
@@ -330,37 +332,23 @@ func (t *Trainer) AdaptLog() []AdaptDecision { return t.inner.AdaptLog() }
 // nil when the plan is not adaptive.
 func (t *Trainer) AdaptStats() []AdaptWindowStats { return t.inner.AdaptStats() }
 
-// Retune swaps the execution plan between Steps: microbatches changes
-// the per-replica split (BatchSize must stay divisible; the batch
-// itself never changes, so Step keeps accepting the same input shape),
-// and toggles, when non-nil, replaces the optimization toggle set. The
-// candidate plan runs the full static preflight first — an infeasible
-// retune returns the verifier's counterexample and the current plan
-// keeps running untouched. Training state (weights, optimizer,
-// step counter) survives adoption. Pass 0 and nil to keep the
-// respective current values.
-func (t *Trainer) Retune(microbatches int, toggles *Toggles) error {
-	req := exec.RetuneRequest{}
+// Retune reshapes the execution plan between Steps to the given number
+// of microbatches per replica. BatchSize must stay divisible; the batch
+// itself never changes, so Step keeps accepting the same input shape.
+// The candidate plan runs the full static preflight first — an
+// infeasible retune returns the verifier's counterexample and the
+// current plan keeps running untouched. Training state (weights,
+// optimizer, step counter) survives adoption.
+func (t *Trainer) Retune(microbatches int) error {
 	batch := t.mbSize * t.mbCount
-	mbc := t.mbCount
-	if microbatches > 0 {
-		if batch%microbatches != 0 {
-			return fmt.Errorf("harmony: BatchSize %d not divisible into %d microbatches", batch, microbatches)
-		}
-		mbc = microbatches
-		req.MicrobatchSize = batch / mbc
-		req.Microbatches = mbc
+	if microbatches <= 0 || batch%microbatches != 0 {
+		return fmt.Errorf("harmony: cannot split BatchSize %d into %d microbatches", batch, microbatches)
 	}
-	if toggles != nil {
-		// A toggle swap keeps the configured adaptive flag.
-		o := toggles.apply(sched.DefaultOptions(t.mode.sched()))
-		o.AdaptivePrefetch = t.adaptive
-		req.Options = &o
-	}
+	req := exec.RetuneRequest{MicrobatchSize: batch / microbatches, Microbatches: microbatches}
 	if err := t.inner.Retune(req); err != nil {
 		return err
 	}
-	t.mbSize, t.mbCount = batch/mbc, mbc
+	t.mbSize, t.mbCount = req.MicrobatchSize, req.Microbatches
 	return nil
 }
 
