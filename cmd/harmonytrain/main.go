@@ -51,7 +51,7 @@ func main() {
 		prefetch  = flag.Int("prefetch-depth", 0, "async prefetch lookahead (0 = mode default, negative disables)")
 		adaptive  = flag.Bool("adaptive-prefetch", false, "retune each device's prefetch window and byte budget online (implies prefetch; decisions are step-keyed and bit-exact)")
 		retune    = flag.String("retune", "", `mid-run plan retune, "step=N,microbatches=M": before step N, reshape to M microbatches (schedcheck preflight; a rejection prints the counterexample and keeps the current plan)`)
-		linkBW    = flag.Int64("link-bw", 0, "modeled host-link bytes/sec charged to every swap/p2p copy (0 = memcpy cost only)")
+		linkBW    = flag.Int64("link-bw", 0, "bytes/sec of every modeled link — one per device plus the host uplink all swaps share; p2p copies use the two devices' links, a reduction the reducer's. Lanes wait out their reservations in sleeps of at least 2 ms, carrying less as debt (0 = memcpy cost only)")
 		swapTrace = flag.Bool("swap-trace", false, "print a compute/DMA-lane Gantt of the final step (shows swap-compute overlap)")
 		verify    = flag.Bool("verify", true, "statically verify the execution plan before training (schedcheck preflight; failures print a counterexample)")
 		commChunk = flag.Int("comm-chunks", 0, "split each gradient AllReduce into this many chunks reduced across device workers (0 = monolithic rendezvous; bit-identical at every setting)")
@@ -92,6 +92,9 @@ func main() {
 	}
 	if err == nil && *deviceMem < 0 {
 		err = fmt.Errorf("-device-mem %d is negative (0 = half the footprint)", *deviceMem)
+	}
+	if err == nil && *linkBW < 0 {
+		err = fmt.Errorf("-link-bw %d is negative (0 = no modeled links)", *linkBW)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "harmonytrain: %v\n", err)
@@ -230,6 +233,15 @@ func main() {
 			float64(st.AsyncDMANanos)/1e6,
 			100*float64(st.AsyncDMANanos)/float64(trainWall.Nanoseconds()),
 			float64(trainWall.Nanoseconds())/1e6)
+	}
+	if *linkBW > 0 {
+		// Which link was the bottleneck: the one that was busy longest.
+		ls := tr.LinkStats()
+		fmt.Printf("modeled link busy time: uplink %.1f ms", float64(ls.Uplink.Nanoseconds())/1e6)
+		for d, busy := range ls.Device {
+			fmt.Printf(", gpu%d %.1f ms", d, float64(busy.Nanoseconds())/1e6)
+		}
+		fmt.Printf(" (of %.1f ms train wall)\n", float64(trainWall.Nanoseconds())/1e6)
 	}
 	if cs := tr.CommStats(); cs.ChunksReduced > 0 {
 		fmt.Printf("chunked collectives: %d chunk reductions, %.1f MB gradients reduced\n",

@@ -64,6 +64,7 @@ func TestFlagsWithNoEffectAreRejected(t *testing.T) {
 	}{
 		{[]string{"-retune", "step=5,microbatches=4", "-steps", "2"}, `-retune step 5 is never reached with -steps 2`},
 		{[]string{"-device-mem", "-5", "-steps", "1"}, `-device-mem -5 is negative`},
+		{[]string{"-link-bw", "-5", "-steps", "1"}, `-link-bw -5 is negative`},
 	} {
 		stdout, stderr, exit := harmonytrain(t, bin, tc.args...)
 		if exit != 2 || stdout != "" {

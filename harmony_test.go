@@ -206,6 +206,12 @@ func TestTrainerValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("non-divisible batch accepted")
 	}
+	// A negative bandwidth used to mean "no link", silently.
+	if _, err := NewTrainer(TrainerConfig{
+		Widths: []int{4, 2}, Devices: 1, DeviceBytes: 1 << 20, BatchSize: 4, LinkBytesPerSec: -1,
+	}); err == nil || !strings.Contains(err.Error(), "LinkBytesPerSec -1 is negative") {
+		t.Fatalf("negative LinkBytesPerSec: got %v, want an error naming the field", err)
+	}
 	// A toggle only the simulator reads is refused by name, whichever
 	// way it is set, instead of being accepted to no effect.
 	for _, v := range []bool{false, true} {

@@ -12,7 +12,8 @@ import (
 // execution, channel waits and sleeps always run with the lock
 // released. It reports blocking operations at a point some path
 // reaches with a mutex held: channel send or receive, range over a
-// channel, select without a default, time.Sleep, sync.WaitGroup.Wait,
+// channel, select without a default, time.Sleep and a Sleep method (the
+// trace.Clock seam the modeled links sleep through), sync.WaitGroup.Wait,
 // VM.WaitIdle and waitSettle. sync.Cond.Wait is exempt — it releases
 // the mutex while parked.
 //
@@ -26,7 +27,7 @@ import (
 var Lockhold = &Analyzer{
 	Name: "lockhold",
 	Doc: "report blocking operations (channel operations, select without " +
-		"default, time.Sleep, WaitGroup.Wait, WaitIdle, waitSettle) at any " +
+		"default, time.Sleep, Clock.Sleep, WaitGroup.Wait, WaitIdle, waitSettle) at any " +
 		"point some path reaches with a mutex held; doc contracts like " +
 		"\"Requires mu held\" set the entry state",
 	RunProject: func(pass *ProjectPass) error {
@@ -39,6 +40,7 @@ var Lockhold = &Analyzer{
 var blockingFunc = map[string]string{
 	"WaitIdle":   "drains async DMA",
 	"waitSettle": "blocks on claim settle",
+	"Sleep":      "parks on the clock",
 }
 
 // observeBlocking is lockSpec's observer: it reports every blocking
@@ -97,8 +99,7 @@ func observeBlocking(e *lifeEngine, n ast.Node, st *lifeState) {
 			}
 			if pkgFunc(info, x, "time", "Sleep") {
 				report(x.Pos(), "time.Sleep")
-			}
-			if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
+			} else if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
 				if desc, blocks := blockingFunc[sel.Sel.Name]; blocks {
 					report(x.Pos(), sel.Sel.Name+" ("+desc+")")
 				}

@@ -27,6 +27,30 @@ func (vm *VM) seededDrain(dev int, wake chan struct{}) int64 {
 	mustDiag(t, diags, "lockhold", `channel receive while mu is held`)
 }
 
+// TestLockholdSeededClockSleepUnderLinkLock: the modeled links sleep
+// through the trace.Clock seam, where time.Sleep's lexical rule cannot
+// see them. A lane that slept out its reservation with the link model's
+// mutex still held would stall every other device's transfers.
+func TestLockholdSeededClockSleepUnderLinkLock(t *testing.T) {
+	tmp := copyModule(t)
+	seedFile(t, tmp, "internal/exec/seeded.go", `package exec
+
+import "time"
+
+// seededSettle sleeps a lane's debt off without letting go of the links.
+func (vm *VM) seededSettle(lane int) {
+	m := &vm.link
+	m.mu.Lock()
+	owed := m.debt[lane]
+	m.debt[lane] = 0
+	vm.clk.Sleep(owed + time.Microsecond)
+	m.mu.Unlock()
+}
+`)
+	diags := runSeeded(t, tmp, Lockhold, "./internal/exec")
+	mustDiag(t, diags, "lockhold", `Sleep \(parks on the clock\) while mu is held`)
+}
+
 // TestErrpathSeededHappyPathLeak: Manager.mu leaked on a non-error
 // return — no error guard anywhere near it — inside the real
 // internal/memory package.

@@ -51,6 +51,17 @@ func (v *vmish) sleepUnderLock() {
 	v.mu.Unlock()
 }
 
+// clock mirrors trace.Clock: the seam the modeled links sleep through
+// parks the caller just as time.Sleep does.
+type clock interface{ Sleep(d time.Duration) }
+
+func (v *vmish) clockSleepUnderLock(clk clock) {
+	v.mu.Lock()
+	clk.Sleep(time.Millisecond) // want "Sleep \\(parks on the clock\\) while mu is held"
+	v.mu.Unlock()
+	clk.Sleep(time.Millisecond)
+}
+
 func (v *vmish) waitGroupUnderLock() {
 	v.mu.Lock()
 	v.wg.Wait() // want "sync.WaitGroup.Wait while mu is held"

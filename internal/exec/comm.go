@@ -103,13 +103,10 @@ func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) error
 	if err := tr.acquire(ar, -1, views, nil); err != nil {
 		return err
 	}
-	// Remote gradient traffic crosses the modeled interconnect: the
-	// reducer pulls n-1 remote slices and pushes the reduced slice back,
-	// charged on its own goroutine. A monolithic rendezvous pays the full
-	// payload on the critical path while every participant parks; chunks
-	// assigned to different workers cross concurrently and hide behind
-	// other workers' compute.
-	tr.vm.linkSleep(2 * int64(n-1) * int64(hi-lo) * 4)
+	// Remote gradient traffic crosses the reducer's modeled link. The
+	// serial path has no reducing worker; replica 0's device, whose
+	// buffer accumulates the sum, stands in.
+	tr.vm.chargeReduce(tr.pdev(max(dev, 0)), n, int64(hi-lo)*4)
 	inv := float32(1) / float32(n)
 	grain := max((1<<16)/(2*n), 1) // ~64k scalar ops per pool chunk
 	nn.ParallelFor(hi-lo, grain, func(a, b int) { averageViews(views, lo+a, lo+b, inv) })

@@ -455,7 +455,7 @@ func (vm *VM) writeBack(x xfer, dev int, b *buffer) error {
 	if b.host == nil {
 		b.host = make([]float32, b.floats())
 	}
-	busy, err := vm.transfer(x, dev, b.t, b.host, b.dev)
+	busy, err := vm.transfer(x, dev, overUplink, b.t, b.host, b.dev)
 	if err != nil {
 		return err
 	}
@@ -464,7 +464,7 @@ func (vm *VM) writeBack(x xfer, dev int, b *buffer) error {
 	sh.mu.Lock()
 	sh.stats.SwapOutBytes += b.t.Bytes
 	sh.stats.SwapOuts++
-	if x.async {
+	if x.waits == laneDMA {
 		sh.stats.AsyncDMANanos += busy.Nanoseconds()
 	} else {
 		sh.syncOuts++
@@ -490,7 +490,7 @@ func (vm *VM) fill(x xfer, dev int, b *buffer) error {
 		sh.mu.Unlock()
 		return nil
 	}
-	busy, err := vm.transfer(x, dev, b.t, b.dev, b.host)
+	busy, err := vm.transfer(x, dev, overUplink, b.t, b.dev, b.host)
 	if err != nil {
 		return err
 	}
@@ -498,49 +498,57 @@ func (vm *VM) fill(x xfer, dev int, b *buffer) error {
 	sh.mu.Lock()
 	sh.stats.SwapInBytes += b.t.Bytes
 	sh.stats.SwapIns++
-	if x.async {
+	if x.waits == laneDMA {
 		sh.stats.AsyncDMANanos += busy.Nanoseconds()
 	}
 	sh.mu.Unlock()
 	return nil
 }
 
-// xfer names one kind of tensor copy: the fault site it answers to and
-// the trace lane and label prefix its span carries.
+// xfer names one kind of tensor copy: the fault site it answers to, the
+// trace lane and label prefix its span carries, and which of its
+// device's lanes waits for its link time (link.go) — laneDMA for the
+// copies a DMA worker makes, whose link time overlaps compute.
 type xfer struct {
 	op     fault.Op
 	lane   trace.Lane
 	prefix string
-	async  bool // runs on a DMA worker: its link time overlaps compute
+	waits  laneKind
 }
 
 var (
-	xferIn       = xfer{fault.SwapIn, trace.SwapIn, "in ", false}
-	xferOut      = xfer{fault.SwapOut, trace.SwapOut, "out ", false}
-	xferP2P      = xfer{fault.P2P, trace.P2P, "p2p ", false}
-	xferPrefetch = xfer{fault.SwapIn, trace.Prefetch, "pf ", true}
-	xferClean    = xfer{fault.SwapOut, trace.SwapOut, "cl ", true}
+	xferIn       = xfer{fault.SwapIn, trace.SwapIn, "in ", laneDemand}
+	xferOut      = xfer{fault.SwapOut, trace.SwapOut, "out ", laneDemand}
+	xferP2P      = xfer{fault.P2P, trace.P2P, "p2p ", laneDemand}
+	xferPrefetch = xfer{fault.SwapIn, trace.Prefetch, "pf ", laneDMA}
+	xferClean    = xfer{fault.SwapOut, trace.SwapOut, "cl ", laneDMA}
 )
 
 // transfer is the VM's one copy path, shared by every swap, p2p move and
 // async DMA: consult the injector for dev's x.op site (transient faults
-// retry in place), copy src into dst, charge the modeled link, and emit
-// the span on dev's x.lane. It returns how long the copy held the link.
-// Callers hold t's buffer claim and no shard lock; residency, dirty bits
-// and stats stay theirs.
-func (vm *VM) transfer(x xfer, dev int, t *tensor.Tensor, dst, src []float32) (time.Duration, error) {
-	if err := vm.inject(x.op, dev, t); err != nil {
+// retry in place), copy src into dst, charge the modeled links between
+// dev and peer — the other device of a p2p move, overUplink for a swap —
+// and emit the span on dev's x.lane. It returns how long the copy held
+// the link: with bandwidth modeled, the span and the time are the
+// reservation's [start, end) on the link's timeline, queueing visible as
+// the gap before it; otherwise the wall time of the memcpy. Callers hold
+// t's buffer claim and no shard lock; residency, dirty bits and stats
+// stay theirs.
+func (vm *VM) transfer(x xfer, dev, peer int, t *tensor.Tensor, dst, src []float32) (time.Duration, error) {
+	cfg := vm.xferConfig()
+	if err := vm.inject(cfg, x.op, dev, t); err != nil {
 		return 0, err
 	}
 	start := vm.clk.Now()
 	copyChunked(dst, src)
-	vm.linkSleep(t.Bytes)
-	end := vm.clk.Now()
-	vm.cfgMu.Lock()
-	rec := vm.rec
-	vm.cfgMu.Unlock()
-	if rec != nil {
-		rec(dev, x.lane, x.prefix+t.String(), start, end)
+	var end time.Time
+	if cfg.bps > 0 {
+		start, end = vm.charge(cfg.bps, x.waits, dev, peer, t.Bytes)
+	} else {
+		end = vm.clk.Now()
+	}
+	if cfg.rec != nil {
+		cfg.rec(dev, x.lane, x.prefix+t.String(), start, end)
 	}
 	return end.Sub(start), nil
 }
@@ -552,17 +560,4 @@ func copyChunked(dst, src []float32) {
 	nn.ParallelFor(len(dst), 64<<10, func(lo, hi int) {
 		copy(dst[lo:hi], src[lo:hi])
 	})
-}
-
-// linkSleep charges the modeled host-link transfer time for a copy of
-// the given size. Runs outside all VM locks on the transferring
-// goroutine, so concurrent lanes genuinely overlap.
-func (vm *VM) linkSleep(bytes int64) {
-	vm.cfgMu.Lock()
-	bps := vm.bytesPerSec
-	vm.cfgMu.Unlock()
-	if bps <= 0 {
-		return
-	}
-	time.Sleep(time.Duration(bytes * int64(time.Second) / bps))
 }

@@ -348,6 +348,11 @@ func TestTrainerValidation(t *testing.T) {
 	if _, err := NewTrainer(bad); err == nil {
 		t.Fatal("zero LR accepted")
 	}
+	bad = trainerConfig(sched.HarmonyDP, 2)
+	bad.LinkBytesPerSec = -1
+	if _, err := NewTrainer(bad); err == nil {
+		t.Fatal("negative link bandwidth accepted")
+	}
 	// Wrong data shapes.
 	tr, err := NewTrainer(trainerConfig(sched.HarmonyDP, 2))
 	if err != nil {

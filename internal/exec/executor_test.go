@@ -20,9 +20,15 @@ func runTrainer(t *testing.T, cfg TrainerConfig, steps int) (*Trainer, []float32
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tr, stepTrainer(t, tr, cfg, 0, steps)
+}
+
+// stepTrainer runs steps first..first+n-1 of runTrainer's data stream.
+func stepTrainer(t *testing.T, tr *Trainer, cfg TrainerConfig, first, n int) []float32 {
+	t.Helper()
 	blobs := data.NewBlobs(cfg.Widths[0], cfg.Widths[len(cfg.Widths)-1], 0.5, 7)
 	var losses []float32
-	for s := 0; s < steps; s++ {
+	for s := first; s < first+n; s++ {
 		in, lb := blobs.ReplicaBatches(tr.Replicas(), cfg.Microbatches, cfg.MicrobatchSize, uint64(s))
 		loss, err := tr.Step(in, lb)
 		if err != nil {
@@ -30,7 +36,7 @@ func runTrainer(t *testing.T, cfg TrainerConfig, steps int) (*Trainer, []float32
 		}
 		losses = append(losses, loss)
 	}
-	return tr, losses
+	return losses
 }
 
 // TestSerialAndParallelExecutorsBitIdentical is the headline

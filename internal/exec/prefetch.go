@@ -182,9 +182,11 @@ func (r *runRecorder) add(dev int, lane trace.Lane, label string, start, end tim
 
 // EnableTrace starts recording a wall-clock execution timeline:
 // compute spans on each device's kernel lane, demand swaps, p2p moves,
-// prefetches and clean-ahead write-backs on their DMA lanes. Returns
-// the live trace — read it only between Steps. Calling it again
-// restarts with a fresh trace.
+// prefetches and clean-ahead write-backs on their DMA lanes — with
+// LinkBytesPerSec set, a copy's span is its reservation on the modeled
+// link, so queueing for a link shows as the gap before it. Returns the
+// live trace — read it only between Steps. Calling it again restarts
+// with a fresh trace.
 func (tr *Trainer) EnableTrace() *trace.Trace {
 	tr.rec = &runRecorder{epoch: tr.vm.clk.Now()}
 	tr.vm.SetRecorder(tr.rec.add)

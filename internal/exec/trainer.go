@@ -70,12 +70,16 @@ type TrainerConfig struct {
 	// only data movement, never math: weights and losses stay
 	// bit-identical at every depth.
 	PrefetchDepth int
-	// LinkBytesPerSec models host-link bandwidth: every swap, p2p
-	// copy and collective's remote gradient traffic additionally
-	// costs bytes/LinkBytesPerSec of wall time on
-	// its transfer lane (outside the VM lock, so concurrent DMAs and
-	// compute genuinely overlap). 0 disables modeling — transfers
-	// cost only their memcpy time.
+	// LinkBytesPerSec is the bandwidth of every modeled link: one per
+	// device plus the host uplink they all share (link.go). A swap
+	// reserves bytes/LinkBytesPerSec on its device's link and on the
+	// uplink, a p2p copy on both devices' links, a collective's remote
+	// gradient traffic on the reducer's link; reservations on one link
+	// never overlap, and the transferring lane waits for its own to
+	// end, sleeping in batches of at least 2 ms and carrying less as
+	// debt — modeled time is batched, never forgiven. 0 disables
+	// modeling — transfers cost only their memcpy time; negative is
+	// rejected.
 	LinkBytesPerSec int64
 
 	// AdaptivePrefetch retunes each device's prefetch window and byte
@@ -140,6 +144,9 @@ type Trainer struct {
 	s       *sched.Schedule
 	vm      *VM
 	step    int
+	// clk is the clock every VM the trainer builds reads and sleeps on
+	// (in-package tests put a trace.ManualClock here).
+	clk trace.Clock
 
 	// streams is the plan with its rendezvous woven in (sched.Weave):
 	// what the device workers drain and what schedcheck proves. Woven
@@ -177,8 +184,9 @@ type Trainer struct {
 	// the math — only where tensors live.
 	devMap     []int
 	alive      []bool
-	snap       []byte  // last completed step, exec/checkpoint format
-	statsBase  VMStats // counters from VMs discarded by recovery
+	snap       []byte    // last completed step, exec/checkpoint format
+	statsBase  VMStats   // counters from VMs discarded by recovery
+	linkBase   LinkStats // their links' busy time
 	recoveries int
 }
 
@@ -212,6 +220,9 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 	}
 	if cfg.LR <= 0 {
 		return nil, fmt.Errorf("exec: LR must be positive")
+	}
+	if cfg.LinkBytesPerSec < 0 {
+		return nil, fmt.Errorf("exec: LinkBytesPerSec %d is negative (0 = no modeled link)", cfg.LinkBytesPerSec)
 	}
 	model := kernelModel(layers, cfg.Optimizer == Adam)
 	replicas := cfg.Devices
@@ -264,6 +275,7 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 		s:       s,
 		streams: streams,
 		comm:    buildCommPlan(s),
+		clk:     trace.WallClock{},
 		devMap:  make([]int, cfg.Devices),
 		alive:   make([]bool, cfg.Devices),
 	}
@@ -336,8 +348,10 @@ func (tr *Trainer) freshVM() {
 	if tr.vm != nil {
 		tr.vm.Close()
 		tr.statsBase = tr.statsBase.add(tr.vm.StatsSnapshot())
+		tr.linkBase = tr.linkBase.add(tr.vm.LinkStats())
 	}
 	tr.vm = NewVM(tr.cfg.Devices, tr.cfg.DeviceBytes, tr.s.MemPolicy)
+	tr.vm.clk = tr.clk
 	tr.vm.SetFaultInjection(tr.cfg.Injector, tr.maxRetries(), func() int { return tr.step })
 	tr.vm.SetLinkBandwidth(tr.cfg.LinkBytesPerSec)
 	if tr.rec != nil {
@@ -511,6 +525,10 @@ func kernelModel(layers []nn.Kernel, adam bool) *models.Model {
 // steps of a parallel trainer (never concurrently with one), when the
 // DMA engine is drained and the sum is settled.
 func (tr *Trainer) Stats() VMStats { return tr.statsBase.add(tr.vm.StatsSnapshot()) }
+
+// LinkStats returns each modeled link's busy time so far, discarded
+// VMs' included. Same contract as Stats.
+func (tr *Trainer) LinkStats() LinkStats { return tr.linkBase.add(tr.vm.LinkStats()) }
 
 // FootprintBytes reports the derived model's footprint for sizing examples.
 func (tr *Trainer) FootprintBytes() int64 {

@@ -55,9 +55,10 @@ type VMStats struct {
 	// PrefetchIssued counts async swap-ins handed to the DMA engine;
 	// PrefetchHits counts Ensure calls that found their tensor already
 	// resident (or in flight) thanks to a prefetch; CleanAheads counts
-	// proactive write-backs; AsyncDMANanos is wall time the DMA
-	// workers spent copying or on the modeled link — divide by step
-	// wall time for the compute/swap overlap fraction.
+	// proactive write-backs; AsyncDMANanos is the time the DMA
+	// workers' copies held the link — their modeled reservations, or
+	// with no bandwidth modeled the wall time of their memcpys — divide
+	// by step wall time for the compute/swap overlap fraction.
 	PrefetchIssued int
 	PrefetchHits   int
 	CleanAheads    int
@@ -238,11 +239,16 @@ type VM struct {
 	bufMu sync.RWMutex
 	bufs  map[int]*buffer
 
-	// clk sources every wall-clock timestamp the VM records (DMA
-	// spans, overlap counters). Immutable after NewVM; reading time
-	// through an injectable Clock keeps recording off the
-	// deterministic path (enforced by the determinism analyzer).
+	// clk is the VM's only source of time: the timestamps it records
+	// (DMA spans, overlap counters) and the modeled links' timelines
+	// and sleeps (link.go) all go through it, which keeps wall time off
+	// the deterministic path (enforced by the determinism analyzer) and
+	// lets in-package tests run the link model on a trace.ManualClock.
+	// Set before the first transfer, never after.
 	clk trace.Clock
+	// link is the modeled interconnect: one timeline per device link
+	// plus the shared host uplink, and each lane's unslept debt.
+	link linkModel
 
 	// Async DMA engine (StartEngine). engOn flips once when the
 	// engine starts; closed once at Close. pending counts queued or
@@ -260,16 +266,21 @@ type VM struct {
 	budget   int64      // per-device cap on pfBytes
 	wg       sync.WaitGroup
 
-	// cfgMu guards the injectable knobs below; they are read at most
-	// once per transfer, off the hot path.
+	// cfgMu guards the injectable knobs; a transfer reads them once
+	// (xferConfig), off the hot path.
 	cfgMu sync.Mutex
-	// bytesPerSec models host-link bandwidth: every swap/p2p copy
-	// additionally sleeps bytes/bytesPerSec (outside any lock), so
-	// swap cost behaves like a real PCIe transfer instead of a
-	// memcpy. 0 disables modeling.
-	bytesPerSec int64
-	// rec, when non-nil, receives wall-clock DMA spans (outside any
-	// lock) for the swap-overlap Gantt lanes.
+	cfg   xferConfig
+}
+
+// xferConfig is what a transfer needs to know besides its operands.
+type xferConfig struct {
+	// bps is the bandwidth of every modeled link in bytes per second: a
+	// copy then also occupies its path's links for bytes/bps and its
+	// lane waits for that (link.go), so swap cost behaves like a PCIe
+	// transfer instead of a memcpy. 0 (or less) disables modeling.
+	bps int64
+	// rec, when non-nil, receives DMA spans (outside any lock) for the
+	// swap-overlap Gantt lanes.
 	rec func(dev int, lane trace.Lane, label string, start, end time.Time)
 	// Fault injection (SetFaultInjection): inj decides whether a
 	// swap-in, swap-out or p2p copy about to run fails; transient
@@ -280,6 +291,13 @@ type VM struct {
 	inj        *fault.Injector
 	maxRetries int
 	stepFn     func() int // current trainer step for fault site identity
+}
+
+// xferConfig snapshots the knobs for one transfer.
+func (vm *VM) xferConfig() xferConfig {
+	vm.cfgMu.Lock()
+	defer vm.cfgMu.Unlock()
+	return vm.cfg
 }
 
 // NewVM creates n virtual devices with the given per-device capacity.
@@ -293,6 +311,7 @@ func NewVM(devices int, capacityBytes int64, pol memory.Policy) *VM {
 		shards:   make([]*vmShard, devices),
 		bufs:     make(map[int]*buffer),
 		clk:      trace.WallClock{},
+		link:     newLinkModel(devices),
 	}
 	for d := range vm.shards {
 		sh := &vmShard{dev: d, cleanSeen: -1} // first CleanAhead may act before any stall
@@ -309,17 +328,18 @@ func NewVM(devices int, capacityBytes int64, pol memory.Policy) *VM {
 func (vm *VM) SetFaultInjection(inj *fault.Injector, maxRetries int, stepFn func() int) {
 	vm.cfgMu.Lock()
 	defer vm.cfgMu.Unlock()
-	vm.inj = inj
-	vm.maxRetries = maxRetries
-	vm.stepFn = stepFn
+	vm.cfg.inj = inj
+	vm.cfg.maxRetries = maxRetries
+	vm.cfg.stepFn = stepFn
 }
 
-// SetLinkBandwidth models host-link bandwidth for all transfers
-// (0 disables; copies cost only their memcpy time).
+// SetLinkBandwidth gives every modeled link — each device's and the
+// host uplink they share — this bandwidth (0 disables modeling; copies
+// then cost only their memcpy time).
 func (vm *VM) SetLinkBandwidth(bytesPerSec int64) {
 	vm.cfgMu.Lock()
 	defer vm.cfgMu.Unlock()
-	vm.bytesPerSec = bytesPerSec
+	vm.cfg.bps = bytesPerSec
 }
 
 // SetRecorder installs a DMA span recorder (nil disarms). fn is
@@ -328,31 +348,24 @@ func (vm *VM) SetLinkBandwidth(bytesPerSec int64) {
 func (vm *VM) SetRecorder(fn func(dev int, lane trace.Lane, label string, start, end time.Time)) {
 	vm.cfgMu.Lock()
 	defer vm.cfgMu.Unlock()
-	vm.rec = fn
+	vm.cfg.rec = fn
 }
 
-// inject consults the injector for a transfer op touching tensor t on
-// dev, retrying transient faults in place with backoff. Must be
+// inject consults cfg's injector for a transfer op touching tensor t
+// on dev, retrying transient faults in place with backoff. Must be
 // called without any shard lock held: the backoff sleeps on the
 // calling goroutine, so a flaky transfer stalls only the waiters of
 // its own buffer. Per-site determinism is unchanged — decisions hash
 // the operation identity, not the interleaving.
-func (vm *VM) inject(op fault.Op, dev int, t *tensor.Tensor) error {
-	vm.cfgMu.Lock()
-	inj, maxRetries, stepFn := vm.inj, vm.maxRetries, vm.stepFn
-	vm.cfgMu.Unlock()
-	if inj.Rules() == 0 {
+func (vm *VM) inject(cfg xferConfig, op fault.Op, dev int, t *tensor.Tensor) error {
+	if cfg.inj.Rules() == 0 {
 		return nil
 	}
 	step := 0
-	if stepFn != nil {
-		step = stepFn()
+	if cfg.stepFn != nil {
+		step = cfg.stepFn()
 	}
-	layer := -1
-	if t != nil {
-		layer = t.Layer
-	}
-	retries, err := injectRetrying(inj, op, dev, step, layer, maxRetries)
+	retries, err := injectRetrying(cfg.inj, op, dev, step, t.Layer, cfg.maxRetries)
 	if retries > 0 || err != nil {
 		sh := vm.shards[dev]
 		sh.mu.Lock()
@@ -727,7 +740,7 @@ func (vm *VM) moveP2P(dev int, b *buffer) ([]float32, error) {
 	src, srcDev := b.dev, int(b.devID.Load())
 	dst := make([]float32, b.floats())
 
-	if _, err := vm.transfer(xferP2P, dev, b.t, dst, src); err != nil {
+	if _, err := vm.transfer(xferP2P, dev, srcDev, b.t, dst, src); err != nil {
 		vm.settle(b, true, 0)
 		vm.uncharge(dsh, bytes)
 		return nil, err

@@ -3,8 +3,10 @@ package trace
 import (
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"harmony/internal/hw"
 	"harmony/internal/sim"
@@ -223,5 +225,34 @@ func TestCommOverlapFraction(t *testing.T) {
 func TestCommsLaneName(t *testing.T) {
 	if Comms.String() != "comms" {
 		t.Fatalf("Comms lane renders as %q", Comms.String())
+	}
+}
+
+// The manual clock moves only when slept on, by exactly what was asked,
+// however many goroutines ask at once.
+func TestManualClockAdvancesOnlyBySleeping(t *testing.T) {
+	var c ManualClock
+	var clk Clock = &c
+	if !clk.Now().IsZero() {
+		t.Fatalf("zero value reads %v", clk.Now())
+	}
+	clk.Sleep(-time.Second)
+	clk.Sleep(0)
+	if !clk.Now().IsZero() {
+		t.Fatalf("a non-positive sleep moved the clock to %v", clk.Now())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				clk.Sleep(time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := clk.Now().Sub(time.Time{}); got != 800*time.Microsecond {
+		t.Fatalf("800 sleeps of 1 µs moved the clock %v", got)
 	}
 }

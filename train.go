@@ -78,11 +78,19 @@ type TrainerConfig struct {
 	// PrefetchDepth is the starting window. The serial executor never
 	// prefetches, so Serial+AdaptivePrefetch is the static reference.
 	AdaptivePrefetch bool
-	// LinkBytesPerSec models host-link bandwidth: each swap/p2p copy
-	// additionally costs bytes/LinkBytesPerSec of wall time on its
-	// DMA lane. 0 disables modeling (transfers cost only memcpy
-	// time). Useful for benchmarking how well prefetch hides swap
-	// latency.
+	// LinkBytesPerSec is the bandwidth of every modeled link: one per
+	// device plus the one host uplink they share, the paper's Fig. 1
+	// server. A swap reserves bytes/LinkBytesPerSec on its device's
+	// link and on the uplink — so devices swapping at once share the
+	// uplink instead of each getting all of it (Fig. 2(a)) — a p2p
+	// copy on the two devices' links, a gradient reduction on the
+	// reducer's. Reservations on a link never overlap; the transferring
+	// lane waits for its own to end, in sleeps of at least 2 ms, a
+	// smaller remainder carried forward as debt: modeled time is
+	// batched, never forgiven. 0 disables modeling (transfers cost only
+	// memcpy time); negative is rejected. Useful for benchmarking how
+	// well prefetch hides swap latency and which link bounds a plan
+	// (Trainer.LinkStats).
 	LinkBytesPerSec int64
 	// NoVerify skips the static preflight verification of the
 	// execution plan (internal/schedcheck): happens-before liveness,
@@ -254,6 +262,15 @@ type Stats = exec.VMStats
 // Stats returns accumulated data-movement counters.
 func (t *Trainer) Stats() Stats { return t.inner.Stats() }
 
+// LinkStats is the modeled busy time of each link — the host uplink
+// and every device's own — under LinkBytesPerSec: the busiest one is
+// the plan's bottleneck.
+type LinkStats = exec.LinkStats
+
+// LinkStats returns the modeled links' accumulated busy time; all zero
+// when LinkBytesPerSec is 0. Call it between Steps.
+func (t *Trainer) LinkStats() LinkStats { return t.inner.LinkStats() }
+
 // CommStats reports chunked-collective counters: chunk reductions run
 // and per-replica bytes reduced. Zero on monolithic plans (CommChunks
 // unset). Alias of the internal executor's counters.
@@ -275,8 +292,9 @@ func (t *Trainer) FaultStats() (injected, retries int) { return t.inj.Stats() }
 
 // EnableTrace starts recording a wall-clock execution timeline:
 // compute kernels plus demand-swap, p2p, prefetch and write-back DMA
-// lanes per device. Returns the live trace; read it only between
-// Steps. The swap-overlap Gantt this renders is how prefetch
+// lanes per device (with LinkBytesPerSec set, a DMA span is the copy's
+// reservation on the modeled link). Returns the live trace; read it
+// only between Steps. The swap-overlap Gantt this renders is how prefetch
 // effectiveness is eyeballed (see cmd/harmonytrain -swap-trace).
 func (t *Trainer) EnableTrace() *trace.Trace { return t.inner.EnableTrace() }
 
