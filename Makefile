@@ -42,8 +42,15 @@ lint-sarif:
 	@$(GO) run ./cmd/harmonylint -sarif ./... > harmonylint.sarif; \
 	code=$$?; echo "wrote harmonylint.sarif"; exit $$code
 
+# internal/nn has one vector path (AVX2 assembly, amd64 only) beside
+# its portable Go kernels. The plain run tests the path this machine
+# dispatches to and, on amd64, both; the 386 run tests the portable
+# kernels as a non-amd64 user builds them, and the arm64 build fails
+# here, not on the ARM runner, when a declaration lacks its !amd64 stub.
 test:
 	$(GO) test ./...
+	GOARCH=386 $(GO) test ./internal/nn
+	GOARCH=arm64 $(GO) build ./...
 
 # bench/ is a nested module (the harmonybench harness behind
 # BENCHMARK.json), so `go test ./...` from the root never reaches its

@@ -3,8 +3,9 @@ package analyzers
 // Tests for the loader: one types universe across module packages and
 // the standard library, dependencies the patterns did not name, the
 // order of what comes back, build-constraint filtering, error surfaces
-// (missing package, empty match, syntax error, type error), and the
-// fixture loader's source-importer fallback.
+// (missing package, empty match, syntax error, type error), a package
+// whose function bodies are assembly, and the fixture loader's
+// source-importer fallback.
 
 import (
 	"go/types"
@@ -52,6 +53,54 @@ func TestLoadBuildTags(t *testing.T) {
 	}
 	if pkgs[0].Types.Scope().Lookup("Dead") != nil {
 		t.Error("symbol from build-excluded file is visible")
+	}
+}
+
+// TestLoadAssemblyPackage: a function declared without a body, its
+// code in a .s file beside it, is what internal/nn's vector kernels look
+// like to the linter. go list builds the package (the .s file is not
+// among GoFiles), the declaration type-checks, and every pass walks a
+// FuncDecl with a nil Body, under a lock and from a goroutine, without
+// a finding or a panic.
+func TestLoadAssemblyPackage(t *testing.T) {
+	tmp := writeModule(t, map[string]string{
+		"pkg/a.go": `package pkg
+
+import "sync"
+
+var mu sync.Mutex
+
+func kernel()
+
+func Locked() {
+	mu.Lock()
+	defer mu.Unlock()
+	kernel()
+}
+
+func Spawned(wg *sync.WaitGroup) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		kernel()
+	}()
+}
+`,
+		"pkg/a.s": "#include \"textflag.h\"\n\nTEXT ·kernel(SB), NOSPLIT, $0-0\n\tRET\n",
+	})
+	pkgs, err := Load(tmp, "./pkg")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(pkgs) != 1 || len(pkgs[0].Files) != 1 {
+		t.Fatalf("want one package of one Go file, got %v", paths(pkgs))
+	}
+	diags, err := RunProject(pkgs, All()...)
+	if err != nil {
+		t.Fatalf("RunProject: %v", err)
+	}
+	for _, d := range diags {
+		t.Errorf("finding on a clean assembly-backed package: %s", d)
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 )
 
 // copyModule replicates go.mod and the internal/ source tree (skipping
-// tests and fixture data) into a fresh temp module.
+// tests and fixture data) into a fresh temp module. Assembly comes
+// along: a body-less Go declaration does not build without its .s file.
 func copyModule(t *testing.T) string {
 	t.Helper()
 	tmp := t.TempDir()
@@ -42,7 +43,7 @@ func copyModule(t *testing.T) string {
 			}
 			return os.MkdirAll(filepath.Join(tmp, "internal", rel), 0o755)
 		}
-		if filepath.Ext(path) != ".go" || strings.HasSuffix(path, "_test.go") {
+		if ext := filepath.Ext(path); ext != ".go" && ext != ".s" || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		src, err := os.ReadFile(path)

@@ -9,6 +9,16 @@
 // Backward passes use activation recomputation for the ReLU mask
 // (recompute-from-stash, in the spirit of Chen et al. [7] cited by
 // the paper) so the stash holds only each layer's input.
+//
+// The Dense inner loops have two implementations with one result: the
+// Go register tiles in this file, which every GOARCH builds, and AVX2
+// assembly (kernels_amd64.s) that amd64 dispatches to when the CPU and
+// the OS support it. Both match the scalar oracle in nn_test.go bit for
+// bit (DESIGN.md §7). The race detector cannot see what assembly loads
+// and stores, so a -race build never dispatches to it: `go test -race`
+// checks the kernels' memory discipline on the instrumented Go tiles,
+// and the plain `go test` run is the one that exercises the vector
+// path.
 package nn
 
 import (
@@ -149,10 +159,31 @@ func (l Dense) weightGradRows(stash, masked, gw []float32, lo, hi int) {
 
 func (l Dense) inputGradRows(params, masked, dx []float32, lo, hi int) {
 	n := l.Out
+	// The vector tiles leave Σ_{j<n4} W[k,j]·d[i,j] in dx[i,k] for k < k8.
+	k8, n4 := 0, 0
+	if useAVX2 && l.In >= 8 && n >= 4 && lo < hi {
+		k8, n4 = l.In&^7, n&^3
+		w, d, out := params[:l.In*n], masked[lo*n:hi*n], dx[lo*l.In:hi*l.In]
+		i := 0
+		for ; i+4 <= hi-lo; i += 4 {
+			dx4AVX2(&out[i*l.In], &w[0], &d[i*n], k8, n4, l.In, n)
+		}
+		for ; i < hi-lo; i++ {
+			dx1AVX2(&out[i*l.In], &w[0], &d[i*n], k8, n4, n)
+		}
+	}
 	for i := lo; i < hi; i++ {
 		d := masked[i*n : (i+1)*n]
 		dxi := dx[i*l.In : (i+1)*l.In]
-		k := 0
+		// A sum the vector tiles began goes on from where it stands.
+		for k := 0; k < k8 && n4 < n; k++ {
+			s := dxi[k]
+			for j, wv := range params[k*n+n4 : (k+1)*n] {
+				s += wv * d[n4+j]
+			}
+			dxi[k] = s
+		}
+		k := k8
 		for ; k+4 <= len(dxi); k += 4 {
 			r := params[k*n : (k+4)*n]
 			dxi[k], dxi[k+1], dxi[k+2], dxi[k+3] = dot4(d, r[:n], r[n:2*n], r[2*n:3*n], r[3*n:])
@@ -168,8 +199,10 @@ func (l Dense) inputGradRows(params, masked, dx []float32, lo, hi int) {
 // elements are in flight together, never the order in which one
 // element's terms are added, and every accumulate keeps the oracle's
 // single `s += a*b` shape, so the results are the same bits on every
-// target, with or without fused multiply-add. DESIGN.md §7 has the
-// argument in full.
+// target, with or without fused multiply-add. Where useAVX2 is set,
+// axpy4, axpy and inputGradRows hand the whole-vector prefix of their
+// loop to the assembly and run the rest themselves, in order. DESIGN.md
+// §7 has the argument in full.
 
 // axpyRows adds coef[t*stride]·rows[t*len(dst):(t+1)*len(dst)] to dst
 // for t = 0, 1, … to the end of coef, in order, skipping zero
@@ -201,6 +234,10 @@ func axpyRows(dst, rows, coef []float32, stride int) {
 // one store of dst for the four.
 func axpy4(dst, r0, r1, r2, r3 []float32, c0, c1, c2, c3 float32) {
 	r0, r1, r2, r3 = r0[:len(dst)], r1[:len(dst)], r2[:len(dst)], r3[:len(dst)]
+	if n := len(dst) &^ 7; useAVX2 && n > 0 {
+		axpy4AVX2(&dst[0], &r0[0], &r1[0], &r2[0], &r3[0], n, c0, c1, c2, c3)
+		dst, r0, r1, r2, r3 = dst[n:], r0[n:], r1[n:], r2[n:], r3[n:]
+	}
 	for j, s := range dst {
 		s += c0 * r0[j]
 		s += c1 * r1[j]
@@ -212,6 +249,10 @@ func axpy4(dst, r0, r1, r2, r3 []float32, c0, c1, c2, c3 float32) {
 
 func axpy(dst, r []float32, c float32) {
 	r = r[:len(dst)]
+	if n := len(dst) &^ 7; useAVX2 && n > 0 {
+		axpyAVX2(&dst[0], &r[0], n, c)
+		dst, r = dst[n:], r[n:]
+	}
 	for j, s := range dst {
 		s += c * r[j]
 		dst[j] = s

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -530,15 +531,62 @@ func refBackward(l Dense, params, stash, dy, dx, grad []float32, batch int) {
 	}
 }
 
-// TestDenseBitIdenticalToOracle draws layer shapes around the tile
-// width (1, primes, non-multiples of four), batches 1–9 and inputs
-// salted with +0, -0 and all-zero rows, and requires the tiled kernels
-// to reproduce the oracle's y, stash, dx and grad bit for bit at pool
-// sizes 1, 2 and 3, on top of a non-zero incoming grad. The weights
-// carry ±Inf and NaN now and then: a zero input must still skip them.
+// eachKernelPath runs f on the Go tiles and then on the vector kernels
+// (skipped where this build or CPU has none), so one machine checks
+// both against the oracle.
+func eachKernelPath(t *testing.T, f func(t *testing.T)) {
+	have := useAVX2
+	defer func() { useAVX2 = have }()
+	for _, path := range []struct {
+		name string
+		vec  bool
+	}{{"go", false}, {"avx2", true}} {
+		t.Run(path.name, func(t *testing.T) {
+			if path.vec && !have {
+				t.Skip("no AVX2 kernels in this build or on this CPU")
+			}
+			useAVX2 = path.vec
+			f(t)
+		})
+	}
+}
+
+// sameBits fails unless got and want agree bit for bit. Which NaN comes
+// out of NaN + NaN is the hardware's choice by operand position, which
+// no Go source pins down, so any NaN equals any NaN.
+func sameBits(t *testing.T, name string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) && !(got[i] != got[i] && want[i] != want[i]) {
+			t.Fatalf("%s[%d] = %v (%#x), want %v (%#x)", name, i,
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// unaligned returns n floats that start 1–7 floats into their
+// allocation, so a kernel that assumed a 32-byte boundary would fault
+// or misread.
+func unaligned(rng *rand.Rand, n int) []float32 {
+	off := 1 + rng.Intn(7)
+	return make([]float32, off+n)[off:]
+}
+
+// TestDenseBitIdenticalToOracle draws layer shapes around the tile and
+// vector widths (1, primes, one either side of 8, 16, 32 and 128),
+// batches 1–9 and inputs salted with +0, -0 and all-zero rows, and
+// requires the kernels to reproduce the oracle's y, stash, dx and grad
+// bit for bit at pool sizes 1, 2 and 3, on top of a non-zero incoming
+// grad, on both kernel paths. The weights carry ±Inf and NaN now and
+// then: a zero input must still skip them. Every buffer starts 1–7
+// floats into its allocation, so no kernel may assume an aligned one.
 func TestDenseBitIdenticalToOracle(t *testing.T) {
+	eachKernelPath(t, testDenseBitIdenticalToOracle)
+}
+
+func testDenseBitIdenticalToOracle(t *testing.T) {
 	defer SetWorkers(runtime.GOMAXPROCS(0))
-	dims := []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 31, 67, 128, 257}
+	dims := []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 15, 16, 17, 24, 31, 32, 33, 64, 67, 100, 128, 129, 257}
 	negZero := float32(math.Copysign(0, -1))
 	rng := rand.New(rand.NewSource(15))
 	fill := func(s []float32, special float64, specials ...float32) {
@@ -548,60 +596,105 @@ func TestDenseBitIdenticalToOracle(t *testing.T) {
 			}
 		}
 	}
-	sameBits := func(name string, got, want []float32) {
-		t.Helper()
-		for i := range want {
-			// Which NaN comes out of NaN + NaN is the hardware's choice
-			// by operand position, which no Go source pins down.
-			if math.Float32bits(got[i]) != math.Float32bits(want[i]) && !(got[i] != got[i] && want[i] != want[i]) {
-				t.Fatalf("%s[%d] = %v (%#x), oracle %v (%#x)", name, i,
-					got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
-			}
-		}
-	}
 	for draw := 0; draw < 300; draw++ {
 		l := Dense{In: dims[rng.Intn(len(dims))], Out: dims[rng.Intn(len(dims))], ReLU: rng.Intn(2) == 0}
 		batch := 1 + rng.Intn(9)
 		// A few big layers so that pools of 2 and 3 really split.
 		if draw%25 == 0 {
-			l.In, l.Out, batch = 200+rng.Intn(9), 180+rng.Intn(9), 9
+			l.In, l.Out, batch = 520+rng.Intn(9), 460+rng.Intn(9), 9
 		}
 		SetWorkers(1 + draw%3)
-		params := make([]float32, l.ParamCount())
+		params := unaligned(rng, l.ParamCount())
 		fill(params, 0)
 		if draw%5 == 0 {
 			fill(params, 0.02, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), negZero)
 		}
-		x := make([]float32, batch*l.In)
+		x := unaligned(rng, batch*l.In)
 		fill(x, 0.4, 0, negZero)
 		if batch > 1 {
 			clear(x[l.In : 2*l.In])
 		}
-		dy := make([]float32, batch*l.Out)
+		dy := unaligned(rng, batch*l.Out)
 		fill(dy, 0.1, 0, negZero)
-		grad0 := make([]float32, l.ParamCount())
+		grad0 := unaligned(rng, l.ParamCount())
 		fill(grad0, 0.1, 0, negZero)
 		withDx := rng.Intn(4) > 0
 
 		run := func(fwd func(Dense, []float32, []float32, []float32, []float32, int),
 			bwd func(Dense, []float32, []float32, []float32, []float32, []float32, int)) (y, stash, dx, grad []float32) {
-			y = make([]float32, batch*l.Out)
-			stash = make([]float32, batch*l.In)
+			y = unaligned(rng, batch*l.Out)
+			stash = unaligned(rng, batch*l.In)
 			fwd(l, params, x, y, stash, batch)
 			if withDx {
-				dx = make([]float32, batch*l.In)
+				dx = unaligned(rng, batch*l.In)
 			}
-			grad = append([]float32(nil), grad0...)
+			grad = unaligned(rng, len(grad0))
+			copy(grad, grad0)
 			bwd(l, params, stash, dy, dx, grad, batch)
 			return
 		}
 		y, stash, dx, grad := run(Dense.Forward, Dense.Backward)
 		wy, wstash, wdx, wgrad := run(refForward, refBackward)
 		t.Logf("draw %d: %+v batch %d workers %d dx %v", draw, l, batch, Workers(), withDx)
-		sameBits("y", y, wy)
-		sameBits("stash", stash, wstash)
-		sameBits("dx", dx, wdx)
-		sameBits("grad", grad, wgrad)
+		sameBits(t, "y", y, wy)
+		sameBits(t, "stash", stash, wstash)
+		sameBits(t, "dx", dx, wdx)
+		sameBits(t, "grad", grad, wgrad)
+	}
+}
+
+// TestVectorKernelsMatchGoTiles holds each assembly kernel to its Go
+// twin at every length from 0 to 40 — every split between the vector
+// prefix and the Go tail, the 32-float and 8-float loops, the four-row
+// and one-row dx tiles with and without a last block of eight — on
+// operands salted with ±Inf, NaN, -0, denormals and values whose
+// products overflow, in buffers at odd alignments.
+func TestVectorKernelsMatchGoTiles(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2 kernels in this build or on this CPU")
+	}
+	defer func() { useAVX2 = true }()
+	rng := rand.New(rand.NewSource(23))
+	specials := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		float32(math.Copysign(0, -1)), 0, 1e-45, -1e-40, 3e38, -3e38}
+	salted := func(n int) []float32 {
+		s := unaligned(rng, n)
+		for i := range s {
+			if s[i] = float32(rng.NormFloat64()); rng.Intn(8) == 0 {
+				s[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+		return s
+	}
+	// both runs kernel on a copy of out with the vector path on and off.
+	both := func(name string, out []float32, kernel func(out []float32)) {
+		t.Helper()
+		got, want := salted(len(out)), salted(len(out))
+		copy(got, out)
+		copy(want, out)
+		useAVX2 = true
+		kernel(got)
+		useAVX2 = false
+		kernel(want)
+		sameBits(t, name, got, want)
+	}
+	for n := 0; n <= 40; n++ {
+		for rep := 0; rep < 8; rep++ {
+			r, c := [4][]float32{salted(n), salted(n), salted(n), salted(n)}, salted(4)
+			both(fmt.Sprintf("axpy4 n=%d", n), salted(n), func(dst []float32) {
+				axpy4(dst, r[0], r[1], r[2], r[3], c[0], c[1], c[2], c[3])
+			})
+			both(fmt.Sprintf("axpy n=%d", n), salted(n), func(dst []float32) { axpy(dst, r[0], c[0]) })
+		}
+		for in := 0; in <= 40; in++ {
+			for _, batch := range []int{1, 4, 6} {
+				l := Dense{In: in, Out: n}
+				params, masked := salted(l.ParamCount()), salted(batch*n)
+				both(fmt.Sprintf("dx in=%d out=%d batch=%d", in, n, batch), salted(batch*in), func(dx []float32) {
+					l.inputGradRows(params, masked, dx, 0, batch)
+				})
+			}
+		}
 	}
 }
 
@@ -621,8 +714,13 @@ func poolRetains() bool {
 
 // TestSteadyStateAllocs pins the zero-allocation claims: on a
 // one-worker pool a scratch round trip, a Dense.Forward and a
-// Dense.Backward allocate nothing once the pool is warm.
+// Dense.Backward allocate nothing once the pool is warm, on either
+// kernel path.
 func TestSteadyStateAllocs(t *testing.T) {
+	eachKernelPath(t, testSteadyStateAllocs)
+}
+
+func testSteadyStateAllocs(t *testing.T) {
 	if !poolRetains() {
 		t.Skip("sync.Pool drops Puts under the race detector")
 	}
@@ -657,9 +755,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 // nominal GFLOP/s (2·In·Out per sample forward, twice that backward;
 // skipped zeros count as done) for the two passes separately.
 func BenchmarkDenseStep(b *testing.B) {
-	// The pool was sized before -cpu took effect.
 	defer SetWorkers(Workers())
-	SetWorkers(runtime.GOMAXPROCS(0))
 	for _, shape := range []struct {
 		name        string
 		widths      []int
@@ -670,6 +766,9 @@ func BenchmarkDenseStep(b *testing.B) {
 		{"swap-256x512x512x512x10-mb1x8", []int{256, 512, 512, 512, 10}, 1, 8},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
+			// -cpu takes effect here: the enclosing function runs once,
+			// each leaf once per -cpu value.
+			SetWorkers(runtime.GOMAXPROCS(0))
 			var layers []Dense
 			var params, grads, stash, dxs [][]float32
 			acts := [][]float32{make([]float32, shape.mb*shape.widths[0])}

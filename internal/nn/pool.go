@@ -115,14 +115,22 @@ func runsInline(n, grain int) bool {
 	return n <= grain || activePool.Load().size == 1
 }
 
-// grainFor sizes ParallelFor chunks so each carries roughly 64k scalar
+// grainFor sizes ParallelFor chunks so each carries roughly 4M scalar
 // operations when one item costs perItem operations: tiny layers stay
-// serial, large ones fan out.
+// serial, large ones fan out. A fan-out is a channel hand-off to a
+// worker that has gone to sleep and a wake-up of the caller afterwards,
+// ≈ 100 µs the pair on a two-CPU VM, and the vector kernels retire
+// 10–20 operations a nanosecond: a chunk a tenth of this size cost more
+// to hand over than to run (BenchmarkDenseStep -cpu 1,2, swap shape).
+// The scalar kernels (conv, pool) are several times slower an operation
+// and get chunks that much longer: the one constant errs on the side of
+// not fanning out.
 func grainFor(perItem int) int {
+	const chunkOps = 1 << 22
 	if perItem <= 0 {
-		return 1 << 16
+		return chunkOps
 	}
-	g := (1 << 16) / perItem
+	g := chunkOps / perItem
 	if g < 1 {
 		g = 1
 	}

@@ -95,17 +95,18 @@ func runKernelOnce(k Kernel, workers, batch int) (y, dx, grad []float32) {
 
 // TestParallelKernelsBitIdenticalToSerial is the kernel half of the
 // executor's determinism guarantee: chunked execution must not change
-// a single bit of any output or gradient. The shapes are picked large
-// enough that grainFor actually splits the work at 4 workers.
+// a single bit of any output or gradient. The Dense and Conv2D shapes
+// are picked large enough that grainFor actually splits the work at 4
+// workers; pooling is too cheap to fan out at any shape a test affords.
 func TestParallelKernelsBitIdenticalToSerial(t *testing.T) {
 	defer SetWorkers(runtime.GOMAXPROCS(0))
 	kernels := []struct {
 		k     Kernel
 		batch int
 	}{
-		{Dense{In: 200, Out: 180, ReLU: true}, 16},
-		{Dense{In: 200, Out: 180}, 16},
-		{Conv2D{Cin: 3, H: 16, W: 16, Cout: 8, K: 3, ReLU: true}, 8},
+		{Dense{In: 600, Out: 500, ReLU: true}, 16},
+		{Dense{In: 600, Out: 500}, 16},
+		{Conv2D{Cin: 8, H: 32, W: 32, Cout: 16, K: 3, ReLU: true}, 8},
 		{MaxPool2D{C: 8, H: 14, W: 14, P: 2}, 8},
 	}
 	for _, tc := range kernels {
