@@ -12,6 +12,7 @@
 //	figures             # everything
 //	figures -fig 2a     # one artifact
 //	figures -csv        # additionally emit CSV rows
+//	figures -cpuprofile cpu.pb.gz -memprofile mem.pb.gz   # for go tool pprof
 package main
 
 import (
@@ -23,6 +24,7 @@ import (
 	"harmony/internal/experiments"
 	"harmony/internal/hw"
 	"harmony/internal/models"
+	"harmony/internal/profile"
 	"harmony/internal/report"
 	"harmony/internal/sched"
 	"harmony/internal/tuner"
@@ -38,7 +40,11 @@ var artifacts = []struct {
 	{"abl", abl},
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit code, so the profiles are written on every
+// way out of it.
+func run() (exit int) {
 	names := make([]string, len(artifacts))
 	for i, a := range artifacts {
 		names[i] = a.name
@@ -46,7 +52,20 @@ func main() {
 	known := strings.Join(names, ", ") + " or all"
 	fig := flag.String("fig", "all", "which artifact: "+known)
 	csv := flag.Bool("csv", false, "also print CSV rows")
+	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
+
+	stop, err := prof.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+		return 1
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+			exit = 1
+		}
+	}()
 
 	ran := false
 	for _, a := range artifacts {
@@ -55,7 +74,7 @@ func main() {
 		}
 		if err := a.run(*csv); err != nil {
 			fmt.Fprintf(os.Stderr, "figures: %s: %v\n", a.name, err)
-			os.Exit(1)
+			return 1
 		}
 		if *fig == "all" {
 			fmt.Println()
@@ -64,8 +83,9 @@ func main() {
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "figures: unknown artifact %q (want %s)\n", *fig, known)
-		os.Exit(2)
+		return 2
 	}
+	return 0
 }
 
 func fig1(csv bool) error {

@@ -7,6 +7,7 @@
 //	harmonysim -model bert48 -mode harmony-pp -gpus 4 -mb-size 1 -microbatches 20
 //	harmonysim -model gpt2xl -mode dp-baseline -gpus 2 -mb-size 4
 //	harmonysim -model uniform -layers 16 -mode harmony-dp -gpus 1 -gpu-mem 1048576 -trace
+//	harmonysim -model gpt2xl -mode dp-baseline -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 package main
 
 import (
@@ -16,9 +17,14 @@ import (
 
 	"harmony"
 	"harmony/internal/models"
+	"harmony/internal/profile"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit code, so the profiles are written on every
+// way out of it.
+func run() (exit int) {
 	var (
 		modelName  = flag.String("model", "bert48", "workload: lenet, alexnet, gnmt, amoebanet, bertlarge, bert48, gpt2xl, t5-11b, gpt3, uniform")
 		layers     = flag.Int("layers", 16, "layer count for -model uniform")
@@ -37,7 +43,20 @@ func main() {
 		lookahead  = flag.Bool("lookahead", false, "schedule-informed (Belady) eviction instead of LRU")
 		interleave = flag.Bool("interleave", false, "1F1B wave interleaving for grouped pipelines")
 	)
+	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
+
+	stop, err := prof.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "harmonysim: %v\n", err)
+		return 1
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintf(os.Stderr, "harmonysim: %v\n", err)
+			exit = 1
+		}
+	}()
 
 	var model harmony.ModelSpec
 	if *modelName == "uniform" {
@@ -46,7 +65,7 @@ func main() {
 		model = harmony.CustomModel(ctor())
 	} else {
 		fmt.Fprintf(os.Stderr, "harmonysim: unknown model %q\n", *modelName)
-		os.Exit(2)
+		return 2
 	}
 	var mode harmony.Mode
 	switch *modeName {
@@ -64,7 +83,7 @@ func main() {
 		mode = harmony.HarmonyTP
 	default:
 		fmt.Fprintf(os.Stderr, "harmonysim: unknown mode %q\n", *modeName)
-		os.Exit(2)
+		return 2
 	}
 	server := harmony.CommodityServer(*gpus)
 	if *servers > 1 {
@@ -102,7 +121,7 @@ func main() {
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "harmonysim: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 
 	fmt.Printf("model            %s (persistent footprint %.1f GiB)\n", model.Name(), model.PersistentGB())
@@ -120,4 +139,5 @@ func main() {
 		fmt.Println()
 		fmt.Print(rep.Gantt)
 	}
+	return 0
 }

@@ -1,6 +1,7 @@
 package harmony
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -89,6 +90,15 @@ func TestSimulateValidation(t *testing.T) {
 	}
 	if _, err := Simulate(SimConfig{Model: BERTLarge()}); err == nil {
 		t.Fatal("missing server accepted")
+	}
+	// A NaN bandwidth is false under every `<= 0` check; it used to come
+	// back as err == nil, Throughput 0, IterSeconds NaN.
+	_, err := Simulate(SimConfig{
+		Model: BERTLarge(), Mode: HarmonyDP, MicrobatchSize: 1, Microbatches: 2,
+		Server: CommodityServer(2).WithHostLinkBandwidth(math.NaN()),
+	})
+	if err == nil || !strings.Contains(err.Error(), "HostLinkBandwidth") {
+		t.Fatalf("NaN host-link bandwidth: err = %v, want one naming HostLinkBandwidth", err)
 	}
 }
 

@@ -48,39 +48,6 @@ func RingAllReduce(top *hw.Topology, devs []hw.DeviceID, bytes int64, done func(
 			return fmt.Errorf("collective: host cannot participate in all-reduce")
 		}
 	}
-	chunk := bytes / int64(n)
-	if chunk == 0 {
-		chunk = 1
-	}
-	steps := 2 * (n - 1)
-	ab := &aborter{fail: fail}
-	var runStep func(step int)
-	runStep = func(step int) {
-		if ab.aborted {
-			return
-		}
-		if step == steps {
-			done(top.Eng.Now())
-			return
-		}
-		remaining := n
-		for i := 0; i < n; i++ {
-			src := devs[i]
-			dst := devs[(i+1)%n]
-			if err := sendChunk(top, src, dst, chunk, func(sim.Time) {
-				remaining--
-				if remaining == 0 {
-					runStep(step + 1)
-				}
-			}, ab); err != nil {
-				// Ring construction was validated up front, so a
-				// transfer error here means the topology changed under
-				// us mid-collective.
-				ab.abort(err)
-				return
-			}
-		}
-	}
 	// Validate every ring edge is routable before starting.
 	for i := 0; i < n; i++ {
 		src, dst := devs[i], devs[(i+1)%n]
@@ -96,8 +63,64 @@ func RingAllReduce(top *hw.Topology, devs []hw.DeviceID, bytes int64, done func(
 			return err
 		}
 	}
-	runStep(0)
+	startRing(top, devs, bytes, 2*(n-1), done, fail)
 	return nil
+}
+
+// ring is one ring collective in flight: `steps` barriered rounds in
+// which every device sends one chunk to its successor. The chunk
+// completions of all rounds share one callback bound at start.
+type ring struct {
+	top   *hw.Topology
+	devs  []hw.DeviceID
+	chunk int64
+	steps int
+	done  func(at sim.Time)
+	ab    aborter
+
+	step      int // the round in flight
+	remaining int // its chunks still in transit
+	chunkDone func(at sim.Time)
+}
+
+// startRing runs a ring of `steps` rounds over chunks of bytes/N.
+func startRing(top *hw.Topology, devs []hw.DeviceID, bytes int64, steps int, done func(at sim.Time), fail func(error)) {
+	chunk := bytes / int64(len(devs))
+	if chunk == 0 {
+		chunk = 1
+	}
+	g := &ring{top: top, devs: devs, chunk: chunk, steps: steps, done: done, ab: aborter{fail: fail}}
+	g.chunkDone = g.onChunkDone
+	g.runStep()
+}
+
+func (g *ring) runStep() {
+	if g.ab.aborted {
+		return
+	}
+	if g.step == g.steps {
+		g.done(g.top.Eng.Now())
+		return
+	}
+	n := len(g.devs)
+	g.remaining = n
+	for i := 0; i < n; i++ {
+		if err := sendChunk(g.top, g.devs[i], g.devs[(i+1)%n], g.chunk, g.chunkDone, &g.ab); err != nil {
+			// Ring construction was validated up front, so a
+			// transfer error here means the topology changed under
+			// us mid-collective.
+			g.ab.abort(err)
+			return
+		}
+	}
+}
+
+func (g *ring) onChunkDone(sim.Time) {
+	g.remaining--
+	if g.remaining == 0 {
+		g.step++
+		g.runStep()
+	}
 }
 
 // aborter delivers at most one mid-collective error to the caller's
@@ -166,36 +189,7 @@ func RingAllGather(top *hw.Topology, devs []hw.DeviceID, bytes int64, done func(
 			return fmt.Errorf("collective: duplicate device %s in ring", devs[i])
 		}
 	}
-	chunk := bytes / int64(n)
-	if chunk == 0 {
-		chunk = 1
-	}
-	steps := n - 1
-	ab := &aborter{fail: fail}
-	var runStep func(step int)
-	runStep = func(step int) {
-		if ab.aborted {
-			return
-		}
-		if step == steps {
-			done(top.Eng.Now())
-			return
-		}
-		remaining := n
-		for i := 0; i < n; i++ {
-			src, dst := devs[i], devs[(i+1)%n]
-			if err := sendChunk(top, src, dst, chunk, func(sim.Time) {
-				remaining--
-				if remaining == 0 {
-					runStep(step + 1)
-				}
-			}, ab); err != nil {
-				ab.abort(err)
-				return
-			}
-		}
-	}
-	runStep(0)
+	startRing(top, devs, bytes, n-1, done, fail)
 	return nil
 }
 

@@ -13,6 +13,7 @@ package hw
 
 import (
 	"fmt"
+	"math"
 
 	"harmony/internal/sim"
 )
@@ -153,8 +154,28 @@ type BoxConfig struct {
 	NICLatency   sim.Time
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. A NaN or infinite rate or
+// latency is one: every range check below is false for NaN, and the
+// simulated clock cannot order a NaN time.
 func (c BoxConfig) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"GPUFLOPS", c.GPUFLOPS},
+		{"ComputeEfficiency", c.ComputeEfficiency},
+		{"PCIeBandwidth", c.PCIeBandwidth},
+		{"UplinkBandwidth", c.UplinkBandwidth},
+		{"HostLinkBandwidth", c.HostLinkBandwidth},
+		{"LinkLatency", float64(c.LinkLatency)},
+		{"NVLinkBandwidth", c.NVLinkBandwidth},
+		{"NICBandwidth", c.NICBandwidth},
+		{"NICLatency", float64(c.NICLatency)},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("hw: %s must be finite, got %g", f.name, f.v)
+		}
+	}
 	switch {
 	case c.NumGPUs <= 0:
 		return fmt.Errorf("hw: NumGPUs must be positive, got %d", c.NumGPUs)
@@ -255,7 +276,25 @@ type Topology struct {
 	// Optional NVLink mesh (symmetric per ordered pair).
 	nvlink map[[2]DeviceID]*Link
 
+	// paths[src+1][dst+1] is the resolved src->dst DMA (Host is -1),
+	// each pair filled at its first use: a dense table, so a transfer
+	// neither rebuilds its route nor hashes anything.
+	paths [][]path
+
 	Links []*Link // all links, for reports
+}
+
+// path is one entry of the route table: the route, or the error that
+// refuses it, with everything Transfer derives from the route.
+type path struct {
+	resolved bool
+	err      error
+	links    []*Link
+	// res is what a transfer occupies: the copy engines, then the
+	// links' FIFOs in route order.
+	res       []*sim.FIFO
+	bandwidth float64 // bottleneck
+	latency   sim.Time
 }
 
 // NewBox builds the topology on the given engine. With Servers > 1
@@ -325,7 +364,37 @@ func NewBox(eng *sim.Engine, cfg BoxConfig) (*Topology, error) {
 			}
 		}
 	}
+	n := len(t.GPUs) + 1
+	t.paths = make([][]path, n)
+	cells := make([]path, n*n)
+	for s := range t.paths {
+		t.paths[s] = cells[s*n : (s+1)*n : (s+1)*n]
+	}
 	return t, nil
+}
+
+// path returns the route-table entry for src->dst, resolving it on
+// first use.
+func (t *Topology) path(src, dst DeviceID) *path {
+	p := &t.paths[src+1][dst+1]
+	if !p.resolved {
+		t.resolve(p, src, dst)
+	}
+	return p
+}
+
+func (t *Topology) resolve(p *path, src, dst DeviceID) {
+	r, err := t.route(src, dst)
+	if err != nil {
+		*p = path{resolved: true, err: err}
+		return
+	}
+	res := make([]*sim.FIFO, 0, len(r.Engines)+len(r.Links))
+	res = append(res, r.Engines...)
+	for _, l := range r.Links {
+		res = append(res, l.Res)
+	}
+	*p = path{resolved: true, links: r.Links, res: res, bandwidth: r.Bottleneck(), latency: r.latency()}
 }
 
 // serverOf returns the server index hosting a GPU.
@@ -371,6 +440,8 @@ func (t *Topology) switchOf(g DeviceID) int {
 // route computes the links and copy engines for a single DMA between
 // src and dst. It supports host<->GPU and (when enabled) direct
 // GPU<->GPU. Callers needing host-bounced GPU->GPU issue two routes.
+// It runs once per pair, to fill the route table; transfers read the
+// table.
 func (t *Topology) route(src, dst DeviceID) (Route, error) {
 	if src == dst {
 		return Route{}, fmt.Errorf("hw: transfer %s->%s to itself", src, dst)
@@ -421,20 +492,18 @@ func (t *Topology) CanP2P(src, dst DeviceID) bool {
 	if src == Host || dst == Host || src == dst {
 		return false
 	}
-	if _, ok := t.nvlink[[2]DeviceID{src, dst}]; ok {
-		return true
-	}
-	return t.Cfg.P2P
+	// Between two distinct GPUs route refuses only a missing p2p path.
+	return t.path(src, dst).err == nil
 }
 
 // TransferTime returns the uncontended duration of moving bytes along
 // the src->dst route (bottleneck bandwidth plus latency).
 func (t *Topology) TransferTime(src, dst DeviceID, bytes int64) (sim.Time, error) {
-	r, err := t.route(src, dst)
-	if err != nil {
-		return 0, err
+	p := t.path(src, dst)
+	if p.err != nil {
+		return 0, p.err
 	}
-	return sim.Time(float64(bytes)/r.Bottleneck()) + r.latency(), nil
+	return sim.Time(float64(bytes)/p.bandwidth) + p.latency, nil
 }
 
 // Transfer schedules a DMA of bytes from src to dst, invoking done
@@ -446,19 +515,14 @@ func (t *Topology) Transfer(src, dst DeviceID, bytes int64, done func(at sim.Tim
 	if bytes < 0 {
 		return fmt.Errorf("hw: negative transfer size %d", bytes)
 	}
-	r, err := t.route(src, dst)
-	if err != nil {
-		return err
+	p := t.path(src, dst)
+	if p.err != nil {
+		return p.err
 	}
-	service := sim.Time(float64(bytes)/r.Bottleneck()) + r.latency()
-	for _, l := range r.Links {
+	service := sim.Time(float64(bytes)/p.bandwidth) + p.latency
+	for _, l := range p.links {
 		l.Bytes += bytes
 	}
-	res := make([]*sim.FIFO, 0, len(r.Links)+len(r.Engines))
-	res = append(res, r.Engines...)
-	for _, l := range r.Links {
-		res = append(res, l.Res)
-	}
-	sim.Chain(t.Eng, res, service, done)
+	sim.Chain(t.Eng, p.res, service, done)
 	return nil
 }

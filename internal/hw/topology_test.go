@@ -1,6 +1,8 @@
 package hw
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -39,6 +41,38 @@ func TestBoxConfigValidate(t *testing.T) {
 		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+}
+
+// TestBoxConfigValidateRejectsNonFinite: NaN is false under every range
+// check, so each float field is tested for finiteness by name.
+func TestBoxConfigValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*BoxConfig, float64)
+	}{
+		{"GPUFLOPS", func(c *BoxConfig, v float64) { c.GPUFLOPS = v }},
+		{"ComputeEfficiency", func(c *BoxConfig, v float64) { c.ComputeEfficiency = v }},
+		{"PCIeBandwidth", func(c *BoxConfig, v float64) { c.PCIeBandwidth = v }},
+		{"UplinkBandwidth", func(c *BoxConfig, v float64) { c.UplinkBandwidth = v }},
+		{"HostLinkBandwidth", func(c *BoxConfig, v float64) { c.HostLinkBandwidth = v }},
+		{"LinkLatency", func(c *BoxConfig, v float64) { c.LinkLatency = sim.Time(v) }},
+		{"NVLinkBandwidth", func(c *BoxConfig, v float64) { c.NVLinkBandwidth = v }},
+		{"NICBandwidth", func(c *BoxConfig, v float64) { c.NICBandwidth = v }},
+		{"NICLatency", func(c *BoxConfig, v float64) { c.NICLatency = sim.Time(v) }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			c := CommodityCluster(2, 2)
+			f.set(&c, v)
+			err := c.Validate()
+			if err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: err = %v, want one naming the field", f.name, v, err)
+			}
+			if _, err := NewBox(sim.NewEngine(), c); err == nil {
+				t.Errorf("%s = %v: NewBox built the box", f.name, v)
+			}
 		}
 	}
 }
@@ -383,5 +417,54 @@ func TestClusterTransferTimeCrossServer(t *testing.T) {
 	}
 	if d < 1 {
 		t.Fatalf("cross-server transfer %v should be NIC-bound (≥1s)", d)
+	}
+}
+
+// TestTransferAllocs: a DMA reads its route from the table and costs
+// one allocation, the join its four FIFOs report to.
+func TestTransferAllocs(t *testing.T) {
+	eng, top := testBox(t, 2)
+	done := func(sim.Time) {}
+	transfer := func() {
+		if err := top.Transfer(Host, 1, 1<<20, done); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	transfer() // resolves the route, grows the event heap
+	before := eng.Processed
+	if n := testing.AllocsPerRun(100, transfer); n > 1 {
+		t.Errorf("Transfer(host -> gpu1): %v allocs, want at most 1", n)
+	}
+	// One engine and three links: four FIFO services, four events.
+	if per := (eng.Processed - before) / 101; per != 4 {
+		t.Errorf("Transfer(host -> gpu1) took %d events, want 4", per)
+	}
+}
+
+// TestRouteTableKeepsRouteErrors: a refused pair is refused the same way
+// on every call, by Transfer, TransferTime and CanP2P alike.
+func TestRouteTableKeepsRouteErrors(t *testing.T) {
+	cfg := Commodity1080TiBox(2)
+	cfg.P2P = false
+	top := MustBox(sim.NewEngine(), cfg)
+	for i := 0; i < 2; i++ {
+		if err := top.Transfer(0, 1, 8, func(sim.Time) {}); err == nil || !strings.Contains(err.Error(), "p2p disabled between gpu0 and gpu1") {
+			t.Fatalf("call %d: Transfer(0, 1) = %v", i, err)
+		}
+		if _, err := top.TransferTime(Host, Host, 8); err == nil || !strings.Contains(err.Error(), "to itself") {
+			t.Fatalf("call %d: TransferTime(host, host) = %v", i, err)
+		}
+		if top.CanP2P(0, 1) || top.CanP2P(0, 0) || top.CanP2P(Host, 1) {
+			t.Fatalf("call %d: CanP2P true on a box without p2p", i)
+		}
+	}
+	if _, err := top.Eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if top.Eng.Processed != 0 || top.gpuUp[0].Bytes != 0 {
+		t.Fatal("a refused transfer scheduled events or counted bytes")
 	}
 }

@@ -11,8 +11,15 @@
 // once every input is pinned and space for outputs and workspace is
 // reserved.
 //
+// Bookkeeping is by index, not by hash: tensor IDs are dense (the
+// registry hands them out from zero), so the per-tensor tables — states,
+// home device, LRU links — are slices indexed by ID, and an acquire's
+// pinned/pending flags are positional, parallel to its input list (which
+// is why Acquire refuses an input listed twice). The simulator's hot
+// loop builds one object per acquire and none per LRU move.
+//
 // Locking discipline (DESIGN.md §12): scheduling state — tensor state
-// machines, acquire queues, LRU lists, the home map — is guarded by
+// machines, acquire queues, LRU lists, the home table — is guarded by
 // Manager.mu. Every exported scheduling method takes mu for its full
 // duration, as do the transfer-completion closures when the simulation
 // engine fires them; unexported helpers (pump, advance, ensureSpace,
@@ -38,7 +45,6 @@
 package memory
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 
@@ -116,11 +122,25 @@ type devShard struct {
 	usageHook func(used int64)
 	stats     DeviceStats
 
-	// Owned by Manager.mu, like all scheduling state:
-	lru     *list.List // of *tensor.State, front = coldest
-	lruElem map[int]*list.Element
-	queue   []*acquire
+	// Owned by Manager.mu, like all scheduling state. The LRU is a list
+	// threaded through links, the Manager's per-tensor link table (one
+	// table serves every shard: a tensor is resident on one device at a
+	// time). lruHead is the coldest tensor's ID, noTensor when empty.
+	lruHead, lruTail int
+	links            []lruLink
+	queue            []*acquire
 }
+
+// lruLink is one tensor's place in a device's LRU list, indexed by the
+// dense tensor ID. dev is the device whose list holds it; hw.Host, which
+// has no list, means none.
+type lruLink struct {
+	prev, next int
+	dev        hw.DeviceID
+}
+
+// noTensor ends an LRU list.
+const noTensor = -1
 
 func (d *devShard) free() int64 {
 	d.mu.Lock()
@@ -142,20 +162,46 @@ func (d *devShard) usedBytes() int64 {
 	return d.used
 }
 
-// touch and forget maintain LRU order; Manager.mu guards them.
+// touch and forget maintain LRU order; Manager.mu guards them. touch
+// makes st the most recently used tensor of d.
 func (d *devShard) touch(st *tensor.State) {
-	if e, ok := d.lruElem[st.Tensor.ID]; ok {
-		d.lru.MoveToBack(e)
-		return
+	id := st.Tensor.ID
+	d.forget(st)
+	l := &d.links[id]
+	l.prev, l.next, l.dev = d.lruTail, noTensor, d.dev.ID
+	if d.lruTail == noTensor {
+		d.lruHead = id
+	} else {
+		d.links[d.lruTail].next = id
 	}
-	d.lruElem[st.Tensor.ID] = d.lru.PushBack(st)
+	d.lruTail = id
 }
 
+// forget unlinks st if it is on d's list.
 func (d *devShard) forget(st *tensor.State) {
-	if e, ok := d.lruElem[st.Tensor.ID]; ok {
-		d.lru.Remove(e)
-		delete(d.lruElem, st.Tensor.ID)
+	l := &d.links[st.Tensor.ID]
+	if l.dev != d.dev.ID {
+		return
 	}
+	if l.prev == noTensor {
+		d.lruHead = l.next
+	} else {
+		d.links[l.prev].next = l.next
+	}
+	if l.next == noTensor {
+		d.lruTail = l.prev
+	} else {
+		d.links[l.next].prev = l.prev
+	}
+	l.dev = hw.Host
+}
+
+// dequeue removes the head acquire by shifting the few that wait behind
+// it down, so the queue keeps its array; Manager.mu guards it.
+func (d *devShard) dequeue() {
+	n := copy(d.queue, d.queue[1:])
+	d.queue[n] = nil
+	d.queue = d.queue[:n]
 }
 
 func (d *devShard) addUsed(b int64) {
@@ -219,19 +265,28 @@ func (d *devShard) statsSnapshot() DeviceStats {
 	return d.stats
 }
 
-// acquire is one pending residency request.
+// acquire is one pending residency request. Its bookkeeping is
+// positional: pinned[i] and pending[i] describe want[i].
 type acquire struct {
 	dev      *devShard
 	want     []*tensor.State
-	pinned   map[int]bool
-	pending  map[int]bool // transfers in flight on our behalf
+	pinned   []bool
+	pending  []bool // transfers in flight on our behalf
 	outputs  []*tensor.State
 	outBytes int64
 	ws       int64
 	ready    func()
 	fail     func(error)
 	failed   bool
+
+	// Backing for want/outputs and pinned/pending when the task is
+	// small enough (every layer-level task is), so that an acquire is
+	// one allocation.
+	stateBuf [inlineStates]*tensor.State
+	flagBuf  [2 * inlineStates]bool
 }
+
+const inlineStates = 6
 
 // Manager owns tensor states and device memory for one training run.
 // See the package comment for the locking discipline.
@@ -243,9 +298,10 @@ type Manager struct {
 	pol    Policy
 	states []*tensor.State
 	devs   []*devShard
-	// home maps live tensors to the device whose working set they
-	// belong to (for demand accounting). Keyed by tensor ID.
-	home map[int]hw.DeviceID
+	// home[id] is the device whose working set live tensor id belongs
+	// to (for demand accounting); hw.Host, never a working set, means
+	// none.
+	home []hw.DeviceID
 
 	// fatal, once set, poisons all further operations; the runtime
 	// checks it after the simulation drains.
@@ -265,17 +321,17 @@ type Manager struct {
 
 // New creates a manager for all tensors in reg over the topology.
 func New(eng *sim.Engine, top *hw.Topology, reg *tensor.Registry, pol Policy) *Manager {
-	m := &Manager{eng: eng, top: top, reg: reg, pol: pol, home: make(map[int]hw.DeviceID)}
+	m := &Manager{eng: eng, top: top, reg: reg, pol: pol}
 	m.states = make([]*tensor.State, reg.Len())
+	m.home = make([]hw.DeviceID, reg.Len())
+	links := make([]lruLink, reg.Len())
 	for _, t := range reg.All() {
 		m.states[t.ID] = tensor.NewState(t)
+		m.home[t.ID] = hw.Host
+		links[t.ID].dev = hw.Host
 	}
 	for _, d := range top.GPUs {
-		m.devs = append(m.devs, &devShard{
-			dev:     d,
-			lru:     list.New(),
-			lruElem: make(map[int]*list.Element),
-		})
+		m.devs = append(m.devs, &devShard{dev: d, lruHead: noTensor, lruTail: noTensor, links: links})
 	}
 	return m
 }
@@ -375,21 +431,31 @@ func (m *Manager) Acquire(dev hw.DeviceID, inputs, outputs []*tensor.Tensor, wor
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	d := m.devs[dev]
-	a := &acquire{
-		dev:     d,
-		pinned:  make(map[int]bool),
-		pending: make(map[int]bool),
-		ws:      workspace,
-		ready:   ready,
-		fail:    fail,
+	a := &acquire{dev: d, ws: workspace, ready: ready, fail: fail}
+	// One array each for the states (want, then outputs) and the flags
+	// (pinned, then pending).
+	ni, n := len(inputs), len(inputs)+len(outputs)
+	states, flags := a.stateBuf[:], a.flagBuf[:]
+	if n > inlineStates {
+		states, flags = make([]*tensor.State, n), make([]bool, 2*ni)
 	}
+	a.want, a.outputs = states[:ni:ni], states[ni:n]
+	a.pinned, a.pending = flags[:ni:ni], flags[ni:2*ni]
 	var needBytes int64
-	for _, t := range inputs {
-		a.want = append(a.want, m.states[t.ID])
+	for i, t := range inputs {
+		for _, u := range inputs[:i] {
+			if u == t {
+				// Pins are counted per position; a tensor listed twice
+				// would be pinned twice for one task.
+				fail(fmt.Errorf("memory: task on %s lists input %s twice", dev, t))
+				return
+			}
+		}
+		a.want[i] = m.states[t.ID]
 		needBytes += t.Bytes
 	}
-	for _, t := range outputs {
-		a.outputs = append(a.outputs, m.states[t.ID])
+	for i, t := range outputs {
+		a.outputs[i] = m.states[t.ID]
 		a.outBytes += t.Bytes
 		needBytes += t.Bytes
 	}
@@ -457,9 +523,9 @@ func (m *Manager) freeLocked(t *tensor.Tensor) error {
 		d.forget(st)
 		d.subUsed(t.Bytes)
 	}
-	if h, ok := m.home[t.ID]; ok {
+	if h := m.home[t.ID]; h != hw.Host {
 		m.devs[h].addDemand(-t.Bytes)
-		delete(m.home, t.ID)
+		m.home[t.ID] = hw.Host
 	}
 	if err := st.Free(); err != nil {
 		return err
@@ -469,7 +535,7 @@ func (m *Manager) freeLocked(t *tensor.Tensor) error {
 }
 
 func (m *Manager) setHome(t *tensor.Tensor, dev hw.DeviceID) {
-	if h, ok := m.home[t.ID]; ok {
+	if h := m.home[t.ID]; h != hw.Host {
 		if h == dev {
 			return
 		}
@@ -490,7 +556,7 @@ func (m *Manager) Prefetch(dev hw.DeviceID, t *tensor.Tensor) {
 	if st.Loc != tensor.LocHost || st.InFlight || d.free() < t.Bytes {
 		return
 	}
-	m.startSwapIn(d, st, nil)
+	m.startSwapIn(d, st, nil, 0)
 }
 
 // pumpAll advances every device's queue; cheap, and avoids missed
@@ -512,12 +578,12 @@ func (m *Manager) pump(d *devShard) {
 	for len(d.queue) > 0 && m.fatal == nil {
 		a := d.queue[0]
 		if a.failed {
-			d.queue = d.queue[1:]
+			d.dequeue()
 			continue
 		}
 		granted, progress := m.advance(a)
 		if granted {
-			d.queue = d.queue[1:]
+			d.dequeue()
 			m.mu.Unlock()
 			a.ready()
 			m.mu.Lock()
@@ -538,9 +604,8 @@ func (m *Manager) advance(a *acquire) (granted, progress bool) {
 	d := a.dev
 	dev := d.dev.ID
 	allPinned := true
-	for _, st := range a.want {
-		id := st.Tensor.ID
-		if a.pinned[id] {
+	for i, st := range a.want {
+		if a.pinned[i] {
 			continue
 		}
 		switch {
@@ -554,8 +619,8 @@ func (m *Manager) advance(a *acquire) (granted, progress bool) {
 				return false, false
 			}
 			d.touch(st)
-			a.pinned[id] = true
-			delete(a.pending, id)
+			a.pinned[i] = true
+			a.pending[i] = false
 			progress = true
 		case st.InFlight:
 			// In transit somewhere (prefetch landing here, or an
@@ -564,7 +629,7 @@ func (m *Manager) advance(a *acquire) (granted, progress bool) {
 		case st.OnAnyDevice():
 			// Resident on another device.
 			allPinned = false
-			if a.pending[id] {
+			if a.pending[i] {
 				continue
 			}
 			if m.pol.P2P && m.top.CanP2P(st.Dev, dev) {
@@ -574,7 +639,7 @@ func (m *Manager) advance(a *acquire) (granted, progress bool) {
 				if !m.ensureSpace(d, st.Tensor.Bytes) {
 					return false, progress
 				}
-				a.pending[id] = true
+				a.pending[i] = true
 				m.startMigrate(d, st)
 				progress = true
 			} else {
@@ -589,14 +654,14 @@ func (m *Manager) advance(a *acquire) (granted, progress bool) {
 			}
 		case st.HostValid():
 			allPinned = false
-			if a.pending[id] {
+			if a.pending[i] {
 				continue
 			}
 			if !m.ensureSpace(d, st.Tensor.Bytes) {
 				return false, progress
 			}
-			a.pending[id] = true
-			m.startSwapIn(d, st, a)
+			a.pending[i] = true
+			m.startSwapIn(d, st, a, i)
 			progress = true
 		default:
 			m.failAcquire(a, fmt.Errorf("memory: task on %s needs %s which was never materialized", dev, st.Tensor))
@@ -667,8 +732,8 @@ func (m *Manager) pickVictim(d *devShard) *tensor.State {
 	if m.pol.Lookahead && m.NextUse != nil {
 		var best *tensor.State
 		bestUse := -1
-		for e := d.lru.Front(); e != nil; e = e.Next() {
-			st := e.Value.(*tensor.State)
+		for id := d.lruHead; id != noTensor; id = d.links[id].next {
+			st := m.states[id]
 			if st.Pins > 0 || st.InFlight {
 				continue
 			}
@@ -679,8 +744,8 @@ func (m *Manager) pickVictim(d *devShard) *tensor.State {
 		}
 		return best
 	}
-	for e := d.lru.Front(); e != nil; e = e.Next() {
-		st := e.Value.(*tensor.State)
+	for id := d.lruHead; id != noTensor; id = d.links[id].next {
+		st := m.states[id]
 		if st.Pins == 0 && !st.InFlight {
 			return st
 		}
@@ -742,9 +807,10 @@ func (m *Manager) startEviction(d *devShard, st *tensor.State) {
 }
 
 // startSwapIn begins a host→device copy; memory is charged at start.
-// Requires mu held; the DMA-completion closure retakes it on its own
-// goroutine.
-func (m *Manager) startSwapIn(d *devShard, st *tensor.State, a *acquire) {
+// When the copy is on behalf of an acquire, a is that acquire and pos
+// the position of st in a.want; a prefetch passes a nil a. Requires mu
+// held; the DMA-completion closure retakes it on its own goroutine.
+func (m *Manager) startSwapIn(d *devShard, st *tensor.State, a *acquire, pos int) {
 	if err := st.BeginSwapIn(d.dev.ID); err != nil {
 		m.setFatal(err)
 		return
@@ -767,7 +833,7 @@ func (m *Manager) startSwapIn(d *devShard, st *tensor.State, a *acquire) {
 		d.touch(st)
 		m.setHome(st.Tensor, d.dev.ID)
 		if a != nil {
-			delete(a.pending, st.Tensor.ID)
+			a.pending[pos] = false
 		}
 		if m.Hook != nil {
 			m.Hook("swap-in", st.Tensor, d.dev.ID, start, at)

@@ -3,6 +3,7 @@ package memory
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -583,5 +584,106 @@ func TestManagerRandomWorkloadInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAcquireRejectsDuplicateInput pins what a tensor named twice means.
+// With bookkeeping keyed by tensor ID the second mention was skipped —
+// one pin, granted — and the matching Release of the same list then
+// failed on the second Unpin; the feasibility check counted the bytes
+// twice. Positional bookkeeping would pin twice instead. Neither is
+// what a task means, so the request is refused up front.
+func TestAcquireRejectsDuplicateInput(t *testing.T) {
+	r := newRig(t, 1000)
+	w := r.reg.New("w", tensor.Weight, 400, 0, -1)
+	other := r.reg.New("other", tensor.Weight, 100, 1, -1)
+	m := New(r.eng, r.top, r.reg, Policy{})
+	if err := m.InitHost(w, other); err != nil {
+		t.Fatal(err)
+	}
+	var failed error
+	m.Acquire(0, []*tensor.Tensor{w, other, w}, nil, 0,
+		func() { t.Error("duplicate input granted") },
+		func(err error) { failed = err })
+	if failed == nil || !strings.Contains(failed.Error(), "twice") {
+		t.Fatalf("fail = %v, want an error saying the input is listed twice", failed)
+	}
+	r.run(t, m)
+	if st := m.State(w); st.Pins != 0 || st.OnAnyDevice() || m.Stats(0).SwapIns != 0 {
+		t.Fatalf("refused acquire left pins=%d loc=%s swap-ins=%d", st.Pins, st.Loc, m.Stats(0).SwapIns)
+	}
+	// The device is not wedged behind the refused request.
+	done := acquireSync(t, m, 0, []*tensor.Tensor{w, other}, nil, 0)
+	r.run(t, m)
+	if !*done || m.State(w).Pins != 1 {
+		t.Fatalf("follow-up acquire: granted=%v pins=%d", *done, m.State(w).Pins)
+	}
+	if err := m.Release(0, []*tensor.Tensor{w, other}, nil, nil, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPrefetchRacingAcquire: an Acquire that finds its input already in
+// flight on behalf of a Prefetch (which has no acquire to report to)
+// waits for that copy instead of starting a second one, in either order.
+func TestPrefetchRacingAcquire(t *testing.T) {
+	for _, prefetchFirst := range []bool{true, false} {
+		r := newRig(t, 1000)
+		w := r.reg.New("w", tensor.Weight, 400, 0, -1)
+		m := New(r.eng, r.top, r.reg, Policy{})
+		if err := m.InitHost(w); err != nil {
+			t.Fatal(err)
+		}
+		var done *bool
+		if prefetchFirst {
+			m.Prefetch(0, w)
+			done = acquireSync(t, m, 0, []*tensor.Tensor{w}, nil, 0)
+		} else {
+			done = acquireSync(t, m, 0, []*tensor.Tensor{w}, nil, 0)
+			m.Prefetch(0, w)
+		}
+		if *done {
+			t.Fatalf("prefetchFirst=%v: granted before the copy landed", prefetchFirst)
+		}
+		r.run(t, m)
+		want, err := r.top.TransferTime(hw.Host, 0, 400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, s := m.State(w), m.Stats(0)
+		if !*done || st.Pins != 1 || !st.OnDevice(0) || s.SwapIns != 1 || s.SwapInBytes != 400 || m.Used(0) != 400 || r.eng.Now() != want {
+			t.Fatalf("prefetchFirst=%v: granted=%v pins=%d loc=%s swap-ins=%d (%d B) used=%d t=%v, want one 400 B copy landing at %v",
+				prefetchFirst, *done, st.Pins, st.Loc, s.SwapIns, s.SwapInBytes, m.Used(0), r.eng.Now(), want)
+		}
+		if err := m.Release(0, []*tensor.Tensor{w}, nil, nil, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAcquireReleaseAllocs: a resident tensor's Acquire+Release costs
+// one allocation, the acquire record (its states and flags are inline).
+func TestAcquireReleaseAllocs(t *testing.T) {
+	r := newRig(t, 1000)
+	w := r.reg.New("w", tensor.Weight, 400, 0, -1)
+	k := r.reg.New("k", tensor.OptState, 400, 0, -1)
+	m := New(r.eng, r.top, r.reg, Policy{DirtyTracking: true})
+	if err := m.InitHost(w, k); err != nil {
+		t.Fatal(err)
+	}
+	in := []*tensor.Tensor{w, k}
+	ready, fail := func() {}, func(error) {}
+	m.Acquire(0, in, nil, 0, ready, fail)
+	r.run(t, m)
+	if err := m.Release(0, in, nil, nil, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		m.Acquire(0, in, nil, 0, ready, fail)
+		if err := m.Release(0, in, nil, nil, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("resident Acquire+Release: %v allocs, want at most 1", n)
 	}
 }

@@ -5,7 +5,10 @@
 // simulator needs only sizes and operation counts, not learned values.
 package models
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // BytesPerParam is fp32 training.
 const BytesPerParam = 4
@@ -72,9 +75,14 @@ func (m *Model) Validate() error {
 			l.WorkspaceBytes < 0 || l.FwdFLOPsPerSample < 0 {
 			return fmt.Errorf("models: %s layer %d (%s) has negative size", m.Name, i, l.Name)
 		}
+		// A NaN passes every comparison above and would reach the
+		// simulated clock as a kernel time.
+		if math.IsNaN(l.FwdFLOPsPerSample) || math.IsInf(l.FwdFLOPsPerSample, 0) {
+			return fmt.Errorf("models: %s layer %d (%s) FwdFLOPsPerSample must be finite, got %g", m.Name, i, l.Name, l.FwdFLOPsPerSample)
+		}
 	}
-	if m.OptStateParamsFactor < 0 {
-		return fmt.Errorf("models: %s negative optimizer factor", m.Name)
+	if !(m.OptStateParamsFactor >= 0) || math.IsInf(m.OptStateParamsFactor, 0) {
+		return fmt.Errorf("models: %s optimizer factor must be finite and non-negative, got %g", m.Name, m.OptStateParamsFactor)
 	}
 	if m.SampleBytes <= 0 {
 		return fmt.Errorf("models: %s non-positive sample size", m.Name)

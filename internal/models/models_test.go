@@ -1,6 +1,8 @@
 package models
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -133,6 +135,20 @@ func TestValidateCatchesBadModels(t *testing.T) {
 	m.OptStateParamsFactor = -0.5
 	if err := m.Validate(); err == nil {
 		t.Fatal("negative optimizer factor accepted")
+	}
+	// NaN passes every `< 0` check; it must not reach the simulated
+	// clock as a kernel time.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		m = Uniform("u4", 2, 10, 10, v)
+		// -Inf is already "negative"; the other two must name the field.
+		if err := m.Validate(); err == nil || !math.IsInf(v, -1) && !strings.Contains(err.Error(), "FwdFLOPsPerSample") {
+			t.Fatalf("FwdFLOPsPerSample %v: err = %v, want one naming the field", v, err)
+		}
+		m = Uniform("u5", 2, 10, 10, 10)
+		m.OptStateParamsFactor = v
+		if err := m.Validate(); err == nil {
+			t.Fatalf("optimizer factor %v accepted", v)
+		}
 	}
 }
 

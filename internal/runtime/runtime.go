@@ -182,6 +182,15 @@ type runner struct {
 	// tasks run with priority once their dependencies resolve.
 	deferred  [][]*graph.Task
 	completed int
+	// lanes[d] is device d's task in flight; colls[id] is the record of
+	// collective task id, built at its first launch. Both carry their
+	// callbacks bound once, so the steady-state loop builds no closure
+	// per task.
+	lanes []lane
+	colls []*collRun
+	// devIDs[i] = i: the replica → GPU convention of collectives, shared
+	// by every launch.
+	devIDs []hw.DeviceID
 
 	iter      int
 	iterStart sim.Time
@@ -344,6 +353,13 @@ func (r *runner) beginIteration(onDone func()) {
 		r.cursor = make([]int, r.sch.NGPUs)
 		r.running = make([]bool, r.sch.NGPUs)
 		r.deferred = make([][]*graph.Task, r.sch.NGPUs)
+		r.lanes = make([]lane, r.sch.NGPUs)
+		r.devIDs = make([]hw.DeviceID, r.sch.NGPUs)
+		for d := range r.lanes {
+			r.lanes[d].bind(r, d)
+			r.devIDs[d] = hw.DeviceID(d)
+		}
+		r.colls = make([]*collRun, n)
 	}
 	for _, t := range r.g.Tasks {
 		r.depsLeft[t.ID] = len(t.Deps)
@@ -433,27 +449,55 @@ func (r *runner) dispatch(d int) {
 		return
 	}
 	r.running[d] = true
-	dev := hw.DeviceID(d)
-	r.mgr.Acquire(dev, t.Inputs, t.Outputs, t.WorkspaceBytes, func() {
-		r.prefetchAhead(d)
-		kernel := r.top.Device(dev).KernelTime(t.FLOPs)
-		var start sim.Time
-		r.top.Device(dev).Compute.Acquire(kernel,
-			func(at sim.Time) { start = at },
-			func(at sim.Time) {
-				if r.trace != nil {
-					r.trace.Add(dev, trace.Compute, t.String(), start, at)
-				}
-				if err := r.mgr.Release(dev, t.Inputs, t.Outputs, t.Mutates, t.Frees, t.WorkspaceBytes); err != nil {
-					r.fail(err)
-					return
-				}
-				r.running[d] = false
-				r.taskCompleted(t)
-			})
-	}, func(err error) {
-		r.fail(fmt.Errorf("runtime: %s on %s: %w", t, dev, err))
-	})
+	l := &r.lanes[d]
+	l.task = t
+	r.mgr.Acquire(l.dev.ID, t.Inputs, t.Outputs, t.WorkspaceBytes, l.ready, l.fail)
+}
+
+// lane runs device d's tasks, one at a time (runner.running[d] admits
+// the next only after finished has run), so one record per device
+// holds the task in flight and the four callbacks its life needs.
+type lane struct {
+	r    *runner
+	dev  *hw.Device
+	task *graph.Task
+	// start is when the kernel began, for the trace span.
+	start sim.Time
+
+	ready             func()
+	started, finished func(at sim.Time)
+	fail              func(error)
+}
+
+func (l *lane) bind(r *runner, d int) {
+	l.r, l.dev = r, r.top.Device(hw.DeviceID(d))
+	l.ready, l.started, l.finished, l.fail = l.onReady, l.onStarted, l.onFinished, l.onFail
+}
+
+// onReady runs when the task's tensors are resident and pinned: overlap
+// the next swap-ins, then queue the kernel.
+func (l *lane) onReady() {
+	l.r.prefetchAhead(int(l.dev.ID))
+	l.dev.Compute.Acquire(l.dev.KernelTime(l.task.FLOPs), l.started, l.finished)
+}
+
+func (l *lane) onStarted(at sim.Time) { l.start = at }
+
+func (l *lane) onFinished(at sim.Time) {
+	r, t := l.r, l.task
+	if r.trace != nil {
+		r.trace.Add(l.dev.ID, trace.Compute, t.String(), l.start, at)
+	}
+	if err := r.mgr.Release(l.dev.ID, t.Inputs, t.Outputs, t.Mutates, t.Frees, t.WorkspaceBytes); err != nil {
+		r.fail(err)
+		return
+	}
+	r.running[l.dev.ID] = false
+	r.taskCompleted(t)
+}
+
+func (l *lane) onFail(err error) {
+	l.r.fail(fmt.Errorf("runtime: %s on %s: %w", l.task, l.dev.ID, err))
 }
 
 // prefetchAhead overlaps upcoming swap-ins with the current compute.
@@ -508,58 +552,84 @@ func (r *runner) taskCompleted(t *graph.Task) {
 // full replica there, run the ring all-gather, release with replicas
 // dirty and partials freed.
 func (r *runner) launchCollective(t *graph.Task) {
-	n := len(t.Inputs)
-	devs := make([]hw.DeviceID, n)
-	acquired := 0
-	finish := func() {
-		for j := range t.Inputs {
-			in := []*tensor.Tensor{t.Inputs[j]}
-			var out, mut, frees []*tensor.Tensor
-			switch t.Kind {
-			case graph.AllReduce:
-				mut = in
-			case graph.Gather:
-				out = []*tensor.Tensor{t.Outputs[j]}
-				mut = out
-				frees = []*tensor.Tensor{t.Frees[j]}
-			}
-			if err := r.mgr.Release(devs[j], in, out, mut, frees, 0); err != nil {
-				r.fail(err)
-				return
-			}
-		}
-		r.taskCompleted(t)
+	c := r.colls[t.ID]
+	if c == nil {
+		c = &collRun{r: r, t: t}
+		c.ready, c.fail, c.asyncFail, c.done = c.onReady, c.onFail, c.onAsyncFail, c.onDone
+		r.colls[t.ID] = c
 	}
+	c.acquired = 0
 	for i := range t.Inputs {
-		i := i
-		devs[i] = hw.DeviceID(i)
-		in := []*tensor.Tensor{t.Inputs[i]}
 		var out []*tensor.Tensor
 		if t.Kind == graph.Gather {
-			out = []*tensor.Tensor{t.Outputs[i]}
+			out = t.Outputs[i : i+1]
 		}
-		r.mgr.Acquire(devs[i], in, out, 0, func() {
-			acquired++
-			if acquired < n {
-				return
-			}
-			var err error
-			asyncFail := func(err error) {
-				r.fail(fmt.Errorf("runtime: collective %s mid-flight: %w", t, err))
-			}
-			switch t.Kind {
-			case graph.AllReduce:
-				err = collective.RingAllReduce(r.top, devs, t.CommBytes, func(sim.Time) { finish() }, asyncFail)
-			case graph.Gather:
-				err = collective.RingAllGather(r.top, devs, t.CommBytes, func(sim.Time) { finish() }, asyncFail)
-			default:
-				err = fmt.Errorf("runtime: unexpected collective kind %v", t.Kind)
-			}
-			if err != nil {
-				r.fail(err)
-			}
-		}, func(err error) {
-			r.fail(fmt.Errorf("runtime: collective %s: %w", t, err))
-		})
+		r.mgr.Acquire(hw.DeviceID(i), t.Inputs[i:i+1], out, 0, c.ready, c.fail)
 	}
+}
+
+// collRun is one collective task's launch state. A task launches once
+// per iteration and completes before the next begins, so the record and
+// its bound callbacks serve the whole run.
+type collRun struct {
+	r        *runner
+	t        *graph.Task
+	acquired int
+
+	ready     func()
+	fail      func(error)
+	asyncFail func(error)
+	done      func(at sim.Time)
+}
+
+// onReady counts one replica's buffers pinned; the last one starts the
+// ring.
+func (c *collRun) onReady() {
+	r, t := c.r, c.t
+	c.acquired++
+	if c.acquired < len(t.Inputs) {
+		return
+	}
+	devs := r.devIDs[:len(t.Inputs)]
+	var err error
+	switch t.Kind {
+	case graph.AllReduce:
+		err = collective.RingAllReduce(r.top, devs, t.CommBytes, c.done, c.asyncFail)
+	case graph.Gather:
+		err = collective.RingAllGather(r.top, devs, t.CommBytes, c.done, c.asyncFail)
+	default:
+		err = fmt.Errorf("runtime: unexpected collective kind %v", t.Kind)
+	}
+	if err != nil {
+		r.fail(err)
+	}
+}
+
+func (c *collRun) onDone(sim.Time) {
+	r, t := c.r, c.t
+	for j := range t.Inputs {
+		in := t.Inputs[j : j+1]
+		var out, mut, frees []*tensor.Tensor
+		switch t.Kind {
+		case graph.AllReduce:
+			mut = in
+		case graph.Gather:
+			out = t.Outputs[j : j+1]
+			mut = out
+			frees = t.Frees[j : j+1]
+		}
+		if err := r.mgr.Release(hw.DeviceID(j), in, out, mut, frees, 0); err != nil {
+			r.fail(err)
+			return
+		}
+	}
+	r.taskCompleted(t)
+}
+
+func (c *collRun) onFail(err error) {
+	c.r.fail(fmt.Errorf("runtime: collective %s: %w", c.t, err))
+}
+
+func (c *collRun) onAsyncFail(err error) {
+	c.r.fail(fmt.Errorf("runtime: collective %s mid-flight: %w", c.t, err))
 }

@@ -8,33 +8,57 @@ type FIFO struct {
 	eng  *Engine
 	name string // diagnostic: read in debugger and %+v dumps only
 
-	busy  bool
-	queue []*fifoReq
+	busy bool
+	cur  fifoReq // the request in service while busy
+	// queue[head:] are the waiting requests in arrival order. Serving
+	// one advances head; the slice rewinds when it drains, and Acquire
+	// compacts it rather than growing it once half of it is dead, so a
+	// FIFO that never drains still holds a bounded array.
+	queue []fifoReq
+	head  int
+	// complete is f.finish, bound once: scheduling a completion event
+	// builds no closure.
+	complete func()
 
 	// Accounting.
 	BusyTime Time   // total time spent serving
 	Served   uint64 // completed requests
 }
 
+// fifoReq is one queued acquisition. A request made through Chain
+// reports to its join instead of carrying a done callback.
 type fifoReq struct {
 	service Time
 	start   func(at Time) // called when service begins (may be nil)
-	done    func(at Time) // called when service completes
+	done    func(at Time) // called when service completes (may be nil)
+	join    *join
 }
 
 // NewFIFO creates a FIFO resource bound to an engine.
 func NewFIFO(eng *Engine, name string) *FIFO {
-	return &FIFO{eng: eng, name: name}
+	f := &FIFO{eng: eng, name: name}
+	f.complete = f.finish
+	return f
 }
 
 // Acquire enqueues a request that will hold the resource for service
 // seconds. start (optional) fires when service begins; done fires when
-// it completes. Both run as engine events.
+// it completes. Both run as engine events; see the package comment for
+// what done may do.
 func (f *FIFO) Acquire(service Time, start, done func(at Time)) {
-	if service < 0 {
-		panic("sim: negative service time")
+	f.enqueue(fifoReq{service: service, start: start, done: done})
+}
+
+func (f *FIFO) enqueue(r fifoReq) {
+	if !(r.service >= 0) {
+		panic("sim: negative or NaN service time")
 	}
-	r := &fifoReq{service: service, start: start, done: done}
+	if f.head > 0 && len(f.queue) == cap(f.queue) && f.head >= len(f.queue)/2 {
+		n := copy(f.queue, f.queue[f.head:])
+		clear(f.queue[n:])
+		f.queue = f.queue[:n]
+		f.head = 0
+	}
 	f.queue = append(f.queue, r)
 	if !f.busy {
 		f.dispatch()
@@ -42,24 +66,53 @@ func (f *FIFO) Acquire(service Time, start, done func(at Time)) {
 }
 
 func (f *FIFO) dispatch() {
-	if f.busy || len(f.queue) == 0 {
+	if f.busy || f.head == len(f.queue) {
 		return
 	}
-	r := f.queue[0]
-	f.queue = f.queue[1:]
-	f.busy = true
-	if r.start != nil {
-		r.start(f.eng.Now())
+	f.cur = f.queue[f.head]
+	f.queue[f.head] = fifoReq{}
+	f.head++
+	if f.head == len(f.queue) {
+		f.queue = f.queue[:0]
+		f.head = 0
 	}
-	f.eng.After(r.service, func() {
-		f.busy = false
-		f.BusyTime += r.service
-		f.Served++
-		if r.done != nil {
-			r.done(f.eng.Now())
-		}
-		f.dispatch()
-	})
+	f.busy = true
+	if f.cur.start != nil {
+		f.cur.start(f.eng.Now())
+	}
+	f.eng.After(f.cur.service, f.complete)
+}
+
+// finish completes the request in service. It is copied out first: done
+// may re-acquire this FIFO, which puts the next request in f.cur.
+func (f *FIFO) finish() {
+	r := f.cur
+	f.cur = fifoReq{}
+	f.busy = false
+	f.BusyTime += r.service
+	f.Served++
+	now := f.eng.Now()
+	if r.join != nil {
+		r.join.arrive(now)
+	}
+	if r.done != nil {
+		r.done(now)
+	}
+	f.dispatch()
+}
+
+// join counts down the resources of one Chain and reports the last
+// completion.
+type join struct {
+	remaining int
+	done      func(at Time)
+}
+
+func (j *join) arrive(at Time) {
+	j.remaining--
+	if j.remaining == 0 {
+		j.done(at)
+	}
 }
 
 // Chain acquires a sequence of FIFO resources simultaneously for the
@@ -78,13 +131,8 @@ func Chain(eng *Engine, resources []*FIFO, service Time, done func(at Time)) {
 		eng.After(service, func() { done(eng.Now()) })
 		return
 	}
-	remaining := len(resources)
+	j := &join{remaining: len(resources), done: done}
 	for _, r := range resources {
-		r.Acquire(service, nil, func(at Time) {
-			remaining--
-			if remaining == 0 {
-				done(at)
-			}
-		})
+		r.enqueue(fifoReq{service: service, join: j})
 	}
 }
