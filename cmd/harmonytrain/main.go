@@ -10,6 +10,7 @@
 //	harmonytrain -arch lenet -mode harmony-pp -devices 2 -steps 30
 //	harmonytrain -arch mlp -save model.ckpt -steps 20
 //	harmonytrain -arch mlp -load model.ckpt -steps 20
+//	harmonytrain -arch mlp -widths 784,512,512,10 -steps 200 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 package main
 
 import (
@@ -26,11 +27,16 @@ import (
 	"harmony/internal/fault"
 	"harmony/internal/hw"
 	"harmony/internal/nn"
+	"harmony/internal/profile"
 	"harmony/internal/sim"
 	"harmony/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit code, so the profiles are written on every
+// way out of it, a diverged run's included.
+func run() (exit int) {
 	var (
 		arch      = flag.String("arch", "mlp", "mlp or lenet")
 		widthsArg = flag.String("widths", "256,128,64,10", "mlp layer widths (input,...,classes)")
@@ -57,7 +63,20 @@ func main() {
 		commChunk = flag.Int("comm-chunks", 0, "split each gradient AllReduce into this many chunks reduced across device workers (0 = monolithic rendezvous; bit-identical at every setting)")
 		commBkt   = flag.Int64("comm-bucket", 0, "coalesce per-layer gradients into buckets of up to this many bytes sharing one rendezvous (0 = one bucket per layer; implies -comm-chunks 1)")
 	)
+	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
+
+	stop, err := prof.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "harmonytrain: %v\n", err)
+		return 1
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintf(os.Stderr, "harmonytrain: %v\n", err)
+			exit = 1
+		}
+	}()
 
 	mode, ok := map[string]harmony.Mode{
 		"dp-baseline": harmony.DPBaseline,
@@ -67,12 +86,11 @@ func main() {
 	}[*modeName]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "harmonytrain: unknown mode %q (want %s)\n", *modeName, flag.Lookup("mode").Usage)
-		os.Exit(2)
+		return 2
 	}
 
 	var (
 		tr      *harmony.Trainer
-		err     error
 		inDim   int
 		classes int
 	)
@@ -98,7 +116,7 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "harmonytrain: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	switch *arch {
 	case "lenet":
@@ -111,7 +129,7 @@ func main() {
 		widths, perr := parseWidths(*widthsArg)
 		if perr != nil {
 			fmt.Fprintf(os.Stderr, "harmonytrain: %v\n", perr)
-			os.Exit(2)
+			return 2
 		}
 		inDim, classes = widths[0], widths[len(widths)-1]
 		cfg.Widths = widths
@@ -125,11 +143,11 @@ func main() {
 		tr, err = harmony.NewTrainer(cfg)
 	default:
 		fmt.Fprintf(os.Stderr, "harmonytrain: unknown arch %q\n", *arch)
-		os.Exit(2)
+		return 2
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "harmonytrain: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Printf("arch %s, %s on %d virtual devices of %s (model footprint %s)\n",
 		*arch, mode, *devices, sizeOf(cfg.DeviceBytes), sizeOf(tr.FootprintBytes()))
@@ -160,13 +178,14 @@ func main() {
 		f, err := os.Open(*loadPath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "harmonytrain: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		if err := tr.Load(f); err != nil {
-			fmt.Fprintf(os.Stderr, "harmonytrain: load: %v\n", err)
-			os.Exit(1)
-		}
+		err = tr.Load(f)
 		f.Close()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "harmonytrain: load: %v\n", err)
+			return 1
+		}
 		fmt.Printf("restored checkpoint %s\n", *loadPath)
 	}
 
@@ -188,13 +207,13 @@ func main() {
 		loss, err := tr.Step(x, y)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "harmonytrain: step %d: %v\n", s, err)
-			os.Exit(1)
+			return 1
 		}
 		// A diverged run has nothing worth reporting or saving, and
 		// every later step would only train NaNs.
 		if math.IsNaN(float64(loss)) || math.IsInf(float64(loss), 0) {
 			fmt.Fprintf(os.Stderr, "harmonytrain: step %d: loss is %v: training diverged, nothing saved (try a lower -lr)\n", s, loss)
-			os.Exit(1)
+			return 1
 		}
 		if s%10 == 0 || s == *steps-1 {
 			fmt.Printf("step %4d  loss %.4f\n", s, loss)
@@ -209,7 +228,7 @@ func main() {
 		logits, err := tr.Predict(x, 64)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "harmonytrain: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		for i := 0; i < 64; i++ {
 			if nn.Argmax(logits, i, classes) == y[i] {
@@ -273,15 +292,17 @@ func main() {
 		f, err := os.Create(*savePath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "harmonytrain: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := tr.Save(f); err != nil {
+			f.Close()
 			fmt.Fprintf(os.Stderr, "harmonytrain: save: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		f.Close()
 		fmt.Printf("checkpoint written to %s\n", *savePath)
 	}
+	return 0
 }
 
 // faultLabel names a timeline span; its first character is the Gantt

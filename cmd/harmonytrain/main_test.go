@@ -113,3 +113,35 @@ func TestDivergenceStopsTheRun(t *testing.T) {
 		t.Errorf("-lr 0.005: losses %v, want a finite, falling sequence", losses)
 	}
 }
+
+// -cpuprofile and -memprofile leave files `go tool pprof` reads on a
+// run that trains to the end, on one that stops at a non-finite loss
+// and on a usage error.
+func TestProfilesAreWrittenOnEveryExit(t *testing.T) {
+	bin := build(t)
+	for _, c := range []struct {
+		name string
+		args []string
+		exit int
+	}{
+		{"trained", []string{"-lr", "0.005", "-steps", "3"}, 0},
+		{"diverged", nil, 1},
+		{"usage", []string{"-mode", "harmonydp"}, 2},
+	} {
+		dir := t.TempDir()
+		cpu, mem := filepath.Join(dir, "cpu.pb.gz"), filepath.Join(dir, "mem.pb.gz")
+		stdout, stderr, exit := harmonytrain(t, bin, append(c.args, "-cpuprofile", cpu, "-memprofile", mem)...)
+		if exit != c.exit {
+			t.Fatalf("%s: exit %d, want %d\n%s%s", c.name, exit, c.exit, stdout, stderr)
+		}
+		for _, prof := range []string{cpu, mem} {
+			if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
+				t.Fatalf("%s: %s missing or empty: %v", c.name, filepath.Base(prof), err)
+			}
+			out, err := exec.Command("go", "tool", "pprof", "-top", bin, prof).CombinedOutput()
+			if err != nil || !strings.Contains(string(out), "flat%") {
+				t.Errorf("%s: go tool pprof -top %s: %v\n%s", c.name, filepath.Base(prof), err, out)
+			}
+		}
+	}
+}

@@ -361,6 +361,65 @@ func TestTrainerValidation(t *testing.T) {
 	if _, err := tr.Step(nil, nil); err == nil {
 		t.Fatal("nil data accepted")
 	}
+
+	// Kernel stacks nn.Kernel's backward contract cannot train — a
+	// kernel past the first that reads an unrectified input, a last
+	// kernel that rectifies — are refused, naming the kernel; every
+	// Widths MLP (ReLU on all but the last) and the LeNet shape are not.
+	for _, widths := range [][]int{{16, 4}, {16, 32, 4}, {16, 32, 32, 4}, {16, 8, 8, 8, 8, 4}} {
+		cfg := trainerConfig(sched.HarmonyDP, 2)
+		cfg.Widths = widths
+		if _, err := NewTrainer(cfg); err != nil {
+			t.Errorf("widths %v: %v", widths, err)
+		}
+	}
+	conv := nn.Conv2D{Cin: 1, H: 12, W: 12, Cout: 6, K: 3, ReLU: true}
+	linearConv := nn.Conv2D{Cin: 1, H: 12, W: 12, Cout: 6, K: 3}
+	pool := nn.MaxPool2D{C: 6, H: 10, W: 10, P: 2}
+	for _, tc := range []struct {
+		name    string
+		kernels []nn.Kernel
+		want    string // "" = accepted
+	}{
+		{"lenet", lenetKernels(), ""},
+		{"pool head", []nn.Kernel{conv, pool}, ""},
+		{"lone linear kernel", []nn.Kernel{nn.Dense{In: 16, Out: 4}}, ""},
+		{"rectifying head", []nn.Kernel{nn.Dense{In: 16, Out: 32, ReLU: true}, nn.Dense{In: 32, Out: 4, ReLU: true}},
+			"kernel 1 (dense32x4) is the last and applies ReLU"},
+		{"lone rectifying kernel", []nn.Kernel{nn.Dense{In: 16, Out: 4, ReLU: true}},
+			"kernel 0 (dense16x4) is the last and applies ReLU"},
+		{"rectifying conv head", []nn.Kernel{conv}, "kernel 0 (conv1x12x12-6f) is the last"},
+		{"linear hidden layer", []nn.Kernel{nn.Dense{In: 16, Out: 32}, nn.Dense{In: 32, Out: 4}},
+			"kernel 1 (dense32x4) reads the unrectified output of kernel 0 (dense16x32)"},
+		{"pool over a linear conv", []nn.Kernel{linearConv, pool, nn.Dense{In: 150, Out: 4}},
+			"kernel 1 (pool2@6x10x10) reads the unrectified output of kernel 0"},
+		{"dense over a pool of the input", []nn.Kernel{nn.MaxPool2D{C: 1, H: 12, W: 12, P: 2}, nn.Dense{In: 36, Out: 4}},
+			"kernel 1 (dense36x4) reads the unrectified output of kernel 0 (pool2@1x12x12)"},
+	} {
+		cfg := trainerConfig(sched.HarmonyDP, 1)
+		cfg.Kernels, cfg.DeviceBytes = tc.kernels, 1<<20
+		_, err := NewTrainer(cfg)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one saying %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// lenetKernels is NewLeNetTrainer's stack at a test's scale: two
+// conv → pool stages and three Dense layers, on 1×16×16 inputs.
+func lenetKernels() []nn.Kernel {
+	return []nn.Kernel{
+		nn.Conv2D{Cin: 1, H: 16, W: 16, Cout: 6, K: 5, ReLU: true},
+		nn.MaxPool2D{C: 6, H: 12, W: 12, P: 2},
+		nn.Conv2D{Cin: 6, H: 6, W: 6, Cout: 16, K: 3, ReLU: true},
+		nn.MaxPool2D{C: 16, H: 4, W: 4, P: 2},
+		nn.Dense{In: 16 * 2 * 2, Out: 32, ReLU: true},
+		nn.Dense{In: 32, Out: 16, ReLU: true},
+		nn.Dense{In: 16, Out: 4},
+	}
 }
 
 // TestConvNetTraining trains a LeNet-style convolutional network

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -79,6 +80,81 @@ func TestSerialAndParallelExecutorsBitIdentical(t *testing.T) {
 					}
 				}
 			}
+		})
+	}
+}
+
+// TestConvNetBitIdenticalAcrossExecutors holds the conv path —
+// Conv2D and MaxPool2D backward, and a Dense that masks by a pool's
+// output — to the same guarantee on a LeNet-shaped stack under swap
+// pressure: the serial reference, the parallel executor and the
+// parallel executor with prefetch depth 2 train to the same losses and
+// the same weights, bit for bit, in data-parallel and pipeline mode.
+// Its name puts it in CI's bit-identity rows.
+func TestConvNetBitIdenticalAcrossExecutors(t *testing.T) {
+	nn.SetWorkers(4)
+	defer nn.SetWorkers(runtime.GOMAXPROCS(0))
+	blobs := data.NewBlobs(16*16, 4, 1.0, 5)
+	for _, mode := range []sched.Mode{sched.HarmonyDP, sched.HarmonyPP} {
+		t.Run(mode.String(), func(t *testing.T) {
+			var ref *Trainer
+			var refLoss []float32
+			for _, v := range []struct {
+				name     string
+				serial   bool
+				prefetch int
+			}{{"serial", true, 0}, {"parallel", false, -1}, {"prefetch2", false, 2}} {
+				tr, err := NewTrainer(TrainerConfig{
+					Kernels: lenetKernels(), Mode: mode, Devices: 2,
+					DeviceBytes:    96 << 10, // below the footprint of four microbatches
+					MicrobatchSize: 4, Microbatches: 4,
+					Optimizer: SGD, LR: 0.05, Seed: 3,
+					Serial: v.serial, PrefetchDepth: v.prefetch,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var losses []float32
+				for s := 0; s < 4; s++ {
+					in, lb := blobs.ReplicaBatches(tr.Replicas(), 4, 4, uint64(s))
+					loss, err := tr.Step(in, lb)
+					if err != nil {
+						t.Fatal(err)
+					}
+					losses = append(losses, loss)
+				}
+				if tr.Stats().SwapIns == 0 {
+					t.Fatalf("%s: no swap-ins; the devices are too roomy to test anything", v.name)
+				}
+				if ref == nil {
+					ref, refLoss = tr, losses
+					continue
+				}
+				for s := range losses {
+					if losses[s] != refLoss[s] {
+						t.Fatalf("%s step %d loss %v, serial %v", v.name, s, losses[s], refLoss[s])
+					}
+				}
+				for r := 0; r < ref.Replicas(); r++ {
+					for l := range ref.layers {
+						wa, err := ref.vm.Host(ref.g.W[r][l])
+						if err != nil {
+							t.Fatal(err)
+						}
+						wb, err := tr.vm.Host(tr.g.W[r][l])
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i := range wa {
+							if math.Float32bits(wa[i]) != math.Float32bits(wb[i]) {
+								t.Fatalf("%s replica %d layer %d weight %d: %v, serial %v", v.name, r, l, i, wb[i], wa[i])
+							}
+						}
+					}
+				}
+				tr.Close()
+			}
+			ref.Close()
 		})
 	}
 }

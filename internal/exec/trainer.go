@@ -34,7 +34,10 @@ type TrainerConfig struct {
 	Widths []int
 	// Kernels, when non-nil, is an explicit layer stack (dense,
 	// conv, pool — anything implementing nn.Kernel); the final
-	// kernel's OutSize is the class count.
+	// kernel's OutSize is the class count. Every kernel past the first
+	// must read a rectified input and the last must not apply ReLU
+	// (nn.Kernel's backward precondition); NewTrainer rejects a stack
+	// that breaks either rule.
 	Kernels []nn.Kernel
 	// Mode, Devices and the optimization toggles come from the same
 	// scheduler as the simulator.
@@ -214,6 +217,9 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 				ReLU: i+2 < len(cfg.Widths), // all but the final layer
 			})
 		}
+	}
+	if err := checkRectified(layers); err != nil {
+		return nil, err
 	}
 	if cfg.Devices <= 0 {
 		return nil, fmt.Errorf("exec: Devices must be positive")
@@ -492,6 +498,36 @@ func (tr *Trainer) injectOp(op fault.Op, dev, layer int) error {
 	}
 	_, err := injectRetrying(in, op, dev, tr.step, layer, tr.maxRetries())
 	return err
+}
+
+// checkRectified enforces nn.Kernel's backward precondition: ReLU's
+// derivative is applied by the kernel that stashes the rectified value,
+// so every kernel past the first must read a rectified input (the
+// output of a ReLU Dense or Conv2D, or of a MaxPool2D over one), and the
+// last must not rectify, since the loss gradient that reaches it is
+// masked by no consumer. Either stack would train on a wrong gradient.
+func checkRectified(layers []nn.Kernel) error {
+	rectified := false // the input data is not
+	for i, k := range layers {
+		if i > 0 && !rectified {
+			return fmt.Errorf("exec: kernel %d (%s) reads the unrectified output of kernel %d (%s): its backward masks dx by the sign of its input",
+				i, k.Name(), i-1, layers[i-1].Name())
+		}
+		switch k := k.(type) {
+		case nn.Dense:
+			rectified = k.ReLU
+		case nn.Conv2D:
+			rectified = k.ReLU
+		case nn.MaxPool2D:
+			continue // the max of rectified values is rectified
+		default:
+			rectified = false
+		}
+		if rectified && i == len(layers)-1 {
+			return fmt.Errorf("exec: kernel %d (%s) is the last and applies ReLU: the loss gradient would reach it unmasked", i, k.Name())
+		}
+	}
+	return nil
 }
 
 // kernelModel derives the simulator-facing model description from a

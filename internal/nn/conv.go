@@ -8,18 +8,29 @@ import (
 // Kernel is a trainable layer operating on caller-provided flat
 // buffers: the contract between real models and the exec runtime's
 // coherent virtual memory. All sizes are float32 counts per sample.
+//
+// ReLU's derivative is applied where the rectified value is stashed,
+// not where it is produced: a kernel that writes dx zeroes it wherever
+// its stashed input is not > 0. The precondition is that a kernel asked
+// for dx reads a rectified input — the output of a ReLU Dense or
+// Conv2D, or of a MaxPool2D over one. exec.NewTrainer rejects a stack
+// that breaks it.
 type Kernel interface {
 	Name() string
 	ParamCount() int
 	InSize() int
 	OutSize() int
-	// StashSize is what Forward records per sample for Backward (the
-	// layer input; ReLU masks and pool argmaxes are recomputed).
+	// StashSize is what Forward records per sample for Backward: the
+	// layer input (pool argmaxes are recomputed from it).
 	StashSize() int
 	// FLOPsPerSample estimates forward cost for the simulator-backed
 	// graph.
 	FLOPsPerSample() float64
 	Forward(params, x, y, stash []float32, batch int)
+	// Backward accumulates parameter gradients into grad and, when dx
+	// is not nil, writes the input gradient into it. dy is the gradient
+	// with respect to the pre-activation: a ReLU kernel's consumer has
+	// already masked it. dx leaves masked by the sign of the stash.
 	Backward(params, stash, dy, dx, grad []float32, batch int)
 }
 
@@ -88,10 +99,11 @@ func (c Conv2D) validate() {
 	}
 }
 
-// preact computes the convolution into y without ReLU. Samples write
-// disjoint output slices, so batch chunking is bit-identical to the
-// serial loop.
-func (c Conv2D) preact(params, x, y []float32, batch int) {
+// Forward implements Kernel. Samples write disjoint output slices, so
+// batch chunking is bit-identical to the serial loop.
+func (c Conv2D) Forward(params, x, y, stash []float32, batch int) {
+	c.validate()
+	copy(stash, x[:batch*c.InSize()])
 	oh, ow := c.OutH(), c.OutW()
 	w := params[:c.Cout*c.Cin*c.K*c.K]
 	bias := params[c.Cout*c.Cin*c.K*c.K:]
@@ -118,13 +130,6 @@ func (c Conv2D) preact(params, x, y []float32, batch int) {
 			}
 		}
 	})
-}
-
-// Forward implements Kernel.
-func (c Conv2D) Forward(params, x, y, stash []float32, batch int) {
-	c.validate()
-	copy(stash, x[:batch*c.InSize()])
-	c.preact(params, x, y, batch)
 	if c.ReLU {
 		for i := 0; i < batch*c.OutSize(); i++ {
 			if y[i] < 0 {
@@ -134,14 +139,13 @@ func (c Conv2D) Forward(params, x, y, stash []float32, batch int) {
 	}
 }
 
-// Backward implements Kernel; the ReLU mask is recomputed from the
-// stashed input.
+// Backward implements Kernel.
 //
 // Like Dense.Backward, the pass is phased for the worker pool without
 // changing accumulation order: gw/gb chunk over output channels (each
 // channel owns its slice of gw and its gb entry, accumulating samples
 // and positions in serial order), dx chunks over the batch (samples
-// write disjoint dx slices). Scratch comes from the shared pool.
+// write disjoint dx slices).
 func (c Conv2D) Backward(params, stash, dy, dx, grad []float32, batch int) {
 	c.validate()
 	oh, ow := c.OutH(), c.OutW()
@@ -149,25 +153,12 @@ func (c Conv2D) Backward(params, stash, dy, dx, grad []float32, batch int) {
 	gw := grad[:c.Cout*c.Cin*c.K*c.K]
 	gb := grad[c.Cout*c.Cin*c.K*c.K:]
 
-	masked := dy
-	if c.ReLU {
-		z := GetScratch(batch * c.OutSize())
-		defer PutScratch(z)
-		c.preact(params, stash, z, batch)
-		masked = GetZeroedScratch(batch * c.OutSize())
-		defer PutScratch(masked)
-		for i := range z {
-			if z[i] > 0 {
-				masked[i] = dy[i]
-			}
-		}
-	}
 	// Weight and bias gradients, chunked over output channels.
 	chanCost := 2 * oh * ow * c.Cin * c.K * c.K
 	ParallelFor(c.Cout, grainFor(batch*chanCost), func(clo, chi int) {
 		for b := 0; b < batch; b++ {
 			xs := stash[b*c.InSize() : (b+1)*c.InSize()]
-			ds := masked[b*c.OutSize() : (b+1)*c.OutSize()]
+			ds := dy[b*c.OutSize() : (b+1)*c.OutSize()]
 			for co := clo; co < chi; co++ {
 				for i := 0; i < oh; i++ {
 					for j := 0; j < ow; j++ {
@@ -197,7 +188,7 @@ func (c Conv2D) Backward(params, stash, dy, dx, grad []float32, batch int) {
 	clear(dx[:batch*c.InSize()])
 	ParallelFor(batch, grainFor(chanCost*c.Cout), func(blo, bhi int) {
 		for b := blo; b < bhi; b++ {
-			ds := masked[b*c.OutSize() : (b+1)*c.OutSize()]
+			ds := dy[b*c.OutSize() : (b+1)*c.OutSize()]
 			dxs := dx[b*c.InSize() : (b+1)*c.InSize()]
 			for co := 0; co < c.Cout; co++ {
 				for i := 0; i < oh; i++ {
@@ -219,6 +210,7 @@ func (c Conv2D) Backward(params, stash, dy, dx, grad []float32, batch int) {
 			}
 		}
 	})
+	maskBySign(dx[:batch*c.InSize()], stash)
 }
 
 // MaxPool2D is a non-overlapping P×P max pool over NCHW samples
@@ -283,7 +275,9 @@ func (p MaxPool2D) Forward(_, x, y, stash []float32, batch int) {
 }
 
 // Backward implements Kernel: the gradient routes to the argmax
-// element of each window (first-found on ties, matching Forward).
+// element of each window (first-found on ties, matching Forward). A
+// pool has no ReLU of its own, but it stashes the rectified value, so
+// it masks dx like any other kernel.
 func (p MaxPool2D) Backward(_, stash, dy, dx, _ []float32, batch int) {
 	p.validate()
 	if dx == nil {
@@ -315,6 +309,7 @@ func (p MaxPool2D) Backward(_, stash, dy, dx, _ []float32, batch int) {
 			}
 		}
 	})
+	maskBySign(dx[:batch*p.InSize()], stash)
 }
 
 // InitKernel initializes a kernel's parameters: Xavier for anything

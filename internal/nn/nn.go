@@ -6,9 +6,13 @@
 // virtual memory — the kernels never allocate parameter or activation
 // storage themselves.
 //
-// Backward passes use activation recomputation for the ReLU mask
-// (recompute-from-stash, in the spirit of Chen et al. [7] cited by
-// the paper) so the stash holds only each layer's input.
+// The stash holds only each layer's input, and nothing is recomputed
+// from it: ReLU's derivative is applied by the layer above, which
+// zeroes its input gradient wherever the input it stashed — this
+// layer's rectified output — is not positive (Kernel.Backward;
+// DESIGN.md §7, "Where ReLU's derivative is applied"). So a backward
+// pass costs the two forwards the cost model charges
+// (models.BwdFLOPsFactor).
 //
 // The Dense inner loops have two implementations with one result: the
 // Go register tiles in this file, which every GOARCH builds, and AVX2
@@ -63,7 +67,8 @@ func (l Dense) Forward(params, x, y, stash []float32, batch int) {
 func (l Dense) forwardRows(params, x, y []float32, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		yi := y[i*l.Out : (i+1)*l.Out]
-		l.preact(params, x[i*l.In:(i+1)*l.In], yi)
+		copy(yi, params[l.In*l.Out:])
+		axpyRows(yi, params[:l.In*l.Out], x[i*l.In:(i+1)*l.In], 1)
 		if l.ReLU {
 			for j, v := range yi {
 				if v < 0 {
@@ -74,96 +79,75 @@ func (l Dense) forwardRows(params, x, y []float32, lo, hi int) {
 	}
 }
 
-// preact writes one sample's pre-activation b + xi·W into z: the
-// forward pass and the backward pass's ReLU-mask recompute share it,
-// so the mask is taken from the very bits the forward pass clamped.
-func (l Dense) preact(params, xi, z []float32) {
-	copy(z, params[l.In*l.Out:])
-	axpyRows(z, params[:l.In*l.Out], xi, 1)
-}
-
-// Backward computes dx[batch,In] and accumulates parameter gradients
-// into grad given dy[batch,Out] and the stashed input. dx may be nil
-// for the first layer. The ReLU mask is recomputed from the stash.
+// Backward implements Kernel: it accumulates parameter gradients into
+// grad and computes dx[batch,In] given dy[batch,Out], the gradient with
+// respect to the pre-activation, and the stashed input. dx may be nil
+// for the first layer.
 //
 // The pass is split into phases so each can fan across the worker
-// pool without changing any element's accumulation order: the mask
-// and dx are row-disjoint over the batch, while gw chunks over weight
-// rows, each row still accumulating the batch in order. The results
-// are bit-identical to a serial run.
+// pool without changing any element's accumulation order: dx is
+// row-disjoint over the batch, while gw chunks over weight rows, each
+// row still accumulating the batch in order. The results are
+// bit-identical to a serial run.
 func (l Dense) Backward(params, stash, dy, dx, grad []float32, batch int) {
 	nw := l.In * l.Out
 	stash = stash[:batch*l.In]
 	gw := grad[:nw]
 	gb := grad[nw : nw+l.Out]
-	rowGrain := grainFor(2 * nw)
-	// Recompute the pre-activation sign when the layer has ReLU. The
-	// masked gradient comes from the scratch pool; each row is first
-	// the pre-activation, then overwritten in place by its mask of dy.
-	masked := dy[:batch*l.Out]
-	if l.ReLU {
-		masked = GetScratch(batch * l.Out)
-		if runsInline(batch, rowGrain) {
-			l.maskRows(params, stash, dy, masked, 0, batch)
-		} else {
-			ParallelFor(batch, rowGrain, func(lo, hi int) { l.maskRows(params, stash, dy, masked, lo, hi) })
-		}
-	}
 	// Bias gradient: each column sums the batch in order. It is 1/In of
 	// the pass's work, so it does not fan out.
 	for i := 0; i < batch; i++ {
-		for j, dv := range masked[i*l.Out : (i+1)*l.Out] {
+		for j, dv := range dy[i*l.Out : (i+1)*l.Out] {
 			gb[j] += dv
 		}
 	}
 	// Weight gradient: chunk over weight rows k (the input dimension);
 	// each gw row accumulates the batch in order.
 	if grain := grainFor(2 * batch * l.Out); runsInline(l.In, grain) {
-		l.weightGradRows(stash, masked, gw, 0, l.In)
+		l.weightGradRows(stash, dy, gw, 0, l.In)
 	} else {
-		ParallelFor(l.In, grain, func(lo, hi int) { l.weightGradRows(stash, masked, gw, lo, hi) })
+		ParallelFor(l.In, grain, func(lo, hi int) { l.weightGradRows(stash, dy, gw, lo, hi) })
 	}
 	// Input gradient: rows are disjoint over the batch.
-	if dx != nil {
-		if runsInline(batch, rowGrain) {
-			l.inputGradRows(params, masked, dx, 0, batch)
-		} else {
-			ParallelFor(batch, rowGrain, func(lo, hi int) { l.inputGradRows(params, masked, dx, lo, hi) })
-		}
+	if dx == nil {
+		return
 	}
-	if l.ReLU {
-		PutScratch(masked)
+	if grain := grainFor(2 * nw); runsInline(batch, grain) {
+		l.inputGradRows(params, dy, dx, 0, batch)
+	} else {
+		ParallelFor(batch, grain, func(lo, hi int) { l.inputGradRows(params, dy, dx, lo, hi) })
 	}
+	maskBySign(dx[:batch*l.In], stash)
 }
 
-func (l Dense) maskRows(params, stash, dy, masked []float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		mi := masked[i*l.Out : (i+1)*l.Out]
-		l.preact(params, stash[i*l.In:(i+1)*l.In], mi)
-		di := dy[i*l.Out:][:len(mi)]
-		for j, z := range mi {
-			if z > 0 {
-				mi[j] = di[j]
-			} else {
-				mi[j] = 0
-			}
-		}
-	}
-}
-
-func (l Dense) weightGradRows(stash, masked, gw []float32, lo, hi int) {
+func (l Dense) weightGradRows(stash, dy, gw []float32, lo, hi int) {
 	for k := lo; k < hi; k++ {
-		axpyRows(gw[k*l.Out:(k+1)*l.Out], masked, stash[k:], l.In)
+		axpyRows(gw[k*l.Out:(k+1)*l.Out], dy, stash[k:], l.In)
 	}
 }
 
-func (l Dense) inputGradRows(params, masked, dx []float32, lo, hi int) {
+// maskBySign zeroes dx wherever the stashed input x is not > 0: the
+// derivative of the ReLU that produced x, which Kernel.Backward applies
+// on the consumer's side. A ReLU writes +0 or leaves its input, so
+// x > 0 exactly where that layer's pre-activation was > 0, ±0 and NaN
+// included, and a zeroed element is the +0 the producer's own mask
+// would have written.
+func maskBySign(dx, x []float32) {
+	x = x[:len(dx)]
+	for i, v := range x {
+		if !(v > 0) {
+			dx[i] = 0
+		}
+	}
+}
+
+func (l Dense) inputGradRows(params, dy, dx []float32, lo, hi int) {
 	n := l.Out
 	// The vector tiles leave Σ_{j<n4} W[k,j]·d[i,j] in dx[i,k] for k < k8.
 	k8, n4 := 0, 0
 	if useAVX2 && l.In >= 8 && n >= 4 && lo < hi {
 		k8, n4 = l.In&^7, n&^3
-		w, d, out := params[:l.In*n], masked[lo*n:hi*n], dx[lo*l.In:hi*l.In]
+		w, d, out := params[:l.In*n], dy[lo*n:hi*n], dx[lo*l.In:hi*l.In]
 		i := 0
 		for ; i+4 <= hi-lo; i += 4 {
 			dx4AVX2(&out[i*l.In], &w[0], &d[i*n], k8, n4, l.In, n)
@@ -173,7 +157,7 @@ func (l Dense) inputGradRows(params, masked, dx []float32, lo, hi int) {
 		}
 	}
 	for i := lo; i < hi; i++ {
-		d := masked[i*n : (i+1)*n]
+		d := dy[i*n : (i+1)*n]
 		dxi := dx[i*l.In : (i+1)*l.In]
 		// A sum the vector tiles began goes on from where it stands.
 		for k := 0; k < k8 && n4 < n; k++ {

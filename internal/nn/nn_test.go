@@ -251,24 +251,27 @@ func TestSoftmaxProperties(t *testing.T) {
 	}
 }
 
-// Property: ReLU backward never propagates gradient through
-// non-positive pre-activations.
+// Property: no gradient crosses a non-positive pre-activation. The
+// ReLU layer's consumer applies the mask, by the rectified output it
+// stashed, so it takes two layers to see it.
 func TestReLUBackwardMasksProperty(t *testing.T) {
 	f := func(xRaw, dyRaw int8) bool {
-		l := Dense{In: 1, Out: 1, ReLU: true}
-		params := []float32{1, 0} // identity weight, zero bias
+		relu, head := Dense{In: 1, Out: 1, ReLU: true}, Dense{In: 1, Out: 1}
+		params := []float32{1, 0} // identity weight, zero bias, both layers
 		x := []float32{float32(xRaw)}
-		y := make([]float32, 1)
-		stash := make([]float32, 1)
-		l.Forward(params, x, y, stash, 1)
+		h, y := make([]float32, 1), make([]float32, 1)
+		s1, s2 := make([]float32, 1), make([]float32, 1)
+		relu.Forward(params, x, h, s1, 1)
+		head.Forward(params, h, y, s2, 1)
 		dy := []float32{float32(dyRaw)}
-		dx := make([]float32, 1)
-		grad := make([]float32, 2)
-		l.Backward(params, stash, dy, dx, grad, 1)
+		dh := make([]float32, 1)
+		g1, g2 := make([]float32, 2), make([]float32, 2)
+		head.Backward(params, s2, dy, dh, g2, 1)
+		relu.Backward(params, s1, dh, nil, g1, 1)
 		if xRaw <= 0 {
-			return dx[0] == 0 && grad[0] == 0
+			return math.Float32bits(dh[0]) == 0 && g1[0] == 0 && g1[1] == 0
 		}
-		return dx[0] == float32(dyRaw) && grad[0] == float32(xRaw)*float32(dyRaw)
+		return dh[0] == float32(dyRaw) && g1[0] == float32(xRaw)*float32(dyRaw) && g1[1] == float32(dyRaw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -322,12 +325,14 @@ func TestConvGradientCheck(t *testing.T) {
 		dl := make([]float32, batch*classes)
 		return SoftmaxXent(y, labels, dl, batch, classes)
 	}
-	// Analytic gradient.
+	// Analytic gradient. The loss is the conv's consumer, so it applies
+	// the ReLU mask, by the rectified output.
 	y := make([]float32, batch*c.OutSize())
 	stash := make([]float32, batch*c.StashSize())
 	c.Forward(params, x, y, stash, batch)
 	dl := make([]float32, batch*classes)
 	SoftmaxXent(y, labels, dl, batch, classes)
+	maskBySign(dl, y)
 	grad := make([]float32, c.ParamCount())
 	dx := make([]float32, batch*c.InSize())
 	c.Backward(params, stash, dl, dx, grad, batch)
@@ -345,8 +350,15 @@ func TestConvGradientCheck(t *testing.T) {
 			t.Fatalf("conv grad[%d]: analytic %v vs numeric %v", i, grad[i], numeric)
 		}
 	}
-	// Input gradient too (spot check).
+	// Input gradient too (spot check). dx is masked by the sign of x, as
+	// if x were the output of a ReLU below: where x is not > 0 it is +0.
 	for i := 0; i < len(x); i += 11 {
+		if !(x[i] > 0) {
+			if math.Float32bits(dx[i]) != 0 {
+				t.Fatalf("conv dx[%d] = %v at x = %v, want +0", i, dx[i], x[i])
+			}
+			continue
+		}
 		orig := x[i]
 		x[i] = orig + eps
 		up := float64(forward())
@@ -572,30 +584,66 @@ func unaligned(rng *rand.Rand, n int) []float32 {
 	return make([]float32, off+n)[off:]
 }
 
-// TestDenseBitIdenticalToOracle draws layer shapes around the tile and
-// vector widths (1, primes, one either side of 8, 16, 32 and 128),
+// oracleDims are the layer widths the oracle tests draw from: around
+// the tile and vector widths (1, primes, one either side of 8, 16, 32
+// and 128).
+var oracleDims = []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 15, 16, 17, 24, 31, 32, 33, 64, 67, 100, 128, 129, 257}
+
+var negZero = float32(math.Copysign(0, -1))
+
+// salt fills s with normal draws, each replaced with probability p by
+// one of specials.
+func salt(rng *rand.Rand, s []float32, p float64, specials ...float32) {
+	for i := range s {
+		if s[i] = float32(rng.NormFloat64()); rng.Float64() < p {
+			s[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+}
+
+// saltWeights salts params with ±Inf, NaN and -0 on every fifth draw:
+// a zero input must still skip them.
+func saltWeights(rng *rand.Rand, params []float32, draw int) {
+	salt(rng, params, 0)
+	if draw%5 == 0 {
+		salt(rng, params, 0.02, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), negZero)
+	}
+}
+
+// maskedBy returns a copy of g with +0 wherever s is not > 0: the ReLU
+// mask taken from s, written the way the old contract's mask wrote it.
+func maskedBy(g, s []float32) []float32 {
+	if g == nil {
+		return nil
+	}
+	m := make([]float32, len(g))
+	for i, v := range s[:len(g)] {
+		if v > 0 {
+			m[i] = g[i]
+		}
+	}
+	return m
+}
+
+// TestDenseBitIdenticalToOracle draws layer shapes from oracleDims,
 // batches 1–9 and inputs salted with +0, -0 and all-zero rows, and
 // requires the kernels to reproduce the oracle's y, stash, dx and grad
 // bit for bit at pool sizes 1, 2 and 3, on top of a non-zero incoming
 // grad, on both kernel paths. The weights carry ±Inf and NaN now and
-// then: a zero input must still skip them. Every buffer starts 1–7
-// floats into its allocation, so no kernel may assume an aligned one.
+// then. Every buffer starts 1–7 floats into its allocation, so no
+// kernel may assume an aligned one. The oracle is the recompute
+// contract — dy unmasked, the ReLU mask recomputed, dx handed on
+// unmasked — so the kernel is given dy as its consumer would hand it,
+// masked by the output it stashed, and its dx must be the oracle's with
+// +0 wherever x is not > 0.
 func TestDenseBitIdenticalToOracle(t *testing.T) {
 	eachKernelPath(t, testDenseBitIdenticalToOracle)
 }
 
 func testDenseBitIdenticalToOracle(t *testing.T) {
 	defer SetWorkers(runtime.GOMAXPROCS(0))
-	dims := []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 15, 16, 17, 24, 31, 32, 33, 64, 67, 100, 128, 129, 257}
-	negZero := float32(math.Copysign(0, -1))
+	dims := oracleDims
 	rng := rand.New(rand.NewSource(15))
-	fill := func(s []float32, special float64, specials ...float32) {
-		for i := range s {
-			if s[i] = float32(rng.NormFloat64()); rng.Float64() < special {
-				s[i] = specials[rng.Intn(len(specials))]
-			}
-		}
-	}
 	for draw := 0; draw < 300; draw++ {
 		l := Dense{In: dims[rng.Intn(len(dims))], Out: dims[rng.Intn(len(dims))], ReLU: rng.Intn(2) == 0}
 		batch := 1 + rng.Intn(9)
@@ -605,26 +653,26 @@ func testDenseBitIdenticalToOracle(t *testing.T) {
 		}
 		SetWorkers(1 + draw%3)
 		params := unaligned(rng, l.ParamCount())
-		fill(params, 0)
-		if draw%5 == 0 {
-			fill(params, 0.02, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), negZero)
-		}
+		saltWeights(rng, params, draw)
 		x := unaligned(rng, batch*l.In)
-		fill(x, 0.4, 0, negZero)
+		salt(rng, x, 0.4, 0, negZero)
 		if batch > 1 {
 			clear(x[l.In : 2*l.In])
 		}
 		dy := unaligned(rng, batch*l.Out)
-		fill(dy, 0.1, 0, negZero)
+		salt(rng, dy, 0.1, 0, negZero)
 		grad0 := unaligned(rng, l.ParamCount())
-		fill(grad0, 0.1, 0, negZero)
+		salt(rng, grad0, 0.1, 0, negZero)
 		withDx := rng.Intn(4) > 0
 
-		run := func(fwd func(Dense, []float32, []float32, []float32, []float32, int),
-			bwd func(Dense, []float32, []float32, []float32, []float32, []float32, int)) (y, stash, dx, grad []float32) {
+		forward := func(fwd func(Dense, []float32, []float32, []float32, []float32, int)) (y, stash []float32) {
 			y = unaligned(rng, batch*l.Out)
 			stash = unaligned(rng, batch*l.In)
 			fwd(l, params, x, y, stash, batch)
+			return
+		}
+		backward := func(bwd func(Dense, []float32, []float32, []float32, []float32, []float32, int),
+			stash, dy []float32) (dx, grad []float32) {
 			if withDx {
 				dx = unaligned(rng, batch*l.In)
 			}
@@ -633,13 +681,321 @@ func testDenseBitIdenticalToOracle(t *testing.T) {
 			bwd(l, params, stash, dy, dx, grad, batch)
 			return
 		}
-		y, stash, dx, grad := run(Dense.Forward, Dense.Backward)
-		wy, wstash, wdx, wgrad := run(refForward, refBackward)
+		y, stash := forward(Dense.Forward)
+		wy, wstash := forward(refForward)
+		kdy := dy
+		if l.ReLU {
+			kdy = maskedBy(dy, wy)
+		}
+		dx, grad := backward(Dense.Backward, stash, kdy)
+		wdx, wgrad := backward(refBackward, wstash, dy)
 		t.Logf("draw %d: %+v batch %d workers %d dx %v", draw, l, batch, Workers(), withDx)
 		sameBits(t, "y", y, wy)
 		sameBits(t, "stash", stash, wstash)
-		sameBits(t, "dx", dx, wdx)
+		sameBits(t, "dx", dx, maskedBy(wdx, x))
 		sameBits(t, "grad", grad, wgrad)
+	}
+}
+
+// The chain tests hold the contract to the one it replaced on whole
+// stacks, where the consumer's mask must agree with the recompute the
+// producer used to do. A stack runs forward and backward once through
+// the kernels and once through the oracle (refForward/refBackward and
+// the conv and pool references below), which masks each layer's dy by
+// its recomputed pre-activation and hands dx down unmasked. Every
+// layer's grad must agree bit for bit, and so must every gradient
+// handed down, the oracle's once the mask of the layer it reaches is
+// applied: that layer's pre-activation, recomputed by the oracle, or
+// for a MaxPool2D its output, the max of rectified values, whose sign is
+// that of the element Backward routes to.
+
+// chain is one drawn stack: kernels, parameters, incoming grads, the
+// input and the loss gradient.
+type chain struct {
+	ks            []Kernel
+	params, grad0 [][]float32
+	x, dy         []float32
+	batch         int
+}
+
+// newChain draws parameters, grads and the loss gradient for ks on x.
+func newChain(rng *rand.Rand, draw int, ks []Kernel, x []float32, batch int) *chain {
+	c := &chain{ks: ks, x: x, batch: batch}
+	for _, k := range ks {
+		p := unaligned(rng, k.ParamCount())
+		saltWeights(rng, p, draw)
+		g := unaligned(rng, k.ParamCount())
+		salt(rng, g, 0.1, 0, negZero)
+		c.params, c.grad0 = append(c.params, p), append(c.grad0, g)
+	}
+	c.dy = unaligned(rng, batch*ks[len(ks)-1].OutSize())
+	salt(rng, c.dy, 0.1, 0, negZero)
+	return c
+}
+
+// run steps the chain forward and backward, through the kernels or the
+// oracle, and returns each layer's grad, stash and the gradient it
+// handed down (nil for the first layer).
+func (c *chain) run(rng *rand.Rand, oracle bool) (grads, stash, dxs [][]float32) {
+	n, b := len(c.ks), c.batch
+	grads, stash, dxs = make([][]float32, n), make([][]float32, n), make([][]float32, n)
+	act := c.x
+	for i, k := range c.ks {
+		y := unaligned(rng, b*k.OutSize())
+		stash[i] = unaligned(rng, b*k.StashSize())
+		if oracle {
+			refKernelForward(k, c.params[i], act, y, stash[i], b)
+		} else {
+			k.Forward(c.params[i], act, y, stash[i], b)
+		}
+		act = y
+	}
+	up := c.dy
+	for i := n - 1; i >= 0; i-- {
+		k := c.ks[i]
+		if i > 0 {
+			dxs[i] = unaligned(rng, b*k.InSize())
+		}
+		grads[i] = unaligned(rng, len(c.grad0[i]))
+		copy(grads[i], c.grad0[i])
+		if oracle {
+			refKernelBackward(k, c.params[i], stash[i], up, dxs[i], grads[i], b)
+		} else {
+			k.Backward(c.params[i], stash[i], up, dxs[i], grads[i], b)
+		}
+		up = dxs[i]
+	}
+	return grads, stash, dxs
+}
+
+func (c *chain) check(t *testing.T, rng *rand.Rand) {
+	t.Helper()
+	grads, _, dxs := c.run(rng, false)
+	wgrads, wstash, wdxs := c.run(rng, true)
+	for i, k := range c.ks {
+		sameBits(t, fmt.Sprintf("%s grad", k.Name()), grads[i], wgrads[i])
+		if i == 0 {
+			continue
+		}
+		// The sign of what layer i-1 produced, as the oracle sees it.
+		sign := wstash[i]
+		switch below := c.ks[i-1].(type) {
+		case Dense:
+			sign = make([]float32, c.batch*below.Out)
+			refForward(Dense{In: below.In, Out: below.Out}, c.params[i-1], wstash[i-1], sign, make([]float32, c.batch*below.In), c.batch)
+		case Conv2D:
+			sign = make([]float32, c.batch*below.OutSize())
+			refConvPreact(below, c.params[i-1], wstash[i-1], sign, c.batch)
+		}
+		sameBits(t, fmt.Sprintf("%s dx", k.Name()), dxs[i], maskedBy(wdxs[i], sign))
+	}
+}
+
+// chainInput draws a chain input salted with ±0, with an all-zero first
+// row and a NaN elsewhere when the batch has more than one row.
+func chainInput(rng *rand.Rand, n, batch int) []float32 {
+	x := unaligned(rng, batch*n)
+	salt(rng, x, 0.4, 0, negZero)
+	if batch > 1 {
+		clear(x[:n])
+		x[n+rng.Intn((batch-1)*n)] = float32(math.NaN())
+	}
+	return x
+}
+
+// TestDenseChainBitIdenticalToOracle: stacks of 2–4 Dense layers, ReLU
+// on all but the last, widths from oracleDims, batches 1–9, weights
+// with ±Inf and NaN on every fifth draw, at pool sizes 1–3 (one big
+// draw in twenty so that they split), on both kernel paths.
+func TestDenseChainBitIdenticalToOracle(t *testing.T) {
+	eachKernelPath(t, testDenseChainBitIdenticalToOracle)
+}
+
+func testDenseChainBitIdenticalToOracle(t *testing.T) {
+	defer SetWorkers(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(25))
+	for draw := 0; draw < 120; draw++ {
+		widths := make([]int, 3+rng.Intn(3))
+		for i := range widths {
+			widths[i] = oracleDims[rng.Intn(len(oracleDims))]
+		}
+		batch := 1 + rng.Intn(9)
+		if draw%20 == 0 {
+			widths[0], widths[1], batch = 520, 460, 9
+		}
+		SetWorkers(1 + draw%3)
+		var ks []Kernel
+		for i := 0; i+1 < len(widths); i++ {
+			ks = append(ks, Dense{In: widths[i], Out: widths[i+1], ReLU: i+2 < len(widths)})
+		}
+		t.Logf("draw %d: %v batch %d workers %d", draw, ks, batch, Workers())
+		newChain(rng, draw, ks, chainInput(rng, widths[0], batch), batch).check(t, rng)
+	}
+}
+
+// TestConvChainBitIdenticalToOracle: one or two Conv2D → MaxPool2D
+// stages and then Dense → Dense, the LeNet pattern (a second stage's
+// conv is asked for dx, so its mask is checked too), or no Dense at all
+// one draw in four, with kernel sizes
+// 1–3, pools 1–3, 1–4 channels, batches 1–5, at pool sizes 1–3, on both
+// kernel paths.
+func TestConvChainBitIdenticalToOracle(t *testing.T) {
+	eachKernelPath(t, testConvChainBitIdenticalToOracle)
+}
+
+func testConvChainBitIdenticalToOracle(t *testing.T) {
+	defer SetWorkers(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(35))
+	for draw := 0; draw < 80; draw++ {
+		// Stages are drawn top-down, so every pool divides what it pools.
+		var ks []Kernel
+		h, w, c := 1+rng.Intn(3), 1+rng.Intn(3), 1+rng.Intn(4)
+		top := c * h * w
+		for stages := 1 + rng.Intn(2); stages > 0; stages-- {
+			k, p, cin := 1+rng.Intn(3), 1+rng.Intn(3), 1+rng.Intn(4)
+			conv := Conv2D{Cin: cin, H: h*p + k - 1, W: w*p + k - 1, Cout: c, K: k, ReLU: true}
+			ks = append([]Kernel{conv, MaxPool2D{C: c, H: h * p, W: w * p, P: p}}, ks...)
+			h, w, c = conv.H, conv.W, cin
+		}
+		// One draw in four ends at the pool: the loss gradient reaches it
+		// unmasked, and the pool's own mask is all that stands before the conv.
+		if draw%4 != 3 {
+			hidden := oracleDims[rng.Intn(len(oracleDims))]
+			ks = append(ks, Dense{In: top, Out: hidden, ReLU: true}, Dense{In: hidden, Out: 1 + rng.Intn(10)})
+		}
+		batch := 1 + rng.Intn(5)
+		SetWorkers(1 + draw%3)
+		t.Logf("draw %d: %v batch %d workers %d", draw, ks, batch, Workers())
+		newChain(rng, draw, ks, chainInput(rng, ks[0].InSize(), batch), batch).check(t, rng)
+	}
+}
+
+// refKernelForward and refKernelBackward run a kernel's oracle. The
+// pool's forward has no second form; it is the kernel's own.
+func refKernelForward(k Kernel, params, x, y, stash []float32, batch int) {
+	switch k := k.(type) {
+	case Dense:
+		refForward(k, params, x, y, stash, batch)
+	case Conv2D:
+		copy(stash, x[:batch*k.InSize()])
+		refConvPreact(k, params, x, y, batch)
+		if k.ReLU {
+			for i, v := range y[:batch*k.OutSize()] {
+				if v < 0 {
+					y[i] = 0
+				}
+			}
+		}
+	default:
+		k.Forward(params, x, y, stash, batch)
+	}
+}
+
+func refKernelBackward(k Kernel, params, stash, dy, dx, grad []float32, batch int) {
+	switch k := k.(type) {
+	case Dense:
+		refBackward(k, params, stash, dy, dx, grad, batch)
+	case Conv2D:
+		refConvBackward(k, params, stash, dy, dx, grad, batch)
+	case MaxPool2D:
+		refPoolBackward(k, stash, dy, dx, batch)
+	default:
+		panic(fmt.Sprintf("no oracle for %T", k))
+	}
+}
+
+// refConvPreact, refConvBackward and refPoolBackward are the conv and
+// pool loops as they stood under the old contract, serial: the conv
+// recomputes its pre-activation to mask dy, and both hand dx down
+// unmasked.
+func refConvPreact(c Conv2D, params, x, z []float32, batch int) {
+	oh, ow, nw := c.OutH(), c.OutW(), c.Cout*c.Cin*c.K*c.K
+	for b := 0; b < batch; b++ {
+		xs, zs := x[b*c.InSize():], z[b*c.OutSize():]
+		for co := 0; co < c.Cout; co++ {
+			for i := 0; i < oh; i++ {
+				for j := 0; j < ow; j++ {
+					sum := params[nw+co]
+					for ci := 0; ci < c.Cin; ci++ {
+						for kh := 0; kh < c.K; kh++ {
+							for kw := 0; kw < c.K; kw++ {
+								sum += xs[ci*c.H*c.W+(i+kh)*c.W+j+kw] * params[((co*c.Cin+ci)*c.K+kh)*c.K+kw]
+							}
+						}
+					}
+					zs[co*oh*ow+i*ow+j] = sum
+				}
+			}
+		}
+	}
+}
+
+func refConvBackward(c Conv2D, params, stash, dy, dx, grad []float32, batch int) {
+	oh, ow, nw := c.OutH(), c.OutW(), c.Cout*c.Cin*c.K*c.K
+	masked := dy
+	if c.ReLU {
+		z := make([]float32, batch*c.OutSize())
+		refConvPreact(c, params, stash, z, batch)
+		masked = make([]float32, len(z))
+		for i, v := range z {
+			if v > 0 {
+				masked[i] = dy[i]
+			}
+		}
+	}
+	if dx != nil {
+		clear(dx[:batch*c.InSize()])
+	}
+	for b := 0; b < batch; b++ {
+		xs, ds := stash[b*c.InSize():], masked[b*c.OutSize():]
+		for co := 0; co < c.Cout; co++ {
+			for i := 0; i < oh; i++ {
+				for j := 0; j < ow; j++ {
+					d := ds[co*oh*ow+i*ow+j]
+					if d == 0 {
+						continue
+					}
+					grad[nw+co] += d
+					for ci := 0; ci < c.Cin; ci++ {
+						for kh := 0; kh < c.K; kh++ {
+							for kw := 0; kw < c.K; kw++ {
+								wi, xi := ((co*c.Cin+ci)*c.K+kh)*c.K+kw, ci*c.H*c.W+(i+kh)*c.W+j+kw
+								grad[wi] += d * xs[xi]
+								if dx != nil {
+									dx[b*c.InSize()+xi] += d * params[wi]
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func refPoolBackward(p MaxPool2D, stash, dy, dx []float32, batch int) {
+	if dx == nil {
+		return
+	}
+	oh, ow := p.H/p.P, p.W/p.P
+	clear(dx[:batch*p.InSize()])
+	for b := 0; b < batch; b++ {
+		xs, ds, dxs := stash[b*p.InSize():], dy[b*p.OutSize():], dx[b*p.InSize():]
+		for c := 0; c < p.C; c++ {
+			for i := 0; i < oh; i++ {
+				for j := 0; j < ow; j++ {
+					best := c*p.H*p.W + i*p.P*p.W + j*p.P
+					for di := 0; di < p.P; di++ {
+						for dj := 0; dj < p.P; dj++ {
+							if at := c*p.H*p.W + (i*p.P+di)*p.W + j*p.P + dj; xs[at] > xs[best] {
+								best = at
+							}
+						}
+					}
+					dxs[best] += ds[c*oh*ow+i*ow+j]
+				}
+			}
+		}
 	}
 }
 

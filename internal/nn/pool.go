@@ -10,8 +10,9 @@ import (
 //
 //   - a persistent worker pool sized to runtime.GOMAXPROCS(0), shared
 //     by every kernel invocation (no per-call goroutine spawn), and
-//   - sync.Pool-backed float32 scratch buffers, so a kernel call in
-//     the steady state allocates nothing.
+//   - sync.Pool-backed float32 scratch buffers for a caller's
+//     transient buffers (exec's loss gradient and Predict's
+//     activations), so those allocate nothing in the steady state.
 //
 // Parallel kernels are written to be bit-identical to their serial
 // counterparts: work is only split along axes whose per-element
@@ -157,13 +158,6 @@ func GetScratch(n int) []float32 {
 		return make([]float32, n)
 	}
 	return s[:n]
-}
-
-// GetZeroedScratch returns a length-n zeroed buffer from the pool.
-func GetZeroedScratch(n int) []float32 {
-	s := GetScratch(n)
-	clear(s)
-	return s
 }
 
 // PutScratch recycles a buffer obtained from GetScratch. The caller

@@ -65,13 +65,9 @@ func TestScratchPoolRoundTrip(t *testing.T) {
 		s[i] = 1
 	}
 	PutScratch(s)
-	z := GetZeroedScratch(100)
-	for i, v := range z {
-		if v != 0 {
-			t.Fatalf("GetZeroedScratch[%d] = %v", i, v)
-		}
+	if s := GetScratch(200); len(s) != 200 {
+		t.Fatalf("len = %d after a smaller buffer was recycled", len(s))
 	}
-	PutScratch(z)
 }
 
 // runKernelOnce runs a forward+backward pass at the given worker count
