@@ -1,14 +1,16 @@
 # Developer entry points. `make check` is the tier-1 gate: everything
 # a change must pass before merging — vet, gofmt and the invariant
 # linter (harmonylint), the build, both modules' tests, the race
-# detector over the root module (see `race`), the time-boxed fuzzes,
-# the contention bench smoke and the static plan-verification gate.
+# detector over the root module (see `race`), the time-boxed fuzzes
+# and the contention bench smoke. The static plan-verification gate
+# (clean plans pass, seeded plan bugs fail, through the CLIs) is
+# cmd/schedcheck's and cmd/harmonytrain's tests, so `test` runs it.
 # Performance is not gated here: a claim is decided by `make
 # bench-pair`.
 
 GO ?= go
 
-.PHONY: all build vet lint lint-sarif test bench-test race bench-contend bench-pair schedcheck fuzz loc check
+.PHONY: all build vet lint lint-sarif test bench-test race bench-contend bench-pair fuzz loc check
 
 all: check
 
@@ -89,22 +91,6 @@ bench-pair:
 	@test -n "$(REF)" || { echo "usage: make bench-pair REF=<commit> [PAIRS=n] [WORKLOADS=a,b] [CLAIM=metric@workload]"; exit 2; }
 	$(GO) run ./cmd/benchpair -ref $(REF) $(if $(PAIRS),-pairs $(PAIRS)) $(if $(WORKLOADS),-workloads $(WORKLOADS)) $(if $(CLAIM),-claim $(CLAIM)) > benchpair.jsonl
 
-# Static plan verification gate (part of `make check`): every clean
-# plan shape must PASS, and each seeded plan bug — rendezvous cycle,
-# analytic-volume divergence, over-capacity residency, uncommitted DMA
-# claim — must be rejected with a counterexample, both by the CLI and
-# by the harmonytrain preflight. The exhaustive per-variant sweep runs
-# in the schedcheck package tests (TestPropertySweep).
-schedcheck:
-	$(GO) run ./cmd/schedcheck -mode harmony-dp -devices 2
-	$(GO) run ./cmd/schedcheck -mode pp-baseline -devices 4 -layers 16 -prefetch=false
-	$(GO) run ./cmd/schedcheck -mode harmony-tp -devices 2
-	! $(GO) run ./cmd/schedcheck -mode dp-baseline -devices 2 -inject cycle
-	! $(GO) run ./cmd/schedcheck -mode dp-baseline -devices 2 -inject volume
-	! $(GO) run ./cmd/schedcheck -mode harmony-dp -devices 2 -inject overcap
-	! $(GO) run ./cmd/schedcheck -mode harmony-dp -devices 2 -inject uncommitted
-	! $(GO) run ./cmd/harmonytrain -arch mlp -widths 64,32,10 -devices 2 -device-mem 16384 -steps 1
-
 # Time-boxed fuzzing: the checkpoint loader must reject arbitrary
 # bytes with errors (never panics or huge allocations), and the
 # fault-spec grammar must accept only rules an injector can evaluate.
@@ -127,4 +113,4 @@ loc:
 	fi; \
 	for d in $$pkgs; do printf '%6d  %s\n' $$(count $$(src $$d)) $$d; done
 
-check: lint build test bench-test race fuzz bench-contend schedcheck
+check: lint build test bench-test race fuzz bench-contend

@@ -76,6 +76,20 @@ func TestFlagsWithNoEffectAreRejected(t *testing.T) {
 	}
 }
 
+// A plan that cannot fit its devices is refused by the preflight before
+// a step runs, with the verifier's counterexample.
+func TestPreflightRejectsOverCapacity(t *testing.T) {
+	stdout, stderr, exit := harmonytrain(t, build(t), "-mode", "harmony-pp", "-widths", "64,32,10", "-devices", "2",
+		"-device-mem", "16384", "-steps", "1")
+	if exit != 1 || strings.Contains(stdout, "step") {
+		t.Errorf("exit %d, want 1 and nothing trained\n%s", exit, stdout)
+	}
+	if !regexp.MustCompile(`preflight verification[^\n]*\nschedcheck: capacity: gpu0 peak pinned bytes \d+ exceed capacity 16384`).MatchString(stderr) ||
+		!strings.Contains(stderr, "counterexample") {
+		t.Errorf("stderr does not carry the capacity counterexample: %q", stderr)
+	}
+}
+
 func TestDivergenceStopsTheRun(t *testing.T) {
 	bin := build(t)
 

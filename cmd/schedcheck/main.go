@@ -1,10 +1,10 @@
 // Command schedcheck statically verifies an execution plan against a
 // device topology without running anything: happens-before liveness
 // across queues and collective rendezvous, symbolic peak-residency
-// against device capacity, structural swap volume cross-checked with
-// the analytic closed forms, and a bounded exhaustive exploration of
-// the DMA claim state machine. Failures print the violated invariant
-// plus a Gantt-style counterexample lane per device.
+// against device capacity, and structural swap volume cross-checked
+// with the analytic closed forms. Failures print the violated
+// invariant plus a Gantt-style counterexample lane per device and exit
+// 1; a usage error exits 2.
 //
 // Examples:
 //
@@ -12,8 +12,8 @@
 //	schedcheck -mode harmony-dp -devices 4 -comm-chunks 8 -comm-bucket 16384
 //	schedcheck -mode pp-baseline -devices 4 -layers 16 -device-mem 32768
 //	schedcheck -mode dp-baseline -devices 2 -inject cycle      # seeded deadlock
+//	schedcheck -mode dp-baseline -devices 2 -inject volume     # seeded volume skew
 //	schedcheck -mode harmony-dp -devices 2 -inject overcap     # seeded thrash
-//	schedcheck -mode harmony-dp -devices 2 -inject uncommitted # seeded DMA bug
 package main
 
 import (
@@ -41,7 +41,7 @@ func main() {
 		chunks    = flag.Int("comm-chunks", 0, "split gradient collectives into N chunks (0 = monolithic)")
 		bucket    = flag.Int64("comm-bucket", 0, "coalesce reverse-order gradients into buckets of this many bytes")
 		baseline  = flag.Bool("baseline-toggles", false, "disable all optimizations regardless of mode")
-		inject    = flag.String("inject", "", "seed a plan bug: cycle, volume, overcap, uncommitted")
+		inject    = flag.String("inject", "", "seed a plan bug: cycle, volume, overcap")
 		verbose   = flag.Bool("v", false, "print per-device residency and volume detail")
 	)
 	flag.Parse()
@@ -100,8 +100,6 @@ func main() {
 		}
 	case "overcap":
 		topo.DeviceBytes = 64
-	case "uncommitted":
-		topo.Mutation = "skip-commit"
 	default:
 		fmt.Fprintf(os.Stderr, "schedcheck: unknown injection %q\n", *inject)
 		os.Exit(2)
@@ -110,7 +108,7 @@ func main() {
 	r := schedcheck.Check(s, topo)
 	fmt.Printf("plan: %s, %d devices, %d layers × %d params, %d microbatches\n",
 		mode, *devices, *layers, *params, *mbs)
-	fmt.Printf("checked: %d tasks replayed, %d DMA states explored\n", r.TasksChecked, r.DMAStates)
+	fmt.Printf("checked: %d tasks replayed\n", r.TasksChecked)
 	if *verbose {
 		for d := range r.PeakPinBytes {
 			fmt.Printf("  gpu%d: peak pinned %d bytes, expected resident %d / %d capacity\n",
@@ -128,5 +126,5 @@ func main() {
 		fmt.Printf("FAIL\n%v\n", err)
 		os.Exit(1)
 	}
-	fmt.Println("PASS: plan is deadlock-free, fits residency, matches the analytic swap model, and upholds the DMA claim invariant")
+	fmt.Println("PASS: plan is deadlock-free, fits residency and matches the analytic swap model")
 }

@@ -460,3 +460,38 @@ func TestTPModesThroughPublicAPI(t *testing.T) {
 		}
 	}
 }
+
+// A Step with the wrong amount of data names the argument that is
+// wrong, with its expected and actual length.
+func TestStepNamesTheShortArgument(t *testing.T) {
+	tr, err := NewTrainer(TrainerConfig{Widths: []int{4, 2}, Devices: 1, DeviceBytes: 1 << 20, BatchSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	x, y := NewBlobs(4, 2, 0.5, 1).Batch(8, 0)
+	for _, tc := range []struct {
+		x    []float32
+		y    []int
+		want string
+	}{
+		{x[:28], y, "Step needs 32 inputs (8 samples × 4 features), got 28"},
+		{x, y[:7], "Step needs 8 labels (1 replicas × 8 samples), got 7"},
+	} {
+		if _, err := tr.Step(tc.x, tc.y); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Step(%d inputs, %d labels): got %v, want %q", len(tc.x), len(tc.y), err, tc.want)
+		}
+	}
+	if _, err := tr.Step(x, y); err != nil {
+		t.Fatalf("Step with the right lengths: %v", err)
+	}
+}
+
+// A negative Microbatches is refused by name, not passed on as a
+// negative microbatch size the caller never set.
+func TestNegativeMicrobatchesRejected(t *testing.T) {
+	_, err := NewTrainer(TrainerConfig{Widths: []int{4, 2}, Devices: 1, DeviceBytes: 1 << 20, BatchSize: 8, Microbatches: -8})
+	if err == nil || !strings.Contains(err.Error(), "Microbatches -8 is negative") {
+		t.Fatalf("got %v, want an error naming Microbatches", err)
+	}
+}

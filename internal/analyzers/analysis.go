@@ -44,7 +44,7 @@
 // package imports nothing of the module it lints: copied locks are
 // go vet's copylocks (`make lint` runs vet first), and the claim
 // machine's transition table is checked against its spec by
-// schedcheck's TestProtoTableMatchesClaimword.
+// claimword's TestProtoTableMatchesClaimword.
 //
 // Three layers sit under the passes. cfg.go builds per-function
 // control-flow graphs and is the only code that knows Go's statement

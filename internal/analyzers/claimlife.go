@@ -11,7 +11,7 @@ package analyzers
 //
 // This is the path-sensitive complement to the existing checks:
 // claimdiscipline rejects state writes outside the transition helpers,
-// schedcheck's TestProtoTableMatchesClaimword proves the transition
+// claimword's TestProtoTableMatchesClaimword proves the transition
 // *table* matches its spec, and claimlife proves every *use* of the
 // table runs to completion. Settling a request someone else claimed
 // (dmaWorker's service loop) is fine: closing a claim that was never

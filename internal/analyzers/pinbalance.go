@@ -22,8 +22,8 @@ package analyzers
 //     idiom).
 //
 // internal/claimword's own pure transitions are out of scope (they
-// compute words, they do not own pins); schedcheck's
-// TestProtoTableMatchesClaimword guards that table.
+// compute words, they do not own pins); that package's
+// TestProtoTableMatchesClaimword guards the table.
 
 import (
 	"go/ast"

@@ -9,13 +9,10 @@
 //
 // The package holds only *pure* transition functions: each takes an
 // observed word and returns the successor word plus an ok bit. The
-// runtime (internal/exec) applies them with CompareAndSwap loops; the
-// model checker (internal/schedcheck) applies them directly to model
-// state, so the exact encoding and protocol the executor runs is what
-// gets exhaustively explored. The claimdiscipline analyzer
-// (internal/analyzers) enforces that the executor mutates claim words
-// only through its state-machine helpers, and those helpers only via
-// CAS on these transitions.
+// runtime (internal/exec) applies them with CompareAndSwap loops. The
+// claimdiscipline analyzer (internal/analyzers) enforces that the
+// executor mutates claim words only through its state-machine
+// helpers, and those helpers only via CAS on these transitions.
 //
 // Word layout (low to high):
 //
@@ -26,11 +23,15 @@
 //	bit  5    prefetched — residency established by EnsureAsync, unconsumed
 //	bits 8-27 pin count
 //
-// Invariant (DESIGN.md §9, re-proven over all interleavings by the
-// schedcheck DMA model): a resident buffer is never claimed without
+// Invariant (DESIGN.md §9): a resident buffer is never claimed without
 // async or committed set — every claim eviction can observe completes
-// autonomously, so waiting on it cannot deadlock. Violation reports a
-// word that breaks it.
+// autonomously, so waiting on it cannot deadlock. It is a precondition
+// of Claim, Commit always sets committed, and only Settle clears a
+// claim, so no sequence of transitions reaches a word that breaks it.
+// The package's tests prove that by breadth-first search over every
+// word reachable from the zero Word (TestEveryReachableWordIsWaitable),
+// on a transition table that TestProtoTableMatchesClaimword diffs
+// against these functions.
 package claimword
 
 import "fmt"
@@ -57,13 +58,10 @@ const (
 const (
 	stateMask Word = 0x3
 
-	// Flag bits are exported so the schedcheck model (and its seeded
-	// mutation hooks) can compose and decompose words directly. The
-	// executor never touches them outside this package's transitions.
-	FlagAsync      Word = 1 << 2
-	FlagCommitted  Word = 1 << 3
-	FlagResident   Word = 1 << 4
-	FlagPrefetched Word = 1 << 5
+	flagAsync      Word = 1 << 2
+	flagCommitted  Word = 1 << 3
+	flagResident   Word = 1 << 4
+	flagPrefetched Word = 1 << 5
 
 	pinShift      = 8
 	pinLimit Word = 1 << 20
@@ -77,16 +75,16 @@ func (w Word) State() State { return State(w & stateMask) }
 func (w Word) Claimed() bool { return w.State() != Idle }
 
 // Async reports a claim owned by an autonomously-completing worker.
-func (w Word) Async() bool { return w&FlagAsync != 0 }
+func (w Word) Async() bool { return w&flagAsync != 0 }
 
 // Committed reports a sync claim past its reserve.
-func (w Word) Committed() bool { return w&FlagCommitted != 0 }
+func (w Word) Committed() bool { return w&flagCommitted != 0 }
 
 // Resident reports that a device copy exists.
-func (w Word) Resident() bool { return w&FlagResident != 0 }
+func (w Word) Resident() bool { return w&flagResident != 0 }
 
 // Prefetched reports unconsumed prefetched residency.
-func (w Word) Prefetched() bool { return w&FlagPrefetched != 0 }
+func (w Word) Prefetched() bool { return w&flagPrefetched != 0 }
 
 // Waitable reports a claim that completes autonomously — the only
 // kind eviction may block on (an uncommitted sync claim may itself be
@@ -100,7 +98,7 @@ func (w Word) withPins(n int) Word {
 	return (w &^ pinMask) | (Word(n) << pinShift & pinMask)
 }
 
-// String renders a word for diagnostics and model counterexamples.
+// String renders a word for diagnostics.
 func (w Word) String() string {
 	st := [3]string{"idle", "swap-in", "swap-out"}[w.State()]
 	flags := ""
@@ -138,16 +136,18 @@ const (
 // Claim transitions w into the claimed state st. async marks claims
 // serviced by a DMA worker; committed marks sync claims that already
 // hold every resource they need (write-backs, p2p with the
-// destination reserved) — passing it at claim time keeps the
-// resident-implies-waitable invariant in a single CAS, with no
-// observable claimed-but-uncommitted window. Returns ok=false when
-// the precondition fails (already claimed, or pinned/resident against
-// need); callers re-observe and retry or bail.
+// destination reserved). A claim on a resident buffer must be one or
+// the other, so eviction may wait on every claim it can see: a sync,
+// uncommitted claim is refused there (swap-in and Alloc claim with
+// NeedEmpty, which excludes residency anyway). Returns ok=false when
+// the precondition fails (already claimed, pinned/resident against
+// need, or unwaitable on a resident buffer); callers re-observe and
+// retry or bail.
 func Claim(w Word, st State, async, committed bool, need Need) (Word, bool) {
 	if st != SwapIn && st != SwapOut {
 		return w, false
 	}
-	if w.State() != Idle {
+	if w.State() != Idle || w.Resident() && !async && !committed {
 		return w, false
 	}
 	switch need {
@@ -160,12 +160,12 @@ func Claim(w Word, st State, async, committed bool, need Need) (Word, bool) {
 			return w, false
 		}
 	}
-	n := (w &^ (stateMask | FlagAsync | FlagCommitted)) | Word(st)
+	n := (w &^ (stateMask | flagAsync | flagCommitted)) | Word(st)
 	if async {
-		n |= FlagAsync
+		n |= flagAsync
 	}
 	if committed {
-		n |= FlagCommitted
+		n |= flagCommitted
 	}
 	return n, true
 }
@@ -181,9 +181,9 @@ func Commit(w Word) (Word, bool) {
 	if !w.Claimed() {
 		return w, false
 	}
-	n := w | FlagResident | FlagCommitted
+	n := w | flagResident | flagCommitted
 	if w.Async() {
-		n |= FlagPrefetched
+		n |= flagPrefetched
 	}
 	return n, true
 }
@@ -202,11 +202,11 @@ func Settle(w Word, resident bool, pinDelta int) (Word, bool) {
 	if pins < 0 || Word(pins) >= pinLimit {
 		return w, false
 	}
-	n := w &^ (stateMask | FlagAsync | FlagCommitted)
+	n := w &^ (stateMask | flagAsync | flagCommitted)
 	if resident {
-		n |= FlagResident
+		n |= flagResident
 	} else {
-		n &^= FlagResident | FlagPrefetched
+		n &^= flagResident | flagPrefetched
 	}
 	return n.withPins(pins), true
 }
@@ -242,18 +242,5 @@ func ConsumePrefetch(w Word) (Word, bool) {
 	if !w.Prefetched() {
 		return w, false
 	}
-	return w &^ FlagPrefetched, true
-}
-
-// Violation reports why w breaks the claim-machine invariant, or ""
-// if it doesn't. The schedcheck DMA model evaluates it on every
-// reachable state; the skip-commit mutation exists to prove it trips.
-func Violation(w Word) string {
-	if w.Resident() && w.Claimed() && !w.Async() && !w.Committed() {
-		return fmt.Sprintf("resident buffer holds uncommitted sync claim %v: eviction cannot wait on it", w)
-	}
-	if !w.Resident() && w.Prefetched() {
-		return fmt.Sprintf("non-resident buffer marked prefetched %v: budget accounting leaked", w)
-	}
-	return ""
+	return w &^ flagPrefetched, true
 }

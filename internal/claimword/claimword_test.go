@@ -30,16 +30,10 @@ func TestDemandSwapInLifecycle(t *testing.T) {
 	if w.State() != SwapIn || w.Async() || w.Committed() || w.Resident() {
 		t.Fatalf("after claim: %v", w)
 	}
-	if v := Violation(w); v != "" {
-		t.Fatalf("non-resident claim flagged: %s", v)
-	}
 	w2, ok = Commit(w)
 	w = must(t, w2, ok, "commit")
 	if !w.Resident() || !w.Committed() || !w.Waitable() {
 		t.Fatalf("after commit: %v", w)
-	}
-	if v := Violation(w); v != "" {
-		t.Fatalf("committed claim flagged: %s", v)
 	}
 	w2, ok = Settle(w, true, +1)
 	w = must(t, w2, ok, "settle")
@@ -142,9 +136,6 @@ func TestCommittedAtClaim(t *testing.T) {
 	if !w.Waitable() {
 		t.Fatalf("committed claim not waitable: %v", w)
 	}
-	if v := Violation(w); v != "" {
-		t.Fatalf("committed-at-claim flagged: %s", v)
-	}
 	w2, ok := Settle(w, false, 0)
 	w2 = must(t, w2, ok, "settle")
 	if w2.Resident() || w2.Prefetched() {
@@ -152,19 +143,25 @@ func TestCommittedAtClaim(t *testing.T) {
 	}
 }
 
-// TestViolation: a resident sync claim without committed is exactly
-// the state the invariant (and the skip-commit mutation) targets.
-func TestViolation(t *testing.T) {
-	bad := Word(SwapIn) | FlagResident // resident, claimed, not committed
-	if Violation(bad) == "" {
-		t.Fatalf("uncommitted resident claim not flagged: %v", bad)
-	}
-	leak := FlagPrefetched // prefetched but not resident
-	if Violation(leak) == "" {
-		t.Fatalf("prefetch budget leak not flagged: %v", leak)
-	}
-	if Violation(0) != "" {
-		t.Fatal("zero word flagged")
+// TestClaimRefusesUnwaitableResident: a sync, uncommitted claim on a
+// resident buffer is the one word eviction could find and not wait on,
+// so Claim refuses it for either target, pinned or not; async or
+// committed, the same claim is granted.
+func TestClaimRefusesUnwaitableResident(t *testing.T) {
+	resident := settleResident(t)
+	pinned, ok := Pin(resident)
+	pinned = must(t, pinned, ok, "pin")
+	for _, w := range []Word{resident, pinned} {
+		for _, st := range []State{SwapIn, SwapOut} {
+			if n, ok := Claim(w, st, false, false, NeedIdle); ok {
+				t.Errorf("sync uncommitted claim to state %d on %v granted: %v", st, w, n)
+			}
+			for _, async := range []bool{false, true} {
+				if _, ok := Claim(w, st, async, !async, NeedIdle); !ok {
+					t.Errorf("claim to state %d on %v refused with async=%v committed=%v", st, w, async, !async)
+				}
+			}
+		}
 	}
 }
 

@@ -1,21 +1,20 @@
-package schedcheck
+package claimword_test
 
 // prototable_test.go declares the claim/commit/settle/pin transition
-// table the DMA model explores, as an independent specification, and
-// checks the compiled machine against it. The model itself
-// (dmamodel.go) applies internal/claimword's compiled transitions
-// directly, which is what makes its exploration honest — but it also
-// means the model alone cannot notice claimword changing, because the
-// model changes with it. The spec below breaks that coupling: it
-// re-states the machine from DESIGN.md §9/§12 with its own constants
-// and its own logic, deliberately NOT calling claimword.
+// table as an independent specification: it re-states the machine from
+// DESIGN.md §9/§12 with its own constants and its own logic,
+// deliberately NOT calling claimword. Two gates stand on it.
 //
-// TestProtoTableMatchesClaimword is the one gate that pins the two
-// together: it applies the compiled claimword transitions over the
-// whole bounded domain and diffs them against the spec, so the table
-// the model explores is exactly the table declared here. Edit
-// claimword without editing the spec and it trips; edit the spec
-// without editing claimword and it trips. That is the point.
+// TestProtoTableMatchesClaimword pins the spec to the code: it applies
+// the compiled claimword transitions over the whole bounded domain and
+// diffs them against the spec. Edit claimword without editing the spec
+// and it trips; edit the spec without editing claimword and it trips.
+//
+// TestEveryReachableWordIsWaitable proves the invariant on the spec:
+// a breadth-first search from the zero word over every transition the
+// table grants reaches no word that violation rejects. Since the table
+// is the compiled machine, no sequence of claimword transitions the
+// executor can apply reaches one either — for every plan at once.
 
 import (
 	"fmt"
@@ -64,8 +63,9 @@ func specWithPins(w uint64, n int64) uint64 {
 
 // protoDomain enumerates the bounded word domain the table covers:
 // every DMA state (idle, swap-in, swap-out), every combination of the
-// four flags, pin counts 0–2. 144 words; the model's reachable states
-// are a subset.
+// four flags, pin counts 0–2. 144 words. Below the pin limit every
+// guard reads the pin count only as zero or not, so counts above 2
+// behave as 2 does.
 func protoDomain() []uint64 {
 	var words []uint64
 	for st := uint64(0); st <= 2; st++ {
@@ -143,20 +143,24 @@ func specApply(op string, w uint64, args []int64) (uint64, bool) {
 	case "ConsumePrefetch":
 		return specConsumePrefetch(w)
 	}
-	panic("schedcheck: unknown proto op " + op)
+	panic("unknown proto op " + op)
 }
 
 // --- the declared machine (DESIGN.md §9/§12, restated) ---
 
 // specClaim: only swap-in (1) and swap-out (2) are claimable targets,
-// only from idle; need=1 additionally requires unpinned, need=2
-// unpinned, non-resident and non-prefetched. The claim sets the state
-// and replaces the async/committed flags with the claimant's.
+// only from idle, and a resident word only by an async or committed
+// claimant; need=1 additionally requires unpinned, need=2 unpinned,
+// non-resident and non-prefetched. The claim sets the state and
+// replaces the async/committed flags with the claimant's.
 func specClaim(w uint64, st int64, async, committed bool, need int64) (uint64, bool) {
 	if st != 1 && st != 2 {
 		return w, false
 	}
 	if w&specStateMask != 0 {
+		return w, false
+	}
+	if w&specResident != 0 && !async && !committed {
 		return w, false
 	}
 	switch need {
@@ -264,7 +268,7 @@ func applyCompiled(op string, w uint64, args []int64) (uint64, bool) {
 	case "ConsumePrefetch":
 		n, ok = claimword.ConsumePrefetch(cw)
 	default:
-		panic("schedcheck: unknown proto op " + op)
+		panic("unknown proto op " + op)
 	}
 	return uint64(n), ok
 }
@@ -287,9 +291,8 @@ func diffProtoTable(table []protoEntry) []string {
 // TestProtoTableMatchesClaimword diffs the independent spec table
 // against the COMPILED claimword transitions over the whole bounded
 // domain. It is the only gate between claimword and the machine
-// DESIGN.md declares: the DMA model explores whatever claimword
-// compiles to, so editing claimword without this spec — or this spec
-// without claimword — must fail here.
+// DESIGN.md declares, so editing claimword without this spec — or this
+// spec without claimword — must fail here.
 func TestProtoTableMatchesClaimword(t *testing.T) {
 	table := protoTable()
 	if len(table) == 0 {
@@ -375,5 +378,138 @@ func TestProtoDomainShape(t *testing.T) {
 	}
 	if n := len(protoTable()); n != total*3*16*3 {
 		t.Errorf("protoTable has %d entries, want %d", n, total*3*16*3)
+	}
+}
+
+// --- the invariant, over every reachable word ---
+
+// violation reports why w breaks the claim machine's invariant
+// (DESIGN.md §9), or "" if it does not.
+func violation(w uint64) string {
+	claimed := w&specStateMask != 0
+	resident := w&specResident != 0
+	if resident && claimed && w&(specAsync|specCommitted) == 0 {
+		return "resident buffer holds an uncommitted sync claim: eviction cannot wait on it"
+	}
+	if !resident && w&specPrefetched != 0 {
+		return "non-resident buffer marked prefetched: budget accounting leaked"
+	}
+	return ""
+}
+
+// reach runs a breadth-first search from the zero word over every
+// transition table grants. It returns each reached word with the entry
+// that first reached it, and, at the first reached word violation
+// rejects, that word, the reason and the transitions leading to it.
+func reach(table []protoEntry) (map[uint64]protoEntry, string) {
+	grants := make(map[uint64][]protoEntry)
+	for _, e := range table {
+		if e.ok {
+			grants[e.in] = append(grants[e.in], e)
+		}
+	}
+	via := map[uint64]protoEntry{0: {}}
+	for queue := []uint64{0}; len(queue) > 0; queue = queue[1:] {
+		w := queue[0]
+		if v := violation(w); v != "" {
+			var path []string
+			for at := w; at != 0; at = via[at].in {
+				e := via[at]
+				path = append([]string{fmt.Sprintf("%s%v → %#x", e.op, e.args, e.out)}, path...)
+			}
+			return via, fmt.Sprintf("word %#x: %s; reached by %s", w, v, strings.Join(path, ", "))
+		}
+		for _, e := range grants[w] {
+			if _, seen := via[e.out]; !seen {
+				via[e.out] = e
+				queue = append(queue, e.out)
+			}
+		}
+	}
+	return via, ""
+}
+
+// TestEveryReachableWordIsWaitable proves the invariant for every word
+// any sequence of transitions can produce from a fresh buffer, and
+// requires the search to reach resident claims of both waitable kinds,
+// so the proof is not vacuous.
+func TestEveryReachableWordIsWaitable(t *testing.T) {
+	via, bad := reach(protoTable())
+	if bad != "" {
+		t.Fatal(bad)
+	}
+	var async, committed int
+	for w := range via {
+		if w&specResident != 0 && w&specStateMask != 0 {
+			if w&specAsync != 0 {
+				async++
+			}
+			if w&specCommitted != 0 {
+				committed++
+			}
+		}
+	}
+	if async == 0 || committed == 0 {
+		t.Errorf("reached %d resident async and %d resident committed claims, want some of each", async, committed)
+	}
+	t.Logf("%d words reachable from the zero word, none violating", len(via))
+}
+
+// TestReachabilityCatchesPerturbedMachine proves the search above has
+// teeth: each case bends the declared table the way a plausible
+// claimword regression would, and the search must name a violating
+// word.
+func TestReachabilityCatchesPerturbedMachine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bend func(*protoEntry)
+	}{
+		{"ClaimGuardRemoved", func(e *protoEntry) {
+			// Grant a sync, uncommitted claim wherever the same claim,
+			// committed, is granted.
+			if e.op != "Claim" || e.ok || e.args[1] == 1 || e.args[2] == 1 {
+				return
+			}
+			if out, ok := specClaim(e.in, e.args[0], false, true, e.args[3]); ok {
+				e.out, e.ok = out&^specCommitted, true
+			}
+		}},
+		{"CommitDropsCommitted", func(e *protoEntry) {
+			if e.op == "Commit" && e.ok {
+				e.out &^= specCommitted
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			table := protoTable()
+			for i := range table {
+				tc.bend(&table[i])
+			}
+			_, bad := reach(table)
+			if !strings.HasPrefix(bad, "word ") || !strings.Contains(bad, "uncommitted sync claim") {
+				t.Errorf("perturbed machine: search reported %q, want a violating word", bad)
+			}
+			t.Log(bad)
+		})
+	}
+}
+
+// TestViolation: the predicate flags exactly the two broken shapes.
+func TestViolation(t *testing.T) {
+	for _, tc := range []struct {
+		w   uint64
+		bad bool
+	}{
+		{0, false},
+		{1 | specResident, true}, // resident swap-in, neither async nor committed
+		{1 | specResident | specCommitted, false},
+		{2 | specResident | specAsync, false},
+		{1, false}, // sync claim on a host-only buffer: nothing to evict
+		{specPrefetched, true},
+		{specResident | specPrefetched, false},
+	} {
+		if got := violation(tc.w) != ""; got != tc.bad {
+			t.Errorf("violation(%#x) = %q, want flagged=%v", tc.w, violation(tc.w), tc.bad)
+		}
 	}
 }

@@ -121,10 +121,10 @@ type TrainerConfig struct {
 	MaxRetries int
 	// NoVerify skips the schedcheck preflight gate. NewTrainer
 	// statically verifies the plan by default — happens-before
-	// liveness, pin-budget residency, analytic swap-volume agreement
-	// and the DMA claim-machine invariant — and refuses to construct a
-	// trainer for a plan that would deadlock or thrash. Opting out is
-	// for tests that deliberately build broken plans.
+	// liveness, pin-budget residency and analytic swap-volume
+	// agreement — and refuses to construct a trainer for a plan that
+	// would deadlock or thrash. Opting out is for tests that
+	// deliberately build broken plans.
 	NoVerify bool
 	// Recover enables mid-iteration recovery: after a fatal device
 	// fault the trainer retires the device, re-binds its stream to a

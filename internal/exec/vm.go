@@ -225,9 +225,9 @@ type vmShard struct {
 // uncommitted sync claim — the claimer may itself be waiting to
 // reserve. Claims on resident buffers set async or committed in the
 // claim CAS itself, so no observer ever sees a resident
-// claimed-unwaitable buffer (the schedcheck DMA model proves this
-// over all interleavings). DMA workers never wait on anything but
-// their queue.
+// claimed-unwaitable buffer (claimword.Claim refuses any other, and
+// its tests prove no transition sequence reaches one). DMA workers
+// never wait on anything but their queue.
 type VM struct {
 	capacity int64
 	pol      memory.Policy

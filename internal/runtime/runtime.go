@@ -45,12 +45,11 @@ type Config struct {
 	// EventLimit bounds total simulation events as a runaway
 	// backstop. 0 selects a generous default.
 	EventLimit uint64
-
-	// PrefetchDepth is how many queue positions ahead to prefetch
-	// when the schedule enables prefetching. 0 selects the default
-	// of 2 (double buffering).
-	PrefetchDepth int
 }
+
+// prefetchDepth is how many queue positions ahead the simulator
+// prefetches when the schedule enables prefetching: double buffering.
+const prefetchDepth = 2
 
 // Result reports steady-state metrics.
 type Result struct {
@@ -505,14 +504,10 @@ func (r *runner) prefetchAhead(d int) {
 	if !r.sch.Prefetch {
 		return
 	}
-	depth := r.cfg.PrefetchDepth
-	if depth == 0 {
-		depth = 2
-	}
 	q := r.sch.Queues[d]
 	// cursor already points past the task now starting, so cursor+0
 	// is the next task in line.
-	for k := 0; k < depth; k++ {
+	for k := 0; k < prefetchDepth; k++ {
 		idx := r.cursor[d] + k
 		if idx >= len(q) {
 			return

@@ -524,26 +524,6 @@ func TestEventLimitAborts(t *testing.T) {
 	}
 }
 
-func TestPrefetchDepthConfigurable(t *testing.T) {
-	model := uniformModel(8)
-	mk := func(depth int) *Result {
-		s := buildSched(t, model, sched.HarmonyDP, 1, 4, 1)
-		res, err := Run(Config{Box: tinyBox(1, 64<<10), Schedule: s,
-			WarmupIters: 1, MeasureIters: 2, PrefetchDepth: depth})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	// Both depths complete deterministically; deeper prefetch must
-	// not break anything (its benefit is workload-dependent).
-	a := mk(1)
-	b := mk(4)
-	if a.Throughput <= 0 || b.Throughput <= 0 {
-		t.Fatal("prefetch depths should both run")
-	}
-}
-
 // TestRunAllocationBudget holds the simulator's loop to an allocation
 // budget per executed task, on the closed-form Harmony-DP plan (16
 // uniform layers, m = 2, N = 2, one layer-level op resident at a time,

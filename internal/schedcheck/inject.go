@@ -1,8 +1,8 @@
 // Seeded plan bugs. Like the analyzers' seeded-violation fixtures,
 // these exist to prove the checker rejects what it claims to reject:
 // each injector takes a valid schedule and perturbs it into a specific
-// violation class, used by the property tests, cmd/schedcheck -inject,
-// and the make check gate.
+// violation class, used by the package tests and cmd/schedcheck
+// -inject, whose tests run each injection through the CLI.
 package schedcheck
 
 import (

@@ -24,17 +24,16 @@
 //     pin-adjacency runs) must agree with internal/analytic's closed
 //     forms for the canonical plan shapes. A divergence means either
 //     the planner or the formulas are wrong — both are bugs.
-//  4. DMA claim discipline: a bounded exhaustive exploration of the
-//     claim/commit/settle state machine over the plan's opening
-//     transfer sequence proves the every-resident-claim-committed
-//     invariant (DESIGN.md §9) for all interleavings of the device
-//     workers and their DMA engines.
+//
+// The DMA claim machine's invariant (DESIGN.md §9) holds for every
+// plan, not per plan: internal/claimword's tests prove it over every
+// reachable claim word, so nothing here re-checks it.
 //
 // Where a rendezvous sits in a stream is the planner's decision and
 // lives only in sched.Weave; what makes this package an independent
 // check on the executor is everything it does with the streams — the
-// fixed-point replay, the residency bound, the volume model and the DMA
-// exploration share no code with it.
+// fixed-point replay, the residency bound and the volume model share
+// no code with it.
 //
 // The executor runs Check as a preflight gate (exec.TrainerConfig
 // .NoVerify opts out) and calls Liveness and Residency, proofs 1 and 2
@@ -63,12 +62,6 @@ type Topology struct {
 	Devices     int
 	DeviceBytes int64
 
-	// Mutation seeds a deliberate bug into the DMA model to prove the
-	// checker catches it (the analyzers' seeded-violation pattern):
-	// "skip-commit" makes the modeled sync swap-in path mark a buffer
-	// resident without committing its claim.
-	Mutation string
-
 	// Binding maps the plan's (virtual) device d to the physical
 	// device Binding[d] whose memory it uses; nil is the identity. The
 	// executor re-binds a dead device's stream onto a survivor, so
@@ -76,14 +69,6 @@ type Topology struct {
 	// up — residency is proven per physical device under this map.
 	Binding []int
 }
-
-// DMA exploration bounds: the first modelDevices device queues, the
-// first modelTasks tasks of each, at most modelMaxStates states.
-const (
-	modelDevices   = 2
-	modelTasks     = 2
-	modelMaxStates = 200000
-)
 
 // prefetchBudget is the prefetched-byte cap per device: half the
 // capacity, exec.VM.StartEngine's default and the ceiling the adaptive
@@ -127,8 +112,8 @@ func (t *Topology) fit(s *sched.Schedule, r *Report) bool {
 
 // Violation is one verified defect in the plan.
 type Violation struct {
-	// Rule is the invariant class: "plan", "deadlock", "capacity",
-	// "swap-volume" or "dma-claim".
+	// Rule is the invariant class: "plan", "deadlock", "capacity" or
+	// "swap-volume".
 	Rule string
 	Msg  string
 	// Trace, when non-nil, is a counterexample timeline: the completed
@@ -157,9 +142,6 @@ type Report struct {
 	// closed form (the cross-check was skipped).
 	AnalyticWeightBytes int64
 
-	// DMAStates is how many distinct claim-machine states the bounded
-	// exploration visited.
-	DMAStates int
 	// TasksChecked counts tasks proven completable by the replay.
 	TasksChecked int
 }
@@ -215,7 +197,6 @@ func Check(s *sched.Schedule, topo Topology) *Report {
 	}
 	checkResidency(s, topo, r)
 	checkVolume(s, ws, r)
-	exploreDMA(s, topo, r)
 	return r
 }
 

@@ -174,43 +174,6 @@ func TestOverCapacityRejected(t *testing.T) {
 	}
 }
 
-// The DMA exploration must visit a nontrivial state space on a clean
-// plan (both capacity regimes) and prove the invariant.
-func TestDMAExplorationRuns(t *testing.T) {
-	s := buildPlan(t, sched.DefaultOptions(sched.HarmonyDP), 6, 2, 2)
-	r := Check(s, roomy())
-	if !r.OK() {
-		t.Fatal(r.Err())
-	}
-	if r.DMAStates < 10 {
-		t.Fatalf("DMA exploration visited only %d states", r.DMAStates)
-	}
-}
-
-// The seeded protocol bug: marking a buffer resident without
-// committing its synchronous claim violates the DESIGN.md §9 invariant
-// and the checker must find the interleaving.
-func TestSkipCommitMutationCaught(t *testing.T) {
-	s := buildPlan(t, sched.DefaultOptions(sched.HarmonyDP), 6, 2, 2)
-	topo := roomy()
-	topo.Mutation = "skip-commit"
-	r := Check(s, topo)
-	v := wantViolation(t, r, "dma-claim", true)
-	if !strings.Contains(v.Msg, "uncommitted") {
-		t.Fatalf("unexpected message: %s", v.Msg)
-	}
-}
-
-// Unknown mutations are a caller error, reported as a plan violation
-// rather than silently exploring the unmutated model.
-func TestUnknownMutationRejected(t *testing.T) {
-	s := buildPlan(t, sched.DefaultOptions(sched.HarmonyDP), 4, 1, 1)
-	topo := roomy()
-	topo.Mutation = "never-settle"
-	r := Check(s, topo)
-	wantViolation(t, r, "plan", false)
-}
-
 // analyticMode maps toggles (not Opts.Mode) onto closed-form regimes:
 // a Harmony-mode schedule with everything off is structurally the
 // baseline and must be checked as one.

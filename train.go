@@ -94,10 +94,9 @@ type TrainerConfig struct {
 	LinkBytesPerSec int64
 	// NoVerify skips the static preflight verification of the
 	// execution plan (internal/schedcheck): happens-before liveness,
-	// peak-residency fit, swap-volume agreement with the analytic
-	// model and the DMA claim-machine invariant. Verification is on by
-	// default; a rejected plan fails NewTrainer with a counterexample
-	// trace.
+	// peak-residency fit and swap-volume agreement with the analytic
+	// model. Verification is on by default; a rejected plan fails
+	// NewTrainer with a counterexample trace.
 	NoVerify bool
 	// CommChunks splits each gradient AllReduce into that many
 	// independently retired chunks, spread across device workers in
@@ -141,6 +140,9 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 func newTrainer(cfg TrainerConfig, widths []int, kernels []nn.Kernel) (*Trainer, error) {
 	if cfg.BatchSize <= 0 {
 		return nil, fmt.Errorf("harmony: BatchSize must be positive")
+	}
+	if cfg.Microbatches < 0 {
+		return nil, fmt.Errorf("harmony: Microbatches %d is negative (0 = one sample per microbatch, up to 8)", cfg.Microbatches)
 	}
 	mbCount := cfg.Microbatches
 	if mbCount == 0 {
@@ -221,10 +223,14 @@ func newTrainer(cfg TrainerConfig, widths []int, kernels []nn.Kernel) (*Trainer,
 func (t *Trainer) Step(inputs []float32, labels []int) (float32, error) {
 	n := t.inner.Replicas()
 	inDim := t.widths[0]
-	perReplica := t.mbSize * t.mbCount
-	if len(labels) != n*perReplica || len(inputs) != n*perReplica*inDim {
-		return 0, fmt.Errorf("harmony: Step needs %d samples (%d replicas × %d), got %d",
-			n*perReplica, n, perReplica, len(labels))
+	samples := n * t.mbSize * t.mbCount
+	if len(labels) != samples {
+		return 0, fmt.Errorf("harmony: Step needs %d labels (%d replicas × %d samples), got %d",
+			samples, n, samples/n, len(labels))
+	}
+	if len(inputs) != samples*inDim {
+		return 0, fmt.Errorf("harmony: Step needs %d inputs (%d samples × %d features), got %d",
+			samples*inDim, samples, inDim, len(inputs))
 	}
 	in := make([][][]float32, n)
 	lb := make([][][]int, n)
