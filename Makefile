@@ -23,7 +23,7 @@ vet:
 # Static enforcement of the executor's concurrency and determinism
 # invariants (DESIGN.md §10), one gate each. go vet holds copied locks
 # (copylocks); gofmt -l must name no file (.bench_build/ is the
-# benchmark's build cache); harmonylint holds blocking under vm.mu, DMA
+# benchmark's build cache); harmonylint holds blocking under a VM lock, DMA
 # claim-state writes outside the transition helpers, wall-clock/rand/
 # map-order nondeterminism in the deterministic core — plus the
 # interprocedural passes (the global lock-order graph, goroutine and

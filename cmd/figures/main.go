@@ -222,7 +222,7 @@ func ext2(csv bool) error {
 	box.GPUMemBytes = 20 << 20
 	res, err := tuner.Run(tuner.Config{
 		Model: model, Mode: sched.HarmonyPP, Box: box, BatchPerReplica: 4,
-	}, 2)
+	})
 	if err != nil {
 		return err
 	}

@@ -161,6 +161,35 @@ func TestTuneSmoke(t *testing.T) {
 	}
 }
 
+// Tune measures every candidate on the whole Server, so Simulating its
+// winner on the same Server reproduces the reported throughput exactly.
+// A multi-server Cluster is the case where the per-server GPU count and
+// the Server's total differ.
+func TestTuneBestMatchesSimulateOnCluster(t *testing.T) {
+	model := UniformModel(8, 1_000_000, 16<<10, 5e9)
+	server := Cluster(2, 1).WithGPUMemory(20 << 20)
+	res, err := Tune(TuneConfig{Model: model, Mode: HarmonyDP, Server: server, BatchPerReplica: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Simulate(SimConfig{
+		Model: model, Mode: HarmonyDP, Server: server,
+		MicrobatchSize: res.BestMicrobatchSize, Microbatches: res.BestMicrobatches,
+		Toggles: &Toggles{
+			GroupSize:           res.BestGroupSize,
+			Prefetch:            Bool(res.BestPrefetch),
+			DeferBlockedUpdates: Bool(res.BestDefer),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Throughput != res.BestThroughput {
+		t.Fatalf("Tune reports %v samples/s for its best candidate, Simulate of it on the same server gives %v",
+			res.BestThroughput, rep.Throughput)
+	}
+}
+
 func TestTrainerEndToEnd(t *testing.T) {
 	tr, err := NewTrainer(TrainerConfig{
 		Widths:      []int{16, 32, 4},

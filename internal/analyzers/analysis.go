@@ -1,6 +1,6 @@
 // Package analyzers is harmonylint: a suite of static analysis passes
 // that mechanically enforce the executor's concurrency and determinism
-// invariants — the vm.mu locking discipline, the "every resident claim
+// invariants — the VM's locking discipline, the "every resident claim
 // is committed" DMA rule, the pin budget, bit-exact determinism across
 // interleavings — which the race detector can only catch
 // probabilistically. Each analyzer rejects a whole class of regression
@@ -18,9 +18,9 @@
 //     global state, and map iteration inside the deterministic core,
 //     plus taint flow of such values into the core through any call
 //     chain.
-//   - errcheck: error returns from the VM / memory-manager / DMA
-//     surface dropped inside internal/exec (bare-statement calls,
-//     blank assignments, go/defer drops).
+//   - errcheck: error returns from the VM surface dropped inside
+//     internal/exec (bare-statement calls, blank assignments, go/defer
+//     drops).
 //   - lockorder: the global lock-acquisition graph — cycles, recursive
 //     acquisitions, and same-class shard nesting outside the documented
 //     ascending-device order are rejected at any call depth.

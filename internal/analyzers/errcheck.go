@@ -25,8 +25,8 @@ import (
 // is visible and justified.
 var Errcheck = &Analyzer{
 	Name: "errcheck",
-	Doc: "report dropped error returns from VM / memory.Manager / DMA methods " +
-		"inside internal/exec (bare-statement calls and blank-assigned errors)",
+	Doc: "report dropped error returns from VM methods inside internal/exec " +
+		"(bare-statement calls, blank-assigned errors, go/defer drops)",
 	Run: runErrcheck,
 }
 
@@ -43,15 +43,13 @@ func inErrcheckScope(path string) bool {
 	return path == "errcheck"
 }
 
-// errSourceTypes are the receiver type names whose methods are
-// checked: the executor's VM (vm.go/dma.go) and the simulator-side
-// memory Manager. Matching by name (like claimdiscipline's "buffer")
-// keeps the pass fixture-testable.
-var errSourceTypes = map[string]bool{"VM": true, "Manager": true}
+// errSourceType is the receiver type name whose methods are checked:
+// the executor's VM (vm.go/dma.go). Matching by name (like
+// claimdiscipline's "buffer") keeps the pass fixture-testable.
+const errSourceType = "VM"
 
-// errReturningVMCall reports whether call invokes a method on one of
-// the guarded types whose final result is an error, returning a label
-// for the diagnostic.
+// errReturningVMCall reports whether call invokes a VM method whose
+// final result is an error, returning a label for the diagnostic.
 func errReturningVMCall(info *types.Info, call *ast.CallExpr) (string, int, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -65,7 +63,7 @@ func errReturningVMCall(info *types.Info, call *ast.CallExpr) (string, int, bool
 		recv = p.Elem()
 	}
 	named, ok := recv.(*types.Named)
-	if !ok || !errSourceTypes[named.Obj().Name()] {
+	if !ok || named.Obj().Name() != errSourceType {
 		return "", 0, false
 	}
 	sig, ok := info.TypeOf(call.Fun).(*types.Signature)

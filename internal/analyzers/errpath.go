@@ -11,8 +11,8 @@ package analyzers
 // Tracked resources:
 //
 //   - mu.Lock()/RLock() paired with Unlock()/RUnlock() on sync.Mutex /
-//     sync.RWMutex — including per-device shard locks (vmShard.mu,
-//     devShard.mu), with `defer mu.Unlock()` applied at every exit.
+//     sync.RWMutex — including the per-device shard locks
+//     (vmShard.mu), with `defer mu.Unlock()` applied at every exit.
 //   - Handle-style snapshots: `snap := x.Snapshot()` where the result
 //     type has a Release method, paired with `snap.Release()`.
 //

@@ -105,7 +105,7 @@ func (c LockClass) String() string {
 	return base + "." + c.Name
 }
 
-// IsShard reports a per-device shard lock (vmShard.mu, devShard.mu):
+// IsShard reports a per-device shard lock (exec's vmShard.mu):
 // same-class nesting of these is governed by the ascending-order
 // contract rather than banned outright.
 func (c LockClass) IsShard() bool { return strings.HasSuffix(c.Owner, "Shard") }
@@ -327,7 +327,7 @@ var (
 // parseContracts reads the function's lock contract: "Requires mu
 // held" / "mu held on entry" puts the receiver's mu in the held state
 // on entry, "Requires sh.mu held" the mu of the parameter of that name
-// (the sharded helpers take their vmShard/devShard explicitly).
+// (the sharded helpers take their vmShard explicitly).
 // Returning with such a lock held is then expected unless the doc also
 // says "released on return".
 func parseContracts(pkg *Package, fd *ast.FuncDecl, sum *Summary) {

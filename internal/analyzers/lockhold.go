@@ -7,10 +7,10 @@ import (
 )
 
 // Lockhold enforces the executor's locking discipline (DESIGN.md §7,
-// vm.go "Locking:" contract): mutexes like vm.mu and Manager.mu guard
-// metadata only, so no goroutine may block while holding one — copy
-// execution, channel waits and sleeps always run with the lock
-// released. It reports blocking operations at a point some path
+// vm.go "Locking discipline" contract): mutexes like vmShard.mu and
+// VM.bufMu guard metadata only, so no goroutine may block while
+// holding one — copy execution, channel waits and sleeps always run
+// with the lock released. It reports blocking operations at a point some path
 // reaches with a mutex held: channel send or receive, range over a
 // channel, select without a default, time.Sleep and a Sleep method (the
 // trace.Clock seam the modeled links sleep through), sync.WaitGroup.Wait,

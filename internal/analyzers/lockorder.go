@@ -1,9 +1,8 @@
 package analyzers
 
 // Lockorder turns the comment-only lock-ordering discipline into a
-// gated invariant. PR 6 documented the order — Manager.mu before
-// devShard.mu, shards one at a time in ascending device order, the VM
-// never nesting two vmShard locks without the same contract — but
+// gated invariant. exec.VM documents the order — vmShard locks one at a
+// time, never two nested without the ascending-device contract — but
 // nothing enforced it past the single function lockhold could see.
 // This pass builds the global lock-acquisition graph from the
 // interprocedural summaries: an edge A → B for every place the program

@@ -51,28 +51,28 @@ func (vm *VM) seededSettle(lane int) {
 	mustDiag(t, diags, "lockhold", `Sleep \(parks on the clock\) while mu is held`)
 }
 
-// TestErrpathSeededHappyPathLeak: Manager.mu leaked on a non-error
+// TestErrpathSeededHappyPathLeak: VM.bufMu leaked on a non-error
 // return — no error guard anywhere near it — inside the real
-// internal/memory package.
+// internal/exec package.
 func TestErrpathSeededHappyPathLeak(t *testing.T) {
 	tmp := copyModule(t)
-	seedFile(t, tmp, "internal/memory/seeded.go", `package memory
+	seedFile(t, tmp, "internal/exec/seeded.go", `package exec
 
-// seededLive counts the live tensors; the empty-table shortcut returns
-// with mu still held.
-func (m *Manager) seededLive() int {
-	m.mu.Lock()
-	if len(m.states) == 0 {
+// seededLive counts the registered buffers; the empty-map shortcut
+// returns with bufMu still held.
+func (vm *VM) seededLive() int {
+	vm.bufMu.Lock()
+	if len(vm.bufs) == 0 {
 		return 0
 	}
-	n := len(m.home)
-	m.mu.Unlock()
+	n := len(vm.bufs)
+	vm.bufMu.Unlock()
 	return n
 }
 `)
-	diags := runSeeded(t, tmp, Errpath, "./internal/memory")
+	diags := runSeeded(t, tmp, Errpath, "./internal/exec")
 	mustDiag(t, diags, "errpath",
-		`lock on m\.mu taken at seeded\.go:\d+ is still held on a path ending at the return at seeded\.go:\d+`)
+		`lock on vm\.bufMu taken at seeded\.go:\d+ is still held on a path ending at the return at seeded\.go:\d+`)
 }
 
 // TestClaimDisciplineSeededPublishBeforeCommit: lruPush ahead of commit

@@ -4,8 +4,8 @@ package analyzers
 // a realistic regression planted in the REAL packages it guards, not
 // just on fixture code. The tests copy the module's sources into a
 // temp directory, append one seeded file, and run the pass over the
-// loaded result — so the violation lives in internal/memory or
-// internal/exec proper, against the real structs and the real call
+// loaded result — so the violation lives in internal/exec, internal/memory
+// or internal/trace proper, against the real structs and the real call
 // graph, while the working tree stays clean.
 
 import (
@@ -81,30 +81,30 @@ func runSeeded(t *testing.T, tmp string, a *Analyzer, patterns ...string) []Diag
 	return diags
 }
 
-// TestLockorderSeededRecursion: a helper that retakes Manager.mu while
-// a caller already holds it — invisible to any single-function pass —
-// trips lockorder inside the real internal/memory package.
+// TestLockorderSeededRecursion: a helper that retakes VM.cfgMu while a
+// caller already holds it — invisible to any single-function pass —
+// trips lockorder inside the real internal/exec package.
 func TestLockorderSeededRecursion(t *testing.T) {
 	tmp := copyModule(t)
-	seedFile(t, tmp, "internal/memory/seeded.go", `package memory
+	seedFile(t, tmp, "internal/exec/seeded.go", `package exec
 
-// seededAudit holds mu and calls a helper that takes it again: the
+// seededAudit holds cfgMu and calls a helper that takes it again: the
 // self-deadlock lockorder exists to catch.
-func (m *Manager) seededAudit() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.seededCount()
+func (vm *VM) seededAudit() int {
+	vm.cfgMu.Lock()
+	defer vm.cfgMu.Unlock()
+	return vm.seededCount()
 }
 
-func (m *Manager) seededCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.states)
+func (vm *VM) seededCount() int {
+	vm.cfgMu.Lock()
+	defer vm.cfgMu.Unlock()
+	return vm.cfg.maxRetries
 }
 `)
-	diags := runSeeded(t, tmp, Lockorder, "./internal/memory")
+	diags := runSeeded(t, tmp, Lockorder, "./internal/exec")
 	mustDiag(t, diags, "lockorder",
-		`recursive acquisition of memory\.Manager\.mu \(inside memory\.Manager\.seededCount\) while it is already held`)
+		`recursive acquisition of exec\.VM\.cfgMu \(inside exec\.VM\.seededCount\) while it is already held`)
 }
 
 // TestChanlifeSeededLeak: a goroutine whose spin lives one call deep

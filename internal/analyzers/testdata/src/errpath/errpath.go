@@ -9,7 +9,7 @@ import (
 	"sync"
 )
 
-// store mirrors memory.Manager: a metadata mutex plus fallible helpers.
+// store is a metadata mutex plus fallible helpers.
 type store struct {
 	mu   sync.Mutex
 	rw   sync.RWMutex

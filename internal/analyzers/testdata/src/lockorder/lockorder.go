@@ -6,15 +6,15 @@ package lockorder
 
 import "sync"
 
-// manager mirrors memory.Manager: a top-level lock above per-device
-// shards.
+// manager is a top-level lock above per-device shards.
 type manager struct {
 	mu     sync.Mutex
 	shards []devShard
 }
 
-// devShard mirrors the per-device accounting shard; the Shard suffix
-// is what marks its mu as ascending-contract-governed.
+// devShard is a per-device accounting shard, like the executor's
+// vmShard; the Shard suffix is what marks its mu as
+// ascending-contract-governed.
 type devShard struct {
 	mu   sync.Mutex
 	used int64

@@ -18,35 +18,12 @@
 // is why Acquire refuses an input listed twice). The simulator's hot
 // loop builds one object per acquire and none per LRU move.
 //
-// Locking discipline (DESIGN.md §12): scheduling state — tensor state
-// machines, acquire queues, LRU lists, the home table — is guarded by
-// Manager.mu. Every exported scheduling method takes mu for its full
-// duration, as do the transfer-completion closures when the simulation
-// engine fires them; unexported helpers (pump, advance, ensureSpace,
-// startEviction, startSwapIn, startMigrate, freeLocked, setHome,
-// setFatal) require mu held. The lock is not reentrant. An acquire's
-// ready callback is invoked with mu RELEASED (pump dequeues the grant
-// first, then unlocks around the call) at exactly the same program
-// point as the historical lock-free code, so ready may reenter the
-// Manager and single-threaded simulation event order is unchanged.
-// fail, Hook and NextUse run WITH mu held and must not synchronously
-// reenter the Manager.
-//
-// Byte accounting — used, wsReserved, pendingFree, demand, statistics,
-// the usage hook — is sharded per device behind devShard.mu, so stats
-// and usage reads (Used, Stats, TotalStats, per-device timelines) and
-// accounting updates on different devices never serialize on
-// Manager.mu. Lock order is Manager.mu → devShard.mu, taken briefly
-// inside the accounting helpers; no path holds two shard locks at
-// once, and multi-shard sweeps visit shards one at a time in ascending
-// device order. usageHook fires after the shard lock is released, in
-// Manager.mu order (all mutations happen under it), and must not
-// reenter the Manager.
+// A Manager belongs to one simulation and runs on its engine's
+// goroutine; like sim.Engine, it is not safe for concurrent use.
 package memory
 
 import (
 	"fmt"
-	"sync"
 
 	"harmony/internal/hw"
 	"harmony/internal/sim"
@@ -100,14 +77,10 @@ type DeviceStats struct {
 	HighWaterDemand int64
 }
 
-// devShard is one device's accounting shard. The byte counters,
-// statistics and usage hook live behind the shard's own mu (see the
-// package comment for the Manager.mu → devShard.mu order); scheduling
-// state — the LRU, the acquire queue — stays under Manager.mu.
-type devShard struct {
+// devState is one device's byte accounting, LRU list and acquire queue.
+type devState struct {
 	dev *hw.Device
 
-	mu   sync.Mutex
 	used int64 // bytes physically resident (incl. in-flight swap-ins)
 	// wsReserved is workspace held by running tasks; evictions cannot
 	// reclaim it.
@@ -122,10 +95,10 @@ type devShard struct {
 	usageHook func(used int64)
 	stats     DeviceStats
 
-	// Owned by Manager.mu, like all scheduling state. The LRU is a list
-	// threaded through links, the Manager's per-tensor link table (one
-	// table serves every shard: a tensor is resident on one device at a
-	// time). lruHead is the coldest tensor's ID, noTensor when empty.
+	// The LRU is a list threaded through links, the Manager's per-tensor
+	// link table (one table serves every device: a tensor is resident on
+	// one device at a time). lruHead is the coldest tensor's ID, noTensor
+	// when empty.
 	lruHead, lruTail int
 	links            []lruLink
 	queue            []*acquire
@@ -142,29 +115,13 @@ type lruLink struct {
 // noTensor ends an LRU list.
 const noTensor = -1
 
-func (d *devShard) free() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+func (d *devState) free() int64 {
 	return d.dev.MemBytes - d.used - d.wsReserved
 }
 
-// headroom returns free and pending-free bytes from one consistent
-// shard critical section (the eviction loop compares their sum).
-func (d *devShard) headroom() (free, pending int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.dev.MemBytes - d.used - d.wsReserved, d.pendingFree
-}
-
-func (d *devShard) usedBytes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.used
-}
-
-// touch and forget maintain LRU order; Manager.mu guards them. touch
-// makes st the most recently used tensor of d.
-func (d *devShard) touch(st *tensor.State) {
+// touch and forget maintain LRU order. touch makes st the most recently
+// used tensor of d.
+func (d *devState) touch(st *tensor.State) {
 	id := st.Tensor.ID
 	d.forget(st)
 	l := &d.links[id]
@@ -178,7 +135,7 @@ func (d *devShard) touch(st *tensor.State) {
 }
 
 // forget unlinks st if it is on d's list.
-func (d *devShard) forget(st *tensor.State) {
+func (d *devState) forget(st *tensor.State) {
 	l := &d.links[st.Tensor.ID]
 	if l.dev != d.dev.ID {
 		return
@@ -197,78 +154,42 @@ func (d *devShard) forget(st *tensor.State) {
 }
 
 // dequeue removes the head acquire by shifting the few that wait behind
-// it down, so the queue keeps its array; Manager.mu guards it.
-func (d *devShard) dequeue() {
+// it down, so the queue keeps its array.
+func (d *devState) dequeue() {
 	n := copy(d.queue, d.queue[1:])
 	d.queue[n] = nil
 	d.queue = d.queue[:n]
 }
 
-func (d *devShard) addUsed(b int64) {
-	d.mu.Lock()
+func (d *devState) addUsed(b int64) {
 	d.used += b
 	if d.used > d.stats.HighWaterUsed {
 		d.stats.HighWaterUsed = d.used
 	}
-	hook, used := d.usageHook, d.used
-	d.mu.Unlock()
-	if hook != nil {
-		hook(used)
+	if d.usageHook != nil {
+		d.usageHook(d.used)
 	}
 }
 
 // subUsed releases resident bytes.
-func (d *devShard) subUsed(b int64) {
-	d.mu.Lock()
+func (d *devState) subUsed(b int64) {
 	d.used -= b
-	hook, used := d.usageHook, d.used
-	d.mu.Unlock()
-	if hook != nil {
-		hook(used)
+	if d.usageHook != nil {
+		d.usageHook(d.used)
 	}
 }
 
-func (d *devShard) addDemand(b int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+func (d *devState) addDemand(b int64) {
 	d.demand += b
 	if d.demand > d.stats.HighWaterDemand {
 		d.stats.HighWaterDemand = d.demand
 	}
 }
 
-func (d *devShard) addPendingFree(b int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.pendingFree += b
-}
-
-// addWS adjusts the workspace reservation and returns the new value
-// (Release checks it for underflow).
-func (d *devShard) addWS(b int64) int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.wsReserved += b
-	return d.wsReserved
-}
-
-// note runs fn on the shard's statistics under the shard lock.
-func (d *devShard) note(fn func(s *DeviceStats)) {
-	d.mu.Lock()
-	fn(&d.stats)
-	d.mu.Unlock()
-}
-
-func (d *devShard) statsSnapshot() DeviceStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
-
 // acquire is one pending residency request. Its bookkeeping is
 // positional: pinned[i] and pending[i] describe want[i].
 type acquire struct {
-	dev      *devShard
+	dev      *devState
 	want     []*tensor.State
 	pinned   []bool
 	pending  []bool // transfers in flight on our behalf
@@ -289,15 +210,13 @@ type acquire struct {
 const inlineStates = 6
 
 // Manager owns tensor states and device memory for one training run.
-// See the package comment for the locking discipline.
 type Manager struct {
-	mu     sync.Mutex
 	eng    *sim.Engine
 	top    *hw.Topology
 	reg    *tensor.Registry
 	pol    Policy
 	states []*tensor.State
-	devs   []*devShard
+	devs   []*devState
 	// home[id] is the device whose working set live tensor id belongs
 	// to (for demand accounting); hw.Host, never a working set, means
 	// none.
@@ -331,74 +250,33 @@ func New(eng *sim.Engine, top *hw.Topology, reg *tensor.Registry, pol Policy) *M
 		links[t.ID].dev = hw.Host
 	}
 	for _, d := range top.GPUs {
-		m.devs = append(m.devs, &devShard{dev: d, lruHead: noTensor, lruTail: noTensor, links: links})
+		m.devs = append(m.devs, &devState{dev: d, lruHead: noTensor, lruTail: noTensor, links: links})
 	}
 	return m
 }
 
-// State returns the lifetime state machine for a tensor. The states
-// slice is immutable after New; reading the returned State while the
-// manager is pumping transfers is the caller's concern.
+// State returns the lifetime state machine for a tensor.
 func (m *Manager) State(t *tensor.Tensor) *tensor.State { return m.states[t.ID] }
 
 // Err returns the first fatal error, if any.
-func (m *Manager) Err() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.fatal
-}
+func (m *Manager) Err() error { return m.fatal }
 
-// Stats returns a copy of the per-device statistics. It takes only
-// the device's accounting shard lock, so sampling stats mid-run never
-// contends with scheduling on other devices.
-func (m *Manager) Stats(dev hw.DeviceID) DeviceStats {
-	return m.devs[dev].statsSnapshot()
-}
+// Stats returns a copy of the per-device statistics.
+func (m *Manager) Stats(dev hw.DeviceID) DeviceStats { return m.devs[dev].stats }
 
-// TotalStats sums statistics across devices, sweeping the shards one
-// at a time in ascending device order; each device's contribution is a
-// consistent snapshot.
-func (m *Manager) TotalStats() DeviceStats {
-	var s DeviceStats
-	for _, d := range m.devs {
-		ds := d.statsSnapshot()
-		s.SwapInBytes += ds.SwapInBytes
-		s.SwapOutBytes += ds.SwapOutBytes
-		s.DropBytes += ds.DropBytes
-		s.P2PInBytes += ds.P2PInBytes
-		s.P2POutBytes += ds.P2POutBytes
-		s.SwapIns += ds.SwapIns
-		s.SwapOuts += ds.SwapOuts
-		s.Drops += ds.Drops
-		for k := 0; k < tensor.NumKinds; k++ {
-			s.KindSwapIn[k] += ds.KindSwapIn[k]
-			s.KindSwapOut[k] += ds.KindSwapOut[k]
-			s.KindP2P[k] += ds.KindP2P[k]
-		}
-	}
-	return s
-}
-
-// Used returns bytes currently resident on a device (shard lock only).
-func (m *Manager) Used(dev hw.DeviceID) int64 {
-	return m.devs[dev].usedBytes()
-}
+// Used returns bytes currently resident on a device.
+func (m *Manager) Used(dev hw.DeviceID) int64 { return m.devs[dev].used }
 
 // OnUsageChange installs a per-device observer of resident-bytes
-// changes (the memory-usage timeline of Fig. 2(c)). The observer runs
-// after the shard lock is released and must not reenter the Manager.
+// changes (the memory-usage timeline of Fig. 2(c)). The observer must
+// not reenter the Manager.
 func (m *Manager) OnUsageChange(dev hw.DeviceID, fn func(used int64)) {
-	d := m.devs[dev]
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.usageHook = fn
+	m.devs[dev].usageHook = fn
 }
 
 // InitHost materializes tensors in host memory (initial weights,
 // optimizer state, gradient buffers, input batches).
 func (m *Manager) InitHost(ts ...*tensor.Tensor) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, t := range ts {
 		if err := m.states[t.ID].AllocHost(); err != nil {
 			return err
@@ -415,8 +293,8 @@ func (m *Manager) setFatal(err error) {
 }
 
 // transfer issues a DMA; a transfer the topology refuses poisons the
-// run via Err. Requires mu held; like Topology.Transfer, done fires
-// from a later engine event, never synchronously.
+// run via Err. Like Topology.Transfer, done fires from a later engine
+// event, never synchronously.
 func (m *Manager) transfer(src, dst hw.DeviceID, bytes int64, done func(at sim.Time)) {
 	if err := m.top.Transfer(src, dst, bytes, done); err != nil {
 		m.setFatal(err)
@@ -428,8 +306,6 @@ func (m *Manager) transfer(src, dst hw.DeviceID, bytes int64, done func(at sim.T
 // outputs are pinned, workspace is reserved, and ready runs. On an
 // impossible request, fail runs instead.
 func (m *Manager) Acquire(dev hw.DeviceID, inputs, outputs []*tensor.Tensor, workspace int64, ready func(), fail func(error)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	d := m.devs[dev]
 	a := &acquire{dev: d, ws: workspace, ready: ready, fail: fail}
 	// One array each for the states (want, then outputs) and the flags
@@ -472,8 +348,6 @@ func (m *Manager) Acquire(dev hw.DeviceID, inputs, outputs []*tensor.Tensor, wor
 // marks mutated tensors dirty, frees dead tensors, and releases the
 // workspace reservation.
 func (m *Manager) Release(dev hw.DeviceID, inputs, outputs, mutates, frees []*tensor.Tensor, workspace int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	d := m.devs[dev]
 	for _, t := range mutates {
 		if err := m.states[t.ID].MarkDirty(dev); err != nil {
@@ -495,7 +369,7 @@ func (m *Manager) Release(dev hw.DeviceID, inputs, outputs, mutates, frees []*te
 		return fmt.Errorf("memory: workspace reservation underflow on %s", dev)
 	}
 	for _, t := range frees {
-		if err := m.freeLocked(t); err != nil {
+		if err := m.FreeTensor(t); err != nil {
 			return err
 		}
 	}
@@ -504,16 +378,9 @@ func (m *Manager) Release(dev hw.DeviceID, inputs, outputs, mutates, frees []*te
 }
 
 // FreeTensor destroys a tensor wherever it lives (last use passed, or
-// iteration cleanup).
+// iteration cleanup), with its home accounting; any queued acquire the
+// freed space lets proceed is pumped before returning.
 func (m *Manager) FreeTensor(t *tensor.Tensor) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.freeLocked(t)
-}
-
-// freeLocked destroys t's residency and home accounting. Requires mu
-// held; any queue progress it unlocks is pumped before returning.
-func (m *Manager) freeLocked(t *tensor.Tensor) error {
 	st := m.states[t.ID]
 	if st.Loc == tensor.LocNone {
 		return nil
@@ -549,8 +416,6 @@ func (m *Manager) setHome(t *tensor.Tensor, dev hw.DeviceID) {
 // host-resident, idle, and fits without evicting anything. It never
 // blocks or fails; at worst it does nothing.
 func (m *Manager) Prefetch(dev hw.DeviceID, t *tensor.Tensor) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	st := m.states[t.ID]
 	d := m.devs[dev]
 	if st.Loc != tensor.LocHost || st.InFlight || d.free() < t.Bytes {
@@ -560,21 +425,18 @@ func (m *Manager) Prefetch(dev hw.DeviceID, t *tensor.Tensor) {
 }
 
 // pumpAll advances every device's queue; cheap, and avoids missed
-// wakeups from cross-device interactions. Requires mu held (pump may
-// release and retake it around ready callbacks).
+// wakeups from cross-device interactions.
 func (m *Manager) pumpAll() {
 	for _, d := range m.devs {
 		m.pump(d)
 	}
 }
 
-// pump advances the head acquire of a device as far as possible. It
-// requires mu held, and releases it around each granted acquire's
-// ready callback: the grant is already dequeued and its pins taken,
-// so the state is consistent, and ready may synchronously reenter the
-// Manager (the runtime's does, to prefetch and to release
-// collectives). pump always returns with mu held.
-func (m *Manager) pump(d *devShard) {
+// pump advances the head acquire of a device as far as possible. A
+// granted acquire is dequeued and its pins taken before its ready
+// callback runs, so ready may synchronously reenter the Manager (the
+// runtime's does, to prefetch and to release collectives).
+func (m *Manager) pump(d *devState) {
 	for len(d.queue) > 0 && m.fatal == nil {
 		a := d.queue[0]
 		if a.failed {
@@ -584,9 +446,7 @@ func (m *Manager) pump(d *devShard) {
 		granted, progress := m.advance(a)
 		if granted {
 			d.dequeue()
-			m.mu.Unlock()
 			a.ready()
-			m.mu.Lock()
 			continue
 		}
 		if !progress {
@@ -599,7 +459,6 @@ func (m *Manager) pump(d *devShard) {
 // when the acquire is fully satisfied, and progress=true if it
 // changed any state (so the pump loop re-evaluates). Pins taken here
 // are owned by the acquire and released when the task calls Release.
-// Requires mu held.
 func (m *Manager) advance(a *acquire) (granted, progress bool) {
 	d := a.dev
 	dev := d.dev.ID
@@ -689,7 +548,7 @@ func (m *Manager) advance(a *acquire) (granted, progress bool) {
 		d.touch(st)
 		m.setHome(st.Tensor, dev)
 	}
-	d.addWS(a.ws)
+	d.wsReserved += a.ws
 	return true, true
 }
 
@@ -700,16 +559,13 @@ func (m *Manager) failAcquire(a *acquire, err error) {
 
 // ensureSpace makes progress toward `need` free bytes on d, starting
 // evictions as necessary. It returns true if the space is available
-// now. Requires mu held.
-func (m *Manager) ensureSpace(d *devShard, need int64) bool {
+// now.
+func (m *Manager) ensureSpace(d *devState, need int64) bool {
 	if d.free() >= need {
 		return true
 	}
 	// Start evictions until in-flight frees would cover the deficit.
-	for {
-		if free, pending := d.headroom(); free+pending >= need {
-			break
-		}
+	for d.free()+d.pendingFree < need {
 		victim := m.pickVictim(d)
 		if victim == nil {
 			// Nothing evictable right now; wait for pins or
@@ -728,7 +584,7 @@ func (m *Manager) ensureSpace(d *devShard, need int64) bool {
 // unpinned idle resident tensor whose next scheduled use is farthest
 // away (Belady); otherwise the least-recently-used one. LRU order
 // breaks lookahead ties.
-func (m *Manager) pickVictim(d *devShard) *tensor.State {
+func (m *Manager) pickVictim(d *devState) *tensor.State {
 	if m.pol.Lookahead && m.NextUse != nil {
 		var best *tensor.State
 		bestUse := -1
@@ -755,9 +611,8 @@ func (m *Manager) pickVictim(d *devShard) *tensor.State {
 
 // startEviction removes st from d, either by a free clean drop (when
 // dirty tracking is on and the host copy is valid) or by an async
-// writeback. Requires mu held; the writeback-completion closure
-// retakes it on its own goroutine.
-func (m *Manager) startEviction(d *devShard, st *tensor.State) {
+// writeback.
+func (m *Manager) startEviction(d *devState, st *tensor.State) {
 	if m.pol.DirtyTracking && !st.Dirty() {
 		if err := st.Drop(); err != nil {
 			m.setFatal(err)
@@ -765,10 +620,8 @@ func (m *Manager) startEviction(d *devShard, st *tensor.State) {
 		}
 		d.forget(st)
 		d.subUsed(st.Tensor.Bytes)
-		d.note(func(s *DeviceStats) {
-			s.DropBytes += st.Tensor.Bytes
-			s.Drops++
-		})
+		d.stats.DropBytes += st.Tensor.Bytes
+		d.stats.Drops++
 		if m.Hook != nil {
 			m.Hook("drop", st.Tensor, d.dev.ID, m.eng.Now(), m.eng.Now())
 		}
@@ -781,23 +634,16 @@ func (m *Manager) startEviction(d *devShard, st *tensor.State) {
 	d.forget(st)
 	bytes := st.Tensor.Bytes
 	start := m.eng.Now()
-	d.addPendingFree(bytes)
-	d.note(func(s *DeviceStats) {
-		s.SwapOutBytes += bytes
-		s.SwapOuts++
-		s.KindSwapOut[st.Tensor.Kind] += bytes
-	})
-	// Transfer never fires its callback synchronously (it schedules an
-	// engine event), so re-taking mu in the completion closure cannot
-	// deadlock against the lock we hold here.
+	d.pendingFree += bytes
+	d.stats.SwapOutBytes += bytes
+	d.stats.SwapOuts++
+	d.stats.KindSwapOut[st.Tensor.Kind] += bytes
 	m.transfer(d.dev.ID, hw.Host, bytes, func(at sim.Time) {
-		m.mu.Lock()
-		defer m.mu.Unlock()
 		if err := st.EndSwapOut(); err != nil {
 			m.setFatal(err)
 			return
 		}
-		d.addPendingFree(-bytes)
+		d.pendingFree -= bytes
 		d.subUsed(bytes)
 		if m.Hook != nil {
 			m.Hook("swap-out", st.Tensor, d.dev.ID, start, at)
@@ -808,9 +654,8 @@ func (m *Manager) startEviction(d *devShard, st *tensor.State) {
 
 // startSwapIn begins a host→device copy; memory is charged at start.
 // When the copy is on behalf of an acquire, a is that acquire and pos
-// the position of st in a.want; a prefetch passes a nil a. Requires mu
-// held; the DMA-completion closure retakes it on its own goroutine.
-func (m *Manager) startSwapIn(d *devShard, st *tensor.State, a *acquire, pos int) {
+// the position of st in a.want; a prefetch passes a nil a.
+func (m *Manager) startSwapIn(d *devState, st *tensor.State, a *acquire, pos int) {
 	if err := st.BeginSwapIn(d.dev.ID); err != nil {
 		m.setFatal(err)
 		return
@@ -818,14 +663,10 @@ func (m *Manager) startSwapIn(d *devShard, st *tensor.State, a *acquire, pos int
 	bytes := st.Tensor.Bytes
 	start := m.eng.Now()
 	d.addUsed(bytes)
-	d.note(func(s *DeviceStats) {
-		s.SwapInBytes += bytes
-		s.SwapIns++
-		s.KindSwapIn[st.Tensor.Kind] += bytes
-	})
+	d.stats.SwapInBytes += bytes
+	d.stats.SwapIns++
+	d.stats.KindSwapIn[st.Tensor.Kind] += bytes
 	m.transfer(hw.Host, d.dev.ID, bytes, func(at sim.Time) {
-		m.mu.Lock()
-		defer m.mu.Unlock()
 		if err := st.EndSwapIn(); err != nil {
 			m.setFatal(err)
 			return
@@ -842,9 +683,8 @@ func (m *Manager) startSwapIn(d *devShard, st *tensor.State, a *acquire, pos int
 	})
 }
 
-// startMigrate begins a p2p device→device move into d. Requires mu
-// held; the copy-completion closure retakes it on its own goroutine.
-func (m *Manager) startMigrate(d *devShard, st *tensor.State) {
+// startMigrate begins a p2p device→device move into d.
+func (m *Manager) startMigrate(d *devState, st *tensor.State) {
 	src := m.devs[st.Dev]
 	if err := st.BeginMigrate(d.dev.ID); err != nil {
 		m.setFatal(err)
@@ -854,15 +694,10 @@ func (m *Manager) startMigrate(d *devShard, st *tensor.State) {
 	bytes := st.Tensor.Bytes
 	start := m.eng.Now()
 	d.addUsed(bytes)
-	// Two shards are updated, one at a time — never both locks at once.
-	src.note(func(s *DeviceStats) { s.P2POutBytes += bytes })
-	d.note(func(s *DeviceStats) {
-		s.P2PInBytes += bytes
-		s.KindP2P[st.Tensor.Kind] += bytes
-	})
+	src.stats.P2POutBytes += bytes
+	d.stats.P2PInBytes += bytes
+	d.stats.KindP2P[st.Tensor.Kind] += bytes
 	m.transfer(src.dev.ID, d.dev.ID, bytes, func(at sim.Time) {
-		m.mu.Lock()
-		defer m.mu.Unlock()
 		if err := st.EndMigrate(d.dev.ID); err != nil {
 			m.setFatal(err)
 			return

@@ -551,18 +551,39 @@ func TestManagerRandomWorkloadInvariants(t *testing.T) {
 				}
 			}
 		}
-		// Drain outstanding work.
-		for _, h := range holds {
-			var muts []*tensor.Tensor
-			if h.mut {
-				muts = []*tensor.Tensor{h.t}
+		// Drain outstanding work: release every hold, including those
+		// granted while the drain runs.
+		for {
+			drain := holds
+			holds = nil
+			for _, h := range drain {
+				var muts []*tensor.Tensor
+				if h.mut {
+					muts = []*tensor.Tensor{h.t}
+				}
+				if err := m.Release(h.dev, []*tensor.Tensor{h.t}, nil, muts, nil, 0); err != nil {
+					return false
+				}
 			}
-			if err := m.Release(h.dev, []*tensor.Tensor{h.t}, nil, muts, nil, 0); err != nil {
+			if _, err := eng.Run(); err != nil {
+				return false
+			}
+			if len(holds) == 0 {
+				break
+			}
+		}
+		// Freeing every tensor, resident or not, empties both devices.
+		for _, tt := range tensors {
+			if err := m.FreeTensor(tt); err != nil {
+				t.Logf("free %s: %v", tt, err)
 				return false
 			}
 		}
-		if _, err := eng.Run(); err != nil {
-			return false
+		for d := 0; d < 2; d++ {
+			if used := m.Used(hw.DeviceID(d)); used != 0 {
+				t.Logf("device %d still holds %d bytes after freeing every tensor", d, used)
+				return false
+			}
 		}
 		return granted == wanted && m.Err() == nil
 	}
@@ -657,6 +678,69 @@ func TestPrefetchRacingAcquire(t *testing.T) {
 		}
 		if err := m.Release(0, []*tensor.Tensor{w}, nil, nil, nil, 0); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestConcurrentFreeAndStats frees resident tensors from four event
+// streams firing at the same simulated instants, reading the stats
+// between frees. The Manager runs on the engine's goroutine, so
+// "concurrent" is simulated time: every free must return exactly its
+// bytes, and freeing them all must bring the device back to empty.
+func TestConcurrentFreeAndStats(t *testing.T) {
+	const (
+		n       = 64
+		streams = 4
+		size    = 256
+	)
+	r := newRig(t, 1<<20)
+	var ts []*tensor.Tensor
+	for i := 0; i < n; i++ {
+		ts = append(ts, r.reg.New(fmt.Sprintf("a%d", i), tensor.Activation, size, 0, -1))
+	}
+	m := New(r.eng, r.top, r.reg, Policy{})
+	if err := m.InitHost(ts...); err != nil {
+		t.Fatal(err)
+	}
+	acquireSync(t, m, 0, ts, nil, 0)
+	r.run(t, m)
+	if err := m.Release(0, ts, nil, nil, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if used := m.Used(0); used != n*size {
+		t.Fatalf("device 0 holds %d bytes before frees, want %d", used, n*size)
+	}
+	start := r.eng.Now()
+	freed := 0
+	for w := 0; w < streams; w++ {
+		for i := w; i < n; i += streams {
+			i := i
+			r.eng.At(start+sim.Time(i/streams), func() {
+				before := m.Used(0)
+				if err := m.FreeTensor(ts[i]); err != nil {
+					t.Errorf("free %d: %v", i, err)
+					return
+				}
+				freed++
+				if got := before - m.Used(0); got != size {
+					t.Errorf("free %d released %d bytes, want %d", i, got, size)
+				}
+				if s := m.Stats(0); s.SwapOuts != 0 || s.Drops != 0 {
+					t.Errorf("free %d counted as an eviction: %+v", i, s)
+				}
+			})
+		}
+	}
+	r.run(t, m)
+	if freed != n {
+		t.Fatalf("freed %d/%d tensors", freed, n)
+	}
+	if used := m.Used(0); used != 0 {
+		t.Fatalf("device 0 still holds %d bytes after frees", used)
+	}
+	for _, tn := range ts {
+		if st := m.State(tn); st.Loc != tensor.LocNone {
+			t.Fatalf("tensor %s still at %s after its free", tn, st.Loc)
 		}
 	}
 }

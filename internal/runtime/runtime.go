@@ -41,11 +41,10 @@ type Config struct {
 	// CaptureUsage records each device's resident-bytes timeline
 	// (Result.Usage), the Fig. 2(c) memory-usage series.
 	CaptureUsage bool
-
-	// EventLimit bounds total simulation events as a runaway
-	// backstop. 0 selects a generous default.
-	EventLimit uint64
 }
+
+// eventLimit bounds a run's simulation events as a runaway backstop.
+const eventLimit = 200_000_000
 
 // prefetchDepth is how many queue positions ahead the simulator
 // prefetches when the schedule enables prefetching: double buffering.
@@ -106,11 +105,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("runtime: schedule needs %d GPUs, box has %d", cfg.Schedule.NGPUs, cfg.Box.TotalGPUs())
 	}
 	eng := sim.NewEngine()
-	limit := cfg.EventLimit
-	if limit == 0 {
-		limit = 200_000_000
-	}
-	eng.Limit = limit
+	eng.Limit = eventLimit
 	top, err := hw.NewBox(eng, cfg.Box)
 	if err != nil {
 		return nil, err

@@ -514,16 +514,6 @@ func TestUsageAndChromeCapture(t *testing.T) {
 	}
 }
 
-func TestEventLimitAborts(t *testing.T) {
-	model := uniformModel(8)
-	s := buildSched(t, model, sched.DPBaseline, 1, 2, 1)
-	_, err := Run(Config{Box: tinyBox(1, 96<<10), Schedule: s,
-		WarmupIters: 0, MeasureIters: 1, EventLimit: 10})
-	if err == nil {
-		t.Fatal("expected event-limit error")
-	}
-}
-
 // TestRunAllocationBudget holds the simulator's loop to an allocation
 // budget per executed task, on the closed-form Harmony-DP plan (16
 // uniform layers, m = 2, N = 2, one layer-level op resident at a time,

@@ -69,9 +69,11 @@ type Config struct {
 	// BatchPerReplica is the samples each replica processes per
 	// iteration; candidates factor it into microbatches differently.
 	BatchPerReplica int
-	// MeasureIters per candidate (default 2).
-	MeasureIters int
 }
+
+// measureIters is the measured iterations per candidate, after one
+// warm-up iteration.
+const measureIters = 2
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -140,14 +142,14 @@ func divisors(n int) []int {
 	return out
 }
 
-// Run profiles every candidate in the grid and returns them sorted by
-// throughput (best first). Infeasible candidates are kept with their
-// error so callers can see the feasibility frontier.
-func Run(cfg Config, gpus int) (*Result, error) {
+// Run profiles every candidate in the grid on all of cfg.Box's GPUs and
+// returns them sorted by throughput (best first). Infeasible candidates
+// are kept with their error so callers can see the feasibility frontier.
+func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return measureAll(cfg, gpus, Space(cfg.Mode, cfg.BatchPerReplica))
+	return measureAll(cfg, Space(cfg.Mode, cfg.BatchPerReplica))
 }
 
 // HillClimb explores the space greedily: it starts from the fully
@@ -156,7 +158,7 @@ func Run(cfg Config, gpus int) (*Result, error) {
 // candidates than Run while typically finding the same optimum
 // (greedy works well because throughput is unimodal along each knob
 // in practice).
-func HillClimb(cfg Config, gpus int) (*Result, error) {
+func HillClimb(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -166,7 +168,7 @@ func HillClimb(cfg Config, gpus int) (*Result, error) {
 		if m, ok := seen[c]; ok {
 			return m
 		}
-		m := measureOne(cfg, gpus, c)
+		m := measureOne(cfg, c)
 		seen[c] = m
 		return m
 	}
@@ -245,12 +247,12 @@ func withGroup(c Candidate, g, m int) Candidate {
 	return c
 }
 
-func measureAll(cfg Config, gpus int, cands []Candidate) (*Result, error) {
+func measureAll(cfg Config, cands []Candidate) (*Result, error) {
 	res := &Result{}
 	// Candidate measurements are independent deterministic
 	// simulations: profile them on all cores.
 	ms, err := sweep.Run(cands, 0, func(c Candidate) (Measurement, error) {
-		return measureOne(cfg, gpus, c), nil
+		return measureOne(cfg, c), nil
 	})
 	if err != nil {
 		return nil, err
@@ -259,7 +261,7 @@ func measureAll(cfg Config, gpus int, cands []Candidate) (*Result, error) {
 	res.Explored = len(ms)
 	sortMeasurements(res.Measurements)
 	if len(res.Measurements) == 0 || !res.Measurements[0].Feasible {
-		return res, fmt.Errorf("tuner: no feasible candidate for %s on %d GPUs", cfg.Model.Name, gpus)
+		return res, fmt.Errorf("tuner: no feasible candidate for %s on %d GPUs", cfg.Model.Name, cfg.Box.TotalGPUs())
 	}
 	res.Best = res.Measurements[0]
 	return res, nil
@@ -277,8 +279,9 @@ func sortMeasurements(ms []Measurement) {
 	})
 }
 
-func measureOne(cfg Config, gpus int, c Candidate) Measurement {
+func measureOne(cfg Config, c Candidate) Measurement {
 	out := Measurement{Candidate: c}
+	gpus := cfg.Box.TotalGPUs()
 	replicas := gpus
 	if cfg.Mode.IsPipeline() {
 		replicas = 1
@@ -309,11 +312,7 @@ func measureOne(cfg Config, gpus int, c Candidate) Measurement {
 		out.Err = err.Error()
 		return out
 	}
-	iters := cfg.MeasureIters
-	if iters == 0 {
-		iters = 2
-	}
-	res, err := runtime.Run(runtime.Config{Box: cfg.Box, Schedule: s, WarmupIters: 1, MeasureIters: iters})
+	res, err := runtime.Run(runtime.Config{Box: cfg.Box, Schedule: s, WarmupIters: 1, MeasureIters: measureIters})
 	if err != nil {
 		out.Err = err.Error()
 		return out

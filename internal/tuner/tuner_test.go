@@ -66,7 +66,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestRunFindsFeasibleBest(t *testing.T) {
-	res, err := Run(tunerConfig(sched.HarmonyPP, 4), 2)
+	res, err := Run(tunerConfig(sched.HarmonyPP, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestTangoTradeoffVisible(t *testing.T) {
 	// Tight enough that a stage's weights do not all fit: weight
 	// swaps dominate and the group-size knob matters.
 	box.GPUMemBytes = 20 << 20
-	res, err := Run(Config{Model: model, Mode: sched.HarmonyPP, Box: box, BatchPerReplica: 4}, 2)
+	res, err := Run(Config{Model: model, Mode: sched.HarmonyPP, Box: box, BatchPerReplica: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +138,11 @@ func TestTangoTradeoffVisible(t *testing.T) {
 
 func TestHillClimbAgreesWithExhaustive(t *testing.T) {
 	cfg := tunerConfig(sched.HarmonyDP, 4)
-	full, err := Run(cfg, 2)
+	full, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc, err := HillClimb(cfg, 2)
+	hc, err := HillClimb(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestHillClimbAgreesWithExhaustive(t *testing.T) {
 func TestInfeasibleWorkloadReported(t *testing.T) {
 	cfg := tunerConfig(sched.HarmonyDP, 2)
 	cfg.Box.GPUMemBytes = 1 << 10 // nothing fits
-	if _, err := Run(cfg, 2); err == nil {
+	if _, err := Run(cfg); err == nil {
 		t.Fatal("expected no-feasible-candidate error")
 	}
 }
@@ -181,17 +181,5 @@ func TestSpaceIncludesInterleaveForPipelines(t *testing.T) {
 		if c.Interleave {
 			t.Fatal("dp space should not interleave")
 		}
-	}
-}
-
-func TestMeasureItersConfigurable(t *testing.T) {
-	cfg := tunerConfig(sched.HarmonyDP, 2)
-	cfg.MeasureIters = 1
-	res, err := Run(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Best.Feasible {
-		t.Fatal("single-iteration measurement should still find a winner")
 	}
 }

@@ -215,9 +215,9 @@ func Tune(cfg TuneConfig) (*TuneResult, error) {
 		err error
 	)
 	if cfg.Greedy {
-		res, err = tuner.HillClimb(tcfg, cfg.Server.cfg.NumGPUs)
+		res, err = tuner.HillClimb(tcfg)
 	} else {
-		res, err = tuner.Run(tcfg, cfg.Server.cfg.NumGPUs)
+		res, err = tuner.Run(tcfg)
 	}
 	if err != nil {
 		return nil, err
