@@ -2,8 +2,8 @@
 // (sched.Schedule.Comm) fixes bucket membership, chunk boundaries and
 // reducer assignment at plan time; this file derives the runtime view
 // the executor's reduceBucket path consumes — per-device chunk lists
-// in member order plus per-member chunk counts — and implements the
-// per-chunk reduction itself.
+// in member order plus per-member chunk counts — and runs the per-chunk
+// reduction, whose math is nn.Average.
 package exec
 
 import (
@@ -73,12 +73,12 @@ func (tr *Trainer) CommStats() CommStats { return tr.commStats }
 // and counted as such; otherwise it is the whole payload of a monolithic
 // rendezvous, where dev is the last arrival (-1 on the serial path,
 // where a fatal collective fault has no single device to retire and is
-// therefore unrecoverable). The range fans across the kernel worker
-// pool over disjoint sub-ranges; each element still sums the replicas
-// in fixed order, so the result is bit-identical at any worker count
-// and under any partition into chunks. Each call is an independent unit
-// of fault injection and recovery: a fatal fault here retires the
-// reducing worker's physical device through the usual
+// therefore unrecoverable). nn.Average fans the range across the kernel
+// worker pool over disjoint sub-ranges; each element still sums the
+// replicas in fixed order, so the result is bit-identical at any worker
+// count and under any partition into chunks. Each call is an
+// independent unit of fault injection and recovery: a fatal fault here
+// retires the reducing worker's physical device through the usual
 // rollback-and-resume path.
 func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) error {
 	if ar.Kind != graph.AllReduce {
@@ -104,12 +104,9 @@ func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) error
 		return err
 	}
 	// Remote gradient traffic crosses the reducer's modeled link. The
-	// serial path has no reducing worker; replica 0's device, whose
-	// buffer accumulates the sum, stands in.
+	// serial path has no reducing worker; replica 0's device stands in.
 	tr.vm.chargeReduce(tr.pdev(max(dev, 0)), n, int64(hi-lo)*4)
-	inv := float32(1) / float32(n)
-	grain := max((1<<16)/(2*n), 1) // ~64k scalar ops per pool chunk
-	nn.ParallelFor(hi-lo, grain, func(a, b int) { averageViews(views, lo+a, lo+b, inv) })
+	nn.Average(views, lo, hi, float32(1)/float32(n))
 	if chunk {
 		tr.commMu.Lock()
 		tr.commStats.ChunksReduced++
@@ -117,35 +114,4 @@ func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) error
 		tr.commMu.Unlock()
 	}
 	return tr.release(ar, nil)
-}
-
-// reduceBlock is how many elements averageViews carries at a time:
-// 8 KiB of float32, so the accumulating block stays in L1 while every
-// replica's block streams past it once.
-const reduceBlock = 2048
-
-// averageViews sets elements [lo, hi) of every view to inv times
-// their sum over the views. It walks a block replica by replica,
-// accumulating in place in views[0]; each element still adds the
-// replicas to +0 in index order, then scales — the same operations in
-// the same order as summing one element at a time, so the same bits.
-func averageViews(views [][]float32, lo, hi int, inv float32) {
-	for ; lo < hi; lo += reduceBlock {
-		acc := views[0][lo:min(lo+reduceBlock, hi)]
-		for j, v := range acc {
-			acc[j] = 0 + v // not a no-op: +0 + -0 is +0
-		}
-		for _, view := range views[1:] {
-			src := view[lo:][:len(acc)]
-			for j, v := range src {
-				acc[j] += v
-			}
-		}
-		for j := range acc {
-			acc[j] *= inv
-		}
-		for _, view := range views[1:] {
-			copy(view[lo:], acc)
-		}
-	}
 }

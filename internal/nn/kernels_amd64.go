@@ -1,16 +1,17 @@
 package nn
 
-// useAVX2 sends the three inner loops of Dense to the kernels in
-// kernels_amd64.s. It is set once, here, and only the tests flip it:
-// the Go tiles in nn.go are the same arithmetic and the path of every
-// other GOARCH, of an amd64 CPU without AVX2 and of a -race build.
+// useAVX2 sends the three inner loops of Dense, SGD and Average to the
+// kernels in kernels_amd64.s. It is set once, here, and only the tests
+// flip it: the Go loops in nn.go are the same arithmetic and the path of
+// every other GOARCH, of an amd64 CPU without AVX2 and of a -race build.
 var useAVX2 = !raceEnabled && cpuHasAVX2()
 
 func cpuHasAVX2() bool
 
 // The kernels take the whole-vector prefix of a loop and the Go tile
-// finishes the rest in order. They see no slice headers, so the caller
-// has sliced every operand to the length it passes.
+// finishes the rest in order. They see no slice headers, except
+// averageAVX2's views, so the caller has sliced every operand to the
+// length it passes.
 
 // axpy4AVX2 is axpy4 over n floats, n a multiple of 8.
 //
@@ -33,3 +34,15 @@ func dx4AVX2(dx, w, d *float32, nk, nj, in, out int)
 //
 //go:noescape
 func dx1AVX2(dx, w, d *float32, nk, nj, out int)
+
+// sgdAVX2 is SGD's loop over n floats, n a multiple of 32.
+//
+//go:noescape
+func sgdAVX2(w, dw *float32, n int, lr float32)
+
+// averageAVX2 is average over elements [lo, lo+n) of the nviews ≥ 1
+// slices at views, n a multiple of 32. It reads the slice headers and
+// trusts their data pointers: every view holds at least lo+n floats.
+//
+//go:noescape
+func averageAVX2(views *[]float32, nviews, lo, n int, inv float32)

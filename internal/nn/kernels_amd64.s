@@ -1,12 +1,13 @@
 #include "textflag.h"
 
-// AVX2 versions of the three inner loops of Dense (kernels_amd64.go has
-// the contracts, DESIGN.md §7 the bit-identity argument). A lane is one
-// output element and receives the terms the Go loop gives that element,
-// in the same order, each as a multiply rounded to float32 and then an
-// add: never a fused multiply-add, which rounds once where the compiled
-// Go kernels round twice. Loads and stores are unaligned. Every kernel
-// ends in VZEROUPPER, because the Go code around it is SSE-encoded.
+// AVX2 versions of the three inner loops of Dense, of SGD and of Average
+// (kernels_amd64.go has the contracts, DESIGN.md §7 the bit-identity
+// argument). A lane is one output element and receives the terms the Go
+// loop gives that element, in the same order, each as a multiply rounded
+// to float32 and then an add or subtract: never a fused multiply-add,
+// which rounds once where the compiled Go kernels round twice. Loads and
+// stores are unaligned. Every kernel ends in VZEROUPPER, because the Go
+// code around it is SSE-encoded.
 
 // func cpuHasAVX2() bool
 //
@@ -348,5 +349,98 @@ dx1store8:
 	VMOVUPS Y0, (DI)
 
 dx1done:
+	VZEROUPPER
+	RET
+
+// SGD1 updates the eight weights at off: w - (lr * g), the operand order
+// of the Go source, with lr in Y8 and t a temporary; the gradient is
+// stored as +0 from Y9.
+#define SGD1(off, w, t) \
+	VMULPS  off(SI)(AX*1), Y8, t; \
+	VMOVUPS off(DI)(AX*1), w; \
+	VSUBPS  t, w, w; \
+	VMOVUPS w, off(DI)(AX*1); \
+	VMOVUPS Y9, off(SI)(AX*1)
+
+// func sgdAVX2(w, dw *float32, n int, lr float32)
+TEXT ·sgdAVX2(SB), NOSPLIT, $0-28
+	MOVQ         w+0(FP), DI
+	MOVQ         dw+8(FP), SI
+	MOVQ         n+16(FP), R9
+	VBROADCASTSS lr+24(FP), Y8
+	VXORPS       Y9, Y9, Y9
+	SHLQ         $2, R9
+	XORQ         AX, AX
+
+sgdx32:
+	CMPQ AX, R9
+	JGE  sgddone
+	SGD1(0, Y0, Y4)
+	SGD1(32, Y1, Y5)
+	SGD1(64, Y2, Y6)
+	SGD1(96, Y3, Y7)
+	ADDQ $128, AX
+	JMP  sgdx32
+
+sgddone:
+	VZEROUPPER
+	RET
+
+// func averageAVX2(views *[]float32, nviews, lo, n int, inv float32)
+//
+// One pass over the range in 32-float blocks: a block's four
+// accumulators start at +0, add the block of every view in index order,
+// are scaled by inv and stored back to every view. A view is a 24-byte
+// slice header whose first word is the data pointer: CX walks the
+// headers from SI to R10, DI is the view's data, DX the byte offset of
+// the block and R9 the end of the range.
+TEXT ·averageAVX2(SB), NOSPLIT, $0-36
+	MOVQ         views+0(FP), SI
+	MOVQ         nviews+8(FP), R10
+	MOVQ         lo+16(FP), DX
+	MOVQ         n+24(FP), R9
+	VBROADCASTSS inv+32(FP), Y8
+	LEAQ         (R10)(R10*2), R10
+	LEAQ         (SI)(R10*8), R10
+	SHLQ         $2, DX
+	LEAQ         (DX)(R9*4), R9
+
+avgx32:
+	CMPQ   DX, R9
+	JGE    avgdone
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ   SI, CX
+
+avgsum:
+	MOVQ   (CX), DI
+	VADDPS (DI)(DX*1), Y0, Y0
+	VADDPS 32(DI)(DX*1), Y1, Y1
+	VADDPS 64(DI)(DX*1), Y2, Y2
+	VADDPS 96(DI)(DX*1), Y3, Y3
+	ADDQ   $24, CX
+	CMPQ   CX, R10
+	JLT    avgsum
+	VMULPS Y8, Y0, Y0
+	VMULPS Y8, Y1, Y1
+	VMULPS Y8, Y2, Y2
+	VMULPS Y8, Y3, Y3
+	MOVQ   SI, CX
+
+avgstore:
+	MOVQ    (CX), DI
+	VMOVUPS Y0, (DI)(DX*1)
+	VMOVUPS Y1, 32(DI)(DX*1)
+	VMOVUPS Y2, 64(DI)(DX*1)
+	VMOVUPS Y3, 96(DI)(DX*1)
+	ADDQ    $24, CX
+	CMPQ    CX, R10
+	JLT     avgstore
+	ADDQ    $128, DX
+	JMP     avgx32
+
+avgdone:
 	VZEROUPPER
 	RET

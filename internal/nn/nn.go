@@ -1,10 +1,10 @@
 // Package nn implements real float32 neural-network math on plain
-// slices: dense layers, ReLU, softmax cross-entropy, and SGD/Adam
-// optimizers. It deliberately operates on caller-provided buffers so
-// the exec runtime can place those buffers in capacity-limited
-// virtual device memory and move them through Harmony's coherent
-// virtual memory — the kernels never allocate parameter or activation
-// storage themselves.
+// slices: dense layers, ReLU, softmax cross-entropy, SGD/Adam
+// optimizers and the average across data-parallel replicas. It
+// deliberately operates on caller-provided buffers so the exec runtime
+// can place those buffers in capacity-limited virtual device memory and
+// move them through Harmony's coherent virtual memory — the kernels
+// never allocate parameter or activation storage themselves.
 //
 // The stash holds only each layer's input, and nothing is recomputed
 // from it: ReLU's derivative is applied by the layer above, which
@@ -14,11 +14,12 @@
 // pass costs the two forwards the cost model charges
 // (models.BwdFLOPsFactor).
 //
-// The Dense inner loops have two implementations with one result: the
-// Go register tiles in this file, which every GOARCH builds, and AVX2
-// assembly (kernels_amd64.s) that amd64 dispatches to when the CPU and
-// the OS support it. Both match the scalar oracle in nn_test.go bit for
-// bit (DESIGN.md §7). The race detector cannot see what assembly loads
+// The Dense inner loops, SGD and Average (the all-reduce across
+// replicas) have two implementations with one result: the Go loops in
+// this file, which every GOARCH builds, and AVX2 assembly
+// (kernels_amd64.s) that amd64 dispatches to when the CPU and the OS
+// support it. Both match the scalar oracles in nn_test.go bit for bit
+// (DESIGN.md §7). The race detector cannot see what assembly loads
 // and stores, so a -race build never dispatches to it: `go test -race`
 // checks the kernels' memory discipline on the instrumented Go tiles,
 // and the plain `go test` run is the one that exercises the vector
@@ -318,12 +319,70 @@ func SoftmaxXent(logits []float32, labels []int, dlogits []float32, batch, class
 // SGD applies w -= lr·g and zeroes the gradient buffer: every element
 // of g is +0 on return, which internal/exec relies on to never move a
 // just-applied gradient (VM.MarkZero). Any optimizer added beside these
-// two owes the same reset.
+// two owes the same reset. A gradient shorter than w panics.
 func SGD(w, g []float32, lr float32) {
+	if len(g) < len(w) {
+		panic(fmt.Sprintf("nn: SGD gradient has %d floats for %d weights", len(g), len(w)))
+	}
 	g = g[:len(w)]
+	if n := len(w) &^ 31; useAVX2 && n > 0 {
+		sgdAVX2(&w[0], &g[0], n, lr)
+		w, g = w[n:], g[n:]
+	}
 	for i := range w {
 		w[i] -= lr * g[i]
 		g[i] = 0
+	}
+}
+
+// Average sets elements [lo, hi) of every view to inv times their sum
+// over the views: each element adds the views to +0 in index order, then
+// is scaled by inv. That is the all-reduce of data-parallel training,
+// with inv = 1/len(views) and one view per replica. The leading +0 is
+// not a no-op, since +0 + -0 is +0. The range fans out across the worker
+// pool in disjoint sub-ranges, so the result is the same at any pool
+// size. A view shorter than hi panics.
+func Average(views [][]float32, lo, hi int, inv float32) {
+	if lo < 0 || lo > hi {
+		panic(fmt.Sprintf("nn: Average range [%d, %d)", lo, hi))
+	}
+	for i, v := range views {
+		if len(v) < hi {
+			panic(fmt.Sprintf("nn: Average view %d has %d floats, range ends at %d", i, len(v), hi))
+		}
+	}
+	if grain := grainFor(2 * len(views)); runsInline(hi-lo, grain) {
+		average(views, lo, hi, inv)
+	} else {
+		ParallelFor(hi-lo, grain, func(a, b int) { average(views, lo+a, lo+b, inv) })
+	}
+}
+
+// average is Average's loop, one pass over blocks: a block of
+// accumulators starts at +0, adds the block of every view in index
+// order, is scaled and stored back to every view. The assembly takes
+// the 32-float blocks; the Go loop takes the tail, or everything in
+// 2048-float blocks where there is no vector path.
+func average(views [][]float32, lo, hi int, inv float32) {
+	if n := (hi - lo) &^ 31; useAVX2 && n > 0 && len(views) > 0 {
+		averageAVX2(&views[0], len(views), lo, n, inv)
+		lo += n
+	}
+	var acc [2048]float32
+	for ; lo < hi; lo += len(acc) {
+		blk := acc[:min(len(acc), hi-lo)]
+		clear(blk)
+		for _, v := range views {
+			for j, x := range v[lo:][:len(blk)] {
+				blk[j] += x
+			}
+		}
+		for j := range blk {
+			blk[j] *= inv
+		}
+		for _, v := range views {
+			copy(v[lo:], blk)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -138,6 +139,29 @@ func TestSGDStep(t *testing.T) {
 	}
 }
 
+// SGD must not trust the gradient's capacity: reslicing a short g to
+// len(w) would read stale floats past it and zero memory the caller
+// never passed.
+func TestSGDRejectsShortGradient(t *testing.T) {
+	g := make([]float32, 3, 64)
+	beyond := g[:cap(g)]
+	for i := range beyond {
+		beyond[i] = 1
+	}
+	w := make([]float32, 8)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "3 floats for 8 weights") {
+			t.Errorf("panic %q, want one naming both lengths", msg)
+		}
+		if beyond[3] != 1 || w[3] != 0 {
+			t.Errorf("SGD touched memory past its gradient: g[3] = %v, w[3] = %v", beyond[3], w[3])
+		}
+	}()
+	SGD(w, g, 0.5)
+	t.Error("SGD accepted a 3-float gradient for 8 weights")
+}
+
 // TestOptimizersResetGradientBitZero is the contract exec's known-zero
 // pages rest on (exec.VM.MarkZero): whatever a gradient buffer held —
 // negatives, -0, infinities, NaN — every element is +0 after the
@@ -145,6 +169,10 @@ func TestSGDStep(t *testing.T) {
 // reset, or resets to -0, fails here and not as silently lost gradients
 // in a trainer that swaps.
 func TestOptimizersResetGradientBitZero(t *testing.T) {
+	eachKernelPath(t, testOptimizersResetGradientBitZero)
+}
+
+func testOptimizersResetGradientBitZero(t *testing.T) {
 	nasty := func() []float32 {
 		nan, inf := float32(math.NaN()), float32(math.Inf(1))
 		g := []float32{1, -1, float32(math.Copysign(0, -1)), inf, -inf, nan, 1e-45, -3e38}
@@ -545,15 +573,18 @@ func refBackward(l Dense, params, stash, dy, dx, grad []float32, batch int) {
 
 // eachKernelPath runs f on the Go tiles and then on the vector kernels
 // (skipped where this build or CPU has none), so one machine checks
-// both against the oracle.
-func eachKernelPath(t *testing.T, f func(t *testing.T)) {
+// both against the oracle, or times both.
+func eachKernelPath[T interface {
+	Run(string, func(T)) bool
+	Skip(...any)
+}](t T, f func(t T)) {
 	have := useAVX2
 	defer func() { useAVX2 = have }()
 	for _, path := range []struct {
 		name string
 		vec  bool
 	}{{"go", false}, {"avx2", true}} {
-		t.Run(path.name, func(t *testing.T) {
+		t.Run(path.name, func(t T) {
 			if path.vec && !have {
 				t.Skip("no AVX2 kernels in this build or on this CPU")
 			}
@@ -1004,7 +1035,8 @@ func refPoolBackward(p MaxPool2D, stash, dy, dx []float32, batch int) {
 // prefix and the Go tail, the 32-float and 8-float loops, the four-row
 // and one-row dx tiles with and without a last block of eight — on
 // operands salted with ±Inf, NaN, -0, denormals and values whose
-// products overflow, in buffers at odd alignments.
+// products overflow, in buffers at odd alignments. Average has its own
+// test below, against the element-at-a-time oracle.
 func TestVectorKernelsMatchGoTiles(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2 kernels in this build or on this CPU")
@@ -1041,6 +1073,11 @@ func TestVectorKernelsMatchGoTiles(t *testing.T) {
 				axpy4(dst, r[0], r[1], r[2], r[3], c[0], c[1], c[2], c[3])
 			})
 			both(fmt.Sprintf("axpy n=%d", n), salted(n), func(dst []float32) { axpy(dst, r[0], c[0]) })
+			// SGD zeroes its gradient, so each run gets a fresh copy.
+			lr := float32(rng.NormFloat64())
+			both(fmt.Sprintf("sgd n=%d", n), salted(n), func(w []float32) {
+				SGD(w, append([]float32(nil), r[0]...), lr)
+			})
 		}
 		for in := 0; in <= 40; in++ {
 			for _, batch := range []int{1, 4, 6} {
@@ -1052,6 +1089,74 @@ func TestVectorKernelsMatchGoTiles(t *testing.T) {
 			}
 		}
 	}
+}
+
+// averageElementwise is the oracle of Average: one element at a time,
+// the views added to +0 in index order, then scaled.
+func averageElementwise(views [][]float32, lo, hi int, inv float32) {
+	for j := lo; j < hi; j++ {
+		var s float32
+		for i := range views {
+			s += views[i][j]
+		}
+		s *= inv
+		for i := range views {
+			views[i][j] = s
+		}
+	}
+}
+
+// Average must leave the oracle's bits for any replica count, at every
+// length from 0 to 40 — every split between the 32-float blocks and the
+// Go tail — from an even and an odd lo, and over one longer span, in
+// views of unequal lengths at odd alignments. The views are salted with
+// ±Inf, NaN, -0 (whose sum from +0 is +0), denormals and 3e38, whose
+// sums overflow; elements outside the range must be left alone.
+func TestAverageBitIdenticalToElementwise(t *testing.T) {
+	eachKernelPath(t, testAverageBitIdenticalToElementwise)
+}
+
+func testAverageBitIdenticalToElementwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	inf := float32(math.Inf(1))
+	specials := []float32{inf, -inf, float32(math.NaN()), negZero, 0, 1e-45, -1e-40, 3e38, -3e38}
+	var spans [][2]int
+	for n := 0; n <= 40; n++ {
+		spans = append(spans, [2]int{0, n}, [2]int{3, 3 + n})
+	}
+	spans = append(spans, [2]int{1, 1 + 2*2048 + 37}) // past two of the Go loop's blocks
+	for _, replicas := range []int{1, 2, 3, 4, 7} {
+		inv := float32(1) / float32(replicas)
+		for _, span := range spans {
+			got, want := make([][]float32, replicas), make([][]float32, replicas)
+			for r := range got {
+				got[r] = unaligned(rng, span[1]+rng.Intn(9))
+				salt(rng, got[r], 0.125, specials...)
+				want[r] = append([]float32(nil), got[r]...)
+			}
+			Average(got, span[0], span[1], inv)
+			averageElementwise(want, span[0], span[1], inv)
+			for r := range got {
+				sameBits(t, fmt.Sprintf("%d replicas, range %v: view %d", replicas, span, r), got[r], want[r])
+			}
+		}
+	}
+}
+
+// Average must not trust a view's capacity either: the vector kernel
+// reads and writes through the data pointer, so a view shorter than the
+// range is refused before anything is touched.
+func TestAverageRejectsShortView(t *testing.T) {
+	short := make([]float32, 40, 64)
+	views := [][]float32{make([]float32, 64), short}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "view 1 has 40 floats, range ends at 64") {
+			t.Errorf("panic %q, want one naming the view and both lengths", msg)
+		}
+	}()
+	Average(views, 0, 64, 0.5)
+	t.Error("Average accepted a 40-float view for the range [0, 64)")
 }
 
 // poolRetains reports whether sync.Pool keeps what it is given: under
@@ -1069,9 +1174,9 @@ func poolRetains() bool {
 }
 
 // TestSteadyStateAllocs pins the zero-allocation claims: on a
-// one-worker pool a scratch round trip, a Dense.Forward and a
-// Dense.Backward allocate nothing once the pool is warm, on either
-// kernel path.
+// one-worker pool a scratch round trip, a Dense.Forward, a
+// Dense.Backward, an SGD and an Average allocate nothing once the pool
+// is warm, on either kernel path.
 func TestSteadyStateAllocs(t *testing.T) {
 	eachKernelPath(t, testSteadyStateAllocs)
 }
@@ -1094,10 +1199,13 @@ func testSteadyStateAllocs(t *testing.T) {
 	stash := make([]float32, batch*l.In)
 	dx := make([]float32, batch*l.In)
 	grad := make([]float32, l.ParamCount())
+	views := [][]float32{params, grad, x, stash}
 	for name, fn := range map[string]func(){
 		"PutScratch(GetScratch(n))": func() { PutScratch(GetScratch(4096)) },
 		"Dense.Forward":             func() { l.Forward(params, x, y, stash, batch) },
 		"Dense.Backward":            func() { l.Backward(params, stash, dy, dx, grad, batch) },
+		"SGD":                       func() { SGD(params, grad, 0.01) },
+		"Average":                   func() { Average(views, 3, len(x), 0.25) },
 	} {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", name, n)
@@ -1171,4 +1279,51 @@ func BenchmarkDenseStep(b *testing.B) {
 			b.ReportMetric(2*flops*float64(b.N)/bwd.Seconds()/1e9, "bwd-GFLOP/s")
 		})
 	}
+}
+
+// BenchmarkSGD applies one replica's update of harmonybench's train-comm
+// step: SGD over every layer of a 64·1536·1536·1536·10 MLP, 4.83 M
+// floats, on both kernel paths.
+func BenchmarkSGD(b *testing.B) {
+	eachKernelPath(b, func(b *testing.B) {
+		widths := []int{64, 1536, 1536, 1536, 10}
+		var w, g [][]float32
+		floats := 0
+		for i := 0; i+1 < len(widths); i++ {
+			n := Dense{In: widths[i], Out: widths[i+1]}.ParamCount()
+			w, g = append(w, make([]float32, n)), append(g, make([]float32, n))
+			fillRand(w[i], uint64(i+1))
+			floats += n
+		}
+		b.SetBytes(int64(16 * floats)) // w and g each read and written once
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for l := range w {
+				SGD(w[l], g[l], 0.005)
+			}
+		}
+	})
+}
+
+// BenchmarkReduceChunk averages one chunk of harmonybench's train-comm
+// step: four replicas, an eighth of a 1536×1536 layer's gradient, on
+// both kernel paths.
+func BenchmarkReduceChunk(b *testing.B) {
+	eachKernelPath(b, func(b *testing.B) {
+		const replicas, n = 4, (1536*1536 + 1536) / 8
+		views := make([][]float32, replicas)
+		for r := range views {
+			views[r] = make([]float32, n)
+			for j := range views[r] {
+				views[r][j] = float32(r + j%7)
+			}
+		}
+		b.SetBytes(2 * replicas * n * 4) // every replica's chunk read once and written once
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			Average(views, 0, n, 1.0/replicas)
+		}
+	})
 }
