@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -48,6 +50,34 @@ func TestEveryArtifactRendersAndUnknownOnesAreNamed(t *testing.T) {
 	stdout, stderr, exit := figures("-fig", "ext9")
 	if want := `unknown artifact "ext9" (want ` + strings.Join(names, ", ") + " or all)"; exit != 2 || stdout != "" || !strings.Contains(stderr, want) {
 		t.Errorf("-fig ext9: exit %d, stdout %q, stderr %q; want exit 2 and %q", exit, stdout, stderr, want)
+	}
+}
+
+// Every figure the simulator produces is pinned byte for byte, so a
+// change that moves one simulated number fails here. To regenerate after
+// a deliberate change: go run ./cmd/figures -fig all > cmd/figures/testdata/all.golden
+// Only amd64 and 386 are compared: their compilers never fuse a multiply
+// and an add, and on targets that do, the last digit may round apart.
+func TestAllMatchesGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
+		t.Skipf("GOARCH %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "all.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := exec.Command(buildFigures(t), "-fig", "all").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("-fig all departs from testdata/all.golden at line %d:\n got %q\nwant %q", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("-fig all has %d lines, testdata/all.golden %d", len(gl), len(wl))
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"harmony"
 	"harmony/internal/models"
 	"harmony/internal/profile"
+	"harmony/internal/sched"
 )
 
 func main() { os.Exit(run()) }
@@ -28,7 +29,7 @@ func run() (exit int) {
 	var (
 		modelName  = flag.String("model", "bert48", "workload: lenet, alexnet, gnmt, amoebanet, bertlarge, bert48, gpt2xl, t5-11b, gpt3, uniform")
 		layers     = flag.Int("layers", 16, "layer count for -model uniform")
-		modeName   = flag.String("mode", "harmony-pp", "dp-baseline, pp-baseline, harmony-dp, harmony-pp, tp-baseline, harmony-tp")
+		modeName   = flag.String("mode", sched.HarmonyPP.String(), sched.ModeNames())
 		gpus       = flag.Int("gpus", 4, "GPU count (per server)")
 		servers    = flag.Int("servers", 1, "server count (>1 builds a NIC-joined cluster)")
 		gpuMem     = flag.Int64("gpu-mem", 0, "per-GPU memory bytes (0 = 11 GiB)")
@@ -67,22 +68,9 @@ func run() (exit int) {
 		fmt.Fprintf(os.Stderr, "harmonysim: unknown model %q\n", *modelName)
 		return 2
 	}
-	var mode harmony.Mode
-	switch *modeName {
-	case "dp-baseline":
-		mode = harmony.DPBaseline
-	case "pp-baseline":
-		mode = harmony.PPBaseline
-	case "harmony-dp":
-		mode = harmony.HarmonyDP
-	case "harmony-pp":
-		mode = harmony.HarmonyPP
-	case "tp-baseline":
-		mode = harmony.TPBaseline
-	case "harmony-tp":
-		mode = harmony.HarmonyTP
-	default:
-		fmt.Fprintf(os.Stderr, "harmonysim: unknown mode %q\n", *modeName)
+	mode, err := sched.ParseMode(*modeName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "harmonysim: %v\n", err)
 		return 2
 	}
 	server := harmony.CommodityServer(*gpus)

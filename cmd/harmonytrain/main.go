@@ -28,6 +28,7 @@ import (
 	"harmony/internal/hw"
 	"harmony/internal/nn"
 	"harmony/internal/profile"
+	"harmony/internal/sched"
 	"harmony/internal/sim"
 	"harmony/internal/trace"
 )
@@ -40,7 +41,7 @@ func run() (exit int) {
 	var (
 		arch      = flag.String("arch", "mlp", "mlp or lenet")
 		widthsArg = flag.String("widths", "256,128,64,10", "mlp layer widths (input,...,classes)")
-		modeName  = flag.String("mode", "harmony-pp", "dp-baseline, harmony-dp, pp-baseline, harmony-pp")
+		modeName  = flag.String("mode", sched.HarmonyPP.String(), sched.ModeNames()+" (the op-sharded modes run in the simulator only)")
 		devices   = flag.Int("devices", 2, "virtual device count")
 		deviceMem = flag.Int64("device-mem", 0, "per-device memory bytes (0 = half the footprint)")
 		batch     = flag.Int("batch", 32, "per-replica batch size")
@@ -78,14 +79,9 @@ func run() (exit int) {
 		}
 	}()
 
-	mode, ok := map[string]harmony.Mode{
-		"dp-baseline": harmony.DPBaseline,
-		"harmony-dp":  harmony.HarmonyDP,
-		"pp-baseline": harmony.PPBaseline,
-		"harmony-pp":  harmony.HarmonyPP,
-	}[*modeName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "harmonytrain: unknown mode %q (want %s)\n", *modeName, flag.Lookup("mode").Usage)
+	mode, err := sched.ParseMode(*modeName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "harmonytrain: %v\n", err)
 		return 2
 	}
 

@@ -49,8 +49,20 @@ func TestUnknownModeIsRejected(t *testing.T) {
 	if exit != 2 || stdout != "" {
 		t.Errorf("-mode harmonydp: exit %d, want 2 and nothing trained\n%s", exit, stdout)
 	}
-	if !regexp.MustCompile(`unknown mode "harmonydp".*dp-baseline, harmony-dp, pp-baseline, harmony-pp`).MatchString(stderr) {
+	if !regexp.MustCompile(`unknown mode "harmonydp".*dp-baseline, pp-baseline, harmony-dp, harmony-pp, tp-baseline, harmony-tp`).MatchString(stderr) {
 		t.Errorf("stderr does not name the bad mode and the valid ones: %q", stderr)
+	}
+}
+
+// An op-sharded mode parses but is refused by the trainer, by name,
+// before a step runs: it runs in the simulator only.
+func TestShardedModeIsRefused(t *testing.T) {
+	stdout, stderr, exit := harmonytrain(t, build(t), "-mode", "harmony-tp", "-devices", "2", "-steps", "1")
+	if exit != 1 || stdout != "" {
+		t.Errorf("-mode harmony-tp: exit %d, want 1 and nothing trained\n%s", exit, stdout)
+	}
+	if !strings.Contains(stderr, "harmony-tp runs in the simulator only") {
+		t.Errorf("stderr does not name the mode and where it runs: %q", stderr)
 	}
 }
 

@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		modeName  = flag.String("mode", "harmony-dp", "dp-baseline, harmony-dp, pp-baseline, harmony-pp, tp-baseline, harmony-tp")
+		modeName  = flag.String("mode", sched.HarmonyDP.String(), sched.ModeNames())
 		devices   = flag.Int("devices", 2, "device count")
 		layers    = flag.Int("layers", 8, "model layers")
 		params    = flag.Int("params", 1000, "parameters per layer")
@@ -46,30 +46,12 @@ func main() {
 	)
 	flag.Parse()
 
-	mode, ok := map[string]sched.Mode{
-		"dp-baseline": sched.DPBaseline, "harmony-dp": sched.HarmonyDP,
-		"pp-baseline": sched.PPBaseline, "harmony-pp": sched.HarmonyPP,
-		"tp-baseline": sched.TPBaseline, "harmony-tp": sched.HarmonyTP,
-	}[*modeName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "schedcheck: unknown mode %q\n", *modeName)
-		os.Exit(2)
-	}
-
-	model := models.Uniform("plan", *layers, int64(*params), 4096, 1e9)
-	cfg := graph.Config{Model: model, MicrobatchSize: *mbSize, Microbatches: *mbs, Replicas: *devices}
-	if mode.IsPipeline() {
-		cfg.Replicas = 1
-	}
-	if mode.IsSharded() {
-		cfg.Replicas = 1
-		cfg.OpShards = *devices
-	}
-	g, err := graph.Build(cfg)
+	mode, err := sched.ParseMode(*modeName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "schedcheck: %v\n", err)
 		os.Exit(2)
 	}
+
 	opts := sched.DefaultOptions(mode)
 	if *baseline || *inject == "cycle" || *inject == "volume" {
 		// The queue-order injections need updates at the tail.
@@ -79,7 +61,8 @@ func main() {
 	opts.Prefetch = opts.Prefetch && *prefetch
 	opts.CommChunks = *chunks
 	opts.CommBucketBytes = *bucket
-	s, err := sched.Build(g, opts, *devices)
+	model := models.Uniform("plan", *layers, int64(*params), 4096, 1e9)
+	s, err := sched.Plan(graph.Config{Model: model, MicrobatchSize: *mbSize, Microbatches: *mbs}, opts, *devices)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "schedcheck: %v\n", err)
 		os.Exit(2)

@@ -17,8 +17,8 @@ func main() {
 	model := harmony.BERT48()
 	fmt.Printf("BERT-48 data-parallel scaling (batch 5 per GPU, footprint %.1f GiB vs 11 GiB GPUs)\n\n",
 		model.PersistentGB())
-	fmt.Printf("%-6s | %22s | %22s | %s\n", "GPUs",
-		"baseline thr / swapGB", "harmony-dp thr / swapGB", "harmony-dp advantage")
+	fmt.Printf("%-6s | %22s | %s thr / swapGB | %s advantage\n", "GPUs",
+		"baseline thr / swapGB", harmony.HarmonyDP, harmony.HarmonyDP)
 
 	for _, n := range []int{1, 2, 3, 4} {
 		server := harmony.CommodityServer(n)
@@ -50,7 +50,7 @@ func main() {
 	// §3 — while Harmony's grouping stays at 3|W|: the gap widens
 	// with m exactly as the analytical model predicts.
 	fmt.Println("\ngradient accumulation on 2 GPUs (batch 1 × m microbatches):")
-	fmt.Printf("%-4s | %22s | %22s | %s\n", "m", "baseline thr / swapGB", "harmony-dp thr / swapGB", "ratio")
+	fmt.Printf("%-4s | %22s | %s thr / swapGB | %s\n", "m", "baseline thr / swapGB", harmony.HarmonyDP, "ratio")
 	for _, m := range []int{2, 4, 8} {
 		server := harmony.CommodityServer(2)
 		base, err := harmony.Simulate(harmony.SimConfig{

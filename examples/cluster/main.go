@@ -25,7 +25,7 @@ func main() {
 		{"2 servers x 2 GPUs", harmony.Cluster(2, 2)},
 		{"4 servers x 1 GPU ", harmony.Cluster(4, 1)},
 	}
-	fmt.Printf("%-20s | %22s | %22s\n", "layout", "harmony-dp thr/swapGB", "harmony-pp thr/swapGB")
+	fmt.Printf("%-20s | %11s thr/swapGB | %11s thr/swapGB\n", "layout", harmony.HarmonyDP, harmony.HarmonyPP)
 	for _, lay := range layouts {
 		hdp, err := harmony.Simulate(harmony.SimConfig{
 			Model: model, Mode: harmony.HarmonyDP, Server: lay.server,

@@ -42,17 +42,17 @@ func main() {
 	}
 
 	fmt.Println("per-stage swap load (the Fig. 2(c) imbalance):")
-	fmt.Printf("%-8s | %-28s | %-28s\n", "stage", "1F1B + per-GPU virtualization", "harmony-pp")
+	fmt.Printf("%-8s | %-28s | %-28s\n", "stage", "1F1B + per-GPU virtualization", harmony.HarmonyPP)
 	for d := range base.PerGPUSwapOutBytes {
 		fmt.Printf("gpu%-5d | %13.2f GiB swap-out | %13.2f GiB swap-out\n",
 			d, float64(base.PerGPUSwapOutBytes[d])/(1<<30), float64(hpp.PerGPUSwapOutBytes[d])/(1<<30))
 	}
 	fmt.Printf("\n%-12s %14s %14s %12s\n", "", "throughput", "swap GiB/it", "p2p GiB/it")
-	fmt.Printf("%-12s %10.3f s/s %14.1f %12.2f\n", "pp-baseline", base.Throughput, base.SwapGB(),
+	fmt.Printf("%-12s %10.3f s/s %14.1f %12.2f\n", harmony.PPBaseline, base.Throughput, base.SwapGB(),
 		float64(base.P2PBytes)/(1<<30))
-	fmt.Printf("%-12s %10.3f s/s %14.1f %12.2f\n", "harmony-pp", hpp.Throughput, hpp.SwapGB(),
+	fmt.Printf("%-12s %10.3f s/s %14.1f %12.2f\n", harmony.HarmonyPP, hpp.Throughput, hpp.SwapGB(),
 		float64(hpp.P2PBytes)/(1<<30))
-	fmt.Printf("\nharmony-pp: %.2fx the baseline throughput; cross-stage activations ride p2p links\n",
-		hpp.Throughput/base.Throughput)
+	fmt.Printf("\n%s: %.2fx the baseline throughput; cross-stage activations ride p2p links\n",
+		harmony.HarmonyPP, hpp.Throughput/base.Throughput)
 	fmt.Println("(group size is workload-dependent — the tuner example sweeps the tango)")
 }

@@ -47,7 +47,7 @@ func main() {
 
 	fmt.Printf("%-22s %14s %16s\n", "", "throughput", "swap GiB/iter")
 	fmt.Printf("%-22s %10.3f seq/s %16.1f\n", "per-GPU virtualization", base.Throughput, base.SwapGB())
-	fmt.Printf("%-22s %10.3f seq/s %16.1f\n", "harmony-pp", hpp.Throughput, hpp.SwapGB())
+	fmt.Printf("%-22s %10.3f seq/s %16.1f\n", harmony.HarmonyPP, hpp.Throughput, hpp.SwapGB())
 	fmt.Printf("\nharmony: %.2fx the throughput with %.1fx less swap traffic\n",
 		hpp.Throughput/base.Throughput, base.SwapGB()/hpp.SwapGB())
 }

@@ -16,7 +16,7 @@ import (
 func main() {
 	model := harmony.UniformModel(8, 1_000_000, 16<<10, 5e9)
 	server := harmony.CommodityServer(2).WithGPUMemory(20 << 20)
-	fmt.Println("memory–performance tango: 8×4 MB layers, 20 MB devices, harmony-pp on 2 GPUs")
+	fmt.Printf("memory–performance tango: 8×4 MB layers, 20 MB devices, %s on 2 GPUs\n", harmony.HarmonyPP)
 	fmt.Println("(full grouping minimizes swap volume; waves buy pipeline overlap with extra swaps)")
 	fmt.Println()
 

@@ -28,55 +28,33 @@
 package harmony
 
 import (
-	"fmt"
-
 	"harmony/internal/hw"
 	"harmony/internal/sched"
 )
 
-// Mode selects the parallel training strategy.
-type Mode int
+// Mode selects the parallel training strategy: the scheduler's own.
+type Mode = sched.Mode
 
 const (
 	// DPBaseline is data parallelism with naive per-GPU memory
 	// virtualization (the IBM-LMS/vDNN baseline of the paper).
-	DPBaseline Mode = iota
+	DPBaseline = sched.DPBaseline
 	// PPBaseline is 1F1B pipeline parallelism with per-GPU
 	// virtualization.
-	PPBaseline
+	PPBaseline = sched.PPBaseline
 	// HarmonyDP is data parallelism with the paper's optimizations.
-	HarmonyDP
+	HarmonyDP = sched.HarmonyDP
 	// HarmonyPP is pipeline parallelism with the paper's
 	// optimizations (including the novel grouped pipeline schedule).
-	HarmonyPP
+	HarmonyPP = sched.HarmonyPP
 	// TPBaseline decomposes each operation into per-GPU subtasks
 	// (the paper's second key idea: intra-op sharding) with naive
-	// per-GPU virtualization.
-	TPBaseline
+	// per-GPU virtualization. Simulate and Tune only.
+	TPBaseline = sched.TPBaseline
 	// HarmonyTP is intra-op sharding with the Harmony optimizations.
-	HarmonyTP
+	// Simulate and Tune only.
+	HarmonyTP = sched.HarmonyTP
 )
-
-func (m Mode) String() string { return m.sched().String() }
-
-func (m Mode) sched() sched.Mode {
-	switch m {
-	case DPBaseline:
-		return sched.DPBaseline
-	case PPBaseline:
-		return sched.PPBaseline
-	case HarmonyDP:
-		return sched.HarmonyDP
-	case HarmonyPP:
-		return sched.HarmonyPP
-	case TPBaseline:
-		return sched.TPBaseline
-	case HarmonyTP:
-		return sched.HarmonyTP
-	default:
-		panic(fmt.Sprintf("harmony: unknown mode %d", int(m)))
-	}
-}
 
 // Toggles exposes the paper's optimizations individually for
 // ablation; the zero value of a field means "use the mode's default".

@@ -40,7 +40,7 @@ func TestServerBuilders(t *testing.T) {
 }
 
 func TestTogglesApply(t *testing.T) {
-	base := sched.DefaultOptions(HarmonyDP.sched())
+	base := sched.DefaultOptions(HarmonyDP)
 	if !base.Grouping {
 		t.Fatal("harmony default should group")
 	}
@@ -461,13 +461,58 @@ func TestClusterSimulateSmoke(t *testing.T) {
 	}
 }
 
-func TestModeSchedPanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+// A mode outside the enum is an error naming it from every front door,
+// not a panic.
+func TestUnknownModeIsAnError(t *testing.T) {
+	_, err := Simulate(SimConfig{Model: UniformModel(4, 1000, 1<<10, 1e9), Mode: Mode(99), Server: CommodityServer(2)})
+	if err == nil || !strings.Contains(err.Error(), "Mode(99)") {
+		t.Errorf("Simulate: got %v, want an error naming Mode(99)", err)
+	}
+	_, err = NewTrainer(TrainerConfig{Widths: []int{4, 2}, Mode: Mode(99), Devices: 1, DeviceBytes: 1 << 20, BatchSize: 4})
+	if err == nil || !strings.Contains(err.Error(), "Mode(99)") {
+		t.Errorf("NewTrainer: got %v, want an error naming Mode(99)", err)
+	}
+}
+
+// The op-sharded modes are simulator-only: the trainer refuses them by
+// name before building anything.
+func TestTrainerRefusesShardedModes(t *testing.T) {
+	for _, mode := range []Mode{TPBaseline, HarmonyTP} {
+		_, err := NewTrainer(TrainerConfig{Widths: []int{4, 2}, Mode: mode, Devices: 2, DeviceBytes: 1 << 20, BatchSize: 4})
+		if want := mode.String() + " runs in the simulator only"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v: got %v, want %q", mode, err, want)
 		}
-	}()
-	Mode(99).sched()
+	}
+}
+
+// Tune plans the sharded modes the way Simulate does, so both find a
+// feasible best, and Simulating it reproduces the reported throughput.
+// A single-copy mode streams the global batch, BatchPerReplica × GPUs.
+func TestTuneShardedModes(t *testing.T) {
+	model := UniformModel(8, 1_000_000, 16<<10, 5e9)
+	server := CommodityServer(2).WithGPUMemory(20 << 20)
+	for _, mode := range []Mode{TPBaseline, HarmonyTP} {
+		res, err := Tune(TuneConfig{Model: model, Mode: mode, Server: server, BatchPerReplica: 4})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		rep, err := Simulate(SimConfig{
+			Model: model, Mode: mode, Server: server,
+			MicrobatchSize: res.BestMicrobatchSize, Microbatches: res.BestMicrobatches * server.GPUs(),
+			Toggles: &Toggles{
+				GroupSize:           res.BestGroupSize,
+				Prefetch:            Bool(res.BestPrefetch),
+				DeferBlockedUpdates: Bool(res.BestDefer),
+			},
+		})
+		if err != nil {
+			t.Fatalf("%v: Simulate of the best candidate: %v", mode, err)
+		}
+		if rep.Throughput != res.BestThroughput {
+			t.Errorf("%v: Tune reports %v samples/s for its best candidate, Simulate of it gives %v",
+				mode, res.BestThroughput, rep.Throughput)
+		}
+	}
 }
 
 func TestTPModesThroughPublicAPI(t *testing.T) {

@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"harmony/internal/models"
+	"harmony/internal/sched"
 )
 
 // Params describes one training iteration for the closed forms.
@@ -72,25 +73,16 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Mode mirrors sched.Mode without importing it (analytic is pure
-// math; keeping it dependency-light lets everything test against it).
-type Mode int
+// Mode is the scheduler's mode. The closed forms cover the four
+// layer-granular modes; the op-sharded ones have none.
+type Mode = sched.Mode
 
 const (
-	DPBaseline Mode = iota
-	PPBaseline
-	HarmonyDP
-	HarmonyPP
+	DPBaseline = sched.DPBaseline
+	PPBaseline = sched.PPBaseline
+	HarmonyDP  = sched.HarmonyDP
+	HarmonyPP  = sched.HarmonyPP
 )
-
-var modeNames = [...]string{"dp-baseline", "pp-baseline", "harmony-dp", "harmony-pp"}
-
-func (m Mode) String() string {
-	if int(m) < len(modeNames) {
-		return modeNames[m]
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
 
 // WeightVolumeIdeal returns the paper's per-iteration weight swap
 // volume (swap-in + swap-out bytes summed over all GPUs).

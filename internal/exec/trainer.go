@@ -40,7 +40,8 @@ type TrainerConfig struct {
 	// that breaks either rule.
 	Kernels []nn.Kernel
 	// Mode, Devices and the optimization toggles come from the same
-	// scheduler as the simulator.
+	// scheduler as the simulator; the op-sharded modes run in the
+	// simulator only.
 	Mode    sched.Mode
 	Devices int
 	// DeviceBytes is each virtual device's memory capacity; pick it
@@ -196,6 +197,11 @@ type Trainer struct {
 // NewTrainer builds the model, task graph, schedule and virtual
 // memory, and initializes weights identically across replicas.
 func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
+	if cfg.Mode.IsSharded() {
+		// The executor reduces gradients; it has no all-gather for the
+		// op-sharded graph's partial outputs.
+		return nil, fmt.Errorf("exec: %v runs in the simulator only", cfg.Mode)
+	}
 	var layers []nn.Kernel
 	if len(cfg.Kernels) > 0 {
 		layers = cfg.Kernels
@@ -230,20 +236,6 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 	if cfg.LinkBytesPerSec < 0 {
 		return nil, fmt.Errorf("exec: LinkBytesPerSec %d is negative (0 = no modeled link)", cfg.LinkBytesPerSec)
 	}
-	model := kernelModel(layers, cfg.Optimizer == Adam)
-	replicas := cfg.Devices
-	if cfg.Mode.IsPipeline() {
-		replicas = 1
-	}
-	g, err := graph.Build(graph.Config{
-		Model:          model,
-		MicrobatchSize: cfg.MicrobatchSize,
-		Microbatches:   cfg.Microbatches,
-		Replicas:       replicas,
-	})
-	if err != nil {
-		return nil, err
-	}
 	opts := sched.DefaultOptions(cfg.Mode)
 	if cfg.Options != nil {
 		opts = *cfg.Options
@@ -258,11 +250,16 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 	if cfg.CommBucketBytes > 0 {
 		opts.CommBucketBytes = cfg.CommBucketBytes
 	}
-	s, err := sched.Build(g, opts, cfg.Devices)
+	s, err := sched.Plan(graph.Config{
+		Model:          kernelModel(layers, cfg.Optimizer == Adam),
+		MicrobatchSize: cfg.MicrobatchSize,
+		Microbatches:   cfg.Microbatches,
+	}, opts, cfg.Devices)
 	if err != nil {
 		return nil, err
 	}
-	streams, err := executorStreams(s)
+	g := s.Graph
+	streams, err := sched.Weave(s)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +290,7 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 	tr.freshVM()
 	// Persistent state: identical weights in every replica, zero
 	// gradients and optimizer state.
-	for r := 0; r < replicas; r++ {
+	for r := 0; r < g.Cfg.Replicas; r++ {
 		for l, layer := range tr.layers {
 			nn.InitKernel(layer, tr.vm.HostAlloc(g.W[r][l]), cfg.Seed+uint64(l)*7919)
 		}
@@ -316,23 +313,11 @@ func (tr *Trainer) prefetchDepth() int {
 		return 0
 	case tr.cfg.PrefetchDepth > 0:
 		return tr.cfg.PrefetchDepth
-	case tr.s.Prefetch:
+	case tr.s.Opts.Prefetch:
 		return 2
 	default:
 		return 0
 	}
-}
-
-// executorStreams weaves a schedule into the streams the device
-// workers drain, refusing collectives the executor cannot reduce (only
-// AllReduce; the sharded modes' gathers exist for the simulator).
-func executorStreams(s *sched.Schedule) (*sched.Streams, error) {
-	for _, c := range s.Collectives {
-		if c.Kind != graph.AllReduce {
-			return nil, fmt.Errorf("exec: unsupported collective kind %v in schedule", c.Kind)
-		}
-	}
-	return sched.Weave(s)
 }
 
 // topology is the machine the running plan is verified against: the
@@ -834,20 +819,16 @@ func (tr *Trainer) Retune(req RetuneRequest) error {
 
 	// Build and verify the candidate plan without touching the live
 	// one: any failure below this point leaves the trainer unchanged.
-	g2, err := graph.Build(graph.Config{
+	s2, err := sched.Plan(graph.Config{
 		Model:          kernelModel(tr.layers, tr.cfg.Optimizer == Adam),
 		MicrobatchSize: mbs,
 		Microbatches:   mbc,
-		Replicas:       tr.g.Cfg.Replicas,
-	})
+	}, tr.s.Opts, tr.cfg.Devices)
 	if err != nil {
 		return fmt.Errorf("exec: retune: %w", err)
 	}
-	s2, err := sched.Build(g2, tr.s.Opts, tr.cfg.Devices)
-	if err != nil {
-		return fmt.Errorf("exec: retune: %w", err)
-	}
-	streams2, err := executorStreams(s2)
+	g2 := s2.Graph
+	streams2, err := sched.Weave(s2)
 	if err != nil {
 		return fmt.Errorf("exec: retune: %w", err)
 	}

@@ -21,23 +21,11 @@ import (
 // GB converts bytes to gigabytes for reporting.
 func GB(b int64) float64 { return float64(b) / (1 << 30) }
 
-// run builds graph+schedule and executes one measured simulation.
-func run(model *models.Model, mode sched.Mode, opts sched.Options, box hw.BoxConfig,
-	mbSize, mbCount, gpus, warmup, measure int) (*runtime.Result, error) {
-	replicas := gpus
-	if mode.IsPipeline() {
-		replicas = 1
-	}
-	g, err := graph.Build(graph.Config{
-		Model:          model,
-		MicrobatchSize: mbSize,
-		Microbatches:   mbCount,
-		Replicas:       replicas,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s, err := sched.Build(g, opts, gpus)
+// run plans one configuration on all of box's GPUs and executes one
+// measured simulation.
+func run(model *models.Model, opts sched.Options, box hw.BoxConfig,
+	mbSize, mbCount, warmup, measure int) (*runtime.Result, error) {
+	s, err := sched.Plan(graph.Config{Model: model, MicrobatchSize: mbSize, Microbatches: mbCount}, opts, box.TotalGPUs())
 	if err != nil {
 		return nil, err
 	}
@@ -113,8 +101,8 @@ func DefaultFig2a() Fig2aConfig {
 func Fig2a(cfg Fig2aConfig) ([]Fig2aRow, error) {
 	var rows []Fig2aRow
 	for _, n := range cfg.GPUCounts {
-		res, err := run(cfg.Model, sched.DPBaseline, sched.DefaultOptions(sched.DPBaseline),
-			hw.Commodity1080TiBox(n), cfg.BatchPerDev, 1, n, 1, cfg.Measure)
+		res, err := run(cfg.Model, sched.DefaultOptions(sched.DPBaseline),
+			hw.Commodity1080TiBox(n), cfg.BatchPerDev, 1, 1, cfg.Measure)
 		if err != nil {
 			return nil, fmt.Errorf("fig2a n=%d: %w", n, err)
 		}
@@ -150,11 +138,8 @@ type Fig2cRow struct {
 func Fig2c(model *models.Model, microbatches int) ([]Fig2cRow, error) {
 	const n = 4
 	box := hw.Commodity1080TiBox(n)
-	g, err := graph.Build(graph.Config{Model: model, MicrobatchSize: 5, Microbatches: microbatches, Replicas: 1})
-	if err != nil {
-		return nil, err
-	}
-	s, err := sched.Build(g, sched.DefaultOptions(sched.PPBaseline), n)
+	s, err := sched.Plan(graph.Config{Model: model, MicrobatchSize: 5, Microbatches: microbatches},
+		sched.DefaultOptions(sched.PPBaseline), n)
 	if err != nil {
 		return nil, err
 	}
@@ -197,11 +182,8 @@ func Fig4() (string, error) {
 	model := models.Uniform("fig4", 4, 4_000_000, 8<<20, 64e9)
 	box := hw.Commodity1080TiBox(2)
 	box.GPUMemBytes = 96 << 20
-	g, err := graph.Build(graph.Config{Model: model, MicrobatchSize: 1, Microbatches: 2, Replicas: 1})
-	if err != nil {
-		return "", err
-	}
-	s, err := sched.Build(g, sched.DefaultOptions(sched.HarmonyPP), 2)
+	s, err := sched.Plan(graph.Config{Model: model, MicrobatchSize: 1, Microbatches: 2},
+		sched.DefaultOptions(sched.HarmonyPP), 2)
 	if err != nil {
 		return "", err
 	}
@@ -256,21 +238,12 @@ func Fig5(ms, ns []int) ([]Fig5Row, error) {
 	// them on all cores.
 	rows, err := sweep.Run(cells, 0, func(c cell) (Fig5Row, error) {
 		p := analytic.FromModel(model, 1, c.m, c.n)
-		var amode analytic.Mode
-		switch c.mode {
-		case sched.DPBaseline:
-			amode = analytic.DPBaseline
-		case sched.HarmonyDP:
-			amode = analytic.HarmonyDP
-		case sched.HarmonyPP:
-			amode = analytic.HarmonyPP
-		}
 		// The analytical model assumes the idealized Fig. 5(c)
 		// timeline: updates strictly adjacent to the last backward,
 		// so deferral is pinned off here.
 		opts := sched.DefaultOptions(c.mode)
 		opts.DeferBlockedUpdates = false
-		res, err := run(model, c.mode, opts, box(c.n), 1, c.m, c.n, 2, 2)
+		res, err := run(model, opts, box(c.n), 1, c.m, 2, 2)
 		if err != nil {
 			return Fig5Row{}, fmt.Errorf("fig5 %v m=%d n=%d: %w", c.mode, c.m, c.n, err)
 		}
@@ -279,8 +252,8 @@ func Fig5(ms, ns []int) ([]Fig5Row, error) {
 			simW += res.PerDev[d].KindSwapIn[0] + res.PerDev[d].KindSwapOut[0]
 		}
 		simW /= 4 // warmup 2 + measure 2 iterations, steady state
-		ideal := analytic.WeightVolumeIdeal(amode, p)
-		corr := analytic.WeightVolumeCorrected(amode, p)
+		ideal := analytic.WeightVolumeIdeal(c.mode, p)
+		corr := analytic.WeightVolumeCorrected(c.mode, p)
 		return Fig5Row{
 			Mode: c.mode.String(), M: c.m, N: c.n,
 			AnalyticW: ideal, CorrectedW: corr, SimulatedW: simW,
@@ -334,8 +307,7 @@ func Ext1(model *models.Model, gpuCounts []int, batchPerDev int, gpuMemBytes int
 		}
 		row := Ext1Row{GPUs: n}
 
-		base, err := run(model, sched.DPBaseline, sched.DefaultOptions(sched.DPBaseline),
-			box, batchPerDev, 1, n, 1, 2)
+		base, err := run(model, sched.DefaultOptions(sched.DPBaseline), box, batchPerDev, 1, 1, 2)
 		if err != nil {
 			return nil, fmt.Errorf("ext1 baseline n=%d: %w", n, err)
 		}
@@ -344,10 +316,9 @@ func Ext1(model *models.Model, gpuCounts []int, batchPerDev int, gpuMemBytes int
 
 		// Harmony decomposes the same per-GPU batch into single-sample
 		// microbatches for grouping.
-		hdp, err := run(model, sched.HarmonyDP, sched.DefaultOptions(sched.HarmonyDP),
-			box, 1, batchPerDev, n, 1, 2)
+		hdp, err := run(model, sched.DefaultOptions(sched.HarmonyDP), box, 1, batchPerDev, 1, 2)
 		if err != nil {
-			return nil, fmt.Errorf("ext1 harmony-dp n=%d: %w", n, err)
+			return nil, fmt.Errorf("ext1 %v n=%d: %w", sched.HarmonyDP, n, err)
 		}
 		row.HarmonyDPThroughput = hdp.Throughput
 		row.HarmonyDPSwapGB = GB(hdp.SwapInBytes + hdp.SwapOutBytes)
@@ -358,10 +329,9 @@ func Ext1(model *models.Model, gpuCounts []int, batchPerDev int, gpuMemBytes int
 			// swap volume and pipeline bubbles (see the tuner).
 			hppOpts := sched.DefaultOptions(sched.HarmonyPP)
 			hppOpts.GroupSize = batchPerDev
-			hpp, err := run(model, sched.HarmonyPP, hppOpts,
-				box, 1, batchPerDev*n, n, 1, 2)
+			hpp, err := run(model, hppOpts, box, 1, batchPerDev*n, 1, 2)
 			if err != nil {
-				return nil, fmt.Errorf("ext1 harmony-pp n=%d: %w", n, err)
+				return nil, fmt.Errorf("ext1 %v n=%d: %w", sched.HarmonyPP, n, err)
 			}
 			row.HarmonyPPThroughput = hpp.Throughput
 			row.HarmonyPPSwapGB = GB(hpp.SwapInBytes + hpp.SwapOutBytes)
@@ -396,39 +366,23 @@ func Ext3(model *models.Model, gpus, batchPerDev int) ([]Ext3Row, error) {
 		}
 		return GB(b)
 	}
+	pp := sched.DefaultOptions(sched.HarmonyPP)
+	pp.GroupSize = batchPerDev
 	var rows []Ext3Row
-
-	hdp, err := run(model, sched.HarmonyDP, sched.DefaultOptions(sched.HarmonyDP),
-		box, 1, batchPerDev, gpus, 1, 2)
-	if err != nil {
-		return nil, fmt.Errorf("ext3 harmony-dp: %w", err)
+	for _, c := range []struct {
+		opts    sched.Options
+		mbCount int // the replica's microbatches: a single copy streams the global batch
+	}{
+		{sched.DefaultOptions(sched.HarmonyDP), batchPerDev},
+		{pp, batchPerDev * gpus},
+		{sched.DefaultOptions(sched.HarmonyTP), batchPerDev * gpus},
+	} {
+		res, err := run(model, c.opts, box, 1, c.mbCount, 1, 2)
+		if err != nil {
+			return nil, fmt.Errorf("ext3 %v: %w", c.opts.Mode, err)
+		}
+		rows = append(rows, Ext3Row{c.opts.Mode.String(), res.Throughput, GB(res.SwapInBytes + res.SwapOutBytes), weightGB(res)})
 	}
-	rows = append(rows, Ext3Row{"harmony-dp", hdp.Throughput, GB(hdp.SwapInBytes + hdp.SwapOutBytes), weightGB(hdp)})
-
-	ppOpts := sched.DefaultOptions(sched.HarmonyPP)
-	ppOpts.GroupSize = batchPerDev
-	hpp, err := run(model, sched.HarmonyPP, ppOpts, box, 1, batchPerDev*gpus, gpus, 1, 2)
-	if err != nil {
-		return nil, fmt.Errorf("ext3 harmony-pp: %w", err)
-	}
-	rows = append(rows, Ext3Row{"harmony-pp", hpp.Throughput, GB(hpp.SwapInBytes + hpp.SwapOutBytes), weightGB(hpp)})
-
-	tpG, err := graph.Build(graph.Config{
-		Model: model, MicrobatchSize: 1, Microbatches: batchPerDev * gpus,
-		Replicas: 1, OpShards: gpus,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("ext3 harmony-tp graph: %w", err)
-	}
-	tpS, err := sched.Build(tpG, sched.DefaultOptions(sched.HarmonyTP), gpus)
-	if err != nil {
-		return nil, fmt.Errorf("ext3 harmony-tp sched: %w", err)
-	}
-	tp, err := runtime.Run(runtime.Config{Box: box, Schedule: tpS, WarmupIters: 1, MeasureIters: 2})
-	if err != nil {
-		return nil, fmt.Errorf("ext3 harmony-tp run: %w", err)
-	}
-	rows = append(rows, Ext3Row{"harmony-tp", tp.Throughput, GB(tp.SwapInBytes + tp.SwapOutBytes), weightGB(tp)})
 	return rows, nil
 }
 
@@ -458,21 +412,19 @@ func Ext4(model *models.Model, batchPerDev int) ([]Ext4Row, error) {
 	}
 	var rows []Ext4Row
 	for _, lay := range layouts {
-		gpus := lay.box.TotalGPUs()
-		hdp, err := run(model, sched.HarmonyDP, sched.DefaultOptions(sched.HarmonyDP),
-			lay.box, 1, batchPerDev, gpus, 1, 2)
+		hdp, err := run(model, sched.DefaultOptions(sched.HarmonyDP), lay.box, 1, batchPerDev, 1, 2)
 		if err != nil {
-			return nil, fmt.Errorf("ext4 %s harmony-dp: %w", lay.name, err)
+			return nil, fmt.Errorf("ext4 %s %v: %w", lay.name, sched.HarmonyDP, err)
 		}
-		rows = append(rows, Ext4Row{lay.name, "harmony-dp", hdp.Throughput, GB(hdp.SwapInBytes + hdp.SwapOutBytes)})
+		rows = append(rows, Ext4Row{lay.name, sched.HarmonyDP.String(), hdp.Throughput, GB(hdp.SwapInBytes + hdp.SwapOutBytes)})
 
 		ppOpts := sched.DefaultOptions(sched.HarmonyPP)
 		ppOpts.GroupSize = batchPerDev
-		hpp, err := run(model, sched.HarmonyPP, ppOpts, lay.box, 1, batchPerDev*gpus, gpus, 1, 2)
+		hpp, err := run(model, ppOpts, lay.box, 1, batchPerDev*lay.box.TotalGPUs(), 1, 2)
 		if err != nil {
-			return nil, fmt.Errorf("ext4 %s harmony-pp: %w", lay.name, err)
+			return nil, fmt.Errorf("ext4 %s %v: %w", lay.name, sched.HarmonyPP, err)
 		}
-		rows = append(rows, Ext4Row{lay.name, "harmony-pp", hpp.Throughput, GB(hpp.SwapInBytes + hpp.SwapOutBytes)})
+		rows = append(rows, Ext4Row{lay.name, sched.HarmonyPP.String(), hpp.Throughput, GB(hpp.SwapInBytes + hpp.SwapOutBytes)})
 	}
 	return rows, nil
 }
@@ -523,13 +475,14 @@ func Ext5() ([]Ext5Row, error) {
 		opts := sched.DefaultOptions(sched.HarmonyPP)
 		opts.GroupSize = 1
 		opts.WaveInterleave = true
-		res, err := run(m, sched.HarmonyPP, opts, hw.Commodity1080TiBox(gpus), 1, gpus, gpus, 1, 1)
-		row.Strategy = "harmony-pp"
+		box := hw.Commodity1080TiBox(gpus)
+		res, err := run(m, opts, box, 1, gpus, 1, 1)
+		row.Strategy = sched.HarmonyPP.String()
 		if err != nil {
 			// One layer's working set exceeds a GPU: decompose the
 			// operations themselves across all GPUs (key idea #2).
-			res, err = runTP(m, gpus)
-			row.Strategy = "harmony-tp (op sharding)"
+			res, err = run(m, sched.DefaultOptions(sched.HarmonyTP), box, 1, gpus, 1, 1)
+			row.Strategy = sched.HarmonyTP.String() + " (op sharding)"
 		}
 		if err != nil {
 			row.Feasible = false
@@ -545,21 +498,6 @@ func Ext5() ([]Ext5Row, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// runTP measures one op-sharded iteration.
-func runTP(m *models.Model, gpus int) (*runtime.Result, error) {
-	g, err := graph.Build(graph.Config{
-		Model: m, MicrobatchSize: 1, Microbatches: gpus, Replicas: 1, OpShards: gpus,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s, err := sched.Build(g, sched.DefaultOptions(sched.HarmonyTP), gpus)
-	if err != nil {
-		return nil, err
-	}
-	return runtime.Run(runtime.Config{Box: hw.Commodity1080TiBox(gpus), Schedule: s, WarmupIters: 1, MeasureIters: 1})
 }
 
 func trimReason(s string) string {
@@ -607,7 +545,7 @@ func Ablation() ([]AblationRow, error) {
 	for _, v := range variants {
 		opts := sched.DefaultOptions(sched.HarmonyDP)
 		v.set(&opts)
-		res, err := run(model, sched.HarmonyDP, opts, box, 1, 4, 2, 1, 2)
+		res, err := run(model, opts, box, 1, 4, 1, 2)
 		if err != nil {
 			return nil, fmt.Errorf("ablation %s: %w", v.name, err)
 		}

@@ -496,7 +496,7 @@ func (l *lane) onFail(err error) {
 
 // prefetchAhead overlaps upcoming swap-ins with the current compute.
 func (r *runner) prefetchAhead(d int) {
-	if !r.sch.Prefetch {
+	if !r.sch.Opts.Prefetch {
 		return
 	}
 	q := r.sch.Queues[d]

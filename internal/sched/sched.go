@@ -9,11 +9,14 @@
 // A Schedule is a total order of tasks per device plus a memory
 // policy; the runtime executes it respecting both the order and the
 // task graph's dependency edges (late binding happens here: the graph
-// itself never mentions devices).
+// itself never mentions devices). Plan is the front door: it shapes the
+// graph for the mode and builds both, the hand-off from the paper's
+// Task Decomposer to its Scheduler (Fig. 3).
 package sched
 
 import (
 	"fmt"
+	"strings"
 
 	"harmony/internal/graph"
 	"harmony/internal/hw"
@@ -52,6 +55,19 @@ func (m Mode) String() string {
 		return modeNames[m]
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
+}
+
+// ModeNames lists every mode's name, comma-separated, for usage text.
+func ModeNames() string { return strings.Join(modeNames[:], ", ") }
+
+// ParseMode returns the mode whose String is name.
+func ParseMode(name string) (Mode, error) {
+	for m, n := range modeNames {
+		if n == name {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("sched: unknown mode %q (want %s)", name, ModeNames())
 }
 
 // IsPipeline reports whether the mode splits layers across devices.
@@ -196,13 +212,40 @@ type Schedule struct {
 	// DP).
 	StageOfLayer []int
 
-	// MemPolicy and Prefetch configure the memory manager.
+	// MemPolicy configures the memory manager.
 	MemPolicy memory.Policy
-	Prefetch  bool
 }
 
 // Device returns the device a task is bound to.
 func (s *Schedule) Device(t *graph.Task) hw.DeviceID { return s.Assign[t.ID] }
+
+// Plan is the one way from a training configuration to a schedule: the
+// mode shapes the task graph for gpus devices — data parallelism keeps
+// one replica per GPU, a pipeline one replica whose layers spread across
+// them, op sharding one replica whose every operation splits into gpus
+// shards — then graph.Build decomposes it and Build schedules it. cfg
+// leaves Replicas and OpShards unset; the plan's graph is Schedule.Graph.
+func Plan(cfg graph.Config, opts Options, gpus int) (*Schedule, error) {
+	if cfg.Replicas != 0 || cfg.OpShards != 0 {
+		return nil, fmt.Errorf("sched: the mode decides Replicas and OpShards, the config sets them to %d and %d",
+			cfg.Replicas, cfg.OpShards)
+	}
+	switch opts.Mode {
+	case DPBaseline, HarmonyDP:
+		cfg.Replicas = gpus
+	case PPBaseline, HarmonyPP:
+		cfg.Replicas = 1
+	case TPBaseline, HarmonyTP:
+		cfg.Replicas, cfg.OpShards = 1, gpus
+	default:
+		return nil, fmt.Errorf("sched: unknown mode %v", opts.Mode)
+	}
+	g, err := graph.Build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return Build(g, opts, gpus)
+}
 
 // Build constructs the schedule for a graph on nGPUs devices.
 func Build(g *graph.Graph, opts Options, nGPUs int) (*Schedule, error) {
@@ -236,7 +279,6 @@ func Build(g *graph.Graph, opts Options, nGPUs int) (*Schedule, error) {
 			P2P:           opts.P2P,
 			Lookahead:     opts.LookaheadEviction,
 		},
-		Prefetch: opts.Prefetch,
 	}
 	switch opts.Mode {
 	case DPBaseline, HarmonyDP:

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -50,6 +51,39 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := Build(ppGraph(4, 2), DefaultOptions(HarmonyPP), 0); err == nil {
 		t.Fatal("zero GPUs accepted")
+	}
+}
+
+// Plan shapes the graph from the mode alone, refuses a config that
+// shapes it too, and round-trips every mode name through ParseMode.
+func TestPlanShapesTheGraphByMode(t *testing.T) {
+	cfg := graph.Config{Model: models.Uniform("u", 4, 1000, 4096, 1e6), MicrobatchSize: 1, Microbatches: 2}
+	for mode, want := range map[Mode][2]int{ // replicas, op shards
+		DPBaseline: {3, 0}, HarmonyDP: {3, 0},
+		PPBaseline: {1, 0}, HarmonyPP: {1, 0},
+		TPBaseline: {1, 3}, HarmonyTP: {1, 3},
+	} {
+		s, err := Plan(cfg, DefaultOptions(mode), 3)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if got := [2]int{s.Graph.Cfg.Replicas, s.Graph.Cfg.OpShards}; got != want {
+			t.Errorf("%v: replicas, shards = %v, want %v", mode, got, want)
+		}
+		if m, err := ParseMode(mode.String()); m != mode || err != nil {
+			t.Errorf("ParseMode(%q) = %v, %v", mode.String(), m, err)
+		}
+	}
+	preset := cfg
+	preset.Replicas = 3
+	if _, err := Plan(preset, DefaultOptions(HarmonyDP), 3); err == nil {
+		t.Error("a config that sets Replicas was accepted")
+	}
+	if _, err := Plan(cfg, Options{Mode: Mode(99)}, 3); err == nil || !strings.Contains(err.Error(), "Mode(99)") {
+		t.Errorf("unknown mode: got %v, want an error naming Mode(99)", err)
+	}
+	if _, err := ParseMode("harmony"); err == nil || !strings.Contains(err.Error(), ModeNames()) {
+		t.Errorf("ParseMode(harmony): got %v, want an error listing %s", err, ModeNames())
 	}
 }
 

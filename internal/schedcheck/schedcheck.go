@@ -228,10 +228,6 @@ func Residency(s *sched.Schedule, topo Topology) error {
 // hw.Host, and the dependency graph is acyclic.
 func checkShape(s *sched.Schedule, r *Report) bool {
 	pre := len(r.Violations)
-	if s.Opts.AdaptivePrefetch && !s.Prefetch {
-		// sched.Build sets both; a hand-built schedule may not.
-		r.addf("plan", nil, "AdaptivePrefetch set but the schedule's prefetch flag is off")
-	}
 	if len(s.Assign) != len(s.Graph.Tasks) {
 		r.addf("plan", nil, "Assign covers %d tasks, graph has %d", len(s.Assign), len(s.Graph.Tasks))
 		return false
@@ -552,7 +548,7 @@ func checkResidency(s *sched.Schedule, topo Topology, r *Report) {
 	r.PeakPinBytes = make([]int64, topo.Devices)
 	r.PeakResidentBytes = make([]int64, topo.Devices)
 	budget := int64(0)
-	if s.Prefetch {
+	if s.Opts.Prefetch {
 		budget = topo.prefetchBudget()
 	}
 	for p, pk := range peak {

@@ -68,6 +68,8 @@ type Config struct {
 	Box   hw.BoxConfig
 	// BatchPerReplica is the samples each replica processes per
 	// iteration; candidates factor it into microbatches differently.
+	// A single-copy mode (pipeline or op-sharded) trains
+	// BatchPerReplica × GPUs samples: Microbatches × GPUs of them.
 	BatchPerReplica int
 }
 
@@ -282,32 +284,22 @@ func sortMeasurements(ms []Measurement) {
 func measureOne(cfg Config, c Candidate) Measurement {
 	out := Measurement{Candidate: c}
 	gpus := cfg.Box.TotalGPUs()
-	replicas := gpus
-	if cfg.Mode.IsPipeline() {
-		replicas = 1
-	}
 	mbCount := c.Microbatches
-	if cfg.Mode.IsPipeline() {
-		// Pipeline processes the global batch as one stream of
-		// microbatches.
+	if cfg.Mode.IsPipeline() || cfg.Mode.IsSharded() {
+		// A single model copy processes the global batch as one stream
+		// of microbatches.
 		mbCount = c.Microbatches * gpus
-	}
-	g, err := graph.Build(graph.Config{
-		Model:          cfg.Model,
-		MicrobatchSize: c.MicrobatchSize,
-		Microbatches:   mbCount,
-		Replicas:       replicas,
-	})
-	if err != nil {
-		out.Err = err.Error()
-		return out
 	}
 	opts := sched.DefaultOptions(cfg.Mode)
 	opts.GroupSize = c.GroupSize
 	opts.Prefetch = c.Prefetch
 	opts.DeferBlockedUpdates = c.Defer
 	opts.WaveInterleave = c.Interleave
-	s, err := sched.Build(g, opts, gpus)
+	s, err := sched.Plan(graph.Config{
+		Model:          cfg.Model,
+		MicrobatchSize: c.MicrobatchSize,
+		Microbatches:   mbCount,
+	}, opts, gpus)
 	if err != nil {
 		out.Err = err.Error()
 		return out

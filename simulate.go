@@ -51,7 +51,8 @@ type SimConfig struct {
 	Server Server
 
 	// MicrobatchSize × Microbatches is the per-replica batch for DP
-	// modes and the whole mini-batch stream for pipeline modes.
+	// modes and the whole mini-batch stream for the single-copy
+	// (pipeline and op-sharded) modes.
 	MicrobatchSize int
 	Microbatches   int
 
@@ -106,17 +107,6 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 	if cfg.Server.cfg.NumGPUs == 0 {
 		return nil, fmt.Errorf("harmony: SimConfig.Server is required (use CommodityServer)")
 	}
-	mode := cfg.Mode.sched()
-	gpus := cfg.Server.cfg.TotalGPUs()
-	replicas := gpus
-	shards := 0
-	if mode.IsPipeline() {
-		replicas = 1
-	}
-	if mode.IsSharded() {
-		replicas = 1
-		shards = gpus
-	}
 	mbs, mbn := cfg.MicrobatchSize, cfg.Microbatches
 	if mbs == 0 {
 		mbs = 1
@@ -124,20 +114,12 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 	if mbn == 0 {
 		mbn = 1
 	}
-	g, err := graph.Build(graph.Config{
+	s, err := sched.Plan(graph.Config{
 		Model:          cfg.Model.m,
 		MicrobatchSize: mbs,
 		Microbatches:   mbn,
-		Replicas:       replicas,
 		Recompute:      cfg.Recompute,
-		OpShards:       shards,
-	})
-	if err != nil {
-		return nil, err
-	}
-	opts := cfg.Toggles.apply(sched.DefaultOptions(mode))
-	opts.Mode = mode
-	s, err := sched.Build(g, opts, gpus)
+	}, cfg.Toggles.apply(sched.DefaultOptions(cfg.Mode)), cfg.Server.cfg.TotalGPUs())
 	if err != nil {
 		return nil, err
 	}
@@ -175,9 +157,12 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 
 // TuneConfig describes a tango search.
 type TuneConfig struct {
-	Model           ModelSpec
-	Mode            Mode
-	Server          Server
+	Model  ModelSpec
+	Mode   Mode
+	Server Server
+	// BatchPerReplica is the samples one replica trains per iteration.
+	// The single-copy modes (pipeline, op-sharded) train it per GPU, so
+	// their best candidate simulates with BestMicrobatches × GPUs.
 	BatchPerReplica int
 	// Greedy uses hill climbing instead of the exhaustive grid.
 	Greedy bool
@@ -206,7 +191,7 @@ func Tune(cfg TuneConfig) (*TuneResult, error) {
 	}
 	tcfg := tuner.Config{
 		Model:           cfg.Model.m,
-		Mode:            cfg.Mode.sched(),
+		Mode:            cfg.Mode,
 		Box:             cfg.Server.cfg,
 		BatchPerReplica: cfg.BatchPerReplica,
 	}

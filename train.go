@@ -21,7 +21,8 @@ type TrainerConfig struct {
 	// Widths is the MLP shape: input dimension, hidden layers...,
 	// number of classes.
 	Widths []int
-	// Mode and Devices select the parallel strategy.
+	// Mode and Devices select the parallel strategy. The op-sharded
+	// modes (TPBaseline, HarmonyTP) run in Simulate and Tune only.
 	Mode    Mode
 	Devices int
 	// DeviceBytes is each virtual device's memory capacity. Set it
@@ -105,7 +106,7 @@ type TrainerConfig struct {
 	// boundaries and reducer assignment are fixed at plan time, and the
 	// per-element summation order never changes — results stay
 	// bit-identical to the monolithic path at every setting. 0 keeps
-	// the monolithic rendezvous; rejected for sharded (TP) modes.
+	// the monolithic rendezvous.
 	CommChunks int
 	// CommBucketBytes coalesces small per-layer gradients into
 	// byte-budgeted buckets (DDP-style, packed in reverse layer order)
@@ -163,7 +164,6 @@ func newTrainer(cfg TrainerConfig, widths []int, kernels []nn.Kernel) (*Trainer,
 	if cfg.Adam {
 		opt = exec.Adam
 	}
-	mode := cfg.Mode.sched()
 	var schedOpts *sched.Options
 	if tg := cfg.Toggles; tg != nil {
 		// exec.VM evicts by LRU and no device worker runs past a
@@ -174,7 +174,7 @@ func newTrainer(cfg TrainerConfig, widths []int, kernels []nn.Kernel) (*Trainer,
 		if tg.DeferBlockedUpdates != nil {
 			return nil, fmt.Errorf("harmony: TrainerConfig.Toggles.DeferBlockedUpdates acts in Simulate and Tune only")
 		}
-		o := tg.apply(sched.DefaultOptions(mode))
+		o := tg.apply(sched.DefaultOptions(cfg.Mode))
 		schedOpts = &o
 	}
 	inj, err := fault.Parse(cfg.FaultSpec, cfg.Seed)
@@ -184,7 +184,7 @@ func newTrainer(cfg TrainerConfig, widths []int, kernels []nn.Kernel) (*Trainer,
 	inner, err := exec.NewTrainer(exec.TrainerConfig{
 		Widths:           widths,
 		Kernels:          kernels,
-		Mode:             mode,
+		Mode:             cfg.Mode,
 		Devices:          cfg.Devices,
 		DeviceBytes:      cfg.DeviceBytes,
 		MicrobatchSize:   cfg.BatchSize / mbCount,
