@@ -88,6 +88,31 @@ func TestFlagsWithNoEffectAreRejected(t *testing.T) {
 	}
 }
 
+// -retune reshapes the plan before the named step, or says why it
+// cannot and trains on with the current one; either way the run
+// finishes with finite losses.
+func TestRetune(t *testing.T) {
+	bin := build(t)
+	for _, tc := range []struct {
+		spec string
+		want string
+	}{
+		{"step=2,microbatches=4", "retuned before step 2: 4 microbatches"},
+		{"step=2,microbatches=3", "retune before step 2 rejected; keeping the current plan"},
+	} {
+		stdout, stderr, exit := harmonytrain(t, bin, "-lr", "0.005", "-steps", "4", "-retune", tc.spec)
+		if exit != 0 {
+			t.Errorf("-retune %s: exit %d\n%s%s", tc.spec, exit, stdout, stderr)
+		}
+		if !strings.Contains(stdout, tc.want) {
+			t.Errorf("-retune %s: stdout does not say %q:\n%s", tc.spec, tc.want, stdout)
+		}
+		if !regexp.MustCompile(`(?m)^step +3 +loss \d`).MatchString(stdout) {
+			t.Errorf("-retune %s: no finite loss for the last step:\n%s", tc.spec, stdout)
+		}
+	}
+}
+
 // A plan that cannot fit its devices is refused by the preflight before
 // a step runs, with the verifier's counterexample.
 func TestPreflightRejectsOverCapacity(t *testing.T) {

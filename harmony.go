@@ -57,55 +57,10 @@ const (
 )
 
 // Toggles exposes the paper's optimizations individually for
-// ablation; the zero value of a field means "use the mode's default".
-type Toggles struct {
-	Grouping      *bool
-	JIT           *bool
-	P2P           *bool
-	Packing       *bool
-	Prefetch      *bool
-	DirtyTracking *bool
-	// DeferBlockedUpdates lets a device run past an update task whose
-	// collective is not ready. It acts in Simulate and Tune only:
-	// setting it in TrainerConfig.Toggles is rejected by NewTrainer.
-	DeferBlockedUpdates *bool
-	// LookaheadEviction switches eviction from LRU to
-	// schedule-informed Belady (the scheduler/swapper co-design). It
-	// acts in Simulate and Tune only: the real trainer's VM evicts by
-	// LRU, and setting it in TrainerConfig.Toggles is rejected by
-	// NewTrainer.
-	LookaheadEviction *bool
-	// GroupSize bounds the input-batch grouping window (0 = the
-	// whole mini-batch); see the memory–performance tango.
-	GroupSize int
-	// WaveInterleave runs pipeline waves in 1F1B order, bounding
-	// in-flight stash per stage (for stash-heavy workloads).
-	WaveInterleave *bool
-}
-
-func (t *Toggles) apply(o sched.Options) sched.Options {
-	if t == nil {
-		return o
-	}
-	set := func(dst *bool, v *bool) {
-		if v != nil {
-			*dst = *v
-		}
-	}
-	set(&o.Grouping, t.Grouping)
-	set(&o.JIT, t.JIT)
-	set(&o.P2P, t.P2P)
-	set(&o.Packing, t.Packing)
-	set(&o.Prefetch, t.Prefetch)
-	set(&o.DirtyTracking, t.DirtyTracking)
-	set(&o.DeferBlockedUpdates, t.DeferBlockedUpdates)
-	set(&o.LookaheadEviction, t.LookaheadEviction)
-	set(&o.WaveInterleave, t.WaveInterleave)
-	if t.GroupSize > 0 {
-		o.GroupSize = t.GroupSize
-	}
-	return o
-}
+// ablation: the scheduler's own. LookaheadEviction and
+// DeferBlockedUpdates act in Simulate and Tune only; NewTrainer
+// refuses a Toggles that sets either.
+type Toggles = sched.Toggles
 
 // Bool is a convenience for building Toggles literals.
 func Bool(v bool) *bool { return &v }

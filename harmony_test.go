@@ -2,13 +2,25 @@ package harmony
 
 import (
 	"math"
+	"os/exec"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"harmony/internal/models"
-	"harmony/internal/sched"
 )
+
+// TestBenchHarnessCompiles type-checks the nested bench module, which
+// `go test ./...` never reaches: a change to the public API that breaks
+// harmonybench fails here instead of when the benchmark first runs.
+func TestBenchHarnessCompiles(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	if out, err := exec.Command("go", "vet", "-C", "bench", "./...").CombinedOutput(); err != nil {
+		t.Fatalf("go vet -C bench ./...: %v\n%s", err, out)
+	}
+}
 
 func TestModeStrings(t *testing.T) {
 	want := map[Mode]string{
@@ -36,29 +48,6 @@ func TestServerBuilders(t *testing.T) {
 	}
 	if DenseServer(8).Box().GPUsPerSwitch != 4 {
 		t.Fatal("dense server should pack 4 GPUs per switch")
-	}
-}
-
-func TestTogglesApply(t *testing.T) {
-	base := sched.DefaultOptions(HarmonyDP)
-	if !base.Grouping {
-		t.Fatal("harmony default should group")
-	}
-	tg := &Toggles{Grouping: Bool(false), GroupSize: 3}
-	o := tg.apply(base)
-	if o.Grouping {
-		t.Fatal("toggle did not apply")
-	}
-	if o.GroupSize != 3 {
-		t.Fatal("group size did not apply")
-	}
-	if !o.JIT {
-		t.Fatal("unset toggles must keep defaults")
-	}
-	var nilT *Toggles
-	o2 := nilT.apply(base)
-	if o2 != base {
-		t.Fatal("nil toggles must be identity")
 	}
 }
 

@@ -79,23 +79,3 @@ func (b *Blobs) Batch(n int, batchIndex uint64) ([]float32, []int) {
 	}
 	return x, y
 }
-
-// ReplicaBatches produces per-replica, per-microbatch batches in the
-// layout the exec trainer consumes: inputs[r][i] flattened
-// [mbSize, Dim].
-func (b *Blobs) ReplicaBatches(replicas, microbatches, mbSize int, step uint64) ([][][]float32, [][][]int) {
-	inputs := make([][][]float32, replicas)
-	labels := make([][][]int, replicas)
-	idx := step * uint64(replicas*microbatches)
-	for r := 0; r < replicas; r++ {
-		inputs[r] = make([][]float32, microbatches)
-		labels[r] = make([][]int, microbatches)
-		for i := 0; i < microbatches; i++ {
-			x, y := b.Batch(mbSize, idx)
-			idx++
-			inputs[r][i] = x
-			labels[r][i] = y
-		}
-	}
-	return inputs, labels
-}

@@ -84,35 +84,6 @@ func TestBlobsSeparableAtLowNoise(t *testing.T) {
 	}
 }
 
-func TestReplicaBatchesLayout(t *testing.T) {
-	b := NewBlobs(4, 2, 0.5, 5)
-	in, lb := b.ReplicaBatches(2, 3, 8, 11)
-	if len(in) != 2 || len(lb) != 2 {
-		t.Fatal("replica dimension wrong")
-	}
-	for r := 0; r < 2; r++ {
-		if len(in[r]) != 3 || len(lb[r]) != 3 {
-			t.Fatal("microbatch dimension wrong")
-		}
-		for i := 0; i < 3; i++ {
-			if len(in[r][i]) != 8*4 || len(lb[r][i]) != 8 {
-				t.Fatal("sample dimension wrong")
-			}
-		}
-	}
-	// Replicas see different data (data parallelism).
-	same := true
-	for j := range in[0][0] {
-		if in[0][0][j] != in[1][0][j] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("replicas should receive different batches")
-	}
-}
-
 func TestBlobsBadShapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"harmony/internal/data"
 	"harmony/internal/nn"
 	"harmony/internal/sched"
 	"harmony/internal/schedcheck"
@@ -261,7 +260,7 @@ func TestAdaptiveBitExactUnderDelayFaults(t *testing.T) {
 			clean.PrefetchDepth = 3
 			b, lossB := runTrainer(t, clean, steps)
 			assertSameRun(t, a, b, lossA, lossB)
-			cfg := faultyConfig(t, mode, "op=any,mode=delay,delay=300us,count=60", false)
+			cfg := faultyConfig(mode, "op=any,mode=delay,delay=300us,count=60", false)
 			cfg.AdaptivePrefetch = true
 			cfg.PrefetchDepth = 3
 			c, lossC := runTrainer(t, cfg, steps)
@@ -290,7 +289,7 @@ func TestAdaptiveBitExactUnderRecovery(t *testing.T) {
 			ref.Serial = true
 			ref.DeviceBytes = 32 << 10
 			a, lossA := runTrainer(t, ref, steps)
-			cfg := faultyConfig(t, mode, "op=kernel,mode=fatal,dev=1,step=3", true)
+			cfg := faultyConfig(mode, "op=kernel,mode=fatal,dev=1,step=3", true)
 			cfg.DeviceBytes = 32 << 10
 			cfg.AdaptivePrefetch = true
 			cfg.PrefetchDepth = 4
@@ -318,32 +317,14 @@ func TestRetuneMicrobatchReshapeDeterministic(t *testing.T) {
 	for _, mode := range []sched.Mode{sched.HarmonyDP, sched.HarmonyPP} {
 		t.Run(mode.String(), func(t *testing.T) {
 			run := func() (*Trainer, []float32) {
-				cfg := trainerConfig(mode, 2)
-				tr, err := NewTrainer(cfg)
-				if err != nil {
-					t.Fatal(err)
+				tr, losses := runTrainer(t, trainerConfig(mode, 2), 2)
+				// 8×4 → 4×8: same batch, finer split (a coarser one would
+				// exceed the 12 KiB devices — the preflight rejects it
+				// with a counterexample).
+				if err := tr.Retune(8); err != nil {
+					t.Fatalf("heavy retune rejected: %v", err)
 				}
-				blobs := data.NewBlobs(cfg.Widths[0], cfg.Widths[len(cfg.Widths)-1], 0.5, 7)
-				var losses []float32
-				mbs, mbc := cfg.MicrobatchSize, cfg.Microbatches
-				for s := 0; s < steps; s++ {
-					if s == 2 {
-						// 8×4 → 4×8: same batch, finer split (a coarser
-						// one would exceed the 12 KiB devices — the
-						// preflight rejects it with a counterexample).
-						if err := tr.Retune(RetuneRequest{MicrobatchSize: 4, Microbatches: 8}); err != nil {
-							t.Fatalf("heavy retune rejected: %v", err)
-						}
-						mbs, mbc = 4, 8
-					}
-					in, lb := blobs.ReplicaBatches(tr.Replicas(), mbc, mbs, uint64(s))
-					loss, err := tr.Step(in, lb)
-					if err != nil {
-						t.Fatal(err)
-					}
-					losses = append(losses, loss)
-				}
-				return tr, losses
+				return tr, append(losses, stepTrainer(t, tr, 2, steps-2)...)
 			}
 			a, lossA := run()
 			b, lossB := run()
@@ -370,36 +351,21 @@ func TestRetuneRejectionKeepsPlan(t *testing.T) {
 	// the plan is admitted, any coarser split is not.
 	cfg := trainerConfig(mode, 2)
 	cfg.DeviceBytes = slices.Max(schedcheck.Check(a.s, a.topology()).PeakPinBytes) + 1
-	tr, err := NewTrainer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, losses := runTrainer(t, cfg, 1)
 	defer tr.Close()
-	blobs := data.NewBlobs(cfg.Widths[0], cfg.Widths[len(cfg.Widths)-1], 0.5, 7)
-	var losses []float32
-	for s := 0; s < steps; s++ {
-		if s == 1 {
-			// One microbatch of the whole batch quadruples every
-			// activation: the verifier refuses the reshape with its
-			// counterexample before anything is swapped.
-			err := tr.Retune(RetuneRequest{MicrobatchSize: 32, Microbatches: 1})
-			if err == nil || !strings.Contains(err.Error(), "plan unchanged") ||
-				!regexp.MustCompile(`peak pinned bytes \d+ exceed capacity`).MatchString(err.Error()) {
-				t.Fatalf("over-capacity reshape not rejected with a counterexample: %v", err)
-			}
-			// The trainer's own batch-product rule also rejects with
-			// the plan untouched.
-			if err := tr.Retune(RetuneRequest{MicrobatchSize: 3, Microbatches: 3}); err == nil ||
-				!strings.Contains(err.Error(), "preserve the per-replica batch") {
-				t.Fatalf("batch-product violation not rejected: %v", err)
-			}
-		}
-		in, lb := blobs.ReplicaBatches(tr.Replicas(), cfg.Microbatches, cfg.MicrobatchSize, uint64(s))
-		loss, err := tr.Step(in, lb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		losses = append(losses, loss)
+	// One microbatch of the whole batch quadruples every activation: the
+	// verifier refuses the reshape with its counterexample before
+	// anything is swapped.
+	err := tr.Retune(1)
+	if err == nil || !strings.Contains(err.Error(), "plan unchanged") ||
+		!regexp.MustCompile(`peak pinned bytes \d+ exceed capacity`).MatchString(err.Error()) {
+		t.Fatalf("over-capacity reshape not rejected with a counterexample: %v", err)
 	}
+	// The trainer's own divisibility rule also rejects with the plan
+	// untouched.
+	if err := tr.Retune(3); err == nil || !strings.Contains(err.Error(), "cannot split BatchSize 32 into 3 microbatches") {
+		t.Fatalf("indivisible batch not rejected: %v", err)
+	}
+	losses = append(losses, stepTrainer(t, tr, 1, steps-1)...)
 	assertSameRun(t, a, tr, lossA, losses)
 }

@@ -44,20 +44,20 @@ func TestAdmittedAtBoundRuns(t *testing.T) {
 				continue // one layer cannot be split into two stages
 			}
 			for _, depth := range []int{-1, 2} {
-				for _, opt := range []Optimizer{SGD, Adam} {
+				for opt, adam := range []bool{false, true} {
 					cfg := TrainerConfig{
-						Widths:         widths,
-						Mode:           p.mode,
-						Devices:        p.devices,
-						DeviceBytes:    1 << 30,
-						MicrobatchSize: 2,
-						Microbatches:   2,
-						Optimizer:      opt,
-						LR:             0.05,
-						Seed:           42,
-						PrefetchDepth:  depth,
-						CommChunks:     p.chunks,
-						NoVerify:       true,
+						Widths:        widths,
+						Mode:          p.mode,
+						Devices:       p.devices,
+						DeviceBytes:   1 << 30,
+						BatchSize:     4,
+						Microbatches:  2,
+						Adam:          adam,
+						LR:            0.05,
+						Seed:          42,
+						PrefetchDepth: depth,
+						CommChunks:    p.chunks,
+						NoVerify:      true,
 					}
 					ran++
 					t.Run(fmt.Sprintf("%v/%s/depth%d/opt%d", widths, p.name, depth, opt), func(t *testing.T) {

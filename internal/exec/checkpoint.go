@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"harmony/internal/tensor"
 )
 
 // checkpointMagic identifies the on-disk format; bump the version on
@@ -57,7 +59,11 @@ func (tr *Trainer) Save(w io.Writer) error {
 
 // Load restores weights and optimizer state into every replica (all
 // replicas must stay identical) and resumes the optimizer step count.
-// The trainer's architecture must match the checkpoint.
+// The trainer's architecture must match the checkpoint. The whole
+// checkpoint is read and validated before any buffer is written, so a
+// rejected one leaves the trainer as it was; an accepted one decides
+// the state alone — a checkpoint without optimizer state (SGD) zeroes
+// an Adam trainer's moments.
 func (tr *Trainer) Load(r io.Reader) error {
 	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
 	var magic uint32
@@ -81,6 +87,8 @@ func (tr *Trainer) Load(r io.Reader) error {
 	if int(layers) != len(tr.layers) {
 		return fmt.Errorf("exec: checkpoint has %d layers, trainer has %d", layers, len(tr.layers))
 	}
+	params := make([][]float32, len(tr.layers))
+	opts := make([][]float32, len(tr.layers))
 	for l, layer := range tr.layers {
 		var pn uint32
 		if err := read(&pn); err != nil {
@@ -89,8 +97,8 @@ func (tr *Trainer) Load(r io.Reader) error {
 		if int(pn) != layer.ParamCount() {
 			return fmt.Errorf("exec: layer %d: checkpoint %d params, model %d", l, pn, layer.ParamCount())
 		}
-		params, err := readFloats(r, int(pn))
-		if err != nil {
+		var err error
+		if params[l], err = readFloats(r, int(pn)); err != nil {
 			return err
 		}
 		var on uint32
@@ -104,33 +112,19 @@ func (tr *Trainer) Load(r io.Reader) error {
 			return fmt.Errorf("exec: layer %d: checkpoint has %d optimizer floats, model has %d",
 				l, on, want)
 		}
-		opt, err := readFloats(r, int(on))
-		if err != nil {
+		if opts[l], err = readFloats(r, int(on)); err != nil {
 			return err
 		}
+	}
+	for l := range tr.layers {
 		for rep := 0; rep < tr.g.Cfg.Replicas; rep++ {
-			// Sync then drop any device copy so the overwritten host
-			// backing is authoritative.
-			w, err := tr.vm.Host(tr.g.W[rep][l])
-			if err != nil {
+			if err := tr.overwrite(tr.g.W[rep][l], params[l]); err != nil {
 				return err
 			}
-			if err := tr.vm.Invalidate(tr.g.W[rep][l]); err != nil {
-				return err
-			}
-			copy(w, params)
-			if len(opt) > 0 {
-				k, err := tr.vm.Host(tr.g.K[rep][l])
-				if err != nil {
+			if tr.g.K[rep][l].Bytes > 0 {
+				if err := tr.overwrite(tr.g.K[rep][l], opts[l]); err != nil {
 					return err
 				}
-				if err := tr.vm.Invalidate(tr.g.K[rep][l]); err != nil {
-					return err
-				}
-				if len(k) != len(opt) {
-					return fmt.Errorf("exec: layer %d: optimizer state size mismatch", l)
-				}
-				copy(k, opt)
 			}
 		}
 	}
@@ -138,8 +132,20 @@ func (tr *Trainer) Load(r io.Reader) error {
 	return nil
 }
 
-// Step count accessor for checkpoint-resume tests.
-func (tr *Trainer) StepCount() int { return tr.step }
+// overwrite makes vals, zero-padded, the contents of x's host backing
+// and drops any device copy (after syncing it), so the host is
+// authoritative.
+func (tr *Trainer) overwrite(x *tensor.Tensor, vals []float32) error {
+	host, err := tr.vm.Host(x)
+	if err != nil {
+		return err
+	}
+	if err := tr.vm.Invalidate(x); err != nil {
+		return err
+	}
+	clear(host[copy(host, vals):])
+	return nil
+}
 
 func writeFloats(w io.Writer, vs []float32) error {
 	buf := make([]byte, 4*len(vs))

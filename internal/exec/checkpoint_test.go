@@ -6,20 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"harmony/internal/data"
 	"harmony/internal/sched"
 )
-
-// checkpointStep runs one training step and returns its loss.
-func checkpointStep(t *testing.T, tr *Trainer, cfg TrainerConfig, blobs *data.Blobs, s int) float32 {
-	t.Helper()
-	in, lb := blobs.ReplicaBatches(tr.Replicas(), cfg.Microbatches, cfg.MicrobatchSize, uint64(s))
-	loss, err := tr.Step(in, lb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return loss
-}
 
 // A checkpoint taken while fault injection is perturbing the run must
 // capture exactly the post-update weights: restoring it into a fresh,
@@ -28,40 +16,27 @@ func checkpointStep(t *testing.T, tr *Trainer, cfg TrainerConfig, blobs *data.Bl
 // so they never change math — and neither must Save/Load).
 func TestCheckpointRoundTripUnderFaults(t *testing.T) {
 	spec := "op=swap-in,mode=transient,count=3;op=kernel,mode=transient,count=2"
-	cfg := faultyConfig(t, sched.HarmonyDP, spec, false)
-	blobs := data.NewBlobs(cfg.Widths[0], cfg.Widths[len(cfg.Widths)-1], 0.5, 7)
-
-	faulted, err := NewTrainer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 4; s++ {
-		checkpointStep(t, faulted, cfg, blobs, s)
-	}
+	faulted, _ := runTrainer(t, faultyConfig(sched.HarmonyDP, spec, false), 4)
 	var snap bytes.Buffer
 	if err := faulted.Save(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if inj, _ := cfg.Injector.Stats(); inj == 0 {
+	if inj, _ := faulted.FaultStats(); inj == 0 {
 		t.Fatal("fault spec injected nothing; the test is not exercising the faulted path")
 	}
 
-	clean := trainerConfig(sched.HarmonyDP, 2)
-	restored, err := NewTrainer(clean)
+	restored, err := NewTrainer(trainerConfig(sched.HarmonyDP, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := restored.Load(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if restored.StepCount() != faulted.StepCount() {
-		t.Fatalf("restored step %d, want %d", restored.StepCount(), faulted.StepCount())
+	if restored.step != faulted.step {
+		t.Fatalf("restored step %d, want %d", restored.step, faulted.step)
 	}
-	var contA, contB []float32
-	for s := 4; s < 8; s++ {
-		contA = append(contA, checkpointStep(t, faulted, cfg, blobs, s))
-		contB = append(contB, checkpointStep(t, restored, clean, blobs, s))
-	}
+	contA := stepTrainer(t, faulted, 4, 4)
+	contB := stepTrainer(t, restored, 4, 4)
 	assertSameRun(t, faulted, restored, contA, contB)
 }
 
@@ -70,12 +45,7 @@ func TestCheckpointRoundTripUnderFaults(t *testing.T) {
 // region of a valid checkpoint.
 func TestCorruptedSnapshotRejected(t *testing.T) {
 	cfg := trainerConfig(sched.HarmonyDP, 1)
-	tr, err := NewTrainer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blobs := data.NewBlobs(cfg.Widths[0], cfg.Widths[len(cfg.Widths)-1], 0.5, 7)
-	checkpointStep(t, tr, cfg, blobs, 0)
+	tr, _ := runTrainer(t, cfg, 1)
 	var buf bytes.Buffer
 	if err := tr.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -101,7 +71,7 @@ func TestCorruptedSnapshotRejected(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fresh, err := NewTrainer(cfg)
+			fresh, err := NewTrainer(cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,11 +87,62 @@ func TestCorruptedSnapshotRejected(t *testing.T) {
 
 	// And the pristine bytes must still load: the corruption cases
 	// fail because of the corruption, not an over-strict loader.
-	fresh, err := NewTrainer(cfg)
+	fresh, err := NewTrainer(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := fresh.Load(bytes.NewReader(valid)); err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)
+	}
+}
+
+// saved returns tr's checkpoint bytes.
+func saved(t testing.TB, tr *Trainer) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// A checkpoint that fails to load part-way — here in its last layer —
+// must leave every layer before the failure as it was, not overwritten
+// with the checkpoint's.
+func TestFailedLoadLeavesTrainerUnchanged(t *testing.T) {
+	cfg := trainerConfig(sched.HarmonyDP, 1)
+	old, _ := runTrainer(t, cfg, 1)
+	truncated := saved(t, old)
+	truncated = truncated[:len(truncated)-6]
+	tr, _ := runTrainer(t, cfg, 3)
+	before := saved(t, tr)
+	if err := tr.Load(bytes.NewReader(truncated)); err == nil {
+		t.Fatal("truncated checkpoint accepted")
+	}
+	if !bytes.Equal(saved(t, tr), before) {
+		t.Fatal("a rejected checkpoint changed the trainer")
+	}
+}
+
+// Load depends only on the checkpoint: an SGD checkpoint carries no
+// optimizer state, so a trained Adam trainer and a fresh one that load
+// it hold the same state — the moments zeroed, as a fresh trainer's are.
+func TestLoadDependsOnlyOnTheCheckpoint(t *testing.T) {
+	sgd, _ := runTrainer(t, trainerConfig(sched.HarmonyDP, 1), 2)
+	ckpt := saved(t, sgd)
+	cfg := trainerConfig(sched.HarmonyDP, 1)
+	cfg.Adam, cfg.DeviceBytes, cfg.LR = true, 20<<10, 0.005
+	trained, _ := runTrainer(t, cfg, 3)
+	fresh, err := NewTrainer(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*Trainer{trained, fresh} {
+		if err := tr.Load(bytes.NewReader(ckpt)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(saved(t, trained), saved(t, fresh)) {
+		t.Fatal("a trained and a fresh Adam trainer differ after loading the same SGD checkpoint")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"harmony/internal/fault"
 	"harmony/internal/nn"
 	"harmony/internal/sched"
 )
@@ -58,14 +57,10 @@ func TestChunkedDelayFaultsBitExact(t *testing.T) {
 	ref.Serial = true
 	a, lossA := runTrainer(t, ref, 3)
 	cfg := commConfig(4, 8<<10)
-	inj, err := fault.Parse("op=collective,mode=delay,delay=300us,count=20", cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Injector = inj
+	cfg.FaultSpec = "op=collective,mode=delay,delay=300us,count=20"
 	b, lossB := runTrainer(t, cfg, 3)
 	assertSameRun(t, a, b, lossA, lossB)
-	if injected, _ := inj.Stats(); injected == 0 {
+	if injected, _ := b.FaultStats(); injected == 0 {
 		t.Fatal("collective delay rule never fired")
 	}
 }
@@ -108,12 +103,7 @@ func TestChunkedCollectiveFaultRecovery(t *testing.T) {
 	run := func() (*Trainer, []float32) {
 		cfg := commConfig(3, 8<<10)
 		cfg.DeviceBytes = 32 << 10
-		inj, err := fault.Parse("op=collective,mode=fatal,dev=1,step=3", cfg.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Injector = inj
-		cfg.Recover = true
+		cfg.FaultSpec, cfg.Recover = "op=collective,mode=fatal,dev=1,step=3", true
 		return runTrainer(t, cfg, steps)
 	}
 	b, lossB := run()
@@ -121,11 +111,10 @@ func TestChunkedCollectiveFaultRecovery(t *testing.T) {
 	if got := b.Recoveries(); got != 1 {
 		t.Fatalf("recoveries = %d, want 1", got)
 	}
-	alive := b.Alive()
-	if alive[1] || !alive[0] {
+	if alive := b.alive; alive[1] || !alive[0] {
 		t.Fatalf("alive = %v, want device 1 dead", alive)
 	}
-	if injected, _ := b.cfg.Injector.Stats(); injected != 1 {
+	if injected, _ := b.FaultStats(); injected != 1 {
 		t.Fatalf("injected = %d, want exactly the armed fatal", injected)
 	}
 	for rep := 0; rep < 4; rep++ {
@@ -143,14 +132,14 @@ func TestChunkedCollectiveFaultRecovery(t *testing.T) {
 func TestChunkedPlanSurvivesRetune(t *testing.T) {
 	cfg := commConfig(4, 8<<10)
 	cfg.DeviceBytes = 32 << 10 // headroom for the retune's larger microbatches
-	tr, err := NewTrainer(cfg)
+	tr, err := NewTrainer(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.comm == nil {
 		t.Fatal("chunked config built no runtime comm plan")
 	}
-	if err := tr.Retune(RetuneRequest{MicrobatchSize: 16, Microbatches: 2}); err != nil {
+	if err := tr.Retune(2); err != nil {
 		t.Fatal(err)
 	}
 	if tr.comm == nil {

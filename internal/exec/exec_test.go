@@ -146,41 +146,21 @@ func TestVMAllocRejectsDouble(t *testing.T) {
 
 func trainerConfig(mode sched.Mode, devices int) TrainerConfig {
 	return TrainerConfig{
-		Widths:         []int{16, 32, 32, 4},
-		Mode:           mode,
-		Devices:        devices,
-		DeviceBytes:    12 << 10, // well below the ~45 KB footprint
-		MicrobatchSize: 8,
-		Microbatches:   4,
-		Optimizer:      SGD,
-		LR:             0.05,
-		Seed:           42,
+		Widths:       []int{16, 32, 32, 4},
+		Mode:         mode,
+		Devices:      devices,
+		DeviceBytes:  12 << 10, // well below the ~45 KB footprint
+		BatchSize:    32,
+		Microbatches: 4,
+		LR:           0.05,
+		Seed:         42,
 	}
-}
-
-func trainSteps(t *testing.T, cfg TrainerConfig, steps int) (*Trainer, []float32) {
-	t.Helper()
-	tr, err := NewTrainer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blobs := data.NewBlobs(cfg.Widths[0], cfg.Widths[len(cfg.Widths)-1], 0.5, 7)
-	var losses []float32
-	for s := 0; s < steps; s++ {
-		in, lb := blobs.ReplicaBatches(tr.Replicas(), cfg.Microbatches, cfg.MicrobatchSize, uint64(s))
-		loss, err := tr.Step(in, lb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		losses = append(losses, loss)
-	}
-	return tr, losses
 }
 
 func TestTrainingReducesLossUnderMemoryPressure(t *testing.T) {
 	for _, mode := range []sched.Mode{sched.DPBaseline, sched.HarmonyDP} {
 		t.Run(mode.String(), func(t *testing.T) {
-			tr, losses := trainSteps(t, trainerConfig(mode, 2), 30)
+			tr, losses := runTrainer(t, trainerConfig(mode, 2), 30)
 			first, last := losses[0], losses[len(losses)-1]
 			if last >= first/2 {
 				t.Fatalf("loss did not fall: %v -> %v", first, last)
@@ -197,7 +177,7 @@ func TestTrainingReducesLossUnderMemoryPressure(t *testing.T) {
 func TestPipelineTrainingWorks(t *testing.T) {
 	cfg := trainerConfig(sched.HarmonyPP, 2)
 	cfg.Microbatches = 4
-	tr, losses := trainSteps(t, cfg, 30)
+	tr, losses := runTrainer(t, cfg, 30)
 	if losses[len(losses)-1] >= losses[0]/2 {
 		t.Fatalf("pipeline loss did not fall: %v -> %v", losses[0], losses[len(losses)-1])
 	}
@@ -229,16 +209,16 @@ func TestHarmonyMatchesReferenceBitExact(t *testing.T) {
 		grads[l] = make([]float32, layer.ParamCount())
 	}
 	for s := 0; s < 5; s++ {
-		in, lb := blobs.ReplicaBatches(1, mbs, mbSize, uint64(s))
+		x, y := blobs.Batch(mbs*mbSize, uint64(s))
 		for i := 0; i < mbs; i++ {
 			h := make([]float32, mbSize*16)
 			s1 := make([]float32, mbSize*8)
-			layers[0].Forward(params[0], in[0][i], h, s1, mbSize)
+			layers[0].Forward(params[0], x[i*mbSize*8:(i+1)*mbSize*8], h, s1, mbSize)
 			logits := make([]float32, mbSize*3)
 			s2 := make([]float32, mbSize*16)
 			layers[1].Forward(params[1], h, logits, s2, mbSize)
 			dl := make([]float32, mbSize*3)
-			nn.SoftmaxXent(logits, lb[0][i], dl, mbSize, 3)
+			nn.SoftmaxXent(logits, y[i*mbSize:(i+1)*mbSize], dl, mbSize, 3)
 			dh := make([]float32, mbSize*16)
 			layers[1].Backward(params[1], s2, dl, dh, grads[1], mbSize)
 			layers[0].Backward(params[0], s1, dh, nil, grads[0], mbSize)
@@ -250,16 +230,16 @@ func TestHarmonyMatchesReferenceBitExact(t *testing.T) {
 	// Harmony-PP on two tiny devices.
 	cfg := TrainerConfig{
 		Widths: widths, Mode: sched.HarmonyPP, Devices: 2,
-		DeviceBytes: 4 << 10, MicrobatchSize: mbSize, Microbatches: mbs,
-		Optimizer: SGD, LR: lr, Seed: 42,
+		DeviceBytes: 4 << 10, BatchSize: mbs * mbSize, Microbatches: mbs,
+		LR: lr, Seed: 42,
 	}
-	tr, err := NewTrainer(cfg)
+	tr, err := NewTrainer(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < 5; s++ {
-		in, lb := blobs.ReplicaBatches(1, mbs, mbSize, uint64(s))
-		if _, err := tr.Step(in, lb); err != nil {
+		x, y := blobs.Batch(tr.SamplesPerStep(), uint64(s))
+		if _, err := tr.Step(x, y); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -281,7 +261,7 @@ func TestHarmonyMatchesReferenceBitExact(t *testing.T) {
 
 func TestDPReplicasStayInSync(t *testing.T) {
 	cfg := trainerConfig(sched.HarmonyDP, 2)
-	tr, _ := trainSteps(t, cfg, 3)
+	tr, _ := runTrainer(t, cfg, 3)
 	for l := range tr.layers {
 		w0, err := tr.vm.Host(tr.g.W[0][l])
 		if err != nil {
@@ -301,13 +281,13 @@ func TestDPReplicasStayInSync(t *testing.T) {
 
 func TestAdamTraining(t *testing.T) {
 	cfg := trainerConfig(sched.HarmonyDP, 1)
-	cfg.Optimizer = Adam
+	cfg.Adam = true
 	// Adam triples the update working set (W + dW + 2 moments); give
 	// the device just enough for one layer's update while keeping the
 	// total footprint (~28 KB) above capacity.
 	cfg.DeviceBytes = 20 << 10
 	cfg.LR = 0.005
-	_, losses := trainSteps(t, cfg, 30)
+	_, losses := runTrainer(t, cfg, 30)
 	if losses[len(losses)-1] >= losses[0]/2 {
 		t.Fatalf("adam loss did not fall: %v -> %v", losses[0], losses[len(losses)-1])
 	}
@@ -315,7 +295,7 @@ func TestAdamTraining(t *testing.T) {
 
 func TestPredict(t *testing.T) {
 	cfg := trainerConfig(sched.HarmonyDP, 1)
-	tr, _ := trainSteps(t, cfg, 40)
+	tr, _ := runTrainer(t, cfg, 40)
 	blobs := data.NewBlobs(16, 4, 0.5, 7)
 	x, y := blobs.Batch(64, 9999)
 	logits, err := tr.Predict(x, 64)
@@ -336,25 +316,25 @@ func TestPredict(t *testing.T) {
 func TestTrainerValidation(t *testing.T) {
 	bad := trainerConfig(sched.HarmonyDP, 2)
 	bad.Widths = []int{5}
-	if _, err := NewTrainer(bad); err == nil {
+	if _, err := NewTrainer(bad, nil); err == nil {
 		t.Fatal("single-width accepted")
 	}
 	bad = trainerConfig(sched.HarmonyDP, 0)
-	if _, err := NewTrainer(bad); err == nil {
+	if _, err := NewTrainer(bad, nil); err == nil {
 		t.Fatal("zero devices accepted")
 	}
 	bad = trainerConfig(sched.HarmonyDP, 2)
-	bad.LR = 0
-	if _, err := NewTrainer(bad); err == nil {
-		t.Fatal("zero LR accepted")
+	bad.LR = -0.05 // 0 is the default
+	if _, err := NewTrainer(bad, nil); err == nil {
+		t.Fatal("negative LR accepted")
 	}
 	bad = trainerConfig(sched.HarmonyDP, 2)
 	bad.LinkBytesPerSec = -1
-	if _, err := NewTrainer(bad); err == nil {
+	if _, err := NewTrainer(bad, nil); err == nil {
 		t.Fatal("negative link bandwidth accepted")
 	}
 	// Wrong data shapes.
-	tr, err := NewTrainer(trainerConfig(sched.HarmonyDP, 2))
+	tr, err := NewTrainer(trainerConfig(sched.HarmonyDP, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +349,7 @@ func TestTrainerValidation(t *testing.T) {
 	for _, widths := range [][]int{{16, 4}, {16, 32, 4}, {16, 32, 32, 4}, {16, 8, 8, 8, 8, 4}} {
 		cfg := trainerConfig(sched.HarmonyDP, 2)
 		cfg.Widths = widths
-		if _, err := NewTrainer(cfg); err != nil {
+		if _, err := NewTrainer(cfg, nil); err != nil {
 			t.Errorf("widths %v: %v", widths, err)
 		}
 	}
@@ -397,8 +377,8 @@ func TestTrainerValidation(t *testing.T) {
 			"kernel 1 (dense36x4) reads the unrectified output of kernel 0 (pool2@1x12x12)"},
 	} {
 		cfg := trainerConfig(sched.HarmonyDP, 1)
-		cfg.Kernels, cfg.DeviceBytes = tc.kernels, 1<<20
-		_, err := NewTrainer(cfg)
+		cfg.DeviceBytes = 1 << 20
+		_, err := NewTrainer(cfg, tc.kernels)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: %v", tc.name, err)
@@ -433,26 +413,23 @@ func TestConvNetTraining(t *testing.T) {
 		nn.Dense{In: 6 * 5 * 5, Out: 32, ReLU: true},
 		nn.Dense{In: 32, Out: 4},
 	}
-	cfg := TrainerConfig{
-		Kernels:        kernels,
-		Mode:           sched.HarmonyPP,
-		Devices:        2,
-		DeviceBytes:    64 << 10, // small enough to force swapping
-		MicrobatchSize: 8,
-		Microbatches:   2,
-		Optimizer:      SGD,
-		LR:             0.05,
-		Seed:           3,
-	}
-	tr, err := NewTrainer(cfg)
+	tr, err := NewTrainer(TrainerConfig{
+		Mode:         sched.HarmonyPP,
+		Devices:      2,
+		DeviceBytes:  64 << 10, // small enough to force swapping
+		BatchSize:    16,
+		Microbatches: 2,
+		LR:           0.05,
+		Seed:         3,
+	}, kernels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	blobs := data.NewBlobs(144, 4, 1.0, 5)
 	var first, last float32
 	for s := 0; s < 25; s++ {
-		in, lb := blobs.ReplicaBatches(tr.Replicas(), cfg.Microbatches, cfg.MicrobatchSize, uint64(s))
-		loss, err := tr.Step(in, lb)
+		x, y := blobs.Batch(tr.SamplesPerStep(), uint64(s))
+		loss, err := tr.Step(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -480,11 +457,10 @@ func TestConvNetTraining(t *testing.T) {
 
 func TestKernelMismatchRejected(t *testing.T) {
 	_, err := NewTrainer(TrainerConfig{
-		Kernels: []nn.Kernel{
-			nn.Dense{In: 8, Out: 16},
-			nn.Dense{In: 4, Out: 2}, // mismatched
-		},
-		Devices: 1, DeviceBytes: 1 << 20, MicrobatchSize: 1, Microbatches: 1, LR: 0.1,
+		Devices: 1, DeviceBytes: 1 << 20, BatchSize: 1, LR: 0.1,
+	}, []nn.Kernel{
+		nn.Dense{In: 8, Out: 16},
+		nn.Dense{In: 4, Out: 2}, // mismatched
 	})
 	if err == nil {
 		t.Fatal("mismatched kernel chain accepted")
@@ -496,25 +472,11 @@ func TestKernelMismatchRejected(t *testing.T) {
 // deterministic) and a fresh trainer must accept the checkpoint.
 func TestCheckpointRoundTrip(t *testing.T) {
 	cfg := trainerConfig(sched.HarmonyDP, 2)
-	cfg.Optimizer = Adam
+	cfg.Adam = true
 	cfg.DeviceBytes = 20 << 10
 	cfg.LR = 0.005
-	blobs := data.NewBlobs(cfg.Widths[0], cfg.Widths[len(cfg.Widths)-1], 0.5, 7)
-	step := func(tr *Trainer, s int) float32 {
-		in, lb := blobs.ReplicaBatches(tr.Replicas(), cfg.Microbatches, cfg.MicrobatchSize, uint64(s))
-		loss, err := tr.Step(in, lb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return loss
-	}
-	a, err := NewTrainer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 5; s++ {
-		step(a, s)
-	}
+	step := func(tr *Trainer, s int) float32 { return stepTrainer(t, tr, s, 1)[0] }
+	a, _ := runTrainer(t, cfg, 5)
 	var buf strings.Builder
 	if err := a.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -526,15 +488,15 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// checkpoint must fully determine the state.
 	cfg2 := cfg
 	cfg2.Seed = 999
-	b, err := NewTrainer(cfg2)
+	b, err := NewTrainer(cfg2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Load(strings.NewReader(buf.String())); err != nil {
 		t.Fatal(err)
 	}
-	if b.StepCount() != 5 {
-		t.Fatalf("restored step = %d, want 5", b.StepCount())
+	if b.step != 5 {
+		t.Fatalf("restored step = %d, want 5", b.step)
 	}
 	gotLoss := step(b, 5)
 	if gotLoss != wantLoss {
@@ -558,7 +520,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointRejectsMismatch(t *testing.T) {
-	a, err := NewTrainer(trainerConfig(sched.HarmonyDP, 1))
+	a, err := NewTrainer(trainerConfig(sched.HarmonyDP, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +531,7 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 	// Different architecture.
 	other := trainerConfig(sched.HarmonyDP, 1)
 	other.Widths = []int{16, 8, 4}
-	b, err := NewTrainer(other)
+	b, err := NewTrainer(other, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +548,7 @@ func TestPipelineBaselineTraining(t *testing.T) {
 	// The naive 1F1B baseline also trains correctly (it just moves
 	// more data): correctness is schedule-independent.
 	cfg := trainerConfig(sched.PPBaseline, 2)
-	tr, losses := trainSteps(t, cfg, 25)
+	tr, losses := runTrainer(t, cfg, 25)
 	if losses[len(losses)-1] >= losses[0]/2 {
 		t.Fatalf("pp-baseline loss did not fall: %v -> %v", losses[0], losses[len(losses)-1])
 	}
@@ -600,18 +562,7 @@ func TestBaselineAndHarmonySameWeights(t *testing.T) {
 	// The memory policy must never change the math: baseline DP and
 	// Harmony-DP on identical data produce identical weights.
 	run := func(mode sched.Mode) *Trainer {
-		cfg := trainerConfig(mode, 1)
-		tr, err := NewTrainer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blobs := data.NewBlobs(cfg.Widths[0], cfg.Widths[len(cfg.Widths)-1], 0.5, 7)
-		for s := 0; s < 4; s++ {
-			in, lb := blobs.ReplicaBatches(1, cfg.Microbatches, cfg.MicrobatchSize, uint64(s))
-			if _, err := tr.Step(in, lb); err != nil {
-				t.Fatal(err)
-			}
-		}
+		tr, _ := runTrainer(t, trainerConfig(mode, 1), 4)
 		return tr
 	}
 	a := run(sched.DPBaseline)

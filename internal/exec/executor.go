@@ -37,7 +37,7 @@ type rendezvous struct {
 // executor runs one iteration's streams on worker goroutines.
 type executor struct {
 	tr     *Trainer
-	labels [][][]int
+	labels []int
 
 	deps    []int32         // remaining dependencies per task ID
 	ready   []chan struct{} // closed when deps hit zero
@@ -54,7 +54,7 @@ type executor struct {
 	err      error
 }
 
-func newExecutor(tr *Trainer, labels [][][]int) *executor {
+func newExecutor(tr *Trainer, labels []int) *executor {
 	n := len(tr.g.Tasks)
 	ex := &executor{
 		tr:      tr,

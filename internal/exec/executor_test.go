@@ -13,25 +13,25 @@ import (
 
 // ---------------------------------------------------- executor parity
 
-// runTrainer steps a trainer over deterministic data and returns the
-// per-step losses.
+// runTrainer steps the MLP trainer of cfg over deterministic data and
+// returns the per-step losses.
 func runTrainer(t *testing.T, cfg TrainerConfig, steps int) (*Trainer, []float32) {
 	t.Helper()
-	tr, err := NewTrainer(cfg)
+	tr, err := NewTrainer(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, stepTrainer(t, tr, cfg, 0, steps)
+	return tr, stepTrainer(t, tr, 0, steps)
 }
 
 // stepTrainer runs steps first..first+n-1 of runTrainer's data stream.
-func stepTrainer(t *testing.T, tr *Trainer, cfg TrainerConfig, first, n int) []float32 {
+func stepTrainer(t *testing.T, tr *Trainer, first, n int) []float32 {
 	t.Helper()
-	blobs := data.NewBlobs(cfg.Widths[0], cfg.Widths[len(cfg.Widths)-1], 0.5, 7)
+	blobs := data.NewBlobs(tr.inDim, tr.classes, 0.5, 7)
 	var losses []float32
 	for s := first; s < first+n; s++ {
-		in, lb := blobs.ReplicaBatches(tr.Replicas(), cfg.Microbatches, cfg.MicrobatchSize, uint64(s))
-		loss, err := tr.Step(in, lb)
+		x, y := blobs.Batch(tr.SamplesPerStep(), uint64(s))
+		loss, err := tr.Step(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,19 +105,19 @@ func TestConvNetBitIdenticalAcrossExecutors(t *testing.T) {
 				prefetch int
 			}{{"serial", true, 0}, {"parallel", false, -1}, {"prefetch2", false, 2}} {
 				tr, err := NewTrainer(TrainerConfig{
-					Kernels: lenetKernels(), Mode: mode, Devices: 2,
-					DeviceBytes:    96 << 10, // below the footprint of four microbatches
-					MicrobatchSize: 4, Microbatches: 4,
-					Optimizer: SGD, LR: 0.05, Seed: 3,
+					Mode: mode, Devices: 2,
+					DeviceBytes: 96 << 10, // below the footprint of four microbatches
+					BatchSize:   16, Microbatches: 4,
+					LR: 0.05, Seed: 3,
 					Serial: v.serial, PrefetchDepth: v.prefetch,
-				})
+				}, lenetKernels())
 				if err != nil {
 					t.Fatal(err)
 				}
 				var losses []float32
 				for s := 0; s < 4; s++ {
-					in, lb := blobs.ReplicaBatches(tr.Replicas(), 4, 4, uint64(s))
-					loss, err := tr.Step(in, lb)
+					x, y := blobs.Batch(tr.SamplesPerStep(), uint64(s))
+					loss, err := tr.Step(x, y)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -186,8 +186,7 @@ func TestParallelLossesWithinTolerance(t *testing.T) {
 // dependency cycle and checks the dispatcher reports a deadlock error
 // from Step instead of hanging the device workers forever.
 func TestCyclicScheduleReportsDeadlock(t *testing.T) {
-	cfg := trainerConfig(sched.HarmonyDP, 2)
-	tr, err := NewTrainer(cfg)
+	tr, err := NewTrainer(trainerConfig(sched.HarmonyDP, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +197,8 @@ func TestCyclicScheduleReportsDeadlock(t *testing.T) {
 	first.Deps = append(first.Deps, last)
 	last.Succs = append(last.Succs, first)
 
-	blobs := data.NewBlobs(cfg.Widths[0], cfg.Widths[len(cfg.Widths)-1], 0.5, 7)
-	in, lb := blobs.ReplicaBatches(tr.Replicas(), cfg.Microbatches, cfg.MicrobatchSize, 0)
-	_, err = tr.Step(in, lb)
+	x, y := data.NewBlobs(tr.inDim, tr.classes, 0.5, 7).Batch(tr.SamplesPerStep(), 0)
+	_, err = tr.Step(x, y)
 	if err == nil {
 		t.Fatal("cyclic schedule accepted")
 	}
@@ -209,7 +207,7 @@ func TestCyclicScheduleReportsDeadlock(t *testing.T) {
 	}
 	// The verdict is cached: later steps fail identically instead of
 	// re-running validation or touching weights.
-	if _, err2 := tr.Step(in, lb); err2 == nil || !strings.Contains(err2.Error(), "deadlock") {
+	if _, err2 := tr.Step(x, y); err2 == nil || !strings.Contains(err2.Error(), "deadlock") {
 		t.Fatalf("second step: %v", err2)
 	}
 }

@@ -12,17 +12,9 @@ import (
 	"harmony/internal/sched"
 )
 
-func faultyConfig(t *testing.T, mode sched.Mode, spec string, recover bool) TrainerConfig {
-	t.Helper()
+func faultyConfig(mode sched.Mode, spec string, recover bool) TrainerConfig {
 	cfg := trainerConfig(mode, 2)
-	if spec != "" {
-		inj, err := fault.Parse(spec, cfg.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Injector = inj
-	}
-	cfg.Recover = recover
+	cfg.FaultSpec, cfg.Recover = spec, recover
 	return cfg
 }
 
@@ -70,9 +62,9 @@ func TestDelayFaultsPreserveBitExactness(t *testing.T) {
 			ref.Serial = true
 			a, lossA := runTrainer(t, ref, 3)
 			spec := "op=any,mode=delay,delay=300us,count=40"
-			b, lossB := runTrainer(t, faultyConfig(t, mode, spec, false), 3)
+			b, lossB := runTrainer(t, faultyConfig(mode, spec, false), 3)
 			assertSameRun(t, a, b, lossA, lossB)
-			if injected, _ := b.cfg.Injector.Stats(); injected == 0 {
+			if injected, _ := b.FaultStats(); injected == 0 {
 				t.Fatal("delay rule never fired")
 			}
 		})
@@ -88,7 +80,7 @@ func TestTransientFaultsRetryToCompletion(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			a, lossA := runTrainer(t, trainerConfig(mode, 2), 3)
 			spec := "op=swap-in,mode=transient,count=3;op=p2p,mode=transient,count=2"
-			cfg := faultyConfig(t, mode, spec, false)
+			cfg := faultyConfig(mode, spec, false)
 			b, lossB := runTrainer(t, cfg, 3)
 			assertSameRun(t, a, b, lossA, lossB)
 			st := b.Stats()
@@ -108,15 +100,14 @@ func TestTransientFaultsRetryToCompletion(t *testing.T) {
 // error instead of hanging or panicking.
 func TestTransientFaultExhaustionSurfacesError(t *testing.T) {
 	spec := "op=swap-in,mode=transient,count=0"
-	cfg := faultyConfig(t, sched.HarmonyPP, spec, false)
+	cfg := faultyConfig(sched.HarmonyPP, spec, false)
 	cfg.MaxRetries = 2
-	tr, err := NewTrainer(cfg)
+	tr, err := NewTrainer(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobs := data.NewBlobs(cfg.Widths[0], cfg.Widths[len(cfg.Widths)-1], 0.5, 7)
-	in, lb := blobs.ReplicaBatches(tr.Replicas(), cfg.Microbatches, cfg.MicrobatchSize, 0)
-	_, err = tr.Step(in, lb)
+	x, y := data.NewBlobs(tr.inDim, tr.classes, 0.5, 7).Batch(tr.SamplesPerStep(), 0)
+	_, err = tr.Step(x, y)
 	if err == nil {
 		t.Fatal("exhausted retries reported success")
 	}
@@ -130,15 +121,15 @@ func TestTransientFaultExhaustionSurfacesError(t *testing.T) {
 // the device.
 func TestFatalFaultWithoutRecoverFailsFast(t *testing.T) {
 	spec := "op=kernel,mode=fatal,dev=1,step=2"
-	cfg := faultyConfig(t, sched.HarmonyDP, spec, false)
-	tr, err := NewTrainer(cfg)
+	cfg := faultyConfig(sched.HarmonyDP, spec, false)
+	tr, err := NewTrainer(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobs := data.NewBlobs(cfg.Widths[0], cfg.Widths[len(cfg.Widths)-1], 0.5, 7)
+	blobs := data.NewBlobs(tr.inDim, tr.classes, 0.5, 7)
 	for s := 0; s < 3; s++ {
-		in, lb := blobs.ReplicaBatches(tr.Replicas(), cfg.Microbatches, cfg.MicrobatchSize, uint64(s))
-		_, err = tr.Step(in, lb)
+		x, y := blobs.Batch(tr.SamplesPerStep(), uint64(s))
+		_, err = tr.Step(x, y)
 		if s < 1 && err != nil {
 			t.Fatalf("step %d failed before the armed step: %v", s, err)
 		}
@@ -175,7 +166,7 @@ func TestEndToEndRecovery(t *testing.T) {
 
 			run := func() (*Trainer, []float32) {
 				spec := "op=kernel,mode=fatal,dev=1,step=3"
-				cfg := faultyConfig(t, mode, spec, true)
+				cfg := faultyConfig(mode, spec, true)
 				cfg.DeviceBytes = 32 << 10
 				return runTrainer(t, cfg, steps)
 			}
@@ -184,11 +175,10 @@ func TestEndToEndRecovery(t *testing.T) {
 			if got := b.Recoveries(); got != 1 {
 				t.Fatalf("recoveries = %d, want 1", got)
 			}
-			alive := b.Alive()
-			if alive[1] || !alive[0] {
+			if alive := b.alive; alive[1] || !alive[0] {
 				t.Fatalf("alive = %v, want device 1 dead", alive)
 			}
-			if injected, _ := b.cfg.Injector.Stats(); injected != 1 {
+			if injected, _ := b.FaultStats(); injected != 1 {
 				t.Fatalf("injected = %d, want exactly the armed fatal", injected)
 			}
 
@@ -208,15 +198,14 @@ func TestEndToEndRecovery(t *testing.T) {
 // reservation.
 func TestRecoveryRefusesInfeasiblePinBudget(t *testing.T) {
 	spec := "op=kernel,mode=fatal,dev=1,step=1"
-	cfg := faultyConfig(t, sched.HarmonyDP, spec, true)
+	cfg := faultyConfig(sched.HarmonyDP, spec, true)
 	// Default 12 KiB holds one virtual device's pins but not two.
-	tr, err := NewTrainer(cfg)
+	tr, err := NewTrainer(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobs := data.NewBlobs(cfg.Widths[0], cfg.Widths[len(cfg.Widths)-1], 0.5, 7)
-	in, lb := blobs.ReplicaBatches(tr.Replicas(), cfg.Microbatches, cfg.MicrobatchSize, 0)
-	_, err = tr.Step(in, lb)
+	x, y := data.NewBlobs(tr.inDim, tr.classes, 0.5, 7).Batch(tr.SamplesPerStep(), 0)
+	_, err = tr.Step(x, y)
 	if err == nil {
 		t.Fatal("infeasible recovery reported success")
 	}

@@ -10,16 +10,17 @@ import (
 )
 
 // FuzzLoad feeds arbitrary bytes to the checkpoint loader: it must
-// reject garbage with an error, never panic, and never let a corrupt
-// length field drive an implausible allocation. The seed corpus
+// reject garbage with an error that leaves the trainer's state as it
+// was, never panic, and never let a corrupt length field drive an
+// implausible allocation. The seed corpus
 // covers a valid checkpoint plus the truncations and field
 // corruptions that historically mattered (a flipped optimizer-count
 // uint32 used to allocate gigabytes before validation).
 func FuzzLoad(f *testing.F) {
 	cfg := trainerConfig(sched.HarmonyPP, 2)
-	cfg.Optimizer = Adam       // exercise the optimizer-state path too
+	cfg.Adam = true            // exercise the optimizer-state path too
 	cfg.DeviceBytes = 20 << 10 // Adam triples the update pin set (see TestAdamTraining)
-	tr, err := NewTrainer(cfg)
+	tr, err := NewTrainer(cfg, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -50,9 +51,13 @@ func FuzzLoad(f *testing.F) {
 	f.Add(corrupt(20+int(pn)*4, 0x7fffffff)) // absurd optimizer count
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		before := saved(t, tr)
 		if err := tr.Load(bytes.NewReader(data)); err != nil {
 			if strings.Contains(err.Error(), "panic") {
 				t.Fatalf("loader leaked a panic into its error: %v", err)
+			}
+			if !bytes.Equal(saved(t, tr), before) {
+				t.Fatalf("a rejected checkpoint changed the trainer: %v", err)
 			}
 		}
 	})
@@ -63,9 +68,9 @@ func FuzzLoad(f *testing.F) {
 // with an error instead of allocating or panicking.
 func TestLoadRejectsCorruptCounts(t *testing.T) {
 	cfg := trainerConfig(sched.HarmonyPP, 2)
-	cfg.Optimizer = Adam
+	cfg.Adam = true
 	cfg.DeviceBytes = 20 << 10
-	tr, err := NewTrainer(cfg)
+	tr, err := NewTrainer(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

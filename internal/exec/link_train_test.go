@@ -13,7 +13,7 @@ import (
 // slept for the modeled links.
 func onManualClock(t *testing.T, cfg TrainerConfig) (*Trainer, *trace.ManualClock) {
 	t.Helper()
-	tr, err := NewTrainer(cfg)
+	tr, err := NewTrainer(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestLinkTimeMovesNoData(t *testing.T) {
 			linked := ref
 			linked.LinkBytesPerSec = 1e6 // 1 µs a byte: every link time is exact
 			b, clk := onManualClock(t, linked)
-			lossB := stepTrainer(t, b, linked, 0, steps)
+			lossB := stepTrainer(t, b, 0, steps)
 			if got := b.Stats(); got != want {
 				t.Errorf("links on:\n got %+v\nwant %+v", got, want)
 			}
@@ -83,7 +83,7 @@ func TestLinkTimeMovesNoData(t *testing.T) {
 
 			linked.Serial = false
 			c, _ := onManualClock(t, linked)
-			assertSameRun(t, a, c, lossA, stepTrainer(t, c, linked, 0, steps))
+			assertSameRun(t, a, c, lossA, stepTrainer(t, c, 0, steps))
 			if c.Stats().PrefetchIssued == 0 {
 				t.Error("the prefetching run never prefetched")
 			}
@@ -122,9 +122,9 @@ func TestFig2OnTheRealTrainer(t *testing.T) {
 	run := func(cfg TrainerConfig) result {
 		cfg.LinkBytesPerSec = 1e6
 		tr, clk := onManualClock(t, cfg)
-		stepTrainer(t, tr, cfg, 0, warm)
+		stepTrainer(t, tr, 0, warm)
 		bytes0, links0, t0 := swapBytesPerDevice(tr), tr.LinkStats(), clk.Now()
-		stepTrainer(t, tr, cfg, warm, steps)
+		stepTrainer(t, tr, warm, steps)
 		r := result{swapBytesPerDevice(tr), tr.LinkStats(), clk.Now().Sub(t0) / steps}
 		for d := range r.perDevice {
 			r.perDevice[d] = (r.perDevice[d] - bytes0[d]) / steps
@@ -189,7 +189,7 @@ func TestFig2OnTheRealTrainer(t *testing.T) {
 		pp := func(mode sched.Mode) TrainerConfig {
 			cfg := trainerConfig(mode, 4)
 			cfg.Widths = []int{32, 32, 32, 32, 32, 32, 32, 32, 8}
-			cfg.MicrobatchSize, cfg.DeviceBytes = 32, 24<<10
+			cfg.BatchSize, cfg.DeviceBytes = 128, 24<<10
 			return cfg
 		}
 		imbalance := func(r result) float64 {

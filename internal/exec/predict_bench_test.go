@@ -13,7 +13,7 @@ import (
 // plus the VM's swap bookkeeping — instead of two fresh y/stash
 // buffers per layer per call.
 func BenchmarkPredict(b *testing.B) {
-	tr, err := NewTrainer(trainerConfig(sched.HarmonyDP, 1))
+	tr, err := NewTrainer(trainerConfig(sched.HarmonyDP, 1), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

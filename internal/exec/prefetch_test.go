@@ -278,18 +278,16 @@ func TestPrefetchBitExactMatrix(t *testing.T) {
 	for _, p := range plans {
 		t.Run(p.mode.String(), func(t *testing.T) {
 			for _, devices := range p.devices {
-				for _, opt := range []Optimizer{SGD, Adam} {
+				for opt, adam := range []bool{false, true} {
 					base := trainerConfig(p.mode, devices)
 					base.Widths = []int{16, 32, 32, 32, 4} // W + dW = 22304 bytes
-					base.Optimizer = opt
+					base.Adam = adam
 					// Two waves of two microbatches: a layer's gradient sits
 					// half-accumulated while every other layer runs, so it is
 					// evicted dirty within a step as well as known-zero between
 					// steps — a mark that outlived a write would lose it there.
-					opts := sched.DefaultOptions(p.mode)
-					opts.GroupSize = 2
-					base.Options = &opts
-					if opt == Adam {
+					base.Toggles = &sched.Toggles{GroupSize: 2}
+					if adam {
 						// One layer's update pins W + dW + two moments (16.9 KB).
 						base.DeviceBytes, base.LR = 20<<10, 0.005
 					}
@@ -311,7 +309,7 @@ func TestPrefetchBitExactUnderDelayFaults(t *testing.T) {
 			ref := trainerConfig(mode, 2)
 			ref.Serial = true
 			a, lossA := runTrainer(t, ref, 3)
-			cfg := faultyConfig(t, mode, "op=any,mode=delay,delay=300us,count=60", false)
+			cfg := faultyConfig(mode, "op=any,mode=delay,delay=300us,count=60", false)
 			cfg.PrefetchDepth = 3
 			b, lossB := runTrainer(t, cfg, 3)
 			assertSameRun(t, a, b, lossA, lossB)
@@ -338,7 +336,7 @@ func TestPrefetchBitExactUnderRecovery(t *testing.T) {
 			ref.Serial = true
 			ref.DeviceBytes = 32 << 10
 			a, lossA := runTrainer(t, ref, steps)
-			cfg := faultyConfig(t, mode, "op=kernel,mode=fatal,dev=1,step=3", true)
+			cfg := faultyConfig(mode, "op=kernel,mode=fatal,dev=1,step=3", true)
 			cfg.DeviceBytes = 32 << 10
 			cfg.PrefetchDepth = 4
 			b, lossB := runTrainer(t, cfg, steps)

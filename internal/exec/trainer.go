@@ -15,138 +15,134 @@ import (
 	"harmony/internal/trace"
 )
 
-// Optimizer selects the weight-update rule.
-type Optimizer int
-
-const (
-	// SGD is plain stochastic gradient descent.
-	SGD Optimizer = iota
-	// Adam keeps two moment buffers per parameter (the optimizer
-	// state K of the paper's swap model).
-	Adam
-)
-
-// TrainerConfig configures real training of a classifier under
-// Harmony scheduling on virtual devices.
+// TrainerConfig configures real (float32) training of a classifier on
+// capacity-limited virtual devices — the end-to-end demonstration of
+// Harmony's coherent virtual memory. Users write against one logical
+// model "as if running sequentially on a single device" (paper §3);
+// Harmony decomposes, schedules and swaps.
 type TrainerConfig struct {
-	// Widths is the MLP shape: input, hidden..., classes. Ignored
-	// when Kernels is set.
+	// Widths is the MLP shape: input dimension, hidden layers...,
+	// number of classes. Ignored when NewTrainer is given a kernel
+	// stack.
 	Widths []int
-	// Kernels, when non-nil, is an explicit layer stack (dense,
-	// conv, pool — anything implementing nn.Kernel); the final
-	// kernel's OutSize is the class count. Every kernel past the first
-	// must read a rectified input and the last must not apply ReLU
-	// (nn.Kernel's backward precondition); NewTrainer rejects a stack
-	// that breaks either rule.
-	Kernels []nn.Kernel
-	// Mode, Devices and the optimization toggles come from the same
-	// scheduler as the simulator; the op-sharded modes run in the
-	// simulator only.
+	// Mode and Devices select the parallel strategy, from the same
+	// scheduler as the simulator. The op-sharded modes (TPBaseline,
+	// HarmonyTP) run in the simulator only.
 	Mode    sched.Mode
 	Devices int
-	// DeviceBytes is each virtual device's memory capacity; pick it
-	// below the model's footprint to exercise swapping.
+	// DeviceBytes is each virtual device's memory capacity. Set it
+	// below the model footprint (see Trainer.FootprintBytes) to
+	// exercise virtualized training.
 	DeviceBytes int64
-	// MicrobatchSize and Microbatches shape one iteration per
-	// replica (pipeline mode uses Microbatches as the total stream).
-	MicrobatchSize int
-	Microbatches   int
-	Optimizer      Optimizer
-	LR             float32
-	Seed           uint64
-	// Options overrides sched.DefaultOptions(Mode) when non-nil.
-	Options *sched.Options
-	// Serial forces the single-threaded reference executor (the
-	// original polling loop). The default is the parallel
-	// device-worker executor; both produce bit-identical weights
-	// and losses — Serial exists for determinism tests and ablation
-	// benchmarks.
+	// BatchSize is the per-replica samples per iteration; Harmony
+	// splits it into Microbatches microbatches (default: one sample
+	// per microbatch up to 8 microbatches). Pipeline modes train one
+	// replica, whose microbatches are the whole stream.
+	BatchSize    int
+	Microbatches int
+	// Adam selects the Adam optimizer, whose two moment buffers per
+	// parameter are the optimizer state K of the paper's swap model
+	// (SGD otherwise); LR is the learning rate (default 0.05 SGD,
+	// 0.005 Adam).
+	Adam bool
+	LR   float32
+	Seed uint64
+	// Toggles override the mode's default optimizations.
+	// LookaheadEviction and DeferBlockedUpdates act in the simulator
+	// only: NewTrainer rejects a Toggles that sets either.
+	Toggles *sched.Toggles
+	// Serial forces the single-threaded reference executor instead of
+	// the default parallel device-worker executor. Both produce
+	// bit-identical weights and losses; Serial exists for determinism
+	// tests and ablation benchmarks.
 	Serial bool
-
+	// FaultSpec, when non-empty, arms deterministic fault injection
+	// seeded by Seed (internal/fault holds the grammar). A spec is
+	// ";"-separated rules of ","-separated key=value fields: op
+	// (kernel, swap-in, swap-out, p2p, collective, any), mode
+	// (transient, fatal, delay), dev, step, layer, count, prob, delay.
+	// Example: "step=3,dev=1,op=kernel,mode=fatal;op=swap-in,count=2".
+	// Transient faults are retried with backoff; delay faults perturb
+	// timing only; fatal faults kill the device worker.
+	FaultSpec string
+	// MaxRetries bounds retries per faulted operation (0 = default 3,
+	// negative disables).
+	MaxRetries int
+	// Recover enables rollback-and-resume after fatal device faults:
+	// the trainer retires the device, re-binds its stream to a
+	// surviving device, rechecks pin budgets, rolls weights and
+	// optimizer state back to the last completed step (an in-memory
+	// checkpoint in the exec/checkpoint.go format) and re-runs the
+	// step. Recovery only remaps where tensors live, so recovered runs
+	// stay bit-identical to fault-free ones.
+	Recover bool
 	// PrefetchDepth controls schedule-driven prefetch in the parallel
 	// executor: before each kernel launches, its device worker issues
 	// async swap-ins for the inputs of the next PrefetchDepth compute
 	// tasks in its stream and proactive write-backs of dirty LRU
 	// pages, all overlapped with the kernel by per-device DMA worker
-	// goroutines. 0 means the default (2) when the schedule's
-	// Prefetch option is on; negative disables prefetch entirely.
-	// The serial reference path never prefetches. Prefetch changes
-	// only data movement, never math: weights and losses stay
-	// bit-identical at every depth.
+	// goroutines. 0 uses the mode's default (2 for Harmony modes, off
+	// for baselines); negative disables. The serial reference path
+	// never prefetches. Prefetch changes only data movement, never
+	// math — weights stay bit-identical at every depth.
 	PrefetchDepth int
-	// LinkBytesPerSec is the bandwidth of every modeled link: one per
-	// device plus the host uplink they all share (link.go). A swap
-	// reserves bytes/LinkBytesPerSec on its device's link and on the
-	// uplink, a p2p copy on both devices' links, a collective's remote
-	// gradient traffic on the reducer's link; reservations on one link
-	// never overlap, and the transferring lane waits for its own to
-	// end, sleeping in batches of at least 2 ms and carrying less as
-	// debt — modeled time is batched, never forgiven. 0 disables
-	// modeling — transfers cost only their memcpy time; negative is
-	// rejected.
-	LinkBytesPerSec int64
-
-	// AdaptivePrefetch retunes each device's prefetch window and byte
-	// budget online between iterations (DESIGN.md §13), from
-	// deterministic per-step coverage counters keyed to the step
-	// counter — never wall time — so adaptive runs stay bit-identical
-	// and emit identical decision logs across repeats and executors.
-	// Shorthand for Options.AdaptivePrefetch; implies prefetch.
-	// PrefetchDepth is the starting window, clamped to the
-	// controller's [1, 8]. The serial reference path still never
-	// prefetches, so adaptive+Serial is the static serial baseline.
+	// AdaptivePrefetch turns the fixed lookahead into an online
+	// controller (DESIGN.md §13): each device's window and async-DMA
+	// byte budget are retuned between iterations from that device's
+	// own coverage and demand counters, keyed to the step counter —
+	// never wall time — so adaptive runs stay bit-exact and their
+	// resize decision logs replay identically (see Trainer.AdaptLog).
+	// Implies prefetch; PrefetchDepth is the starting window, clamped
+	// to the controller's [1, 8]. The serial executor never
+	// prefetches, so Serial+AdaptivePrefetch is the static reference.
 	AdaptivePrefetch bool
-
+	// LinkBytesPerSec is the bandwidth of every modeled link: one per
+	// device plus the one host uplink they share, the paper's Fig. 1
+	// server (link.go). A swap reserves bytes/LinkBytesPerSec on its
+	// device's link and on the uplink — so devices swapping at once
+	// share the uplink instead of each getting all of it (Fig. 2(a)) —
+	// a p2p copy on the two devices' links, a gradient reduction on the
+	// reducer's. Reservations on a link never overlap; the transferring
+	// lane waits for its own to end, in sleeps of at least 2 ms, a
+	// smaller remainder carried forward as debt: modeled time is
+	// batched, never forgiven. 0 disables modeling (transfers cost only
+	// memcpy time); negative is rejected. Trainer.LinkStats shows which
+	// link bounds a plan.
+	LinkBytesPerSec int64
+	// NoVerify skips the static preflight verification of the
+	// execution plan (internal/schedcheck): happens-before liveness,
+	// peak-residency fit and swap-volume agreement with the analytic
+	// model. Verification is on by default; a rejected plan fails
+	// NewTrainer with a counterexample trace.
+	NoVerify bool
 	// CommChunks splits each gradient AllReduce into that many
 	// plan-time chunk rendezvous, each reduced by a deterministically
-	// assigned device worker so reduce work spreads across workers and
-	// finished workers overlap collective tails with their compute
-	// stream. 0 keeps the monolithic rendezvous. Shorthand for
-	// Options.CommChunks. Chunked runs are bit-identical to monolithic
-	// and serial ones: boundaries, reducers and per-element summation
-	// order are pure functions of the plan.
+	// assigned device worker (k mod N), so reduction overlaps backward
+	// compute instead of parking every worker at one rendezvous. 0
+	// keeps the monolithic rendezvous. Chunk boundaries, reducers and
+	// the per-element summation order are pure functions of the plan:
+	// results stay bit-identical to the monolithic path at every
+	// setting.
 	CommChunks int
-	// CommBucketBytes coalesces small per-layer gradients (reverse
-	// layer order) into byte-budgeted buckets sharing one rendezvous.
-	// Shorthand for Options.CommBucketBytes; implies CommChunks >= 1.
+	// CommBucketBytes coalesces small per-layer gradients into
+	// byte-budgeted buckets (DDP-style, packed in reverse layer order)
+	// that share one rendezvous; each bucket is then chunked per
+	// CommChunks (implied to 1 if unset). 0 keeps one bucket per
+	// layer. Bucketing regroups JIT weight updates after the bucket's
+	// deepest backward — queue order changes, math does not.
 	CommBucketBytes int64
-
-	// Injector, when non-nil, fault-injects kernel launches,
-	// swap-in/out and p2p copies, and collective rendezvous (see
-	// internal/fault for the spec grammar). Transient faults are
-	// retried with backoff; delay faults perturb timing only; fatal
-	// faults kill the device worker.
-	Injector *fault.Injector
-	// MaxRetries bounds retries per faulted operation (0 means the
-	// default of 3; negative disables retries).
-	MaxRetries int
-	// NoVerify skips the schedcheck preflight gate. NewTrainer
-	// statically verifies the plan by default — happens-before
-	// liveness, pin-budget residency and analytic swap-volume
-	// agreement — and refuses to construct a trainer for a plan that
-	// would deadlock or thrash. Opting out is for tests that
-	// deliberately build broken plans.
-	NoVerify bool
-	// Recover enables mid-iteration recovery: after a fatal device
-	// fault the trainer retires the device, re-binds its stream to a
-	// surviving device, rechecks pin budgets, rolls weights and
-	// optimizer state back to the last completed step (an in-memory
-	// checkpoint in the exec/checkpoint.go format) and re-runs the
-	// step. Training math is unchanged: recovery only remaps where
-	// tensors live, so recovered runs stay bit-identical to
-	// fault-free ones.
-	Recover bool
 }
 
-// Trainer runs real training iterations.
+// Trainer trains a real model through Harmony's runtime.
 type Trainer struct {
-	cfg     TrainerConfig
+	cfg     TrainerConfig // defaults resolved
 	layers  []nn.Kernel
 	inDim   int
 	classes int
 	g       *graph.Graph
 	s       *sched.Schedule
 	vm      *VM
+	inj     *fault.Injector
 	step    int
 	// clk is the clock every VM the trainer builds reads and sleeps on
 	// (in-package tests put a trace.ManualClock here).
@@ -194,25 +190,57 @@ type Trainer struct {
 	recoveries int
 }
 
-// NewTrainer builds the model, task graph, schedule and virtual
-// memory, and initializes weights identically across replicas.
-func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
+// NewTrainer validates the configuration, resolves its defaults and
+// builds the model, task graph, schedule and virtual memory, with
+// weights initialized identically across replicas. kernels, when
+// non-empty, is an explicit layer stack (dense, conv, pool — anything
+// implementing nn.Kernel) whose first InSize is the input dimension
+// and whose last OutSize is the class count; every kernel past the
+// first must read a rectified input and the last must not apply ReLU
+// (nn.Kernel's backward precondition). An empty stack means the MLP of
+// cfg.Widths.
+func NewTrainer(cfg TrainerConfig, kernels []nn.Kernel) (*Trainer, error) {
 	if cfg.Mode.IsSharded() {
 		// The executor reduces gradients; it has no all-gather for the
 		// op-sharded graph's partial outputs.
 		return nil, fmt.Errorf("exec: %v runs in the simulator only", cfg.Mode)
 	}
-	var layers []nn.Kernel
-	if len(cfg.Kernels) > 0 {
-		layers = cfg.Kernels
-		for i := 0; i+1 < len(layers); i++ {
-			if layers[i].OutSize() != layers[i+1].InSize() {
-				return nil, fmt.Errorf("exec: kernel %d (%s) out %d != kernel %d (%s) in %d",
-					i, layers[i].Name(), layers[i].OutSize(),
-					i+1, layers[i+1].Name(), layers[i+1].InSize())
-			}
+	if cfg.BatchSize <= 0 {
+		return nil, fmt.Errorf("exec: BatchSize must be positive")
+	}
+	if cfg.Microbatches < 0 {
+		return nil, fmt.Errorf("exec: Microbatches %d is negative (0 = one sample per microbatch, up to 8)", cfg.Microbatches)
+	}
+	if cfg.Microbatches == 0 {
+		cfg.Microbatches = min(cfg.BatchSize, 8)
+	}
+	if cfg.BatchSize%cfg.Microbatches != 0 {
+		return nil, fmt.Errorf("exec: BatchSize %d not divisible into %d microbatches", cfg.BatchSize, cfg.Microbatches)
+	}
+	switch {
+	case cfg.LR < 0:
+		return nil, fmt.Errorf("exec: LR %v is negative (0 = 0.05 SGD, 0.005 Adam)", cfg.LR)
+	case cfg.LR == 0 && cfg.Adam:
+		cfg.LR = 0.005
+	case cfg.LR == 0:
+		cfg.LR = 0.05
+	}
+	if tg := cfg.Toggles; tg != nil {
+		// The VM evicts by LRU and no device worker runs past a blocked
+		// update: refuse what would be accepted to no effect.
+		if tg.LookaheadEviction != nil {
+			return nil, fmt.Errorf("exec: TrainerConfig.Toggles.LookaheadEviction acts in the simulator only")
 		}
-	} else {
+		if tg.DeferBlockedUpdates != nil {
+			return nil, fmt.Errorf("exec: TrainerConfig.Toggles.DeferBlockedUpdates acts in the simulator only")
+		}
+	}
+	inj, err := fault.Parse(cfg.FaultSpec, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	layers := kernels
+	if len(layers) == 0 {
 		if len(cfg.Widths) < 2 {
 			return nil, fmt.Errorf("exec: need at least input and output widths")
 		}
@@ -224,35 +252,28 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 			})
 		}
 	}
+	for i := 0; i+1 < len(layers); i++ {
+		if layers[i].OutSize() != layers[i+1].InSize() {
+			return nil, fmt.Errorf("exec: kernel %d (%s) out %d != kernel %d (%s) in %d",
+				i, layers[i].Name(), layers[i].OutSize(),
+				i+1, layers[i+1].Name(), layers[i+1].InSize())
+		}
+	}
 	if err := checkRectified(layers); err != nil {
 		return nil, err
 	}
 	if cfg.Devices <= 0 {
 		return nil, fmt.Errorf("exec: Devices must be positive")
 	}
-	if cfg.LR <= 0 {
-		return nil, fmt.Errorf("exec: LR must be positive")
-	}
 	if cfg.LinkBytesPerSec < 0 {
 		return nil, fmt.Errorf("exec: LinkBytesPerSec %d is negative (0 = no modeled link)", cfg.LinkBytesPerSec)
 	}
-	opts := sched.DefaultOptions(cfg.Mode)
-	if cfg.Options != nil {
-		opts = *cfg.Options
-		opts.Mode = cfg.Mode
-	}
-	if cfg.AdaptivePrefetch {
-		opts.AdaptivePrefetch = true
-	}
-	if cfg.CommChunks > 0 {
-		opts.CommChunks = cfg.CommChunks
-	}
-	if cfg.CommBucketBytes > 0 {
-		opts.CommBucketBytes = cfg.CommBucketBytes
-	}
+	opts := cfg.Toggles.Apply(sched.DefaultOptions(cfg.Mode))
+	opts.AdaptivePrefetch = cfg.AdaptivePrefetch
+	opts.CommChunks, opts.CommBucketBytes = cfg.CommChunks, cfg.CommBucketBytes
 	s, err := sched.Plan(graph.Config{
-		Model:          kernelModel(layers, cfg.Optimizer == Adam),
-		MicrobatchSize: cfg.MicrobatchSize,
+		Model:          kernelModel(layers, cfg.Adam),
+		MicrobatchSize: cfg.BatchSize / cfg.Microbatches,
 		Microbatches:   cfg.Microbatches,
 	}, opts, cfg.Devices)
 	if err != nil {
@@ -276,6 +297,7 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 		classes: layers[len(layers)-1].OutSize(),
 		g:       g,
 		s:       s,
+		inj:     inj,
 		streams: streams,
 		comm:    buildCommPlan(s),
 		clk:     trace.WallClock{},
@@ -343,7 +365,7 @@ func (tr *Trainer) freshVM() {
 	}
 	tr.vm = NewVM(tr.cfg.Devices, tr.cfg.DeviceBytes, tr.s.MemPolicy)
 	tr.vm.clk = tr.clk
-	tr.vm.SetFaultInjection(tr.cfg.Injector, tr.maxRetries(), func() int { return tr.step })
+	tr.vm.SetFaultInjection(tr.inj, tr.maxRetries(), func() int { return tr.step })
 	tr.vm.SetLinkBandwidth(tr.cfg.LinkBytesPerSec)
 	if tr.rec != nil {
 		tr.vm.SetRecorder(tr.rec.add)
@@ -465,23 +487,28 @@ func (tr *Trainer) pdev(d int) int {
 	return tr.devMap[d]
 }
 
-// Alive reports which physical devices have not been retired by
-// recovery.
-func (tr *Trainer) Alive() []bool { return append([]bool(nil), tr.alive...) }
-
-// Recoveries reports how many fatal device faults the trainer has
-// recovered from.
+// Recoveries reports how many fatal device faults the trainer rolled
+// back from and resumed past.
 func (tr *Trainer) Recoveries() int { return tr.recoveries }
+
+// OnFault installs an observer notified of every injected fault and
+// retry (for timelines and logging). The observer may be called from
+// device-worker goroutines and must be safe for concurrent use; it
+// must not call back into the trainer.
+func (tr *Trainer) OnFault(fn func(fault.Event)) { tr.inj.Observe(fn) }
+
+// FaultStats reports how many faults were injected and how many
+// retries the retry layers issued.
+func (tr *Trainer) FaultStats() (injected, retries int) { return tr.inj.Stats() }
 
 // injectOp consults the fault injector for a compute-side operation
 // (kernel launch, collective rendezvous), retrying transient faults
 // with backoff.
 func (tr *Trainer) injectOp(op fault.Op, dev, layer int) error {
-	in := tr.cfg.Injector
-	if in.Rules() == 0 {
+	if tr.inj.Rules() == 0 {
 		return nil
 	}
-	_, err := injectRetrying(in, op, dev, tr.step, layer, tr.maxRetries())
+	_, err := injectRetrying(tr.inj, op, dev, tr.step, layer, tr.maxRetries())
 	return err
 }
 
@@ -562,48 +589,44 @@ func (tr *Trainer) FootprintBytes() int64 {
 	return total
 }
 
-// Replicas returns how many model replicas the trainer maintains.
+// Replicas reports the number of data-parallel model replicas.
 func (tr *Trainer) Replicas() int { return tr.g.Cfg.Replicas }
 
-// batchesNeeded returns how many (microbatch) slots one Step consumes
-// per replica.
-func (tr *Trainer) batchesNeeded() int { return tr.g.Cfg.Microbatches }
+// SamplesPerStep is the total samples one Step consumes: BatchSize per
+// replica.
+func (tr *Trainer) SamplesPerStep() int { return tr.g.Cfg.Replicas * tr.cfg.BatchSize }
 
-// Step runs one training iteration. inputs[r][i] is the microbatch i
-// fed to replica r (flattened [MicrobatchSize × Widths[0]]), labels
-// likewise. It returns the mean loss across all microbatches.
+// microbatch returns the offset of the first sample of replica r's
+// microbatch i in Step's replica-major layout.
+func (tr *Trainer) microbatch(r, i int) int {
+	return (r*tr.g.Cfg.Microbatches + i) * tr.g.Cfg.MicrobatchSize
+}
+
+// Step runs one iteration on a flattened [SamplesPerStep×input] batch
+// and its labels, returning the mean loss across all microbatches.
+// Replica r trains samples [r·BatchSize, (r+1)·BatchSize), split into
+// its microbatches in order: replica r's microbatch i starts at sample
+// (r·Microbatches + i)·(BatchSize/Microbatches).
 //
 // The iteration runs on the parallel device-worker executor unless
 // cfg.Serial forces the single-threaded reference path; both produce
 // bit-identical weights and losses (see executor.go).
-func (tr *Trainer) Step(inputs [][][]float32, labels [][][]int) (float32, error) {
-	m := tr.batchesNeeded()
-	N := tr.g.Cfg.Replicas
-	if len(inputs) != N || len(labels) != N {
-		return 0, fmt.Errorf("exec: need data for %d replicas, got %d", N, len(inputs))
+func (tr *Trainer) Step(inputs []float32, labels []int) (float32, error) {
+	n := tr.g.Cfg.Replicas
+	samples := tr.SamplesPerStep()
+	if len(labels) != samples {
+		return 0, fmt.Errorf("exec: Step needs %d labels (%d replicas × %d samples), got %d",
+			samples, n, samples/n, len(labels))
 	}
-	batch := tr.cfg.MicrobatchSize
-	for r := 0; r < N; r++ {
-		if len(inputs[r]) != m || len(labels[r]) != m {
-			return 0, fmt.Errorf("exec: replica %d needs %d microbatches", r, m)
-		}
-		for i := 0; i < m; i++ {
-			if len(inputs[r][i]) != batch*tr.inDim {
-				return 0, fmt.Errorf("exec: input %d/%d has %d floats, want %d",
-					r, i, len(inputs[r][i]), batch*tr.inDim)
-			}
-			if len(labels[r][i]) != batch {
-				return 0, fmt.Errorf("exec: labels %d/%d has %d entries, want %d",
-					r, i, len(labels[r][i]), batch)
-			}
-			// Validate labels up front: a bad label would otherwise
-			// surface as a panic deep inside a backward kernel.
-			for _, y := range labels[r][i] {
-				if y < 0 || y >= tr.classes {
-					return 0, fmt.Errorf("exec: label %d out of range [0,%d) in microbatch %d/%d",
-						y, tr.classes, r, i)
-				}
-			}
+	if len(inputs) != samples*tr.inDim {
+		return 0, fmt.Errorf("exec: Step needs %d inputs (%d samples × %d features), got %d",
+			samples*tr.inDim, samples, tr.inDim, len(inputs))
+	}
+	// Validate labels up front: a bad label would otherwise surface as a
+	// panic deep inside a backward kernel.
+	for i, y := range labels {
+		if y < 0 || y >= tr.classes {
+			return 0, fmt.Errorf("exec: label %d out of range [0,%d) at sample %d", y, tr.classes, i)
 		}
 	}
 	// Prove the streams the workers are about to drain can complete
@@ -651,13 +674,12 @@ func (tr *Trainer) Step(inputs [][][]float32, labels [][][]int) (float32, error)
 // losses, free the consumed inputs. On error the VM may hold partial
 // state (pins, mid-iteration activations); the recovery path discards
 // the whole VM rather than unwinding it.
-func (tr *Trainer) runStep(inputs [][][]float32, labels [][][]int) (float32, error) {
-	m := tr.batchesNeeded()
+func (tr *Trainer) runStep(inputs []float32, labels []int) (float32, error) {
+	m := tr.g.Cfg.Microbatches
 	N := tr.g.Cfg.Replicas
 	for r := 0; r < N; r++ {
 		for i := 0; i < m; i++ {
-			host := tr.vm.HostAlloc(tr.g.Act[r][0][i])
-			copy(host, inputs[r][i])
+			copy(tr.vm.HostAlloc(tr.g.Act[r][0][i]), inputs[tr.microbatch(r, i)*tr.inDim:])
 		}
 	}
 	tr.step++
@@ -781,48 +803,33 @@ func (tr *Trainer) recoverFrom(dev int) error {
 	return nil
 }
 
-// RetuneRequest describes a mid-run plan change for Trainer.Retune.
-// Zero fields keep the current value. A microbatch reshape must
-// preserve the per-replica batch (MicrobatchSize × Microbatches), so
-// the Step input contract is unchanged apart from the slicing.
-type RetuneRequest struct {
-	MicrobatchSize int
-	Microbatches   int
-}
-
-// Retune swaps the trainer's execution plan between iterations: it
-// rebuilds the task graph and schedule for the requested microbatch
-// shape under the current options, runs the full schedcheck preflight
-// on the candidate plan, and adopts it only if verification passes. An
-// infeasible retune returns the verifier's Gantt counterexample and
-// leaves the running plan untouched — the next Step continues exactly
-// as before. Training state survives adoption: weights, optimizer
-// state and the step counter round-trip through the
-// microbatch-independent checkpoint format into a fresh VM.
+// Retune reshapes the execution plan between Steps to the given number
+// of microbatches per replica: it rebuilds the task graph and schedule
+// under the current options, runs the full schedcheck preflight on the
+// candidate plan, and adopts it only if verification passes. BatchSize
+// must divide into them; the batch itself never changes, so Step keeps
+// accepting the same input shape. An infeasible retune returns the
+// verifier's Gantt counterexample and leaves the running plan untouched
+// — the next Step continues exactly as before. Training state survives
+// adoption: weights, optimizer state and the step counter round-trip
+// through the microbatch-independent checkpoint format into a fresh VM.
 //
 // Call only between Steps (same non-concurrency contract as Step).
-func (tr *Trainer) Retune(req RetuneRequest) error {
-	mbs, mbc := tr.cfg.MicrobatchSize, tr.cfg.Microbatches
-	if req.MicrobatchSize > 0 {
-		mbs = req.MicrobatchSize
+func (tr *Trainer) Retune(microbatches int) error {
+	batch := tr.cfg.BatchSize
+	if microbatches <= 0 || batch%microbatches != 0 {
+		return fmt.Errorf("exec: cannot split BatchSize %d into %d microbatches", batch, microbatches)
 	}
-	if req.Microbatches > 0 {
-		mbc = req.Microbatches
-	}
-	if mbs*mbc != tr.cfg.MicrobatchSize*tr.cfg.Microbatches {
-		return fmt.Errorf("exec: retune must preserve the per-replica batch: %d×%d != %d×%d",
-			mbs, mbc, tr.cfg.MicrobatchSize, tr.cfg.Microbatches)
-	}
-	if mbs == tr.cfg.MicrobatchSize {
+	if microbatches == tr.cfg.Microbatches {
 		return nil
 	}
 
 	// Build and verify the candidate plan without touching the live
 	// one: any failure below this point leaves the trainer unchanged.
 	s2, err := sched.Plan(graph.Config{
-		Model:          kernelModel(tr.layers, tr.cfg.Optimizer == Adam),
-		MicrobatchSize: mbs,
-		Microbatches:   mbc,
+		Model:          kernelModel(tr.layers, tr.cfg.Adam),
+		MicrobatchSize: batch / microbatches,
+		Microbatches:   microbatches,
 	}, tr.s.Opts, tr.cfg.Devices)
 	if err != nil {
 		return fmt.Errorf("exec: retune: %w", err)
@@ -859,7 +866,7 @@ func (tr *Trainer) Retune(req RetuneRequest) error {
 	}
 
 	// ---- adopt ----
-	tr.cfg.MicrobatchSize, tr.cfg.Microbatches = mbs, mbc
+	tr.cfg.Microbatches = microbatches
 	tr.g, tr.s, tr.streams = g2, s2, streams2
 	tr.comm = buildCommPlan(s2)
 	tr.validated, tr.valErr = true, nil // liveness just proven
@@ -886,7 +893,7 @@ const maxViews = 4
 // by declared position, release retires them — the same footprint
 // schedcheck's residency proof sums, so a plan admitted at its proven
 // bound runs at it.
-func (tr *Trainer) runTask(dev int, t *graph.Task, labels [][][]int) (float32, bool, error) {
+func (tr *Trainer) runTask(dev int, t *graph.Task, labels []int) (float32, bool, error) {
 	if t.Kind > graph.Update || len(t.Inputs) > maxViews || len(t.Outputs) > maxViews {
 		return 0, false, fmt.Errorf("exec: unexpected task kind %v in queue", t.Kind)
 	}
@@ -901,7 +908,7 @@ func (tr *Trainer) runTask(dev int, t *graph.Task, labels [][][]int) (float32, b
 		defer func() { r.add(dev, trace.Compute, t.String(), start, tr.vm.clk.Now()) }()
 	}
 	layer := tr.layers[t.Layer]
-	batch := tr.cfg.MicrobatchSize
+	batch := tr.g.Cfg.MicrobatchSize
 	var dy []float32
 	var loss float32
 	var zeroed *tensor.Tensor
@@ -919,7 +926,8 @@ func (tr *Trainer) runTask(dev int, t *graph.Task, labels [][][]int) (float32, b
 		}
 		dy = nn.GetScratch(batch * tr.classes)
 		defer nn.PutScratch(dy)
-		loss = nn.SoftmaxXent(y, labels[t.Replica][t.Microbatch], dy, batch, tr.classes)
+		off := tr.microbatch(t.Replica, t.Microbatch)
+		loss = nn.SoftmaxXent(y, labels[off:off+batch], dy, batch, tr.classes)
 		if err := tr.vm.Unpin(logits); err != nil {
 			return 0, false, err
 		}
@@ -938,7 +946,7 @@ func (tr *Trainer) runTask(dev int, t *graph.Task, labels [][][]int) (float32, b
 		layer.Backward(in[0], in[2], dy, out[0], in[1], batch)
 	case graph.Update: // W, dW, K
 		n := layer.ParamCount()
-		if tr.cfg.Optimizer == Adam {
+		if tr.cfg.Adam {
 			nn.Adam(in[0][:n], in[1][:n], in[2][:n], in[2][n:2*n], tr.cfg.LR, 0.9, 0.999, 1e-8, tr.step)
 		} else {
 			nn.SGD(in[0][:n], in[1][:n], tr.cfg.LR)

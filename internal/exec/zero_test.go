@@ -73,10 +73,10 @@ func evictAll(t *testing.T, vm *VM, dev int) {
 // end to end after each Step, under both optimizers, with and without a
 // collective in between.
 func TestStepLeavesGradientsBitZero(t *testing.T) {
-	for _, opt := range []Optimizer{SGD, Adam} {
+	for opt, adam := range []bool{false, true} {
 		for _, devices := range []int{1, 2} {
 			cfg := trainerConfig(sched.HarmonyDP, devices)
-			cfg.Optimizer = opt
+			cfg.Adam = adam
 			cfg.LR = 0.005
 			cfg.DeviceBytes = 1 << 30
 			tr, _ := runTrainer(t, cfg, 3)
@@ -497,23 +497,23 @@ func TestZeroFillIsNotAFaultSite(t *testing.T) {
 func TestBaselineMovesEveryByteItDid(t *testing.T) {
 	for _, tc := range []struct {
 		mode sched.Mode
-		opt  Optimizer
+		adam bool
 		want VMStats
 	}{
-		{sched.DPBaseline, SGD, VMStats{SwapInBytes: 567488, SwapOutBytes: 544128, SwapIns: 292, SwapOuts: 282}},
-		{sched.DPBaseline, Adam, VMStats{SwapInBytes: 240192, SwapOutBytes: 202176, SwapIns: 108, SwapOuts: 96}},
-		{sched.PPBaseline, SGD, VMStats{SwapInBytes: 132960, SwapOutBytes: 110912, SwapIns: 97, SwapOuts: 75}},
-		{sched.PPBaseline, Adam, VMStats{SwapInBytes: 109856, SwapOutBytes: 73952, SwapIns: 66, SwapOuts: 41}},
+		{sched.DPBaseline, false, VMStats{SwapInBytes: 567488, SwapOutBytes: 544128, SwapIns: 292, SwapOuts: 282}},
+		{sched.DPBaseline, true, VMStats{SwapInBytes: 240192, SwapOutBytes: 202176, SwapIns: 108, SwapOuts: 96}},
+		{sched.PPBaseline, false, VMStats{SwapInBytes: 132960, SwapOutBytes: 110912, SwapIns: 97, SwapOuts: 75}},
+		{sched.PPBaseline, true, VMStats{SwapInBytes: 109856, SwapOutBytes: 73952, SwapIns: 66, SwapOuts: 41}},
 	} {
 		cfg := trainerConfig(tc.mode, 2)
 		cfg.Serial = true
-		cfg.Optimizer = tc.opt
-		if tc.opt == Adam {
+		cfg.Adam = tc.adam
+		if tc.adam {
 			cfg.DeviceBytes, cfg.LR = 20<<10, 0.005
 		}
 		tr, _ := runTrainer(t, cfg, 4)
 		if got := tr.Stats(); got != tc.want {
-			t.Errorf("%v, optimizer %d:\n got %+v\nwant %+v", tc.mode, tc.opt, got, tc.want)
+			t.Errorf("%v, Adam %v:\n got %+v\nwant %+v", tc.mode, tc.adam, got, tc.want)
 		}
 	}
 }

@@ -186,6 +186,58 @@ func DefaultOptions(m Mode) Options {
 	}
 }
 
+// Toggles exposes the paper's optimizations individually for
+// ablation; the zero value of a field means "use the mode's default".
+type Toggles struct {
+	Grouping      *bool
+	JIT           *bool
+	P2P           *bool
+	Packing       *bool
+	Prefetch      *bool
+	DirtyTracking *bool
+	// DeferBlockedUpdates lets a device run past an update task whose
+	// collective is not ready. It acts in the simulator only: the
+	// trainer refuses a Toggles that sets it.
+	DeferBlockedUpdates *bool
+	// LookaheadEviction switches eviction from LRU to
+	// schedule-informed Belady (the scheduler/swapper co-design). It
+	// acts in the simulator only: the trainer's VM evicts by LRU and
+	// refuses a Toggles that sets it.
+	LookaheadEviction *bool
+	// GroupSize bounds the input-batch grouping window (0 = the
+	// whole mini-batch); see the memory–performance tango.
+	GroupSize int
+	// WaveInterleave runs pipeline waves in 1F1B order, bounding
+	// in-flight stash per stage (for stash-heavy workloads).
+	WaveInterleave *bool
+}
+
+// Apply returns o with every set toggle overriding it; a nil Toggles
+// returns o unchanged.
+func (t *Toggles) Apply(o Options) Options {
+	if t == nil {
+		return o
+	}
+	set := func(dst *bool, v *bool) {
+		if v != nil {
+			*dst = *v
+		}
+	}
+	set(&o.Grouping, t.Grouping)
+	set(&o.JIT, t.JIT)
+	set(&o.P2P, t.P2P)
+	set(&o.Packing, t.Packing)
+	set(&o.Prefetch, t.Prefetch)
+	set(&o.DirtyTracking, t.DirtyTracking)
+	set(&o.DeferBlockedUpdates, t.DeferBlockedUpdates)
+	set(&o.LookaheadEviction, t.LookaheadEviction)
+	set(&o.WaveInterleave, t.WaveInterleave)
+	if t.GroupSize > 0 {
+		o.GroupSize = t.GroupSize
+	}
+	return o
+}
+
 // Schedule is a bound, ordered execution plan for one iteration.
 type Schedule struct {
 	Graph *graph.Graph

@@ -39,6 +39,30 @@ func TestDefaultOptions(t *testing.T) {
 	}
 }
 
+func TestTogglesApply(t *testing.T) {
+	base := DefaultOptions(HarmonyDP)
+	if !base.Grouping {
+		t.Fatal("harmony default should group")
+	}
+	off := false
+	tg := &Toggles{Grouping: &off, GroupSize: 3}
+	o := tg.Apply(base)
+	if o.Grouping {
+		t.Fatal("toggle did not apply")
+	}
+	if o.GroupSize != 3 {
+		t.Fatal("group size did not apply")
+	}
+	if !o.JIT {
+		t.Fatal("unset toggles must keep defaults")
+	}
+	var nilT *Toggles
+	o2 := nilT.Apply(base)
+	if o2 != base {
+		t.Fatal("nil toggles must be identity")
+	}
+}
+
 func TestBuildValidation(t *testing.T) {
 	if _, err := Build(dpGraph(4, 2, 2), DefaultOptions(DPBaseline), 3); err == nil {
 		t.Fatal("replica/GPU mismatch accepted")

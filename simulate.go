@@ -119,7 +119,7 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 		MicrobatchSize: mbs,
 		Microbatches:   mbn,
 		Recompute:      cfg.Recompute,
-	}, cfg.Toggles.apply(sched.DefaultOptions(cfg.Mode)), cfg.Server.cfg.TotalGPUs())
+	}, cfg.Toggles.Apply(sched.DefaultOptions(cfg.Mode)), cfg.Server.cfg.TotalGPUs())
 	if err != nil {
 		return nil, err
 	}
