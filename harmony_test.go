@@ -504,6 +504,21 @@ func TestTuneShardedModes(t *testing.T) {
 	}
 }
 
+// On a box where nothing fits, Tune fails the same way on the greedy and
+// the exhaustive path; the greedy one used to return a "best" with no
+// throughput and a nil error.
+func TestTuneNothingFits(t *testing.T) {
+	for _, greedy := range []bool{false, true} {
+		res, err := Tune(TuneConfig{
+			Model: UniformModel(8, 1_000_000, 16<<10, 5e9), Mode: HarmonyPP,
+			Server: CommodityServer(2).WithGPUMemory(1 << 10), BatchPerReplica: 4, Greedy: greedy,
+		})
+		if res != nil || err == nil || err.Error() != "tuner: no feasible candidate for uniform on 2 GPUs" {
+			t.Errorf("Greedy %v: Tune = %+v, %v; want no feasible candidate", greedy, res, err)
+		}
+	}
+}
+
 func TestTPModesThroughPublicAPI(t *testing.T) {
 	base := SimConfig{
 		Model:          UniformModel(8, 400_000, 32<<10, 1e9),

@@ -173,7 +173,7 @@ import "harmony/internal/hw"
 // MarkDirty failure returns early and leaks the pin, shrinking the
 // device budget for the rest of the run.
 func (m *Manager) seededWarm(id int, dev hw.DeviceID) error {
-	st := m.states[id]
+	st := &m.states[id]
 	if err := st.Pin(); err != nil {
 		return err
 	}

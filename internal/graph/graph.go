@@ -199,6 +199,93 @@ type Graph struct {
 // Layers returns the model depth R.
 func (g *Graph) Layers() int { return len(g.Cfg.Model.Layers) }
 
+// builder lays a graph out for its whole life in a few arrays: the tasks
+// in one slab, and every task's tensor and task lists carved from shared
+// backing arrays as cap == len slices, so a caller's append to one list
+// reallocates instead of writing into its neighbour's.
+type builder struct {
+	g    *Graph
+	slab []Task
+	// tens and links are the unused tails of the chunks the lists are
+	// carved from. A chunk holds one entry per task, so a graph's lists
+	// take a handful of chunks.
+	tens  []*tensor.Tensor
+	links []*Task
+}
+
+// newBuilder starts a graph of exactly n tasks.
+func newBuilder(cfg Config, n int) *builder {
+	return &builder{
+		g:    &Graph{Cfg: cfg, Reg: tensor.NewRegistry(), Tasks: make([]*Task, 0, n)},
+		slab: make([]Task, n),
+	}
+}
+
+// task appends the next task. A task's lists are all set before the next
+// task is created, which is what keeps link's edge order the build order.
+func (b *builder) task(k Kind, replica, layer, microbatch int) *Task {
+	id := len(b.g.Tasks)
+	t := &b.slab[id]
+	*t = Task{ID: id, Kind: k, Replica: replica, Layer: layer, Microbatch: microbatch}
+	b.g.Tasks = append(b.g.Tasks, t)
+	return t
+}
+
+// tensors and deps copy a list into the shared backing; an empty list
+// stays nil.
+func (b *builder) tensors(ts ...*tensor.Tensor) []*tensor.Tensor {
+	return carve(&b.tens, len(ts), len(b.slab), ts)
+}
+
+func (b *builder) deps(ts ...*Task) []*Task { return carve(&b.links, len(ts), len(b.slab), ts) }
+
+// carve takes a cap == n slice off the front of *buf, starting a new
+// chunk when the current one is short, and copies xs into it. The slice
+// has xs's length, so a nil xs reserves room for n appends.
+func carve[T any](buf *[]T, n, chunk int, xs []T) []T {
+	if n == 0 {
+		return nil
+	}
+	if len(*buf) < n {
+		*buf = make([]T, max(n, chunk))
+	}
+	out := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return out[:copy(out, xs)]
+}
+
+// link fills every task's Succs from the Deps, carved like them: each
+// task's successors in ascending task ID, then in the order the
+// successor lists its dependencies.
+func (b *builder) link() *Graph {
+	tasks := b.g.Tasks
+	succs := make([]int, len(tasks))
+	for _, t := range tasks {
+		for _, on := range t.Deps {
+			succs[on.ID]++
+		}
+	}
+	for _, t := range tasks {
+		t.Succs = carve(&b.links, succs[t.ID], len(b.slab), nil)
+	}
+	for _, t := range tasks {
+		for _, on := range t.Deps {
+			on.Succs = append(on.Succs, t)
+		}
+	}
+	return b.g
+}
+
+// rows returns n slices of m elements each, carved from one array.
+func rows[T any](n, m int) [][]T {
+	buf := make([]T, n*m)
+	out := make([][]T, n)
+	for i := range out {
+		out[i] = buf[i*m : (i+1)*m : (i+1)*m]
+	}
+	return out
+}
+
 // Build decomposes one training iteration into the fine-grained task
 // graph.
 func Build(cfg Config) (*Graph, error) {
@@ -208,21 +295,18 @@ func Build(cfg Config) (*Graph, error) {
 	if cfg.OpShards > 1 {
 		return buildTP(cfg)
 	}
-	g := &Graph{Cfg: cfg, Reg: tensor.NewRegistry()}
 	R := len(cfg.Model.Layers)
 	N := cfg.Replicas
 	m := cfg.Microbatches
 	mb := int64(cfg.MicrobatchSize)
-
-	newTask := func(k Kind, replica, layer, microbatch int) *Task {
-		t := &Task{ID: len(g.Tasks), Kind: k, Replica: replica, Layer: layer, Microbatch: microbatch}
-		g.Tasks = append(g.Tasks, t)
-		return t
+	// Forward and backward per replica, layer and microbatch, an update
+	// per replica and layer, and an all-reduce per layer across replicas.
+	n := N*R*(2*m+1) + R
+	if N == 1 {
+		n -= R
 	}
-	dep := func(t, on *Task) {
-		t.Deps = append(t.Deps, on)
-		on.Succs = append(on.Succs, t)
-	}
+	b := newBuilder(cfg, n)
+	g := b.g
 
 	// Tensors.
 	g.W = make([][]*tensor.Tensor, N)
@@ -235,9 +319,9 @@ func Build(cfg Config) (*Graph, error) {
 		g.W[r] = make([]*tensor.Tensor, R)
 		g.DW[r] = make([]*tensor.Tensor, R)
 		g.K[r] = make([]*tensor.Tensor, R)
-		g.Act[r] = make([][]*tensor.Tensor, R+1)
-		g.Stash[r] = make([][]*tensor.Tensor, R)
-		g.Grad[r] = make([][]*tensor.Tensor, R+1)
+		g.Act[r] = rows[*tensor.Tensor](R+1, m)
+		g.Stash[r] = rows[*tensor.Tensor](R, m)
+		g.Grad[r] = rows[*tensor.Tensor](R+1, m)
 		for l := 0; l < R; l++ {
 			spec := cfg.Model.Layers[l]
 			wb := spec.WeightBytes()
@@ -247,11 +331,6 @@ func Build(cfg Config) (*Graph, error) {
 			g.K[r][l] = g.Reg.New(fmt.Sprintf("r%d.K.L%d", r, l), tensor.OptState, kb, l, -1)
 		}
 		for l := 0; l <= R; l++ {
-			g.Act[r][l] = make([]*tensor.Tensor, m)
-			g.Grad[r][l] = make([]*tensor.Tensor, m)
-			if l < R {
-				g.Stash[r][l] = make([]*tensor.Tensor, m)
-			}
 			for i := 0; i < m; i++ {
 				var actBytes int64
 				if l == 0 {
@@ -285,24 +364,22 @@ func Build(cfg Config) (*Graph, error) {
 	g.Bwd = make([][][]*Task, N)
 	g.Upd = make([][]*Task, N)
 	for r := 0; r < N; r++ {
-		g.Fwd[r] = make([][]*Task, R)
-		g.Bwd[r] = make([][]*Task, R)
+		g.Fwd[r] = rows[*Task](R, m)
+		g.Bwd[r] = rows[*Task](R, m)
 		g.Upd[r] = make([]*Task, R)
 		for l := 0; l < R; l++ {
 			spec := cfg.Model.Layers[l]
-			g.Fwd[r][l] = make([]*Task, m)
-			g.Bwd[r][l] = make([]*Task, m)
 			for i := 0; i < m; i++ {
-				f := newTask(Forward, r, l, i)
+				f := b.task(Forward, r, l, i)
 				f.FLOPs = spec.FwdFLOPsPerSample * float64(mb)
 				f.WorkspaceBytes = spec.WorkspaceBytes
-				f.Inputs = []*tensor.Tensor{g.W[r][l], g.Act[r][l][i]}
-				f.Outputs = []*tensor.Tensor{g.Act[r][l+1][i], g.Stash[r][l][i]}
+				f.Inputs = b.tensors(g.W[r][l], g.Act[r][l][i])
+				f.Outputs = b.tensors(g.Act[r][l+1][i], g.Stash[r][l][i])
 				if l > 0 {
-					dep(f, g.Fwd[r][l-1][i])
+					f.Deps = b.deps(g.Fwd[r][l-1][i])
 					// Layer l's input (Act[l]) is last read here; the
 					// stash retains what backward needs.
-					f.Frees = append(f.Frees, g.Act[r][l][i])
+					f.Frees = b.tensors(g.Act[r][l][i])
 				}
 				g.Fwd[r][l][i] = f
 			}
@@ -312,79 +389,80 @@ func Build(cfg Config) (*Graph, error) {
 		for l := R - 1; l >= 0; l-- {
 			spec := cfg.Model.Layers[l]
 			for i := 0; i < m; i++ {
-				b := newTask(Backward, r, l, i)
-				b.FLOPs = spec.FwdFLOPsPerSample * float64(mb) * models.BwdFLOPsFactor
+				bw := b.task(Backward, r, l, i)
+				bw.FLOPs = spec.FwdFLOPsPerSample * float64(mb) * models.BwdFLOPsFactor
 				if cfg.Recompute {
 					// Re-run the forward from the checkpoint before
 					// differentiating.
-					b.FLOPs += spec.FwdFLOPsPerSample * float64(mb)
+					bw.FLOPs += spec.FwdFLOPsPerSample * float64(mb)
 					// The recomputed intermediates need transient
 					// space on top of the usual workspace.
-					b.WorkspaceBytes = spec.WorkspaceBytes +
+					bw.WorkspaceBytes = spec.WorkspaceBytes +
 						(spec.StashBytesPerSample-spec.ActBytesPerSample)*mb
-					if b.WorkspaceBytes < spec.WorkspaceBytes {
-						b.WorkspaceBytes = spec.WorkspaceBytes
+					if bw.WorkspaceBytes < spec.WorkspaceBytes {
+						bw.WorkspaceBytes = spec.WorkspaceBytes
 					}
 				} else {
-					b.WorkspaceBytes = spec.WorkspaceBytes
+					bw.WorkspaceBytes = spec.WorkspaceBytes
 				}
-				b.Inputs = []*tensor.Tensor{g.W[r][l], g.DW[r][l], g.Stash[r][l][i]}
+				w, dw, stash, fwd := g.W[r][l], g.DW[r][l], g.Stash[r][l][i], g.Fwd[r][l][i]
 				if l < R-1 {
 					// dY produced by the next layer's backward.
-					b.Inputs = append(b.Inputs, g.Grad[r][l+1][i])
-					dep(b, g.Bwd[r][l+1][i])
-					b.Frees = append(b.Frees, g.Grad[r][l+1][i])
+					dy := g.Grad[r][l+1][i]
+					bw.Inputs = b.tensors(w, dw, stash, dy)
+					bw.Deps = b.deps(g.Bwd[r][l+1][i], fwd)
+					bw.Frees = b.tensors(dy, stash)
 				} else {
-					// Loss gradient: produced locally from the
-					// forward output; no extra input tensor.
-					dep(b, g.Fwd[r][l][i])
+					// Loss gradient: produced locally from the forward
+					// output; no extra input tensor. The edge from the
+					// forward is listed twice, once as the loss's producer
+					// and once as the layer's own forward. The final
+					// activation's last use is the loss.
+					bw.Inputs = b.tensors(w, dw, stash)
+					bw.Deps = b.deps(fwd, fwd)
+					bw.Frees = b.tensors(stash, g.Act[r][l+1][i])
 				}
 				if l > 0 {
-					b.Outputs = []*tensor.Tensor{g.Grad[r][l][i]}
+					bw.Outputs = b.tensors(g.Grad[r][l][i])
 				}
-				b.Mutates = []*tensor.Tensor{g.DW[r][l]}
-				b.Frees = append(b.Frees, g.Stash[r][l][i])
-				if l == R-1 {
-					// The final activation's last use is the loss.
-					b.Frees = append(b.Frees, g.Act[r][l+1][i])
-				}
-				dep(b, g.Fwd[r][l][i])
-				g.Bwd[r][l][i] = b
+				bw.Mutates = b.tensors(dw)
+				g.Bwd[r][l][i] = bw
 			}
 		}
 	}
 	if N > 1 {
+		var dws []*tensor.Tensor
+		var deps []*Task
 		g.AR = make([]*Task, R)
 		for l := 0; l < R; l++ {
-			ar := newTask(AllReduce, -1, l, -1)
+			ar := b.task(AllReduce, -1, l, -1)
 			ar.CommBytes = g.DW[0][l].Bytes
+			dws, deps = dws[:0], deps[:0]
 			for r := 0; r < N; r++ {
-				ar.Inputs = append(ar.Inputs, g.DW[r][l])
-				ar.Mutates = append(ar.Mutates, g.DW[r][l])
-				for i := 0; i < m; i++ {
-					dep(ar, g.Bwd[r][l][i])
-				}
+				dws = append(dws, g.DW[r][l])
+				deps = append(deps, g.Bwd[r][l]...)
 			}
+			ar.Inputs = b.tensors(dws...)
+			ar.Mutates = b.tensors(dws...)
+			ar.Deps = b.deps(deps...)
 			g.AR[l] = ar
 		}
 	}
 	for r := 0; r < N; r++ {
 		for l := 0; l < R; l++ {
-			u := newTask(Update, r, l, -1)
+			u := b.task(Update, r, l, -1)
 			u.FLOPs = float64(cfg.Model.Layers[l].Params) * models.UpdateFLOPsPerParam
-			u.Inputs = []*tensor.Tensor{g.W[r][l], g.DW[r][l], g.K[r][l]}
-			u.Mutates = []*tensor.Tensor{g.W[r][l], g.DW[r][l], g.K[r][l]}
+			u.Inputs = b.tensors(g.W[r][l], g.DW[r][l], g.K[r][l])
+			u.Mutates = b.tensors(g.W[r][l], g.DW[r][l], g.K[r][l])
 			if g.AR != nil {
-				dep(u, g.AR[l])
+				u.Deps = b.deps(g.AR[l])
 			} else {
-				for i := 0; i < m; i++ {
-					dep(u, g.Bwd[r][l][i])
-				}
+				u.Deps = b.deps(g.Bwd[r][l]...)
 			}
 			g.Upd[r][l] = u
 		}
 	}
-	return g, nil
+	return b.link(), nil
 }
 
 // MustBuild panics on error; for tests and static configs.

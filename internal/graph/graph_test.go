@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -285,5 +286,71 @@ func TestMiniBatchForTP(t *testing.T) {
 	c := Config{Model: toyModel(2), MicrobatchSize: 2, Microbatches: 3, Replicas: 1, OpShards: 4}
 	if c.MiniBatch() != 6 {
 		t.Fatalf("TP mini-batch = %d, want 6 (shards split work, not data)", c.MiniBatch())
+	}
+}
+
+// TestTaskListsAreCarvedApart: tasks live in one slab and their lists in
+// shared backing arrays, so every list is cut with cap == len; a caller's
+// append then reallocates instead of writing into the next task's list.
+func TestTaskListsAreCarvedApart(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"dp", Config{Model: toyModel(4), MicrobatchSize: 1, Microbatches: 3, Replicas: 2}},
+		{"pp", Config{Model: toyModel(4), MicrobatchSize: 1, Microbatches: 3, Replicas: 1}},
+		{"tp", Config{Model: toyModel(4), MicrobatchSize: 1, Microbatches: 3, Replicas: 1, OpShards: 3}},
+		{"dp-recompute", Config{Model: toyModel(4), MicrobatchSize: 1, Microbatches: 2, Replicas: 2, Recompute: true}},
+		{"tp-recompute", Config{Model: toyModel(4), MicrobatchSize: 1, Microbatches: 2, Replicas: 1, OpShards: 2, Recompute: true}},
+	} {
+		g := MustBuild(c.cfg)
+		type lists struct {
+			tensors [4][]*tensor.Tensor
+			tasks   [2][]*Task
+		}
+		of := func(task *Task) lists {
+			return lists{
+				[4][]*tensor.Tensor{task.Inputs, task.Outputs, task.Mutates, task.Frees},
+				[2][]*Task{task.Deps, task.Succs},
+			}
+		}
+		before := make([]lists, len(g.Tasks))
+		for i, task := range g.Tasks {
+			if task.ID != i {
+				t.Fatalf("%s: Tasks[%d].ID = %d", c.name, i, task.ID)
+			}
+			l := of(task)
+			for k, ts := range l.tensors {
+				if cap(ts) != len(ts) {
+					t.Fatalf("%s: %s tensor list %d has len %d, cap %d", c.name, task, k, len(ts), cap(ts))
+				}
+				l.tensors[k] = append([]*tensor.Tensor(nil), ts...)
+			}
+			for k, ts := range l.tasks {
+				if cap(ts) != len(ts) {
+					t.Fatalf("%s: %s task list %d has len %d, cap %d", c.name, task, k, len(ts), cap(ts))
+				}
+				l.tasks[k] = append([]*Task(nil), ts...)
+			}
+			before[i] = l
+		}
+		stray, strayTask := &tensor.Tensor{Name: "stray"}, &Task{ID: -1}
+		for _, task := range g.Tasks {
+			_ = append(task.Inputs, stray)
+			_ = append(task.Deps, strayTask)
+		}
+		for i, task := range g.Tasks {
+			l := of(task)
+			for k := range l.tensors {
+				if !slices.Equal(l.tensors[k], before[i].tensors[k]) {
+					t.Fatalf("%s: an append to another task's list changed %s's tensor list %d", c.name, task, k)
+				}
+			}
+			for k := range l.tasks {
+				if !slices.Equal(l.tasks[k], before[i].tasks[k]) {
+					t.Fatalf("%s: an append to another task's list changed %s's task list %d", c.name, task, k)
+				}
+			}
+		}
 	}
 }

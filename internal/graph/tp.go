@@ -18,26 +18,21 @@ import (
 // Graph's replica dimension so schedulers and the runtime reuse the
 // data-parallel machinery.
 func buildTP(cfg Config) (*Graph, error) {
-	g := &Graph{Cfg: cfg, Reg: tensor.NewRegistry()}
 	R := len(cfg.Model.Layers)
 	K := cfg.OpShards
 	m := cfg.Microbatches
 	mb := int64(cfg.MicrobatchSize)
+	// Forward and backward per shard, layer and microbatch, an update per
+	// shard and layer, a forward gather per layer and microbatch and a
+	// backward gather per interior layer and microbatch.
+	b := newBuilder(cfg, K*R*(2*m+1)+(2*R-1)*m)
+	g := b.g
 
-	newTask := func(k Kind, shard, layer, microbatch int) *Task {
-		t := &Task{ID: len(g.Tasks), Kind: k, Replica: shard, Layer: layer, Microbatch: microbatch}
-		g.Tasks = append(g.Tasks, t)
-		return t
-	}
-	dep := func(t, on *Task) {
-		t.Deps = append(t.Deps, on)
-		on.Succs = append(on.Succs, t)
-	}
-	// shardBytes splits b across K shards exactly (remainder spread
+	// shardBytes splits bytes across K shards exactly (remainder spread
 	// over the lowest shards).
-	shardBytes := func(b int64, s int) int64 {
-		out := b / int64(K)
-		if int64(s) < b%int64(K) {
+	shardBytes := func(bytes int64, s int) int64 {
+		out := bytes / int64(K)
+		if int64(s) < bytes%int64(K) {
 			out++
 		}
 		return out
@@ -56,11 +51,11 @@ func buildTP(cfg Config) (*Graph, error) {
 		g.W[s] = make([]*tensor.Tensor, R)
 		g.DW[s] = make([]*tensor.Tensor, R)
 		g.K[s] = make([]*tensor.Tensor, R)
-		g.Act[s] = make([][]*tensor.Tensor, R+1)
-		g.Stash[s] = make([][]*tensor.Tensor, R)
-		g.Grad[s] = make([][]*tensor.Tensor, R+1)
-		g.PartialAct[s] = make([][]*tensor.Tensor, R+1)
-		g.PartialGrad[s] = make([][]*tensor.Tensor, R+1)
+		g.Act[s] = rows[*tensor.Tensor](R+1, m)
+		g.Stash[s] = rows[*tensor.Tensor](R, m)
+		g.Grad[s] = rows[*tensor.Tensor](R+1, m)
+		g.PartialAct[s] = rows[*tensor.Tensor](R+1, m)
+		g.PartialGrad[s] = rows[*tensor.Tensor](R+1, m)
 		for l := 0; l < R; l++ {
 			spec := cfg.Model.Layers[l]
 			wb := shardBytes(spec.WeightBytes(), s)
@@ -70,13 +65,6 @@ func buildTP(cfg Config) (*Graph, error) {
 			g.K[s][l] = g.Reg.New(fmt.Sprintf("s%d.K.L%d", s, l), tensor.OptState, kb, l, -1)
 		}
 		for l := 0; l <= R; l++ {
-			g.Act[s][l] = make([]*tensor.Tensor, m)
-			g.Grad[s][l] = make([]*tensor.Tensor, m)
-			g.PartialAct[s][l] = make([]*tensor.Tensor, m)
-			g.PartialGrad[s][l] = make([]*tensor.Tensor, m)
-			if l < R {
-				g.Stash[s][l] = make([]*tensor.Tensor, m)
-			}
 			var actBytes int64
 			if l == 0 {
 				actBytes = cfg.Model.SampleBytes * mb
@@ -114,51 +102,56 @@ func buildTP(cfg Config) (*Graph, error) {
 	g.Bwd = make([][][]*Task, K)
 	g.Upd = make([][]*Task, K)
 	for s := 0; s < K; s++ {
-		g.Fwd[s] = make([][]*Task, R)
-		g.Bwd[s] = make([][]*Task, R)
+		g.Fwd[s] = rows[*Task](R, m)
+		g.Bwd[s] = rows[*Task](R, m)
 		g.Upd[s] = make([]*Task, R)
-		for l := 0; l < R; l++ {
-			g.Fwd[s][l] = make([]*Task, m)
-			g.Bwd[s][l] = make([]*Task, m)
+	}
+	// Forward gathers feed layers 1..R and backward gathers layers
+	// 1..R−1; the other rows stay nil.
+	g.AGf = rows[*Task](R+1, m)
+	g.AGb = rows[*Task](R+1, m)
+	g.AGf[0], g.AGb[0], g.AGb[R] = nil, nil, nil
+
+	// gather appends the task that gathers every shard's
+	// partial[s][layer][i] into its full[s][layer][i] replica once
+	// producers[s][pl][i], the task computing that partial, has run.
+	var parts, fulls []*tensor.Tensor
+	var deps []*Task
+	gather := func(layer, i int, partial, full [][][]*tensor.Tensor, producers [][][]*Task, pl int) *Task {
+		ag := b.task(Gather, -1, layer, i)
+		parts, fulls, deps = parts[:0], fulls[:0], deps[:0]
+		for s := 0; s < K; s++ {
+			ag.CommBytes += partial[s][layer][i].Bytes
+			parts = append(parts, partial[s][layer][i])
+			fulls = append(fulls, full[s][layer][i])
+			deps = append(deps, producers[s][pl][i])
 		}
-	}
-	g.AGf = make([][]*Task, R+1)
-	g.AGb = make([][]*Task, R+1)
-	for l := 1; l <= R; l++ {
-		g.AGf[l] = make([]*Task, m)
-	}
-	for l := 1; l <= R-1; l++ {
-		g.AGb[l] = make([]*Task, m)
+		ag.Inputs = b.tensors(parts...)
+		ag.Outputs = b.tensors(fulls...)
+		ag.Frees = b.tensors(parts...)
+		ag.Deps = b.deps(deps...)
+		return ag
 	}
 
 	for l := 0; l < R; l++ {
 		spec := cfg.Model.Layers[l]
 		for i := 0; i < m; i++ {
 			for s := 0; s < K; s++ {
-				f := newTask(Forward, s, l, i)
+				f := b.task(Forward, s, l, i)
 				f.FLOPs = spec.FwdFLOPsPerSample * float64(mb) / float64(K)
 				f.WorkspaceBytes = spec.WorkspaceBytes / int64(K)
-				f.Inputs = []*tensor.Tensor{g.W[s][l], g.Act[s][l][i]}
-				f.Outputs = []*tensor.Tensor{g.PartialAct[s][l+1][i], g.Stash[s][l][i]}
+				f.Inputs = b.tensors(g.W[s][l], g.Act[s][l][i])
+				f.Outputs = b.tensors(g.PartialAct[s][l+1][i], g.Stash[s][l][i])
 				if l > 0 {
-					dep(f, g.AGf[l][i])
+					f.Deps = b.deps(g.AGf[l][i])
 					// Each shard's input replica dies with its
 					// forward; the stash retains what backward needs.
-					f.Frees = append(f.Frees, g.Act[s][l][i])
+					f.Frees = b.tensors(g.Act[s][l][i])
 				}
 				g.Fwd[s][l][i] = f
 			}
 			// Gather the partial outputs into full replicas.
-			ag := newTask(Gather, -1, l+1, i)
-			ag.CommBytes = 0
-			for s := 0; s < K; s++ {
-				ag.CommBytes += g.PartialAct[s][l+1][i].Bytes
-				ag.Inputs = append(ag.Inputs, g.PartialAct[s][l+1][i])
-				ag.Outputs = append(ag.Outputs, g.Act[s][l+1][i])
-				ag.Frees = append(ag.Frees, g.PartialAct[s][l+1][i])
-				dep(ag, g.Fwd[s][l][i])
-			}
-			g.AGf[l+1][i] = ag
+			g.AGf[l+1][i] = gather(l+1, i, g.PartialAct, g.Act, g.Fwd, l)
 		}
 	}
 
@@ -167,43 +160,30 @@ func buildTP(cfg Config) (*Graph, error) {
 		spec := cfg.Model.Layers[l]
 		for i := 0; i < m; i++ {
 			for s := 0; s < K; s++ {
-				b := newTask(Backward, s, l, i)
-				b.FLOPs = spec.FwdFLOPsPerSample * float64(mb) * models.BwdFLOPsFactor / float64(K)
-				b.WorkspaceBytes = spec.WorkspaceBytes / int64(K)
+				bw := b.task(Backward, s, l, i)
+				bw.FLOPs = spec.FwdFLOPsPerSample * float64(mb) * models.BwdFLOPsFactor / float64(K)
+				bw.WorkspaceBytes = spec.WorkspaceBytes / int64(K)
 				if cfg.Recompute {
-					b.FLOPs += spec.FwdFLOPsPerSample * float64(mb) / float64(K)
+					bw.FLOPs += spec.FwdFLOPsPerSample * float64(mb) / float64(K)
 				}
-				b.Inputs = []*tensor.Tensor{g.W[s][l], g.DW[s][l], g.Stash[s][l][i]}
-				switch {
-				case l == R-1:
-					// Loss gradient from this shard's replica of the
-					// final activations.
-					b.Inputs = append(b.Inputs, g.Act[s][R][i])
-					dep(b, g.AGf[R][i])
-					b.Frees = append(b.Frees, g.Act[s][R][i])
-				default:
-					b.Inputs = append(b.Inputs, g.Grad[s][l+1][i])
-					dep(b, g.AGb[l+1][i])
-					b.Frees = append(b.Frees, g.Grad[s][l+1][i])
+				// dY: for the last layer, the loss gradient from this
+				// shard's replica of the final activations.
+				dy, dyFrom := g.Act[s][R][i], g.AGf[R][i]
+				if l < R-1 {
+					dy, dyFrom = g.Grad[s][l+1][i], g.AGb[l+1][i]
 				}
+				stash := g.Stash[s][l][i]
+				bw.Inputs = b.tensors(g.W[s][l], g.DW[s][l], stash, dy)
+				bw.Deps = b.deps(dyFrom, g.Fwd[s][l][i])
+				bw.Frees = b.tensors(dy, stash)
 				if l > 0 {
-					b.Outputs = []*tensor.Tensor{g.PartialGrad[s][l][i]}
+					bw.Outputs = b.tensors(g.PartialGrad[s][l][i])
 				}
-				b.Mutates = []*tensor.Tensor{g.DW[s][l]}
-				b.Frees = append(b.Frees, g.Stash[s][l][i])
-				dep(b, g.Fwd[s][l][i])
-				g.Bwd[s][l][i] = b
+				bw.Mutates = b.tensors(g.DW[s][l])
+				g.Bwd[s][l][i] = bw
 			}
 			if l > 0 {
-				ag := newTask(Gather, -1, l, i)
-				for s := 0; s < K; s++ {
-					ag.CommBytes += g.PartialGrad[s][l][i].Bytes
-					ag.Inputs = append(ag.Inputs, g.PartialGrad[s][l][i])
-					ag.Outputs = append(ag.Outputs, g.Grad[s][l][i])
-					ag.Frees = append(ag.Frees, g.PartialGrad[s][l][i])
-					dep(ag, g.Bwd[s][l][i])
-				}
-				g.AGb[l][i] = ag
+				g.AGb[l][i] = gather(l, i, g.PartialGrad, g.Grad, g.Bwd, l)
 			}
 		}
 	}
@@ -211,15 +191,13 @@ func buildTP(cfg Config) (*Graph, error) {
 	// Per-shard updates: no all-reduce, every shard owns its slice.
 	for s := 0; s < K; s++ {
 		for l := 0; l < R; l++ {
-			u := newTask(Update, s, l, -1)
+			u := b.task(Update, s, l, -1)
 			u.FLOPs = float64(cfg.Model.Layers[l].Params) * models.UpdateFLOPsPerParam / float64(K)
-			u.Inputs = []*tensor.Tensor{g.W[s][l], g.DW[s][l], g.K[s][l]}
-			u.Mutates = []*tensor.Tensor{g.W[s][l], g.DW[s][l], g.K[s][l]}
-			for i := 0; i < m; i++ {
-				dep(u, g.Bwd[s][l][i])
-			}
+			u.Inputs = b.tensors(g.W[s][l], g.DW[s][l], g.K[s][l])
+			u.Mutates = b.tensors(g.W[s][l], g.DW[s][l], g.K[s][l])
+			u.Deps = b.deps(g.Bwd[s][l]...)
 			g.Upd[s][l] = u
 		}
 	}
-	return g, nil
+	return b.link(), nil
 }

@@ -420,8 +420,8 @@ func TestClusterTransferTimeCrossServer(t *testing.T) {
 	}
 }
 
-// TestTransferAllocs: a DMA reads its route from the table and costs
-// one allocation, the join its four FIFOs report to.
+// TestTransferAllocs: a DMA reads its route from the table and, once the
+// engine has a spent join to reuse, allocates nothing.
 func TestTransferAllocs(t *testing.T) {
 	eng, top := testBox(t, 2)
 	done := func(sim.Time) {}
@@ -435,8 +435,8 @@ func TestTransferAllocs(t *testing.T) {
 	}
 	transfer() // resolves the route, grows the event heap
 	before := eng.Processed
-	if n := testing.AllocsPerRun(100, transfer); n > 1 {
-		t.Errorf("Transfer(host -> gpu1): %v allocs, want at most 1", n)
+	if n := testing.AllocsPerRun(100, transfer); n != 0 {
+		t.Errorf("Transfer(host -> gpu1): %v allocs, want 0", n)
 	}
 	// One engine and three links: four FIFO services, four events.
 	if per := (eng.Processed - before) / 101; per != 4 {

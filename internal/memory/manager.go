@@ -15,8 +15,11 @@
 // registry hands them out from zero), so the per-tensor tables — states,
 // home device, LRU links — are slices indexed by ID, and an acquire's
 // pinned/pending flags are positional, parallel to its input list (which
-// is why Acquire refuses an input listed twice). The simulator's hot
-// loop builds one object per acquire and none per LRU move.
+// is why Acquire refuses an input listed twice). Memory is per run, not
+// per operation: the tensor states are one slab, and acquire and
+// transfer records go back on per-Manager free lists when they are done,
+// so once those lists are warm the simulator's hot loop allocates
+// nothing per acquire, per transfer or per LRU move.
 //
 // A Manager belongs to one simulation and runs on its engine's
 // goroutine; like sim.Engine, it is not safe for concurrent use.
@@ -188,6 +191,10 @@ func (d *devState) addDemand(b int64) {
 
 // acquire is one pending residency request. Its bookkeeping is
 // positional: pinned[i] and pending[i] describe want[i].
+//
+// A granted acquire goes back on Manager.acqs: by then every input is
+// pinned, so no swap-in it issued is still in flight to write pending.
+// A failed one is dropped instead, since its swap-ins may still land.
 type acquire struct {
 	dev      *devState
 	want     []*tensor.State
@@ -200,14 +207,40 @@ type acquire struct {
 	fail     func(error)
 	failed   bool
 
-	// Backing for want/outputs and pinned/pending when the task is
-	// small enough (every layer-level task is), so that an acquire is
-	// one allocation.
-	stateBuf [inlineStates]*tensor.State
-	flagBuf  [2 * inlineStates]bool
+	// Backing for want/outputs and pinned/pending, kept across reuse.
+	states []*tensor.State
+	flags  []bool
 }
 
-const inlineStates = 6
+// xferKind is what a transfer does; xferNames are the Hook's names.
+type xferKind int8
+
+const (
+	swapIn xferKind = iota
+	swapOut
+	migrate
+)
+
+var xferNames = [...]string{"swap-in", "swap-out", "p2p"}
+
+// xfer is one DMA in flight: a swap-in, a writeback or a p2p move. done
+// is finish, bound once, and the record goes back on Manager.xfers when
+// finish has run, so issuing a transfer builds nothing.
+type xfer struct {
+	m    *Manager
+	done func(at sim.Time)
+
+	kind xferKind
+	// d is the device the transfer lands on, or a writeback leaves; src
+	// is a migration's source.
+	d, src *devState
+	st     *tensor.State
+	// a is the acquire a swap-in serves (nil for a prefetch) and pos the
+	// position of st in a.want.
+	a     *acquire
+	pos   int
+	start sim.Time
+}
 
 // Manager owns tensor states and device memory for one training run.
 type Manager struct {
@@ -215,8 +248,12 @@ type Manager struct {
 	top    *hw.Topology
 	reg    *tensor.Registry
 	pol    Policy
-	states []*tensor.State
+	states []tensor.State
 	devs   []*devState
+	// acqs and xfers are the free lists of spent acquire and transfer
+	// records.
+	acqs  []*acquire
+	xfers []*xfer
 	// home[id] is the device whose working set live tensor id belongs
 	// to (for demand accounting); hw.Host, never a working set, means
 	// none.
@@ -241,11 +278,11 @@ type Manager struct {
 // New creates a manager for all tensors in reg over the topology.
 func New(eng *sim.Engine, top *hw.Topology, reg *tensor.Registry, pol Policy) *Manager {
 	m := &Manager{eng: eng, top: top, reg: reg, pol: pol}
-	m.states = make([]*tensor.State, reg.Len())
+	m.states = make([]tensor.State, reg.Len())
 	m.home = make([]hw.DeviceID, reg.Len())
 	links := make([]lruLink, reg.Len())
 	for _, t := range reg.All() {
-		m.states[t.ID] = tensor.NewState(t)
+		m.states[t.ID] = *tensor.NewState(t)
 		m.home[t.ID] = hw.Host
 		links[t.ID].dev = hw.Host
 	}
@@ -256,7 +293,7 @@ func New(eng *sim.Engine, top *hw.Topology, reg *tensor.Registry, pol Policy) *M
 }
 
 // State returns the lifetime state machine for a tensor.
-func (m *Manager) State(t *tensor.Tensor) *tensor.State { return m.states[t.ID] }
+func (m *Manager) State(t *tensor.Tensor) *tensor.State { return &m.states[t.ID] }
 
 // Err returns the first fatal error, if any.
 func (m *Manager) Err() error { return m.fatal }
@@ -278,7 +315,7 @@ func (m *Manager) OnUsageChange(dev hw.DeviceID, fn func(used int64)) {
 // optimizer state, gradient buffers, input batches).
 func (m *Manager) InitHost(ts ...*tensor.Tensor) error {
 	for _, t := range ts {
-		if err := m.states[t.ID].AllocHost(); err != nil {
+		if err := m.State(t).AllocHost(); err != nil {
 			return err
 		}
 	}
@@ -292,13 +329,28 @@ func (m *Manager) setFatal(err error) {
 	}
 }
 
-// transfer issues a DMA; a transfer the topology refuses poisons the
-// run via Err. Like Topology.Transfer, done fires from a later engine
+// transfer issues x's DMA; a transfer the topology refuses poisons the
+// run via Err. Like Topology.Transfer, x.done fires from a later engine
 // event, never synchronously.
-func (m *Manager) transfer(src, dst hw.DeviceID, bytes int64, done func(at sim.Time)) {
-	if err := m.top.Transfer(src, dst, bytes, done); err != nil {
+func (m *Manager) transfer(src, dst hw.DeviceID, x *xfer) {
+	if err := m.top.Transfer(src, dst, x.st.Tensor.Bytes, x.done); err != nil {
 		m.setFatal(err)
 	}
+}
+
+// newXfer takes a transfer record off the free list, or builds one with
+// its completion bound, and starts it now.
+func (m *Manager) newXfer(kind xferKind, d *devState, st *tensor.State) *xfer {
+	var x *xfer
+	if n := len(m.xfers); n > 0 {
+		x = m.xfers[n-1]
+		m.xfers = m.xfers[:n-1]
+	} else {
+		x = &xfer{m: m}
+		x.done = x.finish
+	}
+	*x = xfer{m: m, done: x.done, kind: kind, d: d, st: st, start: m.eng.Now()}
+	return x
 }
 
 // Acquire requests residency of inputs on dev, plus space for outputs
@@ -307,16 +359,6 @@ func (m *Manager) transfer(src, dst hw.DeviceID, bytes int64, done func(at sim.T
 // impossible request, fail runs instead.
 func (m *Manager) Acquire(dev hw.DeviceID, inputs, outputs []*tensor.Tensor, workspace int64, ready func(), fail func(error)) {
 	d := m.devs[dev]
-	a := &acquire{dev: d, ws: workspace, ready: ready, fail: fail}
-	// One array each for the states (want, then outputs) and the flags
-	// (pinned, then pending).
-	ni, n := len(inputs), len(inputs)+len(outputs)
-	states, flags := a.stateBuf[:], a.flagBuf[:]
-	if n > inlineStates {
-		states, flags = make([]*tensor.State, n), make([]bool, 2*ni)
-	}
-	a.want, a.outputs = states[:ni:ni], states[ni:n]
-	a.pinned, a.pending = flags[:ni:ni], flags[ni:2*ni]
 	var needBytes int64
 	for i, t := range inputs {
 		for _, u := range inputs[:i] {
@@ -327,12 +369,9 @@ func (m *Manager) Acquire(dev hw.DeviceID, inputs, outputs []*tensor.Tensor, wor
 				return
 			}
 		}
-		a.want[i] = m.states[t.ID]
 		needBytes += t.Bytes
 	}
-	for i, t := range outputs {
-		a.outputs[i] = m.states[t.ID]
-		a.outBytes += t.Bytes
+	for _, t := range outputs {
 		needBytes += t.Bytes
 	}
 	if needBytes+workspace > d.dev.MemBytes {
@@ -340,8 +379,44 @@ func (m *Manager) Acquire(dev hw.DeviceID, inputs, outputs []*tensor.Tensor, wor
 			needBytes+workspace, dev, d.dev.MemBytes))
 		return
 	}
+	a := m.newAcquire(len(inputs), len(outputs))
+	for i, t := range inputs {
+		a.want[i] = m.State(t)
+	}
+	for i, t := range outputs {
+		a.outputs[i] = m.State(t)
+		a.outBytes += t.Bytes
+	}
+	a.dev, a.ws, a.ready, a.fail = d, workspace, ready, fail
 	d.queue = append(d.queue, a)
 	m.pump(d)
+}
+
+// newAcquire takes an acquire record off the free list, or builds one,
+// with room for ni inputs and no outputs and every flag clear.
+func (m *Manager) newAcquire(ni, no int) *acquire {
+	var a *acquire
+	if n := len(m.acqs); n > 0 {
+		a = m.acqs[n-1]
+		m.acqs = m.acqs[:n-1]
+	} else {
+		a = new(acquire)
+	}
+	// One array each for the states (want, then outputs) and the flags
+	// (pinned, then pending).
+	n := ni + no
+	if cap(a.states) < n {
+		a.states = make([]*tensor.State, n)
+	}
+	if cap(a.flags) < 2*ni {
+		a.flags = make([]bool, 2*ni)
+	}
+	states, flags := a.states[:n], a.flags[:2*ni]
+	clear(flags)
+	a.want, a.outputs = states[:ni:ni], states[ni:n]
+	a.pinned, a.pending = flags[:ni:ni], flags[ni:]
+	a.outBytes, a.failed = 0, false
+	return a
 }
 
 // Release ends a task's residency claims: unpins inputs and outputs,
@@ -381,7 +456,7 @@ func (m *Manager) Release(dev hw.DeviceID, inputs, outputs, mutates, frees []*te
 // iteration cleanup), with its home accounting; any queued acquire the
 // freed space lets proceed is pumped before returning.
 func (m *Manager) FreeTensor(t *tensor.Tensor) error {
-	st := m.states[t.ID]
+	st := m.State(t)
 	if st.Loc == tensor.LocNone {
 		return nil
 	}
@@ -416,7 +491,7 @@ func (m *Manager) setHome(t *tensor.Tensor, dev hw.DeviceID) {
 // host-resident, idle, and fits without evicting anything. It never
 // blocks or fails; at worst it does nothing.
 func (m *Manager) Prefetch(dev hw.DeviceID, t *tensor.Tensor) {
-	st := m.states[t.ID]
+	st := m.State(t)
 	d := m.devs[dev]
 	if st.Loc != tensor.LocHost || st.InFlight || d.free() < t.Bytes {
 		return
@@ -446,7 +521,10 @@ func (m *Manager) pump(d *devState) {
 		granted, progress := m.advance(a)
 		if granted {
 			d.dequeue()
-			a.ready()
+			// ready may reenter Acquire and reuse the record at once.
+			ready := a.ready
+			m.acqs = append(m.acqs, a)
+			ready()
 			continue
 		}
 		if !progress {
@@ -589,7 +667,7 @@ func (m *Manager) pickVictim(d *devState) *tensor.State {
 		var best *tensor.State
 		bestUse := -1
 		for id := d.lruHead; id != noTensor; id = d.links[id].next {
-			st := m.states[id]
+			st := &m.states[id]
 			if st.Pins > 0 || st.InFlight {
 				continue
 			}
@@ -601,7 +679,7 @@ func (m *Manager) pickVictim(d *devState) *tensor.State {
 		return best
 	}
 	for id := d.lruHead; id != noTensor; id = d.links[id].next {
-		st := m.states[id]
+		st := &m.states[id]
 		if st.Pins == 0 && !st.InFlight {
 			return st
 		}
@@ -633,23 +711,11 @@ func (m *Manager) startEviction(d *devState, st *tensor.State) {
 	}
 	d.forget(st)
 	bytes := st.Tensor.Bytes
-	start := m.eng.Now()
 	d.pendingFree += bytes
 	d.stats.SwapOutBytes += bytes
 	d.stats.SwapOuts++
 	d.stats.KindSwapOut[st.Tensor.Kind] += bytes
-	m.transfer(d.dev.ID, hw.Host, bytes, func(at sim.Time) {
-		if err := st.EndSwapOut(); err != nil {
-			m.setFatal(err)
-			return
-		}
-		d.pendingFree -= bytes
-		d.subUsed(bytes)
-		if m.Hook != nil {
-			m.Hook("swap-out", st.Tensor, d.dev.ID, start, at)
-		}
-		m.pumpAll()
-	})
+	m.transfer(d.dev.ID, hw.Host, m.newXfer(swapOut, d, st))
 }
 
 // startSwapIn begins a host→device copy; memory is charged at start.
@@ -661,26 +727,13 @@ func (m *Manager) startSwapIn(d *devState, st *tensor.State, a *acquire, pos int
 		return
 	}
 	bytes := st.Tensor.Bytes
-	start := m.eng.Now()
 	d.addUsed(bytes)
 	d.stats.SwapInBytes += bytes
 	d.stats.SwapIns++
 	d.stats.KindSwapIn[st.Tensor.Kind] += bytes
-	m.transfer(hw.Host, d.dev.ID, bytes, func(at sim.Time) {
-		if err := st.EndSwapIn(); err != nil {
-			m.setFatal(err)
-			return
-		}
-		d.touch(st)
-		m.setHome(st.Tensor, d.dev.ID)
-		if a != nil {
-			a.pending[pos] = false
-		}
-		if m.Hook != nil {
-			m.Hook("swap-in", st.Tensor, d.dev.ID, start, at)
-		}
-		m.pumpAll()
-	})
+	x := m.newXfer(swapIn, d, st)
+	x.a, x.pos = a, pos
+	m.transfer(hw.Host, d.dev.ID, x)
 }
 
 // startMigrate begins a p2p device→device move into d.
@@ -692,22 +745,50 @@ func (m *Manager) startMigrate(d *devState, st *tensor.State) {
 	}
 	src.forget(st)
 	bytes := st.Tensor.Bytes
-	start := m.eng.Now()
 	d.addUsed(bytes)
 	src.stats.P2POutBytes += bytes
 	d.stats.P2PInBytes += bytes
 	d.stats.KindP2P[st.Tensor.Kind] += bytes
-	m.transfer(src.dev.ID, d.dev.ID, bytes, func(at sim.Time) {
+	x := m.newXfer(migrate, d, st)
+	x.src = src
+	m.transfer(src.dev.ID, d.dev.ID, x)
+}
+
+// finish completes x's transfer, then puts the record back on the free
+// list before pumping, which may issue the next transfer on it.
+func (x *xfer) finish(at sim.Time) {
+	m, d, st := x.m, x.d, x.st
+	bytes := st.Tensor.Bytes
+	switch x.kind {
+	case swapIn:
+		if err := st.EndSwapIn(); err != nil {
+			m.setFatal(err)
+			return
+		}
+		d.touch(st)
+		m.setHome(st.Tensor, d.dev.ID)
+		if x.a != nil {
+			x.a.pending[x.pos] = false
+		}
+	case swapOut:
+		if err := st.EndSwapOut(); err != nil {
+			m.setFatal(err)
+			return
+		}
+		d.pendingFree -= bytes
+		d.subUsed(bytes)
+	case migrate:
 		if err := st.EndMigrate(d.dev.ID); err != nil {
 			m.setFatal(err)
 			return
 		}
-		src.subUsed(bytes)
+		x.src.subUsed(bytes)
 		d.touch(st)
 		m.setHome(st.Tensor, d.dev.ID)
-		if m.Hook != nil {
-			m.Hook("p2p", st.Tensor, d.dev.ID, start, at)
-		}
-		m.pumpAll()
-	})
+	}
+	if m.Hook != nil {
+		m.Hook(xferNames[x.kind], st.Tensor, d.dev.ID, x.start, at)
+	}
+	m.xfers = append(m.xfers, x)
+	m.pumpAll()
 }

@@ -3,6 +3,7 @@ package memory
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -745,8 +746,10 @@ func TestConcurrentFreeAndStats(t *testing.T) {
 	}
 }
 
-// TestAcquireReleaseAllocs: a resident tensor's Acquire+Release costs
-// one allocation, the acquire record (its states and flags are inline).
+// TestAcquireReleaseAllocs: a resident tensor's Acquire+Release takes
+// the acquire record the previous grant left on the free list, and an
+// acquire that writes one tensor back and swaps another in also reuses
+// transfer records and the engine's joins: once warm, neither allocates.
 func TestAcquireReleaseAllocs(t *testing.T) {
 	r := newRig(t, 1000)
 	w := r.reg.New("w", tensor.Weight, 400, 0, -1)
@@ -767,7 +770,126 @@ func TestAcquireReleaseAllocs(t *testing.T) {
 		if err := m.Release(0, in, nil, nil, nil, 0); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 1 {
-		t.Errorf("resident Acquire+Release: %v allocs, want at most 1", n)
+	}); n != 0 {
+		t.Errorf("resident Acquire+Release: %v allocs, want 0", n)
+	}
+
+	// a and b do not fit together, and each is released dirty: every
+	// acquire writes the other back and swaps its own tensor in.
+	r = newRig(t, 1000)
+	a := r.reg.New("a", tensor.Weight, 600, 0, -1)
+	b := r.reg.New("b", tensor.Weight, 600, 1, -1)
+	m = New(r.eng, r.top, r.reg, Policy{DirtyTracking: true})
+	if err := m.InitHost(a, b); err != nil {
+		t.Fatal(err)
+	}
+	roundTrip := func() {
+		for _, x := range [][]*tensor.Tensor{{a}, {b}} {
+			m.Acquire(0, x, nil, 0, ready, fail)
+			if _, err := r.eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Release(0, x, nil, x, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	roundTrip()
+	roundTrip()
+	before := m.Stats(0)
+	if n := testing.AllocsPerRun(100, roundTrip); n != 0 {
+		t.Errorf("evict + swap-in round trip: %v allocs, want 0", n)
+	}
+	if s := m.Stats(0); s.SwapIns-before.SwapIns != 2*101 || s.SwapOuts-before.SwapOuts != 2*101 || m.Err() != nil {
+		t.Fatalf("%d swap-ins and %d writebacks over 101 round trips (err %v), want 2 each per trip",
+			s.SwapIns-before.SwapIns, s.SwapOuts-before.SwapOuts, m.Err())
+	}
+}
+
+// TestFailedAcquireIsNeverRecycled: an acquire that fails while a
+// swap-in it issued is still in flight stays off the free list, since
+// that swap-in writes to it when it lands. Granted records are reused,
+// and the acquires that follow complete with the right stats.
+func TestFailedAcquireIsNeverRecycled(t *testing.T) {
+	r := newRig(t, 1000)
+	w := r.reg.New("w", tensor.Weight, 400, 0, -1)
+	k := r.reg.New("k", tensor.Weight, 300, 1, -1)
+	y := r.reg.New("y", tensor.Weight, 800, 2, -1) // k and y never fit together
+	ghost := r.reg.New("ghost", tensor.Activation, 100, 3, 0)
+	m := New(r.eng, r.top, r.reg, Policy{DirtyTracking: true})
+	if err := m.InitHost(w, k, y); err != nil {
+		t.Fatal(err)
+	}
+	// Warm the free list with one granted record.
+	acquireSync(t, m, 1, []*tensor.Tensor{k}, nil, 0)
+	r.run(t, m)
+	if err := m.Release(1, []*tensor.Tensor{k}, nil, nil, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.acqs) != 1 {
+		t.Fatalf("%d free acquire records after one grant, want 1", len(m.acqs))
+	}
+
+	// w's swap-in starts, then ghost, never materialized, fails the
+	// acquire.
+	var failed error
+	m.Acquire(0, []*tensor.Tensor{w, ghost}, nil, 0, func() { t.Error("granted") }, func(err error) { failed = err })
+	if failed == nil || !strings.Contains(failed.Error(), "never materialized") {
+		t.Fatalf("fail = %v, want the never-materialized input", failed)
+	}
+	bad := m.devs[0].queue[0]
+	if !bad.failed || !bad.pending[0] || !m.State(w).InFlight {
+		t.Fatalf("failed record: failed=%v pending=%v, w in flight=%v", bad.failed, bad.pending, m.State(w).InFlight)
+	}
+	// An acquire queued while that swap-in is in flight.
+	queue := func(dev hw.DeviceID, tn *tensor.Tensor) *bool {
+		done := acquireSync(t, m, dev, []*tensor.Tensor{tn}, nil, 0)
+		if q := m.devs[dev].queue; len(q) != 1 || q[0] == bad {
+			t.Fatalf("acquire of %s on %s: queue %v, failed record %p", tn, dev, q, bad)
+		}
+		return done
+	}
+	done := queue(1, y)
+	r.run(t, m)
+	if !*done || bad.pending[0] || slices.Contains(m.acqs, bad) {
+		t.Fatalf("granted=%v, failed record pending=%v, on the free list=%v", *done, bad.pending[0], slices.Contains(m.acqs, bad))
+	}
+	if st := m.State(w); !st.OnDevice(0) || st.InFlight || st.Pins != 0 {
+		t.Fatalf("w after the failed acquire: loc=%s inflight=%v pins=%d, want resident, unpinned", st.Loc, st.InFlight, st.Pins)
+	}
+	if err := m.Release(1, []*tensor.Tensor{y}, nil, nil, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	// Later acquires reuse granted records, never the failed one: w stays
+	// resident on device 0, and k and y evict each other on device 1.
+	for i := 0; i < 10; i++ {
+		if !*acquireSync(t, m, 0, []*tensor.Tensor{w}, nil, 0) {
+			t.Fatalf("round %d: resident w not granted at once", i)
+		}
+		if err := m.Release(0, []*tensor.Tensor{w}, nil, nil, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, tn := range []*tensor.Tensor{k, y} {
+			done := queue(1, tn)
+			r.run(t, m)
+			if !*done {
+				t.Fatalf("round %d: acquire of %s never granted", i, tn)
+			}
+			if err := m.Release(1, []*tensor.Tensor{tn}, nil, nil, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if slices.Contains(m.acqs, bad) || len(m.acqs) > 2 {
+			t.Fatalf("round %d: %d free records, the failed one among them: %v", i, len(m.acqs), slices.Contains(m.acqs, bad))
+		}
+	}
+	if s := m.Stats(0); s.SwapIns != 1 || s.SwapInBytes != 400 || s.Drops != 0 || s.SwapOuts != 0 {
+		t.Fatalf("gpu0 stats %+v, want w's one 400 B swap-in", s)
+	}
+	// k, y, then k and y once per round, each dropping the other (and y
+	// the first k).
+	if s := m.Stats(1); s.SwapIns != 22 || s.SwapInBytes != 300+800+10*1100 || s.Drops != 21 || s.DropBytes != 11*300+10*800 || s.SwapOuts != 0 {
+		t.Fatalf("gpu1 stats %+v, want 22 swap-ins of 12100 B and 21 drops of 11300 B", s)
 	}
 }

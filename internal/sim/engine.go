@@ -61,6 +61,8 @@ type Engine struct {
 	// scheduling an event allocates nothing once the slice has grown.
 	events  []event
 	stopped bool
+	// joins are spent Chain joins, reused by the next Chain.
+	joins []*join
 
 	// Processed counts events executed; useful as a progress and
 	// runaway-loop diagnostic.

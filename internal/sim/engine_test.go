@@ -220,6 +220,30 @@ func TestChainCompletesAtSlowest(t *testing.T) {
 	}
 }
 
+// TestChainReusesSpentJoins: a join goes back on the engine's free list
+// after its last arrival, so a Chain started from a done callback reuses
+// it while another Chain is still counting down its own join.
+func TestChainReusesSpentJoins(t *testing.T) {
+	e := NewEngine()
+	a, b, c := NewFIFO(e, "a"), NewFIFO(e, "b"), NewFIFO(e, "c")
+	var first, second, third Time
+	Chain(e, []*FIFO{a, b}, 1, func(at Time) {
+		first = at
+		Chain(e, []*FIFO{a, b}, 1, func(at Time) { third = at })
+	})
+	Chain(e, []*FIFO{c, b}, 2, func(at Time) { second = at })
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// b serves the three in arrival order: [0,1], [1,3], [3,4].
+	if first != 1 || second != 3 || third != 4 {
+		t.Fatalf("chains done at %v, %v, %v; want 1, 3, 4", first, second, third)
+	}
+	if len(e.joins) != 2 {
+		t.Fatalf("%d spent joins, want 2: the third chain reuses the first's", len(e.joins))
+	}
+}
+
 func TestChainEmptyIsPureDelay(t *testing.T) {
 	e := NewEngine()
 	var doneAt Time

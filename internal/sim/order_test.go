@@ -276,7 +276,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		Chain(e, res, 1, done)
 		e.Run()
-	}); n != 1 {
-		t.Errorf("Chain over 3 resources: %v allocs, want 1 (the join)", n)
+	}); n != 0 {
+		t.Errorf("Chain over 3 resources: %v allocs, want 0 (the join is recycled)", n)
 	}
 }

@@ -93,7 +93,7 @@ func (f *FIFO) finish() {
 	f.Served++
 	now := f.eng.Now()
 	if r.join != nil {
-		r.join.arrive(now)
+		f.eng.arrive(r.join, now)
 	}
 	if r.done != nil {
 		r.done(now)
@@ -108,11 +108,18 @@ type join struct {
 	done      func(at Time)
 }
 
-func (j *join) arrive(at Time) {
+// arrive counts one of j's resources done. After the last, no request
+// refers to j any more, so it goes back on the engine's free list before
+// done runs (done may Chain again and reuse it).
+func (e *Engine) arrive(j *join, at Time) {
 	j.remaining--
-	if j.remaining == 0 {
-		j.done(at)
+	if j.remaining > 0 {
+		return
 	}
+	done := j.done
+	j.done = nil
+	e.joins = append(e.joins, j)
+	done(at)
 }
 
 // Chain acquires a sequence of FIFO resources simultaneously for the
@@ -131,7 +138,14 @@ func Chain(eng *Engine, resources []*FIFO, service Time, done func(at Time)) {
 		eng.After(service, func() { done(eng.Now()) })
 		return
 	}
-	j := &join{remaining: len(resources), done: done}
+	var j *join
+	if n := len(eng.joins); n > 0 {
+		j = eng.joins[n-1]
+		eng.joins = eng.joins[:n-1]
+	} else {
+		j = new(join)
+	}
+	j.remaining, j.done = len(resources), done
 	for _, r := range resources {
 		r.enqueue(fifoReq{service: service, join: j})
 	}

@@ -80,7 +80,12 @@ func (t *Tensor) String() string {
 type Registry struct {
 	tensors []*Tensor
 	byName  map[string]*Tensor
+	// slab is the unused tail of the chunk New takes tensors from.
+	slab []Tensor
 }
+
+// tensorChunk is how many tensors one slab chunk holds (16 KiB).
+const tensorChunk = 256
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -96,7 +101,12 @@ func (r *Registry) New(name string, kind Kind, bytes int64, layer, microbatch in
 	if _, dup := r.byName[name]; dup {
 		panic(fmt.Sprintf("tensor: duplicate tensor name %q", name))
 	}
-	t := &Tensor{ID: len(r.tensors), Name: name, Kind: kind, Bytes: bytes, Layer: layer, Microbatch: microbatch}
+	if len(r.slab) == 0 {
+		r.slab = make([]Tensor, tensorChunk)
+	}
+	t := &r.slab[0]
+	r.slab = r.slab[1:]
+	*t = Tensor{ID: len(r.tensors), Name: name, Kind: kind, Bytes: bytes, Layer: layer, Microbatch: microbatch}
 	r.tensors = append(r.tensors, t)
 	r.byName[name] = t
 	return t

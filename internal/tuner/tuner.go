@@ -188,12 +188,23 @@ func HillClimb(cfg Config) (*Result, error) {
 			break
 		}
 	}
-	res := &Result{Best: cur, Explored: len(seen)}
+	res := &Result{Explored: len(seen)}
 	for _, m := range seen {
 		res.Measurements = append(res.Measurements, m)
 	}
 	sortMeasurements(res.Measurements)
+	if !cur.Feasible {
+		// The climb moves only to feasible neighbours, so an infeasible
+		// end point means no candidate it measured fit.
+		return res, noFeasible(cfg)
+	}
+	res.Best = cur
 	return res, nil
+}
+
+// noFeasible is the error of a search in which no candidate fit.
+func noFeasible(cfg Config) error {
+	return fmt.Errorf("tuner: no feasible candidate for %s on %d GPUs", cfg.Model.Name, cfg.Box.TotalGPUs())
 }
 
 // neighbors perturbs one knob at a time.
@@ -263,7 +274,7 @@ func measureAll(cfg Config, cands []Candidate) (*Result, error) {
 	res.Explored = len(ms)
 	sortMeasurements(res.Measurements)
 	if len(res.Measurements) == 0 || !res.Measurements[0].Feasible {
-		return res, fmt.Errorf("tuner: no feasible candidate for %s on %d GPUs", cfg.Model.Name, cfg.Box.TotalGPUs())
+		return res, noFeasible(cfg)
 	}
 	res.Best = res.Measurements[0]
 	return res, nil

@@ -155,11 +155,22 @@ func TestHillClimbAgreesWithExhaustive(t *testing.T) {
 	}
 }
 
+// TestInfeasibleWorkloadReported: when nothing fits, the exhaustive
+// search and the hill climb fail alike, and neither names a best.
 func TestInfeasibleWorkloadReported(t *testing.T) {
 	cfg := tunerConfig(sched.HarmonyDP, 2)
 	cfg.Box.GPUMemBytes = 1 << 10 // nothing fits
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("expected no-feasible-candidate error")
+	for _, s := range []struct {
+		name   string
+		search func(Config) (*Result, error)
+	}{{"Run", Run}, {"HillClimb", HillClimb}} {
+		res, err := s.search(cfg)
+		if err == nil || err.Error() != "tuner: no feasible candidate for tune on 2 GPUs" {
+			t.Fatalf("%s: err = %v, want no feasible candidate", s.name, err)
+		}
+		if res.Best.Feasible || res.Best.Throughput != 0 || res.Explored == 0 {
+			t.Fatalf("%s: best = %+v after %d candidates", s.name, res.Best, res.Explored)
+		}
 	}
 }
 
