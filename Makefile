@@ -28,11 +28,10 @@ vet:
 # map-order nondeterminism in the deterministic core — plus the
 # interprocedural passes (the global lock-order graph, goroutine and
 # done-channel lifecycle, call-chain taint flow) and the
-# path-sensitive CFG passes (pin balance, claim lifecycle, error-path
-# lock/snapshot leaks). The ./... pattern covers cmd/ and internal/
-# alike, the linter's own packages included. Runs from the module
-# root in about half a second, on the build cache vet has just
-# filled; exits non-zero on findings.
+# path-sensitive CFG passes (claim lifecycle, error-path lock leaks).
+# The ./... pattern covers cmd/ and internal/ alike, the linter's own
+# packages included. Runs from the module root in about half a second,
+# on the build cache vet has just filled; exits non-zero on findings.
 lint: vet
 	@! gofmt -l . | grep -v '^\.bench_build/' || { echo "gofmt -l names the files above"; exit 1; }
 	$(GO) run ./cmd/harmonylint ./...

@@ -17,8 +17,8 @@ import (
 )
 
 // violatingModule writes a module with two deterministic findings: a
-// pinbalance leak in a.go and an errcheck-visible pinbalance leak in
-// b.go — two files, so ordering is observable.
+// lock leaked on an error return in a.go and another in b.go — two
+// files, so ordering is observable.
 func violatingModule(t *testing.T) string {
 	t.Helper()
 	tmp := t.TempDir()
@@ -31,28 +31,23 @@ func violatingModule(t *testing.T) string {
 	write("go.mod", "module tinylint\n\ngo 1.22\n")
 	write("a.go", `package tiny
 
-import "errors"
+import (
+	"errors"
+	"sync"
+)
 
-type state struct{ pins int }
-
-func (s *state) Pin() error {
-	s.pins++
-	return nil
-}
-
-func (s *state) Unpin() error {
-	s.pins--
-	return nil
+type state struct {
+	mu sync.Mutex
+	n  int
 }
 
 func leakA(s *state) error {
-	if err := s.Pin(); err != nil {
-		return err
-	}
-	if s.pins > 3 {
+	s.mu.Lock()
+	if s.n > 3 {
 		return errors.New("over")
 	}
-	return s.Unpin()
+	s.mu.Unlock()
+	return nil
 }
 `)
 	write("b.go", `package tiny
@@ -60,13 +55,12 @@ func leakA(s *state) error {
 import "errors"
 
 func leakB(s *state) error {
-	if err := s.Pin(); err != nil {
-		return err
-	}
-	if s.pins > 9 {
+	s.mu.Lock()
+	if s.n > 9 {
 		return errors.New("way over")
 	}
-	return s.Unpin()
+	s.mu.Unlock()
+	return nil
 }
 `)
 	return tmp
@@ -106,7 +100,7 @@ func TestRunTextFindingsAndOrdering(t *testing.T) {
 		t.Errorf("findings not sorted by file:\n%s", stdout)
 	}
 	for _, l := range lines {
-		if !regexp.MustCompile(`^[ab]\.go:\d+:\d+: pinbalance: pin on s taken at`).MatchString(l) {
+		if !regexp.MustCompile(`^[ab]\.go:\d+:\d+: errpath: lock on s\.mu taken at`).MatchString(l) {
 			t.Errorf("unexpected finding shape: %s", l)
 		}
 	}
@@ -173,8 +167,8 @@ func TestRunJSONOutput(t *testing.T) {
 		t.Errorf("JSON findings not in text order: %s then %s", findings[0].File, findings[1].File)
 	}
 	for _, f := range findings {
-		if f.Analyzer != "pinbalance" || f.Line < 1 || f.Column < 1 ||
-			!strings.Contains(f.Message, "is not released on an error path") {
+		if f.Analyzer != "errpath" || f.Line < 1 || f.Column < 1 ||
+			!strings.Contains(f.Message, "is still held on an error path") {
 			t.Errorf("unexpected JSON finding: %+v", f)
 		}
 	}
@@ -230,7 +224,7 @@ func TestRunSARIFOutput(t *testing.T) {
 	for _, r := range run.Tool.Driver.Rules {
 		ruleIDs[r.ID] = true
 	}
-	if !ruleIDs["pinbalance"] || !ruleIDs["lockhold"] || !ruleIDs["errpath"] {
+	if !ruleIDs["claimlife"] || !ruleIDs["lockhold"] || !ruleIDs["errpath"] {
 		t.Errorf("rules missing expected analyzers: %v", ruleIDs)
 	}
 	if len(run.Results) != 2 {
@@ -238,7 +232,7 @@ func TestRunSARIFOutput(t *testing.T) {
 	}
 	for i, want := range []string{"a.go", "b.go"} {
 		r := run.Results[i]
-		if r.RuleID != "pinbalance" || r.Level != "error" {
+		if r.RuleID != "errpath" || r.Level != "error" {
 			t.Errorf("result %d: ruleId %q level %q", i, r.RuleID, r.Level)
 		}
 		if len(r.Locations) != 1 {

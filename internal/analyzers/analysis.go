@@ -1,9 +1,8 @@
 // Package analyzers is harmonylint: a suite of static analysis passes
 // that mechanically enforce the executor's concurrency and determinism
 // invariants — the VM's locking discipline, the "every resident claim
-// is committed" DMA rule, the pin budget, bit-exact determinism across
-// interleavings — which the race detector can only catch
-// probabilistically. Each analyzer rejects a whole class of regression
+// is committed" DMA rule, bit-exact determinism across interleavings —
+// which the race detector can only catch probabilistically. Each analyzer rejects a whole class of regression
 // before any test runs:
 //
 //   - lockhold: blocking operations (channel send/recv, select without
@@ -21,39 +20,35 @@
 //   - errcheck: error returns from the VM surface dropped inside
 //     internal/exec (bare-statement calls, blank assignments, go/defer
 //     drops).
-//   - lockorder: the global lock-acquisition graph — cycles, recursive
-//     acquisitions, and same-class shard nesting outside the documented
-//     ascending-device order are rejected at any call depth.
+//   - lockorder: the global lock-acquisition graph — cycles, and any
+//     nesting of two locks of one class, are rejected at any call depth.
 //   - chanlife: every spawned goroutine must reach a shutdown
 //     construct (channel receive/range, select, WaitGroup.Done,
 //     Cond.Wait) at some call depth, and done-named channels must
 //     deliver their completion signal exactly once (closed or
 //     single-sender, never both).
-//   - pinbalance: every pin (State.Pin, vm.pin, settle with a +1
-//     delta) is released, handed off, or covered by a documented
-//     "pins it" ownership contract on every path, including early
-//     error returns — the paper's pin-budget invariant at source level.
 //   - claimlife: every DMA claim (vm.claim) reaches commit or settle —
-//     directly, through a callee, or by handoff to the worker queue —
-//     on every path; a dropped claim wedges the buffer's claim word.
-//   - errpath: locks, shard locks and snapshot handles still held at a
-//     function exit, early error returns included, with the concrete
-//     leaking path printed in the diagnostic.
+//     or a handoff to the worker queue — on every path; a dropped claim
+//     wedges the buffer's claim word.
+//   - errpath: locks and shard locks still held at a function exit,
+//     early error returns included, with the concrete leaking path
+//     printed in the diagnostic.
 //
-// Two neighbouring invariants have their one gate elsewhere, so this
+// Three neighbouring invariants have their one gate elsewhere, so this
 // package imports nothing of the module it lints: copied locks are
-// go vet's copylocks (`make lint` runs vet first), and the claim
-// machine's transition table is checked against its spec by
-// claimword's TestProtoTableMatchesClaimword.
+// go vet's copylocks (`make lint` runs vet first), the claim machine's
+// transition table is checked against its spec by claimword's
+// TestProtoTableMatchesClaimword, and the pin budget is held by the
+// tests that fail on a leaked pin (DESIGN.md §10).
 //
 // Three layers sit under the passes. cfg.go builds per-function
 // control-flow graphs and is the only code that knows Go's statement
 // semantics. dataflow.go holds the one worklist (explore) and, on it,
-// the lifecycle engine: the lock, claim and pin lifecycles are each
+// the lifecycle engine: the lock and claim lifecycles are each
 // explored once per Program, keeping every branch outcome distinct, and
-// yield both leak findings (errpath, claimlife, pinbalance) and
-// observer findings about what happens while a resource is open
-// (lockhold, claimdiscipline rule 3). interproc.go builds, over the
+// yield both leak findings (errpath, claimlife) and observer findings
+// about what happens while a resource is open (lockhold,
+// claimdiscipline rule 3). interproc.go builds, over the
 // same graphs and the same worklist, one Summary per function — locks
 // acquired and with what held, channels sent/closed, goroutines
 // spawned, taint sources reached, the doc-comment lock contract — and
@@ -144,7 +139,7 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Lockhold, ClaimDiscipline, Determinism, Errcheck,
 		Lockorder, Chanlife,
-		Pinbalance, Claimlife, Errpath,
+		Claimlife, Errpath,
 	}
 }
 

@@ -31,7 +31,7 @@ func TestAllNames(t *testing.T) {
 	want := map[string]bool{
 		"lockhold": true, "claimdiscipline": true, "determinism": true, "errcheck": true,
 		"lockorder": true, "chanlife": true,
-		"pinbalance": true, "claimlife": true, "errpath": true,
+		"claimlife": true, "errpath": true,
 	}
 	all := All()
 	if len(all) != len(want) {

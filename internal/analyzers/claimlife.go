@@ -1,13 +1,12 @@
 package analyzers
 
 // claimlife proves the DMA claim lifecycle on every path: a buffer
-// claimed through the VM's CAS helper (`vm.claim(b, ...)` returning
-// bool) must reach commit or settle — directly, through a callee at
-// any call depth, or by handoff to an owner that will finish it (the
-// prefetch queue's dmaReq{b: b} enqueue) — before the path leaves the
-// function. A dropped claim wedges the buffer: every later claim CAS
-// fails, waitSettle never fires, and the tensor is stuck neither
-// resident nor evictable.
+// claimed through the VM's CAS helper (`if !vm.claim(b, ...)`,
+// returning bool) must reach commit or settle — or be handed off to an
+// owner that will finish it (the prefetch queue's dmaReq{b: b}
+// enqueue) — before the path leaves the function. A dropped claim
+// wedges the buffer: every later claim CAS fails, waitSettle never
+// fires, and the tensor is stuck neither resident nor evictable.
 //
 // This is the path-sensitive complement to the existing checks:
 // claimdiscipline rejects state writes outside the transition helpers,
@@ -19,6 +18,7 @@ package analyzers
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 var Claimlife = &Analyzer{
@@ -34,38 +34,42 @@ var Claimlife = &Analyzer{
 // claimSpec is the claim lifecycle: claimlife reports its leaks,
 // claimdiscipline its observer's findings.
 var claimSpec = &lifeSpec{
-	name:     "claim",
 	kind:     "claim",
 	leakVerb: "is neither committed, settled nor handed off",
 	classify: classifyClaim,
-	closers: map[string]bool{
-		"commit": true, "Commit": true,
-		"settle": true, "Settle": true,
-	},
-	observe: observePublish,
+	observe:  observePublish,
 }
 
-func classifyClaim(e *lifeEngine, call *ast.CallExpr) []lifeEvent {
+func classifyClaim(e *lifeEngine, call *ast.CallExpr) (lifeEvent, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || len(call.Args) == 0 {
-		return nil
+		return lifeEvent{}, false
 	}
 	info := e.pkg.Info
 	// The claimed buffer is always the first argument and always a
 	// pointer; claimword's pure Word transitions take values and are
 	// excluded by that shape.
 	if !isPointerExpr(info, call.Args[0]) {
-		return nil
+		return lifeEvent{}, false
 	}
 	res := exprString(call.Args[0])
 	switch sel.Sel.Name {
 	case "claim", "Claim":
-		if callCondKind(info, call) != condBoolTrue {
-			return nil
+		if t := info.TypeOf(call); t == nil || !types.Identical(t, types.Typ[types.Bool]) {
+			return lifeEvent{}, false
 		}
-		return []lifeEvent{{op: lifeOpen, res: res, cond: condBoolTrue, what: exprString(call)}}
+		return lifeEvent{op: lifeOpen, res: res, what: exprString(call), guarded: true}, true
 	case "commit", "Commit", "settle", "Settle":
-		return []lifeEvent{{op: lifeClose, res: res}}
+		return lifeEvent{op: lifeClose, res: res}, true
 	}
-	return nil
+	return lifeEvent{}, false
+}
+
+func isPointerExpr(info *types.Info, e ast.Expr) bool {
+	t := info.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Pointer)
+	return ok
 }

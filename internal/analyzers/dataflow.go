@@ -10,13 +10,13 @@ package analyzers
 // Every branch outcome stays separate and carries a human-readable
 // trace, so a diagnostic can print the concrete leaking path.
 //
-// Three lifecycle specs exist — locks and snapshot handles (errpath.go),
-// DMA claims (claimlife.go), pins (pinbalance.go). Each is explored
-// once per Program and cached on it (Program.lifecycle); a spec yields
-// leak findings at function exits and, through its observer, findings
-// about what happens while a resource is open: lockhold reads the lock
-// spec's observer (blocking while a lock is held), claimdiscipline the
-// claim spec's (published while a claim is open).
+// Two lifecycle specs exist — locks (errpath.go) and DMA claims
+// (claimlife.go). Each is explored once per Program and cached on it
+// (Program.lifecycle); a spec yields leak findings at function exits
+// and, through its observer, findings about what happens while a
+// resource is open: lockhold reads the lock spec's observer (blocking
+// while a lock is held), claimdiscipline the claim spec's (published
+// while a claim is open).
 //
 // The lattice per spec is the same shape: open-resource counts
 // (saturating at a small bound so loops converge) ordered by multiset
@@ -27,21 +27,17 @@ package analyzers
 // Program (truncated), so tests can prove that silence means "no
 // finding" and not "gave up".
 //
-// Ownership semantics shared by all passes:
+// Ownership semantics, each one used by the live tree:
 //
-//   - Conditional acquisition: an open whose call reports success by
-//     error (`if err := st.Pin(); err != nil`) or bool (`if
-//     !vm.claim(...)`) commits only on the success edge of the guard;
-//     the failure edge drops it. An open whose result is never
-//     branched on commits unconditionally.
-//   - Handoff: a resource stored into a composite literal, assigned,
-//     sent, returned, captured by a closure, or passed to a callee the
-//     loader cannot see transfers ownership and stops being tracked.
-//     Passing it bare to a *resolvable* callee is transparent — unless
-//     the callee transitively performs one of the pass's closing
-//     operations (Program.TransResOps), in which case it counts as the
-//     release, at any call depth. Locks are exempt: a mutex is not a
-//     value, so mentioning it (&x.mu, a capturing closure) moves nothing.
+//   - Guarded acquisition: an open that reports success by its bool
+//     result and is itself the branch condition (`if !vm.claim(...)`)
+//     commits only on the success edge; the failure edge drops it. Any
+//     other open commits unconditionally.
+//   - Hand-off: a claim stored into a composite literal (`dmaReq{b: b}`)
+//     passes to the literal's owner and stops being tracked. Nothing
+//     else hands a resource off — not an assignment, a send, a return, a
+//     closure or a callee — and a lock never moves: a mutex is not a
+//     value.
 //   - defer: deferred close effects accumulate per path and apply at
 //     every exit before the leak check, modeling Go's defer-at-return.
 //   - Panic exits are exempt: a panicking path is already lost.
@@ -50,18 +46,8 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
-)
-
-// condKind says how an open call signals success.
-type condKind int
-
-const (
-	condAlways   condKind = iota // open is unconditional
-	condErrNil                   // open succeeded iff the returned error is nil
-	condBoolTrue                 // open succeeded iff the returned bool is true
 )
 
 // lifeOp is the effect of one classified call.
@@ -72,36 +58,30 @@ const (
 	lifeClose
 )
 
-// lifeEvent is one classified resource operation. An open with
-// res == "" binds to the assignment target of its call (handle-style
-// acquisitions like `snap := h.Snapshot()`). kind overrides the
-// spec-level resource noun in diagnostics ("snapshot" vs "lock").
+// lifeEvent is one classified resource operation.
 type lifeEvent struct {
 	op   lifeOp
 	res  string
-	cond condKind
 	what string // rendered call, for the path trace
-	kind string
+	// guarded: the open reports success by its bool result, so a branch
+	// on the call decides whether it was taken.
+	guarded bool
 }
 
 // lifeSpec configures one lifecycle pass over the shared engine.
 type lifeSpec struct {
-	name string
-	// kind is the resource noun used in diagnostics ("pin", "claim",
-	// "lock").
+	// kind names the spec and is the resource noun in its diagnostics
+	// ("claim", "lock").
 	kind string
 	// leakVerb completes "<kind> on <res> taken at <pos> <leakVerb>".
 	leakVerb string
-	// classify maps one call to its resource events (nil for none).
-	classify func(e *lifeEngine, call *ast.CallExpr) []lifeEvent
-	// closers are callee names that count as the closing operation when
-	// a tracked resource is passed to a callee reaching one transitively.
-	closers map[string]bool
+	// classify maps one call to its resource event, if it has one.
+	classify func(e *lifeEngine, call *ast.CallExpr) (lifeEvent, bool)
 	// entryOpen lists resources the function's doc contract declares
-	// open on entry (errpath's "Requires mu held").
+	// open on entry (errpath's "Requires sh.mu held").
 	entryOpen func(e *lifeEngine) []string
 	// exitAllowed licenses leaving the function with res still open
-	// (entry-held locks without a release contract, "pins it" docs).
+	// (the entry-held locks).
 	exitAllowed func(e *lifeEngine, res string) bool
 	// observe, when set, sees every node with the state in force before
 	// the node's own effects; it reports through e.observef.
@@ -143,14 +123,13 @@ func (p *Program) lifecycle(spec *lifeSpec) *lifeResult {
 		e := &lifeEngine{
 			res:      r,
 			spec:     spec,
-			prog:     p,
 			pkg:      sum.Pkg,
 			sum:      sum,
 			cfg:      p.FuncCFG(k),
 			reported: make(map[token.Pos]bool),
 		}
 		if !e.run() {
-			p.truncated = append(p.truncated, truncation{spec.name, k})
+			p.truncated = append(p.truncated, truncation{spec.kind, k})
 		}
 	}
 	return r
@@ -230,15 +209,12 @@ type openRes struct {
 	n    int
 	pos  token.Pos
 	call *ast.CallExpr
-	what string
-	kind string
 }
 
-// pending is a conditional open awaiting its guard edge.
+// pending is a guarded open awaiting its branch edge.
 type pending struct {
 	ev   lifeEvent
 	call *ast.CallExpr
-	obj  types.Object // err/ok variable the call's result was bound to
 }
 
 // lifeState is the abstract state of one path at one block boundary.
@@ -278,7 +254,7 @@ func (st *lifeState) key() string {
 	return b.String()
 }
 
-func (st *lifeState) openAt(res, what, kind string, pos token.Pos, call *ast.CallExpr) {
+func (st *lifeState) openAt(res string, pos token.Pos, call *ast.CallExpr) {
 	i := sort.Search(len(st.open), func(i int) bool { return st.open[i].res >= res })
 	if i < len(st.open) && st.open[i].res == res {
 		if st.open[i].n < maxOpenCount {
@@ -288,7 +264,7 @@ func (st *lifeState) openAt(res, what, kind string, pos token.Pos, call *ast.Cal
 	}
 	st.open = append(st.open, openRes{})
 	copy(st.open[i+1:], st.open[i:])
-	st.open[i] = openRes{res: res, n: 1, pos: pos, call: call, what: what, kind: kind}
+	st.open[i] = openRes{res: res, n: 1, pos: pos, call: call}
 }
 
 // closeRes decrements res if open; closing what was never opened is a
@@ -314,14 +290,6 @@ func (st *lifeState) held(res string) *openRes {
 	return nil
 }
 
-// movable reports whether res is open and a value whose ownership a
-// hand-off can transfer. A lock is not: storing &x.mu or capturing x.mu
-// in a closure leaves it held by this path.
-func (st *lifeState) movable(res string) bool {
-	o := st.held(res)
-	return o != nil && o.kind != lockKind
-}
-
 func (st *lifeState) step(s string) {
 	if len(st.steps) < maxTraceSteps {
 		st.steps = append(st.steps, s)
@@ -332,7 +300,6 @@ func (st *lifeState) step(s string) {
 type lifeEngine struct {
 	res  *lifeResult
 	spec *lifeSpec
-	prog *Program
 	pkg  *Package
 	sum  *Summary
 	cfg  *CFG
@@ -351,7 +318,7 @@ func (e *lifeEngine) run() bool {
 	entry := &lifeState{}
 	if e.spec.entryOpen != nil {
 		for _, res := range e.spec.entryOpen(e) {
-			entry.openAt(res, "held on entry", e.spec.kind, e.cfg.Decl.Pos(), nil)
+			entry.openAt(res, e.cfg.Decl.Pos(), nil)
 		}
 	}
 	return explore(e.cfg, entry, (*lifeState).key,
@@ -383,18 +350,15 @@ func (e *lifeEngine) transfer(n ast.Node, st *lifeState) {
 	}
 	if d, ok := n.(*ast.DeferStmt); ok {
 		e.deferNode(d, st)
-		return
+	} else {
+		e.applyCalls(n, st)
 	}
-	classified := e.applyCalls(n, st)
-	e.scanEscapes(n, st, classified)
+	e.handOff(n, st)
 }
 
 // applyCalls classifies every call inside the node (skipping function
 // literals, which run later) and applies the events in lexical order.
-// It returns, per call, the resources it was classified against, so
-// the escape scan does not double-count their argument mentions.
-func (e *lifeEngine) applyCalls(n ast.Node, st *lifeState) map[*ast.CallExpr]map[string]bool {
-	classified := make(map[*ast.CallExpr]map[string]bool)
+func (e *lifeEngine) applyCalls(n ast.Node, st *lifeState) {
 	inspectNode(n, func(x ast.Node) bool {
 		if _, ok := x.(*ast.FuncLit); ok {
 			return false
@@ -403,231 +367,93 @@ func (e *lifeEngine) applyCalls(n ast.Node, st *lifeState) map[*ast.CallExpr]map
 		if !ok {
 			return true
 		}
-		for _, ev := range e.spec.classify(e, call) {
-			if ev.res == "" {
-				// Handle-style open: bind to the assignment target.
-				ev.res = exprString(call)
-				if as, ok := n.(*ast.AssignStmt); ok && len(as.Rhs) == 1 &&
-					ast.Unparen(as.Rhs[0]) == call && len(as.Lhs) >= 1 {
-					ev.res = exprString(as.Lhs[0])
-				}
-			}
-			m := classified[call]
-			if m == nil {
-				m = make(map[string]bool)
-				classified[call] = m
-			}
-			m[ev.res] = true
-			if ev.kind == "" {
-				ev.kind = e.spec.kind
-			}
-			switch ev.op {
-			case lifeOpen:
-				e.commitPend(st)
-				if ev.cond == condAlways {
-					st.openAt(ev.res, ev.what, ev.kind, call.Pos(), call)
-					st.step(fmt.Sprintf("%s at %s", ev.what, e.posStr(call.Pos())))
-					continue
-				}
-				p := &pending{ev: ev, call: call}
-				if as, ok := n.(*ast.AssignStmt); ok && len(as.Rhs) == 1 &&
-					ast.Unparen(as.Rhs[0]) == call && len(as.Lhs) >= 1 {
-					if id, ok := as.Lhs[0].(*ast.Ident); ok {
-						if o := e.pkg.Info.Defs[id]; o != nil {
-							p.obj = o
-						} else {
-							p.obj = e.pkg.Info.Uses[id]
-						}
-					}
-				}
-				st.pend = p
-			case lifeClose:
-				e.commitPend(st)
-				st.closeRes(ev.res)
-			}
+		ev, ok := e.spec.classify(e, call)
+		if !ok {
+			return true
+		}
+		e.commitPend(st)
+		switch {
+		case ev.op == lifeClose:
+			st.closeRes(ev.res)
+		case ev.guarded:
+			st.pend = &pending{ev: ev, call: call}
+		default:
+			e.open(st, ev, call)
 		}
 		return true
 	})
-	return classified
 }
 
-// commitPend commits an unresolved conditional open as taken.
+// open records a taken open on the path.
+func (e *lifeEngine) open(st *lifeState, ev lifeEvent, call *ast.CallExpr) {
+	st.openAt(ev.res, call.Pos(), call)
+	st.step(fmt.Sprintf("%s at %s", ev.what, e.posStr(call.Pos())))
+}
+
+// commitPend commits an unresolved guarded open as taken.
 func (e *lifeEngine) commitPend(st *lifeState) {
-	if st.pend == nil {
-		return
+	if p := st.pend; p != nil {
+		st.pend = nil
+		e.open(st, p.ev, p.call)
 	}
-	p := st.pend
-	st.pend = nil
-	st.openAt(p.ev.res, p.ev.what, p.ev.kind, p.call.Pos(), p.call)
-	st.step(fmt.Sprintf("%s at %s", p.ev.what, e.posStr(p.call.Pos())))
 }
 
 // deferNode pushes the close effects of a deferred call (or deferred
 // closure body) onto the path's defer stack.
 func (e *lifeEngine) deferNode(d *ast.DeferStmt, st *lifeState) {
-	record := func(call *ast.CallExpr) {
-		for _, ev := range e.spec.classify(e, call) {
-			if ev.op == lifeClose && ev.res != "" {
+	record := func(x ast.Node) bool {
+		if call, ok := x.(*ast.CallExpr); ok {
+			if ev, ok := e.spec.classify(e, call); ok && ev.op == lifeClose {
 				st.defers = append(st.defers, ev.res)
 			}
 		}
+		return true
 	}
 	if lit, ok := d.Call.Fun.(*ast.FuncLit); ok {
-		ast.Inspect(lit.Body, func(x ast.Node) bool {
-			if call, ok := x.(*ast.CallExpr); ok {
-				record(call)
-			}
-			return true
-		})
+		ast.Inspect(lit.Body, record)
 		return
 	}
 	record(d.Call)
-	// The deferred call's arguments evaluate now; a tracked resource
-	// handed to it escapes like any other call argument.
-	for _, a := range d.Call.Args {
-		e.escapeArg(a, d.Call, st, nil)
-	}
 }
 
-// scanEscapes releases tracked resources the node hands off: stored,
-// sent, returned, captured, or passed to calls (see escapeArg).
-func (e *lifeEngine) scanEscapes(n ast.Node, st *lifeState, classified map[*ast.CallExpr]map[string]bool) {
+// handOff stops tracking every open resource the node stores into a
+// composite literal: the literal's owner finishes it (CleanAhead's
+// dmaReq{b: b}, which the DMA worker settles). Function literals run
+// later and are skipped. The lock spec hands nothing off.
+func (e *lifeEngine) handOff(n ast.Node, st *lifeState) {
+	if e.spec.kind == lockKind {
+		return
+	}
 	inspectNode(n, func(x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.FuncLit:
-			e.escapeCaptures(x, st)
 			return false
-		case *ast.CallExpr:
-			for _, a := range x.Args {
-				e.escapeArg(a, x, st, classified[x])
-			}
-		case *ast.AssignStmt:
-			for _, r := range x.Rhs {
-				e.escapeValue(r, st, "stored")
-			}
-		case *ast.SendStmt:
-			e.escapeValue(x.Value, st, "sent")
-		case *ast.ReturnStmt:
-			for _, r := range x.Results {
-				e.escapeValue(r, st, "returned")
+		case *ast.CompositeLit:
+			for _, el := range x.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					el = kv.Value
+				}
+				if res := exprString(ast.Unparen(el)); st.held(res) != nil {
+					st.closeRes(res)
+					st.step(fmt.Sprintf("%s stored at %s", res, e.posStr(el.Pos())))
+				}
 			}
 		}
 		return true
 	})
-}
-
-// escapeArg handles one call argument. A tracked resource nested in a
-// composite literal is being stored and escapes outright; passed bare,
-// it escapes only when the callee is opaque — a resolvable callee is
-// transparent unless it transitively reaches a closing operation, in
-// which case the call is the release ("balanced at any call depth").
-func (e *lifeEngine) escapeArg(a ast.Expr, call *ast.CallExpr, st *lifeState, skip map[string]bool) {
-	bare := exprString(ast.Unparen(a))
-	if st.movable(bare) && !skip[bare] {
-		if key, ok := e.calleeKey(call); ok {
-			if e.calleeCloses(key) {
-				st.closeRes(bare)
-				st.step(fmt.Sprintf("%s released by %s at %s", bare, key.String(), e.posStr(call.Pos())))
-			}
-			// Transparent callee: still tracked.
-			return
-		}
-		st.closeRes(bare)
-		st.step(fmt.Sprintf("%s handed off at %s", bare, e.posStr(call.Pos())))
-		return
-	}
-	// Nested mentions (composite literals, &x) are stores.
-	e.escapeNested(a, st)
-}
-
-// escapeValue releases a resource appearing as a complete value in a
-// store-like position (assignment RHS, send, return).
-func (e *lifeEngine) escapeValue(v ast.Expr, st *lifeState, how string) {
-	bare := exprString(ast.Unparen(v))
-	if st.movable(bare) {
-		st.closeRes(bare)
-		st.step(fmt.Sprintf("%s %s at %s", bare, how, e.posStr(v.Pos())))
-		return
-	}
-	e.escapeNested(v, st)
-}
-
-// escapeNested finds tracked resources used as values inside composite
-// literals and address-of expressions.
-func (e *lifeEngine) escapeNested(v ast.Expr, st *lifeState) {
-	switch v := ast.Unparen(v).(type) {
-	case *ast.CompositeLit:
-		for _, el := range v.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				el = kv.Value
-			}
-			e.escapeValue(el, st, "stored")
-		}
-	case *ast.UnaryExpr:
-		if v.Op == token.AND {
-			e.escapeValue(v.X, st, "stored")
-		}
-	}
-}
-
-// escapeCaptures releases resources a closure captures: the closure
-// may run at any time, so ownership leaves this path.
-func (e *lifeEngine) escapeCaptures(lit *ast.FuncLit, st *lifeState) {
-	ast.Inspect(lit.Body, func(x ast.Node) bool {
-		ex, ok := x.(ast.Expr)
-		if !ok {
-			return true
-		}
-		if s := exprString(ex); st.movable(s) {
-			st.closeRes(s)
-			st.step(fmt.Sprintf("%s captured by closure at %s", s, e.posStr(lit.Pos())))
-		}
-		return true
-	})
-}
-
-// calleeKey resolves the call's static target to a summarized function.
-func (e *lifeEngine) calleeKey(call *ast.CallExpr) (FuncKey, bool) {
-	fn := calleeFunc(e.pkg.Info, call)
-	if fn == nil {
-		return FuncKey{}, false
-	}
-	key, ok := keyOf(fn)
-	if !ok {
-		return FuncKey{}, false
-	}
-	if e.prog.Funcs[key] == nil {
-		return FuncKey{}, false
-	}
-	return key, true
-}
-
-// calleeCloses reports whether the callee transitively performs one of
-// the spec's closing operations.
-func (e *lifeEngine) calleeCloses(key FuncKey) bool {
-	for op := range e.prog.TransResOps(key) {
-		if e.spec.closers[op] {
-			return true
-		}
-	}
-	return false
 }
 
 // cross clones the state across one edge, resolving any pending
-// conditional open against the branch condition and marking error
-// paths.
+// guarded open against the branch condition and marking error paths.
 func (e *lifeEngine) cross(st *lifeState, edge *Edge) *lifeState {
 	ns := st.clone()
-	if ns.pend != nil {
-		switch e.pendOutcome(edge, ns.pend) {
-		case 1:
-			e.commitPend(ns)
-		case -1:
-			ns.step(fmt.Sprintf("%s failed at %s", ns.pend.ev.what, e.posStr(ns.pend.call.Pos())))
+	if p := ns.pend; p != nil {
+		if guardFailed(edge, p.call) {
+			ns.step(fmt.Sprintf("%s failed at %s", p.ev.what, e.posStr(p.call.Pos())))
 			ns.pend = nil
-		default:
-			// The guard is unrelated (or the edge unconditional): the
-			// result was not branched on — treat the open as taken.
+		} else {
+			// The success edge, or a branch on something else: the
+			// open is taken.
 			e.commitPend(ns)
 		}
 	}
@@ -642,51 +468,19 @@ func (e *lifeEngine) cross(st *lifeState, edge *Edge) *lifeState {
 	return ns
 }
 
-// pendOutcome decides whether taking edge means the pending open's
-// call succeeded (+1), failed (-1), or is unrelated to the guard (0).
-func (e *lifeEngine) pendOutcome(edge *Edge, p *pending) int {
+// guardFailed reports whether edge is the failure edge of a branch
+// whose condition is call itself: the false edge of `if vm.claim(...)`,
+// the true edge of `if !vm.claim(...)`.
+func guardFailed(edge *Edge, call *ast.CallExpr) bool {
 	if edge.Cond == nil {
-		return 0
+		return false
 	}
 	cond := ast.Unparen(edge.Cond)
 	taken := edge.TakenTrue
 	if u, ok := cond.(*ast.UnaryExpr); ok && u.Op == token.NOT {
-		cond = ast.Unparen(u.X)
-		taken = !taken
+		cond, taken = ast.Unparen(u.X), !taken
 	}
-	// `if vm.claim(...)` / `if !vm.claim(...)`: the call is the guard.
-	if call, ok := cond.(*ast.CallExpr); ok && call == p.call && p.ev.cond == condBoolTrue {
-		if taken {
-			return 1
-		}
-		return -1
-	}
-	// `ok := vm.claim(...); if ok` — the bound bool is the guard.
-	if id, ok := cond.(*ast.Ident); ok && p.obj != nil && p.ev.cond == condBoolTrue {
-		if e.pkg.Info.Uses[id] == p.obj {
-			if taken {
-				return 1
-			}
-			return -1
-		}
-	}
-	// `if err := st.Pin(); err != nil` — the bound error is the guard —
-	// or `if st.Pin() != nil` with the call as the compared operand.
-	if p.ev.cond == condErrNil {
-		if op := errCondOperand(e.pkg.Info, edge.Cond); op != nil {
-			matches := ast.Unparen(op) == p.call
-			if id, ok := ast.Unparen(op).(*ast.Ident); ok && p.obj != nil {
-				matches = e.pkg.Info.Uses[id] == p.obj
-			}
-			if matches {
-				if errCondSense(e.pkg.Info, edge.Cond, edge.TakenTrue) > 0 {
-					return -1 // error side: the open failed
-				}
-				return 1
-			}
-		}
-	}
-	return 0
+	return cond == call && !taken
 }
 
 // finish runs the leak check at one exit block.
@@ -706,13 +500,10 @@ func (e *lifeEngine) finish(blk *Block, st *lifeState) {
 	}
 	errExit := st.err || e.returnsError(blk.Return)
 	for _, o := range st.open {
-		if o.n <= 0 {
+		if o.n <= 0 || e.reported[o.pos] {
 			continue
 		}
 		if e.spec.exitAllowed != nil && e.spec.exitAllowed(e, o.res) {
-			continue
-		}
-		if e.reported[o.pos] {
 			continue
 		}
 		e.reported[o.pos] = true
@@ -722,13 +513,9 @@ func (e *lifeEngine) finish(blk *Block, st *lifeState) {
 		}
 		path := strings.Join(append(append([]string(nil), st.steps...),
 			exitDesc+" at "+e.posStr(exitPos)), " -> ")
-		origin := "taken at " + e.posStr(o.pos)
-		if o.call == nil {
-			origin = o.what // held on entry
-		}
 		e.res.leaks = append(e.res.leaks, lifeFinding{o.pos, fmt.Sprintf(
-			"%s on %s %s %s on %s ending at the %s at %s; path: %s",
-			o.kind, o.res, origin, e.spec.leakVerb,
+			"%s on %s taken at %s %s on %s ending at the %s at %s; path: %s",
+			e.spec.kind, o.res, e.posStr(o.pos), e.spec.leakVerb,
 			pathKind, exitDesc, e.posStr(exitPos), path)})
 	}
 }

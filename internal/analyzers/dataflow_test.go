@@ -1,9 +1,11 @@
 package analyzers
 
 import (
+	"go/ast"
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"testing"
 )
 
@@ -25,15 +27,40 @@ func TestExploreReportsTruncation(t *testing.T) {
 	}
 }
 
+// lifeSpecs are the lifecycle explorations the passes read.
+var lifeSpecs = []*lifeSpec{lockSpec, claimSpec}
+
 // allExplorations builds the program and runs every exploration that
-// has bounds: the summaries (BuildProgram) and the three lifecycle
-// specs.
+// has bounds: the summaries (BuildProgram) and the lifecycle specs.
 func allExplorations(pkgs []*Package) *Program {
 	prog := BuildProgram(pkgs)
-	for _, spec := range []*lifeSpec{lockSpec, claimSpec, pinSpec} {
+	for _, spec := range lifeSpecs {
 		prog.lifecycle(spec)
 	}
 	return prog
+}
+
+var live struct {
+	once sync.Once
+	prog *Program
+	err  error
+}
+
+// liveProgram loads the module's own tree once per test binary and runs
+// every exploration over it.
+func liveProgram(t *testing.T) *Program {
+	t.Helper()
+	live.once.Do(func() {
+		pkgs, err := Load(filepath.Join("..", ".."), "./...")
+		if err == nil {
+			live.prog = allExplorations(pkgs)
+		}
+		live.err = err
+	})
+	if live.err != nil {
+		t.Fatalf("loading the live tree: %v", live.err)
+	}
+	return live.prog
 }
 
 // TestNoTruncation: no exploration of the live tree or of any fixture
@@ -41,9 +68,9 @@ func allExplorations(pkgs []*Package) *Program {
 // over every path and not the silence of a cap. The blocking-under-lock
 // check in particular depends on complete exploration.
 func TestNoTruncation(t *testing.T) {
-	check := func(name string, pkgs []*Package) {
+	check := func(name string, prog *Program) {
 		t.Helper()
-		for _, tr := range allExplorations(pkgs).truncated {
+		for _, tr := range prog.truncated {
 			t.Errorf("%s: %s exploration of %s was cut short by a bound", name, tr.spec, tr.fn)
 		}
 	}
@@ -60,17 +87,66 @@ func TestNoTruncation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", ent.Name(), err)
 		}
-		check(ent.Name(), pkgs)
+		check(ent.Name(), allExplorations(pkgs))
 	}
 	pkgs, err := LoadDirs(filepath.Join(root, "taint"), "clockutil", "internal/exec")
 	if err != nil {
 		t.Fatalf("loading fixture taint: %v", err)
 	}
-	check("taint", pkgs)
+	check("taint", allExplorations(pkgs))
+	check("live tree", liveProgram(t))
+}
 
-	live, err := Load(filepath.Join("..", ".."), "./...")
-	if err != nil {
-		t.Fatalf("loading the live tree: %v", err)
+// TestLiveCensus keeps the lifecycle passes honest about the code that
+// exists. A spec whose every open in the live tree is licensed at exit
+// can report nothing there, and a doc contract no live function
+// declares licenses nothing; either one is code that guards nothing.
+// Both halves use the passes' own classify and exitAllowed.
+func TestLiveCensus(t *testing.T) {
+	prog := liveProgram(t)
+	for _, spec := range lifeSpecs {
+		opens, unlicensed := 0, 0
+		for _, k := range prog.Order {
+			sum := prog.Funcs[k]
+			if sum.Decl == nil {
+				continue
+			}
+			e := &lifeEngine{spec: spec, pkg: sum.Pkg, sum: sum}
+			ast.Inspect(sum.Decl.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if ev, ok := spec.classify(e, call); ok && ev.op == lifeOpen {
+					opens++
+					if spec.exitAllowed == nil || !spec.exitAllowed(e, ev.res) {
+						unlicensed++
+					}
+				}
+				return true
+			})
+		}
+		t.Logf("%s: %d opens in the live tree, %d not licensed at exit", spec.kind, opens, unlicensed)
+		if unlicensed == 0 {
+			t.Errorf("%s: every one of the live tree's %d opens is licensed at exit, so the spec can report nothing; delete it", spec.kind, opens)
+		}
 	}
-	check("live tree", live)
+	contracts := []struct {
+		form     string
+		declares func(*Summary) bool
+	}{
+		{`"Requires sh.mu held"`, func(s *Summary) bool { return len(s.heldOnEntry) > 0 }},
+	}
+	for _, c := range contracts {
+		n := 0
+		for _, k := range prog.Order {
+			if c.declares(prog.Funcs[k]) {
+				n++
+			}
+		}
+		t.Logf("contract %s: declared by %d live functions", c.form, n)
+		if n == 0 {
+			t.Errorf("contract %s is declared by no live function; delete it", c.form)
+		}
+	}
 }

@@ -3,9 +3,8 @@ package analyzers
 // interproc.go is harmonylint's interprocedural dataflow layer: a call
 // graph over every loaded package plus one Summary per function body —
 // which locks it acquires and with what already held, which channels
-// it sends on or closes, which goroutines it spawns, which
-// paired-resource operations it performs, which doc-comment lock
-// contract it declares, whether it can learn about shutdown, and
+// it sends on or closes, which goroutines it spawns, which doc-comment
+// lock contract it declares, whether it can learn about shutdown, and
 // whether it observes wall-clock or global-rand state. The lockorder
 // and chanlife passes, the determinism taint upgrade and the lifecycle
 // explorations consume these summaries instead of re-walking syntax,
@@ -105,11 +104,6 @@ func (c LockClass) String() string {
 	return base + "." + c.Name
 }
 
-// IsShard reports a per-device shard lock (exec's vmShard.mu):
-// same-class nesting of these is governed by the ascending-order
-// contract rather than banned outright.
-func (c LockClass) IsShard() bool { return strings.HasSuffix(c.Owner, "Shard") }
-
 // chanClass identifies a channel the same way LockClass identifies a
 // mutex: by field, package var or local name.
 type chanClass struct {
@@ -172,27 +166,12 @@ type Summary struct {
 	Acquires []lockEvent
 	ChanOps  []chanOp
 	Taints   []taintUse
-	// ResOps lists the paired-resource operation names this function
-	// calls directly (Pin/Unpin, claim/commit/settle, Release and
-	// their case variants). The lifecycle passes use the transitive
-	// closure (TransResOps) to recognize a release performed by a
-	// callee at any call depth.
-	ResOps []string
 
 	// EntryHeld are lock classes the doc contract declares held on
-	// entry ("Requires mu held", "Requires sh.mu held"); heldOnEntry
-	// are the same locks as the body spells them ("v.mu", "sh.mu"), and
-	// recvHeld says the receiver's mu is among them.
+	// entry ("Requires sh.mu held"); heldOnEntry are the same locks as
+	// the body spells them ("sh.mu").
 	EntryHeld   []LockClass
 	heldOnEntry []string
-	recvHeld    bool
-	// releasedOnReturn: the doc demands the entry-held locks released
-	// on every return ("mu held on entry, released on return"), so a
-	// call to this method takes the receiver's lock off its caller.
-	releasedOnReturn bool
-	// ShardOrderOK: the doc declares the ascending device/shard
-	// acquisition contract, licensing same-class shard nesting.
-	ShardOrderOK bool
 	// DirectShutdown: the body itself contains a construct by which a
 	// goroutine can learn it should exit or signal that it has
 	// (select, channel receive, channel range, WaitGroup.Done,
@@ -211,7 +190,6 @@ type Program struct {
 	tainted  map[FuncKey]string // key → witness source ("" = clean)
 	shutdown map[FuncKey]bool
 	transAcq map[FuncKey]map[LockClass]bool
-	transRes map[FuncKey]map[string]bool
 	cfgs     map[FuncKey]*CFG          // per-function CFGs, built once, shared by all passes
 	life     map[*lifeSpec]*lifeResult // lifecycle explorations, run once each
 	// truncated lists every exploration a bound cut short; empty means
@@ -232,14 +210,6 @@ func (p *Program) FuncCFG(k FuncKey) *CFG {
 	}
 	p.cfgs[k] = c
 	return c
-}
-
-// resOpNames is the paired-resource operation vocabulary recorded into
-// Summary.ResOps: the pin, claim-word and handle lifecycles.
-var resOpNames = map[string]bool{
-	"Pin": true, "pin": true, "Unpin": true, "unpin": true,
-	"Claim": true, "claim": true, "Commit": true, "commit": true,
-	"Settle": true, "settle": true, "Release": true,
 }
 
 // BuildProgram summarizes every function in the loaded packages and
@@ -281,7 +251,6 @@ func BuildProgram(pkgs []*Package) *Program {
 	prog.closeTaint()
 	prog.closeShutdown()
 	prog.closeAcquires()
-	prog.closeResOps()
 	return prog
 }
 
@@ -313,52 +282,28 @@ func (p *Program) add(s *Summary) bool {
 	return true
 }
 
-// The doc-comment lock contracts, read once per function into its
-// Summary by parseContracts; every pass takes them from there.
-var (
-	entryHeldRe = regexp.MustCompile(`(?i)\brequires\s+mu\s+held|\bmu\s+held\s+on\s+entry`)
-	paramHeldRe = regexp.MustCompile(`(?i)\brequires\s+(\w+)\.mu\s+held`)
-	releasedRe  = regexp.MustCompile(`(?i)\breleased\s+on\s+return`)
-	// shardOrderRe is the declaration that licenses holding two shard
-	// locks at once, in ascending device-index order.
-	shardOrderRe = regexp.MustCompile(`(?i)ascending\s+(device|shard)`)
-)
+// paramHeldRe is the one doc-comment lock contract, read once per
+// function into its Summary by parseContracts; every pass takes it
+// from there.
+var paramHeldRe = regexp.MustCompile(`(?i)\brequires\s+(\w+)\.mu\s+held`)
 
-// parseContracts reads the function's lock contract: "Requires mu
-// held" / "mu held on entry" puts the receiver's mu in the held state
-// on entry, "Requires sh.mu held" the mu of the parameter of that name
-// (the sharded helpers take their vmShard explicitly).
-// Returning with such a lock held is then expected unless the doc also
-// says "released on return".
+// parseContracts reads the function's lock contract: "Requires sh.mu
+// held" puts the mu of the parameter of that name in the held state on
+// entry (the sharded helpers take their vmShard explicitly), and
+// returning with it held is then expected.
 func parseContracts(pkg *Package, fd *ast.FuncDecl, sum *Summary) {
 	if fd.Doc == nil {
 		return
 	}
-	doc := fd.Doc.Text()
-	sum.ShardOrderOK = shardOrderRe.MatchString(doc)
-	sum.releasedOnReturn = releasedRe.MatchString(doc)
-	held := func(f *ast.Field, name string) bool {
-		c, ok := fieldLockClass(pkg, f.Type, "mu")
-		if ok {
-			sum.EntryHeld = append(sum.EntryHeld, c)
-			if name != "" {
-				sum.heldOnEntry = append(sum.heldOnEntry, name+".mu")
-			}
-		}
-		return ok
-	}
-	if entryHeldRe.MatchString(doc) && fd.Recv != nil && len(fd.Recv.List) > 0 {
-		recv, name := fd.Recv.List[0], ""
-		if len(recv.Names) == 1 {
-			name = recv.Names[0].Name
-		}
-		sum.recvHeld = held(recv, name)
-	}
-	for _, m := range paramHeldRe.FindAllStringSubmatch(doc, -1) {
+	for _, m := range paramHeldRe.FindAllStringSubmatch(fd.Doc.Text(), -1) {
 		for _, f := range fd.Type.Params.List {
 			for _, name := range f.Names {
-				if name.Name == m[1] {
-					held(f, name.Name)
+				if name.Name != m[1] {
+					continue
+				}
+				if c, ok := fieldLockClass(pkg, f.Type, "mu"); ok {
+					sum.EntryHeld = append(sum.EntryHeld, c)
+					sum.heldOnEntry = append(sum.heldOnEntry, name.Name+".mu")
 				}
 			}
 		}
@@ -624,9 +569,6 @@ func (w *sumBuilder) call(call *ast.CallExpr) {
 	if fn == nil {
 		return
 	}
-	if resOpNames[fn.Name()] {
-		w.sum.ResOps = append(w.sum.ResOps, fn.Name())
-	}
 	if key, ok := keyOf(fn); ok {
 		w.sum.Calls = append(w.sum.Calls, callSite{pos: call.Pos(), callee: key, held: w.held})
 	}
@@ -891,36 +833,3 @@ func (p *Program) TransAcquires(k FuncKey) []LockClass {
 	sort.Slice(out, func(i, j int) bool { return lessClass(out[i], out[j]) })
 	return out
 }
-
-// closeResOps: transitive paired-resource operation sets — every
-// Pin/Unpin/claim/commit/settle/Release a call into the function may
-// perform at any depth. The lifecycle passes consult this to credit a
-// release done by a callee.
-func (p *Program) closeResOps() {
-	p.transRes = make(map[FuncKey]map[string]bool)
-	for _, k := range p.Order {
-		set := make(map[string]bool)
-		for _, op := range p.Funcs[k].ResOps {
-			set[op] = true
-		}
-		p.transRes[k] = set
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, k := range p.Order {
-			set := p.transRes[k]
-			for _, c := range p.Funcs[k].Calls {
-				for op := range p.transRes[c.callee] {
-					if !set[op] {
-						set[op] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
-}
-
-// TransResOps returns the paired-resource operations the function may
-// perform at any call depth.
-func (p *Program) TransResOps(k FuncKey) map[string]bool { return p.transRes[k] }

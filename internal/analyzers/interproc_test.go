@@ -23,12 +23,12 @@ type owner struct {
 	shards []boxShard
 }
 
-// depositLocked updates accounting. Requires mu held.
-func (o *owner) depositLocked(n int) {}
+// depositLocked updates accounting. Requires o.mu held.
+func depositLocked(o *owner, n int) {}
 
 func (o *owner) deposit(n int) {
 	o.mu.Lock()
-	o.depositLocked(n)
+	depositLocked(o, n)
 	o.mu.Unlock()
 }
 
@@ -118,7 +118,7 @@ func TestInterprocSummaries(t *testing.T) {
 	}
 
 	// Doc contract: depositLocked is entry-held on owner.mu.
-	dl := prog.Funcs[engineKey("depositLocked", "owner")]
+	dl := prog.Funcs[engineKey("depositLocked", "")]
 	if dl == nil || len(dl.EntryHeld) != 1 || dl.EntryHeld[0].Owner != "owner" || dl.EntryHeld[0].Name != "mu" {
 		t.Errorf("depositLocked EntryHeld = %v, want [engine.owner.mu]", dl.EntryHeld)
 	}
@@ -157,14 +157,6 @@ func TestInterprocSummaries(t *testing.T) {
 		if c.callee.Name == "helper" && len(c.held) != 1 {
 			t.Errorf("deferred's helper call held = %v, want [engine.owner.mu]", c.held)
 		}
-	}
-
-	// IsShard keys off the type-name suffix.
-	if (LockClass{Pkg: "engine", Owner: "boxShard", Name: "mu"}).IsShard() == false {
-		t.Error("boxShard.mu should be a shard class")
-	}
-	if (LockClass{Pkg: "engine", Owner: "owner", Name: "mu"}).IsShard() {
-		t.Error("owner.mu should not be a shard class")
 	}
 }
 

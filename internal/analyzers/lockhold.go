@@ -20,16 +20,15 @@ import (
 // The pass is the observer of the lock-lifecycle exploration errpath
 // reports leaks from (lockSpec in errpath.go): the held locks at each
 // node, per path, are that exploration's state, including locks the
-// doc contract declares held on entry ("Requires mu held", "Requires
-// sh.mu held") and locks a callee's "released on return" contract takes
-// away. Leaked locks are errpath's report and nested shard locks
-// lockorder's; this pass owns only what happens while a lock is held.
+// doc contract declares held on entry ("Requires sh.mu held"). Leaked
+// locks are errpath's report and nested locks lockorder's; this pass
+// owns only what happens while a lock is held.
 var Lockhold = &Analyzer{
 	Name: "lockhold",
 	Doc: "report blocking operations (channel operations, select without " +
 		"default, time.Sleep, Clock.Sleep, WaitGroup.Wait, WaitIdle, waitSettle) at any " +
-		"point some path reaches with a mutex held; doc contracts like " +
-		"\"Requires mu held\" set the entry state",
+		"point some path reaches with a mutex held; the doc contract " +
+		"\"Requires sh.mu held\" sets the entry state",
 	RunProject: func(pass *ProjectPass) error {
 		return reportFindings(pass, pass.Prog.lifecycle(lockSpec).observed)
 	},
@@ -53,7 +52,7 @@ func observeBlocking(e *lifeEngine, n ast.Node, st *lifeState) {
 	}
 	held := ""
 	for _, o := range st.open {
-		if o.n > 0 && o.kind == lockKind {
+		if o.n > 0 {
 			// st.open is sorted, so with several locks held the report
 			// names the lexically first — the same one every run. The
 			// root variable is dropped: "mu" for v.mu and sh.mu alike.

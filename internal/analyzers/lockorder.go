@@ -2,24 +2,19 @@ package analyzers
 
 // Lockorder turns the comment-only lock-ordering discipline into a
 // gated invariant. exec.VM documents the order — vmShard locks one at a
-// time, never two nested without the ascending-device contract — but
-// nothing enforced it past the single function lockhold could see.
-// This pass builds the global lock-acquisition graph from the
-// interprocedural summaries: an edge A → B for every place the program
-// acquires class B (directly, or anywhere inside a callee) while
-// holding class A. It then rejects
+// time, never two nested — but nothing enforced it past the single
+// function lockhold could see. This pass builds the global
+// lock-acquisition graph from the interprocedural summaries: an edge
+// A → B for every place the program acquires class B (directly, or
+// anywhere inside a callee) while holding class A. It then rejects
 //
 //   - cycles between distinct classes: two call chains acquiring the
 //     same pair of locks in opposite orders can deadlock, no matter
 //     how many function boundaries separate the Lock calls;
-//   - same-class nesting of shard locks (types named *Shard) anywhere
-//     on the call chain, unless the function holding or taking the
-//     lock declares the ascending-device contract in its doc comment
-//     (the same shardOrderRe license lockhold honors within one
-//     function);
-//   - same-class nesting of any other mutex: sync.Mutex does not
-//     support recursive acquisition, so a call chain that re-locks a
-//     held class self-deadlocks.
+//   - any nesting of two locks of one class anywhere on the call chain:
+//     the same mutex self-deadlocks (sync.Mutex is not recursive), and
+//     two instances of one class (two vmShard.mu) deadlock when two
+//     paths take them in opposite orders. No doc comment licenses it.
 //
 // Doc contracts participate: a function documented "Requires sh.mu
 // held" is summarized as entering with that class held, so the locks
@@ -29,13 +24,14 @@ package analyzers
 import (
 	"fmt"
 	"go/token"
+	"slices"
 	"sort"
 )
 
 var Lockorder = &Analyzer{
 	Name: "lockorder",
 	Doc: "build the global lock-acquisition graph from interprocedural summaries and reject " +
-		"cycles, recursive acquisitions, and multi-shard holds outside the ascending-order contract",
+		"cycles and any nesting of two locks of one class",
 	RunProject: runLockorder,
 }
 
@@ -43,9 +39,7 @@ var Lockorder = &Analyzer{
 type lockEdge struct {
 	from, to LockClass
 	pos      token.Pos
-	fn       FuncKey
 	via      string // callee chain hop for call-depth edges, "" for direct
-	shardOK  bool   // an ascending-order contract licenses this edge
 }
 
 func runLockorder(pass *ProjectPass) error {
@@ -55,9 +49,7 @@ func runLockorder(pass *ProjectPass) error {
 		s := prog.Funcs[k]
 		for _, a := range s.Acquires {
 			for _, h := range a.held {
-				edges = append(edges, lockEdge{
-					from: h, to: a.class, pos: a.pos, fn: k, shardOK: s.ShardOrderOK,
-				})
+				edges = append(edges, lockEdge{from: h, to: a.class, pos: a.pos})
 			}
 		}
 		for _, c := range s.Calls {
@@ -70,40 +62,25 @@ func runLockorder(pass *ProjectPass) error {
 			}
 			for _, acq := range prog.TransAcquires(c.callee) {
 				for _, h := range c.held {
-					if h == acq && contains(callee.EntryHeld, acq) {
+					if h == acq && slices.Contains(callee.EntryHeld, acq) {
 						// The callee's contract says the caller holds
 						// this lock for it; its summary re-lists the
 						// class only through that contract, not a
 						// second acquisition.
 						continue
 					}
-					edges = append(edges, lockEdge{
-						from: h, to: acq, pos: c.pos, fn: k,
-						via:     c.callee.String(),
-						shardOK: s.ShardOrderOK || callee.ShardOrderOK,
-					})
+					edges = append(edges, lockEdge{from: h, to: acq, pos: c.pos, via: c.callee.String()})
 				}
 			}
 		}
 	}
 
-	// Same-class nesting: recursive for plain mutexes, contract-gated
-	// for shard locks.
 	adj := make(map[LockClass]map[LockClass]lockEdge)
 	for _, e := range edges {
 		if e.from == e.to {
-			switch {
-			case e.from.IsShard() && e.shardOK:
-				// licensed multi-shard hold
-			case e.from.IsShard():
-				pass.Reportf(e.pos,
-					"second shard lock %s acquired%s while %s is held; multi-shard holds require the documented ascending-device order",
-					e.to, viaClause(e.via), e.from)
-			default:
-				pass.Reportf(e.pos,
-					"recursive acquisition of %s%s while it is already held; sync mutexes self-deadlock",
-					e.to, viaClause(e.via))
-			}
+			pass.Reportf(e.pos,
+				"nested acquisition of %s%s while a lock of the same class is held; no two locks of one class may nest",
+				e.to, viaClause(e.via))
 			continue
 		}
 		if adj[e.from] == nil {
@@ -116,15 +93,6 @@ func runLockorder(pass *ProjectPass) error {
 
 	reportLockCycles(pass, adj)
 	return nil
-}
-
-func contains(cs []LockClass, c LockClass) bool {
-	for _, x := range cs {
-		if x == c {
-			return true
-		}
-	}
-	return false
 }
 
 func viaClause(via string) string {

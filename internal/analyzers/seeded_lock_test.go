@@ -75,6 +75,32 @@ func (vm *VM) seededLive() int {
 		`lock on vm\.bufMu taken at seeded\.go:\d+ is still held on a path ending at the return at seeded\.go:\d+`)
 }
 
+// TestLockorderSeededProseIsNoLicence: a doc comment saying a method
+// visits shards "in ascending device order" proves nothing. Holding one
+// vmShard.mu while taking another deadlocks against any path that takes
+// the same two the other way round, so lockorder reports the nesting
+// whatever the doc comment says.
+func TestLockorderSeededProseIsNoLicence(t *testing.T) {
+	tmp := copyModule(t)
+	seedFile(t, tmp, "internal/exec/seeded.go", `package exec
+
+// seededBalance moves accounting from a device to its neighbour,
+// visiting the two shards in ascending device order.
+func (vm *VM) seededBalance(dev int, bytes int64) {
+	lo, hi := vm.shards[dev], vm.shards[dev+1]
+	lo.mu.Lock()
+	hi.mu.Lock()
+	lo.used -= bytes
+	hi.used += bytes
+	hi.mu.Unlock()
+	lo.mu.Unlock()
+}
+`)
+	diags := runSeeded(t, tmp, Lockorder, "./internal/exec")
+	mustDiag(t, diags, "lockorder",
+		`nested acquisition of exec\.vmShard\.mu while a lock of the same class is held`)
+}
+
 // TestClaimDisciplineSeededPublishBeforeCommit: lruPush ahead of commit
 // under a synchronous uncommitted claim inside the real internal/exec —
 // the eviction scan can now find a resident buffer whose claim it must

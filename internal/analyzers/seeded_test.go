@@ -4,8 +4,8 @@ package analyzers
 // a realistic regression planted in the REAL packages it guards, not
 // just on fixture code. The tests copy the module's sources into a
 // temp directory, append one seeded file, and run the pass over the
-// loaded result — so the violation lives in internal/exec, internal/memory
-// or internal/trace proper, against the real structs and the real call
+// loaded result — so the violation lives in internal/exec or
+// internal/trace proper, against the real structs and the real call
 // graph, while the working tree stays clean.
 
 import (
@@ -104,7 +104,7 @@ func (vm *VM) seededCount() int {
 `)
 	diags := runSeeded(t, tmp, Lockorder, "./internal/exec")
 	mustDiag(t, diags, "lockorder",
-		`recursive acquisition of exec\.VM\.cfgMu \(inside exec\.VM\.seededCount\) while it is already held`)
+		`nested acquisition of exec\.VM\.cfgMu \(inside exec\.VM\.seededCount\) while a lock of the same class is held`)
 }
 
 // TestChanlifeSeededLeak: a goroutine whose spin lives one call deep
@@ -157,35 +157,6 @@ func seededDecide() int64 {
 	diags := runSeeded(t, tmp, Determinism, "./internal/exec", "./internal/trace")
 	mustDiag(t, diags, "determinism",
 		`call to trace\.SeededStamp reaches time\.Now at some call depth`)
-}
-
-// TestPinbalanceSeededLeak: a helper that pins a real tensor.State and
-// then error-returns without the balancing Unpin — the silent
-// pin-budget shrink pinbalance exists for — trips the pass inside the
-// real internal/memory package.
-func TestPinbalanceSeededLeak(t *testing.T) {
-	tmp := copyModule(t)
-	seedFile(t, tmp, "internal/memory/seeded.go", `package memory
-
-import "harmony/internal/hw"
-
-// seededWarm pre-pins a tensor and marks it dirty on dev; the
-// MarkDirty failure returns early and leaks the pin, shrinking the
-// device budget for the rest of the run.
-func (m *Manager) seededWarm(id int, dev hw.DeviceID) error {
-	st := &m.states[id]
-	if err := st.Pin(); err != nil {
-		return err
-	}
-	if err := st.MarkDirty(dev); err != nil {
-		return err
-	}
-	return st.Unpin()
-}
-`)
-	diags := runSeeded(t, tmp, Pinbalance, "./internal/memory")
-	mustDiag(t, diags, "pinbalance",
-		`pin on st taken at seeded\.go:\d+ is not released on an error path`)
 }
 
 // TestClaimlifeSeededLeak: a claim on a real exec buffer that reaches

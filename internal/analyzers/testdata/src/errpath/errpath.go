@@ -1,7 +1,7 @@
-// Package errpath is the fixture for the errpath analyzer: locks,
-// shard locks and snapshot handles must not still be held at any
-// function exit — early error returns included — unless the doc
-// contract says so; each report prints the concrete leaking path.
+// Package errpath is the fixture for the errpath analyzer: locks and
+// shard locks must not still be held at any function exit — early
+// error returns included — unless the doc contract says so; each
+// report prints the concrete leaking path.
 package errpath
 
 import (
@@ -29,24 +29,6 @@ type devShard struct {
 	used int
 }
 
-// handle is a snapshot-style resource: acquired by value, released by
-// method.
-type handle struct {
-	live bool
-}
-
-func (h *handle) Release() {
-	h.live = false
-}
-
-type source struct {
-	cur handle
-}
-
-func (src *source) Snapshot() *handle {
-	return &handle{live: true}
-}
-
 // ---------------------------------------------------------------- clean
 
 // balanced releases before every return, including the error one.
@@ -64,44 +46,6 @@ func balanced(s *store) error {
 func deferred(s *store) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.check(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// underLock runs under the caller's lock and may return with it still
-// held, error or not. Requires mu held.
-func (s *store) underLock() error {
-	if err := s.check(); err != nil {
-		return err
-	}
-	s.dirt = 0
-	return nil
-}
-
-// drain takes over the caller's lock: mu held on entry, released on
-// return.
-func (s *store) drain() {
-	s.dirt = 0
-	s.mu.Unlock()
-}
-
-// transferred locks and then hands the lock to drain, whose contract
-// releases it; the error return afterwards holds nothing.
-func transferred(s *store) error {
-	s.mu.Lock()
-	s.drain()
-	if err := s.check(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// snapReleased releases the snapshot via defer on every path.
-func snapReleased(src *source, s *store) error {
-	snap := src.Snapshot()
-	defer snap.Release()
 	if err := s.check(); err != nil {
 		return err
 	}
@@ -138,15 +82,6 @@ func (s *store) leakOnEarlyReturn(bad bool) error {
 	}
 	s.mu.Unlock()
 	return nil
-}
-
-// handoffLeak claims the release contract but keeps the lock on one
-// path: mu held on entry, released on return.
-func (s *store) handoffLeak(bad bool) { // want `lock on s.mu held on entry is still held on a path ending at the return`
-	if bad {
-		return
-	}
-	s.mu.Unlock()
 }
 
 // paramLeakNoContract has no doc contract, so the lock it takes on the
@@ -196,17 +131,6 @@ func leakRLock(s *store) error {
 		return err
 	}
 	s.rw.RUnlock()
-	return nil
-}
-
-// leakSnapshot drops the snapshot handle on the error return; only the
-// happy path releases it.
-func leakSnapshot(src *source, s *store) error {
-	snap := src.Snapshot() // want `snapshot on snap taken at .* is still held on an error path`
-	if err := s.check(); err != nil {
-		return err
-	}
-	snap.Release()
 	return nil
 }
 

@@ -155,31 +155,6 @@ func (v *vmish) deferUnlock(bad bool) error {
 	return nil
 }
 
-// requiresHeld runs under the caller's lock. Requires mu held.
-func (v *vmish) requiresHeld() {
-	<-v.done // want "channel receive while mu is held"
-}
-
-// requiresHeldOK runs under the caller's lock and returns with it
-// still held, as the contract allows. Requires mu held.
-func (v *vmish) requiresHeldOK() {
-	v.touch()
-}
-
-// handoff transfers lock ownership: mu held on entry, released on
-// return.
-func (v *vmish) handoff() {
-	v.mu.Unlock()
-}
-
-// callsHandoff relies on handoff's "released on return" contract: mu
-// counts as released at the call, so the receive is not flagged.
-func (v *vmish) callsHandoff() int {
-	v.mu.Lock()
-	v.handoff()
-	return <-v.work
-}
-
 // allowedRecv documents why this wait is safe: the channel is buffered
 // and pre-filled by the caller, so the receive cannot park.
 func (v *vmish) allowedRecv() int {
@@ -189,8 +164,6 @@ func (v *vmish) allowedRecv() int {
 	v.mu.Unlock()
 	return x
 }
-
-func (v *vmish) touch() {}
 
 // vmShard mirrors the executor's per-device shard: a mutex plus
 // payload.

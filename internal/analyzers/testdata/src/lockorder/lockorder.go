@@ -1,7 +1,6 @@
 // Package lockorder is the fixture for the lockorder analyzer: the
 // global lock-acquisition graph built from interprocedural summaries,
-// rejecting cycles, recursive acquisitions, and same-class shard
-// nesting outside the ascending-order contract.
+// rejecting cycles and any nesting of two locks of one class.
 package lockorder
 
 import "sync"
@@ -13,8 +12,7 @@ type manager struct {
 }
 
 // devShard is a per-device accounting shard, like the executor's
-// vmShard; the Shard suffix is what marks its mu as
-// ascending-contract-governed.
+// vmShard.
 type devShard struct {
 	mu   sync.Mutex
 	used int64
@@ -102,17 +100,16 @@ func record(r *registry, name string) {
 func (m *manager) audit() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return totalOf(m) // want `recursive acquisition of lockorder\.manager\.mu \(inside lockorder\.totalOf\) while it is already held`
+	return totalOf(m) // want `nested acquisition of lockorder\.manager\.mu \(inside lockorder\.totalOf\) while a lock of the same class is held`
 }
 
 // ------------------------------------------- multi-shard nesting
 
-// migrate holds one shard while a helper locks another — same class,
-// no ascending contract anywhere on the chain.
+// migrate holds one shard while a helper locks another — same class.
 func (m *manager) migrate(from, to int, n int64) {
 	d := &m.shards[from]
 	d.mu.Lock()
-	m.deposit(to, n) // want `second shard lock lockorder\.devShard\.mu acquired \(inside lockorder\.manager\.deposit\) while lockorder\.devShard\.mu is held`
+	m.deposit(to, n) // want `nested acquisition of lockorder\.devShard\.mu \(inside lockorder\.manager\.deposit\) while a lock of the same class is held`
 	d.used -= n
 	d.mu.Unlock()
 }
@@ -124,13 +121,14 @@ func (m *manager) deposit(i int, n int64) {
 	d.mu.Unlock()
 }
 
-// rebalance does the same nested hold, but declares the contract:
-// shards are locked in ascending device order.
+// rebalance does the same nested hold under a doc comment that calls
+// it safe: shards are locked in ascending device order. Prose licenses
+// nothing.
 func (m *manager) rebalance(n int64) {
 	for i := 0; i+1 < len(m.shards); i++ {
 		lo, hi := &m.shards[i], &m.shards[i+1]
 		lo.mu.Lock()
-		moveAscending(lo, hi, n)
+		moveAscending(lo, hi, n) // want `nested acquisition of lockorder\.devShard\.mu \(inside lockorder\.moveAscending\) while a lock of the same class is held`
 		lo.mu.Unlock()
 	}
 }
@@ -149,34 +147,32 @@ func moveAscending(lo, hi *devShard, n int64) {
 // prevent.
 func nestedShards(a, b *devShard) {
 	a.mu.Lock()
-	b.mu.Lock() // want `second shard lock lockorder\.devShard\.mu acquired while lockorder\.devShard\.mu is held`
+	b.mu.Lock() // want `nested acquisition of lockorder\.devShard\.mu while a lock of the same class is held`
 	b.mu.Unlock()
 	a.mu.Unlock()
 }
 
-// orderedShards declares the contract, licensing the nesting: shards
-// are locked in ascending device order.
+// orderedShards says its shards are locked in ascending device order;
+// the nesting is reported all the same.
 func orderedShards(a, b *devShard) {
 	a.mu.Lock()
-	b.mu.Lock()
+	b.mu.Lock() // want `nested acquisition of lockorder\.devShard\.mu while a lock of the same class is held`
 	b.mu.Unlock()
 	a.mu.Unlock()
 }
 
-// nestedUnderContract holds one shard by contract and takes another —
-// still a nesting violation without the order declaration.
+// nestedUnderContract holds one shard by contract and takes another.
 // Requires sh.mu held.
 func nestedUnderContract(sh, other *devShard) {
-	other.mu.Lock() // want `second shard lock lockorder\.devShard\.mu acquired while lockorder\.devShard\.mu is held`
+	other.mu.Lock() // want `nested acquisition of lockorder\.devShard\.mu while a lock of the same class is held`
 	other.mu.Unlock()
 }
 
-// mergeNames nests the same lock class on a type that is not a *Shard:
-// the shard-nesting rule (and its ascending-order license) does not
-// apply, the class-level recursive-acquisition rule does.
+// mergeNames nests two registries: the rule is per class, not per
+// shard type.
 func mergeNames(dst, src *registry) {
 	dst.mu.Lock()
-	src.mu.Lock() // want `recursive acquisition of lockorder\.registry\.mu while it is already held`
+	src.mu.Lock() // want `nested acquisition of lockorder\.registry\.mu while a lock of the same class is held`
 	for k, v := range src.names {
 		dst.names[k] = v
 	}

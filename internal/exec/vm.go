@@ -215,9 +215,8 @@ type vmShard struct {
 // StatsSnapshot, Close and checkpoint save/load) visit shards one at
 // a time in ascending device order; p2p reserves and charges the
 // destination shard, releases it, and only then touches the source.
-// Any future path that must nest shard locks must acquire them in
-// ascending vmShard.dev order and say so in its doc comment (the
-// lockhold analyzer checks the declaration).
+// The lockorder analyzer reports any path that nests two shard locks,
+// whatever its doc comment says: no two locks of one class may nest.
 //
 // Deadlock discipline: synchronous paths may wait on waitable claims
 // (async DMA-worker operations and committed sync claims), which
