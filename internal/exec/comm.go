@@ -99,7 +99,8 @@ func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) error
 		start := tr.vm.clk.Now()
 		defer func() { r.add(tr.pdev(dev), trace.Comms, label, start, tr.vm.clk.Now()) }()
 	}
-	views := make([][]float32, n)
+	views := tr.views[dev+1][:n]
+	defer clear(views) // keep no device slice past its pins
 	if err := tr.acquire(ar, -1, views, nil); err != nil {
 		return err
 	}

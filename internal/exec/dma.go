@@ -324,7 +324,7 @@ func (vm *VM) EnsureAsync(dev int, t *tensor.Tensor) {
 	if !vm.claim(b, claimword.SwapIn, true, false, claimword.NeedEmpty) {
 		return // raced with a demand path; it will do the work
 	}
-	b.dev = make([]float32, b.floats())
+	b.dev = vm.take(sh, b.floats(), false) // fill writes every element
 	b.devID.Store(int32(dev))
 	vm.commit(b) // async: residency + prefetched mark in one CAS
 	sh.used += bytes
@@ -476,10 +476,11 @@ func (vm *VM) writeBack(x xfer, dev int, b *buffer) error {
 // fill loads b's content into its freshly reserved device copy on dev:
 // a copy from the host backing, after which the page is clean — or, for
 // a known-zero page, the memset a real device would issue instead of a
-// PCIe transfer, which leaves it known-zero. The memset is issued even
-// though today's device copies come zeroed from make: that b.dev holds
-// the page's content on return is fill's contract, not the allocator's.
-// No copy means no link time and no fault site (internal/fault).
+// PCIe transfer, which leaves it known-zero. The slice it is handed is
+// usually a spare (VM.take) still holding whatever page last used it,
+// so every element is written either way: that b.dev holds the page's
+// content on return is fill's contract, not the allocator's. No copy
+// means no link time and no fault site (internal/fault).
 func (vm *VM) fill(x xfer, dev int, b *buffer) error {
 	sh := vm.shards[dev]
 	if b.state.Load() == pageZero {

@@ -99,18 +99,10 @@ func TestConvNetBitIdenticalAcrossExecutors(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			var ref *Trainer
 			var refLoss []float32
-			for _, v := range []struct {
-				name     string
-				serial   bool
-				prefetch int
-			}{{"serial", true, 0}, {"parallel", false, -1}, {"prefetch2", false, 2}} {
-				tr, err := NewTrainer(TrainerConfig{
-					Mode: mode, Devices: 2,
-					DeviceBytes: 96 << 10, // below the footprint of four microbatches
-					BatchSize:   16, Microbatches: 4,
-					LR: 0.05, Seed: 3,
-					Serial: v.serial, PrefetchDepth: v.prefetch,
-				}, lenetKernels())
+			for _, v := range convNetVariants {
+				cfg := convNetConfig(mode)
+				cfg.Serial, cfg.PrefetchDepth = v.serial, v.prefetch
+				tr, err := NewTrainer(cfg, lenetKernels())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -158,6 +150,24 @@ func TestConvNetBitIdenticalAcrossExecutors(t *testing.T) {
 		})
 	}
 }
+
+// convNetConfig is TestConvNetBitIdenticalAcrossExecutors's plan for
+// lenetKernels, under swap pressure.
+func convNetConfig(mode sched.Mode) TrainerConfig {
+	return TrainerConfig{
+		Mode: mode, Devices: 2,
+		DeviceBytes: 96 << 10, // below the footprint of four microbatches
+		BatchSize:   16, Microbatches: 4,
+		LR: 0.05, Seed: 3,
+	}
+}
+
+// convNetVariants are the executors the conv net is held across.
+var convNetVariants = []struct {
+	name     string
+	serial   bool
+	prefetch int
+}{{"serial", true, 0}, {"parallel", false, -1}, {"prefetch2", false, 2}}
 
 // TestParallelLossesWithinTolerance pins the weaker public contract —
 // losses agree within 1e-5 — separately from the bit-exact check, so

@@ -226,26 +226,6 @@ func TestPrefetchBitExactMatrix(t *testing.T) {
 	nn.SetWorkers(4)
 	defer nn.SetWorkers(runtime.GOMAXPROCS(0))
 	const steps = 6
-	plans := []struct {
-		mode    sched.Mode
-		devices []int
-	}{
-		{sched.HarmonyDP, []int{1, 2}},
-		{sched.HarmonyPP, []int{2}},
-	}
-	variants := []struct {
-		name     string
-		serial   bool
-		depth    int
-		adaptive bool
-	}{
-		{"serial", true, 0, false},
-		{"sync", false, -1, false},
-		{"depth1", false, 1, false},
-		{"depth2", false, 2, false},
-		{"depth4", false, 4, false},
-		{"adaptive", false, 4, true},
-	}
 	run := func(t *testing.T, base TrainerConfig) {
 		ref := base
 		ref.Serial = true
@@ -256,10 +236,8 @@ func TestPrefetchBitExactMatrix(t *testing.T) {
 		if st := a.Stats(); st.Drops != 0 || st.SwapOuts != 0 || st.ZeroFills != nDW {
 			t.Fatalf("the reference device evicted, or filled more than each gradient's first touch: %+v", st)
 		}
-		for _, v := range variants {
-			cfg := base
-			cfg.Serial, cfg.PrefetchDepth, cfg.AdaptivePrefetch = v.serial, v.depth, v.adaptive
-			b, lossB := runTrainer(t, cfg, steps)
+		for _, v := range prefetchVariants {
+			b, lossB := runTrainer(t, v.apply(base), steps)
 			assertSameRun(t, a, b, lossA, lossB)
 			st := b.Stats()
 			prefetches := !v.serial && v.depth > 0
@@ -275,27 +253,65 @@ func TestPrefetchBitExactMatrix(t *testing.T) {
 			b.Close()
 		}
 	}
-	for _, p := range plans {
+	for _, p := range prefetchPlans {
 		t.Run(p.mode.String(), func(t *testing.T) {
 			for _, devices := range p.devices {
 				for opt, adam := range []bool{false, true} {
-					base := trainerConfig(p.mode, devices)
-					base.Widths = []int{16, 32, 32, 32, 4} // W + dW = 22304 bytes
-					base.Adam = adam
-					// Two waves of two microbatches: a layer's gradient sits
-					// half-accumulated while every other layer runs, so it is
-					// evicted dirty within a step as well as known-zero between
-					// steps — a mark that outlived a write would lose it there.
-					base.Toggles = &sched.Toggles{GroupSize: 2}
-					if adam {
-						// One layer's update pins W + dW + two moments (16.9 KB).
-						base.DeviceBytes, base.LR = 20<<10, 0.005
-					}
+					base := prefetchBase(p.mode, devices, adam)
 					t.Run(fmt.Sprintf("%ddev/opt%d", devices, opt), func(t *testing.T) { run(t, base) })
 				}
 			}
 		})
 	}
+}
+
+// prefetchPlans are TestPrefetchBitExactMatrix's modes and device counts.
+var prefetchPlans = []struct {
+	mode    sched.Mode
+	devices []int
+}{
+	{sched.HarmonyDP, []int{1, 2}},
+	{sched.HarmonyPP, []int{2}},
+}
+
+// prefetchVariant is one executor setting of the prefetch matrix.
+type prefetchVariant struct {
+	name     string
+	serial   bool
+	depth    int
+	adaptive bool
+}
+
+func (v prefetchVariant) apply(cfg TrainerConfig) TrainerConfig {
+	cfg.Serial, cfg.PrefetchDepth, cfg.AdaptivePrefetch = v.serial, v.depth, v.adaptive
+	return cfg
+}
+
+var prefetchVariants = []prefetchVariant{
+	{"serial", true, 0, false},
+	{"sync", false, -1, false},
+	{"depth1", false, 1, false},
+	{"depth2", false, 2, false},
+	{"depth4", false, 4, false},
+	{"adaptive", false, 4, true},
+}
+
+// prefetchBase is the prefetch matrix's plan on a device too small for
+// W + dW, under SGD or Adam.
+func prefetchBase(mode sched.Mode, devices int, adam bool) TrainerConfig {
+	base := trainerConfig(mode, devices)
+	base.Widths = []int{16, 32, 32, 32, 4} // W + dW = 22304 bytes
+	base.Adam = adam
+	// Two waves of two microbatches: a layer's gradient sits
+	// half-accumulated while every other layer runs, so it is evicted
+	// dirty within a step as well as known-zero between steps — a mark
+	// that outlived a write would lose it there.
+	base.Toggles = &sched.Toggles{GroupSize: 2}
+	if adam {
+		// One layer's update pins W + dW + two moments (16.9 KB).
+		base.DeviceBytes, base.LR = 20<<10, 0.005
+	}
+	return base
 }
 
 // TestPrefetchBitExactUnderDelayFaults stresses the state machine's

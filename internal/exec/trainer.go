@@ -161,6 +161,10 @@ type Trainer struct {
 	comm      []commBucketRT
 	commMu    sync.Mutex
 	commStats CommStats
+	// views is reduce's scratch for one view per replica: slot d+1 for
+	// device worker d, which runs one reduction at a time, and slot 0
+	// for the serial path's dev -1.
+	views [][][]float32
 
 	// pf, when non-nil, is the schedule-driven prefetcher the device
 	// workers call before each kernel; rec, when non-nil, records
@@ -307,6 +311,10 @@ func NewTrainer(cfg TrainerConfig, kernels []nn.Kernel) (*Trainer, error) {
 	for d := range tr.devMap {
 		tr.devMap[d] = d
 		tr.alive[d] = true
+	}
+	tr.views = make([][][]float32, cfg.Devices+1)
+	for i := range tr.views {
+		tr.views[i] = make([][]float32, g.Cfg.Replicas)
 	}
 	tr.armPrefetch()
 	tr.freshVM()

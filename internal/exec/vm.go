@@ -18,6 +18,8 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -196,6 +198,19 @@ type vmShard struct {
 	// link traffic.
 	syncOuts  int
 	cleanSeen int
+	// spares are the device slices of pages that left this device, in
+	// one stack per capacity, ascending, for the next pages placed here
+	// (take, give). held is the capacity in bytes of every device slice
+	// the shard holds, resident or spare: a spare is kept only while
+	// held fits the device.
+	spares []spareStack
+	held   int64
+}
+
+// spareStack is a shard's spare device slices of one capacity.
+type spareStack struct {
+	cap    int
+	slices [][]float32
 }
 
 // VM is a coherent virtual memory across virtual devices.
@@ -513,6 +528,76 @@ func (vm *VM) victim(sh *vmShard) (evictable, waitable *buffer) {
 	return prefetched, waitable
 }
 
+// ------------------------------------------------------ device memory
+
+// take returns the device slice for a page of n floats being placed on
+// sh: a spare of capacity n, else the spare of the next larger capacity
+// present (best fit), holding whatever its last page left there — or,
+// when no spare is that large, a fresh one, for which spares are trimmed
+// first, shortest first, until everything sh holds fits its capacity
+// with it. zero asks for the slice cleared (a fresh one already is).
+// Requires sh.mu held.
+//
+// A best-fit page's slack — its slice's capacity past n — is memory
+// sh.used does not count, so reserve can fill the device until a fresh
+// slice does not fit beside the resident ones even with every spare
+// gone. Then sh holds more than its capacity, and keeps no spare (give)
+// until its pages have shed that much.
+func (vm *VM) take(sh *vmShard, n int, zero bool) []float32 {
+	i := sh.spareAt(n)
+	for i < len(sh.spares) && len(sh.spares[i].slices) == 0 {
+		i++
+	}
+	if i < len(sh.spares) {
+		s := sh.spares[i].pop()[:n]
+		if zero {
+			clear(s)
+		}
+		return s
+	}
+	for i := range sh.spares {
+		st := &sh.spares[i]
+		for len(st.slices) > 0 && sh.held+int64(n)*4 > vm.capacity {
+			st.pop()
+			sh.held -= int64(st.cap) * 4
+		}
+	}
+	sh.held += int64(n) * 4
+	return make([]float32, n)
+}
+
+// give keeps the device slice of a page leaving sh as a spare, at its
+// full capacity — unless sh holds more than its capacity, when the slice
+// goes to the garbage collector instead. Requires sh.mu held.
+func (vm *VM) give(sh *vmShard, s []float32) {
+	c := cap(s)
+	if sh.held > vm.capacity {
+		sh.held -= int64(c) * 4
+		return
+	}
+	i := sh.spareAt(c)
+	if i == len(sh.spares) || sh.spares[i].cap != c {
+		sh.spares = slices.Insert(sh.spares, i, spareStack{cap: c})
+	}
+	sh.spares[i].slices = append(sh.spares[i].slices, s[:c])
+}
+
+// pop removes and returns the top of st, letting go of it in the
+// stack's own array.
+func (st *spareStack) pop() []float32 {
+	last := len(st.slices) - 1
+	s := st.slices[last]
+	st.slices[last] = nil
+	st.slices = st.slices[:last]
+	return s
+}
+
+// spareAt returns the index of sh's first spare stack of capacity c or
+// more. Requires sh.mu held.
+func (sh *vmShard) spareAt(c int) int {
+	return sort.Search(len(sh.spares), func(i int) bool { return sh.spares[i].cap >= c })
+}
+
 // --------------------------------------------------------- public API
 
 // HostAlloc materializes a tensor's host backing (zeroed) and returns
@@ -688,7 +773,7 @@ func (vm *VM) swapIn(dev int, b *buffer) ([]float32, error) {
 		vm.settle(b, false, 0)
 		return nil, err
 	}
-	dst := make([]float32, b.floats())
+	dst := vm.take(sh, b.floats(), false) // fill writes every element
 	b.dev = dst
 	b.devID.Store(int32(dev))
 	vm.commit(b) // reserve done: only the fill remains
@@ -711,12 +796,12 @@ var errRetry = errors.New("exec: retry")
 
 // moveP2P transfers b (resident on another device, unpinned, idle) to
 // dev and pins it. Shard order: the destination shard is reserved,
-// charged and released *before* b is claimed — never two shard locks
-// at once — and the claim CAS carries committed, because a claim
-// holding its destination completes without further allocation, so
-// the source device's eviction may wait on it. Because reserve can
-// drop the shard lock and the claim races demand traffic, b may
-// change underneath; errRetry sends Ensure back around.
+// charged, given its slice and released *before* b is claimed — never
+// two shard locks at once — and the claim CAS carries committed,
+// because a claim holding its destination completes without further
+// allocation, so the source device's eviction may wait on it. Because
+// reserve can drop the shard lock and the claim races demand traffic,
+// b may change underneath; errRetry sends Ensure back around.
 func (vm *VM) moveP2P(dev int, b *buffer) ([]float32, error) {
 	bytes := b.t.Bytes
 	dsh := vm.shards[dev]
@@ -725,34 +810,31 @@ func (vm *VM) moveP2P(dev int, b *buffer) ([]float32, error) {
 		dsh.mu.Unlock()
 		return nil, err
 	}
-	dsh.used += bytes // hold the destination while copying
+	dsh.used += bytes                      // hold the destination while copying
+	dst := vm.take(dsh, b.floats(), false) // the copy writes every element
 	dsh.mu.Unlock()
 	if !vm.claim(b, claimword.SwapIn, false, true, claimword.NeedUnpinned) {
-		vm.uncharge(dsh, bytes)
+		vm.uncharge(dsh, bytes, dst)
 		return nil, errRetry
 	}
 	if w := b.load(); !w.Resident() || int(b.devID.Load()) == dev {
 		vm.settle(b, w.Resident(), 0)
-		vm.uncharge(dsh, bytes)
+		vm.uncharge(dsh, bytes, dst)
 		return nil, errRetry
 	}
 	src, srcDev := b.dev, int(b.devID.Load())
-	dst := make([]float32, b.floats())
 
 	if _, err := vm.transfer(xferP2P, dev, srcDev, b.t, dst, src); err != nil {
 		vm.settle(b, true, 0)
-		vm.uncharge(dsh, bytes)
+		vm.uncharge(dsh, bytes, dst)
 		return nil, err
 	}
 
-	pf := vm.consumePrefetch(b) // prefetched to the wrong device: not a hit
+	// Prefetched to the wrong device is not a hit: unlink returns the
+	// budget charge with the source's bytes and slice.
 	ssh := vm.shards[srcDev]
 	ssh.mu.Lock()
-	vm.lruRemove(ssh, b)
-	ssh.used -= bytes
-	if pf {
-		ssh.pfBytes -= bytes
-	}
+	vm.unlink(ssh, b)
 	ssh.mu.Unlock()
 	b.dev = dst
 	b.devID.Store(int32(dev))
@@ -765,10 +847,12 @@ func (vm *VM) moveP2P(dev int, b *buffer) ([]float32, error) {
 	return dst, nil
 }
 
-// uncharge returns speculatively-held destination bytes.
-func (vm *VM) uncharge(sh *vmShard, bytes int64) {
+// uncharge returns speculatively-held destination bytes and the slice
+// taken for them.
+func (vm *VM) uncharge(sh *vmShard, bytes int64, s []float32) {
 	sh.mu.Lock()
 	sh.used -= bytes
+	vm.give(sh, s)
 	sh.mu.Unlock()
 }
 
@@ -829,7 +913,7 @@ func (vm *VM) Alloc(dev int, t *tensor.Tensor) ([]float32, error) {
 			vm.settle(b, false, 0)
 			return nil, err
 		}
-		dst := make([]float32, b.floats())
+		dst := vm.take(sh, b.floats(), true)
 		b.dev = dst
 		b.devID.Store(int32(dev))
 		b.state.Store(pageDirty)
@@ -994,16 +1078,18 @@ func (vm *VM) dropResidency(b *buffer) {
 
 // unlink takes b, resident on sh's device, off the device: out of the
 // LRU, its bytes and any unconsumed prefetch charge returned, its
-// device copy forgotten — and, for a known-zero page, whatever stale
-// host copy an earlier write-back left, so the page holds no memory
-// anywhere until it is filled again. Requires sh.mu held and b's claim
-// owned by the caller.
+// device slice kept as one of sh's spares — and, for a known-zero page,
+// whatever stale host copy an earlier write-back left dropped, so the
+// page holds no memory anywhere until it is filled again. It is the one
+// place a page leaves a device: eviction, drop, p2p move, Free or a
+// failed fill. Requires sh.mu held and b's claim owned by the caller.
 func (vm *VM) unlink(sh *vmShard, b *buffer) {
 	vm.lruRemove(sh, b)
 	sh.used -= b.t.Bytes
 	if vm.consumePrefetch(b) {
 		sh.pfBytes -= b.t.Bytes
 	}
+	vm.give(sh, b.dev)
 	b.dev = nil
 	b.devID.Store(-1)
 	if b.state.Load() == pageZero {

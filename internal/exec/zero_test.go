@@ -276,8 +276,7 @@ func TestHostAllocOfZeroPage(t *testing.T) {
 
 // TestFillZeroesWhateverItIsHanded pins fill's contract apart from the
 // allocator's: the memset is fill's, not a property of the slice it was
-// given. (Every device copy is fresh from make today, so without this a
-// fill that skipped the memset would pass everything else.)
+// given — which is usually a spare still holding another page's floats.
 func TestFillZeroesWhateverItIsHanded(t *testing.T) {
 	_, a, _, _ := vmTensors(t)
 	vm := NewVM(1, 500, tracking)
