@@ -556,9 +556,16 @@ func (vm *VM) transfer(x xfer, dev, peer int, t *tensor.Tensor, dst, src []float
 
 // copyChunked copies src into dst through the shared kernel worker
 // pool in cache-friendly chunks, so large DMAs use every core without
-// starving compute (the pool interleaves fairly).
+// starving compute (the pool interleaves fairly). A copy that would run
+// inline anyway is made directly: the closure ParallelFor takes is
+// heap-allocated where it is written, fanned out or not.
 func copyChunked(dst, src []float32) {
-	nn.ParallelFor(len(dst), 64<<10, func(lo, hi int) {
+	const grain = 64 << 10
+	if len(dst) <= grain || nn.Workers() == 1 {
+		copy(dst, src)
+		return
+	}
+	nn.ParallelFor(len(dst), grain, func(lo, hi int) {
 		copy(dst[lo:hi], src[lo:hi])
 	})
 }

@@ -30,10 +30,14 @@ func axpyAVX2(dst, r *float32, n int, c float32)
 //go:noescape
 func dx4AVX2(dx, w, d *float32, nk, nj, in, out int)
 
-// dx1AVX2 is dx4AVX2 for one batch row.
+// dxGatherAVX2 stores sums[t] = Σ_{j<nj} w[rows[t]+j]·d[j], summed from
+// +0 in ascending j, for the sixteen rows of W that start rows[t] floats
+// into w: one batch row's input gradient at sixteen k its ReLU mask
+// keeps, wherever they lie (a row may repeat); nj is a multiple of 4,
+// and every rows[t]+nj is at most the length of w.
 //
 //go:noescape
-func dx1AVX2(dx, w, d *float32, nk, nj, out int)
+func dxGatherAVX2(sums *[16]float32, w *float32, rows *[16]int, d *float32, nj int)
 
 // sgdAVX2 is SGD's loop over n floats, n a multiple of 32.
 //

@@ -2,7 +2,9 @@
 
 // AVX2 versions of the three inner loops of Dense, of SGD and of Average
 // (kernels_amd64.go has the contracts, DESIGN.md §7 the bit-identity
-// argument). A lane is one output element and receives the terms the Go
+// argument). The input gradient has two: four batch rows over a dense
+// block of W, and one row over the rows of W its ReLU mask keeps,
+// gathered. A lane is one output element and receives the terms the Go
 // loop gives that element, in the same order, each as a multiply rounded
 // to float32 and then an add or subtract: never a fused multiply-add,
 // which rounds once where the compiled Go kernels round twice. Loads and
@@ -155,11 +157,22 @@ axpydone:
 
 // The input gradient dx[i,k] = Σ_j W[k,j]·d[i,j] keeps one accumulator
 // per (i,k), so a register's lanes are eight k and W, which is
-// contiguous in j, has to be turned: W8X4 loads the 8k × 4j block whose
-// rows 0-3 start at lo and rows 4-7 at hi (row stride R8 bytes, R9 =
-// 3·R8), rows m and m+4 as the two 128-bit halves of one register, and
-// transposes the 4×4 in each half, leaving W[k..k+7, j+jj] in a, b, c, d
-// for jj = 0, 1, 2, 3.
+// contiguous in j, has to be turned: a block of eight rows of W by four
+// j is loaded with rows m and m+4 as the two 128-bit halves of one
+// register, and T4X4 transposes the 4×4 in each half, leaving row m's
+// W[k, j+jj] in lane m of a, b, c, d for jj = 0, 1, 2, 3.
+#define T4X4(a, b, c, d, t0, t1, t2, t3) \
+	VUNPCKLPS b, a, t0; \
+	VUNPCKHPS b, a, t1; \
+	VUNPCKLPS d, c, t2; \
+	VUNPCKHPS d, c, t3; \
+	VSHUFPS   $0x44, t2, t0, a; \
+	VSHUFPS   $0xEE, t2, t0, b; \
+	VSHUFPS   $0x44, t3, t1, c; \
+	VSHUFPS   $0xEE, t3, t1, d
+
+// W8X4 turns the block of eight consecutive rows k..k+7 whose rows 0-3
+// start at lo and rows 4-7 at hi (row stride R8 bytes, R9 = 3·R8).
 #define W8X4(lo, hi, a, b, c, d, t0, t1, t2, t3) \
 	VBROADCASTF128 (lo), a; \
 	VBROADCASTF128 (lo)(R8*1), b; \
@@ -169,14 +182,28 @@ axpydone:
 	VINSERTF128    $1, (hi)(R8*1), b, b; \
 	VINSERTF128    $1, (hi)(R8*2), c, c; \
 	VINSERTF128    $1, (hi)(R9*1), d, d; \
-	VUNPCKLPS      b, a, t0; \
-	VUNPCKHPS      b, a, t1; \
-	VUNPCKLPS      d, c, t2; \
-	VUNPCKHPS      d, c, t3; \
-	VSHUFPS        $0x44, t2, t0, a; \
-	VSHUFPS        $0xEE, t2, t0, b; \
-	VSHUFPS        $0x44, t3, t1, c; \
-	VSHUFPS        $0xEE, t3, t1, d
+	T4X4(a, b, c, d, t0, t1, t2, t3)
+
+// G8X4 turns a block of eight rows anywhere in W: row m starts the m-th
+// of the eight words at r floats past SI (R8-R11 are scratch).
+#define G8X4(r, a, b, c, d, t0, t1, t2, t3) \
+	MOVQ           (r), R8; \
+	MOVQ           8(r), R9; \
+	MOVQ           16(r), R10; \
+	MOVQ           24(r), R11; \
+	VBROADCASTF128 (SI)(R8*4), a; \
+	VBROADCASTF128 (SI)(R9*4), b; \
+	VBROADCASTF128 (SI)(R10*4), c; \
+	VBROADCASTF128 (SI)(R11*4), d; \
+	MOVQ           32(r), R8; \
+	MOVQ           40(r), R9; \
+	MOVQ           48(r), R10; \
+	MOVQ           56(r), R11; \
+	VINSERTF128    $1, (SI)(R8*4), a, a; \
+	VINSERTF128    $1, (SI)(R9*4), b, b; \
+	VINSERTF128    $1, (SI)(R10*4), c, c; \
+	VINSERTF128    $1, (SI)(R11*4), d, d; \
+	T4X4(a, b, c, d, t0, t1, t2, t3)
 
 // ROWS4 adds column j+off/4 of the block, w, times d[i,j+off/4] to the
 // accumulators Y0-Y3 of the four batch rows i (R12 is &d[0,j], the row
@@ -253,102 +280,50 @@ dx4done:
 	VZEROUPPER
 	RET
 
-// ROW1X16 is ROWS4 for one batch row and two blocks: column j+off/4 of
-// k..k+7 (wa, accumulator Y0) and of k+8..k+15 (wb, accumulator Y1).
-// ROW1X8 is the first half of it.
-#define ROW1X16(wa, wb, off) \
-	VBROADCASTSS off(R12), Y2; \
+// ROW16 adds column j+off/4 of two gathered blocks, wa (rows 0-7,
+// accumulator Y0) and wb (rows 8-15, accumulator Y1), times d[j+off/4]
+// (DX is &d[j]): s + (w * d), as in the Go source.
+#define ROW16(wa, wb, off) \
+	VBROADCASTSS off(DX), Y2; \
 	VMULPS       Y2, wa, Y3; \
 	VMULPS       Y2, wb, Y2; \
 	VADDPS       Y3, Y0, Y0; \
 	VADDPS       Y2, Y1, Y1
 
-#define ROW1X8(w, off) \
-	VBROADCASTSS off(R12), Y2; \
-	VMULPS       Y2, w, Y2; \
-	VADDPS       Y2, Y0, Y0
-
-// func dx1AVX2(dx, w, d *float32, nk, nj, out int)
+// func dxGatherAVX2(sums *[16]float32, w *float32, rows *[16]int, d *float32, nj int)
 //
-// One batch row has no second row to share a block with, so it takes
-// sixteen k at a time, two blocks and two chains of adds, and a last
-// eight alone when nk is not a multiple of sixteen. R10/R11 and R13/R14
-// walk the two blocks.
-TEXT ·dx1AVX2(SB), NOSPLIT, $0-48
-	MOVQ dx+0(FP), DI
-	MOVQ w+8(FP), SI
-	MOVQ d+16(FP), DX
-	MOVQ nk+24(FP), CX
-	MOVQ nj+32(FP), BX
-	MOVQ out+40(FP), R8
-	SHLQ $2, R8
-	LEAQ (R8)(R8*2), R9
-
-dx1k16:
-	CMPQ   CX, $16
-	JLT    dx1k8
+// One batch row has no second row to share a block with, and its mask
+// drops about half of W's rows, so it takes sixteen of the rows it keeps
+// at a time, wherever they lie: two gathered blocks and two chains of
+// adds. BX and R12 point at the offsets of rows 0-7 and 8-15, SI walks
+// w along j, DX walks d, CX counts j down.
+TEXT ·dxGatherAVX2(SB), NOSPLIT, $0-40
+	MOVQ   sums+0(FP), DI
+	MOVQ   w+8(FP), SI
+	MOVQ   rows+16(FP), BX
+	MOVQ   d+24(FP), DX
+	MOVQ   nj+32(FP), CX
+	LEAQ   64(BX), R12
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
-	MOVQ   SI, R10
-	LEAQ   (SI)(R8*4), R11
-	LEAQ   (SI)(R8*8), R13
-	LEAQ   (R13)(R8*4), R14
-	MOVQ   DX, R12
-	MOVQ   BX, AX
 
-dx1j16:
-	CMPQ AX, $4
-	JLT  dx1store16
-	W8X4(R10, R11, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
-	W8X4(R13, R14, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y2)
-	ROW1X16(Y4, Y8, 0)
-	ROW1X16(Y5, Y9, 4)
-	ROW1X16(Y6, Y10, 8)
-	ROW1X16(Y7, Y11, 12)
-	ADDQ $16, R10
-	ADDQ $16, R11
-	ADDQ $16, R13
-	ADDQ $16, R14
-	ADDQ $16, R12
-	SUBQ $4, AX
-	JMP  dx1j16
+gatherj:
+	CMPQ CX, $4
+	JLT  gatherdone
+	G8X4(BX, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	G8X4(R12, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
+	ROW16(Y4, Y8, 0)
+	ROW16(Y5, Y9, 4)
+	ROW16(Y6, Y10, 8)
+	ROW16(Y7, Y11, 12)
+	ADDQ $16, SI
+	ADDQ $16, DX
+	SUBQ $4, CX
+	JMP  gatherj
 
-dx1store16:
+gatherdone:
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
-	ADDQ    $64, DI
-	LEAQ    (SI)(R8*8), SI
-	LEAQ    (SI)(R8*8), SI
-	SUBQ    $16, CX
-	JMP     dx1k16
-
-dx1k8:
-	CMPQ   CX, $8
-	JLT    dx1done
-	VXORPS Y0, Y0, Y0
-	MOVQ   SI, R10
-	LEAQ   (SI)(R8*4), R11
-	MOVQ   DX, R12
-	MOVQ   BX, AX
-
-dx1j8:
-	CMPQ AX, $4
-	JLT  dx1store8
-	W8X4(R10, R11, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
-	ROW1X8(Y4, 0)
-	ROW1X8(Y5, 4)
-	ROW1X8(Y6, 8)
-	ROW1X8(Y7, 12)
-	ADDQ $16, R10
-	ADDQ $16, R11
-	ADDQ $16, R12
-	SUBQ $4, AX
-	JMP  dx1j8
-
-dx1store8:
-	VMOVUPS Y0, (DI)
-
-dx1done:
 	VZEROUPPER
 	RET
 

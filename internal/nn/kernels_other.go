@@ -14,7 +14,9 @@ func axpyAVX2(dst, r *float32, n int, c float32) { panic("nn: no vector kernels 
 
 func dx4AVX2(dx, w, d *float32, nk, nj, in, out int) { panic("nn: no vector kernels on this GOARCH") }
 
-func dx1AVX2(dx, w, d *float32, nk, nj, out int) { panic("nn: no vector kernels on this GOARCH") }
+func dxGatherAVX2(sums *[16]float32, w *float32, rows *[16]int, d *float32, nj int) {
+	panic("nn: no vector kernels on this GOARCH")
+}
 
 func sgdAVX2(w, dw *float32, n int, lr float32) { panic("nn: no vector kernels on this GOARCH") }
 

@@ -109,16 +109,15 @@ func (l Dense) Backward(params, stash, dy, dx, grad []float32, batch int) {
 	} else {
 		ParallelFor(l.In, grain, func(lo, hi int) { l.weightGradRows(stash, dy, gw, lo, hi) })
 	}
-	// Input gradient: rows are disjoint over the batch.
+	// Input gradient, masked: rows are disjoint over the batch.
 	if dx == nil {
 		return
 	}
 	if grain := grainFor(2 * nw); runsInline(batch, grain) {
-		l.inputGradRows(params, dy, dx, 0, batch)
+		l.inputGradRows(params, stash, dy, dx, 0, batch)
 	} else {
-		ParallelFor(batch, grain, func(lo, hi int) { l.inputGradRows(params, dy, dx, lo, hi) })
+		ParallelFor(batch, grain, func(lo, hi int) { l.inputGradRows(params, stash, dy, dx, lo, hi) })
 	}
-	maskBySign(dx[:batch*l.In], stash)
 }
 
 func (l Dense) weightGradRows(stash, dy, gw []float32, lo, hi int) {
@@ -142,40 +141,111 @@ func maskBySign(dx, x []float32) {
 	}
 }
 
-func (l Dense) inputGradRows(params, dy, dx []float32, lo, hi int) {
-	n := l.Out
-	// The vector tiles leave Σ_{j<n4} W[k,j]·d[i,j] in dx[i,k] for k < k8.
-	k8, n4 := 0, 0
-	if useAVX2 && l.In >= 8 && n >= 4 && lo < hi {
-		k8, n4 = l.In&^7, n&^3
-		w, d, out := params[:l.In*n], dy[lo*n:hi*n], dx[lo*l.In:hi*l.In]
-		i := 0
-		for ; i+4 <= hi-lo; i += 4 {
-			dx4AVX2(&out[i*l.In], &w[0], &d[i*n], k8, n4, l.In, n)
+// inputGradRows computes dx for batch rows [lo, hi): dx[i,k] = Σ_j
+// W[k,j]·dy[i,j] where the stashed input x[i,k] is > 0, and +0 where it
+// is not, the mask of maskBySign. On the vector path the four-row tile
+// computes its rows densely and masks them afterwards: its rows share
+// each transposed block of W, and the union of their four masks keeps
+// most k. Every other row — the last one to three of a chunk, and every
+// row on the Go tiles — computes only the elements its mask keeps.
+func (l Dense) inputGradRows(params, stash, dy, dx []float32, lo, hi int) {
+	n, w := l.Out, params[:l.In*l.Out]
+	i := lo
+	if useAVX2 && l.In >= 8 && n >= 4 {
+		for ; i+4 <= hi; i += 4 {
+			l.inputGrad4(w, dy[i*n:(i+4)*n], dx[i*l.In:(i+4)*l.In])
 		}
-		for ; i < hi-lo; i++ {
-			dx1AVX2(&out[i*l.In], &w[0], &d[i*n], k8, n4, n)
-		}
+		maskBySign(dx[lo*l.In:i*l.In], stash[lo*l.In:])
 	}
-	for i := lo; i < hi; i++ {
-		d := dy[i*n : (i+1)*n]
-		dxi := dx[i*l.In : (i+1)*l.In]
-		// A sum the vector tiles began goes on from where it stands.
+	for ; i < hi; i++ {
+		l.activeInputGrad(w, stash[i*l.In:(i+1)*l.In], dy[i*n:(i+1)*n], dx[i*l.In:(i+1)*l.In])
+	}
+}
+
+// inputGrad4 computes four batch rows of dx densely: dx4AVX2 sums the
+// whole 8k × 4j blocks, and the Go loop continues those sums over the
+// last j and computes the k past the last block whole.
+func (l Dense) inputGrad4(w, d, dx []float32) {
+	n := l.Out
+	k8, n4 := l.In&^7, n&^3
+	dx4AVX2(&dx[0], &w[0], &d[0], k8, n4, l.In, n)
+	for r := 0; r < 4; r++ {
+		dr, dxr := d[r*n:(r+1)*n], dx[r*l.In:(r+1)*l.In]
+		// A sum the vector tile began goes on from where it stands.
 		for k := 0; k < k8 && n4 < n; k++ {
-			s := dxi[k]
-			for j, wv := range params[k*n+n4 : (k+1)*n] {
-				s += wv * d[n4+j]
+			s := dxr[k]
+			for j, wv := range w[k*n+n4 : (k+1)*n] {
+				s += wv * dr[n4+j]
 			}
-			dxi[k] = s
+			dxr[k] = s
 		}
 		k := k8
-		for ; k+4 <= len(dxi); k += 4 {
-			r := params[k*n : (k+4)*n]
-			dxi[k], dxi[k+1], dxi[k+2], dxi[k+3] = dot4(d, r[:n], r[n:2*n], r[2*n:3*n], r[3*n:])
+		for ; k+4 <= l.In; k += 4 {
+			w4 := w[k*n : (k+4)*n]
+			dxr[k], dxr[k+1], dxr[k+2], dxr[k+3] = dot4(dr, w4[:n], w4[n:2*n], w4[2*n:3*n], w4[3*n:])
 		}
-		for ; k < len(dxi); k++ {
-			dxi[k] = dot(d, params[k*n:(k+1)*n])
+		for ; k < l.In; k++ {
+			dxr[k] = dot(dr, w[k*n:(k+1)*n])
 		}
+	}
+}
+
+// activeInputGrad computes one batch row of dx where the stashed input
+// x is > 0 and stores +0 everywhere else, never computing a masked
+// element. It collects the active k in order and hands them on in
+// groups: sixteen to dxGathered on the vector path, four to dot4 on the
+// Go tiles, the last group short.
+func (l Dense) activeInputGrad(w, x, d, dx []float32) {
+	n := l.Out
+	vec := useAVX2 && n >= 4
+	var ks [16]int
+	m := 0
+	for k, xv := range x {
+		if !(xv > 0) {
+			dx[k] = 0
+			continue
+		}
+		ks[m] = k
+		m++
+		switch {
+		case vec && m == 16:
+			dxGathered(w, d, dx, &ks, m)
+			m = 0
+		case !vec && m == 4:
+			k0, k1, k2, k3 := ks[0]*n, ks[1]*n, ks[2]*n, ks[3]*n
+			dx[ks[0]], dx[ks[1]], dx[ks[2]], dx[ks[3]] = dot4(d, w[k0:k0+n], w[k1:k1+n], w[k2:k2+n], w[k3:k3+n])
+			m = 0
+		}
+	}
+	if vec && m > 0 {
+		dxGathered(w, d, dx, &ks, m)
+		return
+	}
+	for _, k := range ks[:m] {
+		dx[k] = dot(d, w[k*n:(k+1)*n])
+	}
+}
+
+// dxGathered computes dx[k] for the first m ≤ 16 k of ks: dxGatherAVX2
+// sums the whole blocks of four j for sixteen rows of W — a short group
+// repeats its last row in the lanes it leaves over, and those sums are
+// dropped — and each kept sum goes on over the last one to three j, in
+// order.
+func dxGathered(w, d, dx []float32, ks *[16]int, m int) {
+	n := len(d)
+	n4 := n &^ 3
+	var rows [16]int
+	for t := range rows {
+		rows[t] = ks[min(t, m-1)] * n
+	}
+	var sums [16]float32
+	dxGatherAVX2(&sums, &w[0], &rows, &d[0], n4)
+	for t, k := range ks[:m] {
+		s := sums[t]
+		for j, wv := range w[k*n+n4 : (k+1)*n] {
+			s += wv * d[n4+j]
+		}
+		dx[k] = s
 	}
 }
 
@@ -185,8 +255,8 @@ func (l Dense) inputGradRows(params, dy, dx []float32, lo, hi int) {
 // element's terms are added, and every accumulate keeps the oracle's
 // single `s += a*b` shape, so the results are the same bits on every
 // target, with or without fused multiply-add. Where useAVX2 is set,
-// axpy4, axpy and inputGradRows hand the whole-vector prefix of their
-// loop to the assembly and run the rest themselves, in order. DESIGN.md
+// axpy4, axpy, inputGrad4 and dxGathered hand the whole-vector prefix of
+// their loop to the assembly and run the rest themselves, in order. DESIGN.md
 // §7 has the argument in full.
 
 // axpyRows adds coef[t*stride]·rows[t*len(dst):(t+1)*len(dst)] to dst
@@ -389,10 +459,14 @@ func average(views [][]float32, lo, hi int, inv float32) {
 // Adam applies one Adam step with bias correction; m and v are the
 // first and second moment buffers (the optimizer state K of the
 // paper's swap model). step is 1-based. The gradient buffer is
-// zeroed, matching the "Reset dW′" of Fig. 5(a).
+// zeroed, matching the "Reset dW′" of Fig. 5(a). A gradient or moment
+// buffer shorter than w panics before anything is written.
 func Adam(w, g, m, v []float32, lr, beta1, beta2, eps float32, step int) {
+	if len(g) < len(w) {
+		panic(fmt.Sprintf("nn: Adam gradient has %d floats for %d weights", len(g), len(w)))
+	}
 	if len(m) < len(w) || len(v) < len(w) {
-		panic("nn: Adam state buffers too small")
+		panic(fmt.Sprintf("nn: Adam moments have %d and %d floats for %d weights", len(m), len(v), len(w)))
 	}
 	b1c := 1 - float32(math.Pow(float64(beta1), float64(step)))
 	b2c := 1 - float32(math.Pow(float64(beta2), float64(step)))

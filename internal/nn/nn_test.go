@@ -162,6 +162,34 @@ func TestSGDRejectsShortGradient(t *testing.T) {
 	t.Error("SGD accepted a 3-float gradient for 8 weights")
 }
 
+// Adam validates every length before it writes: a short gradient must
+// leave the weights, both moments and the gradient itself untouched.
+func TestAdamRejectsShortGradient(t *testing.T) {
+	w, g := []float32{1, 2, 3, 4, 5, 6, 7, 8}, []float32{0.5, -0.5, 0.25}
+	m, v := make([]float32, len(w)), make([]float32, len(w))
+	for i := range m {
+		m[i], v[i] = 0.1, 0.2
+	}
+	bufs := [][]float32{w, g, m, v}
+	var was [][]float32
+	for _, b := range bufs {
+		was = append(was, append([]float32(nil), b...))
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "3 floats for 8 weights") {
+			t.Errorf("panic %q, want one naming both lengths", msg)
+		}
+		for i, b := range bufs {
+			if fmt.Sprint(b) != fmt.Sprint(was[i]) {
+				t.Errorf("Adam wrote %s before it panicked: %v, was %v", "wgmv"[i:i+1], b, was[i])
+			}
+		}
+	}()
+	Adam(w, g, m, v, 0.01, 0.9, 0.999, 1e-8, 1)
+	t.Error("Adam accepted a 3-float gradient for 8 weights")
+}
+
 // TestOptimizersResetGradientBitZero is the contract exec's known-zero
 // pages rest on (exec.VM.MarkZero): whatever a gradient buffer held —
 // negatives, -0, infinities, NaN — every element is +0 after the
@@ -1033,10 +1061,12 @@ func refPoolBackward(p MaxPool2D, stash, dy, dx []float32, batch int) {
 // TestVectorKernelsMatchGoTiles holds each assembly kernel to its Go
 // twin at every length from 0 to 40 — every split between the vector
 // prefix and the Go tail, the 32-float and 8-float loops, the four-row
-// and one-row dx tiles with and without a last block of eight — on
-// operands salted with ±Inf, NaN, -0, denormals and values whose
-// products overflow, in buffers at odd alignments. Average has its own
-// test below, against the element-at-a-time oracle.
+// dx tile with and without a last block of eight, and the gathered rows
+// a batch of 1–6 leaves after it, their active count on both sides of
+// every group of sixteen — on operands salted with ±Inf, NaN, -0,
+// denormals and values whose products overflow, in buffers at odd
+// alignments. Average has its own test below, against the
+// element-at-a-time oracle.
 func TestVectorKernelsMatchGoTiles(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2 kernels in this build or on this CPU")
@@ -1053,6 +1083,24 @@ func TestVectorKernelsMatchGoTiles(t *testing.T) {
 			}
 		}
 		return s
+	}
+	// maskStash draws a stashed layer input that masks about half of dx
+	// with +0, -0, negatives and NaN, with one all-masked row and, in a
+	// batch of two or more, one all-active row.
+	maskStash := func(batch, in int) []float32 {
+		x := unaligned(rng, batch*in)
+		salt(rng, x, 0.125, 0, negZero, float32(math.NaN()))
+		none := rng.Intn(batch)
+		for k := range x[none*in : (none+1)*in] {
+			x[none*in+k] = -float32(math.Abs(float64(x[none*in+k])))
+		}
+		if batch > 1 {
+			all := (none + 1 + rng.Intn(batch-1)) % batch
+			for k := range x[all*in : (all+1)*in] {
+				x[all*in+k] = 1 + float32(rng.Float64())
+			}
+		}
+		return x
 	}
 	// both runs kernel on a copy of out with the vector path on and off.
 	both := func(name string, out []float32, kernel func(out []float32)) {
@@ -1080,11 +1128,11 @@ func TestVectorKernelsMatchGoTiles(t *testing.T) {
 			})
 		}
 		for in := 0; in <= 40; in++ {
-			for _, batch := range []int{1, 4, 6} {
+			for batch := 1; batch <= 6; batch++ {
 				l := Dense{In: in, Out: n}
-				params, masked := salted(l.ParamCount()), salted(batch*n)
+				params, masked, x := salted(l.ParamCount()), salted(batch*n), maskStash(batch, in)
 				both(fmt.Sprintf("dx in=%d out=%d batch=%d", in, n, batch), salted(batch*in), func(dx []float32) {
-					l.inputGradRows(params, masked, dx, 0, batch)
+					l.inputGradRows(params, x, masked, dx, 0, batch)
 				})
 			}
 		}
@@ -1215,7 +1263,7 @@ func testSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkDenseStep runs one replica's Dense kernel sequence of a
 // training step — per microbatch, Forward up the stack and Backward
-// down it — on the three MLP shapes harmonybench trains, and reports
+// down it — on the four MLP shapes harmonybench trains, and reports
 // nominal GFLOP/s (2·In·Out per sample forward, twice that backward;
 // skipped zeros count as done) for the two passes separately.
 func BenchmarkDenseStep(b *testing.B) {
@@ -1228,6 +1276,7 @@ func BenchmarkDenseStep(b *testing.B) {
 		{"compute-784x512x512x10-mb8x8", []int{784, 512, 512, 10}, 8, 8},
 		{"comm-64x1536x1536x1536x10-mb4x1", []int{64, 1536, 1536, 1536, 10}, 4, 1},
 		{"swap-256x512x512x512x10-mb1x8", []int{256, 512, 512, 512, 10}, 1, 8},
+		{"pp-256x640x640x640x10-mb1x8", []int{256, 640, 640, 640, 10}, 1, 8},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			// -cpu takes effect here: the enclosing function runs once,
