@@ -58,7 +58,7 @@ func run() (exit int) {
 		prefetch  = flag.Int("prefetch-depth", 0, "async prefetch lookahead (0 = mode default, negative disables)")
 		adaptive  = flag.Bool("adaptive-prefetch", false, "retune each device's prefetch window and byte budget online (implies prefetch; decisions are step-keyed and bit-exact)")
 		retune    = flag.String("retune", "", `mid-run plan retune, "step=N,microbatches=M": before step N, reshape to M microbatches (schedcheck preflight; a rejection prints the counterexample and keeps the current plan)`)
-		linkBW    = flag.Int64("link-bw", 0, "bytes/sec of every modeled link — one per device plus the host uplink all swaps share; p2p copies use the two devices' links, a reduction the reducer's. Lanes wait out their reservations in sleeps of at least 2 ms, carrying less as debt (0 = memcpy cost only)")
+		linkBW    = flag.Int64("link-bw", 0, "bytes/sec of every modeled link — one per device plus the host uplink all swaps share; p2p copies use the two devices' links, a reduction the reducer's. A copy's lane waits out its reservation, a reduction's is waited out by the updates that read it, in sleeps of at least 2 ms, carrying less as debt (0 = memcpy cost only)")
 		swapTrace = flag.Bool("swap-trace", false, "print a compute/DMA-lane Gantt of the final step (shows swap-compute overlap)")
 		verify    = flag.Bool("verify", true, "statically verify the execution plan before training (schedcheck preflight; failures print a counterexample)")
 		commChunk = flag.Int("comm-chunks", 0, "split each gradient AllReduce into this many chunks reduced across device workers (0 = monolithic rendezvous; bit-identical at every setting)")
@@ -258,9 +258,15 @@ func run() (exit int) {
 		}
 		fmt.Printf(" (of %.1f ms train wall)\n", float64(trainWall.Nanoseconds())/1e6)
 	}
-	if cs := tr.CommStats(); cs.ChunksReduced > 0 {
-		fmt.Printf("chunked collectives: %d chunk reductions, %.1f MB gradients reduced\n",
-			cs.ChunksReduced, float64(cs.BytesReduced)/(1<<20))
+	// Exposed: the reductions' link time their updates waited for,
+	// nothing else hiding it.
+	cs := tr.CommStats()
+	exposed := float64(cs.WaitNanos) / 1e6
+	if cs.ChunksReduced > 0 {
+		fmt.Printf("chunked collectives: %d chunk reductions, %.1f MB gradients reduced, %.1f ms of reduction link time exposed\n",
+			cs.ChunksReduced, float64(cs.BytesReduced)/(1<<20), exposed)
+	} else if cs.WaitNanos > 0 {
+		fmt.Printf("collectives: %.1f ms of reduction link time exposed\n", exposed)
 	}
 	if stats := tr.AdaptStats(); len(stats) > 0 {
 		fmt.Printf("adaptive prefetch: %d controller decisions;", len(tr.AdaptLog()))

@@ -8,6 +8,7 @@ package exec
 
 import (
 	"fmt"
+	"time"
 
 	"harmony/internal/fault"
 	"harmony/internal/graph"
@@ -54,16 +55,20 @@ func buildCommPlan(s *sched.Schedule) []commBucketRT {
 	return plan
 }
 
-// CommStats reports chunked-collective counters: how many chunk
-// reductions ran and the total bytes they reduced (per-replica
-// payload). Zero on monolithic plans.
+// CommStats reports collective counters: how many chunk reductions ran
+// and the total bytes they reduced (per-replica payload), both zero on
+// monolithic plans; and WaitNanos, the modeled time the tasks that read
+// a reduction's result waited for its link time — the part of it that
+// nothing hid. Each collective adds its longest-waiting reader's wait;
+// zero when no link is modeled.
 type CommStats struct {
 	ChunksReduced int64
 	BytesReduced  int64
+	WaitNanos     int64
 }
 
-// CommStats returns the chunked-collective counters accumulated so
-// far. Safe to call between steps (same contract as Stats).
+// CommStats returns the collective counters accumulated so far. Safe to
+// call between steps (same contract as Stats).
 func (tr *Trainer) CommStats() CommStats { return tr.commStats }
 
 // reduce averages the element range [lo, hi) of AllReduce ar across
@@ -80,33 +85,32 @@ func (tr *Trainer) CommStats() CommStats { return tr.commStats }
 // independent unit of fault injection and recovery: a fatal fault here
 // retires the reducing worker's physical device through the usual
 // rollback-and-resume path.
-func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) error {
+//
+// The range's remote traffic is booked on the reducer's modeled link,
+// not waited for: reduce returns the reservation's end (the zero time
+// when no link is modeled), which the caller stamps on the collective's
+// readers (taskState.stamp).
+func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) (time.Time, error) {
 	if ar.Kind != graph.AllReduce {
-		return fmt.Errorf("exec: unsupported collective kind %v", ar.Kind)
+		return time.Time{}, fmt.Errorf("exec: unsupported collective kind %v", ar.Kind)
 	}
 	n := len(ar.Inputs)
 	if n == 0 {
-		return fmt.Errorf("exec: collective %s has no inputs", ar)
+		return time.Time{}, fmt.Errorf("exec: collective %s has no inputs", ar)
 	}
 	if err := tr.injectOp(fault.Collective, tr.pdev(dev), ar.Layer); err != nil {
-		return err
+		return time.Time{}, err
 	}
-	if r := tr.rec; r != nil && dev >= 0 {
-		label := ar.String()
-		if chunk {
-			label = fmt.Sprintf("%s[%d:%d]", ar, lo, hi)
-		}
-		start := tr.vm.clk.Now()
-		defer func() { r.add(tr.pdev(dev), trace.Comms, label, start, tr.vm.clk.Now()) }()
-	}
+	// The serial path has no reducing worker; replica 0's device stands
+	// in.
+	pdev := tr.pdev(max(dev, 0))
+	wall := tr.vm.clk.Now()
 	views := tr.views[dev+1][:n]
 	defer clear(views) // keep no device slice past its pins
 	if err := tr.acquire(ar, -1, views, nil); err != nil {
-		return err
+		return time.Time{}, err
 	}
-	// Remote gradient traffic crosses the reducer's modeled link. The
-	// serial path has no reducing worker; replica 0's device stands in.
-	tr.vm.chargeReduce(tr.pdev(max(dev, 0)), n, int64(hi-lo)*4)
+	start, end := tr.vm.chargeReduce(pdev, n, int64(hi-lo)*4)
 	nn.Average(views, lo, hi, float32(1)/float32(n))
 	if chunk {
 		tr.commMu.Lock()
@@ -114,5 +118,20 @@ func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) error
 		tr.commStats.BytesReduced += int64(hi-lo) * 4
 		tr.commMu.Unlock()
 	}
-	return tr.release(ar, nil)
+	if err := tr.release(ar, nil); err != nil {
+		return time.Time{}, err
+	}
+	if r := tr.rec; r != nil {
+		// Like a copy's, the span is the link reservation when there is
+		// one, the wall interval of the work when there is not.
+		if end.IsZero() {
+			start, end = wall, tr.vm.clk.Now()
+		}
+		label := ar.String()
+		if chunk {
+			label = fmt.Sprintf("%s[%d:%d]", ar, lo, hi)
+		}
+		r.add(pdev, trace.Comms, label, start, end)
+	}
+	return end, nil
 }

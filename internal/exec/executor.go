@@ -8,7 +8,12 @@
 // reduces the whole payload (arrive); on a chunked plan there is no
 // barrier — each worker reduces the chunks the plan assigned to it and
 // moves on, overlapping the collective's tail with its compute stream
-// (reduceBucket). Both end in the same Trainer.reduce.
+// (reduceBucket). Both end in the same Trainer.reduce, which books the
+// reduction's link time without waiting for it; whoever completes the
+// collective stamps the reservation's end on the updates that read the
+// result, and each executor holds a task until its stamp has passed
+// (Trainer.await), so the reducer's worker goes straight back to its
+// stream.
 //
 // Determinism: per-task math is bit-identical to the serial path (see
 // internal/nn), collectives reduce replicas in fixed order whatever the
@@ -22,6 +27,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"harmony/internal/graph"
 	"harmony/internal/sched"
@@ -34,47 +40,75 @@ type rendezvous struct {
 	done    chan struct{}
 }
 
-// executor runs one iteration's streams on worker goroutines.
-type executor struct {
-	tr     *Trainer
-	labels []int
-
+// taskState is a step's per-task bookkeeping, indexed by task ID. It
+// lives on the Trainer, sized with the plan (NewTrainer, Retune;
+// recovery keeps the plan) and reset at the start of every step, so a
+// step allocates none of it but the ready channels.
+type taskState struct {
 	deps    []int32         // remaining dependencies per task ID
-	ready   []chan struct{} // closed when deps hit zero
+	ready   []chan struct{} // closed when deps hit zero (parallel executor)
 	losses  []float32       // per task ID, filled by final-layer backwards
 	counted []bool
-
+	// stamps[id] is the end of the link time task id reads — the
+	// reservation of its collective's last reduction — which its
+	// device's demand lane waits for before the task runs; the zero time
+	// when there is none. A chunked collective's own slot folds its
+	// chunks' ends as they are booked. waited[id] is how much later than
+	// its lane was free the wait made task id start.
+	stamps []time.Time
+	waited []time.Duration
 	// commLeft[bi][mi] counts bucket bi member mi's chunks not yet
 	// reduced this run; the worker that retires a member's last chunk
 	// completes it. Nil on the monolithic path.
 	commLeft [][]int32
+}
+
+// sizeTasks sizes the per-task step state for the current plan.
+func (tr *Trainer) sizeTasks() {
+	n := len(tr.g.Tasks)
+	tr.tasks = taskState{
+		deps:    make([]int32, n),
+		ready:   make([]chan struct{}, n),
+		losses:  make([]float32, n),
+		counted: make([]bool, n),
+		stamps:  make([]time.Time, n),
+		waited:  make([]time.Duration, n),
+	}
+	for _, b := range tr.comm {
+		tr.tasks.commLeft = append(tr.tasks.commLeft, make([]int32, len(b.members)))
+	}
+}
+
+// executor runs one iteration's streams on worker goroutines.
+type executor struct {
+	tr     *Trainer
+	ts     *taskState
+	labels []int
 
 	abort    chan struct{}
 	failOnce sync.Once
 	err      error
 }
 
+// newExecutor resets the trainer's task state for a step; the parallel
+// executor also gets a fresh ready channel per task.
 func newExecutor(tr *Trainer, labels []int) *executor {
-	n := len(tr.g.Tasks)
-	ex := &executor{
-		tr:      tr,
-		labels:  labels,
-		deps:    make([]int32, n),
-		ready:   make([]chan struct{}, n),
-		losses:  make([]float32, n),
-		counted: make([]bool, n),
-		abort:   make(chan struct{}),
-	}
-	for _, b := range tr.comm {
-		left := make([]int32, len(b.members))
-		copy(left, b.chunksPerMember)
-		ex.commLeft = append(ex.commLeft, left)
+	ts := &tr.tasks
+	ex := &executor{tr: tr, ts: ts, labels: labels, abort: make(chan struct{})}
+	clear(ts.counted)
+	clear(ts.stamps)
+	clear(ts.waited)
+	for bi, b := range tr.comm {
+		copy(ts.commLeft[bi], b.chunksPerMember)
 	}
 	for _, t := range tr.g.Tasks {
-		ex.deps[t.ID] = int32(len(t.Deps))
-		ex.ready[t.ID] = make(chan struct{})
+		ts.deps[t.ID] = int32(len(t.Deps))
+		if tr.cfg.Serial {
+			continue
+		}
+		ts.ready[t.ID] = make(chan struct{})
 		if len(t.Deps) == 0 {
-			close(ex.ready[t.ID])
+			close(ts.ready[t.ID])
 		}
 	}
 	return ex
@@ -91,9 +125,39 @@ func (ex *executor) fail(err error) {
 // zero — the event-driven replacement for the serial poll loop.
 func (ex *executor) complete(t *graph.Task) {
 	for _, s := range t.Succs {
-		if atomic.AddInt32(&ex.deps[s.ID], -1) == 0 {
-			close(ex.ready[s.ID])
+		if atomic.AddInt32(&ex.ts.deps[s.ID], -1) == 0 {
+			close(ex.ts.ready[s.ID])
 		}
+	}
+}
+
+// stamp marks collective c's successors — the updates that read the
+// reduced gradient — with end, the end of c's link time. An update has
+// exactly one collective among its dependencies, so each stamp has one
+// writer, and it writes before completing c releases the reader.
+func (ts *taskState) stamp(c *graph.Task, end time.Time) {
+	for _, s := range c.Succs {
+		ts.stamps[s.ID] = end
+	}
+}
+
+// await holds task t, about to run on virtual device d, until the link
+// time it reads has ended: d's demand lane owes the wait (VM.await).
+func (tr *Trainer) await(d int, t *graph.Task) {
+	if end := tr.tasks.stamps[t.ID]; !end.IsZero() {
+		tr.tasks.waited[t.ID] = tr.vm.await(tr.pdev(d), end)
+	}
+}
+
+// foldWaits adds a completed step's exposed reduction time to
+// CommStats: per collective, the longest wait among its readers.
+func (tr *Trainer) foldWaits() {
+	for _, c := range tr.s.Collectives {
+		var w time.Duration
+		for _, s := range c.Succs {
+			w = max(w, tr.tasks.waited[s.ID])
+		}
+		tr.commStats.WaitNanos += w.Nanoseconds()
 	}
 }
 
@@ -136,24 +200,26 @@ func (ex *executor) worker(d int, stream []sched.StreamEntry, rdvs []*rendezvous
 		}
 		t := e.Task
 		select {
-		case <-ex.ready[t.ID]:
+		case <-ex.ts.ready[t.ID]:
 		case <-ex.abort:
 			return
 		}
 		// With the task released and about to compute, overlap the
 		// future: async swap-ins for the next tasks' inputs and
 		// write-backs of dirty LRU pages ride the DMA lanes while the
-		// kernel runs.
+		// kernel runs — and while the task waits out the link time of
+		// the reduction it reads.
 		if ex.tr.pf != nil {
 			ex.tr.pf.issue(d, stream, i)
 		}
+		ex.tr.await(d, t)
 		loss, counted, err := ex.tr.runTask(d, t, ex.labels)
 		if err != nil {
 			ex.fail(fmt.Errorf("exec: %s on gpu%d: %w", t, d, err))
 			return
 		}
-		ex.losses[t.ID] = loss
-		ex.counted[t.ID] = counted
+		ex.ts.losses[t.ID] = loss
+		ex.ts.counted[t.ID] = counted
 		ex.complete(t)
 	}
 }
@@ -164,15 +230,11 @@ func (ex *executor) worker(d int, stream []sched.StreamEntry, rdvs []*rendezvous
 // Kept as the reference path (TrainerConfig.Serial) for determinism
 // tests and ablation benchmarks.
 func (ex *executor) runSerial() error {
-	tr := ex.tr
-	depsLeft := make([]int, len(tr.g.Tasks))
-	for _, t := range tr.g.Tasks {
-		depsLeft[t.ID] = len(t.Deps)
-	}
+	tr, ts := ex.tr, ex.ts
 	cursors := make([]int, tr.s.NGPUs)
 	complete := func(t *graph.Task) {
 		for _, s := range t.Succs {
-			depsLeft[s.ID]--
+			ts.deps[s.ID]--
 		}
 	}
 	pendingAR := append([]*graph.Task(nil), tr.s.Collectives...)
@@ -183,12 +245,14 @@ func (ex *executor) runSerial() error {
 		// Collectives first: they unblock updates on every device.
 		for i := 0; i < len(pendingAR); i++ {
 			ar := pendingAR[i]
-			if depsLeft[ar.ID] > 0 {
+			if ts.deps[ar.ID] > 0 {
 				continue
 			}
-			if err := tr.reduce(-1, ar, 0, int(ar.CommBytes/4), false); err != nil {
+			end, err := tr.reduce(-1, ar, 0, int(ar.CommBytes/4), false)
+			if err != nil {
 				return err
 			}
+			ts.stamp(ar, end)
 			complete(ar)
 			pendingAR = append(pendingAR[:i], pendingAR[i+1:]...)
 			i--
@@ -197,14 +261,15 @@ func (ex *executor) runSerial() error {
 		}
 		for d := 0; d < tr.s.NGPUs; d++ {
 			q := tr.s.Queues[d]
-			for cursors[d] < len(q) && depsLeft[q[cursors[d]].ID] == 0 {
+			for cursors[d] < len(q) && ts.deps[q[cursors[d]].ID] == 0 {
 				t := q[cursors[d]]
+				tr.await(d, t)
 				loss, counted, err := tr.runTask(d, t, ex.labels)
 				if err != nil {
 					return fmt.Errorf("exec: %s on gpu%d: %w", t, d, err)
 				}
-				ex.losses[t.ID] = loss
-				ex.counted[t.ID] = counted
+				ts.losses[t.ID] = loss
+				ts.counted[t.ID] = counted
 				complete(t)
 				cursors[d]++
 				done++
@@ -235,14 +300,16 @@ func (ex *executor) arrive(d int, r *rendezvous, t *graph.Task) bool {
 	}
 	defer close(r.done)
 	select {
-	case <-ex.ready[t.ID]:
+	case <-ex.ts.ready[t.ID]:
 	case <-ex.abort:
 		return false
 	}
-	if err := ex.tr.reduce(d, t, 0, int(t.CommBytes/4), false); err != nil {
+	end, err := ex.tr.reduce(d, t, 0, int(t.CommBytes/4), false)
+	if err != nil {
 		ex.fail(fmt.Errorf("exec: %s: %w", t, err))
 		return false
 	}
+	ex.ts.stamp(t, end)
 	ex.complete(t)
 	return true
 }
@@ -270,17 +337,33 @@ func (ex *executor) reduceBucket(d int, bi int) bool {
 			continue // no chunks of this member assigned here
 		}
 		select {
-		case <-ex.ready[m.ID]:
+		case <-ex.ts.ready[m.ID]:
 		case <-ex.abort:
 			return false
 		}
+		var end time.Time
 		for _, c := range chunks[lo:idx] {
-			if err := ex.tr.reduce(d, m, c.Lo, c.Hi, true); err != nil {
+			e, err := ex.tr.reduce(d, m, c.Lo, c.Hi, true)
+			if err != nil {
 				ex.fail(fmt.Errorf("exec: %s[%d:%d]: %w", m, c.Lo, c.Hi, err))
 				return false
 			}
+			if e.After(end) {
+				end = e
+			}
 		}
-		if atomic.AddInt32(&ex.commLeft[bi][mi], int32(lo-idx)) == 0 {
+		// The member's link time ends with the last of its chunks' ends,
+		// whichever worker booked it: fold this worker's into the
+		// member's own stamp, which the worker that retires the last
+		// chunk reads (after its countdown, so after every fold) and
+		// passes on to the member's readers.
+		ex.tr.commMu.Lock()
+		if end.After(ex.ts.stamps[m.ID]) {
+			ex.ts.stamps[m.ID] = end
+		}
+		ex.tr.commMu.Unlock()
+		if atomic.AddInt32(&ex.ts.commLeft[bi][mi], int32(lo-idx)) == 0 {
+			ex.ts.stamp(m, ex.ts.stamps[m.ID])
 			ex.complete(m)
 		}
 	}

@@ -13,8 +13,7 @@ import (
 // off its own link, and all of them reach host memory through one
 // shared, oversubscribed uplink. A link is a busy-until timeline; a
 // transfer reserves bytes/bandwidth on every link of its path, after
-// whatever those links already carry, and the goroutine that asked owes
-// its lane a wait until the reservation ends:
+// whatever those links already carry:
 //
 //	swap-in, write-back, prefetch, clean-ahead   device link + uplink
 //	p2p move                                     both devices' links
@@ -24,29 +23,34 @@ import (
 // each getting all of it (Fig. 2(a)), while p2p moves and reductions on
 // distinct devices overlap.
 //
+// A copy is waited for by the lane that made it: the goroutine that
+// asked owes its lane a wait until the reservation ends. A reduction is
+// waited for by the tasks that read its result: the reducer books it
+// and moves on, and each consumer's demand lane owes the wait until the
+// reservation ends before the consumer runs (await).
+//
 // Waiting is batched, never forgiven. A lane — one device's demand
-// path, its DMA worker, or the reductions it performs — sleeps only
-// when what it owes reaches linkQuantum; a smaller residue is carried
-// as lane debt and pushes the lane's next reservation that much later.
-// Per lane, at every instant, time slept + debt = Σ owed exactly and
-// debt < linkQuantum; sleep overshoot is not credited back (on a busy
-// machine it is mostly the wait for a CPU, and crediting it forgives
-// modeled time). Sleeping per transfer instead would cost a timer tick —
-// about a millisecond — for every 20 µs copy.
+// path or its DMA worker — sleeps only when what it owes reaches
+// linkQuantum; a smaller residue is carried as lane debt and pushes the
+// lane's next reservation or wait that much later. Per lane, at every
+// instant, time slept + debt = Σ owed exactly and debt < linkQuantum;
+// sleep overshoot is not credited back (on a busy machine it is mostly
+// the wait for a CPU, and crediting it forgives modeled time). Sleeping
+// per transfer instead would cost a timer tick — about a millisecond —
+// for every 20 µs copy.
 
 // linkQuantum is the shortest wait a lane ever sleeps: long enough that
 // the timer's granularity is a few percent of it, short enough that a
 // lane is never more than a fraction of a step ahead of its link.
 const linkQuantum = 2 * time.Millisecond
 
-// laneKind says which of a device's three sequential activities owes
-// the wait for a reservation.
+// laneKind says which of a device's two sequential activities owes the
+// wait for a reservation.
 type laneKind int
 
 const (
-	laneDemand     laneKind = iota // synchronous swaps and p2p moves
-	laneDMA                        // the device's async DMA worker
-	laneCollective                 // reductions its worker performs
+	laneDemand laneKind = iota // synchronous swaps, p2p moves, waits for reductions
+	laneDMA                    // the device's async DMA worker
 	laneKinds
 )
 
@@ -123,15 +127,10 @@ func linkTime(bytes, bps int64) time.Duration {
 	return math.MaxInt64
 }
 
-// charge reserves bytes at bps > 0 on dev's link and on peer's — another
-// device, overUplink or noPeer — for dev's lane of the given kind, and
-// returns the reservation's modeled [start, end): it starts once the
-// lane (the clock plus the lane's debt) and every link on the path are
-// free. The caller then sleeps whatever its lane owes if that has
-// reached linkQuantum; the sleep runs with no lock held. Must be called
-// without any shard lock.
-func (vm *VM) charge(bps int64, kind laneKind, dev, peer int, bytes int64) (start, end time.Time) {
-	m := &vm.link
+// reserve books d on dev's link and on peer's — another device,
+// overUplink or noPeer — starting at from or when the last link on the
+// path is free, whichever is later. m.mu must be held.
+func (m *linkModel) reserve(dev, peer int, d time.Duration, from time.Time) (start, end time.Time) {
 	path := [2]*link{&m.links[dev], nil}
 	switch {
 	case peer == overUplink:
@@ -139,12 +138,7 @@ func (vm *VM) charge(bps int64, kind laneKind, dev, peer int, bytes int64) (star
 	case peer >= 0:
 		path[1] = &m.links[peer]
 	}
-	d := linkTime(bytes, bps)
-
-	m.mu.Lock()
-	now := vm.clk.Now()
-	debt := &m.debt[dev*int(laneKinds)+int(kind)]
-	start = now.Add(*debt)
+	start = from
 	for _, l := range path {
 		if l != nil && l.busyUntil.After(start) {
 			start = l.busyUntil
@@ -157,29 +151,84 @@ func (vm *VM) charge(bps int64, kind laneKind, dev, peer int, bytes int64) (star
 			l.busy += d
 		}
 	}
+	return start, end
+}
+
+// owe charges a lane with the given debt the wait until end, now being
+// the clock, and returns what the lane sleeps: end − now once that has
+// reached linkQuantum, else nothing, the wait carried as its debt. The
+// link model's mutex must be held.
+func owe(debt *time.Duration, now, end time.Time) (sleep time.Duration) {
 	owed := end.Sub(now)
-	sleeps := owed >= linkQuantum
-	if sleeps {
-		*debt = 0
-	} else {
+	if owed < linkQuantum {
 		*debt = owed
+		return 0
 	}
+	*debt = 0
+	return owed
+}
+
+// charge reserves bytes at bps > 0 on dev's link and on peer's for dev's
+// lane of the given kind, and returns the reservation's modeled
+// [start, end): it starts once the lane (the clock plus the lane's debt)
+// and every link on the path are free. The caller then sleeps whatever
+// its lane owes if that has reached linkQuantum; the sleep runs with no
+// lock held. Must be called without any shard lock.
+func (vm *VM) charge(bps int64, kind laneKind, dev, peer int, bytes int64) (start, end time.Time) {
+	m := &vm.link
+	d := linkTime(bytes, bps)
+	m.mu.Lock()
+	now := vm.clk.Now()
+	debt := &m.debt[dev*int(laneKinds)+int(kind)]
+	start, end = m.reserve(dev, peer, d, now.Add(*debt))
+	sleep := owe(debt, now, end)
 	m.mu.Unlock()
 
-	if sleeps {
-		vm.clk.Sleep(owed)
+	if sleep > 0 {
+		vm.clk.Sleep(sleep)
 	}
 	return start, end
 }
 
 // chargeReduce books the remote gradient traffic of reducing bytes
 // across replicas on device dev: the reducer pulls replicas-1 remote
-// slices and pushes the result back to as many. A monolithic rendezvous
-// pays its whole payload on one link while every participant parks;
-// chunks assigned to different workers cross different links at once
-// and hide behind other workers' compute.
-func (vm *VM) chargeReduce(dev, replicas int, bytes int64) {
-	if bps := vm.xferConfig().bps; bps > 0 {
-		vm.charge(bps, laneCollective, dev, noPeer, 2*int64(replicas-1)*bytes)
+// slices and pushes the result back to as many. Nobody sleeps here: the
+// reservation starts when dev's link is free and the reducer moves on.
+// What waits for its end is the tasks that read the result (await).
+// Returns the reservation, or two zero times when no link is modeled.
+func (vm *VM) chargeReduce(dev, replicas int, bytes int64) (start, end time.Time) {
+	bps := vm.xferConfig().bps
+	if bps <= 0 {
+		return start, end
 	}
+	m := &vm.link
+	d := linkTime(2*int64(replicas-1)*bytes, bps)
+	m.mu.Lock()
+	start, end = m.reserve(dev, noPeer, d, vm.clk.Now())
+	m.mu.Unlock()
+	return start, end
+}
+
+// await makes dev's demand lane owe the wait until end, the end of a
+// reduction whose result the lane's next task reads, under the
+// quantum-and-debt rule: if the lane's own time — the clock plus its
+// debt — is already past end it owes nothing more.
+// Returns how much later than its own time the lane is free: the part
+// of the reservation nothing hid. Must be called without any shard lock.
+func (vm *VM) await(dev int, end time.Time) (exposed time.Duration) {
+	m := &vm.link
+	m.mu.Lock()
+	now := vm.clk.Now()
+	debt := &m.debt[dev*int(laneKinds)+int(laneDemand)]
+	var sleep time.Duration
+	if free := now.Add(*debt); end.After(free) {
+		exposed = end.Sub(free)
+		sleep = owe(debt, now, end)
+	}
+	m.mu.Unlock()
+
+	if sleep > 0 {
+		vm.clk.Sleep(sleep)
+	}
+	return exposed
 }

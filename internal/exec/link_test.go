@@ -66,11 +66,13 @@ func TestLinkTimeDoesNotOverflow(t *testing.T) {
 }
 
 // TestLinkConservation drives a seeded random sequence of transfers of
-// every kind over several lanes and checks the model's invariants after
+// every kind over several lanes, reductions booked on the links and
+// readers waiting for them, and checks the model's invariants after
 // each one: a reservation lasts exactly bytes/bps and starts no earlier
-// than its lane and every link on its path are free, reservations on one
-// link never overlap, and per lane slept + debt = Σ owed with debt below
-// the quantum — so Σ slept ∈ (Σ owed − quantum, Σ owed] — and no sleep is
+// than its lane (a reduction: the clock) and every link on its path are
+// free, reservations on one link never overlap, a reduction is booked
+// without a sleep, and per lane slept + debt = Σ owed with debt below the
+// quantum — so Σ slept ∈ (Σ owed − quantum, Σ owed] — and no sleep is
 // shorter than the quantum.
 func TestLinkConservation(t *testing.T) {
 	const devices, bps = 3, 1 << 30
@@ -82,39 +84,64 @@ func TestLinkConservation(t *testing.T) {
 		slept := make([]time.Duration, lanes)
 		busy := make([]time.Duration, devices+1)
 		lastEnd := make([]time.Time, devices+1)
+		var ends []time.Time // every reduction booked so far
 		for i := 0; i < 3000; i++ {
-			dev, kind := rng.Intn(devices), laneKind(rng.Intn(int(laneKinds)))
-			peer, path := noPeer, []int{dev}
-			if kind != laneCollective {
-				peer, path = overUplink, []int{dev, devices}
-				if rng.Intn(3) == 0 {
-					peer = (dev + 1 + rng.Intn(devices-1)) % devices
-					path = []int{dev, peer}
-				}
-			}
+			dev, op := rng.Intn(devices), rng.Intn(4)
 			// 1 µs to 4 ms: most transfers are far below the quantum, a few
 			// cross it on their own.
 			bytes := int64(1) << (10 + rng.Intn(13))
 			bytes += rng.Int63n(bytes)
-			lane := dev*int(laneKinds) + int(kind)
-			now, debt, nSleeps := clk.Now(), vm.link.debt[lane], len(clk.sleeps())
-
-			start, end := vm.charge(bps, kind, dev, peer, bytes)
-
-			if got, want := end.Sub(start), linkTime(bytes, bps); got != want {
-				t.Fatalf("seed %d op %d: reservation lasts %v, want %v", seed, i, got, want)
-			}
-			if free := now.Add(debt); start.Before(free) {
-				t.Fatalf("seed %d op %d: starts %v before its lane is free", seed, i, free.Sub(start))
-			}
-			for _, l := range path {
-				if start.Before(lastEnd[l]) {
-					t.Fatalf("seed %d op %d: overlaps link %d's last reservation by %v", seed, i, l, lastEnd[l].Sub(start))
+			lane := dev*int(laneKinds) + int(laneDemand)
+			now, nSleeps := clk.Now(), len(clk.sleeps())
+			reserved := func(path []int, start, end time.Time, want time.Duration) {
+				t.Helper()
+				if got := end.Sub(start); got != want {
+					t.Fatalf("seed %d op %d: reservation lasts %v, want %v", seed, i, got, want)
 				}
-				lastEnd[l] = end
-				busy[l] += end.Sub(start)
+				for _, l := range path {
+					if start.Before(lastEnd[l]) {
+						t.Fatalf("seed %d op %d: overlaps link %d's last reservation by %v", seed, i, l, lastEnd[l].Sub(start))
+					}
+					lastEnd[l] = end
+					busy[l] += end.Sub(start)
+				}
 			}
-			owed[lane] += end.Sub(now.Add(debt))
+			switch {
+			case op == 3 && len(ends) > 0: // a reader waits for a reduction
+				end := ends[rng.Intn(len(ends))]
+				debt := vm.link.debt[lane]
+				want := max(0, end.Sub(now.Add(debt)))
+				if got := vm.await(dev, end); got != want {
+					t.Fatalf("seed %d op %d: exposed %v, want %v", seed, i, got, want)
+				}
+				owed[lane] += want
+			case op >= 2: // a reduction: booked on the reducer's link alone
+				start, end := vm.chargeReduce(dev, 2, bytes)
+				if start.Before(now) {
+					t.Fatalf("seed %d op %d: reduction starts %v before the clock", seed, i, now.Sub(start))
+				}
+				reserved([]int{dev}, start, end, linkTime(2*bytes, bps))
+				if s := clk.sleeps()[nSleeps:]; len(s) != 0 {
+					t.Fatalf("seed %d op %d: booking a reduction slept %v", seed, i, s)
+				}
+				ends = append(ends, end)
+				continue
+			default: // a copy on the demand or DMA lane
+				kind := laneKind(op)
+				lane = dev*int(laneKinds) + int(kind)
+				debt := vm.link.debt[lane]
+				peer, path := overUplink, []int{dev, devices}
+				if rng.Intn(3) == 0 {
+					peer = (dev + 1 + rng.Intn(devices-1)) % devices
+					path = []int{dev, peer}
+				}
+				start, end := vm.charge(bps, kind, dev, peer, bytes)
+				if free := now.Add(debt); start.Before(free) {
+					t.Fatalf("seed %d op %d: starts %v before its lane is free", seed, i, free.Sub(start))
+				}
+				reserved(path, start, end, linkTime(bytes, bps))
+				owed[lane] += end.Sub(now.Add(debt))
+			}
 			if s := clk.sleeps()[nSleeps:]; len(s) > 1 {
 				t.Fatalf("seed %d op %d: %d sleeps for one transfer", seed, i, len(s))
 			} else if len(s) == 1 {
@@ -160,15 +187,14 @@ func TestLinkExclusivity(t *testing.T) {
 		bytes     = 100 << 10 // ≈ 95 µs a transfer
 	)
 	one := linkTime(bytes, bps)
-	// makespan runs `rounds` round-robin passes over the lanes and
-	// returns when the last reservation ends.
-	makespan := func(devices, lanes int, kind laneKind, path func(i int) (dev, peer int)) time.Duration {
+	// makespan runs `rounds` round-robin passes of xfer over the lanes
+	// and returns when the last reservation ends.
+	makespan := func(devices, lanes int, xfer func(vm *VM, i int) time.Time) time.Duration {
 		vm, clk := linkVM(devices, bps, memory.Policy{})
 		var last time.Time
 		for r := 0; r < rounds; r++ {
 			for i := 0; i < lanes; i++ {
-				dev, peer := path(i)
-				if _, end := vm.charge(bps, kind, dev, peer, bytes); end.After(last) {
+				if end := xfer(vm, i); end.After(last) {
 					last = end
 				}
 			}
@@ -178,22 +204,33 @@ func TestLinkExclusivity(t *testing.T) {
 		}
 		return last.Sub(time.Time{})
 	}
+	// copies has lane i copy over path(i) on the lane of the given kind.
+	copies := func(kind laneKind, path func(i int) (dev, peer int)) func(*VM, int) time.Time {
+		return func(vm *VM, i int) time.Time {
+			dev, peer := path(i)
+			_, end := vm.charge(bps, kind, dev, peer, bytes)
+			return end
+		}
+	}
 	swap := func(i int) (int, int) { return i, overUplink }
+	reduce := func(vm *VM, i int) time.Time {
+		_, end := vm.chargeReduce(i, 2, bytes/2) // 2·(2−1)·bytes/2
+		return end
+	}
 	for _, tc := range []struct {
 		name           string
 		devices, lanes int
-		kind           laneKind
-		path           func(int) (int, int)
+		xfer           func(*VM, int) time.Time
 		want           time.Duration
 	}{
-		{"one lane swapping", 1, 1, laneDemand, swap, rounds * one},
-		{"n lanes swapping share the uplink", n, n, laneDemand, swap, n * rounds * one},
-		{"n DMA lanes swapping share it too", n, n, laneDMA, swap, n * rounds * one},
-		{"n disjoint p2p pairs", 2 * n, n, laneDemand, func(i int) (int, int) { return 2 * i, 2*i + 1 }, rounds * one},
-		{"two p2p moves out of one device", 3, 2, laneDemand, func(i int) (int, int) { return 2 * i, 1 }, 2 * rounds * one},
-		{"n reducers on distinct devices", n, n, laneCollective, func(i int) (int, int) { return i, noPeer }, rounds * one},
+		{"one lane swapping", 1, 1, copies(laneDemand, swap), rounds * one},
+		{"n lanes swapping share the uplink", n, n, copies(laneDemand, swap), n * rounds * one},
+		{"n DMA lanes swapping share it too", n, n, copies(laneDMA, swap), n * rounds * one},
+		{"n disjoint p2p pairs", 2 * n, n, copies(laneDemand, func(i int) (int, int) { return 2 * i, 2*i + 1 }), rounds * one},
+		{"two p2p moves out of one device", 3, 2, copies(laneDemand, func(i int) (int, int) { return 2 * i, 1 }), 2 * rounds * one},
+		{"n reducers on distinct devices", n, n, reduce, rounds * one},
 	} {
-		if got := makespan(tc.devices, tc.lanes, tc.kind, tc.path); got != tc.want {
+		if got := makespan(tc.devices, tc.lanes, tc.xfer); got != tc.want {
 			t.Errorf("%s: finished at %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -280,18 +317,34 @@ func TestLinkPathsAndSpans(t *testing.T) {
 		t.Errorf("AsyncDMANanos %d after one prefetch, want the modeled %d", got, ms.Nanoseconds())
 	}
 
-	vm.chargeReduce(1, 4, 4<<10) // 2·(4-1) slices over the reducer's link
+	// A reduction is booked, not slept: 2·(4-1) slices over the
+	// reducer's link, from when the clock (4 ms, after the two sleeps
+	// below) and gpu1's link are free.
+	start, end := vm.chargeReduce(1, 4, 4<<10)
 	expect(vm, "reduction", [3]time.Duration{3 * ms, 8 * ms, 3 * ms})
+	if start.Sub(time.Time{}) != 4*ms || end.Sub(time.Time{}) != 10*ms {
+		t.Errorf("reduction reserved [%v, %v), want [4ms, 10ms)", start.Sub(time.Time{}), end.Sub(time.Time{}))
+	}
+	// Its readers' demand lanes wait for it. gpu0's is free at 5 ms (its
+	// 1 ms of debt), so 5 ms of the reduction were exposed, and it sleeps
+	// the 6 ms to the end; gpu1's, free at 11 ms, owes nothing more.
+	if got := vm.await(0, end); got != 5*ms {
+		t.Errorf("gpu0 waited %v past its own time, want 5ms", got)
+	}
+	if got := vm.await(1, end); got != 0 {
+		t.Errorf("gpu1 waited %v past its own time, want 0", got)
+	}
 
 	// The swap-in's 1 ms stayed on gpu0's demand lane as debt. The p2p
 	// move queued behind it on gpu0's link, so gpu1's lane owed 2 ms and
 	// slept them; its write-back's 1 ms is debt again. The prefetch waited
-	// for the uplink — 2 ms on gpu0's DMA lane — and the reduction's 6 ms
-	// were slept at once.
+	// for the uplink — 2 ms on gpu0's DMA lane — and gpu0's reader slept
+	// the reduction's end off, debt included. Two lanes a device: demand,
+	// DMA.
 	if got, want := clk.sleeps(), []time.Duration{2 * ms, 2 * ms, 6 * ms}; !slices.Equal(got, want) {
 		t.Errorf("sleeps %v, want %v", got, want)
 	}
-	if got, want := vm.link.debt, []time.Duration{1 * ms, 0, 0, 1 * ms, 0, 0}; !slices.Equal(got, want) {
+	if got, want := vm.link.debt, []time.Duration{0, 0, 1 * ms, 0}; !slices.Equal(got, want) {
 		t.Errorf("lane debts %v, want %v", got, want)
 	}
 	want := []span{
@@ -340,7 +393,9 @@ func TestLinkOffReservesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vm.chargeReduce(0, 4, 1<<30)
+	if start, end := vm.chargeReduce(0, 4, 1<<30); !start.IsZero() || !end.IsZero() {
+		t.Errorf("reduction reserved [%v, %v) with no bandwidth modeled", start, end)
+	}
 	if st := vm.LinkStats(); st.Uplink != 0 || st.Device[0] != 0 || st.Device[1] != 0 {
 		t.Errorf("links busy %+v with no bandwidth modeled", st)
 	}
@@ -355,9 +410,10 @@ func TestLinkOffReservesNothing(t *testing.T) {
 }
 
 // TestConcurrentLinkLanes runs every kind of lane at once on the wall
-// clock — demand swaps and prefetches through the VM, p2p reservations
-// and reductions against the model — with transfers a fraction of the
-// quantum long, so lanes cross it at different moments. Under -race this
+// clock — demand swaps and prefetches through the VM, p2p reservations,
+// reductions booked against the model and their readers waiting for
+// them — with transfers a fraction of the quantum long, so lanes cross
+// it at different moments. Under -race this
 // is the link model's concurrency test; the accounting it checks holds
 // under any interleaving: every link's busy time is exactly what was
 // reserved on it, no lane is left owing a quantum, and the time was
@@ -402,10 +458,11 @@ func TestConcurrentLinkLanes(t *testing.T) {
 				}
 			}
 		}(d)
-		go func(d int) { // its reductions
+		go func(d int) { // its reductions, booked without a sleep, and their reader
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				vm.chargeReduce(d, 2, 2<<10)
+				_, end := vm.chargeReduce(d, 2, 2<<10)
+				vm.await(d, end)
 			}
 		}(d)
 		go func(d int) { // p2p moves into it, on the link model alone

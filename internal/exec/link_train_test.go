@@ -29,7 +29,7 @@ func onManualClock(t *testing.T, cfg TrainerConfig) (*Trainer, *trace.ManualCloc
 // executor without links and with them — one goroutine, so the counters
 // depend on nothing else and must be identical too — and with links on
 // the parallel executor with the mode's prefetch and the plan's chunks,
-// where DMA and collective lanes owe time as well.
+// where DMA lanes owe time as well and updates wait for reductions.
 func TestLinkTimeMovesNoData(t *testing.T) {
 	dp4 := commConfig(3, 8<<10)
 	dp4.Devices, dp4.DeviceBytes = 4, 32<<10

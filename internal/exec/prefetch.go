@@ -181,9 +181,10 @@ func (r *runRecorder) add(dev int, lane trace.Lane, label string, start, end tim
 }
 
 // EnableTrace starts recording a wall-clock execution timeline:
-// compute spans on each device's kernel lane, demand swaps, p2p moves,
-// prefetches and clean-ahead write-backs on their DMA lanes — with
-// LinkBytesPerSec set, a copy's span is its reservation on the modeled
+// compute spans on each device's kernel lane, reductions on the
+// reducer's comms lane, demand swaps, p2p moves, prefetches and
+// clean-ahead write-backs on their DMA lanes — with LinkBytesPerSec
+// set, a copy's or a reduction's span is its reservation on the modeled
 // link, so queueing for a link shows as the gap before it. Returns the
 // live trace — read it only between Steps. Calling it again restarts
 // with a fresh trace.

@@ -313,10 +313,27 @@ func TestWarmStepAllocatesNoPages(t *testing.T) {
 	}
 }
 
-// BenchmarkTrainerStep times a warm step of each link shape, with its
-// allocations.
+// commLinkShape is the benchmark's train-comm plan: four replicas of a
+// 64-1536-1536-1536-10 MLP, ≈ 18.5 MiB of gradients each against a
+// batch of 4, reduced in 8 chunks of 12 MiB buckets over 1 GiB/s links.
+// It is a by-hand row only: a step sleeps tens of milliseconds of link
+// time, so the tests that walk linkShapes leave it out.
+func commLinkShape() TrainerConfig {
+	return TrainerConfig{
+		Widths: []int{64, 1536, 1536, 1536, 10}, Mode: sched.HarmonyDP, Devices: 4,
+		DeviceBytes: 96 << 20, BatchSize: 4, Microbatches: 1, LR: 0.005, Seed: 1,
+		LinkBytesPerSec: 1 << 30, CommChunks: 8, CommBucketBytes: 12 << 20,
+	}
+}
+
+// BenchmarkTrainerStep times a warm step of each link shape and of the
+// comm-link shape, with its allocations.
 func BenchmarkTrainerStep(b *testing.B) {
-	for _, shape := range linkShapes() {
+	shapes := append(linkShapes(), struct {
+		name string
+		cfg  TrainerConfig
+	}{"comm-link", commLinkShape()})
+	for _, shape := range shapes {
 		b.Run(shape.name, func(b *testing.B) {
 			tr, err := NewTrainer(shape.cfg, nil)
 			if err != nil {

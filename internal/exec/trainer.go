@@ -102,9 +102,10 @@ type TrainerConfig struct {
 	// device's link and on the uplink — so devices swapping at once
 	// share the uplink instead of each getting all of it (Fig. 2(a)) —
 	// a p2p copy on the two devices' links, a gradient reduction on the
-	// reducer's. Reservations on a link never overlap; the transferring
-	// lane waits for its own to end, in sleeps of at least 2 ms, a
-	// smaller remainder carried forward as debt: modeled time is
+	// reducer's. Reservations on a link never overlap; a copy's lane
+	// waits for its own to end and a reduction's is waited for by the
+	// updates that read it, in sleeps of at least 2 ms, a smaller
+	// remainder carried forward as debt: modeled time is
 	// batched, never forgiven. 0 disables modeling (transfers cost only
 	// memcpy time); negative is rejected. Trainer.LinkStats shows which
 	// link bounds a plan.
@@ -161,6 +162,8 @@ type Trainer struct {
 	comm      []commBucketRT
 	commMu    sync.Mutex
 	commStats CommStats
+	// tasks is the executors' per-task step state (executor.go).
+	tasks taskState
 	// views is reduce's scratch for one view per replica: slot d+1 for
 	// device worker d, which runs one reduction at a time, and slot 0
 	// for the serial path's dev -1.
@@ -316,6 +319,7 @@ func NewTrainer(cfg TrainerConfig, kernels []nn.Kernel) (*Trainer, error) {
 	for i := range tr.views {
 		tr.views[i] = make([][]float32, g.Cfg.Replicas)
 	}
+	tr.sizeTasks()
 	tr.armPrefetch()
 	tr.freshVM()
 	// Persistent state: identical weights in every replica, zero
@@ -716,14 +720,15 @@ func (tr *Trainer) runStep(inputs []float32, labels []int) (float32, error) {
 		return 0, err
 	}
 	tr.adaptTick()
+	tr.foldWaits()
 
 	// Reduce losses in task-ID order regardless of which executor ran
 	// (and in which interleaving), so both report bit-identical means.
 	var totalLoss float64
 	lossCount := 0
-	for id, c := range ex.counted {
+	for id, c := range tr.tasks.counted {
 		if c {
-			totalLoss += float64(ex.losses[id])
+			totalLoss += float64(tr.tasks.losses[id])
 			lossCount++
 		}
 	}
@@ -877,6 +882,7 @@ func (tr *Trainer) Retune(microbatches int) error {
 	tr.cfg.Microbatches = microbatches
 	tr.g, tr.s, tr.streams = g2, s2, streams2
 	tr.comm = buildCommPlan(s2)
+	tr.sizeTasks()
 	tr.validated, tr.valErr = true, nil // liveness just proven
 	tr.armPrefetch()
 	tr.freshVM() // step boundary: WaitIdle already drained in-flight DMAs
