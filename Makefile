@@ -56,8 +56,11 @@ test:
 # bench/ is a nested module (the harmonybench harness behind
 # BENCHMARK.json), so `go test ./...` from the root never reaches its
 # unit tests and its -smoke pass, which drives every workload and
-# every reference variant (sync, prefetch, adaptive, chunked,
-# monolithic, serial) through the real trainer; this does (~15 s).
+# every reference variant (sync, prefetch, chunked, monolithic,
+# serial) through the real trainer; this does (~15 s). The static
+# prefetch window's evidence under swap pressure is not here but in
+# internal/exec's pressure rows (TestPressureRowsBitExact), which
+# `test` runs.
 bench-test:
 	$(GO) test -C bench ./...
 

@@ -56,7 +56,6 @@ func run() (exit int) {
 		maxRetry  = flag.Int("max-retries", 0, "retries per faulted op (0 = default 3, negative disables)")
 		recov     = flag.Bool("recover", false, "roll back and resume past fatal device faults")
 		prefetch  = flag.Int("prefetch-depth", 0, "async prefetch lookahead (0 = mode default, negative disables)")
-		adaptive  = flag.Bool("adaptive-prefetch", false, "retune each device's prefetch window and byte budget online (implies prefetch; decisions are step-keyed and bit-exact)")
 		retune    = flag.String("retune", "", `mid-run plan retune, "step=N,microbatches=M": before step N, reshape to M microbatches (schedcheck preflight; a rejection prints the counterexample and keeps the current plan)`)
 		linkBW    = flag.Int64("link-bw", 0, "bytes/sec of every modeled link — one per device plus the host uplink all swaps share; p2p copies use the two devices' links, a reduction the reducer's. A copy's lane waits out its reservation, a reduction's is waited out by the updates that read it, in sleeps of at least 2 ms, carrying less as debt (0 = memcpy cost only)")
 		swapTrace = flag.Bool("swap-trace", false, "print a compute/DMA-lane Gantt of the final step (shows swap-compute overlap)")
@@ -94,7 +93,7 @@ func run() (exit int) {
 		Mode: mode, Devices: *devices, BatchSize: *batch,
 		Adam: *adam, LR: float32(*lr), Seed: *seed,
 		FaultSpec: *faultSpec, MaxRetries: *maxRetry, Recover: *recov,
-		PrefetchDepth: *prefetch, AdaptivePrefetch: *adaptive,
+		PrefetchDepth:   *prefetch,
 		LinkBytesPerSec: *linkBW,
 		NoVerify:        !*verify,
 		CommChunks:      *commChunk,
@@ -267,13 +266,6 @@ func run() (exit int) {
 			cs.ChunksReduced, float64(cs.BytesReduced)/(1<<20), exposed)
 	} else if cs.WaitNanos > 0 {
 		fmt.Printf("collectives: %.1f ms of reduction link time exposed\n", exposed)
-	}
-	if stats := tr.AdaptStats(); len(stats) > 0 {
-		fmt.Printf("adaptive prefetch: %d controller decisions;", len(tr.AdaptLog()))
-		for _, ws := range stats {
-			fmt.Printf(" dev%d window %d..%d (%d resizes)", ws.Dev, ws.WindowMin, ws.WindowMax, ws.Resizes)
-		}
-		fmt.Println()
 	}
 	if stepTL != nil && len(stepTL.Events) > 0 {
 		fmt.Print("final-step compute/DMA lanes:\n", stepTL.Gantt(100))

@@ -39,11 +39,10 @@ import (
 // taint — that interface exists exactly so timing can be injected at
 // the edges.
 //
-// The core includes all of internal/exec, so the adaptive-prefetch
-// controller and Trainer.Retune need no rule of their own: every
-// adaptation decision replays from logged inputs alone (DESIGN.md §13)
-// because nothing in the package may read the clock, global rand or
-// map order.
+// The core includes all of internal/exec, so Trainer.Retune needs no
+// rule of its own: a retuned run replays from its seed and the retune
+// step alone (DESIGN.md §13) because nothing in the package may read
+// the clock, global rand or map order.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock reads, math/rand global state and map iteration " +

@@ -49,6 +49,28 @@ func TestChunkedCollectivesBitIdentical(t *testing.T) {
 			assertSameRun(t, a, b, lossA, lossB)
 		})
 	}
+	// A pooling layer has no weights, so its collective carries no
+	// bytes: the plan gives it one empty chunk, whose reducer retires it
+	// like any other member.
+	t.Run("lenet-chunked", func(t *testing.T) {
+		ref := convNetConfig(sched.HarmonyDP)
+		ref.Serial = true
+		a, err := NewTrainer(ref, lenetKernels())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		lossA := stepTrainer(t, a, 0, 4)
+		cfg := convNetConfig(sched.HarmonyDP)
+		cfg.CommChunks = 2
+		b, err := NewTrainer(cfg, lenetKernels())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		lossB := stepTrainer(t, b, 0, 4)
+		assertSameRun(t, a, b, lossA, lossB)
+	})
 }
 
 // Delay faults on the chunked path perturb which worker's chunks run

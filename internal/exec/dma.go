@@ -182,35 +182,13 @@ func (vm *VM) StartEngine(budgetBytes int64) {
 	if budgetBytes <= 0 || budgetBytes > vm.capacity {
 		budgetBytes = vm.capacity / 2
 	}
-	vm.budget = budgetBytes
-	for _, sh := range vm.shards {
-		sh.budget = budgetBytes // pre-engOn: nothing reads shard budgets yet
-	}
+	vm.budget = budgetBytes // pre-engOn: nothing reads it yet
 	vm.started = true
 	vm.wg.Add(len(vm.shards))
 	for d := range vm.shards {
 		go vm.dmaWorker(d)
 	}
-	vm.engOn.Store(true) // publishes budgets to EnsureAsync
-}
-
-// SetPrefetchBudget retunes dev's prefetch byte budget. The adaptive
-// controller calls it between steps (after WaitIdle), but it is safe
-// at any time: the value is clamped to (0, engine cap] and read under
-// the shard lock, so in-flight prefetches keep their accounting. A
-// shrink does not cancel bytes already in flight; it only gates new
-// EnsureAsync admissions.
-func (vm *VM) SetPrefetchBudget(dev int, bytes int64) {
-	if !vm.engOn.Load() || dev < 0 || dev >= len(vm.shards) {
-		return
-	}
-	if bytes <= 0 || bytes > vm.budget {
-		bytes = vm.budget
-	}
-	sh := vm.shards[dev]
-	sh.mu.Lock()
-	sh.budget = bytes
-	sh.mu.Unlock()
+	vm.engOn.Store(true) // publishes the budget to EnsureAsync
 }
 
 // Close stops the DMA workers after draining queued requests. Safe to
@@ -309,7 +287,7 @@ func (vm *VM) EnsureAsync(dev int, t *tensor.Tensor) {
 	// The budget counts prefetched bytes until their first demand hit
 	// (not merely while in flight), bounding how much device memory
 	// prefetch may occupy at the expense of the present working set.
-	if sh.pfBytes+bytes > sh.budget {
+	if sh.pfBytes+bytes > vm.budget {
 		return
 	}
 	// Prefetch fills spare capacity only. Evicting on behalf of the

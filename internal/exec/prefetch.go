@@ -7,47 +7,20 @@ import (
 	"harmony/internal/hw"
 	"harmony/internal/sched"
 	"harmony/internal/sim"
-	"harmony/internal/tensor"
 	"harmony/internal/trace"
 )
 
 // prefetcher drives the VM's async DMA engine from the schedule: the
 // executor already knows each device's task stream, so right before a
 // kernel launches, the device worker asks for the inputs of the next
-// window compute entries (EnsureAsync — never blocking, never
-// pinning) and for proactive write-backs of dirty LRU pages
-// (CleanAhead), all of which the DMA workers overlap with the kernel.
-// This is the real executor's version of the simulator's
-// runtime.prefetchAhead.
-//
-// With AdaptivePrefetch the window is per virtual device and retuned
-// between steps by adaptController; devs is nil in static mode and
-// issue degenerates to the fixed depth.
+// depth compute entries (EnsureAsync — never blocking, never pinning)
+// and for proactive write-backs of dirty LRU pages (CleanAhead), all of
+// which the DMA workers overlap with the kernel. This is the real
+// executor's version of the simulator's runtime.prefetchAhead.
 type prefetcher struct {
 	tr    *Trainer
 	depth int
 	clean int // dirty write-backs requested per issue point
-
-	// Adaptive state, one slot per virtual device (queue index).
-	// During a step each slot is touched only by its own device
-	// worker; the trainer reads and retunes at the step boundary
-	// after the workers have joined and WaitIdle drained the DMA
-	// lanes, so no locking is needed (happens-before via goroutine
-	// create/join).
-	devs []*pfDev
-}
-
-// pfDev is one virtual device's adaptive prefetch state.
-type pfDev struct {
-	ctl adaptController
-	sig adaptSignals
-	// seen maps tensor ID → requested-by-a-window-scan-this-step.
-	// Lookups and inserts only — never ranged (map order is
-	// nondeterministic; the determinism analyzers enforce this).
-	seen map[int]bool
-	// scan is the current window scan's distinct-input scratch,
-	// reused across issue calls to keep the hot path allocation-free.
-	scan []*tensor.Tensor
 }
 
 // issue runs on device worker d between the dispatcher releasing
@@ -55,34 +28,8 @@ type pfDev struct {
 func (p *prefetcher) issue(d int, stream []sched.StreamEntry, i int) {
 	dev := p.tr.pdev(d)
 	p.tr.vm.CleanAhead(dev, p.clean)
-	window := p.depth
-	var pd *pfDev
-	if p.devs != nil {
-		pd = p.devs[d]
-		window = pd.ctl.window
-		// Coverage of the entry about to execute, checked before this
-		// call's own scan so an entry never covers itself. Collective
-		// entries ensure their own views at rendezvous and are not
-		// prefetch targets, so they do not count.
-		if e := stream[i]; e.Rdv < 0 && len(e.Task.Inputs) > 0 {
-			covered := true
-			for _, in := range e.Task.Inputs {
-				if !pd.seen[in.ID] {
-					covered = false
-					break
-				}
-			}
-			if covered {
-				pd.sig.Covered++
-			} else {
-				pd.sig.Uncovered++
-			}
-		}
-		pd.scan = pd.scan[:0]
-	}
 	seen := 0
-	var want int64
-	for j := i + 1; j < len(stream) && seen < window; j++ {
+	for j := i + 1; j < len(stream) && seen < p.depth; j++ {
 		e := stream[j]
 		if e.Rdv >= 0 {
 			continue // collectives ensure their own views at rendezvous
@@ -90,75 +37,6 @@ func (p *prefetcher) issue(d int, stream []sched.StreamEntry, i int) {
 		seen++
 		for _, in := range e.Task.Inputs {
 			p.tr.vm.EnsureAsync(dev, in)
-			if pd == nil {
-				continue
-			}
-			pd.seen[in.ID] = true
-			dup := false
-			for _, t := range pd.scan { // window is small; linear dedupe
-				if t.ID == in.ID {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				pd.scan = append(pd.scan, in)
-				want += in.Bytes
-			}
-		}
-	}
-	if pd != nil && want > pd.sig.WantPeak {
-		pd.sig.WantPeak = want
-	}
-}
-
-// beginStep resets the per-step adaptive counters. Called by the
-// trainer before launching the step's workers; no-op in static mode.
-func (p *prefetcher) beginStep() {
-	for _, pd := range p.devs {
-		pd.sig = adaptSignals{}
-		clear(pd.seen)
-	}
-}
-
-// endStep runs every device's controller on the step's signals and
-// applies retuned budgets to the VM shards. Called by the trainer
-// only after a successful step (WaitIdle drained; a failed attempt's
-// partial counters are discarded by the next beginStep), in ascending
-// virtual-device order so the decision log is a deterministic
-// function of the step counter. Post-recovery, several virtual
-// devices may alias one physical shard; the largest budget wins,
-// resolved in ascending order.
-func (p *prefetcher) endStep(step int) []AdaptDecision {
-	if p.devs == nil {
-		return nil
-	}
-	var out []AdaptDecision
-	for d, pd := range p.devs {
-		out = append(out, pd.ctl.adaptStep(step, d, pd.sig)...)
-	}
-	p.applyBudgets()
-	return out
-}
-
-// applyBudgets pushes every controller's current byte budget down to
-// the VM shards. Post-recovery several virtual devices may alias one
-// physical shard; the largest budget wins, resolved in ascending
-// virtual-device order. No-op in static mode.
-func (p *prefetcher) applyBudgets() {
-	if p.devs == nil {
-		return
-	}
-	budgets := make([]int64, p.tr.cfg.Devices)
-	for d, pd := range p.devs {
-		ph := p.tr.pdev(d)
-		if ph >= 0 && ph < len(budgets) && pd.ctl.budget > budgets[ph] {
-			budgets[ph] = pd.ctl.budget
-		}
-	}
-	for ph, b := range budgets {
-		if b > 0 {
-			p.tr.vm.SetPrefetchBudget(ph, b)
 		}
 	}
 }

@@ -209,10 +209,10 @@ func TestWaitIdleSurfacesFatalAsyncFault(t *testing.T) {
 
 // TestPrefetchBitExactMatrix is the tentpole guarantee: the serial
 // reference, the synchronous parallel executor, and the parallel
-// executor with prefetch at several depths and with the adaptive
-// controller all produce bit-identical losses and weights, under both
-// optimizers, in DP on one and two devices and in PP. Prefetch and
-// eviction may change data movement, never math.
+// executor with prefetch at several depths all produce bit-identical
+// losses and weights, under both optimizers, in DP on one and two
+// devices and in PP. Prefetch and eviction may change data movement,
+// never math.
 //
 // The reference each variant is held to runs on a device so large that
 // nothing is ever evicted: whatever the VM believes about a page (clean,
@@ -276,24 +276,22 @@ var prefetchPlans = []struct {
 
 // prefetchVariant is one executor setting of the prefetch matrix.
 type prefetchVariant struct {
-	name     string
-	serial   bool
-	depth    int
-	adaptive bool
+	name   string
+	serial bool
+	depth  int
 }
 
 func (v prefetchVariant) apply(cfg TrainerConfig) TrainerConfig {
-	cfg.Serial, cfg.PrefetchDepth, cfg.AdaptivePrefetch = v.serial, v.depth, v.adaptive
+	cfg.Serial, cfg.PrefetchDepth = v.serial, v.depth
 	return cfg
 }
 
 var prefetchVariants = []prefetchVariant{
-	{"serial", true, 0, false},
-	{"sync", false, -1, false},
-	{"depth1", false, 1, false},
-	{"depth2", false, 2, false},
-	{"depth4", false, 4, false},
-	{"adaptive", false, 4, true},
+	{"serial", true, 0},
+	{"sync", false, -1},
+	{"depth1", false, 1},
+	{"depth2", false, 2},
+	{"depth4", false, 4},
 }
 
 // prefetchBase is the prefetch matrix's plan on a device too small for

@@ -86,15 +86,10 @@ type TrainerConfig struct {
 	// never prefetches. Prefetch changes only data movement, never
 	// math — weights stay bit-identical at every depth.
 	PrefetchDepth int
-	// AdaptivePrefetch turns the fixed lookahead into an online
-	// controller (DESIGN.md §13): each device's window and async-DMA
-	// byte budget are retuned between iterations from that device's
-	// own coverage and demand counters, keyed to the step counter —
-	// never wall time — so adaptive runs stay bit-exact and their
-	// resize decision logs replay identically (see Trainer.AdaptLog).
-	// Implies prefetch; PrefetchDepth is the starting window, clamped
-	// to the controller's [1, 8]. The serial executor never
-	// prefetches, so Serial+AdaptivePrefetch is the static reference.
+	// AdaptivePrefetch is accepted and read by nothing: the static
+	// PrefetchDepth window is the only prefetch policy (DESIGN.md §13).
+	//
+	// Deprecated: no effect; removed by the next benchmark PR.
 	AdaptivePrefetch bool
 	// LinkBytesPerSec is the bandwidth of every modeled link: one per
 	// device plus the one host uplink they share, the paper's Fig. 1
@@ -174,13 +169,6 @@ type Trainer struct {
 	// wall-clock compute/DMA spans (EnableTrace).
 	pf  *prefetcher
 	rec *runRecorder
-
-	// Adaptive-prefetch observability: the full decision log (kept
-	// across retunes and recoveries) and per-virtual-device window
-	// extremes/resize counts (reset when a retune re-arms the
-	// controllers). Written only at step boundaries.
-	adaptLog   []AdaptDecision
-	adaptStats []AdaptWindowStats
 
 	// Recovery state. Virtual devices are schedule constructs; devMap
 	// binds virtual device d to the physical device devMap[d] whose
@@ -276,7 +264,6 @@ func NewTrainer(cfg TrainerConfig, kernels []nn.Kernel) (*Trainer, error) {
 		return nil, fmt.Errorf("exec: LinkBytesPerSec %d is negative (0 = no modeled link)", cfg.LinkBytesPerSec)
 	}
 	opts := cfg.Toggles.Apply(sched.DefaultOptions(cfg.Mode))
-	opts.AdaptivePrefetch = cfg.AdaptivePrefetch
 	opts.CommChunks, opts.CommBucketBytes = cfg.CommChunks, cfg.CommBucketBytes
 	s, err := sched.Plan(graph.Config{
 		Model:          kernelModel(layers, cfg.Adam),
@@ -384,7 +371,6 @@ func (tr *Trainer) freshVM() {
 	}
 	if tr.pf != nil {
 		tr.vm.StartEngine(0) // default budget: half the device capacity
-		tr.pf.applyBudgets() // adaptive: align shard budgets with the controllers
 	}
 	for r := 0; r < tr.g.Cfg.Replicas; r++ {
 		for l := range tr.layers {
@@ -398,85 +384,27 @@ func (tr *Trainer) freshVM() {
 }
 
 // armPrefetch (re)builds the prefetcher for the current plan: none when
-// the resolved depth is 0. When the plan adapts, each virtual device
-// gets a controller whose window starts at the static depth and whose
-// budget starts at the engine cap (so an adaptive run's first step
-// matches a static run's exactly).
+// the resolved depth is 0.
 func (tr *Trainer) armPrefetch() {
-	tr.pf, tr.adaptStats = nil, nil
-	d := tr.prefetchDepth()
-	if d == 0 {
-		return
-	}
-	tr.pf = &prefetcher{tr: tr, depth: d, clean: 1}
-	if !tr.s.Opts.AdaptivePrefetch {
-		return
-	}
-	tr.pf.devs = make([]*pfDev, tr.s.NGPUs)
-	tr.adaptStats = make([]AdaptWindowStats, tr.s.NGPUs)
-	for dev := range tr.pf.devs {
-		ctl := newAdaptController(d, adaptWindowMin, adaptWindowMax, tr.cfg.DeviceBytes/2)
-		tr.pf.devs[dev] = &pfDev{ctl: ctl, seen: make(map[int]bool)}
-		tr.adaptStats[dev] = AdaptWindowStats{Dev: dev, WindowMin: ctl.window, WindowMax: ctl.window}
+	tr.pf = nil
+	if d := tr.prefetchDepth(); d > 0 {
+		tr.pf = &prefetcher{tr: tr, depth: d, clean: 1}
 	}
 }
 
-// AdaptWindowStats summarizes one virtual device's adaptive window
-// trajectory: the extreme window sizes observed and how many resize
-// decisions the controller took.
+// AdaptWindowStats is the per-device summary AdaptStats once returned.
+//
+// Deprecated: no effect; removed by the next benchmark PR.
 type AdaptWindowStats struct {
 	Dev                  int
 	WindowMin, WindowMax int
 	Resizes              int
 }
 
-// AdaptLog returns a copy of the adaptive-prefetch decision log. Two
-// seeded runs of the same config produce deep-equal logs — the
-// decision inputs are program-order coverage counters keyed to the
-// step counter, never timing (DESIGN.md §13).
-func (tr *Trainer) AdaptLog() []AdaptDecision {
-	return append([]AdaptDecision(nil), tr.adaptLog...)
-}
-
-// AdaptStats returns per-virtual-device window extremes and resize
-// counts; nil when the plan is not adaptive.
-func (tr *Trainer) AdaptStats() []AdaptWindowStats {
-	return append([]AdaptWindowStats(nil), tr.adaptStats...)
-}
-
-// adaptTick runs the per-device controllers on a completed step's
-// signals: it folds the decisions into the log and window stats and
-// stamps them on the trace's adapt lane. Called only on runStep's
-// success path, after WaitIdle has drained the DMA engine and the
-// step's device workers have joined — the quiescent point where the
-// per-device signals are safely readable and budget retunes cannot
-// race in-flight admissions.
-func (tr *Trainer) adaptTick() {
-	if tr.pf == nil {
-		return
-	}
-	decs := tr.pf.endStep(tr.step)
-	if len(decs) == 0 {
-		return
-	}
-	for _, dec := range decs {
-		if dec.What == "window" {
-			st := &tr.adaptStats[dec.Dev]
-			st.Resizes++
-			if w := int(dec.To); w < st.WindowMin {
-				st.WindowMin = w
-			}
-			if w := int(dec.To); w > st.WindowMax {
-				st.WindowMax = w
-			}
-		}
-		if tr.rec != nil {
-			now := tr.vm.clk.Now()
-			tr.rec.add(tr.pdev(dec.Dev), trace.Adapt, dec.String(), now, now)
-		}
-	}
-	tr.adaptLog = append(tr.adaptLog, decs...)
-}
+// AdaptStats returns nil: no controller resizes a window.
+//
+// Deprecated: no effect; removed by the next benchmark PR.
+func (tr *Trainer) AdaptStats() []AdaptWindowStats { return nil }
 
 // maxRetries resolves the configured retry bound: 0 means the default
 // of 3, negative disables retries.
@@ -696,12 +624,6 @@ func (tr *Trainer) runStep(inputs []float32, labels []int) (float32, error) {
 	}
 	tr.step++
 
-	if tr.pf != nil {
-		// Reset the adaptive coverage counters — a failed attempt's
-		// partial signals are discarded here, so recovery re-runs
-		// never skew a controller decision.
-		tr.pf.beginStep()
-	}
 	ex := newExecutor(tr, labels)
 	var err error
 	if tr.cfg.Serial {
@@ -719,7 +641,6 @@ func (tr *Trainer) runStep(inputs []float32, labels []int) (float32, error) {
 	if err != nil {
 		return 0, err
 	}
-	tr.adaptTick()
 	tr.foldWaits()
 
 	// Reduce losses in task-ID order regardless of which executor ran

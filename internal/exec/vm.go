@@ -171,7 +171,7 @@ func (b *buffer) load() claimword.Word { return claimword.Word(b.word.Load()) }
 type lruList struct{ head, tail *buffer }
 
 // vmShard is one device's slice of the VM: capacity accounting, LRU
-// order, prefetch budget, DMA queue and movement stats, guarded by
+// order, prefetch bytes, DMA queue and movement stats, guarded by
 // its own mutex so devices never contend with each other on the swap
 // hot path.
 type vmShard struct {
@@ -181,16 +181,10 @@ type vmShard struct {
 	used    int64
 	lru     lruList
 	clock   int64
-	pfBytes int64 // prefetched bytes in flight or resident-unconsumed
-	// budget caps pfBytes for this shard. Seeded from the engine-wide
-	// cap at StartEngine and retuned between steps by the adaptive
-	// prefetch controller (SetPrefetchBudget); never exceeds
-	// VM.budget, so static residency verification can use the
-	// engine-wide cap as the worst case. Guarded by mu.
-	budget int64
-	stats  VMStats
-	queue  []dmaReq
-	work   *sync.Cond // signaled when queue grows or the VM closes
+	pfBytes int64 // prefetched bytes in flight or resident-unconsumed; at most VM.budget
+	stats   VMStats
+	queue   []dmaReq
+	work    *sync.Cond // signaled when queue grows or the VM closes
 	// syncOuts counts synchronous write-backs (eviction or Host
 	// stalls) on this device; cleanSeen is its value at the last
 	// CleanAhead batch. Clean-ahead only arms after a new stall, so
@@ -217,7 +211,7 @@ type spareStack struct {
 //
 // Locking discipline (DESIGN.md §12): the hot path is sharded by
 // device. Each vmShard's mutex guards only that device's accounting —
-// used bytes, LRU order, prefetch budget, DMA queue and stats.
+// used bytes, LRU order, prefetch bytes, DMA queue and stats.
 // Per-buffer state (residency, pins, claim) lives in a packed atomic
 // claim word driven by CAS (internal/claimword), so demand Ensure,
 // prefetch EnsureAsync, eviction and DMA completion on different

@@ -23,7 +23,8 @@ const commElemBytes = 4
 
 // CommChunk is one independent chunk rendezvous: the element range
 // [Lo, Hi) of one bucket member's gradient, reduced across all
-// replicas by device worker Reducer.
+// replicas by device worker Reducer. A member with no elements has
+// exactly one chunk, the empty [0, 0); no other chunk is empty.
 type CommChunk struct {
 	// Member indexes CommBucket.Members.
 	Member int
@@ -45,7 +46,8 @@ type CommBucket struct {
 	// Bytes is the total per-replica payload of all members.
 	Bytes int64
 	// Chunks covers every member's full element range exactly once,
-	// ordered member-major then ascending Lo.
+	// ordered member-major then ascending Lo; every member has at
+	// least one.
 	Chunks []CommChunk
 }
 
@@ -131,11 +133,11 @@ func (s *Schedule) buildComm() {
 		}
 		for mi, ci := range b.Members {
 			floats := int(s.Collectives[ci].CommBytes / commElemBytes)
-			for lo := 0; lo < floats; lo += target {
-				hi := lo + target
-				if hi > floats {
-					hi = floats
-				}
+			// A member with no elements (a weightless layer's gradient)
+			// still gets one chunk, [0, 0): the worker that reduces it is
+			// the one that retires the member and releases its updates.
+			for lo := 0; lo < floats || lo == 0; lo += target {
+				hi := min(lo+target, floats)
 				b.Chunks = append(b.Chunks, CommChunk{
 					Member:  mi,
 					Lo:      lo,

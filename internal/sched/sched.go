@@ -97,14 +97,6 @@ type Options struct {
 	// Prefetch overlaps the next task's swap-ins with the current
 	// task's compute (the double-buffering of §4).
 	Prefetch bool
-	// AdaptivePrefetch lets the executor retune each device's
-	// prefetch lookahead window and byte budget online, between
-	// iterations, from deterministic per-step coverage counters (§4's
-	// open problem of online tuning). Implies Prefetch. The byte
-	// budget never exceeds the engine cap, so static verification
-	// bounds residency by the maximum admissible budget rather than
-	// the starting one.
-	AdaptivePrefetch bool
 	// DirtyTracking drops clean tensors on eviction instead of
 	// writing them back.
 	DirtyTracking bool
@@ -315,10 +307,6 @@ func Build(g *graph.Graph, opts Options, nGPUs int) (*Schedule, error) {
 	}
 	if opts.CommChunks > 0 && opts.Mode.IsSharded() {
 		return nil, fmt.Errorf("sched: %s has no gradient AllReduce to chunk (gathers are on the critical path)", opts.Mode)
-	}
-	if opts.AdaptivePrefetch {
-		// Adaptive mode is a refinement of static prefetch.
-		opts.Prefetch = true
 	}
 	s := &Schedule{
 		Graph:  g,

@@ -68,17 +68,6 @@ func OptionVariants(mode Mode, microbatches int) []Options {
 			out = append(out, d)
 		}
 	}
-	// AdaptivePrefetch does not reorder queues either, but it raises
-	// the residency bound schedcheck must verify (maximum admissible
-	// window, not the static one); include it on the canonical
-	// prefetching Harmony profile so the sweep proves that bound.
-	for _, o := range out {
-		if o.Grouping && o.JIT && o.DirtyTracking && o.Prefetch && o.GroupSize == 0 && !o.DeferBlockedUpdates {
-			a := o
-			a.AdaptivePrefetch = true
-			out = append(out, a)
-		}
-	}
 	// Chunked collectives restructure the rendezvous, and bucketing
 	// additionally regroups JIT updates — both are plan shapes the
 	// checker must prove (sharded modes reject the knobs; pipeline

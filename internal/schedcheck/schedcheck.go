@@ -71,9 +71,7 @@ type Topology struct {
 }
 
 // prefetchBudget is the prefetched-byte cap per device: half the
-// capacity, exec.VM.StartEngine's default and the ceiling the adaptive
-// controller may grow to — so adaptive plans are verified at the worst
-// admissible controller state.
+// capacity, exec.VM.StartEngine's default.
 func (t Topology) prefetchBudget() int64 { return t.DeviceBytes / 2 }
 
 // phys is the physical device backing plan device d.
@@ -266,10 +264,12 @@ func checkShape(s *sched.Schedule, r *Report) bool {
 // checkComm validates a chunked plan's comm structure (nil Comm is the
 // monolithic path and trivially passes): every collective belongs to
 // exactly one bucket, each member's element range is covered exactly
-// once by contiguous chunks, and every reducer is a real device. The
+// once by contiguous chunks, every member has a chunk (an empty one
+// when it has no elements), and every reducer is a real device. The
 // executor trusts these properties — a gap would silently skip
-// gradient elements, a bad reducer would orphan chunks — so they are
-// proven here, before anything runs.
+// gradient elements, a bad reducer would orphan chunks, and a member
+// with no chunk is retired by no worker, so its updates never run —
+// so they are proven here, before anything runs.
 func checkComm(s *sched.Schedule, r *Report) {
 	if s.Comm == nil {
 		return
@@ -284,6 +284,7 @@ func checkComm(s *sched.Schedule, r *Report) {
 			inBucket[ci]++
 		}
 		next := make([]int, len(b.Members))
+		count := make([]int, len(b.Members))
 		for _, c := range b.Chunks {
 			if c.Member < 0 || c.Member >= len(b.Members) {
 				r.addf("plan", nil, "comm bucket %d chunk member %d out of range (%d members)", bi, c.Member, len(b.Members))
@@ -292,13 +293,19 @@ func checkComm(s *sched.Schedule, r *Report) {
 			if c.Reducer < 0 || c.Reducer >= s.NGPUs {
 				r.addf("plan", nil, "comm bucket %d chunk reducer gpu%d out of range (%d devices)", bi, c.Reducer, s.NGPUs)
 			}
-			if c.Lo != next[c.Member] || c.Hi <= c.Lo {
+			empty := c.Hi == 0 && s.Collectives[b.Members[c.Member]].CommBytes == 0
+			if c.Lo != next[c.Member] || c.Hi <= c.Lo && !empty {
 				r.addf("plan", nil, "comm bucket %d member %d chunk [%d,%d) not contiguous from element %d",
 					bi, c.Member, c.Lo, c.Hi, next[c.Member])
 			}
 			next[c.Member] = c.Hi
+			count[c.Member]++
 		}
 		for mi, ci := range b.Members {
+			if count[mi] == 0 {
+				r.addf("plan", nil, "comm bucket %d member %s has no chunk: no worker retires it", bi, s.Collectives[ci])
+				continue
+			}
 			elems := int(s.Collectives[ci].CommBytes) / 4 // float32 elements
 			if next[mi] != elems {
 				r.addf("plan", nil, "comm bucket %d member %s chunks cover %d of %d elements",

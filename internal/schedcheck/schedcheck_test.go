@@ -2,6 +2,7 @@ package schedcheck
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -250,6 +251,38 @@ func TestCommBrokenCoverageRejected(t *testing.T) {
 	s.Comm[0].Chunks[0].Reducer = 99
 	r = Check(s, roomy())
 	wantViolation(t, r, "plan", false)
+}
+
+// A weightless layer (LeNet's pools) has a collective with no bytes.
+// The plan gives it one empty chunk, which the checker admits; without
+// a chunk no worker would retire the member and its updates would never
+// run, so the checker rejects that plan.
+func TestCommEmptyMemberNeedsAChunk(t *testing.T) {
+	g, err := graph.Build(graph.Config{Model: models.LeNet(), MicrobatchSize: 1, Microbatches: 2, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.Build(g, commOpts(2, 0), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := Check(s, roomy()); !r.OK() {
+		t.Fatalf("LeNet chunked plan rejected: %v", r.Err())
+	}
+	for bi, b := range s.Comm {
+		for i, c := range b.Chunks {
+			if c.Hi > c.Lo {
+				continue
+			}
+			s.Comm[bi].Chunks = slices.Delete(slices.Clone(b.Chunks), i, i+1)
+			v := wantViolation(t, Check(s, roomy()), "plan", false)
+			if !strings.Contains(v.Msg, "has no chunk") {
+				t.Fatalf("violation %q does not name the chunkless member", v.Msg)
+			}
+			return
+		}
+	}
+	t.Fatal("LeNet chunked plan has no empty chunk")
 }
 
 // Chunked residency is additive across workers (collectives overlap

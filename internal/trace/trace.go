@@ -34,10 +34,6 @@ const (
 	// swap engine (exec.VM.EnsureAsync); kept distinct from SwapIn so
 	// overlap with the compute lane is visible at a glance.
 	Prefetch
-	// Adapt marks an adaptive-prefetch controller decision (window or
-	// budget resize, zero-width span at the step boundary where it
-	// was taken; the label says which knob moved and why).
-	Adapt
 	// Comms is the gradient-collective stream: one span per chunk
 	// reduction (or per whole collective on the monolithic path),
 	// attributed to the device worker that executed the reduction.
@@ -46,7 +42,7 @@ const (
 	Comms
 )
 
-var laneNames = [...]string{"compute", "swap-in", "swap-out", "p2p", "fault", "retry", "prefetch", "adapt", "comms"}
+var laneNames = [...]string{"compute", "swap-in", "swap-out", "p2p", "fault", "retry", "prefetch", "comms"}
 
 func (l Lane) String() string {
 	if int(l) < len(laneNames) {

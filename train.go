@@ -55,14 +55,6 @@ type LinkStats = exec.LinkStats
 // unset). Alias of the internal executor's counters.
 type CommStats = exec.CommStats
 
-// AdaptDecision is one adaptive-prefetch controller decision: which
-// device resized which knob (window or budget) at which step, and why.
-type AdaptDecision = exec.AdaptDecision
-
-// AdaptWindowStats summarizes one device's window trajectory: the
-// extremes it visited and how many resizes the controller took.
-type AdaptWindowStats = exec.AdaptWindowStats
-
 // Blobs re-exports the synthetic dataset generator used by the
 // examples: Gaussian class blobs.
 type Blobs = data.Blobs
