@@ -55,8 +55,9 @@ func poison(tr *Trainer) {
 // clear must each write all of it. Every run below starts on devices
 // filled with NaN spares of every page length its plan uses, and must
 // train to the losses and weights of a serial run on a fresh VM, bit for
-// bit: the prefetch matrix's plans, the small plan at two prefetch
-// windows, the conv net of TestConvNetBitIdenticalAcrossExecutors, and
+// bit: the prefetch matrix's plans, the small plan of
+// TestAdaptiveBitExactMatrix with the deprecated AdaptivePrefetch flag
+// set, the conv net of TestConvNetBitIdenticalAcrossExecutors, and
 // a pipeline whose activations move p2p. (Checked by mutation: without
 // fill's memset of a known-zero page, every plan here fails.)
 func TestPoisonedSparesStayBitExact(t *testing.T) {
@@ -84,9 +85,9 @@ func TestPoisonedSparesStayBitExact(t *testing.T) {
 	}
 	for _, mode := range []sched.Mode{sched.HarmonyDP, sched.HarmonyPP} {
 		base := trainerConfig(mode, 2)
-		pl := plan{name: fmt.Sprintf("window/%s", mode), base: base, steps: 4}
-		for _, depth := range []int{2, 4} {
-			cfg := base
+		pl := plan{name: fmt.Sprintf("adaptive/%s", mode), base: base, steps: 4}
+		for _, depth := range []int{0, 2, 4} {
+			cfg := adaptiveConfig(base)
 			cfg.PrefetchDepth = depth
 			pl.variants = append(pl.variants, cfg)
 		}
