@@ -3,7 +3,10 @@
 // reducer assignment at plan time; this file derives the runtime view
 // the executor's reduceBucket path consumes — per-device chunk lists
 // in member order plus per-member chunk counts — and runs the per-chunk
-// reduction, whose math is nn.Average.
+// reduction, whose math is nn.Average, or nn.AverageSGD when the plan's
+// reductions apply the update (sched.Schedule.FusedUpdate): on a chunked
+// SGD plan the worker that reduces a chunk updates that range of every
+// replica's weights once, and the replicas' Update tasks run no kernel.
 package exec
 
 import (
@@ -74,14 +77,17 @@ func (tr *Trainer) CommStats() CommStats { return tr.commStats }
 // reduce averages the element range [lo, hi) of AllReduce ar across
 // all replicas (real math: the buffers end up identical on every
 // device), on behalf of device worker dev — the one reduction both
-// rendezvous share. chunk says the range is one plan-time chunk, traced
-// and counted as such; otherwise it is the whole payload of a monolithic
-// rendezvous, where dev is the last arrival (-1 on the serial path,
-// where a fatal collective fault has no single device to retire and is
-// therefore unrecoverable). nn.Average fans the range across the kernel
-// worker pool over disjoint sub-ranges; each element still sums the
-// replicas in fixed order, so the result is bit-identical at any worker
-// count and under any partition into chunks. Each call is an
+// rendezvous share; on a plan whose reductions apply the update it
+// updates the range of every replica's weights too (reduceUpdate).
+// chunk says the range is one plan-time chunk, traced and counted as
+// such; otherwise it is the whole payload of a monolithic rendezvous or
+// of the serial path, where dev is the last arrival (-1 on the serial
+// path, where a fatal collective fault has no single device to retire
+// and is therefore unrecoverable). nn.Average and nn.AverageSGD fan
+// the range across the kernel worker pool over disjoint sub-ranges;
+// each element still sums the replicas in fixed order, so the result is
+// bit-identical at any worker count and under any partition into
+// chunks. Each call is an
 // independent unit of fault injection and recovery: a fatal fault here
 // retires the reducing worker's physical device through the usual
 // rollback-and-resume path.
@@ -105,13 +111,21 @@ func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) (time
 	// in.
 	pdev := tr.pdev(max(dev, 0))
 	wall := tr.vm.clk.Now()
-	views := tr.views[dev+1][:n]
+	views := tr.views[dev+1][:2*n]
 	defer clear(views) // keep no device slice past its pins
-	if err := tr.acquire(ar, -1, views, nil); err != nil {
+	gs, ws := views[:n], views[n:]
+	if err := tr.acquire(ar, -1, gs, nil); err != nil {
 		return time.Time{}, err
 	}
 	start, end := tr.vm.chargeReduce(pdev, n, int64(hi-lo)*4)
-	nn.Average(views, lo, hi, float32(1)/float32(n))
+	inv := float32(1) / float32(n)
+	if tr.s.FusedUpdate() {
+		if err := tr.reduceUpdate(ar, gs, ws, lo, hi, inv); err != nil {
+			return time.Time{}, err
+		}
+	} else {
+		nn.Average(gs, lo, hi, inv)
+	}
 	if chunk {
 		tr.commMu.Lock()
 		tr.commStats.ChunksReduced++
@@ -134,4 +148,40 @@ func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) (time
 		r.add(pdev, trace.Comms, label, start, end)
 	}
 	return end, nil
+}
+
+// reduceUpdate is reduce's kernel on a plan whose reductions apply the
+// update (sched.Schedule.FusedUpdate): it pins every replica's weights
+// for ar's layer on that replica's device, beside the gradient views gs
+// the caller pinned, and nn.AverageSGD stores the updated range into
+// every ws view and +0 into every gs view. Each weight is marked dirty
+// while still pinned: a page that is clean and unpinned may be dropped
+// at any moment, and one dropped between this write and its Update's pin
+// would lose the update. On error the pins taken so far stay behind, as
+// acquire's do.
+func (tr *Trainer) reduceUpdate(ar *graph.Task, gs, ws [][]float32, lo, hi int, inv float32) error {
+	var err error
+	for i := range ws {
+		w := tr.g.W[i][ar.Layer]
+		if w.Bytes == 0 {
+			continue
+		}
+		if ws[i], err = tr.vm.Ensure(tr.pdev(i), w); err != nil {
+			return err
+		}
+	}
+	nn.AverageSGD(gs, ws, lo, hi, inv, tr.cfg.LR)
+	for i := range ws {
+		w := tr.g.W[i][ar.Layer]
+		if w.Bytes == 0 {
+			continue
+		}
+		if err := tr.vm.MarkDirty(w); err != nil {
+			return err
+		}
+		if err := tr.vm.Unpin(w); err != nil {
+			return err
+		}
+	}
+	return nil
 }

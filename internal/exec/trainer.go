@@ -159,9 +159,9 @@ type Trainer struct {
 	commStats CommStats
 	// tasks is the executors' per-task step state (executor.go).
 	tasks taskState
-	// views is reduce's scratch for one view per replica: slot d+1 for
-	// device worker d, which runs one reduction at a time, and slot 0
-	// for the serial path's dev -1.
+	// views is reduce's scratch for two views per replica, its gradient
+	// and its weights: slot d+1 for device worker d, which runs one
+	// reduction at a time, and slot 0 for the serial path's dev -1.
 	views [][][]float32
 
 	// pf, when non-nil, is the schedule-driven prefetcher the device
@@ -304,7 +304,7 @@ func NewTrainer(cfg TrainerConfig, kernels []nn.Kernel) (*Trainer, error) {
 	}
 	tr.views = make([][][]float32, cfg.Devices+1)
 	for i := range tr.views {
-		tr.views[i] = make([][]float32, g.Cfg.Replicas)
+		tr.views[i] = make([][]float32, 2*g.Cfg.Replicas)
 	}
 	tr.sizeTasks()
 	tr.armPrefetch()
@@ -881,12 +881,16 @@ func (tr *Trainer) runTask(dev int, t *graph.Task, labels []int) (float32, bool,
 		layer.Backward(in[0], in[2], dy, out[0], in[1], batch)
 	case graph.Update: // W, dW, K
 		n := layer.ParamCount()
-		if tr.cfg.Adam {
+		switch {
+		case tr.s.FusedUpdate():
+			// The reduction applied the update (Trainer.reduce); this
+			// task keeps its place, its pins and its marks.
+		case tr.cfg.Adam:
 			nn.Adam(in[0][:n], in[1][:n], in[2][:n], in[2][n:2*n], tr.cfg.LR, 0.9, 0.999, 1e-8, tr.step)
-		} else {
+		default:
 			nn.SGD(in[0][:n], in[1][:n], tr.cfg.LR)
 		}
-		// Both optimizers end by resetting the gradient they applied
+		// Every optimizer ends by resetting the gradient it applied
 		// (Fig. 5(a)'s "Reset dW′"; a checkpoint already omits dW on the
 		// strength of it), so from here to the next backward the VM need
 		// not move the page.

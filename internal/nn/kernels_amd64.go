@@ -1,17 +1,18 @@
 package nn
 
-// useAVX2 sends the three inner loops of Dense, SGD and Average to the
-// kernels in kernels_amd64.s. It is set once, here, and only the tests
-// flip it: the Go loops in nn.go are the same arithmetic and the path of
-// every other GOARCH, of an amd64 CPU without AVX2 and of a -race build.
+// useAVX2 sends the three inner loops of Dense, SGD, Average and
+// AverageSGD to the kernels in kernels_amd64.s. It is set once, here,
+// and only the tests flip it: the Go loops in nn.go are the same
+// arithmetic and the path of every other GOARCH, of an amd64 CPU
+// without AVX2 and of a -race build.
 var useAVX2 = !raceEnabled && cpuHasAVX2()
 
 func cpuHasAVX2() bool
 
 // The kernels take the whole-vector prefix of a loop and the Go tile
-// finishes the rest in order. They see no slice headers, except
-// averageAVX2's views, so the caller has sliced every operand to the
-// length it passes.
+// finishes the rest in order. They see no slice headers, except the
+// views of averageAVX2 and averageSGDAVX2, so the caller has sliced
+// every operand to the length it passes.
 
 // axpy4AVX2 is axpy4 over n floats, n a multiple of 8.
 //
@@ -50,3 +51,11 @@ func sgdAVX2(w, dw *float32, n int, lr float32)
 //
 //go:noescape
 func averageAVX2(views *[]float32, nviews, lo, n int, inv float32)
+
+// averageSGDAVX2 is averageSGD over elements [lo, lo+n) of the nviews ≥ 1
+// gradient slices at gs and weight slices at ws, n a multiple of 32. Like
+// averageAVX2 it trusts the headers' data pointers: every view holds at
+// least lo+n floats.
+//
+//go:noescape
+func averageSGDAVX2(gs, ws *[]float32, nviews, lo, n int, inv, lr float32)

@@ -1,7 +1,7 @@
 #include "textflag.h"
 
-// AVX2 versions of the three inner loops of Dense, of SGD and of Average
-// (kernels_amd64.go has the contracts, DESIGN.md §7 the bit-identity
+// AVX2 versions of the three inner loops of Dense, of SGD, of Average and
+// of AverageSGD (kernels_amd64.go has the contracts, DESIGN.md §7 the bit-identity
 // argument). The input gradient has two: four batch rows over a dense
 // block of W, and one row over the rows of W its ReLU mask keeps,
 // gathered. A lane is one output element and receives the terms the Go
@@ -417,5 +417,91 @@ avgstore:
 	JMP     avgx32
 
 avgdone:
+	VZEROUPPER
+	RET
+
+// func averageSGDAVX2(gs, ws *[]float32, nviews, lo, n int, inv, lr float32)
+//
+// averageAVX2's pass with SGD at the end of each block: the four
+// accumulators start at +0, add the block of every gradient view in
+// index order and are scaled by inv; that mean times lr (Y9) is
+// subtracted from the first weight view's block, w - (lr * g) as in SGD1,
+// and the four results are stored to every weight view and +0 (Y10) to
+// every gradient view. SI and R11 are the first gradient and weight
+// headers, R10 the byte length of a header array; CX and BX walk the
+// two arrays in step, R12 is the first weight view's data, DX the byte
+// offset of the block and R9 the end of the range.
+TEXT ·averageSGDAVX2(SB), NOSPLIT, $0-48
+	MOVQ         gs+0(FP), SI
+	MOVQ         ws+8(FP), R11
+	MOVQ         nviews+16(FP), R10
+	MOVQ         lo+24(FP), DX
+	MOVQ         n+32(FP), R9
+	VBROADCASTSS inv+40(FP), Y8
+	VBROADCASTSS lr+44(FP), Y9
+	VXORPS       Y10, Y10, Y10
+	LEAQ         (R10)(R10*2), R10
+	SHLQ         $3, R10
+	LEAQ         (SI)(R10*1), R13
+	MOVQ         (R11), R12
+	SHLQ         $2, DX
+	LEAQ         (DX)(R9*4), R9
+
+asgdx32:
+	CMPQ   DX, R9
+	JGE    asgddone
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ   SI, CX
+
+asgdsum:
+	MOVQ   (CX), DI
+	VADDPS (DI)(DX*1), Y0, Y0
+	VADDPS 32(DI)(DX*1), Y1, Y1
+	VADDPS 64(DI)(DX*1), Y2, Y2
+	VADDPS 96(DI)(DX*1), Y3, Y3
+	ADDQ   $24, CX
+	CMPQ   CX, R13
+	JLT    asgdsum
+	VMULPS Y8, Y0, Y0
+	VMULPS Y8, Y1, Y1
+	VMULPS Y8, Y2, Y2
+	VMULPS Y8, Y3, Y3
+	VMULPS Y0, Y9, Y0
+	VMULPS Y1, Y9, Y1
+	VMULPS Y2, Y9, Y2
+	VMULPS Y3, Y9, Y3
+	VMOVUPS (R12)(DX*1), Y4
+	VMOVUPS 32(R12)(DX*1), Y5
+	VMOVUPS 64(R12)(DX*1), Y6
+	VMOVUPS 96(R12)(DX*1), Y7
+	VSUBPS Y0, Y4, Y4
+	VSUBPS Y1, Y5, Y5
+	VSUBPS Y2, Y6, Y6
+	VSUBPS Y3, Y7, Y7
+	MOVQ   SI, CX
+	MOVQ   R11, BX
+
+asgdstore:
+	MOVQ    (BX), DI
+	VMOVUPS Y4, (DI)(DX*1)
+	VMOVUPS Y5, 32(DI)(DX*1)
+	VMOVUPS Y6, 64(DI)(DX*1)
+	VMOVUPS Y7, 96(DI)(DX*1)
+	MOVQ    (CX), DI
+	VMOVUPS Y10, (DI)(DX*1)
+	VMOVUPS Y10, 32(DI)(DX*1)
+	VMOVUPS Y10, 64(DI)(DX*1)
+	VMOVUPS Y10, 96(DI)(DX*1)
+	ADDQ    $24, CX
+	ADDQ    $24, BX
+	CMPQ    CX, R13
+	JLT     asgdstore
+	ADDQ    $128, DX
+	JMP     asgdx32
+
+asgddone:
 	VZEROUPPER
 	RET

@@ -23,3 +23,7 @@ func sgdAVX2(w, dw *float32, n int, lr float32) { panic("nn: no vector kernels o
 func averageAVX2(views *[]float32, nviews, lo, n int, inv float32) {
 	panic("nn: no vector kernels on this GOARCH")
 }
+
+func averageSGDAVX2(gs, ws *[]float32, nviews, lo, n int, inv, lr float32) {
+	panic("nn: no vector kernels on this GOARCH")
+}

@@ -1,10 +1,11 @@
 // Package nn implements real float32 neural-network math on plain
 // slices: dense layers, ReLU, softmax cross-entropy, SGD/Adam
-// optimizers and the average across data-parallel replicas. It
-// deliberately operates on caller-provided buffers so the exec runtime
-// can place those buffers in capacity-limited virtual device memory and
-// move them through Harmony's coherent virtual memory — the kernels
-// never allocate parameter or activation storage themselves.
+// optimizers, the average across data-parallel replicas and that
+// average with SGD applied in the same pass. It deliberately operates
+// on caller-provided buffers so the exec runtime can place those
+// buffers in capacity-limited virtual device memory and move them
+// through Harmony's coherent virtual memory — the kernels never
+// allocate parameter or activation storage themselves.
 //
 // The stash holds only each layer's input, and nothing is recomputed
 // from it: ReLU's derivative is applied by the layer above, which
@@ -14,9 +15,9 @@
 // pass costs the two forwards the cost model charges
 // (models.BwdFLOPsFactor).
 //
-// The Dense inner loops, SGD and Average (the all-reduce across
-// replicas) have two implementations with one result: the Go loops in
-// this file, which every GOARCH builds, and AVX2 assembly
+// The Dense inner loops, SGD, Average (the all-reduce across replicas)
+// and AverageSGD have two implementations with one result: the Go loops
+// in this file, which every GOARCH builds, and AVX2 assembly
 // (kernels_amd64.s) that amd64 dispatches to when the CPU and the OS
 // support it. Both match the scalar oracles in nn_test.go bit for bit
 // (DESIGN.md §7). The race detector cannot see what assembly loads
@@ -452,6 +453,75 @@ func average(views [][]float32, lo, hi int, inv float32) {
 		}
 		for _, v := range views {
 			copy(v[lo:], blk)
+		}
+	}
+}
+
+// AverageSGD is Average followed by SGD on every replica, done once: for
+// each element of [lo, hi) it sums the gradient views gs to +0 in index
+// order and scales the sum by inv, as Average does, then computes
+// w - lr·mean from the first weight view, as SGD does (a multiply, then
+// a subtract), stores that to every weight view and +0 to every
+// gradient view. ws[i] is replica i's weights beside its gradient
+// gs[i]; data-parallel replicas hold the same weights, so the result is
+// the one Average and a per-replica SGD would leave. The range fans out
+// across the worker pool like Average's. Every view is checked before
+// anything is written: unequal view counts, or a view shorter than hi,
+// panic.
+func AverageSGD(gs, ws [][]float32, lo, hi int, inv, lr float32) {
+	if lo < 0 || lo > hi {
+		panic(fmt.Sprintf("nn: AverageSGD range [%d, %d)", lo, hi))
+	}
+	if len(ws) != len(gs) {
+		panic(fmt.Sprintf("nn: AverageSGD has %d weight views for %d gradient views", len(ws), len(gs)))
+	}
+	for i := range gs {
+		if len(gs[i]) < hi || len(ws[i]) < hi {
+			panic(fmt.Sprintf("nn: AverageSGD view %d has %d gradient and %d weight floats, range ends at %d",
+				i, len(gs[i]), len(ws[i]), hi))
+		}
+	}
+	if len(gs) == 0 {
+		return
+	}
+	if grain := grainFor(3*len(gs) + 1); runsInline(hi-lo, grain) {
+		averageSGD(gs, ws, lo, hi, inv, lr)
+	} else {
+		ParallelFor(hi-lo, grain, func(a, b int) { averageSGD(gs, ws, lo+a, lo+b, inv, lr) })
+	}
+}
+
+// averageSGD is AverageSGD's loop over at least one view, in blocks like
+// average's: the assembly takes the 32-float blocks, the Go loop the
+// tail, or everything where there is no vector path. Its update is
+// SGD's statement, so a compiler that fuses the multiply into the
+// subtract fuses both loops alike.
+func averageSGD(gs, ws [][]float32, lo, hi int, inv, lr float32) {
+	if n := (hi - lo) &^ 31; useAVX2 && n > 0 {
+		averageSGDAVX2(&gs[0], &ws[0], len(gs), lo, n, inv, lr)
+		lo += n
+	}
+	var acc [2048]float32
+	for ; lo < hi; lo += len(acc) {
+		blk := acc[:min(len(acc), hi-lo)]
+		clear(blk)
+		for _, g := range gs {
+			for j, x := range g[lo:][:len(blk)] {
+				blk[j] += x
+			}
+		}
+		for j := range blk {
+			blk[j] *= inv
+		}
+		w0 := ws[0][lo:][:len(blk)]
+		for j := range blk {
+			w := w0[j]
+			w -= lr * blk[j]
+			blk[j] = w
+		}
+		for i := range gs {
+			copy(ws[i][lo:], blk)
+			clear(gs[i][lo:][:len(blk)])
 		}
 	}
 }

@@ -1207,6 +1207,84 @@ func TestAverageRejectsShortView(t *testing.T) {
 	t.Error("Average accepted a 40-float view for the range [0, 64)")
 }
 
+// AverageSGD must leave what Average followed by an SGD on every view
+// leaves, bit for bit: for 1–5 replicas holding the same weights, at
+// every length from 0 to 97 — every split between the 32-float blocks and
+// the Go tail — over sub-ranges that start at 0 and at an odd element,
+// and over one span past two of the Go loop's blocks. Gradients and weights
+// are salted with ±0, ±Inf and NaN; elements outside the range must be
+// left alone.
+func TestAverageSGDMatchesAverageThenSGD(t *testing.T) {
+	eachKernelPath(t, testAverageSGDMatchesAverageThenSGD)
+}
+
+func testAverageSGDMatchesAverageThenSGD(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	inf := float32(math.Inf(1))
+	specials := []float32{inf, -inf, float32(math.NaN()), negZero, 0, 1e-45, 3e38, -3e38}
+	var spans [][2]int
+	for n := 0; n <= 97; n++ {
+		lo := 1 + 2*rng.Intn(4)
+		spans = append(spans, [2]int{0, n}, [2]int{lo, lo + n})
+	}
+	spans = append(spans, [2]int{5, 5 + 2*2048 + 41})
+	for replicas := 1; replicas <= 5; replicas++ {
+		inv := float32(1) / float32(replicas)
+		for _, span := range spans {
+			lr := float32(rng.NormFloat64())
+			w := make([]float32, span[1]+rng.Intn(9))
+			salt(rng, w, 0.05, specials...)
+			gs, ws := make([][]float32, replicas), make([][]float32, replicas)
+			wantG, wantW := make([][]float32, replicas), make([][]float32, replicas)
+			for r := range gs {
+				gs[r] = unaligned(rng, len(w))
+				salt(rng, gs[r], 0.125, specials...)
+				ws[r] = unaligned(rng, len(w))
+				copy(ws[r], w)
+				wantG[r] = append([]float32(nil), gs[r]...)
+				wantW[r] = append([]float32(nil), ws[r]...)
+			}
+			AverageSGD(gs, ws, span[0], span[1], inv, lr)
+			Average(wantG, span[0], span[1], inv)
+			for r := range wantG {
+				SGD(wantW[r][span[0]:span[1]], wantG[r][span[0]:span[1]], lr)
+			}
+			for r := range gs {
+				name := fmt.Sprintf("%d replicas, range %v, view %d", replicas, span, r)
+				sameBits(t, name+" W", ws[r], wantW[r])
+				sameBits(t, name+" dW", gs[r], wantG[r])
+			}
+		}
+	}
+}
+
+// AverageSGD checks every view before it writes: a short weight view
+// anywhere in the list panics with every gradient and weight untouched.
+func TestAverageSGDRejectsShortView(t *testing.T) {
+	gs := [][]float32{make([]float32, 64), make([]float32, 64)}
+	ws := [][]float32{make([]float32, 64), make([]float32, 40, 64)}
+	for _, v := range append(gs, ws...) {
+		for i := range v[:cap(v)] {
+			v[:cap(v)][i] = 1
+		}
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "view 1 has 64 gradient and 40 weight floats, range ends at 64") {
+			t.Errorf("panic %q, want one naming the view and its lengths", msg)
+		}
+		for i, v := range append(gs, ws...) {
+			for j, x := range v[:cap(v)] {
+				if x != 1 {
+					t.Fatalf("AverageSGD wrote view %d[%d] = %v before it panicked", i, j, x)
+				}
+			}
+		}
+	}()
+	AverageSGD(gs, ws, 0, 64, 0.5, 0.1)
+	t.Error("AverageSGD accepted a 40-float weight view for the range [0, 64)")
+}
+
 // poolRetains reports whether sync.Pool keeps what it is given: under
 // the race detector it drops a quarter of all Puts on purpose, and an
 // allocation count means nothing there.
@@ -1223,7 +1301,7 @@ func poolRetains() bool {
 
 // TestSteadyStateAllocs pins the zero-allocation claims: on a
 // one-worker pool a scratch round trip, a Dense.Forward, a
-// Dense.Backward, an SGD and an Average allocate nothing once the pool
+// Dense.Backward, an SGD, an Average and an AverageSGD allocate nothing once the pool
 // is warm, on either kernel path.
 func TestSteadyStateAllocs(t *testing.T) {
 	eachKernelPath(t, testSteadyStateAllocs)
@@ -1254,6 +1332,7 @@ func testSteadyStateAllocs(t *testing.T) {
 		"Dense.Backward":            func() { l.Backward(params, stash, dy, dx, grad, batch) },
 		"SGD":                       func() { SGD(params, grad, 0.01) },
 		"Average":                   func() { Average(views, 3, len(x), 0.25) },
+		"AverageSGD":                func() { AverageSGD(views[:2], views[2:], 3, len(x), 0.5, 0.01) },
 	} {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", name, n)
@@ -1374,5 +1453,38 @@ func BenchmarkReduceChunk(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			Average(views, 0, n, 1.0/replicas)
 		}
+	})
+}
+
+// BenchmarkAverageSGD is BenchmarkReduceChunk's chunk with the update
+// applied in the same pass, on both kernel paths: four replicas' weights
+// beside their gradients. The unfused row is that chunk's Average
+// followed by an SGD on every replica, the work the reducer and the four
+// updates share when the update is not folded into the reduction.
+func BenchmarkAverageSGD(b *testing.B) {
+	eachKernelPath(b, func(b *testing.B) {
+		const replicas, n = 4, (1536*1536 + 1536) / 8
+		gs, ws := make([][]float32, replicas), make([][]float32, replicas)
+		for r := range gs {
+			gs[r], ws[r] = make([]float32, n), make([]float32, n)
+			for j := range gs[r] {
+				gs[r][j], ws[r][j] = float32(r+j%7), float32(j%5)
+			}
+		}
+		b.Run("unfused", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Average(gs, 0, n, 1.0/replicas)
+				for r := range gs {
+					SGD(ws[r], gs[r], 0.005)
+				}
+			}
+		})
+		b.Run("fused", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				AverageSGD(gs, ws, 0, n, 1.0/replicas, 0.005)
+			}
+		})
 	})
 }

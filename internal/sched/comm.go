@@ -51,6 +51,21 @@ type CommBucket struct {
 	Chunks []CommChunk
 }
 
+// FusedUpdate reports whether the plan's reductions apply its weight
+// updates: a chunked plan (Comm) whose optimizer keeps no state (plain
+// SGD, OptStateParamsFactor 0). Data-parallel replicas hold the same
+// weights, and after the reduction the same mean gradient, so the update
+// w -= lr·mean is the same on every replica: the worker that reduces a
+// chunk computes it once and stores it into every replica's weights, the
+// reduce-scatter, sharded update and all-gather of ZeRO in shared
+// memory. Each replica's Update keeps its place, its dependencies and
+// its footprint and runs no kernel. The executor and schedcheck both
+// read this one predicate: the executor to fuse, the verifier to count
+// the weights a reduction then pins and dirties.
+func (s *Schedule) FusedUpdate() bool {
+	return s.Comm != nil && s.Graph.Cfg.Model.OptStateParamsFactor == 0
+}
+
 // commLayerBuckets partitions layers into buckets by walking layers in
 // reverse order (the order gradients become ready during backward) and
 // greedily packing consecutive layers while the summed per-replica

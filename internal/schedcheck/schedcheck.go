@@ -44,6 +44,7 @@ package schedcheck
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"harmony/internal/graph"
@@ -453,6 +454,19 @@ type pinPeak struct {
 	dev, idx int
 }
 
+// taskPin is what a compute task pins while it runs: its inputs,
+// outputs and workspace.
+func taskPin(t *graph.Task) int64 {
+	pin := t.WorkspaceBytes
+	for _, in := range t.Inputs {
+		pin += in.Bytes
+	}
+	for _, out := range t.Outputs {
+		pin += out.Bytes
+	}
+	return pin
+}
+
 // checkResidency symbolically computes each physical device's peak
 // pinned bytes and rejects plans that cannot fit. This is the bound the
 // executor's VM lives under: one task in flight per stream (its inputs,
@@ -460,26 +474,17 @@ type pinPeak struct {
 // topo.Binding puts on the device, and, during a monolithic collective,
 // the per-device buffers of all parked participants. Chunked plans
 // (Schedule.Comm) overlap collectives with compute instead of parking,
-// so each worker may simultaneously hold either its largest task pin or
-// its largest assigned member's replica views — per physical device,
-// the demands sum across workers rather than max. Conservative by
-// design: it assumes every worker holds its worst case at once, so it
-// never passes a binding the VM could fail on. The prefetch budget is
+// so each worker may simultaneously hold either a task's pins or a
+// member reduction's replica views — per physical device, the demands
+// sum across workers rather than max (chunkedPeaks). Conservative by
+// design: it never passes a binding the VM could fail on. The prefetch budget is
 // reported as expected steady-state residency but never gates — the
 // async engine only ever claims spare capacity.
 func checkResidency(s *sched.Schedule, topo Topology, r *Report) {
 	worst := make([]pinPeak, s.NGPUs) // per stream
 	for d, q := range s.Queues {
 		for i, t := range q {
-			var pin int64
-			for _, in := range t.Inputs {
-				pin += in.Bytes
-			}
-			for _, out := range t.Outputs {
-				pin += out.Bytes
-			}
-			pin += t.WorkspaceBytes
-			if pin > worst[d].bytes {
+			if pin := taskPin(t); pin > worst[d].bytes {
 				worst[d] = pinPeak{pin, t, d, i}
 			}
 		}
@@ -495,37 +500,8 @@ func checkResidency(s *sched.Schedule, topo Topology, r *Report) {
 	}
 	peak := make([]pinPeak, topo.Devices) // per physical device
 	if s.Comm != nil {
-		for d, w := range worst {
-			// chunkPin[p] = worst member view demand worker d can pin
-			// on device p at once (a chunk reduction pins all replica
-			// views of its member, each on its home device).
-			chunkPin := make([]int64, topo.Devices)
-			for _, b := range s.Comm {
-				for mi, ci := range b.Members {
-					mine := false
-					for _, c := range b.Chunks {
-						if c.Member == mi && c.Reducer == d {
-							mine = true
-							break
-						}
-					}
-					if !mine {
-						continue
-					}
-					member := make([]int64, topo.Devices)
-					views(member, s.Collectives[ci].Inputs)
-					for p, v := range member {
-						chunkPin[p] = max(chunkPin[p], v)
-					}
-				}
-			}
-			for p := range peak {
-				if p == topo.phys(d) {
-					peak[p].bytes += max(chunkPin[p], w.bytes)
-				} else {
-					peak[p].bytes += chunkPin[p]
-				}
-			}
+		for p, b := range chunkedPeaks(s, topo, worst) {
+			peak[p].bytes = b
 		}
 	} else {
 		for d, w := range worst {
@@ -586,4 +562,122 @@ func checkResidency(s *sched.Schedule, topo Topology, r *Report) {
 		r.addf("capacity", tl, "gpu%d peak pinned bytes %d exceed capacity %d (%s)",
 			p, pk.bytes, topo.DeviceBytes, why)
 	}
+}
+
+// chunkedPeaks bounds each physical device's pinned bytes on a chunked
+// plan, given each stream's worst task. A device worker holds at once
+// either one task of its stream, pinned on its own device, or one
+// member reduction: every replica's view of the member's gradient, each
+// on its home device, and, on a plan whose reductions apply the update
+// (Schedule.FusedUpdate), every replica's weights of that layer beside
+// them. Two facts of the task graph cut the sum, both exact: a reduction
+// of collective c is never in flight beside a task c depends on or that
+// depends on c, and two reductions of one member pin the same tensors.
+// So one worker bound to device p is the anchor, and for each item x it
+// may hold the bound adds to x's bytes on p, per other worker, the most
+// that worker can pin on p beside x; the device's bound is the largest
+// such sum. The other workers' items are not checked against each other,
+// which keeps the bound conservative: with no anchor's exclusion to
+// apply, it is every worker's worst item summed.
+func chunkedPeaks(s *sched.Schedule, topo Topology, worst []pinPeak) []int64 {
+	tasks := s.Graph.Tasks
+	// on[ci][p] is what reducing collective ci pins on physical device
+	// p; mine[d] lists the collectives worker d reduces a chunk of.
+	on := make([][]int64, len(s.Collectives))
+	fused := s.FusedUpdate()
+	for ci, c := range s.Collectives {
+		on[ci] = make([]int64, topo.Devices)
+		for i, x := range c.Inputs {
+			if i < s.NGPUs {
+				on[ci][topo.phys(i)] += x.Bytes
+				if fused {
+					on[ci][topo.phys(i)] += s.Graph.W[i][c.Layer].Bytes
+				}
+			}
+		}
+	}
+	mine := make([][]int, s.NGPUs)
+	for _, b := range s.Comm {
+		for _, ch := range b.Chunks {
+			if ci := b.Members[ch.Member]; !slices.Contains(mine[ch.Reducer], ci) {
+				mine[ch.Reducer] = append(mine[ch.Reducer], ci)
+			}
+		}
+	}
+	// ordered[ci][id]: task id runs before or after collective ci in
+	// every run, as an ancestor or a descendant of it.
+	ordered := make([][]bool, len(s.Collectives))
+	for ci, c := range s.Collectives {
+		seen := make([]bool, len(tasks))
+		for _, next := range []func(*graph.Task) []*graph.Task{
+			func(t *graph.Task) []*graph.Task { return t.Deps },
+			func(t *graph.Task) []*graph.Task { return t.Succs },
+		} {
+			stack := append([]*graph.Task(nil), next(c)...)
+			for len(stack) > 0 {
+				t := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if !seen[t.ID] {
+					seen[t.ID] = true
+					stack = append(stack, next(t)...)
+				}
+			}
+		}
+		ordered[ci] = seen
+	}
+	// beside returns the most worker d can pin on device p while another
+	// worker holds task t (ci < 0) or a reduction of collective ci.
+	beside := func(d, p int, t *graph.Task, ci int) int64 {
+		var most int64
+		if topo.phys(d) == p {
+			if ci < 0 {
+				most = worst[d].bytes
+			} else {
+				for _, u := range s.Queues[d] {
+					if !ordered[ci][u.ID] {
+						most = max(most, taskPin(u))
+					}
+				}
+			}
+		}
+		for _, cj := range mine[d] {
+			switch {
+			case ci >= 0 && cj == ci: // the tensors the other worker pins
+			case ci < 0 && ordered[cj][t.ID]: // never beside task t
+			default:
+				most = max(most, on[cj][p])
+			}
+		}
+		return most
+	}
+	peak := make([]int64, topo.Devices)
+	for p := range peak {
+		anchor := -1
+		for d := range s.NGPUs {
+			if topo.phys(d) == p {
+				anchor = d
+				break
+			}
+		}
+		if anchor < 0 {
+			// Nothing lives there: replica i's tensors are on the
+			// device worker i is bound to.
+			continue
+		}
+		hold := func(x int64, t *graph.Task, ci int) {
+			for d := range s.NGPUs {
+				if d != anchor {
+					x += beside(d, p, t, ci)
+				}
+			}
+			peak[p] = max(peak[p], x)
+		}
+		for _, t := range s.Queues[anchor] {
+			hold(taskPin(t), t, -1)
+		}
+		for _, ci := range mine[anchor] {
+			hold(on[ci][p], nil, ci)
+		}
+	}
+	return peak
 }

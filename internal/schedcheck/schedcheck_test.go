@@ -312,6 +312,69 @@ func TestCommResidencyAdditive(t *testing.T) {
 	}
 }
 
+// commMLP is the model the trainer derives from an MLP of the given
+// widths (exec's kernelModel): float32 Dense layers that stash their
+// input, with Adam's two moments per parameter or plain SGD's none.
+func commMLP(widths []int, adam bool) *models.Model {
+	m := &models.Model{Name: "mlp", SampleBytes: int64(widths[0]) * 4}
+	if adam {
+		m.OptStateParamsFactor = 2
+	}
+	for i := 0; i+1 < len(widths); i++ {
+		in, out := widths[i], widths[i+1]
+		m.Layers = append(m.Layers, models.LayerSpec{
+			Name:                "dense",
+			Params:              int64(in*out + out),
+			FwdFLOPsPerSample:   float64(2 * in * out),
+			ActBytesPerSample:   int64(out) * 4,
+			StashBytesPerSample: int64(in) * 4,
+		})
+	}
+	return m
+}
+
+// A reduction that applies the update pins every replica's weights
+// beside its gradient, so on harmonybench's train-comm plan (four
+// replicas of a 64·1536·1536·1536·10 MLP, batch 4 in one microbatch, 8
+// chunks, 12 MiB buckets) each device's bound rises by what the other
+// three workers' reductions add: 3 × 9 443 328, one 1536×1536 layer's
+// weights. It still fits the workload's 96 MiB devices. A plan whose
+// reductions do not apply the update keeps its bound: the same plan
+// under Adam, and every monolithic plan.
+func TestFusedUpdatePinsWeightsBesideGradients(t *testing.T) {
+	widths := []int{64, 1536, 1536, 1536, 10}
+	const capacity = 96 << 20
+	for _, tc := range []struct {
+		name   string
+		adam   bool
+		chunks int
+		bucket int64
+		fused  bool
+		peak   int64
+	}{
+		{"sgd-chunked", false, 8, 12 << 20, true, 47290368 + 3*9443328},
+		{"adam-chunked", true, 8, 12 << 20, false, 66103296},
+		{"sgd-monolithic", false, 0, 0, false, 18960384},
+		{"adam-monolithic", true, 0, 0, false, 37773312},
+	} {
+		cfg := graph.Config{Model: commMLP(widths, tc.adam), MicrobatchSize: 4, Microbatches: 1}
+		s, err := sched.Plan(cfg, commOpts(tc.chunks, tc.bucket), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.FusedUpdate() != tc.fused {
+			t.Errorf("%s: FusedUpdate() = %v, want %v", tc.name, s.FusedUpdate(), tc.fused)
+		}
+		r := Check(s, Topology{DeviceBytes: capacity})
+		if !r.OK() {
+			t.Fatalf("%s: %v", tc.name, r.Err())
+		}
+		if want := []int64{tc.peak, tc.peak, tc.peak, tc.peak}; !slices.Equal(r.PeakPinBytes, want) {
+			t.Errorf("%s: PeakPinBytes %v, want %v", tc.name, r.PeakPinBytes, want)
+		}
+	}
+}
+
 // The device binding is a pure relabeling: over the whole property
 // sweep, the identity binding and no binding give the same per-device
 // pin bound.

@@ -49,13 +49,21 @@ type touch struct {
 // stream entry e touches on device dev, in touch order. Compute tasks
 // touch at most one tensor per persistent class (their own layer's); a
 // rendezvous touches each member's per-device input — one tensor per
-// member for a chunked bucket, in member (descending layer) order.
-func classTouches(ws *sched.Streams, e sched.StreamEntry, dev int, kind tensor.Kind) []touch {
+// member for a chunked bucket, in member (descending layer) order — and,
+// on a plan whose reductions apply the update (Schedule.FusedUpdate),
+// writes the member layer's weights on the device as well.
+func classTouches(s *sched.Schedule, ws *sched.Streams, e sched.StreamEntry, dev int, kind tensor.Kind) []touch {
 	if e.Rdv >= 0 {
 		var out []touch
 		for _, m := range ws.Members[e.Rdv] {
-			if dev < len(m.Inputs) && m.Inputs[dev].Kind == kind {
+			if dev >= len(m.Inputs) {
+				continue
+			}
+			if m.Inputs[dev].Kind == kind {
 				out = append(out, touch{m.Inputs[dev], taskMutates(m, m.Inputs[dev])})
+			}
+			if kind == tensor.Weight && s.FusedUpdate() {
+				out = append(out, touch{s.Graph.W[dev][m.Layer], true})
 			}
 		}
 		return out
@@ -85,11 +93,11 @@ type tensorRun struct {
 
 // classVolume returns one device's per-iteration (in, out) bytes for a
 // persistent tensor class under the run model above.
-func classVolume(ws *sched.Streams, dev int, kind tensor.Kind, dirtyTracking bool) (int64, int64) {
+func classVolume(s *sched.Schedule, ws *sched.Streams, dev int, kind tensor.Kind, dirtyTracking bool) (int64, int64) {
 	var runs []tensorRun
 	gapless := true
 	for _, e := range ws.Dev[dev] {
-		ts := classTouches(ws, e, dev, kind)
+		ts := classTouches(s, ws, e, dev, kind)
 		if len(ts) == 0 {
 			if e.Rdv >= 0 {
 				continue // transparent: pins its own shard, allocates nothing
@@ -140,9 +148,9 @@ func checkVolume(s *sched.Schedule, ws *sched.Streams, r *Report) {
 	}
 	dt := s.MemPolicy.DirtyTracking
 	for d := range ws.Dev {
-		wIn, wOut := classVolume(ws, d, tensor.Weight, dt)
-		gIn, gOut := classVolume(ws, d, tensor.WeightGrad, dt)
-		kIn, kOut := classVolume(ws, d, tensor.OptState, dt)
+		wIn, wOut := classVolume(s, ws, d, tensor.Weight, dt)
+		gIn, gOut := classVolume(s, ws, d, tensor.WeightGrad, dt)
+		kIn, kOut := classVolume(s, ws, d, tensor.OptState, dt)
 		r.WeightSwapBytes += wIn + wOut
 		r.GradSwapBytes += gIn + gOut
 		r.OptStateSwapBytes += kIn + kOut
