@@ -13,10 +13,9 @@
 //     inside them, and a buffer published to the LRU on a path where
 //     its synchronous claim is still uncommitted (DESIGN.md §9's
 //     "every resident claim is committed").
-//   - determinism: wall-clock reads (time.Now/Since/Until), math/rand
-//     global state, and map iteration inside the deterministic core,
-//     plus taint flow of such values into the core through any call
-//     chain.
+//   - determinism: wall-clock reads (time.Now/Since/Until) and map
+//     iteration inside the deterministic core, plus taint flow of
+//     wall-clock values into the core through any call chain.
 //   - errcheck: error returns from the VM surface dropped inside
 //     internal/exec (bare-statement calls, blank assignments, go/defer
 //     drops).

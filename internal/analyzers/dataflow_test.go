@@ -40,27 +40,18 @@ func allExplorations(pkgs []*Package) *Program {
 	return prog
 }
 
-var live struct {
+var liveExplored struct {
 	once sync.Once
 	prog *Program
-	err  error
 }
 
-// liveProgram loads the module's own tree once per test binary and runs
-// every exploration over it.
+// liveProgram runs every exploration over the live tree, once per test
+// binary.
 func liveProgram(t *testing.T) *Program {
 	t.Helper()
-	live.once.Do(func() {
-		pkgs, err := Load(filepath.Join("..", ".."), "./...")
-		if err == nil {
-			live.prog = allExplorations(pkgs)
-		}
-		live.err = err
-	})
-	if live.err != nil {
-		t.Fatalf("loading the live tree: %v", live.err)
-	}
-	return live.prog
+	pkgs := liveTree(t)
+	liveExplored.once.Do(func() { liveExplored.prog = allExplorations(pkgs) })
+	return liveExplored.prog
 }
 
 // TestNoTruncation: no exploration of the live tree or of any fixture

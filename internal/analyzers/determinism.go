@@ -10,44 +10,43 @@ import (
 // seed, a schedule and a fault trace, training is bit-exact across
 // runs and across goroutine interleavings (ROADMAP north star; the
 // fault-recovery tests replay mid-iteration and diff weights exactly).
-// Three constructs silently break that property and are therefore
+// Two constructs silently break that property and are therefore
 // banned from the deterministic core — internal/sched, internal/exec,
 // internal/nn, internal/fault, internal/sim, internal/collective,
-// internal/graph, internal/schedcheck, internal/memory,
-// internal/runtime and internal/hw:
+// internal/graph, internal/schedcheck and internal/hw:
 //
 //   - wall-clock reads (time.Now, time.Since, time.Until): any value
 //     derived from them differs across runs. Timing belongs behind
 //     trace.Clock, injected at the edges, so the deterministic path
 //     never observes it.
-//   - math/rand package-level state (rand.Intn, rand.Float64,
-//     rand.Seed, ...): the global source is shared, lock-ordered by
-//     interleaving, and unseedable per-component. Use an explicit
-//     *rand.Rand threaded from the config seed.
 //   - map iteration: Go randomizes range order per run. Iterating a
 //     map to pick a victim, order work or accumulate floats makes the
 //     result interleaving-dependent (the waitableInFlight eviction
 //     scan regressed exactly this way before moving to the LRU list).
+//
+// Global math/rand state is not a rule: no package of the module
+// imports math/rand, and a fault rule drawing from the global source
+// fails fault's TestProbDeterministicAcrossInterleavings on every run
+// (DESIGN.md §10, the mutant × gate table).
 //
 // Uses with no scheduling consequence (pure logging, trace recording)
 // are documented case by case with //lint:allow determinism <reason>.
 //
 // The per-package pass is lexical; the whole-program pass adds
 // summary-based taint flow on top: a function outside the core that
-// reaches time.Now or global rand at ANY call depth must not be called
-// from inside the core. Interface calls (trace.Clock) do not propagate
-// taint — that interface exists exactly so timing can be injected at
-// the edges.
+// reaches time.Now at ANY call depth must not be called from inside
+// the core. Interface calls (trace.Clock) do not propagate taint — that
+// interface exists exactly so timing can be injected at the edges.
 //
 // The core includes all of internal/exec, so Trainer.Retune needs no
 // rule of its own: a retuned run replays from its seed and the retune
 // step alone (DESIGN.md §13) because nothing in the package may read
-// the clock, global rand or map order.
+// the clock or map order.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc: "forbid wall-clock reads, math/rand global state and map iteration " +
-		"in the deterministic core (internal/{sched,exec,nn,fault,sim,collective,graph,schedcheck,memory,runtime,hw}), " +
-		"and taint flow of wall-clock/rand values into the core through any call chain",
+	Doc: "forbid wall-clock reads and map iteration " +
+		"in the deterministic core (internal/{sched,exec,nn,fault,sim,collective,graph,schedcheck,hw}), " +
+		"and taint flow of wall-clock values into the core through any call chain",
 	Run:        runDeterminism,
 	RunProject: runDeterminismTaint,
 }
@@ -61,9 +60,11 @@ var deterministicCore = []string{
 	// builder feed every simulated result; the static verifier's
 	// counterexamples must reproduce bit-exactly to be debuggable.
 	"internal/sim", "internal/collective", "internal/graph", "internal/schedcheck",
-	// The simulator's memory manager, executor and hardware model order
-	// every event behind the golden simulation (bench/golden).
-	"internal/memory", "internal/runtime", "internal/hw",
+	// The golden figures do not pin the order the hardware model builds
+	// its links in. They do pin every byte the simulator's memory
+	// manager and executor order, so those two are outside the core
+	// (DESIGN.md §10).
+	"internal/hw",
 }
 
 func inDeterministicCore(path string) bool {
@@ -97,15 +98,6 @@ func runDeterminism(pass *Pass) error {
 							"time.%s in the deterministic core; wall-clock reads must go through an injected trace.Clock", name)
 					}
 				}
-			case *ast.SelectorExpr:
-				if id, ok := n.X.(*ast.Ident); ok {
-					if pn, ok := pass.Info.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "math/rand" {
-						if isRandGlobal(pass.Info, n) {
-							pass.Reportf(n.Pos(),
-								"math/rand global state (rand.%s) in the deterministic core; thread an explicit *rand.Rand from the config seed", n.Sel.Name)
-						}
-					}
-				}
 			case *ast.RangeStmt:
 				if t := pass.Info.TypeOf(n.X); t != nil {
 					if _, isMap := t.Underlying().(*types.Map); isMap {
@@ -121,7 +113,7 @@ func runDeterminism(pass *Pass) error {
 }
 
 // runDeterminismTaint is the summary-based upgrade: instead of
-// spotting time.Now lexically, it follows wall-clock/rand values
+// spotting time.Now lexically, it follows wall-clock values
 // through the call graph. The sink is a function in the deterministic
 // core calling an out-of-core function that reaches a taint source at
 // any depth (the callee's own body is outside the lexical rule's
@@ -145,25 +137,10 @@ func runDeterminismTaint(pass *ProjectPass) error {
 			}
 			if wtn := prog.TaintWitness(c.callee); wtn != "" {
 				pass.Reportf(c.pos,
-					"call to %s reaches %s at some call depth; wall-clock/rand values must not flow into the deterministic core — inject a trace.Clock or thread a seeded *rand.Rand",
+					"call to %s reaches %s at some call depth; wall-clock values must not flow into the deterministic core — inject a trace.Clock",
 					c.callee, wtn)
 			}
 		}
 	}
 	return nil
-}
-
-// isRandGlobal reports whether sel references math/rand package-level
-// mutable state: the global-source convenience functions and Seed.
-// Constructors (New, NewSource, NewZipf, ...) and type names return or
-// name explicit sources and are fine.
-func isRandGlobal(info *types.Info, sel *ast.SelectorExpr) bool {
-	obj := info.Uses[sel.Sel]
-	if obj == nil {
-		return false
-	}
-	if _, isFunc := obj.(*types.Func); !isFunc {
-		return false // type names, consts
-	}
-	return !strings.HasPrefix(sel.Sel.Name, "New")
 }

@@ -5,11 +5,11 @@ package analyzers
 // which locks it acquires and with what already held, which channels
 // it sends on or closes, which goroutines it spawns, which doc-comment
 // lock contract it declares, whether it can learn about shutdown, and
-// whether it observes wall-clock or global-rand state. The lockorder
-// and chanlife passes, the determinism taint upgrade and the lifecycle
-// explorations consume these summaries instead of re-walking syntax,
-// which is what lets them follow a contract through any call depth
-// rather than stopping at the first function boundary.
+// whether it observes the wall clock. The lockorder and chanlife
+// passes, the determinism taint upgrade and the lifecycle explorations
+// consume these summaries instead of re-walking syntax, which is what
+// lets them follow a contract through any call depth rather than
+// stopping at the first function boundary.
 //
 // Two deliberate approximations keep the layer sound for its clients
 // without a full abstract interpreter:
@@ -148,10 +148,10 @@ type chanOp struct {
 	send  bool // else close
 }
 
-// taintUse is one direct wall-clock or global-rand observation.
+// taintUse is one direct wall-clock observation.
 type taintUse struct {
 	pos  token.Pos
-	what string // e.g. "time.Now", "rand.Intn"
+	what string // e.g. "time.Now"
 }
 
 // Summary is the per-function dataflow digest every interprocedural
@@ -524,21 +524,11 @@ func (w *sumBuilder) call(call *ast.CallExpr) {
 		return
 	}
 
-	// Wall-clock and global-rand taint sources.
+	// Wall-clock taint sources.
 	for name := range wallClockFuncs {
 		if pkgFunc(info, call, "time", name) {
 			w.sum.Taints = append(w.sum.Taints, taintUse{pos: call.Pos(), what: "time." + name})
 			return
-		}
-	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if id, ok := sel.X.(*ast.Ident); ok {
-			if pn, ok := info.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "math/rand" {
-				if isRandGlobal(info, sel) {
-					w.sum.Taints = append(w.sum.Taints, taintUse{pos: call.Pos(), what: "rand." + sel.Sel.Name})
-				}
-				return
-			}
 		}
 	}
 
@@ -732,7 +722,7 @@ func shortFile(path string) string {
 // ----------------------------------------------------- fixpoint closures
 
 // closeTaint: a function is tainted when it directly observes the wall
-// clock or global rand, or calls (statically) a tainted function. The
+// clock, or calls (statically) a tainted function. The
 // witness records the original source plus the first hop, for
 // diagnostics.
 func (p *Program) closeTaint() {
@@ -763,7 +753,7 @@ func (p *Program) closeTaint() {
 	}
 }
 
-// TaintWitness returns "" for a clean function, or the wall-clock/rand
+// TaintWitness returns "" for a clean function, or the wall-clock
 // source (and first call hop) it transitively reaches.
 func (p *Program) TaintWitness(k FuncKey) string { return p.tainted[k] }
 

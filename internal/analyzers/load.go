@@ -13,7 +13,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -46,20 +48,14 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	exports := make(map[string]string) // standard library: import path → export file
 	var module []listedPackage
 	for _, m := range listed {
-		if m.Standard {
-			exports[m.ImportPath] = m.Export
-		} else if len(m.GoFiles) > 0 {
+		if !m.Standard && len(m.GoFiles) > 0 {
 			module = append(module, m)
 		}
 	}
 	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		return os.Open(exports[path])
-	})
-	pkgs, err := checkAll(fset, std, module)
+	pkgs, err := checkAll(fset, stdImporter(fset, listed), module)
 	if err != nil {
 		return nil, err
 	}
@@ -79,11 +75,12 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 // LoadDirs type-checks several fixture directories under root — which
 // are invisible to go list — as one program, in the given order; each
 // directory's path relative to root is its import path, so an earlier
-// package can be imported by a later one (`import "clockutil"`). The
-// handful of standard-library packages fixtures import are checked
-// from source.
+// package can be imported by a later one (`import "clockutil"`). Every
+// other import is standard library, read from export data as Load
+// reads it: one go list, run in root, names the export files.
 func LoadDirs(root string, rels ...string) ([]*Package, error) {
 	var dirs []listedPackage
+	var std []string // imports of none of rels
 	for _, rel := range rels {
 		dir := filepath.Join(root, filepath.FromSlash(rel))
 		ents, err := os.ReadDir(dir)
@@ -92,8 +89,18 @@ func LoadDirs(root string, rels ...string) ([]*Package, error) {
 		}
 		m := listedPackage{ImportPath: rel, Dir: dir}
 		for _, e := range ents { // sorted by name
-			if !e.IsDir() && filepath.Ext(e.Name()) == ".go" {
-				m.GoFiles = append(m.GoFiles, e.Name())
+			if e.IsDir() || filepath.Ext(e.Name()) != ".go" {
+				continue
+			}
+			m.GoFiles = append(m.GoFiles, e.Name())
+			f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, e.Name()), nil, parser.ImportsOnly)
+			if err != nil {
+				return nil, err
+			}
+			for _, spec := range f.Imports {
+				if path, _ := strconv.Unquote(spec.Path.Value); !slices.Contains(rels, path) {
+					std = append(std, path)
+				}
 			}
 		}
 		if len(m.GoFiles) == 0 {
@@ -101,8 +108,29 @@ func LoadDirs(root string, rels ...string) ([]*Package, error) {
 		}
 		dirs = append(dirs, m)
 	}
+	var listed []listedPackage
+	if len(std) > 0 {
+		var err error
+		if listed, err = goList(root, std...); err != nil {
+			return nil, err
+		}
+	}
 	fset := token.NewFileSet()
-	return checkAll(fset, importer.ForCompiler(fset, "source", nil), dirs)
+	return checkAll(fset, stdImporter(fset, listed), dirs)
+}
+
+// stdImporter reads the standard-library packages of a go list listing
+// from the export data it names.
+func stdImporter(fset *token.FileSet, listed []listedPackage) types.Importer {
+	exports := make(map[string]string) // import path → export file
+	for _, m := range listed {
+		if m.Standard {
+			exports[m.ImportPath] = m.Export
+		}
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
 }
 
 // checkAll is the one loader: it parses and type-checks the listed
@@ -113,7 +141,15 @@ func checkAll(fset *token.FileSet, std types.Importer, listed []listedPackage) (
 	imp := &chainImporter{checked: make(map[string]*types.Package), std: std}
 	var pkgs []*Package
 	for _, m := range listed {
-		pkg, err := check(fset, imp, m)
+		var files []*ast.File
+		for _, name := range m.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(m.Dir, name), nil, parser.ParseComments)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		pkg, err := check(fset, imp, m.ImportPath, m.Dir, files)
 		if err != nil {
 			return nil, err
 		}
@@ -137,16 +173,8 @@ func (c *chainImporter) Import(path string) (*types.Package, error) {
 	return c.std.Import(path)
 }
 
-// check parses and type-checks one package's files.
-func check(fset *token.FileSet, imp types.Importer, m listedPackage) (*Package, error) {
-	var files []*ast.File
-	for _, name := range m.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(m.Dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
+// check type-checks one package's parsed files as import path path.
+func check(fset *token.FileSet, imp types.Importer, path, dir string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -154,13 +182,13 @@ func check(fset *token.FileSet, imp types.Importer, m listedPackage) (*Package, 
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(m.ImportPath, fset, files, info)
+	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("analyzers: type-checking %s: %w", m.ImportPath, err)
+		return nil, fmt.Errorf("analyzers: type-checking %s: %w", path, err)
 	}
 	return &Package{
-		Path:  m.ImportPath,
-		Dir:   m.Dir,
+		Path:  path,
+		Dir:   dir,
 		Fset:  fset,
 		Files: files,
 		Types: tpkg,

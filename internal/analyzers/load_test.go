@@ -5,7 +5,7 @@ package analyzers
 // order of what comes back, build-constraint filtering, error surfaces
 // (missing package, empty match, syntax error, type error), a package
 // whose function bodies are assembly, and the fixture loader's
-// source-importer fallback.
+// importer chain.
 
 import (
 	"go/types"
@@ -289,8 +289,8 @@ func TestLoadLiveTree(t *testing.T) {
 
 // TestLoadDirsFallbackImporter: a later fixture directory resolves an
 // earlier one by rel path among the packages already checked, while
-// stdlib imports fall through to the source importer — both in one
-// program.
+// stdlib imports fall through to the export data go list names — both
+// in one program.
 func TestLoadDirsFallbackImporter(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"base/base.go": "package base\n\nimport \"sync\"\n\nvar Mu sync.Mutex\n",

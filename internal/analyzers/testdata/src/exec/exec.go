@@ -1,10 +1,9 @@
 // Package exec is the fixture for the determinism analyzer. Its import
 // path ("exec") places it inside the deterministic core, so wall-clock
-// reads, math/rand global state and map iteration are all flagged.
+// reads and map iteration are flagged.
 package exec
 
 import (
-	"math/rand"
 	"sort"
 	"time"
 )
@@ -57,21 +56,6 @@ func remaining(deadline time.Time) time.Duration {
 // are banned.
 func fixedTimes() (time.Duration, time.Time) {
 	return 3 * time.Millisecond, time.Date(2021, 5, 1, 0, 0, 0, 0, time.UTC)
-}
-
-func globalRand() int {
-	return rand.Intn(10) // want "math/rand global state \\(rand.Intn\\) in the deterministic core"
-}
-
-func reseed() {
-	rand.Seed(42) // want "math/rand global state \\(rand.Seed\\) in the deterministic core"
-}
-
-// seededRand threads an explicit source from the config seed — the
-// sanctioned pattern.
-func seededRand(seed int64) int {
-	r := rand.New(rand.NewSource(seed))
-	return r.Intn(10)
 }
 
 // recordSpan shows the allowlist escape hatch: trace recording is off

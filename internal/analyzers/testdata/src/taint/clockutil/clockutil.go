@@ -1,14 +1,10 @@
 // Package clockutil is the out-of-core half of the determinism taint
-// fixture: helpers that reach wall-clock and global-rand sources at
-// varying call depths. Nothing here is flagged — the package is
-// outside the deterministic core — but calling into it from the core
-// is.
+// fixture: helpers that reach the wall clock at varying call depths.
+// Nothing here is flagged — the package is outside the deterministic
+// core — but calling into it from the core is.
 package clockutil
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 // Stamp reads the wall clock directly.
 func Stamp() int64 {
@@ -18,11 +14,6 @@ func Stamp() int64 {
 // Jitter reaches the wall clock one call deep.
 func Jitter() int64 {
 	return Stamp() + 1
-}
-
-// Roll reaches math/rand global state.
-func Roll() int {
-	return rand.Intn(6)
 }
 
 // Fixed is clean at every depth.

@@ -19,11 +19,6 @@ func plan() int64 {
 	return clockutil.Jitter() // want `call to clockutil\.Jitter reaches time\.Now via clockutil\.Stamp at some call depth`
 }
 
-// pickVictim reaches global rand through the helper package.
-func pickVictim() int {
-	return clockutil.Roll() // want `call to clockutil\.Roll reaches rand\.Intn at some call depth`
-}
-
 // retuneWindow is an adaptation decision; the core covers all of
 // internal/exec, so it gets the same rule as every other caller.
 func retuneWindow() int64 {

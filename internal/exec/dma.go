@@ -514,7 +514,7 @@ var (
 // t's buffer claim and no shard lock; residency, dirty bits and stats
 // stay theirs.
 func (vm *VM) transfer(x xfer, dev, peer int, t *tensor.Tensor, dst, src []float32) (time.Duration, error) {
-	cfg := vm.xferConfig()
+	cfg := vm.cfg
 	if err := vm.inject(cfg, x.op, dev, t); err != nil {
 		return 0, err
 	}

@@ -197,7 +197,7 @@ func (vm *VM) charge(bps int64, kind laneKind, dev, peer int, bytes int64) (star
 // What waits for its end is the tasks that read the result (await).
 // Returns the reservation, or two zero times when no link is modeled.
 func (vm *VM) chargeReduce(dev, replicas int, bytes int64) (start, end time.Time) {
-	bps := vm.xferConfig().bps
+	bps := vm.cfg.bps
 	if bps <= 0 {
 		return start, end
 	}

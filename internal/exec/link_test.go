@@ -38,7 +38,7 @@ func linkVM(devices int, bps int64, pol memory.Policy) (*VM, *sleepLog) {
 	clk := &sleepLog{}
 	vm := NewVM(devices, 1<<20, pol)
 	vm.clk = clk
-	vm.SetLinkBandwidth(bps)
+	vm.cfg.bps = bps
 	return vm, clk
 }
 
@@ -258,11 +258,11 @@ func TestLinkPathsAndSpans(t *testing.T) {
 	var spans []span
 	var mu sync.Mutex
 	record := func(vm *VM) {
-		vm.SetRecorder(func(dev int, lane trace.Lane, _ string, start, end time.Time) {
+		vm.cfg.rec = func(dev int, lane trace.Lane, _ string, start, end time.Time) {
 			mu.Lock()
 			spans = append(spans, span{dev, lane, start.Sub(time.Time{}), end.Sub(time.Time{})})
 			mu.Unlock()
-		})
+		}
 	}
 	busy := func(vm *VM) [3]time.Duration {
 		st := vm.LinkStats()
@@ -378,12 +378,12 @@ func TestLinkPathsAndSpans(t *testing.T) {
 func TestLinkOffReservesNothing(t *testing.T) {
 	vm, clk := linkVM(2, 0, memory.Policy{DirtyTracking: true, P2P: true})
 	var spans int
-	vm.SetRecorder(func(_ int, _ trace.Lane, _ string, start, end time.Time) {
+	vm.cfg.rec = func(_ int, _ trace.Lane, _ string, start, end time.Time) {
 		spans++
 		if !start.Equal(end) {
 			t.Errorf("span [%v, %v) on a clock that never moved", start, end)
 		}
-	})
+	}
 	a := page(vm, tensor.NewRegistry(), "a")
 	for _, dev := range []int{0, 1} { // swap-in, then p2p
 		if _, err := vm.Ensure(dev, a); err != nil {
@@ -429,7 +429,7 @@ func TestConcurrentLinkLanes(t *testing.T) {
 	one := linkTime(4<<10, bps)
 	pol := memory.Policy{DirtyTracking: true}
 	vm := NewVM(devices, 4*(4<<10), pol) // four of a device's six pages fit
-	vm.SetLinkBandwidth(bps)
+	vm.cfg.bps = bps
 	vm.StartEngine(0)
 	defer vm.Close()
 	reg := tensor.NewRegistry()

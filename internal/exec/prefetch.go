@@ -68,7 +68,7 @@ func (r *runRecorder) add(dev int, lane trace.Lane, label string, start, end tim
 // with a fresh trace.
 func (tr *Trainer) EnableTrace() *trace.Trace {
 	tr.rec = &runRecorder{epoch: tr.vm.clk.Now()}
-	tr.vm.SetRecorder(tr.rec.add)
+	tr.vm.cfg.rec = tr.rec.add
 	return &tr.rec.tr
 }
 

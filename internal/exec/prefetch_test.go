@@ -55,7 +55,7 @@ func TestEnsureRidesInFlightPrefetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	vm := NewVM(1, 500, memory.Policy{DirtyTracking: true})
-	vm.SetFaultInjection(inj, 3, nil)
+	vm.cfg.inj, vm.cfg.maxRetries = inj, 3
 	vm.StartEngine(400)
 	defer vm.Close()
 	vm.HostAlloc(a)
@@ -183,7 +183,7 @@ func TestWaitIdleSurfacesFatalAsyncFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	vm := NewVM(1, 500, memory.Policy{DirtyTracking: true})
-	vm.SetFaultInjection(inj, 3, nil)
+	vm.cfg.inj, vm.cfg.maxRetries = inj, 3
 	vm.StartEngine(400)
 	defer vm.Close()
 	vm.HostAlloc(a)

@@ -364,10 +364,14 @@ func (tr *Trainer) freshVM() {
 	}
 	tr.vm = NewVM(tr.cfg.Devices, tr.cfg.DeviceBytes, tr.s.MemPolicy)
 	tr.vm.clk = tr.clk
-	tr.vm.SetFaultInjection(tr.inj, tr.maxRetries(), func() int { return tr.step })
-	tr.vm.SetLinkBandwidth(tr.cfg.LinkBytesPerSec)
+	tr.vm.cfg = xferConfig{
+		bps:        tr.cfg.LinkBytesPerSec,
+		inj:        tr.inj,
+		maxRetries: tr.maxRetries(),
+		stepFn:     func() int { return tr.step },
+	}
 	if tr.rec != nil {
-		tr.vm.SetRecorder(tr.rec.add)
+		tr.vm.cfg.rec = tr.rec.add
 	}
 	if tr.pf != nil {
 		tr.vm.StartEngine(0) // default budget: half the device capacity

@@ -274,10 +274,12 @@ type VM struct {
 	budget   int64      // per-device cap on pfBytes
 	wg       sync.WaitGroup
 
-	// cfgMu guards the injectable knobs; a transfer reads them once
-	// (xferConfig), off the hot path.
-	cfgMu sync.Mutex
-	cfg   xferConfig
+	// cfg holds the transfer knobs. They are plain fields, written
+	// before the first transfer or between steps: freshVM sets them
+	// before any worker starts, and EnableTrace's write is ordered before
+	// the next step's transfers by the go statements that start its
+	// tasks and by vmShard.mu, which hands every queued copy to a worker.
+	cfg xferConfig
 }
 
 // xferConfig is what a transfer needs to know besides its operands.
@@ -287,25 +289,21 @@ type xferConfig struct {
 	// lane waits for that (link.go), so swap cost behaves like a PCIe
 	// transfer instead of a memcpy. 0 (or less) disables modeling.
 	bps int64
-	// rec, when non-nil, receives DMA spans (outside any lock) for the
-	// swap-overlap Gantt lanes.
+	// rec, when non-nil, receives DMA spans for the swap-overlap Gantt
+	// lanes. It is called outside all VM locks, on device-worker and DMA
+	// goroutines, and must be safe for concurrent use.
 	rec func(dev int, lane trace.Lane, label string, start, end time.Time)
-	// Fault injection (SetFaultInjection): inj decides whether a
-	// swap-in, swap-out or p2p copy about to run fails; transient
-	// failures are retried up to maxRetries times with fault.Backoff
-	// between attempts. Backoff sleeps run outside all locks — a
-	// stalled transfer stalls only its own buffer's waiters, never
-	// the other devices.
+	// Fault injection: inj decides whether a swap-in, swap-out or p2p
+	// copy about to run fails; transient failures are retried up to
+	// maxRetries times with fault.Backoff between attempts. Backoff
+	// sleeps run outside all locks — a stalled transfer stalls only its
+	// own buffer's waiters, never the other devices.
 	inj        *fault.Injector
 	maxRetries int
-	stepFn     func() int // current trainer step for fault site identity
-}
-
-// xferConfig snapshots the knobs for one transfer.
-func (vm *VM) xferConfig() xferConfig {
-	vm.cfgMu.Lock()
-	defer vm.cfgMu.Unlock()
-	return vm.cfg
+	// stepFn reports the current trainer step for fault site identity.
+	// It is called with no VM lock held and must not call back into the
+	// VM.
+	stepFn func() int
 }
 
 // NewVM creates n virtual devices with the given per-device capacity.
@@ -328,35 +326,6 @@ func NewVM(devices int, capacityBytes int64, pol memory.Policy) *VM {
 	}
 	vm.idle = sync.NewCond(&vm.engMu)
 	return vm
-}
-
-// SetFaultInjection arms the VM with a fault injector. stepFn reports
-// the current trainer step (called without any VM lock held; it must
-// not call back into the VM). Passing a nil injector disarms.
-func (vm *VM) SetFaultInjection(inj *fault.Injector, maxRetries int, stepFn func() int) {
-	vm.cfgMu.Lock()
-	defer vm.cfgMu.Unlock()
-	vm.cfg.inj = inj
-	vm.cfg.maxRetries = maxRetries
-	vm.cfg.stepFn = stepFn
-}
-
-// SetLinkBandwidth gives every modeled link — each device's and the
-// host uplink they share — this bandwidth (0 disables modeling; copies
-// then cost only their memcpy time).
-func (vm *VM) SetLinkBandwidth(bytesPerSec int64) {
-	vm.cfgMu.Lock()
-	defer vm.cfgMu.Unlock()
-	vm.cfg.bps = bytesPerSec
-}
-
-// SetRecorder installs a DMA span recorder (nil disarms). fn is
-// called outside all VM locks, on device-worker and DMA goroutines,
-// and must be safe for concurrent use.
-func (vm *VM) SetRecorder(fn func(dev int, lane trace.Lane, label string, start, end time.Time)) {
-	vm.cfgMu.Lock()
-	defer vm.cfgMu.Unlock()
-	vm.cfg.rec = fn
 }
 
 // inject consults cfg's injector for a transfer op touching tensor t

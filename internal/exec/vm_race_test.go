@@ -316,7 +316,7 @@ func TestEnsureHitTakesOnlyItsOwnShard(t *testing.T) {
 		}()
 		return done
 	}
-	others := []sync.Locker{&vm.engMu, &vm.cfgMu}
+	others := []sync.Locker{&vm.engMu}
 	for _, sh := range vm.shards {
 		if sh.dev != d {
 			others = append(others, &sh.mu)
@@ -339,7 +339,7 @@ func TestEnsureHitTakesOnlyItsOwnShard(t *testing.T) {
 		l.Unlock()
 	}
 	if blocked {
-		t.Fatalf("%d resident Ensure/Unpin pairs on gpu%d did not finish while the other shards, engMu and cfgMu were held: the hit path takes a lock another device can hold", pairs, d)
+		t.Fatalf("%d resident Ensure/Unpin pairs on gpu%d did not finish while the other shards and engMu were held: the hit path takes a lock another device can hold", pairs, d)
 	}
 
 	own := &vm.shards[d].mu

@@ -442,7 +442,7 @@ func TestZeroFillIsNotAFaultSite(t *testing.T) {
 	inj.Observe(func(e fault.Event) { fired = append(fired, e) })
 	step := 1
 	vm := NewVM(1, 500, tracking)
-	vm.SetFaultInjection(inj, 3, func() int { return step })
+	vm.cfg.inj, vm.cfg.maxRetries, vm.cfg.stepFn = inj, 3, func() int { return step }
 
 	vm.ZeroAlloc(dw)
 	buf, err := vm.Ensure(0, dw) // born zero: a fill, not a copy
