@@ -70,14 +70,18 @@ bench-test:
 race:
 	$(GO) test -race ./...
 
-# Contention-scaling smoke (part of `make check`): the sharded Ensure
-# hot path under a Zipf working set and under one goroutine per device
-# at 1..64 devices. The ns/op curve is the by-hand number; what it
-# shows — a resident Ensure takes no lock another device can hold — is
-# a test (TestEnsureHitTakesOnlyItsOwnShard), so this target only
-# proves both benches run clean.
+# Benchmark smoke (part of `make check`): the sharded Ensure hot path
+# under a Zipf working set and under one goroutine per device at 1..64
+# devices, and one iteration of each BenchmarkSimulate cell, the
+# benchmark whose CPU profile gives the simulator's per-layer rows (the
+# write-barrier share of the event loop, DESIGN.md §6). The ns/op
+# numbers are by hand; what the Ensure curve shows — a resident Ensure
+# takes no lock another device can hold — is a test
+# (TestEnsureHitTakesOnlyItsOwnShard), so this target only proves the
+# benches compile and run clean.
 bench-contend:
 	$(GO) test -run XXX -bench 'BenchmarkEnsureContended|BenchmarkVMEvictionZipf' -benchtime 10000x ./internal/exec/
+	$(GO) test -run XXX -bench BenchmarkSimulate -benchtime 1x .
 
 # The paired-run protocol that decides a performance claim
 # (EXPERIMENTS.md, "Making a performance claim"): per workload, PAIRS

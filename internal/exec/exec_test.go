@@ -16,9 +16,9 @@ import (
 func vmTensors(t *testing.T) (*tensor.Registry, *tensor.Tensor, *tensor.Tensor, *tensor.Tensor) {
 	t.Helper()
 	reg := tensor.NewRegistry()
-	a := reg.New("a", tensor.Weight, 400, 0, -1)
-	b := reg.New("b", tensor.Weight, 400, 1, -1)
-	c := reg.New("c", tensor.Weight, 400, 2, -1)
+	a := reg.Add(tensor.Weight, 400, 0, -1)
+	b := reg.Add(tensor.Weight, 400, 1, -1)
+	c := reg.Add(tensor.Weight, 400, 2, -1)
 	return reg, a, b, c
 }
 
@@ -96,7 +96,7 @@ func TestVMPinnedNeverEvicted(t *testing.T) {
 
 func TestVMCapacityRespected(t *testing.T) {
 	reg := tensor.NewRegistry()
-	big := reg.New("big", tensor.Weight, 1000, 0, -1)
+	big := reg.Add(tensor.Weight, 1000, 0, -1)
 	vm := NewVM(1, 500, memory.Policy{})
 	vm.HostAlloc(big)
 	if _, err := vm.Ensure(0, big); err == nil {

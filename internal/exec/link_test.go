@@ -237,8 +237,8 @@ func TestLinkExclusivity(t *testing.T) {
 }
 
 // page is one 4 KiB tensor with a host copy.
-func page(vm *VM, reg *tensor.Registry, name string) *tensor.Tensor {
-	ts := reg.New(name, tensor.Activation, 4<<10, 0, 0)
+func page(vm *VM, reg *tensor.Registry) *tensor.Tensor {
+	ts := reg.Add(tensor.Activation, 4<<10, 0, 0)
 	vm.HostAlloc(ts)
 	return ts
 }
@@ -290,7 +290,7 @@ func TestLinkPathsAndSpans(t *testing.T) {
 	reg := tensor.NewRegistry()
 	vm, clk := linkVM(2, bps, memory.Policy{DirtyTracking: true, P2P: true})
 	record(vm)
-	a, b := page(vm, reg, "a"), page(vm, reg, "b")
+	a, b := page(vm, reg), page(vm, reg)
 
 	ensure(vm, 0, a) // demand swap-in
 	expect(vm, "swap-in", [3]time.Duration{1 * ms, 0, 1 * ms})
@@ -363,7 +363,7 @@ func TestLinkPathsAndSpans(t *testing.T) {
 	// source's link and the uplink, in over the destination's and the
 	// uplink again.
 	vm2, _ := linkVM(2, bps, memory.Policy{DirtyTracking: true})
-	c := page(vm2, reg, "c")
+	c := page(vm2, reg)
 	ensure(vm2, 0, c)
 	if err := vm2.MarkDirty(c); err != nil {
 		t.Fatal(err)
@@ -384,7 +384,7 @@ func TestLinkOffReservesNothing(t *testing.T) {
 			t.Errorf("span [%v, %v) on a clock that never moved", start, end)
 		}
 	}
-	a := page(vm, tensor.NewRegistry(), "a")
+	a := page(vm, tensor.NewRegistry())
 	for _, dev := range []int{0, 1} { // swap-in, then p2p
 		if _, err := vm.Ensure(dev, a); err != nil {
 			t.Fatal(err)
@@ -436,7 +436,7 @@ func TestConcurrentLinkLanes(t *testing.T) {
 	sets := make([][]*tensor.Tensor, devices)
 	for d := range sets {
 		for i := 0; i < pages; i++ {
-			sets[d] = append(sets[d], page(vm, reg, tName("p", d, i)))
+			sets[d] = append(sets[d], page(vm, reg))
 		}
 	}
 	start := time.Now()

@@ -214,7 +214,7 @@ func TestFreshSliceTrimsSparesFirst(t *testing.T) {
 	vm := NewVM(1, 1000, tracking)
 	sh := vm.shards[0]
 	ensure := func(name string, bytes int64) *tensor.Tensor {
-		x := reg.New(name, tensor.Activation, bytes, 0, -1)
+		x := reg.Add(tensor.Activation, bytes, 0, -1)
 		vm.HostAlloc(x)
 		if _, err := vm.Ensure(0, x); err != nil {
 			t.Fatal(err)
@@ -229,7 +229,7 @@ func TestFreshSliceTrimsSparesFirst(t *testing.T) {
 		if err := vm.Free(x); err != nil {
 			t.Fatal(err)
 		}
-		checkHeld(t, vm, "after Free of "+x.Name)
+		checkHeld(t, vm, fmt.Sprintf("after Free of tensor %d", x.ID))
 	}
 	x := ensure("x", 400)
 	ensure("y", 200)

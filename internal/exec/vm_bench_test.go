@@ -23,7 +23,7 @@ func BenchmarkVMEviction(b *testing.B) {
 			vm := NewVM(1, int64(n)*bytes/2, memory.Policy{DirtyTracking: true})
 			ts := make([]*tensor.Tensor, n)
 			for i := range ts {
-				ts[i] = reg.New(fmt.Sprintf("t%d", i), tensor.Activation, bytes, i, -1)
+				ts[i] = reg.Add(tensor.Activation, bytes, i, -1)
 				vm.HostAlloc(ts[i])
 			}
 			// Fill the device: every Ensure below evicts exactly one

@@ -23,7 +23,7 @@ func BenchmarkVMEvictionZipf(b *testing.B) {
 			vm := NewVM(1, int64(n)*bytes/2, memory.Policy{DirtyTracking: true})
 			ts := make([]*tensor.Tensor, n)
 			for i := range ts {
-				ts[i] = reg.New(fmt.Sprintf("t%d", i), tensor.Activation, bytes, i, -1)
+				ts[i] = reg.Add(tensor.Activation, bytes, i, -1)
 				vm.HostAlloc(ts[i])
 			}
 			rng := rand.New(rand.NewSource(42))
@@ -68,7 +68,7 @@ func BenchmarkEnsureContended(b *testing.B) {
 			sets := make([][]*tensor.Tensor, devs)
 			for d := 0; d < devs; d++ {
 				for i := 0; i < perDev; i++ {
-					t := reg.New(fmt.Sprintf("d%dt%d", d, i), tensor.Activation, bytes, i, d)
+					t := reg.Add(tensor.Activation, bytes, i, d)
 					vm.HostAlloc(t)
 					sets[d] = append(sets[d], t)
 				}

@@ -47,19 +47,19 @@ func TestConcurrentVMHotPath(t *testing.T) {
 	for d := 0; d < devs; d++ {
 		wrote[d] = make([]bool, perDev)
 		for i := 0; i < perDev; i++ {
-			ts := reg.New(tName("p", d, i), tensor.Activation, bytes, i, d)
+			ts := reg.Add(tensor.Activation, bytes, i, d)
 			vm.HostAlloc(ts)[0] = -1
 			private[d] = append(private[d], ts)
 		}
 	}
 	var shared []*tensor.Tensor
 	for i := 0; i < nShared; i++ {
-		ts := reg.New(tName("s", 0, i), tensor.Weight, bytes, i, -1)
+		ts := reg.Add(tensor.Weight, bytes, i, -1)
 		vm.HostAlloc(ts)[0] = float32(100 + i)
 		shared = append(shared, ts)
 	}
 
-	flip := reg.New("flip", tensor.WeightGrad, bytes, 0, -1)
+	flip := reg.Add(tensor.WeightGrad, bytes, 0, -1)
 	vm.ZeroAlloc(flip)
 
 	var wg sync.WaitGroup
@@ -249,10 +249,6 @@ func TestConcurrentVMHotPath(t *testing.T) {
 	}
 }
 
-func tName(prefix string, d, i int) string {
-	return prefix + string(rune('a'+d)) + string(rune('0'+i))
-}
-
 type valueErr struct {
 	t         *tensor.Tensor
 	got, want float32
@@ -288,7 +284,7 @@ func TestEnsureHitTakesOnlyItsOwnShard(t *testing.T) {
 	defer vm.Close()
 	var set []*tensor.Tensor
 	for i := 0; i < perDev; i++ {
-		ts := reg.New(tName("h", d, i), tensor.Activation, bytes, i, d)
+		ts := reg.Add(tensor.Activation, bytes, i, d)
 		vm.HostAlloc(ts)
 		if _, err := vm.Ensure(d, ts); err != nil { // resident from here on
 			t.Fatal(err)

@@ -55,7 +55,7 @@ func zeroedPage(t *testing.T, vm *VM, dev int, ts *tensor.Tensor) {
 // as the device, then frees that page again.
 func evictAll(t *testing.T, vm *VM, dev int) {
 	t.Helper()
-	filler := &tensor.Tensor{ID: 1 << 20, Name: "filler", Kind: tensor.Workspace, Bytes: vm.capacity}
+	filler := &tensor.Tensor{ID: 1 << 20, Kind: tensor.Workspace, Bytes: vm.capacity}
 	if _, err := vm.Alloc(dev, filler); err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestVictimPrefersZeroPages(t *testing.T) {
 // known-zero page (no copy, so nothing for the rule to fire on).
 func TestZeroFillIsNotAFaultSite(t *testing.T) {
 	reg := tensor.NewRegistry()
-	dw := reg.New("dW3", tensor.WeightGrad, 400, 3, -1)
+	dw := reg.Add(tensor.WeightGrad, 400, 3, -1)
 	inj, err := fault.Parse("op=swap-out,layer=3,mode=delay,delay=1us,count=0;op=swap-in,layer=3,mode=delay,delay=1us,count=0", 1)
 	if err != nil {
 		t.Fatal(err)

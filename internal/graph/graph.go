@@ -213,10 +213,12 @@ type builder struct {
 	links []*Task
 }
 
-// newBuilder starts a graph of exactly n tasks.
-func newBuilder(cfg Config, n int) *builder {
+// newBuilder starts a graph of exactly n tasks and nt tensors.
+func newBuilder(cfg Config, n, nt int) *builder {
+	reg := tensor.NewRegistry()
+	reg.Grow(nt)
 	return &builder{
-		g:    &Graph{Cfg: cfg, Reg: tensor.NewRegistry(), Tasks: make([]*Task, 0, n)},
+		g:    &Graph{Cfg: cfg, Reg: reg, Tasks: make([]*Task, 0, n)},
 		slab: make([]Task, n),
 	}
 }
@@ -305,7 +307,9 @@ func Build(cfg Config) (*Graph, error) {
 	if N == 1 {
 		n -= R
 	}
-	b := newBuilder(cfg, n)
+	// W, dW and K per replica and layer; Act (R+1 of them), Stash (R) and
+	// Grad (R−1) per replica and microbatch.
+	b := newBuilder(cfg, n, N*3*R*(m+1))
 	g := b.g
 
 	// Tensors.
@@ -325,10 +329,10 @@ func Build(cfg Config) (*Graph, error) {
 		for l := 0; l < R; l++ {
 			spec := cfg.Model.Layers[l]
 			wb := spec.WeightBytes()
-			g.W[r][l] = g.Reg.New(fmt.Sprintf("r%d.W.L%d", r, l), tensor.Weight, wb, l, -1)
-			g.DW[r][l] = g.Reg.New(fmt.Sprintf("r%d.dW.L%d", r, l), tensor.WeightGrad, wb, l, -1)
+			g.W[r][l] = g.Reg.Add(tensor.Weight, wb, l, -1)
+			g.DW[r][l] = g.Reg.Add(tensor.WeightGrad, wb, l, -1)
 			kb := int64(float64(wb) * cfg.Model.OptStateParamsFactor)
-			g.K[r][l] = g.Reg.New(fmt.Sprintf("r%d.K.L%d", r, l), tensor.OptState, kb, l, -1)
+			g.K[r][l] = g.Reg.Add(tensor.OptState, kb, l, -1)
 		}
 		for l := 0; l <= R; l++ {
 			for i := 0; i < m; i++ {
@@ -338,13 +342,13 @@ func Build(cfg Config) (*Graph, error) {
 				} else {
 					actBytes = cfg.Model.Layers[l-1].ActBytesPerSample * mb
 				}
-				g.Act[r][l][i] = g.Reg.New(fmt.Sprintf("r%d.A.L%d.mb%d", r, l, i), tensor.Activation, actBytes, l, i)
+				g.Act[r][l][i] = g.Reg.Add(tensor.Activation, actBytes, l, i)
 				// Gradient w.r.t. Act[l], same size. Only interior
 				// indices exist: Grad[0] (input gradient) is never
 				// computed and Grad[R] (loss gradient) is produced
 				// inside the last backward task.
 				if l >= 1 && l <= R-1 {
-					g.Grad[r][l][i] = g.Reg.New(fmt.Sprintf("r%d.G.L%d.mb%d", r, l, i), tensor.ActivationGrad, actBytes, l, i)
+					g.Grad[r][l][i] = g.Reg.Add(tensor.ActivationGrad, actBytes, l, i)
 				}
 				if l < R {
 					sb := cfg.Model.Layers[l].StashBytesPerSample * mb
@@ -353,7 +357,7 @@ func Build(cfg Config) (*Graph, error) {
 						// recomputes the rest.
 						sb = actBytes
 					}
-					g.Stash[r][l][i] = g.Reg.New(fmt.Sprintf("r%d.S.L%d.mb%d", r, l, i), tensor.Stash, sb, l, i)
+					g.Stash[r][l][i] = g.Reg.Add(tensor.Stash, sb, l, i)
 				}
 			}
 		}

@@ -334,7 +334,7 @@ func TestTaskListsAreCarvedApart(t *testing.T) {
 			}
 			before[i] = l
 		}
-		stray, strayTask := &tensor.Tensor{Name: "stray"}, &Task{ID: -1}
+		stray, strayTask := &tensor.Tensor{ID: -1}, &Task{ID: -1}
 		for _, task := range g.Tasks {
 			_ = append(task.Inputs, stray)
 			_ = append(task.Deps, strayTask)

@@ -1,8 +1,6 @@
 package graph
 
 import (
-	"fmt"
-
 	"harmony/internal/models"
 	"harmony/internal/tensor"
 )
@@ -24,8 +22,10 @@ func buildTP(cfg Config) (*Graph, error) {
 	mb := int64(cfg.MicrobatchSize)
 	// Forward and backward per shard, layer and microbatch, an update per
 	// shard and layer, a forward gather per layer and microbatch and a
-	// backward gather per interior layer and microbatch.
-	b := newBuilder(cfg, K*R*(2*m+1)+(2*R-1)*m)
+	// backward gather per interior layer and microbatch. Tensors: W, dW
+	// and K per shard and layer; Act (R+1), PartialAct (R), Grad and
+	// PartialGrad (R−1 each) and Stash (R) per shard and microbatch.
+	b := newBuilder(cfg, K*R*(2*m+1)+(2*R-1)*m, K*(3*R+(5*R-1)*m))
 	g := b.g
 
 	// shardBytes splits bytes across K shards exactly (remainder spread
@@ -59,10 +59,10 @@ func buildTP(cfg Config) (*Graph, error) {
 		for l := 0; l < R; l++ {
 			spec := cfg.Model.Layers[l]
 			wb := shardBytes(spec.WeightBytes(), s)
-			g.W[s][l] = g.Reg.New(fmt.Sprintf("s%d.W.L%d", s, l), tensor.Weight, wb, l, -1)
-			g.DW[s][l] = g.Reg.New(fmt.Sprintf("s%d.dW.L%d", s, l), tensor.WeightGrad, wb, l, -1)
+			g.W[s][l] = g.Reg.Add(tensor.Weight, wb, l, -1)
+			g.DW[s][l] = g.Reg.Add(tensor.WeightGrad, wb, l, -1)
 			kb := int64(float64(wb) * cfg.Model.OptStateParamsFactor)
-			g.K[s][l] = g.Reg.New(fmt.Sprintf("s%d.K.L%d", s, l), tensor.OptState, kb, l, -1)
+			g.K[s][l] = g.Reg.Add(tensor.OptState, kb, l, -1)
 		}
 		for l := 0; l <= R; l++ {
 			var actBytes int64
@@ -74,24 +74,20 @@ func buildTP(cfg Config) (*Graph, error) {
 			for i := 0; i < m; i++ {
 				// Full activation replica on each shard. Layer 0 is
 				// the input batch, replicated by the data loader.
-				g.Act[s][l][i] = g.Reg.New(fmt.Sprintf("s%d.A.L%d.mb%d", s, l, i), tensor.Activation, actBytes, l, i)
+				g.Act[s][l][i] = g.Reg.Add(tensor.Activation, actBytes, l, i)
 				if l >= 1 {
-					g.PartialAct[s][l][i] = g.Reg.New(fmt.Sprintf("s%d.PA.L%d.mb%d", s, l, i),
-						tensor.Activation, shardBytes(actBytes, s), l, i)
+					g.PartialAct[s][l][i] = g.Reg.Add(tensor.Activation, shardBytes(actBytes, s), l, i)
 				}
 				if l >= 1 && l <= R-1 {
-					g.Grad[s][l][i] = g.Reg.New(fmt.Sprintf("s%d.G.L%d.mb%d", s, l, i),
-						tensor.ActivationGrad, actBytes, l, i)
-					g.PartialGrad[s][l][i] = g.Reg.New(fmt.Sprintf("s%d.PG.L%d.mb%d", s, l, i),
-						tensor.ActivationGrad, shardBytes(actBytes, s), l, i)
+					g.Grad[s][l][i] = g.Reg.Add(tensor.ActivationGrad, actBytes, l, i)
+					g.PartialGrad[s][l][i] = g.Reg.Add(tensor.ActivationGrad, shardBytes(actBytes, s), l, i)
 				}
 				if l < R {
 					sb := cfg.Model.Layers[l].StashBytesPerSample * mb
 					if cfg.Recompute {
 						sb = actBytes
 					}
-					g.Stash[s][l][i] = g.Reg.New(fmt.Sprintf("s%d.S.L%d.mb%d", s, l, i),
-						tensor.Stash, shardBytes(sb, s), l, i)
+					g.Stash[s][l][i] = g.Reg.Add(tensor.Stash, shardBytes(sb, s), l, i)
 				}
 			}
 		}

@@ -1,7 +1,6 @@
 package memory
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -52,7 +51,7 @@ func acquireSync(t *testing.T, m *Manager, dev hw.DeviceID, in, out []*tensor.Te
 
 func TestAcquireSwapsInFromHost(t *testing.T) {
 	r := newRig(t, 1000)
-	w := r.reg.New("w", tensor.Weight, 400, 0, -1)
+	w := r.reg.Add(tensor.Weight, 400, 0, -1)
 	m := New(r.eng, r.top, r.reg, Policy{})
 	if err := m.InitHost(w); err != nil {
 		t.Fatal(err)
@@ -77,7 +76,7 @@ func TestAcquireSwapsInFromHost(t *testing.T) {
 
 func TestAcquireResidentIsInstant(t *testing.T) {
 	r := newRig(t, 1000)
-	w := r.reg.New("w", tensor.Weight, 400, 0, -1)
+	w := r.reg.Add(tensor.Weight, 400, 0, -1)
 	m := New(r.eng, r.top, r.reg, Policy{})
 	if err := m.InitHost(w); err != nil {
 		t.Fatal(err)
@@ -103,8 +102,8 @@ func TestAcquireResidentIsInstant(t *testing.T) {
 
 func TestEvictionWritebackWithoutDirtyTracking(t *testing.T) {
 	r := newRig(t, 1000)
-	a := r.reg.New("a", tensor.Weight, 600, 0, -1)
-	b := r.reg.New("b", tensor.Weight, 600, 1, -1)
+	a := r.reg.Add(tensor.Weight, 600, 0, -1)
+	b := r.reg.Add(tensor.Weight, 600, 1, -1)
 	m := New(r.eng, r.top, r.reg, Policy{}) // naive: always write back
 	if err := m.InitHost(a, b); err != nil {
 		t.Fatal(err)
@@ -135,8 +134,8 @@ func TestEvictionWritebackWithoutDirtyTracking(t *testing.T) {
 
 func TestEvictionDropWithDirtyTracking(t *testing.T) {
 	r := newRig(t, 1000)
-	a := r.reg.New("a", tensor.Weight, 600, 0, -1)
-	b := r.reg.New("b", tensor.Weight, 600, 1, -1)
+	a := r.reg.Add(tensor.Weight, 600, 0, -1)
+	b := r.reg.Add(tensor.Weight, 600, 1, -1)
 	m := New(r.eng, r.top, r.reg, Policy{DirtyTracking: true})
 	if err := m.InitHost(a, b); err != nil {
 		t.Fatal(err)
@@ -162,8 +161,8 @@ func TestEvictionDropWithDirtyTracking(t *testing.T) {
 
 func TestDirtyTensorAlwaysWrittenBack(t *testing.T) {
 	r := newRig(t, 1000)
-	a := r.reg.New("a", tensor.Weight, 600, 0, -1)
-	b := r.reg.New("b", tensor.Weight, 600, 1, -1)
+	a := r.reg.Add(tensor.Weight, 600, 0, -1)
+	b := r.reg.Add(tensor.Weight, 600, 1, -1)
 	m := New(r.eng, r.top, r.reg, Policy{DirtyTracking: true})
 	if err := m.InitHost(a, b); err != nil {
 		t.Fatal(err)
@@ -187,9 +186,9 @@ func TestDirtyTensorAlwaysWrittenBack(t *testing.T) {
 
 func TestLRUVictimSelection(t *testing.T) {
 	r := newRig(t, 1000)
-	a := r.reg.New("a", tensor.Weight, 400, 0, -1)
-	b := r.reg.New("b", tensor.Weight, 400, 1, -1)
-	c := r.reg.New("c", tensor.Weight, 400, 2, -1)
+	a := r.reg.Add(tensor.Weight, 400, 0, -1)
+	b := r.reg.Add(tensor.Weight, 400, 1, -1)
+	c := r.reg.Add(tensor.Weight, 400, 2, -1)
 	m := New(r.eng, r.top, r.reg, Policy{DirtyTracking: true})
 	if err := m.InitHost(a, b, c); err != nil {
 		t.Fatal(err)
@@ -217,7 +216,7 @@ func TestLRUVictimSelection(t *testing.T) {
 
 func TestP2PMigration(t *testing.T) {
 	r := newRig(t, 1000)
-	x := r.reg.New("x", tensor.Activation, 500, 0, 0)
+	x := r.reg.Add(tensor.Activation, 500, 0, 0)
 	m := New(r.eng, r.top, r.reg, Policy{P2P: true, DirtyTracking: true})
 	if err := m.InitHost(x); err != nil {
 		t.Fatal(err)
@@ -250,7 +249,7 @@ func TestP2PMigration(t *testing.T) {
 
 func TestHostBounceWithoutP2P(t *testing.T) {
 	r := newRig(t, 1000)
-	x := r.reg.New("x", tensor.Activation, 500, 0, 0)
+	x := r.reg.Add(tensor.Activation, 500, 0, 0)
 	m := New(r.eng, r.top, r.reg, Policy{P2P: false})
 	if err := m.InitHost(x); err != nil {
 		t.Fatal(err)
@@ -281,8 +280,8 @@ func TestHostBounceWithoutP2P(t *testing.T) {
 
 func TestOutputsAndWorkspace(t *testing.T) {
 	r := newRig(t, 1000)
-	in := r.reg.New("in", tensor.Activation, 300, 0, 0)
-	out := r.reg.New("out", tensor.Activation, 300, 1, 0)
+	in := r.reg.Add(tensor.Activation, 300, 0, 0)
+	out := r.reg.Add(tensor.Activation, 300, 1, 0)
 	m := New(r.eng, r.top, r.reg, Policy{})
 	if err := m.InitHost(in); err != nil {
 		t.Fatal(err)
@@ -312,7 +311,7 @@ func TestOutputsAndWorkspace(t *testing.T) {
 
 func TestInfeasibleTaskFails(t *testing.T) {
 	r := newRig(t, 1000)
-	big := r.reg.New("big", tensor.Weight, 2000, 0, -1)
+	big := r.reg.Add(tensor.Weight, 2000, 0, -1)
 	m := New(r.eng, r.top, r.reg, Policy{})
 	if err := m.InitHost(big); err != nil {
 		t.Fatal(err)
@@ -327,7 +326,7 @@ func TestInfeasibleTaskFails(t *testing.T) {
 
 func TestUnmaterializedInputFails(t *testing.T) {
 	r := newRig(t, 1000)
-	ghost := r.reg.New("ghost", tensor.Activation, 100, 0, 0)
+	ghost := r.reg.Add(tensor.Activation, 100, 0, 0)
 	m := New(r.eng, r.top, r.reg, Policy{})
 	var failed error
 	m.Acquire(0, []*tensor.Tensor{ghost}, nil, 0, func() { t.Error("granted") }, func(err error) { failed = err })
@@ -341,8 +340,8 @@ func TestUnmaterializedInputFails(t *testing.T) {
 
 func TestPrefetch(t *testing.T) {
 	r := newRig(t, 1000)
-	w := r.reg.New("w", tensor.Weight, 400, 0, -1)
-	big := r.reg.New("big", tensor.Weight, 900, 1, -1)
+	w := r.reg.Add(tensor.Weight, 400, 0, -1)
+	big := r.reg.Add(tensor.Weight, 900, 1, -1)
 	m := New(r.eng, r.top, r.reg, Policy{})
 	if err := m.InitHost(w, big); err != nil {
 		t.Fatal(err)
@@ -367,8 +366,8 @@ func TestPrefetch(t *testing.T) {
 
 func TestDemandAccounting(t *testing.T) {
 	r := newRig(t, 1000)
-	a := r.reg.New("a", tensor.Weight, 800, 0, -1)
-	b := r.reg.New("b", tensor.Weight, 800, 1, -1)
+	a := r.reg.Add(tensor.Weight, 800, 0, -1)
+	b := r.reg.Add(tensor.Weight, 800, 1, -1)
 	m := New(r.eng, r.top, r.reg, Policy{})
 	if err := m.InitHost(a, b); err != nil {
 		t.Fatal(err)
@@ -393,9 +392,9 @@ func TestDemandAccounting(t *testing.T) {
 
 func TestLookaheadEvictionPicksFarthestUse(t *testing.T) {
 	r := newRig(t, 1000)
-	a := r.reg.New("a", tensor.Weight, 400, 0, -1)
-	b := r.reg.New("b", tensor.Weight, 400, 1, -1)
-	c := r.reg.New("c", tensor.Weight, 400, 2, -1)
+	a := r.reg.Add(tensor.Weight, 400, 0, -1)
+	b := r.reg.Add(tensor.Weight, 400, 1, -1)
+	c := r.reg.Add(tensor.Weight, 400, 2, -1)
 	m := New(r.eng, r.top, r.reg, Policy{DirtyTracking: true, Lookahead: true})
 	// Oracle: a is needed soon (position 1), b much later (position
 	// 99). LRU would evict a (older); lookahead must evict b.
@@ -434,8 +433,8 @@ func TestLookaheadEvictionPicksFarthestUse(t *testing.T) {
 
 func TestLookaheadFallsBackToLRUWithoutOracle(t *testing.T) {
 	r := newRig(t, 1000)
-	a := r.reg.New("a", tensor.Weight, 600, 0, -1)
-	b := r.reg.New("b", tensor.Weight, 600, 1, -1)
+	a := r.reg.Add(tensor.Weight, 600, 0, -1)
+	b := r.reg.Add(tensor.Weight, 600, 1, -1)
 	m := New(r.eng, r.top, r.reg, Policy{DirtyTracking: true, Lookahead: true})
 	// No NextUse installed: plain LRU must still work.
 	if err := m.InitHost(a, b); err != nil {
@@ -475,7 +474,7 @@ func TestManagerRandomWorkloadInvariants(t *testing.T) {
 		reg := tensor.NewRegistry()
 		var tensors []*tensor.Tensor
 		for i := 0; i < 6; i++ {
-			tensors = append(tensors, reg.New(fmt.Sprintf("t%d", i), tensor.Weight, int64(200+rng.Intn(400)), i, -1))
+			tensors = append(tensors, reg.Add(tensor.Weight, int64(200+rng.Intn(400)), i, -1))
 		}
 		m := New(eng, top, reg, Policy{DirtyTracking: dirty, P2P: p2p})
 		if err := m.InitHost(tensors...); err != nil {
@@ -617,8 +616,8 @@ func TestManagerRandomWorkloadInvariants(t *testing.T) {
 // what a task means, so the request is refused up front.
 func TestAcquireRejectsDuplicateInput(t *testing.T) {
 	r := newRig(t, 1000)
-	w := r.reg.New("w", tensor.Weight, 400, 0, -1)
-	other := r.reg.New("other", tensor.Weight, 100, 1, -1)
+	w := r.reg.Add(tensor.Weight, 400, 0, -1)
+	other := r.reg.Add(tensor.Weight, 100, 1, -1)
 	m := New(r.eng, r.top, r.reg, Policy{})
 	if err := m.InitHost(w, other); err != nil {
 		t.Fatal(err)
@@ -651,7 +650,7 @@ func TestAcquireRejectsDuplicateInput(t *testing.T) {
 func TestPrefetchRacingAcquire(t *testing.T) {
 	for _, prefetchFirst := range []bool{true, false} {
 		r := newRig(t, 1000)
-		w := r.reg.New("w", tensor.Weight, 400, 0, -1)
+		w := r.reg.Add(tensor.Weight, 400, 0, -1)
 		m := New(r.eng, r.top, r.reg, Policy{})
 		if err := m.InitHost(w); err != nil {
 			t.Fatal(err)
@@ -697,7 +696,7 @@ func TestConcurrentFreeAndStats(t *testing.T) {
 	r := newRig(t, 1<<20)
 	var ts []*tensor.Tensor
 	for i := 0; i < n; i++ {
-		ts = append(ts, r.reg.New(fmt.Sprintf("a%d", i), tensor.Activation, size, 0, -1))
+		ts = append(ts, r.reg.Add(tensor.Activation, size, 0, -1))
 	}
 	m := New(r.eng, r.top, r.reg, Policy{})
 	if err := m.InitHost(ts...); err != nil {
@@ -752,8 +751,8 @@ func TestConcurrentFreeAndStats(t *testing.T) {
 // transfer records and the engine's joins: once warm, neither allocates.
 func TestAcquireReleaseAllocs(t *testing.T) {
 	r := newRig(t, 1000)
-	w := r.reg.New("w", tensor.Weight, 400, 0, -1)
-	k := r.reg.New("k", tensor.OptState, 400, 0, -1)
+	w := r.reg.Add(tensor.Weight, 400, 0, -1)
+	k := r.reg.Add(tensor.OptState, 400, 0, -1)
 	m := New(r.eng, r.top, r.reg, Policy{DirtyTracking: true})
 	if err := m.InitHost(w, k); err != nil {
 		t.Fatal(err)
@@ -777,8 +776,8 @@ func TestAcquireReleaseAllocs(t *testing.T) {
 	// a and b do not fit together, and each is released dirty: every
 	// acquire writes the other back and swaps its own tensor in.
 	r = newRig(t, 1000)
-	a := r.reg.New("a", tensor.Weight, 600, 0, -1)
-	b := r.reg.New("b", tensor.Weight, 600, 1, -1)
+	a := r.reg.Add(tensor.Weight, 600, 0, -1)
+	b := r.reg.Add(tensor.Weight, 600, 1, -1)
 	m = New(r.eng, r.top, r.reg, Policy{DirtyTracking: true})
 	if err := m.InitHost(a, b); err != nil {
 		t.Fatal(err)
@@ -812,10 +811,10 @@ func TestAcquireReleaseAllocs(t *testing.T) {
 // and the acquires that follow complete with the right stats.
 func TestFailedAcquireIsNeverRecycled(t *testing.T) {
 	r := newRig(t, 1000)
-	w := r.reg.New("w", tensor.Weight, 400, 0, -1)
-	k := r.reg.New("k", tensor.Weight, 300, 1, -1)
-	y := r.reg.New("y", tensor.Weight, 800, 2, -1) // k and y never fit together
-	ghost := r.reg.New("ghost", tensor.Activation, 100, 3, 0)
+	w := r.reg.Add(tensor.Weight, 400, 0, -1)
+	k := r.reg.Add(tensor.Weight, 300, 1, -1)
+	y := r.reg.Add(tensor.Weight, 800, 2, -1) // k and y never fit together
+	ghost := r.reg.Add(tensor.Activation, 100, 3, 0)
 	m := New(r.eng, r.top, r.reg, Policy{DirtyTracking: true})
 	if err := m.InitHost(w, k, y); err != nil {
 		t.Fatal(err)

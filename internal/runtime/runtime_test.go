@@ -541,14 +541,18 @@ func TestRunAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Measured: 0.62 allocations per task (439 per Run). Of those, the
+	// Measured: 0.63 allocations per task (446 per Run). Of those, the
 	// 16 all-reduces' rings and chunk callbacks are 128 and their
 	// collective records 80; the rest is set-up — topology, manager,
-	// runner tables, heap and free-list growth — and each iteration's
-	// input list. Before the records were recycled this plan moved 3.4
-	// tensors per task at a join, a completion closure and an acquire
-	// record each, 9.1 allocations per task; the parent of the change
-	// that introduced this test measured 116. Budget: 0.62 plus 25 %.
+	// runner tables, the growth of the event heap, its callback slots,
+	// the FIFO completion records and their free lists — and each
+	// iteration's input list. The slot and record tables that keep the
+	// heap and the FIFO queues pointer-free cost 7 more than the 439 of
+	// the pointer-holding heap. Before the records were recycled this
+	// plan moved 3.4 tensors per task at a join, a completion closure and
+	// an acquire record each, 9.1 allocations per task; the parent of the
+	// change that introduced this test measured 116. Budget: 0.62 plus
+	// 25 %, kept: 0.63 plus 25 % would be looser.
 	const budget = 0.78
 	perTask := allocs / float64(iters*len(g.Tasks))
 	t.Logf("%.0f allocations per Run, %d tasks × %d iterations: %.2f per task", allocs, len(g.Tasks), iters, perTask)

@@ -5,6 +5,14 @@
 // DMA copy engine or one direction of a link, and Chain, which holds
 // several FIFOs for one transfer and completes at the slowest.
 //
+// The records the loop moves most — a heap event, a queued FIFO request
+// — hold no pointer. An event names its callback by a slot in the
+// engine's callback table, and a request names its start and done
+// callbacks by an index into the engine's completion records, one per
+// Acquire and one shared by all the resources of a Chain. So sifting the
+// heap and copying a queue take no write barrier while a garbage
+// collection marks, and the collector never scans their arrays.
+//
 // Callbacks run as engine events on the goroutine that calls Run. A
 // FIFO's done callback runs after the server has been marked idle and
 // its statistics updated but before the next queued request is
@@ -36,11 +44,14 @@ const Infinity = Time(math.MaxFloat64)
 
 // event is a callback scheduled at a point in virtual time. Ties are
 // broken by seq, the order in which events were scheduled, which makes
-// the simulation fully deterministic.
+// the simulation fully deterministic. The callback itself lives in the
+// engine's slot table, so an event holds no pointer: the heap's array is
+// never scanned, and sifting it takes no write barrier while the
+// garbage collector marks.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+	at   Time
+	seq  uint64
+	slot int32 // index into Engine.fns
 }
 
 // before orders events by (at, seq).
@@ -59,10 +70,17 @@ type Engine struct {
 	seq uint64
 	// events is a binary min-heap on (at, seq), held by value so that
 	// scheduling an event allocates nothing once the slice has grown.
-	events  []event
-	stopped bool
-	// joins are spent Chain joins, reused by the next Chain.
-	joins []*join
+	events []event
+	// fns[ev.slot] is a pending event's callback; freeFns are the slots
+	// of events already run. At stores a callback once and Run clears
+	// it once, however far the event moves in the heap.
+	fns     []func()
+	freeFns []int32
+	// recs are the completion records of FIFO requests (see resource.go);
+	// freeRecs are the indices of those no request refers to any more.
+	recs     []record
+	freeRecs []int32
+	stopped  bool
 
 	// Processed counts events executed; useful as a progress and
 	// runaway-loop diagnostic.
@@ -88,7 +106,16 @@ func (e *Engine) At(t Time, fn func()) {
 	if !(t >= e.now) { // also true for NaN, which no comparison orders
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	e.push(event{at: t, seq: e.seq, fn: fn})
+	var slot int32
+	if n := len(e.freeFns) - 1; n >= 0 {
+		slot = e.freeFns[n]
+		e.freeFns = e.freeFns[:n]
+		e.fns[slot] = fn
+	} else {
+		slot = int32(len(e.fns))
+		e.fns = append(e.fns, fn)
+	}
+	e.push(event{at: t, seq: e.seq, slot: slot})
 	e.seq++
 }
 
@@ -100,17 +127,14 @@ func (e *Engine) After(d Time, fn func()) {
 	e.At(e.now+d, fn)
 }
 
-// push sifts ev up from a new leaf. The leaf is opened without a store
-// (spare capacity is zero: pop zeroes what it vacates), so an event that
-// stays at the leaf is written once.
+// push sifts ev up from a new leaf. e.events is only ever re-sliced in
+// place (e.events = append(e.events, …) or e.events[:n]), which writes
+// the length alone: storing a local slice header back into the engine
+// would take a write barrier on every push and pop.
 func (e *Engine) push(ev event) {
+	i := len(e.events)
+	e.events = append(e.events, ev)
 	h := e.events
-	i := len(h)
-	if i < cap(h) {
-		h = h[:i+1]
-	} else {
-		h = append(h, event{})
-	}
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !ev.before(&h[parent]) {
@@ -120,18 +144,15 @@ func (e *Engine) push(ev event) {
 		i = parent
 	}
 	h[i] = ev
-	e.events = h
 }
 
-// pop removes the earliest event. The vacated slot is zeroed so the
-// backing array does not keep the callback's closure alive.
+// pop removes the earliest event.
 func (e *Engine) pop() event {
 	h := e.events
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{}
-	h = h[:n]
+	e.events = e.events[:n]
 	if n > 0 {
 		i := 0
 		for {
@@ -150,7 +171,6 @@ func (e *Engine) pop() event {
 		}
 		h[i] = last
 	}
-	e.events = h
 	return top
 }
 
@@ -164,6 +184,11 @@ func (e *Engine) Run() (Time, error) {
 	e.stopped = false
 	for len(e.events) > 0 && !e.stopped {
 		ev := e.pop()
+		// The slot is freed before the callback runs, so the events it
+		// schedules may reuse it.
+		fn := e.fns[ev.slot]
+		e.fns[ev.slot] = nil
+		e.freeFns = append(e.freeFns, ev.slot)
 		if ev.at < e.now {
 			return e.now, fmt.Errorf("sim: time went backwards: %v -> %v", e.now, ev.at)
 		}
@@ -172,7 +197,7 @@ func (e *Engine) Run() (Time, error) {
 		if e.Limit > 0 && e.Processed > e.Limit {
 			return e.now, fmt.Errorf("sim: event limit %d exceeded at t=%v", e.Limit, e.now)
 		}
-		ev.fn()
+		fn()
 	}
 	return e.now, nil
 }

@@ -220,10 +220,11 @@ func TestChainCompletesAtSlowest(t *testing.T) {
 	}
 }
 
-// TestChainReusesSpentJoins: a join goes back on the engine's free list
-// after its last arrival, so a Chain started from a done callback reuses
-// it while another Chain is still counting down its own join.
-func TestChainReusesSpentJoins(t *testing.T) {
+// TestChainReusesSpentRecords: a completion record goes back on the
+// engine's free list after its last arrival, so a Chain started from a
+// done callback reuses it while another Chain is still counting down its
+// own record.
+func TestChainReusesSpentRecords(t *testing.T) {
 	e := NewEngine()
 	a, b, c := NewFIFO(e, "a"), NewFIFO(e, "b"), NewFIFO(e, "c")
 	var first, second, third Time
@@ -239,8 +240,8 @@ func TestChainReusesSpentJoins(t *testing.T) {
 	if first != 1 || second != 3 || third != 4 {
 		t.Fatalf("chains done at %v, %v, %v; want 1, 3, 4", first, second, third)
 	}
-	if len(e.joins) != 2 {
-		t.Fatalf("%d spent joins, want 2: the third chain reuses the first's", len(e.joins))
+	if len(e.recs) != 2 || len(e.freeRecs) != 2 {
+		t.Fatalf("%d records, %d free; want 2 and 2: the third chain reuses the first's", len(e.recs), len(e.freeRecs))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -100,18 +101,30 @@ func TestNaNTimePanics(t *testing.T) {
 	nan := Time(math.NaN())
 	e := NewEngine()
 	f := NewFIFO(e, "f")
+	// Spent records on the free list, for the rejected calls to take.
+	f.Acquire(1, nil, nil)
+	Chain(e, []*FIFO{f, NewFIFO(e, "g")}, 1, func(Time) {})
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
 	mustPanic(t, "At(NaN)", func() { e.At(nan, func() {}) })
 	mustPanic(t, "After(NaN)", func() { e.After(nan, func() {}) })
 	mustPanic(t, "Acquire(NaN)", func() { f.Acquire(nan, nil, nil) })
 	mustPanic(t, "Chain(NaN) over a resource", func() { Chain(e, []*FIFO{f}, nan, func(Time) {}) })
 	mustPanic(t, "Chain(NaN) over none", func() { Chain(e, nil, nan, func(Time) {}) })
+	mustPanic(t, "Acquire(-1)", func() { f.Acquire(-1, nil, nil) })
+	mustPanic(t, "Chain(-1) over a resource", func() { Chain(e, []*FIFO{f}, -1, func(Time) {}) })
 	if len(e.events) != 0 || f.busy || len(f.queue) != 0 {
 		t.Fatalf("a rejected request left state behind: %d events, busy=%v, %d queued", len(e.events), f.busy, len(f.queue))
 	}
+	if len(e.freeRecs) != len(e.recs) {
+		t.Fatalf("a rejected request took a record: %d of %d records free", len(e.freeRecs), len(e.recs))
+	}
 	// The clock stays usable.
-	e.At(2, func() {})
-	e.At(1, func() {})
-	if end, err := e.Run(); err != nil || end != 2 {
+	now := e.Now()
+	e.After(2, func() {})
+	e.After(1, func() {})
+	if end, err := e.Run(); err != nil || end != now+2 {
 		t.Fatalf("Run = %v, %v", end, err)
 	}
 }
@@ -277,6 +290,40 @@ func TestSteadyStateAllocs(t *testing.T) {
 		Chain(e, res, 1, done)
 		e.Run()
 	}); n != 0 {
-		t.Errorf("Chain over 3 resources: %v allocs, want 0 (the join is recycled)", n)
+		t.Errorf("Chain over 3 resources: %v allocs, want 0 (the record is recycled)", n)
 	}
+}
+
+// TestEngineRecordsHoldNoPointers: the heap's events and the FIFO
+// queues' requests are moved on every sift and every dispatch. Holding
+// no pointer, their arrays are never scanned and the moves take no write
+// barrier while the garbage collector marks; a field that brought a
+// pointer back would bring the barriers back with it.
+func TestEngineRecordsHoldNoPointers(t *testing.T) {
+	for _, v := range []any{event{}, fifoReq{}} {
+		typ := reflect.TypeOf(v)
+		if path, ok := pointerIn(typ, typ.Name()); ok {
+			t.Errorf("%s holds a pointer at %s", typ, path)
+		}
+	}
+}
+
+// pointerIn reports the first field path in typ whose kind carries a
+// pointer the garbage collector must trace.
+func pointerIn(typ reflect.Type, path string) (string, bool) {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Func, reflect.Slice, reflect.Map,
+		reflect.Chan, reflect.Interface, reflect.String:
+		return path + " (" + typ.Kind().String() + ")", true
+	case reflect.Array:
+		return pointerIn(typ.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p, ok := pointerIn(f.Type, path+"."+f.Name); ok {
+				return p, true
+			}
+		}
+	}
+	return "", false
 }

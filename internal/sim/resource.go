@@ -25,13 +25,22 @@ type FIFO struct {
 	Served   uint64 // completed requests
 }
 
-// fifoReq is one queued acquisition. A request made through Chain
-// reports to its join instead of carrying a done callback.
+// fifoReq is one queued acquisition: its service time and the index of
+// its completion record in Engine.recs. It holds no pointer, so queue
+// copies and f.cur take no write barrier.
 type fifoReq struct {
 	service Time
-	start   func(at Time) // called when service begins (may be nil)
-	done    func(at Time) // called when service completes (may be nil)
-	join    *join
+	rec     int32
+}
+
+// record is the completion of one Acquire, or of one Chain across all
+// its resources: remaining counts the resources still to serve it. It
+// is written once when taken and cleared once when the last resource
+// completes.
+type record struct {
+	remaining int
+	start     func(at Time) // called when service begins (may be nil; Acquire only)
+	done      func(at Time) // called when the last resource completes (may be nil)
 }
 
 // NewFIFO creates a FIFO resource bound to an engine.
@@ -46,16 +55,35 @@ func NewFIFO(eng *Engine, name string) *FIFO {
 // it completes. Both run as engine events; see the package comment for
 // what done may do.
 func (f *FIFO) Acquire(service Time, start, done func(at Time)) {
-	f.enqueue(fifoReq{service: service, start: start, done: done})
+	checkService(service)
+	f.enqueue(fifoReq{service: service, rec: f.eng.takeRecord(1, start, done)})
+}
+
+// checkService rejects a service time no comparison orders, or a
+// negative one, before the request takes a record.
+func checkService(service Time) {
+	if !(service >= 0) {
+		panic("sim: negative or NaN service time")
+	}
+}
+
+// takeRecord fills a free record, growing the table only when none is
+// free.
+func (e *Engine) takeRecord(remaining int, start, done func(at Time)) int32 {
+	r := record{remaining: remaining, start: start, done: done}
+	if n := len(e.freeRecs) - 1; n >= 0 {
+		i := e.freeRecs[n]
+		e.freeRecs = e.freeRecs[:n]
+		e.recs[i] = r
+		return i
+	}
+	e.recs = append(e.recs, r)
+	return int32(len(e.recs) - 1)
 }
 
 func (f *FIFO) enqueue(r fifoReq) {
-	if !(r.service >= 0) {
-		panic("sim: negative or NaN service time")
-	}
 	if f.head > 0 && len(f.queue) == cap(f.queue) && f.head >= len(f.queue)/2 {
 		n := copy(f.queue, f.queue[f.head:])
-		clear(f.queue[n:])
 		f.queue = f.queue[:n]
 		f.head = 0
 	}
@@ -70,15 +98,14 @@ func (f *FIFO) dispatch() {
 		return
 	}
 	f.cur = f.queue[f.head]
-	f.queue[f.head] = fifoReq{}
 	f.head++
 	if f.head == len(f.queue) {
 		f.queue = f.queue[:0]
 		f.head = 0
 	}
 	f.busy = true
-	if f.cur.start != nil {
-		f.cur.start(f.eng.Now())
+	if start := f.eng.recs[f.cur.rec].start; start != nil {
+		start(f.eng.Now())
 	}
 	f.eng.After(f.cur.service, f.complete)
 }
@@ -87,39 +114,29 @@ func (f *FIFO) dispatch() {
 // may re-acquire this FIFO, which puts the next request in f.cur.
 func (f *FIFO) finish() {
 	r := f.cur
-	f.cur = fifoReq{}
 	f.busy = false
 	f.BusyTime += r.service
 	f.Served++
-	now := f.eng.Now()
-	if r.join != nil {
-		f.eng.arrive(r.join, now)
-	}
-	if r.done != nil {
-		r.done(now)
-	}
+	f.eng.arrive(r.rec, f.eng.Now())
 	f.dispatch()
 }
 
-// join counts down the resources of one Chain and reports the last
-// completion.
-type join struct {
-	remaining int
-	done      func(at Time)
-}
-
-// arrive counts one of j's resources done. After the last, no request
-// refers to j any more, so it goes back on the engine's free list before
-// done runs (done may Chain again and reuse it).
-func (e *Engine) arrive(j *join, at Time) {
-	j.remaining--
-	if j.remaining > 0 {
+// arrive counts one of record i's resources done. After the last, no
+// request refers to the record any more, so it is cleared and goes back
+// on the free list before done runs (done may Acquire or Chain again and
+// reuse it).
+func (e *Engine) arrive(i int32, at Time) {
+	rec := &e.recs[i]
+	rec.remaining--
+	if rec.remaining > 0 {
 		return
 	}
-	done := j.done
-	j.done = nil
-	e.joins = append(e.joins, j)
-	done(at)
+	done := rec.done
+	*rec = record{}
+	e.freeRecs = append(e.freeRecs, i)
+	if done != nil {
+		done(at)
+	}
 }
 
 // Chain acquires a sequence of FIFO resources simultaneously for the
@@ -133,20 +150,14 @@ func (e *Engine) arrive(j *join, at Time) {
 // bytes/bottleneck-bandwidth. We implement that by acquiring each link
 // for the full service time; completion is when all have served.
 func Chain(eng *Engine, resources []*FIFO, service Time, done func(at Time)) {
+	checkService(service)
 	if len(resources) == 0 {
 		// Pure delay with no contention.
 		eng.After(service, func() { done(eng.Now()) })
 		return
 	}
-	var j *join
-	if n := len(eng.joins); n > 0 {
-		j = eng.joins[n-1]
-		eng.joins = eng.joins[:n-1]
-	} else {
-		j = new(join)
-	}
-	j.remaining, j.done = len(resources), done
+	rec := eng.takeRecord(len(resources), nil, done)
 	for _, r := range resources {
-		r.enqueue(fifoReq{service: service, join: j})
+		r.enqueue(fifoReq{service: service, rec: rec})
 	}
 }

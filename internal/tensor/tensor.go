@@ -55,10 +55,11 @@ func (k Kind) IsPersistent() bool {
 	return k == Weight || k == WeightGrad || k == OptState
 }
 
-// Tensor is immutable metadata about one tensor.
+// Tensor is immutable metadata about one tensor. It has no name: ID
+// identifies it within its Registry, and String prints its kind, layer
+// and microbatch.
 type Tensor struct {
 	ID    int
-	Name  string
 	Kind  Kind
 	Bytes int64
 	// Layer is the owning layer index; Microbatch is the microbatch
@@ -79,8 +80,7 @@ func (t *Tensor) String() string {
 // training job.
 type Registry struct {
 	tensors []*Tensor
-	byName  map[string]*Tensor
-	// slab is the unused tail of the chunk New takes tensors from.
+	// slab is the unused tail of the chunk Add takes tensors from.
 	slab []Tensor
 }
 
@@ -89,27 +89,40 @@ const tensorChunk = 256
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*Tensor)}
+	return &Registry{}
 }
 
-// New registers a tensor and returns it. Names must be unique; a
-// duplicate name panics because it indicates a graph-construction bug.
-func (r *Registry) New(name string, kind Kind, bytes int64, layer, microbatch int) *Tensor {
-	if bytes < 0 {
-		panic(fmt.Sprintf("tensor: negative size %d for %s", bytes, name))
+// Grow makes room for n more tensors, so the next n calls to Add take
+// them from one chunk and do not grow All's array.
+func (r *Registry) Grow(n int) {
+	if len(r.slab) < n {
+		r.slab = make([]Tensor, n)
 	}
-	if _, dup := r.byName[name]; dup {
-		panic(fmt.Sprintf("tensor: duplicate tensor name %q", name))
+	if cap(r.tensors)-len(r.tensors) < n {
+		r.tensors = append(make([]*Tensor, 0, len(r.tensors)+n), r.tensors...)
+	}
+}
+
+// Add registers a tensor and returns it; its ID is its index in All.
+func (r *Registry) Add(kind Kind, bytes int64, layer, microbatch int) *Tensor {
+	if bytes < 0 {
+		panic(fmt.Sprintf("tensor: negative size %d for %v", bytes, &Tensor{Kind: kind, Layer: layer, Microbatch: microbatch}))
 	}
 	if len(r.slab) == 0 {
 		r.slab = make([]Tensor, tensorChunk)
 	}
 	t := &r.slab[0]
 	r.slab = r.slab[1:]
-	*t = Tensor{ID: len(r.tensors), Name: name, Kind: kind, Bytes: bytes, Layer: layer, Microbatch: microbatch}
+	*t = Tensor{ID: len(r.tensors), Kind: kind, Bytes: bytes, Layer: layer, Microbatch: microbatch}
 	r.tensors = append(r.tensors, t)
-	r.byName[name] = t
 	return t
+}
+
+// New is Add with a name, which it discards.
+//
+// Deprecated: tensors have no names; use Add.
+func (r *Registry) New(_ string, kind Kind, bytes int64, layer, microbatch int) *Tensor {
+	return r.Add(kind, bytes, layer, microbatch)
 }
 
 // Len returns the number of registered tensors.

@@ -9,8 +9,8 @@ import (
 
 func TestRegistryBasics(t *testing.T) {
 	r := NewRegistry()
-	w := r.New("w0", Weight, 1000, 0, -1)
-	x := r.New("x0.0", Activation, 200, 0, 0)
+	w := r.Add(Weight, 1000, 0, -1)
+	x := r.Add(Activation, 200, 0, 0)
 	if w.ID != 0 || x.ID != 1 {
 		t.Fatalf("IDs = %d,%d; want 0,1", w.ID, x.ID)
 	}
@@ -26,17 +26,10 @@ func TestRegistryBasics(t *testing.T) {
 	if got := r.TotalBytes(Weight, Activation); got != 1200 {
 		t.Fatalf("TotalBytes(W,Y) = %d", got)
 	}
-}
-
-func TestRegistryDuplicateNamePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate name")
-		}
-	}()
-	r := NewRegistry()
-	r.New("w", Weight, 1, 0, -1)
-	r.New("w", Weight, 1, 1, -1)
+	// The deprecated New registers like Add and keeps no name.
+	if y := r.New("y0.0", Activation, 200, 1, 0); *y != (Tensor{ID: 2, Kind: Activation, Bytes: 200, Layer: 1}) {
+		t.Fatalf("New = %+v", *y)
+	}
 }
 
 func TestRegistryNegativeSizePanics(t *testing.T) {
@@ -45,7 +38,7 @@ func TestRegistryNegativeSizePanics(t *testing.T) {
 			t.Fatal("expected panic on negative size")
 		}
 	}()
-	NewRegistry().New("w", Weight, -1, 0, -1)
+	NewRegistry().Add(Weight, -1, 0, -1)
 }
 
 func TestKindProperties(t *testing.T) {
@@ -65,8 +58,8 @@ func TestKindProperties(t *testing.T) {
 
 func TestTensorString(t *testing.T) {
 	r := NewRegistry()
-	w := r.New("w", Weight, 1, 3, -1)
-	x := r.New("x", Stash, 1, 2, 5)
+	w := r.Add(Weight, 1, 3, -1)
+	x := r.Add(Stash, 1, 2, 5)
 	if w.String() != "W[L3]" {
 		t.Fatalf("w.String() = %q", w.String())
 	}
@@ -77,7 +70,7 @@ func TestTensorString(t *testing.T) {
 
 func newState() *State {
 	r := NewRegistry()
-	return NewState(r.New("w", Weight, 100, 0, -1))
+	return NewState(r.Add(Weight, 100, 0, -1))
 }
 
 func TestSwapInOutCycle(t *testing.T) {
