@@ -237,13 +237,10 @@ func run() (exit int) {
 	fmt.Printf("virtual-memory traffic: %.1f MB in, %.1f MB out, %.1f MB p2p, %d drops, %d zero-fills (%.1f MB not moved)\n",
 		float64(st.SwapInBytes)/(1<<20), float64(st.SwapOutBytes)/(1<<20),
 		float64(st.P2PBytes)/(1<<20), st.Drops, st.ZeroFills, float64(st.ZeroFillBytes)/(1<<20))
-	if st.PrefetchIssued > 0 || st.CleanAheads > 0 {
-		hitPct := 0.0
-		if st.PrefetchIssued > 0 {
-			hitPct = 100 * float64(st.PrefetchHits) / float64(st.PrefetchIssued)
-		}
-		fmt.Printf("swap overlap: %d prefetches (%.0f%% hit), %d clean-aheads, %.1f ms async DMA (%.0f%% of %.1f ms train wall)\n",
-			st.PrefetchIssued, hitPct, st.CleanAheads,
+	if st.PrefetchIssued > 0 {
+		hitPct := 100 * float64(st.PrefetchHits) / float64(st.PrefetchIssued)
+		fmt.Printf("swap overlap: %d prefetches (%.0f%% hit), %.1f ms async DMA (%.0f%% of %.1f ms train wall)\n",
+			st.PrefetchIssued, hitPct,
 			float64(st.AsyncDMANanos)/1e6,
 			100*float64(st.AsyncDMANanos)/float64(trainWall.Nanoseconds()),
 			float64(trainWall.Nanoseconds())/1e6)

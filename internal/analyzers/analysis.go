@@ -26,9 +26,8 @@
 //     Cond.Wait) at some call depth, and done-named channels must
 //     deliver their completion signal exactly once (closed or
 //     single-sender, never both).
-//   - claimlife: every DMA claim (vm.claim) reaches commit or settle —
-//     or a handoff to the worker queue — on every path; a dropped claim
-//     wedges the buffer's claim word.
+//   - claimlife: every DMA claim (vm.claim) reaches commit or settle
+//     on every path; a dropped claim wedges the buffer's claim word.
 //   - errpath: locks and shard locks still held at a function exit,
 //     early error returns included, with the concrete leaking path
 //     printed in the diagnostic.

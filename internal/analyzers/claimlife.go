@@ -2,11 +2,10 @@ package analyzers
 
 // claimlife proves the DMA claim lifecycle on every path: a buffer
 // claimed through the VM's CAS helper (`if !vm.claim(b, ...)`,
-// returning bool) must reach commit or settle — or be handed off to an
-// owner that will finish it (the prefetch queue's dmaReq{b: b}
-// enqueue) — before the path leaves the function. A dropped claim
-// wedges the buffer: every later claim CAS fails, waitSettle never
-// fires, and the tensor is stuck neither resident nor evictable.
+// returning bool) must reach commit or settle before the path leaves
+// the function. A dropped claim wedges the buffer: every later claim
+// CAS fails, waitSettle never fires, and the tensor is stuck neither
+// resident nor evictable.
 //
 // This is the path-sensitive complement to the existing checks:
 // claimdiscipline rejects state writes outside the transition helpers,
@@ -24,7 +23,7 @@ import (
 var Claimlife = &Analyzer{
 	Name: "claimlife",
 	Doc: "report DMA claims (vm.claim) that some CFG path drops without " +
-		"reaching commit, settle or a handoff to the worker queue; a " +
+		"reaching commit or settle; a " +
 		"dropped claim permanently wedges the buffer's claim word",
 	RunProject: func(pass *ProjectPass) error {
 		return reportFindings(pass, pass.Prog.lifecycle(claimSpec).leaks)
@@ -35,7 +34,7 @@ var Claimlife = &Analyzer{
 // claimdiscipline its observer's findings.
 var claimSpec = &lifeSpec{
 	kind:     "claim",
-	leakVerb: "is neither committed, settled nor handed off",
+	leakVerb: "is neither committed nor settled",
 	classify: classifyClaim,
 	observe:  observePublish,
 }

@@ -5,6 +5,6 @@ import "testing"
 func TestClaimlife(t *testing.T) {
 	diags := runFixture(t, "claimlife", Claimlife)
 	// Regression pins: the error-return leak and the one-arm commit.
-	mustDiag(t, diags, "claimlife", `claim on b taken at .* neither committed, settled nor handed off on an error path`)
-	mustDiag(t, diags, "claimlife", `claim on b taken at .* neither committed, settled nor handed off on a path ending at the function exit`)
+	mustDiag(t, diags, "claimlife", `claim on b taken at .* neither committed nor settled on an error path`)
+	mustDiag(t, diags, "claimlife", `claim on b taken at .* neither committed nor settled on a path ending at the function exit`)
 }

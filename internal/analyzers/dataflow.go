@@ -33,11 +33,10 @@ package analyzers
 //     result and is itself the branch condition (`if !vm.claim(...)`)
 //     commits only on the success edge; the failure edge drops it. Any
 //     other open commits unconditionally.
-//   - Hand-off: a claim stored into a composite literal (`dmaReq{b: b}`)
-//     passes to the literal's owner and stops being tracked. Nothing
-//     else hands a resource off — not an assignment, a send, a return, a
-//     closure or a callee — and a lock never moves: a mutex is not a
-//     value.
+//   - No hand-off: nothing moves a resource to another owner — not an
+//     assignment, a composite literal, a send, a return, a closure or a
+//     callee. A claim queued for the DMA worker is already committed,
+//     and a lock never moves: a mutex is not a value.
 //   - defer: deferred close effects accumulate per path and apply at
 //     every exit before the leak check, modeling Go's defer-at-return.
 //   - Panic exits are exempt: a panicking path is already lost.
@@ -353,7 +352,6 @@ func (e *lifeEngine) transfer(n ast.Node, st *lifeState) {
 	} else {
 		e.applyCalls(n, st)
 	}
-	e.handOff(n, st)
 }
 
 // applyCalls classifies every call inside the node (skipping function
@@ -414,33 +412,6 @@ func (e *lifeEngine) deferNode(d *ast.DeferStmt, st *lifeState) {
 		return
 	}
 	record(d.Call)
-}
-
-// handOff stops tracking every open resource the node stores into a
-// composite literal: the literal's owner finishes it (CleanAhead's
-// dmaReq{b: b}, which the DMA worker settles). Function literals run
-// later and are skipped. The lock spec hands nothing off.
-func (e *lifeEngine) handOff(n ast.Node, st *lifeState) {
-	if e.spec.kind == lockKind {
-		return
-	}
-	inspectNode(n, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CompositeLit:
-			for _, el := range x.Elts {
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					el = kv.Value
-				}
-				if res := exprString(ast.Unparen(el)); st.held(res) != nil {
-					st.closeRes(res)
-					st.step(fmt.Sprintf("%s stored at %s", res, e.posStr(el.Pos())))
-				}
-			}
-		}
-		return true
-	})
 }
 
 // cross clones the state across one edge, resolving any pending

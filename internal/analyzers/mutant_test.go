@@ -106,7 +106,7 @@ func seededDecide() int64 {
 	{
 		name: "ClaimlifeSeededLeak",
 		pass: Claimlife,
-		want: `claim on b taken at seeded\.go:\d+ is neither committed, settled nor handed off on an error path`,
+		want: `claim on b taken at seeded\.go:\d+ is neither committed nor settled on an error path`,
 		edits: []edit{{file: "internal/exec/seeded.go", new: `package exec
 
 import (
@@ -353,7 +353,7 @@ func (vm *VM) seededInstall(sh *vmShard, b *buffer) {
 	{
 		name: "live/claimlife/moveP2P-keeps-the-claim-when-the-copy-fails",
 		pass: Claimlife,
-		want: `claim on b taken at vm\.go:\d+ is neither committed, settled nor handed off on an error path`,
+		want: `claim on b taken at vm\.go:\d+ is neither committed nor settled on an error path`,
 		edits: []edit{{file: "internal/exec/vm.go", old: `	if _, err := vm.transfer(xferP2P, dev, srcDev, b.t, dst, src); err != nil {
 		vm.settle(b, true, 0)
 		vm.uncharge(dsh, bytes, dst)

@@ -1,6 +1,6 @@
 // Package claimlife is the fixture for the claimlife analyzer: every
 // successful claim must reach exactly one of commit or settle on every
-// CFG path, or be handed off to another owner.
+// CFG path.
 package claimlife
 
 import "errors"
@@ -70,10 +70,11 @@ func failedClaim(v *vm, b *buf) bool {
 	return true
 }
 
-// handoffQueue transfers the claimed buffer into a request that another
-// owner settles; building the composite ends this function's obligation.
-func handoffQueue(v *vm, b *buf) {
-	if !v.claim(b) {
+// queueUncommitted stores the claimed buffer into a request that
+// another owner would settle. Nothing hands a claim off: the path still
+// ends holding it.
+func queueUncommitted(v *vm, b *buf) {
+	if !v.claim(b) { // want `claim on b taken at .* is neither committed nor settled on a path`
 		return
 	}
 	v.enqueue(req{b: b})
@@ -90,7 +91,7 @@ func settleForeign(v *vm, b *buf) {
 // leakOnError claims, then an unrelated failure returns before either
 // commit or settle: the buffer is stuck claimed forever.
 func leakOnError(v *vm, b *buf) error {
-	if !v.claim(b) { // want `claim on b taken at .* is neither committed, settled nor handed off on an error path`
+	if !v.claim(b) { // want `claim on b taken at .* is neither committed nor settled on an error path`
 		return errors.New("contended")
 	}
 	if v.depth > 8 {
@@ -103,7 +104,7 @@ func leakOnError(v *vm, b *buf) error {
 // leakOneBranch commits on one arm and forgets the other: the
 // fallthrough path drops the claim on the floor.
 func leakOneBranch(v *vm, b *buf, ready bool) {
-	if !v.claim(b) { // want `claim on b taken at .* is neither committed, settled nor handed off on a path`
+	if !v.claim(b) { // want `claim on b taken at .* is neither committed nor settled on a path`
 		return
 	}
 	if ready {

@@ -14,23 +14,17 @@ import (
 
 // This file is the VM's asynchronous DMA engine and the buffer claim
 // state machine: per-device worker goroutines service prefetch
-// swap-ins (EnsureAsync) and proactive write-backs (CleanAhead) while
-// device workers compute. All copies run outside the shard locks
-// under a buffer claim; completion is signaled through the packed
-// claim word, so a demand Ensure on an in-flight buffer rides the DMA
-// instead of copying twice.
+// swap-ins (EnsureAsync) while device workers compute. Write-backs are
+// the demand path's alone: eviction makes them when it needs the room.
+// All copies run outside the shard locks under a buffer claim;
+// completion is signaled through the packed claim word, so a demand
+// Ensure on an in-flight buffer rides the DMA instead of copying twice.
 
-type dmaKind int
-
-const (
-	dmaSwapIn    dmaKind = iota // prefetch: host→device fill of b.dev
-	dmaWriteback                // clean-ahead: device→host, device copy kept
-)
-
+// dmaReq is one prefetch: a host→device fill of b.dev, already claimed
+// and committed by EnsureAsync.
 type dmaReq struct {
-	b    *buffer
-	kind dmaKind
-	dev  int // device whose DMA lane services the request
+	b   *buffer
+	dev int // device whose DMA lane services the request
 }
 
 // ------------------------------------------------------ state machine
@@ -172,7 +166,7 @@ func (vm *VM) waitSettle(b *buffer) {
 // async swap-in bytes in flight per device up to budgetBytes. Call
 // Close to drain and stop the workers (recovery does, before
 // discarding a VM). Idempotent; must be called before the first
-// EnsureAsync/CleanAhead.
+// EnsureAsync.
 func (vm *VM) StartEngine(budgetBytes int64) {
 	vm.engMu.Lock()
 	defer vm.engMu.Unlock()
@@ -309,46 +303,7 @@ func (vm *VM) EnsureAsync(dev int, t *tensor.Tensor) {
 	sh.pfBytes += bytes
 	vm.lruPush(sh, b)
 	sh.stats.PrefetchIssued++
-	vm.enqueue(sh, dmaReq{b: b, kind: dmaSwapIn, dev: dev})
-}
-
-// CleanAhead asynchronously writes back up to max dirty, idle,
-// unpinned LRU buffers on dev (device copies kept, now clean), so
-// later evictions find pages they can drop instead of stalling on a
-// synchronous write-back. Known-zero pages are not dirty: they can
-// already be dropped. No-op without dirty tracking — dropping clean
-// pages is only legal under that policy.
-func (vm *VM) CleanAhead(dev int, max int) {
-	if !vm.engOn.Load() || vm.closed.Load() || !vm.pol.DirtyTracking {
-		return
-	}
-	sh := vm.shards[dev]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	// Only act under real eviction pressure: a synchronous write-back
-	// stall since the last batch and the device nearly full (≥3/4).
-	// Outside that regime evictions drop clean pages for free, and a
-	// write-back would be pure link traffic (weights are re-dirtied
-	// every update, so eagerly cleaning them costs bandwidth forever
-	// and buys nothing). Each stall re-arms one batch, so clean-ahead
-	// tracks — and converts — the workload's real write-back rate.
-	if sh.syncOuts == sh.cleanSeen || sh.used*4 < vm.capacity*3 {
-		return
-	}
-	sh.cleanSeen = sh.syncOuts // re-arm on the next stall
-	issued := 0
-	for b := sh.lru.head; b != nil && issued < max; b = b.next {
-		w := b.load()
-		if w.State() != claimword.Idle || w.Pins() > 0 || b.state.Load() != pageDirty {
-			continue
-		}
-		if !vm.claim(b, claimword.SwapOut, true, false, claimword.NeedUnpinned) {
-			continue // raced with a pin; skip this page
-		}
-		sh.stats.CleanAheads++
-		vm.enqueue(sh, dmaReq{b: b, kind: dmaWriteback, dev: dev})
-		issued++
-	}
+	vm.enqueue(sh, dmaReq{b: b, dev: dev})
 }
 
 // enqueue hands a request to sh's DMA worker. Requires sh.mu held;
@@ -391,50 +346,42 @@ func (vm *VM) dmaWorker(dev int) {
 	}
 }
 
-// service performs one async DMA outside the shard lock.
+// service performs one prefetch outside the shard lock.
 func (vm *VM) service(req dmaReq) {
 	b := req.b
-	switch req.kind {
-	case dmaSwapIn:
-		if err := vm.fill(xferPrefetch, req.dev, b); err != nil {
-			// Failed prefetch: roll the residency back (dropResidency
-			// returns the bytes to the budget) and let the demand path
-			// retry (and surface) the fault. Fatal faults are also latched
-			// so WaitIdle reports them even if no demand follows.
-			vm.dropResidency(b)
-			vm.latchAsyncErr(err)
-			vm.settle(b, false, 0)
-			return
-		}
-		vm.settle(b, true, 0) // stays prefetched until the demand hit
-	case dmaWriteback:
-		if err := vm.writeBack(xferClean, req.dev, b); err != nil {
-			vm.latchAsyncErr(err) // the page simply stays dirty
-		}
-		vm.settle(b, true, 0)
+	if err := vm.fill(xferPrefetch, req.dev, b); err != nil {
+		// Failed prefetch: roll the residency back (dropResidency
+		// returns the bytes to the budget) and let the demand path
+		// retry (and surface) the fault. Fatal faults are also latched
+		// so WaitIdle reports them even if no demand follows.
+		vm.dropResidency(b)
+		vm.latchAsyncErr(err)
+		vm.settle(b, false, 0)
+		return
 	}
+	vm.settle(b, true, 0) // stays prefetched until the demand hit
 }
 
 // writeBack and fill are the two directions a page crosses the host
 // link in, and the only places that decide whether it has to: a
 // known-zero page (MarkZero) has no bytes worth moving either way. Both
 // run under b's claim with no shard lock held, and own the bookkeeping
-// of the copy they make — state, movement counters, the write-back
-// stall count clean-ahead arms on — so their callers keep only what is
-// theirs: claims, residency and pins.
+// of the copy they make — state and movement counters — so their
+// callers keep only what is theirs: claims, residency and pins.
 
 // writeBack makes b's device copy on dev safe to lose: it copies it to
 // the host (allocating the backing on first use) and leaves the page
 // clean. A known-zero page is already safe to lose and nothing moves.
-func (vm *VM) writeBack(x xfer, dev int, b *buffer) error {
+// Only the demand path writes back, so the copy waits on dev's demand
+// lane.
+func (vm *VM) writeBack(dev int, b *buffer) error {
 	if b.state.Load() == pageZero {
 		return nil
 	}
 	if b.host == nil {
 		b.host = make([]float32, b.floats())
 	}
-	busy, err := vm.transfer(x, dev, overUplink, b.t, b.host, b.dev)
-	if err != nil {
+	if _, err := vm.transfer(xferOut, dev, overUplink, b.t, b.host, b.dev); err != nil {
 		return err
 	}
 	b.state.Store(pageClean)
@@ -442,11 +389,6 @@ func (vm *VM) writeBack(x xfer, dev int, b *buffer) error {
 	sh.mu.Lock()
 	sh.stats.SwapOutBytes += b.t.Bytes
 	sh.stats.SwapOuts++
-	if x.waits == laneDMA {
-		sh.stats.AsyncDMANanos += busy.Nanoseconds()
-	} else {
-		sh.syncOuts++
-	}
 	sh.mu.Unlock()
 	return nil
 }
@@ -500,7 +442,6 @@ var (
 	xferOut      = xfer{fault.SwapOut, trace.SwapOut, "out ", laneDemand}
 	xferP2P      = xfer{fault.P2P, trace.P2P, "p2p ", laneDemand}
 	xferPrefetch = xfer{fault.SwapIn, trace.Prefetch, "pf ", laneDMA}
-	xferClean    = xfer{fault.SwapOut, trace.SwapOut, "cl ", laneDMA}
 )
 
 // transfer is the VM's one copy path, shared by every swap, p2p move and

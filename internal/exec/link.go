@@ -15,7 +15,7 @@ import (
 // transfer reserves bytes/bandwidth on every link of its path, after
 // whatever those links already carry:
 //
-//	swap-in, write-back, prefetch, clean-ahead   device link + uplink
+//	swap-in, write-back, prefetch                device link + uplink
 //	p2p move                                     both devices' links
 //	reduction (pull n-1 slices, push n-1 back)   the reducer's link
 //

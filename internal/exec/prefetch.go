@@ -13,21 +13,18 @@ import (
 // prefetcher drives the VM's async DMA engine from the schedule: the
 // executor already knows each device's task stream, so right before a
 // kernel launches, the device worker asks for the inputs of the next
-// depth compute entries (EnsureAsync — never blocking, never pinning)
-// and for proactive write-backs of dirty LRU pages (CleanAhead), all of
-// which the DMA workers overlap with the kernel. This is the real
+// depth compute entries (EnsureAsync — never blocking, never pinning),
+// which the DMA workers fill while the kernel runs. This is the real
 // executor's version of the simulator's runtime.prefetchAhead.
 type prefetcher struct {
 	tr    *Trainer
 	depth int
-	clean int // dirty write-backs requested per issue point
 }
 
 // issue runs on device worker d between the dispatcher releasing
 // stream[i] and its kernel launching.
 func (p *prefetcher) issue(d int, stream []sched.StreamEntry, i int) {
 	dev := p.tr.pdev(d)
-	p.tr.vm.CleanAhead(dev, p.clean)
 	seen := 0
 	for j := i + 1; j < len(stream) && seen < p.depth; j++ {
 		e := stream[j]
@@ -60,12 +57,11 @@ func (r *runRecorder) add(dev int, lane trace.Lane, label string, start, end tim
 
 // EnableTrace starts recording a wall-clock execution timeline:
 // compute spans on each device's kernel lane, reductions on the
-// reducer's comms lane, demand swaps, p2p moves, prefetches and
-// clean-ahead write-backs on their DMA lanes — with LinkBytesPerSec
-// set, a copy's or a reduction's span is its reservation on the modeled
-// link, so queueing for a link shows as the gap before it. Returns the
-// live trace — read it only between Steps. Calling it again restarts
-// with a fresh trace.
+// reducer's comms lane, demand swaps, p2p moves and prefetches on
+// their DMA lanes — with LinkBytesPerSec set, a copy's or a reduction's
+// span is its reservation on the modeled link, so queueing for a link
+// shows as the gap before it. Returns the live trace — read it only
+// between Steps. Calling it again restarts with a fresh trace.
 func (tr *Trainer) EnableTrace() *trace.Trace {
 	tr.rec = &runRecorder{epoch: tr.vm.clk.Now()}
 	tr.vm.cfg.rec = tr.rec.add

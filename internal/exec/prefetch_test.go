@@ -134,45 +134,6 @@ func TestEnsureAsyncRespectsBudgetAndPins(t *testing.T) {
 	}
 }
 
-// TestCleanAheadMakesPagesDroppable: a proactive write-back turns a
-// dirty resident page clean, so the next eviction drops it instead of
-// stalling on a synchronous swap-out.
-func TestCleanAheadMakesPagesDroppable(t *testing.T) {
-	_, a, b, _ := vmTensors(t)
-	vm := NewVM(1, 500, memory.Policy{DirtyTracking: true})
-	vm.StartEngine(0)
-	defer vm.Close()
-	host := vm.HostAlloc(a)
-	host[3] = 9
-	dev, err := vm.Ensure(0, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev[3] = 42
-	if err := vm.MarkDirty(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.Unpin(a); err != nil {
-		t.Fatal(err)
-	}
-	vm.CleanAhead(0, 4)
-	if err := vm.WaitIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := vm.Host(a); err != nil || got[3] != 42 {
-		t.Fatalf("clean-ahead did not land on host: %v %v", got[:4], err)
-	}
-	// Evicting a now finds it clean: drop, not swap-out.
-	vm.HostAlloc(b)
-	if _, err := vm.Ensure(0, b); err != nil {
-		t.Fatal(err)
-	}
-	st := vm.StatsSnapshot()
-	if st.CleanAheads != 1 || st.Drops != 1 || st.SwapOuts != 1 {
-		t.Fatalf("stats = %+v, want 1 clean-ahead write-back then a drop", st)
-	}
-}
-
 // TestWaitIdleSurfacesFatalAsyncFault: a fatal fault that hits a DMA
 // worker (no demand access ever trips over it) must still surface at
 // the step boundary.

@@ -32,7 +32,9 @@ var pressureRows = []struct {
 // the serial executor does, and it at least halves the demand swap-ins
 // (swap-ins no prefetch issued) that the synchronous executor makes.
 // The bound is a ratio with a margin, not a byte count: which prefetch
-// lands before its demand depends on the DMA workers' timing.
+// lands before its demand depends on the DMA workers' timing. Prefetch
+// only moves pages in, so the window writes back no more bytes than
+// the synchronous executor does.
 func TestPressureRowsBitExact(t *testing.T) {
 	const warm, steps = 1, 2
 	for _, row := range pressureRows {
@@ -42,9 +44,10 @@ func TestPressureRowsBitExact(t *testing.T) {
 				DeviceBytes: row.mem, BatchSize: row.batch, Microbatches: 4,
 				LR: 0.005, Seed: 42, LinkBytesPerSec: 128 << 20,
 			}
-			// run trains one executor setting and returns its losses and
-			// its demand swap-ins per step after the warm-up step.
-			run := func(serial bool, depth int) (*Trainer, []float32, float64) {
+			// run trains one executor setting and returns its losses, and
+			// its demand swap-ins and write-back bytes per step after the
+			// warm-up step.
+			run := func(serial bool, depth int) (*Trainer, []float32, float64, float64) {
 				cfg := base
 				cfg.Serial, cfg.PrefetchDepth = serial, depth
 				tr, _ := onManualClock(t, cfg)
@@ -53,14 +56,14 @@ func TestPressureRowsBitExact(t *testing.T) {
 				losses = append(losses, stepTrainer(t, tr, warm, steps)...)
 				s1 := tr.Stats()
 				demand := (s1.SwapIns - s0.SwapIns) - (s1.PrefetchIssued - s0.PrefetchIssued)
-				return tr, losses, float64(demand) / steps
+				return tr, losses, float64(demand) / steps, float64(s1.SwapOutBytes-s0.SwapOutBytes) / steps
 			}
-			ref, lossRef, _ := run(true, 0)
+			ref, lossRef, _, _ := run(true, 0)
 			if err := schedcheck.Check(ref.s, ref.topology()).Err(); err != nil {
 				t.Fatal(err)
 			}
-			_, _, syncDemand := run(false, -1)
-			window, lossWindow, windowDemand := run(false, 0)
+			_, _, syncDemand, syncOut := run(false, -1)
+			window, lossWindow, windowDemand, windowOut := run(false, 0)
 			assertSameRun(t, ref, window, lossRef, lossWindow)
 			if syncDemand == 0 {
 				t.Fatal("the synchronous executor made no demand swap-in: the row is not under pressure")
@@ -68,7 +71,11 @@ func TestPressureRowsBitExact(t *testing.T) {
 			if windowDemand > syncDemand/2 {
 				t.Errorf("default window: %.2f demand swap-ins a step, sync %.2f: want at most half", windowDemand, syncDemand)
 			}
-			t.Logf("demand swap-ins a step: sync %.2f, default window %.2f", syncDemand, windowDemand)
+			if windowOut > syncOut {
+				t.Errorf("default window: %.0f write-back bytes a step, sync %.0f: prefetch must add no write-back", windowOut, syncOut)
+			}
+			t.Logf("demand swap-ins a step: sync %.2f, default window %.2f; write-back bytes a step: sync %.0f, window %.0f",
+				syncDemand, windowDemand, syncOut, windowOut)
 		})
 	}
 }

@@ -79,11 +79,10 @@ type TrainerConfig struct {
 	// PrefetchDepth controls schedule-driven prefetch in the parallel
 	// executor: before each kernel launches, its device worker issues
 	// async swap-ins for the inputs of the next PrefetchDepth compute
-	// tasks in its stream and proactive write-backs of dirty LRU
-	// pages, all overlapped with the kernel by per-device DMA worker
-	// goroutines. 0 uses the mode's default (2 for Harmony modes, off
-	// for baselines); negative disables. The serial reference path
-	// never prefetches. Prefetch changes only data movement, never
+	// tasks in its stream, overlapped with the kernel by per-device
+	// DMA worker goroutines. 0 uses the mode's default (2 for Harmony
+	// modes, off for baselines); negative disables. The serial
+	// reference path never prefetches. Prefetch changes only data movement, never
 	// math — weights stay bit-identical at every depth.
 	PrefetchDepth int
 	// AdaptivePrefetch is accepted and read by nothing: the static
@@ -392,7 +391,7 @@ func (tr *Trainer) freshVM() {
 func (tr *Trainer) armPrefetch() {
 	tr.pf = nil
 	if d := tr.prefetchDepth(); d > 0 {
-		tr.pf = &prefetcher{tr: tr, depth: d, clean: 1}
+		tr.pf = &prefetcher{tr: tr, depth: d}
 	}
 }
 

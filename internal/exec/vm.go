@@ -53,18 +53,22 @@ type VMStats struct {
 	// when a fault was fatal or retries were exhausted).
 	FaultsInjected int
 	Retries        int
-	// Prefetch/overlap counters (see EnsureAsync / CleanAhead).
+	// Prefetch/overlap counters (see EnsureAsync).
 	// PrefetchIssued counts async swap-ins handed to the DMA engine;
 	// PrefetchHits counts Ensure calls that found their tensor already
-	// resident (or in flight) thanks to a prefetch; CleanAheads counts
-	// proactive write-backs; AsyncDMANanos is the time the DMA
-	// workers' copies held the link — their modeled reservations, or
-	// with no bandwidth modeled the wall time of their memcpys — divide
-	// by step wall time for the compute/swap overlap fraction.
+	// resident (or in flight) thanks to a prefetch; AsyncDMANanos is
+	// the time the DMA workers' copies held the link — their modeled
+	// reservations, or with no bandwidth modeled the wall time of their
+	// memcpys — divide by step wall time for the compute/swap overlap
+	// fraction.
 	PrefetchIssued int
 	PrefetchHits   int
-	CleanAheads    int
 	AsyncDMANanos  int64
+	// CleanAheads is always zero: the DMA engine only prefetches, and
+	// write-backs are the demand path's alone.
+	//
+	// Deprecated: always zero; removed by the next benchmark PR.
+	CleanAheads int
 }
 
 // add accumulates counters (used to carry stats across the VM rebuild
@@ -84,7 +88,6 @@ func (s VMStats) add(o VMStats) VMStats {
 	s.Retries += o.Retries
 	s.PrefetchIssued += o.PrefetchIssued
 	s.PrefetchHits += o.PrefetchHits
-	s.CleanAheads += o.CleanAheads
 	s.AsyncDMANanos += o.AsyncDMANanos
 	return s
 }
@@ -103,7 +106,7 @@ func (s VMStats) add(o VMStats) VMStats {
 //     readers first observe an idle word via an atomic load, which
 //     happens-after the settle that published the fields. state is
 //     atomic because pin holders write it (MarkDirty, MarkZero) while
-//     shard scans (CleanAhead, EnsureAsync's LRU bump) read it. A claim
+//     EnsureAsync's LRU bump reads it under the shard lock. A claim
 //     holder stores pageClean, after the copy that made it true (and
 //     pageDirty on the page Alloc creates); on an existing page
 //     pageDirty and pageZero are stored under a pin, by the task that
@@ -185,13 +188,6 @@ type vmShard struct {
 	stats   VMStats
 	queue   []dmaReq
 	work    *sync.Cond // signaled when queue grows or the VM closes
-	// syncOuts counts synchronous write-backs (eviction or Host
-	// stalls) on this device; cleanSeen is its value at the last
-	// CleanAhead batch. Clean-ahead only arms after a new stall, so
-	// workloads whose evictions are all drops never pay write-back
-	// link traffic.
-	syncOuts  int
-	cleanSeen int
 	// spares are the device slices of pages that left this device, in
 	// one stack per capacity, ascending, for the next pages placed here
 	// (take, give). held is the capacity in bytes of every device slice
@@ -320,7 +316,7 @@ func NewVM(devices int, capacityBytes int64, pol memory.Policy) *VM {
 		link:     newLinkModel(devices),
 	}
 	for d := range vm.shards {
-		sh := &vmShard{dev: d, cleanSeen: -1} // first CleanAhead may act before any stall
+		sh := &vmShard{dev: d}
 		sh.work = sync.NewCond(&sh.mu)
 		vm.shards[d] = sh
 	}
@@ -622,7 +618,7 @@ func (vm *VM) Host(t *tensor.Tensor) ([]float32, error) {
 		resident := b.load().Resident()
 		switch st := b.state.Load(); {
 		case st == pageDirty && resident:
-			if err := vm.writeBack(xferOut, int(b.devID.Load()), b); err != nil {
+			if err := vm.writeBack(int(b.devID.Load()), b); err != nil {
 				vm.settle(b, true, 0)
 				return nil, err
 			}
@@ -831,7 +827,7 @@ func (vm *VM) bounce(b *buffer) error {
 		vm.settle(b, false, 0)
 		return nil // evicted meanwhile; already host-only
 	}
-	if err := vm.writeBack(xferOut, int(b.devID.Load()), b); err != nil {
+	if err := vm.writeBack(int(b.devID.Load()), b); err != nil {
 		vm.settle(b, true, 0)
 		return err
 	}
@@ -1019,7 +1015,7 @@ func (vm *VM) evict(sh *vmShard, b *buffer) error {
 	// Write back. Naive virtualization (DirtyTracking off) writes back
 	// unconditionally.
 	sh.mu.Unlock()
-	err := vm.writeBack(xferOut, sh.dev, b)
+	err := vm.writeBack(sh.dev, b)
 	sh.mu.Lock()
 	if err != nil {
 		vm.settle(b, true, 0) // stays resident (and dirty)

@@ -16,8 +16,8 @@ import (
 
 // TestConcurrentVMHotPath hammers the sharded hot path from one
 // goroutine per device — demand Ensure with dirty writes, prefetch
-// EnsureAsync, CleanAhead, implicit eviction under capacity pressure —
-// while a checkpoint goroutine snapshots shared tensors with Host and an
+// EnsureAsync, implicit eviction under capacity pressure — while a
+// checkpoint goroutine snapshots shared tensors with Host and an
 // optimizer-like goroutine flips one page of device 0 between known-zero
 // (MarkZero) and dirty (MarkDirty) under its pin, checking on every
 // visit that the page still holds all of what it last left there while
@@ -128,9 +128,6 @@ func TestConcurrentVMHotPath(t *testing.T) {
 				}
 				if d == 0 && rng.Intn(2) == 0 {
 					vm.EnsureAsync(0, flip)
-				}
-				if rng.Intn(8) == 0 {
-					vm.CleanAhead(d, 2)
 				}
 			}
 		}(d)

@@ -229,11 +229,18 @@ func (r *runner) buildUseIndex() {
 // tensor, at or after the device's cursor; a sentinel beyond any
 // queue when unused. Within one iteration this is exact; tensors
 // reused next iteration simply look "far away", which is the right
-// eviction signal anyway.
+// eviction signal anyway. A deferred update sits behind the cursor
+// and runs ahead of the queue head once its reduction lands, so a
+// tensor it uses reads as the most imminent use, cursor-1.
 func (r *runner) nextUse(id int, dev hw.DeviceID) int {
 	const never = 1 << 30
 	uses := r.useIndex[dev][id]
 	cur := r.cursor[dev]
+	for _, u := range r.deferred[dev] {
+		if touches(u, id) {
+			return cur - 1
+		}
+	}
 	// Binary search for the first use ≥ cursor.
 	lo, hi := 0, len(uses)
 	for lo < hi {
@@ -248,6 +255,18 @@ func (r *runner) nextUse(id int, dev hw.DeviceID) int {
 		return never
 	}
 	return uses[lo]
+}
+
+// touches reports whether task t reads, writes or mutates tensor id.
+func touches(t *graph.Task, id int) bool {
+	for _, set := range [][]*tensor.Tensor{t.Inputs, t.Outputs, t.Mutates} {
+		for _, tt := range set {
+			if tt.ID == id {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (r *runner) fail(err error) {
