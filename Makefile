@@ -72,9 +72,11 @@ race:
 
 # Benchmark smoke (part of `make check`): the sharded Ensure hot path
 # under a Zipf working set and under one goroutine per device at 1..64
-# devices, and one iteration of each BenchmarkSimulate cell, the
+# devices, one iteration of each BenchmarkSimulate cell, the
 # benchmark whose CPU profile gives the simulator's per-layer rows (the
-# write-barrier share of the event loop, DESIGN.md §6). The ns/op
+# write-barrier share of the event loop, DESIGN.md §6), and one
+# iteration of BenchmarkRunProject, every harmonylint pass over the
+# loaded live tree (its allocs/op are the linter's). The ns/op
 # numbers are by hand; what the Ensure curve shows — a resident Ensure
 # takes no lock another device can hold — is a test
 # (TestEnsureHitTakesOnlyItsOwnShard), so this target only proves the
@@ -82,6 +84,7 @@ race:
 bench-contend:
 	$(GO) test -run XXX -bench 'BenchmarkEnsureContended|BenchmarkVMEvictionZipf' -benchtime 10000x ./internal/exec/
 	$(GO) test -run XXX -bench BenchmarkSimulate -benchtime 1x .
+	$(GO) test -run XXX -bench BenchmarkRunProject -benchmem -benchtime 1x ./internal/analyzers/
 
 # The paired-run protocol that decides a performance claim
 # (EXPERIMENTS.md, "Making a performance claim"): per workload, PAIRS

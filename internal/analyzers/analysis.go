@@ -19,8 +19,9 @@
 //   - errcheck: error returns from the VM surface dropped inside
 //     internal/exec (bare-statement calls, blank assignments, go/defer
 //     drops).
-//   - lockorder: the global lock-acquisition graph — cycles, and any
-//     nesting of two locks of one class, are rejected at any call depth.
+//   - lockorder: the global lock-acquisition graph, drawn path by path
+//     — cycles, and any nesting of two locks of one class, are rejected
+//     at any call depth.
 //   - chanlife: every spawned goroutine must reach a shutdown
 //     construct (channel receive/range, select, WaitGroup.Done,
 //     Cond.Wait) at some call depth, and done-named channels must
@@ -41,27 +42,28 @@
 //
 // Three layers sit under the passes. cfg.go builds per-function
 // control-flow graphs and is the only code that knows Go's statement
-// semantics. dataflow.go holds the one worklist (explore) and, on it,
-// the lifecycle engine: the lock and claim lifecycles are each
-// explored once per Program, keeping every branch outcome distinct, and
-// yield both leak findings (errpath, claimlife) and observer findings
-// about what happens while a resource is open (lockhold,
-// claimdiscipline rule 3). interproc.go builds, over the
-// same graphs and the same worklist, one Summary per function — locks
-// acquired and with what held, channels sent/closed, goroutines
-// spawned, taint sources reached, the doc-comment lock contract — and
-// closes them over the call graph for lockorder, chanlife and the
-// determinism taint upgrade. DESIGN.md §10 has the invariant → pass →
-// mechanism table.
+// semantics. dataflow.go holds the one worklist (explore) and its one
+// client, the lifecycle engine: the lock and claim lifecycles are each
+// explored once per Program, over every declared body and function
+// literal, keeping every branch outcome distinct, and yield leak
+// findings (errpath, claimlife) and observer findings about what
+// happens while a resource is open (lockhold, lockorder,
+// claimdiscipline rule 3). interproc.go builds one Summary per
+// function in one syntax walk — locks acquired, calls made, channels
+// sent/closed, goroutines spawned, taint sources reached, the
+// doc-comment lock contract — and closes them over the call graph for
+// lockorder's call edges, chanlife and the determinism taint upgrade.
+// Every pass sees the same Program through one Pass. DESIGN.md §10 has
+// the invariant → pass → mechanism table.
 //
 // The framework below is a self-contained, offline re-implementation
 // of the golang.org/x/tools/go/analysis surface this module needs
 // (Analyzer / Pass / Diagnostic plus an analysistest-style fixture
-// runner); the container has no module proxy access, so the suite
-// builds on the standard library's go/ast and go/types only. load.go
-// type-checks every package of the module once, in dependency order
-// and in one types universe, with the standard library read from the
-// compiler's export data.
+// runner), with one difference: a Pass is the whole program, not one
+// package. It needs no module proxy: the suite builds on the standard
+// library's go/ast and go/types only. load.go type-checks every package
+// of the module once, in dependency order and in one types universe,
+// with the standard library read from the compiler's export data.
 //
 // False positives are silenced with an explained allowlist directive
 // on the flagged line or the line above:
@@ -83,10 +85,9 @@ import (
 	"strings"
 )
 
-// An Analyzer is one static check. Run inspects one type-checked
-// package through the Pass; RunProject inspects the whole loaded
-// program — every package plus the interprocedural summaries — through
-// the ProjectPass. An analyzer may define either or both.
+// An Analyzer is one static check. Run inspects the whole loaded
+// program — every package plus the interprocedural summaries and the
+// lifecycle explorations — through the Pass.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //lint:allow directives. Lowercase, no spaces.
@@ -94,20 +95,14 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of what the analyzer
 	// enforces and why.
 	Doc string
-	// Run performs the per-package analysis (may be nil).
+	// Run performs the analysis.
 	Run func(*Pass) error
-	// RunProject performs the whole-program analysis over the
-	// interprocedural summaries (may be nil).
-	RunProject func(*ProjectPass) error
 }
 
-// A Pass presents one type-checked package to an Analyzer.
+// A Pass presents the loaded program to an Analyzer's Run.
 type Pass struct {
 	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	Info     *types.Info
+	Prog     *Program
 
 	diags []Diagnostic
 }
@@ -115,7 +110,7 @@ type Pass struct {
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
+		Pos:      p.Prog.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
@@ -139,24 +134,6 @@ func All() []*Analyzer {
 		Lockorder, Chanlife,
 		Claimlife, Errpath,
 	}
-}
-
-// A ProjectPass presents the whole loaded program — every package and
-// the interprocedural summaries — to an Analyzer's RunProject.
-type ProjectPass struct {
-	Analyzer *Analyzer
-	Prog     *Program
-
-	diags []Diagnostic
-}
-
-// Reportf records a finding at pos.
-func (p *ProjectPass) Reportf(pos token.Pos, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Pos:      p.Prog.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
 }
 
 // ---------------------------------------------------------- directives
@@ -201,9 +178,8 @@ func (d *directive) covers(a string, pos token.Position) bool {
 		(d.pos.Line == pos.Line || d.pos.Line == pos.Line-1)
 }
 
-// RunProject runs the given analyzers over the whole loaded program:
-// per-package passes over each package, whole-program passes over the
-// interprocedural summaries built from all of them together. It then
+// RunProject runs the given analyzers over the whole loaded program,
+// one Program built from every package together. It then
 // applies the //lint:allow directives collected across every package
 // and appends directive-hygiene findings (missing reason, unknown
 // analyzer, suppressing nothing).
@@ -213,10 +189,9 @@ func (d *directive) covers(a string, pos token.Position) bool {
 // this invocation runs a subset (the fixture runner runs one analyzer
 // at a time; a fixture's directive for a sibling analyzer is not a
 // typo), and staleness is only provable for directives whose analyzer
-// actually ran here — and then only after every package and the
-// whole-program passes have reported, since an interprocedural
-// diagnostic can be suppressed by a directive in a different package
-// than the one that triggered the walk.
+// actually ran here — and then only after every pass has reported,
+// since an interprocedural diagnostic can be suppressed by a directive
+// in a different package than the one that triggered the walk.
 //
 // Returned diagnostics are sorted by (file, line, column, analyzer)
 // and exact repeats are deduplicated, so output is stable run-to-run
@@ -231,36 +206,16 @@ func RunProject(pkgs []*Package, analyzers ...*Analyzer) ([]Diagnostic, error) {
 		known[a.Name] = true
 	}
 	ran := make(map[string]bool)
-	var prog *Program
+	prog := BuildProgram(pkgs)
 	var all []Diagnostic
 	for _, a := range analyzers {
 		known[a.Name] = true
 		ran[a.Name] = true
-		if a.Run != nil {
-			for _, pkg := range pkgs {
-				pass := &Pass{
-					Analyzer: a,
-					Fset:     pkg.Fset,
-					Files:    pkg.Files,
-					Pkg:      pkg.Types,
-					Info:     pkg.Info,
-				}
-				if err := a.Run(pass); err != nil {
-					return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-				}
-				all = append(all, pass.diags...)
-			}
+		pass := &Pass{Analyzer: a, Prog: prog}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
-		if a.RunProject != nil {
-			if prog == nil {
-				prog = BuildProgram(pkgs)
-			}
-			pass := &ProjectPass{Analyzer: a, Prog: prog}
-			if err := a.RunProject(pass); err != nil {
-				return nil, fmt.Errorf("%s: %w", a.Name, err)
-			}
-			all = append(all, pass.diags...)
-		}
+		all = append(all, pass.diags...)
 	}
 	var out []Diagnostic
 diags:

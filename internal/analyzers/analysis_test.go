@@ -41,7 +41,7 @@ func TestAllNames(t *testing.T) {
 		if !want[a.Name] {
 			t.Errorf("unexpected analyzer %q", a.Name)
 		}
-		if a.Doc == "" || (a.Run == nil && a.RunProject == nil) {
+		if a.Doc == "" || a.Run == nil {
 			t.Errorf("analyzer %q missing doc or run", a.Name)
 		}
 	}
@@ -61,4 +61,22 @@ func TestLoadRealPackages(t *testing.T) {
 		}
 	}
 	t.Error("the live tree has no harmony/internal/trace")
+}
+
+// BenchmarkRunProject is one lint of the live tree without the load:
+// the Program built and every pass run over it, as cmd/harmonylint
+// does after Load. The module is loaded once, outside the timer.
+func BenchmarkRunProject(b *testing.B) {
+	pkgs := liveTree(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		diags, err := RunProject(pkgs, All()...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(diags) != 0 {
+			b.Fatalf("the live tree has %d findings:\n%s", len(diags), diagDump(diags))
+		}
+	}
 }

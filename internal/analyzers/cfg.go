@@ -2,9 +2,11 @@ package analyzers
 
 // cfg.go builds control-flow graphs from the AST and is the only code
 // in the package that knows Go's statement semantics: every pass that
-// needs to follow control flow — the interprocedural summaries
-// (interproc.go) and the lifecycle explorations (dataflow.go) — walks
-// these graphs, so a new Go construct is taught here once. A CFG keeps
+// needs to follow control flow reads the lifecycle explorations
+// (dataflow.go), which walk these graphs — one per declared body and
+// one per function literal, cached on the Program — so a new Go
+// construct is taught here once. The interprocedural summaries
+// (interproc.go) follow no control flow and need none. A CFG keeps
 // every path distinct, so "the error return at line N leaks the pin
 // taken at line M" becomes a provable — and printable — fact.
 //
@@ -45,10 +47,9 @@ import (
 	"go/types"
 )
 
-// CFG is the control-flow graph of one function body. Decl is nil for
-// the body of a function literal.
+// CFG is the control-flow graph of one function body, declared or
+// literal.
 type CFG struct {
-	Decl   *ast.FuncDecl
 	Blocks []*Block
 	Entry  *Block
 }
@@ -77,20 +78,8 @@ type Edge struct {
 	TakenTrue bool
 }
 
-// NewCFG builds the graph for one function declaration. Bodiless
-// declarations yield nil.
-func NewCFG(fd *ast.FuncDecl) *CFG {
-	if fd == nil || fd.Body == nil {
-		return nil
-	}
-	c := newBodyCFG(fd.Body)
-	c.Decl = fd
-	return c
-}
-
-// newBodyCFG builds the graph for one function body, declared or
-// literal.
-func newBodyCFG(body *ast.BlockStmt) *CFG {
+// NewCFG builds the graph for one function body, declared or literal.
+func NewCFG(body *ast.BlockStmt) *CFG {
 	b := &cfgBuilder{cfg: &CFG{}, gotos: make(map[string]*Block)}
 	b.cfg.Entry = b.newBlock()
 	b.cur = b.cfg.Entry

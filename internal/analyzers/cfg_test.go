@@ -22,7 +22,7 @@ func parseFuncCFG(t *testing.T, body string) *CFG {
 	if err != nil {
 		t.Fatalf("parsing: %v", err)
 	}
-	cfg := NewCFG(file.Decls[0].(*ast.FuncDecl))
+	cfg := NewCFG(file.Decls[0].(*ast.FuncDecl).Body)
 	if cfg == nil {
 		t.Fatal("NewCFG returned nil for a function with a body")
 	}
@@ -278,7 +278,7 @@ func f(a, b error, x int) int {
 			}
 		}
 	}
-	cfg := NewCFG(fd)
+	cfg := NewCFG(fd.Body)
 	// sense[cond text][takenTrue] from every conditional edge.
 	sense := map[string]map[bool]int{}
 	operands := map[string]string{}

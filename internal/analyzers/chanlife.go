@@ -33,7 +33,7 @@ var Chanlife = &Analyzer{
 	Doc: "verify goroutine/channel lifecycle: every spawned goroutine reaches a shutdown path " +
 		"at some call depth, and done-channels (done/quit/stop/abort) have one completion signal — " +
 		"closed or single-sender, never both",
-	RunProject: runChanlife,
+	Run: runChanlife,
 }
 
 // doneNameRe classifies completion-signal channels by name. Worker
@@ -41,7 +41,7 @@ var Chanlife = &Analyzer{
 // are out of scope.
 var doneNameRe = regexp.MustCompile(`(?i)^(done|quit|stop|abort)$`)
 
-func runChanlife(pass *ProjectPass) error {
+func runChanlife(pass *Pass) error {
 	prog := pass.Prog
 
 	// 1. Spawn shutdown reachability, at any call depth.
@@ -68,7 +68,7 @@ func runChanlife(pass *ProjectPass) error {
 		byFn   map[FuncKey]bool // distinct sending functions
 		fns    []FuncKey
 	}
-	uses := make(map[chanClass]*chanUse)
+	uses := make(map[Class]*chanUse)
 	for _, k := range prog.Order {
 		for _, op := range prog.Funcs[k].ChanOps {
 			if !doneNameRe.MatchString(op.class.Name) {
@@ -90,7 +90,7 @@ func runChanlife(pass *ProjectPass) error {
 			}
 		}
 	}
-	classes := make([]chanClass, 0, len(uses))
+	classes := make([]Class, 0, len(uses))
 	for c := range uses {
 		classes = append(classes, c)
 	}

@@ -41,9 +41,6 @@ var ClaimDiscipline = &Analyzer{
 		"inside them, and buffers published to the LRU under an uncommitted " +
 		"synchronous claim",
 	Run: runClaimDiscipline,
-	RunProject: func(pass *ProjectPass) error {
-		return reportFindings(pass, pass.Prog.lifecycle(claimSpec).observed)
-	},
 }
 
 // claimAtomics are the buffer fields owned by the state machine,
@@ -69,10 +66,12 @@ var transitionHelpers = map[string]bool{
 }
 
 func runClaimDiscipline(pass *Pass) error {
-	forEachFunc(pass.Files, func(fd *ast.FuncDecl) {
-		checkClaimWordWrites(pass, fd)
-	})
-	return nil
+	for _, pkg := range pass.Prog.Pkgs {
+		forEachFunc(pkg.Files, func(fd *ast.FuncDecl) {
+			checkClaimWordWrites(pass, pkg.Info, fd)
+		})
+	}
+	return reportFindings(pass, pass.Prog.lifecycle(claimSpec).observed)
 }
 
 // isBufferType reports whether t (after pointers) is a named struct
@@ -96,7 +95,7 @@ func isBufferType(t types.Type) bool {
 
 // claimAtomicField matches an expression of the form b.word or b.done
 // where b is a buffer.
-func claimAtomicField(pass *Pass, e ast.Expr) (field string, ok bool) {
+func claimAtomicField(info *types.Info, e ast.Expr) (field string, ok bool) {
 	sel, isSel := e.(*ast.SelectorExpr)
 	if !isSel {
 		return "", false
@@ -104,14 +103,14 @@ func claimAtomicField(pass *Pass, e ast.Expr) (field string, ok bool) {
 	if _, tracked := claimAtomics[sel.Sel.Name]; !tracked {
 		return "", false
 	}
-	if !isBufferType(pass.Info.TypeOf(sel.X)) {
+	if !isBufferType(info.TypeOf(sel.X)) {
 		return "", false
 	}
 	return sel.Sel.Name, true
 }
 
 // checkClaimWordWrites implements rules 1 and 2.
-func checkClaimWordWrites(pass *Pass, fd *ast.FuncDecl) {
+func checkClaimWordWrites(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 	inHelper := transitionHelpers[fd.Name.Name] && fd.Recv != nil
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -120,7 +119,7 @@ func checkClaimWordWrites(pass *Pass, fd *ast.FuncDecl) {
 			if !ok || !wordMutators[sel.Sel.Name] {
 				return true
 			}
-			f, ok := claimAtomicField(pass, sel.X)
+			f, ok := claimAtomicField(info, sel.X)
 			if !ok {
 				return true
 			}
@@ -135,7 +134,7 @@ func checkClaimWordWrites(pass *Pass, fd *ast.FuncDecl) {
 			// Reassigning the atomic value itself (b.word = ...) bypasses
 			// the atomic API entirely; never legal, helpers included.
 			for _, l := range n.Lhs {
-				if f, ok := claimAtomicField(pass, l); ok {
+				if f, ok := claimAtomicField(info, l); ok {
 					pass.Reportf(l.Pos(),
 						"direct assignment to buffer.%s bypasses its atomic API; use the claim state-machine helpers", f)
 				}

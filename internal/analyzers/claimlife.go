@@ -25,7 +25,7 @@ var Claimlife = &Analyzer{
 	Doc: "report DMA claims (vm.claim) that some CFG path drops without " +
 		"reaching commit or settle; a " +
 		"dropped claim permanently wedges the buffer's claim word",
-	RunProject: func(pass *ProjectPass) error {
+	Run: func(pass *Pass) error {
 		return reportFindings(pass, pass.Prog.lifecycle(claimSpec).leaks)
 	},
 }
@@ -33,10 +33,10 @@ var Claimlife = &Analyzer{
 // claimSpec is the claim lifecycle: claimlife reports its leaks,
 // claimdiscipline its observer's findings.
 var claimSpec = &lifeSpec{
-	kind:     "claim",
-	leakVerb: "is neither committed nor settled",
-	classify: classifyClaim,
-	observe:  observePublish,
+	kind:      "claim",
+	leakVerb:  "is neither committed nor settled",
+	classify:  classifyClaim,
+	observers: []func(*lifeEngine, ast.Node, *lifeState){observePublish},
 }
 
 func classifyClaim(e *lifeEngine, call *ast.CallExpr) (lifeEvent, bool) {

@@ -1,22 +1,24 @@
 package analyzers
 
 // dataflow.go holds the package's one worklist (explore) and the
-// lifecycle engine built on it. explore enumerates the distinct
-// abstract states of a function over its CFG (cfg.go); the summary
-// builder in interproc.go runs it over held-lock sets, and the
-// lifecycle engine runs it over paired resources: each state is the
-// multiset of currently-open resources, the stack of deferred close
-// effects, and whether the path has crossed an `err != nil` guard.
-// Every branch outcome stays separate and carries a human-readable
-// trace, so a diagnostic can print the concrete leaking path.
+// lifecycle engine, its one client. explore enumerates the distinct
+// abstract states of a function over its CFG (cfg.go); the lifecycle
+// engine runs it over paired resources: each state is the multiset of
+// currently-open resources, the stack of deferred close effects, and
+// whether the path has crossed an `err != nil` guard. Every branch
+// outcome stays separate and carries a human-readable trace, so a
+// diagnostic can print the concrete leaking path.
 //
 // Two lifecycle specs exist — locks (errpath.go) and DMA claims
 // (claimlife.go). Each is explored once per Program and cached on it
-// (Program.lifecycle); a spec yields leak findings at function exits
-// and, through its observer, findings about what happens while a
-// resource is open: lockhold reads the lock spec's observer (blocking
-// while a lock is held), claimdiscipline the claim spec's (published
-// while a claim is open).
+// (Program.lifecycle), over every declared body and every function
+// literal; a literal starts with nothing open, since it runs when it is
+// called, not where it is written. A spec yields leak findings at
+// function exits and, through its observers, findings about what
+// happens while a resource is open: lockhold reads the lock spec's
+// blocking observer, lockorder its lock-order edges (a lock taken, or a
+// callee that may take one, while another is open), claimdiscipline
+// the claim spec's observer (published while a claim is open).
 //
 // The lattice per spec is the same shape: open-resource counts
 // (saturating at a small bound so loops converge) ordered by multiset
@@ -37,6 +39,10 @@ package analyzers
 //     assignment, a composite literal, a send, a return, a closure or a
 //     callee. A claim queued for the DMA worker is already committed,
 //     and a lock never moves: a mutex is not a value.
+//   - Contracts: a spec that reads them opens the locks a declared
+//     function's doc contract says its caller holds ("Requires sh.mu
+//     held") on entry, follows them like any other open, and licenses
+//     leaving with them open.
 //   - defer: deferred close effects accumulate per path and apply at
 //     every exit before the leak check, modeling Go's defer-at-return.
 //   - Panic exits are exempt: a panicking path is already lost.
@@ -45,6 +51,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -59,9 +66,10 @@ const (
 
 // lifeEvent is one classified resource operation.
 type lifeEvent struct {
-	op   lifeOp
-	res  string
-	what string // rendered call, for the path trace
+	op    lifeOp
+	res   string
+	class Class  // the lock's class; zero for claims and unresolved locks
+	what  string // rendered call, for the path trace
 	// guarded: the open reports success by its bool result, so a branch
 	// on the call decides whether it was taken.
 	guarded bool
@@ -76,15 +84,12 @@ type lifeSpec struct {
 	leakVerb string
 	// classify maps one call to its resource event, if it has one.
 	classify func(e *lifeEngine, call *ast.CallExpr) (lifeEvent, bool)
-	// entryOpen lists resources the function's doc contract declares
-	// open on entry (errpath's "Requires sh.mu held").
-	entryOpen func(e *lifeEngine) []string
-	// exitAllowed licenses leaving the function with res still open
-	// (the entry-held locks).
-	exitAllowed func(e *lifeEngine, res string) bool
-	// observe, when set, sees every node with the state in force before
-	// the node's own effects; it reports through e.observef.
-	observe func(e *lifeEngine, n ast.Node, st *lifeState)
+	// contracts: a declared function's doc-contract locks ("Requires
+	// sh.mu held") are open on entry and licensed at exit.
+	contracts bool
+	// observers see every node with the state in force before the
+	// node's own effects; they report through e.observef and e.edge.
+	observers []func(e *lifeEngine, n ast.Node, st *lifeState)
 }
 
 // lifeFinding is one diagnostic of a lifecycle exploration, held until
@@ -95,9 +100,10 @@ type lifeFinding struct {
 }
 
 // lifeResult is what one spec found over the whole program: resources
-// still open at an exit, and what its observer saw on the way.
+// still open at an exit, and what its observers saw on the way.
 type lifeResult struct {
 	leaks, observed []lifeFinding
+	edges           []lockEdge // the lock spec's lock-order edges, in exploration order
 }
 
 // truncation names one exploration that a bound cut short.
@@ -106,8 +112,8 @@ type truncation struct {
 	fn   FuncKey
 }
 
-// lifecycle explores spec over every declared function body, once per
-// Program.
+// lifecycle explores spec over every declared function body and every
+// function literal, once per Program.
 func (p *Program) lifecycle(spec *lifeSpec) *lifeResult {
 	if r, ok := p.life[spec]; ok {
 		return r
@@ -116,27 +122,37 @@ func (p *Program) lifecycle(spec *lifeSpec) *lifeResult {
 	p.life[spec] = r
 	for _, k := range p.Order {
 		sum := p.Funcs[k]
-		if sum.Decl == nil {
-			continue
+		if sum.Decl != nil {
+			p.exploreBody(spec, r, sum, sum.Decl, sum.Decl.Body)
 		}
-		e := &lifeEngine{
-			res:      r,
-			spec:     spec,
-			pkg:      sum.Pkg,
-			sum:      sum,
-			cfg:      p.FuncCFG(k),
-			reported: make(map[token.Pos]bool),
-		}
-		if !e.run() {
-			p.truncated = append(p.truncated, truncation{spec.kind, k})
+		for _, lit := range sum.lits {
+			p.exploreBody(spec, r, sum, lit, lit.Body)
 		}
 	}
 	return r
 }
 
+// exploreBody explores one body of sum — its declaration's or one of
+// its literals' — into r.
+func (p *Program) exploreBody(spec *lifeSpec, r *lifeResult, sum *Summary, fn ast.Node, body *ast.BlockStmt) {
+	e := &lifeEngine{
+		res:      r,
+		spec:     spec,
+		prog:     p,
+		pkg:      sum.Pkg,
+		sum:      sum,
+		fn:       fn,
+		cfg:      p.cfgOf(body),
+		reported: make(map[token.Pos]bool),
+	}
+	if !e.run() {
+		p.truncated = append(p.truncated, truncation{spec.kind, sum.Key})
+	}
+}
+
 // reportFindings hands a lifecycle exploration's findings to the
 // analyzer that owns them.
-func reportFindings(pass *ProjectPass, fs []lifeFinding) error {
+func reportFindings(pass *Pass, fs []lifeFinding) error {
 	for _, f := range fs {
 		pass.Reportf(f.pos, "%s", f.msg)
 	}
@@ -204,10 +220,11 @@ func explore[S any](cfg *CFG, entry S, key func(S) string, visit func(*Block, S)
 // openRes is one tracked resource on a path. call is the opening call
 // (nil for a resource held on entry).
 type openRes struct {
-	res  string
-	n    int
-	pos  token.Pos
-	call *ast.CallExpr
+	res   string
+	class Class
+	n     int
+	pos   token.Pos
+	call  *ast.CallExpr
 }
 
 // pending is a guarded open awaiting its branch edge.
@@ -253,7 +270,7 @@ func (st *lifeState) key() string {
 	return b.String()
 }
 
-func (st *lifeState) openAt(res string, pos token.Pos, call *ast.CallExpr) {
+func (st *lifeState) openAt(res string, class Class, pos token.Pos, call *ast.CallExpr) {
 	i := sort.Search(len(st.open), func(i int) bool { return st.open[i].res >= res })
 	if i < len(st.open) && st.open[i].res == res {
 		if st.open[i].n < maxOpenCount {
@@ -263,7 +280,7 @@ func (st *lifeState) openAt(res string, pos token.Pos, call *ast.CallExpr) {
 	}
 	st.open = append(st.open, openRes{})
 	copy(st.open[i+1:], st.open[i:])
-	st.open[i] = openRes{res: res, n: 1, pos: pos, call: call}
+	st.open[i] = openRes{res: res, class: class, n: 1, pos: pos, call: call}
 }
 
 // closeRes decrements res if open; closing what was never opened is a
@@ -295,16 +312,20 @@ func (st *lifeState) step(s string) {
 	}
 }
 
-// lifeEngine explores one function for one spec.
+// lifeEngine explores one function body — declared, or a literal
+// summarized into sum — for one spec.
 type lifeEngine struct {
 	res  *lifeResult
 	spec *lifeSpec
+	prog *Program
 	pkg  *Package
 	sum  *Summary
+	fn   ast.Node // *ast.FuncDecl or *ast.FuncLit
 	cfg  *CFG
 	blk  *Block // the block being visited
 
 	reported map[token.Pos]bool // one report per open site or observed position
+	edgeSeen map[lockEdge]bool  // one record per lock-order edge
 }
 
 func (e *lifeEngine) posStr(pos token.Pos) string {
@@ -312,13 +333,20 @@ func (e *lifeEngine) posStr(pos token.Pos) string {
 	return fmt.Sprintf("%s:%d", shortFile(p.Filename), p.Line)
 }
 
+// contract returns the locks the doc contract of the body being
+// explored declares held by its caller; a literal has none.
+func (e *lifeEngine) contract() []string {
+	if _, decl := e.fn.(*ast.FuncDecl); !decl || !e.spec.contracts {
+		return nil
+	}
+	return e.sum.heldOnEntry
+}
+
 // run explores the function; false means a bound cut it short.
 func (e *lifeEngine) run() bool {
 	entry := &lifeState{}
-	if e.spec.entryOpen != nil {
-		for _, res := range e.spec.entryOpen(e) {
-			entry.openAt(res, e.cfg.Decl.Pos(), nil)
-		}
+	for i, res := range e.contract() {
+		entry.openAt(res, e.sum.EntryHeld[i], e.fn.Pos(), nil)
 	}
 	return explore(e.cfg, entry, (*lifeState).key,
 		func(blk *Block, in *lifeState) *lifeState {
@@ -342,10 +370,21 @@ func (e *lifeEngine) observef(pos token.Pos, format string, args ...any) {
 	}
 }
 
+// edge records one lock-order edge, once.
+func (e *lifeEngine) edge(l lockEdge) {
+	if e.edgeSeen == nil {
+		e.edgeSeen = make(map[lockEdge]bool)
+	}
+	if !e.edgeSeen[l] {
+		e.edgeSeen[l] = true
+		e.res.edges = append(e.res.edges, l)
+	}
+}
+
 // transfer applies one node's effects to the state.
 func (e *lifeEngine) transfer(n ast.Node, st *lifeState) {
-	if e.spec.observe != nil {
-		e.spec.observe(e, n, st)
+	for _, observe := range e.spec.observers {
+		observe(e, n, st)
 	}
 	if d, ok := n.(*ast.DeferStmt); ok {
 		e.deferNode(d, st)
@@ -384,7 +423,7 @@ func (e *lifeEngine) applyCalls(n ast.Node, st *lifeState) {
 
 // open records a taken open on the path.
 func (e *lifeEngine) open(st *lifeState, ev lifeEvent, call *ast.CallExpr) {
-	st.openAt(ev.res, call.Pos(), call)
+	st.openAt(ev.res, ev.class, call.Pos(), call)
 	st.step(fmt.Sprintf("%s at %s", ev.what, e.posStr(call.Pos())))
 }
 
@@ -463,7 +502,7 @@ func (e *lifeEngine) finish(blk *Block, st *lifeState) {
 	if blk.Panics {
 		return
 	}
-	exitPos := e.cfg.Decl.End()
+	exitPos := e.fn.End()
 	exitDesc := "function exit"
 	if blk.Return != nil {
 		exitPos = blk.Return.Pos()
@@ -474,8 +513,8 @@ func (e *lifeEngine) finish(blk *Block, st *lifeState) {
 		if o.n <= 0 || e.reported[o.pos] {
 			continue
 		}
-		if e.spec.exitAllowed != nil && e.spec.exitAllowed(e, o.res) {
-			continue
+		if slices.Contains(e.contract(), o.res) {
+			continue // the contract
 		}
 		e.reported[o.pos] = true
 		pathKind := "a path"

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -31,7 +33,7 @@ func TestExploreReportsTruncation(t *testing.T) {
 var lifeSpecs = []*lifeSpec{lockSpec, claimSpec}
 
 // allExplorations builds the program and runs every exploration that
-// has bounds: the summaries (BuildProgram) and the lifecycle specs.
+// has bounds: the lifecycle specs.
 func allExplorations(pkgs []*Package) *Program {
 	prog := BuildProgram(pkgs)
 	for _, spec := range lifeSpecs {
@@ -88,11 +90,17 @@ func TestNoTruncation(t *testing.T) {
 	check("live tree", liveProgram(t))
 }
 
+// liveLockOrder is the live tree's class-level lock-order graph: it
+// takes no lock while it holds another, at any call depth.
+var liveLockOrder []string
+
 // TestLiveCensus keeps the lifecycle passes honest about the code that
 // exists. A spec whose every open in the live tree is licensed at exit
 // can report nothing there, and a doc contract no live function
 // declares licenses nothing; either one is code that guards nothing.
-// Both halves use the passes' own classify and exitAllowed.
+// Both halves use the passes' own classify and contract. The census
+// also pins the live lock-order graph lockorder reads from the lock
+// exploration, so an edge that appears or goes is a reviewed change.
 func TestLiveCensus(t *testing.T) {
 	prog := liveProgram(t)
 	for _, spec := range lifeSpecs {
@@ -102,7 +110,7 @@ func TestLiveCensus(t *testing.T) {
 			if sum.Decl == nil {
 				continue
 			}
-			e := &lifeEngine{spec: spec, pkg: sum.Pkg, sum: sum}
+			e := &lifeEngine{spec: spec, pkg: sum.Pkg, sum: sum, fn: sum.Decl}
 			ast.Inspect(sum.Decl.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -110,7 +118,7 @@ func TestLiveCensus(t *testing.T) {
 				}
 				if ev, ok := spec.classify(e, call); ok && ev.op == lifeOpen {
 					opens++
-					if spec.exitAllowed == nil || !spec.exitAllowed(e, ev.res) {
+					if !slices.Contains(e.contract(), ev.res) {
 						unlicensed++
 					}
 				}
@@ -139,5 +147,18 @@ func TestLiveCensus(t *testing.T) {
 		if n == 0 {
 			t.Errorf("contract %s is declared by no live function; delete it", c.form)
 		}
+	}
+	seen := make(map[string]bool)
+	var edges []string
+	for _, e := range prog.lifecycle(lockSpec).edges {
+		if s := e.from.String() + " → " + e.to.String(); !seen[s] {
+			seen[s] = true
+			edges = append(edges, s)
+		}
+	}
+	sort.Strings(edges)
+	t.Logf("lock-order edges in the live tree: %d %q", len(edges), edges)
+	if !slices.Equal(edges, liveLockOrder) {
+		t.Errorf("the live lock-order graph is %q, want %q", edges, liveLockOrder)
 	}
 }

@@ -32,10 +32,9 @@ import (
 // Uses with no scheduling consequence (pure logging, trace recording)
 // are documented case by case with //lint:allow determinism <reason>.
 //
-// The per-package pass is lexical; the whole-program pass adds
-// summary-based taint flow on top: a function outside the core that
-// reaches time.Now at ANY call depth must not be called from inside
-// the core. Interface calls (trace.Clock) do not propagate taint — that
+// The pass is lexical over each core package, with summary-based taint
+// flow on top: a function outside the core that reaches time.Now at ANY
+// call depth must not be called from inside the core. Interface calls (trace.Clock) do not propagate taint — that
 // interface exists exactly so timing can be injected at the edges.
 //
 // The core includes all of internal/exec, so Trainer.Retune needs no
@@ -47,8 +46,7 @@ var Determinism = &Analyzer{
 	Doc: "forbid wall-clock reads and map iteration " +
 		"in the deterministic core (internal/{sched,exec,nn,fault,sim,collective,graph,schedcheck,hw}), " +
 		"and taint flow of wall-clock values into the core through any call chain",
-	Run:        runDeterminism,
-	RunProject: runDeterminismTaint,
+	Run: runDeterminism,
 }
 
 // deterministicCore lists the package path suffixes in scope. Matching
@@ -85,21 +83,29 @@ func inDeterministicCore(path string) bool {
 var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
 func runDeterminism(pass *Pass) error {
-	if !inDeterministicCore(pass.Pkg.Path()) {
-		return nil
+	for _, pkg := range pass.Prog.Pkgs {
+		if inDeterministicCore(pkg.Path) {
+			lexicalDeterminism(pass, pkg)
+		}
 	}
-	for _, f := range pass.Files {
+	return runDeterminismTaint(pass)
+}
+
+// lexicalDeterminism reports the core package's own wall-clock reads
+// and map iterations.
+func lexicalDeterminism(pass *Pass, pkg *Package) {
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				for name := range wallClockFuncs {
-					if pkgFunc(pass.Info, n, "time", name) {
+					if pkgFunc(pkg.Info, n, "time", name) {
 						pass.Reportf(n.Pos(),
 							"time.%s in the deterministic core; wall-clock reads must go through an injected trace.Clock", name)
 					}
 				}
 			case *ast.RangeStmt:
-				if t := pass.Info.TypeOf(n.X); t != nil {
+				if t := pkg.Info.TypeOf(n.X); t != nil {
 					if _, isMap := t.Underlying().(*types.Map); isMap {
 						pass.Reportf(n.Pos(),
 							"map iteration in the deterministic core; range order is randomized per run — iterate a sorted key slice or an ordered structure instead")
@@ -109,7 +115,6 @@ func runDeterminism(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // runDeterminismTaint is the summary-based upgrade: instead of
@@ -121,7 +126,7 @@ func runDeterminism(pass *Pass) error {
 //
 // Only statically resolvable calls propagate: routing time through the
 // trace.Clock interface remains the sanctioned boundary.
-func runDeterminismTaint(pass *ProjectPass) error {
+func runDeterminismTaint(pass *Pass) error {
 	prog := pass.Prog
 	for _, k := range prog.Order {
 		s := prog.Funcs[k]

@@ -80,15 +80,22 @@ func errReturningVMCall(info *types.Info, call *ast.CallExpr) (string, int, bool
 var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
 func runErrcheck(pass *Pass) error {
-	if !inErrcheckScope(pass.Pkg.Path()) {
-		return nil
+	for _, pkg := range pass.Prog.Pkgs {
+		if inErrcheckScope(pkg.Path) {
+			errcheckPackage(pass, pkg)
+		}
 	}
-	for _, f := range pass.Files {
+	return nil
+}
+
+// errcheckPackage reports the package's dropped VM errors.
+func errcheckPackage(pass *Pass, pkg *Package) {
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
 				if call, ok := n.X.(*ast.CallExpr); ok {
-					if name, _, ok := errReturningVMCall(pass.Info, call); ok {
+					if name, _, ok := errReturningVMCall(pkg.Info, call); ok {
 						pass.Reportf(n.Pos(),
 							"%s returns an error that is dropped; handle it or document the drop with //lint:allow errcheck", name)
 					}
@@ -103,7 +110,7 @@ func runErrcheck(pass *Pass) error {
 				if !ok {
 					return true
 				}
-				name, results, ok := errReturningVMCall(pass.Info, call)
+				name, results, ok := errReturningVMCall(pkg.Info, call)
 				if !ok {
 					return true
 				}
@@ -115,12 +122,12 @@ func runErrcheck(pass *Pass) error {
 						"%s error assigned to blank; handle it or document the drop with //lint:allow errcheck", name)
 				}
 			case *ast.GoStmt:
-				if name, _, ok := errReturningVMCall(pass.Info, n.Call); ok {
+				if name, _, ok := errReturningVMCall(pkg.Info, n.Call); ok {
 					pass.Reportf(n.Pos(),
 						"%s launched as a goroutine drops its error; collect it through a channel or errgroup-style join", name)
 				}
 			case *ast.DeferStmt:
-				if name, _, ok := errReturningVMCall(pass.Info, n.Call); ok {
+				if name, _, ok := errReturningVMCall(pkg.Info, n.Call); ok {
 					pass.Reportf(n.Pos(),
 						"deferred %s drops its error; wrap it in a closure that records the error", name)
 				}
@@ -128,5 +135,4 @@ func runErrcheck(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }

@@ -15,19 +15,18 @@ package analyzers
 // Panic paths are exempt.
 //
 // The exploration behind this pass is lockSpec, run once per Program;
-// lockhold reports what its observer sees while a lock is held.
+// lockhold reports what its blocking observer sees while a lock is
+// held, and lockorder builds its graph from the edges its order
+// observer records.
 
-import (
-	"go/ast"
-	"slices"
-)
+import "go/ast"
 
 var Errpath = &Analyzer{
 	Name: "errpath",
 	Doc: "report locks and shard locks still held at a function exit — " +
 		"early error returns included — with the concrete leaking path " +
 		"(acquisition, guards, exit) printed in each diagnostic",
-	RunProject: func(pass *ProjectPass) error {
+	Run: func(pass *Pass) error {
 		return reportFindings(pass, pass.Prog.lifecycle(lockSpec).leaks)
 	},
 }
@@ -35,15 +34,14 @@ var Errpath = &Analyzer{
 const lockKind = "lock"
 
 // lockSpec is the lock lifecycle: errpath reports its leaks, lockhold
-// its observer's findings.
+// its blocking observer's findings and lockorder its order observer's
+// edges.
 var lockSpec = &lifeSpec{
 	kind:      lockKind,
 	leakVerb:  "is still held",
 	classify:  classifyLock,
-	entryOpen: func(e *lifeEngine) []string { return e.sum.heldOnEntry },
-	// Leaving with an entry-held lock still held is the contract.
-	exitAllowed: func(e *lifeEngine, res string) bool { return slices.Contains(e.sum.heldOnEntry, res) },
-	observe:     observeBlocking,
+	contracts: true,
+	observers: []func(*lifeEngine, ast.Node, *lifeState){observeBlocking, observeOrder},
 }
 
 func classifyLock(e *lifeEngine, call *ast.CallExpr) (lifeEvent, bool) {
@@ -52,7 +50,8 @@ func classifyLock(e *lifeEngine, call *ast.CallExpr) (lifeEvent, bool) {
 		return lifeEvent{}, false
 	}
 	if lock {
-		return lifeEvent{op: lifeOpen, res: exprString(x), what: exprString(call)}, true
+		class, _ := classOf(e.pkg, e.sum.Key, x)
+		return lifeEvent{op: lifeOpen, res: exprString(x), class: class, what: exprString(call)}, true
 	}
 	return lifeEvent{op: lifeClose, res: exprString(x)}, true
 }

@@ -1,46 +1,37 @@
 package analyzers
 
-// interproc.go is harmonylint's interprocedural dataflow layer: a call
-// graph over every loaded package plus one Summary per function body —
-// which locks it acquires and with what already held, which channels
-// it sends on or closes, which goroutines it spawns, which doc-comment
-// lock contract it declares, whether it can learn about shutdown, and
-// whether it observes the wall clock. The lockorder and chanlife
-// passes, the determinism taint upgrade and the lifecycle explorations
-// consume these summaries instead of re-walking syntax, which is what
-// lets them follow a contract through any call depth rather than
-// stopping at the first function boundary.
+// interproc.go is harmonylint's interprocedural layer: a call graph over
+// every loaded package plus one Summary per function body — which locks
+// it acquires, which functions it calls, which channels it sends on or
+// closes, which goroutines it spawns, which doc-comment lock contract it
+// declares, whether it can learn about shutdown, and whether it observes
+// the wall clock. A summary is one syntax walk of the body (ast.Inspect):
+// it records what the body can do, never under which locks. What is held
+// where is the lock lifecycle's question (dataflow.go), answered path by
+// path; lockorder reads the lock-order edges that exploration records
+// and takes from here only the transitive acquisitions of a callee.
+// chanlife and the determinism taint upgrade read the summaries and
+// their closures directly, which is what lets them follow a contract
+// through any call depth rather than stopping at the first function
+// boundary.
 //
-// Two deliberate approximations keep the layer sound for its clients
-// without a full abstract interpreter:
-//
-//   - A call site's or acquisition's held-lock set is the must-held set:
-//     the summary builder runs the package's worklist (explore, in
-//     dataflow.go) over the function's CFG with the set of held lock
-//     classes as the state, and a lock counts as held at a node only
-//     when every state reaching the node holds it. A deferred Unlock
-//     leaves the lock held until return. Disagreement therefore drops
-//     locks, which can only suppress lock-order edges, never invent
-//     them. Per-path questions — "is this resource released on every
-//     path, including the early error returns?" — belong to the
-//     lifecycle explorations in dataflow.go, over the same graphs
-//     (FuncCFG).
-//   - Only statically resolvable calls propagate: a call through an
-//     interface or a function value contributes no edge. That is the
-//     sanctioned escape hatch (trace.Clock exists exactly so the
-//     deterministic core can time things through an interface).
+// Only statically resolvable calls propagate: a call through an
+// interface or a function value contributes no edge. That is the
+// sanctioned escape hatch (trace.Clock exists exactly so the
+// deterministic core can time things through an interface).
 //
 // Functions are keyed by FuncKey — import path, receiver type name,
-// function name — and locks by LockClass: printable, order-stable names
-// that diagnostics are sorted by and tests can spell.
+// function name — and locks and channels by Class: printable,
+// order-stable names that diagnostics are sorted by and tests can spell.
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"regexp"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -87,16 +78,21 @@ func keyOf(fn *types.Func) (FuncKey, bool) {
 	return k, true
 }
 
-// LockClass is one mutex "class": a struct field (every instance of
+// Class names one mutex or channel: a struct field (every instance of
 // vmShard.mu is one class), a package-level var, or a function-local
-// variable. Lock-order edges relate classes, not instances.
-type LockClass struct {
+// variable. Lock-order edges and done-channel rules relate classes, not
+// instances.
+type Class struct {
 	Pkg   string // import path of the owning package
 	Owner string // named type for fields, "func <name>" for locals, "" for package vars
 	Name  string // field or variable name
 }
 
-func (c LockClass) String() string {
+func (c Class) compare(d Class) int {
+	return cmp.Or(strings.Compare(c.Pkg, d.Pkg), strings.Compare(c.Owner, d.Owner), strings.Compare(c.Name, d.Name))
+}
+
+func (c Class) String() string {
 	base := c.Pkg[strings.LastIndex(c.Pkg, "/")+1:]
 	if c.Owner != "" {
 		return base + "." + c.Owner + "." + c.Name
@@ -104,32 +100,16 @@ func (c LockClass) String() string {
 	return base + "." + c.Name
 }
 
-// chanClass identifies a channel the same way LockClass identifies a
-// mutex: by field, package var or local name.
-type chanClass struct {
-	Pkg, Owner, Name string
-}
-
-func (c chanClass) String() string {
-	base := c.Pkg[strings.LastIndex(c.Pkg, "/")+1:]
-	if c.Owner != "" {
-		return base + "." + c.Owner + "." + c.Name
-	}
-	return base + "." + c.Name
-}
-
-// lockEvent is one direct Lock/RLock with the classes already held.
+// lockEvent is one direct Lock/RLock.
 type lockEvent struct {
 	pos   token.Pos
-	class LockClass
-	held  []LockClass
+	class Class
 }
 
-// callSite is one statically resolved call with the held-lock snapshot.
+// callSite is one statically resolved call.
 type callSite struct {
 	pos    token.Pos
 	callee FuncKey
-	held   []LockClass
 }
 
 // spawnSite is one `go` statement. callee is zero when the target is
@@ -144,7 +124,7 @@ type spawnSite struct {
 // chanOp is one send or close on an identifiable channel.
 type chanOp struct {
 	pos   token.Pos
-	class chanClass
+	class Class
 	send  bool // else close
 }
 
@@ -160,6 +140,10 @@ type Summary struct {
 	Key  FuncKey
 	Decl *ast.FuncDecl // nil for synthesized go-literal bodies
 	Pkg  *Package
+	// lits are the function literals summarized here, nested ones
+	// included: the spawned literal itself for a synthesized summary.
+	// The lifecycle explorations visit each with nothing open.
+	lits []*ast.FuncLit
 
 	Calls    []callSite
 	Spawns   []spawnSite
@@ -170,7 +154,7 @@ type Summary struct {
 	// EntryHeld are lock classes the doc contract declares held on
 	// entry ("Requires sh.mu held"); heldOnEntry are the same locks as
 	// the body spells them ("sh.mu").
-	EntryHeld   []LockClass
+	EntryHeld   []Class
 	heldOnEntry []string
 	// DirectShutdown: the body itself contains a construct by which a
 	// goroutine can learn it should exit or signal that it has
@@ -189,26 +173,23 @@ type Program struct {
 
 	tainted  map[FuncKey]string // key → witness source ("" = clean)
 	shutdown map[FuncKey]bool
-	transAcq map[FuncKey]map[LockClass]bool
-	cfgs     map[FuncKey]*CFG          // per-function CFGs, built once, shared by all passes
+	transAcq map[FuncKey][]Class
+	cfgs     map[*ast.BlockStmt]*CFG   // per-body CFGs, built once, shared by all passes
 	life     map[*lifeSpec]*lifeResult // lifecycle explorations, run once each
 	// truncated lists every exploration a bound cut short; empty means
 	// each "no finding" below is a proof, not a cap.
 	truncated []truncation
 }
 
-// FuncCFG returns the function's control-flow graph, building it on
-// first request and caching it for the summary builder and every pass
-// in the same RunProject call.
-func (p *Program) FuncCFG(k FuncKey) *CFG {
-	if c, ok := p.cfgs[k]; ok {
-		return c
+// cfgOf returns the control-flow graph of a function body, declared or
+// literal, building it on first request and caching it for every
+// exploration in the same RunProject call.
+func (p *Program) cfgOf(body *ast.BlockStmt) *CFG {
+	c, ok := p.cfgs[body]
+	if !ok {
+		c = NewCFG(body)
+		p.cfgs[body] = c
 	}
-	var c *CFG
-	if s := p.Funcs[k]; s != nil {
-		c = NewCFG(s.Decl)
-	}
-	p.cfgs[k] = c
 	return c
 }
 
@@ -219,7 +200,7 @@ func BuildProgram(pkgs []*Package) *Program {
 	prog := &Program{
 		Pkgs:  pkgs,
 		Funcs: make(map[FuncKey]*Summary),
-		cfgs:  make(map[FuncKey]*CFG),
+		cfgs:  make(map[*ast.BlockStmt]*CFG),
 		life:  make(map[*lifeSpec]*lifeResult),
 	}
 	if len(pkgs) > 0 {
@@ -234,41 +215,15 @@ func BuildProgram(pkgs []*Package) *Program {
 			}
 			sum := &Summary{Key: key, Decl: fd, Pkg: pkg}
 			parseContracts(pkg, fd, sum)
-			if !prog.add(sum) {
-				return
+			if prog.add(sum) {
+				(&sumBuilder{pkg: pkg, prog: prog, sum: sum}).walk(fd.Body)
 			}
-			var held heldSet
-			for _, c := range sum.EntryHeld {
-				held = held.with(c)
-			}
-			w := &sumBuilder{pkg: pkg, prog: prog, sum: sum}
-			w.body(prog.FuncCFG(key), held)
 		})
-	}
-	for _, k := range prog.Order {
-		prog.Funcs[k].sortEvents()
 	}
 	prog.closeTaint()
 	prog.closeShutdown()
 	prog.closeAcquires()
 	return prog
-}
-
-// sortEvents puts each event list in source order; the builder records
-// in block order.
-func (s *Summary) sortEvents() {
-	sortByPos(s.Calls, func(c callSite) token.Pos { return c.pos })
-	sortByPos(s.Spawns, func(c spawnSite) token.Pos { return c.pos })
-	sortByPos(s.Acquires, func(a lockEvent) token.Pos { return a.pos })
-	sortByPos(s.ChanOps, func(c chanOp) token.Pos { return c.pos })
-	sortByPos(s.Taints, func(u taintUse) token.Pos { return u.pos })
-}
-
-func sortByPos[T any](s []T, pos func(T) token.Pos) {
-	if len(s) < 2 {
-		return
-	}
-	sort.SliceStable(s, func(i, j int) bool { return pos(s[i]) < pos(s[j]) })
 }
 
 // add registers s under its key; false when the key is taken (several
@@ -312,183 +267,41 @@ func parseContracts(pkg *Package, fd *ast.FuncDecl, sum *Summary) {
 
 // fieldLockClass resolves "the mu field of the named type behind expr"
 // to a lock class.
-func fieldLockClass(pkg *Package, typeExpr ast.Expr, field string) (LockClass, bool) {
+func fieldLockClass(pkg *Package, typeExpr ast.Expr, field string) (Class, bool) {
 	t := pkg.Info.TypeOf(typeExpr)
 	if t == nil {
-		return LockClass{}, false
+		return Class{}, false
 	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
+	n, ok := deref(t).(*types.Named)
 	if !ok || n.Obj().Pkg() == nil {
-		return LockClass{}, false
+		return Class{}, false
 	}
-	return LockClass{Pkg: n.Obj().Pkg().Path(), Owner: n.Obj().Name(), Name: field}, true
+	return Class{Pkg: n.Obj().Pkg().Path(), Owner: n.Obj().Name(), Name: field}, true
 }
 
 // ----------------------------------------------------- the summary builder
 
-// heldSet is a set of lock classes, sorted and never modified in place,
-// so a snapshot can be kept by just keeping the slice.
-type heldSet []LockClass
-
-func lessClass(a, b LockClass) bool {
-	if a.Pkg != b.Pkg {
-		return a.Pkg < b.Pkg
-	}
-	if a.Owner != b.Owner {
-		return a.Owner < b.Owner
-	}
-	return a.Name < b.Name
-}
-
-func (h heldSet) find(c LockClass) (int, bool) {
-	i := sort.Search(len(h), func(i int) bool { return !lessClass(h[i], c) })
-	return i, i < len(h) && h[i] == c
-}
-
-func (h heldSet) with(c LockClass) heldSet {
-	i, ok := h.find(c)
-	if ok {
-		return h
-	}
-	out := make(heldSet, 0, len(h)+1)
-	return append(append(append(out, h[:i]...), c), h[i:]...)
-}
-
-func (h heldSet) without(c LockClass) heldSet {
-	i, ok := h.find(c)
-	if !ok {
-		return h
-	}
-	out := make(heldSet, 0, len(h)-1)
-	return append(append(out, h[:i]...), h[i+1:]...)
-}
-
-func (h heldSet) intersect(o heldSet) heldSet {
-	var out heldSet
-	for _, c := range h {
-		if _, ok := o.find(c); ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-func (h heldSet) key() string {
-	var b strings.Builder
-	for _, c := range h {
-		b.WriteString(c.Pkg)
-		b.WriteByte('.')
-		b.WriteString(c.Owner)
-		b.WriteByte('.')
-		b.WriteString(c.Name)
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
-// sumBuilder fills one Summary. held is the must-held lock set at the
-// node being recorded.
+// sumBuilder fills one Summary.
 type sumBuilder struct {
 	pkg  *Package
 	prog *Program
 	sum  *Summary
-	held heldSet
 }
 
-// body summarizes one function body entered with the given locks held.
-// The worklist first finds, per block, the locks every state reaching
-// it holds; one pass over the blocks then records each node's events
-// against that set.
-func (w *sumBuilder) body(cfg *CFG, entry heldSet) {
-	in := make([]heldSet, len(cfg.Blocks))
-	reached := make([]bool, len(cfg.Blocks))
-	complete := explore(cfg, entry, heldSet.key,
-		func(blk *Block, h heldSet) heldSet {
-			if reached[blk.ID] {
-				in[blk.ID] = in[blk.ID].intersect(h)
-			} else {
-				reached[blk.ID], in[blk.ID] = true, h
-			}
-			for _, n := range blk.Nodes {
-				h = w.lockEffects(n, h)
-			}
-			return h
-		},
-		func(h heldSet, _ *Edge) heldSet { return h })
-	if !complete {
-		w.prog.truncated = append(w.prog.truncated, truncation{"summary", w.sum.Key})
-	}
-	outer := w.held
-	for _, blk := range cfg.Blocks {
-		if !reached[blk.ID] {
-			continue
-		}
-		w.held = in[blk.ID]
-		for _, n := range blk.Nodes {
-			w.node(n)
-		}
-	}
-	w.held = outer
-}
-
-// mutexOp matches a mutex Lock or Unlock and resolves the mutex to its
-// class.
-func (w *sumBuilder) mutexOp(call *ast.CallExpr) (c LockClass, lock, ok bool) {
-	x, lock, ok := mutexCall(w.pkg.Info, call)
-	if ok {
-		c, ok = w.lockClassOf(x)
-	}
-	return c, lock, ok
-}
-
-// lockEffects applies the node's Lock and Unlock calls to held. Deferred
-// calls run at return and spawned ones elsewhere, so neither changes
-// what is held here; a deferred Unlock thereby keeps its lock held
-// until return.
-func (w *sumBuilder) lockEffects(n ast.Node, held heldSet) heldSet {
-	switch n.(type) {
-	case *ast.DeferStmt, *ast.GoStmt:
-		return held
-	}
-	inspectNode(n, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if c, lock, ok := w.mutexOp(x); ok {
-				if lock {
-					held = held.with(c)
-				} else {
-					held = held.without(c)
-				}
-			}
-		}
-		return true
-	})
-	return held
-}
-
-// node records the calls, taints, lock transitions, channel operations
-// and shutdown constructs of one CFG node, in lexical order. A function
-// literal that is not spawned is summarized into the same Summary with
-// nothing held (it runs later, locks notwithstanding).
-func (w *sumBuilder) node(n ast.Node) {
-	inspectNode(n, func(x ast.Node) bool {
+// walk records the calls, taints, acquisitions, channel operations,
+// spawns and shutdown constructs under n, in source order. A function
+// literal that is not spawned is summarized into the same Summary and
+// listed in its lits; a spawned one gets a summary of its own.
+func (w *sumBuilder) walk(n ast.Node) {
+	ast.Inspect(n, func(x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.GoStmt:
 			w.goStmt(x)
 			return false
-		case *ast.DeferStmt:
-			w.deferStmt(x)
-			return false
 		case *ast.FuncLit:
-			w.body(newBodyCFG(x.Body), nil)
-			return false
+			w.sum.lits = append(w.sum.lits, x)
 		case *ast.SendStmt:
-			if c, ok := w.chanClassOf(x.Chan); ok {
+			if c, ok := classOf(w.pkg, w.sum.Key, x.Chan); ok {
 				w.sum.ChanOps = append(w.sum.ChanOps, chanOp{pos: x.Pos(), class: c, send: true})
 			}
 		case *ast.RangeStmt:
@@ -508,18 +321,15 @@ func (w *sumBuilder) node(n ast.Node) {
 	})
 }
 
-// call classifies one call expression: lock transition, taint source,
+// call classifies one call expression: lock acquisition, taint source,
 // channel close, shutdown signal, or a plain (possibly resolvable)
 // call.
 func (w *sumBuilder) call(call *ast.CallExpr) {
 	info := w.pkg.Info
 
-	if c, lock, ok := w.mutexOp(call); ok {
-		if lock {
-			w.sum.Acquires = append(w.sum.Acquires, lockEvent{pos: call.Pos(), class: c, held: w.held})
-			w.held = w.held.with(c)
-		} else {
-			w.held = w.held.without(c)
+	if x, lock, ok := mutexCall(info, call); ok {
+		if c, ok := classOf(w.pkg, w.sum.Key, x); ok && lock {
+			w.sum.Acquires = append(w.sum.Acquires, lockEvent{pos: call.Pos(), class: c})
 		}
 		return
 	}
@@ -535,7 +345,7 @@ func (w *sumBuilder) call(call *ast.CallExpr) {
 	// close(ch) builtin.
 	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "close" {
 		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && len(call.Args) == 1 {
-			if c, ok := w.chanClassOf(call.Args[0]); ok {
+			if c, ok := classOf(w.pkg, w.sum.Key, call.Args[0]); ok {
 				w.sum.ChanOps = append(w.sum.ChanOps, chanOp{pos: call.Pos(), class: c})
 			}
 			return
@@ -555,12 +365,8 @@ func (w *sumBuilder) call(call *ast.CallExpr) {
 	}
 
 	// Statically resolvable call → call-graph edge.
-	fn := calleeFunc(info, call)
-	if fn == nil {
-		return
-	}
-	if key, ok := keyOf(fn); ok {
-		w.sum.Calls = append(w.sum.Calls, callSite{pos: call.Pos(), callee: key, held: w.held})
+	if key, ok := keyOf(calleeFunc(info, call)); ok {
+		w.sum.Calls = append(w.sum.Calls, callSite{pos: call.Pos(), callee: key})
 	}
 }
 
@@ -582,7 +388,7 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 // for the spawned body so the lifecycle fixpoint can see through it.
 func (w *sumBuilder) goStmt(g *ast.GoStmt) {
 	for _, a := range g.Call.Args {
-		w.node(a)
+		w.walk(a)
 	}
 	if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
 		pos := w.pkg.Fset.Position(g.Pos())
@@ -591,8 +397,7 @@ func (w *sumBuilder) goStmt(g *ast.GoStmt) {
 			Pkg: w.pkg,
 		}
 		w.prog.add(syn)
-		lw := &sumBuilder{pkg: w.pkg, prog: w.prog, sum: syn}
-		lw.body(newBodyCFG(lit.Body), nil)
+		(&sumBuilder{pkg: w.pkg, prog: w.prog, sum: syn}).walk(lit)
 		w.sum.Spawns = append(w.sum.Spawns, spawnSite{pos: g.Pos(), callee: syn.Key, label: "func literal"})
 		return
 	}
@@ -605,111 +410,58 @@ func (w *sumBuilder) goStmt(g *ast.GoStmt) {
 	w.sum.Spawns = append(w.sum.Spawns, sp)
 }
 
-// deferStmt: a deferred Unlock changes nothing here (the lock stays
-// held until return, the standard Lock/defer-Unlock idiom); any other
-// deferred call is recorded with nothing held, since it runs at an
-// unknown exit state.
-func (w *sumBuilder) deferStmt(d *ast.DeferStmt) {
-	if _, lock, ok := w.mutexOp(d.Call); ok && !lock {
-		return
-	}
-	outer := w.held
-	w.held = nil
-	w.node(d.Call)
-	w.held = outer
-}
-
-// lockClassOf resolves the mutex expression x of x.Lock() to a class.
-func (w *sumBuilder) lockClassOf(e ast.Expr) (LockClass, bool) {
-	info := w.pkg.Info
+// classOf resolves a mutex or channel expression, as function fn
+// spells it, to its class: the field it selects (owned by the type that
+// declares it, through embedding), a package-level variable, or a
+// variable local to fn. An indexed element (ready[i]) takes the class of
+// its slice.
+func classOf(pkg *Package, fn FuncKey, e ast.Expr) (Class, bool) {
+	info := pkg.Info
 	switch e := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
 		v, ok := info.Uses[e.Sel].(*types.Var)
-		if !ok || !v.IsField() {
-			// Selector onto a package-level var (pkg.mu) or a
-			// non-field; fall back to the object itself.
-			if ok && v.Pkg() != nil {
-				return LockClass{Pkg: v.Pkg().Path(), Name: v.Name()}, true
-			}
-			return LockClass{}, false
+		if !ok || v.Pkg() == nil {
+			return Class{}, false
 		}
-		// Owner type: the named type the selection steps through.
-		if s, ok := info.Selections[e]; ok {
-			t := s.Recv()
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			// Embedded fields: use the type that directly declares mu.
-			for _, idx := range s.Index()[:len(s.Index())-1] {
-				st, ok := t.Underlying().(*types.Struct)
-				if !ok {
-					break
-				}
-				t = st.Field(idx).Type()
-				if p, ok := t.(*types.Pointer); ok {
-					t = p.Elem()
-				}
-			}
-			if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
-				return LockClass{Pkg: n.Obj().Pkg().Path(), Owner: n.Obj().Name(), Name: v.Name()}, true
-			}
+		if !v.IsField() {
+			return Class{Pkg: v.Pkg().Path(), Name: v.Name()}, true // pkg.mu
 		}
-		return LockClass{}, false
+		s, ok := info.Selections[e]
+		if !ok {
+			return Class{}, false
+		}
+		t := deref(s.Recv())
+		for _, idx := range s.Index()[:len(s.Index())-1] {
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			t = deref(st.Field(idx).Type())
+		}
+		if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
+			return Class{Pkg: n.Obj().Pkg().Path(), Owner: n.Obj().Name(), Name: v.Name()}, true
+		}
 	case *ast.Ident:
 		v, ok := info.Uses[e].(*types.Var)
 		if !ok || v.Pkg() == nil {
-			return LockClass{}, false
-		}
-		if v.IsField() {
-			// mu inside a method with an embedded receiver.
-			return LockClass{Pkg: v.Pkg().Path(), Owner: w.sum.Key.Recv, Name: v.Name()}, true
+			return Class{}, false
 		}
 		if v.Parent() == v.Pkg().Scope() {
-			return LockClass{Pkg: v.Pkg().Path(), Name: v.Name()}, true
+			return Class{Pkg: v.Pkg().Path(), Name: v.Name()}, true
 		}
-		// Function-local mutex: class scoped to this function.
-		return LockClass{Pkg: v.Pkg().Path(), Owner: "func " + w.sum.Key.Name, Name: v.Name()}, true
-	}
-	return LockClass{}, false
-}
-
-// chanClassOf resolves a send/close target to a channel class, when it
-// is a plain field or variable reference.
-func (w *sumBuilder) chanClassOf(e ast.Expr) (chanClass, bool) {
-	info := w.pkg.Info
-	switch e := ast.Unparen(e).(type) {
-	case *ast.SelectorExpr:
-		v, ok := info.Uses[e.Sel].(*types.Var)
-		if !ok || !v.IsField() {
-			if ok && v.Pkg() != nil {
-				return chanClass{Pkg: v.Pkg().Path(), Name: v.Name()}, true
-			}
-			return chanClass{}, false
-		}
-		if s, ok := info.Selections[e]; ok {
-			t := s.Recv()
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
-				return chanClass{Pkg: n.Obj().Pkg().Path(), Owner: n.Obj().Name(), Name: v.Name()}, true
-			}
-		}
-		return chanClass{}, false
-	case *ast.Ident:
-		v, ok := info.Uses[e].(*types.Var)
-		if !ok || v.Pkg() == nil {
-			return chanClass{}, false
-		}
-		if v.Parent() == v.Pkg().Scope() {
-			return chanClass{Pkg: v.Pkg().Path(), Name: v.Name()}, true
-		}
-		return chanClass{Pkg: v.Pkg().Path(), Owner: "func " + w.sum.Key.Name, Name: v.Name()}, true
+		return Class{Pkg: v.Pkg().Path(), Owner: "func " + fn.Name, Name: v.Name()}, true
 	case *ast.IndexExpr:
-		// ready[i]-style per-element channels: class by the slice.
-		return w.chanClassOf(e.X)
+		return classOf(pkg, fn, e.X)
 	}
-	return chanClass{}, false
+	return Class{}, false
+}
+
+// deref strips one pointer.
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
 }
 
 func shortFile(path string) string {
@@ -787,22 +539,22 @@ func (p *Program) closeShutdown() {
 func (p *Program) ReachesShutdown(k FuncKey) bool { return p.shutdown[k] }
 
 // closeAcquires: transitive may-acquire sets — every lock class a call
-// into the function may take at any depth.
+// into the function may take at any depth, kept sorted.
 func (p *Program) closeAcquires() {
-	p.transAcq = make(map[FuncKey]map[LockClass]bool)
+	sets := make(map[FuncKey]map[Class]bool)
 	for _, k := range p.Order {
-		set := make(map[LockClass]bool)
+		set := make(map[Class]bool)
 		for _, a := range p.Funcs[k].Acquires {
 			set[a.class] = true
 		}
-		p.transAcq[k] = set
+		sets[k] = set
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, k := range p.Order {
-			set := p.transAcq[k]
+			set := sets[k]
 			for _, c := range p.Funcs[k].Calls {
-				for cls := range p.transAcq[c.callee] {
+				for cls := range sets[c.callee] {
 					if !set[cls] {
 						set[cls] = true
 						changed = true
@@ -811,15 +563,15 @@ func (p *Program) closeAcquires() {
 			}
 		}
 	}
+	p.transAcq = make(map[FuncKey][]Class)
+	for k, set := range sets {
+		for c := range set {
+			p.transAcq[k] = append(p.transAcq[k], c)
+		}
+		slices.SortFunc(p.transAcq[k], Class.compare)
+	}
 }
 
 // TransAcquires returns the sorted lock classes the function may
 // acquire at any call depth.
-func (p *Program) TransAcquires(k FuncKey) []LockClass {
-	var out heldSet
-	for c := range p.transAcq[k] {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return lessClass(out[i], out[j]) })
-	return out
-}
+func (p *Program) TransAcquires(k FuncKey) []Class { return p.transAcq[k] }

@@ -1,10 +1,13 @@
 package analyzers
 
 // Unit tests for the interprocedural engine itself: summaries, doc
-// contracts, and the fixpoint closures, checked directly on a small
-// inline program rather than through an analyzer's diagnostics.
+// contracts, the fixpoint closures and the lock-order edges the lock
+// exploration records, checked directly on a small inline program
+// rather than through an analyzer's diagnostics.
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -32,7 +35,8 @@ func (o *owner) deposit(n int) {
 	o.mu.Unlock()
 }
 
-// branchy keeps the lock on only one arm, so the join drops it.
+// branchy keeps the lock on only one arm, which reaches helper holding
+// it.
 func (o *owner) branchy(b bool) {
 	o.mu.Lock()
 	if b {
@@ -41,7 +45,12 @@ func (o *owner) branchy(b bool) {
 	helper()
 }
 
-func helper() {}
+var logMu sync.Mutex
+
+func helper() {
+	logMu.Lock()
+	logMu.Unlock()
+}
 
 // deferred holds until return.
 func (o *owner) deferred() {
@@ -123,41 +132,44 @@ func TestInterprocSummaries(t *testing.T) {
 		t.Errorf("depositLocked EntryHeld = %v, want [engine.owner.mu]", dl.EntryHeld)
 	}
 
-	// deposit records a direct acquisition with nothing held, and its
-	// call to depositLocked is seen while owner.mu is held.
+	// deposit records one direct acquisition. Its call to depositLocked
+	// draws no edge: owner.mu is the callee's contract, and the callee's
+	// own exploration, which starts with it open, takes nothing under it.
 	dep := prog.Funcs[engineKey("deposit", "owner")]
-	if len(dep.Acquires) != 1 || len(dep.Acquires[0].held) != 0 {
-		t.Errorf("deposit Acquires = %+v, want one event with empty held", dep.Acquires)
+	if len(dep.Acquires) != 1 || dep.Acquires[0].class.String() != "engine.owner.mu" {
+		t.Errorf("deposit Acquires = %+v, want one event on engine.owner.mu", dep.Acquires)
 	}
-	foundCall := false
-	for _, c := range dep.Calls {
-		if c.callee.Name == "depositLocked" {
-			foundCall = true
-			if len(c.held) != 1 || c.held[0].Owner != "owner" {
-				t.Errorf("depositLocked call site held = %v, want [engine.owner.mu]", c.held)
-			}
-		}
+	if e := edgesIn(prog, engineKey("deposit", "owner")); len(e) != 0 {
+		t.Errorf("deposit records edges %q, want none at a call into the lock's contract", e)
 	}
-	if !foundCall {
-		t.Error("deposit's call to depositLocked not summarized")
+	if e := edgesIn(prog, engineKey("depositLocked", "")); len(e) != 0 {
+		t.Errorf("depositLocked records edges %q, want none", e)
 	}
 
-	// Branch join drops the disagreed lock: helper is called with
-	// nothing (certainly) held.
-	br := prog.Funcs[engineKey("branchy", "owner")]
-	for _, c := range br.Calls {
-		if c.callee.Name == "helper" && len(c.held) != 0 {
-			t.Errorf("branchy's helper call held = %v, want empty after branch join", c.held)
-		}
+	// A lock held on one arm only reaches helper on that path, and the
+	// path is enough for an edge.
+	want := []string{"engine.owner.mu → engine.logMu via engine.helper"}
+	if e := edgesIn(prog, engineKey("branchy", "owner")); !slices.Equal(e, want) {
+		t.Errorf("branchy records edges %q, want %q", e, want)
 	}
 
-	// Deferred unlock keeps the lock held at later calls.
-	df := prog.Funcs[engineKey("deferred", "owner")]
-	for _, c := range df.Calls {
-		if c.callee.Name == "helper" && len(c.held) != 1 {
-			t.Errorf("deferred's helper call held = %v, want [engine.owner.mu]", c.held)
+	// A deferred unlock keeps the lock held at later calls.
+	if e := edgesIn(prog, engineKey("deferred", "owner")); !slices.Equal(e, want) {
+		t.Errorf("deferred records edges %q, want %q", e, want)
+	}
+}
+
+// edgesIn renders the lock-order edges the lock exploration records
+// inside the declared function k.
+func edgesIn(prog *Program, k FuncKey) []string {
+	decl := prog.Funcs[k].Decl
+	var out []string
+	for _, e := range prog.lifecycle(lockSpec).edges {
+		if decl.Pos() <= e.pos && e.pos < decl.End() {
+			out = append(out, fmt.Sprintf("%s → %s via %s", e.from, e.to, e.via))
 		}
 	}
+	return out
 }
 
 func TestInterprocFixpoints(t *testing.T) {

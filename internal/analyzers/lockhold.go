@@ -17,19 +17,20 @@ import (
 // VM.WaitIdle and waitSettle. sync.Cond.Wait is exempt — it releases
 // the mutex while parked.
 //
-// The pass is the observer of the lock-lifecycle exploration errpath
-// reports leaks from (lockSpec in errpath.go): the held locks at each
-// node, per path, are that exploration's state, including locks the
-// doc contract declares held on entry ("Requires sh.mu held"). Leaked
-// locks are errpath's report and nested locks lockorder's; this pass
-// owns only what happens while a lock is held.
+// The pass is the blocking observer of the lock-lifecycle exploration
+// errpath reports leaks from (lockSpec in errpath.go): the held locks at
+// each node, per path, are that exploration's state, including locks
+// the doc contract declares held on entry ("Requires sh.mu held").
+// Leaked locks are errpath's report and nested locks lockorder's (the
+// same exploration's order observer); this pass owns only blocking
+// while a lock is held.
 var Lockhold = &Analyzer{
 	Name: "lockhold",
 	Doc: "report blocking operations (channel operations, select without " +
 		"default, time.Sleep, Clock.Sleep, WaitGroup.Wait, WaitIdle, waitSettle) at any " +
 		"point some path reaches with a mutex held; the doc contract " +
 		"\"Requires sh.mu held\" sets the entry state",
-	RunProject: func(pass *ProjectPass) error {
+	Run: func(pass *Pass) error {
 		return reportFindings(pass, pass.Prog.lifecycle(lockSpec).observed)
 	},
 }

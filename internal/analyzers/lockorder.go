@@ -4,9 +4,10 @@ package analyzers
 // gated invariant. exec.VM documents the order — vmShard locks one at a
 // time, never two nested — but nothing enforced it past the single
 // function lockhold could see. This pass builds the global
-// lock-acquisition graph from the interprocedural summaries: an edge
-// A → B for every place the program acquires class B (directly, or
-// anywhere inside a callee) while holding class A. It then rejects
+// lock-acquisition graph from the lock lifecycle (lockSpec), path by
+// path: an edge A → B wherever some path acquires class B while it
+// holds class A — directly, or by calling a function that may take B at
+// any call depth. It then rejects
 //
 //   - cycles between distinct classes: two call chains acquiring the
 //     same pair of locks in opposite orders can deadlock, no matter
@@ -16,13 +17,16 @@ package analyzers
 //     two instances of one class (two vmShard.mu) deadlock when two
 //     paths take them in opposite orders. No doc comment licenses it.
 //
-// Doc contracts participate: a function documented "Requires sh.mu
-// held" is summarized as entering with that class held, so the locks
+// Doc contracts participate from both sides. A function documented
+// "Requires sh.mu held" is explored with that lock open, so the locks
 // it takes underneath contribute edges from the contract lock even
-// though no Lock call is visible.
+// though no Lock call is visible — unless it lets go of the lock
+// first. Its callers therefore draw no edge from the contract lock at
+// the call: what happens under it is the callee's exploration's to say.
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 	"slices"
 	"sort"
@@ -30,53 +34,72 @@ import (
 
 var Lockorder = &Analyzer{
 	Name: "lockorder",
-	Doc: "build the global lock-acquisition graph from interprocedural summaries and reject " +
+	Doc: "build the global lock-acquisition graph from the path-by-path lock lifecycle and reject " +
 		"cycles and any nesting of two locks of one class",
-	RunProject: runLockorder,
+	Run: runLockorder,
 }
 
 // lockEdge is one witnessed "B acquired while A held" fact.
 type lockEdge struct {
-	from, to LockClass
+	from, to Class
 	pos      token.Pos
-	via      string // callee chain hop for call-depth edges, "" for direct
+	via      string // callee for call-depth edges, "" for direct
 }
 
-func runLockorder(pass *ProjectPass) error {
-	prog := pass.Prog
-	var edges []lockEdge
-	for _, k := range prog.Order {
-		s := prog.Funcs[k]
-		for _, a := range s.Acquires {
-			for _, h := range a.held {
-				edges = append(edges, lockEdge{from: h, to: a.class, pos: a.pos})
-			}
+// observeOrder is lockSpec's order observer: it records an edge from
+// every lock the path holds to each lock node n takes, directly or
+// through a resolvable callee's transitive acquisitions. A Lock is a
+// statement of its own, so the state before n is the state at each of
+// its calls. Deferred and spawned calls run later, under some other
+// lock state, and so do function literals.
+func observeOrder(e *lifeEngine, n ast.Node, st *lifeState) {
+	switch n.(type) {
+	case *ast.DeferStmt, *ast.GoStmt:
+		return
+	}
+	var held []Class
+	for _, o := range st.open {
+		if o.n > 0 && o.class != (Class{}) {
+			held = append(held, o.class)
 		}
-		for _, c := range s.Calls {
-			if len(c.held) == 0 {
-				continue
-			}
-			callee := prog.Funcs[c.callee]
-			if callee == nil {
-				continue
-			}
-			for _, acq := range prog.TransAcquires(c.callee) {
-				for _, h := range c.held {
-					if h == acq && slices.Contains(callee.EntryHeld, acq) {
-						// The callee's contract says the caller holds
-						// this lock for it; its summary re-lists the
-						// class only through that contract, not a
-						// second acquisition.
-						continue
+	}
+	if len(held) == 0 {
+		return
+	}
+	inspectNode(n, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			if m, lock, ok := mutexCall(e.pkg.Info, x); ok {
+				if c, ok := classOf(e.pkg, e.sum.Key, m); ok && lock {
+					for _, h := range held {
+						e.edge(lockEdge{from: h, to: c, pos: x.Pos()})
 					}
-					edges = append(edges, lockEdge{from: h, to: acq, pos: c.pos, via: c.callee.String()})
+				}
+				return true
+			}
+			k, ok := keyOf(calleeFunc(e.pkg.Info, x))
+			callee := e.prog.Funcs[k]
+			if !ok || callee == nil {
+				return true
+			}
+			for _, h := range held {
+				if slices.Contains(callee.EntryHeld, h) {
+					continue // the callee's contract: its exploration follows h
+				}
+				for _, acq := range e.prog.TransAcquires(k) {
+					e.edge(lockEdge{from: h, to: acq, pos: x.Pos(), via: k.String()})
 				}
 			}
 		}
-	}
+		return true
+	})
+}
 
-	adj := make(map[LockClass]map[LockClass]lockEdge)
-	for _, e := range edges {
+func runLockorder(pass *Pass) error {
+	adj := make(map[Class]map[Class]lockEdge)
+	for _, e := range pass.Prog.lifecycle(lockSpec).edges {
 		if e.from == e.to {
 			pass.Reportf(e.pos,
 				"nested acquisition of %s%s while a lock of the same class is held; no two locks of one class may nest",
@@ -84,10 +107,10 @@ func runLockorder(pass *ProjectPass) error {
 			continue
 		}
 		if adj[e.from] == nil {
-			adj[e.from] = make(map[LockClass]lockEdge)
+			adj[e.from] = make(map[Class]lockEdge)
 		}
 		if _, dup := adj[e.from][e.to]; !dup {
-			adj[e.from][e.to] = e // first witness wins (deterministic: Order)
+			adj[e.from][e.to] = e // first witness wins (deterministic: exploration order)
 		}
 	}
 
@@ -105,15 +128,15 @@ func viaClause(via string) string {
 // reportLockCycles finds every cycle among distinct lock classes and
 // reports each once, at the witness position of its lexically first
 // edge, rendering the full chain of hops.
-func reportLockCycles(pass *ProjectPass, adj map[LockClass]map[LockClass]lockEdge) {
-	nodes := make([]LockClass, 0, len(adj))
+func reportLockCycles(pass *Pass, adj map[Class]map[Class]lockEdge) {
+	nodes := make([]Class, 0, len(adj))
 	for n := range adj {
 		nodes = append(nodes, n)
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].String() < nodes[j].String() })
 
-	succ := func(n LockClass) []LockClass {
-		outs := make([]LockClass, 0, len(adj[n]))
+	succ := func(n Class) []Class {
+		outs := make([]Class, 0, len(adj[n]))
 		for m := range adj[n] {
 			outs = append(outs, m)
 		}
@@ -125,15 +148,15 @@ func reportLockCycles(pass *ProjectPass, adj map[LockClass]map[LockClass]lockEdg
 	// node with canonical-key dedupe is plenty; cycles are reported once
 	// regardless of which node the walk entered them from.
 	reported := make(map[string]bool)
-	var stack []LockClass
-	onStack := make(map[LockClass]int)
-	var dfs func(n LockClass)
-	dfs = func(n LockClass) {
+	var stack []Class
+	onStack := make(map[Class]int)
+	var dfs func(n Class)
+	dfs = func(n Class) {
 		onStack[n] = len(stack)
 		stack = append(stack, n)
 		for _, m := range succ(n) {
 			if at, ok := onStack[m]; ok {
-				cycle := append([]LockClass(nil), stack[at:]...)
+				cycle := append([]Class(nil), stack[at:]...)
 				reportCycle(pass, adj, cycle, reported)
 				continue
 			}
@@ -147,7 +170,7 @@ func reportLockCycles(pass *ProjectPass, adj map[LockClass]map[LockClass]lockEdg
 	}
 }
 
-func reportCycle(pass *ProjectPass, adj map[LockClass]map[LockClass]lockEdge, cycle []LockClass, reported map[string]bool) {
+func reportCycle(pass *Pass, adj map[Class]map[Class]lockEdge, cycle []Class, reported map[string]bool) {
 	// Canonicalize: rotate so the smallest class leads.
 	min := 0
 	for i := range cycle {
@@ -155,7 +178,7 @@ func reportCycle(pass *ProjectPass, adj map[LockClass]map[LockClass]lockEdge, cy
 			min = i
 		}
 	}
-	rot := append(append([]LockClass(nil), cycle[min:]...), cycle[:min]...)
+	rot := append(append([]Class(nil), cycle[min:]...), cycle[:min]...)
 	key := ""
 	for _, c := range rot {
 		key += c.String() + "→"

@@ -566,7 +566,7 @@ var liveLoad struct {
 }
 
 // liveTree loads the module's own tree, once per test binary.
-func liveTree(t *testing.T) []*Package {
+func liveTree(t testing.TB) []*Package {
 	t.Helper()
 	liveLoad.once.Do(func() {
 		liveLoad.pkgs, liveLoad.err = Load(filepath.Join("..", ".."), "./...")

@@ -1,6 +1,6 @@
 // Package lockorder is the fixture for the lockorder analyzer: the
-// global lock-acquisition graph built from interprocedural summaries,
-// rejecting cycles and any nesting of two locks of one class.
+// global lock-acquisition graph built path by path from the lock
+// lifecycle, rejecting cycles and any nesting of two locks of one class.
 package lockorder
 
 import "sync"
@@ -91,6 +91,67 @@ func record(r *registry, name string) {
 	r.mu.Lock()
 	r.names[name] = len(r.names)
 	r.mu.Unlock()
+}
+
+// ------------------------------------ contract lock released in the callee
+
+// tally counts a name against a shard under the registry lock:
+// registry.mu → devShard.mu.
+func (r *registry) tally(d *devShard, name string) {
+	r.mu.Lock()
+	d.mu.Lock()
+	d.used += int64(r.names[name])
+	d.mu.Unlock()
+	r.mu.Unlock()
+}
+
+// flushLocked lets go of the shard lock its caller holds for it around
+// the registry update, so no path holds devShard.mu over registry.mu
+// and there is no cycle with tally.
+//
+// Requires d.mu held.
+func flushLocked(d *devShard, r *registry, name string) {
+	d.mu.Unlock()
+	record(r, name)
+	d.mu.Lock()
+}
+
+func (m *manager) flush(i int, r *registry, name string) {
+	d := &m.shards[i]
+	d.mu.Lock()
+	flushLocked(d, r, name)
+	d.mu.Unlock()
+}
+
+// ------------------------------------------ cycle on one path only
+
+// journal is a lock class taken on either side of the registry.
+type journal struct {
+	mu      sync.Mutex
+	entries []string
+}
+
+// replay takes the registry lock on one arm only, then the journal's:
+// registry.mu → journal.mu on the path that locked.
+func (r *registry) replay(j *journal, locked bool) {
+	if !locked {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+	}
+	j.mu.Lock()
+	for _, e := range j.entries {
+		r.names[e]++
+	}
+	j.mu.Unlock()
+}
+
+// note takes the registry under the journal: journal.mu → registry.mu,
+// the opposite order to replay's locking path.
+func (j *journal) note(r *registry, name string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.entries = append(j.entries, name)
+	record(r, name) // want `lock-order cycle: lockorder\.journal\.mu → lockorder\.registry\.mu .* lockorder\.registry\.mu → lockorder\.journal\.mu`
 }
 
 // ------------------------------------------- recursive acquisition
