@@ -74,7 +74,9 @@ race:
 # under a Zipf working set and under one goroutine per device at 1..64
 # devices, one iteration of each BenchmarkSimulate cell, the
 # benchmark whose CPU profile gives the simulator's per-layer rows (the
-# write-barrier share of the event loop, DESIGN.md §6), and one
+# write-barrier share of the event loop, DESIGN.md §6), one plan build
+# of each of those cells (BenchmarkPlan, the scheduler's own layer,
+# allocations included), and one
 # iteration of BenchmarkRunProject, every harmonylint pass over the
 # loaded live tree (its allocs/op are the linter's). The ns/op
 # numbers are by hand; what the Ensure curve shows — a resident Ensure
@@ -84,6 +86,7 @@ race:
 bench-contend:
 	$(GO) test -run XXX -bench 'BenchmarkEnsureContended|BenchmarkVMEvictionZipf' -benchtime 10000x ./internal/exec/
 	$(GO) test -run XXX -bench BenchmarkSimulate -benchtime 1x .
+	$(GO) test -run XXX -bench BenchmarkPlan -benchmem -benchtime 1x ./internal/sched/
 	$(GO) test -run XXX -bench BenchmarkRunProject -benchmem -benchtime 1x ./internal/analyzers/
 
 # The paired-run protocol that decides a performance claim

@@ -1,6 +1,6 @@
 // Package collective implements collective communication over the
 // simulated topology: ring all-reduce (the gradient averaging of
-// data-parallel training, NCCL-style) and broadcast. Harmony inserts
+// data-parallel training, NCCL-style) and ring all-gather. Harmony inserts
 // these transparently to preserve the semantics of the original tasks
 // (paper §1).
 package collective
@@ -190,42 +190,6 @@ func RingAllGather(top *hw.Topology, devs []hw.DeviceID, bytes int64, done func(
 		}
 	}
 	startRing(top, devs, bytes, n-1, done, fail)
-	return nil
-}
-
-// Broadcast copies `bytes` from root to every other device,
-// concurrently. done fires when the slowest receiver has the payload.
-// fail receives mid-collective errors (host-bounce second hops), with
-// the same contract as RingAllReduce.
-func Broadcast(top *hw.Topology, root hw.DeviceID, devs []hw.DeviceID, bytes int64, done func(at sim.Time), fail func(error)) error {
-	if bytes < 0 {
-		return fmt.Errorf("collective: negative payload %d", bytes)
-	}
-	targets := 0
-	for _, d := range devs {
-		if d != root {
-			targets++
-		}
-	}
-	if targets == 0 {
-		top.Eng.After(0, func() { done(top.Eng.Now()) })
-		return nil
-	}
-	remaining := targets
-	ab := &aborter{fail: fail}
-	for _, d := range devs {
-		if d == root {
-			continue
-		}
-		if err := sendChunk(top, root, d, bytes, func(sim.Time) {
-			remaining--
-			if remaining == 0 {
-				done(top.Eng.Now())
-			}
-		}, ab); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -131,32 +131,6 @@ func TestAllReduceValidation(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	eng, top := box(t, 4, true)
-	fired := false
-	if err := Broadcast(top, 0, gpus(4), 12e6, func(sim.Time) { fired = true }, nil); err != nil {
-		t.Fatal(err)
-	}
-	end, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fired || end <= 0 {
-		t.Fatalf("fired=%v end=%v", fired, end)
-	}
-	// Root-only broadcast completes immediately.
-	fired = false
-	if err := Broadcast(top, 0, []hw.DeviceID{0}, 12e6, func(sim.Time) { fired = true }, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatal("single-device broadcast never fired")
-	}
-}
-
 // Property: all-reduce duration grows with device count for a fixed
 // payload (more steps), for both p2p and host-bounced rings.
 func TestAllReduceMonotoneInDevices(t *testing.T) {

@@ -111,7 +111,7 @@ func (s VMStats) add(o VMStats) VMStats {
 //     pageDirty on the page Alloc creates); on an existing page
 //     pageDirty and pageZero are stored under a pin, by the task that
 //     just wrote the device copy.
-//   - last, prev, next: LRU bookkeeping, guarded by the owning
+//   - prev, next: LRU bookkeeping, guarded by the owning
 //     device's shard mutex. A buffer is linked iff its word is
 //     resident-idle or claimed-resident; unlinking happens only under
 //     the shard lock while holding the claim.
@@ -132,8 +132,6 @@ type buffer struct {
 	// re-observe.
 	word atomic.Uint64
 	done atomic.Pointer[chan struct{}]
-
-	last int64 // LRU clock (diagnostics; ordering lives in the list)
 
 	// Intrusive per-shard LRU list (least-recent at head).
 	prev, next *buffer
@@ -183,7 +181,6 @@ type vmShard struct {
 	dev     int
 	used    int64
 	lru     lruList
-	clock   int64
 	pfBytes int64 // prefetched bytes in flight or resident-unconsumed; at most VM.budget
 	stats   VMStats
 	queue   []dmaReq
@@ -398,11 +395,9 @@ func (vm *VM) StatsSnapshot() VMStats {
 
 // ---------------------------------------------------------------- LRU
 
-// lruPush links b as the most-recently-used buffer of sh and stamps
-// its clock. Requires sh.mu held.
+// lruPush links b as the most-recently-used buffer of sh. Requires
+// sh.mu held.
 func (vm *VM) lruPush(sh *vmShard, b *buffer) {
-	sh.clock++
-	b.last = sh.clock
 	l := &sh.lru
 	b.prev, b.next = l.tail, nil
 	if l.tail != nil {

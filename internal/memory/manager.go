@@ -14,8 +14,8 @@
 // Bookkeeping is by index, not by hash: tensor IDs are dense (the
 // registry hands them out from zero), so the per-tensor tables — states,
 // home device, LRU links — are slices indexed by ID, and an acquire's
-// pinned/pending flags are positional, parallel to its input list (which
-// is why Acquire refuses an input listed twice). Memory is per run, not
+// pinned flags are positional, parallel to its input list (which is why
+// Acquire refuses an input listed twice). Memory is per run, not
 // per operation: the tensor states are one slab, and acquire and
 // transfer records go back on per-Manager free lists when they are done,
 // so once those lists are warm the simulator's hot loop allocates
@@ -70,7 +70,6 @@ type DeviceStats struct {
 	// analytical swap model (Fig. 5).
 	KindSwapIn  [tensor.NumKinds]int64
 	KindSwapOut [tensor.NumKinds]int64
-	KindP2P     [tensor.NumKinds]int64
 
 	// HighWaterUsed is the peak bytes physically resident.
 	// HighWaterDemand is the peak bytes of live tensors homed to the
@@ -190,16 +189,16 @@ func (d *devState) addDemand(b int64) {
 }
 
 // acquire is one pending residency request. Its bookkeeping is
-// positional: pinned[i] and pending[i] describe want[i].
+// positional: pinned[i] describes want[i]. It records no transfer it
+// started: one in flight sets its tensor's InFlight, which advance
+// waits out before it looks again.
 //
-// A granted acquire goes back on Manager.acqs: by then every input is
-// pinned, so no swap-in it issued is still in flight to write pending.
-// A failed one is dropped instead, since its swap-ins may still land.
+// A granted acquire goes back on Manager.acqs; a failed one is dropped
+// instead.
 type acquire struct {
 	dev      *devState
 	want     []*tensor.State
 	pinned   []bool
-	pending  []bool // transfers in flight on our behalf
 	outputs  []*tensor.State
 	outBytes int64
 	ws       int64
@@ -207,7 +206,7 @@ type acquire struct {
 	fail     func(error)
 	failed   bool
 
-	// Backing for want/outputs and pinned/pending, kept across reuse.
+	// Backing for want/outputs and pinned, kept across reuse.
 	states []*tensor.State
 	flags  []bool
 }
@@ -235,11 +234,7 @@ type xfer struct {
 	// is a migration's source.
 	d, src *devState
 	st     *tensor.State
-	// a is the acquire a swap-in serves (nil for a prefetch) and pos the
-	// position of st in a.want.
-	a     *acquire
-	pos   int
-	start sim.Time
+	start  sim.Time
 }
 
 // Manager owns tensor states and device memory for one training run.
@@ -402,19 +397,17 @@ func (m *Manager) newAcquire(ni, no int) *acquire {
 	} else {
 		a = new(acquire)
 	}
-	// One array each for the states (want, then outputs) and the flags
-	// (pinned, then pending).
+	// One array for the states (want, then outputs), one for the flags.
 	n := ni + no
 	if cap(a.states) < n {
 		a.states = make([]*tensor.State, n)
 	}
-	if cap(a.flags) < 2*ni {
-		a.flags = make([]bool, 2*ni)
+	if cap(a.flags) < ni {
+		a.flags = make([]bool, ni)
 	}
-	states, flags := a.states[:n], a.flags[:2*ni]
-	clear(flags)
-	a.want, a.outputs = states[:ni:ni], states[ni:n]
-	a.pinned, a.pending = flags[:ni:ni], flags[ni:]
+	a.want, a.outputs = a.states[:ni:ni], a.states[ni:n]
+	a.pinned = a.flags[:ni]
+	clear(a.pinned)
 	a.outBytes, a.failed = 0, false
 	return a
 }
@@ -496,7 +489,7 @@ func (m *Manager) Prefetch(dev hw.DeviceID, t *tensor.Tensor) {
 	if st.Loc != tensor.LocHost || st.InFlight || d.free() < t.Bytes {
 		return
 	}
-	m.startSwapIn(d, st, nil, 0)
+	m.startSwapIn(d, st)
 }
 
 // pumpAll advances every device's queue; cheap, and avoids missed
@@ -557,7 +550,6 @@ func (m *Manager) advance(a *acquire) (granted, progress bool) {
 			}
 			d.touch(st)
 			a.pinned[i] = true
-			a.pending[i] = false
 			progress = true
 		case st.InFlight:
 			// In transit somewhere (prefetch landing here, or an
@@ -566,9 +558,6 @@ func (m *Manager) advance(a *acquire) (granted, progress bool) {
 		case st.OnAnyDevice():
 			// Resident on another device.
 			allPinned = false
-			if a.pending[i] {
-				continue
-			}
 			if m.pol.P2P && m.top.CanP2P(st.Dev, dev) {
 				if st.Pins > 0 {
 					continue // peer task still using it; wait
@@ -576,7 +565,6 @@ func (m *Manager) advance(a *acquire) (granted, progress bool) {
 				if !m.ensureSpace(d, st.Tensor.Bytes) {
 					return false, progress
 				}
-				a.pending[i] = true
 				m.startMigrate(d, st)
 				progress = true
 			} else {
@@ -591,14 +579,10 @@ func (m *Manager) advance(a *acquire) (granted, progress bool) {
 			}
 		case st.HostValid():
 			allPinned = false
-			if a.pending[i] {
-				continue
-			}
 			if !m.ensureSpace(d, st.Tensor.Bytes) {
 				return false, progress
 			}
-			a.pending[i] = true
-			m.startSwapIn(d, st, a, i)
+			m.startSwapIn(d, st)
 			progress = true
 		default:
 			m.failAcquire(a, fmt.Errorf("memory: task on %s needs %s which was never materialized", dev, st.Tensor))
@@ -719,9 +703,7 @@ func (m *Manager) startEviction(d *devState, st *tensor.State) {
 }
 
 // startSwapIn begins a host→device copy; memory is charged at start.
-// When the copy is on behalf of an acquire, a is that acquire and pos
-// the position of st in a.want; a prefetch passes a nil a.
-func (m *Manager) startSwapIn(d *devState, st *tensor.State, a *acquire, pos int) {
+func (m *Manager) startSwapIn(d *devState, st *tensor.State) {
 	if err := st.BeginSwapIn(d.dev.ID); err != nil {
 		m.setFatal(err)
 		return
@@ -731,9 +713,7 @@ func (m *Manager) startSwapIn(d *devState, st *tensor.State, a *acquire, pos int
 	d.stats.SwapInBytes += bytes
 	d.stats.SwapIns++
 	d.stats.KindSwapIn[st.Tensor.Kind] += bytes
-	x := m.newXfer(swapIn, d, st)
-	x.a, x.pos = a, pos
-	m.transfer(hw.Host, d.dev.ID, x)
+	m.transfer(hw.Host, d.dev.ID, m.newXfer(swapIn, d, st))
 }
 
 // startMigrate begins a p2p device→device move into d.
@@ -748,7 +728,6 @@ func (m *Manager) startMigrate(d *devState, st *tensor.State) {
 	d.addUsed(bytes)
 	src.stats.P2POutBytes += bytes
 	d.stats.P2PInBytes += bytes
-	d.stats.KindP2P[st.Tensor.Kind] += bytes
 	x := m.newXfer(migrate, d, st)
 	x.src = src
 	m.transfer(src.dev.ID, d.dev.ID, x)
@@ -767,9 +746,6 @@ func (x *xfer) finish(at sim.Time) {
 		}
 		d.touch(st)
 		m.setHome(st.Tensor, d.dev.ID)
-		if x.a != nil {
-			x.a.pending[x.pos] = false
-		}
 	case swapOut:
 		if err := st.EndSwapOut(); err != nil {
 			m.setFatal(err)

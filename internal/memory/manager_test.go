@@ -247,6 +247,40 @@ func TestP2PMigration(t *testing.T) {
 	}
 }
 
+// TestMigrationPulledAwayIsRetried: gpu1's acquire starts x's move
+// over, gpu0's acquire waits for it to land and pulls x back first.
+// Once gpu0 releases x, gpu1's acquire must move it again, not wait
+// for the move it already made.
+func TestMigrationPulledAwayIsRetried(t *testing.T) {
+	r := newRig(t, 1000)
+	x := r.reg.Add(tensor.Activation, 500, 0, 0)
+	m := New(r.eng, r.top, r.reg, Policy{P2P: true, DirtyTracking: true})
+	if err := m.InitHost(x); err != nil {
+		t.Fatal(err)
+	}
+	acquireSync(t, m, 0, []*tensor.Tensor{x}, nil, 0)
+	r.run(t, m)
+	if err := m.Release(0, []*tensor.Tensor{x}, nil, []*tensor.Tensor{x}, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	on1 := acquireSync(t, m, 1, []*tensor.Tensor{x}, nil, 0)
+	if !m.State(x).InFlight {
+		t.Fatal("gpu1's acquire did not start moving x")
+	}
+	on0 := acquireSync(t, m, 0, []*tensor.Tensor{x}, nil, 0)
+	r.run(t, m)
+	if !*on0 || *on1 {
+		t.Fatalf("granted on gpu0=%v, gpu1=%v; want gpu0 only", *on0, *on1)
+	}
+	if err := m.Release(0, []*tensor.Tensor{x}, nil, nil, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	r.run(t, m)
+	if st := m.State(x); !*on1 || !st.OnDevice(1) || st.Pins != 1 {
+		t.Fatalf("gpu1's acquire granted=%v, x on %s, pins %d", *on1, st.Dev, st.Pins)
+	}
+}
+
 func TestHostBounceWithoutP2P(t *testing.T) {
 	r := newRig(t, 1000)
 	x := r.reg.Add(tensor.Activation, 500, 0, 0)
@@ -806,9 +840,9 @@ func TestAcquireReleaseAllocs(t *testing.T) {
 }
 
 // TestFailedAcquireIsNeverRecycled: an acquire that fails while a
-// swap-in it issued is still in flight stays off the free list, since
-// that swap-in writes to it when it lands. Granted records are reused,
-// and the acquires that follow complete with the right stats.
+// swap-in it issued is still in flight stays off the free list, and the
+// swap-in lands all the same. Granted records are reused, and the
+// acquires that follow complete with the right stats.
 func TestFailedAcquireIsNeverRecycled(t *testing.T) {
 	r := newRig(t, 1000)
 	w := r.reg.Add(tensor.Weight, 400, 0, -1)
@@ -837,8 +871,8 @@ func TestFailedAcquireIsNeverRecycled(t *testing.T) {
 		t.Fatalf("fail = %v, want the never-materialized input", failed)
 	}
 	bad := m.devs[0].queue[0]
-	if !bad.failed || !bad.pending[0] || !m.State(w).InFlight {
-		t.Fatalf("failed record: failed=%v pending=%v, w in flight=%v", bad.failed, bad.pending, m.State(w).InFlight)
+	if !bad.failed || !m.State(w).InFlight {
+		t.Fatalf("failed record: failed=%v, w in flight=%v", bad.failed, m.State(w).InFlight)
 	}
 	// An acquire queued while that swap-in is in flight.
 	queue := func(dev hw.DeviceID, tn *tensor.Tensor) *bool {
@@ -850,8 +884,8 @@ func TestFailedAcquireIsNeverRecycled(t *testing.T) {
 	}
 	done := queue(1, y)
 	r.run(t, m)
-	if !*done || bad.pending[0] || slices.Contains(m.acqs, bad) {
-		t.Fatalf("granted=%v, failed record pending=%v, on the free list=%v", *done, bad.pending[0], slices.Contains(m.acqs, bad))
+	if !*done || slices.Contains(m.acqs, bad) {
+		t.Fatalf("granted=%v, failed record on the free list=%v", *done, slices.Contains(m.acqs, bad))
 	}
 	if st := m.State(w); !st.OnDevice(0) || st.InFlight || st.Pins != 0 {
 		t.Fatalf("w after the failed acquire: loc=%s inflight=%v pins=%d, want resident, unpinned", st.Loc, st.InFlight, st.Pins)

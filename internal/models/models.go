@@ -233,42 +233,6 @@ func GPT2XL() *Model {
 	})
 }
 
-// MLPConfig parameterizes a toy multi-layer perceptron, used by unit
-// tests and the quickstart example (small, fast, easily sized).
-type MLPConfig struct {
-	Name    string
-	Widths  []int // len ≥ 2: input, hidden..., output
-	Batch   int   // unused by sizes; samples are Widths[0] floats
-	OptAdam bool
-}
-
-// MLP builds a dense feed-forward model.
-func MLP(c MLPConfig) *Model {
-	if len(c.Widths) < 2 {
-		panic("models: MLP needs at least input and output widths")
-	}
-	opt := 0.0
-	if c.OptAdam {
-		opt = 2.0
-	}
-	m := &Model{
-		Name:                 c.Name,
-		OptStateParamsFactor: opt,
-		SampleBytes:          int64(c.Widths[0]) * BytesPerParam,
-	}
-	for i := 0; i+1 < len(c.Widths); i++ {
-		in, out := int64(c.Widths[i]), int64(c.Widths[i+1])
-		m.Layers = append(m.Layers, LayerSpec{
-			Name:                fmt.Sprintf("fc%d", i),
-			Params:              in*out + out,
-			FwdFLOPsPerSample:   2 * float64(in*out),
-			ActBytesPerSample:   out * BytesPerParam,
-			StashBytesPerSample: in * BytesPerParam,
-		})
-	}
-	return m
-}
-
 // Uniform builds the analytical-model workload of §3: R identical
 // layers, each with the given parameter count and activation size.
 // "a simplified DNN model with one type of layer (like Transformers)

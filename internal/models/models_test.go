@@ -84,34 +84,6 @@ func TestFootprintComposition(t *testing.T) {
 	}
 }
 
-func TestMLPShapes(t *testing.T) {
-	m := MLP(MLPConfig{Name: "mlp", Widths: []int{784, 256, 10}, OptAdam: true})
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Layers) != 2 {
-		t.Fatalf("layers = %d, want 2", len(m.Layers))
-	}
-	if got, want := m.Layers[0].Params, int64(784*256+256); got != want {
-		t.Fatalf("fc0 params = %d, want %d", got, want)
-	}
-	if m.OptStateParamsFactor != 2.0 {
-		t.Fatal("Adam MLP should have optimizer factor 2")
-	}
-	if m.SampleBytes != 784*4 {
-		t.Fatalf("SampleBytes = %d", m.SampleBytes)
-	}
-}
-
-func TestMLPTooFewWidthsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MLP(MLPConfig{Name: "bad", Widths: []int{10}})
-}
-
 func TestValidateCatchesBadModels(t *testing.T) {
 	m := &Model{}
 	if err := m.Validate(); err == nil {

@@ -73,10 +73,6 @@ type Result struct {
 	// (resident + swapped-out live tensors homed there).
 	PerDevDemand []int64
 
-	// ComputeBusy is each device's busy kernel time over the
-	// measured window (for utilization).
-	ComputeBusy []sim.Time
-
 	// LinkBusy is each link's cumulative busy time over the whole
 	// run, keyed by link name (host-up/host-down are the shared
 	// bottleneck of Fig. 2(b)).
@@ -86,8 +82,7 @@ type Result struct {
 	// Config.CaptureUsage was set).
 	Usage [][]trace.UsagePoint
 
-	TotalTime sim.Time
-	Trace     *trace.Trace
+	Trace *trace.Trace
 }
 
 // Run executes the configured simulation.
@@ -286,13 +281,10 @@ func (r *runner) run() (*Result, error) {
 	}
 
 	var devSnap []memory.DeviceStats
-	var busySnap []sim.Time
 	snapshot := func() {
 		devSnap = devSnap[:0]
-		busySnap = busySnap[:0]
 		for d := 0; d < r.sch.NGPUs; d++ {
 			devSnap = append(devSnap, r.mgr.Stats(hw.DeviceID(d)))
-			busySnap = append(busySnap, r.top.GPUs[d].Compute.BusyTime)
 		}
 	}
 
@@ -329,7 +321,7 @@ func (r *runner) run() (*Result, error) {
 		return nil, fmt.Errorf("runtime: stalled in iteration %d: %s", r.iter, r.stuckReport())
 	}
 
-	res := &Result{TotalTime: r.eng.Now(), Trace: r.trace, LinkBusy: map[string]sim.Time{}, Usage: r.usage}
+	res := &Result{Trace: r.trace, LinkBusy: map[string]sim.Time{}, Usage: r.usage}
 	for _, l := range r.top.Links {
 		res.LinkBusy[l.Name] = l.Res.BusyTime
 	}
@@ -351,7 +343,6 @@ func (r *runner) run() (*Result, error) {
 		res.DropBytes += (cur.DropBytes - devSnap[d].DropBytes) / iters
 		res.PerDevSwapOut = append(res.PerDevSwapOut, (cur.SwapOutBytes-devSnap[d].SwapOutBytes)/iters)
 		res.PerDevDemand = append(res.PerDevDemand, cur.HighWaterDemand)
-		res.ComputeBusy = append(res.ComputeBusy, r.top.GPUs[d].Compute.BusyTime-busySnap[d])
 	}
 	return res, nil
 }

@@ -89,7 +89,7 @@ func commLayerBuckets(g *graph.Graph, budget int64) [][]int {
 	return buckets
 }
 
-// commUpdateGroups returns, for JIT placement in buildDP, the layers
+// commUpdateGroups returns, for JIT placement in queue, the layers
 // whose updates are emitted right after layer l's last backward.
 // Without a comm plan this is the identity — layer l's own update.
 //
@@ -118,8 +118,10 @@ func (s *Schedule) commUpdateGroups() [][]int {
 		}
 		return updAfter
 	}
-	for l := 0; l < R; l++ {
-		updAfter[l] = []int{l}
+	self := make([]int, R)
+	for l := range self {
+		self[l] = l
+		updAfter[l] = self[l : l+1]
 	}
 	return updAfter
 }

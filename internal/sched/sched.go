@@ -6,6 +6,12 @@
 // packing. Every optimization is an independent Options toggle so the
 // ablation benches can flip one at a time.
 //
+// One function orders every device queue, in every mode: microbatches
+// run in waves, plain or 1F1B-interleaved, and a baseline is the wave
+// schedule with a group of one. Interleaved at pipeline depth 1 that is
+// the data-parallel microbatch loop; at a stage's depth it is the
+// classic 1F1B pipeline.
+//
 // A Schedule is a total order of tasks per device plus a memory
 // policy; the runtime executes it respecting both the order and the
 // task graph's dependency edges (late binding happens here: the graph
@@ -260,9 +266,6 @@ type Schedule struct {
 	MemPolicy memory.Policy
 }
 
-// Device returns the device a task is bound to.
-func (s *Schedule) Device(t *graph.Task) hw.DeviceID { return s.Assign[t.ID] }
-
 // Plan is the one way from a training configuration to a schedule: the
 // mode shapes the task graph for gpus devices — data parallelism keeps
 // one replica per GPU, a pipeline one replica whose layers spread across
@@ -364,73 +367,20 @@ func MustBuild(g *graph.Graph, opts Options, nGPUs int) *Schedule {
 	return s
 }
 
-// buildDP binds replica r to GPU r and orders each queue either
-// microbatch-major (baseline, Fig. 5(b)) or layer-major with grouping
-// (Harmony, Fig. 5(c)).
+// buildDP binds replica (or shard) r to GPU r and queues all its
+// layers at pipeline depth 1: the baseline's group of one runs
+// microbatch-major, the standard PyTorch loop (Fig. 5(b)); grouping runs
+// layer-major waves (Fig. 5(c)).
 func (s *Schedule) buildDP() {
 	g := s.Graph
-	R, m := g.Layers(), g.Cfg.Microbatches
+	R := g.Layers()
+	layers := make([]int, R)
+	for l := range layers {
+		layers[l] = l
+	}
 	updAfter := s.commUpdateGroups()
 	for r := 0; r < s.NGPUs; r++ {
-		dev := hw.DeviceID(r)
-		q := make([]*graph.Task, 0, R*m*2+R)
-		if s.Opts.Grouping {
-			// Layer-major: each layer crosses a group of microbatches
-			// back-to-back, so W[l] is swapped once per phase per
-			// wave (GroupSize = 0 means one wave covering all m).
-			G := s.Opts.GroupSize
-			if G <= 0 || G > m {
-				G = m
-			}
-			waves := (m + G - 1) / G
-			for w := 0; w < waves; w++ {
-				lo, hi := w*G, min((w+1)*G, m)
-				for l := 0; l < R; l++ {
-					for i := lo; i < hi; i++ {
-						q = append(q, g.Fwd[r][l][i])
-					}
-				}
-			}
-			for w := waves - 1; w >= 0; w-- {
-				lo, hi := w*G, min((w+1)*G, m)
-				for l := R - 1; l >= 0; l-- {
-					for i := lo; i < hi; i++ {
-						q = append(q, g.Bwd[r][l][i])
-					}
-					if s.Opts.JIT && w == 0 {
-						for _, ul := range updAfter[l] {
-							q = append(q, g.Upd[r][ul])
-						}
-					}
-				}
-			}
-		} else {
-			// Microbatch-major: the standard PyTorch loop.
-			for i := 0; i < m; i++ {
-				for l := 0; l < R; l++ {
-					q = append(q, g.Fwd[r][l][i])
-				}
-				for l := R - 1; l >= 0; l-- {
-					q = append(q, g.Bwd[r][l][i])
-					if s.Opts.JIT && i == m-1 {
-						for _, ul := range updAfter[l] {
-							q = append(q, g.Upd[r][ul])
-						}
-					}
-				}
-			}
-		}
-		if !s.Opts.JIT {
-			// Rigid scheduling: all updates after the full backward
-			// pass, forcing W/dW to be re-swapped (§2 inefficiency 2).
-			for l := 0; l < R; l++ {
-				q = append(q, g.Upd[r][l])
-			}
-		}
-		for _, t := range q {
-			s.Assign[t.ID] = dev
-		}
-		s.Queues[r] = q
+		s.queue(r, r, layers, 1, !s.Opts.Grouping, updAfter)
 	}
 	if g.AR != nil {
 		// Gradients all-reduce per layer, launched as dependencies
@@ -459,127 +409,100 @@ func (s *Schedule) buildDP() {
 	}
 }
 
-// buildPP partitions layers into contiguous stages and orders each
-// stage's queue: 1F1B for the baseline, grouped phases for Harmony.
+// buildPP partitions the one replica's layers into contiguous stages
+// and queues stage st at pipeline depth NGPUs−st. The baseline's group
+// of one interleaved is classic 1F1B (PipeDream, DAPPLE): in-flight
+// microbatches at stage st are min(m, NGPUs−st), so the head stashes the
+// most, the Fig. 2(c) imbalance. Harmony-PP (Fig. 4) interleaves its
+// waves only under WaveInterleave.
 func (s *Schedule) buildPP() {
-	g := s.Graph
-	m := g.Cfg.Microbatches
 	s.StageOfLayer = s.partition()
 	layersOf := make([][]int, s.NGPUs)
 	for l, st := range s.StageOfLayer {
 		layersOf[st] = append(layersOf[st], l)
 	}
+	updAfter := s.commUpdateGroups()
 	for st := 0; st < s.NGPUs; st++ {
-		dev := hw.DeviceID(st)
-		ls := layersOf[st]
-		var q []*graph.Task
-		fwd := func(i int) {
-			for _, l := range ls {
-				q = append(q, g.Fwd[0][l][i])
-			}
-		}
-		bwd := func(i int, jit bool) {
-			for k := len(ls) - 1; k >= 0; k-- {
-				l := ls[k]
-				q = append(q, g.Bwd[0][l][i])
-				if jit && i == m-1 {
-					q = append(q, g.Upd[0][l])
-				}
-			}
-		}
-		if s.Opts.Grouping {
-			// Harmony-PP (Fig. 4): each layer runs a group of
-			// microbatches back-to-back, forward then backward, with
-			// JIT updates folded into the final backward sweep.
-			// GroupSize < m splits the mini-batch into waves that
-			// pipeline across stages (forward waves ascending,
-			// backward waves descending so the last forward wave's
-			// stash is consumed first while still warm).
-			G := s.Opts.GroupSize
-			if G <= 0 || G > m {
-				G = m
-			}
-			waves := (m + G - 1) / G
-			fwdWave := func(w int) {
-				lo, hi := w*G, min((w+1)*G, m)
-				for _, l := range ls {
-					for i := lo; i < hi; i++ {
-						q = append(q, g.Fwd[0][l][i])
-					}
-				}
-			}
-			bwdWave := func(w int, jit bool) {
-				lo, hi := w*G, min((w+1)*G, m)
-				for k := len(ls) - 1; k >= 0; k-- {
-					l := ls[k]
-					for i := lo; i < hi; i++ {
-						q = append(q, g.Bwd[0][l][i])
-					}
-					if jit {
-						q = append(q, g.Upd[0][l])
-					}
-				}
-			}
-			if s.Opts.WaveInterleave && waves > 1 {
-				// 1F1B at wave granularity: warm up with enough
-				// forward waves to cover the same microbatch depth
-				// as classic 1F1B (stages − this stage), alternate,
-				// then drain. Bounds in-flight stash per stage.
-				warm := (s.NGPUs - st + G - 1) / G
-				if warm > waves {
-					warm = waves
-				}
-				if warm < 1 {
-					warm = 1
-				}
-				for w := 0; w < warm; w++ {
-					fwdWave(w)
-				}
-				for w := warm; w < waves; w++ {
-					bwdWave(w-warm, s.Opts.JIT && w-warm == waves-1)
-					fwdWave(w)
-				}
-				for w := waves - warm; w < waves; w++ {
-					bwdWave(w, s.Opts.JIT && w == waves-1)
-				}
-			} else {
-				for w := 0; w < waves; w++ {
-					fwdWave(w)
-				}
-				for w := waves - 1; w >= 0; w-- {
-					bwdWave(w, s.Opts.JIT && w == 0)
-				}
-			}
-		} else {
-			// 1F1B (memory-efficient pipeline): warmup forwards, a
-			// steady 1F1B phase, then drain backwards. In-flight
-			// microbatches at stage st: min(m, NGPUs-st) — the head
-			// stashes the most, the Fig. 2(c) imbalance.
-			warm := s.NGPUs - st
-			if warm > m {
-				warm = m
-			}
-			for i := 0; i < warm; i++ {
-				fwd(i)
-			}
-			for i := warm; i < m; i++ {
-				bwd(i-warm, s.Opts.JIT)
-				fwd(i)
-			}
-			for i := m - warm; i < m; i++ {
-				bwd(i, s.Opts.JIT)
-			}
-		}
-		if !s.Opts.JIT {
-			for _, l := range ls {
-				q = append(q, g.Upd[0][l])
-			}
-		}
-		for _, t := range q {
-			s.Assign[t.ID] = dev
-		}
-		s.Queues[st] = q
+		s.queue(st, 0, layersOf[st], s.NGPUs-st, !s.Opts.Grouping || s.Opts.WaveInterleave, updAfter)
 	}
+}
+
+// queue orders device d's queue over replica r's layers and binds its
+// tasks to d. Microbatches run in waves of G — GroupSize under grouping
+// (0 = all m), one without — and a wave runs each layer across its
+// microbatches back-to-back, so W[l] is swapped once per phase per wave.
+// Plain, forward waves ascend and backward waves descend, so the last
+// forward wave's stash is consumed first while still warm. Interleaved,
+// the waves run 1F1B: enough forward waves to cover the pipeline depth
+// in microbatches, then backward/forward alternation, then the drain,
+// which bounds in-flight stash per stage. With JIT, updAfter[l]'s
+// updates follow layer l's backward in the last backward wave that runs
+// (commUpdateGroups); without it, every update trails the queue, forcing
+// W/dW to be re-swapped (§2 inefficiency 2).
+func (s *Schedule) queue(d, r int, layers []int, depth int, interleave bool, updAfter [][]int) {
+	g, m := s.Graph, s.Graph.Cfg.Microbatches
+	G := 1
+	if s.Opts.Grouping {
+		G = s.Opts.GroupSize
+		if G <= 0 || G > m {
+			G = m
+		}
+	}
+	waves := (m + G - 1) / G
+	last := 0 // the backward wave that runs last
+	if interleave {
+		last = waves - 1
+	}
+	q := make([]*graph.Task, 0, len(layers)*(2*m+1))
+	fwd := func(w int) {
+		for _, l := range layers {
+			for i := w * G; i < min((w+1)*G, m); i++ {
+				q = append(q, g.Fwd[r][l][i])
+			}
+		}
+	}
+	bwd := func(w int) {
+		for k := len(layers) - 1; k >= 0; k-- {
+			l := layers[k]
+			for i := w * G; i < min((w+1)*G, m); i++ {
+				q = append(q, g.Bwd[r][l][i])
+			}
+			if s.Opts.JIT && w == last {
+				for _, ul := range updAfter[l] {
+					q = append(q, g.Upd[r][ul])
+				}
+			}
+		}
+	}
+	if interleave {
+		warm := min(max((depth+G-1)/G, 1), waves)
+		for w := 0; w < warm; w++ {
+			fwd(w)
+		}
+		for w := warm; w < waves; w++ {
+			bwd(w - warm)
+			fwd(w)
+		}
+		for w := waves - warm; w < waves; w++ {
+			bwd(w)
+		}
+	} else {
+		for w := 0; w < waves; w++ {
+			fwd(w)
+		}
+		for w := waves - 1; w >= 0; w-- {
+			bwd(w)
+		}
+	}
+	if !s.Opts.JIT {
+		for _, l := range layers {
+			q = append(q, g.Upd[r][l])
+		}
+	}
+	for _, t := range q {
+		s.Assign[t.ID] = hw.DeviceID(d)
+	}
+	s.Queues[d] = q
 }
 
 // partition splits layers into NGPUs contiguous stages. Without

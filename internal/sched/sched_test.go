@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -268,6 +269,30 @@ func TestPPBaseline1F1BStructure(t *testing.T) {
 	// Only one layer per stage here, so forwards per mb = 1.
 	if h, tl := inflight(q0), inflight(q3); h <= tl {
 		t.Fatalf("head in-flight (%d) should exceed tail (%d)", h, tl)
+	}
+	// 1F1B is the group-of-one wave order interleaved: a pipeline with
+	// Grouping off, whatever its wave knobs, plans the queues of the same
+	// options with Grouping on, GroupSize 1 and WaveInterleave.
+	for _, m := range []int{1, 2, 3, 5, 8} {
+		g := graph.MustBuild(graph.Config{Model: heteroModel(), MicrobatchSize: 1, Microbatches: m, Replicas: 1})
+		for _, mode := range []Mode{PPBaseline, HarmonyPP} {
+			for gpus := 1; gpus <= 4; gpus++ {
+				for _, jit := range []bool{false, true} {
+					for _, packing := range []bool{false, true} {
+						for _, gs := range []int{0, 3} {
+							for _, wi := range []bool{false, true} {
+								off := Options{Mode: mode, JIT: jit, Packing: packing, GroupSize: gs, WaveInterleave: wi}
+								on := Options{Mode: mode, JIT: jit, Packing: packing, Grouping: true, GroupSize: 1, WaveInterleave: true}
+								a, b := MustBuild(g, off, gpus), MustBuild(g, on, gpus)
+								if !reflect.DeepEqual(a.Queues, b.Queues) {
+									t.Fatalf("m=%d gpus=%d: %+v plans other queues than %+v", m, gpus, off, on)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

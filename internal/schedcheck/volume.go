@@ -237,14 +237,3 @@ func analyticMode(s *sched.Schedule) (analytic.Mode, bool) {
 	}
 	return 0, false // partial optimization profiles have no closed form
 }
-
-// weightTensorOf is used by the injectors to find the weight a task
-// touches.
-func weightTensorOf(t *graph.Task) *tensor.Tensor {
-	for _, in := range t.Inputs {
-		if in.Kind == tensor.Weight {
-			return in
-		}
-	}
-	return nil
-}

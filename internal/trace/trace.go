@@ -1,6 +1,6 @@
 // Package trace records execution timelines (compute spans, swaps,
-// p2p moves) and renders them as text Gantt charts and CSV — the
-// mechanism behind the Fig. 4 schedule visualization.
+// p2p moves) and renders them as text Gantt charts and Chrome trace
+// JSON — the mechanism behind the Fig. 4 schedule visualization.
 package trace
 
 import (
@@ -170,17 +170,6 @@ func (tr *Trace) Gantt(width int) string {
 	fmt.Fprintf(&b, "time: %.6fs .. %.6fs (%d buckets)\n", float64(lo), float64(hi), width)
 	for _, k := range keys {
 		fmt.Fprintf(&b, "%-6s %-8s |%s|\n", k.dev, k.lane, rows[k])
-	}
-	return b.String()
-}
-
-// CSV emits "device,lane,label,start,end" rows sorted by start time.
-func (tr *Trace) CSV() string {
-	evs := tr.Window(0, sim.Infinity)
-	var b strings.Builder
-	b.WriteString("device,lane,label,start_s,end_s\n")
-	for _, e := range evs {
-		fmt.Fprintf(&b, "%s,%s,%s,%.9f,%.9f\n", e.Dev, e.Lane, e.Label, float64(e.Start), float64(e.End))
 	}
 	return b.String()
 }

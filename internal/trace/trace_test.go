@@ -78,18 +78,6 @@ func TestGanttRendering(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	var tr Trace
-	tr.Add(hw.Host, P2P, "P X[L1,mb0]", 1, 2)
-	csv := tr.CSV()
-	if !strings.HasPrefix(csv, "device,lane,label,start_s,end_s\n") {
-		t.Fatalf("csv = %q", csv)
-	}
-	if !strings.Contains(csv, "host,p2p,P X[L1,mb0],1.000000000,2.000000000") {
-		t.Fatalf("csv body = %q", csv)
-	}
-}
-
 // Property: every event lands in the gantt with at least one cell,
 // and gantt width is respected.
 func TestGanttCoversEveryEvent(t *testing.T) {
