@@ -30,8 +30,9 @@ vet:
 # done-channel lifecycle, call-chain taint flow) and the
 # path-sensitive CFG passes (claim lifecycle, error-path lock leaks).
 # The ./... pattern covers cmd/ and internal/ alike, the linter's own
-# packages included. Runs from the module root in about half a second,
-# on the build cache vet has just filled; exits non-zero on findings.
+# packages included. Runs from the module root in about 0.3 s on a
+# 2-vCPU machine, on the build cache vet has just filled; exits
+# non-zero on findings.
 lint: vet
 	@! gofmt -l . | grep -v '^\.bench_build/' || { echo "gofmt -l names the files above"; exit 1; }
 	$(GO) run ./cmd/harmonylint ./...

@@ -44,8 +44,10 @@
 // control-flow graphs and is the only code that knows Go's statement
 // semantics. dataflow.go holds the one worklist (explore) and its one
 // client, the lifecycle engine: the lock and claim lifecycles are each
-// explored once per Program, over every declared body and function
-// literal, keeping every branch outcome distinct, and yield leak
+// explored once per Program, over the declared bodies and function
+// literals that open one of their resources or hold one by contract
+// (no other body can hold one), keeping every branch outcome distinct,
+// and yield leak
 // findings (errpath, claimlife) and observer findings about what
 // happens while a resource is open (lockhold, lockorder,
 // claimdiscipline rule 3). interproc.go builds one Summary per

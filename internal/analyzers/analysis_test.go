@@ -66,8 +66,15 @@ func TestLoadRealPackages(t *testing.T) {
 // BenchmarkRunProject is one lint of the live tree without the load:
 // the Program built and every pass run over it, as cmd/harmonylint
 // does after Load. The module is loaded once, outside the timer.
+// bodies-explored/op counts the bodies the lifecycle specs explore,
+// summed over both specs.
 func BenchmarkRunProject(b *testing.B) {
 	pkgs := liveTree(b)
+	explored := 0
+	prog := BuildProgram(pkgs)
+	for _, spec := range lifeSpecs {
+		explored += prog.lifecycle(spec).explored
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
@@ -79,4 +86,5 @@ func BenchmarkRunProject(b *testing.B) {
 			b.Fatalf("the live tree has %d findings:\n%s", len(diags), diagDump(diags))
 		}
 	}
+	b.ReportMetric(float64(explored), "bodies-explored/op")
 }

@@ -3,8 +3,8 @@ package analyzers
 // cfg.go builds control-flow graphs from the AST and is the only code
 // in the package that knows Go's statement semantics: every pass that
 // needs to follow control flow reads the lifecycle explorations
-// (dataflow.go), which walk these graphs — one per declared body and
-// one per function literal, cached on the Program — so a new Go
+// (dataflow.go), which walk these graphs — one per body they explore,
+// declared or literal, cached on the Program — so a new Go
 // construct is taught here once. The interprocedural summaries
 // (interproc.go) follow no control flow and need none. A CFG keeps
 // every path distinct, so "the error return at line N leaks the pin

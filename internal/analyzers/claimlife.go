@@ -39,12 +39,12 @@ var claimSpec = &lifeSpec{
 	observers: []func(*lifeEngine, ast.Node, *lifeState){observePublish},
 }
 
-func classifyClaim(e *lifeEngine, call *ast.CallExpr) (lifeEvent, bool) {
+func classifyClaim(pkg *Package, _ FuncKey, call *ast.CallExpr) (lifeEvent, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || len(call.Args) == 0 {
 		return lifeEvent{}, false
 	}
-	info := e.pkg.Info
+	info := pkg.Info
 	// The claimed buffer is always the first argument and always a
 	// pointer; claimword's pure Word transitions take values and are
 	// excluded by that shape.

@@ -11,9 +11,14 @@ package analyzers
 //
 // Two lifecycle specs exist — locks (errpath.go) and DMA claims
 // (claimlife.go). Each is explored once per Program and cached on it
-// (Program.lifecycle), over every declared body and every function
-// literal; a literal starts with nothing open, since it runs when it is
-// called, not where it is written. A spec yields leak findings at
+// (Program.lifecycle), over the declared bodies and function literals
+// that can hold one of its resources: those where the spec's classify
+// finds an open (the summary walk, interproc.go, records which) and the
+// declarations whose doc contract holds one on entry. Every other body
+// has the empty state alone, where no exit can leak and no observer
+// looks, so skipping it changes no finding. A literal starts with
+// nothing open, since it runs when it is called, not where it is
+// written. A spec yields leak findings at
 // function exits and, through its observers, findings about what
 // happens while a resource is open: lockhold reads the lock spec's
 // blocking observer, lockorder its lock-order edges (a lock taken, or a
@@ -75,6 +80,10 @@ type lifeEvent struct {
 	guarded bool
 }
 
+// lifeSpecs are the lifecycle explorations the passes read; the
+// summary walk records, per body, which of them open a resource there.
+var lifeSpecs = []*lifeSpec{lockSpec, claimSpec}
+
 // lifeSpec configures one lifecycle pass over the shared engine.
 type lifeSpec struct {
 	// kind names the spec and is the resource noun in its diagnostics
@@ -82,8 +91,9 @@ type lifeSpec struct {
 	kind string
 	// leakVerb completes "<kind> on <res> taken at <pos> <leakVerb>".
 	leakVerb string
-	// classify maps one call to its resource event, if it has one.
-	classify func(e *lifeEngine, call *ast.CallExpr) (lifeEvent, bool)
+	// classify maps one call, in the body of function fn, to its
+	// resource event, if it has one.
+	classify func(pkg *Package, fn FuncKey, call *ast.CallExpr) (lifeEvent, bool)
 	// contracts: a declared function's doc-contract locks ("Requires
 	// sh.mu held") are open on entry and licensed at exit.
 	contracts bool
@@ -104,6 +114,8 @@ type lifeFinding struct {
 type lifeResult struct {
 	leaks, observed []lifeFinding
 	edges           []lockEdge // the lock spec's lock-order edges, in exploration order
+	// explored of bodies were explored; the rest could hold nothing.
+	explored, bodies int
 }
 
 // truncation names one exploration that a bound cut short.
@@ -112,8 +124,9 @@ type truncation struct {
 	fn   FuncKey
 }
 
-// lifecycle explores spec over every declared function body and every
-// function literal, once per Program.
+// lifecycle explores spec, once per Program, over every declared
+// function body and every function literal that can hold one of its
+// resources.
 func (p *Program) lifecycle(spec *lifeSpec) *lifeResult {
 	if r, ok := p.life[spec]; ok {
 		return r
@@ -122,27 +135,43 @@ func (p *Program) lifecycle(spec *lifeSpec) *lifeResult {
 	p.life[spec] = r
 	for _, k := range p.Order {
 		sum := p.Funcs[k]
-		if sum.Decl != nil {
-			p.exploreBody(spec, r, sum, sum.Decl, sum.Decl.Body)
-		}
-		for _, lit := range sum.lits {
-			p.exploreBody(spec, r, sum, lit, lit.Body)
+		for i := range sum.bodies {
+			b := &sum.bodies[i]
+			r.bodies++
+			if spec.explores(sum, b) {
+				r.explored++
+				p.exploreBody(spec, r, sum, b)
+			}
 		}
 	}
 	return r
 }
 
-// exploreBody explores one body of sum — its declaration's or one of
-// its literals' — into r.
-func (p *Program) exploreBody(spec *lifeSpec, r *lifeResult, sum *Summary, fn ast.Node, body *ast.BlockStmt) {
+// explores reports whether spec must explore b, a body of sum: whether
+// spec opens a resource in it or its contract holds one on entry.
+func (spec *lifeSpec) explores(sum *Summary, b *funcBody) bool {
+	return slices.Contains(b.opens, spec) || len(spec.contract(sum, b.fn)) > 0
+}
+
+// contract returns the locks the doc contract of fn, a body of sum,
+// declares held by its caller; a literal has none.
+func (spec *lifeSpec) contract(sum *Summary, fn ast.Node) []string {
+	if _, decl := fn.(*ast.FuncDecl); !decl || !spec.contracts {
+		return nil
+	}
+	return sum.heldOnEntry
+}
+
+// exploreBody explores b, one body of sum, into r.
+func (p *Program) exploreBody(spec *lifeSpec, r *lifeResult, sum *Summary, b *funcBody) {
 	e := &lifeEngine{
 		res:      r,
 		spec:     spec,
 		prog:     p,
 		pkg:      sum.Pkg,
 		sum:      sum,
-		fn:       fn,
-		cfg:      p.cfgOf(body),
+		fn:       b.fn,
+		cfg:      p.cfgOf(b.body),
 		reported: make(map[token.Pos]bool),
 	}
 	if !e.run() {
@@ -333,19 +362,10 @@ func (e *lifeEngine) posStr(pos token.Pos) string {
 	return fmt.Sprintf("%s:%d", shortFile(p.Filename), p.Line)
 }
 
-// contract returns the locks the doc contract of the body being
-// explored declares held by its caller; a literal has none.
-func (e *lifeEngine) contract() []string {
-	if _, decl := e.fn.(*ast.FuncDecl); !decl || !e.spec.contracts {
-		return nil
-	}
-	return e.sum.heldOnEntry
-}
-
 // run explores the function; false means a bound cut it short.
 func (e *lifeEngine) run() bool {
 	entry := &lifeState{}
-	for i, res := range e.contract() {
+	for i, res := range e.spec.contract(e.sum, e.fn) {
 		entry.openAt(res, e.sum.EntryHeld[i], e.fn.Pos(), nil)
 	}
 	return explore(e.cfg, entry, (*lifeState).key,
@@ -404,7 +424,7 @@ func (e *lifeEngine) applyCalls(n ast.Node, st *lifeState) {
 		if !ok {
 			return true
 		}
-		ev, ok := e.spec.classify(e, call)
+		ev, ok := e.spec.classify(e.pkg, e.sum.Key, call)
 		if !ok {
 			return true
 		}
@@ -440,7 +460,7 @@ func (e *lifeEngine) commitPend(st *lifeState) {
 func (e *lifeEngine) deferNode(d *ast.DeferStmt, st *lifeState) {
 	record := func(x ast.Node) bool {
 		if call, ok := x.(*ast.CallExpr); ok {
-			if ev, ok := e.spec.classify(e, call); ok && ev.op == lifeClose {
+			if ev, ok := e.spec.classify(e.pkg, e.sum.Key, call); ok && ev.op == lifeClose {
 				st.defers = append(st.defers, ev.res)
 			}
 		}
@@ -513,7 +533,7 @@ func (e *lifeEngine) finish(blk *Block, st *lifeState) {
 		if o.n <= 0 || e.reported[o.pos] {
 			continue
 		}
-		if slices.Contains(e.contract(), o.res) {
+		if slices.Contains(e.spec.contract(e.sum, e.fn), o.res) {
 			continue // the contract
 		}
 		e.reported[o.pos] = true

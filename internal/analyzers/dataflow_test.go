@@ -2,6 +2,7 @@ package analyzers
 
 import (
 	"go/ast"
+	"go/token"
 	"os"
 	"path/filepath"
 	"slices"
@@ -29,9 +30,6 @@ func TestExploreReportsTruncation(t *testing.T) {
 	}
 }
 
-// lifeSpecs are the lifecycle explorations the passes read.
-var lifeSpecs = []*lifeSpec{lockSpec, claimSpec}
-
 // allExplorations builds the program and runs every exploration that
 // has bounds: the lifecycle specs.
 func allExplorations(pkgs []*Package) *Program {
@@ -56,17 +54,10 @@ func liveProgram(t *testing.T) *Program {
 	return liveExplored.prog
 }
 
-// TestNoTruncation: no exploration of the live tree or of any fixture
-// hits maxBlockStates or maxPathVisits, so a clean lint run is a proof
-// over every path and not the silence of a cap. The blocking-under-lock
-// check in particular depends on complete exploration.
-func TestNoTruncation(t *testing.T) {
-	check := func(name string, prog *Program) {
-		t.Helper()
-		for _, tr := range prog.truncated {
-			t.Errorf("%s: %s exploration of %s was cut short by a bound", name, tr.spec, tr.fn)
-		}
-	}
+// forEachProgram runs every exploration over each fixture under
+// testdata/src and over the live tree, and hands each Program to check.
+func forEachProgram(t *testing.T, check func(name string, prog *Program)) {
+	t.Helper()
 	root := filepath.Join("testdata", "src")
 	ents, err := os.ReadDir(root)
 	if err != nil {
@@ -90,6 +81,59 @@ func TestNoTruncation(t *testing.T) {
 	check("live tree", liveProgram(t))
 }
 
+// TestNoTruncation: no exploration of the live tree or of any fixture
+// hits maxBlockStates or maxPathVisits, so a clean lint run is a proof
+// over every path and not the silence of a cap. The blocking-under-lock
+// check in particular depends on complete exploration. It covers the
+// bodies a spec explores; the ones it skips are proven silent, cap
+// included, by TestSkippedBodiesAreSilent.
+func TestNoTruncation(t *testing.T) {
+	forEachProgram(t, func(name string, prog *Program) {
+		t.Helper()
+		for _, tr := range prog.truncated {
+			t.Errorf("%s: %s exploration of %s was cut short by a bound", name, tr.spec, tr.fn)
+		}
+	})
+}
+
+// TestSkippedBodiesAreSilent is the skip rule's oracle: every body a
+// spec passes over — no open of its own, nothing held on entry — is
+// explored here in full anyway, on the live tree and on every fixture,
+// and must record no leak, no observation, no lock-order edge and no
+// truncation. Skipping it then changes nothing any pass reports.
+func TestSkippedBodiesAreSilent(t *testing.T) {
+	forEachProgram(t, func(name string, prog *Program) {
+		t.Helper()
+		for _, spec := range lifeSpecs {
+			skipped := 0
+			for _, k := range prog.Order {
+				sum := prog.Funcs[k]
+				for i := range sum.bodies {
+					b := &sum.bodies[i]
+					if spec.explores(sum, b) {
+						continue
+					}
+					skipped++
+					r := &lifeResult{}
+					e := &lifeEngine{res: r, spec: spec, prog: prog, pkg: sum.Pkg, sum: sum,
+						fn: b.fn, cfg: NewCFG(b.body), reported: make(map[token.Pos]bool)}
+					if !e.run() {
+						t.Errorf("%s: %s: skipped body of %s at %s was cut short by a bound",
+							name, spec.kind, k, e.posStr(b.fn.Pos()))
+					}
+					if len(r.leaks)+len(r.observed)+len(r.edges) > 0 {
+						t.Errorf("%s: %s: skipped body of %s at %s reports leaks %v, observations %v, edges %v",
+							name, spec.kind, k, e.posStr(b.fn.Pos()), r.leaks, r.observed, r.edges)
+					}
+				}
+			}
+			if r := prog.lifecycle(spec); skipped+r.explored != r.bodies {
+				t.Errorf("%s: %s: %d skipped + %d explored bodies, want %d", name, spec.kind, skipped, r.explored, r.bodies)
+			}
+		}
+	})
+}
+
 // liveLockOrder is the live tree's class-level lock-order graph: it
 // takes no lock while it holds another, at any call depth.
 var liveLockOrder []string
@@ -110,22 +154,24 @@ func TestLiveCensus(t *testing.T) {
 			if sum.Decl == nil {
 				continue
 			}
-			e := &lifeEngine{spec: spec, pkg: sum.Pkg, sum: sum, fn: sum.Decl}
+			contract := spec.contract(sum, sum.Decl)
 			ast.Inspect(sum.Decl.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
 				}
-				if ev, ok := spec.classify(e, call); ok && ev.op == lifeOpen {
+				if ev, ok := spec.classify(sum.Pkg, sum.Key, call); ok && ev.op == lifeOpen {
 					opens++
-					if !slices.Contains(e.contract(), ev.res) {
+					if !slices.Contains(contract, ev.res) {
 						unlicensed++
 					}
 				}
 				return true
 			})
 		}
-		t.Logf("%s: %d opens in the live tree, %d not licensed at exit", spec.kind, opens, unlicensed)
+		r := prog.lifecycle(spec)
+		t.Logf("%s: %d opens in the live tree, %d not licensed at exit; explored %d of %d bodies",
+			spec.kind, opens, unlicensed, r.explored, r.bodies)
 		if unlicensed == 0 {
 			t.Errorf("%s: every one of the live tree's %d opens is licensed at exit, so the spec can report nothing; delete it", spec.kind, opens)
 		}

@@ -14,8 +14,9 @@ package analyzers
 // licenses both entering and leaving with the parameter's lock held.
 // Panic paths are exempt.
 //
-// The exploration behind this pass is lockSpec, run once per Program;
-// lockhold reports what its blocking observer sees while a lock is
+// The exploration behind this pass is lockSpec, run once per Program
+// over the bodies that take a lock or hold one by contract (a body that
+// does neither holds nothing anywhere); lockhold reports what its blocking observer sees while a lock is
 // held, and lockorder builds its graph from the edges its order
 // observer records.
 
@@ -44,13 +45,13 @@ var lockSpec = &lifeSpec{
 	observers: []func(*lifeEngine, ast.Node, *lifeState){observeBlocking, observeOrder},
 }
 
-func classifyLock(e *lifeEngine, call *ast.CallExpr) (lifeEvent, bool) {
-	x, lock, ok := mutexCall(e.pkg.Info, call)
+func classifyLock(pkg *Package, fn FuncKey, call *ast.CallExpr) (lifeEvent, bool) {
+	x, lock, ok := mutexCall(pkg.Info, call)
 	if !ok {
 		return lifeEvent{}, false
 	}
 	if lock {
-		class, _ := classOf(e.pkg, e.sum.Key, x)
+		class, _ := classOf(pkg, fn, x)
 		return lifeEvent{op: lifeOpen, res: exprString(x), class: class, what: exprString(call)}, true
 	}
 	return lifeEvent{op: lifeClose, res: exprString(x)}, true

@@ -140,10 +140,11 @@ type Summary struct {
 	Key  FuncKey
 	Decl *ast.FuncDecl // nil for synthesized go-literal bodies
 	Pkg  *Package
-	// lits are the function literals summarized here, nested ones
-	// included: the spawned literal itself for a synthesized summary.
-	// The lifecycle explorations visit each with nothing open.
-	lits []*ast.FuncLit
+	// bodies are the function bodies summarized here: the declaration's
+	// first, then every function literal in it, nested ones included —
+	// or, for a synthesized summary, the spawned literal and its own.
+	// The lifecycle explorations visit each literal with nothing open.
+	bodies []funcBody
 
 	Calls    []callSite
 	Spawns   []spawnSite
@@ -161,6 +162,14 @@ type Summary struct {
 	// (select, channel receive, channel range, WaitGroup.Done,
 	// Cond.Wait).
 	DirectShutdown bool
+}
+
+// funcBody is one body of a Summary, as the lifecycle explorations see
+// it: the calls of function literals nested in it belong to theirs.
+type funcBody struct {
+	fn    ast.Node // *ast.FuncDecl or *ast.FuncLit
+	body  *ast.BlockStmt
+	opens []*lifeSpec // the specs whose classify finds an open in the body
 }
 
 // Program is the whole-program view: all summaries plus the fixpoint
@@ -216,6 +225,7 @@ func BuildProgram(pkgs []*Package) *Program {
 			sum := &Summary{Key: key, Decl: fd, Pkg: pkg}
 			parseContracts(pkg, fd, sum)
 			if prog.add(sum) {
+				sum.bodies = []funcBody{{fn: fd, body: fd.Body}}
 				(&sumBuilder{pkg: pkg, prog: prog, sum: sum}).walk(fd.Body)
 			}
 		})
@@ -247,7 +257,7 @@ var paramHeldRe = regexp.MustCompile(`(?i)\brequires\s+(\w+)\.mu\s+held`)
 // entry (the sharded helpers take their vmShard explicitly), and
 // returning with it held is then expected.
 func parseContracts(pkg *Package, fd *ast.FuncDecl, sum *Summary) {
-	if fd.Doc == nil {
+	if fd.Doc == nil || !slices.ContainsFunc(fd.Doc.List, mentionsRequire) {
 		return
 	}
 	for _, m := range paramHeldRe.FindAllStringSubmatch(fd.Doc.Text(), -1) {
@@ -263,6 +273,19 @@ func parseContracts(pkg *Package, fd *ast.FuncDecl, sum *Summary) {
 			}
 		}
 	}
+}
+
+// mentionsRequire reports whether the comment line holds "require" in
+// any case: a doc comment where none does cannot match paramHeldRe,
+// whose only case-folds of those letters are ASCII.
+func mentionsRequire(c *ast.Comment) bool {
+	const word = "require"
+	for i := 0; i+len(word) <= len(c.Text); i++ {
+		if c.Text[i]|0x20 == 'r' && strings.EqualFold(c.Text[i:i+len(word)], word) {
+			return true
+		}
+	}
+	return false
 }
 
 // fieldLockClass resolves "the mu field of the named type behind expr"
@@ -286,12 +309,14 @@ type sumBuilder struct {
 	pkg  *Package
 	prog *Program
 	sum  *Summary
+	body int // the index in sum.bodies of the body being walked
 }
 
 // walk records the calls, taints, acquisitions, channel operations,
-// spawns and shutdown constructs under n, in source order. A function
-// literal that is not spawned is summarized into the same Summary and
-// listed in its lits; a spawned one gets a summary of its own.
+// spawns and shutdown constructs under n, in source order, and which
+// lifecycle specs open a resource in each body. A function literal that
+// is not spawned is summarized into the same Summary as a body of its
+// own; a spawned one gets a summary of its own.
 func (w *sumBuilder) walk(n ast.Node) {
 	ast.Inspect(n, func(x ast.Node) bool {
 		switch x := x.(type) {
@@ -299,7 +324,12 @@ func (w *sumBuilder) walk(n ast.Node) {
 			w.goStmt(x)
 			return false
 		case *ast.FuncLit:
-			w.sum.lits = append(w.sum.lits, x)
+			outer := w.body
+			w.body = len(w.sum.bodies)
+			w.sum.bodies = append(w.sum.bodies, funcBody{fn: x, body: x.Body})
+			w.walk(x.Body)
+			w.body = outer
+			return false
 		case *ast.SendStmt:
 			if c, ok := classOf(w.pkg, w.sum.Key, x.Chan); ok {
 				w.sum.ChanOps = append(w.sum.ChanOps, chanOp{pos: x.Pos(), class: c, send: true})
@@ -315,10 +345,25 @@ func (w *sumBuilder) walk(n ast.Node) {
 				w.sum.DirectShutdown = true
 			}
 		case *ast.CallExpr:
+			w.opens(x)
 			w.call(x)
 		}
 		return true
 	})
+}
+
+// opens records in the current body each lifecycle spec that classifies
+// call as an open, asking the spec's own classify.
+func (w *sumBuilder) opens(call *ast.CallExpr) {
+	b := &w.sum.bodies[w.body]
+	for _, spec := range lifeSpecs {
+		if slices.Contains(b.opens, spec) {
+			continue
+		}
+		if ev, ok := spec.classify(w.pkg, w.sum.Key, call); ok && ev.op == lifeOpen {
+			b.opens = append(b.opens, spec)
+		}
+	}
 }
 
 // call classifies one call expression: lock acquisition, taint source,
@@ -387,6 +432,15 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 // goStmt records a spawn site and, for literals, synthesizes a summary
 // for the spawned body so the lifecycle fixpoint can see through it.
 func (w *sumBuilder) goStmt(g *ast.GoStmt) {
+	// The go statement is a node of the spawning body: the lifecycle
+	// engine classifies every call in it there, literals aside.
+	ast.Inspect(g.Call, func(x ast.Node) bool {
+		if call, ok := x.(*ast.CallExpr); ok {
+			w.opens(call)
+		}
+		_, lit := x.(*ast.FuncLit)
+		return !lit
+	})
 	for _, a := range g.Call.Args {
 		w.walk(a)
 	}

@@ -103,6 +103,33 @@ func closureDoesNotRelease(s *store) {
 	_ = f
 }
 
+// closureLeaks: a function literal is a body of its own, explored with
+// nothing open, so the lock it leaks is reported though the function
+// around it takes none.
+func closureLeaks(s *store) func() error {
+	return func() error {
+		s.mu.Lock() // want `lock on s.mu taken at .* is still held on an error path`
+		if err := s.check(); err != nil {
+			return err
+		}
+		s.mu.Unlock()
+		return nil
+	}
+}
+
+// leakAfterClosure: the lock taken after a literal is the function's,
+// not the literal's written before it.
+func leakAfterClosure(s *store) error {
+	f := func() { s.dirt++ }
+	f()
+	s.mu.Lock() // want `lock on s.mu taken at .* is still held on an error path`
+	if err := s.check(); err != nil {
+		return err
+	}
+	s.mu.Unlock()
+	return nil
+}
+
 // leakOnError takes the lock, then the error return skips the release.
 func leakOnError(s *store) error {
 	s.mu.Lock() // want `lock on s.mu taken at .* is still held on an error path`

@@ -72,27 +72,6 @@ func (tr *Trace) Add(dev hw.DeviceID, lane Lane, label string, start, end sim.Ti
 	tr.Events = append(tr.Events, Event{Dev: dev, Lane: lane, Label: label, Start: start, End: end})
 }
 
-// Window returns the events overlapping [from, to), sorted by start
-// time (ties by device then lane).
-func (tr *Trace) Window(from, to sim.Time) []Event {
-	var out []Event
-	for _, e := range tr.Events {
-		if e.End > from && e.Start < to {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		if out[i].Dev != out[j].Dev {
-			return out[i].Dev < out[j].Dev
-		}
-		return out[i].Lane < out[j].Lane
-	})
-	return out
-}
-
 // Span returns the earliest start and latest end across all events.
 func (tr *Trace) Span() (sim.Time, sim.Time) {
 	if len(tr.Events) == 0 {

@@ -43,20 +43,6 @@ func TestInvertedSpanPanics(t *testing.T) {
 	tr.Add(0, Compute, "x", 2, 1)
 }
 
-func TestWindowFiltersAndSorts(t *testing.T) {
-	var tr Trace
-	tr.Add(1, Compute, "b", 5, 6)
-	tr.Add(0, Compute, "a", 1, 2)
-	tr.Add(0, SwapIn, "c", 1, 3)
-	got := tr.Window(0, 4)
-	if len(got) != 2 {
-		t.Fatalf("window returned %d events, want 2", len(got))
-	}
-	if got[0].Label != "a" || got[1].Label != "c" {
-		t.Fatalf("order = %s, %s", got[0].Label, got[1].Label)
-	}
-}
-
 func TestGanttRendering(t *testing.T) {
 	var tr Trace
 	tr.Add(0, Compute, "F[L0,mb0]", 0, 5)
