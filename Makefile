@@ -23,16 +23,18 @@ vet:
 # Static enforcement of the executor's concurrency and determinism
 # invariants (DESIGN.md §10), one gate each. go vet holds copied locks
 # (copylocks); gofmt -l must name no file (.bench_build/ is the
-# benchmark's build cache); harmonylint holds blocking under a VM lock, DMA
-# claim-state writes outside the transition helpers, wall-clock and
-# map-order nondeterminism in the deterministic core — plus the
-# interprocedural passes (the global lock-order graph, goroutine and
-# done-channel lifecycle, call-chain taint flow) and the
-# path-sensitive CFG passes (claim lifecycle, error-path lock leaks).
+# benchmark's build cache); harmonylint walks the syntax of every
+# package once, and on that walk holds DMA claim-state writes outside
+# the transition helpers, wall-clock and map-order nondeterminism in
+# the deterministic core and dropped VM errors, while it builds the
+# summaries the interprocedural passes close over the call graph (the
+# global lock-order graph, goroutine and done-channel lifecycle,
+# call-chain taint flow); the path-sensitive CFG passes (blocking
+# under a lock, claim lifecycle, error-path lock leaks) follow.
 # The ./... pattern covers cmd/ and internal/ alike, the linter's own
 # packages included. Runs from the module root in about 0.3 s on a
-# 2-vCPU machine, on the build cache vet has just filled; exits
-# non-zero on findings.
+# 2-vCPU machine, on the build cache vet has just filled, nearly all of
+# it the load; exits non-zero on findings.
 lint: vet
 	@! gofmt -l . | grep -v '^\.bench_build/' || { echo "gofmt -l names the files above"; exit 1; }
 	$(GO) run ./cmd/harmonylint ./...
@@ -77,9 +79,10 @@ race:
 # benchmark whose CPU profile gives the simulator's per-layer rows (the
 # write-barrier share of the event loop, DESIGN.md §6), one plan build
 # of each of those cells (BenchmarkPlan, the scheduler's own layer,
-# allocations included), and one
-# iteration of BenchmarkRunProject, every harmonylint pass over the
-# loaded live tree (its allocs/op are the linter's). The ns/op
+# allocations included), and ten
+# iterations of BenchmarkRunProject, every harmonylint pass over the
+# loaded live tree, Program built (its ns/op, B/op and allocs/op are
+# the linter's layer row, warm: ten iterations, not the first). The ns/op
 # numbers are by hand; what the Ensure curve shows — a resident Ensure
 # takes no lock another device can hold — is a test
 # (TestEnsureHitTakesOnlyItsOwnShard), so this target only proves the
@@ -88,7 +91,7 @@ bench-contend:
 	$(GO) test -run XXX -bench 'BenchmarkEnsureContended|BenchmarkVMEvictionZipf' -benchtime 10000x ./internal/exec/
 	$(GO) test -run XXX -bench BenchmarkSimulate -benchtime 1x .
 	$(GO) test -run XXX -bench BenchmarkPlan -benchmem -benchtime 1x ./internal/sched/
-	$(GO) test -run XXX -bench BenchmarkRunProject -benchmem -benchtime 1x ./internal/analyzers/
+	$(GO) test -run XXX -bench BenchmarkRunProject -benchmem -benchtime 10x ./internal/analyzers/
 
 # The paired-run protocol that decides a performance claim
 # (EXPERIMENTS.md, "Making a performance claim"): per workload, PAIRS

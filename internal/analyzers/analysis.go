@@ -50,11 +50,14 @@
 // and yield leak
 // findings (errpath, claimlife) and observer findings about what
 // happens while a resource is open (lockhold, lockorder,
-// claimdiscipline rule 3). interproc.go builds one Summary per
-// function in one syntax walk — locks acquired, calls made, channels
-// sent/closed, goroutines spawned, taint sources reached, the
-// doc-comment lock contract — and closes them over the call graph for
-// lockorder's call edges, chanlife and the determinism taint upgrade.
+// claimdiscipline rule 3). interproc.go holds the package's one syntax
+// walk: it visits every file once, builds one Summary per function —
+// locks acquired, calls made, channels sent/closed, goroutines spawned,
+// taint sources reached, the doc-comment lock contract — and applies
+// the lexical rules (claimdiscipline rules 1–2, determinism's
+// wall-clock and map-range rules, errcheck) on the way. The summaries
+// are closed over the call graph for lockorder's call edges, chanlife
+// and the determinism taint upgrade.
 // Every pass sees the same Program through one Pass. DESIGN.md §10 has
 // the invariant → pass → mechanism table.
 //
@@ -118,6 +121,26 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
+// finding is one diagnostic the Program holds — from the walk or a
+// lifecycle exploration — until the analyzer that owns it reports it.
+type finding struct {
+	pos token.Pos
+	msg string
+}
+
+// addf records a finding in fs.
+func addf(fs *[]finding, pos token.Pos, format string, args ...any) {
+	*fs = append(*fs, finding{pos, fmt.Sprintf(format, args...)})
+}
+
+// reportFindings hands findings to the analyzer that owns them.
+func reportFindings(pass *Pass, fs []finding) error {
+	for _, f := range fs {
+		pass.Reportf(f.pos, "%s", f.msg)
+	}
+	return nil
+}
+
 // A Diagnostic is one reported finding, resolved to a file position.
 type Diagnostic struct {
 	Pos      token.Position
@@ -157,6 +180,9 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) []*directive {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
+				if !strings.HasPrefix(c.Text, "//lint:allow") {
+					continue
+				}
 				m := directiveRe.FindStringSubmatch(c.Text)
 				if m == nil {
 					continue
@@ -356,18 +382,6 @@ func methodOn(info *types.Info, call *ast.CallExpr, pkgPath, typeName, method st
 		return nil, false
 	}
 	return sel.X, true
-}
-
-// enclosingFuncName tracks the FuncDecl a node belongs to while
-// inspecting a file. Used by analyzers that exempt specific functions.
-func forEachFunc(files []*ast.File, fn func(decl *ast.FuncDecl)) {
-	for _, f := range files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				fn(fd)
-			}
-		}
-	}
 }
 
 // exprString renders a (selector chain) expression for diagnostics.

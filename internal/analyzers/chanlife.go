@@ -45,15 +45,12 @@ func runChanlife(pass *Pass) error {
 	prog := pass.Prog
 
 	// 1. Spawn shutdown reachability, at any call depth.
-	for _, k := range prog.Order {
-		for _, sp := range prog.Funcs[k].Spawns {
-			if sp.callee == (FuncKey{}) {
-				continue // dynamic target: not checkable
+	for _, s := range prog.sums {
+		for _, sp := range s.Spawns {
+			if sp.to < 0 {
+				continue // dynamic target, or external package: body not loaded
 			}
-			if prog.Funcs[sp.callee] == nil {
-				continue // external package: body not loaded
-			}
-			if !prog.ReachesShutdown(sp.callee) {
+			if !prog.shutdown[sp.to] {
 				pass.Reportf(sp.pos,
 					"goroutine %s has no shutdown path at any call depth (no WaitGroup.Done, select, channel receive or channel range); it will outlive its owner",
 					sp.label)
@@ -69,8 +66,9 @@ func runChanlife(pass *Pass) error {
 		fns    []FuncKey
 	}
 	uses := make(map[Class]*chanUse)
-	for _, k := range prog.Order {
-		for _, op := range prog.Funcs[k].ChanOps {
+	for _, s := range prog.sums {
+		k := s.Key
+		for _, op := range s.ChanOps {
 			if !doneNameRe.MatchString(op.class.Name) {
 				continue
 			}

@@ -43,34 +43,37 @@ var ClaimDiscipline = &Analyzer{
 	Run: runClaimDiscipline,
 }
 
-// claimAtomics are the buffer fields owned by the state machine,
-// mapped to the atomic mutator methods the helpers may use on them.
-// Load is a read and allowed everywhere.
-var claimAtomics = map[string]map[string]bool{
-	"word": {"CompareAndSwap": true},
-	"done": {"CompareAndSwap": true, "Store": true},
+// isTransitionHelper reports whether a method of this name may mutate
+// the claim atomics (rule 1).
+func isTransitionHelper(name string) bool {
+	switch name {
+	case "claim", "commit", "settle", "pin", "unpin", "consumePrefetch":
+		return true
+	}
+	return false
 }
 
-// wordMutators are the atomic methods that change state; calling any
-// of them on word/done outside a helper breaks rule 1, and calling one
-// not in claimAtomics inside a helper breaks rule 2.
-var wordMutators = map[string]bool{
-	"Store": true, "Swap": true, "Add": true, "And": true, "Or": true,
-	"CompareAndSwap": true,
+// isWordMutator reports whether the atomic method changes state;
+// calling one on word/done outside a helper breaks rule 1, and calling
+// one helperMay refuses inside a helper breaks rule 2. Load is a read
+// and allowed everywhere.
+func isWordMutator(method string) bool {
+	switch method {
+	case "Store", "Swap", "Add", "And", "Or", "CompareAndSwap":
+		return true
+	}
+	return false
 }
 
-// transitionHelpers may mutate the claim atomics (rule 1).
-var transitionHelpers = map[string]bool{
-	"claim": true, "commit": true, "settle": true,
-	"pin": true, "unpin": true, "consumePrefetch": true,
+// helperMay reports whether a transition helper may apply the atomic
+// method to the claim field (rule 2): the word only by CompareAndSwap,
+// the done pointer also by the claim winner's Store.
+func helperMay(field, method string) bool {
+	return method == "CompareAndSwap" || field == "done" && method == "Store"
 }
 
 func runClaimDiscipline(pass *Pass) error {
-	for _, pkg := range pass.Prog.Pkgs {
-		forEachFunc(pkg.Files, func(fd *ast.FuncDecl) {
-			checkClaimWordWrites(pass, pkg.Info, fd)
-		})
-	}
+	reportFindings(pass, pass.Prog.lexical.claimdiscipline)
 	return reportFindings(pass, pass.Prog.lifecycle(claimSpec).observed)
 }
 
@@ -100,7 +103,9 @@ func claimAtomicField(info *types.Info, e ast.Expr) (field string, ok bool) {
 	if !isSel {
 		return "", false
 	}
-	if _, tracked := claimAtomics[sel.Sel.Name]; !tracked {
+	switch sel.Sel.Name {
+	case "word", "done":
+	default:
 		return "", false
 	}
 	if !isBufferType(info.TypeOf(sel.X)) {
@@ -109,39 +114,38 @@ func claimAtomicField(info *types.Info, e ast.Expr) (field string, ok bool) {
 	return sel.Sel.Name, true
 }
 
-// checkClaimWordWrites implements rules 1 and 2.
-func checkClaimWordWrites(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
-	inHelper := transitionHelpers[fd.Name.Name] && fd.Recv != nil
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			sel, ok := n.Fun.(*ast.SelectorExpr)
-			if !ok || !wordMutators[sel.Sel.Name] {
-				return true
-			}
-			f, ok := claimAtomicField(info, sel.X)
-			if !ok {
-				return true
-			}
-			if !inHelper {
-				pass.Reportf(n.Pos(),
-					"mutation of buffer.%s outside the claim state-machine helpers (claim/commit/settle/pin/unpin/consumePrefetch)", f)
-			} else if !claimAtomics[f][sel.Sel.Name] {
-				pass.Reportf(n.Pos(),
-					"non-CAS mutation of buffer.%s (%s) inside a transition helper; packed-word transitions must CompareAndSwap an observed value", f, sel.Sel.Name)
-			}
-		case *ast.AssignStmt:
-			// Reassigning the atomic value itself (b.word = ...) bypasses
-			// the atomic API entirely; never legal, helpers included.
-			for _, l := range n.Lhs {
-				if f, ok := claimAtomicField(info, l); ok {
-					pass.Reportf(l.Pos(),
-						"direct assignment to buffer.%s bypasses its atomic API; use the claim state-machine helpers", f)
-				}
+// lintClaimWrites implements rules 1 and 2 on one node of a function
+// declaration's body, function literals included; helper: the
+// declaration is a transition helper. The one syntax walk
+// (interproc.go) calls it.
+func lintClaimWrites(info *types.Info, n ast.Node, helper bool, fs *[]finding) {
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		sel, ok := n.Fun.(*ast.SelectorExpr)
+		if !ok || !isWordMutator(sel.Sel.Name) {
+			return
+		}
+		f, ok := claimAtomicField(info, sel.X)
+		if !ok {
+			return
+		}
+		if !helper {
+			addf(fs, n.Pos(),
+				"mutation of buffer.%s outside the claim state-machine helpers (claim/commit/settle/pin/unpin/consumePrefetch)", f)
+		} else if !helperMay(f, sel.Sel.Name) {
+			addf(fs, n.Pos(),
+				"non-CAS mutation of buffer.%s (%s) inside a transition helper; packed-word transitions must CompareAndSwap an observed value", f, sel.Sel.Name)
+		}
+	case *ast.AssignStmt:
+		// Reassigning the atomic value itself (b.word = ...) bypasses
+		// the atomic API entirely; never legal, helpers included.
+		for _, l := range n.Lhs {
+			if f, ok := claimAtomicField(info, l); ok {
+				addf(fs, l.Pos(),
+					"direct assignment to buffer.%s bypasses its atomic API; use the claim state-machine helpers", f)
 			}
 		}
-		return true
-	})
+	}
 }
 
 // observePublish is claimSpec's observer and implements rule 3: a

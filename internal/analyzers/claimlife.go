@@ -44,6 +44,14 @@ func classifyClaim(pkg *Package, _ FuncKey, call *ast.CallExpr) (lifeEvent, bool
 	if !ok || len(call.Args) == 0 {
 		return lifeEvent{}, false
 	}
+	op := lifeClose
+	switch sel.Sel.Name {
+	case "claim", "Claim":
+		op = lifeOpen
+	case "commit", "Commit", "settle", "Settle":
+	default:
+		return lifeEvent{}, false
+	}
 	info := pkg.Info
 	// The claimed buffer is always the first argument and always a
 	// pointer; claimword's pure Word transitions take values and are
@@ -52,16 +60,13 @@ func classifyClaim(pkg *Package, _ FuncKey, call *ast.CallExpr) (lifeEvent, bool
 		return lifeEvent{}, false
 	}
 	res := exprString(call.Args[0])
-	switch sel.Sel.Name {
-	case "claim", "Claim":
-		if t := info.TypeOf(call); t == nil || !types.Identical(t, types.Typ[types.Bool]) {
-			return lifeEvent{}, false
-		}
-		return lifeEvent{op: lifeOpen, res: res, what: exprString(call), guarded: true}, true
-	case "commit", "Commit", "settle", "Settle":
+	if op == lifeClose {
 		return lifeEvent{op: lifeClose, res: res}, true
 	}
-	return lifeEvent{}, false
+	if t := info.TypeOf(call); t == nil || !types.Identical(t, types.Typ[types.Bool]) {
+		return lifeEvent{}, false
+	}
+	return lifeEvent{op: lifeOpen, res: res, what: exprString(call), guarded: true}, true
 }
 
 func isPointerExpr(info *types.Info, e ast.Expr) bool {

@@ -102,17 +102,10 @@ type lifeSpec struct {
 	observers []func(e *lifeEngine, n ast.Node, st *lifeState)
 }
 
-// lifeFinding is one diagnostic of a lifecycle exploration, held until
-// the analyzer that owns it reports it.
-type lifeFinding struct {
-	pos token.Pos
-	msg string
-}
-
 // lifeResult is what one spec found over the whole program: resources
 // still open at an exit, and what its observers saw on the way.
 type lifeResult struct {
-	leaks, observed []lifeFinding
+	leaks, observed []finding
 	edges           []lockEdge // the lock spec's lock-order edges, in exploration order
 	// explored of bodies were explored; the rest could hold nothing.
 	explored, bodies int
@@ -133,8 +126,7 @@ func (p *Program) lifecycle(spec *lifeSpec) *lifeResult {
 	}
 	r := &lifeResult{}
 	p.life[spec] = r
-	for _, k := range p.Order {
-		sum := p.Funcs[k]
+	for _, sum := range p.sums {
 		for i := range sum.bodies {
 			b := &sum.bodies[i]
 			r.bodies++
@@ -177,15 +169,6 @@ func (p *Program) exploreBody(spec *lifeSpec, r *lifeResult, sum *Summary, b *fu
 	if !e.run() {
 		p.truncated = append(p.truncated, truncation{spec.kind, sum.Key})
 	}
-}
-
-// reportFindings hands a lifecycle exploration's findings to the
-// analyzer that owns them.
-func reportFindings(pass *Pass, fs []lifeFinding) error {
-	for _, f := range fs {
-		pass.Reportf(f.pos, "%s", f.msg)
-	}
-	return nil
 }
 
 // Exploration bounds. Dropping paths can only lose reports, never
@@ -386,7 +369,7 @@ func (e *lifeEngine) run() bool {
 func (e *lifeEngine) observef(pos token.Pos, format string, args ...any) {
 	if !e.reported[pos] {
 		e.reported[pos] = true
-		e.res.observed = append(e.res.observed, lifeFinding{pos, fmt.Sprintf(format, args...)})
+		addf(&e.res.observed, pos, format, args...)
 	}
 }
 
@@ -543,10 +526,10 @@ func (e *lifeEngine) finish(blk *Block, st *lifeState) {
 		}
 		path := strings.Join(append(append([]string(nil), st.steps...),
 			exitDesc+" at "+e.posStr(exitPos)), " -> ")
-		e.res.leaks = append(e.res.leaks, lifeFinding{o.pos, fmt.Sprintf(
+		addf(&e.res.leaks, o.pos,
 			"%s on %s taken at %s %s on %s ending at the %s at %s; path: %s",
 			e.spec.kind, o.res, e.posStr(o.pos), e.spec.leakVerb,
-			pathKind, exitDesc, e.posStr(exitPos), path)})
+			pathKind, exitDesc, e.posStr(exitPos), path)
 	}
 }
 

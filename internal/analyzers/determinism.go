@@ -77,43 +77,45 @@ func inDeterministicCore(path string) bool {
 	return false
 }
 
-// wallClockFuncs are the time package functions that read the real
-// clock. time.Sleep is lockhold's concern; types like time.Duration
-// and constructors like time.Date are deterministic and allowed.
-var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
+// wallClockRead reports whether call reads the real clock — time.Now,
+// time.Since or time.Until — and which of them. time.Sleep is
+// lockhold's concern; types like time.Duration and constructors like
+// time.Date are deterministic and allowed.
+func wallClockRead(info *types.Info, call *ast.CallExpr) (string, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	switch sel.Sel.Name {
+	case "Now", "Since", "Until":
+		return sel.Sel.Name, pkgFunc(info, call, "time", sel.Sel.Name)
+	}
+	return "", false
+}
 
 func runDeterminism(pass *Pass) error {
-	for _, pkg := range pass.Prog.Pkgs {
-		if inDeterministicCore(pkg.Path) {
-			lexicalDeterminism(pass, pkg)
-		}
-	}
+	reportFindings(pass, pass.Prog.lexical.determinism)
 	return runDeterminismTaint(pass)
 }
 
-// lexicalDeterminism reports the core package's own wall-clock reads
-// and map iterations.
-func lexicalDeterminism(pass *Pass, pkg *Package) {
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				for name := range wallClockFuncs {
-					if pkgFunc(pkg.Info, n, "time", name) {
-						pass.Reportf(n.Pos(),
-							"time.%s in the deterministic core; wall-clock reads must go through an injected trace.Clock", name)
-					}
-				}
-			case *ast.RangeStmt:
-				if t := pkg.Info.TypeOf(n.X); t != nil {
-					if _, isMap := t.Underlying().(*types.Map); isMap {
-						pass.Reportf(n.Pos(),
-							"map iteration in the deterministic core; range order is randomized per run — iterate a sorted key slice or an ordered structure instead")
-					}
-				}
+// lintDeterminism reports one node of a core package's wall-clock
+// reads and map iterations, over whole files: package-level
+// declarations and function literals included. The one syntax walk
+// (interproc.go) calls it.
+func lintDeterminism(info *types.Info, n ast.Node, fs *[]finding) {
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		if name, ok := wallClockRead(info, n); ok {
+			addf(fs, n.Pos(),
+				"time.%s in the deterministic core; wall-clock reads must go through an injected trace.Clock", name)
+		}
+	case *ast.RangeStmt:
+		if t := info.TypeOf(n.X); t != nil {
+			if _, isMap := t.Underlying().(*types.Map); isMap {
+				addf(fs, n.Pos(),
+					"map iteration in the deterministic core; range order is randomized per run — iterate a sorted key slice or an ordered structure instead")
 			}
-			return true
-		})
+		}
 	}
 }
 
@@ -128,8 +130,7 @@ func lexicalDeterminism(pass *Pass, pkg *Package) {
 // trace.Clock interface remains the sanctioned boundary.
 func runDeterminismTaint(pass *Pass) error {
 	prog := pass.Prog
-	for _, k := range prog.Order {
-		s := prog.Funcs[k]
+	for _, s := range prog.sums {
 		if !inDeterministicCore(s.Key.Pkg) {
 			continue
 		}
@@ -137,10 +138,10 @@ func runDeterminismTaint(pass *Pass) error {
 			// No summary: external. A tainted callee inside the core
 			// is already flagged in its own body by the lexical pass;
 			// a second report at every caller would be noise.
-			if prog.Funcs[c.callee] == nil || inDeterministicCore(c.callee.Pkg) {
+			if c.to < 0 || inDeterministicCore(c.callee.Pkg) {
 				continue
 			}
-			if wtn := prog.TaintWitness(c.callee); wtn != "" {
+			if wtn := prog.tainted[c.to]; wtn != "" {
 				pass.Reportf(c.pos,
 					"call to %s reaches %s at some call depth; wall-clock values must not flow into the deterministic core — inject a trace.Clock",
 					c.callee, wtn)

@@ -80,59 +80,48 @@ func errReturningVMCall(info *types.Info, call *ast.CallExpr) (string, int, bool
 var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
 func runErrcheck(pass *Pass) error {
-	for _, pkg := range pass.Prog.Pkgs {
-		if inErrcheckScope(pkg.Path) {
-			errcheckPackage(pass, pkg)
-		}
-	}
-	return nil
+	return reportFindings(pass, pass.Prog.lexical.errcheck)
 }
 
-// errcheckPackage reports the package's dropped VM errors.
-func errcheckPackage(pass *Pass, pkg *Package) {
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.ExprStmt:
-				if call, ok := n.X.(*ast.CallExpr); ok {
-					if name, _, ok := errReturningVMCall(pkg.Info, call); ok {
-						pass.Reportf(n.Pos(),
-							"%s returns an error that is dropped; handle it or document the drop with //lint:allow errcheck", name)
-					}
-				}
-			case *ast.AssignStmt:
-				// One call on the right, its error position blanked:
-				// _ = vm.M(...) or v, _ := vm.M(...).
-				if len(n.Rhs) != 1 {
-					return true
-				}
-				call, ok := n.Rhs[0].(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				name, results, ok := errReturningVMCall(pkg.Info, call)
-				if !ok {
-					return true
-				}
-				if len(n.Lhs) != results {
-					return true
-				}
-				if id, ok := n.Lhs[results-1].(*ast.Ident); ok && id.Name == "_" {
-					pass.Reportf(n.Lhs[results-1].Pos(),
-						"%s error assigned to blank; handle it or document the drop with //lint:allow errcheck", name)
-				}
-			case *ast.GoStmt:
-				if name, _, ok := errReturningVMCall(pkg.Info, n.Call); ok {
-					pass.Reportf(n.Pos(),
-						"%s launched as a goroutine drops its error; collect it through a channel or errgroup-style join", name)
-				}
-			case *ast.DeferStmt:
-				if name, _, ok := errReturningVMCall(pkg.Info, n.Call); ok {
-					pass.Reportf(n.Pos(),
-						"deferred %s drops its error; wrap it in a closure that records the error", name)
-				}
+// lintErrcheck reports one node of a package in scope that drops a VM
+// error, over whole files: package-level declarations and function
+// literals included. The one syntax walk (interproc.go) calls it.
+func lintErrcheck(info *types.Info, n ast.Node, fs *[]finding) {
+	switch n := n.(type) {
+	case *ast.ExprStmt:
+		if call, ok := n.X.(*ast.CallExpr); ok {
+			if name, _, ok := errReturningVMCall(info, call); ok {
+				addf(fs, n.Pos(),
+					"%s returns an error that is dropped; handle it or document the drop with //lint:allow errcheck", name)
 			}
-			return true
-		})
+		}
+	case *ast.AssignStmt:
+		// One call on the right, its error position blanked:
+		// _ = vm.M(...) or v, _ := vm.M(...).
+		if len(n.Rhs) != 1 {
+			return
+		}
+		call, ok := n.Rhs[0].(*ast.CallExpr)
+		if !ok {
+			return
+		}
+		name, results, ok := errReturningVMCall(info, call)
+		if !ok || len(n.Lhs) != results {
+			return
+		}
+		if id, ok := n.Lhs[results-1].(*ast.Ident); ok && id.Name == "_" {
+			addf(fs, n.Lhs[results-1].Pos(),
+				"%s error assigned to blank; handle it or document the drop with //lint:allow errcheck", name)
+		}
+	case *ast.GoStmt:
+		if name, _, ok := errReturningVMCall(info, n.Call); ok {
+			addf(fs, n.Pos(),
+				"%s launched as a goroutine drops its error; collect it through a channel or errgroup-style join", name)
+		}
+	case *ast.DeferStmt:
+		if name, _, ok := errReturningVMCall(info, n.Call); ok {
+			addf(fs, n.Pos(),
+				"deferred %s drops its error; wrap it in a closure that records the error", name)
+		}
 	}
 }

@@ -35,12 +35,18 @@ var Lockhold = &Analyzer{
 	},
 }
 
-// blockingFunc names in-module functions that park the caller, mapped
-// to the label shown in the report.
-var blockingFunc = map[string]string{
-	"WaitIdle":   "drains async DMA",
-	"waitSettle": "blocks on claim settle",
-	"Sleep":      "parks on the clock",
+// blockingFunc reports whether an in-module function of this name
+// parks the caller, and the label shown in the report.
+func blockingFunc(name string) (string, bool) {
+	switch name {
+	case "WaitIdle":
+		return "drains async DMA", true
+	case "waitSettle":
+		return "blocks on claim settle", true
+	case "Sleep":
+		return "parks on the clock", true
+	}
+	return "", false
 }
 
 // observeBlocking is lockSpec's observer: it reports every blocking
@@ -100,7 +106,7 @@ func observeBlocking(e *lifeEngine, n ast.Node, st *lifeState) {
 			if pkgFunc(info, x, "time", "Sleep") {
 				report(x.Pos(), "time.Sleep")
 			} else if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
-				if desc, blocks := blockingFunc[sel.Sel.Name]; blocks {
+				if desc, blocks := blockingFunc(sel.Sel.Name); blocks {
 					report(x.Pos(), sel.Sel.Name+" ("+desc+")")
 				}
 			}

@@ -88,7 +88,7 @@ func observeOrder(e *lifeEngine, n ast.Node, st *lifeState) {
 				if slices.Contains(callee.EntryHeld, h) {
 					continue // the callee's contract: its exploration follows h
 				}
-				for _, acq := range e.prog.TransAcquires(k) {
+				for _, acq := range e.prog.transAcq[callee.idx] {
 					e.edge(lockEdge{from: h, to: acq, pos: x.Pos(), via: k.String()})
 				}
 			}

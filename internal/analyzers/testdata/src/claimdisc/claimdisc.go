@@ -131,6 +131,17 @@ func (v *vm) evictFast(b *buffer) {
 	}
 }
 
+// resetLater mutates the word from closures: rule 1 holds inside the
+// function literals of a non-helper, spawned ones included.
+func (v *vm) resetLater(b *buffer) func() {
+	go func() {
+		b.word.Store(0) // want "mutation of buffer.word outside the claim state-machine helpers"
+	}()
+	return func() {
+		b.word.Store(0) // want "mutation of buffer.word outside the claim state-machine helpers"
+	}
+}
+
 // replaceWord reassigns the atomic value wholesale — never legal.
 func (v *vm) replaceWord(b *buffer) {
 	b.word = atomic.Uint64{} // want "direct assignment to buffer.word bypasses its atomic API"

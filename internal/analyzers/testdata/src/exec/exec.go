@@ -64,3 +64,16 @@ func recordSpan() time.Time {
 	//lint:allow determinism trace recording only; never feeds scheduling
 	return time.Now()
 }
+
+// The rules hold over the whole file, package-level declarations
+// included, not only inside function declarations.
+var t0 = time.Now() // want "time.Now in the deterministic core"
+
+var anyHot = func(bufs map[int]*buf) bool {
+	for _, b := range bufs { // want "map iteration in the deterministic core"
+		if b.hot {
+			return true
+		}
+	}
+	return false
+}
