@@ -196,3 +196,31 @@ func TestProfilesAreWrittenOnEveryExit(t *testing.T) {
 		}
 	}
 }
+
+// The traffic line's "host backing" field is the host memory the pages
+// held at the end of training: none on a Harmony plan whose weights fit
+// their device, since they are born there, and the whole model footprint
+// on the naive baseline, which keeps every persistent tensor in host
+// backing.
+func TestHostBackingField(t *testing.T) {
+	bin := build(t)
+	field := regexp.MustCompile(`(?m)^virtual-memory traffic: .*, host backing (\S+) MiB$`)
+	footprint := regexp.MustCompile(`model footprint (\S+) MiB`)
+	for _, mode := range []string{"harmony-dp", "dp-baseline"} {
+		stdout, stderr, exit := harmonytrain(t, bin, "-mode", mode, "-device-mem", "67108864", "-lr", "0.005", "-steps", "3")
+		if exit != 0 {
+			t.Fatalf("%s: exit %d\n%s%s", mode, exit, stdout, stderr)
+		}
+		got, fp := field.FindStringSubmatch(stdout), footprint.FindStringSubmatch(stdout)
+		if got == nil || fp == nil {
+			t.Fatalf("%s: no host backing on the traffic line, or no footprint:\n%s", mode, stdout)
+		}
+		want := "0.0"
+		if mode == "dp-baseline" {
+			want = fp[1]
+		}
+		if got[1] != want {
+			t.Errorf("%s: host backing %s MiB, want %s:\n%s", mode, got[1], want, stdout)
+		}
+	}
+}

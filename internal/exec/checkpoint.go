@@ -116,34 +116,25 @@ func (tr *Trainer) Load(r io.Reader) error {
 			return err
 		}
 	}
-	for l := range tr.layers {
-		for rep := 0; rep < tr.g.Cfg.Replicas; rep++ {
-			if err := tr.overwrite(tr.g.W[rep][l], params[l]); err != nil {
-				return err
-			}
-			if tr.g.K[rep][l].Bytes > 0 {
-				if err := tr.overwrite(tr.g.K[rep][l], opts[l]); err != nil {
-					return err
-				}
-			}
+	// The checkpoint decides the state alone: what the VM holds of it is
+	// dropped unread — never written back to be overwritten — and born
+	// again with the checkpoint's values, zero-padded.
+	births := tr.births()
+	for _, b := range births {
+		if err := tr.vm.Free(b.t); err != nil {
+			return err
+		}
+	}
+	for _, b := range births {
+		vals := params[b.t.Layer]
+		if b.t.Kind == tensor.OptState {
+			vals = opts[b.t.Layer]
+		}
+		if err := tr.bear(b, func(dst []float32) { copy(dst, vals) }); err != nil {
+			return err
 		}
 	}
 	tr.step = int(step)
-	return nil
-}
-
-// overwrite makes vals, zero-padded, the contents of x's host backing
-// and drops any device copy (after syncing it), so the host is
-// authoritative.
-func (tr *Trainer) overwrite(x *tensor.Tensor, vals []float32) error {
-	host, err := tr.vm.Host(x)
-	if err != nil {
-		return err
-	}
-	if err := tr.vm.Invalidate(x); err != nil {
-		return err
-	}
-	clear(host[copy(host, vals):])
 	return nil
 }
 

@@ -146,3 +146,35 @@ func TestLoadDependsOnlyOnTheCheckpoint(t *testing.T) {
 		t.Fatal("a trained and a fresh Adam trainer differ after loading the same SGD checkpoint")
 	}
 }
+
+// Load moves no byte: what the VM holds of the state it replaces is
+// dropped unread, not written back to be overwritten, on a fresh
+// trainer (whose weights are born dirty on their devices) and on a
+// stepped one alike. Either then trains as the trainer that saved the
+// checkpoint goes on to.
+func TestLoadMovesNoBytes(t *testing.T) {
+	for _, adam := range []bool{false, true} {
+		cfg := TrainerConfig{
+			Widths: []int{64, 256, 256, 10}, Mode: sched.HarmonyDP, Devices: 2,
+			DeviceBytes: 4 << 20, BatchSize: 16, Adam: adam, LR: 0.005, Seed: 42,
+		}
+		src, _ := runTrainer(t, cfg, 2)
+		ckpt := saved(t, src)
+		lossSrc := stepTrainer(t, src, 2, 3)
+		for _, warm := range []int{0, 1} {
+			tr, _ := runTrainer(t, cfg, warm)
+			before := tr.Stats()
+			if err := tr.Load(bytes.NewReader(ckpt)); err != nil {
+				t.Fatal(err)
+			}
+			after := tr.Stats()
+			if moved := after.SwapInBytes + after.SwapOutBytes + after.P2PBytes -
+				before.SwapInBytes - before.SwapOutBytes - before.P2PBytes; moved != 0 {
+				t.Errorf("Adam %v, Load after %d steps moved %d bytes", adam, warm, moved)
+			}
+			assertSameRun(t, src, tr, lossSrc, stepTrainer(t, tr, 2, 3))
+			tr.Close()
+		}
+		src.Close()
+	}
+}

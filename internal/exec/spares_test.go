@@ -327,14 +327,54 @@ func commLinkShape() TrainerConfig {
 	}
 }
 
-// BenchmarkTrainerStep times a warm step of each link shape and of the
-// comm-link shape, with its allocations.
-func BenchmarkTrainerStep(b *testing.B) {
-	shapes := append(linkShapes(), struct {
+// benchShapes are the link shapes and the comm-link shape.
+func benchShapes() []struct {
+	name string
+	cfg  TrainerConfig
+} {
+	return append(linkShapes(), struct {
 		name string
 		cfg  TrainerConfig
 	}{"comm-link", commLinkShape()})
-	for _, shape := range shapes {
+}
+
+// BenchmarkTrainerSetup times what a trainer costs before it is warm —
+// NewTrainer and its first step — on each BenchmarkTrainerStep shape,
+// with the host memory its pages hold after that step (host-MB) and the
+// bytes the two swapped in (swapin-MB).
+func BenchmarkTrainerSetup(b *testing.B) {
+	for _, shape := range benchShapes() {
+		b.Run(shape.name, func(b *testing.B) {
+			tr, err := NewTrainer(shape.cfg, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			xs, ys := batchRing(tr, 1)
+			tr.Close()
+			var host, in int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr, err := NewTrainer(shape.cfg, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := tr.Step(xs[0], ys[0]); err != nil {
+					b.Fatal(err)
+				}
+				host, in = tr.HostBytes(), tr.Stats().SwapInBytes
+				tr.Close()
+			}
+			b.ReportMetric(float64(host)/(1<<20), "host-MB")
+			b.ReportMetric(float64(in)/(1<<20), "swapin-MB")
+		})
+	}
+}
+
+// BenchmarkTrainerStep times a warm step of each link shape and of the
+// comm-link shape, with its allocations.
+func BenchmarkTrainerStep(b *testing.B) {
+	for _, shape := range benchShapes() {
 		b.Run(shape.name, func(b *testing.B) {
 			tr, err := NewTrainer(shape.cfg, nil)
 			if err != nil {

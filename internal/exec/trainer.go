@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 
 	"harmony/internal/fault"
@@ -308,11 +309,15 @@ func NewTrainer(cfg TrainerConfig, kernels []nn.Kernel) (*Trainer, error) {
 	tr.sizeTasks()
 	tr.armPrefetch()
 	tr.freshVM()
-	// Persistent state: identical weights in every replica, zero
-	// gradients and optimizer state.
-	for r := 0; r < g.Cfg.Replicas; r++ {
-		for l, layer := range tr.layers {
-			nn.InitKernel(layer, tr.vm.HostAlloc(g.W[r][l]), cfg.Seed+uint64(l)*7919)
+	// Identical weights in every replica, each born where it is read;
+	// freshVM holds the gradients and optimizer state, all zeros.
+	for _, b := range tr.births() {
+		if b.t.Kind != tensor.Weight {
+			continue
+		}
+		l := b.t.Layer
+		if err := tr.bear(b, func(w []float32) { nn.InitKernel(tr.layers[l], w, cfg.Seed+uint64(l)*7919) }); err != nil {
+			return nil, err
 		}
 	}
 	if cfg.Recover {
@@ -348,13 +353,13 @@ func (tr *Trainer) topology() schedcheck.Topology {
 
 // freshVM replaces the trainer's VM with an empty one for the current
 // plan — armed with fault injection, link modeling, tracing and (when
-// prefetch is on) the async DMA engine, and holding every persistent
-// tensor zeroed, exactly as at construction — weights and optimizer
-// state as host backing, gradients as known-zero pages with no copy
-// anywhere, which is the state every update leaves them in — folding
-// the old VM's counters into statsBase. The caller fills the state in:
-// initial weights, or a checkpoint. Only at a step boundary: the old
-// VM's in-flight DMAs must already be drained.
+// prefetch is on) the async DMA engine — folding the old VM's counters
+// into statsBase. The new VM holds the persistent state that is all
+// zeros, the state every update leaves it in: gradients, optimizer
+// state and a parameter-free layer's empty weights, as known-zero pages
+// with no copy anywhere. The caller bears the weights (bear): initial
+// ones, or a checkpoint's. Only at a step boundary: the old VM's
+// in-flight DMAs must already be drained.
 func (tr *Trainer) freshVM() {
 	if tr.vm != nil {
 		tr.vm.Close()
@@ -377,13 +382,64 @@ func (tr *Trainer) freshVM() {
 	}
 	for r := 0; r < tr.g.Cfg.Replicas; r++ {
 		for l := range tr.layers {
-			tr.vm.HostAlloc(tr.g.W[r][l])
 			tr.vm.ZeroAlloc(tr.g.DW[r][l])
 			if tr.g.K[r][l].Bytes > 0 {
-				tr.vm.HostAlloc(tr.g.K[r][l])
+				tr.vm.ZeroAlloc(tr.g.K[r][l])
+			}
+			if tr.g.W[r][l].Bytes == 0 {
+				tr.vm.ZeroAlloc(tr.g.W[r][l])
 			}
 		}
 	}
+}
+
+// birth is a persistent tensor with content and the virtual device
+// whose compute queue reads it.
+type birth struct {
+	t   *tensor.Tensor
+	dev int
+}
+
+// births lists every replica's weights and optimizer state that have
+// bytes, each with the virtual device whose compute queue reads it —
+// on every plan there is exactly one — in reverse order of first use.
+// Born in that order, a device too small for its share keeps the pages
+// step 1 reads first and spills the ones it reads last.
+func (tr *Trainer) births() []birth {
+	seen := make(map[*tensor.Tensor]bool)
+	var bs []birth
+	for d, q := range tr.s.Queues {
+		for _, t := range q {
+			for _, x := range t.Inputs {
+				if (x.Kind == tensor.Weight || x.Kind == tensor.OptState) && x.Bytes > 0 && !seen[x] {
+					seen[x] = true
+					bs = append(bs, birth{x, d})
+				}
+			}
+		}
+	}
+	slices.Reverse(bs)
+	return bs
+}
+
+// bear materializes b's tensor, which the VM holds no buffer for, with
+// fill writing its contents into a zeroed slice. Under dirty tracking
+// the tensor is born on the physical device backing the one that reads
+// it, a dirty page with no host copy: it gets one only if eviction
+// writes it back. The naive policy bears it in host backing, as the
+// baselines always have, so they move every byte they did (ZeroAlloc
+// makes the same split).
+func (tr *Trainer) bear(b birth, fill func([]float32)) error {
+	if !tr.vm.pol.DirtyTracking {
+		fill(tr.vm.HostAlloc(b.t))
+		return nil
+	}
+	dst, err := tr.vm.Alloc(tr.pdev(b.dev), b.t)
+	if err != nil {
+		return err
+	}
+	fill(dst)
+	return tr.vm.Unpin(b.t)
 }
 
 // armPrefetch (re)builds the prefetcher for the current plan: none when
@@ -520,6 +576,23 @@ func (tr *Trainer) Stats() VMStats { return tr.statsBase.add(tr.vm.StatsSnapshot
 // LinkStats returns each modeled link's busy time so far, discarded
 // VMs' included. Same contract as Stats.
 func (tr *Trainer) LinkStats() LinkStats { return tr.linkBase.add(tr.vm.LinkStats()) }
+
+// HostBytes is the host memory the live VM's pages hold: the bytes of
+// every materialized host backing. A page has one when it was born in
+// host memory (the naive policy's weights, a step's inputs) or written
+// back — by eviction, Save or Predict — not while it lives only on a
+// device or is known to be zeros. Under dirty tracking it is 0 after
+// NewTrainer on a plan whose weights fit their devices. Same contract
+// as Stats.
+func (tr *Trainer) HostBytes() int64 {
+	var n int64
+	for _, t := range tr.g.Reg.All() {
+		if b, ok := tr.vm.lookup(t.ID); ok {
+			n += int64(len(b.host)) * 4
+		}
+	}
+	return n
+}
 
 // FootprintBytes reports the derived model's footprint for sizing examples.
 func (tr *Trainer) FootprintBytes() int64 {
@@ -730,9 +803,10 @@ func (tr *Trainer) recoverFrom(dev int) error {
 	// Roll back: discard the (possibly mid-iteration) VM wholesale —
 	// runStep already drained its in-flight DMAs — and restore the last
 	// completed step into a fresh one. Rebuilding re-materializes
-	// persistent tensors exactly as NewTrainer did, so restoring the
-	// snapshot yields bit-identical state to a fresh trainer that
-	// loaded the same checkpoint.
+	// persistent tensors as NewTrainer did — each weight born on the
+	// survivor now reading it — so restoring the snapshot yields
+	// bit-identical state to a fresh trainer that loaded the same
+	// checkpoint.
 	tr.freshVM()
 	if err := tr.Load(bytes.NewReader(tr.snap)); err != nil {
 		return fmt.Errorf("exec: rollback: %w", err)

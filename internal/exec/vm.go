@@ -555,11 +555,13 @@ func (sh *vmShard) spareAt(c int) int {
 // --------------------------------------------------------- public API
 
 // HostAlloc materializes a tensor's host backing (zeroed) and returns
-// it. Idempotent for already-materialized tensors. Host backing is a
-// setup-time operation: callers must not race it with transfers of
-// the same tensor. The caller may go on to write the slice, so a
-// known-zero page becomes an ordinary clean one, with a fresh backing in
-// place of any stale one.
+// it: a tensor born in host memory, as each step's inputs are and, under
+// the naive policy, every persistent tensor (Trainer.bear). Idempotent
+// for already-materialized tensors. Host backing is a setup-time
+// operation: callers must not race it with transfers of the same
+// tensor. The caller may go on to write the slice, so a known-zero page
+// becomes an ordinary clean one, with a fresh backing in place of any
+// stale one.
 func (vm *VM) HostAlloc(t *tensor.Tensor) []float32 {
 	vm.bufMu.Lock()
 	defer vm.bufMu.Unlock()
@@ -831,8 +833,10 @@ func (vm *VM) bounce(b *buffer) error {
 	return nil
 }
 
-// Alloc creates a fresh device buffer for an output tensor (dirty, no
-// host copy) and pins it.
+// Alloc creates a fresh, zeroed device buffer for a tensor the VM holds
+// nothing of — a task's output, or a weight born on the device that
+// reads it (Trainer.bear) — dirty, with no host copy until eviction
+// writes it back, and pins it.
 func (vm *VM) Alloc(dev int, t *tensor.Tensor) ([]float32, error) {
 	for {
 		vm.bufMu.Lock()
@@ -1052,8 +1056,8 @@ func (vm *VM) unlink(sh *vmShard, b *buffer) {
 }
 
 // Invalidate discards any device copy without writeback, making the
-// host backing authoritative (used when host contents are overwritten
-// externally, e.g. checkpoint restore). Fails on pinned tensors.
+// host backing authoritative (for a caller that has overwritten the
+// host contents itself). Fails on pinned tensors.
 func (vm *VM) Invalidate(t *tensor.Tensor) error {
 	for {
 		b, ok := vm.lookup(t.ID)
