@@ -215,8 +215,6 @@ func run() (exit int) {
 		}
 	}
 	trainWall := time.Since(trainStart)
-	// Read before evaluation and -save, which write weights back.
-	hostBytes := tr.HostBytes()
 
 	// Held-out accuracy.
 	correct, total := 0, 0
@@ -239,7 +237,7 @@ func run() (exit int) {
 	fmt.Printf("virtual-memory traffic: %.1f MB in, %.1f MB out, %.1f MB p2p, %d drops, %d zero-fills (%.1f MB not moved), host backing %.1f MiB\n",
 		float64(st.SwapInBytes)/(1<<20), float64(st.SwapOutBytes)/(1<<20),
 		float64(st.P2PBytes)/(1<<20), st.Drops, st.ZeroFills, float64(st.ZeroFillBytes)/(1<<20),
-		float64(hostBytes)/(1<<20))
+		float64(tr.HostBytes())/(1<<20))
 	if st.PrefetchIssued > 0 {
 		hitPct := 100 * float64(st.PrefetchHits) / float64(st.PrefetchIssued)
 		fmt.Printf("swap overlap: %d prefetches (%.0f%% hit), %.1f ms async DMA (%.0f%% of %.1f ms train wall)\n",

@@ -198,29 +198,39 @@ func TestProfilesAreWrittenOnEveryExit(t *testing.T) {
 }
 
 // The traffic line's "host backing" field is the host memory the pages
-// held at the end of training: none on a Harmony plan whose weights fit
-// their device, since they are born there, and the whole model footprint
-// on the naive baseline, which keeps every persistent tensor in host
-// backing.
+// hold once training and evaluation are done: none on a Harmony plan
+// whose weights fit their device, since they are born there — with
+// -recover and -save too, which read the weights out without writing a
+// page back — and the whole model footprint on the naive baseline, which
+// keeps every persistent tensor in host backing.
 func TestHostBackingField(t *testing.T) {
 	bin := build(t)
-	field := regexp.MustCompile(`(?m)^virtual-memory traffic: .*, host backing (\S+) MiB$`)
+	field := regexp.MustCompile(`(?m)^virtual-memory traffic: .*, (\S+) MB out, .*, host backing (\S+) MiB$`)
 	footprint := regexp.MustCompile(`model footprint (\S+) MiB`)
-	for _, mode := range []string{"harmony-dp", "dp-baseline"} {
-		stdout, stderr, exit := harmonytrain(t, bin, "-mode", mode, "-device-mem", "67108864", "-lr", "0.005", "-steps", "3")
+	ckpt := filepath.Join(t.TempDir(), "m.ckpt")
+	for _, tc := range []struct {
+		mode  string
+		extra []string
+	}{
+		{"harmony-dp", nil},
+		{"harmony-dp", []string{"-recover", "-save", ckpt}},
+		{"dp-baseline", nil},
+	} {
+		args := append([]string{"-mode", tc.mode, "-device-mem", "67108864", "-lr", "0.005", "-steps", "3"}, tc.extra...)
+		stdout, stderr, exit := harmonytrain(t, bin, args...)
 		if exit != 0 {
-			t.Fatalf("%s: exit %d\n%s%s", mode, exit, stdout, stderr)
+			t.Fatalf("%v: exit %d\n%s%s", args, exit, stdout, stderr)
 		}
 		got, fp := field.FindStringSubmatch(stdout), footprint.FindStringSubmatch(stdout)
 		if got == nil || fp == nil {
-			t.Fatalf("%s: no host backing on the traffic line, or no footprint:\n%s", mode, stdout)
+			t.Fatalf("%v: no host backing on the traffic line, or no footprint:\n%s", args, stdout)
 		}
 		want := "0.0"
-		if mode == "dp-baseline" {
+		if tc.mode == "dp-baseline" {
 			want = fp[1]
 		}
-		if got[1] != want {
-			t.Errorf("%s: host backing %s MiB, want %s:\n%s", mode, got[1], want, stdout)
+		if got[2] != want || got[1] != "0.0" {
+			t.Errorf("%v: %s MB written back, host backing %s MiB, want 0.0 and %s:\n%s", args, got[1], got[2], want, stdout)
 		}
 	}
 }

@@ -118,7 +118,7 @@ import (
 // seededFlush claims b for a write-back, then bails on a budget check
 // before either commit or settle: b is stuck claimed.
 func (vm *VM) seededFlush(b *buffer, budget int) error {
-	if !vm.claim(b, claimword.SwapOut, false, true, claimword.NeedIdle) {
+	if !vm.claim(b, claimword.SwapOut, false, true, claimword.NeedUnpinned) {
 		return nil
 	}
 	if budget <= 0 {
@@ -218,7 +218,7 @@ import "harmony/internal/claimword"
 // seededInstall publishes b to the shard's LRU before committing it.
 // Requires sh.mu held.
 func (vm *VM) seededInstall(sh *vmShard, b *buffer) {
-	if !vm.claim(b, claimword.SwapIn, false, false, claimword.NeedIdle) {
+	if !vm.claim(b, claimword.SwapIn, false, false, claimword.NeedUnpinned) {
 		return
 	}
 	vm.lruPush(sh, b)

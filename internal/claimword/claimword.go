@@ -28,8 +28,10 @@
 // autonomously, so waiting on it cannot deadlock. It is a precondition
 // of Claim, Commit always sets committed, and only Settle clears a
 // claim, so no sequence of transitions reaches a word that breaks it.
-// The package's tests prove that by breadth-first search over every
-// word reachable from the zero Word (TestEveryReachableWordIsWaitable),
+// Nor is a claimed buffer ever pinned: Claim requires zero pins and Pin
+// requires idleness, so a claim holder owns the buffer outright. The
+// package's tests prove both by breadth-first search over every word
+// reachable from the zero Word (TestEveryReachableWordIsWaitable),
 // on a transition table that TestProtoTableMatchesClaimword diffs
 // against these functions.
 package claimword
@@ -118,16 +120,15 @@ func (w Word) String() string {
 }
 
 // Need is a claim precondition: what the claimant requires of the
-// buffer beyond it being idle.
+// buffer beyond it being idle and unpinned. Every claim excludes pins,
+// so a pin holder's view is never read, moved or destroyed under it.
 type Need int
 
 const (
-	// NeedIdle: any idle buffer. Used by snapshot write-backs (Host),
-	// which tolerate existing pins.
-	NeedIdle Need = iota
 	// NeedUnpinned: idle and unpinned. Used by eviction, p2p moves,
-	// Free and Invalidate, which destroy or relocate the device copy.
-	NeedUnpinned
+	// Free, Invalidate and Read, which destroy, relocate or read the
+	// device copy.
+	NeedUnpinned Need = iota
 	// NeedEmpty: idle, unpinned and non-resident. Used by swap-in,
 	// Alloc and prefetch, which are about to create the device copy.
 	NeedEmpty
@@ -140,25 +141,18 @@ const (
 // the other, so eviction may wait on every claim it can see: a sync,
 // uncommitted claim is refused there (swap-in and Alloc claim with
 // NeedEmpty, which excludes residency anyway). Returns ok=false when
-// the precondition fails (already claimed, pinned/resident against
+// the precondition fails (already claimed, pinned, resident against
 // need, or unwaitable on a resident buffer); callers re-observe and
 // retry or bail.
 func Claim(w Word, st State, async, committed bool, need Need) (Word, bool) {
 	if st != SwapIn && st != SwapOut {
 		return w, false
 	}
-	if w.State() != Idle || w.Resident() && !async && !committed {
+	if w.State() != Idle || w.Pins() > 0 || w.Resident() && !async && !committed {
 		return w, false
 	}
-	switch need {
-	case NeedUnpinned:
-		if w.Pins() > 0 {
-			return w, false
-		}
-	case NeedEmpty:
-		if w.Pins() > 0 || w.Resident() || w.Prefetched() {
-			return w, false
-		}
+	if need == NeedEmpty && (w.Resident() || w.Prefetched()) {
+		return w, false
 	}
 	n := (w &^ (stateMask | flagAsync | flagCommitted)) | Word(st)
 	if async {

@@ -89,18 +89,17 @@ func TestClaimPreconditions(t *testing.T) {
 	}
 	pinned, ok := Pin(resident)
 	pinned = must(t, pinned, ok, "pin")
-	if _, ok := Claim(pinned, SwapOut, false, true, NeedUnpinned); ok {
-		t.Fatal("NeedUnpinned claimed a pinned buffer")
-	}
-	if _, ok := Claim(pinned, SwapOut, false, true, NeedIdle); !ok {
-		t.Fatal("NeedIdle refused a pinned buffer")
+	for _, need := range []Need{NeedUnpinned, NeedEmpty} {
+		if _, ok := Claim(pinned, SwapOut, false, true, need); ok {
+			t.Fatalf("need %d claimed a pinned buffer", need)
+		}
 	}
 	claimed, ok := Claim(w, SwapIn, false, false, NeedEmpty)
 	claimed = must(t, claimed, ok, "claim")
-	if _, ok := Claim(claimed, SwapOut, false, false, NeedIdle); ok {
+	if _, ok := Claim(claimed, SwapOut, false, true, NeedUnpinned); ok {
 		t.Fatal("double claim allowed")
 	}
-	if _, ok := Claim(w, State(3), false, false, NeedIdle); ok {
+	if _, ok := Claim(w, State(3), false, false, NeedUnpinned); ok {
 		t.Fatal("claim accepted a bogus state")
 	}
 }
@@ -145,20 +144,23 @@ func TestCommittedAtClaim(t *testing.T) {
 
 // TestClaimRefusesUnwaitableResident: a sync, uncommitted claim on a
 // resident buffer is the one word eviction could find and not wait on,
-// so Claim refuses it for either target, pinned or not; async or
-// committed, the same claim is granted.
+// so Claim refuses it for either target; async or committed, the same
+// claim is granted. Pinned, the buffer refuses every claim.
 func TestClaimRefusesUnwaitableResident(t *testing.T) {
 	resident := settleResident(t)
 	pinned, ok := Pin(resident)
 	pinned = must(t, pinned, ok, "pin")
-	for _, w := range []Word{resident, pinned} {
-		for _, st := range []State{SwapIn, SwapOut} {
-			if n, ok := Claim(w, st, false, false, NeedIdle); ok {
-				t.Errorf("sync uncommitted claim to state %d on %v granted: %v", st, w, n)
+	for _, st := range []State{SwapIn, SwapOut} {
+		if n, ok := Claim(resident, st, false, false, NeedUnpinned); ok {
+			t.Errorf("sync uncommitted claim to state %d on %v granted: %v", st, resident, n)
+		}
+		for _, async := range []bool{false, true} {
+			if _, ok := Claim(resident, st, async, !async, NeedUnpinned); !ok {
+				t.Errorf("claim to state %d on %v refused with async=%v committed=%v", st, resident, async, !async)
 			}
-			for _, async := range []bool{false, true} {
-				if _, ok := Claim(w, st, async, !async, NeedIdle); !ok {
-					t.Errorf("claim to state %d on %v refused with async=%v committed=%v", st, w, async, !async)
+			for _, committed := range []bool{false, true} {
+				if n, ok := Claim(pinned, st, async, committed, NeedUnpinned); ok {
+					t.Errorf("claim to state %d on %v granted with async=%v committed=%v: %v", st, pinned, async, committed, n)
 				}
 			}
 		}

@@ -88,7 +88,7 @@ func protoOps() []protoOp {
 	for st := int64(0); st <= 3; st++ {
 		for async := int64(0); async <= 1; async++ {
 			for committed := int64(0); committed <= 1; committed++ {
-				for need := int64(0); need <= 2; need++ {
+				for need := int64(0); need <= 1; need++ {
 					claims = append(claims, []int64{st, async, committed, need})
 				}
 			}
@@ -150,7 +150,7 @@ func specApply(op string, w uint64, args []int64) (uint64, bool) {
 
 // specClaim: only swap-in (1) and swap-out (2) are claimable targets,
 // only from idle, and a resident word only by an async or committed
-// claimant; need=1 additionally requires unpinned, need=2 unpinned,
+// claimant, and only an unpinned word; need=1 additionally requires
 // non-resident and non-prefetched. The claim sets the state and
 // replaces the async/committed flags with the claimant's.
 func specClaim(w uint64, st int64, async, committed bool, need int64) (uint64, bool) {
@@ -160,18 +160,11 @@ func specClaim(w uint64, st int64, async, committed bool, need int64) (uint64, b
 	if w&specStateMask != 0 {
 		return w, false
 	}
-	if w&specResident != 0 && !async && !committed {
+	if w&specResident != 0 && !async && !committed || specPins(w) > 0 {
 		return w, false
 	}
-	switch need {
-	case 1:
-		if specPins(w) > 0 {
-			return w, false
-		}
-	case 2:
-		if specPins(w) > 0 || w&specResident != 0 || w&specPrefetched != 0 {
-			return w, false
-		}
+	if need == 1 && w&(specResident|specPrefetched) != 0 {
+		return w, false
 	}
 	n := w &^ (specStateMask | specAsync | specCommitted)
 	n |= uint64(st)
@@ -319,7 +312,7 @@ func TestProtoTableDiffCatchesPerturbedEntry(t *testing.T) {
 		bend           func(*protoEntry)
 	}{
 		{"Claim", "NeedUnpinned tolerates a pin",
-			func(e protoEntry) bool { return !e.ok && e.args[0] == 1 && e.args[3] == 1 && e.in == 1<<specPinShift },
+			func(e protoEntry) bool { return !e.ok && e.args[0] == 1 && e.args[3] == 0 && e.in == 1<<specPinShift },
 			func(e *protoEntry) { e.out, e.ok = e.in|1, true }},
 		{"Commit", "commit drops the committed flag",
 			func(e protoEntry) bool { return e.ok },
@@ -366,7 +359,7 @@ func TestProtoDomainShape(t *testing.T) {
 		t.Errorf("protoDomain has %d words, want %d", n, 3*16*3)
 	}
 	wantTuples := map[string]int{
-		"Claim": 4 * 2 * 2 * 3, "Commit": 1, "Settle": 2 * 2,
+		"Claim": 4 * 2 * 2 * 2, "Commit": 1, "Settle": 2 * 2,
 		"Pin": 1, "Unpin": 1, "ConsumePrefetch": 1,
 	}
 	total := 0
@@ -393,6 +386,9 @@ func violation(w uint64) string {
 	}
 	if !resident && w&specPrefetched != 0 {
 		return "non-resident buffer marked prefetched: budget accounting leaked"
+	}
+	if claimed && specPins(w) > 0 {
+		return "claimed buffer is pinned: the claim holder would move or read a copy a task is using"
 	}
 	return ""
 }
@@ -430,16 +426,20 @@ func reach(table []protoEntry) (map[uint64]protoEntry, string) {
 }
 
 // TestEveryReachableWordIsWaitable proves the invariant for every word
-// any sequence of transitions can produce from a fresh buffer, and
-// requires the search to reach resident claims of both waitable kinds,
-// so the proof is not vacuous.
+// any sequence of transitions can produce from a fresh buffer — every
+// resident claim is waitable and no claimed word is pinned — and
+// requires the search to reach resident claims of both waitable kinds
+// and pinned words, so the proof is not vacuous.
 func TestEveryReachableWordIsWaitable(t *testing.T) {
 	via, bad := reach(protoTable())
 	if bad != "" {
 		t.Fatal(bad)
 	}
-	var async, committed int
+	var async, committed, pinned int
 	for w := range via {
+		if specPins(w) > 0 {
+			pinned++
+		}
 		if w&specResident != 0 && w&specStateMask != 0 {
 			if w&specAsync != 0 {
 				async++
@@ -449,8 +449,8 @@ func TestEveryReachableWordIsWaitable(t *testing.T) {
 			}
 		}
 	}
-	if async == 0 || committed == 0 {
-		t.Errorf("reached %d resident async and %d resident committed claims, want some of each", async, committed)
+	if async == 0 || committed == 0 || pinned == 0 {
+		t.Errorf("reached %d resident async claims, %d resident committed claims and %d pinned words, want some of each", async, committed, pinned)
 	}
 	t.Logf("%d words reachable from the zero word, none violating", len(via))
 }
@@ -461,10 +461,10 @@ func TestEveryReachableWordIsWaitable(t *testing.T) {
 // word.
 func TestReachabilityCatchesPerturbedMachine(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		bend func(*protoEntry)
+		name, want string
+		bend       func(*protoEntry)
 	}{
-		{"ClaimGuardRemoved", func(e *protoEntry) {
+		{"ClaimGuardRemoved", "uncommitted sync claim", func(e *protoEntry) {
 			// Grant a sync, uncommitted claim wherever the same claim,
 			// committed, is granted.
 			if e.op != "Claim" || e.ok || e.args[1] == 1 || e.args[2] == 1 {
@@ -474,9 +474,19 @@ func TestReachabilityCatchesPerturbedMachine(t *testing.T) {
 				e.out, e.ok = out&^specCommitted, true
 			}
 		}},
-		{"CommitDropsCommitted", func(e *protoEntry) {
+		{"CommitDropsCommitted", "uncommitted sync claim", func(e *protoEntry) {
 			if e.op == "Commit" && e.ok {
 				e.out &^= specCommitted
+			}
+		}},
+		{"ClaimToleratesPins", "claimed buffer is pinned", func(e *protoEntry) {
+			// Grant a committed claim on a pinned word wherever the same
+			// claim on the unpinned word is granted.
+			if e.op != "Claim" || e.ok || specPins(e.in) == 0 {
+				return
+			}
+			if out, ok := specClaim(specWithPins(e.in, 0), e.args[0], e.args[1] == 1, e.args[2] == 1, e.args[3]); ok {
+				e.out, e.ok = specWithPins(out, specPins(e.in)), true
 			}
 		}},
 	} {
@@ -486,7 +496,7 @@ func TestReachabilityCatchesPerturbedMachine(t *testing.T) {
 				tc.bend(&table[i])
 			}
 			_, bad := reach(table)
-			if !strings.HasPrefix(bad, "word ") || !strings.Contains(bad, "uncommitted sync claim") {
+			if !strings.HasPrefix(bad, "word ") || !strings.Contains(bad, tc.want) {
 				t.Errorf("perturbed machine: search reported %q, want a violating word", bad)
 			}
 			t.Log(bad)
@@ -494,7 +504,7 @@ func TestReachabilityCatchesPerturbedMachine(t *testing.T) {
 	}
 }
 
-// TestViolation: the predicate flags exactly the two broken shapes.
+// TestViolation: the predicate flags exactly the three broken shapes.
 func TestViolation(t *testing.T) {
 	for _, tc := range []struct {
 		w   uint64
@@ -507,6 +517,8 @@ func TestViolation(t *testing.T) {
 		{1, false}, // sync claim on a host-only buffer: nothing to evict
 		{specPrefetched, true},
 		{specResident | specPrefetched, false},
+		{2 | specResident | specCommitted | 1<<specPinShift, true}, // a claim under a pin
+		{specResident | 1<<specPinShift, false},
 	} {
 		if got := violation(tc.w) != ""; got != tc.bad {
 			t.Errorf("violation(%#x) = %q, want flagged=%v", tc.w, violation(tc.w), tc.bad)

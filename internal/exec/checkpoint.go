@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"harmony/internal/tensor"
 )
@@ -13,112 +14,52 @@ import (
 // layout changes.
 const checkpointMagic uint32 = 0x48724d31 // "HrM1"
 
-// Save serializes replica 0's weights and optimizer state (dirty
-// device copies are written back first, so the checkpoint reflects
-// the latest update). The format is self-describing: magic, step,
-// layer count, then per layer the parameter and optimizer-state
-// vectors.
-func (tr *Trainer) Save(w io.Writer) error {
-	write := func(v any) error { return binary.Write(w, binary.LittleEndian, v) }
-	if err := write(checkpointMagic); err != nil {
-		return fmt.Errorf("exec: checkpoint write: %w", err)
-	}
-	if err := write(uint64(tr.step)); err != nil {
-		return err
-	}
-	if err := write(uint32(len(tr.layers))); err != nil {
-		return err
-	}
-	for l, layer := range tr.layers {
-		params, err := tr.vm.Host(tr.g.W[0][l])
-		if err != nil {
-			return fmt.Errorf("exec: checkpoint layer %d: %w", l, err)
+// state is the trainer's persistent state at a step boundary: the step
+// counter and, per layer, replica 0's weights and optimizer state. That
+// is all of it, because every replica holds the same weights and the
+// optimizers zero the gradients they apply. It is what a checkpoint
+// encodes and what recovery rolls back to. k[l] is empty for a layer
+// without optimizer state, and for a checkpoint that carries none.
+type state struct {
+	step int
+	w, k [][]float32
+}
+
+// capture reads the trainer's state into st, reusing st's slices. It
+// moves nothing (VM.Read): page state, host backing and the links stay
+// as they were, so capturing is not a fault site either.
+func (tr *Trainer) capture(st *state) error {
+	n := len(tr.layers)
+	st.step = tr.step
+	st.w = slices.Grow(st.w[:0], n)[:n]
+	st.k = slices.Grow(st.k[:0], n)[:n]
+	for l := range tr.layers {
+		if err := tr.read(tr.g.W[0][l], &st.w[l]); err != nil {
+			return fmt.Errorf("exec: layer %d weights: %w", l, err)
 		}
-		if err := write(uint32(layer.ParamCount())); err != nil {
-			return err
-		}
-		if err := writeFloats(w, params[:layer.ParamCount()]); err != nil {
-			return err
-		}
-		var opt []float32
-		if tr.g.K[0][l].Bytes > 0 {
-			opt, err = tr.vm.Host(tr.g.K[0][l])
-			if err != nil {
-				return fmt.Errorf("exec: checkpoint optimizer %d: %w", l, err)
-			}
-		}
-		if err := write(uint32(len(opt))); err != nil {
-			return err
-		}
-		if err := writeFloats(w, opt); err != nil {
-			return err
+		if err := tr.read(tr.g.K[0][l], &st.k[l]); err != nil {
+			return fmt.Errorf("exec: layer %d optimizer state: %w", l, err)
 		}
 	}
 	return nil
 }
 
-// Load restores weights and optimizer state into every replica (all
-// replicas must stay identical) and resumes the optimizer step count.
-// The trainer's architecture must match the checkpoint. The whole
-// checkpoint is read and validated before any buffer is written, so a
-// rejected one leaves the trainer as it was; an accepted one decides
-// the state alone — a checkpoint without optimizer state (SGD) zeroes
-// an Adam trainer's moments.
-func (tr *Trainer) Load(r io.Reader) error {
-	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	var magic uint32
-	if err := read(&magic); err != nil {
-		return fmt.Errorf("exec: checkpoint read: %w", err)
+// read copies t into *dst, resized to t's floats. A zero-byte tensor is
+// read as nothing: it may have no buffer at all.
+func (tr *Trainer) read(t *tensor.Tensor, dst *[]float32) error {
+	n := int(t.Bytes / 4)
+	*dst = slices.Grow((*dst)[:0], n)[:n]
+	if n == 0 {
+		return nil
 	}
-	if magic != checkpointMagic {
-		return fmt.Errorf("exec: not a harmony checkpoint (magic %#x)", magic)
-	}
-	var step uint64
-	if err := read(&step); err != nil {
-		return err
-	}
-	if step > math.MaxInt32 {
-		return fmt.Errorf("exec: checkpoint step %d is implausible (corrupt header?)", step)
-	}
-	var layers uint32
-	if err := read(&layers); err != nil {
-		return err
-	}
-	if int(layers) != len(tr.layers) {
-		return fmt.Errorf("exec: checkpoint has %d layers, trainer has %d", layers, len(tr.layers))
-	}
-	params := make([][]float32, len(tr.layers))
-	opts := make([][]float32, len(tr.layers))
-	for l, layer := range tr.layers {
-		var pn uint32
-		if err := read(&pn); err != nil {
-			return err
-		}
-		if int(pn) != layer.ParamCount() {
-			return fmt.Errorf("exec: layer %d: checkpoint %d params, model %d", l, pn, layer.ParamCount())
-		}
-		var err error
-		if params[l], err = readFloats(r, int(pn)); err != nil {
-			return err
-		}
-		var on uint32
-		if err := read(&on); err != nil {
-			return err
-		}
-		// Validate the optimizer-state count against the model before
-		// allocating: a corrupt uint32 here would otherwise drive a
-		// multi-gigabyte allocation (found by FuzzLoad).
-		if want := tr.g.K[0][l].Bytes / 4; on != 0 && int64(on) != want {
-			return fmt.Errorf("exec: layer %d: checkpoint has %d optimizer floats, model has %d",
-				l, on, want)
-		}
-		if opts[l], err = readFloats(r, int(on)); err != nil {
-			return err
-		}
-	}
-	// The checkpoint decides the state alone: what the VM holds of it is
-	// dropped unread — never written back to be overwritten — and born
-	// again with the checkpoint's values, zero-padded.
+	return tr.vm.Read(t, *dst)
+}
+
+// restore makes st the trainer's state. What the VM holds of the
+// weights and optimizer state is dropped unread — never written back to
+// be overwritten — and born again with st's values, zero-padded: a state
+// without optimizer state zeroes an Adam trainer's moments.
+func (tr *Trainer) restore(st *state) error {
 	births := tr.births()
 	for _, b := range births {
 		if err := tr.vm.Free(b.t); err != nil {
@@ -126,16 +67,117 @@ func (tr *Trainer) Load(r io.Reader) error {
 		}
 	}
 	for _, b := range births {
-		vals := params[b.t.Layer]
+		vals := st.w[b.t.Layer]
 		if b.t.Kind == tensor.OptState {
-			vals = opts[b.t.Layer]
+			vals = st.k[b.t.Layer]
 		}
 		if err := tr.bear(b, func(dst []float32) { copy(dst, vals) }); err != nil {
 			return err
 		}
 	}
-	tr.step = int(step)
+	tr.step = st.step
 	return nil
+}
+
+// Save writes the trainer's state — replica 0's weights and optimizer
+// state and the step counter — as a checkpoint, moving no page to do it.
+// The format is self-describing: magic, step, layer count, then per
+// layer the parameter and optimizer-state vectors.
+func (tr *Trainer) Save(w io.Writer) error {
+	var st state
+	if err := tr.capture(&st); err != nil {
+		return fmt.Errorf("exec: checkpoint: %w", err)
+	}
+	write := func(v any) error { return binary.Write(w, binary.LittleEndian, v) }
+	if err := write(checkpointMagic); err != nil {
+		return fmt.Errorf("exec: checkpoint write: %w", err)
+	}
+	if err := write(uint64(st.step)); err != nil {
+		return err
+	}
+	if err := write(uint32(len(st.w))); err != nil {
+		return err
+	}
+	for l := range st.w {
+		for _, vs := range [2][]float32{st.w[l], st.k[l]} {
+			if err := write(uint32(len(vs))); err != nil {
+				return err
+			}
+			if err := writeFloats(w, vs); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Load restores a checkpoint into every replica (all replicas must stay
+// identical) and resumes the optimizer step count. The trainer's
+// architecture must match the checkpoint. The whole checkpoint is read
+// and validated before any buffer is written, so a rejected one leaves
+// the trainer as it was; an accepted one decides the state alone.
+func (tr *Trainer) Load(r io.Reader) error {
+	st, err := tr.decode(r)
+	if err != nil {
+		return err
+	}
+	return tr.restore(st)
+}
+
+// decode reads and validates a checkpoint against the trainer's
+// architecture.
+func (tr *Trainer) decode(r io.Reader) (*state, error) {
+	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
+	var magic uint32
+	if err := read(&magic); err != nil {
+		return nil, fmt.Errorf("exec: checkpoint read: %w", err)
+	}
+	if magic != checkpointMagic {
+		return nil, fmt.Errorf("exec: not a harmony checkpoint (magic %#x)", magic)
+	}
+	var step uint64
+	if err := read(&step); err != nil {
+		return nil, err
+	}
+	if step > math.MaxInt32 {
+		return nil, fmt.Errorf("exec: checkpoint step %d is implausible (corrupt header?)", step)
+	}
+	var layers uint32
+	if err := read(&layers); err != nil {
+		return nil, err
+	}
+	if int(layers) != len(tr.layers) {
+		return nil, fmt.Errorf("exec: checkpoint has %d layers, trainer has %d", layers, len(tr.layers))
+	}
+	st := &state{step: int(step), w: make([][]float32, layers), k: make([][]float32, layers)}
+	for l, layer := range tr.layers {
+		var pn uint32
+		if err := read(&pn); err != nil {
+			return nil, err
+		}
+		if int(pn) != layer.ParamCount() {
+			return nil, fmt.Errorf("exec: layer %d: checkpoint %d params, model %d", l, pn, layer.ParamCount())
+		}
+		var err error
+		if st.w[l], err = readFloats(r, int(pn)); err != nil {
+			return nil, err
+		}
+		var on uint32
+		if err := read(&on); err != nil {
+			return nil, err
+		}
+		// Validate the optimizer-state count against the model before
+		// allocating: a corrupt uint32 here would otherwise drive a
+		// multi-gigabyte allocation (found by FuzzLoad).
+		if want := tr.g.K[0][l].Bytes / 4; on != 0 && int64(on) != want {
+			return nil, fmt.Errorf("exec: layer %d: checkpoint has %d optimizer floats, model has %d",
+				l, on, want)
+		}
+		if st.k[l], err = readFloats(r, int(on)); err != nil {
+			return nil, err
+		}
+	}
+	return st, nil
 }
 
 func writeFloats(w io.Writer, vs []float32) error {

@@ -22,6 +22,16 @@ func vmTensors(t *testing.T) (*tensor.Registry, *tensor.Tensor, *tensor.Tensor, 
 	return reg, a, b, c
 }
 
+// readBack reads ts's current contents out of vm (VM.Read).
+func readBack(t *testing.T, vm *VM, ts *tensor.Tensor) []float32 {
+	t.Helper()
+	dst := make([]float32, ts.Bytes/4)
+	if err := vm.Read(ts, dst); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
 func TestVMSwapRoundTripPreservesData(t *testing.T) {
 	_, a, b, _ := vmTensors(t)
 	vm := NewVM(1, 500, memory.Policy{})
@@ -49,10 +59,7 @@ func TestVMSwapRoundTripPreservesData(t *testing.T) {
 		t.Fatalf("used = %d, want only b resident", vm.Used(0))
 	}
 	// The dirty mutation must have been written back.
-	back, err := vm.Host(a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := readBack(t, vm, a)
 	if back[0] != 42 || back[1] != 1 {
 		t.Fatalf("writeback lost data: %v", back[:4])
 	}
@@ -247,10 +254,7 @@ func TestHarmonyMatchesReferenceBitExact(t *testing.T) {
 		t.Fatal("expected swapping at 4 KB devices")
 	}
 	for l := range layers {
-		got, err := tr.vm.Host(tr.g.W[0][l])
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := readBack(t, tr.vm, tr.g.W[0][l])
 		for i := range params[l] {
 			if got[i] != params[l][i] {
 				t.Fatalf("layer %d weight %d: harmony %v vs reference %v", l, i, got[i], params[l][i])
@@ -263,14 +267,8 @@ func TestDPReplicasStayInSync(t *testing.T) {
 	cfg := trainerConfig(sched.HarmonyDP, 2)
 	tr, _ := runTrainer(t, cfg, 3)
 	for l := range tr.layers {
-		w0, err := tr.vm.Host(tr.g.W[0][l])
-		if err != nil {
-			t.Fatal(err)
-		}
-		w1, err := tr.vm.Host(tr.g.W[1][l])
-		if err != nil {
-			t.Fatal(err)
-		}
+		w0 := readBack(t, tr.vm, tr.g.W[0][l])
+		w1 := readBack(t, tr.vm, tr.g.W[1][l])
 		for i := range w0 {
 			if w0[i] != w1[i] {
 				t.Fatalf("replicas diverged at layer %d index %d: %v vs %v", l, i, w0[i], w1[i])
@@ -503,14 +501,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("post-restore loss %v != original %v", gotLoss, wantLoss)
 	}
 	for l := range a.layers {
-		wa, err := a.vm.Host(a.g.W[0][l])
-		if err != nil {
-			t.Fatal(err)
-		}
-		wb, err := b.vm.Host(b.g.W[0][l])
-		if err != nil {
-			t.Fatal(err)
-		}
+		wa := readBack(t, a.vm, a.g.W[0][l])
+		wb := readBack(t, b.vm, b.g.W[0][l])
 		for i := range wa {
 			if wa[i] != wb[i] {
 				t.Fatalf("layer %d weight %d diverged after restore", l, i)
@@ -568,14 +560,8 @@ func TestBaselineAndHarmonySameWeights(t *testing.T) {
 	a := run(sched.DPBaseline)
 	b := run(sched.HarmonyDP)
 	for l := range a.layers {
-		wa, err := a.vm.Host(a.g.W[0][l])
-		if err != nil {
-			t.Fatal(err)
-		}
-		wb, err := b.vm.Host(b.g.W[0][l])
-		if err != nil {
-			t.Fatal(err)
-		}
+		wa := readBack(t, a.vm, a.g.W[0][l])
+		wb := readBack(t, b.vm, b.g.W[0][l])
 		for i := range wa {
 			if wa[i] != wb[i] {
 				t.Fatalf("layer %d weight %d: baseline %v vs harmony %v", l, i, wa[i], wb[i])

@@ -64,14 +64,8 @@ func TestSerialAndParallelExecutorsBitIdentical(t *testing.T) {
 			}
 			for r := 0; r < a.Replicas(); r++ {
 				for l := range a.layers {
-					wa, err := a.vm.Host(a.g.W[r][l])
-					if err != nil {
-						t.Fatal(err)
-					}
-					wb, err := b.vm.Host(b.g.W[r][l])
-					if err != nil {
-						t.Fatal(err)
-					}
+					wa := readBack(t, a.vm, a.g.W[r][l])
+					wb := readBack(t, b.vm, b.g.W[r][l])
 					for i := range wa {
 						if wa[i] != wb[i] {
 							t.Fatalf("replica %d layer %d weight %d: serial %v vs parallel %v",
@@ -129,14 +123,8 @@ func TestConvNetBitIdenticalAcrossExecutors(t *testing.T) {
 				}
 				for r := 0; r < ref.Replicas(); r++ {
 					for l := range ref.layers {
-						wa, err := ref.vm.Host(ref.g.W[r][l])
-						if err != nil {
-							t.Fatal(err)
-						}
-						wb, err := tr.vm.Host(tr.g.W[r][l])
-						if err != nil {
-							t.Fatal(err)
-						}
+						wa := readBack(t, ref.vm, ref.g.W[r][l])
+						wb := readBack(t, tr.vm, tr.g.W[r][l])
 						for i := range wa {
 							if math.Float32bits(wa[i]) != math.Float32bits(wb[i]) {
 								t.Fatalf("%s replica %d layer %d weight %d: %v, serial %v", v.name, r, l, i, wb[i], wa[i])
@@ -193,31 +181,45 @@ func TestParallelLossesWithinTolerance(t *testing.T) {
 // ------------------------------------------------- deadlock reporting
 
 // TestCyclicScheduleReportsDeadlock corrupts a built schedule with a
-// dependency cycle and checks the dispatcher reports a deadlock error
-// from Step instead of hanging the device workers forever.
+// dependency cycle and feeds it through the one adoption path: with
+// verification on the preflight names the cycle, with it off the
+// liveness proof reports the deadlock — either way before any device
+// worker could drain the streams and hang — and the refused plan leaves
+// the running one training exactly as an undisturbed trainer does.
 func TestCyclicScheduleReportsDeadlock(t *testing.T) {
-	tr, err := NewTrainer(trainerConfig(sched.HarmonyDP, 2), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Make the first task of queue 0 depend on the last one: the last
-	// transitively depends on the first, so nothing can ever start.
-	q := tr.s.Queues[0]
-	first, last := q[0], q[len(q)-1]
-	first.Deps = append(first.Deps, last)
-	last.Succs = append(last.Succs, first)
+	for _, tc := range []struct {
+		noVerify bool
+		want     string
+	}{
+		{false, "dependency cycle"},
+		{true, "deadlock"},
+	} {
+		cfg := trainerConfig(sched.HarmonyDP, 2)
+		cfg.NoVerify = tc.noVerify
+		ref, lossRef := runTrainer(t, cfg, 2)
+		tr, err := NewTrainer(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := tr.plan(tr.s.Opts, tr.cfg.Microbatches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Make the first task of queue 0 depend on the last one: the last
+		// transitively depends on the first, so nothing can ever start.
+		q := s.Queues[0]
+		first, last := q[0], q[len(q)-1]
+		first.Deps = append(first.Deps, last)
+		last.Succs = append(last.Succs, first)
 
-	x, y := data.NewBlobs(tr.inDim, tr.classes, 0.5, 7).Batch(tr.SamplesPerStep(), 0)
-	_, err = tr.Step(x, y)
-	if err == nil {
-		t.Fatal("cyclic schedule accepted")
-	}
-	if !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("error does not mention deadlock: %v", err)
-	}
-	// The verdict is cached: later steps fail identically instead of
-	// re-running validation or touching weights.
-	if _, err2 := tr.Step(x, y); err2 == nil || !strings.Contains(err2.Error(), "deadlock") {
-		t.Fatalf("second step: %v", err2)
+		running := tr.s
+		err = tr.adopt(s)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("NoVerify=%v: cyclic schedule adopted or refused without %q: %v", tc.noVerify, tc.want, err)
+		}
+		if tr.s != running {
+			t.Fatalf("NoVerify=%v: a refused plan was installed", tc.noVerify)
+		}
+		assertSameRun(t, ref, tr, lossRef, stepTrainer(t, tr, 0, 2))
 	}
 }

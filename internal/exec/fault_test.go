@@ -32,14 +32,8 @@ func assertSameRun(t *testing.T, a, b *Trainer, lossA, lossB []float32) {
 	}
 	for r := 0; r < a.Replicas(); r++ {
 		for l := range a.layers {
-			wa, err := a.vm.Host(a.g.W[r][l])
-			if err != nil {
-				t.Fatal(err)
-			}
-			wb, err := b.vm.Host(b.g.W[r][l])
-			if err != nil {
-				t.Fatal(err)
-			}
+			wa := readBack(t, a.vm, a.g.W[r][l])
+			wb := readBack(t, b.vm, b.g.W[r][l])
 			for i := range wa {
 				if math.Float32bits(wa[i]) != math.Float32bits(wb[i]) {
 					t.Fatalf("replica %d layer %d weight %d: %v vs %v", r, l, i, wa[i], wb[i])

@@ -301,9 +301,7 @@ func TestLinkPathsAndSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	unpin(vm, a)
-	if _, err := vm.Host(a); err != nil { // demand write-back
-		t.Fatal(err)
-	}
+	evictAll(t, vm, 1) // a dirty victim: a demand write-back
 	expect(vm, "write-back", [3]time.Duration{2 * ms, 2 * ms, 2 * ms})
 
 	vm.StartEngine(0)

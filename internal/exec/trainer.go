@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"sync"
@@ -72,10 +71,11 @@ type TrainerConfig struct {
 	// Recover enables rollback-and-resume after fatal device faults:
 	// the trainer retires the device, re-binds its stream to a
 	// surviving device, rechecks pin budgets, rolls weights and
-	// optimizer state back to the last completed step (an in-memory
-	// checkpoint in the exec/checkpoint.go format) and re-runs the
+	// optimizer state back to the start of the step (an in-memory copy
+	// of what Save writes, read without moving a page) and re-runs the
 	// step. Recovery only remaps where tensors live, so recovered runs
-	// stay bit-identical to fault-free ones.
+	// stay bit-identical to fault-free ones, and a run that never faults
+	// moves and holds exactly what it would without Recover.
 	Recover bool
 	// PrefetchDepth controls schedule-driven prefetch in the parallel
 	// executor: before each kernel launches, its device worker issues
@@ -145,11 +145,9 @@ type Trainer struct {
 	clk trace.Clock
 
 	// streams is the plan with its rendezvous woven in (sched.Weave):
-	// what the device workers drain and what schedcheck proves. Woven
-	// once per plan, checked for liveness once at the first Step.
-	streams   *sched.Streams
-	validated bool
-	valErr    error
+	// what the device workers drain, proven by adopt before it is
+	// installed.
+	streams *sched.Streams
 
 	// comm is the chunked-collective runtime plan (nil = monolithic);
 	// commStats counts chunk reductions, guarded by commMu because
@@ -179,7 +177,7 @@ type Trainer struct {
 	// the math — only where tensors live.
 	devMap     []int
 	alive      []bool
-	snap       []byte    // last completed step, exec/checkpoint format
+	snap       state     // the running step's starting state, with Recover
 	statsBase  VMStats   // counters from VMs discarded by recovery
 	linkBase   LinkStats // their links' busy time
 	recoveries int
@@ -263,37 +261,12 @@ func NewTrainer(cfg TrainerConfig, kernels []nn.Kernel) (*Trainer, error) {
 	if cfg.LinkBytesPerSec < 0 {
 		return nil, fmt.Errorf("exec: LinkBytesPerSec %d is negative (0 = no modeled link)", cfg.LinkBytesPerSec)
 	}
-	opts := cfg.Toggles.Apply(sched.DefaultOptions(cfg.Mode))
-	opts.CommChunks, opts.CommBucketBytes = cfg.CommChunks, cfg.CommBucketBytes
-	s, err := sched.Plan(graph.Config{
-		Model:          kernelModel(layers, cfg.Adam),
-		MicrobatchSize: cfg.BatchSize / cfg.Microbatches,
-		Microbatches:   cfg.Microbatches,
-	}, opts, cfg.Devices)
-	if err != nil {
-		return nil, err
-	}
-	g := s.Graph
-	streams, err := sched.Weave(s)
-	if err != nil {
-		return nil, err
-	}
-	if !cfg.NoVerify {
-		topo := schedcheck.Topology{Devices: cfg.Devices, DeviceBytes: cfg.DeviceBytes}
-		if err := schedcheck.Check(s, topo).Err(); err != nil {
-			return nil, fmt.Errorf("exec: plan rejected by preflight verification (-verify=false or NoVerify to skip):\n%w", err)
-		}
-	}
 	tr := &Trainer{
 		cfg:     cfg,
 		layers:  layers,
 		inDim:   layers[0].InSize(),
 		classes: layers[len(layers)-1].OutSize(),
-		g:       g,
-		s:       s,
 		inj:     inj,
-		streams: streams,
-		comm:    buildCommPlan(s),
 		clk:     trace.WallClock{},
 		devMap:  make([]int, cfg.Devices),
 		alive:   make([]bool, cfg.Devices),
@@ -302,12 +275,19 @@ func NewTrainer(cfg TrainerConfig, kernels []nn.Kernel) (*Trainer, error) {
 		tr.devMap[d] = d
 		tr.alive[d] = true
 	}
+	opts := cfg.Toggles.Apply(sched.DefaultOptions(cfg.Mode))
+	opts.CommChunks, opts.CommBucketBytes = cfg.CommChunks, cfg.CommBucketBytes
+	s, err := tr.plan(opts, cfg.Microbatches)
+	if err != nil {
+		return nil, err
+	}
+	if err := tr.adopt(s); err != nil {
+		return nil, fmt.Errorf("exec: %w", err)
+	}
 	tr.views = make([][][]float32, cfg.Devices+1)
 	for i := range tr.views {
-		tr.views[i] = make([][]float32, 2*g.Cfg.Replicas)
+		tr.views[i] = make([][]float32, 2*tr.g.Cfg.Replicas)
 	}
-	tr.sizeTasks()
-	tr.armPrefetch()
 	tr.freshVM()
 	// Identical weights in every replica, each born where it is read;
 	// freshVM holds the gradients and optimizer state, all zeros.
@@ -320,12 +300,42 @@ func NewTrainer(cfg TrainerConfig, kernels []nn.Kernel) (*Trainer, error) {
 			return nil, err
 		}
 	}
-	if cfg.Recover {
-		if err := tr.snapshot(); err != nil {
-			return nil, err
-		}
-	}
 	return tr, nil
+}
+
+// plan builds the schedule for microbatches per replica under opts.
+func (tr *Trainer) plan(opts sched.Options, microbatches int) (*sched.Schedule, error) {
+	return sched.Plan(graph.Config{
+		Model:          kernelModel(tr.layers, tr.cfg.Adam),
+		MicrobatchSize: tr.cfg.BatchSize / microbatches,
+		Microbatches:   microbatches,
+	}, opts, tr.cfg.Devices)
+}
+
+// adopt weaves s, proves it and installs it as the running plan: the
+// full preflight (schedcheck.Check) under the live device binding, or
+// with verification off the liveness of the woven streams alone, so no
+// device worker ever drains a stream that can deadlock. A plan that
+// fails leaves the running one as it was. The caller gives the plan its
+// VM (freshVM) and its state.
+func (tr *Trainer) adopt(s *sched.Schedule) error {
+	streams, err := sched.Weave(s)
+	if err != nil {
+		return err
+	}
+	if !tr.cfg.NoVerify {
+		if err := schedcheck.Check(s, tr.topology()).Err(); err != nil {
+			return fmt.Errorf("plan rejected by preflight verification (-verify=false or NoVerify to skip):\n%w", err)
+		}
+	} else if err := schedcheck.Liveness(s.Graph.Tasks, streams); err != nil {
+		return err
+	}
+	tr.g, tr.s, tr.streams = s.Graph, s, streams
+	tr.cfg.Microbatches = s.Graph.Cfg.Microbatches
+	tr.comm = buildCommPlan(s)
+	tr.sizeTasks()
+	tr.armPrefetch()
+	return nil
 }
 
 // prefetchDepth resolves the configured lookahead: 0 means the
@@ -580,10 +590,10 @@ func (tr *Trainer) LinkStats() LinkStats { return tr.linkBase.add(tr.vm.LinkStat
 // HostBytes is the host memory the live VM's pages hold: the bytes of
 // every materialized host backing. A page has one when it was born in
 // host memory (the naive policy's weights, a step's inputs) or written
-// back — by eviction, Save or Predict — not while it lives only on a
-// device or is known to be zeros. Under dirty tracking it is 0 after
-// NewTrainer on a plan whose weights fit their devices. Same contract
-// as Stats.
+// back by eviction, not while it lives only on a device or is known to
+// be zeros; reading a page out (Save, Predict, Recover) never adds one.
+// Under dirty tracking it is 0 after NewTrainer on a plan whose weights
+// fit their devices. Same contract as Stats.
 func (tr *Trainer) HostBytes() int64 {
 	var n int64
 	for _, t := range tr.g.Reg.All() {
@@ -645,28 +655,17 @@ func (tr *Trainer) Step(inputs []float32, labels []int) (float32, error) {
 			return 0, fmt.Errorf("exec: label %d out of range [0,%d) at sample %d", y, tr.classes, i)
 		}
 	}
-	// Prove the streams the workers are about to drain can complete
-	// before touching any weight: a cyclic schedule is reported as a
-	// deadlock instead of hanging the device workers. Re-armed (not
-	// once-only) because Retune swaps the streams mid-run; Step is
-	// documented non-concurrent, so a plain flag suffices.
-	if !tr.validated {
-		if err := schedcheck.Liveness(tr.g.Tasks, tr.streams); err != nil {
-			tr.valErr = fmt.Errorf("exec: %w", err)
+	// The rollback target is the state this step starts from. capture
+	// moves nothing, so a run that never faults is the run without
+	// Recover, byte for byte.
+	if tr.cfg.Recover {
+		if err := tr.capture(&tr.snap); err != nil {
+			return 0, fmt.Errorf("exec: recovery snapshot: %w", err)
 		}
-		tr.validated = true
-	}
-	if tr.valErr != nil {
-		return 0, tr.valErr
 	}
 	for {
 		loss, err := tr.runStep(inputs, labels)
 		if err == nil {
-			if tr.cfg.Recover {
-				if serr := tr.snapshot(); serr != nil {
-					return 0, serr
-				}
-			}
 			return loss, nil
 		}
 		if !tr.cfg.Recover {
@@ -744,21 +743,6 @@ func (tr *Trainer) runStep(inputs []float32, labels []int) (float32, error) {
 	return float32(totalLoss / float64(lossCount)), nil
 }
 
-// snapshot captures weights, optimizer state and the step counter in
-// the exec/checkpoint format; recoverFrom restores it after a fatal
-// fault. Taken at construction and after every completed step, so the
-// rollback target is always the last completed weight update. Safe
-// because optimizers zero the gradient buffers when they apply them:
-// at a step boundary the full persistent state is (W, K, step).
-func (tr *Trainer) snapshot() error {
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		return fmt.Errorf("exec: recovery snapshot: %w", err)
-	}
-	tr.snap = buf.Bytes()
-	return nil
-}
-
 // recoverFrom retires physical device dev after a fatal fault: every
 // virtual device bound to it is re-bound to a surviving physical
 // device, the re-bound assignment is checked against the survivors'
@@ -801,14 +785,13 @@ func (tr *Trainer) recoverFrom(dev int) error {
 	}
 
 	// Roll back: discard the (possibly mid-iteration) VM wholesale —
-	// runStep already drained its in-flight DMAs — and restore the last
-	// completed step into a fresh one. Rebuilding re-materializes
+	// runStep already drained its in-flight DMAs — and restore the
+	// step's starting state into a fresh one. Rebuilding re-materializes
 	// persistent tensors as NewTrainer did — each weight born on the
-	// survivor now reading it — so restoring the snapshot yields
-	// bit-identical state to a fresh trainer that loaded the same
-	// checkpoint.
+	// survivor now reading it — so the restored state is bit-identical
+	// to a fresh trainer that loaded the same checkpoint.
 	tr.freshVM()
-	if err := tr.Load(bytes.NewReader(tr.snap)); err != nil {
+	if err := tr.restore(&tr.snap); err != nil {
 		return fmt.Errorf("exec: rollback: %w", err)
 	}
 	return nil
@@ -822,8 +805,9 @@ func (tr *Trainer) recoverFrom(dev int) error {
 // accepting the same input shape. An infeasible retune returns the
 // verifier's Gantt counterexample and leaves the running plan untouched
 // — the next Step continues exactly as before. Training state survives
-// adoption: weights, optimizer state and the step counter round-trip
-// through the microbatch-independent checkpoint format into a fresh VM.
+// adoption: weights, optimizer state and the step counter are
+// microbatch-independent, captured from the old VM and restored into a
+// fresh one.
 //
 // Call only between Steps (same non-concurrency contract as Step).
 func (tr *Trainer) Retune(microbatches int) error {
@@ -834,61 +818,29 @@ func (tr *Trainer) Retune(microbatches int) error {
 	if microbatches == tr.cfg.Microbatches {
 		return nil
 	}
-
-	// Build and verify the candidate plan without touching the live
-	// one: any failure below this point leaves the trainer unchanged.
-	s2, err := sched.Plan(graph.Config{
-		Model:          kernelModel(tr.layers, tr.cfg.Adam),
-		MicrobatchSize: batch / microbatches,
-		Microbatches:   microbatches,
-	}, tr.s.Opts, tr.cfg.Devices)
+	s, err := tr.plan(tr.s.Opts, microbatches)
 	if err != nil {
 		return fmt.Errorf("exec: retune: %w", err)
 	}
-	g2 := s2.Graph
-	streams2, err := sched.Weave(s2)
-	if err != nil {
+	// The candidate must fit under the live device binding (after a
+	// recovery, several streams may share a survivor): the preflight in
+	// adopt proves it, and with verification off it is checked here.
+	if tr.cfg.NoVerify {
+		if err := schedcheck.Residency(s, tr.topology()); err != nil {
+			return fmt.Errorf("exec: retune, plan unchanged: %w", err)
+		}
+	}
+	// Captured while the old graph's tensor handles are still live.
+	var st state
+	if err := tr.capture(&st); err != nil {
 		return fmt.Errorf("exec: retune: %w", err)
 	}
-	// The candidate must be live and fit under the live device binding
-	// (post-recovery, several streams may share a survivor). The full
-	// preflight proves both; with verification off they are still
-	// checked on their own.
-	topo := tr.topology()
-	if !tr.cfg.NoVerify {
-		if verr := schedcheck.Check(s2, topo).Err(); verr != nil {
-			return fmt.Errorf("exec: retune rejected by preflight verification (plan unchanged):\n%w", verr)
-		}
-	} else {
-		if err := schedcheck.Liveness(g2.Tasks, streams2); err != nil {
-			return fmt.Errorf("exec: retune: %w", err)
-		}
-		if err := schedcheck.Residency(s2, topo); err != nil {
-			return fmt.Errorf("exec: retune: %w", err)
-		}
+	if err := tr.adopt(s); err != nil {
+		return fmt.Errorf("exec: retune, plan unchanged: %w", err)
 	}
-
-	// The new graph's tensors need a fresh VM; carry the training state
-	// across in the checkpoint format (captured while the old graph's
-	// tensor handles are still live).
-	var snap bytes.Buffer
-	if err := tr.Save(&snap); err != nil {
-		return fmt.Errorf("exec: retune: %w", err)
-	}
-
-	// ---- adopt ----
-	tr.cfg.Microbatches = microbatches
-	tr.g, tr.s, tr.streams = g2, s2, streams2
-	tr.comm = buildCommPlan(s2)
-	tr.sizeTasks()
-	tr.validated, tr.valErr = true, nil // liveness just proven
-	tr.armPrefetch()
 	tr.freshVM() // step boundary: WaitIdle already drained in-flight DMAs
-	if err := tr.Load(&snap); err != nil {
+	if err := tr.restore(&st); err != nil {
 		return fmt.Errorf("exec: retune state restore: %w", err)
-	}
-	if tr.cfg.Recover {
-		return tr.snapshot()
 	}
 	return nil
 }
@@ -1065,8 +1017,9 @@ func (tr *Trainer) Predict(input []float32, batch int) ([]float32, error) {
 	x := input
 	var prev []float32 // pooled buffer holding x (nil for the input)
 	for l, layer := range tr.layers {
-		w, err := tr.vm.Host(tr.g.W[0][l])
-		if err != nil {
+		w := nn.GetScratch(layer.ParamCount())
+		if err := tr.vm.Read(tr.g.W[0][l], w); err != nil {
+			nn.PutScratch(w)
 			if prev != nil {
 				nn.PutScratch(prev)
 			}
@@ -1075,6 +1028,7 @@ func (tr *Trainer) Predict(input []float32, batch int) ([]float32, error) {
 		y := nn.GetScratch(batch * layer.OutSize())
 		stash := nn.GetScratch(batch * layer.StashSize())
 		layer.Forward(w, x, y, stash, batch)
+		nn.PutScratch(w)
 		nn.PutScratch(stash)
 		if prev != nil {
 			nn.PutScratch(prev)

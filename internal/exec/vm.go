@@ -101,8 +101,8 @@ func (s VMStats) add(o VMStats) VMStats {
 //     consumePrefetch), only via CAS — the claimdiscipline analyzer
 //     enforces this.
 //   - dev, devID, host, state: owned by the claim holder. Claims
-//     require idleness and (except snapshot write-backs) zero pins, so
-//     a successful claim CAS excludes every other writer; lock-free
+//     require idleness and zero pins, so a successful claim CAS
+//     excludes every other writer; lock-free
 //     readers first observe an idle word via an atomic load, which
 //     happens-after the settle that published the fields. state is
 //     atomic because pin holders write it (MarkDirty, MarkZero) while
@@ -595,40 +595,52 @@ func (vm *VM) ZeroAlloc(t *tensor.Tensor) {
 	}
 }
 
-// Host returns the host backing, swapping the device copy back first
-// if it is dirty (used to read results out). The claim is taken with
-// committed set: a snapshot write-back holds everything it needs, so
-// eviction on the buffer's device may wait on it. A known-zero page has
-// no backing to return; it is given a fresh zeroed one and becomes an
-// ordinary clean page, because the caller may write what it is handed.
-func (vm *VM) Host(t *tensor.Tensor) ([]float32, error) {
+// Read copies t's current contents into dst, which must hold exactly
+// t's floats, and moves nothing: the device copy when the page is
+// resident (it is never older than the host's), else the host backing,
+// else zeros for a known-zero page. Page state, LRU order, host backing
+// and the links are left as they were, so reading a page out — a
+// checkpoint, a recovery snapshot, an evaluation — costs the run
+// nothing it would otherwise not have spent. A claim in flight is
+// waited out; a pinned page is refused, because its pin holder may be
+// writing it (between steps nothing is pinned). The claim is an
+// ordinary committed one: it needs nothing more, so eviction on the
+// page's device may wait on it.
+func (vm *VM) Read(t *tensor.Tensor, dst []float32) error {
 	for {
 		b, ok := vm.lookup(t.ID)
 		if !ok {
-			return nil, fmt.Errorf("exec: tensor %s has no buffer", t)
+			return fmt.Errorf("exec: tensor %s has no buffer", t)
 		}
-		if !vm.claim(b, claimword.SwapOut, false, true, claimword.NeedIdle) {
+		if len(dst) != b.floats() {
+			return fmt.Errorf("exec: Read of %s into %d floats, want %d", t, len(dst), b.floats())
+		}
+		w := b.load()
+		if w.State() != claimword.Idle {
 			vm.waitSettle(b)
+			continue
+		}
+		if w.Pins() > 0 {
+			return fmt.Errorf("exec: Read of pinned %s", t)
+		}
+		if !vm.claim(b, claimword.SwapOut, false, true, claimword.NeedUnpinned) {
 			continue
 		}
 		// Claim held: dev/host/state are ours to read.
 		resident := b.load().Resident()
-		switch st := b.state.Load(); {
-		case st == pageDirty && resident:
-			if err := vm.writeBack(int(b.devID.Load()), b); err != nil {
-				vm.settle(b, true, 0)
-				return nil, err
-			}
-		case st == pageZero:
-			b.host = make([]float32, b.floats())
-			b.state.Store(pageClean)
+		switch {
+		case resident:
+			copy(dst, b.dev)
+		case b.state.Load() == pageZero:
+			clear(dst)
+		case b.host != nil:
+			copy(dst, b.host)
+		default:
+			vm.settle(b, false, 0)
+			return fmt.Errorf("exec: tensor %s has no valid copy", t)
 		}
-		host := b.host
 		vm.settle(b, resident, 0)
-		if host == nil {
-			return nil, fmt.Errorf("exec: tensor %s has no valid copy", t)
-		}
-		return host, nil
+		return nil
 	}
 }
 

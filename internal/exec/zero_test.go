@@ -176,11 +176,25 @@ func TestZeroPageEvictionMovesNothing(t *testing.T) {
 }
 
 // TestZeroPageReadsAsZeros: however a known-zero page that has left its
-// device is next reached — demand Ensure, prefetch then Ensure, Host, a
+// device is next reached — demand Ensure, prefetch then Ensure, Read, a
 // p2p move, a bounce through the host — the reader sees +0 everywhere,
 // and only the p2p move (a real copy of the resident zeros) uses a link.
+// Read leaves the page known-zero, with no host copy.
 func TestZeroPageReadsAsZeros(t *testing.T) {
 	p2p := memory.Policy{DirtyTracking: true, P2P: true}
+	read := func(vm *VM, ts *tensor.Tensor) ([]float32, error) {
+		dst := make([]float32, ts.Bytes/4)
+		for i := range dst {
+			dst[i] = -1 // a Read that writes nothing shows
+		}
+		if err := vm.Read(ts, dst); err != nil {
+			return nil, err
+		}
+		if b, _ := vm.lookup(ts.ID); b.state.Load() != pageZero || b.host != nil {
+			return nil, fmt.Errorf("Read changed the page: state %d, host copy %v", b.state.Load(), b.host != nil)
+		}
+		return dst, nil
+	}
 	for _, tc := range []struct {
 		name  string
 		pol   memory.Policy
@@ -199,8 +213,8 @@ func TestZeroPageReadsAsZeros(t *testing.T) {
 			}
 			return vm.Ensure(0, ts)
 		}, 1},
-		{"host-evicted", tracking, true, func(vm *VM, ts *tensor.Tensor) ([]float32, error) { return vm.Host(ts) }, 0},
-		{"host-resident", tracking, false, func(vm *VM, ts *tensor.Tensor) ([]float32, error) { return vm.Host(ts) }, 0},
+		{"read-evicted", tracking, true, read, 0},
+		{"read-resident", tracking, false, read, 0},
 		{"p2p", p2p, false, func(vm *VM, ts *tensor.Tensor) ([]float32, error) { return vm.Ensure(1, ts) }, 0},
 		{"bounce", tracking, false, func(vm *VM, ts *tensor.Tensor) ([]float32, error) { return vm.Ensure(1, ts) }, 1},
 	} {

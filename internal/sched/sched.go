@@ -106,13 +106,16 @@ type Options struct {
 	// DirtyTracking drops clean tensors on eviction instead of
 	// writing them back.
 	DirtyTracking bool
-	// DeferBlockedUpdates lets the runtime skip past an update task
-	// whose AllReduce has not finished instead of stalling the device
-	// queue. This trades the JIT residency of W/dW (they may be
-	// evicted by the intervening tasks) for collective/compute
+	// DeferBlockedUpdates lets the simulator's runtime skip past an
+	// update task whose AllReduce has not finished instead of stalling
+	// the device queue. This trades the JIT residency of W/dW (they may
+	// be evicted by the intervening tasks) for collective/compute
 	// overlap — one axis of the paper's §4 memory–performance tango.
-	// Off by default: under memory pressure the re-swap cost exceeds
-	// the stall, and Fig. 5's 3N|W| volume assumes strict adjacency.
+	// DefaultOptions turns it on for HarmonyDP only, the one mode with
+	// per-layer collectives: under extreme memory pressure the re-swap
+	// cost exceeds the stall, and Fig. 5's 3N|W| volume assumes strict
+	// adjacency, so the closed-form configurations turn it off. The
+	// trainer runs its woven streams in order and refuses the toggle.
 	DeferBlockedUpdates bool
 
 	// CommChunks splits each gradient collective into that many

@@ -59,8 +59,10 @@ func OptionVariants(mode Mode, microbatches int) []Options {
 		out = packed
 	}
 	// DeferBlockedUpdates does not reorder queues, but it changes how
-	// the executor treats update heads; include it on the canonical
-	// Harmony profile so the sweep covers both executor paths.
+	// the simulator's runtime dispatches a blocked update at a queue's
+	// head (runtime.dispatch); include it on the canonical Harmony
+	// profile so the sweep covers both dispatch paths. The trainer's
+	// executor has no such path: NewTrainer refuses the toggle.
 	for _, o := range out {
 		if o.Grouping && o.JIT && o.DirtyTracking && o.GroupSize == 0 {
 			d := o
