@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 
 	"harmony/internal/nn"
@@ -196,4 +197,84 @@ func TestWeightsBornWhereFirstRead(t *testing.T) {
 				st.SwapInBytes, steps, in, st.P2PBytes)
 		}
 	})
+}
+
+// TestReplicasBornBitIdentical: only a layer's first birth runs its
+// initializer; every other replica's weights are copied from that page
+// wherever it is — resident, written back because its device is too
+// small, or host-born under the naive policy. However they were born,
+// every replica's weights read back as nn.InitKernel's, bit for bit.
+func TestReplicasBornBitIdentical(t *testing.T) {
+	// Five 256×256 layers, 1.26 MiB of weights a replica, on devices
+	// that hold an Adam update's pins (1.0 MiB) but not the weights.
+	tight := TrainerConfig{
+		Widths: []int{64, 256, 256, 256, 256, 256, 256, 10}, Mode: sched.HarmonyDP, Devices: 2,
+		DeviceBytes: 1152 << 10, BatchSize: 32, Microbatches: 4, LR: 0.005, Seed: 42,
+	}
+	type cell struct {
+		name string
+		cfg  TrainerConfig
+	}
+	var cells []cell
+	for _, devices := range []int{2, 4} {
+		for _, chunks := range []int{0, 2} {
+			cfg := trainerConfig(sched.HarmonyDP, devices)
+			cfg.DeviceBytes, cfg.CommChunks = 1<<20, chunks
+			cells = append(cells, cell{fmt.Sprintf("dp%d/chunks=%d", devices, chunks), cfg})
+		}
+	}
+	baseline := trainerConfig(sched.DPBaseline, 2)
+	baseline.DeviceBytes = 1 << 20
+	faulty := tight
+	faulty.FaultSpec = "op=swap-out,mode=transient,count=2"
+	cells = append(cells, cell{"dp2-pressure", tight}, cell{"dp-baseline", baseline}, cell{"dp2-pressure/transient-swap-out", faulty})
+	for _, c := range cells {
+		for _, adam := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/adam=%v", c.name, adam), func(t *testing.T) {
+				cfg := c.cfg
+				cfg.Adam = adam
+				if adam {
+					cfg.LR = 0.005
+				}
+				tr, err := NewTrainer(cfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tr.Close()
+				if cfg.DeviceBytes == tight.DeviceBytes {
+					// On two devices every first birth is replica 1's, on
+					// gpu1, made before any copy to gpu0 reads one: a
+					// first-born page written back by then was copied from
+					// its host backing.
+					spilled := 0
+					for _, w := range tr.g.W[1] {
+						if w.Bytes > 0 && residentOn(tr, w) < 0 {
+							spilled++
+						}
+					}
+					if st := tr.Stats(); st.SwapOuts == 0 || spilled == 0 {
+						t.Fatalf("births wrote back %d pages, %d of them first-born: the row is not under pressure", st.SwapOuts, spilled)
+					}
+				}
+				if injected, _ := tr.FaultStats(); (cfg.FaultSpec != "") != (injected > 0) {
+					t.Fatalf("%d faults injected during births under %q", injected, cfg.FaultSpec)
+				}
+				for l, layer := range tr.layers {
+					want := make([]float32, tr.g.W[0][l].Bytes/4)
+					if len(want) == 0 {
+						continue
+					}
+					nn.InitKernel(layer, want, cfg.Seed+uint64(l)*7919)
+					for r := range tr.g.W {
+						got := readBack(t, tr.vm, tr.g.W[r][l])
+						for i := range want {
+							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+								t.Fatalf("replica %d layer %d weight %d: %v, want %v", r, l, i, got[i], want[i])
+							}
+						}
+					}
+				}
+			})
+		}
+	}
 }

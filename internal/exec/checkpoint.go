@@ -71,7 +71,7 @@ func (tr *Trainer) restore(st *state) error {
 		if b.t.Kind == tensor.OptState {
 			vals = st.k[b.t.Layer]
 		}
-		if err := tr.bear(b, func(dst []float32) { copy(dst, vals) }); err != nil {
+		if err := tr.bear(b, func(dst []float32) error { copy(dst, vals); return nil }); err != nil {
 			return err
 		}
 	}

@@ -92,10 +92,11 @@ func (tr *Trainer) CommStats() CommStats { return tr.commStats }
 // retires the reducing worker's physical device through the usual
 // rollback-and-resume path.
 //
-// The range's remote traffic is booked on the reducer's modeled link,
-// not waited for: reduce returns the reservation's end (the zero time
-// when no link is modeled), which the caller stamps on the collective's
-// readers (taskState.stamp).
+// The range's remote traffic is booked, with its trace span, on a
+// modeled link fixed by the plan — a chunk's reducer's, replica 0's for
+// a whole payload — and not waited for: reduce returns the
+// reservation's end (the zero time when no link is modeled), which the
+// caller stamps on the collective's readers (taskState.stamp).
 func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) (time.Time, error) {
 	if ar.Kind != graph.AllReduce {
 		return time.Time{}, fmt.Errorf("exec: unsupported collective kind %v", ar.Kind)
@@ -107,9 +108,14 @@ func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) (time
 	if err := tr.injectOp(fault.Collective, tr.pdev(dev), ar.Layer); err != nil {
 		return time.Time{}, err
 	}
-	// The serial path has no reducing worker; replica 0's device stands
-	// in.
-	pdev := tr.pdev(max(dev, 0))
+	// A chunk's link time is booked on its plan-time reducer's link. A
+	// whole payload's reducer is whichever replica arrived last (none on
+	// the serial path), so it is booked on replica 0's device instead,
+	// and identical runs busy identical links.
+	pdev := tr.pdev(0)
+	if chunk {
+		pdev = tr.pdev(dev)
+	}
 	wall := tr.vm.clk.Now()
 	views := tr.views[dev+1][:2*n]
 	defer clear(views) // keep no device slice past its pins

@@ -246,19 +246,20 @@ func TestFreshSliceTrimsSparesFirst(t *testing.T) {
 	}
 }
 
+// trainShape is a named trainer configuration the tests and benchmarks
+// walk.
+type trainShape struct {
+	name string
+	cfg  TrainerConfig
+}
+
 // linkShapes are the benchmark's train-swap-link and train-pp-link
 // plans: a 5.05 MiB model on one 4 MiB device behind a 128 MiB/s link
 // with p2p off, and a pipeline on two 4 MiB devices with p2p activations
 // and a 96 MiB/s link, both prefetching four tasks ahead.
-func linkShapes() []struct {
-	name string
-	cfg  TrainerConfig
-} {
+func linkShapes() []trainShape {
 	noP2P := false
-	return []struct {
-		name string
-		cfg  TrainerConfig
-	}{
+	return []trainShape{
 		{"swap-link", TrainerConfig{
 			Widths: []int{256, 512, 512, 512, 10}, Mode: sched.HarmonyDP, Devices: 1,
 			DeviceBytes: 4 << 20, BatchSize: 8, LR: 0.005, Seed: 1,
@@ -270,6 +271,17 @@ func linkShapes() []struct {
 			PrefetchDepth: 4, LinkBytesPerSec: 96 << 20,
 		}},
 	}
+}
+
+// computeShape is the benchmark's train-compute plan: two replicas of a
+// 784-512-512-10 MLP, 64 samples each in eight microbatches, on 64 MiB
+// devices that hold it all, with no link modeled. Its step's inputs,
+// 392 KiB, are the largest host pages any shape here bears a step.
+func computeShape() trainShape {
+	return trainShape{"compute", TrainerConfig{
+		Widths: []int{784, 512, 512, 10}, Mode: sched.HarmonyDP, Devices: 2,
+		DeviceBytes: 64 << 20, BatchSize: 64, LR: 0.005, Seed: 1,
+	}}
 }
 
 // batchRing pregenerates n batches for tr, so stepping allocates
@@ -284,29 +296,38 @@ func batchRing(tr *Trainer, n int) (xs [][]float32, ys [][]int) {
 }
 
 // TestWarmStepAllocatesNoPages: once warm, a step finds every page it
-// places on a device among the spares of the pages that left it. Fresh
+// places on a device among the spares of the pages that left it, and
+// bears its inputs in the host slice the last step's inputs left. Fresh
 // slices per swap-in cost ≈ 2.9 MB a step on swap-link and ≈ 2.6 MB on
-// pp-link; what is left is the runtime's own bookkeeping. The -recover
-// rows capture each step's rollback target into the slices the last
-// step's capture left; encoding a fresh checkpoint every step, as the
-// rollback target once was, cost ≈ 8.0 MB a step on swap-link and
-// ≈ 11.6 MB on pp-link.
+// pp-link, and fresh input pages ≈ 400 KB a step on compute; what is
+// left is the runtime's own bookkeeping. The -recover rows capture each
+// step's rollback target into the slices the last step's capture left;
+// encoding a fresh checkpoint every step, as the rollback target once
+// was, cost ≈ 8.0 MB a step on swap-link and ≈ 11.6 MB on pp-link.
 func TestWarmStepAllocatesNoPages(t *testing.T) {
-	const warm, steps, budget = 3, 20, 128 << 10
-	shapes := linkShapes()
-	for _, shape := range shapes {
+	const warm, budget = 3, 128 << 10
+	type row struct {
+		trainShape
+		steps int
+	}
+	var rows []row
+	for _, shape := range linkShapes() {
+		rows = append(rows, row{shape, 20})
 		shape.name += "-recover"
 		shape.cfg.Recover = true
-		shapes = append(shapes, shape)
+		rows = append(rows, row{shape, 20})
 	}
-	for _, shape := range shapes {
-		t.Run(shape.name, func(t *testing.T) {
-			tr, err := NewTrainer(shape.cfg, nil)
+	// A compute step costs six link steps, ≈ 1.7 s under -race; four
+	// show its inputs' 392 KiB a step.
+	rows = append(rows, row{computeShape(), 4})
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			tr, err := NewTrainer(r.cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer tr.Close()
-			xs, ys := batchRing(tr, warm+steps)
+			xs, ys := batchRing(tr, warm+r.steps)
 			var before, after runtime.MemStats
 			for s := range xs {
 				if s == warm {
@@ -317,7 +338,7 @@ func TestWarmStepAllocatesNoPages(t *testing.T) {
 				}
 			}
 			runtime.ReadMemStats(&after)
-			perStep := (after.TotalAlloc - before.TotalAlloc) / steps
+			perStep := (after.TotalAlloc - before.TotalAlloc) / uint64(r.steps)
 			if perStep > budget {
 				t.Errorf("a warm step allocates %d bytes, over the %d budget", perStep, budget)
 			}
@@ -339,15 +360,10 @@ func commLinkShape() TrainerConfig {
 	}
 }
 
-// benchShapes are the link shapes and the comm-link shape.
-func benchShapes() []struct {
-	name string
-	cfg  TrainerConfig
-} {
-	return append(linkShapes(), struct {
-		name string
-		cfg  TrainerConfig
-	}{"comm-link", commLinkShape()})
+// benchShapes are the compute shape, the link shapes and the comm-link
+// shape.
+func benchShapes() []trainShape {
+	return append(append([]trainShape{computeShape()}, linkShapes()...), trainShape{"comm-link", commLinkShape()})
 }
 
 // BenchmarkTrainerSetup times what a trainer costs before it is warm —

@@ -96,12 +96,12 @@ type TrainerConfig struct {
 	// server (link.go). A swap reserves bytes/LinkBytesPerSec on its
 	// device's link and on the uplink — so devices swapping at once
 	// share the uplink instead of each getting all of it (Fig. 2(a)) —
-	// a p2p copy on the two devices' links, a gradient reduction on the
-	// reducer's. Reservations on a link never overlap; a copy's lane
-	// waits for its own to end and a reduction's is waited for by the
-	// updates that read it, in sleeps of at least 2 ms, a smaller
-	// remainder carried forward as debt: modeled time is
-	// batched, never forgiven. 0 disables modeling (transfers cost only
+	// a p2p copy on the two devices' links, a gradient chunk on its
+	// reducer's and a monolithic reduction on replica 0's. Reservations
+	// on a link never overlap; a copy's lane waits for its own to end
+	// and a reduction's is waited for by the updates that read it, in
+	// sleeps of at least 2 ms, a smaller remainder carried forward as
+	// debt: modeled time is batched, never forgiven. 0 disables modeling (transfers cost only
 	// memcpy time); negative is rejected. Trainer.LinkStats shows which
 	// link bounds a plan.
 	LinkBytesPerSec int64
@@ -162,6 +162,10 @@ type Trainer struct {
 	// reduction at a time, and slot 0 for the serial path's dev -1.
 	views [][][]float32
 
+	// inputs holds the running step's input batch: its microbatches'
+	// host backing (VM.HostBind), reused by every step.
+	inputs []float32
+
 	// pf, when non-nil, is the schedule-driven prefetcher the device
 	// workers call before each kernel; rec, when non-nil, records
 	// wall-clock compute/DMA spans (EnableTrace).
@@ -185,7 +189,9 @@ type Trainer struct {
 
 // NewTrainer validates the configuration, resolves its defaults and
 // builds the model, task graph, schedule and virtual memory, with
-// weights initialized identically across replicas. kernels, when
+// weights initialized identically across replicas: each weight is born
+// on the device that reads it, each layer's initializer runs once, and
+// its other replicas are copies of that first-born page. kernels, when
 // non-empty, is an explicit layer stack (dense, conv, pool — anything
 // implementing nn.Kernel) whose first InSize is the input dimension
 // and whose last OutSize is the class count; every kernel past the
@@ -288,16 +294,28 @@ func NewTrainer(cfg TrainerConfig, kernels []nn.Kernel) (*Trainer, error) {
 	for i := range tr.views {
 		tr.views[i] = make([][]float32, 2*tr.g.Cfg.Replicas)
 	}
-	tr.freshVM()
+	tr.vm = tr.newVM()
 	// Identical weights in every replica, each born where it is read;
-	// freshVM holds the gradients and optimizer state, all zeros.
+	// the VM holds the gradients and optimizer state, all zeros. A
+	// layer's first birth runs its initializer, the others copy that
+	// one's page wherever it is (VM.Read moves nothing).
+	first := make([]*tensor.Tensor, len(layers))
 	for _, b := range tr.births() {
 		if b.t.Kind != tensor.Weight {
 			continue
 		}
-		l := b.t.Layer
-		if err := tr.bear(b, func(w []float32) { nn.InitKernel(tr.layers[l], w, cfg.Seed+uint64(l)*7919) }); err != nil {
-			return nil, err
+		l, src := b.t.Layer, first[b.t.Layer]
+		fill := func(w []float32) error { return tr.vm.Read(src, w) }
+		if src == nil {
+			first[l] = b.t
+			fill = func(w []float32) error {
+				nn.InitKernel(layers[l], w, cfg.Seed+uint64(l)*7919)
+				return nil
+			}
+		}
+		if err := tr.bear(b, fill); err != nil {
+			tr.vm.Close()
+			return nil, fmt.Errorf("exec: weight birth: %w", err)
 		}
 	}
 	return tr, nil
@@ -317,7 +335,7 @@ func (tr *Trainer) plan(opts sched.Options, microbatches int) (*sched.Schedule, 
 // with verification off the liveness of the woven streams alone, so no
 // device worker ever drains a stream that can deadlock. A plan that
 // fails leaves the running one as it was. The caller gives the plan its
-// VM (freshVM) and its state.
+// VM (newVM) and its state.
 func (tr *Trainer) adopt(s *sched.Schedule) error {
 	streams, err := sched.Weave(s)
 	if err != nil {
@@ -330,12 +348,18 @@ func (tr *Trainer) adopt(s *sched.Schedule) error {
 	} else if err := schedcheck.Liveness(s.Graph.Tasks, streams); err != nil {
 		return err
 	}
+	tr.install(s, streams)
+	return nil
+}
+
+// install makes s, already woven into streams and proven, the running
+// plan, with the runtime state derived from it.
+func (tr *Trainer) install(s *sched.Schedule, streams *sched.Streams) {
 	tr.g, tr.s, tr.streams = s.Graph, s, streams
 	tr.cfg.Microbatches = s.Graph.Cfg.Microbatches
 	tr.comm = buildCommPlan(s)
 	tr.sizeTasks()
 	tr.armPrefetch()
-	return nil
 }
 
 // prefetchDepth resolves the configured lookahead: 0 means the
@@ -361,46 +385,49 @@ func (tr *Trainer) topology() schedcheck.Topology {
 	return schedcheck.Topology{Devices: tr.cfg.Devices, DeviceBytes: tr.cfg.DeviceBytes, Binding: tr.devMap}
 }
 
-// freshVM replaces the trainer's VM with an empty one for the current
-// plan — armed with fault injection, link modeling, tracing and (when
-// prefetch is on) the async DMA engine — folding the old VM's counters
-// into statsBase. The new VM holds the persistent state that is all
-// zeros, the state every update leaves it in: gradients, optimizer
-// state and a parameter-free layer's empty weights, as known-zero pages
-// with no copy anywhere. The caller bears the weights (bear): initial
-// ones, or a checkpoint's. Only at a step boundary: the old VM's
+// retire closes vm, a VM the trainer stops using, and folds its
+// counters into statsBase and linkBase. Only at a step boundary: its
 // in-flight DMAs must already be drained.
-func (tr *Trainer) freshVM() {
-	if tr.vm != nil {
-		tr.vm.Close()
-		tr.statsBase = tr.statsBase.add(tr.vm.StatsSnapshot())
-		tr.linkBase = tr.linkBase.add(tr.vm.LinkStats())
-	}
-	tr.vm = NewVM(tr.cfg.Devices, tr.cfg.DeviceBytes, tr.s.MemPolicy)
-	tr.vm.clk = tr.clk
-	tr.vm.cfg = xferConfig{
+func (tr *Trainer) retire(vm *VM) {
+	vm.Close()
+	tr.statsBase = tr.statsBase.add(vm.StatsSnapshot())
+	tr.linkBase = tr.linkBase.add(vm.LinkStats())
+}
+
+// newVM builds an empty VM for the current plan, armed with fault
+// injection, link modeling, tracing and (when prefetch is on) the async
+// DMA engine. It holds the persistent state that is all zeros, the
+// state every update leaves it in: gradients, optimizer state and a
+// parameter-free layer's empty weights, as known-zero pages with no
+// copy anywhere. The caller installs it as tr.vm and bears the weights
+// (bear): initial ones, or a state's.
+func (tr *Trainer) newVM() *VM {
+	vm := NewVM(tr.cfg.Devices, tr.cfg.DeviceBytes, tr.s.MemPolicy)
+	vm.clk = tr.clk
+	vm.cfg = xferConfig{
 		bps:        tr.cfg.LinkBytesPerSec,
 		inj:        tr.inj,
 		maxRetries: tr.maxRetries(),
 		stepFn:     func() int { return tr.step },
 	}
 	if tr.rec != nil {
-		tr.vm.cfg.rec = tr.rec.add
+		vm.cfg.rec = tr.rec.add
 	}
 	if tr.pf != nil {
-		tr.vm.StartEngine(0) // default budget: half the device capacity
+		vm.StartEngine(0) // default budget: half the device capacity
 	}
 	for r := 0; r < tr.g.Cfg.Replicas; r++ {
 		for l := range tr.layers {
-			tr.vm.ZeroAlloc(tr.g.DW[r][l])
+			vm.ZeroAlloc(tr.g.DW[r][l])
 			if tr.g.K[r][l].Bytes > 0 {
-				tr.vm.ZeroAlloc(tr.g.K[r][l])
+				vm.ZeroAlloc(tr.g.K[r][l])
 			}
 			if tr.g.W[r][l].Bytes == 0 {
-				tr.vm.ZeroAlloc(tr.g.W[r][l])
+				vm.ZeroAlloc(tr.g.W[r][l])
 			}
 		}
 	}
+	return vm
 }
 
 // birth is a persistent tensor with content and the virtual device
@@ -438,17 +465,19 @@ func (tr *Trainer) births() []birth {
 // it, a dirty page with no host copy: it gets one only if eviction
 // writes it back. The naive policy bears it in host backing, as the
 // baselines always have, so they move every byte they did (ZeroAlloc
-// makes the same split).
-func (tr *Trainer) bear(b birth, fill func([]float32)) error {
+// makes the same split). A failed fill leaves the tensor pinned: the
+// caller discards the VM.
+func (tr *Trainer) bear(b birth, fill func([]float32) error) error {
 	if !tr.vm.pol.DirtyTracking {
-		fill(tr.vm.HostAlloc(b.t))
-		return nil
+		return fill(tr.vm.HostAlloc(b.t))
 	}
 	dst, err := tr.vm.Alloc(tr.pdev(b.dev), b.t)
 	if err != nil {
 		return err
 	}
-	fill(dst)
+	if err := fill(dst); err != nil {
+		return err
+	}
 	return tr.vm.Unpin(b.t)
 }
 
@@ -692,9 +721,17 @@ func (tr *Trainer) Step(inputs []float32, labels []int) (float32, error) {
 func (tr *Trainer) runStep(inputs []float32, labels []int) (float32, error) {
 	m := tr.g.Cfg.Microbatches
 	N := tr.g.Cfg.Replicas
+	// Inputs are born in host memory, each microbatch in its range of
+	// the trainer's one input slice, which the last step's Free let go.
+	if tr.inputs == nil {
+		tr.inputs = make([]float32, len(inputs))
+	}
+	copy(tr.inputs, inputs)
+	n := tr.g.Cfg.MicrobatchSize * tr.inDim
 	for r := 0; r < N; r++ {
 		for i := 0; i < m; i++ {
-			copy(tr.vm.HostAlloc(tr.g.Act[r][0][i]), inputs[tr.microbatch(r, i)*tr.inDim:])
+			lo := tr.microbatch(r, i) * tr.inDim
+			tr.vm.HostBind(tr.g.Act[r][0][i], tr.inputs[lo:lo+n:lo+n])
 		}
 	}
 	tr.step++
@@ -790,7 +827,8 @@ func (tr *Trainer) recoverFrom(dev int) error {
 	// persistent tensors as NewTrainer did — each weight born on the
 	// survivor now reading it — so the restored state is bit-identical
 	// to a fresh trainer that loaded the same checkpoint.
-	tr.freshVM()
+	tr.retire(tr.vm)
+	tr.vm = tr.newVM()
 	if err := tr.restore(&tr.snap); err != nil {
 		return fmt.Errorf("exec: rollback: %w", err)
 	}
@@ -807,7 +845,10 @@ func (tr *Trainer) recoverFrom(dev int) error {
 // — the next Step continues exactly as before. Training state survives
 // adoption: weights, optimizer state and the step counter are
 // microbatch-independent, captured from the old VM and restored into a
-// fresh one.
+// fresh one. The switch commits only with its state: a restore that
+// fails (a fatal fault writing a page back, say) puts the old plan, VM
+// and counters back, so the next Step trains as if Retune had not been
+// called.
 //
 // Call only between Steps (same non-concurrency contract as Step).
 func (tr *Trainer) Retune(microbatches int) error {
@@ -835,13 +876,20 @@ func (tr *Trainer) Retune(microbatches int) error {
 	if err := tr.capture(&st); err != nil {
 		return fmt.Errorf("exec: retune: %w", err)
 	}
+	prev, prevStreams, prevVM := tr.s, tr.streams, tr.vm
 	if err := tr.adopt(s); err != nil {
 		return fmt.Errorf("exec: retune, plan unchanged: %w", err)
 	}
-	tr.freshVM() // step boundary: WaitIdle already drained in-flight DMAs
+	tr.vm = tr.newVM()
 	if err := tr.restore(&st); err != nil {
+		// The half-born VM and its counters go; the old one never
+		// stopped holding the state.
+		tr.vm.Close()
+		tr.vm = prevVM
+		tr.install(prev, prevStreams)
 		return fmt.Errorf("exec: retune state restore: %w", err)
 	}
+	tr.retire(prevVM) // step boundary: WaitIdle already drained in-flight DMAs
 	return nil
 }
 

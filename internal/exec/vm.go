@@ -268,7 +268,7 @@ type VM struct {
 	wg       sync.WaitGroup
 
 	// cfg holds the transfer knobs. They are plain fields, written
-	// before the first transfer or between steps: freshVM sets them
+	// before the first transfer or between steps: Trainer.newVM sets them
 	// before any worker starts, and EnableTrace's write is ordered before
 	// the next step's transfers by the go statements that start its
 	// tasks and by vmShard.mu, which hands every queued copy to a worker.
@@ -574,6 +574,23 @@ func (vm *VM) HostAlloc(t *tensor.Tensor) []float32 {
 		b.host = make([]float32, b.floats())
 	}
 	return b.host
+}
+
+// HostBind is HostAlloc with the caller's slice, which must hold
+// exactly t's floats, as the host backing instead of a fresh one: a
+// tensor born in host memory again and again, as each step's inputs
+// are, whose caller reuses the slice once Free has dropped the tensor.
+// Until then the VM may write the page back into it. Setup-time, like
+// HostAlloc.
+func (vm *VM) HostBind(t *tensor.Tensor, host []float32) {
+	vm.bufMu.Lock()
+	defer vm.bufMu.Unlock()
+	b, ok := vm.bufs[t.ID]
+	if !ok {
+		b = newBuffer(t)
+		vm.bufs[t.ID] = b
+	}
+	b.host = host
 }
 
 // ZeroAlloc materializes t as all zeros. Under dirty tracking that is a
