@@ -8,11 +8,11 @@
 //   - lockhold: blocking operations (channel send/recv, select without
 //     default, time.Sleep, WaitGroup.Wait, WaitIdle, waitSettle) at any
 //     point some path reaches with a mutex held.
-//   - claimdiscipline: writes to a buffer's DMA-state fields outside
+//   - claimdiscipline: writes to a buffer's claim-state fields outside
 //     the claim/commit/settle transition helpers, non-CAS transitions
 //     inside them, and a buffer published to the LRU on a path where
-//     its synchronous claim is still uncommitted (DESIGN.md §9's
-//     "every resident claim is committed").
+//     its claim is still uncommitted (DESIGN.md §9's "every resident
+//     claim is committed").
 //   - determinism: wall-clock reads (time.Now/Since/Until) and map
 //     iteration inside the deterministic core, plus taint flow of
 //     wall-clock values into the core through any call chain.

@@ -26,20 +26,22 @@ import (
 //     otherwise cleared by CompareAndSwap in settle.
 //
 //  3. "Every resident claim is waitable": on no path may lruPush
-//     publish a buffer to a shard's LRU list while a synchronous
-//     uncommitted claim (claim(b, st, false, false, need)) on it is
-//     still open — commit or settle comes first. This rule is the
-//     observer of the claim-lifecycle exploration claimlife reports
-//     leaks from (claimSpec). The eviction scan discovers buffers through
-//     that list; one carrying a sync uncommitted claim is exactly the
-//     state reserve must not wait on — the deadlock class moveP2P's
-//     reserve-before-claim ordering exists to prevent.
+//     publish a buffer to a shard's LRU list while an uncommitted
+//     claim (claim(b, false, need)) on it is still open — commit or
+//     settle comes first. This rule is the observer of the
+//     claim-lifecycle exploration claimlife reports leaks from
+//     (claimSpec). The eviction scan discovers buffers through that
+//     list; one carrying an uncommitted claim is exactly the state
+//     reserve must not wait on — the deadlock class moveP2P's
+//     reserve-before-claim ordering exists to prevent. The observer is
+//     intraprocedural, so the claim, the commit and the lruPush stay on
+//     one path of one function (the VM's landing).
 var ClaimDiscipline = &Analyzer{
 	Name: "claimdiscipline",
 	Doc: "report mutations of a DMA buffer's packed claim word or done " +
 		"pointer outside the state-machine helpers, non-CAS word transitions " +
 		"inside them, and buffers published to the LRU under an uncommitted " +
-		"synchronous claim",
+		"claim",
 	Run: runClaimDiscipline,
 }
 
@@ -149,11 +151,12 @@ func lintClaimWrites(info *types.Info, n ast.Node, helper bool, fs *[]finding) {
 }
 
 // observePublish is claimSpec's observer and implements rule 3: a
-// buffer handed to lruPush while the path's open claim on it is a
-// synchronous uncommitted one (claim(b, st, false, false, need)) is
-// published too early. Async claims are committed by the DMA worker and
-// committed-at-claim ones are waitable from their first visible word,
-// so neither counts.
+// buffer handed to lruPush while the path's open claim on it is an
+// uncommitted one (claim(b, false, need)) is published too early.
+// Committed-at-claim ones are waitable from their first visible word,
+// so they do not count; every other claim must commit first — the
+// prefetch's included, which the landing commits under the shard lock
+// before it links the page.
 func observePublish(e *lifeEngine, n ast.Node, st *lifeState) {
 	isFalse := func(x ast.Expr) bool {
 		id, ok := x.(*ast.Ident)
@@ -171,9 +174,9 @@ func observePublish(e *lifeEngine, n ast.Node, st *lifeState) {
 			return true
 		}
 		o := st.held(exprString(call.Args[1]))
-		if o != nil && len(o.call.Args) == 5 && isFalse(o.call.Args[2]) && isFalse(o.call.Args[3]) {
+		if o != nil && len(o.call.Args) == 3 && isFalse(o.call.Args[1]) {
 			e.observef(call.Pos(),
-				"buffer published to the LRU under an uncommitted synchronous claim; commit or settle before lruPush (every resident claim must complete autonomously)")
+				"buffer published to the LRU under an uncommitted claim; commit or settle before lruPush (every resident claim must complete on its own)")
 		}
 		return true
 	})

@@ -10,5 +10,5 @@ func TestClaimDiscipline(t *testing.T) {
 	// caught.
 	mustDiag(t, diags, "claimdiscipline", `mutation of buffer\.word outside the claim state-machine helpers`)
 	mustDiag(t, diags, "claimdiscipline", `non-CAS mutation of buffer\.word \(Store\) inside a transition helper`)
-	mustDiag(t, diags, "claimdiscipline", `published to the LRU under an uncommitted synchronous claim`)
+	mustDiag(t, diags, "claimdiscipline", `published to the LRU under an uncommitted claim`)
 }

@@ -118,7 +118,7 @@ import (
 // seededFlush claims b for a write-back, then bails on a budget check
 // before either commit or settle: b is stuck claimed.
 func (vm *VM) seededFlush(b *buffer, budget int) error {
-	if !vm.claim(b, claimword.SwapOut, false, true, claimword.NeedUnpinned) {
+	if !vm.claim(b, true, claimword.NeedUnpinned) {
 		return nil
 	}
 	if budget <= 0 {
@@ -210,7 +210,7 @@ func (vm *VM) seededBalance(dev int, bytes int64) {
 	{
 		name: "ClaimDisciplineSeededPublishBeforeCommit",
 		pass: ClaimDiscipline,
-		want: `published to the LRU under an uncommitted synchronous claim`,
+		want: `published to the LRU under an uncommitted claim`,
 		edits: []edit{{file: "internal/exec/seeded.go", new: `package exec
 
 import "harmony/internal/claimword"
@@ -218,11 +218,11 @@ import "harmony/internal/claimword"
 // seededInstall publishes b to the shard's LRU before committing it.
 // Requires sh.mu held.
 func (vm *VM) seededInstall(sh *vmShard, b *buffer) {
-	if !vm.claim(b, claimword.SwapIn, false, false, claimword.NeedUnpinned) {
+	if !vm.claim(b, false, claimword.NeedEmpty) {
 		return
 	}
 	vm.lruPush(sh, b)
-	vm.commit(b)
+	vm.commit(b, false)
 }
 `}},
 	},
@@ -248,16 +248,20 @@ func (vm *VM) seededInstall(sh *vmShard, b *buffer) {
 		name: "live/errpath/swapIn-keeps-the-shard-lock-when-reserve-fails",
 		pass: Errpath,
 		want: `lock on sh\.mu taken at vm\.go:\d+ is still held on an error path ending at the return at vm\.go:\d+`,
-		edits: []edit{{file: "internal/exec/vm.go", old: `	if err := vm.reserve(sh, b.t.Bytes); err != nil {
-		sh.mu.Unlock()
-		vm.settle(b, false, 0)
+		edits: []edit{{file: "internal/exec/vm.go", old: `	dst, err := vm.land(sh, b, landDemand)
+	sh.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
-	dst := vm.take(sh, b.floats(), false)`, new: `	if err := vm.reserve(sh, b.t.Bytes); err != nil {
-		vm.settle(b, false, 0)
+`, new: `	dst, err := vm.land(sh, b, landDemand)
+	if err != nil && err != errRetry {
 		return nil, err
 	}
-	dst := vm.take(sh, b.floats(), false)`}},
+	sh.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+`}},
 	},
 	{
 		name: "live/lockorder-nesting/moveP2P-holds-the-source-shard-over-the-destination",
@@ -362,32 +366,19 @@ func (vm *VM) seededInstall(sh *vmShard, b *buffer) {
 `}},
 	},
 	{
-		// Free retires a dying buffer's word itself instead of claiming
-		// and settling it.
+		// Free retires an idle host-only buffer's word itself instead
+		// of seizing it.
 		name: "live/claimdiscipline-1/Free-retires-the-word-by-hand",
 		pass: ClaimDiscipline,
 		want: `mutation of buffer\.word outside the claim state-machine helpers`,
-		edits: []edit{{file: "internal/exec/vm.go", old: `		if !vm.claim(b, claimword.SwapOut, false, true, claimword.NeedUnpinned) {
-			continue
-		}
-		if b.load().Resident() {
-			vm.dropResidency(b)
-		}
-		vm.bufMu.Lock()
-		delete(vm.bufs, t.ID)
-		vm.bufMu.Unlock()
-		vm.settle(b, false, 0)
-		return nil
-`, new: `		if !b.word.CompareAndSwap(uint64(w), 0) { // unpinned and idle: retire it at once
-			continue
-		}
-		if w.Resident() {
-			vm.dropResidency(b)
-		}
+		edits: []edit{{file: "internal/exec/vm.go", old: `func (vm *VM) Free(t *tensor.Tensor) error {
+`, new: `func (vm *VM) Free(t *tensor.Tensor) error {
+	if b, ok := vm.lookup(t.ID); ok && b.word.CompareAndSwap(0, 0) { // idle, unpinned, host-only: retire it at once
 		vm.bufMu.Lock()
 		delete(vm.bufs, t.ID)
 		vm.bufMu.Unlock()
 		return nil
+	}
 `}},
 	},
 	{
@@ -410,15 +401,21 @@ func (vm *VM) seededInstall(sh *vmShard, b *buffer) {
 `}},
 	},
 	{
-		name: "live/claimdiscipline-3/swapIn-publishes-before-commit",
+		name: "live/claimdiscipline-3/land-publishes-before-commit",
 		pass: ClaimDiscipline,
-		want: `published to the LRU under an uncommitted synchronous claim`,
-		edits: []edit{{file: "internal/exec/vm.go", old: `	vm.commit(b) // reserve done: only the fill remains
+		want: `published to the LRU under an uncommitted claim`,
+		edits: []edit{{file: "internal/exec/vm.go", old: `	vm.commit(b, how == landPrefetch)
 	sh.used += b.t.Bytes
+	if how == landPrefetch {
+		sh.pfBytes += b.t.Bytes
+	}
 	vm.lruPush(sh, b)
 `, new: `	sh.used += b.t.Bytes
+	if how == landPrefetch {
+		sh.pfBytes += b.t.Bytes
+	}
 	vm.lruPush(sh, b)
-	vm.commit(b) // reserve done: only the fill remains
+	vm.commit(b, how == landPrefetch)
 `}},
 	},
 	{
@@ -437,14 +434,14 @@ func (vm *VM) seededInstall(sh *vmShard, b *buffer) {
 		want: `map iteration in the deterministic core`,
 		edits: []edit{{file: "internal/exec/vm.go", old: `	for b := sh.lru.head; b != nil; b = b.next {
 		switch w := b.load(); {
-		case w.State() != claimword.Idle:`, new: `	vm.bufMu.RLock()
+		case w.Claimed():`, new: `	vm.bufMu.RLock()
 	defer vm.bufMu.RUnlock()
 	for _, b := range vm.bufs {
-		if w := b.load(); int(b.devID.Load()) != sh.dev || !w.Resident() && w.State() == claimword.Idle {
+		if w := b.load(); int(b.devID.Load()) != sh.dev || !w.Resident() && !w.Claimed() {
 			continue // not on sh's list
 		}
 		switch w := b.load(); {
-		case w.State() != claimword.Idle:`}},
+		case w.Claimed():`}},
 	},
 	{
 		name: "live/determinism-map/volume-skew-appends-leftover-updates-in-map-order",

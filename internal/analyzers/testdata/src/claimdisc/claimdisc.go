@@ -1,9 +1,9 @@
 // Package claimdisc is the fixture for the claimdiscipline analyzer:
 // the DMA buffer's packed claim word and done pointer may only be
 // mutated through the state-machine helpers, helpers may only advance
-// the word by CompareAndSwap, and a buffer under a synchronous
-// uncommitted claim must be committed or settled before lruPush
-// publishes it to a shard's LRU.
+// the word by CompareAndSwap, and a buffer under an uncommitted claim
+// must be committed or settled before lruPush publishes it to a shard's
+// LRU.
 package claimdisc
 
 import (
@@ -35,15 +35,15 @@ type vm struct {
 
 // claim wins the word by CAS and then owns the done slot; both writes
 // are the point of the helper.
-func (v *vm) claim(b *buffer, st uint64, async, committed bool, need int) bool {
+func (v *vm) claim(b *buffer, committed bool, need int) bool {
 	for {
 		w := b.word.Load()
-		if w&3 != 0 {
+		if w&1 != 0 {
 			return false
 		}
-		n := w | st
+		n := w | 1
 		if committed {
-			n |= 8
+			n |= 2
 		}
 		if b.word.CompareAndSwap(w, n) {
 			ch := make(chan struct{})
@@ -54,10 +54,10 @@ func (v *vm) claim(b *buffer, st uint64, async, committed bool, need int) bool {
 }
 
 // commit publishes residency with a CAS loop.
-func (v *vm) commit(b *buffer) {
+func (v *vm) commit(b *buffer, prefetched bool) {
 	for {
 		w := b.word.Load()
-		if b.word.CompareAndSwap(w, w|8|16) {
+		if b.word.CompareAndSwap(w, w|2|4) {
 			return
 		}
 	}
@@ -97,10 +97,10 @@ func (v *vm) unpin(b *buffer) bool {
 func (v *vm) consumePrefetch(b *buffer) bool {
 	for {
 		w := b.word.Load()
-		if w&32 == 0 {
+		if w&8 == 0 {
 			return false
 		}
-		if b.word.CompareAndSwap(w, w&^uint64(32)) {
+		if b.word.CompareAndSwap(w, w&^uint64(8)) {
 			return true
 		}
 	}
@@ -112,8 +112,8 @@ func (v *vm) consumePrefetch(b *buffer) bool {
 // by another device's Ensure.
 type vm2 struct{}
 
-func (v *vm2) commit(b *buffer) {
-	b.word.Store(b.word.Load() | 8) // want "non-CAS mutation of buffer.word \\(Store\\) inside a transition helper"
+func (v *vm2) commit(b *buffer, prefetched bool) {
+	b.word.Store(b.word.Load() | 2) // want "non-CAS mutation of buffer.word \\(Store\\) inside a transition helper"
 }
 
 func (v *vm2) settle(b *buffer, resident bool, pinDelta int) {
@@ -161,52 +161,54 @@ func (v *vm) lruPush(sh *shard, b *buffer) {
 	sh.lru = b
 }
 
-// swapInGood is the canonical correct shape: synchronous claim,
-// install payload, commit, then publish.
-func (v *vm) swapInGood(sh *shard, b *buffer) {
-	if !v.claim(b, 1, false, false, 0) {
+// landGood is the canonical correct shape: uncommitted claim, install
+// payload, commit, then publish.
+func (v *vm) landGood(sh *shard, b *buffer) {
+	if !v.claim(b, false, 1) {
 		return
 	}
 	b.dev = &page{}
-	v.commit(b)
+	v.commit(b, false)
 	v.lruPush(sh, b)
 }
 
 // swapInSettled resolves the claim with settle before a later push;
 // equally fine.
 func (v *vm) swapInSettled(sh *shard, b *buffer) {
-	if !v.claim(b, 1, false, false, 0) {
+	if !v.claim(b, false, 1) {
 		return
 	}
 	v.settle(b, true, 0)
 	v.lruPush(sh, b)
 }
 
-// swapInLeaky publishes with the sync claim still uncommitted —
-// another device's reserve can now find a resident buffer whose claim
-// it must not wait on.
+// swapInLeaky publishes with the claim still uncommitted — another
+// device's reserve can now find a resident buffer whose claim it must
+// not wait on.
 func (v *vm) swapInLeaky(sh *shard, b *buffer) {
-	if !v.claim(b, 1, false, false, 0) {
+	if !v.claim(b, false, 1) {
 		return
 	}
 	b.dev = &page{}
-	v.lruPush(sh, b) // want "buffer published to the LRU under an uncommitted synchronous claim"
-	v.commit(b)
+	v.lruPush(sh, b) // want "buffer published to the LRU under an uncommitted claim"
+	v.commit(b, false)
 }
 
-// asyncClaim is exempt from rule 3: async claims are committed by the
-// DMA worker's completion path and are waitable from the start.
-func (v *vm) asyncClaim(sh *shard, b *buffer) {
-	if !v.claim(b, 1, true, false, 0) {
+// prefetchLeaky is the same mistake on a prefetch: no claim kind is
+// exempt, so the prefetch's claim must commit before its page is
+// linked too.
+func (v *vm) prefetchLeaky(sh *shard, b *buffer) {
+	if !v.claim(b, false, 1) {
 		return
 	}
-	v.lruPush(sh, b)
+	v.lruPush(sh, b) // want "buffer published to the LRU under an uncommitted claim"
+	v.commit(b, true)
 }
 
-// committedAtClaim is exempt too: the claim CAS itself set committed,
-// so no observer ever sees an unwaitable resident claim.
+// committedAtClaim is exempt: the claim CAS itself set committed, so
+// no observer ever sees an unwaitable resident claim.
 func (v *vm) committedAtClaim(sh *shard, b *buffer) {
-	if !v.claim(b, 2, false, true, 0) {
+	if !v.claim(b, true, 0) {
 		return
 	}
 	v.lruPush(sh, b)

@@ -1,11 +1,11 @@
 // Package claimword defines the packed atomic claim word that drives
-// the exec VM's per-buffer DMA state machine. One uint64 carries the
-// DMA state, the residency/async/committed/prefetched flags and the
-// pin count, so every transition on the hot path — pin, unpin, claim,
-// commit, settle — is a single compare-and-swap instead of a critical
-// section under a global lock. Demand Ensure, prefetch EnsureAsync,
-// eviction and DMA completion on different devices therefore never
-// contend on buffer metadata.
+// the exec VM's per-buffer claim protocol. One uint64 carries the
+// claimed/committed/resident/prefetched flags and the pin count, so
+// every transition on the hot path — pin, unpin, claim, commit, settle
+// — is a single compare-and-swap instead of a critical section under a
+// global lock. Demand Ensure, prefetch EnsureAsync, eviction and DMA
+// completion on different devices therefore never contend on buffer
+// metadata.
 //
 // The package holds only *pure* transition functions: each takes an
 // observed word and returns the successor word plus an ok bit. The
@@ -16,19 +16,18 @@
 //
 // Word layout (low to high):
 //
-//	bits 0-1  DMA state: 0 idle, 1 swap-in, 2 swap-out
-//	bit  2    async      — claim completes autonomously on a DMA worker
-//	bit  3    committed  — sync claim past its reserve: pure transfer left
-//	bit  4    resident   — a device copy exists (dev/devID are valid)
-//	bit  5    prefetched — residency established by EnsureAsync, unconsumed
+//	bit  0    claimed    — one holder owns the buffer's device copy and host backing
+//	bit  1    committed  — the claim holds everything it needs: pure transfer left
+//	bit  2    resident   — a device copy exists (dev/devID are valid)
+//	bit  3    prefetched — residency established by EnsureAsync, unconsumed
 //	bits 8-27 pin count
 //
 // Invariant (DESIGN.md §9): a resident buffer is never claimed without
-// async or committed set — every claim eviction can observe completes
-// autonomously, so waiting on it cannot deadlock. It is a precondition
-// of Claim, Commit always sets committed, and only Settle clears a
-// claim, so no sequence of transitions reaches a word that breaks it.
-// Nor is a claimed buffer ever pinned: Claim requires zero pins and Pin
+// committed set — every claim eviction can observe completes on its
+// own, so waiting on it cannot deadlock. It is a precondition of Claim,
+// Commit always sets committed, and only Settle clears a claim, so no
+// sequence of transitions reaches a word that breaks it. Nor is a
+// claimed buffer ever pinned: Claim requires zero pins and Pin
 // requires idleness, so a claim holder owns the buffer outright. The
 // package's tests prove both by breadth-first search over every word
 // reachable from the zero Word (TestEveryReachableWordIsWaitable),
@@ -42,44 +41,21 @@ import "fmt"
 // non-resident, unpinned — a freshly created buffer.
 type Word uint64
 
-// State is the DMA leg of the state machine.
-type State uint64
-
 const (
-	// Idle: no DMA in flight; the buffer may be pinned, claimed or
-	// evicted.
-	Idle State = 0
-	// SwapIn: a host→device or device→device copy is filling the
-	// device buffer; its contents are undefined until settle.
-	SwapIn State = 1
-	// SwapOut: a device→host write-back is draining the device copy;
-	// it stays valid but immutable (no pins) until settle.
-	SwapOut State = 2
-)
-
-const (
-	stateMask Word = 0x3
-
-	flagAsync      Word = 1 << 2
-	flagCommitted  Word = 1 << 3
-	flagResident   Word = 1 << 4
-	flagPrefetched Word = 1 << 5
+	flagClaimed    Word = 1 << 0
+	flagCommitted  Word = 1 << 1
+	flagResident   Word = 1 << 2
+	flagPrefetched Word = 1 << 3
 
 	pinShift      = 8
 	pinLimit Word = 1 << 20
 	pinMask  Word = (pinLimit - 1) << pinShift
 )
 
-// State extracts the DMA state.
-func (w Word) State() State { return State(w & stateMask) }
+// Claimed reports whether a claim is open on the buffer.
+func (w Word) Claimed() bool { return w&flagClaimed != 0 }
 
-// Claimed reports whether a DMA is in flight (state != Idle).
-func (w Word) Claimed() bool { return w.State() != Idle }
-
-// Async reports a claim owned by an autonomously-completing worker.
-func (w Word) Async() bool { return w&flagAsync != 0 }
-
-// Committed reports a sync claim past its reserve.
+// Committed reports a claim past its reserve.
 func (w Word) Committed() bool { return w&flagCommitted != 0 }
 
 // Resident reports that a device copy exists.
@@ -88,10 +64,10 @@ func (w Word) Resident() bool { return w&flagResident != 0 }
 // Prefetched reports unconsumed prefetched residency.
 func (w Word) Prefetched() bool { return w&flagPrefetched != 0 }
 
-// Waitable reports a claim that completes autonomously — the only
-// kind eviction may block on (an uncommitted sync claim may itself be
-// waiting to reserve, so waiting on it could deadlock).
-func (w Word) Waitable() bool { return w.Claimed() && (w.Async() || w.Committed()) }
+// Waitable reports a claim that completes on its own — the only kind
+// eviction may block on (an uncommitted claim may itself be waiting to
+// reserve, so waiting on it could deadlock).
+func (w Word) Waitable() bool { return w.Claimed() && w.Committed() }
 
 // Pins returns the pin count.
 func (w Word) Pins() int { return int((w & pinMask) >> pinShift) }
@@ -102,21 +78,13 @@ func (w Word) withPins(n int) Word {
 
 // String renders a word for diagnostics.
 func (w Word) String() string {
-	st := [3]string{"idle", "swap-in", "swap-out"}[w.State()]
-	flags := ""
-	if w.Async() {
-		flags += "A"
+	s := fmt.Sprintf("{pins=%d", w.Pins())
+	for i, flag := range [...]string{"claimed", "committed", "resident", "prefetched"} {
+		if w&(1<<i) != 0 {
+			s += " " + flag
+		}
 	}
-	if w.Committed() {
-		flags += "C"
-	}
-	if w.Resident() {
-		flags += "R"
-	}
-	if w.Prefetched() {
-		flags += "P"
-	}
-	return fmt.Sprintf("{%s %s pins=%d}", st, flags, w.Pins())
+	return s + "}"
 }
 
 // Need is a claim precondition: what the claimant requires of the
@@ -134,30 +102,22 @@ const (
 	NeedEmpty
 )
 
-// Claim transitions w into the claimed state st. async marks claims
-// serviced by a DMA worker; committed marks sync claims that already
-// hold every resource they need (write-backs, p2p with the
-// destination reserved). A claim on a resident buffer must be one or
-// the other, so eviction may wait on every claim it can see: a sync,
-// uncommitted claim is refused there (swap-in and Alloc claim with
-// NeedEmpty, which excludes residency anyway). Returns ok=false when
-// the precondition fails (already claimed, pinned, resident against
-// need, or unwaitable on a resident buffer); callers re-observe and
-// retry or bail.
-func Claim(w Word, st State, async, committed bool, need Need) (Word, bool) {
-	if st != SwapIn && st != SwapOut {
-		return w, false
-	}
-	if w.State() != Idle || w.Pins() > 0 || w.Resident() && !async && !committed {
+// Claim opens a claim on w. committed marks claims that already hold
+// every resource they need (write-backs, p2p with the destination
+// reserved, reads); a claim on a resident buffer must be one, so
+// eviction may wait on every claim it can see (swap-in, Alloc and
+// prefetch claim uncommitted with NeedEmpty, which excludes residency
+// anyway). Returns ok=false when the precondition fails (already
+// claimed, pinned, resident against need, or uncommitted on a resident
+// buffer); callers re-observe and retry or bail.
+func Claim(w Word, committed bool, need Need) (Word, bool) {
+	if w.Claimed() || w.Pins() > 0 || w.Resident() && !committed {
 		return w, false
 	}
 	if need == NeedEmpty && (w.Resident() || w.Prefetched()) {
 		return w, false
 	}
-	n := (w &^ (stateMask | flagAsync | flagCommitted)) | Word(st)
-	if async {
-		n |= flagAsync
-	}
+	n := w&^flagCommitted | flagClaimed
 	if committed {
 		n |= flagCommitted
 	}
@@ -166,28 +126,27 @@ func Claim(w Word, st State, async, committed bool, need Need) (Word, bool) {
 
 // Commit publishes residency for a claimed swap-in (demand, Alloc or
 // prefetch) whose reserve completed: only the pure transfer remains,
-// so the claim now completes autonomously and eviction may wait on
-// it. Sync claims gain committed; async (prefetch) claims additionally
-// gain the prefetched mark. Residency and the waitable mark are set
-// in the same word, upholding resident-implies-waitable atomically.
-// Returns ok=false if w is not claimed.
-func Commit(w Word) (Word, bool) {
+// so eviction may wait on the claim from now on. Residency and the
+// committed mark are set in the same word, upholding
+// resident-implies-waitable atomically; prefetched additionally marks
+// the residency as a prefetch's. Returns ok=false if w is not claimed.
+func Commit(w Word, prefetched bool) (Word, bool) {
 	if !w.Claimed() {
 		return w, false
 	}
 	n := w | flagResident | flagCommitted
-	if w.Async() {
+	if prefetched {
 		n |= flagPrefetched
 	}
 	return n, true
 }
 
-// Settle completes w's claim: state returns to Idle, async/committed
-// clear, residency is set to the outcome, and pinDelta (0 or +1, for
-// paths that hand the buffer to their caller pinned) adjusts the pin
-// count. Losing residency also clears the prefetched mark — the
-// caller returns those bytes to the prefetch budget. Returns ok=false
-// if w is not claimed or the pin adjustment underflows.
+// Settle completes w's claim: claimed and committed clear, residency is
+// set to the outcome, and pinDelta (0 or +1, for paths that hand the
+// buffer to their caller pinned) adjusts the pin count. Losing
+// residency also clears the prefetched mark — the caller returns those
+// bytes to the prefetch budget. Returns ok=false if w is not claimed or
+// the pin adjustment underflows.
 func Settle(w Word, resident bool, pinDelta int) (Word, bool) {
 	if !w.Claimed() {
 		return w, false
@@ -196,7 +155,7 @@ func Settle(w Word, resident bool, pinDelta int) (Word, bool) {
 	if pins < 0 || Word(pins) >= pinLimit {
 		return w, false
 	}
-	n := w &^ (stateMask | flagAsync | flagCommitted)
+	n := w &^ (flagClaimed | flagCommitted)
 	if resident {
 		n |= flagResident
 	} else {
@@ -211,7 +170,7 @@ func Settle(w Word, resident bool, pinDelta int) (Word, bool) {
 // claimed or not resident; callers re-observe (the claim may be their
 // own prefetch about to land).
 func Pin(w Word) (Word, bool) {
-	if w.State() != Idle || !w.Resident() {
+	if w.Claimed() || !w.Resident() {
 		return w, false
 	}
 	if Word(w.Pins()+1) >= pinLimit {

@@ -22,22 +22,22 @@ func refuse(t *testing.T, w Word, ok bool, what string) {
 // word.
 func TestDemandSwapInLifecycle(t *testing.T) {
 	var w Word
-	if w.State() != Idle || w.Resident() || w.Pins() != 0 {
+	if w.Claimed() || w.Resident() || w.Pins() != 0 {
 		t.Fatalf("zero word not empty-idle: %v", w)
 	}
-	w2, ok := Claim(w, SwapIn, false, false, NeedEmpty)
+	w2, ok := Claim(w, false, NeedEmpty)
 	w = must(t, w2, ok, "claim")
-	if w.State() != SwapIn || w.Async() || w.Committed() || w.Resident() {
+	if !w.Claimed() || w.Committed() || w.Resident() || w.Waitable() {
 		t.Fatalf("after claim: %v", w)
 	}
-	w2, ok = Commit(w)
+	w2, ok = Commit(w, false)
 	w = must(t, w2, ok, "commit")
-	if !w.Resident() || !w.Committed() || !w.Waitable() {
+	if !w.Resident() || !w.Committed() || !w.Waitable() || w.Prefetched() {
 		t.Fatalf("after commit: %v", w)
 	}
 	w2, ok = Settle(w, true, +1)
 	w = must(t, w2, ok, "settle")
-	if w.State() != Idle || !w.Resident() || w.Committed() || w.Pins() != 1 {
+	if w.Claimed() || !w.Resident() || w.Committed() || w.Pins() != 1 {
 		t.Fatalf("after settle: %v", w)
 	}
 	w2, ok = Unpin(w)
@@ -47,24 +47,21 @@ func TestDemandSwapInLifecycle(t *testing.T) {
 	}
 }
 
-// TestPrefetchLifecycle checks the async path: claim(async) → commit
-// sets resident+prefetched, settle keeps the mark, a demand hit
-// consumes it exactly once.
+// TestPrefetchLifecycle checks the prefetch path: claim → commit
+// (prefetched) sets resident+prefetched, settle keeps the mark, a
+// demand hit consumes it exactly once.
 func TestPrefetchLifecycle(t *testing.T) {
 	var w Word
-	w2, ok := Claim(w, SwapIn, true, false, NeedEmpty)
+	w2, ok := Claim(w, false, NeedEmpty)
 	w = must(t, w2, ok, "claim")
-	if !w.Async() || !w.Waitable() {
-		t.Fatalf("async claim not waitable: %v", w)
-	}
-	w2, ok = Commit(w)
+	w2, ok = Commit(w, true)
 	w = must(t, w2, ok, "commit")
-	if !w.Prefetched() || !w.Resident() {
-		t.Fatalf("async commit lost marks: %v", w)
+	if !w.Prefetched() || !w.Resident() || !w.Waitable() {
+		t.Fatalf("prefetch commit lost marks: %v", w)
 	}
 	w2, ok = Settle(w, true, 0)
 	w = must(t, w2, ok, "settle")
-	if !w.Prefetched() || w.Async() {
+	if !w.Prefetched() || w.Claimed() {
 		t.Fatalf("settle mishandled prefetch mark: %v", w)
 	}
 	w2, ok = Pin(w)
@@ -84,23 +81,20 @@ func TestClaimPreconditions(t *testing.T) {
 	var w Word
 	resident := settleResident(t)
 
-	if _, ok := Claim(resident, SwapIn, false, false, NeedEmpty); ok {
+	if _, ok := Claim(resident, true, NeedEmpty); ok {
 		t.Fatal("NeedEmpty claimed a resident buffer")
 	}
 	pinned, ok := Pin(resident)
 	pinned = must(t, pinned, ok, "pin")
 	for _, need := range []Need{NeedUnpinned, NeedEmpty} {
-		if _, ok := Claim(pinned, SwapOut, false, true, need); ok {
+		if _, ok := Claim(pinned, true, need); ok {
 			t.Fatalf("need %d claimed a pinned buffer", need)
 		}
 	}
-	claimed, ok := Claim(w, SwapIn, false, false, NeedEmpty)
+	claimed, ok := Claim(w, false, NeedEmpty)
 	claimed = must(t, claimed, ok, "claim")
-	if _, ok := Claim(claimed, SwapOut, false, true, NeedUnpinned); ok {
+	if _, ok := Claim(claimed, true, NeedUnpinned); ok {
 		t.Fatal("double claim allowed")
-	}
-	if _, ok := Claim(w, State(3), false, false, NeedUnpinned); ok {
-		t.Fatal("claim accepted a bogus state")
 	}
 }
 
@@ -110,8 +104,8 @@ func TestPinRules(t *testing.T) {
 	if _, ok := Pin(w); ok {
 		t.Fatal("pinned a non-resident buffer")
 	}
-	claimed, _ := Claim(w, SwapIn, false, false, NeedEmpty)
-	committed, _ := Commit(claimed)
+	claimed, _ := Claim(w, false, NeedEmpty)
+	committed, _ := Commit(claimed, false)
 	if _, ok := Pin(committed); ok {
 		t.Fatal("pinned a claimed buffer")
 	}
@@ -130,7 +124,7 @@ func TestPinRules(t *testing.T) {
 // and are waitable from their very first visible word.
 func TestCommittedAtClaim(t *testing.T) {
 	resident := settleResident(t)
-	w, ok := Claim(resident, SwapOut, false, true, NeedUnpinned)
+	w, ok := Claim(resident, true, NeedUnpinned)
 	w = must(t, w, ok, "claim")
 	if !w.Waitable() {
 		t.Fatalf("committed claim not waitable: %v", w)
@@ -142,27 +136,23 @@ func TestCommittedAtClaim(t *testing.T) {
 	}
 }
 
-// TestClaimRefusesUnwaitableResident: a sync, uncommitted claim on a
+// TestClaimRefusesUnwaitableResident: an uncommitted claim on a
 // resident buffer is the one word eviction could find and not wait on,
-// so Claim refuses it for either target; async or committed, the same
-// claim is granted. Pinned, the buffer refuses every claim.
+// so Claim refuses it; committed, the same claim is granted. Pinned,
+// the buffer refuses every claim.
 func TestClaimRefusesUnwaitableResident(t *testing.T) {
 	resident := settleResident(t)
 	pinned, ok := Pin(resident)
 	pinned = must(t, pinned, ok, "pin")
-	for _, st := range []State{SwapIn, SwapOut} {
-		if n, ok := Claim(resident, st, false, false, NeedUnpinned); ok {
-			t.Errorf("sync uncommitted claim to state %d on %v granted: %v", st, resident, n)
-		}
-		for _, async := range []bool{false, true} {
-			if _, ok := Claim(resident, st, async, !async, NeedUnpinned); !ok {
-				t.Errorf("claim to state %d on %v refused with async=%v committed=%v", st, resident, async, !async)
-			}
-			for _, committed := range []bool{false, true} {
-				if n, ok := Claim(pinned, st, async, committed, NeedUnpinned); ok {
-					t.Errorf("claim to state %d on %v granted with async=%v committed=%v: %v", st, pinned, async, committed, n)
-				}
-			}
+	if n, ok := Claim(resident, false, NeedUnpinned); ok {
+		t.Errorf("uncommitted claim on %v granted: %v", resident, n)
+	}
+	if _, ok := Claim(resident, true, NeedUnpinned); !ok {
+		t.Errorf("committed claim on %v refused", resident)
+	}
+	for _, committed := range []bool{false, true} {
+		if n, ok := Claim(pinned, committed, NeedUnpinned); ok {
+			t.Errorf("claim on %v granted with committed=%v: %v", pinned, committed, n)
 		}
 	}
 }
@@ -172,7 +162,7 @@ func TestSettleGuards(t *testing.T) {
 	if _, ok := Settle(0, false, 0); ok {
 		t.Fatal("settled an unclaimed word")
 	}
-	claimed, _ := Claim(0, SwapIn, false, false, NeedEmpty)
+	claimed, _ := Claim(0, false, NeedEmpty)
 	if _, ok := Settle(claimed, false, -1); ok {
 		t.Fatal("settle pin underflow allowed")
 	}
@@ -182,11 +172,11 @@ func TestSettleGuards(t *testing.T) {
 // transitions only.
 func settleResident(t *testing.T) Word {
 	t.Helper()
-	w, ok := Claim(0, SwapIn, false, false, NeedEmpty)
+	w, ok := Claim(0, false, NeedEmpty)
 	if !ok {
 		t.Fatal("setup claim refused")
 	}
-	w, ok = Commit(w)
+	w, ok = Commit(w, false)
 	if !ok {
 		t.Fatal("setup commit refused")
 	}

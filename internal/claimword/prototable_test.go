@@ -45,11 +45,10 @@ type protoOp struct {
 // Spec constants: claimword's word layout, restated. These mirror —
 // and must not be imported from — internal/claimword.
 const (
-	specStateMask  uint64 = 0x3
-	specAsync      uint64 = 1 << 2
-	specCommitted  uint64 = 1 << 3
-	specResident   uint64 = 1 << 4
-	specPrefetched uint64 = 1 << 5
+	specClaimed    uint64 = 1 << 0
+	specCommitted  uint64 = 1 << 1
+	specResident   uint64 = 1 << 2
+	specPrefetched uint64 = 1 << 3
 	specPinShift          = 8
 	specPinLimit   int64  = 1 << 20
 )
@@ -62,48 +61,35 @@ func specWithPins(w uint64, n int64) uint64 {
 }
 
 // protoDomain enumerates the bounded word domain the table covers:
-// every DMA state (idle, swap-in, swap-out), every combination of the
-// four flags, pin counts 0–2. 144 words. Below the pin limit every
-// guard reads the pin count only as zero or not, so counts above 2
-// behave as 2 does.
+// every combination of the four flags, pin counts 0–2. 48 words. Below
+// the pin limit every guard reads the pin count only as zero or not,
+// so counts above 2 behave as 2 does.
 func protoDomain() []uint64 {
 	var words []uint64
-	for st := uint64(0); st <= 2; st++ {
-		for flags := uint64(0); flags < 16; flags++ {
-			for pins := uint64(0); pins <= 2; pins++ {
-				words = append(words, st|flags<<2|pins<<specPinShift)
-			}
+	for flags := uint64(0); flags < 16; flags++ {
+		for pins := uint64(0); pins <= 2; pins++ {
+			words = append(words, flags|pins<<specPinShift)
 		}
 	}
 	return words
 }
 
 // protoOps lists the six transitions and the argument tuples explored
-// for each: Claim takes (st, async, committed, need), Settle
-// (resident, pinDelta), the rest nothing. Claim includes the invalid
-// target states 0 and 3 so the table pins their rejection, and every
-// need level; Settle covers both outcomes and both pin deltas.
+// for each: Claim takes (committed, need), Commit (prefetched), Settle
+// (resident, pinDelta), the rest nothing. Claim covers every need
+// level; Settle both outcomes and both pin deltas.
 func protoOps() []protoOp {
-	var claims [][]int64
-	for st := int64(0); st <= 3; st++ {
-		for async := int64(0); async <= 1; async++ {
-			for committed := int64(0); committed <= 1; committed++ {
-				for need := int64(0); need <= 1; need++ {
-					claims = append(claims, []int64{st, async, committed, need})
-				}
-			}
-		}
-	}
-	var settles [][]int64
-	for resident := int64(0); resident <= 1; resident++ {
-		for delta := int64(0); delta <= 1; delta++ {
-			settles = append(settles, []int64{resident, delta})
+	var claims, settles [][]int64
+	for a := int64(0); a <= 1; a++ {
+		for b := int64(0); b <= 1; b++ {
+			claims = append(claims, []int64{a, b})
+			settles = append(settles, []int64{a, b})
 		}
 	}
 	none := [][]int64{nil}
 	return []protoOp{
 		{name: "Claim", argTuples: claims},
-		{name: "Commit", argTuples: none},
+		{name: "Commit", argTuples: [][]int64{{0}, {1}}},
 		{name: "Settle", argTuples: settles},
 		{name: "Pin", argTuples: none},
 		{name: "Unpin", argTuples: none},
@@ -131,9 +117,9 @@ func protoTable() []protoEntry {
 func specApply(op string, w uint64, args []int64) (uint64, bool) {
 	switch op {
 	case "Claim":
-		return specClaim(w, args[0], args[1] == 1, args[2] == 1, args[3])
+		return specClaim(w, args[0] == 1, args[1])
 	case "Commit":
-		return specCommit(w)
+		return specCommit(w, args[0] == 1)
 	case "Settle":
 		return specSettle(w, args[0] == 1, args[1])
 	case "Pin":
@@ -148,62 +134,53 @@ func specApply(op string, w uint64, args []int64) (uint64, bool) {
 
 // --- the declared machine (DESIGN.md §9/§12, restated) ---
 
-// specClaim: only swap-in (1) and swap-out (2) are claimable targets,
-// only from idle, and a resident word only by an async or committed
-// claimant, and only an unpinned word; need=1 additionally requires
-// non-resident and non-prefetched. The claim sets the state and
-// replaces the async/committed flags with the claimant's.
-func specClaim(w uint64, st int64, async, committed bool, need int64) (uint64, bool) {
-	if st != 1 && st != 2 {
+// specClaim: only an idle, unpinned word is claimable, and a resident
+// one only by a committed claimant; need=1 additionally requires
+// non-resident and non-prefetched. The claim sets claimed and replaces
+// the committed flag with the claimant's.
+func specClaim(w uint64, committed bool, need int64) (uint64, bool) {
+	if w&specClaimed != 0 || specPins(w) > 0 {
 		return w, false
 	}
-	if w&specStateMask != 0 {
-		return w, false
-	}
-	if w&specResident != 0 && !async && !committed || specPins(w) > 0 {
+	if w&specResident != 0 && !committed {
 		return w, false
 	}
 	if need == 1 && w&(specResident|specPrefetched) != 0 {
 		return w, false
 	}
-	n := w &^ (specStateMask | specAsync | specCommitted)
-	n |= uint64(st)
-	if async {
-		n |= specAsync
-	}
+	n := w&^specCommitted | specClaimed
 	if committed {
 		n |= specCommitted
 	}
 	return n, true
 }
 
-// specCommit: any claimed word gains resident+committed in one step;
-// an async claim additionally gains the prefetched mark. Unclaimed
+// specCommit: any claimed word gains resident+committed in one step,
+// and the prefetched mark when the commit is a prefetch's. Unclaimed
 // words are rejected.
-func specCommit(w uint64) (uint64, bool) {
-	if w&specStateMask == 0 {
+func specCommit(w uint64, prefetched bool) (uint64, bool) {
+	if w&specClaimed == 0 {
 		return w, false
 	}
 	n := w | specResident | specCommitted
-	if w&specAsync != 0 {
+	if prefetched {
 		n |= specPrefetched
 	}
 	return n, true
 }
 
-// specSettle: a claimed word returns to idle with async/committed
-// cleared; residency is forced to the outcome, and losing residency
-// also drops the prefetched mark; pinDelta adjusts pins within
-// [0, pinLimit).
+// specSettle: a claimed word returns to idle with committed cleared;
+// residency is forced to the outcome, and losing residency also drops
+// the prefetched mark; pinDelta adjusts pins within [0, pinLimit).
 func specSettle(w uint64, resident bool, pinDelta int64) (uint64, bool) {
-	if w&specStateMask == 0 {
+	if w&specClaimed == 0 {
 		return w, false
 	}
 	pins := specPins(w) + pinDelta
 	if pins < 0 || pins >= specPinLimit {
 		return w, false
 	}
-	n := w &^ (specStateMask | specAsync | specCommitted)
+	n := w &^ (specClaimed | specCommitted)
 	if resident {
 		n |= specResident
 	} else {
@@ -214,7 +191,7 @@ func specSettle(w uint64, resident bool, pinDelta int64) (uint64, bool) {
 
 // specPin: one pin on an idle resident word, below the pin limit.
 func specPin(w uint64) (uint64, bool) {
-	if w&specStateMask != 0 || w&specResident == 0 {
+	if w&specClaimed != 0 || w&specResident == 0 {
 		return w, false
 	}
 	if specPins(w)+1 >= specPinLimit {
@@ -249,9 +226,9 @@ func applyCompiled(op string, w uint64, args []int64) (uint64, bool) {
 	var ok bool
 	switch op {
 	case "Claim":
-		n, ok = claimword.Claim(cw, claimword.State(args[0]), args[1] == 1, args[2] == 1, claimword.Need(args[3]))
+		n, ok = claimword.Claim(cw, args[0] == 1, claimword.Need(args[1]))
 	case "Commit":
-		n, ok = claimword.Commit(cw)
+		n, ok = claimword.Commit(cw, args[0] == 1)
 	case "Settle":
 		n, ok = claimword.Settle(cw, args[0] == 1, int(args[1]))
 	case "Pin":
@@ -312,8 +289,8 @@ func TestProtoTableDiffCatchesPerturbedEntry(t *testing.T) {
 		bend           func(*protoEntry)
 	}{
 		{"Claim", "NeedUnpinned tolerates a pin",
-			func(e protoEntry) bool { return !e.ok && e.args[0] == 1 && e.args[3] == 0 && e.in == 1<<specPinShift },
-			func(e *protoEntry) { e.out, e.ok = e.in|1, true }},
+			func(e protoEntry) bool { return !e.ok && e.args[0] == 1 && e.args[1] == 0 && e.in == 1<<specPinShift },
+			func(e *protoEntry) { e.out, e.ok = e.in|specClaimed|specCommitted, true }},
 		{"Commit", "commit drops the committed flag",
 			func(e protoEntry) bool { return e.ok },
 			func(e *protoEntry) { e.out &^= specCommitted }},
@@ -355,11 +332,11 @@ func TestProtoTableDiffCatchesPerturbedEntry(t *testing.T) {
 // TestProtoDomainShape pins the domain the table covers, so a future
 // edit cannot silently shrink the cross-checked surface.
 func TestProtoDomainShape(t *testing.T) {
-	if n := len(protoDomain()); n != 3*16*3 {
-		t.Errorf("protoDomain has %d words, want %d", n, 3*16*3)
+	if n := len(protoDomain()); n != 16*3 {
+		t.Errorf("protoDomain has %d words, want %d", n, 16*3)
 	}
 	wantTuples := map[string]int{
-		"Claim": 4 * 2 * 2 * 2, "Commit": 1, "Settle": 2 * 2,
+		"Claim": 2 * 2, "Commit": 2, "Settle": 2 * 2,
 		"Pin": 1, "Unpin": 1, "ConsumePrefetch": 1,
 	}
 	total := 0
@@ -369,8 +346,8 @@ func TestProtoDomainShape(t *testing.T) {
 		}
 		total += len(op.argTuples)
 	}
-	if n := len(protoTable()); n != total*3*16*3 {
-		t.Errorf("protoTable has %d entries, want %d", n, total*3*16*3)
+	if n := len(protoTable()); n != total*16*3 {
+		t.Errorf("protoTable has %d entries, want %d", n, total*16*3)
 	}
 }
 
@@ -379,10 +356,10 @@ func TestProtoDomainShape(t *testing.T) {
 // violation reports why w breaks the claim machine's invariant
 // (DESIGN.md §9), or "" if it does not.
 func violation(w uint64) string {
-	claimed := w&specStateMask != 0
+	claimed := w&specClaimed != 0
 	resident := w&specResident != 0
-	if resident && claimed && w&(specAsync|specCommitted) == 0 {
-		return "resident buffer holds an uncommitted sync claim: eviction cannot wait on it"
+	if resident && claimed && w&specCommitted == 0 {
+		return "resident buffer holds an uncommitted claim: eviction cannot wait on it"
 	}
 	if !resident && w&specPrefetched != 0 {
 		return "non-resident buffer marked prefetched: budget accounting leaked"
@@ -428,29 +405,32 @@ func reach(table []protoEntry) (map[uint64]protoEntry, string) {
 // TestEveryReachableWordIsWaitable proves the invariant for every word
 // any sequence of transitions can produce from a fresh buffer — every
 // resident claim is waitable and no claimed word is pinned — and
-// requires the search to reach resident claims of both waitable kinds
-// and pinned words, so the proof is not vacuous.
+// requires the search to reach resident claims, uncommitted claims,
+// prefetched words and pinned words, so the proof is not vacuous.
 func TestEveryReachableWordIsWaitable(t *testing.T) {
 	via, bad := reach(protoTable())
 	if bad != "" {
 		t.Fatal(bad)
 	}
-	var async, committed, pinned int
+	var resident, uncommitted, prefetched, pinned int
 	for w := range via {
 		if specPins(w) > 0 {
 			pinned++
 		}
-		if w&specResident != 0 && w&specStateMask != 0 {
-			if w&specAsync != 0 {
-				async++
+		if w&specPrefetched != 0 {
+			prefetched++
+		}
+		if w&specClaimed != 0 {
+			if w&specResident != 0 {
+				resident++
 			}
-			if w&specCommitted != 0 {
-				committed++
+			if w&specCommitted == 0 {
+				uncommitted++
 			}
 		}
 	}
-	if async == 0 || committed == 0 || pinned == 0 {
-		t.Errorf("reached %d resident async claims, %d resident committed claims and %d pinned words, want some of each", async, committed, pinned)
+	if resident == 0 || uncommitted == 0 || prefetched == 0 || pinned == 0 {
+		t.Errorf("reached %d resident claims, %d uncommitted claims, %d prefetched words and %d pinned words, want some of each", resident, uncommitted, prefetched, pinned)
 	}
 	t.Logf("%d words reachable from the zero word, none violating", len(via))
 }
@@ -464,17 +444,17 @@ func TestReachabilityCatchesPerturbedMachine(t *testing.T) {
 		name, want string
 		bend       func(*protoEntry)
 	}{
-		{"ClaimGuardRemoved", "uncommitted sync claim", func(e *protoEntry) {
-			// Grant a sync, uncommitted claim wherever the same claim,
+		{"ClaimGuardRemoved", "uncommitted claim", func(e *protoEntry) {
+			// Grant an uncommitted claim wherever the same claim,
 			// committed, is granted.
-			if e.op != "Claim" || e.ok || e.args[1] == 1 || e.args[2] == 1 {
+			if e.op != "Claim" || e.ok || e.args[0] == 1 {
 				return
 			}
-			if out, ok := specClaim(e.in, e.args[0], false, true, e.args[3]); ok {
+			if out, ok := specClaim(e.in, true, e.args[1]); ok {
 				e.out, e.ok = out&^specCommitted, true
 			}
 		}},
-		{"CommitDropsCommitted", "uncommitted sync claim", func(e *protoEntry) {
+		{"CommitDropsCommitted", "uncommitted claim", func(e *protoEntry) {
 			if e.op == "Commit" && e.ok {
 				e.out &^= specCommitted
 			}
@@ -485,7 +465,7 @@ func TestReachabilityCatchesPerturbedMachine(t *testing.T) {
 			if e.op != "Claim" || e.ok || specPins(e.in) == 0 {
 				return
 			}
-			if out, ok := specClaim(specWithPins(e.in, 0), e.args[0], e.args[1] == 1, e.args[2] == 1, e.args[3]); ok {
+			if out, ok := specClaim(specWithPins(e.in, 0), e.args[0] == 1, e.args[1]); ok {
 				e.out, e.ok = specWithPins(out, specPins(e.in)), true
 			}
 		}},
@@ -511,13 +491,12 @@ func TestViolation(t *testing.T) {
 		bad bool
 	}{
 		{0, false},
-		{1 | specResident, true}, // resident swap-in, neither async nor committed
-		{1 | specResident | specCommitted, false},
-		{2 | specResident | specAsync, false},
-		{1, false}, // sync claim on a host-only buffer: nothing to evict
+		{specClaimed | specResident, true}, // resident claim, uncommitted
+		{specClaimed | specResident | specCommitted, false},
+		{specClaimed, false}, // uncommitted claim on a host-only buffer: nothing to evict
 		{specPrefetched, true},
 		{specResident | specPrefetched, false},
-		{2 | specResident | specCommitted | 1<<specPinShift, true}, // a claim under a pin
+		{specClaimed | specResident | specCommitted | 1<<specPinShift, true}, // a claim under a pin
 		{specResident | 1<<specPinShift, false},
 	} {
 		if got := violation(tc.w) != ""; got != tc.bad {

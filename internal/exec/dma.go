@@ -20,8 +20,8 @@ import (
 // completion is signaled through the packed claim word, so a demand
 // Ensure on an in-flight buffer rides the DMA instead of copying twice.
 
-// dmaReq is one prefetch: a host→device fill of b.dev, already claimed
-// and committed by EnsureAsync.
+// dmaReq is one prefetch: a host→device fill of b.dev, already landed
+// (claimed and committed) by EnsureAsync.
 type dmaReq struct {
 	b   *buffer
 	dev int // device whose DMA lane services the request
@@ -38,18 +38,17 @@ type dmaReq struct {
 // rejects word/done mutations anywhere else, and raw stores even
 // here.
 
-// claim CASes b into the claimed state st. async marks claims
-// serviced by a DMA worker; committed marks sync claims that already
-// hold everything they need (write-backs, p2p with the destination
-// charged) — set in the claim CAS itself so no observer ever sees a
+// claim CASes a claim onto b. committed marks claims that already hold
+// everything they need (write-backs, p2p with the destination charged,
+// reads) — set in the claim CAS itself so no observer ever sees a
 // resident claimed-unwaitable word. Returns false when the buffer is
 // not claimable under need (already claimed, pinned, resident);
 // callers re-observe and retry or bail. On success the claim's
 // wakeup channel is published to b.done.
-func (vm *VM) claim(b *buffer, st claimword.State, async, committed bool, need claimword.Need) bool {
+func (vm *VM) claim(b *buffer, committed bool, need claimword.Need) bool {
 	for {
 		w := b.load()
-		n, ok := claimword.Claim(w, st, async, committed, need)
+		n, ok := claimword.Claim(w, committed, need)
 		if !ok {
 			return false
 		}
@@ -62,15 +61,15 @@ func (vm *VM) claim(b *buffer, st claimword.State, async, committed bool, need c
 }
 
 // commit publishes residency for a claimed swap-in whose reserve
-// completed: residency and the waitable mark land in one CAS (async
-// claims also gain the prefetched mark). Requires the caller to hold
-// b's claim; callers must commit before the buffer becomes visible to
-// any eviction scan (lruPush), which the claimdiscipline analyzer
-// checks lexically.
-func (vm *VM) commit(b *buffer) {
+// completed: residency and the waitable mark land in one CAS, with the
+// prefetched mark for a prefetch. Requires the caller to hold b's
+// claim; callers must commit before the buffer becomes visible to any
+// eviction scan (lruPush), which the claimdiscipline analyzer checks
+// on every path.
+func (vm *VM) commit(b *buffer, prefetched bool) {
 	for {
 		w := b.load()
-		n, ok := claimword.Commit(w)
+		n, ok := claimword.Commit(w, prefetched)
 		if !ok {
 			panic(fmt.Sprintf("exec: commit of unclaimed %s", b.t))
 		}
@@ -252,7 +251,7 @@ func (vm *VM) EnsureAsync(dev int, t *tensor.Tensor) {
 		return
 	}
 	w := b.load()
-	if w.State() != claimword.Idle || w.Pins() > 0 {
+	if w.Claimed() || w.Pins() > 0 {
 		return
 	}
 	sh := vm.shards[dev]
@@ -265,7 +264,7 @@ func (vm *VM) EnsureAsync(dev int, t *tensor.Tensor) {
 			// under the shard lock — only idle-resident-here buffers are
 			// linked here.
 			sh.mu.Lock()
-			if w2 := b.load(); w2.State() == claimword.Idle && w2.Resident() && int(b.devID.Load()) == dev && b.state.Load() != pageZero {
+			if w2 := b.load(); !w2.Claimed() && w2.Resident() && int(b.devID.Load()) == dev && b.state.Load() != pageZero {
 				vm.touch(sh, b)
 			}
 			sh.mu.Unlock()
@@ -293,15 +292,9 @@ func (vm *VM) EnsureAsync(dev int, t *tensor.Tensor) {
 	if sh.used+bytes > vm.capacity {
 		return
 	}
-	if !vm.claim(b, claimword.SwapIn, true, false, claimword.NeedEmpty) {
+	if _, err := vm.land(sh, b, landPrefetch); err != nil {
 		return // raced with a demand path; it will do the work
 	}
-	b.dev = vm.take(sh, b.floats(), false) // fill writes every element
-	b.devID.Store(int32(dev))
-	vm.commit(b) // async: residency + prefetched mark in one CAS
-	sh.used += bytes
-	sh.pfBytes += bytes
-	vm.lruPush(sh, b)
 	sh.stats.PrefetchIssued++
 	vm.enqueue(sh, dmaReq{b: b, dev: dev})
 }
@@ -333,8 +326,13 @@ func (vm *VM) dmaWorker(dev int) {
 			}
 			sh.work.Wait()
 		}
+		// Pop by copying down: the queue is rarely more than one deep,
+		// and re-slicing past its head would make the next append
+		// reallocate it.
 		req := sh.queue[0]
-		sh.queue = sh.queue[1:]
+		n := copy(sh.queue, sh.queue[1:])
+		sh.queue[n] = dmaReq{}
+		sh.queue = sh.queue[:n]
 		sh.mu.Unlock()
 		vm.service(req)
 		if vm.pending.Add(-1) == 0 {

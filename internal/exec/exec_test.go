@@ -138,6 +138,53 @@ func TestVMP2PMove(t *testing.T) {
 	}
 }
 
+// TestVMCleanBounceIsAnEviction: with p2p off a page changes devices by
+// leaving its own device the way eviction would take it. A clean page
+// with host backing is then dropped under dirty tracking — nothing
+// crosses the link on its way out — and written back under the naive
+// policy, which writes back everything. Either way it arrives intact.
+func TestVMCleanBounceIsAnEviction(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		pol                 memory.Policy
+		outBytes, wantDrops int
+	}{
+		{"tracking", memory.Policy{DirtyTracking: true}, 0, 1},
+		{"naive", memory.Policy{}, 400, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, a, _, _ := vmTensors(t)
+			vm := NewVM(2, 500, tc.pol)
+			host := vm.HostAlloc(a)
+			for i := range host {
+				host[i] = float32(i)
+			}
+			if _, err := vm.Ensure(0, a); err != nil {
+				t.Fatal(err)
+			}
+			if err := vm.Unpin(a); err != nil {
+				t.Fatal(err)
+			}
+			dev1, err := vm.Ensure(1, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range dev1 {
+				if v != float32(i) {
+					t.Fatalf("element %d arrived as %v", i, v)
+				}
+			}
+			s := vm.StatsSnapshot()
+			if s.SwapOutBytes != int64(tc.outBytes) || s.Drops != tc.wantDrops || s.SwapIns != 2 || s.P2PMoves != 0 {
+				t.Fatalf("stats = %+v, want %d bytes written back and %d drops", s, tc.outBytes, tc.wantDrops)
+			}
+			if vm.Used(0) != 0 || vm.Used(1) != 400 {
+				t.Fatalf("used = %d/%d, want the page on gpu1 alone", vm.Used(0), vm.Used(1))
+			}
+		})
+	}
+}
+
 func TestVMAllocRejectsDouble(t *testing.T) {
 	_, a, _, _ := vmTensors(t)
 	vm := NewVM(1, 500, memory.Policy{})

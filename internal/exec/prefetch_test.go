@@ -134,6 +134,40 @@ func TestEnsureAsyncRespectsBudgetAndPins(t *testing.T) {
 	}
 }
 
+// TestPrefetchRoundTripAllocations: a warm prefetch and the Invalidate
+// that drops it again allocate only their claims' wakeups — the done
+// channel and the pointer that publishes it, twice. The DMA worker's
+// queue pops by copying down, so handing it a request reallocates
+// nothing.
+func TestPrefetchRoundTripAllocations(t *testing.T) {
+	_, a, _, _ := vmTensors(t)
+	vm := NewVM(1, 500, memory.Policy{DirtyTracking: true})
+	vm.StartEngine(400)
+	defer vm.Close()
+	vm.HostAlloc(a)
+	var err error
+	cycle := func() {
+		vm.EnsureAsync(0, a)
+		if e := vm.WaitIdle(); e != nil && err == nil {
+			err = e
+		}
+		if e := vm.Invalidate(a); e != nil && err == nil {
+			err = e
+		}
+	}
+	cycle()
+	allocs := testing.AllocsPerRun(100, cycle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := vm.StatsSnapshot(); st.PrefetchIssued != 102 {
+		t.Fatalf("issued %d prefetches in 102 cycles", st.PrefetchIssued)
+	}
+	if allocs > 4 {
+		t.Fatalf("a prefetch round trip makes %v allocations, want at most 4", allocs)
+	}
+}
+
 // TestWaitIdleSurfacesFatalAsyncFault: a fatal fault that hits a DMA
 // worker (no demand access ever trips over it) must still surface at
 // the step boundary.

@@ -100,17 +100,19 @@ func (s VMStats) add(o VMStats) VMStats {
 //     helpers in dma.go (claim/commit/settle/pin/unpin/
 //     consumePrefetch), only via CAS — the claimdiscipline analyzer
 //     enforces this.
-//   - dev, devID, host, state: owned by the claim holder. Claims
-//     require idleness and zero pins, so a successful claim CAS
-//     excludes every other writer; lock-free
-//     readers first observe an idle word via an atomic load, which
-//     happens-after the settle that published the fields. state is
-//     atomic because pin holders write it (MarkDirty, MarkZero) while
-//     EnsureAsync's LRU bump reads it under the shard lock. A claim
-//     holder stores pageClean, after the copy that made it true (and
-//     pageDirty on the page Alloc creates); on an existing page
-//     pageDirty and pageZero are stored under a pin, by the task that
-//     just wrote the device copy.
+//   - dev, devID, host, state: owned by the claim holder — except at
+//     birth (HostAlloc, HostBind, ZeroAlloc), which writes host and
+//     state under bufMu before any transfer can reach the page. Claims
+//     require an unclaimed, unpinned word, so a successful claim CAS
+//     excludes every other writer; lock-free readers first observe an
+//     unclaimed word via an atomic load, which happens-after the
+//     settle that published the fields. state is atomic because pin
+//     holders write it (MarkDirty, MarkZero) while EnsureAsync's LRU
+//     bump reads it under the shard lock. A claim holder stores
+//     pageClean, after the copy that made it true (and pageDirty on
+//     the page Alloc creates); on an existing page pageDirty and
+//     pageZero are stored under a pin, by the task that just wrote the
+//     device copy.
 //   - prev, next: LRU bookkeeping, guarded by the owning
 //     device's shard mutex. A buffer is linked iff its word is
 //     resident-idle or claimed-resident; unlinking happens only under
@@ -121,11 +123,12 @@ type buffer struct {
 	dev  []float32 // device copy; nil when not resident
 	// devID is the device holding dev, -1 when not resident. Written
 	// only by the claim holder; atomic because Ensure and EnsureAsync
-	// read it optimistically before they pin or claim.
+	// read it optimistically before they pin or claim (Ensure also to
+	// pick the shard a p2p-off move evicts from).
 	devID atomic.Int32
 	state atomic.Uint32 // pageClean, pageDirty or pageZero
 
-	// word is the packed DMA/residency/pin state machine; done points
+	// word is the packed claim/residency/pin state machine; done points
 	// to the current claim's wakeup channel, closed at settle. done is
 	// published by the claim winner right after its CAS, so waiters
 	// that observe a claimed word with a nil done simply yield and
@@ -220,12 +223,11 @@ type spareStack struct {
 // The lockorder analyzer reports any path that nests two shard locks,
 // whatever its doc comment says: no two locks of one class may nest.
 //
-// Deadlock discipline: synchronous paths may wait on waitable claims
-// (async DMA-worker operations and committed sync claims), which
-// always complete autonomously; eviction never waits on an
-// uncommitted sync claim — the claimer may itself be waiting to
-// reserve. Claims on resident buffers set async or committed in the
-// claim CAS itself, so no observer ever sees a resident
+// Deadlock discipline: eviction may wait on committed claims, which
+// always complete on their own, and never on an uncommitted one — the
+// claimer may itself be waiting to reserve. Claims on resident buffers
+// set committed in the claim CAS itself, and a landing page commits
+// before it is linked, so no observer ever sees a resident
 // claimed-unwaitable buffer (claimword.Claim refuses any other, and
 // its tests prove no transition sequence reaches one). DMA workers
 // never wait on anything but their queue.
@@ -447,10 +449,10 @@ func (vm *VM) demote(sh *vmShard, b *buffer) {
 }
 
 // victim scans sh's LRU list once and returns the least-recently-used
-// evictable buffer — resident, idle and unpinned per its claim word —
-// or, when nothing is evictable, the least-recently-used buffer whose
-// in-flight operation completes autonomously (an async DMA-worker op
-// or a committed sync claim) for reserve to wait on. Known-zero pages
+// evictable buffer — resident, unclaimed and unpinned per its claim
+// word — or, when nothing is evictable, the least-recently-used buffer
+// whose claim completes on its own (a committed one: every claim a
+// linked buffer can carry) for reserve to wait on. Known-zero pages
 // need no special case here: MarkZero put them at the head, so the
 // victims that are free to lose are the first ones met. One pass, each
 // word observed once: claims settle without the shard lock, and a
@@ -466,7 +468,7 @@ func (vm *VM) victim(sh *vmShard) (evictable, waitable *buffer) {
 	var prefetched *buffer
 	for b := sh.lru.head; b != nil; b = b.next {
 		switch w := b.load(); {
-		case w.State() != claimword.Idle:
+		case w.Claimed():
 			if waitable == nil && w.Waitable() {
 				waitable = b
 			}
@@ -565,11 +567,7 @@ func (sh *vmShard) spareAt(c int) int {
 func (vm *VM) HostAlloc(t *tensor.Tensor) []float32 {
 	vm.bufMu.Lock()
 	defer vm.bufMu.Unlock()
-	b, ok := vm.bufs[t.ID]
-	if !ok {
-		b = newBuffer(t)
-		vm.bufs[t.ID] = b
-	}
+	b, _ := vm.birth(t)
 	if b.state.CompareAndSwap(pageZero, pageClean) || b.host == nil {
 		b.host = make([]float32, b.floats())
 	}
@@ -585,11 +583,7 @@ func (vm *VM) HostAlloc(t *tensor.Tensor) []float32 {
 func (vm *VM) HostBind(t *tensor.Tensor, host []float32) {
 	vm.bufMu.Lock()
 	defer vm.bufMu.Unlock()
-	b, ok := vm.bufs[t.ID]
-	if !ok {
-		b = newBuffer(t)
-		vm.bufs[t.ID] = b
-	}
+	b, _ := vm.birth(t)
 	b.host = host
 }
 
@@ -605,11 +599,20 @@ func (vm *VM) ZeroAlloc(t *tensor.Tensor) {
 	}
 	vm.bufMu.Lock()
 	defer vm.bufMu.Unlock()
-	if _, ok := vm.bufs[t.ID]; !ok {
-		b := newBuffer(t)
+	if b, fresh := vm.birth(t); fresh {
 		b.state.Store(pageZero)
+	}
+}
+
+// birth returns t's buffer, creating it — fresh reports that it did.
+// Requires vm.bufMu held for writing.
+func (vm *VM) birth(t *tensor.Tensor) (b *buffer, fresh bool) {
+	b, ok := vm.bufs[t.ID]
+	if !ok {
+		b = newBuffer(t)
 		vm.bufs[t.ID] = b
 	}
+	return b, !ok
 }
 
 // Read copies t's current contents into dst, which must hold exactly
@@ -619,33 +622,13 @@ func (vm *VM) ZeroAlloc(t *tensor.Tensor) {
 // and the links are left as they were, so reading a page out — a
 // checkpoint, a recovery snapshot, an evaluation — costs the run
 // nothing it would otherwise not have spent. A claim in flight is
-// waited out; a pinned page is refused, because its pin holder may be
-// writing it (between steps nothing is pinned). The claim is an
-// ordinary committed one: it needs nothing more, so eviction on the
-// page's device may wait on it.
+// waited out and a pinned page refused (seize).
 func (vm *VM) Read(t *tensor.Tensor, dst []float32) error {
-	for {
-		b, ok := vm.lookup(t.ID)
-		if !ok {
-			return fmt.Errorf("exec: tensor %s has no buffer", t)
-		}
-		if len(dst) != b.floats() {
-			return fmt.Errorf("exec: Read of %s into %d floats, want %d", t, len(dst), b.floats())
-		}
-		w := b.load()
-		if w.State() != claimword.Idle {
-			vm.waitSettle(b)
-			continue
-		}
-		if w.Pins() > 0 {
-			return fmt.Errorf("exec: Read of pinned %s", t)
-		}
-		if !vm.claim(b, claimword.SwapOut, false, true, claimword.NeedUnpinned) {
-			continue
-		}
-		// Claim held: dev/host/state are ours to read.
+	return vm.seize(t, "Read", false, func(b *buffer) (bool, error) {
 		resident := b.load().Resident()
 		switch {
+		case len(dst) != b.floats():
+			return resident, fmt.Errorf("exec: Read of %s into %d floats, want %d", t, len(dst), b.floats())
 		case resident:
 			copy(dst, b.dev)
 		case b.state.Load() == pageZero:
@@ -653,11 +636,42 @@ func (vm *VM) Read(t *tensor.Tensor, dst []float32) error {
 		case b.host != nil:
 			copy(dst, b.host)
 		default:
-			vm.settle(b, false, 0)
-			return fmt.Errorf("exec: tensor %s has no valid copy", t)
+			return false, fmt.Errorf("exec: tensor %s has no valid copy", t)
 		}
+		return resident, nil
+	})
+}
+
+// seize is how Read, Free and Invalidate take a page whole: it waits
+// out a claim in flight, refuses a pinned page — its pin holder may be
+// writing it, and between steps nothing is pinned — claims it, runs act
+// under the claim and settles with the residency act reports. The claim
+// is an ordinary committed one: it needs nothing more, so eviction on
+// the page's device may wait on it. A tensor the VM holds nothing of is
+// nothing to do when absentOK, and an error otherwise.
+func (vm *VM) seize(t *tensor.Tensor, op string, absentOK bool, act func(*buffer) (resident bool, err error)) error {
+	for {
+		b, ok := vm.lookup(t.ID)
+		if !ok {
+			if absentOK {
+				return nil
+			}
+			return fmt.Errorf("exec: tensor %s has no buffer", t)
+		}
+		w := b.load()
+		if w.Claimed() {
+			vm.waitSettle(b)
+			continue
+		}
+		if w.Pins() > 0 {
+			return fmt.Errorf("exec: %s of pinned %s", op, t)
+		}
+		if !vm.claim(b, true, claimword.NeedUnpinned) {
+			continue
+		}
+		resident, err := act(b)
 		vm.settle(b, resident, 0)
-		return nil
+		return err
 	}
 }
 
@@ -676,7 +690,7 @@ func (vm *VM) Ensure(dev int, t *tensor.Tensor) ([]float32, error) {
 			return nil, fmt.Errorf("exec: tensor %s was never materialized", t)
 		}
 		w := b.load()
-		if w.State() != claimword.Idle {
+		if w.Claimed() {
 			// A copy is in flight (possibly our own prefetch): ride it
 			// out and re-evaluate. A prefetch landing in the right place
 			// is counted as a hit by the fast path on the next pass.
@@ -722,13 +736,19 @@ func (vm *VM) Ensure(dev int, t *tensor.Tensor) ([]float32, error) {
 				}
 				return dst, err
 			}
-			if err := vm.bounce(b); err != nil {
-				if err == errRetry {
-					continue
+			// Without p2p a page changes devices through the host: evict it
+			// from its own device — a write-back, or a drop where eviction
+			// would drop it — and swap it in here on the next pass.
+			if src := b.devID.Load(); src >= 0 { // else evicted meanwhile
+				sh := vm.shards[src]
+				sh.mu.Lock()
+				err := vm.evict(sh, b)
+				sh.mu.Unlock()
+				if err != nil && err != errRetry {
+					return nil, err
 				}
-				return nil, err
 			}
-			continue // now host-only; swap in on the next pass
+			continue
 		}
 		if !b.backed() {
 			return nil, fmt.Errorf("exec: tensor %s has no valid copy to swap in", t)
@@ -742,30 +762,16 @@ func (vm *VM) Ensure(dev int, t *tensor.Tensor) ([]float32, error) {
 }
 
 // swapIn demand-loads non-resident b onto dev and pins it. The fill runs
-// on the caller's goroutine with no shard lock held. b is claimed but
-// non-resident while reserving, so no eviction scan can see it;
-// residency and the committed mark are established by a single commit
-// CAS, upholding the invariant that every claim on a resident buffer
-// completes autonomously.
+// on the caller's goroutine with no shard lock held, under the claim
+// the landing committed.
 func (vm *VM) swapIn(dev int, b *buffer) ([]float32, error) {
-	if !vm.claim(b, claimword.SwapIn, false, false, claimword.NeedEmpty) {
-		return nil, errRetry
-	}
 	sh := vm.shards[dev]
 	sh.mu.Lock()
-	if err := vm.reserve(sh, b.t.Bytes); err != nil {
-		sh.mu.Unlock()
-		vm.settle(b, false, 0)
+	dst, err := vm.land(sh, b, landDemand)
+	sh.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
-	dst := vm.take(sh, b.floats(), false) // fill writes every element
-	b.dev = dst
-	b.devID.Store(int32(dev))
-	vm.commit(b) // reserve done: only the fill remains
-	sh.used += b.t.Bytes
-	vm.lruPush(sh, b)
-	sh.mu.Unlock()
-
 	if err := vm.fill(xferIn, dev, b); err != nil {
 		vm.dropResidency(b)
 		vm.settle(b, false, 0)
@@ -778,6 +784,59 @@ func (vm *VM) swapIn(dev int, b *buffer) ([]float32, error) {
 // errRetry tells Ensure that the buffer changed underneath a
 // lock-dropping step and the whole decision must be re-evaluated.
 var errRetry = errors.New("exec: retry")
+
+// A landing says how a page comes to be placed on a device.
+type landing int
+
+const (
+	// landDemand: a demand swap-in; reserve evicts to make room.
+	landDemand landing = iota
+	// landAlloc: a page born on the device (Alloc), with no copy
+	// anywhere; reserve evicts to make room, and the slice is cleared.
+	landAlloc
+	// landPrefetch: a prefetch, which evicts nothing; its caller has
+	// checked that the page fits beside what is resident.
+	landPrefetch
+)
+
+// land is the one way a page becomes resident on sh's device: it claims
+// non-resident b, re-checks under the claim that b is backed — or, born
+// by Alloc, that it is not — makes room, takes a device slice, sets the
+// device, commits, charges the bytes and links b into sh's LRU. It
+// returns b's device slice with the claim still held — committed, so
+// eviction may wait on it — for the caller to fill and settle; errRetry
+// means b changed before the claim and the caller re-evaluates. b is
+// claimed but non-resident and unlinked while reserve runs, so no
+// eviction scan can see it; residency and the committed mark land in
+// one CAS before lruPush, upholding the invariant that every claim on a
+// resident buffer completes on its own. Requires sh.mu held; reserve
+// may release and reacquire it.
+func (vm *VM) land(sh *vmShard, b *buffer, how landing) ([]float32, error) {
+	if !vm.claim(b, false, claimword.NeedEmpty) {
+		return nil, errRetry
+	}
+	if b.backed() == (how == landAlloc) {
+		vm.settle(b, false, 0)
+		return nil, errRetry
+	}
+	if how != landPrefetch {
+		if err := vm.reserve(sh, b.t.Bytes); err != nil {
+			vm.settle(b, false, 0)
+			return nil, err
+		}
+	}
+	// A fill writes every element; only Alloc's page is handed out as
+	// it is, so only it needs the slice cleared.
+	b.dev = vm.take(sh, b.floats(), how == landAlloc)
+	b.devID.Store(int32(sh.dev))
+	vm.commit(b, how == landPrefetch)
+	sh.used += b.t.Bytes
+	if how == landPrefetch {
+		sh.pfBytes += b.t.Bytes
+	}
+	vm.lruPush(sh, b)
+	return b.dev, nil
+}
 
 // moveP2P transfers b (resident on another device, unpinned, idle) to
 // dev and pins it. Shard order: the destination shard is reserved,
@@ -798,7 +857,7 @@ func (vm *VM) moveP2P(dev int, b *buffer) ([]float32, error) {
 	dsh.used += bytes                      // hold the destination while copying
 	dst := vm.take(dsh, b.floats(), false) // the copy writes every element
 	dsh.mu.Unlock()
-	if !vm.claim(b, claimword.SwapIn, false, true, claimword.NeedUnpinned) {
+	if !vm.claim(b, true, claimword.NeedUnpinned) {
 		vm.uncharge(dsh, bytes, dst)
 		return nil, errRetry
 	}
@@ -841,73 +900,34 @@ func (vm *VM) uncharge(sh *vmShard, bytes int64, s []float32) {
 	sh.mu.Unlock()
 }
 
-// bounce writes b (resident elsewhere, observed unpinned-idle) back
-// to host and drops its residency, so Ensure can swap it in at the
-// requested device on its next pass. The claim CAS carries committed
-// — a write-back never reserves; it only frees.
-func (vm *VM) bounce(b *buffer) error {
-	if !vm.claim(b, claimword.SwapOut, false, true, claimword.NeedUnpinned) {
-		return errRetry
-	}
-	if !b.load().Resident() {
-		vm.settle(b, false, 0)
-		return nil // evicted meanwhile; already host-only
-	}
-	if err := vm.writeBack(int(b.devID.Load()), b); err != nil {
-		vm.settle(b, true, 0)
-		return err
-	}
-	vm.dropResidency(b)
-	vm.settle(b, false, 0)
-	return nil
-}
-
 // Alloc creates a fresh, zeroed device buffer for a tensor the VM holds
 // nothing of — a task's output, or a weight born on the device that
 // reads it (Trainer.bear) — dirty, with no host copy until eviction
 // writes it back, and pins it.
 func (vm *VM) Alloc(dev int, t *tensor.Tensor) ([]float32, error) {
+	vm.bufMu.Lock()
+	b, _ := vm.birth(t)
+	vm.bufMu.Unlock()
+	sh := vm.shards[dev]
 	for {
-		vm.bufMu.Lock()
-		b, ok := vm.bufs[t.ID]
-		if !ok {
-			b = newBuffer(t)
-			vm.bufs[t.ID] = b
-		}
-		vm.bufMu.Unlock()
 		w := b.load()
-		if w.State() != claimword.Idle {
+		if w.Claimed() {
 			vm.waitSettle(b)
 			continue
 		}
 		if w.Resident() || b.backed() {
 			return nil, fmt.Errorf("exec: tensor %s already materialized", t)
 		}
-		// Claim while reserving: reserve may drop the shard lock to
-		// drain evictions, and nothing must touch a half-allocated
-		// buffer meanwhile.
-		if !vm.claim(b, claimword.SwapIn, false, false, claimword.NeedEmpty) {
+		sh.mu.Lock()
+		dst, err := vm.land(sh, b, landAlloc)
+		sh.mu.Unlock()
+		if err == errRetry {
 			continue
 		}
-		if b.backed() { // re-check under claim ownership
-			vm.settle(b, false, 0)
-			return nil, fmt.Errorf("exec: tensor %s already materialized", t)
-		}
-		sh := vm.shards[dev]
-		sh.mu.Lock()
-		if err := vm.reserve(sh, t.Bytes); err != nil {
-			sh.mu.Unlock()
-			vm.settle(b, false, 0)
+		if err != nil {
 			return nil, err
 		}
-		dst := vm.take(sh, b.floats(), true)
-		b.dev = dst
-		b.devID.Store(int32(dev))
 		b.state.Store(pageDirty)
-		vm.commit(b)
-		sh.used += t.Bytes
-		vm.lruPush(sh, b)
-		sh.mu.Unlock()
 		vm.settle(b, true, +1)
 		return dst, nil
 	}
@@ -964,40 +984,23 @@ func (vm *VM) Unpin(t *tensor.Tensor) error {
 
 // Free destroys the tensor entirely, waiting out any in-flight DMA.
 func (vm *VM) Free(t *tensor.Tensor) error {
-	for {
-		b, ok := vm.lookup(t.ID)
-		if !ok {
-			return nil
-		}
-		w := b.load()
-		if w.State() != claimword.Idle {
-			vm.waitSettle(b)
-			continue
-		}
-		if w.Pins() > 0 {
-			return fmt.Errorf("exec: Free of pinned %s", t)
-		}
-		if !vm.claim(b, claimword.SwapOut, false, true, claimword.NeedUnpinned) {
-			continue
-		}
+	return vm.seize(t, "Free", true, func(b *buffer) (bool, error) {
 		if b.load().Resident() {
 			vm.dropResidency(b)
 		}
 		vm.bufMu.Lock()
 		delete(vm.bufs, t.ID)
 		vm.bufMu.Unlock()
-		vm.settle(b, false, 0)
-		return nil
-	}
+		return false, nil
+	})
 }
 
 // reserve evicts LRU victims on sh until `bytes` fit. Requires sh.mu
 // held; may release and reacquire it while write-backs drain or
-// async DMAs complete, so callers must not rely on unrelated shard
-// state across the call. Synchronous uncommitted claims held by other
-// goroutines are treated like pins (they complete into a pinned
-// buffer anyway); waitable claims — async operations and committed
-// sync claims — are waited on, since both finish without help.
+// claims in flight complete, so callers must not rely on unrelated
+// shard state across the call. A linked buffer's claim is always a
+// committed one — a landing commits before it links — and is waited
+// on, since it finishes without help.
 func (vm *VM) reserve(sh *vmShard, bytes int64) error {
 	if bytes > vm.capacity {
 		return fmt.Errorf("exec: tensor of %d bytes exceeds device capacity %d", bytes, vm.capacity)
@@ -1029,9 +1032,15 @@ func (vm *VM) reserve(sh *vmShard, bytes int64) error {
 // held (released around the write-back copy). The eviction claim carries
 // committed in its CAS — write-backs never reserve — so concurrent
 // reserves on the shard may wait on it from its first visible word.
+// Ensure, which picks b without sh's LRU, may find it moved or gone by
+// the time the claim lands; that is errRetry too.
 func (vm *VM) evict(sh *vmShard, b *buffer) error {
-	if !vm.claim(b, claimword.SwapOut, false, true, claimword.NeedUnpinned) {
+	if !vm.claim(b, true, claimword.NeedUnpinned) {
 		return errRetry // raced with a pin or another claim
+	}
+	if w := b.load(); !w.Resident() || int(b.devID.Load()) != sh.dev {
+		vm.settle(b, w.Resident(), 0)
+		return errRetry
 	}
 	if st := b.state.Load(); st == pageZero || vm.pol.DirtyTracking && st == pageClean && b.host != nil {
 		sh.stats.DropBytes += b.t.Bytes
@@ -1088,35 +1097,15 @@ func (vm *VM) unlink(sh *vmShard, b *buffer) {
 // host backing authoritative (for a caller that has overwritten the
 // host contents itself). Fails on pinned tensors.
 func (vm *VM) Invalidate(t *tensor.Tensor) error {
-	for {
-		b, ok := vm.lookup(t.ID)
-		if !ok {
-			return nil
-		}
-		w := b.load()
-		if w.State() != claimword.Idle {
-			vm.waitSettle(b)
-			continue
-		}
-		if !w.Resident() {
-			return nil
-		}
-		if w.Pins() > 0 {
-			return fmt.Errorf("exec: Invalidate of pinned %s", t)
+	return vm.seize(t, "Invalidate", true, func(b *buffer) (bool, error) {
+		if !b.load().Resident() {
+			return false, nil
 		}
 		if b.host == nil {
-			return fmt.Errorf("exec: Invalidate would lose the only copy of %s", t)
-		}
-		if !vm.claim(b, claimword.SwapOut, false, true, claimword.NeedUnpinned) {
-			continue
-		}
-		if !b.load().Resident() {
-			vm.settle(b, false, 0)
-			continue
+			return true, fmt.Errorf("exec: Invalidate would lose the only copy of %s", t)
 		}
 		b.state.Store(pageClean)
 		vm.dropResidency(b)
-		vm.settle(b, false, 0)
-		return nil
-	}
+		return false, nil
+	})
 }

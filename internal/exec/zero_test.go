@@ -293,7 +293,7 @@ func TestFillZeroesWhateverItIsHanded(t *testing.T) {
 	vm := NewVM(1, 500, tracking)
 	zeroedPage(t, vm, 0, a)
 	b, _ := vm.lookup(a.ID)
-	if !vm.claim(b, claimword.SwapIn, false, true, claimword.NeedUnpinned) {
+	if !vm.claim(b, true, claimword.NeedUnpinned) {
 		t.Fatal("claim failed")
 	}
 	for i := range b.dev {
@@ -415,7 +415,7 @@ func TestVictimPrefersZeroPages(t *testing.T) {
 	if err := vm.Unpin(b); err != nil {
 		t.Fatal(err)
 	}
-	if !vm.claim(bb, claimword.SwapOut, true, false, claimword.NeedUnpinned) {
+	if !vm.claim(bb, true, claimword.NeedUnpinned) {
 		t.Fatal("claim failed")
 	}
 	if got := pick(); got != ba {
