@@ -80,10 +80,8 @@ func (tr *Trainer) CommStats() CommStats { return tr.commStats }
 // rendezvous share; on a plan whose reductions apply the update it
 // updates the range of every replica's weights too (reduceUpdate).
 // chunk says the range is one plan-time chunk, traced and counted as
-// such; otherwise it is the whole payload of a monolithic rendezvous or
-// of the serial path, where dev is the last arrival (-1 on the serial
-// path, where a fatal collective fault has no single device to retire
-// and is therefore unrecoverable). nn.Average and nn.AverageSGD fan
+// such; otherwise it is a rendezvous's whole payload, and dev the
+// device whose arrival completed it. nn.Average and nn.AverageSGD fan
 // the range across the kernel worker pool over disjoint sub-ranges;
 // each element still sums the replicas in fixed order, so the result is
 // bit-identical at any worker count and under any partition into
@@ -105,22 +103,23 @@ func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) (time
 	if n == 0 {
 		return time.Time{}, fmt.Errorf("exec: collective %s has no inputs", ar)
 	}
-	if err := tr.injectOp(fault.Collective, tr.pdev(dev), ar.Layer); err != nil {
+	reducer := tr.pdev(dev)
+	if err := tr.injectOp(fault.Collective, reducer, ar.Layer); err != nil {
 		return time.Time{}, err
 	}
 	// A chunk's link time is booked on its plan-time reducer's link. A
-	// whole payload's reducer is whichever replica arrived last (none on
-	// the serial path), so it is booked on replica 0's device instead,
-	// and identical runs busy identical links.
+	// whole payload's reducer is whichever replica arrived last, so it is
+	// booked on replica 0's device instead, and identical runs busy
+	// identical links.
 	pdev := tr.pdev(0)
 	if chunk {
-		pdev = tr.pdev(dev)
+		pdev = reducer
 	}
 	wall := tr.vm.clk.Now()
-	views := tr.views[dev+1][:2*n]
+	views := tr.views[dev][:2*n]
 	defer clear(views) // keep no device slice past its pins
 	gs, ws := views[:n], views[n:]
-	if err := tr.acquire(ar, -1, gs, nil); err != nil {
+	if err := tr.acquire(ar, reducer, gs, nil); err != nil {
 		return time.Time{}, err
 	}
 	start, end := tr.vm.chargeReduce(pdev, n, int64(hi-lo)*4)

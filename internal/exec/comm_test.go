@@ -110,41 +110,52 @@ func TestCommStatsAccounting(t *testing.T) {
 }
 
 // TestChunkedCollectiveFaultRecovery extends the recovery matrix to
-// the chunked axis: a fatal fault injected mid-chunk (op=collective on
-// the reducing worker) must kill the device, roll back to the last
-// completed update, re-bind the dead worker's chunks to the survivor
-// and finish — bit-identical to a fault-free chunked run, and
-// reproducible across repeats.
+// the collectives: a fatal fault injected into a reduction (op=
+// collective, on the reducing worker — a chunk's plan-time reducer, or
+// the device whose arrival completed a monolithic rendezvous, which the
+// serial executor fixes as the last in device order) must kill that
+// device, roll back to the last completed update, re-bind the dead
+// worker's stream and chunks to the survivor and finish —
+// bit-identical to a fault-free run on the same path, with exactly the
+// armed fault injected, and reproducible across repeats. Each path
+// runs the fault pinned to device 1 and unpinned.
 func TestChunkedCollectiveFaultRecovery(t *testing.T) {
 	nn.SetWorkers(4)
 	defer nn.SetWorkers(runtime.GOMAXPROCS(0))
 	const steps = 4
-	ref := commConfig(3, 8<<10)
-	// Recovery doubles up both virtual devices' pin sets on the
-	// survivor: same headroom as the monolithic recovery test.
-	ref.DeviceBytes = 32 << 10
-	a, lossA := runTrainer(t, ref, steps)
-
-	run := func() (*Trainer, []float32) {
-		cfg := commConfig(3, 8<<10)
-		cfg.DeviceBytes = 32 << 10
-		cfg.FaultSpec, cfg.Recover = "op=collective,mode=fatal,dev=1,step=3", true
-		return runTrainer(t, cfg, steps)
-	}
-	b, lossB := run()
-	assertSameRun(t, a, b, lossA, lossB)
-	if got := b.Recoveries(); got != 1 {
-		t.Fatalf("recoveries = %d, want 1", got)
-	}
-	if alive := b.alive; alive[1] || !alive[0] {
-		t.Fatalf("alive = %v, want device 1 dead", alive)
-	}
-	if injected, _ := b.FaultStats(); injected != 1 {
-		t.Fatalf("injected = %d, want exactly the armed fatal", injected)
-	}
-	for rep := 0; rep < 4; rep++ {
-		c, lossC := run()
-		assertSameRun(t, b, c, lossB, lossC)
+	for _, chunks := range []int{0, 3} {
+		for _, serial := range []bool{true, false} {
+			for _, dev := range []string{",dev=1", ""} {
+				// Recovery doubles up both virtual devices' pin sets on
+				// the survivor: same headroom as the monolithic recovery
+				// test.
+				cfg := commConfig(chunks, 8<<10)
+				cfg.DeviceBytes, cfg.Serial = 32<<10, serial
+				t.Run(fmt.Sprintf("chunks=%d/serial=%v/%q", chunks, serial, dev), func(t *testing.T) {
+					a, lossA := runTrainer(t, cfg, steps)
+					run := func() (*Trainer, []float32) {
+						cfg := cfg
+						cfg.FaultSpec, cfg.Recover = "op=collective,mode=fatal,step=3"+dev, true
+						return runTrainer(t, cfg, steps)
+					}
+					b, lossB := run()
+					assertSameRun(t, a, b, lossA, lossB)
+					if got := b.Recoveries(); got != 1 {
+						t.Fatalf("recoveries = %d, want 1", got)
+					}
+					if alive := b.alive; alive[0] == alive[1] || dev != "" && alive[1] {
+						t.Fatalf("alive = %v, want one device dead (device 1 when the fault names it)", alive)
+					}
+					if injected, _ := b.FaultStats(); injected != 1 {
+						t.Fatalf("injected = %d, want exactly the armed fatal", injected)
+					}
+					for rep := 0; rep < 4; rep++ {
+						c, lossC := run()
+						assertSameRun(t, b, c, lossB, lossC)
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -258,7 +269,7 @@ func TestReductionsAreWaitedForByTheirReaders(t *testing.T) {
 			if tc.serial {
 				ar := tr.s.Collectives[0]
 				before := clk.Now()
-				end, err := tr.reduce(-1, ar, 0, int(ar.CommBytes/4), false)
+				end, err := tr.reduce(0, ar, 0, int(ar.CommBytes/4), false)
 				if err != nil {
 					t.Fatal(err)
 				}

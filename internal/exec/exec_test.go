@@ -378,6 +378,15 @@ func TestTrainerValidation(t *testing.T) {
 	if _, err := NewTrainer(bad, nil); err == nil {
 		t.Fatal("negative link bandwidth accepted")
 	}
+	// No device memory is refused by name, not found by the preflight as
+	// a capacity counterexample or by the VM as a bad shape.
+	for _, noVerify := range []bool{false, true} {
+		bad = trainerConfig(sched.HarmonyDP, 2)
+		bad.DeviceBytes, bad.NoVerify = 0, noVerify
+		if _, err := NewTrainer(bad, nil); err == nil || !strings.Contains(err.Error(), "DeviceBytes") {
+			t.Fatalf("NoVerify %v: zero device bytes: %v, want an error naming DeviceBytes", noVerify, err)
+		}
+	}
 	// Wrong data shapes.
 	tr, err := NewTrainer(trainerConfig(sched.HarmonyDP, 2), nil)
 	if err != nil {

@@ -19,8 +19,11 @@
 // internal/nn), collectives reduce replicas in fixed order whatever the
 // partition into chunks, and losses are accumulated in task-ID order by
 // Trainer.Step — so the parallel executor produces bit-identical weights
-// and losses to the serial one, regardless of interleaving. Only
-// data-movement counters (which depend on LRU timing) may differ.
+// and losses to the serial one, regardless of interleaving. The serial
+// executor drains the same woven streams (runSerial), so on a
+// data-parallel plan with prefetch off the two move the same bytes too.
+// Only where the workers time a move — a prefetch window, a pipeline's
+// cross-device reads — may the data-movement counters differ.
 package exec
 
 import (
@@ -45,8 +48,8 @@ type rendezvous struct {
 // recovery keeps the plan) and reset at the start of every step, so a
 // step allocates none of it but the ready channels.
 type taskState struct {
-	deps    []int32         // remaining dependencies per task ID
-	ready   []chan struct{} // closed when deps hit zero (parallel executor)
+	deps    []int32         // remaining dependencies per task ID (parallel executor)
+	ready   []chan struct{} // closed when deps hit zero
 	losses  []float32       // per task ID, filled by final-layer backwards
 	counted []bool
 	// stamps[id] is the end of the link time task id reads — the
@@ -91,7 +94,8 @@ type executor struct {
 }
 
 // newExecutor resets the trainer's task state for a step; the parallel
-// executor also gets a fresh ready channel per task.
+// executor also gets its dependency counts and a fresh ready channel
+// per task (the serial one's Replay keeps its own counts).
 func newExecutor(tr *Trainer, labels []int) *executor {
 	ts := &tr.tasks
 	ex := &executor{tr: tr, ts: ts, labels: labels, abort: make(chan struct{})}
@@ -101,11 +105,11 @@ func newExecutor(tr *Trainer, labels []int) *executor {
 	for bi, b := range tr.comm {
 		copy(ts.commLeft[bi], b.chunksPerMember)
 	}
+	if tr.cfg.Serial {
+		return ex
+	}
 	for _, t := range tr.g.Tasks {
 		ts.deps[t.ID] = int32(len(t.Deps))
-		if tr.cfg.Serial {
-			continue
-		}
 		ts.ready[t.ID] = make(chan struct{})
 		if len(t.Deps) == 0 {
 			close(ts.ready[t.ID])
@@ -122,7 +126,7 @@ func (ex *executor) fail(err error) {
 }
 
 // complete releases every successor whose dependency count reaches
-// zero — the event-driven replacement for the serial poll loop.
+// zero.
 func (ex *executor) complete(t *graph.Task) {
 	for _, s := range t.Succs {
 		if atomic.AddInt32(&ex.ts.deps[s.ID], -1) == 0 {
@@ -224,63 +228,39 @@ func (ex *executor) worker(d int, stream []sched.StreamEntry, rdvs []*rendezvous
 	}
 }
 
-// runSerial executes the schedule on the calling goroutine with the
-// original polling loop: advance each device's queue when its head
-// task's dependencies are done; collectives run as they become ready.
-// Kept as the reference path (TrainerConfig.Serial) for determinism
-// tests and ablation benchmarks.
-func (ex *executor) runSerial() error {
+// runSerial is the reference executor: it runs the woven streams on
+// the calling goroutine in the order sched.Streams.Replay drains them —
+// the order schedcheck's liveness proof walks. Per rendezvous it
+// reduces each member's whole payload on behalf of the device whose
+// arrival completed it, as arrive does. Kept as the reference path
+// (TrainerConfig.Serial) for determinism tests and ablation benchmarks.
+func (ex *executor) runSerial(ws *sched.Streams) error {
 	tr, ts := ex.tr, ex.ts
-	cursors := make([]int, tr.s.NGPUs)
-	complete := func(t *graph.Task) {
-		for _, s := range t.Succs {
-			ts.deps[s.ID]--
-		}
-	}
-	pendingAR := append([]*graph.Task(nil), tr.s.Collectives...)
-	done := 0
-	total := len(tr.g.Tasks)
-	for done < total {
-		progress := false
-		// Collectives first: they unblock updates on every device.
-		for i := 0; i < len(pendingAR); i++ {
-			ar := pendingAR[i]
-			if ts.deps[ar.ID] > 0 {
-				continue
-			}
-			end, err := tr.reduce(-1, ar, 0, int(ar.CommBytes/4), false)
-			if err != nil {
-				return err
-			}
-			ts.stamp(ar, end)
-			complete(ar)
-			pendingAR = append(pendingAR[:i], pendingAR[i+1:]...)
-			i--
-			done++
-			progress = true
-		}
-		for d := 0; d < tr.s.NGPUs; d++ {
-			q := tr.s.Queues[d]
-			for cursors[d] < len(q) && ts.deps[q[cursors[d]].ID] == 0 {
-				t := q[cursors[d]]
-				tr.await(d, t)
-				loss, counted, err := tr.runTask(d, t, ex.labels)
+	stuck, err := ws.Replay(tr.g.Tasks, func(d int, e sched.StreamEntry) error {
+		if e.Rdv >= 0 {
+			for _, m := range ws.Members[e.Rdv] {
+				end, err := tr.reduce(d, m, 0, int(m.CommBytes/4), false)
 				if err != nil {
-					return fmt.Errorf("exec: %s on gpu%d: %w", t, d, err)
+					return fmt.Errorf("exec: %s: %w", m, err)
 				}
-				ts.losses[t.ID] = loss
-				ts.counted[t.ID] = counted
-				complete(t)
-				cursors[d]++
-				done++
-				progress = true
+				ts.stamp(m, end)
 			}
+			return nil
 		}
-		if !progress {
-			return fmt.Errorf("exec: schedule deadlocked with %d/%d tasks done", done, total)
+		t := e.Task
+		tr.await(d, t)
+		loss, counted, err := tr.runTask(d, t, ex.labels)
+		if err != nil {
+			return fmt.Errorf("exec: %s on gpu%d: %w", t, d, err)
 		}
+		ts.losses[t.ID] = loss
+		ts.counted[t.ID] = counted
+		return nil
+	})
+	if err == nil && stuck != nil {
+		err = fmt.Errorf("exec: streams deadlocked; blocked: %v", stuck)
 	}
-	return nil
+	return err
 }
 
 // arrive parks device worker d at a collective's rendezvous. The last

@@ -52,9 +52,11 @@ type TrainerConfig struct {
 	// only: NewTrainer rejects a Toggles that sets either.
 	Toggles *sched.Toggles
 	// Serial forces the single-threaded reference executor instead of
-	// the default parallel device-worker executor. Both produce
-	// bit-identical weights and losses; Serial exists for determinism
-	// tests and ablation benchmarks.
+	// the default parallel device-worker executor. It runs the same
+	// woven streams in the one order schedcheck's liveness proof walks
+	// (sched.Streams.Replay). Both produce bit-identical weights and
+	// losses; Serial exists for determinism tests and ablation
+	// benchmarks.
 	Serial bool
 	// FaultSpec, when non-empty, arms deterministic fault injection
 	// seeded by Seed (internal/fault holds the grammar). A spec is
@@ -158,8 +160,8 @@ type Trainer struct {
 	// tasks is the executors' per-task step state (executor.go).
 	tasks taskState
 	// views is reduce's scratch for two views per replica, its gradient
-	// and its weights: slot d+1 for device worker d, which runs one
-	// reduction at a time, and slot 0 for the serial path's dev -1.
+	// and its weights: slot d for device worker d, which runs one
+	// reduction at a time.
 	views [][][]float32
 
 	// inputs holds the running step's input batch: its microbatches'
@@ -264,6 +266,9 @@ func NewTrainer(cfg TrainerConfig, kernels []nn.Kernel) (*Trainer, error) {
 	if cfg.Devices <= 0 {
 		return nil, fmt.Errorf("exec: Devices must be positive")
 	}
+	if cfg.DeviceBytes <= 0 {
+		return nil, fmt.Errorf("exec: DeviceBytes %d must be positive", cfg.DeviceBytes)
+	}
 	if cfg.LinkBytesPerSec < 0 {
 		return nil, fmt.Errorf("exec: LinkBytesPerSec %d is negative (0 = no modeled link)", cfg.LinkBytesPerSec)
 	}
@@ -290,7 +295,7 @@ func NewTrainer(cfg TrainerConfig, kernels []nn.Kernel) (*Trainer, error) {
 	if err := tr.adopt(s); err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
 	}
-	tr.views = make([][][]float32, cfg.Devices+1)
+	tr.views = make([][][]float32, cfg.Devices)
 	for i := range tr.views {
 		tr.views[i] = make([][]float32, 2*tr.g.Cfg.Replicas)
 	}
@@ -518,12 +523,7 @@ func (tr *Trainer) maxRetries() int {
 }
 
 // pdev maps a virtual device to the physical device backing it.
-func (tr *Trainer) pdev(d int) int {
-	if d < 0 || d >= len(tr.devMap) {
-		return d
-	}
-	return tr.devMap[d]
-}
+func (tr *Trainer) pdev(d int) int { return tr.devMap[d] }
 
 // Recoveries reports how many fatal device faults the trainer rolled
 // back from and resumed past.
@@ -739,7 +739,7 @@ func (tr *Trainer) runStep(inputs []float32, labels []int) (float32, error) {
 	ex := newExecutor(tr, labels)
 	var err error
 	if tr.cfg.Serial {
-		err = ex.runSerial()
+		err = ex.runSerial(tr.streams)
 	} else {
 		err = ex.run(tr.streams)
 	}

@@ -503,14 +503,18 @@ func TestZeroFillIsNotAFaultSite(t *testing.T) {
 // known-zero, nothing is elided and victims go in plain LRU order, so a
 // fixed-seed run on the serial executor moves exactly the bytes, in
 // exactly as many copies, as it did before known-zero pages existed
-// (counters read off commit aa03e4b).
+// (counters read off commit aa03e4b). The DPBaseline SGD row was
+// re-pinned when the serial executor began draining the woven streams
+// (sched.Streams.Replay): it once reduced each collective the moment
+// its gradients were ready, ahead of the update order the plan weaves,
+// and now moves what the parallel executor moves on the same plan.
 func TestBaselineMovesEveryByteItDid(t *testing.T) {
 	for _, tc := range []struct {
 		mode sched.Mode
 		adam bool
 		want VMStats
 	}{
-		{sched.DPBaseline, false, VMStats{SwapInBytes: 567488, SwapOutBytes: 544128, SwapIns: 292, SwapOuts: 282}},
+		{sched.DPBaseline, false, VMStats{SwapInBytes: 529472, SwapOutBytes: 506112, SwapIns: 276, SwapOuts: 266}},
 		{sched.DPBaseline, true, VMStats{SwapInBytes: 240192, SwapOutBytes: 202176, SwapIns: 108, SwapOuts: 96}},
 		{sched.PPBaseline, false, VMStats{SwapInBytes: 132960, SwapOutBytes: 110912, SwapIns: 97, SwapOuts: 75}},
 		{sched.PPBaseline, true, VMStats{SwapInBytes: 109856, SwapOutBytes: 73952, SwapIns: 66, SwapOuts: 41}},

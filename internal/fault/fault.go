@@ -10,14 +10,14 @@
 //
 //	op=kernel|swap-in|swap-out|p2p|collective|any   (default any)
 //	mode=transient|fatal|delay                      (default transient)
-//	dev=<int>     device to hit (default: any device)
+//	dev=<int>     device to hit (default, or -1: any device)
 //	step=<int>    1-based trainer step (default: any step; simulated
 //	              memory-manager ops carry step 0 and only match
 //	              rules with no step constraint)
-//	layer=<int>   layer index (default: any layer)
+//	layer=<int>   layer index (default, or -1: any layer)
 //	count=<int>   how many times the rule fires (default 1; 0 = no cap)
 //	prob=<float>  per-occurrence firing probability (default 1)
-//	delay=<dur>   Go duration for mode=delay (default 1ms)
+//	delay=<dur>   non-negative Go duration for mode=delay (default 1ms)
 //
 // Example: "step=3,dev=1,op=kernel,mode=fatal;op=swap-in,count=2"
 // kills device 1's kernel launch at step 3 and makes the first two
@@ -281,7 +281,12 @@ func Parse(spec string, seed uint64) (*Injector, error) {
 					return nil, fmt.Errorf("fault: unknown mode %q", v)
 				}
 			case "dev":
+				// -1 is the wildcard; anything below it would match every
+				// device too, unasked.
 				r.Dev, err = strconv.Atoi(v)
+				if err == nil && r.Dev < -1 {
+					return nil, fmt.Errorf("fault: dev %q below -1 (any device)", v)
+				}
 			case "step":
 				r.Step, err = strconv.Atoi(v)
 				if err == nil && r.Step < 0 {
@@ -289,6 +294,9 @@ func Parse(spec string, seed uint64) (*Injector, error) {
 				}
 			case "layer":
 				r.Layer, err = strconv.Atoi(v)
+				if err == nil && r.Layer < -1 {
+					return nil, fmt.Errorf("fault: layer %q below -1 (any layer)", v)
+				}
 			case "count":
 				r.Count, err = strconv.Atoi(v)
 				if err == nil && r.Count < 0 {
@@ -304,6 +312,9 @@ func Parse(spec string, seed uint64) (*Injector, error) {
 				}
 			case "delay":
 				r.Delay, err = time.ParseDuration(v)
+				if err == nil && r.Delay < 0 {
+					return nil, fmt.Errorf("fault: negative delay %q", v)
+				}
 			default:
 				return nil, fmt.Errorf("fault: unknown key %q", k)
 			}

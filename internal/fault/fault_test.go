@@ -35,6 +35,7 @@ func TestParseEmptyAndErrors(t *testing.T) {
 	for _, bad := range []string{
 		"op=warp", "mode=loud", "dev=x", "step=-1", "count=-2",
 		"prob=1.5", "prob=NaN", "delay=fast", "frobnicate=1", "op",
+		"dev=-4", "layer=-7", "mode=delay,delay=-1ms",
 	} {
 		if _, err := Parse(bad, 0); err == nil {
 			t.Errorf("spec %q accepted", bad)

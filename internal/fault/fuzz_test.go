@@ -4,10 +4,13 @@ import "testing"
 
 // FuzzParse feeds arbitrary spec strings to the -fault-spec grammar: it
 // must never panic, and a spec it accepts yields only rules an injector
-// can evaluate — a probability in [0,1] and non-negative count and
-// step. Seeded with the documented examples and the one hostile value
-// that used to get through: prob=NaN compares false against both range
-// ends, and Inject then treated the rule as certain.
+// can evaluate — a probability in [0,1], non-negative count, step and
+// delay, and dev and layer no lower than the -1 wildcard. Seeded with
+// the documented examples and the hostile values that used to get
+// through: prob=NaN compares false against both range ends, and Inject
+// then treated the rule as certain; dev=-4 and layer=-7 matched every
+// device and layer like the wildcard; and a negative delay slept the
+// default instead.
 func FuzzParse(f *testing.F) {
 	for _, spec := range []string{
 		"",
@@ -18,6 +21,10 @@ func FuzzParse(f *testing.F) {
 		"prob=NaN",
 		"prob=-0",
 		"count=0;;op=any",
+		"dev=-1,layer=-1",
+		"dev=-4",
+		"layer=-7",
+		"mode=delay,delay=-1ms",
 	} {
 		f.Add(spec)
 	}
@@ -27,7 +34,8 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		for _, rs := range in.rules {
-			if r := rs.Rule; !(r.Prob >= 0 && r.Prob <= 1) || r.Count < 0 || r.Step < 0 {
+			if r := rs.Rule; !(r.Prob >= 0 && r.Prob <= 1) || r.Count < 0 || r.Step < 0 ||
+				r.Dev < -1 || r.Layer < -1 || r.Delay < 0 {
 				t.Fatalf("spec %q accepted with rule %+v", spec, r)
 			}
 		}

@@ -1,7 +1,10 @@
 // The plan's last step: weaving collective rendezvous into the device
 // queues. The Streams built here are what the device workers run (exec)
 // and what the verifier proves (schedcheck), so the anchor rule exists
-// once.
+// once. Replay, beside it, is the one drain of those streams without
+// goroutines: the verifier's liveness proof and the serial reference
+// executor both walk its order, so the reference runs exactly what was
+// proven.
 //
 // Weave is called by those consumers, not by Build: the simulator
 // launches collectives as their dependencies complete and never needs
@@ -142,4 +145,102 @@ func Weave(s *Schedule) (*Streams, error) {
 		ws.Dev[d] = st
 	}
 	return ws, nil
+}
+
+// Stuck is a stream head Replay could not move past: device Dev's
+// entry and why it waits.
+type Stuck struct {
+	Dev   int
+	Entry StreamEntry
+	Why   string
+}
+
+func (s Stuck) String() string { return fmt.Sprintf("gpu%d@%s(%s)", s.Dev, s.Entry.Task, s.Why) }
+
+// Replay drains the streams on the calling goroutine: device by device
+// in index order, each as far as its dependencies allow, over and over
+// until no device can move. A compute entry is visited once its task's
+// dependencies are done. A rendezvous completes when every party has
+// parked at it and every member's dependencies are done; it is visited
+// once, on the device whose arrival completed it, and completing it
+// finishes every member. An error from visit stops the drain and is
+// returned. Streams that cannot drain leave their heads in stuck, in
+// device order, each with the reason it waits.
+func (ws *Streams) Replay(tasks []*graph.Task, visit func(d int, e StreamEntry) error) ([]Stuck, error) {
+	depsLeft := make([]int, len(tasks))
+	for _, t := range tasks {
+		depsLeft[t.ID] = len(t.Deps)
+	}
+	finish := func(t *graph.Task) {
+		for _, succ := range t.Succs {
+			depsLeft[succ.ID]--
+		}
+	}
+	membersLeft := func(ri int) int {
+		left := 0
+		for _, m := range ws.Members[ri] {
+			left += depsLeft[m.ID]
+		}
+		return left
+	}
+	cursors := make([]int, len(ws.Dev))
+	parked := make([]bool, len(ws.Dev)) // arrival at the head rendezvous recorded
+	arrived := make([]int, len(ws.Parties))
+	last := make([]int, len(ws.Parties)) // the latest arrival at each rendezvous
+	rdvDone := make([]bool, len(ws.Parties))
+	for progress := true; progress; {
+		progress = false
+		for d, st := range ws.Dev {
+			for ; cursors[d] < len(st); cursors[d]++ {
+				e := st[cursors[d]]
+				if e.Rdv < 0 {
+					if depsLeft[e.Task.ID] > 0 {
+						break
+					}
+					if err := visit(d, e); err != nil {
+						return nil, err
+					}
+					finish(e.Task)
+				} else {
+					if !parked[d] {
+						parked[d] = true
+						arrived[e.Rdv]++
+						last[e.Rdv] = d
+						progress = true
+					}
+					if !rdvDone[e.Rdv] {
+						if arrived[e.Rdv] < ws.Parties[e.Rdv] || membersLeft(e.Rdv) > 0 {
+							break // parked at the rendezvous
+						}
+						rdvDone[e.Rdv] = true
+						if err := visit(last[e.Rdv], e); err != nil {
+							return nil, err
+						}
+						for _, m := range ws.Members[e.Rdv] {
+							finish(m)
+						}
+					}
+					parked[d] = false
+				}
+				progress = true
+			}
+		}
+	}
+	var stuck []Stuck
+	for d, st := range ws.Dev {
+		if cursors[d] == len(st) {
+			continue
+		}
+		e := st[cursors[d]]
+		why := fmt.Sprintf("%d deps left", depsLeft[e.Task.ID])
+		if e.Rdv >= 0 {
+			if left := membersLeft(e.Rdv); left > 0 {
+				why = fmt.Sprintf("%d member deps left", left)
+			} else {
+				why = fmt.Sprintf("rendezvous %d/%d arrived", arrived[e.Rdv], ws.Parties[e.Rdv])
+			}
+		}
+		stuck = append(stuck, Stuck{d, e, why})
+	}
+	return stuck, nil
 }

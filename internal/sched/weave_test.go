@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -97,6 +99,50 @@ func checkWeave(t *testing.T, s *Schedule) {
 	}
 }
 
+// checkReplay asserts that Replay drains one woven plan: every task is
+// visited exactly once — a compute task on the device whose queue holds
+// it, a collective with its rendezvous on one of the parties — after
+// all of its dependencies, and no head is left stuck.
+func checkReplay(t *testing.T, s *Schedule) {
+	t.Helper()
+	ws, err := Weave(s)
+	if err != nil {
+		t.Fatalf("Weave: %v", err)
+	}
+	done := make([]bool, len(s.Graph.Tasks))
+	stuck, err := ws.Replay(s.Graph.Tasks, func(d int, e StreamEntry) error {
+		tasks := []*graph.Task{e.Task}
+		if e.Rdv >= 0 {
+			tasks = ws.Members[e.Rdv]
+			if d >= ws.Parties[e.Rdv] {
+				t.Errorf("rendezvous %d visited on gpu%d, not one of its %d parties", e.Rdv, d, ws.Parties[e.Rdv])
+			}
+		} else if int(s.Assign[e.Task.ID]) != d {
+			t.Errorf("%s visited on gpu%d, queued on %v", e.Task, d, s.Assign[e.Task.ID])
+		}
+		for _, task := range tasks {
+			for _, dep := range task.Deps {
+				if !done[dep.ID] {
+					t.Errorf("%s visited before its dependency %s", task, dep)
+				}
+			}
+			if done[task.ID] {
+				t.Errorf("%s visited twice", task)
+			}
+			done[task.ID] = true
+		}
+		return nil
+	})
+	if err != nil || stuck != nil {
+		t.Fatalf("Replay: stuck %v, err %v", stuck, err)
+	}
+	for _, task := range s.Graph.Tasks {
+		if !done[task.ID] {
+			t.Errorf("%s never visited", task)
+		}
+	}
+}
+
 func TestWeaveAnchorsEveryRendezvous(t *testing.T) {
 	chunked := DefaultOptions(HarmonyDP)
 	chunked.CommChunks = 3
@@ -124,6 +170,7 @@ func TestWeaveAnchorsEveryRendezvous(t *testing.T) {
 			for _, opts := range row.variants {
 				s := MustBuild(row.g(n), opts, n)
 				checkWeave(t, s)
+				checkReplay(t, s)
 				if t.Failed() {
 					t.Fatalf("%s n=%d opts=%+v", row.name, n, opts)
 				}
@@ -163,5 +210,67 @@ func TestWeaveRejectsMisanchoredPlans(t *testing.T) {
 	c.Inputs = c.Inputs[:1]
 	if _, err := Weave(s); err == nil || !strings.Contains(err.Error(), "party count") {
 		t.Errorf("bucket with disagreeing party counts accepted: %v", err)
+	}
+}
+
+// Replay visits a rendezvous on the device whose arrival completed it,
+// stops at the first error a visit returns, and reports both heads of
+// streams that meet two rendezvous in opposite orders as stuck there.
+func TestReplayCompletesStopsAndSticks(t *testing.T) {
+	// gpu1 is the last party to arrive, while its collective still
+	// waits on z, a third device's task: the rendezvous completes later,
+	// when gpu0's stream is scanned, and is visited on gpu1, as the last
+	// arrival reduces on the parallel executor.
+	a0, a1, z := &graph.Task{ID: 0}, &graph.Task{ID: 1}, &graph.Task{ID: 2}
+	c := &graph.Task{ID: 3, Kind: graph.AllReduce}
+	for _, dep := range []*graph.Task{a0, a1, z} {
+		dep.Succs = append(dep.Succs, c)
+		c.Deps = append(c.Deps, dep)
+	}
+	ws := &Streams{
+		Dev: [][]StreamEntry{
+			{{Task: a0, Rdv: -1}, {Task: c, Rdv: 0}},
+			{{Task: a1, Rdv: -1}, {Task: c, Rdv: 0}},
+			{{Task: z, Rdv: -1}},
+		},
+		Members: [][]*graph.Task{{c}},
+		Parties: []int{2},
+	}
+	var order []string
+	stuck, err := ws.Replay([]*graph.Task{a0, a1, z, c}, func(d int, e StreamEntry) error {
+		order = append(order, fmt.Sprintf("gpu%d:task%d", d, e.Task.ID))
+		return nil
+	})
+	want := "[gpu0:task0 gpu1:task1 gpu2:task2 gpu1:task3]"
+	if got := fmt.Sprint(order); err != nil || stuck != nil || got != want {
+		t.Fatalf("Replay visited %s (stuck %v, err %v), want %s", got, stuck, err, want)
+	}
+
+	s := MustBuild(dpGraph(4, 2, 2), DefaultOptions(DPBaseline), 2)
+	if ws, err = Weave(s); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	visits := 0
+	if _, err := ws.Replay(s.Graph.Tasks, func(int, StreamEntry) error {
+		if visits++; visits == 3 {
+			return boom
+		}
+		return nil
+	}); err != boom || visits != 3 {
+		t.Fatalf("Replay after a failed third visit: err %v, %d visits", err, visits)
+	}
+
+	var at []int // gpu1's rendezvous entries
+	for i, e := range ws.Dev[1] {
+		if e.Rdv >= 0 {
+			at = append(at, i)
+		}
+	}
+	st := ws.Dev[1]
+	st[at[0]], st[at[len(at)-1]] = st[at[len(at)-1]], st[at[0]]
+	stuck, err = ws.Replay(s.Graph.Tasks, func(int, StreamEntry) error { return nil })
+	if err != nil || len(stuck) != 2 || stuck[0].Entry.Rdv < 0 || stuck[1].Entry.Rdv < 0 {
+		t.Fatalf("crossed rendezvous: stuck %v, err %v; want both devices parked", stuck, err)
 	}
 }

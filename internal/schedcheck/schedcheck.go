@@ -30,10 +30,13 @@
 // reachable claim word, so nothing here re-checks it.
 //
 // Where a rendezvous sits in a stream is the planner's decision and
-// lives only in sched.Weave; what makes this package an independent
-// check on the executor is everything it does with the streams — the
-// fixed-point replay, the residency bound and the volume model share
-// no code with it.
+// lives only in sched.Weave, and the order the streams drain in lives
+// only in sched.Streams.Replay, which the serial reference executor
+// walks too, on purpose: the reference runs exactly the order proven
+// here. What makes this package an independent check on the parallel
+// executor is that its workers share neither: they drain the streams
+// on goroutines released by a dispatcher, and the residency bound and
+// the volume model share no code with the executor at all.
 //
 // The executor runs Check as a preflight gate (exec.TrainerConfig
 // .NoVerify opts out) and calls Liveness and Residency, proofs 1 and 2
@@ -322,10 +325,9 @@ func checkComm(s *sched.Schedule, r *Report) {
 }
 
 // replay runs the woven streams to a fixed point without executing
-// anything: a cursor advances when its head task's dependencies are
-// complete, a rendezvous completes when all participants have parked
-// at it AND every member's dependencies are met — completing it
-// finishes every member at once. (The chunked executor is weaker: it
+// anything (sched.Streams.Replay): a rendezvous completes when all
+// participants have parked at it AND every member's dependencies are
+// met, finishing every member at once. (The chunked executor is weaker: it
 // releases each member as its last chunk retires and lets finished
 // workers depart early, so a plan that passes this conservative model
 // can only complete more easily at runtime.) This is the
@@ -344,105 +346,45 @@ func replay(tasks []*graph.Task, ws *sched.Streams, r *Report) {
 	}
 }
 
-// fixedPoint is the replay loop. It returns the number of tasks
-// completed and, when that is not all of them, the blocked heads; a
-// non-nil tl receives one span per completed task and a fault-lane
-// span per blocked head.
+// fixedPoint is the replay: sched.Streams.Replay, visited without
+// math. It returns the number of tasks completed and, when that is not
+// all of them, the blocked heads; a non-nil tl receives one span per
+// completed task and a fault-lane span per blocked head.
 func fixedPoint(tasks []*graph.Task, ws *sched.Streams, tl *trace.Trace) (int, string) {
-	depsLeft := make([]int, len(tasks))
-	for _, t := range tasks {
-		depsLeft[t.ID] = len(t.Deps)
-	}
-	cursors := make([]int, len(ws.Dev))
-	parked := make([]bool, len(ws.Dev)) // arrival at the head rendezvous recorded
-	arrived := make([]int, len(ws.Parties))
-	rdvDone := make([]bool, len(ws.Parties))
-	step := 0
+	done, step := 0, 0
 	span := func(d int, t *graph.Task) {
 		if tl != nil {
 			tl.Add(hw.DeviceID(d), trace.Compute, t.String(), sim.Time(step), sim.Time(step+1))
 		}
 	}
-	membersLeft := func(ri int) int {
-		left := 0
-		for _, m := range ws.Members[ri] {
-			left += depsLeft[m.ID]
-		}
-		return left
-	}
-	done := 0
-	for progress := true; done < len(tasks) && progress; {
-		progress = false
-		for d, st := range ws.Dev {
-			for cursors[d] < len(st) {
-				e := st[cursors[d]]
-				if e.Rdv >= 0 {
-					if !parked[d] {
-						parked[d] = true
-						arrived[e.Rdv]++
-						progress = true
-					}
-					if !rdvDone[e.Rdv] {
-						if arrived[e.Rdv] < ws.Parties[e.Rdv] || membersLeft(e.Rdv) > 0 {
-							break // parked at the rendezvous
-						}
-						rdvDone[e.Rdv] = true
-						// The rendezvous completes once; show the span on
-						// every participant — all are parked at it — so the
-						// rendezvous ordering is visible.
-						for p := 0; p < ws.Parties[e.Rdv]; p++ {
-							span(p, e.Task)
-						}
-						step++
-						for _, m := range ws.Members[e.Rdv] {
-							for _, succ := range m.Succs {
-								depsLeft[succ.ID]--
-							}
-						}
-						done += len(ws.Members[e.Rdv])
-						progress = true
-					}
-					parked[d] = false
-					cursors[d]++
-					continue
-				}
-				if depsLeft[e.Task.ID] > 0 {
-					break
-				}
-				for _, succ := range e.Task.Succs {
-					depsLeft[succ.ID]--
-				}
-				span(d, e.Task)
-				step++
-				done++
-				cursors[d]++
-				progress = true
+	// The visitor never fails, so Replay returns no error.
+	stuck, _ := ws.Replay(tasks, func(d int, e sched.StreamEntry) error {
+		if e.Rdv < 0 {
+			span(d, e.Task)
+			done++
+		} else {
+			// The rendezvous completes once; show the span on every
+			// participant — all are parked at it — so the rendezvous
+			// ordering is visible.
+			for p := range ws.Parties[e.Rdv] {
+				span(p, e.Task)
 			}
+			done += len(ws.Members[e.Rdv])
 		}
-	}
+		step++
+		return nil
+	})
 	if done == len(tasks) {
 		return done, ""
 	}
-	var stuck []string
-	for d, st := range ws.Dev {
-		if cursors[d] >= len(st) {
-			continue
-		}
-		e := st[cursors[d]]
-		why := fmt.Sprintf("%d deps left", depsLeft[e.Task.ID])
-		if e.Rdv >= 0 {
-			if left := membersLeft(e.Rdv); left > 0 {
-				why = fmt.Sprintf("%d member deps left", left)
-			} else {
-				why = fmt.Sprintf("rendezvous %d/%d arrived", arrived[e.Rdv], ws.Parties[e.Rdv])
-			}
-		}
-		stuck = append(stuck, fmt.Sprintf("gpu%d@%s(%s)", d, e.Task, why))
+	heads := make([]string, len(stuck))
+	for i, h := range stuck {
+		heads[i] = h.String()
 		if tl != nil {
-			tl.Add(hw.DeviceID(d), trace.Fault, "!"+e.Task.String()+" "+why, sim.Time(step), sim.Time(step+1))
+			tl.Add(hw.DeviceID(h.Dev), trace.Fault, "!"+h.Entry.Task.String()+" "+h.Why, sim.Time(step), sim.Time(step+1))
 		}
 	}
-	return done, fmt.Sprintf("%d/%d tasks completable; blocked: %s", done, len(tasks), strings.Join(stuck, ", "))
+	return done, fmt.Sprintf("%d/%d tasks completable; blocked: %s", done, len(tasks), strings.Join(heads, ", "))
 }
 
 // pinPeak is a pinned-byte bound and, when one task alone explains it,
