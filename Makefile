@@ -1,6 +1,7 @@
 # Developer entry points. `make check` is the tier-1 gate: everything
-# a change must pass before merging — vet, gofmt and the invariant
-# linter (harmonylint), the build, both modules' tests, the race
+# a change must pass before merging — vet of both modules (the nested
+# bench/ module compiles against the root's API), gofmt and the
+# invariant linter (harmonylint), the build, both modules' tests, the race
 # detector over the root module (see `race`), the time-boxed fuzzes
 # and the contention bench smoke. The static plan-verification gate
 # (clean plans pass, seeded plan bugs fail, through the CLIs) is
@@ -17,8 +18,10 @@ all: check
 build:
 	$(GO) build ./...
 
+# bench/ is a nested module: ./... from the root never reaches it.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 # Static enforcement of the executor's concurrency and determinism
 # invariants (DESIGN.md §10), one gate each. go vet holds copied locks

@@ -35,14 +35,14 @@ func run() (exit int) {
 		gpuMem     = flag.Int64("gpu-mem", 0, "per-GPU memory bytes (0 = 11 GiB)")
 		mbSize     = flag.Int("mb-size", 1, "microbatch size (samples)")
 		mbCount    = flag.Int("microbatches", 8, "microbatches per iteration")
-		groupSize  = flag.Int("group", 0, "grouping window (0 = whole batch)")
+		groupSize  = flag.Int("group", 0, "microbatches per wave (0 = the mode's default: 1 for baselines, all for Harmony modes)")
 		trace      = flag.Bool("trace", false, "print the execution Gantt chart")
 		noP2P      = flag.Bool("no-p2p", false, "disable peer-to-peer transfers")
-		noGroup    = flag.Bool("no-grouping", false, "disable input-batch grouping")
+		noGroup    = flag.Bool("no-grouping", false, "disable input-batch grouping: waves of one microbatch, interleaved, as the baselines run (-group 1 -interleave)")
 		noJIT      = flag.Bool("no-jit", false, "disable just-in-time updates")
 		recomp     = flag.Bool("recompute", false, "activation recomputation (checkpoint inputs only)")
 		lookahead  = flag.Bool("lookahead", false, "schedule-informed (Belady) eviction instead of LRU")
-		interleave = flag.Bool("interleave", false, "1F1B wave interleaving for grouped pipelines")
+		interleave = flag.Bool("interleave", false, "run the waves in 1F1B order, in any mode (the baselines always do)")
 	)
 	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -59,6 +59,10 @@ func run() (exit int) {
 		}
 	}()
 
+	if *groupSize < 0 {
+		fmt.Fprintf(os.Stderr, "harmonysim: -group must be non-negative, got %d\n", *groupSize)
+		return 2
+	}
 	var model harmony.ModelSpec
 	if *modelName == "uniform" {
 		model = harmony.UniformModel(*layers, 1_000_000, 1<<20, 1e10)
@@ -85,7 +89,7 @@ func run() (exit int) {
 		toggles.P2P = harmony.Bool(false)
 	}
 	if *noGroup {
-		toggles.Grouping = harmony.Bool(false)
+		toggles.GroupSize, toggles.WaveInterleave = 1, harmony.Bool(true)
 	}
 	if *noJIT {
 		toggles.JIT = harmony.Bool(false)

@@ -1,7 +1,7 @@
 package main
 
 // CLI contract of the simulator, run as a user runs it: the binary is
-// built once, then driven through a usage error and one tiny run.
+// built once, then driven through usage errors and one tiny run.
 
 import (
 	"bytes"
@@ -33,6 +33,13 @@ func TestUnknownModeAndATinyShardedRun(t *testing.T) {
 	want := `unknown mode "harmonytp" (want dp-baseline, pp-baseline, harmony-dp, harmony-pp, tp-baseline, harmony-tp)`
 	if exit != 2 || stdout != "" || !strings.Contains(stderr, want) {
 		t.Errorf("-mode harmonytp: exit %d, stdout %q, stderr %q; want exit 2 and %q", exit, stdout, stderr, want)
+	}
+
+	// A negative group size is a usage error, not "all microbatches".
+	stdout, stderr, exit = harmonysim("-group", "-3")
+	want = "-group must be non-negative, got -3"
+	if exit != 2 || stdout != "" || !strings.Contains(stderr, want) {
+		t.Errorf("-group -3: exit %d, stdout %q, stderr %q; want exit 2 and %q", exit, stdout, stderr, want)
 	}
 
 	// The op-sharded mode simulates end to end on a tiny model.

@@ -36,11 +36,11 @@ func main() {
 		mbs       = flag.Int("microbatches", 4, "microbatches per iteration")
 		mbSize    = flag.Int("mb-size", 1, "samples per microbatch")
 		deviceMem = flag.Int64("device-mem", 1<<20, "per-device memory bytes")
-		groupSize = flag.Int("group-size", 0, "microbatch group size (0 = all)")
+		groupSize = flag.Int("group-size", 0, "microbatches per wave (0 = the mode's default: 1 for baselines, all for Harmony modes)")
 		prefetch  = flag.Bool("prefetch", true, "plan with prefetch enabled")
 		chunks    = flag.Int("comm-chunks", 0, "split gradient collectives into N chunks (0 = monolithic)")
 		bucket    = flag.Int64("comm-bucket", 0, "coalesce reverse-order gradients into buckets of this many bytes")
-		baseline  = flag.Bool("baseline-toggles", false, "disable all optimizations regardless of mode")
+		baseline  = flag.Bool("baseline-toggles", false, "disable all optimizations regardless of mode: waves of one microbatch, interleaved")
 		inject    = flag.String("inject", "", "seed a plan bug: cycle, volume, overcap")
 		verbose   = flag.Bool("v", false, "print per-device residency and volume detail")
 	)
@@ -52,12 +52,19 @@ func main() {
 		os.Exit(2)
 	}
 
+	if *groupSize < 0 {
+		fmt.Fprintf(os.Stderr, "schedcheck: -group-size must be non-negative, got %d\n", *groupSize)
+		os.Exit(2)
+	}
+
 	opts := sched.DefaultOptions(mode)
 	if *baseline || *inject == "cycle" || *inject == "volume" {
 		// The queue-order injections need updates at the tail.
-		opts = sched.Options{Mode: mode}
+		opts = sched.Options{Mode: mode, GroupSize: 1, WaveInterleave: true}
 	}
-	opts.GroupSize = *groupSize
+	if *groupSize > 0 {
+		opts.GroupSize = *groupSize
+	}
 	opts.Prefetch = opts.Prefetch && *prefetch
 	opts.CommChunks = *chunks
 	opts.CommBucketBytes = *bucket

@@ -30,6 +30,7 @@ func TestSeededBugsAreCaught(t *testing.T) {
 		{[]string{"-mode", "dp-baseline", "-devices", "2", "-inject", "volume"}, 1, "FAIL\nschedcheck: swap-volume: "},
 		{[]string{"-mode", "harmony-dp", "-devices", "2", "-inject", "overcap"}, 1, "FAIL\nschedcheck: capacity: "},
 		{[]string{"-mode", "harmony-dp", "-devices", "2", "-inject", "uncommitted"}, 2, `unknown injection "uncommitted"`},
+		{[]string{"-mode", "harmony-dp", "-devices", "2", "-group-size", "-3"}, 2, "-group-size must be non-negative, got -3"},
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, tc.args...)

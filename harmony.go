@@ -57,9 +57,11 @@ const (
 )
 
 // Toggles exposes the paper's optimizations individually for
-// ablation: the scheduler's own. LookaheadEviction and
-// DeferBlockedUpdates act in Simulate and Tune only; NewTrainer
-// refuses a Toggles that sets either.
+// ablation: the scheduler's own. Input-batch grouping is the wave
+// shape, GroupSize (1 = off, 0 = the mode's default) and WaveInterleave:
+// GroupSize 1 with WaveInterleave is the baselines' microbatch loop, or
+// 1F1B in a pipeline. LookaheadEviction and DeferBlockedUpdates act in
+// Simulate and Tune only; NewTrainer refuses a Toggles that sets either.
 type Toggles = sched.Toggles
 
 // Bool is a convenience for building Toggles literals.

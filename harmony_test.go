@@ -474,32 +474,47 @@ func TestTrainerRefusesShardedModes(t *testing.T) {
 	}
 }
 
-// Tune plans the sharded modes the way Simulate does, so both find a
-// feasible best, and Simulating it reproduces the reported throughput.
-// A single-copy mode streams the global batch, BatchPerReplica × GPUs.
-func TestTuneShardedModes(t *testing.T) {
-	model := UniformModel(8, 1_000_000, 16<<10, 5e9)
+// Tune plans every mode the way Simulate does, so Simulating its winner
+// from the Best fields reproduces the reported throughput exactly. A
+// single-copy mode streams the global batch, BatchPerReplica × GPUs. The
+// stash-heavy pipeline's winner interleaves its waves, which Simulate
+// runs only if the result says so.
+func TestTuneBestReproducesInEveryMode(t *testing.T) {
 	server := CommodityServer(2).WithGPUMemory(20 << 20)
-	for _, mode := range []Mode{TPBaseline, HarmonyTP} {
-		res, err := Tune(TuneConfig{Model: model, Mode: mode, Server: server, BatchPerReplica: 4})
+	type tc struct {
+		model ModelSpec
+		mode  Mode
+	}
+	var cases []tc
+	for _, mode := range []Mode{DPBaseline, PPBaseline, HarmonyDP, HarmonyPP, TPBaseline, HarmonyTP} {
+		cases = append(cases, tc{UniformModel(8, 1_000_000, 16<<10, 5e9), mode})
+	}
+	cases = append(cases, tc{UniformModel(8, 1_000_000, 1<<20, 5e9), HarmonyPP})
+	for _, c := range cases {
+		res, err := Tune(TuneConfig{Model: c.model, Mode: c.mode, Server: server, BatchPerReplica: 4})
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatalf("%v: %v", c.mode, err)
+		}
+		mbs := res.BestMicrobatches
+		if c.mode.IsPipeline() || c.mode.IsSharded() {
+			mbs *= server.GPUs()
 		}
 		rep, err := Simulate(SimConfig{
-			Model: model, Mode: mode, Server: server,
-			MicrobatchSize: res.BestMicrobatchSize, Microbatches: res.BestMicrobatches * server.GPUs(),
+			Model: c.model, Mode: c.mode, Server: server,
+			MicrobatchSize: res.BestMicrobatchSize, Microbatches: mbs,
 			Toggles: &Toggles{
 				GroupSize:           res.BestGroupSize,
 				Prefetch:            Bool(res.BestPrefetch),
 				DeferBlockedUpdates: Bool(res.BestDefer),
+				WaveInterleave:      Bool(res.BestInterleave),
 			},
 		})
 		if err != nil {
-			t.Fatalf("%v: Simulate of the best candidate: %v", mode, err)
+			t.Fatalf("%v: Simulate of the best candidate: %v", c.mode, err)
 		}
 		if rep.Throughput != res.BestThroughput {
-			t.Errorf("%v: Tune reports %v samples/s for its best candidate, Simulate of it gives %v",
-				mode, res.BestThroughput, rep.Throughput)
+			t.Errorf("%v %s: Tune reports %v samples/s for its best candidate, Simulate of it gives %v",
+				c.mode, res.Table[0].Candidate, res.BestThroughput, rep.Throughput)
 		}
 	}
 }

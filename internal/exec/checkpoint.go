@@ -55,10 +55,10 @@ func (tr *Trainer) read(t *tensor.Tensor, dst *[]float32) error {
 	return tr.vm.Read(t, *dst)
 }
 
-// restore makes st the trainer's state. What the VM holds of the
-// weights and optimizer state is dropped unread — never written back to
-// be overwritten — and born again with st's values, zero-padded: a state
-// without optimizer state zeroes an Adam trainer's moments.
+// restore makes st the state of tr.vm, a fresh VM (newVM). What it
+// holds of the weights and optimizer state — the known-zero moments —
+// is dropped unread and born again with st's values, zero-padded: a
+// state without optimizer state zeroes an Adam trainer's moments.
 func (tr *Trainer) restore(st *state) error {
 	births := tr.births()
 	for _, b := range births {
@@ -114,14 +114,19 @@ func (tr *Trainer) Save(w io.Writer) error {
 // Load restores a checkpoint into every replica (all replicas must stay
 // identical) and resumes the optimizer step count. The trainer's
 // architecture must match the checkpoint. The whole checkpoint is read
-// and validated before any buffer is written, so a rejected one leaves
-// the trainer as it was; an accepted one decides the state alone.
+// and validated before any buffer is written, and it is restored into a
+// fresh VM that replaces the live one only when the restore succeeds
+// (reload), so a rejected checkpoint or a failed restore leaves the
+// trainer as it was; an accepted one decides the state alone.
 func (tr *Trainer) Load(r io.Reader) error {
 	st, err := tr.decode(r)
 	if err != nil {
 		return err
 	}
-	return tr.restore(st)
+	if err := tr.reload(st); err != nil {
+		return fmt.Errorf("exec: checkpoint restore: %w", err)
+	}
+	return nil
 }
 
 // decode reads and validates a checkpoint against the trainer's

@@ -20,11 +20,10 @@ import (
 	"harmony/internal/trace"
 )
 
-// commBucketRT is one bucket's runtime view.
+// commBucketRT is one bucket's runtime view; its members, in plan
+// order, are the woven streams' (sched.Streams.Members), bucket bi
+// being rendezvous bi.
 type commBucketRT struct {
-	// members are the bucket's collective tasks in plan order
-	// (descending layer, mirroring backward completion).
-	members []*graph.Task
 	// byDev[d] lists the chunks device worker d reduces, member-major
 	// then ascending offset — the iteration order of reduceBucket.
 	byDev [][]sched.CommChunk
@@ -42,12 +41,8 @@ func buildCommPlan(s *sched.Schedule) []commBucketRT {
 	plan := make([]commBucketRT, len(s.Comm))
 	for bi, b := range s.Comm {
 		rt := commBucketRT{
-			members:         make([]*graph.Task, len(b.Members)),
 			byDev:           make([][]sched.CommChunk, s.NGPUs),
 			chunksPerMember: make([]int32, len(b.Members)),
-		}
-		for i, ci := range b.Members {
-			rt.members[i] = s.Collectives[ci]
 		}
 		for _, c := range b.Chunks {
 			rt.byDev[c.Reducer] = append(rt.byDev[c.Reducer], c)

@@ -78,7 +78,7 @@ func (tr *Trainer) sizeTasks() {
 		waited:  make([]time.Duration, n),
 	}
 	for _, b := range tr.comm {
-		tr.tasks.commLeft = append(tr.tasks.commLeft, make([]int32, len(b.members)))
+		tr.tasks.commLeft = append(tr.tasks.commLeft, make([]int32, len(b.chunksPerMember)))
 	}
 }
 
@@ -308,7 +308,7 @@ func (ex *executor) reduceBucket(d int, bi int) bool {
 	b := &ex.tr.comm[bi]
 	chunks := b.byDev[d]
 	idx := 0
-	for mi, m := range b.members {
+	for mi, m := range ex.tr.streams.Members[bi] {
 		lo := idx
 		for idx < len(chunks) && chunks[idx].Member == mi {
 			idx++

@@ -259,6 +259,55 @@ func TestFaultDuringRetune(t *testing.T) {
 	}
 }
 
+// TestFaultDuringLoad is TestFaultDuringRetune's fault in Load: the
+// trainer loads its own checkpoint, so restoring it writes pages back
+// under the same pressure. Transient faults are retried and the run
+// stays bit-identical to one that never loaded; a fatal one fails Load
+// with the restore named and keeps the live VM, so the trainer goes on
+// moving and training exactly as one that never called Load.
+func TestFaultDuringLoad(t *testing.T) {
+	cfg := trainerConfig(sched.HarmonyDP, 2)
+	cfg.Adam, cfg.Serial, cfg.DeviceBytes = true, true, 20<<10
+	run := func(spec string) (*Trainer, []float32, error) {
+		tr, losses := runTrainer(t, cfg, 2)
+		ckpt := saved(t, tr)
+		inj, err := fault.Parse(spec, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Armed in the live VM too, so the fault strikes wherever Load
+		// restores.
+		tr.inj, tr.vm.cfg.inj = inj, inj
+		if err := within(t, func() error { return tr.Load(bytes.NewReader(ckpt)) }); err != nil {
+			return tr, losses, err
+		}
+		if injected, _ := tr.FaultStats(); spec != "" && injected == 0 {
+			t.Fatal("Load's restore wrote nothing back: the device is not under pressure")
+		}
+		more, err := stepsWithin(t, tr, 2, 2)
+		return tr, append(losses, more...), err
+	}
+	plain, lossPlain := runTrainer(t, cfg, 4)
+	tr, losses, err := run("op=swap-out,mode=transient,count=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRun(t, plain, tr, lossPlain, losses)
+
+	tr, losses, err = run("op=swap-out,mode=fatal")
+	if _, fatal := fault.AsFatal(err); !fatal || !strings.Contains(err.Error(), "checkpoint restore") {
+		t.Fatalf("a fatal fault in Load's restore returned %v, want it named", err)
+	}
+	more, err := stepsWithin(t, tr, 2, 2)
+	if err != nil {
+		t.Fatalf("a trainer whose Load failed cannot step: %v", err)
+	}
+	assertSameRun(t, plain, tr, lossPlain, append(losses, more...))
+	if tr.Stats() != plain.Stats() {
+		t.Fatalf("after a failed Load %+v moved; a trainer that never loaded: %+v", tr.Stats(), plain.Stats())
+	}
+}
+
 // TestRecoveryRollsBackToALoadedCheckpoint: the rollback target is the
 // state a step starts from, so a fatal fault in the first step after
 // Load rolls back to the checkpoint, not to what the trainer held before

@@ -876,20 +876,32 @@ func (tr *Trainer) Retune(microbatches int) error {
 	if err := tr.capture(&st); err != nil {
 		return fmt.Errorf("exec: retune: %w", err)
 	}
-	prev, prevStreams, prevVM := tr.s, tr.streams, tr.vm
+	prev, prevStreams := tr.s, tr.streams
 	if err := tr.adopt(s); err != nil {
 		return fmt.Errorf("exec: retune, plan unchanged: %w", err)
 	}
-	tr.vm = tr.newVM()
-	if err := tr.restore(&st); err != nil {
-		// The half-born VM and its counters go; the old one never
-		// stopped holding the state.
-		tr.vm.Close()
-		tr.vm = prevVM
+	if err := tr.reload(&st); err != nil {
 		tr.install(prev, prevStreams)
 		return fmt.Errorf("exec: retune state restore: %w", err)
 	}
-	tr.retire(prevVM) // step boundary: WaitIdle already drained in-flight DMAs
+	return nil
+}
+
+// reload restores st into a fresh VM for the running plan and swaps it
+// in only if the restore succeeds, retiring the old VM (at a step
+// boundary: WaitIdle already drained its in-flight DMAs). A restore that
+// fails — a fatal fault writing a page back, say — discards the
+// half-born VM and its counters and keeps the old one, which never
+// stopped holding the state.
+func (tr *Trainer) reload(st *state) error {
+	prev := tr.vm
+	tr.vm = tr.newVM()
+	if err := tr.restore(st); err != nil {
+		tr.vm.Close()
+		tr.vm = prev
+		return err
+	}
+	tr.retire(prev)
 	return nil
 }
 

@@ -532,7 +532,7 @@ func Ablation() ([]AblationRow, error) {
 		set  func(*sched.Options)
 	}{
 		{"all-on", func(*sched.Options) {}},
-		{"no-grouping", func(o *sched.Options) { o.Grouping = false }},
+		{"no-grouping", func(o *sched.Options) { o.GroupSize, o.WaveInterleave = 1, true }},
 		{"no-jit", func(o *sched.Options) { o.JIT = false }},
 		{"no-p2p", func(o *sched.Options) { o.P2P = false }},
 		{"no-prefetch", func(o *sched.Options) { o.Prefetch = false }},

@@ -278,7 +278,7 @@ func TestAblationShape(t *testing.T) {
 		}
 	}
 	on := byName["all-on"]
-	// Grouping is the biggest single lever: without it every
+	// Input-batch grouping is the biggest single lever: without it every
 	// microbatch re-swaps the weights.
 	if g := byName["no-grouping"]; g.SwapGB < 2*on.SwapGB || g.Throughput >= on.Throughput {
 		t.Errorf("no-grouping %+v should move ≥2x all-on's bytes (%+v) at lower throughput", g, on)

@@ -11,9 +11,7 @@
 //	op=kernel|swap-in|swap-out|p2p|collective|any   (default any)
 //	mode=transient|fatal|delay                      (default transient)
 //	dev=<int>     device to hit (default, or -1: any device)
-//	step=<int>    1-based trainer step (default: any step; simulated
-//	              memory-manager ops carry step 0 and only match
-//	              rules with no step constraint)
+//	step=<int>    1-based trainer step (default: any step)
 //	layer=<int>   layer index (default, or -1: any layer)
 //	count=<int>   how many times the rule fires (default 1; 0 = no cap)
 //	prob=<float>  per-occurrence firing probability (default 1)
@@ -29,8 +27,8 @@
 // made resident again by a memset (exec.VM.MarkZero) — there is no site,
 // and no rule fires.
 //
-// Modes: a transient fault is retryable (the retry layers in
-// internal/exec and internal/memory re-attempt it with backoff), a
+// Modes: a transient fault is retryable (the trainer's VM in
+// internal/exec re-attempts it with backoff), a
 // fatal fault kills the device worker (the trainer's recovery path
 // retires the device), and a delay perturbs timing only — the math is
 // untouched, which is what the determinism tests exploit.

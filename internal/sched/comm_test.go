@@ -2,6 +2,7 @@ package sched
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"harmony/internal/graph"
@@ -22,6 +23,11 @@ func TestCommKnobValidation(t *testing.T) {
 	}
 	if _, err := Build(g, commOpts(0, -1), 2); err == nil {
 		t.Fatal("negative CommBucketBytes accepted")
+	}
+	neg := DefaultOptions(HarmonyDP)
+	neg.GroupSize = -3
+	if _, err := Build(g, neg, 2); err == nil || !strings.Contains(err.Error(), "GroupSize") {
+		t.Fatalf("negative GroupSize: got %v, want an error naming GroupSize", err)
 	}
 	tp := graph.MustBuild(graph.Config{
 		Model:          dpGraph(4, 2, 1).Cfg.Model,

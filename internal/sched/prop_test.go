@@ -45,7 +45,6 @@ func TestRandomizedSchedulesAreSound(t *testing.T) {
 
 		opts := Options{
 			Mode:                mode,
-			Grouping:            rng.Intn(2) == 0,
 			JIT:                 rng.Intn(2) == 0,
 			P2P:                 rng.Intn(2) == 0,
 			Packing:             rng.Intn(2) == 0,
@@ -119,7 +118,7 @@ func checkExecutable(t *testing.T, s *Schedule) {
 	if done != nTasks {
 		for _, task := range s.Graph.Tasks {
 			if indeg[task.ID] > 0 {
-				t.Errorf("stuck task %s on %s", task, s.Assign[task.ID])
+				t.Errorf("stuck task %s", task)
 			}
 		}
 		t.Fatalf("schedule deadlocks: %d of %d tasks executable", done, nTasks)

@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"harmony/internal/graph"
-	"harmony/internal/hw"
 	"harmony/internal/memory"
 )
 
@@ -87,10 +86,6 @@ func (m Mode) IsSharded() bool { return m == TPBaseline || m == HarmonyTP }
 type Options struct {
 	Mode Mode
 
-	// Grouping enables input-batch grouping: a layer's task runs
-	// across all microbatches back-to-back, so its state is swapped
-	// once per phase instead of once per microbatch (§3 opt 1).
-	Grouping bool
 	// JIT schedules each layer's weight update immediately after its
 	// last backward, while W and dW are still resident (§3 opt 2).
 	JIT bool
@@ -136,12 +131,15 @@ type Options struct {
 	// bucket's deepest member finishes its backward sweep.
 	CommBucketBytes int64
 
-	// GroupSize bounds how many microbatches one grouped task sweep
-	// covers (0 = all of them). It is the paper's §4 tango knob for
-	// pipeline mode: grouping the full mini-batch minimizes weight
-	// swaps (3|W|) but serializes stages; smaller groups pipeline as
-	// waves at the cost of re-swapping weights once per wave
-	// ((2·⌈m/G⌉+1)|W|). The tuner searches this dimension.
+	// GroupSize is input-batch grouping (§3 opt 1): how many
+	// microbatches one wave covers, each layer's task running across
+	// them back-to-back so its state is swapped once per phase per
+	// wave (0 = all of them, one wave). It is the paper's §4 tango
+	// knob: grouping the full mini-batch minimizes weight swaps (3|W|)
+	// but serializes pipeline stages; smaller groups pipeline as waves
+	// at the cost of re-swapping weights once per wave
+	// ((2·⌈m/G⌉+1)|W|). A group of one is no grouping at all, the
+	// baselines' microbatch loop. The tuner searches this dimension.
 	GroupSize int
 
 	// LookaheadEviction selects schedule-informed (Belady-style)
@@ -150,24 +148,29 @@ type Options struct {
 	// farthest-future one. The paper's scheduler/swapper co-design.
 	LookaheadEviction bool
 
-	// WaveInterleave runs pipeline waves in 1F1B order (forward wave
-	// / backward wave alternation after a warmup) instead of all
-	// forwards then all backwards. This bounds in-flight stash to
-	// ~(pipeline depth)·GroupSize microbatches per stage rather than
-	// all m — essential for stash-heavy workloads (long-sequence
-	// transformers) where the plain grouped schedule's stash demand
-	// would itself blow past device memory. Requires GroupSize > 0.
+	// WaveInterleave runs the waves in 1F1B order (forward wave /
+	// backward wave alternation after a warmup) instead of all
+	// forwards then all backwards, in every mode. This bounds
+	// in-flight stash to ~(pipeline depth)·GroupSize microbatches per
+	// device rather than all m — essential for stash-heavy workloads
+	// (long-sequence transformers) where the plain grouped schedule's
+	// stash demand would itself blow past device memory. With one wave
+	// (GroupSize 0) it changes nothing. A group of one interleaved is
+	// the baselines' order: the DP/TP microbatch loop, or 1F1B in a
+	// pipeline.
 	WaveInterleave bool
 }
 
 // DefaultOptions returns the canonical option set for a mode:
-// baselines disable everything, Harmony modes enable everything.
+// baselines disable every optimization and run a group of one
+// microbatch interleaved, Harmony modes enable everything and group
+// all microbatches in one wave.
 func DefaultOptions(m Mode) Options {
 	switch m {
 	case HarmonyTP:
 		// Sharded mode has no AllReduce, so deferral never triggers;
 		// gathers sit on the critical path by construction.
-		return Options{Mode: m, Grouping: true, JIT: true, P2P: true, Packing: true,
+		return Options{Mode: m, JIT: true, P2P: true, Packing: true,
 			Prefetch: true, DirtyTracking: true}
 	case HarmonyDP:
 		// DeferBlockedUpdates keeps per-layer AllReduces off the
@@ -175,22 +178,21 @@ func DefaultOptions(m Mode) Options {
 		// stalling); the measured win over strict adjacency outweighs
 		// the occasional re-swap except at extreme memory pressure
 		// (see the tuner and the Fig. 5 idealized configuration).
-		return Options{Mode: m, Grouping: true, JIT: true, P2P: true, Packing: true,
+		return Options{Mode: m, JIT: true, P2P: true, Packing: true,
 			Prefetch: true, DirtyTracking: true, DeferBlockedUpdates: true}
 	case HarmonyPP:
 		// Pipeline mode has a single replica and no collectives, so
 		// update deferral never triggers.
-		return Options{Mode: m, Grouping: true, JIT: true, P2P: true, Packing: true,
+		return Options{Mode: m, JIT: true, P2P: true, Packing: true,
 			Prefetch: true, DirtyTracking: true}
 	default:
-		return Options{Mode: m}
+		return Options{Mode: m, GroupSize: 1, WaveInterleave: true}
 	}
 }
 
 // Toggles exposes the paper's optimizations individually for
 // ablation; the zero value of a field means "use the mode's default".
 type Toggles struct {
-	Grouping      *bool
 	JIT           *bool
 	P2P           *bool
 	Packing       *bool
@@ -205,11 +207,13 @@ type Toggles struct {
 	// acts in the simulator only: the trainer's VM evicts by LRU and
 	// refuses a Toggles that sets it.
 	LookaheadEviction *bool
-	// GroupSize bounds the input-batch grouping window (0 = the
-	// whole mini-batch); see the memory–performance tango.
+	// GroupSize sets the input-batch grouping window: 1 turns
+	// grouping off, a larger value bounds it (see the memory–performance
+	// tango); 0 keeps the mode's default, and a negative value is
+	// rejected by the plan build.
 	GroupSize int
-	// WaveInterleave runs pipeline waves in 1F1B order, bounding
-	// in-flight stash per stage (for stash-heavy workloads).
+	// WaveInterleave runs the waves in 1F1B order, bounding in-flight
+	// stash per device (for stash-heavy workloads).
 	WaveInterleave *bool
 }
 
@@ -224,7 +228,6 @@ func (t *Toggles) Apply(o Options) Options {
 			*dst = *v
 		}
 	}
-	set(&o.Grouping, t.Grouping)
 	set(&o.JIT, t.JIT)
 	set(&o.P2P, t.P2P)
 	set(&o.Packing, t.Packing)
@@ -233,7 +236,7 @@ func (t *Toggles) Apply(o Options) Options {
 	set(&o.DeferBlockedUpdates, t.DeferBlockedUpdates)
 	set(&o.LookaheadEviction, t.LookaheadEviction)
 	set(&o.WaveInterleave, t.WaveInterleave)
-	if t.GroupSize > 0 {
+	if t.GroupSize != 0 {
 		o.GroupSize = t.GroupSize
 	}
 	return o
@@ -245,14 +248,12 @@ type Schedule struct {
 	Opts  Options
 	NGPUs int
 
-	// Assign maps task ID → device. AllReduce tasks are assigned
-	// hw.Host as a sentinel (they run on the interconnect, touching
-	// all devices).
-	Assign []hw.DeviceID
-	// Queues is the per-device total order of compute tasks.
+	// Queues is the per-device total order of compute tasks: a task
+	// runs on the device whose queue holds it.
 	Queues [][]*graph.Task
-	// Collectives holds AllReduce tasks; the runtime launches each
-	// as soon as its dependencies complete.
+	// Collectives holds the collective tasks, which run on the
+	// interconnect, touching all devices; the runtime launches each as
+	// soon as its dependencies complete.
 	Collectives []*graph.Task
 	// Comm is the chunked/bucketed collective plan (nil when
 	// Opts.CommChunks == 0 or the plan has no gradient collectives).
@@ -302,6 +303,9 @@ func Build(g *graph.Graph, opts Options, nGPUs int) (*Schedule, error) {
 	if nGPUs <= 0 {
 		return nil, fmt.Errorf("sched: nGPUs must be positive, got %d", nGPUs)
 	}
+	if opts.GroupSize < 0 {
+		return nil, fmt.Errorf("sched: GroupSize must be non-negative, got %d", opts.GroupSize)
+	}
 	if opts.CommChunks < 0 || opts.CommBucketBytes < 0 {
 		return nil, fmt.Errorf("sched: comm knobs must be non-negative (chunks=%d, bucket=%d)",
 			opts.CommChunks, opts.CommBucketBytes)
@@ -318,7 +322,6 @@ func Build(g *graph.Graph, opts Options, nGPUs int) (*Schedule, error) {
 		Graph:  g,
 		Opts:   opts,
 		NGPUs:  nGPUs,
-		Assign: make([]hw.DeviceID, len(g.Tasks)),
 		Queues: make([][]*graph.Task, nGPUs),
 		MemPolicy: memory.Policy{
 			DirtyTracking: opts.DirtyTracking,
@@ -371,9 +374,9 @@ func MustBuild(g *graph.Graph, opts Options, nGPUs int) *Schedule {
 }
 
 // buildDP binds replica (or shard) r to GPU r and queues all its
-// layers at pipeline depth 1: the baseline's group of one runs
-// microbatch-major, the standard PyTorch loop (Fig. 5(b)); grouping runs
-// layer-major waves (Fig. 5(c)).
+// layers at pipeline depth 1: the baseline's group of one interleaved
+// runs microbatch-major, the standard PyTorch loop (Fig. 5(b)); grouping
+// runs layer-major waves (Fig. 5(c)).
 func (s *Schedule) buildDP() {
 	g := s.Graph
 	R := g.Layers()
@@ -383,13 +386,12 @@ func (s *Schedule) buildDP() {
 	}
 	updAfter := s.commUpdateGroups()
 	for r := 0; r < s.NGPUs; r++ {
-		s.queue(r, r, layers, 1, !s.Opts.Grouping, updAfter)
+		s.queue(r, r, layers, 1, updAfter)
 	}
 	if g.AR != nil {
 		// Gradients all-reduce per layer, launched as dependencies
 		// complete (reverse layer order mirrors backward).
 		for l := R - 1; l >= 0; l-- {
-			s.Assign[g.AR[l].ID] = hw.Host
 			s.Collectives = append(s.Collectives, g.AR[l])
 		}
 	}
@@ -397,7 +399,6 @@ func (s *Schedule) buildDP() {
 	for _, row := range g.AGf {
 		for _, ag := range row {
 			if ag != nil {
-				s.Assign[ag.ID] = hw.Host
 				s.Collectives = append(s.Collectives, ag)
 			}
 		}
@@ -405,7 +406,6 @@ func (s *Schedule) buildDP() {
 	for _, row := range g.AGb {
 		for _, ag := range row {
 			if ag != nil {
-				s.Assign[ag.ID] = hw.Host
 				s.Collectives = append(s.Collectives, ag)
 			}
 		}
@@ -416,8 +416,8 @@ func (s *Schedule) buildDP() {
 // and queues stage st at pipeline depth NGPUs−st. The baseline's group
 // of one interleaved is classic 1F1B (PipeDream, DAPPLE): in-flight
 // microbatches at stage st are min(m, NGPUs−st), so the head stashes the
-// most, the Fig. 2(c) imbalance. Harmony-PP (Fig. 4) interleaves its
-// waves only under WaveInterleave.
+// most, the Fig. 2(c) imbalance. Harmony-PP (Fig. 4) runs larger groups,
+// all microbatches in one wave by default.
 func (s *Schedule) buildPP() {
 	s.StageOfLayer = s.partition()
 	layersOf := make([][]int, s.NGPUs)
@@ -426,30 +426,27 @@ func (s *Schedule) buildPP() {
 	}
 	updAfter := s.commUpdateGroups()
 	for st := 0; st < s.NGPUs; st++ {
-		s.queue(st, 0, layersOf[st], s.NGPUs-st, !s.Opts.Grouping || s.Opts.WaveInterleave, updAfter)
+		s.queue(st, 0, layersOf[st], s.NGPUs-st, updAfter)
 	}
 }
 
-// queue orders device d's queue over replica r's layers and binds its
-// tasks to d. Microbatches run in waves of G — GroupSize under grouping
-// (0 = all m), one without — and a wave runs each layer across its
-// microbatches back-to-back, so W[l] is swapped once per phase per wave.
-// Plain, forward waves ascend and backward waves descend, so the last
-// forward wave's stash is consumed first while still warm. Interleaved,
-// the waves run 1F1B: enough forward waves to cover the pipeline depth
-// in microbatches, then backward/forward alternation, then the drain,
-// which bounds in-flight stash per stage. With JIT, updAfter[l]'s
-// updates follow layer l's backward in the last backward wave that runs
-// (commUpdateGroups); without it, every update trails the queue, forcing
-// W/dW to be re-swapped (§2 inefficiency 2).
-func (s *Schedule) queue(d, r int, layers []int, depth int, interleave bool, updAfter [][]int) {
+// queue orders device d's queue over replica r's layers. Microbatches
+// run in waves of GroupSize (0 = all m), and a wave runs each layer
+// across its microbatches back-to-back, so W[l] is swapped once per
+// phase per wave. Plain, forward waves ascend and backward waves
+// descend, so the last forward wave's stash is consumed first while
+// still warm. Under WaveInterleave the waves run 1F1B: enough forward
+// waves to cover the pipeline depth in microbatches, then
+// backward/forward alternation, then the drain, which bounds in-flight
+// stash per device. With JIT, updAfter[l]'s updates follow layer l's
+// backward in the last backward wave that runs (commUpdateGroups);
+// without it, every update trails the queue, forcing W/dW to be
+// re-swapped (§2 inefficiency 2).
+func (s *Schedule) queue(d, r int, layers []int, depth int, updAfter [][]int) {
 	g, m := s.Graph, s.Graph.Cfg.Microbatches
-	G := 1
-	if s.Opts.Grouping {
-		G = s.Opts.GroupSize
-		if G <= 0 || G > m {
-			G = m
-		}
+	G, interleave := s.Opts.GroupSize, s.Opts.WaveInterleave
+	if G == 0 || G > m {
+		G = m
 	}
 	waves := (m + G - 1) / G
 	last := 0 // the backward wave that runs last
@@ -501,9 +498,6 @@ func (s *Schedule) queue(d, r int, layers []int, depth int, interleave bool, upd
 		for _, l := range layers {
 			q = append(q, g.Upd[r][l])
 		}
-	}
-	for _, t := range q {
-		s.Assign[t.ID] = hw.DeviceID(d)
 	}
 	s.Queues[d] = q
 }

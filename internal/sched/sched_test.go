@@ -1,13 +1,12 @@
 package sched
 
 import (
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"harmony/internal/graph"
-	"harmony/internal/hw"
 	"harmony/internal/models"
 )
 
@@ -31,31 +30,41 @@ func ppGraph(R, m int) *graph.Graph {
 
 func TestDefaultOptions(t *testing.T) {
 	b := DefaultOptions(DPBaseline)
-	if b.Grouping || b.JIT || b.P2P || b.Packing || b.Prefetch || b.DirtyTracking {
+	if b.JIT || b.P2P || b.Packing || b.Prefetch || b.DirtyTracking {
 		t.Fatalf("baseline should disable all optimizations: %+v", b)
 	}
+	if b.GroupSize != 1 || !b.WaveInterleave {
+		t.Fatalf("baseline should run a group of one, interleaved: %+v", b)
+	}
 	h := DefaultOptions(HarmonyPP)
-	if !h.Grouping || !h.JIT || !h.P2P || !h.Packing || !h.Prefetch || !h.DirtyTracking {
+	if !h.JIT || !h.P2P || !h.Packing || !h.Prefetch || !h.DirtyTracking {
 		t.Fatalf("harmony should enable all optimizations: %+v", h)
+	}
+	if h.GroupSize != 0 || h.WaveInterleave {
+		t.Fatalf("harmony should group all microbatches in one wave: %+v", h)
 	}
 }
 
 func TestTogglesApply(t *testing.T) {
 	base := DefaultOptions(HarmonyDP)
-	if !base.Grouping {
-		t.Fatal("harmony default should group")
+	if base.GroupSize != 0 {
+		t.Fatal("harmony default should group all microbatches")
 	}
-	off := false
-	tg := &Toggles{Grouping: &off, GroupSize: 3}
+	on := true
+	tg := &Toggles{GroupSize: 1, WaveInterleave: &on}
 	o := tg.Apply(base)
-	if o.Grouping {
+	if o.GroupSize != 1 || !o.WaveInterleave {
 		t.Fatal("toggle did not apply")
-	}
-	if o.GroupSize != 3 {
-		t.Fatal("group size did not apply")
 	}
 	if !o.JIT {
 		t.Fatal("unset toggles must keep defaults")
+	}
+	if o := (&Toggles{}).Apply(DefaultOptions(DPBaseline)); o.GroupSize != 1 {
+		t.Fatalf("a zero GroupSize toggle replaced the baseline's group of one: %+v", o)
+	}
+	// A negative group size reaches Build, which names it.
+	if o := (&Toggles{GroupSize: -3}).Apply(base); o.GroupSize != -3 {
+		t.Fatalf("a negative GroupSize toggle was dropped: %+v", o)
 	}
 	var nilT *Toggles
 	o2 := nilT.Apply(base)
@@ -112,17 +121,14 @@ func TestPlanShapesTheGraphByMode(t *testing.T) {
 	}
 }
 
-// Every compute task must appear exactly once in exactly one queue,
-// on the device it is assigned to; collectives must be separate.
+// Every compute task must appear exactly once in exactly one queue;
+// collectives must be separate.
 func checkCover(t *testing.T, s *Schedule) {
 	t.Helper()
 	seen := make(map[int]int)
-	for d, q := range s.Queues {
+	for _, q := range s.Queues {
 		for _, task := range q {
 			seen[task.ID]++
-			if s.Assign[task.ID] != hw.DeviceID(d) {
-				t.Fatalf("%s queued on gpu%d but assigned %s", task, d, s.Assign[task.ID])
-			}
 		}
 	}
 	for _, task := range s.Collectives {
@@ -138,24 +144,21 @@ func checkCover(t *testing.T, s *Schedule) {
 	}
 }
 
-// Within one device queue, every dependency bound to the same device
+// Within one device queue, every dependency queued on the same device
 // must precede its dependent.
 func checkQueueOrder(t *testing.T, s *Schedule) {
 	t.Helper()
-	pos := make(map[int]int)
+	dev, pos := make(map[int]int), make(map[int]int)
 	for d, q := range s.Queues {
 		for i, task := range q {
-			pos[task.ID] = d*1_000_000 + i
+			dev[task.ID], pos[task.ID] = d, i
 		}
 	}
-	for _, q := range s.Queues {
+	for d, q := range s.Queues {
 		for _, task := range q {
 			for _, dep := range task.Deps {
-				if dep.Kind == graph.AllReduce || dep.Kind == graph.Gather {
-					continue
-				}
-				if s.Assign[dep.ID] == s.Assign[task.ID] && pos[dep.ID] > pos[task.ID] {
-					t.Fatalf("%s precedes its dependency %s on %s", task, dep, s.Assign[task.ID])
+				if dd, queued := dev[dep.ID]; queued && dd == d && pos[dep.ID] > pos[task.ID] {
+					t.Fatalf("%s precedes its dependency %s on gpu%d", task, dep, d)
 				}
 			}
 		}
@@ -181,7 +184,7 @@ func TestAllModesCoverAndOrder(t *testing.T) {
 }
 
 func TestBaselineDPOrderIsMicrobatchMajor(t *testing.T) {
-	s := MustBuild(dpGraph(3, 2, 1), Options{Mode: DPBaseline}, 1)
+	s := MustBuild(dpGraph(3, 2, 1), DefaultOptions(DPBaseline), 1)
 	q := s.Queues[0]
 	// Expected: F(0,0) F(1,0) F(2,0) B(2,0) B(1,0) B(0,0), same for
 	// mb 1, then updates.
@@ -235,7 +238,7 @@ func TestHarmonyDPOrderIsLayerMajorWithJIT(t *testing.T) {
 
 func TestPPBaseline1F1BStructure(t *testing.T) {
 	// 4 layers, 4 stages (1 layer each), 4 microbatches.
-	s := MustBuild(ppGraph(4, 4), Options{Mode: PPBaseline}, 4)
+	s := MustBuild(ppGraph(4, 4), DefaultOptions(PPBaseline), 4)
 	// Head stage (0) warms up with 4 forwards; tail stage (3) warms
 	// up with 1 then strictly alternates.
 	q0 := s.Queues[0]
@@ -270,30 +273,6 @@ func TestPPBaseline1F1BStructure(t *testing.T) {
 	if h, tl := inflight(q0), inflight(q3); h <= tl {
 		t.Fatalf("head in-flight (%d) should exceed tail (%d)", h, tl)
 	}
-	// 1F1B is the group-of-one wave order interleaved: a pipeline with
-	// Grouping off, whatever its wave knobs, plans the queues of the same
-	// options with Grouping on, GroupSize 1 and WaveInterleave.
-	for _, m := range []int{1, 2, 3, 5, 8} {
-		g := graph.MustBuild(graph.Config{Model: heteroModel(), MicrobatchSize: 1, Microbatches: m, Replicas: 1})
-		for _, mode := range []Mode{PPBaseline, HarmonyPP} {
-			for gpus := 1; gpus <= 4; gpus++ {
-				for _, jit := range []bool{false, true} {
-					for _, packing := range []bool{false, true} {
-						for _, gs := range []int{0, 3} {
-							for _, wi := range []bool{false, true} {
-								off := Options{Mode: mode, JIT: jit, Packing: packing, GroupSize: gs, WaveInterleave: wi}
-								on := Options{Mode: mode, JIT: jit, Packing: packing, Grouping: true, GroupSize: 1, WaveInterleave: true}
-								a, b := MustBuild(g, off, gpus), MustBuild(g, on, gpus)
-								if !reflect.DeepEqual(a.Queues, b.Queues) {
-									t.Fatalf("m=%d gpus=%d: %+v plans other queues than %+v", m, gpus, off, on)
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
 }
 
 func TestPartitionBalanced(t *testing.T) {
@@ -319,11 +298,11 @@ func TestPackingBalancesHeterogeneousModel(t *testing.T) {
 	m.Layers[0].Params = 50_000
 	m.Layers[0].FwdFLOPsPerSample = 5e7
 	g := graph.MustBuild(graph.Config{Model: m, MicrobatchSize: 2, Microbatches: 2, Replicas: 1})
-	packed := MustBuild(g, Options{Mode: HarmonyPP, Grouping: true, JIT: true, Packing: true}, 3)
+	packed := MustBuild(g, Options{Mode: HarmonyPP, JIT: true, Packing: true}, 3)
 	if packed.StageOfLayer[0] != 0 || packed.StageOfLayer[1] != 1 {
 		t.Fatalf("packing should isolate the heavy layer: %v", packed.StageOfLayer)
 	}
-	naive := MustBuild(g, Options{Mode: HarmonyPP, Grouping: true, JIT: true}, 3)
+	naive := MustBuild(g, Options{Mode: HarmonyPP, JIT: true}, 3)
 	if naive.StageOfLayer[1] != 0 {
 		t.Fatalf("naive split should be by layer count: %v", naive.StageOfLayer)
 	}
@@ -370,11 +349,6 @@ func TestCollectivesOnlyWithMultipleReplicas(t *testing.T) {
 	s2 := MustBuild(dpGraph(3, 2, 2), DefaultOptions(HarmonyDP), 2)
 	if len(s2.Collectives) != 3 {
 		t.Fatalf("collectives = %d, want 3 (one per layer)", len(s2.Collectives))
-	}
-	for _, c := range s2.Collectives {
-		if s2.Assign[c.ID] != hw.Host {
-			t.Fatal("collectives should carry the host sentinel binding")
-		}
 	}
 }
 
@@ -447,12 +421,43 @@ func TestTPValidation(t *testing.T) {
 
 func TestTPBaselineDisablesOptimizations(t *testing.T) {
 	o := DefaultOptions(TPBaseline)
-	if o.Grouping || o.JIT || o.P2P || o.DirtyTracking {
+	if o.GroupSize != 1 || o.JIT || o.P2P || o.DirtyTracking {
 		t.Fatalf("tp-baseline should disable optimizations: %+v", o)
 	}
 	h := DefaultOptions(HarmonyTP)
-	if !h.Grouping || !h.JIT || !h.P2P || !h.DirtyTracking {
+	if h.GroupSize != 0 || !h.JIT || !h.P2P || !h.DirtyTracking {
 		t.Fatalf("harmony-tp should enable optimizations: %+v", h)
+	}
+}
+
+// GroupSize and WaveInterleave shape the waves in every mode: a
+// baseline given a group plans it, and a grouped plan interleaves its
+// waves on request, whatever the mode.
+func TestWaveKnobsActInEveryMode(t *testing.T) {
+	cfg := graph.Config{Model: models.Uniform("u", 4, 1000, 4096, 1e6), MicrobatchSize: 1, Microbatches: 4}
+	for _, mode := range []Mode{DPBaseline, PPBaseline, HarmonyDP, HarmonyPP, TPBaseline, HarmonyTP} {
+		plan := func(gs int, wi bool) [][]int { // task IDs per queue
+			o := DefaultOptions(mode)
+			o.GroupSize, o.WaveInterleave = gs, wi
+			s, err := Plan(cfg, o, 2)
+			if err != nil {
+				t.Fatalf("%v: %v", mode, err)
+			}
+			ids := make([][]int, len(s.Queues))
+			for d, q := range s.Queues {
+				for _, task := range q {
+					ids[d] = append(ids[d], task.ID)
+				}
+			}
+			return ids
+		}
+		def := DefaultOptions(mode)
+		if slices.EqualFunc(plan(def.GroupSize, def.WaveInterleave), plan(2, def.WaveInterleave), slices.Equal) {
+			t.Errorf("%v: GroupSize 2 plans the default queues", mode)
+		}
+		if slices.EqualFunc(plan(2, false), plan(2, true), slices.Equal) {
+			t.Errorf("%v: WaveInterleave leaves a grouped plan as it was", mode)
+		}
 	}
 }
 

@@ -9,7 +9,9 @@ package sched
 // on MemPolicy but identical queues).
 //
 // microbatches bounds the GroupSize axis: group sizes beyond m
-// collapse to full grouping, so only {full, 1, 2} are distinct.
+// collapse to one wave of all m, so only {all, 1, 2} are distinct. Each
+// group smaller than all runs plain and interleaved; a group of one
+// interleaved is the baselines' wave shape.
 func OptionVariants(mode Mode, microbatches int) []Options {
 	groupSizes := []int{0}
 	if microbatches > 2 {
@@ -18,30 +20,21 @@ func OptionVariants(mode Mode, microbatches int) []Options {
 		groupSizes = []int{0, 1}
 	}
 	var out []Options
-	for _, grouping := range []bool{false, true} {
-		for _, jit := range []bool{false, true} {
-			for _, dirty := range []bool{false, true} {
-				for _, prefetch := range []bool{false, true} {
-					base := Options{
+	for _, jit := range []bool{false, true} {
+		for _, dirty := range []bool{false, true} {
+			for _, prefetch := range []bool{false, true} {
+				for _, gs := range groupSizes {
+					o := Options{
 						Mode:          mode,
-						Grouping:      grouping,
+						GroupSize:     gs,
 						JIT:           jit,
 						DirtyTracking: dirty,
 						Prefetch:      prefetch,
 					}
-					if !grouping {
-						out = append(out, base)
-						continue
-					}
-					for _, gs := range groupSizes {
-						o := base
-						o.GroupSize = gs
+					out = append(out, o)
+					if gs > 0 {
+						o.WaveInterleave = true
 						out = append(out, o)
-						if mode.IsPipeline() && gs > 0 {
-							w := o
-							w.WaveInterleave = true
-							out = append(out, w)
-						}
 					}
 				}
 			}
@@ -64,7 +57,7 @@ func OptionVariants(mode Mode, microbatches int) []Options {
 	// profile so the sweep covers both dispatch paths. The trainer's
 	// executor has no such path: NewTrainer refuses the toggle.
 	for _, o := range out {
-		if o.Grouping && o.JIT && o.DirtyTracking && o.GroupSize == 0 {
+		if o.JIT && o.DirtyTracking && o.GroupSize == 0 {
 			d := o
 			d.DeferBlockedUpdates = true
 			out = append(out, d)
@@ -76,7 +69,7 @@ func OptionVariants(mode Mode, microbatches int) []Options {
 	// plans have no gradient collectives, so they would be no-ops).
 	if !mode.IsPipeline() && !mode.IsSharded() {
 		for _, o := range out {
-			if o.Grouping && o.JIT && o.DirtyTracking && !o.Prefetch && o.GroupSize == 0 && !o.DeferBlockedUpdates {
+			if o.JIT && o.DirtyTracking && !o.Prefetch && o.GroupSize == 0 && !o.DeferBlockedUpdates {
 				c := o
 				c.CommChunks = 4
 				b := o

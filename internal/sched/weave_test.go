@@ -109,6 +109,12 @@ func checkReplay(t *testing.T, s *Schedule) {
 	if err != nil {
 		t.Fatalf("Weave: %v", err)
 	}
+	queuedOn := make([]int, len(s.Graph.Tasks))
+	for d, q := range s.Queues {
+		for _, task := range q {
+			queuedOn[task.ID] = d
+		}
+	}
 	done := make([]bool, len(s.Graph.Tasks))
 	stuck, err := ws.Replay(s.Graph.Tasks, func(d int, e StreamEntry) error {
 		tasks := []*graph.Task{e.Task}
@@ -117,8 +123,8 @@ func checkReplay(t *testing.T, s *Schedule) {
 			if d >= ws.Parties[e.Rdv] {
 				t.Errorf("rendezvous %d visited on gpu%d, not one of its %d parties", e.Rdv, d, ws.Parties[e.Rdv])
 			}
-		} else if int(s.Assign[e.Task.ID]) != d {
-			t.Errorf("%s visited on gpu%d, queued on %v", e.Task, d, s.Assign[e.Task.ID])
+		} else if queuedOn[e.Task.ID] != d {
+			t.Errorf("%s visited on gpu%d, queued on gpu%d", e.Task, d, queuedOn[e.Task.ID])
 		}
 		for _, task := range tasks {
 			for _, dep := range task.Deps {

@@ -224,34 +224,23 @@ func Residency(s *sched.Schedule, topo Topology) error {
 	return r.Err()
 }
 
-// checkShape validates task coverage and device assignment: every
-// graph task appears exactly once (in one queue or as a collective),
-// queue tasks are assigned to their queue's device, collectives to
-// hw.Host, and the dependency graph is acyclic.
+// checkShape validates task coverage: every graph task appears exactly
+// once, in one queue or as a collective, and the dependency graph is
+// acyclic.
 func checkShape(s *sched.Schedule, r *Report) bool {
 	pre := len(r.Violations)
-	if len(s.Assign) != len(s.Graph.Tasks) {
-		r.addf("plan", nil, "Assign covers %d tasks, graph has %d", len(s.Assign), len(s.Graph.Tasks))
-		return false
-	}
 	if len(s.Queues) != s.NGPUs {
 		r.addf("plan", nil, "%d queues for %d devices", len(s.Queues), s.NGPUs)
 		return false
 	}
 	seen := make([]int, len(s.Graph.Tasks))
-	for d, q := range s.Queues {
+	for _, q := range s.Queues {
 		for _, t := range q {
 			seen[t.ID]++
-			if dev := s.Assign[t.ID]; dev != hw.DeviceID(d) {
-				r.addf("plan", nil, "%s queued on gpu%d but assigned to %v", t, d, dev)
-			}
 		}
 	}
 	for _, c := range s.Collectives {
 		seen[c.ID]++
-		if s.Assign[c.ID] != hw.Host {
-			r.addf("plan", nil, "collective %s assigned to %v, want host", c, s.Assign[c.ID])
-		}
 	}
 	for _, t := range s.Graph.Tasks {
 		if seen[t.ID] != 1 {

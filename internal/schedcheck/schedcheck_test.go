@@ -128,7 +128,7 @@ func wantViolation(t *testing.T, r *Report, rule string, needTrace bool) Violati
 // must be rejected as a rendezvous deadlock, with the blocked heads on
 // the fault lane of the counterexample.
 func TestRendezvousCycleRejected(t *testing.T) {
-	s := buildPlan(t, sched.Options{Mode: sched.DPBaseline}, 6, 2, 2)
+	s := buildPlan(t, sched.DefaultOptions(sched.DPBaseline), 6, 2, 2)
 	if err := InjectRendezvousCycle(s); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestRendezvousCycleRejected(t *testing.T) {
 // A plan whose queue shape diverges from its declared optimization
 // profile must fail the analytic cross-check.
 func TestVolumeSkewRejected(t *testing.T) {
-	s := buildPlan(t, sched.Options{Mode: sched.DPBaseline}, 6, 2, 2)
+	s := buildPlan(t, sched.DefaultOptions(sched.DPBaseline), 6, 2, 2)
 	if err := InjectVolumeSkew(s); err != nil {
 		t.Fatal(err)
 	}
@@ -176,15 +176,15 @@ func TestOverCapacityRejected(t *testing.T) {
 }
 
 // analyticMode maps toggles (not Opts.Mode) onto closed-form regimes:
-// a Harmony-mode schedule with everything off is structurally the
-// baseline and must be checked as one.
+// a Harmony-mode schedule with everything off — a group of one,
+// interleaved — is structurally the baseline and must be checked as one.
 func TestAnalyticModeFollowsToggles(t *testing.T) {
-	s := buildPlan(t, sched.Options{Mode: sched.HarmonyDP}, 6, 2, 2)
+	s := buildPlan(t, sched.Options{Mode: sched.HarmonyDP, GroupSize: 1, WaveInterleave: true}, 6, 2, 2)
 	mode, ok := analyticMode(s)
 	if !ok || mode.String() != "dp-baseline" {
 		t.Fatalf("toggles-off HarmonyDP mapped to (%v, %v), want dp-baseline", mode, ok)
 	}
-	partial := sched.Options{Mode: sched.HarmonyDP, Grouping: true} // no JIT/DT
+	partial := sched.Options{Mode: sched.HarmonyDP} // one wave, no JIT/DT
 	s = buildPlan(t, partial, 6, 2, 2)
 	if _, ok := analyticMode(s); ok {
 		t.Fatal("partial optimization profile mapped to a closed form")

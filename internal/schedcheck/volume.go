@@ -188,8 +188,8 @@ func checkVolume(s *sched.Schedule, ws *sched.Streams, r *Report) {
 // analyticMode maps a plan onto the closed-form regime it must match,
 // or reports that no closed form applies. The mapping looks at the
 // *toggles*, not Opts.Mode: a HarmonyDP-mode schedule with every
-// optimization off emits exactly the baseline queue order and must
-// match the baseline formula.
+// optimization off (a group of one, interleaved) emits exactly the
+// baseline queue order and must match the baseline formula.
 func analyticMode(s *sched.Schedule) (analytic.Mode, bool) {
 	if s.Opts.Mode.IsSharded() {
 		return 0, false // no closed form for intra-op sharding
@@ -222,9 +222,11 @@ func analyticMode(s *sched.Schedule) (analytic.Mode, bool) {
 	if pp && R%s.NGPUs != 0 {
 		return 0, false // non-uniform stages have no closed form
 	}
-	baseline := !s.Opts.Grouping && !s.Opts.JIT && !s.Opts.DirtyTracking
-	harmony := s.Opts.Grouping && s.Opts.JIT && s.Opts.DirtyTracking &&
-		(s.Opts.GroupSize <= 0 || s.Opts.GroupSize >= m)
+	// The closed forms know two wave shapes: a group of one
+	// interleaved (the baselines') and one wave of all m (Harmony's).
+	o := s.Opts
+	baseline := !o.JIT && !o.DirtyTracking && o.GroupSize == 1 && o.WaveInterleave
+	harmony := o.JIT && o.DirtyTracking && (o.GroupSize == 0 || o.GroupSize >= m)
 	switch {
 	case pp && baseline:
 		return analytic.PPBaseline, true

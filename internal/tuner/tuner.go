@@ -31,11 +31,14 @@ type Candidate struct {
 	// comparable.
 	MicrobatchSize int
 	Microbatches   int
-	GroupSize      int
-	Prefetch       bool
-	Defer          bool
-	// Interleave runs grouped pipeline waves in 1F1B order (only
-	// meaningful for pipeline modes with a sub-batch group size).
+	// GroupSize and Interleave are the wave shape (sched.Options'
+	// GroupSize and WaveInterleave). Only a mode that groups by default
+	// searches them: group sizes in every such mode, interleave in
+	// pipelines with a sub-batch group. Any other mode's candidates
+	// keep its default shape.
+	GroupSize  int
+	Prefetch   bool
+	Defer      bool
 	Interleave bool
 }
 
@@ -99,11 +102,12 @@ type Result struct {
 // every divisor split of the batch into microbatches, group sizes at
 // the interesting powers, and both binary knobs where they matter.
 func Space(mode sched.Mode, batch int) []Candidate {
+	def := sched.DefaultOptions(mode)
 	var out []Candidate
 	for _, mbs := range divisors(batch) {
 		m := batch / mbs
-		groups := []int{0}
-		if m > 1 {
+		groups := []int{def.GroupSize}
+		if grouping(mode) && m > 1 {
 			for _, g := range divisors(m) {
 				if g != m { // 0 already means "all"
 					groups = append(groups, g)
@@ -116,8 +120,8 @@ func Space(mode sched.Mode, batch int) []Candidate {
 				if mode == sched.HarmonyDP {
 					defers = []bool{false, true}
 				}
-				interleaves := []bool{false}
-				if mode.IsPipeline() && g > 0 {
+				interleaves := []bool{def.WaveInterleave}
+				if grouping(mode) && mode.IsPipeline() && g > 0 {
 					interleaves = []bool{false, true}
 				}
 				for _, df := range defers {
@@ -133,6 +137,10 @@ func Space(mode sched.Mode, batch int) []Candidate {
 	}
 	return out
 }
+
+// grouping reports whether mode groups microbatches by default, which
+// is what puts the wave shape in its search space.
+func grouping(mode sched.Mode) bool { return sched.DefaultOptions(mode).GroupSize != 1 }
 
 func divisors(n int) []int {
 	var out []int
@@ -154,8 +162,9 @@ func Run(cfg Config) (*Result, error) {
 	return measureAll(cfg, Space(cfg.Mode, cfg.BatchPerReplica))
 }
 
-// HillClimb explores the space greedily: it starts from the fully
-// grouped, prefetching candidate and moves to the best neighbor until
+// HillClimb explores the space greedily: it starts from the
+// single-sample, prefetching candidate in the mode's default wave shape
+// (fully grouped for the Harmony modes) and moves to the best neighbor until
 // no neighbor improves. For large batches this measures far fewer
 // candidates than Run while typically finding the same optimum
 // (greedy works well because throughput is unimodal along each knob
@@ -164,7 +173,9 @@ func HillClimb(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	start := Candidate{MicrobatchSize: 1, Microbatches: cfg.BatchPerReplica, GroupSize: 0, Prefetch: true}
+	def := sched.DefaultOptions(cfg.Mode)
+	start := Candidate{MicrobatchSize: 1, Microbatches: cfg.BatchPerReplica,
+		GroupSize: def.GroupSize, Prefetch: true, Interleave: def.WaveInterleave}
 	seen := map[Candidate]Measurement{}
 	measure := func(c Candidate) Measurement {
 		if m, ok := seen[c]; ok {
@@ -210,28 +221,31 @@ func noFeasible(cfg Config) error {
 // neighbors perturbs one knob at a time.
 func neighbors(cfg Config, c Candidate) []Candidate {
 	var out []Candidate
+	def := sched.DefaultOptions(cfg.Mode)
 	batch := cfg.BatchPerReplica
 	// Halve/double the microbatch size along divisor boundaries.
 	for _, mbs := range divisors(batch) {
 		if mbs == c.MicrobatchSize*2 || (c.MicrobatchSize%2 == 0 && mbs == c.MicrobatchSize/2) {
 			out = append(out, Candidate{MicrobatchSize: mbs, Microbatches: batch / mbs,
-				GroupSize: 0, Prefetch: c.Prefetch, Defer: c.Defer})
+				GroupSize: def.GroupSize, Prefetch: c.Prefetch, Defer: c.Defer, Interleave: def.WaveInterleave})
 		}
 	}
-	// Step the group size among divisors of m.
-	m := c.Microbatches
-	ds := divisors(m)
-	curG := c.GroupSize
-	if curG == 0 {
-		curG = m
-	}
-	for i, d := range ds {
-		if d == curG {
-			if i > 0 {
-				out = append(out, withGroup(c, ds[i-1], m))
-			}
-			if i+1 < len(ds) {
-				out = append(out, withGroup(c, ds[i+1], m))
+	if grouping(cfg.Mode) {
+		// Step the group size among divisors of m.
+		m := c.Microbatches
+		ds := divisors(m)
+		curG := c.GroupSize
+		if curG == 0 {
+			curG = m
+		}
+		for i, d := range ds {
+			if d == curG {
+				if i > 0 {
+					out = append(out, withGroup(c, ds[i-1], m))
+				}
+				if i+1 < len(ds) {
+					out = append(out, withGroup(c, ds[i+1], m))
+				}
 			}
 		}
 	}
@@ -244,7 +258,7 @@ func neighbors(cfg Config, c Candidate) []Candidate {
 		flipped.Defer = !c.Defer
 		out = append(out, flipped)
 	}
-	if cfg.Mode.IsPipeline() && c.GroupSize > 0 {
+	if grouping(cfg.Mode) && cfg.Mode.IsPipeline() && c.GroupSize > 0 {
 		flipped = c
 		flipped.Interleave = !c.Interleave
 		out = append(out, flipped)
@@ -301,16 +315,14 @@ func measureOne(cfg Config, c Candidate) Measurement {
 		// of microbatches.
 		mbCount = c.Microbatches * gpus
 	}
-	opts := sched.DefaultOptions(cfg.Mode)
-	opts.GroupSize = c.GroupSize
-	opts.Prefetch = c.Prefetch
-	opts.DeferBlockedUpdates = c.Defer
-	opts.WaveInterleave = c.Interleave
+	// The candidate is laid over the mode's defaults the way Simulate
+	// lays a SimConfig's Toggles.
+	tg := sched.Toggles{GroupSize: c.GroupSize, Prefetch: &c.Prefetch, DeferBlockedUpdates: &c.Defer, WaveInterleave: &c.Interleave}
 	s, err := sched.Plan(graph.Config{
 		Model:          cfg.Model,
 		MicrobatchSize: c.MicrobatchSize,
 		Microbatches:   mbCount,
-	}, opts, gpus)
+	}, tg.Apply(sched.DefaultOptions(cfg.Mode)), gpus)
 	if err != nil {
 		out.Err = err.Error()
 		return out

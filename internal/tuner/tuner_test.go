@@ -194,3 +194,19 @@ func TestSpaceIncludesInterleaveForPipelines(t *testing.T) {
 		}
 	}
 }
+
+// A baseline does not group, so its space keeps the baseline wave
+// shape, a group of one interleaved, and measures each plan once.
+func TestBaselineSpaceKeepsItsWaveShape(t *testing.T) {
+	for _, mode := range []sched.Mode{sched.DPBaseline, sched.PPBaseline, sched.TPBaseline} {
+		cands := Space(mode, 4)
+		if len(cands) != 6 { // 3 splits × prefetch
+			t.Errorf("%v: %d candidates, want 6", mode, len(cands))
+		}
+		for _, c := range cands {
+			if c.GroupSize != 1 || !c.Interleave {
+				t.Errorf("%v: candidate %s leaves the baseline wave shape", mode, c)
+			}
+		}
+	}
+}

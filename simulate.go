@@ -169,13 +169,17 @@ type TuneConfig struct {
 }
 
 // TuneResult reports the winning configuration and the explored
-// space.
+// space. Simulate reproduces the winner's throughput with its
+// microbatching and Toggles{GroupSize: BestGroupSize, Prefetch:
+// &BestPrefetch, DeferBlockedUpdates: &BestDefer, WaveInterleave:
+// &BestInterleave}.
 type TuneResult struct {
 	BestMicrobatchSize int
 	BestMicrobatches   int
 	BestGroupSize      int
 	BestPrefetch       bool
 	BestDefer          bool
+	BestInterleave     bool
 	BestThroughput     float64
 	BestSwapGB         float64
 	Explored           int
@@ -214,6 +218,7 @@ func Tune(cfg TuneConfig) (*TuneResult, error) {
 		BestGroupSize:      b.Candidate.GroupSize,
 		BestPrefetch:       b.Candidate.Prefetch,
 		BestDefer:          b.Candidate.Defer,
+		BestInterleave:     b.Candidate.Interleave,
 		BestThroughput:     b.Throughput,
 		BestSwapGB:         b.SwapGB,
 		Explored:           res.Explored,
