@@ -41,8 +41,8 @@ func main() {
 		}
 		fmt.Printf("%-36s %12.1f %s %12.3f\n", m.Candidate, m.Throughput, marker, m.SwapGB)
 	}
-	fmt.Printf("\ntuner pick: mb=%d×%d group=%d prefetch=%v — %.1f samples/s at %.3f GiB/iter swap\n",
-		res.BestMicrobatchSize, res.BestMicrobatches, res.BestGroupSize, res.BestPrefetch,
+	fmt.Printf("\ntuner pick: mb=%d×%d group=%d prefetch=%v interleave=%v — %.1f samples/s at %.3f GiB/iter swap\n",
+		res.BestMicrobatchSize, res.BestMicrobatches, res.BestGroupSize, res.BestPrefetch, res.BestInterleave,
 		res.BestThroughput, res.BestSwapGB)
 	fmt.Printf("(explored %d candidates; greedy hill climbing explores fewer: set Greedy in TuneConfig)\n",
 		res.Explored)
