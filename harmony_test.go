@@ -474,49 +474,56 @@ func TestTrainerRefusesShardedModes(t *testing.T) {
 	}
 }
 
-// Tune plans every mode the way Simulate does, so Simulating its winner
-// from the Best fields reproduces the reported throughput exactly. A
-// single-copy mode streams the global batch, BatchPerReplica × GPUs. The
-// stash-heavy pipeline's winner interleaves its waves, which Simulate
+// checkTuneBestReproduces Tunes mode on model and Simulates its winner from
+// the Best fields, which must reproduce the reported throughput exactly. A
+// single-copy mode streams the global batch, BatchPerReplica × GPUs.
+func checkTuneBestReproduces(t *testing.T, model ModelSpec, mode Mode, server Server) {
+	t.Helper()
+	res, err := Tune(TuneConfig{Model: model, Mode: mode, Server: server, BatchPerReplica: 4})
+	if err != nil {
+		t.Fatalf("%v: %v", mode, err)
+	}
+	mbs := res.BestMicrobatches
+	if mode.IsPipeline() || mode.IsSharded() {
+		mbs *= server.GPUs()
+	}
+	rep, err := Simulate(SimConfig{
+		Model: model, Mode: mode, Server: server,
+		MicrobatchSize: res.BestMicrobatchSize, Microbatches: mbs,
+		Toggles: &Toggles{
+			GroupSize:           res.BestGroupSize,
+			Prefetch:            Bool(res.BestPrefetch),
+			DeferBlockedUpdates: Bool(res.BestDefer),
+			WaveInterleave:      Bool(res.BestInterleave),
+		},
+	})
+	if err != nil {
+		t.Fatalf("%v: Simulate of the best candidate: %v", mode, err)
+	}
+	if rep.Throughput != res.BestThroughput {
+		t.Errorf("%v %s: Tune reports %v samples/s for its best candidate, Simulate of it gives %v",
+			mode, res.Table[0].Candidate, res.BestThroughput, rep.Throughput)
+	}
+}
+
+// Tune plans the sharded modes the way Simulate does, so both find a
+// feasible best, and Simulating it reproduces the reported throughput.
+func TestTuneShardedModes(t *testing.T) {
+	server := CommodityServer(2).WithGPUMemory(20 << 20)
+	for _, mode := range []Mode{TPBaseline, HarmonyTP} {
+		checkTuneBestReproduces(t, UniformModel(8, 1_000_000, 16<<10, 5e9), mode, server)
+	}
+}
+
+// Tune plans the replicated and pipelined modes the way Simulate does too.
+// The stash-heavy pipeline's winner interleaves its waves, which Simulate
 // runs only if the result says so.
 func TestTuneBestReproducesInEveryMode(t *testing.T) {
 	server := CommodityServer(2).WithGPUMemory(20 << 20)
-	type tc struct {
-		model ModelSpec
-		mode  Mode
+	for _, mode := range []Mode{DPBaseline, PPBaseline, HarmonyDP, HarmonyPP} {
+		checkTuneBestReproduces(t, UniformModel(8, 1_000_000, 16<<10, 5e9), mode, server)
 	}
-	var cases []tc
-	for _, mode := range []Mode{DPBaseline, PPBaseline, HarmonyDP, HarmonyPP, TPBaseline, HarmonyTP} {
-		cases = append(cases, tc{UniformModel(8, 1_000_000, 16<<10, 5e9), mode})
-	}
-	cases = append(cases, tc{UniformModel(8, 1_000_000, 1<<20, 5e9), HarmonyPP})
-	for _, c := range cases {
-		res, err := Tune(TuneConfig{Model: c.model, Mode: c.mode, Server: server, BatchPerReplica: 4})
-		if err != nil {
-			t.Fatalf("%v: %v", c.mode, err)
-		}
-		mbs := res.BestMicrobatches
-		if c.mode.IsPipeline() || c.mode.IsSharded() {
-			mbs *= server.GPUs()
-		}
-		rep, err := Simulate(SimConfig{
-			Model: c.model, Mode: c.mode, Server: server,
-			MicrobatchSize: res.BestMicrobatchSize, Microbatches: mbs,
-			Toggles: &Toggles{
-				GroupSize:           res.BestGroupSize,
-				Prefetch:            Bool(res.BestPrefetch),
-				DeferBlockedUpdates: Bool(res.BestDefer),
-				WaveInterleave:      Bool(res.BestInterleave),
-			},
-		})
-		if err != nil {
-			t.Fatalf("%v: Simulate of the best candidate: %v", c.mode, err)
-		}
-		if rep.Throughput != res.BestThroughput {
-			t.Errorf("%v %s: Tune reports %v samples/s for its best candidate, Simulate of it gives %v",
-				c.mode, res.Table[0].Candidate, res.BestThroughput, rep.Throughput)
-		}
-	}
+	checkTuneBestReproduces(t, UniformModel(8, 1_000_000, 1<<20, 5e9), HarmonyPP, server)
 }
 
 // On a box where nothing fits, Tune fails the same way on the greedy and
