@@ -27,13 +27,16 @@ vet:
 # invariants (DESIGN.md §10), one gate each. go vet holds copied locks
 # (copylocks); gofmt -l must name no file (.bench_build/ is the
 # benchmark's build cache); harmonylint walks the syntax of every
-# package once, and on that walk holds DMA claim-state writes outside
-# the transition helpers, wall-clock and map-order nondeterminism in
-# the deterministic core and dropped VM errors, while it builds the
+# package once, and on that walk holds wall-clock and map-order
+# nondeterminism in the deterministic core and dropped VM errors
+# (DMA claim-word writes outside claimword's transitions are the
+# compiler's to refuse: the word is an unexported field of
+# claimword.Cell), while it builds the
 # summaries the interprocedural passes close over the call graph (the
 # global lock-order graph, goroutine and done-channel lifecycle,
 # call-chain taint flow); the path-sensitive CFG passes (blocking
-# under a lock, claim lifecycle, error-path lock leaks) follow.
+# under a lock, claim lifecycle and publication, error-path lock
+# leaks) follow.
 # The ./... pattern covers cmd/ and internal/ alike, the linter's own
 # packages included. Runs from the module root in about 0.3 s on a
 # 2-vCPU machine, on the build cache vet has just filled, nearly all of

@@ -42,7 +42,7 @@ func run() (exit int) {
 		noJIT      = flag.Bool("no-jit", false, "disable just-in-time updates")
 		recomp     = flag.Bool("recompute", false, "activation recomputation (checkpoint inputs only)")
 		lookahead  = flag.Bool("lookahead", false, "schedule-informed (Belady) eviction instead of LRU")
-		interleave = flag.Bool("interleave", false, "run the waves in 1F1B order, in any mode (the baselines always do)")
+		interleave = flag.Bool("interleave", false, "run the waves in 1F1B order (-interleave=false: one after another); unset keeps the mode's default, 1F1B for the baselines only")
 	)
 	prof := profile.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -97,9 +97,11 @@ func run() (exit int) {
 	if *lookahead {
 		toggles.LookaheadEviction = harmony.Bool(true)
 	}
-	if *interleave {
-		toggles.WaveInterleave = harmony.Bool(true)
-	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "interleave" {
+			toggles.WaveInterleave = harmony.Bool(*interleave)
+		}
+	})
 
 	rep, err := harmony.Simulate(harmony.SimConfig{
 		Model:          model,

@@ -2,17 +2,13 @@
 // that mechanically enforce the executor's concurrency and determinism
 // invariants — the VM's locking discipline, the "every resident claim
 // is committed" DMA rule, bit-exact determinism across interleavings —
-// which the race detector can only catch probabilistically. Each analyzer rejects a whole class of regression
-// before any test runs:
+// which the race detector can only catch probabilistically. Each of its
+// seven passes rejects a whole class of regression before any test
+// runs:
 //
 //   - lockhold: blocking operations (channel send/recv, select without
-//     default, time.Sleep, WaitGroup.Wait, WaitIdle, waitSettle) at any
+//     default, time.Sleep, WaitGroup.Wait, WaitIdle, WaitSettle) at any
 //     point some path reaches with a mutex held.
-//   - claimdiscipline: writes to a buffer's claim-state fields outside
-//     the claim/commit/settle transition helpers, non-CAS transitions
-//     inside them, and a buffer published to the LRU on a path where
-//     its claim is still uncommitted (DESIGN.md §9's "every resident
-//     claim is committed").
 //   - determinism: wall-clock reads (time.Now/Since/Until) and map
 //     iteration inside the deterministic core, plus taint flow of
 //     wall-clock values into the core through any call chain.
@@ -27,17 +23,23 @@
 //     Cond.Wait) at some call depth, and done-named channels must
 //     deliver their completion signal exactly once (closed or
 //     single-sender, never both).
-//   - claimlife: every DMA claim (vm.claim) reaches commit or settle
-//     on every path; a dropped claim wedges the buffer's claim word.
+//   - claimlife: every DMA claim (claimword.Cell.Claim) reaches Commit
+//     or Settle on every path — a dropped claim wedges the buffer's
+//     claim word — and no buffer is published to the LRU on a path
+//     where its claim is still uncommitted (DESIGN.md §9's "every
+//     resident claim is committed").
 //   - errpath: locks and shard locks still held at a function exit,
 //     early error returns included, with the concrete leaking path
 //     printed in the diagnostic.
 //
-// Three neighbouring invariants have their one gate elsewhere, so this
+// Four neighbouring invariants have their one gate elsewhere, so this
 // package imports nothing of the module it lints: copied locks are
-// go vet's copylocks (`make lint` runs vet first), the claim machine's
-// transition table is checked against its spec by claimword's
-// TestProtoTableMatchesClaimword, and the pin budget is held by the
+// go vet's copylocks (`make lint` runs vet first); the claim word's
+// writes are the compiler's, since the word is claimword.Cell's
+// unexported field, and its one CAS loop is held by claimword's
+// TestCellUnderContention; the claim machine's transition table is
+// checked against its spec by claimword's
+// TestProtoTableMatchesClaimword; and the pin budget is held by the
 // tests that fail on a leaked pin (DESIGN.md §10).
 //
 // Three layers sit under the passes. cfg.go builds per-function
@@ -49,13 +51,13 @@
 // (no other body can hold one), keeping every branch outcome distinct,
 // and yield leak
 // findings (errpath, claimlife) and observer findings about what
-// happens while a resource is open (lockhold, lockorder,
-// claimdiscipline rule 3). interproc.go holds the package's one syntax
+// happens while a resource is open (lockhold, lockorder, claimlife's
+// publication rule). interproc.go holds the package's one syntax
 // walk: it visits every file once, builds one Summary per function —
 // locks acquired, calls made, channels sent/closed, goroutines spawned,
 // taint sources reached, the doc-comment lock contract — and applies
-// the lexical rules (claimdiscipline rules 1–2, determinism's
-// wall-clock and map-range rules, errcheck) on the way. The summaries
+// the lexical rules (determinism's wall-clock and map-range rules,
+// errcheck) on the way. The summaries
 // are closed over the call graph for lockorder's call edges, chanlife
 // and the determinism taint upgrade.
 // Every pass sees the same Program through one Pass. DESIGN.md §10 has
@@ -155,7 +157,7 @@ func (d Diagnostic) String() string {
 // All returns the full harmonylint suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Lockhold, ClaimDiscipline, Determinism, Errcheck,
+		Lockhold, Determinism, Errcheck,
 		Lockorder, Chanlife,
 		Claimlife, Errpath,
 	}

@@ -29,7 +29,7 @@ func TestDirectiveHygiene(t *testing.T) {
 // docs refer to.
 func TestAllNames(t *testing.T) {
 	want := map[string]bool{
-		"lockhold": true, "claimdiscipline": true, "determinism": true, "errcheck": true,
+		"lockhold": true, "determinism": true, "errcheck": true,
 		"lockorder": true, "chanlife": true,
 		"claimlife": true, "errpath": true,
 	}

@@ -22,8 +22,8 @@ package analyzers
 // function exits and, through its observers, findings about what
 // happens while a resource is open: lockhold reads the lock spec's
 // blocking observer, lockorder its lock-order edges (a lock taken, or a
-// callee that may take one, while another is open), claimdiscipline
-// the claim spec's observer (published while a claim is open).
+// callee that may take one, while another is open), claimlife
+// the claim spec's observer (published while a claim is uncommitted).
 //
 // The lattice per spec is the same shape: open-resource counts
 // (saturating at a small bound so loops converge) ordered by multiset

@@ -54,6 +54,13 @@ func liveProgram(t *testing.T) *Program {
 	return liveExplored.prog
 }
 
+// projectFixtures are the fixtures of several packages, each with its
+// packages in import order.
+var projectFixtures = map[string][]string{
+	"claimlife": {"claimword", "exec"},
+	"taint":     {"clockutil", "internal/exec"},
+}
+
 // forEachProgram runs every exploration over each fixture under
 // testdata/src and over the live tree, and hands each Program to check.
 func forEachProgram(t *testing.T, check func(name string, prog *Program)) {
@@ -64,20 +71,16 @@ func forEachProgram(t *testing.T, check func(name string, prog *Program)) {
 		t.Fatal(err)
 	}
 	for _, ent := range ents {
-		if ent.Name() == "taint" {
-			continue // a two-package project, loaded below
+		dir, rels := root, []string{ent.Name()}
+		if project := projectFixtures[ent.Name()]; project != nil {
+			dir, rels = filepath.Join(root, ent.Name()), project
 		}
-		pkgs, err := LoadDirs(root, ent.Name())
+		pkgs, err := LoadDirs(dir, rels...)
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", ent.Name(), err)
 		}
 		check(ent.Name(), allExplorations(pkgs))
 	}
-	pkgs, err := LoadDirs(filepath.Join(root, "taint"), "clockutil", "internal/exec")
-	if err != nil {
-		t.Fatalf("loading fixture taint: %v", err)
-	}
-	check("taint", allExplorations(pkgs))
 	check("live tree", liveProgram(t))
 }
 

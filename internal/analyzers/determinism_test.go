@@ -46,6 +46,6 @@ func TestDeterminismScope(t *testing.T) {
 // any other, and the two sanctioned escapes (clean helpers,
 // interface-routed timing).
 func TestDeterminismTaint(t *testing.T) {
-	diags := runProjectFixture(t, "taint", []string{"clockutil", "internal/exec"}, Determinism)
+	diags := runProjectFixture(t, "taint", projectFixtures["taint"], Determinism)
 	mustDiag(t, diags, "determinism", `reaches time\.Now via clockutil\.Stamp`)
 }

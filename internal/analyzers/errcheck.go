@@ -44,8 +44,8 @@ func inErrcheckScope(path string) bool {
 }
 
 // errSourceType is the receiver type name whose methods are checked:
-// the executor's VM (vm.go/dma.go). Matching by name (like
-// claimdiscipline's "buffer") keeps the pass fixture-testable.
+// the executor's VM (vm.go/dma.go). Matching by name keeps the pass
+// fixture-testable.
 const errSourceType = "VM"
 
 // errReturningVMCall reports whether call invokes a VM method whose

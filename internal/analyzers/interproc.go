@@ -7,10 +7,10 @@ package analyzers
 // spawns, which doc-comment lock contract it declares, whether it can
 // learn about shutdown, and whether it observes the wall clock. The
 // walk visits every file of every package once (ast.Inspect); on the
-// way it also records the lexical findings of claimdiscipline's rules
-// 1–2, determinism's wall-clock and map-range rules and errcheck, each
-// onto its own list on the Program. A summary records what the body
-// can do, never under which locks. What is held where is the lock
+// way it also records the lexical findings of determinism's wall-clock
+// and map-range rules and errcheck, each onto its own list on the
+// Program. A summary records what the body can do, never under which
+// locks. What is held where is the lock
 // lifecycle's question (dataflow.go), answered path by path; lockorder
 // reads the lock-order edges that exploration records and takes from
 // here only the transitive acquisitions of a callee. chanlife and the
@@ -200,7 +200,7 @@ type Program struct {
 	transAcq [][]Class
 	// lexical holds what the walk found for the lexical rules, one list
 	// per analyzer, reported by that analyzer's Run.
-	lexical struct{ claimdiscipline, determinism, errcheck []finding }
+	lexical struct{ determinism, errcheck []finding }
 
 	cfgs map[*ast.BlockStmt]*CFG   // per-body CFGs, built once, shared by all passes
 	life map[*lifeSpec]*lifeResult // lifecycle explorations, run once each
@@ -257,7 +257,7 @@ func BuildProgram(pkgs []*Package) *Program {
 					// summarize, only what the core and errcheck rules
 					// look for.
 					if w.core || w.errcheck {
-						w.sum, w.claims = nil, false
+						w.sum = nil
 						w.walk(d)
 					}
 				}
@@ -362,9 +362,8 @@ type walker struct {
 	pkg  *Package
 	prog *Program
 	// The lexical rules in force: determinism's in the core, errcheck's
-	// in its scope, and claimdiscipline's inside a function declaration
-	// (helper: one of the claim state machine's transition helpers).
-	core, errcheck, claims, helper bool
+	// in its scope.
+	core, errcheck bool
 
 	sum  *Summary // nil outside a function declaration: nothing to summarize
 	body int      // the index in sum.bodies of the body being walked
@@ -383,7 +382,6 @@ func (w *walker) funcDecl(fd *ast.FuncDecl) {
 	parseContracts(w.pkg, fd, sum)
 	w.prog.add(sum)
 	w.sum, w.body = sum, 0
-	w.claims, w.helper = true, fd.Recv != nil && isTransitionHelper(fd.Name.Name)
 	w.walk(fd.Body)
 }
 
@@ -438,9 +436,6 @@ func (w *walker) visit(x ast.Node) bool {
 // lint applies the lexical rules in force to one node.
 func (w *walker) lint(x ast.Node) {
 	lex := &w.prog.lexical
-	if w.claims {
-		lintClaimWrites(w.pkg.Info, x, w.helper, &lex.claimdiscipline)
-	}
 	if w.core {
 		lintDeterminism(w.pkg.Info, x, &lex.determinism)
 	}

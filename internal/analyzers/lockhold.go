@@ -14,8 +14,8 @@ import (
 // reaches with a mutex held: channel send or receive, range over a
 // channel, select without a default, time.Sleep and a Sleep method (the
 // trace.Clock seam the modeled links sleep through), sync.WaitGroup.Wait,
-// VM.WaitIdle and waitSettle. sync.Cond.Wait is exempt — it releases
-// the mutex while parked.
+// VM.WaitIdle and claimword.Cell.WaitSettle. sync.Cond.Wait is exempt —
+// it releases the mutex while parked.
 //
 // The pass is the blocking observer of the lock-lifecycle exploration
 // errpath reports leaks from (lockSpec in errpath.go): the held locks at
@@ -27,7 +27,7 @@ import (
 var Lockhold = &Analyzer{
 	Name: "lockhold",
 	Doc: "report blocking operations (channel operations, select without " +
-		"default, time.Sleep, Clock.Sleep, WaitGroup.Wait, WaitIdle, waitSettle) at any " +
+		"default, time.Sleep, Clock.Sleep, WaitGroup.Wait, WaitIdle, WaitSettle) at any " +
 		"point some path reaches with a mutex held; the doc contract " +
 		"\"Requires sh.mu held\" sets the entry state",
 	Run: func(pass *Pass) error {
@@ -41,7 +41,7 @@ func blockingFunc(name string) (string, bool) {
 	switch name {
 	case "WaitIdle":
 		return "drains async DMA", true
-	case "waitSettle":
+	case "WaitSettle":
 		return "blocks on claim settle", true
 	case "Sleep":
 		return "parks on the clock", true

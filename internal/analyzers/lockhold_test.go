@@ -8,5 +8,5 @@ func TestLockhold(t *testing.T) {
 	// claim-settle wait on the blocking list must be present, not just
 	// matched by some want.
 	mustDiag(t, diags, "lockhold", `channel receive while mu is held`)
-	mustDiag(t, diags, "lockhold", `waitSettle \(blocks on claim settle\) while mu is held`)
+	mustDiag(t, diags, "lockhold", `WaitSettle \(blocks on claim settle\) while mu is held`)
 }

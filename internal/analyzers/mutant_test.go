@@ -1,7 +1,8 @@
 package analyzers
 
 // The mutant catalogue: named source mutations of the live module, each
-// of which must trip one pass. The module is loaded once per test
+// of which must trip one pass — or, where the compiler holds the rule,
+// fail to type-check. The module is loaded once per test
 // binary (liveTree); a mutant re-checks only the packages it edits and
 // the module packages that import them, in dependency order, against
 // the types the load already holds for everything else — the standard
@@ -28,11 +29,12 @@ import (
 )
 
 // A mutant is a named set of edits and the finding its pass must make
-// in the edited files.
+// in the edited files. A row without a pass is the compiler's: the
+// edited tree must not type-check, with an error matching want.
 type mutant struct {
 	name  string
 	pass  *Analyzer
-	want  string // regexp one of the pass's messages must match
+	want  string // regexp one of the pass's messages (or the type error) must match
 	edits []edit
 }
 
@@ -118,13 +120,13 @@ import (
 // seededFlush claims b for a write-back, then bails on a budget check
 // before either commit or settle: b is stuck claimed.
 func (vm *VM) seededFlush(b *buffer, budget int) error {
-	if !vm.claim(b, true, claimword.NeedUnpinned) {
+	if !b.Claim(true, claimword.NeedUnpinned) {
 		return nil
 	}
 	if budget <= 0 {
 		return fmt.Errorf("exec: write-back of %s over budget", b.t)
 	}
-	vm.settle(b, false, 0)
+	b.Settle(false, 0)
 	return nil
 }
 `}},
@@ -208,8 +210,8 @@ func (vm *VM) seededBalance(dev int, bytes int64) {
 `}},
 	},
 	{
-		name: "ClaimDisciplineSeededPublishBeforeCommit",
-		pass: ClaimDiscipline,
+		name: "ClaimlifeSeededPublishBeforeCommit",
+		pass: Claimlife,
 		want: `published to the LRU under an uncommitted claim`,
 		edits: []edit{{file: "internal/exec/seeded.go", new: `package exec
 
@@ -218,11 +220,11 @@ import "harmony/internal/claimword"
 // seededInstall publishes b to the shard's LRU before committing it.
 // Requires sh.mu held.
 func (vm *VM) seededInstall(sh *vmShard, b *buffer) {
-	if !vm.claim(b, false, claimword.NeedEmpty) {
+	if !b.Claim(false, claimword.NeedEmpty) {
 		return
 	}
 	vm.lruPush(sh, b)
-	vm.commit(b, false)
+	b.Commit(false)
 }
 `}},
 	},
@@ -359,7 +361,7 @@ func (vm *VM) seededInstall(sh *vmShard, b *buffer) {
 		pass: Claimlife,
 		want: `claim on b taken at vm\.go:\d+ is neither committed nor settled on an error path`,
 		edits: []edit{{file: "internal/exec/vm.go", old: `	if _, err := vm.transfer(xferP2P, dev, srcDev, b.t, dst, src); err != nil {
-		vm.settle(b, true, 0)
+		b.Settle(true, 0)
 		vm.uncharge(dsh, bytes, dst)
 `, new: `	if _, err := vm.transfer(xferP2P, dev, srcDev, b.t, dst, src); err != nil {
 		vm.uncharge(dsh, bytes, dst)
@@ -367,10 +369,10 @@ func (vm *VM) seededInstall(sh *vmShard, b *buffer) {
 	},
 	{
 		// Free retires an idle host-only buffer's word itself instead
-		// of seizing it.
-		name: "live/claimdiscipline-1/Free-retires-the-word-by-hand",
-		pass: ClaimDiscipline,
-		want: `mutation of buffer\.word outside the claim state-machine helpers`,
+		// of seizing it: the word is claimword's unexported field, so
+		// the tree no longer type-checks.
+		name: "live/compiler/Free-retires-the-word-by-hand",
+		want: `b\.word undefined \(cannot refer to unexported field word\)`,
 		edits: []edit{{file: "internal/exec/vm.go", old: `func (vm *VM) Free(t *tensor.Tensor) error {
 `, new: `func (vm *VM) Free(t *tensor.Tensor) error {
 	if b, ok := vm.lookup(t.ID); ok && b.word.CompareAndSwap(0, 0) { // idle, unpinned, host-only: retire it at once
@@ -382,29 +384,10 @@ func (vm *VM) seededInstall(sh *vmShard, b *buffer) {
 `}},
 	},
 	{
-		name: "live/claimdiscipline-2/unpin-stores-the-word",
-		pass: ClaimDiscipline,
-		want: `non-CAS mutation of buffer\.word \(Store\) inside a transition helper`,
-		edits: []edit{{file: "internal/exec/dma.go", old: `		n, ok := claimword.Unpin(w)
-		if !ok {
-			return false
-		}
-		if b.word.CompareAndSwap(uint64(w), uint64(n)) {
-			return true
-		}
-`, new: `		n, ok := claimword.Unpin(w)
-		if !ok {
-			return false
-		}
-		b.word.Store(uint64(n))
-		return true
-`}},
-	},
-	{
-		name: "live/claimdiscipline-3/land-publishes-before-commit",
-		pass: ClaimDiscipline,
+		name: "live/claimlife-publish/land-publishes-before-commit",
+		pass: Claimlife,
 		want: `published to the LRU under an uncommitted claim`,
-		edits: []edit{{file: "internal/exec/vm.go", old: `	vm.commit(b, how == landPrefetch)
+		edits: []edit{{file: "internal/exec/vm.go", old: `	b.Commit(how == landPrefetch)
 	sh.used += b.t.Bytes
 	if how == landPrefetch {
 		sh.pfBytes += b.t.Bytes
@@ -415,7 +398,7 @@ func (vm *VM) seededInstall(sh *vmShard, b *buffer) {
 		sh.pfBytes += b.t.Bytes
 	}
 	vm.lruPush(sh, b)
-	vm.commit(b, how == landPrefetch)
+	b.Commit(how == landPrefetch)
 `}},
 	},
 	{
@@ -433,14 +416,14 @@ func (vm *VM) seededInstall(sh *vmShard, b *buffer) {
 		pass: Determinism,
 		want: `map iteration in the deterministic core`,
 		edits: []edit{{file: "internal/exec/vm.go", old: `	for b := sh.lru.head; b != nil; b = b.next {
-		switch w := b.load(); {
+		switch w := b.Load(); {
 		case w.Claimed():`, new: `	vm.bufMu.RLock()
 	defer vm.bufMu.RUnlock()
 	for _, b := range vm.bufs {
-		if w := b.load(); int(b.devID.Load()) != sh.dev || !w.Resident() && !w.Claimed() {
+		if w := b.Load(); int(b.devID.Load()) != sh.dev || !w.Resident() && !w.Claimed() {
 			continue // not on sh's list
 		}
-		switch w := b.load(); {
+		switch w := b.Load(); {
 		case w.Claimed():`}},
 	},
 	{
@@ -508,8 +491,8 @@ func TestLockholdSeededRecvUnderShardLock(t *testing.T) {
 func TestLockholdSeededClockSleepUnderLinkLock(t *testing.T) {
 	runMutant(t, "LockholdSeededClockSleepUnderLinkLock")
 }
-func TestClaimDisciplineSeededPublishBeforeCommit(t *testing.T) {
-	runMutant(t, "ClaimDisciplineSeededPublishBeforeCommit")
+func TestClaimlifeSeededPublishBeforeCommit(t *testing.T) {
+	runMutant(t, "ClaimlifeSeededPublishBeforeCommit")
 }
 
 // TestLiveMutants runs the catalogue's live rows.
@@ -538,16 +521,26 @@ func runMutant(t *testing.T, name string) {
 }
 
 // checkMutant runs m's pass over the mutated tree and requires a
-// finding matching m.want in one of the edited files. Rows only read
-// the shared load, so they run in parallel.
+// finding matching m.want in one of the edited files; a row without a
+// pass requires the type error instead. Rows only read the shared
+// load, so they run in parallel.
 func checkMutant(t *testing.T, m mutant) {
 	t.Helper()
-	pkgs, srcs := mutate(t, m)
+	re := regexp.MustCompile(m.want)
+	pkgs, srcs, err := mutate(t, m)
+	if m.pass == nil {
+		if err == nil || !re.MatchString(err.Error()) {
+			t.Errorf("%s: the mutated tree type-checks with error %v, want one matching %q", m.name, err, m.want)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", m.name, err)
+	}
 	diags, err := RunProject(pkgs, m.pass)
 	if err != nil {
 		t.Fatalf("%s: RunProject: %v", m.name, err)
 	}
-	re := regexp.MustCompile(m.want)
 	for _, d := range diags {
 		if _, edited := srcs[d.Pos.Filename]; edited && d.Analyzer == m.pass.Name && re.MatchString(d.Message) {
 			return
@@ -577,8 +570,9 @@ func liveTree(t testing.TB) []*Package {
 // mutate applies m's edits to the live tree and re-checks what they
 // reach: the edited packages and every module package importing them,
 // in dependency order. It returns the whole tree, sorted by import
-// path as Load returns it, and the edited files' sources by file name.
-func mutate(t *testing.T, m mutant) ([]*Package, map[string]string) {
+// path as Load returns it, and the edited files' sources by file name,
+// or the first type error of the re-check.
+func mutate(t *testing.T, m mutant) ([]*Package, map[string]string, error) {
 	t.Helper()
 	pkgs := liveTree(t)
 	fset := pkgs[0].Fset
@@ -656,7 +650,7 @@ func mutate(t *testing.T, m mutant) ([]*Package, map[string]string) {
 		}
 		np, err := check(fset, imp, p.Path, p.Dir, fs)
 		if err != nil {
-			t.Fatalf("%s: %v", m.name, err)
+			return nil, srcs, err
 		}
 		imp.checked[p.Path] = np.Types
 		swapped[p] = np
@@ -667,7 +661,7 @@ func mutate(t *testing.T, m mutant) ([]*Package, map[string]string) {
 			out[i] = p
 		}
 	}
-	return out, srcs
+	return out, srcs, nil
 }
 
 // depOrder lists pkgs with every package after the ones it imports.

@@ -172,9 +172,9 @@ type vmShard struct {
 	used int64
 }
 
-// waitSettle mirrors the executor's claim-settle wait; its name is on
-// the blocking list.
-func (v *vmish) waitSettle() {}
+// WaitSettle mirrors the claim cell's settle wait; its name is on the
+// blocking list.
+func (v *vmish) WaitSettle() {}
 
 // reserveShard runs under the caller's shard lock and may return with
 // it still held. Requires sh.mu held.
@@ -189,10 +189,10 @@ func (v *vmish) blockUnderShardContract(sh *vmShard) {
 	<-v.done // want "channel receive while mu is held"
 }
 
-// waitSettleUnderLock: the in-module blocking list covers waitSettle.
+// waitSettleUnderLock: the in-module blocking list covers WaitSettle.
 func (v *vmish) waitSettleUnderLock(sh *vmShard) {
 	sh.mu.Lock()
-	v.waitSettle() // want "waitSettle \\(blocks on claim settle\\) while mu is held"
+	v.WaitSettle() // want "WaitSettle \\(blocks on claim settle\\) while mu is held"
 	sh.mu.Unlock()
 }
 

@@ -7,12 +7,15 @@
 // completion on different devices therefore never contend on buffer
 // metadata.
 //
-// The package holds only *pure* transition functions: each takes an
-// observed word and returns the successor word plus an ok bit. The
-// runtime (internal/exec) applies them with CompareAndSwap loops. The
-// claimdiscipline analyzer (internal/analyzers) enforces that the
-// executor mutates claim words only through its state-machine
-// helpers, and those helpers only via CAS on these transitions.
+// The transitions are pure functions: each takes an observed word and
+// returns the successor word plus an ok bit. A buffer's live word
+// lives in a Cell (cell.go), whose fields are unexported: the runtime
+// (internal/exec) embeds one per buffer and can change it only through
+// the Cell's methods, which apply these transitions through one
+// CompareAndSwap loop (Pin excepted: it is a single CAS against the
+// word its caller observed). So the compiler, not a lint rule, keeps
+// every write of the word on a transition, and TestCellUnderContention
+// holds the loop to CAS.
 //
 // Word layout (low to high):
 //

@@ -31,7 +31,7 @@ func readers(s *sched.Schedule) map[int][]int {
 // residentOn reports the device x's page lives on, -1 when it has none.
 func residentOn(tr *Trainer, x *tensor.Tensor) int {
 	b, ok := tr.vm.lookup(x.ID)
-	if !ok || !b.load().Resident() {
+	if !ok || !b.Load().Resident() {
 		return -1
 	}
 	return int(b.devID.Load())

@@ -1,24 +1,22 @@
 package exec
 
 import (
-	"fmt"
-	"runtime"
 	"time"
 
-	"harmony/internal/claimword"
 	"harmony/internal/fault"
 	"harmony/internal/nn"
 	"harmony/internal/tensor"
 	"harmony/internal/trace"
 )
 
-// This file is the VM's asynchronous DMA engine and the buffer claim
-// state machine: per-device worker goroutines service prefetch
-// swap-ins (EnsureAsync) while device workers compute. Write-backs are
-// the demand path's alone: eviction makes them when it needs the room.
-// All copies run outside the shard locks under a buffer claim;
-// completion is signaled through the packed claim word, so a demand
-// Ensure on an in-flight buffer rides the DMA instead of copying twice.
+// This file is the VM's asynchronous DMA engine: per-device worker
+// goroutines service prefetch swap-ins (EnsureAsync) while device
+// workers compute. Write-backs are the demand path's alone: eviction
+// makes them when it needs the room. All copies run outside the shard
+// locks under a buffer claim; completion is signaled through the
+// buffer's claim cell (claimword.Cell, whose transitions are the only
+// way its word changes), so a demand Ensure on an in-flight buffer
+// rides the DMA instead of copying twice.
 
 // dmaReq is one prefetch: a host→device fill of b.dev, already landed
 // (claimed and committed) by EnsureAsync.
@@ -26,140 +24,6 @@ type dmaReq struct {
 	b   *buffer
 	dev int // device whose DMA lane services the request
 }
-
-// ------------------------------------------------------ state machine
-//
-// claim, commit, settle, pin, unpin and consumePrefetch are the only
-// functions allowed to mutate a buffer's claim word (and its done
-// channel), and they do so exclusively through CAS on the pure
-// transitions in internal/claimword — every other path must go
-// through them so waiters, eviction and the reserve path always see a
-// coherent claim. The claimdiscipline analyzer (internal/analyzers)
-// rejects word/done mutations anywhere else, and raw stores even
-// here.
-
-// claim CASes a claim onto b. committed marks claims that already hold
-// everything they need (write-backs, p2p with the destination charged,
-// reads) — set in the claim CAS itself so no observer ever sees a
-// resident claimed-unwaitable word. Returns false when the buffer is
-// not claimable under need (already claimed, pinned, resident);
-// callers re-observe and retry or bail. On success the claim's
-// wakeup channel is published to b.done.
-func (vm *VM) claim(b *buffer, committed bool, need claimword.Need) bool {
-	for {
-		w := b.load()
-		n, ok := claimword.Claim(w, committed, need)
-		if !ok {
-			return false
-		}
-		if b.word.CompareAndSwap(uint64(w), uint64(n)) {
-			ch := make(chan struct{})
-			b.done.Store(&ch)
-			return true
-		}
-	}
-}
-
-// commit publishes residency for a claimed swap-in whose reserve
-// completed: residency and the waitable mark land in one CAS, with the
-// prefetched mark for a prefetch. Requires the caller to hold b's
-// claim; callers must commit before the buffer becomes visible to any
-// eviction scan (lruPush), which the claimdiscipline analyzer checks
-// on every path.
-func (vm *VM) commit(b *buffer, prefetched bool) {
-	for {
-		w := b.load()
-		n, ok := claimword.Commit(w, prefetched)
-		if !ok {
-			panic(fmt.Sprintf("exec: commit of unclaimed %s", b.t))
-		}
-		if b.word.CompareAndSwap(uint64(w), uint64(n)) {
-			return
-		}
-	}
-}
-
-// settle completes b's in-flight DMA — state back to idle, residency
-// set to the outcome, pinDelta applied (paths that hand the buffer to
-// their caller pinned pass +1) — and wakes every waiter by closing
-// the claim's channel. Requires the caller to hold b's claim. The
-// pointer-CAS on done tolerates a successor claim publishing its own
-// channel between our word CAS and the cleanup.
-func (vm *VM) settle(b *buffer, resident bool, pinDelta int) {
-	p := b.done.Load()
-	for {
-		w := b.load()
-		n, ok := claimword.Settle(w, resident, pinDelta)
-		if !ok {
-			panic(fmt.Sprintf("exec: settle of unclaimed %s", b.t))
-		}
-		if b.word.CompareAndSwap(uint64(w), uint64(n)) {
-			break
-		}
-	}
-	if p != nil {
-		b.done.CompareAndSwap(p, nil)
-		close(*p)
-	}
-}
-
-// pin takes one pin via a single CAS against the word the caller just
-// observed — not a retry loop, so the caller's placement reads stay
-// tied to the exact word that was pinned. Fails when the buffer is
-// claimed, not resident, or the word moved; the caller re-observes.
-func (vm *VM) pin(b *buffer, w claimword.Word) bool {
-	n, ok := claimword.Pin(w)
-	if !ok {
-		return false
-	}
-	return b.word.CompareAndSwap(uint64(w), uint64(n))
-}
-
-// unpin releases one pin. Returns false on underflow.
-func (vm *VM) unpin(b *buffer) bool {
-	for {
-		w := b.load()
-		n, ok := claimword.Unpin(w)
-		if !ok {
-			return false
-		}
-		if b.word.CompareAndSwap(uint64(w), uint64(n)) {
-			return true
-		}
-	}
-}
-
-// consumePrefetch clears b's prefetched mark; exactly one caller wins
-// and must return the bytes to the owning shard's prefetch budget
-// (under that shard's lock).
-func (vm *VM) consumePrefetch(b *buffer) bool {
-	for {
-		w := b.load()
-		n, ok := claimword.ConsumePrefetch(w)
-		if !ok {
-			return false
-		}
-		if b.word.CompareAndSwap(uint64(w), uint64(n)) {
-			return true
-		}
-	}
-}
-
-// waitSettle blocks until b's current claim settles, then returns so
-// the caller can re-observe the word (a new claim may land at any
-// time). Tolerates the tiny window where a claim won its CAS but has
-// not published its channel yet, and stale channels from claims that
-// already settled (closed channels wake immediately).
-func (vm *VM) waitSettle(b *buffer) {
-	p := b.done.Load()
-	if p == nil {
-		runtime.Gosched()
-		return
-	}
-	<-*p
-}
-
-// ---------------------------------------------------------- DMA engine
 
 // StartEngine launches one DMA worker goroutine per device and allows
 // async swap-in bytes in flight per device up to budgetBytes. Call
@@ -250,7 +114,7 @@ func (vm *VM) EnsureAsync(dev int, t *tensor.Tensor) {
 	if !ok {
 		return
 	}
-	w := b.load()
+	w := b.Load()
 	if w.Claimed() || w.Pins() > 0 {
 		return
 	}
@@ -264,7 +128,7 @@ func (vm *VM) EnsureAsync(dev int, t *tensor.Tensor) {
 			// under the shard lock — only idle-resident-here buffers are
 			// linked here.
 			sh.mu.Lock()
-			if w2 := b.load(); !w2.Claimed() && w2.Resident() && int(b.devID.Load()) == dev && b.state.Load() != pageZero {
+			if w2 := b.Load(); !w2.Claimed() && w2.Resident() && int(b.devID.Load()) == dev && b.state.Load() != pageZero {
 				vm.touch(sh, b)
 			}
 			sh.mu.Unlock()
@@ -354,10 +218,10 @@ func (vm *VM) service(req dmaReq) {
 		// so WaitIdle reports them even if no demand follows.
 		vm.dropResidency(b)
 		vm.latchAsyncErr(err)
-		vm.settle(b, false, 0)
+		b.Settle(false, 0)
 		return
 	}
-	vm.settle(b, true, 0) // stays prefetched until the demand hit
+	b.Settle(true, 0) // stays prefetched until the demand hit
 }
 
 // writeBack and fill are the two directions a page crosses the host

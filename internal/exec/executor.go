@@ -219,7 +219,7 @@ func (ex *executor) worker(d int, stream []sched.StreamEntry, rdvs []*rendezvous
 		ex.tr.await(d, t)
 		loss, counted, err := ex.tr.runTask(d, t, ex.labels)
 		if err != nil {
-			ex.fail(fmt.Errorf("exec: %s on gpu%d: %w", t, d, err))
+			ex.fail(fmt.Errorf("exec: %s on %s: %w", t, ex.tr.where(d), err))
 			return
 		}
 		ex.ts.losses[t.ID] = loss
@@ -251,7 +251,7 @@ func (ex *executor) runSerial(ws *sched.Streams) error {
 		tr.await(d, t)
 		loss, counted, err := tr.runTask(d, t, ex.labels)
 		if err != nil {
-			return fmt.Errorf("exec: %s on gpu%d: %w", t, d, err)
+			return fmt.Errorf("exec: %s on %s: %w", t, tr.where(d), err)
 		}
 		ts.losses[t.ID] = loss
 		ts.counted[t.ID] = counted

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -341,5 +342,35 @@ func TestRecoveryRollsBackToALoadedCheckpoint(t *testing.T) {
 	assertSameRun(t, ref, tr, lossRef, losses)
 	if tr.Recoveries() != 1 {
 		t.Fatalf("recoveries = %d, want 1", tr.Recoveries())
+	}
+}
+
+// TestStepErrorNamesTheFailedDevice: a failed step names the physical
+// device its task ran on — the one the fault names — and adds the
+// virtual device only once recovery has bound it elsewhere.
+func TestStepErrorNamesTheFailedDevice(t *testing.T) {
+	cfg := trainerConfig(sched.HarmonyDP, 2)
+	cfg.Serial, cfg.DeviceBytes = true, 64<<10 // gpu1 can hold both replicas
+	for _, c := range []struct {
+		recover bool
+		spec    string
+		want    string
+	}{
+		{false, "op=kernel,mode=fatal,dev=1,step=1",
+			`^exec: FWD\[r1,L0,mb0\] on gpu1: fault: injected fatal kernel failure on dev 1 at step 1$`},
+		// gpu0 fails at step 1; recovery binds both virtual devices to
+		// gpu1, whose own failure at step 2 leaves no device.
+		{true, "op=kernel,mode=fatal,dev=0,step=1;op=kernel,mode=fatal,dev=1,step=2",
+			`^exec: unrecoverable fault \(exec: FWD\[r0,L0,mb0\] on gpu1 \(virtual device 0\): fault: injected fatal kernel failure on dev 1 at step 2\): exec: no devices left$`},
+	} {
+		cfg.Recover, cfg.FaultSpec = c.recover, c.spec
+		tr, err := NewTrainer(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = stepsWithin(t, tr, 0, 3)
+		if err == nil || !regexp.MustCompile(c.want).MatchString(err.Error()) {
+			t.Errorf("%s: %v, want an error matching %q", c.spec, err, c.want)
+		}
 	}
 }

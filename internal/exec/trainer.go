@@ -525,6 +525,15 @@ func (tr *Trainer) maxRetries() int {
 // pdev maps a virtual device to the physical device backing it.
 func (tr *Trainer) pdev(d int) int { return tr.devMap[d] }
 
+// where names the device virtual device d's tasks run on for an error:
+// the physical one, and d itself only when recovery has re-bound it.
+func (tr *Trainer) where(d int) string {
+	if p := tr.pdev(d); p != d {
+		return fmt.Sprintf("gpu%d (virtual device %d)", p, d)
+	}
+	return fmt.Sprintf("gpu%d", d)
+}
+
 // Recoveries reports how many fatal device faults the trainer rolled
 // back from and resumed past.
 func (tr *Trainer) Recoveries() int { return tr.recoveries }

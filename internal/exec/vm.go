@@ -95,11 +95,11 @@ func (s VMStats) add(o VMStats) VMStats {
 // buffer is one tensor's VM state. Concurrency splits its fields into
 // three ownership domains:
 //
-//   - word/done: the packed atomic claim word (internal/claimword) and
-//     the claim's wakeup channel. Mutated only by the state-machine
-//     helpers in dma.go (claim/commit/settle/pin/unpin/
-//     consumePrefetch), only via CAS — the claimdiscipline analyzer
-//     enforces this.
+//   - the embedded claimword.Cell: the packed atomic claim word and
+//     the claim's wakeup channel. Its fields are claimword's own, so
+//     this package can change them only through the Cell's
+//     transitions (Claim, Commit, Settle, Pin, Unpin,
+//     ConsumePrefetch), each a CAS on the observed word.
 //   - dev, devID, host, state: owned by the claim holder — except at
 //     birth (HostAlloc, HostBind, ZeroAlloc), which writes host and
 //     state under bufMu before any transfer can reach the page. Claims
@@ -128,13 +128,9 @@ type buffer struct {
 	devID atomic.Int32
 	state atomic.Uint32 // pageClean, pageDirty or pageZero
 
-	// word is the packed claim/residency/pin state machine; done points
-	// to the current claim's wakeup channel, closed at settle. done is
-	// published by the claim winner right after its CAS, so waiters
-	// that observe a claimed word with a nil done simply yield and
-	// re-observe.
-	word atomic.Uint64
-	done atomic.Pointer[chan struct{}]
+	// The packed claim/residency/pin word and the claim's wake
+	// channel, reachable only through their transitions.
+	claimword.Cell
 
 	// Intrusive per-shard LRU list (least-recent at head).
 	prev, next *buffer
@@ -167,9 +163,6 @@ func (b *buffer) floats() int { return int(b.t.Bytes / 4) }
 // backed reports whether a non-resident b can be made resident: it has
 // a host copy to read, or is known to be all zeros and needs none.
 func (b *buffer) backed() bool { return b.host != nil || b.state.Load() == pageZero }
-
-// load atomically observes b's claim word.
-func (b *buffer) load() claimword.Word { return claimword.Word(b.word.Load()) }
 
 // lruList is one device's residency list, least-recently-used first.
 type lruList struct{ head, tail *buffer }
@@ -467,7 +460,7 @@ func (vm *VM) victim(sh *vmShard) (evictable, waitable *buffer) {
 	// other victim, falling back only when nothing else is evictable.
 	var prefetched *buffer
 	for b := sh.lru.head; b != nil; b = b.next {
-		switch w := b.load(); {
+		switch w := b.Load(); {
 		case w.Claimed():
 			if waitable == nil && w.Waitable() {
 				waitable = b
@@ -625,7 +618,7 @@ func (vm *VM) birth(t *tensor.Tensor) (b *buffer, fresh bool) {
 // waited out and a pinned page refused (seize).
 func (vm *VM) Read(t *tensor.Tensor, dst []float32) error {
 	return vm.seize(t, "Read", false, func(b *buffer) (bool, error) {
-		resident := b.load().Resident()
+		resident := b.Load().Resident()
 		switch {
 		case len(dst) != b.floats():
 			return resident, fmt.Errorf("exec: Read of %s into %d floats, want %d", t, len(dst), b.floats())
@@ -658,19 +651,19 @@ func (vm *VM) seize(t *tensor.Tensor, op string, absentOK bool, act func(*buffer
 			}
 			return fmt.Errorf("exec: tensor %s has no buffer", t)
 		}
-		w := b.load()
+		w := b.Load()
 		if w.Claimed() {
-			vm.waitSettle(b)
+			b.WaitSettle()
 			continue
 		}
 		if w.Pins() > 0 {
 			return fmt.Errorf("exec: %s of pinned %s", op, t)
 		}
-		if !vm.claim(b, true, claimword.NeedUnpinned) {
+		if !b.Claim(true, claimword.NeedUnpinned) {
 			continue
 		}
 		resident, err := act(b)
-		vm.settle(b, resident, 0)
+		b.Settle(resident, 0)
 		return err
 	}
 }
@@ -689,27 +682,27 @@ func (vm *VM) Ensure(dev int, t *tensor.Tensor) ([]float32, error) {
 		if !ok {
 			return nil, fmt.Errorf("exec: tensor %s was never materialized", t)
 		}
-		w := b.load()
+		w := b.Load()
 		if w.Claimed() {
 			// A copy is in flight (possibly our own prefetch): ride it
 			// out and re-evaluate. A prefetch landing in the right place
 			// is counted as a hit by the fast path on the next pass.
-			vm.waitSettle(b)
+			b.WaitSettle()
 			continue
 		}
 		if w.Resident() && int(b.devID.Load()) == dev {
-			if !vm.pin(b, w) {
+			if !b.Pin(w) {
 				continue // word moved under us; re-evaluate
 			}
 			// Pinned: residency and placement are now frozen. Re-check
 			// the placement read that preceded the pin (an eviction and
 			// re-fetch elsewhere could have recycled the word bits).
 			if int(b.devID.Load()) != dev {
-				vm.unpin(b)
+				b.Unpin()
 				continue
 			}
 			dst := b.dev
-			hit := vm.consumePrefetch(b)
+			hit := b.ConsumePrefetch()
 			sh := vm.shards[dev]
 			sh.mu.Lock()
 			if hit {
@@ -774,10 +767,10 @@ func (vm *VM) swapIn(dev int, b *buffer) ([]float32, error) {
 	}
 	if err := vm.fill(xferIn, dev, b); err != nil {
 		vm.dropResidency(b)
-		vm.settle(b, false, 0)
+		b.Settle(false, 0)
 		return nil, err
 	}
-	vm.settle(b, true, +1)
+	b.Settle(true, +1)
 	return dst, nil
 }
 
@@ -812,16 +805,16 @@ const (
 // resident buffer completes on its own. Requires sh.mu held; reserve
 // may release and reacquire it.
 func (vm *VM) land(sh *vmShard, b *buffer, how landing) ([]float32, error) {
-	if !vm.claim(b, false, claimword.NeedEmpty) {
+	if !b.Claim(false, claimword.NeedEmpty) {
 		return nil, errRetry
 	}
 	if b.backed() == (how == landAlloc) {
-		vm.settle(b, false, 0)
+		b.Settle(false, 0)
 		return nil, errRetry
 	}
 	if how != landPrefetch {
 		if err := vm.reserve(sh, b.t.Bytes); err != nil {
-			vm.settle(b, false, 0)
+			b.Settle(false, 0)
 			return nil, err
 		}
 	}
@@ -829,7 +822,7 @@ func (vm *VM) land(sh *vmShard, b *buffer, how landing) ([]float32, error) {
 	// it is, so only it needs the slice cleared.
 	b.dev = vm.take(sh, b.floats(), how == landAlloc)
 	b.devID.Store(int32(sh.dev))
-	vm.commit(b, how == landPrefetch)
+	b.Commit(how == landPrefetch)
 	sh.used += b.t.Bytes
 	if how == landPrefetch {
 		sh.pfBytes += b.t.Bytes
@@ -857,19 +850,19 @@ func (vm *VM) moveP2P(dev int, b *buffer) ([]float32, error) {
 	dsh.used += bytes                      // hold the destination while copying
 	dst := vm.take(dsh, b.floats(), false) // the copy writes every element
 	dsh.mu.Unlock()
-	if !vm.claim(b, true, claimword.NeedUnpinned) {
+	if !b.Claim(true, claimword.NeedUnpinned) {
 		vm.uncharge(dsh, bytes, dst)
 		return nil, errRetry
 	}
-	if w := b.load(); !w.Resident() || int(b.devID.Load()) == dev {
-		vm.settle(b, w.Resident(), 0)
+	if w := b.Load(); !w.Resident() || int(b.devID.Load()) == dev {
+		b.Settle(w.Resident(), 0)
 		vm.uncharge(dsh, bytes, dst)
 		return nil, errRetry
 	}
 	src, srcDev := b.dev, int(b.devID.Load())
 
 	if _, err := vm.transfer(xferP2P, dev, srcDev, b.t, dst, src); err != nil {
-		vm.settle(b, true, 0)
+		b.Settle(true, 0)
 		vm.uncharge(dsh, bytes, dst)
 		return nil, err
 	}
@@ -887,7 +880,7 @@ func (vm *VM) moveP2P(dev int, b *buffer) ([]float32, error) {
 	dsh.stats.P2PBytes += bytes
 	dsh.stats.P2PMoves++
 	dsh.mu.Unlock()
-	vm.settle(b, true, +1)
+	b.Settle(true, +1)
 	return dst, nil
 }
 
@@ -910,9 +903,9 @@ func (vm *VM) Alloc(dev int, t *tensor.Tensor) ([]float32, error) {
 	vm.bufMu.Unlock()
 	sh := vm.shards[dev]
 	for {
-		w := b.load()
+		w := b.Load()
 		if w.Claimed() {
-			vm.waitSettle(b)
+			b.WaitSettle()
 			continue
 		}
 		if w.Resident() || b.backed() {
@@ -928,7 +921,7 @@ func (vm *VM) Alloc(dev int, t *tensor.Tensor) ([]float32, error) {
 			return nil, err
 		}
 		b.state.Store(pageDirty)
-		vm.settle(b, true, +1)
+		b.Settle(true, +1)
 		return dst, nil
 	}
 }
@@ -940,7 +933,7 @@ func (vm *VM) Alloc(dev int, t *tensor.Tensor) ([]float32, error) {
 // — it is an ordinary dirty page from here on.
 func (vm *VM) MarkDirty(t *tensor.Tensor) error {
 	b, ok := vm.lookup(t.ID)
-	if !ok || !b.load().Resident() {
+	if !ok || !b.Load().Resident() {
 		return fmt.Errorf("exec: MarkDirty on non-resident %s", t)
 	}
 	b.state.Store(pageDirty)
@@ -958,7 +951,7 @@ func (vm *VM) MarkDirty(t *tensor.Tensor) error {
 // simply dirty.
 func (vm *VM) MarkZero(t *tensor.Tensor) error {
 	b, ok := vm.lookup(t.ID)
-	if !ok || !b.load().Resident() {
+	if !ok || !b.Load().Resident() {
 		return fmt.Errorf("exec: MarkZero on non-resident %s", t)
 	}
 	if !vm.pol.DirtyTracking {
@@ -976,7 +969,7 @@ func (vm *VM) MarkZero(t *tensor.Tensor) error {
 // Unpin releases one pin.
 func (vm *VM) Unpin(t *tensor.Tensor) error {
 	b, ok := vm.lookup(t.ID)
-	if !ok || !vm.unpin(b) {
+	if !ok || !b.Unpin() {
 		return fmt.Errorf("exec: Unpin underflow on %s", t)
 	}
 	return nil
@@ -985,7 +978,7 @@ func (vm *VM) Unpin(t *tensor.Tensor) error {
 // Free destroys the tensor entirely, waiting out any in-flight DMA.
 func (vm *VM) Free(t *tensor.Tensor) error {
 	return vm.seize(t, "Free", true, func(b *buffer) (bool, error) {
-		if b.load().Resident() {
+		if b.Load().Resident() {
 			vm.dropResidency(b)
 		}
 		vm.bufMu.Lock()
@@ -1010,7 +1003,7 @@ func (vm *VM) reserve(sh *vmShard, bytes int64) error {
 		if victim == nil {
 			if inflight != nil {
 				sh.mu.Unlock()
-				vm.waitSettle(inflight)
+				inflight.WaitSettle()
 				sh.mu.Lock()
 				continue
 			}
@@ -1035,18 +1028,18 @@ func (vm *VM) reserve(sh *vmShard, bytes int64) error {
 // Ensure, which picks b without sh's LRU, may find it moved or gone by
 // the time the claim lands; that is errRetry too.
 func (vm *VM) evict(sh *vmShard, b *buffer) error {
-	if !vm.claim(b, true, claimword.NeedUnpinned) {
+	if !b.Claim(true, claimword.NeedUnpinned) {
 		return errRetry // raced with a pin or another claim
 	}
-	if w := b.load(); !w.Resident() || int(b.devID.Load()) != sh.dev {
-		vm.settle(b, w.Resident(), 0)
+	if w := b.Load(); !w.Resident() || int(b.devID.Load()) != sh.dev {
+		b.Settle(w.Resident(), 0)
 		return errRetry
 	}
 	if st := b.state.Load(); st == pageZero || vm.pol.DirtyTracking && st == pageClean && b.host != nil {
 		sh.stats.DropBytes += b.t.Bytes
 		sh.stats.Drops++
 		vm.unlink(sh, b)
-		vm.settle(b, false, 0)
+		b.Settle(false, 0)
 		return nil
 	}
 	// Write back. Naive virtualization (DirtyTracking off) writes back
@@ -1055,11 +1048,11 @@ func (vm *VM) evict(sh *vmShard, b *buffer) error {
 	err := vm.writeBack(sh.dev, b)
 	sh.mu.Lock()
 	if err != nil {
-		vm.settle(b, true, 0) // stays resident (and dirty)
+		b.Settle(true, 0) // stays resident (and dirty)
 		return err
 	}
 	vm.unlink(sh, b)
-	vm.settle(b, false, 0)
+	b.Settle(false, 0)
 	return nil
 }
 
@@ -1082,7 +1075,7 @@ func (vm *VM) dropResidency(b *buffer) {
 func (vm *VM) unlink(sh *vmShard, b *buffer) {
 	vm.lruRemove(sh, b)
 	sh.used -= b.t.Bytes
-	if vm.consumePrefetch(b) {
+	if b.ConsumePrefetch() {
 		sh.pfBytes -= b.t.Bytes
 	}
 	vm.give(sh, b.dev)
@@ -1098,7 +1091,7 @@ func (vm *VM) unlink(sh *vmShard, b *buffer) {
 // host contents itself). Fails on pinned tensors.
 func (vm *VM) Invalidate(t *tensor.Tensor) error {
 	return vm.seize(t, "Invalidate", true, func(b *buffer) (bool, error) {
-		if !b.load().Resident() {
+		if !b.Load().Resident() {
 			return false, nil
 		}
 		if b.host == nil {

@@ -187,7 +187,7 @@ func TestConcurrentVMHotPath(t *testing.T) {
 			}
 			// Unpinned: give device 0 a few visits to evict it in this state.
 			fb, _ := vm.lookup(flip.ID)
-			for seen := visits.Load(); fb.load().Resident() && visits.Load()-seen < 16 && !stopped.Load(); {
+			for seen := visits.Load(); fb.Load().Resident() && visits.Load()-seen < 16 && !stopped.Load(); {
 				runtime.Gosched()
 			}
 		}

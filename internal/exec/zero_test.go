@@ -86,7 +86,7 @@ func TestStepLeavesGradientsBitZero(t *testing.T) {
 			for r := range tr.g.DW {
 				for _, dw := range tr.g.DW[r] {
 					b, ok := tr.vm.lookup(dw.ID)
-					if !ok || !b.load().Resident() {
+					if !ok || !b.Load().Resident() {
 						t.Fatalf("%s is not resident on a device nothing is evicted from", dw)
 					}
 					if len(b.dev) != int(dw.Bytes/4) {
@@ -144,7 +144,7 @@ func TestZeroPageEvictionMovesNothing(t *testing.T) {
 	}
 	// The prefetched copy is never demanded: a mark set by whoever holds
 	// the pin is what the test is about, so pin without consuming it.
-	if !vm.pin(ab, ab.load()) {
+	if !ab.Pin(ab.Load()) {
 		t.Fatal("pin failed")
 	}
 	clear(ab.dev)
@@ -293,7 +293,7 @@ func TestFillZeroesWhateverItIsHanded(t *testing.T) {
 	vm := NewVM(1, 500, tracking)
 	zeroedPage(t, vm, 0, a)
 	b, _ := vm.lookup(a.ID)
-	if !vm.claim(b, true, claimword.NeedUnpinned) {
+	if !b.Claim(true, claimword.NeedUnpinned) {
 		t.Fatal("claim failed")
 	}
 	for i := range b.dev {
@@ -302,7 +302,7 @@ func TestFillZeroesWhateverItIsHanded(t *testing.T) {
 	if err := vm.fill(xferIn, 0, b); err != nil {
 		t.Fatal(err)
 	}
-	vm.settle(b, true, 0)
+	b.Settle(true, 0)
 	if i, ok := bitZero(b.dev); !ok {
 		t.Fatalf("fill left element %d = %v", i, b.dev[i])
 	}
@@ -415,13 +415,13 @@ func TestVictimPrefersZeroPages(t *testing.T) {
 	if err := vm.Unpin(b); err != nil {
 		t.Fatal(err)
 	}
-	if !vm.claim(bb, true, claimword.NeedUnpinned) {
+	if !bb.Claim(true, claimword.NeedUnpinned) {
 		t.Fatal("claim failed")
 	}
 	if got := pick(); got != ba {
 		t.Fatalf("victim = %v while the known-zero page is claimed", got.t)
 	}
-	vm.settle(bb, true, 0)
+	bb.Settle(true, 0)
 	// With no zero page left the order is plain LRU again.
 	if _, err := vm.Ensure(0, b); err != nil {
 		t.Fatal(err)

@@ -221,17 +221,30 @@ func noFeasible(cfg Config) error {
 // neighbors perturbs one knob at a time.
 func neighbors(cfg Config, c Candidate) []Candidate {
 	var out []Candidate
-	def := sched.DefaultOptions(cfg.Mode)
-	batch := cfg.BatchPerReplica
-	// Halve/double the microbatch size along divisor boundaries.
+	mode, batch := cfg.Mode, cfg.BatchPerReplica
+	// Halve/double the microbatch size along divisor boundaries,
+	// keeping the wave shape: a sub-batch wave keeps its order and at
+	// most its samples, as the largest group of the new microbatches
+	// that holds no more (one microbatch at least).
 	for _, mbs := range divisors(batch) {
 		if mbs == c.MicrobatchSize*2 || (c.MicrobatchSize%2 == 0 && mbs == c.MicrobatchSize/2) {
-			out = append(out, Candidate{MicrobatchSize: mbs, Microbatches: batch / mbs,
-				GroupSize: def.GroupSize, Prefetch: c.Prefetch, Defer: c.Defer, Interleave: def.WaveInterleave})
+			nb := c
+			nb.MicrobatchSize, nb.Microbatches = mbs, batch/mbs
+			if grouping(mode) && c.GroupSize > 0 {
+				g := 1
+				for _, d := range divisors(nb.Microbatches) {
+					if d*mbs <= c.GroupSize*c.MicrobatchSize {
+						g = d
+					}
+				}
+				nb = withGroup(mode, nb, g)
+			}
+			out = append(out, nb)
 		}
 	}
-	if grouping(cfg.Mode) {
-		// Step the group size among divisors of m.
+	if grouping(mode) {
+		// Step the group size among divisors of m. Which order suits a
+		// pipeline depends on its group, so a step there tries both.
 		m := c.Microbatches
 		ds := divisors(m)
 		curG := c.GroupSize
@@ -239,12 +252,18 @@ func neighbors(cfg Config, c Candidate) []Candidate {
 			curG = m
 		}
 		for i, d := range ds {
-			if d == curG {
-				if i > 0 {
-					out = append(out, withGroup(c, ds[i-1], m))
+			if d != curG {
+				continue
+			}
+			for _, j := range []int{i - 1, i + 1} {
+				if j < 0 || j == len(ds) {
+					continue
 				}
-				if i+1 < len(ds) {
-					out = append(out, withGroup(c, ds[i+1], m))
+				nb := withGroup(mode, c, ds[j])
+				out = append(out, nb)
+				if mode.IsPipeline() && nb.GroupSize > 0 {
+					nb.Interleave = !nb.Interleave
+					out = append(out, nb)
 				}
 			}
 		}
@@ -253,12 +272,12 @@ func neighbors(cfg Config, c Candidate) []Candidate {
 	flipped := c
 	flipped.Prefetch = !c.Prefetch
 	out = append(out, flipped)
-	if cfg.Mode == sched.HarmonyDP {
+	if mode == sched.HarmonyDP {
 		flipped = c
 		flipped.Defer = !c.Defer
 		out = append(out, flipped)
 	}
-	if grouping(cfg.Mode) && cfg.Mode.IsPipeline() && c.GroupSize > 0 {
+	if grouping(mode) && mode.IsPipeline() && c.GroupSize > 0 {
 		flipped = c
 		flipped.Interleave = !c.Interleave
 		out = append(out, flipped)
@@ -266,11 +285,14 @@ func neighbors(cfg Config, c Candidate) []Candidate {
 	return out
 }
 
-func withGroup(c Candidate, g, m int) Candidate {
-	if g == m {
-		g = 0
-	}
+// withGroup sets c's group to g of its microbatches: 0 when g spans
+// them all, with the mode's default order, the only one Space pairs
+// with it.
+func withGroup(mode sched.Mode, c Candidate, g int) Candidate {
 	c.GroupSize = g
+	if g == c.Microbatches {
+		c.GroupSize, c.Interleave = 0, sched.DefaultOptions(mode).WaveInterleave
+	}
 	return c
 }
 
