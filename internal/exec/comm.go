@@ -1,12 +1,14 @@
 // Chunked collective execution. The scheduler's comm plan
 // (sched.Schedule.Comm) fixes bucket membership, chunk boundaries and
 // reducer assignment at plan time; this file derives the runtime view
-// the executor's reduceBucket path consumes — per-device chunk lists
-// in member order plus per-member chunk counts — and runs the per-chunk
-// reduction, whose math is nn.Average, or nn.AverageSGD when the plan's
-// reductions apply the update (sched.Schedule.FusedUpdate): on a chunked
-// SGD plan the worker that reduces a chunk updates that range of every
-// replica's weights once, and the replicas' Update tasks run no kernel.
+// the executors consume — per-device chunk lists in member order for
+// reduceBucket, and each collective's chunks for book — books a
+// collective's link time the moment its gradient exists on every
+// replica, and runs the per-range reduction, whose math is nn.Average,
+// or nn.AverageSGD when the plan's reductions apply the update
+// (sched.Schedule.FusedUpdate): on a chunked SGD plan the worker that
+// reduces a chunk updates that range of every replica's weights once,
+// and the replicas' Update tasks run no kernel.
 package exec
 
 import (
@@ -20,35 +22,37 @@ import (
 	"harmony/internal/trace"
 )
 
-// commBucketRT is one bucket's runtime view; its members, in plan
-// order, are the woven streams' (sched.Streams.Members), bucket bi
-// being rendezvous bi.
-type commBucketRT struct {
-	// byDev[d] lists the chunks device worker d reduces, member-major
-	// then ascending offset — the iteration order of reduceBucket.
-	byDev [][]sched.CommChunk
-	// chunksPerMember seeds the executor's per-run countdown; the
-	// worker that retires a member's last chunk completes the task.
-	chunksPerMember []int32
+// commPlan is a chunked plan's runtime view, built once per plan
+// (install); the members of bucket bi, in plan order, are the woven
+// streams' (sched.Streams.Members), bucket bi being rendezvous bi.
+type commPlan struct {
+	// byDev[bi][d] lists the chunks of bucket bi device worker d
+	// reduces, member-major then ascending offset — the iteration order
+	// of reduceBucket.
+	byDev [][][]sched.CommChunk
+	// of[id] lists collective task id's chunks in ascending offset: what
+	// book reserves and the executor's per-run countdown counts. Nil for
+	// every other task.
+	of [][]sched.CommChunk
 }
 
 // buildCommPlan derives the runtime comm plan from a schedule, or nil
 // when the schedule has no comm plan (monolithic rendezvous).
-func buildCommPlan(s *sched.Schedule) []commBucketRT {
+func buildCommPlan(s *sched.Schedule) *commPlan {
 	if s.Comm == nil {
 		return nil
 	}
-	plan := make([]commBucketRT, len(s.Comm))
+	plan := &commPlan{
+		byDev: make([][][]sched.CommChunk, len(s.Comm)),
+		of:    make([][]sched.CommChunk, len(s.Graph.Tasks)),
+	}
 	for bi, b := range s.Comm {
-		rt := commBucketRT{
-			byDev:           make([][]sched.CommChunk, s.NGPUs),
-			chunksPerMember: make([]int32, len(b.Members)),
-		}
+		plan.byDev[bi] = make([][]sched.CommChunk, s.NGPUs)
 		for _, c := range b.Chunks {
-			rt.byDev[c.Reducer] = append(rt.byDev[c.Reducer], c)
-			rt.chunksPerMember[c.Member]++
+			plan.byDev[bi][c.Reducer] = append(plan.byDev[bi][c.Reducer], c)
+			id := s.Collectives[b.Members[c.Member]].ID
+			plan.of[id] = append(plan.of[id], c)
 		}
-		plan[bi] = rt
 	}
 	return plan
 }
@@ -69,59 +73,92 @@ type CommStats struct {
 // call between steps (same contract as Stats).
 func (tr *Trainer) CommStats() CommStats { return tr.commStats }
 
+// book reserves collective c's link time the moment it becomes ready —
+// its last dependency complete, so its gradient exists on every replica
+// — and stamps the latest end on the updates that read the result
+// (taskState.stamp). Each chunk of a chunked collective goes on its
+// plan-time reducer's link; a whole payload goes on replica 0's device's
+// link, since its reducer, the last to arrive, varies from run to run.
+// So the link timeline is a function of the plan and of readiness, not
+// of when a reducer's worker gets the CPU. Nobody waits here: the
+// updates owe the wait (Trainer.await). Each reservation is the range's
+// trace span; with no link modeled there is none, and reduce records
+// the work's wall interval instead.
+func (tr *Trainer) book(c *graph.Task) {
+	var end time.Time
+	if tr.comm == nil {
+		end = tr.reserveReduce(c, tr.pdev(0), 0, int(c.CommBytes/4), false)
+	} else {
+		for _, k := range tr.comm.of[c.ID] {
+			if e := tr.reserveReduce(c, tr.pdev(k.Reducer), k.Lo, k.Hi, true); e.After(end) {
+				end = e
+			}
+		}
+	}
+	tr.tasks.stamp(c, end)
+}
+
+// reserveReduce books the range [lo, hi) of collective c — one chunk, or
+// its whole payload — on device dev's link and records the reservation
+// as the range's span. Returns its end, the zero time when no link is
+// modeled.
+func (tr *Trainer) reserveReduce(c *graph.Task, dev, lo, hi int, chunk bool) time.Time {
+	start, end := tr.vm.chargeReduce(dev, len(c.Inputs), int64(hi-lo)*4)
+	if r := tr.rec; r != nil && !end.IsZero() {
+		r.add(dev, trace.Comms, commLabel(c, lo, hi, chunk), start, end)
+	}
+	return end
+}
+
+// commLabel names a reduced range on the comms lane: AR[Lx][lo:hi] for
+// a chunk, AR[Lx] for a whole payload.
+func commLabel(c *graph.Task, lo, hi int, chunk bool) string {
+	if !chunk {
+		return c.String()
+	}
+	return fmt.Sprintf("%s[%d:%d]", c, lo, hi)
+}
+
 // reduce averages the element range [lo, hi) of AllReduce ar across
 // all replicas (real math: the buffers end up identical on every
 // device), on behalf of device worker dev — the one reduction both
 // rendezvous share; on a plan whose reductions apply the update it
 // updates the range of every replica's weights too (reduceUpdate).
-// chunk says the range is one plan-time chunk, traced and counted as
-// such; otherwise it is a rendezvous's whole payload, and dev the
-// device whose arrival completed it. nn.Average and nn.AverageSGD fan
-// the range across the kernel worker pool over disjoint sub-ranges;
-// each element still sums the replicas in fixed order, so the result is
+// chunk says the range is one plan-time chunk, counted as such;
+// otherwise it is a rendezvous's whole payload, and dev the device whose
+// arrival completed it. nn.Average and nn.AverageSGD fan the range
+// across the kernel worker pool over disjoint sub-ranges; each element
+// still sums the replicas in fixed order, so the result is
 // bit-identical at any worker count and under any partition into
-// chunks. Each call is an
-// independent unit of fault injection and recovery: a fatal fault here
-// retires the reducing worker's physical device through the usual
-// rollback-and-resume path.
+// chunks. Each call is an independent unit of fault injection and
+// recovery: a fatal fault here retires the reducing worker's physical
+// device through the usual rollback-and-resume path.
 //
-// The range's remote traffic is booked, with its trace span, on a
-// modeled link fixed by the plan — a chunk's reducer's, replica 0's for
-// a whole payload — and not waited for: reduce returns the
-// reservation's end (the zero time when no link is modeled), which the
-// caller stamps on the collective's readers (taskState.stamp).
-func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) (time.Time, error) {
+// reduce books no link time: book reserved the range when ar became
+// ready.
+func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) error {
 	if ar.Kind != graph.AllReduce {
-		return time.Time{}, fmt.Errorf("exec: unsupported collective kind %v", ar.Kind)
+		return fmt.Errorf("exec: unsupported collective kind %v", ar.Kind)
 	}
 	n := len(ar.Inputs)
 	if n == 0 {
-		return time.Time{}, fmt.Errorf("exec: collective %s has no inputs", ar)
+		return fmt.Errorf("exec: collective %s has no inputs", ar)
 	}
 	reducer := tr.pdev(dev)
 	if err := tr.injectOp(fault.Collective, reducer, ar.Layer); err != nil {
-		return time.Time{}, err
-	}
-	// A chunk's link time is booked on its plan-time reducer's link. A
-	// whole payload's reducer is whichever replica arrived last, so it is
-	// booked on replica 0's device instead, and identical runs busy
-	// identical links.
-	pdev := tr.pdev(0)
-	if chunk {
-		pdev = reducer
+		return err
 	}
 	wall := tr.vm.clk.Now()
 	views := tr.views[dev][:2*n]
 	defer clear(views) // keep no device slice past its pins
 	gs, ws := views[:n], views[n:]
 	if err := tr.acquire(ar, reducer, gs, nil); err != nil {
-		return time.Time{}, err
+		return err
 	}
-	start, end := tr.vm.chargeReduce(pdev, n, int64(hi-lo)*4)
 	inv := float32(1) / float32(n)
 	if tr.s.FusedUpdate() {
 		if err := tr.reduceUpdate(ar, gs, ws, lo, hi, inv); err != nil {
-			return time.Time{}, err
+			return err
 		}
 	} else {
 		nn.Average(gs, lo, hi, inv)
@@ -133,21 +170,18 @@ func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) (time
 		tr.commMu.Unlock()
 	}
 	if err := tr.release(ar, nil); err != nil {
-		return time.Time{}, err
+		return err
 	}
-	if r := tr.rec; r != nil {
-		// Like a copy's, the span is the link reservation when there is
-		// one, the wall interval of the work when there is not.
-		if end.IsZero() {
-			start, end = wall, tr.vm.clk.Now()
-		}
-		label := ar.String()
+	if r := tr.rec; r != nil && tr.vm.cfg.bps <= 0 {
+		// No reservation to show (book): like a copy's, the span is the
+		// wall interval of the work, on the link book would have used.
+		dev := tr.pdev(0)
 		if chunk {
-			label = fmt.Sprintf("%s[%d:%d]", ar, lo, hi)
+			dev = reducer
 		}
-		r.add(pdev, trace.Comms, label, start, end)
+		r.add(dev, trace.Comms, commLabel(ar, lo, hi, chunk), wall, tr.vm.clk.Now())
 	}
-	return end, nil
+	return nil
 }
 
 // reduceUpdate is reduce's kernel on a plan whose reductions apply the

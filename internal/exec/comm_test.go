@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -193,12 +194,15 @@ func TestChunkedPlanSurvivesRetune(t *testing.T) {
 const latticeBps = int64(time.Second / linkQuantum)
 
 // TestReductionsAreWaitedForByTheirReaders: a reduction's link time is
-// booked by whoever reduces and waited for by the updates that read it.
-// On a manual clock with a recorder, over DP4 on every collective path,
+// booked when its collective becomes ready — a chunked one's by the
+// worker that completes its last dependency, a monolithic one's at its
+// last arrival — and waited for by the updates that read it. On a
+// manual clock with a recorder, over DP4 on every collective path, no
+// reservation starts before the end of its layer's last backward span;
 // each update's compute span starts at or after the end of the last
 // reservation of its layer's collective; the devices' links carry
 // exactly the closed form 2·(n−1)·Σ|dW| / bps of reduction time a step;
-// and the serial path's reduce advances the clock not at all.
+// and the serial path's booking and reduce advance the clock not at all.
 func TestReductionsAreWaitedForByTheirReaders(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -244,10 +248,24 @@ func TestReductionsAreWaitedForByTheirReaders(t *testing.T) {
 
 				ends := make([]float64, len(tr.layers)) // per layer, its last reservation's end
 				seen := make([]bool, len(tr.layers))
+				bwdEnds := make([]float64, len(tr.layers)) // per layer, its last backward's end
+				bwds := 0
+				for _, e := range tl.Events {
+					var r, l int
+					if _, err := fmt.Sscanf(e.Label, "BWD[r%d,L%d,", &r, &l); e.Lane == trace.Compute && err == nil {
+						bwdEnds[l], bwds = max(bwdEnds[l], float64(e.End)), bwds+1
+					}
+				}
+				if bwds == 0 {
+					t.Errorf("step %d: no backward spans", s)
+				}
 				for _, e := range tl.Events {
 					var l int
 					if _, err := fmt.Sscanf(e.Label, "AR[L%d]", &l); e.Lane == trace.Comms && err == nil {
 						ends[l], seen[l] = max(ends[l], float64(e.End)), true
+						if float64(e.Start) < bwdEnds[l] {
+							t.Errorf("step %d: %s starts at %.3f s, before its layer's last backward ends at %.3f s", s, e.Label, float64(e.Start), bwdEnds[l])
+						}
 					}
 				}
 				updates := 0
@@ -269,18 +287,101 @@ func TestReductionsAreWaitedForByTheirReaders(t *testing.T) {
 			if tc.serial {
 				ar := tr.s.Collectives[0]
 				before := clk.Now()
-				end, err := tr.reduce(0, ar, 0, int(ar.CommBytes/4), false)
-				if err != nil {
+				tr.book(ar)
+				if err := tr.reduce(0, ar, 0, int(ar.CommBytes/4), false); err != nil {
 					t.Fatal(err)
 				}
 				if now := clk.Now(); now != before {
-					t.Errorf("the serial reduce moved the clock by %v", now.Sub(before))
+					t.Errorf("the serial booking and reduce moved the clock by %v", now.Sub(before))
 				}
+				end := tr.tasks.stamps[ar.Succs[0].ID]
 				if want := time.Duration(2*(n-1)*ar.CommBytes) * linkQuantum; end.Sub(before) < want {
-					t.Errorf("the serial reduce's link time ends %v after the clock, want at least %v", end.Sub(before), want)
+					t.Errorf("the serial reduction's link time ends %v after the clock, want at least %v", end.Sub(before), want)
 				}
 			}
 		})
+	}
+}
+
+// TestSerialAndParallelBookTheSameLinks: both executors book a chunked
+// collective through Trainer.book, each chunk on its plan-time reducer's
+// link, so with prefetch off — when they move the same bytes — every
+// link is busy exactly as long on either.
+func TestSerialAndParallelBookTheSameLinks(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		bucket int64
+	}{
+		{"chunked", 0},
+		{"chunked-bucketed", 4 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := commConfig(3, tc.bucket)
+			cfg.Devices, cfg.DeviceBytes, cfg.PrefetchDepth, cfg.LinkBytesPerSec = 4, 32<<10, -1, latticeBps
+			links := make([]LinkStats, 2)
+			for i, serial := range []bool{true, false} {
+				cfg.Serial = serial
+				tr, _ := onManualClock(t, cfg)
+				stepTrainer(t, tr, 0, 3)
+				links[i] = tr.LinkStats()
+			}
+			if s, p := links[0], links[1]; s.Uplink != p.Uplink || !slices.Equal(s.Device, p.Device) {
+				t.Errorf("link busy time:\n  serial   %v %v\n  parallel %v %v", s.Uplink, s.Device, p.Uplink, p.Device)
+			}
+		})
+	}
+}
+
+// TestChunkedReductionsBookedAtReadiness: a chunked collective's link
+// time is booked the moment its last dependency completes, whatever its
+// reducers are doing then. DP4 with three chunks a layer runs on a
+// manual clock, and a delay fault holds reducer 1 back for an hour of
+// modeled time as it starts the step's first collective, the last
+// layer's, whose chunk 1 it reduces. Nothing sleeps between that
+// layer's last backward and its readiness, and link 1 is idle then, so
+// the chunk's reservation must start exactly when the layer's last
+// backward ends; and the step's updates wait for no part of the hour.
+func TestChunkedReductionsBookedAtReadiness(t *testing.T) {
+	const hold = time.Hour
+	cfg := commConfig(3, 0)
+	cfg.Devices, cfg.DeviceBytes, cfg.PrefetchDepth = 4, 1<<20, -1
+	cfg.LinkBytesPerSec = latticeBps
+	last := len(cfg.Widths) - 2 // its collective is the first to become ready
+	cfg.FaultSpec = fmt.Sprintf("op=collective,mode=delay,dev=1,step=2,layer=%d,delay=%v", last, hold)
+	tr, clk := onManualClock(t, cfg)
+	var held bool
+	tr.inj.SetSleep(func(d time.Duration) { held = true; clk.Sleep(d) })
+	stepTrainer(t, tr, 0, 1) // step 1: the weights' first swap-ins
+	comm0 := tr.CommStats()
+	tl := tr.EnableTrace()
+	stepTrainer(t, tr, 1, 1)
+	if !held {
+		t.Fatal("the delay rule never fired")
+	}
+
+	var ready float64 // the end of the last layer's last backward
+	for _, e := range tl.Events {
+		var r, l int
+		if _, err := fmt.Sscanf(e.Label, "BWD[r%d,L%d,", &r, &l); e.Lane == trace.Compute && err == nil && l == last {
+			ready = max(ready, float64(e.End))
+		}
+	}
+	chunks := 0
+	for _, e := range tl.Events {
+		var l int
+		if _, err := fmt.Sscanf(e.Label, "AR[L%d][", &l); e.Lane != trace.Comms || err != nil || l != last || e.Dev != 1 {
+			continue
+		}
+		chunks++
+		if float64(e.Start) != ready {
+			t.Errorf("%s on link 1 starts at %.3f s, want %.3f s, when the layer's last backward ended", e.Label, float64(e.Start), ready)
+		}
+	}
+	if chunks != 1 {
+		t.Errorf("%d chunk spans of AR[L%d] on link 1, want 1", chunks, last)
+	}
+	if w := time.Duration(tr.CommStats().WaitNanos - comm0.WaitNanos); w >= hold {
+		t.Errorf("the step's updates waited %v for reductions: the held reducer's delay was booked as link time", w)
 	}
 }
 

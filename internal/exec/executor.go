@@ -8,20 +8,25 @@
 // reduces the whole payload (arrive); on a chunked plan there is no
 // barrier — each worker reduces the chunks the plan assigned to it and
 // moves on, overlapping the collective's tail with its compute stream
-// (reduceBucket). Both end in the same Trainer.reduce, which books the
-// reduction's link time without waiting for it; whoever completes the
-// collective stamps the reservation's end on the updates that read the
-// result, and each executor holds a task until its stamp has passed
-// (Trainer.await), so the reducer's worker goes straight back to its
-// stream.
+// (reduceBucket). Both end in the same Trainer.reduce, which only does
+// the math. A collective's link time is booked without waiting for it
+// (Trainer.book): a chunked one's at the instant it becomes ready, by
+// whichever worker completes its last dependency (complete) — every
+// chunk on its plan-time reducer's link, so the link timeline follows
+// the plan and readiness, not the reducers' goroutines — a monolithic
+// one's at its last arrival. Booking stamps the reservations' end on
+// the updates that read the result, and each executor holds a task
+// until its stamp has passed (Trainer.await), so a reducer's worker goes
+// straight back to its stream.
 //
 // Determinism: per-task math is bit-identical to the serial path (see
 // internal/nn), collectives reduce replicas in fixed order whatever the
 // partition into chunks, and losses are accumulated in task-ID order by
 // Trainer.Step — so the parallel executor produces bit-identical weights
 // and losses to the serial one, regardless of interleaving. The serial
-// executor drains the same woven streams (runSerial), so on a
-// data-parallel plan with prefetch off the two move the same bytes too.
+// executor drains the same woven streams (runSerial) and books the same
+// ranges on the same links, so on a data-parallel plan with prefetch off
+// the two move the same bytes and busy each link as long.
 // Only where the workers time a move — a prefetch window, a pipeline's
 // cross-device reads — may the data-movement counters differ.
 package exec
@@ -52,18 +57,17 @@ type taskState struct {
 	ready   []chan struct{} // closed when deps hit zero
 	losses  []float32       // per task ID, filled by final-layer backwards
 	counted []bool
-	// stamps[id] is the end of the link time task id reads — the
-	// reservation of its collective's last reduction — which its
-	// device's demand lane waits for before the task runs; the zero time
-	// when there is none. A chunked collective's own slot folds its
-	// chunks' ends as they are booked. waited[id] is how much later than
-	// its lane was free the wait made task id start.
+	// stamps[id] is the end of the link time task id reads — the latest
+	// reservation of its collective (book) — which its device's demand
+	// lane waits for before the task runs; the zero time when there is
+	// none. waited[id] is how much later than its lane was free the wait
+	// made task id start.
 	stamps []time.Time
 	waited []time.Duration
-	// commLeft[bi][mi] counts bucket bi member mi's chunks not yet
-	// reduced this run; the worker that retires a member's last chunk
-	// completes it. Nil on the monolithic path.
-	commLeft [][]int32
+	// commLeft[id] counts collective task id's chunks not yet reduced
+	// this run; the worker that retires the last one completes it. Nil on
+	// the monolithic path.
+	commLeft []int32
 }
 
 // sizeTasks sizes the per-task step state for the current plan.
@@ -77,8 +81,8 @@ func (tr *Trainer) sizeTasks() {
 		stamps:  make([]time.Time, n),
 		waited:  make([]time.Duration, n),
 	}
-	for _, b := range tr.comm {
-		tr.tasks.commLeft = append(tr.tasks.commLeft, make([]int32, len(b.chunksPerMember)))
+	if tr.comm != nil {
+		tr.tasks.commLeft = make([]int32, n)
 	}
 }
 
@@ -102,8 +106,10 @@ func newExecutor(tr *Trainer, labels []int) *executor {
 	clear(ts.counted)
 	clear(ts.stamps)
 	clear(ts.waited)
-	for bi, b := range tr.comm {
-		copy(ts.commLeft[bi], b.chunksPerMember)
+	if tr.comm != nil {
+		for _, c := range tr.s.Collectives {
+			ts.commLeft[c.ID] = int32(len(tr.comm.of[c.ID]))
+		}
 	}
 	if tr.cfg.Serial {
 		return ex
@@ -126,10 +132,15 @@ func (ex *executor) fail(err error) {
 }
 
 // complete releases every successor whose dependency count reaches
-// zero.
+// zero. A chunked collective released here has its link time booked
+// first (Trainer.book), so its reducers and, through them, its readers
+// see the stamps.
 func (ex *executor) complete(t *graph.Task) {
 	for _, s := range t.Succs {
 		if atomic.AddInt32(&ex.ts.deps[s.ID], -1) == 0 {
+			if ex.tr.comm != nil && s.Kind == graph.AllReduce {
+				ex.tr.book(s)
+			}
 			close(ex.ts.ready[s.ID])
 		}
 	}
@@ -138,7 +149,8 @@ func (ex *executor) complete(t *graph.Task) {
 // stamp marks collective c's successors — the updates that read the
 // reduced gradient — with end, the end of c's link time. An update has
 // exactly one collective among its dependencies, so each stamp has one
-// writer, and it writes before completing c releases the reader.
+// writer, book, and it writes before c's reduction can start, let alone
+// complete and release the reader.
 func (ts *taskState) stamp(c *graph.Task, end time.Time) {
 	for _, s := range c.Succs {
 		ts.stamps[s.ID] = end
@@ -230,20 +242,21 @@ func (ex *executor) worker(d int, stream []sched.StreamEntry, rdvs []*rendezvous
 
 // runSerial is the reference executor: it runs the woven streams on
 // the calling goroutine in the order sched.Streams.Replay drains them —
-// the order schedcheck's liveness proof walks. Per rendezvous it
-// reduces each member's whole payload on behalf of the device whose
-// arrival completed it, as arrive does. Kept as the reference path
+// the order schedcheck's liveness proof walks. Per rendezvous it books
+// each member's link time as the parallel executor does, chunk by chunk
+// on the plan's links when the plan has chunks, and reduces the
+// member's whole payload on behalf of the device whose arrival
+// completed the rendezvous, as arrive does. Kept as the reference path
 // (TrainerConfig.Serial) for determinism tests and ablation benchmarks.
 func (ex *executor) runSerial(ws *sched.Streams) error {
 	tr, ts := ex.tr, ex.ts
 	stuck, err := ws.Replay(tr.g.Tasks, func(d int, e sched.StreamEntry) error {
 		if e.Rdv >= 0 {
 			for _, m := range ws.Members[e.Rdv] {
-				end, err := tr.reduce(d, m, 0, int(m.CommBytes/4), false)
-				if err != nil {
+				tr.book(m)
+				if err := tr.reduce(d, m, 0, int(m.CommBytes/4), false); err != nil {
 					return fmt.Errorf("exec: %s: %w", m, err)
 				}
-				ts.stamp(m, end)
 			}
 			return nil
 		}
@@ -264,8 +277,9 @@ func (ex *executor) runSerial(ws *sched.Streams) error {
 }
 
 // arrive parks device worker d at a collective's rendezvous. The last
-// participant to arrive waits for the collective's own dependencies
-// and performs the reduction; everyone else resumes when it finishes.
+// participant to arrive waits for the collective's own dependencies,
+// books its link time and performs the reduction; everyone else resumes
+// when it finishes.
 // Because all participants are parked, per-device pin pressure during
 // the collective is identical to the serial executor's. d attributes
 // injected collective faults to the worker that hit them.
@@ -284,12 +298,11 @@ func (ex *executor) arrive(d int, r *rendezvous, t *graph.Task) bool {
 	case <-ex.abort:
 		return false
 	}
-	end, err := ex.tr.reduce(d, t, 0, int(t.CommBytes/4), false)
-	if err != nil {
+	ex.tr.book(t)
+	if err := ex.tr.reduce(d, t, 0, int(t.CommBytes/4), false); err != nil {
 		ex.fail(fmt.Errorf("exec: %s: %w", t, err))
 		return false
 	}
-	ex.ts.stamp(t, end)
 	ex.complete(t)
 	return true
 }
@@ -297,7 +310,8 @@ func (ex *executor) arrive(d int, r *rendezvous, t *graph.Task) bool {
 // reduceBucket is the chunked rendezvous: device worker d reduces
 // exactly the chunks the plan assigned to it (chunk k → worker k mod
 // N, fixed at plan time), in member order, waiting only for each
-// member's own dependencies — never for other workers. The worker that
+// member's own dependencies — never for other workers; the member's
+// link time was booked when it became ready (complete). The worker that
 // retires a member's last chunk completes it, releasing its updates;
 // a worker whose chunks are done departs immediately and continues its
 // compute stream while other chunks still reduce. No arrival barrier
@@ -305,8 +319,7 @@ func (ex *executor) arrive(d int, r *rendezvous, t *graph.Task) bool {
 // assignment and per-element summation order are pure functions of the
 // plan, so the overlap costs no determinism.
 func (ex *executor) reduceBucket(d int, bi int) bool {
-	b := &ex.tr.comm[bi]
-	chunks := b.byDev[d]
+	chunks := ex.tr.comm.byDev[bi][d]
 	idx := 0
 	for mi, m := range ex.tr.streams.Members[bi] {
 		lo := idx
@@ -321,29 +334,13 @@ func (ex *executor) reduceBucket(d int, bi int) bool {
 		case <-ex.abort:
 			return false
 		}
-		var end time.Time
 		for _, c := range chunks[lo:idx] {
-			e, err := ex.tr.reduce(d, m, c.Lo, c.Hi, true)
-			if err != nil {
+			if err := ex.tr.reduce(d, m, c.Lo, c.Hi, true); err != nil {
 				ex.fail(fmt.Errorf("exec: %s[%d:%d]: %w", m, c.Lo, c.Hi, err))
 				return false
 			}
-			if e.After(end) {
-				end = e
-			}
 		}
-		// The member's link time ends with the last of its chunks' ends,
-		// whichever worker booked it: fold this worker's into the
-		// member's own stamp, which the worker that retires the last
-		// chunk reads (after its countdown, so after every fold) and
-		// passes on to the member's readers.
-		ex.tr.commMu.Lock()
-		if end.After(ex.ts.stamps[m.ID]) {
-			ex.ts.stamps[m.ID] = end
-		}
-		ex.tr.commMu.Unlock()
-		if atomic.AddInt32(&ex.ts.commLeft[bi][mi], int32(lo-idx)) == 0 {
-			ex.ts.stamp(m, ex.ts.stamps[m.ID])
+		if atomic.AddInt32(&ex.ts.commLeft[m.ID], int32(lo-idx)) == 0 {
 			ex.complete(m)
 		}
 	}

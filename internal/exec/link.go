@@ -17,7 +17,9 @@ import (
 //
 //	swap-in, write-back, prefetch                device link + uplink
 //	p2p move                                     both devices' links
-//	reduction (pull n-1 slices, push n-1 back)   the reducer's link
+//	reduction (pull n-1 slices, push n-1 back)   a chunk's plan-time
+//	                                             reducer's link; a whole
+//	                                             payload's, replica 0's
 //
 // so N devices swapping at once share the uplink's bandwidth instead of
 // each getting all of it (Fig. 2(a)), while p2p moves and reductions on
@@ -25,9 +27,11 @@ import (
 //
 // A copy is waited for by the lane that made it: the goroutine that
 // asked owes its lane a wait until the reservation ends. A reduction is
-// waited for by the tasks that read its result: the reducer books it
-// and moves on, and each consumer's demand lane owes the wait until the
-// reservation ends before the consumer runs (await).
+// waited for by the tasks that read its result: it is booked from the
+// clock when its collective becomes ready (Trainer.book) — a chunked
+// one's when its last dependency completes, a monolithic one's at its
+// last arrival — by no lane, and each consumer's demand lane owes the
+// wait until the reservation ends before the consumer runs (await).
 //
 // Waiting is batched, never forgiven. A lane — one device's demand
 // path or its DMA worker — sleeps only when what it owes reaches
@@ -193,8 +197,9 @@ func (vm *VM) charge(bps int64, kind laneKind, dev, peer int, bytes int64) (star
 // chargeReduce books the remote gradient traffic of reducing bytes
 // across replicas on device dev: the reducer pulls replicas-1 remote
 // slices and pushes the result back to as many. Nobody sleeps here: the
-// reservation starts when dev's link is free and the reducer moves on.
-// What waits for its end is the tasks that read the result (await).
+// reservation starts when dev's link is free, from the clock at booking,
+// the instant the collective became ready (Trainer.book). What waits
+// for its end is the tasks that read the result (await).
 // Returns the reservation, or two zero times when no link is modeled.
 func (vm *VM) chargeReduce(dev, replicas int, bytes int64) (start, end time.Time) {
 	bps := vm.cfg.bps

@@ -154,7 +154,7 @@ type Trainer struct {
 	// comm is the chunked-collective runtime plan (nil = monolithic);
 	// commStats counts chunk reductions, guarded by commMu because
 	// chunks retire concurrently on different device workers.
-	comm      []commBucketRT
+	comm      *commPlan
 	commMu    sync.Mutex
 	commStats CommStats
 	// tasks is the executors' per-task step state (executor.go).

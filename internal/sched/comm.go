@@ -32,8 +32,10 @@ type CommChunk struct {
 	// member collective's per-replica gradient.
 	Lo, Hi int
 	// Reducer is the device worker that executes this chunk's
-	// reduction: the global chunk index modulo NGPUs, fixed at plan
-	// time.
+	// reduction, and the device whose link carries its link time, which
+	// the trainer books when the member becomes ready, not when the
+	// reducer gets to it: the global chunk index modulo NGPUs, fixed at
+	// plan time.
 	Reducer int
 }
 
