@@ -14,7 +14,7 @@ import (
 // shape × mode × prefetch × optimizer matrix is built once with room to
 // spare, rebuilt — verified — at exactly the largest PeakPinBytes the
 // residency proof reports for it, and must then train to bit-identical
-// losses and weights. It holds because runTask pins the declaration
+// losses and weights. It holds because runRun pins the declaration
 // schedcheck sums (acquire/release), nothing more; the regression it
 // guards is the final backward holding the logits on top of its declared
 // footprint, which failed every SGD run of the two smallest shapes here.

@@ -1,9 +1,14 @@
 // The parallel executor maps each virtual device to a real worker
-// goroutine. Tasks are released by a dependency-count dispatcher the
-// moment their last dependency completes (a closed channel per task —
-// no polling), and each device worker drains its woven stream
-// (sched.Weave) in order: compute entries run through Trainer.runTask,
-// rendezvous entries are a collective's position in that stream. On a
+// goroutine. Each device worker drains its woven stream (sched.Weave,
+// its runs fitted to the devices by schedcheck) in order: compute
+// entries are runs — a wave's microbatches of one layer, or a task
+// alone — each executed as one kernel call by Trainer.runRun, which
+// issues the prefetch window for the tasks after the run once the run
+// is pinned, and rendezvous entries are a collective's position in
+// that stream. A run is released by a dependency-count dispatcher the
+// moment the last dependency from outside it completes (one closed
+// channel per run and per collective — no polling), and its members
+// complete together once the whole run is done. On a
 // monolithic plan every participant parks there and the last to arrive
 // reduces the whole payload (arrive); on a chunked plan there is no
 // barrier — each worker reduces the chunks the plan assigned to it and
@@ -19,9 +24,10 @@
 // until its stamp has passed (Trainer.await), so a reducer's worker goes
 // straight back to its stream.
 //
-// Determinism: per-task math is bit-identical to the serial path (see
-// internal/nn), collectives reduce replicas in fixed order whatever the
-// partition into chunks, and losses are accumulated in task-ID order by
+// Determinism: per-run math is bit-identical to the serial path and to
+// one kernel call per member (see internal/nn), collectives reduce
+// replicas in fixed order whatever the partition into chunks, and
+// losses are accumulated in task-ID order by
 // Trainer.Step — so the parallel executor produces bit-identical weights
 // and losses to the serial one, regardless of interleaving. The serial
 // executor drains the same woven streams (runSerial) and books the same
@@ -49,13 +55,18 @@ type rendezvous struct {
 }
 
 // taskState is a step's per-task bookkeeping, indexed by task ID. It
-// lives on the Trainer, sized with the plan (NewTrainer, Retune;
-// recovery keeps the plan) and reset at the start of every step, so a
-// step allocates none of it but the ready channels.
+// lives on the Trainer, sized with the plan and its runs (install) and
+// reset at the start of every step, so a step allocates none of it but
+// the ready channels.
 type taskState struct {
-	deps    []int32         // remaining dependencies per task ID (parallel executor)
-	ready   []chan struct{} // closed when deps hit zero
-	losses  []float32       // per task ID, filled by final-layer backwards
+	// runOf[id] is the task ID that heads task id's run — its own ID for
+	// a run's head, a collective and an update. deps and ready are kept
+	// at the head: the run's remaining outside dependencies (parallel
+	// executor) and the channel closed when they hit zero.
+	runOf   []int32
+	deps    []int32
+	ready   []chan struct{}
+	losses  []float32 // per task ID, filled by final-layer backwards
 	counted []bool
 	// stamps[id] is the end of the link time task id reads — the latest
 	// reservation of its collective (book) — which its device's demand
@@ -70,10 +81,13 @@ type taskState struct {
 	commLeft []int32
 }
 
-// sizeTasks sizes the per-task step state for the current plan.
+// sizeTasks sizes the per-task step state for the current plan and its
+// runs, and runRun's view slots and operand buffers for its longest run
+// and its largest operand.
 func (tr *Trainer) sizeTasks() {
 	n := len(tr.g.Tasks)
 	tr.tasks = taskState{
+		runOf:   make([]int32, n),
 		deps:    make([]int32, n),
 		ready:   make([]chan struct{}, n),
 		losses:  make([]float32, n),
@@ -83,6 +97,31 @@ func (tr *Trainer) sizeTasks() {
 	}
 	if tr.comm != nil {
 		tr.tasks.commLeft = make([]int32, n)
+	}
+	for id := range tr.tasks.runOf {
+		tr.tasks.runOf[id] = int32(id)
+	}
+	longest, operand := 1, 0
+	rows := tr.g.Cfg.MicrobatchSize
+	for _, st := range tr.streams.Dev {
+		for _, e := range st {
+			for _, m := range e.Run {
+				tr.tasks.runOf[m.ID] = int32(e.Task.ID)
+			}
+			if k := len(e.Run); k > 0 {
+				l := tr.layers[e.Task.Layer]
+				longest = max(longest, k)
+				operand = max(operand, k*rows*max(l.InSize(), l.OutSize(), l.StashSize()))
+			}
+		}
+	}
+	tr.runViews = make([][]memberViews, tr.cfg.Devices)
+	tr.runBufs = make([][3][]float32, tr.cfg.Devices)
+	for d := range tr.runViews {
+		tr.runViews[d] = make([]memberViews, longest)
+		for i := range tr.runBufs[d] {
+			tr.runBufs[d][i] = make([]float32, operand)
+		}
 	}
 }
 
@@ -99,7 +138,8 @@ type executor struct {
 
 // newExecutor resets the trainer's task state for a step; the parallel
 // executor also gets its dependency counts and a fresh ready channel
-// per task (the serial one's Replay keeps its own counts).
+// per run and per collective (the serial one's Replay keeps its own
+// counts).
 func newExecutor(tr *Trainer, labels []int) *executor {
 	ts := &tr.tasks
 	ex := &executor{tr: tr, ts: ts, labels: labels, abort: make(chan struct{})}
@@ -114,10 +154,16 @@ func newExecutor(tr *Trainer, labels []int) *executor {
 	if tr.cfg.Serial {
 		return ex
 	}
+	clear(ts.deps)
 	for _, t := range tr.g.Tasks {
-		ts.deps[t.ID] = int32(len(t.Deps))
+		ts.deps[ts.runOf[t.ID]] += int32(len(t.Deps))
+	}
+	for _, t := range tr.g.Tasks {
+		if ts.runOf[t.ID] != int32(t.ID) {
+			continue // released with its run's head
+		}
 		ts.ready[t.ID] = make(chan struct{})
-		if len(t.Deps) == 0 {
+		if ts.deps[t.ID] == 0 {
 			close(ts.ready[t.ID])
 		}
 	}
@@ -131,17 +177,18 @@ func (ex *executor) fail(err error) {
 	})
 }
 
-// complete releases every successor whose dependency count reaches
+// complete releases every successor run whose dependency count reaches
 // zero. A chunked collective released here has its link time booked
 // first (Trainer.book), so its reducers and, through them, its readers
 // see the stamps.
 func (ex *executor) complete(t *graph.Task) {
 	for _, s := range t.Succs {
-		if atomic.AddInt32(&ex.ts.deps[s.ID], -1) == 0 {
+		h := ex.ts.runOf[s.ID]
+		if atomic.AddInt32(&ex.ts.deps[h], -1) == 0 {
 			if ex.tr.comm != nil && s.Kind == graph.AllReduce {
 				ex.tr.book(s)
 			}
-			close(ex.ts.ready[s.ID])
+			close(ex.ts.ready[h])
 		}
 	}
 }
@@ -214,29 +261,21 @@ func (ex *executor) worker(d int, stream []sched.StreamEntry, rdvs []*rendezvous
 			}
 			continue
 		}
-		t := e.Task
 		select {
-		case <-ex.ts.ready[t.ID]:
+		case <-ex.ts.ready[e.Task.ID]:
 		case <-ex.abort:
 			return
 		}
-		// With the task released and about to compute, overlap the
-		// future: async swap-ins for the next tasks' inputs and
-		// write-backs of dirty LRU pages ride the DMA lanes while the
-		// kernel runs — and while the task waits out the link time of
-		// the reduction it reads.
-		if ex.tr.pf != nil {
-			ex.tr.pf.issue(d, stream, i)
+		for _, m := range e.Run {
+			ex.tr.await(d, m)
 		}
-		ex.tr.await(d, t)
-		loss, counted, err := ex.tr.runTask(d, t, ex.labels)
-		if err != nil {
-			ex.fail(fmt.Errorf("exec: %s on %s: %w", t, ex.tr.where(d), err))
+		if m, err := ex.tr.runRun(d, e.Run, stream[i+1:], ex.labels); err != nil {
+			ex.fail(fmt.Errorf("exec: %s on %s: %w", m, ex.tr.where(d), err))
 			return
 		}
-		ex.ts.losses[t.ID] = loss
-		ex.ts.counted[t.ID] = counted
-		ex.complete(t)
+		for _, m := range e.Run {
+			ex.complete(m)
+		}
 	}
 }
 
@@ -249,7 +288,7 @@ func (ex *executor) worker(d int, stream []sched.StreamEntry, rdvs []*rendezvous
 // completed the rendezvous, as arrive does. Kept as the reference path
 // (TrainerConfig.Serial) for determinism tests and ablation benchmarks.
 func (ex *executor) runSerial(ws *sched.Streams) error {
-	tr, ts := ex.tr, ex.ts
+	tr := ex.tr
 	stuck, err := ws.Replay(tr.g.Tasks, func(d int, e sched.StreamEntry) error {
 		if e.Rdv >= 0 {
 			for _, m := range ws.Members[e.Rdv] {
@@ -260,14 +299,12 @@ func (ex *executor) runSerial(ws *sched.Streams) error {
 			}
 			return nil
 		}
-		t := e.Task
-		tr.await(d, t)
-		loss, counted, err := tr.runTask(d, t, ex.labels)
-		if err != nil {
-			return fmt.Errorf("exec: %s on %s: %w", t, tr.where(d), err)
+		for _, m := range e.Run {
+			tr.await(d, m)
 		}
-		ts.losses[t.ID] = loss
-		ts.counted[t.ID] = counted
+		if m, err := tr.runRun(d, e.Run, nil, ex.labels); err != nil {
+			return fmt.Errorf("exec: %s on %s: %w", m, tr.where(d), err)
+		}
 		return nil
 	})
 	if err == nil && stuck != nil {

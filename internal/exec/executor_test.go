@@ -48,7 +48,13 @@ func stepTrainer(t *testing.T, tr *Trainer, first, n int) []float32 {
 // under memory pressure, in data-parallel (collective rendezvous,
 // monolithic and chunked) and pipeline (cross-device activation moves)
 // modes, under SGD and Adam. The kernel pool is forced to 4 workers so
-// chunked kernels are exercised even on single-core machines.
+// chunked kernels are exercised even on single-core machines. Every row
+// trains four microbatches per replica. On the rows with room for it,
+// each Harmony plan runs a wave's microbatches of a layer as one run (a
+// kernel call over their rows); on the tighter rows the Harmony DP
+// plans' grouped bound does not fit, so their runs are narrowed to one
+// task, while each pipeline stage still fits its own; the baselines'
+// 1F1B queues form no run longer than one.
 //
 // On data-parallel rows the serial reference also moves exactly the
 // bytes the parallel executor moves with prefetch off: both drain the
@@ -63,16 +69,22 @@ func TestSerialAndParallelExecutorsBitIdentical(t *testing.T) {
 	for _, mode := range []sched.Mode{sched.HarmonyDP, sched.DPBaseline, sched.HarmonyPP} {
 		t.Run(mode.String(), func(t *testing.T) {
 			// mem is each device's bytes: what the variant's pin bound
-			// needs, still below the footprint.
+			// needs, still below the footprint; runs marks the rows whose
+			// mem is above every variant's grouped bound.
 			for _, v := range []struct {
 				adam   bool
 				chunks int
 				mem    int64
+				runs   bool
 			}{
-				{false, 0, 12 << 10},
-				{true, 0, 20 << 10},
-				{false, 2, 16 << 10},
-				{true, 2, 20 << 10},
+				{false, 0, 12 << 10, false},
+				{true, 0, 20 << 10, false},
+				{false, 2, 16 << 10, false},
+				{true, 2, 20 << 10, false},
+				{false, 0, 24 << 10, true},
+				{true, 0, 24 << 10, true},
+				{false, 2, 24 << 10, true},
+				{true, 2, 24 << 10, true},
 			} {
 				if v.chunks > 0 && mode.IsPipeline() {
 					continue // one replica: no collective to chunk
@@ -82,10 +94,13 @@ func TestSerialAndParallelExecutorsBitIdentical(t *testing.T) {
 				if v.adam {
 					cfg.Adam, cfg.LR = true, 0.005
 				}
-				t.Run(fmt.Sprintf("adam=%v/chunks=%d", v.adam, v.chunks), func(t *testing.T) {
+				t.Run(fmt.Sprintf("adam=%v/chunks=%d/mem=%d", v.adam, v.chunks, v.mem), func(t *testing.T) {
 					serialCfg := cfg
 					serialCfg.Serial = true
 					a, lossA := runTrainer(t, serialCfg, 4)
+					if got, want := longestRun(a) > 1, mode != sched.DPBaseline && (v.runs || mode.IsPipeline()); got != want {
+						t.Fatalf("longest run %d: runs of more than one task %v, want %v", longestRun(a), got, want)
+					}
 					for _, depth := range []int{0, -1} {
 						parallelCfg := cfg
 						parallelCfg.PrefetchDepth = depth
@@ -101,6 +116,17 @@ func TestSerialAndParallelExecutorsBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// longestRun is the most tasks one run of tr's streams holds.
+func longestRun(tr *Trainer) int {
+	n := 0
+	for _, st := range tr.streams.Dev {
+		for _, e := range st {
+			n = max(n, len(e.Run))
+		}
+	}
+	return n
 }
 
 // TestConvNetBitIdenticalAcrossExecutors holds the conv path —

@@ -11,29 +11,36 @@ import (
 )
 
 // prefetcher drives the VM's async DMA engine from the schedule: the
-// executor already knows each device's task stream, so right before a
-// kernel launches, the device worker asks for the inputs of the next
-// depth compute entries (EnsureAsync — never blocking, never pinning),
-// which the DMA workers fill while the kernel runs. This is the real
-// executor's version of the simulator's runtime.prefetchAhead.
+// executor already knows each device's task stream, so once a run has
+// pinned its footprint and right before its kernel launches, the device
+// worker asks for the inputs of the next depth compute tasks after it
+// (EnsureAsync — never blocking, never pinning), which the DMA workers
+// fill while the kernel runs. The depth counts tasks, but the window
+// holds whole runs: a run the window reaches is asked for in full, since
+// its members are acquired together. Issued after the run's own
+// acquisition, a prefetch fills only what the run leaves spare, so the
+// run's demand never evicts it. This is the real executor's version of
+// the simulator's runtime.prefetchAhead.
 type prefetcher struct {
 	tr    *Trainer
 	depth int
 }
 
-// issue runs on device worker d between the dispatcher releasing
-// stream[i] and its kernel launching.
-func (p *prefetcher) issue(d int, stream []sched.StreamEntry, i int) {
+// issue runs on device worker d between a run's acquisition and its
+// kernel; next is the rest of d's stream after the run.
+func (p *prefetcher) issue(d int, next []sched.StreamEntry) {
 	dev := p.tr.pdev(d)
 	seen := 0
-	for j := i + 1; j < len(stream) && seen < p.depth; j++ {
-		e := stream[j]
-		if e.Rdv >= 0 {
-			continue // collectives ensure their own views at rendezvous
+	for _, e := range next {
+		if seen >= p.depth {
+			return
 		}
-		seen++
-		for _, in := range e.Task.Inputs {
-			p.tr.vm.EnsureAsync(dev, in)
+		// Collectives ensure their own views at rendezvous.
+		for _, t := range e.Run {
+			seen++
+			for _, in := range t.Inputs {
+				p.tr.vm.EnsureAsync(dev, in)
+			}
 		}
 	}
 }

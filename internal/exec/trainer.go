@@ -160,9 +160,13 @@ type Trainer struct {
 	// tasks is the executors' per-task step state (executor.go).
 	tasks taskState
 	// views is reduce's scratch for two views per replica, its gradient
-	// and its weights: slot d for device worker d, which runs one
-	// reduction at a time.
-	views [][][]float32
+	// and its weights; runViews is runRun's for every member of the
+	// longest run, and runBufs its three kernel operands laid end to end
+	// (joined), each as long as the plan's largest: slot d for device
+	// worker d, which runs one reduction or one run at a time.
+	views    [][][]float32
+	runViews [][]memberViews
+	runBufs  [][3][]float32
 
 	// inputs holds the running step's input batch: its microbatches'
 	// host backing (VM.HostBind), reused by every step.
@@ -335,23 +339,28 @@ func (tr *Trainer) plan(opts sched.Options, microbatches int) (*sched.Schedule, 
 	}, opts, tr.cfg.Devices)
 }
 
-// adopt weaves s, proves it and installs it as the running plan: the
-// full preflight (schedcheck.Check) under the live device binding, or
-// with verification off the liveness of the woven streams alone, so no
-// device worker ever drains a stream that can deadlock. A plan that
-// fails leaves the running one as it was. The caller gives the plan its
-// VM (newVM) and its state.
+// adopt weaves s, fits its runs to the live device binding, proves it
+// and installs it as the running plan: the full preflight
+// (schedcheck.Check), or with verification off the liveness of the
+// woven streams alone, so no device worker ever drains a stream that
+// can deadlock. A plan that fails leaves the running one as it was. The
+// caller gives the plan its VM (newVM) and its state.
 func (tr *Trainer) adopt(s *sched.Schedule) error {
-	streams, err := sched.Weave(s)
-	if err != nil {
-		return err
-	}
+	var streams *sched.Streams
 	if !tr.cfg.NoVerify {
-		if err := schedcheck.Check(s, tr.topology()).Err(); err != nil {
+		r := schedcheck.Check(s, tr.topology())
+		if err := r.Err(); err != nil {
 			return fmt.Errorf("plan rejected by preflight verification (-verify=false or NoVerify to skip):\n%w", err)
 		}
-	} else if err := schedcheck.Liveness(s.Graph.Tasks, streams); err != nil {
-		return err
+		streams = r.Streams
+	} else {
+		var err error
+		if streams, err = schedcheck.Fit(s, tr.topology()); err != nil {
+			return err
+		}
+		if err := schedcheck.Liveness(s.Graph.Tasks, streams); err != nil {
+			return err
+		}
 	}
 	tr.install(s, streams)
 	return nil
@@ -824,11 +833,14 @@ func (tr *Trainer) recoverFrom(dev int) error {
 		tr.devMap[d] = survivors[next%len(survivors)]
 		next++
 	}
-	// Streams that now share a survivor add their pin demands up;
-	// refuse a binding the VM could fail on.
-	if err := schedcheck.Residency(tr.s, tr.topology()); err != nil {
+	// Streams that now share a survivor add their pin demands up:
+	// regroup the runs for the new binding, and refuse one the VM could
+	// fail on even with runs of one.
+	streams, err := schedcheck.Residency(tr.s, tr.topology())
+	if err != nil {
 		return fmt.Errorf("exec: pin budget exceeded under the surviving binding: %w", err)
 	}
+	tr.install(tr.s, streams)
 
 	// Roll back: discard the (possibly mid-iteration) VM wholesale —
 	// runStep already drained its in-flight DMAs — and restore the
@@ -876,7 +888,7 @@ func (tr *Trainer) Retune(microbatches int) error {
 	// recovery, several streams may share a survivor): the preflight in
 	// adopt proves it, and with verification off it is checked here.
 	if tr.cfg.NoVerify {
-		if err := schedcheck.Residency(s, tr.topology()); err != nil {
+		if _, err := schedcheck.Residency(s, tr.topology()); err != nil {
 			return fmt.Errorf("exec: retune, plan unchanged: %w", err)
 		}
 	}
@@ -919,64 +931,95 @@ func (tr *Trainer) reload(st *state) error {
 // fixed-size arrays instead of per-task slices.
 const maxViews = 4
 
-// runTask executes one compute task with real kernels. It returns a
-// loss value when the task is the final layer's backward (which owns
-// the loss computation). The task's declaration is its access plan:
-// acquire pins t.Inputs and t.Outputs, the kernel runs on views bound
-// by declared position, release retires them — the same footprint
-// schedcheck's residency proof sums, so a plan admitted at its proven
-// bound runs at it.
-func (tr *Trainer) runTask(dev int, t *graph.Task, labels []int) (float32, bool, error) {
-	if t.Kind > graph.Update || len(t.Inputs) > maxViews || len(t.Outputs) > maxViews {
-		return 0, false, fmt.Errorf("exec: unexpected task kind %v in queue", t.Kind)
-	}
-	// Late binding happens here: dev is the schedule's virtual device;
+// memberViews is one run member's bound views: [0] its declared
+// inputs, [1] its declared outputs, by position.
+type memberViews [2][maxViews][]float32
+
+// runRun executes one run of device d's stream with real kernels
+// (sched.StreamEntry): a wave's same-layer Forward or Backward tasks as
+// one kernel call over all their rows, any other task alone. Each
+// member's declaration is its access plan, in stream order: the fault
+// site is consulted, the final layer's loss read into the run's loss
+// gradient, then every member's footprint acquired (pinned) and its
+// views bound by declared position. With the run pinned, the prefetch
+// window over next, the rest of the stream, is issued (prefetcher), so
+// async swap-ins for the tasks after the run ride the DMA lanes while
+// its kernel runs. The kernel runs once over the
+// members' rows laid end to end in nn scratch — one run of W and dW
+// through the cache for the whole wave — and its outputs are copied back
+// to each member's views; a run of one computes on its views in place.
+// Every kernel's output rows are independent and its dW and db sum the
+// batch in row order, so the bits are those of one call per member
+// (DESIGN.md §7). Then each member is released. Pins match schedcheck's
+// run bound (runPin): the run's distinct tensors, held together. A
+// final-layer member's loss lands on its own task ID. On error it
+// returns the member whose step failed.
+func (tr *Trainer) runRun(d int, run []*graph.Task, next []sched.StreamEntry, labels []int) (*graph.Task, error) {
+	t, k := run[0], len(run)
+	// Late binding happens here: d is the schedule's virtual device;
 	// all memory traffic below targets the physical device backing it.
-	dev = tr.pdev(dev)
-	if err := tr.injectOp(fault.Kernel, dev, t.Layer); err != nil {
-		return 0, false, err
+	dev := tr.pdev(d)
+	for _, m := range run {
+		if m.Kind > graph.Update || len(m.Inputs) > maxViews || len(m.Outputs) > maxViews {
+			return m, fmt.Errorf("exec: unexpected task kind %v in queue", m.Kind)
+		}
 	}
 	if r := tr.rec; r != nil {
 		start := tr.vm.clk.Now()
-		defer func() { r.add(dev, trace.Compute, t.String(), start, tr.vm.clk.Now()) }()
+		defer func() {
+			r.add(dev, trace.Compute, sched.StreamEntry{Task: t, Run: run}.Label(), start, tr.vm.clk.Now())
+		}()
 	}
 	layer := tr.layers[t.Layer]
-	batch := tr.g.Cfg.MicrobatchSize
+	rows := tr.g.Cfg.MicrobatchSize
+	bufs := &tr.runBufs[d]
 	var dy []float32
-	var loss float32
-	var zeroed *tensor.Tensor
 	counted := t.Kind == graph.Backward && t.Layer == len(tr.layers)-1
 	if counted {
-		// The loss read is the one undeclared access: the final backward
-		// turns the logits (which it only frees) and the labels into the
-		// loss gradient. It finishes — logits unpinned — before the
-		// declared footprint is acquired, so the two are never held
-		// together.
-		logits := tr.g.Act[t.Replica][t.Layer+1][t.Microbatch]
-		y, err := tr.vm.Ensure(dev, logits)
-		if err != nil {
-			return 0, false, err
+		dy = bufs[1][:k*rows*tr.classes]
+	}
+	for i, m := range run {
+		if err := tr.injectOp(fault.Kernel, dev, m.Layer); err != nil {
+			return m, err
 		}
-		dy = nn.GetScratch(batch * tr.classes)
-		defer nn.PutScratch(dy)
-		off := tr.microbatch(t.Replica, t.Microbatch)
-		loss = nn.SoftmaxXent(y, labels[off:off+batch], dy, batch, tr.classes)
-		if err := tr.vm.Unpin(logits); err != nil {
-			return 0, false, err
+		if counted {
+			if err := tr.lossRead(dev, m, labels, dy[i*rows*tr.classes:(i+1)*rows*tr.classes]); err != nil {
+				return m, err
+			}
 		}
 	}
-	var in, out [maxViews][]float32
-	if err := tr.acquire(t, dev, in[:len(t.Inputs)], out[:len(t.Outputs)]); err != nil {
-		return 0, false, err
+	vs := tr.runViews[d][:k]
+	for i, m := range run {
+		if err := tr.acquire(m, dev, vs[i][0][:len(m.Inputs)], vs[i][1][:len(m.Outputs)]); err != nil {
+			return m, err
+		}
 	}
-	switch t.Kind {
+	if tr.pf != nil {
+		tr.pf.issue(d, next)
+	}
+	var zeroed *tensor.Tensor
+	switch in := &vs[0][0]; t.Kind {
 	case graph.Forward: // W, x → y, stash
-		layer.Forward(in[0], in[1], out[0], out[1], batch)
+		nx, ny, ns := rows*layer.InSize(), rows*layer.OutSize(), rows*layer.StashSize()
+		x := joined(vs, 0, 1, nx, bufs[0], true)
+		y, stash := joined(vs, 1, 0, ny, bufs[1], false), joined(vs, 1, 1, ns, bufs[2], false)
+		layer.Forward(in[0], x, y, stash, k*rows)
+		split(vs, 1, 0, ny, y)
+		split(vs, 1, 1, ns, stash)
 	case graph.Backward: // W, dW, stash, dY → dx
+		nx, ns := rows*layer.InSize(), rows*layer.StashSize()
+		stash := joined(vs, 0, 2, ns, bufs[0], true)
 		if !counted {
-			dy = in[3]
+			dy = joined(vs, 0, 3, rows*layer.OutSize(), bufs[1], true)
 		}
-		layer.Backward(in[0], in[2], dy, out[0], in[1], batch)
+		var dx []float32 // the first layer computes none
+		if len(t.Outputs) > 0 {
+			dx = joined(vs, 1, 0, nx, bufs[2], false)
+		}
+		layer.Backward(in[0], stash, dy, dx, in[1], k*rows)
+		if dx != nil {
+			split(vs, 1, 0, nx, dx)
+		}
 	case graph.Update: // W, dW, K
 		n := layer.ParamCount()
 		switch {
@@ -994,7 +1037,58 @@ func (tr *Trainer) runTask(dev int, t *graph.Task, labels []int) (float32, bool,
 		// not move the page.
 		zeroed = t.Inputs[1]
 	}
-	return loss, counted, tr.release(t, zeroed)
+	for _, m := range run {
+		if err := tr.release(m, zeroed); err != nil {
+			return m, err
+		}
+	}
+	return nil, nil
+}
+
+// lossRead is the one undeclared access: the final backward m turns the
+// logits (which it only frees) and its labels into its loss, recorded on
+// m's task ID, and its loss gradient dy. It finishes — logits unpinned —
+// before any member of its run acquires its declared footprint, so the
+// two are never held together.
+func (tr *Trainer) lossRead(dev int, m *graph.Task, labels []int, dy []float32) error {
+	rows := tr.g.Cfg.MicrobatchSize
+	logits := tr.g.Act[m.Replica][m.Layer+1][m.Microbatch]
+	y, err := tr.vm.Ensure(dev, logits)
+	if err != nil {
+		return err
+	}
+	off := tr.microbatch(m.Replica, m.Microbatch)
+	tr.tasks.losses[m.ID] = nn.SoftmaxXent(y, labels[off:off+rows], dy, rows, tr.classes)
+	tr.tasks.counted[m.ID] = true
+	return tr.vm.Unpin(logits)
+}
+
+// joined is one kernel operand of a run: its members' views at
+// declared position vs[·][side][pos], n floats each, end to end. A run
+// of one computes on its view; a longer one on the first len(vs)·n
+// floats of buf, filled from the views when gather is set (an input).
+func joined(vs []memberViews, side, pos, n int, buf []float32, gather bool) []float32 {
+	if len(vs) == 1 {
+		return vs[0][side][pos]
+	}
+	buf = buf[:len(vs)*n]
+	if gather {
+		for i := range vs {
+			copy(buf[i*n:(i+1)*n], vs[i][side][pos])
+		}
+	}
+	return buf
+}
+
+// split copies a joined output operand back to its members' views; a
+// run of one wrote its view in place.
+func split(vs []memberViews, side, pos, n int, buf []float32) {
+	if len(vs) == 1 {
+		return
+	}
+	for i := range vs {
+		copy(vs[i][side][pos], buf[i*n:(i+1)*n])
+	}
 }
 
 // acquire pins a task's declared footprint and binds its views: every

@@ -756,6 +756,99 @@ func testDenseBitIdenticalToOracle(t *testing.T) {
 	}
 }
 
+// TestKernelsSplitAcrossBatchBitIdentical is the property the trainer's
+// runs rest on (exec.Trainer.runRun: a wave's microbatches of one layer
+// in one kernel call): Forward and Backward over B rows give the same
+// y, stash, dx and accumulated grad, bit for bit, as consecutive calls
+// over every split of those rows into contiguous pieces, the grad
+// carried from one piece to the next. It holds because every kernel's
+// outputs are row-independent and each dW and db element sums the batch
+// in row order. Dense (on both kernel paths), Conv2D and MaxPool2D are
+// drawn with B 1–6 rows (every one of the 2^(B-1) splits is tried) at
+// pool sizes 1–3, weights salted as the oracle tests salt them, inputs
+// with +0, -0, NaN and ±Inf, an incoming grad with ±0, and now and then
+// no dx, as for a first layer.
+func TestKernelsSplitAcrossBatchBitIdentical(t *testing.T) {
+	eachKernelPath(t, testKernelsSplitAcrossBatchBitIdentical)
+}
+
+func testKernelsSplitAcrossBatchBitIdentical(t *testing.T) {
+	defer SetWorkers(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(54))
+	dims := oracleDims
+	inf := float32(math.Inf(1))
+	for draw := 0; draw < 120; draw++ {
+		var k Kernel
+		switch draw % 3 {
+		case 0:
+			k = Dense{In: dims[rng.Intn(len(dims))], Out: dims[rng.Intn(len(dims))], ReLU: rng.Intn(2) == 0}
+			if draw%30 == 0 { // big enough that pools of 2 and 3 split it
+				k = Dense{In: 520 + rng.Intn(9), Out: 460 + rng.Intn(9), ReLU: true}
+			}
+		case 1:
+			h := 4 + rng.Intn(5)
+			k = Conv2D{Cin: 1 + rng.Intn(3), H: h, W: h + rng.Intn(3), Cout: 1 + rng.Intn(4), K: 1 + rng.Intn(3), ReLU: rng.Intn(2) == 0}
+		default:
+			p := 1 + rng.Intn(3)
+			k = MaxPool2D{C: 1 + rng.Intn(3), H: p * (1 + rng.Intn(4)), W: p * (1 + rng.Intn(4)), P: p}
+		}
+		SetWorkers(1 + draw%3)
+		batch := 1 + rng.Intn(6)
+		in, out, st := k.InSize(), k.OutSize(), k.StashSize()
+		params := unaligned(rng, k.ParamCount())
+		saltWeights(rng, params, draw)
+		x := unaligned(rng, batch*in)
+		salt(rng, x, 0.3, 0, negZero, float32(math.NaN()), inf, -inf)
+		dy := unaligned(rng, batch*out)
+		salt(rng, dy, 0.1, 0, negZero)
+		grad0 := unaligned(rng, k.ParamCount())
+		salt(rng, grad0, 0.1, 0, negZero)
+		withDx := rng.Intn(4) > 0
+
+		// run makes one Forward and one Backward call per piece of the
+		// split: cuts[i] is where piece i ends, the last at batch.
+		run := func(cuts []int) (y, stash, dx, grad []float32) {
+			y, stash = unaligned(rng, batch*out), unaligned(rng, batch*st)
+			grad = unaligned(rng, len(grad0))
+			copy(grad, grad0)
+			if withDx {
+				dx = unaligned(rng, batch*in)
+			}
+			lo := 0
+			for _, hi := range cuts {
+				k.Forward(params, x[lo*in:hi*in], y[lo*out:hi*out], stash[lo*st:hi*st], hi-lo)
+				lo = hi
+			}
+			lo = 0
+			for _, hi := range cuts {
+				var dxp []float32
+				if withDx {
+					dxp = dx[lo*in : hi*in]
+				}
+				k.Backward(params, stash[lo*st:hi*st], dy[lo*out:hi*out], dxp, grad, hi-lo)
+				lo = hi
+			}
+			return
+		}
+		wy, wstash, wdx, wgrad := run([]int{batch})
+		for mask := 0; mask < 1<<(batch-1); mask++ {
+			var cuts []int
+			for r := 1; r < batch; r++ {
+				if mask&(1<<(r-1)) != 0 {
+					cuts = append(cuts, r)
+				}
+			}
+			cuts = append(cuts, batch)
+			y, stash, dx, grad := run(cuts)
+			name := fmt.Sprintf("draw %d %s batch %d split %v", draw, k.Name(), batch, cuts)
+			sameBits(t, name+" y", y, wy)
+			sameBits(t, name+" stash", stash, wstash)
+			sameBits(t, name+" dx", dx, wdx)
+			sameBits(t, name+" grad", grad, wgrad)
+		}
+	}
+}
+
 // The chain tests hold the contract to the one it replaced on whole
 // stacks, where the consumer's mask must agree with the recompute the
 // producer used to do. A stack runs forward and backward once through
@@ -1344,7 +1437,12 @@ func testSteadyStateAllocs(t *testing.T) {
 // training step — per microbatch, Forward up the stack and Backward
 // down it — on the four MLP shapes harmonybench trains, and reports
 // nominal GFLOP/s (2·In·Out per sample forward, twice that backward;
-// skipped zeros count as done) for the two passes separately.
+// skipped zeros count as done) for the two passes separately. The swap
+// and pp shapes train eight one-sample microbatches: their mb1x8 rows
+// make a call per microbatch, and their mb8x1 rows make one call over
+// the same eight rows, as the trainer runs a wave's microbatches of a
+// layer (exec.Trainer.runRun), so W and dW stream once, not eight
+// times.
 func BenchmarkDenseStep(b *testing.B) {
 	defer SetWorkers(Workers())
 	for _, shape := range []struct {
@@ -1355,7 +1453,9 @@ func BenchmarkDenseStep(b *testing.B) {
 		{"compute-784x512x512x10-mb8x8", []int{784, 512, 512, 10}, 8, 8},
 		{"comm-64x1536x1536x1536x10-mb4x1", []int{64, 1536, 1536, 1536, 10}, 4, 1},
 		{"swap-256x512x512x512x10-mb1x8", []int{256, 512, 512, 512, 10}, 1, 8},
+		{"swap-256x512x512x512x10-mb8x1", []int{256, 512, 512, 512, 10}, 8, 1},
 		{"pp-256x640x640x640x10-mb1x8", []int{256, 640, 640, 640, 10}, 1, 8},
+		{"pp-256x640x640x640x10-mb8x1", []int{256, 640, 640, 640, 10}, 8, 1},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			// -cpu takes effect here: the enclosing function runs once,

@@ -1,10 +1,11 @@
 // The plan's last step: weaving collective rendezvous into the device
-// queues. The Streams built here are what the device workers run (exec)
-// and what the verifier proves (schedcheck), so the anchor rule exists
-// once. Replay, beside it, is the one drain of those streams without
-// goroutines: the verifier's liveness proof and the serial reference
-// executor both walk its order, so the reference runs exactly what was
-// proven.
+// queues and cutting the compute between them into runs. The Streams
+// built here are what the device workers run (exec) and what the
+// verifier proves (schedcheck), so the anchor rule and the run rule
+// exist once. Replay, beside it, is the one drain of those streams
+// without goroutines: the verifier's liveness proof and the serial
+// reference executor both walk its order, so the reference runs
+// exactly what was proven.
 //
 // Weave is called by those consumers, not by Build: the simulator
 // launches collectives as their dependencies complete and never needs
@@ -17,13 +18,41 @@ import (
 	"harmony/internal/graph"
 )
 
-// StreamEntry is one slot of a device's woven stream: a compute task
-// from the schedule queue (Rdv < 0) or a rendezvous, in which case Rdv
-// indexes Streams.Members/Parties and Task is the rendezvous's first
-// member (the label used in traces and counterexamples).
+// StreamEntry is one slot of a device's woven stream: a run of compute
+// tasks from the schedule queue (Rdv < 0) or a rendezvous, in which case
+// Rdv indexes Streams.Members/Parties. Task labels the entry in traces
+// and counterexamples: a run's first member, a rendezvous's first
+// member.
+//
+// A run is a maximal sequence of consecutive Forward (or Backward)
+// tasks of one queue with the same replica and layer and no rendezvous
+// between them: a wave's microbatches of one layer, which the queue
+// already lays back to back (input-batch grouping, Options.GroupSize).
+// Every other task is a run of one. The executor runs a run as one
+// kernel call over all its members' rows; no member depends on another,
+// since a layer's tasks depend only on the layers beside it. Run is a
+// slice of the queue, Run[0] == Task; a rendezvous has none.
 type StreamEntry struct {
 	Task *graph.Task
+	Run  []*graph.Task
 	Rdv  int
+}
+
+// Label names the entry in traces and counterexamples: its task, or a
+// run of more than one as its kind, replica, layer and microbatch span.
+func (e StreamEntry) Label() string {
+	if len(e.Run) < 2 {
+		return e.Task.String()
+	}
+	last := e.Run[len(e.Run)-1]
+	return fmt.Sprintf("%s[r%d,L%d,mb%d..%d]", e.Task.Kind, e.Task.Replica, e.Task.Layer, e.Task.Microbatch, last.Microbatch)
+}
+
+// joins reports whether queued task b extends the run a closes: both
+// Forward, or both Backward, of one replica's layer.
+func joins(a, b *graph.Task) bool {
+	return a.Kind == b.Kind && (a.Kind == graph.Forward || a.Kind == graph.Backward) &&
+		a.Replica == b.Replica && a.Layer == b.Layer
 }
 
 // Streams is a schedule with its rendezvous woven in. A rendezvous
@@ -134,17 +163,48 @@ func Weave(s *Schedule) (*Streams, error) {
 	}
 	for d, q := range s.Queues {
 		st := make([]StreamEntry, 0, len(q)+len(ws.Members))
-		for i := 0; i <= len(q); i++ {
+		for i := 0; i <= len(q); {
 			for _, ri := range before[d][i] {
 				st = append(st, StreamEntry{Task: ws.Members[ri][0], Rdv: ri})
 			}
-			if i < len(q) {
-				st = append(st, StreamEntry{Task: q[i], Rdv: -1})
+			if i == len(q) {
+				break
 			}
+			j := i + 1
+			for j < len(q) && len(before[d][j]) == 0 && joins(q[i], q[j]) {
+				j++
+			}
+			st = append(st, StreamEntry{Task: q[i], Run: q[i:j:j], Rdv: -1})
+			i = j
 		}
 		ws.Dev[d] = st
 	}
 	return ws, nil
+}
+
+// Narrow cuts every run of device d's stream into runs of one, and
+// reports whether it cut any.
+func (ws *Streams) Narrow(d int) bool {
+	st := ws.Dev[d]
+	n := 0
+	for _, e := range st {
+		n += max(len(e.Run), 1)
+	}
+	if n == len(st) {
+		return false
+	}
+	out := make([]StreamEntry, 0, n)
+	for _, e := range st {
+		if len(e.Run) < 2 {
+			out = append(out, e)
+			continue
+		}
+		for i, t := range e.Run {
+			out = append(out, StreamEntry{Task: t, Run: e.Run[i : i+1 : i+1], Rdv: -1})
+		}
+	}
+	ws.Dev[d] = out
+	return true
 }
 
 // Stuck is a stream head Replay could not move past: device Dev's
@@ -159,8 +219,9 @@ func (s Stuck) String() string { return fmt.Sprintf("gpu%d@%s(%s)", s.Dev, s.Ent
 
 // Replay drains the streams on the calling goroutine: device by device
 // in index order, each as far as its dependencies allow, over and over
-// until no device can move. A compute entry is visited once its task's
-// dependencies are done. A rendezvous completes when every party has
+// until no device can move. A compute entry is visited once every
+// member of its run has its dependencies done, and completing it
+// finishes every member. A rendezvous completes when every party has
 // parked at it and every member's dependencies are done; it is visited
 // once, on the device whose arrival completed it, and completing it
 // finishes every member. An error from visit stops the drain and is
@@ -176,12 +237,12 @@ func (ws *Streams) Replay(tasks []*graph.Task, visit func(d int, e StreamEntry) 
 			depsLeft[succ.ID]--
 		}
 	}
-	membersLeft := func(ri int) int {
-		left := 0
-		for _, m := range ws.Members[ri] {
-			left += depsLeft[m.ID]
+	left := func(ts []*graph.Task) int {
+		n := 0
+		for _, t := range ts {
+			n += depsLeft[t.ID]
 		}
-		return left
+		return n
 	}
 	cursors := make([]int, len(ws.Dev))
 	parked := make([]bool, len(ws.Dev)) // arrival at the head rendezvous recorded
@@ -194,13 +255,15 @@ func (ws *Streams) Replay(tasks []*graph.Task, visit func(d int, e StreamEntry) 
 			for ; cursors[d] < len(st); cursors[d]++ {
 				e := st[cursors[d]]
 				if e.Rdv < 0 {
-					if depsLeft[e.Task.ID] > 0 {
+					if left(e.Run) > 0 {
 						break
 					}
 					if err := visit(d, e); err != nil {
 						return nil, err
 					}
-					finish(e.Task)
+					for _, t := range e.Run {
+						finish(t)
+					}
 				} else {
 					if !parked[d] {
 						parked[d] = true
@@ -209,7 +272,7 @@ func (ws *Streams) Replay(tasks []*graph.Task, visit func(d int, e StreamEntry) 
 						progress = true
 					}
 					if !rdvDone[e.Rdv] {
-						if arrived[e.Rdv] < ws.Parties[e.Rdv] || membersLeft(e.Rdv) > 0 {
+						if arrived[e.Rdv] < ws.Parties[e.Rdv] || left(ws.Members[e.Rdv]) > 0 {
 							break // parked at the rendezvous
 						}
 						rdvDone[e.Rdv] = true
@@ -232,13 +295,14 @@ func (ws *Streams) Replay(tasks []*graph.Task, visit func(d int, e StreamEntry) 
 			continue
 		}
 		e := st[cursors[d]]
-		why := fmt.Sprintf("%d deps left", depsLeft[e.Task.ID])
-		if e.Rdv >= 0 {
-			if left := membersLeft(e.Rdv); left > 0 {
-				why = fmt.Sprintf("%d member deps left", left)
-			} else {
-				why = fmt.Sprintf("rendezvous %d/%d arrived", arrived[e.Rdv], ws.Parties[e.Rdv])
-			}
+		var why string
+		switch {
+		case e.Rdv < 0:
+			why = fmt.Sprintf("%d deps left", left(e.Run))
+		case left(ws.Members[e.Rdv]) > 0:
+			why = fmt.Sprintf("%d member deps left", left(ws.Members[e.Rdv]))
+		default:
+			why = fmt.Sprintf("rendezvous %d/%d arrived", arrived[e.Rdv], ws.Parties[e.Rdv])
 		}
 		stuck = append(stuck, Stuck{d, e, why})
 	}

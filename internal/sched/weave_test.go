@@ -9,8 +9,10 @@ import (
 	"harmony/internal/graph"
 )
 
-// checkWeave asserts the anchor rule on one woven plan: stripped of
-// rendezvous every stream is its queue; every rendezvous sits exactly
+// checkWeave asserts the anchor rule and the run rule on one woven
+// plan: stripped of rendezvous every stream's runs, end to end, are its
+// queue, each run a maximal stretch of one replica's Forward or
+// Backward tasks of one layer; every rendezvous sits exactly
 // once in each participant's stream (and in no one else's), after every
 // member dependency and before every member successor queued on that
 // device — at the earliest such point for comm plans, the latest for
@@ -41,8 +43,19 @@ func checkWeave(t *testing.T, s *Schedule) {
 				}
 				continue
 			}
-			at[e.Task.ID] = i
-			compute = append(compute, e.Task)
+			if e.Run[0] != e.Task {
+				t.Errorf("gpu%d[%d]: run %v labeled %s, want its first member", d, i, e.Run, e.Task)
+			}
+			for _, m := range e.Run {
+				if m != e.Task && !joins(e.Task, m) {
+					t.Errorf("gpu%d[%d]: %s joined the run of %s", d, i, m, e.Task)
+				}
+				at[m.ID] = i
+			}
+			if i > 0 && st[i-1].Rdv < 0 && joins(st[i-1].Task, e.Task) {
+				t.Errorf("gpu%d[%d]: run of %s not merged into the run before it", d, i, e.Task)
+			}
+			compute = append(compute, e.Run...)
 		}
 		if len(compute) != len(s.Queues[d]) {
 			t.Fatalf("gpu%d: %d compute entries for a queue of %d", d, len(compute), len(s.Queues[d]))
@@ -117,7 +130,7 @@ func checkReplay(t *testing.T, s *Schedule) {
 	}
 	done := make([]bool, len(s.Graph.Tasks))
 	stuck, err := ws.Replay(s.Graph.Tasks, func(d int, e StreamEntry) error {
-		tasks := []*graph.Task{e.Task}
+		tasks := e.Run
 		if e.Rdv >= 0 {
 			tasks = ws.Members[e.Rdv]
 			if d >= ws.Parties[e.Rdv] {
@@ -235,9 +248,9 @@ func TestReplayCompletesStopsAndSticks(t *testing.T) {
 	}
 	ws := &Streams{
 		Dev: [][]StreamEntry{
-			{{Task: a0, Rdv: -1}, {Task: c, Rdv: 0}},
-			{{Task: a1, Rdv: -1}, {Task: c, Rdv: 0}},
-			{{Task: z, Rdv: -1}},
+			{{Task: a0, Run: []*graph.Task{a0}, Rdv: -1}, {Task: c, Rdv: 0}},
+			{{Task: a1, Run: []*graph.Task{a1}, Rdv: -1}, {Task: c, Rdv: 0}},
+			{{Task: z, Run: []*graph.Task{z}, Rdv: -1}},
 		},
 		Members: [][]*graph.Task{{c}},
 		Parties: []int{2},

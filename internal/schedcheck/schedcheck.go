@@ -12,13 +12,16 @@
 //     dependency) and cross-device rendezvous cycles (two devices
 //     meeting the same pair of collectives in opposite orders) are
 //     rejected with a Gantt counterexample.
-//  2. Residency: per-device peak pinned bytes — the largest single
-//     task's inputs+outputs+workspace of every stream bound to the
-//     device (Topology.Binding), or a collective's parked demand —
-//     must fit under the device capacity the memory manager enforces
-//     at runtime. The prefetch byte budget is reported on top as the
-//     expected steady-state peak (prefetch itself only ever uses spare
-//     capacity, so it cannot make a feasible plan infeasible).
+//  2. Residency: per-device peak pinned bytes — the largest run's
+//     distinct inputs+outputs plus its members' workspace, of every
+//     stream bound to the device (Topology.Binding), or a collective's
+//     parked demand — must fit under the device capacity the memory
+//     manager enforces at runtime. Where the runs do not fit, they are
+//     narrowed to one task on that device first, so the bound that
+//     gates is never above the per-task one. The prefetch byte budget
+//     is reported on top as the expected steady-state peak (prefetch
+//     itself only ever uses spare capacity, so it cannot make a
+//     feasible plan infeasible).
 //  3. Swap volume: the per-iteration weight / gradient / optimizer
 //     traffic implied by the queue order (computed structurally from
 //     pin-adjacency runs) must agree with internal/analytic's closed
@@ -39,10 +42,11 @@
 // the volume model share no code with the executor at all.
 //
 // The executor runs Check as a preflight gate (exec.TrainerConfig
-// .NoVerify opts out) and calls Liveness and Residency, proofs 1 and 2
-// on their own, where it needs just those: before the first step, after
-// a device dies, before adopting a retuned plan. cmd/schedcheck exposes
-// Check as a CLI.
+// .NoVerify opts out) and installs the streams it proved, with their
+// runs fitted to the topology (Report.Streams); it calls Fit,
+// Liveness and Residency where it needs just those: with verification
+// off, after a device dies, before adopting a retuned plan.
+// cmd/schedcheck exposes Check as a CLI.
 package schedcheck
 
 import (
@@ -146,6 +150,11 @@ type Report struct {
 
 	// TasksChecked counts tasks proven completable by the replay.
 	TasksChecked int
+
+	// Streams is the woven plan the checks ran on, its runs fitted to
+	// the topology: what a device worker drains once the plan passes.
+	// Nil when the plan does not weave.
+	Streams *sched.Streams
 }
 
 // OK reports whether the plan passed every check.
@@ -194,11 +203,13 @@ func Check(s *sched.Schedule, topo Topology) *Report {
 	ws, err := sched.Weave(s)
 	if err != nil {
 		r.addf("plan", nil, "%v", err)
-	} else {
-		replay(s.Graph.Tasks, ws, r)
+		return r // no streams: nothing to replay, bound or account
 	}
-	checkResidency(s, topo, r)
+	peak := fit(s, ws, topo)
+	replay(s.Graph.Tasks, ws, r)
+	checkResidency(s, ws, topo, peak, r)
 	checkVolume(s, ws, r)
+	r.Streams = ws
 	return r
 }
 
@@ -212,16 +223,22 @@ func Liveness(tasks []*graph.Task, ws *sched.Streams) error {
 	return r.Err()
 }
 
-// Residency is the pin-budget proof on its own: nil, or the capacity
-// violation of the first physical device the plan cannot fit on under
-// topo.Binding. Recovery re-runs it when a device dies and its stream
-// is re-bound to a survivor.
-func Residency(s *sched.Schedule, topo Topology) error {
-	r := &Report{}
-	if topo.fit(s, r) {
-		checkResidency(s, topo, r)
+// Residency is the pin-budget proof on its own: the plan's streams with
+// their runs fitted to topo (Fit), or the capacity violation of the
+// first physical device the plan cannot fit on under topo.Binding even
+// with every run narrowed to one task. Recovery re-runs it when a device
+// dies and its stream is re-bound to a survivor, and drains the streams
+// it returns.
+func Residency(s *sched.Schedule, topo Topology) (*sched.Streams, error) {
+	ws, peak, err := fitted(s, &topo)
+	if err != nil {
+		return nil, err
 	}
-	return r.Err()
+	r := &Report{}
+	if checkResidency(s, ws, topo, peak, r); !r.OK() {
+		return nil, r.Err()
+	}
+	return ws, nil
 }
 
 // checkShape validates task coverage: every graph task appears exactly
@@ -341,22 +358,22 @@ func replay(tasks []*graph.Task, ws *sched.Streams, r *Report) {
 // completed task and a fault-lane span per blocked head.
 func fixedPoint(tasks []*graph.Task, ws *sched.Streams, tl *trace.Trace) (int, string) {
 	done, step := 0, 0
-	span := func(d int, t *graph.Task) {
+	span := func(d int, e sched.StreamEntry) {
 		if tl != nil {
-			tl.Add(hw.DeviceID(d), trace.Compute, t.String(), sim.Time(step), sim.Time(step+1))
+			tl.Add(hw.DeviceID(d), trace.Compute, e.Label(), sim.Time(step), sim.Time(step+1))
 		}
 	}
 	// The visitor never fails, so Replay returns no error.
 	stuck, _ := ws.Replay(tasks, func(d int, e sched.StreamEntry) error {
 		if e.Rdv < 0 {
-			span(d, e.Task)
-			done++
+			span(d, e)
+			done += len(e.Run)
 		} else {
 			// The rendezvous completes once; show the span on every
 			// participant — all are parked at it — so the rendezvous
 			// ordering is visible.
 			for p := range ws.Parties[e.Rdv] {
-				span(p, e.Task)
+				span(p, e)
 			}
 			done += len(ws.Members[e.Rdv])
 		}
@@ -370,53 +387,163 @@ func fixedPoint(tasks []*graph.Task, ws *sched.Streams, tl *trace.Trace) (int, s
 	for i, h := range stuck {
 		heads[i] = h.String()
 		if tl != nil {
-			tl.Add(hw.DeviceID(h.Dev), trace.Fault, "!"+h.Entry.Task.String()+" "+h.Why, sim.Time(step), sim.Time(step+1))
+			tl.Add(hw.DeviceID(h.Dev), trace.Fault, "!"+h.Entry.Label()+" "+h.Why, sim.Time(step), sim.Time(step+1))
 		}
 	}
 	return done, fmt.Sprintf("%d/%d tasks completable; blocked: %s", done, len(tasks), strings.Join(heads, ", "))
 }
 
-// pinPeak is a pinned-byte bound and, when one task alone explains it,
-// that task: idx is its position in plan device dev's queue (-1 for a
-// collective).
+// pinPeak is a pinned-byte bound and, when one run alone explains it,
+// that run's entry: idx is its position in plan device dev's stream (-1
+// for a collective, whose label is t).
 type pinPeak struct {
 	bytes    int64
 	t        *graph.Task
 	dev, idx int
 }
 
-// taskPin is what a compute task pins while it runs: its inputs,
-// outputs and workspace.
-func taskPin(t *graph.Task) int64 {
-	pin := t.WorkspaceBytes
-	for _, in := range t.Inputs {
-		pin += in.Bytes
-	}
-	for _, out := range t.Outputs {
-		pin += out.Bytes
+// runPin is what a run pins while it runs: the distinct tensors its
+// members declare — a layer's W and dW once, each member's activations
+// once — and every member's workspace. A run of one pins its task's
+// inputs, outputs and workspace.
+func runPin(run []*graph.Task) int64 {
+	var pin int64
+	for i, t := range run {
+		pin += t.WorkspaceBytes
+		for _, ts := range [2][]*tensor.Tensor{t.Inputs, t.Outputs} {
+			for _, x := range ts {
+				if !declared(run[:i], x) {
+					pin += x.Bytes
+				}
+			}
+		}
 	}
 	return pin
 }
 
-// checkResidency symbolically computes each physical device's peak
-// pinned bytes and rejects plans that cannot fit. This is the bound the
-// executor's VM lives under: one task in flight per stream (its inputs,
-// outputs and workspace pinned together), summed over the streams
-// topo.Binding puts on the device, and, during a monolithic collective,
-// the per-device buffers of all parked participants. Chunked plans
-// (Schedule.Comm) overlap collectives with compute instead of parking,
-// so each worker may simultaneously hold either a task's pins or a
-// member reduction's replica views — per physical device, the demands
-// sum across workers rather than max (chunkedPeaks). Conservative by
-// design: it never passes a binding the VM could fail on. The prefetch budget is
-// reported as expected steady-state residency but never gates — the
-// async engine only ever claims spare capacity.
-func checkResidency(s *sched.Schedule, topo Topology, r *Report) {
+// declared reports whether one of ts reads or writes x.
+func declared(ts []*graph.Task, x *tensor.Tensor) bool {
+	for _, t := range ts {
+		if slices.Contains(t.Inputs, x) || slices.Contains(t.Outputs, x) {
+			return true
+		}
+	}
+	return false
+}
+
+// fit narrows ws's runs to topo and returns the pin bound it ends at:
+// where a physical device's bound exceeds topo.DeviceBytes, every run on
+// the streams bound to it is cut to runs of one (sched.Streams.Narrow).
+// Runs pin only on their own device, so no other device's bound moves,
+// and at runs of one a device's bound is the per-task bound: narrowing
+// rejects no plan whose tasks fit one at a time. A device over capacity
+// even then is left for checkResidency to report.
+func fit(s *sched.Schedule, ws *sched.Streams, topo Topology) []pinPeak {
+	peak := peaks(s, ws, topo)
+	cut := false
+	for p, pk := range peak {
+		if pk.bytes <= topo.DeviceBytes {
+			continue
+		}
+		for d := range ws.Dev {
+			if topo.phys(d) == p {
+				cut = ws.Narrow(d) || cut
+			}
+		}
+	}
+	if cut {
+		peak = peaks(s, ws, topo)
+	}
+	return peak
+}
+
+// Fit weaves s and fits its runs to topo (fit) without proving anything
+// else: the streams a run with verification off drains. It fails only
+// on a plan that does not weave or a topology it cannot be placed on.
+func Fit(s *sched.Schedule, topo Topology) (*sched.Streams, error) {
+	ws, _, err := fitted(s, &topo)
+	return ws, err
+}
+
+// fitted is Fit, with the pin bound the fitted streams have on topo,
+// whose defaults it resolves.
+func fitted(s *sched.Schedule, topo *Topology) (*sched.Streams, []pinPeak, error) {
+	r := &Report{}
+	if !topo.fit(s, r) {
+		return nil, nil, r.Err()
+	}
+	ws, err := sched.Weave(s)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ws, fit(s, ws, *topo), nil
+}
+
+// checkResidency reports peak, the pin bound of ws on topo, and rejects
+// every physical device it does not fit. This is the bound the
+// executor's VM lives under: one run in flight per stream (its distinct
+// tensors and its members' workspace pinned together, runPin), summed
+// over the streams topo.Binding puts on the device, and, during a
+// monolithic collective, the per-device buffers of all parked
+// participants. Chunked plans (Schedule.Comm) overlap collectives with
+// compute instead of parking, so each worker may simultaneously hold
+// either a run's pins or a member reduction's replica views — per
+// physical device, the demands sum across workers rather than max
+// (chunkedPeaks). Conservative by design: it never passes a binding
+// the VM could fail on. The prefetch budget is reported as expected
+// steady-state residency but never gates — the async engine only ever
+// claims spare capacity.
+func checkResidency(s *sched.Schedule, ws *sched.Streams, topo Topology, peak []pinPeak, r *Report) {
+	r.PeakPinBytes = make([]int64, topo.Devices)
+	r.PeakResidentBytes = make([]int64, topo.Devices)
+	budget := int64(0)
+	if s.Opts.Prefetch {
+		budget = topo.prefetchBudget()
+	}
+	for p, pk := range peak {
+		r.PeakPinBytes[p] = pk.bytes
+		r.PeakResidentBytes[p] = min(pk.bytes+budget, topo.DeviceBytes)
+		if pk.bytes <= topo.DeviceBytes {
+			continue
+		}
+		tl := &trace.Trace{}
+		why := "worst runs of the streams bound to it, summed"
+		if s.Comm != nil {
+			why = "chunked collectives: additive demand across workers"
+		}
+		if pk.t != nil {
+			why = fmt.Sprintf("worst task %s: inputs+outputs+workspace", pk.t)
+		}
+		if pk.t != nil && pk.idx >= 0 {
+			// Counterexample: the stream prefix leading to the peak task
+			// (fit left every run on this device a task alone), with the
+			// offender on the fault lane.
+			st := ws.Dev[pk.dev]
+			lo := max(pk.idx-24, 0)
+			for i := lo; i < pk.idx; i++ {
+				tl.Add(hw.DeviceID(p), trace.Compute, st[i].Label(), sim.Time(i-lo), sim.Time(i-lo+1))
+			}
+			tl.Add(hw.DeviceID(p), trace.Fault,
+				fmt.Sprintf("!%s pins %d > capacity %d", pk.t, pk.bytes, topo.DeviceBytes),
+				sim.Time(pk.idx-lo), sim.Time(pk.idx-lo+1))
+		}
+		r.addf("capacity", tl, "gpu%d peak pinned bytes %d exceed capacity %d (%s)",
+			p, pk.bytes, topo.DeviceBytes, why)
+	}
+}
+
+// peaks returns each physical device's pin bound for ws's runs; a
+// bound that one stream's worst run reaches alone is blamed on that
+// run.
+func peaks(s *sched.Schedule, ws *sched.Streams, topo Topology) []pinPeak {
 	worst := make([]pinPeak, s.NGPUs) // per stream
-	for d, q := range s.Queues {
-		for i, t := range q {
-			if pin := taskPin(t); pin > worst[d].bytes {
-				worst[d] = pinPeak{pin, t, d, i}
+	for d, st := range ws.Dev {
+		for i, e := range st {
+			if e.Rdv >= 0 {
+				continue
+			}
+			if pin := runPin(e.Run); pin > worst[d].bytes {
+				worst[d] = pinPeak{pin, e.Task, d, i}
 			}
 		}
 	}
@@ -431,8 +558,8 @@ func checkResidency(s *sched.Schedule, topo Topology, r *Report) {
 	}
 	peak := make([]pinPeak, topo.Devices) // per physical device
 	if s.Comm != nil {
-		for p, b := range chunkedPeaks(s, topo, worst) {
-			peak[p].bytes = b
+		for p, pb := range chunkedPeaks(s, ws, topo, worst) {
+			peak[p].bytes = pb
 		}
 	} else {
 		for d, w := range worst {
@@ -445,72 +572,39 @@ func checkResidency(s *sched.Schedule, topo Topology, r *Report) {
 				// Gathers materialize a full output per shard device.
 				views(coll, c.Outputs)
 			}
-			for p, b := range coll {
-				if b > peak[p].bytes {
-					peak[p] = pinPeak{bytes: b, t: c, idx: -1}
+			for p, pb := range coll {
+				if pb > peak[p].bytes {
+					peak[p] = pinPeak{bytes: pb, t: c, idx: -1}
 				}
 			}
 		}
 	}
 	for d, w := range worst {
-		// A bound that one stream's worst task reaches alone is blamed
-		// on that task.
 		if p := topo.phys(d); w.t != nil && peak[p].bytes == w.bytes {
 			peak[p] = w
 		}
 	}
-	r.PeakPinBytes = make([]int64, topo.Devices)
-	r.PeakResidentBytes = make([]int64, topo.Devices)
-	budget := int64(0)
-	if s.Opts.Prefetch {
-		budget = topo.prefetchBudget()
-	}
-	for p, pk := range peak {
-		r.PeakPinBytes[p] = pk.bytes
-		r.PeakResidentBytes[p] = min(pk.bytes+budget, topo.DeviceBytes)
-		if pk.bytes <= topo.DeviceBytes {
-			continue
-		}
-		tl := &trace.Trace{}
-		why := "worst tasks of the streams bound to it, summed"
-		if s.Comm != nil {
-			why = "chunked collectives: additive demand across workers"
-		}
-		if pk.t != nil {
-			why = fmt.Sprintf("worst task %s: inputs+outputs+workspace", pk.t)
-		}
-		if pk.t != nil && pk.idx >= 0 {
-			// Counterexample: the queue prefix leading to the peak task,
-			// with the offender on the fault lane.
-			lo := max(pk.idx-24, 0)
-			for i := lo; i < pk.idx; i++ {
-				tl.Add(hw.DeviceID(p), trace.Compute, s.Queues[pk.dev][i].String(), sim.Time(i-lo), sim.Time(i-lo+1))
-			}
-			tl.Add(hw.DeviceID(p), trace.Fault,
-				fmt.Sprintf("!%s pins %d > capacity %d", pk.t, pk.bytes, topo.DeviceBytes),
-				sim.Time(pk.idx-lo), sim.Time(pk.idx-lo+1))
-		}
-		r.addf("capacity", tl, "gpu%d peak pinned bytes %d exceed capacity %d (%s)",
-			p, pk.bytes, topo.DeviceBytes, why)
-	}
+	return peak
 }
 
-// chunkedPeaks bounds each physical device's pinned bytes on a chunked
-// plan, given each stream's worst task. A device worker holds at once
-// either one task of its stream, pinned on its own device, or one
-// member reduction: every replica's view of the member's gradient, each
-// on its home device, and, on a plan whose reductions apply the update
+// chunked bounds each physical device's pinned bytes on a chunked plan,
+// given each stream's worst run. A device worker holds at once either
+// one run of its stream, pinned on its own device, or one member
+// reduction: every replica's view of the member's gradient, each on its
+// home device, and, on a plan whose reductions apply the update
 // (Schedule.FusedUpdate), every replica's weights of that layer beside
 // them. Two facts of the task graph cut the sum, both exact: a reduction
-// of collective c is never in flight beside a task c depends on or that
-// depends on c, and two reductions of one member pin the same tensors.
-// So one worker bound to device p is the anchor, and for each item x it
-// may hold the bound adds to x's bytes on p, per other worker, the most
-// that worker can pin on p beside x; the device's bound is the largest
-// such sum. The other workers' items are not checked against each other,
-// which keeps the bound conservative: with no anchor's exclusion to
-// apply, it is every worker's worst item summed.
-func chunkedPeaks(s *sched.Schedule, topo Topology, worst []pinPeak) []int64 {
+// of collective c is never in flight beside a run with a member c
+// depends on or that depends on c — a run's members are released
+// together and complete only once all of them are done — and two
+// reductions of one member pin the same tensors. So one worker bound to
+// device p is the anchor, and for each item x it may hold the bound adds
+// to x's bytes on p, per other worker, the most that worker can pin on p
+// beside x; the device's bound is the largest such sum. The other
+// workers' items are not checked against each other, which keeps the
+// bound conservative: with no anchor's exclusion to apply, it is every
+// worker's worst item summed.
+func chunkedPeaks(s *sched.Schedule, ws *sched.Streams, topo Topology, worst []pinPeak) []int64 {
 	tasks := s.Graph.Tasks
 	// on[ci][p] is what reducing collective ci pins on physical device
 	// p; mine[d] lists the collectives worker d reduces a chunk of.
@@ -535,9 +629,9 @@ func chunkedPeaks(s *sched.Schedule, topo Topology, worst []pinPeak) []int64 {
 			}
 		}
 	}
-	// ordered[ci][id]: task id runs before or after collective ci in
+	// reach[ci][id]: task id runs before or after collective ci in
 	// every run, as an ancestor or a descendant of it.
-	ordered := make([][]bool, len(s.Collectives))
+	reach := make([][]bool, len(s.Collectives))
 	for ci, c := range s.Collectives {
 		seen := make([]bool, len(tasks))
 		for _, next := range []func(*graph.Task) []*graph.Task{
@@ -554,19 +648,24 @@ func chunkedPeaks(s *sched.Schedule, topo Topology, worst []pinPeak) []int64 {
 				}
 			}
 		}
-		ordered[ci] = seen
+		reach[ci] = seen
+	}
+	// ordered: some member of run is ordered with collective ci, so the
+	// whole run is.
+	ordered := func(ci int, run []*graph.Task) bool {
+		return slices.ContainsFunc(run, func(t *graph.Task) bool { return reach[ci][t.ID] })
 	}
 	// beside returns the most worker d can pin on device p while another
-	// worker holds task t (ci < 0) or a reduction of collective ci.
-	beside := func(d, p int, t *graph.Task, ci int) int64 {
+	// worker holds run (ci < 0) or a reduction of collective ci.
+	beside := func(d, p int, run []*graph.Task, ci int) int64 {
 		var most int64
 		if topo.phys(d) == p {
 			if ci < 0 {
 				most = worst[d].bytes
 			} else {
-				for _, u := range s.Queues[d] {
-					if !ordered[ci][u.ID] {
-						most = max(most, taskPin(u))
+				for _, e := range ws.Dev[d] {
+					if e.Rdv < 0 && !ordered(ci, e.Run) {
+						most = max(most, runPin(e.Run))
 					}
 				}
 			}
@@ -574,7 +673,7 @@ func chunkedPeaks(s *sched.Schedule, topo Topology, worst []pinPeak) []int64 {
 		for _, cj := range mine[d] {
 			switch {
 			case ci >= 0 && cj == ci: // the tensors the other worker pins
-			case ci < 0 && ordered[cj][t.ID]: // never beside task t
+			case ci < 0 && ordered(cj, run): // never beside this run
 			default:
 				most = max(most, on[cj][p])
 			}
@@ -595,16 +694,18 @@ func chunkedPeaks(s *sched.Schedule, topo Topology, worst []pinPeak) []int64 {
 			// device worker i is bound to.
 			continue
 		}
-		hold := func(x int64, t *graph.Task, ci int) {
+		hold := func(x int64, run []*graph.Task, ci int) {
 			for d := range s.NGPUs {
 				if d != anchor {
-					x += beside(d, p, t, ci)
+					x += beside(d, p, run, ci)
 				}
 			}
 			peak[p] = max(peak[p], x)
 		}
-		for _, t := range s.Queues[anchor] {
-			hold(taskPin(t), t, -1)
+		for _, e := range ws.Dev[anchor] {
+			if e.Rdv < 0 {
+				hold(runPin(e.Run), e.Run, -1)
+			}
 		}
 		for _, ci := range mine[anchor] {
 			hold(on[ci][p], nil, ci)

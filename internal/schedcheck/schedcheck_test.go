@@ -287,8 +287,10 @@ func TestCommEmptyMemberNeedsAChunk(t *testing.T) {
 
 // Chunked residency is additive across workers (collectives overlap
 // compute), so the reported peak must exceed the monolithic model's
-// parked max, and a topology sized for the monolithic peak must be
-// rejected with the chunked demand named in the violation.
+// parked max, and a topology below the chunked demand must be rejected
+// with that demand named in the violation. Runs narrow to one task
+// wherever they do not fit (fit), so the demand that gates is the bound
+// at runs of one: what Check reports for a capacity nothing fits.
 func TestCommResidencyAdditive(t *testing.T) {
 	mono := Check(buildPlan(t, sched.DefaultOptions(sched.HarmonyDP), 6, 2, 2), roomy())
 	if !mono.OK() {
@@ -304,8 +306,15 @@ func TestCommResidencyAdditive(t *testing.T) {
 				d, chunked.PeakPinBytes[d], mono.PeakPinBytes[d])
 		}
 	}
+	floor := Check(buildPlan(t, commOpts(4, 0), 6, 2, 2), Topology{DeviceBytes: 1}).PeakPinBytes[0]
+	if floor >= chunked.PeakPinBytes[0] {
+		t.Fatalf("chunked bound at runs of one %d not below the grouped %d", floor, chunked.PeakPinBytes[0])
+	}
+	if at := Check(buildPlan(t, commOpts(4, 0), 6, 2, 2), Topology{DeviceBytes: floor}); !at.OK() {
+		t.Fatalf("capacity at the bound of runs of one rejected: %v", at.Err())
+	}
 	tight := Check(buildPlan(t, commOpts(4, 0), 6, 2, 2),
-		Topology{DeviceBytes: chunked.PeakPinBytes[0] - 1})
+		Topology{DeviceBytes: floor - 1})
 	v := wantViolation(t, tight, "capacity", false)
 	if !strings.Contains(v.Msg, "chunked") {
 		t.Fatalf("violation does not name the chunked demand: %s", v.Msg)
@@ -394,8 +403,19 @@ func TestIdentityBindingMatchesNil(t *testing.T) {
 				for _, opts := range sched.OptionVariants(mode, m) {
 					s := buildPlan(t, opts, 6, m, n)
 					a, b := &Report{}, &Report{}
-					checkResidency(s, Topology{Devices: n, DeviceBytes: 1 << 30}, a)
-					checkResidency(s, Topology{Devices: n, DeviceBytes: 1 << 30, Binding: identity}, b)
+					for _, c := range []struct {
+						topo Topology
+						r    *Report
+					}{
+						{Topology{Devices: n, DeviceBytes: 1 << 30}, a},
+						{Topology{Devices: n, DeviceBytes: 1 << 30, Binding: identity}, b},
+					} {
+						ws, peak, err := fitted(s, &c.topo)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkResidency(s, ws, c.topo, peak, c.r)
+					}
 					if !reflect.DeepEqual(a.PeakPinBytes, b.PeakPinBytes) || !reflect.DeepEqual(a.PeakResidentBytes, b.PeakResidentBytes) {
 						t.Errorf("%v n=%d m=%d opts=%+v: nil binding %v, identity %v", mode, n, m, opts, a.PeakPinBytes, b.PeakPinBytes)
 					}
@@ -408,39 +428,51 @@ func TestIdentityBindingMatchesNil(t *testing.T) {
 }
 
 // After recovery two streams share the survivor and their pin demands
-// add up there. The expected bounds are what the executor's own
-// pin-budget check — deleted in favour of this one — computed for the
-// same plans and binding at the commit before it went.
+// add up there. The expected bounds at runs of one are what the
+// executor's own pin-budget check — deleted in favour of this one —
+// computed for the same plans and binding at the commit before it went.
+// With room to spare each stream runs its two microbatches of a layer as
+// one run, which pins the layer's W and dW once and each microbatch's
+// activations (grouped, groupedBoth); where that does not fit, the runs
+// narrow to one task and the bound falls back to the per-task one.
 func TestAliasedBindingResidency(t *testing.T) {
 	for _, tc := range []struct {
-		name           string
-		opts           sched.Options
-		identity, both int64
+		name                 string
+		opts                 sched.Options
+		identity, both       int64 // runs of one
+		grouped, groupedBoth int64 // runs of two, with room
 	}{
-		{"monolithic", sched.DefaultOptions(sched.HarmonyDP), 20288, 40576},
-		{"chunked", commOpts(4, 0), 24288, 40576},
+		{"monolithic", sched.DefaultOptions(sched.HarmonyDP), 20288, 40576, 32576, 65152},
+		{"chunked", commOpts(4, 0), 24288, 40576, 36576, 65152},
 	} {
 		s := buildPlan(t, tc.opts, 6, 2, 2)
 		r := Check(s, roomy())
+		if !r.OK() || !reflect.DeepEqual(r.PeakPinBytes, []int64{tc.grouped, tc.grouped}) {
+			t.Fatalf("%s, identity: peaks %v (%v), want %d each", tc.name, r.PeakPinBytes, r.Err(), tc.grouped)
+		}
+		r = Check(s, Topology{DeviceBytes: tc.identity})
 		if !r.OK() || !reflect.DeepEqual(r.PeakPinBytes, []int64{tc.identity, tc.identity}) {
-			t.Fatalf("%s, identity: peaks %v (%v), want %d each", tc.name, r.PeakPinBytes, r.Err(), tc.identity)
+			t.Fatalf("%s, identity at the per-task bound: peaks %v (%v), want %d each", tc.name, r.PeakPinBytes, r.Err(), tc.identity)
 		}
 		onto1 := Topology{DeviceBytes: 1 << 30, Binding: []int{1, 1}}
 		r = Check(s, onto1)
-		if !r.OK() || !reflect.DeepEqual(r.PeakPinBytes, []int64{0, tc.both}) {
-			t.Fatalf("%s, both streams on gpu1: peaks %v (%v), want [0 %d]", tc.name, r.PeakPinBytes, r.Err(), tc.both)
+		if !r.OK() || !reflect.DeepEqual(r.PeakPinBytes, []int64{0, tc.groupedBoth}) {
+			t.Fatalf("%s, both streams on gpu1: peaks %v (%v), want [0 %d]", tc.name, r.PeakPinBytes, r.Err(), tc.groupedBoth)
 		}
-		// The standalone proof gates on exactly that bound: a survivor
-		// big enough for one stream but not two is refused.
+		// The standalone proof gates on exactly the per-task bound: a
+		// survivor big enough for one stream but not two is refused.
 		onto1.DeviceBytes = tc.both
-		if err := Residency(s, onto1); err != nil {
+		if r = Check(s, onto1); !r.OK() || !reflect.DeepEqual(r.PeakPinBytes, []int64{0, tc.both}) {
+			t.Fatalf("%s, both streams on gpu1 at the per-task bound: peaks %v (%v), want [0 %d]", tc.name, r.PeakPinBytes, r.Err(), tc.both)
+		}
+		if _, err := Residency(s, onto1); err != nil {
 			t.Errorf("%s: capacity at the bound rejected: %v", tc.name, err)
 		}
 		onto1.DeviceBytes = tc.both - 1
-		if err := Residency(s, onto1); err == nil || !strings.Contains(err.Error(), "gpu1") {
+		if _, err := Residency(s, onto1); err == nil || !strings.Contains(err.Error(), "gpu1") {
 			t.Errorf("%s: capacity below the aliased bound accepted: %v", tc.name, err)
 		}
-		if err := Residency(s, Topology{DeviceBytes: tc.both - 1}); err != nil {
+		if _, err := Residency(s, Topology{DeviceBytes: tc.both - 1}); err != nil {
 			t.Errorf("%s: the same capacity must fit unaliased: %v", tc.name, err)
 		}
 	}
