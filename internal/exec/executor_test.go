@@ -94,7 +94,11 @@ func TestSerialAndParallelExecutorsBitIdentical(t *testing.T) {
 				if v.adam {
 					cfg.Adam, cfg.LR = true, 0.005
 				}
-				t.Run(fmt.Sprintf("adam=%v/chunks=%d/mem=%d", v.adam, v.chunks, v.mem), func(t *testing.T) {
+				name := fmt.Sprintf("adam=%v/chunks=%d", v.adam, v.chunks)
+				if v.runs {
+					name += "/runs"
+				}
+				t.Run(name, func(t *testing.T) {
 					serialCfg := cfg
 					serialCfg.Serial = true
 					a, lossA := runTrainer(t, serialCfg, 4)

@@ -944,10 +944,11 @@ type memberViews [2][maxViews][]float32
 // views bound by declared position. With the run pinned, the prefetch
 // window over next, the rest of the stream, is issued (prefetcher), so
 // async swap-ins for the tasks after the run ride the DMA lanes while
-// its kernel runs. The kernel runs once over the
-// members' rows laid end to end in nn scratch — one run of W and dW
-// through the cache for the whole wave — and its outputs are copied back
-// to each member's views; a run of one computes on its views in place.
+// its kernel runs. The kernel runs once over the members' rows laid end
+// to end in the worker's operand buffers (runBufs) — one pass of W and
+// dW through the cache for the whole wave — and its outputs are copied
+// back to each member's views; a run of one computes on its views in
+// place.
 // Every kernel's output rows are independent and its dW and db sum the
 // batch in row order, so the bits are those of one call per member
 // (DESIGN.md §7). Then each member is released. Pins match schedcheck's

@@ -587,7 +587,7 @@ func peaks(s *sched.Schedule, ws *sched.Streams, topo Topology) []pinPeak {
 	return peak
 }
 
-// chunked bounds each physical device's pinned bytes on a chunked plan,
+// chunkedPeaks bounds each physical device's pinned bytes on a chunked plan,
 // given each stream's worst run. A device worker holds at once either
 // one run of its stream, pinned on its own device, or one member
 // reduction: every replica's view of the member's gradient, each on its
