@@ -88,7 +88,10 @@ race:
 # allocations included), and ten
 # iterations of BenchmarkRunProject, every harmonylint pass over the
 # loaded live tree, Program built (its ns/op, B/op and allocs/op are
-# the linter's layer row, warm: ten iterations, not the first). The ns/op
+# the linter's layer row, warm: ten iterations, not the first), and one
+# iteration of every BenchmarkDenseStep row, the nn kernels' layer row
+# (one replica's Dense kernel sequence on each harmonybench train
+# shape, forward and backward GFLOP/s apart). The ns/op
 # numbers are by hand; what the Ensure curve shows — a resident Ensure
 # takes no lock another device can hold — is a test
 # (TestEnsureHitTakesOnlyItsOwnShard), so this target only proves the
@@ -98,6 +101,7 @@ bench-contend:
 	$(GO) test -run XXX -bench BenchmarkSimulate -benchtime 1x .
 	$(GO) test -run XXX -bench BenchmarkPlan -benchmem -benchtime 1x ./internal/sched/
 	$(GO) test -run XXX -bench BenchmarkRunProject -benchmem -benchtime 10x ./internal/analyzers/
+	$(GO) test -run XXX -bench BenchmarkDenseStep -benchtime 1x ./internal/nn/
 
 # The paired-run protocol that decides a performance claim
 # (EXPERIMENTS.md, "Making a performance claim"): per workload, PAIRS

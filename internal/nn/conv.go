@@ -148,6 +148,7 @@ func (c Conv2D) Forward(params, x, y, stash []float32, batch int) {
 // write disjoint dx slices).
 func (c Conv2D) Backward(params, stash, dy, dx, grad []float32, batch int) {
 	c.validate()
+	checkBackward("Conv2D", params, stash, dy, dx, grad, batch, c.ParamCount(), c.InSize(), c.OutSize())
 	oh, ow := c.OutH(), c.OutW()
 	w := params[:c.Cout*c.Cin*c.K*c.K]
 	gw := grad[:c.Cout*c.Cin*c.K*c.K]

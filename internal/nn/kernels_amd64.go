@@ -14,15 +14,12 @@ func cpuHasAVX2() bool
 // views of averageAVX2 and averageSGDAVX2, so the caller has sliced
 // every operand to the length it passes.
 
-// axpy4AVX2 is axpy4 over n floats, n a multiple of 8.
+// axpyTermsAVX2 is axpyTerms over n floats of dst, n a multiple of 8,
+// for its m ≥ 1 terms: c[t] times the n floats off[t] floats into rows,
+// added in ascending t. Every off[t]+n is at most the length of rows.
 //
 //go:noescape
-func axpy4AVX2(dst, r0, r1, r2, r3 *float32, n int, c0, c1, c2, c3 float32)
-
-// axpyAVX2 is axpy over n floats, n a multiple of 8.
-//
-//go:noescape
-func axpyAVX2(dst, r *float32, n int, c float32)
+func axpyTermsAVX2(dst, rows *float32, off *int, c *float32, m, n int)
 
 // dx4AVX2 stores dx[i*in+k] = Σ_{j<nj} w[k*out+j]·d[i*out+j], summed
 // from +0 in ascending j, for four batch rows i and k < nk; nk is a

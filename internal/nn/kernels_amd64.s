@@ -1,15 +1,18 @@
 #include "textflag.h"
 
-// AVX2 versions of the three inner loops of Dense, of SGD, of Average and
-// of AverageSGD (kernels_amd64.go has the contracts, DESIGN.md §7 the bit-identity
-// argument). The input gradient has two: four batch rows over a dense
-// block of W, and one row over the rows of W its ReLU mask keeps,
-// gathered. A lane is one output element and receives the terms the Go
-// loop gives that element, in the same order, each as a multiply rounded
-// to float32 and then an add or subtract: never a fused multiply-add,
-// which rounds once where the compiled Go kernels round twice. Loads and
-// stores are unaligned. Every kernel ends in VZEROUPPER, because the Go
-// code around it is SSE-encoded.
+// AVX2 versions of the three inner loops of Dense, of SGD, of Average
+// and of AverageSGD (kernels_amd64.go has the contracts, DESIGN.md §7
+// the bit-identity argument). The pre-activation and the weight
+// gradient share one: a list of terms the Go side compacted, applied to
+// a segment of the destination held in registers. The input gradient
+// has two: four batch rows over a dense block of W, and one row over the
+// rows of W its ReLU mask keeps, gathered. A lane is one output element
+// and receives the terms the Go loop gives that element, in the same
+// order, each as a multiply rounded to float32 and then an add or
+// subtract: never a fused multiply-add, which rounds once where the
+// compiled Go kernels round twice. Loads and stores are unaligned. Every
+// kernel ends in VZEROUPPER, because the Go code around it is
+// SSE-encoded.
 
 // func cpuHasAVX2() bool
 //
@@ -41,117 +44,94 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 no:
 	RET
 
-// AXPY adds c·r[off:off+8] to the accumulator s: s + (c * r), the
-// operand order of the Go source.
-#define AXPY(c, r, off, s, t) \
-	VMULPS off(r)(AX*1), c, t; \
+// TERM adds c·r[off:off+8] to the accumulator s: s + (c * r), the
+// operand order of the Go source, with t a temporary.
+#define TERM(c, r, off, s, t) \
+	VMULPS off(r), c, t; \
 	VADDPS t, s, s
 
-// func axpy4AVX2(dst, r0, r1, r2, r3 *float32, n int, c0, c1, c2, c3 float32)
+// func axpyTermsAVX2(dst, rows *float32, off *int, c *float32, m, n int)
 //
-// AX is the byte offset of the block in flight, R9 the byte length of
-// the whole vectors, R10 that of the 32-float blocks.
-TEXT ·axpy4AVX2(SB), NOSPLIT, $0-64
-	MOVQ         dst+0(FP), DI
-	MOVQ         r0+8(FP), SI
-	MOVQ         r1+16(FP), DX
-	MOVQ         r2+24(FP), CX
-	MOVQ         r3+32(FP), R8
-	MOVQ         n+40(FP), R9
-	VBROADCASTSS c0+48(FP), Y8
-	VBROADCASTSS c1+52(FP), Y9
-	VBROADCASTSS c2+56(FP), Y10
-	VBROADCASTSS c3+60(FP), Y11
-	SHLQ         $2, R9
-	MOVQ         R9, R10
-	ANDQ         $~127, R10
-	XORQ         AX, AX
+// A segment of dst is loaded into registers, receives the m terms in
+// order and is stored once: 64 floats in Y0-Y7 while they last, then 8
+// in Y0. AX is the byte offset of the segment, R9 the byte length of
+// the whole vectors and R10 that of the 64-float segments; R11 is the
+// segment's column in rows, R12 counts the terms, R13 is the term's row
+// and Y15 its coefficient.
+TEXT ·axpyTermsAVX2(SB), NOSPLIT, $0-48
+	MOVQ  dst+0(FP), DI
+	MOVQ  rows+8(FP), SI
+	MOVQ  off+16(FP), BX
+	MOVQ  c+24(FP), DX
+	MOVQ  m+32(FP), CX
+	MOVQ  n+40(FP), R9
+	TESTQ CX, CX
+	JLE   termsdone
+	SHLQ  $2, R9
+	MOVQ  R9, R10
+	ANDQ  $~255, R10
+	XORQ  AX, AX
 
-axpy4x32:
+terms64:
 	CMPQ    AX, R10
-	JGE     axpy4x8
+	JGE     terms8
 	VMOVUPS (DI)(AX*1), Y0
 	VMOVUPS 32(DI)(AX*1), Y1
 	VMOVUPS 64(DI)(AX*1), Y2
 	VMOVUPS 96(DI)(AX*1), Y3
-	AXPY(Y8, SI, 0, Y0, Y4)
-	AXPY(Y8, SI, 32, Y1, Y5)
-	AXPY(Y8, SI, 64, Y2, Y6)
-	AXPY(Y8, SI, 96, Y3, Y7)
-	AXPY(Y9, DX, 0, Y0, Y4)
-	AXPY(Y9, DX, 32, Y1, Y5)
-	AXPY(Y9, DX, 64, Y2, Y6)
-	AXPY(Y9, DX, 96, Y3, Y7)
-	AXPY(Y10, CX, 0, Y0, Y4)
-	AXPY(Y10, CX, 32, Y1, Y5)
-	AXPY(Y10, CX, 64, Y2, Y6)
-	AXPY(Y10, CX, 96, Y3, Y7)
-	AXPY(Y11, R8, 0, Y0, Y4)
-	AXPY(Y11, R8, 32, Y1, Y5)
-	AXPY(Y11, R8, 64, Y2, Y6)
-	AXPY(Y11, R8, 96, Y3, Y7)
-	VMOVUPS Y0, (DI)(AX*1)
-	VMOVUPS Y1, 32(DI)(AX*1)
-	VMOVUPS Y2, 64(DI)(AX*1)
-	VMOVUPS Y3, 96(DI)(AX*1)
-	ADDQ    $128, AX
-	JMP     axpy4x32
+	VMOVUPS 128(DI)(AX*1), Y4
+	VMOVUPS 160(DI)(AX*1), Y5
+	VMOVUPS 192(DI)(AX*1), Y6
+	VMOVUPS 224(DI)(AX*1), Y7
+	LEAQ    (SI)(AX*1), R11
+	XORQ    R12, R12
 
-axpy4x8:
+terms64t:
+	MOVQ         (BX)(R12*8), R13
+	VBROADCASTSS (DX)(R12*4), Y15
+	LEAQ         (R11)(R13*4), R13
+	TERM(Y15, R13, 0, Y0, Y8)
+	TERM(Y15, R13, 32, Y1, Y9)
+	TERM(Y15, R13, 64, Y2, Y10)
+	TERM(Y15, R13, 96, Y3, Y11)
+	TERM(Y15, R13, 128, Y4, Y12)
+	TERM(Y15, R13, 160, Y5, Y13)
+	TERM(Y15, R13, 192, Y6, Y14)
+	TERM(Y15, R13, 224, Y7, Y8)
+	INCQ         R12
+	CMPQ         R12, CX
+	JLT          terms64t
+	VMOVUPS      Y0, (DI)(AX*1)
+	VMOVUPS      Y1, 32(DI)(AX*1)
+	VMOVUPS      Y2, 64(DI)(AX*1)
+	VMOVUPS      Y3, 96(DI)(AX*1)
+	VMOVUPS      Y4, 128(DI)(AX*1)
+	VMOVUPS      Y5, 160(DI)(AX*1)
+	VMOVUPS      Y6, 192(DI)(AX*1)
+	VMOVUPS      Y7, 224(DI)(AX*1)
+	ADDQ         $256, AX
+	JMP          terms64
+
+terms8:
 	CMPQ    AX, R9
-	JGE     axpy4done
+	JGE     termsdone
 	VMOVUPS (DI)(AX*1), Y0
-	AXPY(Y8, SI, 0, Y0, Y4)
-	AXPY(Y9, DX, 0, Y0, Y4)
-	AXPY(Y10, CX, 0, Y0, Y4)
-	AXPY(Y11, R8, 0, Y0, Y4)
-	VMOVUPS Y0, (DI)(AX*1)
-	ADDQ    $32, AX
-	JMP     axpy4x8
+	LEAQ    (SI)(AX*1), R11
+	XORQ    R12, R12
 
-axpy4done:
-	VZEROUPPER
-	RET
+terms8t:
+	MOVQ         (BX)(R12*8), R13
+	VBROADCASTSS (DX)(R12*4), Y15
+	LEAQ         (R11)(R13*4), R13
+	TERM(Y15, R13, 0, Y0, Y8)
+	INCQ         R12
+	CMPQ         R12, CX
+	JLT          terms8t
+	VMOVUPS      Y0, (DI)(AX*1)
+	ADDQ         $32, AX
+	JMP          terms8
 
-// func axpyAVX2(dst, r *float32, n int, c float32)
-TEXT ·axpyAVX2(SB), NOSPLIT, $0-28
-	MOVQ         dst+0(FP), DI
-	MOVQ         r+8(FP), SI
-	MOVQ         n+16(FP), R9
-	VBROADCASTSS c+24(FP), Y8
-	SHLQ         $2, R9
-	MOVQ         R9, R10
-	ANDQ         $~127, R10
-	XORQ         AX, AX
-
-axpyx32:
-	CMPQ    AX, R10
-	JGE     axpyx8
-	VMOVUPS (DI)(AX*1), Y0
-	VMOVUPS 32(DI)(AX*1), Y1
-	VMOVUPS 64(DI)(AX*1), Y2
-	VMOVUPS 96(DI)(AX*1), Y3
-	AXPY(Y8, SI, 0, Y0, Y4)
-	AXPY(Y8, SI, 32, Y1, Y5)
-	AXPY(Y8, SI, 64, Y2, Y6)
-	AXPY(Y8, SI, 96, Y3, Y7)
-	VMOVUPS Y0, (DI)(AX*1)
-	VMOVUPS Y1, 32(DI)(AX*1)
-	VMOVUPS Y2, 64(DI)(AX*1)
-	VMOVUPS Y3, 96(DI)(AX*1)
-	ADDQ    $128, AX
-	JMP     axpyx32
-
-axpyx8:
-	CMPQ    AX, R9
-	JGE     axpydone
-	VMOVUPS (DI)(AX*1), Y0
-	AXPY(Y8, SI, 0, Y0, Y4)
-	VMOVUPS Y0, (DI)(AX*1)
-	ADDQ    $32, AX
-	JMP     axpyx8
-
-axpydone:
+termsdone:
 	VZEROUPPER
 	RET
 

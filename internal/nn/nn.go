@@ -66,15 +66,37 @@ func (l Dense) Forward(params, x, y, stash []float32, batch int) {
 	}
 }
 
+// forwardRows is blocked for the cache: it takes the rows of W fwdRows
+// at a time and applies each block to fwdBatch batch rows before the
+// next, so a block of W is read once per fwdBatch rows rather than once
+// per row. With Out = 512 the block is 32 KiB and the rows' outputs
+// 16 KiB, which a 48 KiB L1 holds together.
+const (
+	fwdRows  = 16
+	fwdBatch = 8
+)
+
 func (l Dense) forwardRows(params, x, y []float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		yi := y[i*l.Out : (i+1)*l.Out]
-		copy(yi, params[l.In*l.Out:])
-		axpyRows(yi, params[:l.In*l.Out], x[i*l.In:(i+1)*l.In], 1)
-		if l.ReLU {
-			for j, v := range yi {
+	n := l.Out
+	w, b := params[:l.In*n], params[l.In*n:l.ParamCount()]
+	var off [fwdRows]int
+	var c [fwdRows]float32
+	for r0 := lo; r0 < hi; r0 += fwdBatch {
+		r1 := min(r0+fwdBatch, hi)
+		for i := r0; i < r1; i++ {
+			copy(y[i*n:(i+1)*n], b)
+		}
+		for k0 := 0; k0 < l.In; k0 += fwdRows {
+			k1 := min(k0+fwdRows, l.In)
+			for i := r0; i < r1; i++ {
+				m := gather(off[:k1-k0], c[:], x[i*l.In+k0:], 1, n)
+				axpyTerms(y[i*n:(i+1)*n], w[k0*n:k1*n], off[:m], c[:m])
+			}
+		}
+		if ys := y[r0*n : r1*n]; l.ReLU {
+			for j, v := range ys {
 				if v < 0 {
-					yi[j] = 0
+					ys[j] = 0
 				}
 			}
 		}
@@ -90,8 +112,10 @@ func (l Dense) forwardRows(params, x, y []float32, lo, hi int) {
 // pool without changing any element's accumulation order: dx is
 // row-disjoint over the batch, while gw chunks over weight rows, each
 // row still accumulating the batch in order. The results are
-// bit-identical to a serial run.
+// bit-identical to a serial run. An operand too short for batch panics
+// before anything is written (checkBackward).
 func (l Dense) Backward(params, stash, dy, dx, grad []float32, batch int) {
+	checkBackward("Dense", params, stash, dy, dx, grad, batch, l.ParamCount(), l.In, l.Out)
 	nw := l.In * l.Out
 	stash = stash[:batch*l.In]
 	gw := grad[:nw]
@@ -106,9 +130,9 @@ func (l Dense) Backward(params, stash, dy, dx, grad []float32, batch int) {
 	// Weight gradient: chunk over weight rows k (the input dimension);
 	// each gw row accumulates the batch in order.
 	if grain := grainFor(2 * batch * l.Out); runsInline(l.In, grain) {
-		l.weightGradRows(stash, dy, gw, 0, l.In)
+		l.weightGradRows(stash, dy, gw, batch, 0, l.In)
 	} else {
-		ParallelFor(l.In, grain, func(lo, hi int) { l.weightGradRows(stash, dy, gw, lo, hi) })
+		ParallelFor(l.In, grain, func(lo, hi int) { l.weightGradRows(stash, dy, gw, batch, lo, hi) })
 	}
 	// Input gradient, masked: rows are disjoint over the batch.
 	if dx == nil {
@@ -121,9 +145,22 @@ func (l Dense) Backward(params, stash, dy, dx, grad []float32, batch int) {
 	}
 }
 
-func (l Dense) weightGradRows(stash, dy, gw []float32, lo, hi int) {
-	for k := lo; k < hi; k++ {
-		axpyRows(gw[k*l.Out:(k+1)*l.Out], dy, stash[k:], l.In)
+// weightGradRows accumulates gw rows [lo, hi): gw[k,j] += x[i,k]·d[i,j]
+// for ascending i, zero x skipped. Each row takes the batch in strips of
+// termCap rows, one list of terms a strip, strip after strip, so every
+// element still adds its terms in ascending i. (Tiling the columns, so
+// that a strip of dY stays in L1 across weight rows, did not pay:
+// EXPERIMENTS.md, "Cache-blocking the Dense loops".)
+func (l Dense) weightGradRows(stash, dy, gw []float32, batch, lo, hi int) {
+	n := l.Out
+	var off [termCap]int
+	var c [termCap]float32
+	for i0 := 0; i0 < batch; i0 += termCap {
+		i1 := min(i0+termCap, batch)
+		for k := lo; k < hi; k++ {
+			m := gather(off[:i1-i0], c[:], stash[i0*l.In+k:], l.In, n)
+			axpyTerms(gw[k*n:(k+1)*n], dy[i0*n:i1*n], off[:m], c[:m])
+		}
 	}
 }
 
@@ -256,61 +293,62 @@ func dxGathered(w, d, dx []float32, ks *[16]int, m int) {
 // element's terms are added, and every accumulate keeps the oracle's
 // single `s += a*b` shape, so the results are the same bits on every
 // target, with or without fused multiply-add. Where useAVX2 is set,
-// axpy4, axpy, inputGrad4 and dxGathered hand the whole-vector prefix of
-// their loop to the assembly and run the rest themselves, in order. DESIGN.md
-// §7 has the argument in full.
+// axpyTerms, inputGrad4 and dxGathered hand the whole-vector prefix of
+// their loop to the assembly and run the rest themselves, in order.
+// DESIGN.md §7 has the argument in full.
 
-// axpyRows adds coef[t*stride]·rows[t*len(dst):(t+1)*len(dst)] to dst
-// for t = 0, 1, … to the end of coef, in order, skipping zero
-// coefficients. A skipped term is not a no-op to add (dst + 0·w is not
-// dst for w = ±Inf or NaN, nor for dst = -0), so the four rows of a
-// tile are the next four non-zero terms, not the next four rows.
-func axpyRows(dst, rows, coef []float32, stride int) {
-	n := len(dst)
-	var r [4][]float32
-	var c [4]float32
+// termCap is the longest strip of coefficients one gather compacts.
+const termCap = 64
+
+// gather compacts the strip coef[t*stride], t < len(off), len(off) ≥ 1,
+// into the terms axpyTerms applies: its non-zero coefficients in order
+// into c, each with t*rowLen, the offset of its row, into off. It
+// returns how many it kept. A zero term is not a no-op to add (dst + 0·w
+// is not dst for w = ±Inf or NaN, nor for dst = -0), so it is left out,
+// and without a branch on the value: every coefficient is written at
+// the next free slot, and the count moves on by one unless it is ±0.
+func gather(off []int, c, coef []float32, stride, rowLen int) int {
+	c, coef = c[:len(off)], coef[:(len(off)-1)*stride+1]
 	m := 0
-	for t, off := 0, 0; off < len(coef); t, off = t+1, off+stride {
-		cv := coef[off]
-		if cv == 0 {
-			continue
-		}
-		r[m], c[m] = rows[t*n:(t+1)*n], cv
-		if m++; m == 4 {
-			axpy4(dst, r[0], r[1], r[2], r[3], c[0], c[1], c[2], c[3])
-			m = 0
-		}
+	for t := range off {
+		v := coef[t*stride]
+		off[m], c[m] = t*rowLen, v
+		u := math.Float32bits(v) << 1
+		m += int((u | -u) >> 31)
 	}
-	for t := 0; t < m; t++ {
-		axpy(dst, r[t], c[t])
-	}
+	return m
 }
 
-// axpy4 is dst += c0·r0, then c1·r1, c2·r2, c3·r3, with one load and
-// one store of dst for the four.
-func axpy4(dst, r0, r1, r2, r3 []float32, c0, c1, c2, c3 float32) {
-	r0, r1, r2, r3 = r0[:len(dst)], r1[:len(dst)], r2[:len(dst)], r3[:len(dst)]
+// axpyTerms adds c[t]·rows[off[t]+j] to dst[j] for t = 0, 1, … in order,
+// with one load and one store of each dst element for the whole list.
+// Every off[t]+len(dst) is at most len(rows).
+func axpyTerms(dst, rows []float32, off []int, c []float32) {
+	if len(off) == 0 {
+		return
+	}
+	c = c[:len(off)]
 	if n := len(dst) &^ 7; useAVX2 && n > 0 {
-		axpy4AVX2(&dst[0], &r0[0], &r1[0], &r2[0], &r3[0], n, c0, c1, c2, c3)
-		dst, r0, r1, r2, r3 = dst[n:], r0[n:], r1[n:], r2[n:], r3[n:]
+		axpyTermsAVX2(&dst[0], &rows[0], &off[0], &c[0], len(off), n)
+		dst, rows = dst[n:], rows[n:]
 	}
-	for j, s := range dst {
-		s += c0 * r0[j]
-		s += c1 * r1[j]
-		s += c2 * r2[j]
-		s += c3 * r3[j]
-		dst[j] = s
+	j := 0
+	for ; j+4 <= len(dst); j += 4 {
+		d := dst[j : j+4 : j+4]
+		s0, s1, s2, s3 := d[0], d[1], d[2], d[3]
+		for t, o := range off {
+			r, v := rows[o+j:o+j+4:o+j+4], c[t]
+			s0 += v * r[0]
+			s1 += v * r[1]
+			s2 += v * r[2]
+			s3 += v * r[3]
+		}
+		d[0], d[1], d[2], d[3] = s0, s1, s2, s3
 	}
-}
-
-func axpy(dst, r []float32, c float32) {
-	r = r[:len(dst)]
-	if n := len(dst) &^ 7; useAVX2 && n > 0 {
-		axpyAVX2(&dst[0], &r[0], n, c)
-		dst, r = dst[n:], r[n:]
-	}
-	for j, s := range dst {
-		s += c * r[j]
+	for ; j < len(dst); j++ {
+		s := dst[j]
+		for t, o := range off {
+			s += c[t] * rows[o+j]
+		}
 		dst[j] = s
 	}
 }
@@ -335,6 +373,18 @@ func dot(d, r []float32) (s float32) {
 		s += r[j] * dv
 	}
 	return
+}
+
+// checkBackward panics unless every operand of a Backward over batch
+// rows of a kernel with np parameters, in inputs and out outputs a
+// sample is long enough: it runs before the pass writes anything, so a
+// short buffer leaves grad and dx as they were. dx may be nil.
+func checkBackward(kind string, params, stash, dy, dx, grad []float32, batch, np, in, out int) {
+	if len(params) < np || len(grad) < np || len(stash) < batch*in || len(dy) < batch*out ||
+		dx != nil && len(dx) < batch*in {
+		panic(fmt.Sprintf("nn: %s.Backward buffer sizes params=%d grad=%d (need %d) stash=%d dx=%d (need %d) dy=%d (need %d), batch %d",
+			kind, len(params), len(grad), np, len(stash), len(dx), batch*in, len(dy), batch*out, batch))
+	}
 }
 
 func (l Dense) check(op string, params, x, y []float32, batch int) {

@@ -190,6 +190,58 @@ func TestAdamRejectsShortGradient(t *testing.T) {
 	t.Error("Adam accepted a 3-float gradient for 8 weights")
 }
 
+// TestDenseBackwardRejectsShortBuffers gives Dense.Backward (batch 2 on
+// an 8·8 layer) and Conv2D.Backward one operand too short for the batch
+// at a time, and requires an "nn:" panic naming the pass before anything
+// is written: grad and dx keep every bit they held. The Dense kernels
+// take offsets into their operands, not slice headers, so this check is
+// what keeps them in bounds.
+func TestDenseBackwardRejectsShortBuffers(t *testing.T) {
+	eachKernelPath(t, testDenseBackwardRejectsShortBuffers)
+}
+
+func testDenseBackwardRejectsShortBuffers(t *testing.T) {
+	const batch = 2
+	for _, kc := range []struct {
+		k    Kernel
+		want string
+	}{
+		{Dense{In: 8, Out: 8, ReLU: true}, "nn: Dense.Backward buffer sizes"},
+		{Conv2D{Cin: 2, Cout: 3, H: 5, W: 5, K: 3, ReLU: true}, "nn: Conv2D.Backward buffer sizes"},
+	} {
+		k := kc.k
+		for short, name := range []string{"params", "stash", "dy", "dx", "grad"} {
+			bufs := [...][]float32{
+				make([]float32, k.ParamCount()),
+				make([]float32, batch*k.InSize()),
+				make([]float32, batch*k.OutSize()),
+				make([]float32, batch*k.InSize()),
+				make([]float32, k.ParamCount()),
+			}
+			for i, b := range bufs {
+				fillRand(b, uint64(i+1))
+			}
+			dx0, grad0 := append([]float32(nil), bufs[3]...), append([]float32(nil), bufs[4]...)
+			args := bufs
+			args[short] = args[short][:len(args[short])-1]
+			if name == "dy" {
+				args[short] = args[short][:k.OutSize()]
+			}
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, kc.want) {
+						t.Errorf("%s with short %s: panic %q, want %q…", k.Name(), name, msg, kc.want)
+					}
+				}()
+				k.Backward(args[0], args[1], args[2], args[3], args[4], batch)
+				t.Errorf("%s accepted a short %s", k.Name(), name)
+			}()
+			sameBits(t, k.Name()+" short "+name+": dx", bufs[3], dx0)
+			sameBits(t, k.Name()+" short "+name+": grad", bufs[4], grad0)
+		}
+	}
+}
+
 // TestOptimizersResetGradientBitZero is the contract exec's known-zero
 // pages rest on (exec.VM.MarkZero): whatever a gradient buffer held —
 // negatives, -0, infinities, NaN — every element is +0 after the
@@ -756,6 +808,103 @@ func testDenseBitIdenticalToOracle(t *testing.T) {
 	}
 }
 
+// TestBlockedDenseBitIdenticalToOracle holds the blocked Dense loops to
+// the oracle at the edges of their blocks: batches of 1, 7, 8, 9, 63, 64
+// and 65 rows (forwardRows' row blocks of fwdBatch, the weight
+// gradient's strips of termCap), and widths of 10, 17, 33 and 784, none
+// a multiple of every block (fwdRows rows of W, the 64-float segments of
+// axpyTerms). Every strip a gather compacts — a row's fwdRows inputs in
+// the forward, a column's batch in the weight gradient — keeps 0–5, 8 or
+// 9 of its coefficients or all of them, so the lists' lengths take every
+// remainder mod 4, and +0, -0, NaN and ±Inf sit on the first and last
+// element of row and column blocks, in the input and so in the stash.
+// Both kernel paths, pool sizes 1 and 2.
+func TestBlockedDenseBitIdenticalToOracle(t *testing.T) {
+	eachKernelPath(t, testBlockedDenseBitIdenticalToOracle)
+}
+
+func testBlockedDenseBitIdenticalToOracle(t *testing.T) {
+	defer SetWorkers(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(55))
+	inf := float32(math.Inf(1))
+	specials := []float32{0, negZero, float32(math.NaN()), inf, -inf}
+	keeps := []int{0, 1, 2, 3, 4, 5, 8, 9, 1 << 30}
+	// thin keeps at most keep of the n floats at s[0], s[stride], …,
+	// zeroing the others (+0 or -0) at random places.
+	thin := func(s []float32, n, stride, keep int) {
+		for _, t := range rng.Perm(n)[min(keep, n):] {
+			s[t*stride] = specials[rng.Intn(2)]
+		}
+	}
+	edge := func(v, block int) bool { return v%block == 0 || v%block == block-1 }
+	draw := 0
+	for _, batch := range []int{1, 7, 8, 9, 63, 64, 65} {
+		for _, shape := range [][2]int{{10, 17}, {17, 33}, {33, 10}, {784, 33}, {33, 784}, {17, 784}, {784, 10}} {
+			draw++
+			SetWorkers(1 + draw%2)
+			l := Dense{In: shape[0], Out: shape[1], ReLU: draw%3 != 0}
+			params := unaligned(rng, l.ParamCount())
+			saltWeights(rng, params, draw)
+			x := unaligned(rng, batch*l.In)
+			salt(rng, x, 0)
+			for i := 0; i < batch; i++ {
+				for k0 := 0; k0 < l.In; k0 += fwdRows {
+					thin(x[i*l.In+k0:], min(fwdRows, l.In-k0), 1, keeps[rng.Intn(len(keeps))])
+				}
+			}
+			for k := 0; k < l.In; k++ {
+				if rng.Intn(3) == 0 {
+					for i0 := 0; i0 < batch; i0 += termCap {
+						thin(x[i0*l.In+k:], min(termCap, batch-i0), l.In, keeps[rng.Intn(len(keeps))])
+					}
+				}
+			}
+			// Signed zeros on block edges anywhere; NaN or ±Inf once in
+			// a third of the edge rows, so most rows' sums stay finite.
+			for i := 0; i < batch; i++ {
+				if !edge(i, fwdBatch) && !edge(i, termCap) {
+					continue
+				}
+				var ks []int
+				for k := 0; k < l.In; k++ {
+					if edge(k, fwdRows) {
+						ks = append(ks, k)
+						if rng.Intn(4) == 0 {
+							x[i*l.In+k] = specials[rng.Intn(2)]
+						}
+					}
+				}
+				if rng.Intn(3) == 0 {
+					x[i*l.In+ks[rng.Intn(len(ks))]] = specials[2+rng.Intn(3)]
+				}
+			}
+			dy := unaligned(rng, batch*l.Out)
+			salt(rng, dy, 0.1, 0, negZero)
+			grad0 := unaligned(rng, l.ParamCount())
+			salt(rng, grad0, 0.1, 0, negZero)
+
+			y, stash := unaligned(rng, batch*l.Out), unaligned(rng, batch*l.In)
+			l.Forward(params, x, y, stash, batch)
+			wy, wstash := make([]float32, batch*l.Out), make([]float32, batch*l.In)
+			refForward(l, params, x, wy, wstash, batch)
+			kdy := dy
+			if l.ReLU {
+				kdy = maskedBy(dy, wy)
+			}
+			dx, grad := unaligned(rng, batch*l.In), unaligned(rng, len(grad0))
+			copy(grad, grad0)
+			l.Backward(params, stash, kdy, dx, grad, batch)
+			wdx, wgrad := make([]float32, batch*l.In), append([]float32(nil), grad0...)
+			refBackward(l, params, wstash, dy, wdx, wgrad, batch)
+			name := fmt.Sprintf("%+v batch %d workers %d: ", l, batch, Workers())
+			sameBits(t, name+"y", y, wy)
+			sameBits(t, name+"stash", stash, wstash)
+			sameBits(t, name+"dx", dx, maskedBy(wdx, x))
+			sameBits(t, name+"grad", grad, wgrad)
+		}
+	}
+}
+
 // TestKernelsSplitAcrossBatchBitIdentical is the property the trainer's
 // runs rest on (exec.Trainer.runRun: a wave's microbatches of one layer
 // in one kernel call): Forward and Backward over B rows give the same
@@ -1156,10 +1305,11 @@ func refPoolBackward(p MaxPool2D, stash, dy, dx []float32, batch int) {
 // prefix and the Go tail, the 32-float and 8-float loops, the four-row
 // dx tile with and without a last block of eight, and the gathered rows
 // a batch of 1–6 leaves after it, their active count on both sides of
-// every group of sixteen — on operands salted with ±Inf, NaN, -0,
-// denormals and values whose products overflow, in buffers at odd
-// alignments. Average has its own test below, against the
-// element-at-a-time oracle.
+// every group of sixteen — and axpyTerms, lists of 1–9 terms, at every
+// length to 40 and around its 64-float segments, on operands salted
+// with ±Inf, NaN, -0, denormals and values whose products overflow, in
+// buffers at odd alignments. Average has its own test below, against
+// the element-at-a-time oracle.
 func TestVectorKernelsMatchGoTiles(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2 kernels in this build or on this CPU")
@@ -1207,17 +1357,29 @@ func TestVectorKernelsMatchGoTiles(t *testing.T) {
 		kernel(want)
 		sameBits(t, name, got, want)
 	}
+	// terms runs axpyTerms over n floats with m terms whose rows lie
+	// anywhere in one buffer, overlapping or repeated.
+	terms := func(n, m int) {
+		rows, c, off := salted(n+m*3+1), salted(m), make([]int, m)
+		for t := range off {
+			off[t] = rng.Intn(len(rows) - n + 1)
+		}
+		both(fmt.Sprintf("axpyTerms n=%d m=%d", n, m), salted(n), func(dst []float32) {
+			axpyTerms(dst, rows, off, c)
+		})
+	}
+	for _, n := range []int{56, 63, 64, 65, 72, 127, 128, 129, 136, 200} {
+		for m := 1; m <= 9; m++ {
+			terms(n, m)
+		}
+	}
 	for n := 0; n <= 40; n++ {
 		for rep := 0; rep < 8; rep++ {
-			r, c := [4][]float32{salted(n), salted(n), salted(n), salted(n)}, salted(4)
-			both(fmt.Sprintf("axpy4 n=%d", n), salted(n), func(dst []float32) {
-				axpy4(dst, r[0], r[1], r[2], r[3], c[0], c[1], c[2], c[3])
-			})
-			both(fmt.Sprintf("axpy n=%d", n), salted(n), func(dst []float32) { axpy(dst, r[0], c[0]) })
+			terms(n, 1+rep)
 			// SGD zeroes its gradient, so each run gets a fresh copy.
-			lr := float32(rng.NormFloat64())
+			g, lr := salted(n), float32(rng.NormFloat64())
 			both(fmt.Sprintf("sgd n=%d", n), salted(n), func(w []float32) {
-				SGD(w, append([]float32(nil), r[0]...), lr)
+				SGD(w, append([]float32(nil), g...), lr)
 			})
 		}
 		for in := 0; in <= 40; in++ {
@@ -1442,7 +1604,9 @@ func testSteadyStateAllocs(t *testing.T) {
 // make a call per microbatch, and their mb8x1 rows make one call over
 // the same eight rows, as the trainer runs a wave's microbatches of a
 // layer (exec.Trainer.runRun), so W and dW stream once, not eight
-// times.
+// times. The compute shape likewise: mb8x8 makes eight 8-row calls a
+// layer, mb64x1 the one 64-row call a layer that train-compute's runs
+// make.
 func BenchmarkDenseStep(b *testing.B) {
 	defer SetWorkers(Workers())
 	for _, shape := range []struct {
@@ -1451,6 +1615,7 @@ func BenchmarkDenseStep(b *testing.B) {
 		mb, mbCount int
 	}{
 		{"compute-784x512x512x10-mb8x8", []int{784, 512, 512, 10}, 8, 8},
+		{"compute-784x512x512x10-mb64x1", []int{784, 512, 512, 10}, 64, 1},
 		{"comm-64x1536x1536x1536x10-mb4x1", []int{64, 1536, 1536, 1536, 10}, 4, 1},
 		{"swap-256x512x512x512x10-mb1x8", []int{256, 512, 512, 512, 10}, 1, 8},
 		{"swap-256x512x512x512x10-mb8x1", []int{256, 512, 512, 512, 10}, 8, 1},
