@@ -3,9 +3,10 @@
 # bench/ module compiles against the root's API), gofmt and the
 # invariant linter (harmonylint), the build, both modules' tests, the race
 # detector over the root module (see `race`), the time-boxed fuzzes
-# and the contention bench smoke. The static plan-verification gate
-# (clean plans pass, seeded plan bugs fail, through the CLIs) is
-# cmd/schedcheck's and cmd/harmonytrain's tests, so `test` runs it.
+# and the contention bench smoke; `test` also runs every example. The
+# static plan-verification gate (clean plans pass, seeded plan bugs
+# fail, through the CLIs) is cmd/schedcheck's and cmd/harmonytrain's
+# tests, so `test` runs it.
 # Performance is not gated here: a claim is decided by `make
 # bench-pair`.
 
@@ -57,10 +58,13 @@ lint-sarif:
 # dispatches to and, on amd64, both; the 386 run tests the portable
 # kernels as a non-amd64 user builds them, and the arm64 build fails
 # here, not on the ARM runner, when a declaration lacks its !amd64 stub.
+# Last, every program under examples/ runs and must exit 0 (their
+# output is not checked; all seven take about a second warm).
 test:
 	$(GO) test ./...
 	GOARCH=386 $(GO) test ./internal/nn
 	GOARCH=arm64 $(GO) build ./...
+	@for e in examples/*/; do echo "$(GO) run ./$$e"; $(GO) run ./$$e > /dev/null || exit 1; done
 
 # bench/ is a nested module (the harmonybench harness behind
 # BENCHMARK.json), so `go test ./...` from the root never reaches its

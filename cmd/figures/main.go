@@ -232,11 +232,11 @@ func ext2(csv bool) error {
 	}
 	fmt.Printf("best: %s (%.1f samples/s)\n", res.Best.Candidate, res.Best.Throughput)
 	if csv {
-		fmt.Println("mb_size,microbatches,group,prefetch,defer,throughput,swap_gb,feasible")
+		fmt.Println("mb_size,microbatches,group,prefetch,defer,interleave,throughput,swap_gb,feasible")
 		for _, m := range res.Measurements {
 			c := m.Candidate
-			fmt.Printf("%d,%d,%d,%v,%v,%.3f,%.4f,%v\n",
-				c.MicrobatchSize, c.Microbatches, c.GroupSize, c.Prefetch, c.Defer,
+			fmt.Printf("%d,%d,%d,%v,%v,%v,%.3f,%.4f,%v\n",
+				c.MicrobatchSize, c.Microbatches, c.GroupSize, c.Prefetch, c.Defer, c.Interleave,
 				m.Throughput, m.SwapGB, m.Feasible)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -44,6 +45,19 @@ func TestEveryArtifactRendersAndUnknownOnesAreNamed(t *testing.T) {
 		wantCSV := a.name != "4" // a Gantt chart has no CSV form
 		if !ok || err != nil || (len(records) >= 2) != wantCSV {
 			t.Errorf("-fig %s -csv: extends the plain output: %v; %d CSV records, %v:\n%s", a.name, ok, len(records), err, block)
+		}
+		if a.name == "ext2" && len(records) >= 2 {
+			// One row per tuner candidate: the columns before
+			// throughput name it, so no two rows share them.
+			key := slices.Index(records[0], "throughput")
+			seen := map[string]bool{}
+			for _, r := range records[1:] {
+				k := strings.Join(r[:max(key, 0)], ",")
+				if seen[k] {
+					t.Errorf("-fig ext2 -csv: two rows share the candidate columns of %v: %s", records[0][:max(key, 0)], k)
+				}
+				seen[k] = true
+			}
 		}
 	}
 

@@ -35,10 +35,9 @@ func run() (exit int) {
 		gpuMem     = flag.Int64("gpu-mem", 0, "per-GPU memory bytes (0 = 11 GiB)")
 		mbSize     = flag.Int("mb-size", 1, "microbatch size (samples)")
 		mbCount    = flag.Int("microbatches", 8, "microbatches per iteration")
-		groupSize  = flag.Int("group", 0, "microbatches per wave (0 = the mode's default: 1 for baselines, all for Harmony modes)")
+		groupSize  = flag.Int("group", 0, "microbatches per wave (0 = the mode's default: 1 for baselines, all for Harmony modes; -group 1 -interleave turns grouping off)")
 		trace      = flag.Bool("trace", false, "print the execution Gantt chart")
 		noP2P      = flag.Bool("no-p2p", false, "disable peer-to-peer transfers")
-		noGroup    = flag.Bool("no-grouping", false, "disable input-batch grouping: waves of one microbatch, interleaved, as the baselines run (-group 1 -interleave)")
 		noJIT      = flag.Bool("no-jit", false, "disable just-in-time updates")
 		recomp     = flag.Bool("recompute", false, "activation recomputation (checkpoint inputs only)")
 		lookahead  = flag.Bool("lookahead", false, "schedule-informed (Belady) eviction instead of LRU")
@@ -87,9 +86,6 @@ func run() (exit int) {
 	toggles := &harmony.Toggles{GroupSize: *groupSize}
 	if *noP2P {
 		toggles.P2P = harmony.Bool(false)
-	}
-	if *noGroup {
-		toggles.GroupSize, toggles.WaveInterleave = 1, harmony.Bool(true)
 	}
 	if *noJIT {
 		toggles.JIT = harmony.Bool(false)

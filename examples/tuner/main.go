@@ -1,7 +1,7 @@
-// tuner demonstrates the §4 "memory–performance tango": sweeping
-// microbatch split, grouping window, prefetch and update deferral for
-// a workload under memory pressure, then letting the Performance
-// Tuner pick the winner.
+// tuner demonstrates the §4 "memory–performance tango": the
+// Performance Tuner measures every candidate — microbatch split, group
+// size, wave order and prefetch — for a pipeline under memory
+// pressure, and picks the winner.
 //
 //	go run ./examples/tuner
 package main
@@ -44,6 +44,5 @@ func main() {
 	fmt.Printf("\ntuner pick: mb=%d×%d group=%d prefetch=%v interleave=%v — %.1f samples/s at %.3f GiB/iter swap\n",
 		res.BestMicrobatchSize, res.BestMicrobatches, res.BestGroupSize, res.BestPrefetch, res.BestInterleave,
 		res.BestThroughput, res.BestSwapGB)
-	fmt.Printf("(explored %d candidates; greedy hill climbing explores fewer: set Greedy in TuneConfig)\n",
-		res.Explored)
+	fmt.Printf("(measured all %d candidates)\n", res.Explored)
 }

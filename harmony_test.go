@@ -461,6 +461,12 @@ func TestUnknownModeIsAnError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "Mode(99)") {
 		t.Errorf("NewTrainer: got %v, want an error naming Mode(99)", err)
 	}
+	// Refused up front, not measured candidate by candidate and then
+	// reported as "no feasible candidate".
+	_, err = Tune(TuneConfig{Model: UniformModel(4, 1000, 1<<10, 1e9), Mode: Mode(99), Server: CommodityServer(2), BatchPerReplica: 2})
+	if err == nil || !strings.Contains(err.Error(), "Mode(99)") {
+		t.Errorf("Tune: got %v, want an error naming Mode(99)", err)
+	}
 }
 
 // The op-sharded modes are simulator-only: the trainer refuses them by
@@ -526,18 +532,14 @@ func TestTuneBestReproducesInEveryMode(t *testing.T) {
 	checkTuneBestReproduces(t, UniformModel(8, 1_000_000, 1<<20, 5e9), HarmonyPP, server)
 }
 
-// On a box where nothing fits, Tune fails the same way on the greedy and
-// the exhaustive path; the greedy one used to return a "best" with no
-// throughput and a nil error.
+// On a box where nothing fits, Tune fails and names no best.
 func TestTuneNothingFits(t *testing.T) {
-	for _, greedy := range []bool{false, true} {
-		res, err := Tune(TuneConfig{
-			Model: UniformModel(8, 1_000_000, 16<<10, 5e9), Mode: HarmonyPP,
-			Server: CommodityServer(2).WithGPUMemory(1 << 10), BatchPerReplica: 4, Greedy: greedy,
-		})
-		if res != nil || err == nil || err.Error() != "tuner: no feasible candidate for uniform on 2 GPUs" {
-			t.Errorf("Greedy %v: Tune = %+v, %v; want no feasible candidate", greedy, res, err)
-		}
+	res, err := Tune(TuneConfig{
+		Model: UniformModel(8, 1_000_000, 16<<10, 5e9), Mode: HarmonyPP,
+		Server: CommodityServer(2).WithGPUMemory(1 << 10), BatchPerReplica: 4,
+	})
+	if res != nil || err == nil || err.Error() != "tuner: no feasible candidate for uniform on 2 GPUs" {
+		t.Errorf("Tune = %+v, %v; want no feasible candidate", res, err)
 	}
 }
 

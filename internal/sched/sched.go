@@ -56,10 +56,20 @@ const (
 var modeNames = [...]string{"dp-baseline", "pp-baseline", "harmony-dp", "harmony-pp", "tp-baseline", "harmony-tp"}
 
 func (m Mode) String() string {
-	if int(m) < len(modeNames) {
+	if m >= 0 && int(m) < len(modeNames) {
 		return modeNames[m]
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
+}
+
+// CheckMode is the one check that m is a mode this package plans:
+// Plan and Build run it first, and so can a caller that must refuse
+// an unknown mode before planning anything.
+func CheckMode(m Mode) error {
+	if m < 0 || int(m) >= len(modeNames) {
+		return fmt.Errorf("sched: unknown mode %v", m)
+	}
+	return nil
 }
 
 // ModeNames lists every mode's name, comma-separated, for usage text.
@@ -281,6 +291,9 @@ func Plan(cfg graph.Config, opts Options, gpus int) (*Schedule, error) {
 		return nil, fmt.Errorf("sched: the mode decides Replicas and OpShards, the config sets them to %d and %d",
 			cfg.Replicas, cfg.OpShards)
 	}
+	if err := CheckMode(opts.Mode); err != nil {
+		return nil, err
+	}
 	switch opts.Mode {
 	case DPBaseline, HarmonyDP:
 		cfg.Replicas = gpus
@@ -288,8 +301,6 @@ func Plan(cfg graph.Config, opts Options, gpus int) (*Schedule, error) {
 		cfg.Replicas = 1
 	case TPBaseline, HarmonyTP:
 		cfg.Replicas, cfg.OpShards = 1, gpus
-	default:
-		return nil, fmt.Errorf("sched: unknown mode %v", opts.Mode)
 	}
 	g, err := graph.Build(cfg)
 	if err != nil {
@@ -300,6 +311,9 @@ func Plan(cfg graph.Config, opts Options, gpus int) (*Schedule, error) {
 
 // Build constructs the schedule for a graph on nGPUs devices.
 func Build(g *graph.Graph, opts Options, nGPUs int) (*Schedule, error) {
+	if err := CheckMode(opts.Mode); err != nil {
+		return nil, err
+	}
 	if nGPUs <= 0 {
 		return nil, fmt.Errorf("sched: nGPUs must be positive, got %d", nGPUs)
 	}
@@ -353,8 +367,6 @@ func Build(g *graph.Graph, opts Options, nGPUs int) (*Schedule, error) {
 			return nil, fmt.Errorf("sched: %d layers cannot fill %d pipeline stages", g.Layers(), nGPUs)
 		}
 		s.buildPP()
-	default:
-		return nil, fmt.Errorf("sched: unknown mode %v", opts.Mode)
 	}
 	if opts.CommChunks > 0 && len(s.Collectives) > 0 {
 		// Pipeline modes have no gradient collectives, so Comm stays

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -113,8 +114,15 @@ func TestPlanShapesTheGraphByMode(t *testing.T) {
 	if _, err := Plan(preset, DefaultOptions(HarmonyDP), 3); err == nil {
 		t.Error("a config that sets Replicas was accepted")
 	}
-	if _, err := Plan(cfg, Options{Mode: Mode(99)}, 3); err == nil || !strings.Contains(err.Error(), "Mode(99)") {
-		t.Errorf("unknown mode: got %v, want an error naming Mode(99)", err)
+	// A negative mode is named too, not indexed into the name table.
+	for _, m := range []Mode{Mode(99), Mode(-1)} {
+		want := fmt.Sprintf("sched: unknown mode Mode(%d)", int(m))
+		if _, err := Plan(cfg, Options{Mode: m}, 3); err == nil || err.Error() != want {
+			t.Errorf("Plan: got %v, want %q", err, want)
+		}
+		if err := CheckMode(m); err == nil || err.Error() != want {
+			t.Errorf("CheckMode: got %v, want %q", err, want)
+		}
 	}
 	if _, err := ParseMode("harmony"); err == nil || !strings.Contains(err.Error(), ModeNames()) {
 		t.Errorf("ParseMode(harmony): got %v, want an error listing %s", err, ModeNames())

@@ -1,15 +1,17 @@
 // Package tuner implements Harmony's Performance Tuner (paper Fig. 3):
-// it profiles candidate configurations — group size, microbatch size,
-// prefetch, update deferral — by running short measured simulations,
-// and searches the "memory–performance tango" of §4 for the
-// configuration that maximizes steady-state throughput subject to
-// feasibility (every task must fit in device memory).
+// it profiles candidate configurations — microbatch split, group size,
+// prefetch, update deferral, wave interleave — by running short
+// measured simulations, and searches the "memory–performance tango" of
+// §4 for the configuration that maximizes steady-state throughput
+// subject to feasibility (every task must fit in device memory).
 //
 // The paper leaves "algorithmically determining the optimal task
 // granularity and the size of microbatches" as an open problem and
 // suggests online tuning; this tuner is the straightforward
-// measure-and-pick instantiation over a deterministic simulator, with
-// an optional greedy hill-climbing mode for larger spaces.
+// measure-and-pick instantiation over a deterministic simulator: it
+// measures every candidate of Space, so its pick is the grid's exact
+// optimum. The grid is small (112 candidates for HarmonyDP at a batch
+// of 64) and its candidates run in parallel.
 package tuner
 
 import (
@@ -88,6 +90,9 @@ func (c Config) Validate() error {
 	if c.BatchPerReplica <= 0 {
 		return fmt.Errorf("tuner: BatchPerReplica must be positive, got %d", c.BatchPerReplica)
 	}
+	if err := sched.CheckMode(c.Mode); err != nil {
+		return err
+	}
 	return c.Box.Validate()
 }
 
@@ -95,12 +100,13 @@ func (c Config) Validate() error {
 type Result struct {
 	Best         Measurement
 	Measurements []Measurement // all candidates, best first
-	Explored     int
 }
 
-// Space enumerates the default candidate grid for a batch size:
-// every divisor split of the batch into microbatches, group sizes at
-// the interesting powers, and both binary knobs where they matter.
+// Space enumerates the candidate grid for a batch size: every divisor
+// split of the batch into microbatches; in a mode that groups by
+// default, every group size that divides the microbatch count (0 for
+// all of them); prefetch on and off; defer on and off in HarmonyDP;
+// and, in a grouped pipeline with a sub-batch group, both wave orders.
 func Space(mode sched.Mode, batch int) []Candidate {
 	def := sched.DefaultOptions(mode)
 	var out []Candidate
@@ -159,160 +165,20 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return measureAll(cfg, Space(cfg.Mode, cfg.BatchPerReplica))
-}
-
-// HillClimb explores the space greedily: it starts from the
-// single-sample, prefetching candidate in the mode's default wave shape
-// (fully grouped for the Harmony modes) and moves to the best neighbor until
-// no neighbor improves. For large batches this measures far fewer
-// candidates than Run while typically finding the same optimum
-// (greedy works well because throughput is unimodal along each knob
-// in practice).
-func HillClimb(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	def := sched.DefaultOptions(cfg.Mode)
-	start := Candidate{MicrobatchSize: 1, Microbatches: cfg.BatchPerReplica,
-		GroupSize: def.GroupSize, Prefetch: true, Interleave: def.WaveInterleave}
-	seen := map[Candidate]Measurement{}
-	measure := func(c Candidate) Measurement {
-		if m, ok := seen[c]; ok {
-			return m
-		}
-		m := measureOne(cfg, c)
-		seen[c] = m
-		return m
-	}
-	cur := measure(start)
-	for {
-		improved := false
-		for _, nb := range neighbors(cfg, cur.Candidate) {
-			m := measure(nb)
-			if m.Feasible && m.Throughput > cur.Throughput {
-				cur = m
-				improved = true
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	res := &Result{Explored: len(seen)}
-	for _, m := range seen {
-		res.Measurements = append(res.Measurements, m)
-	}
-	sortMeasurements(res.Measurements)
-	if !cur.Feasible {
-		// The climb moves only to feasible neighbours, so an infeasible
-		// end point means no candidate it measured fit.
-		return res, noFeasible(cfg)
-	}
-	res.Best = cur
-	return res, nil
-}
-
-// noFeasible is the error of a search in which no candidate fit.
-func noFeasible(cfg Config) error {
-	return fmt.Errorf("tuner: no feasible candidate for %s on %d GPUs", cfg.Model.Name, cfg.Box.TotalGPUs())
-}
-
-// neighbors perturbs one knob at a time.
-func neighbors(cfg Config, c Candidate) []Candidate {
-	var out []Candidate
-	mode, batch := cfg.Mode, cfg.BatchPerReplica
-	// Halve/double the microbatch size along divisor boundaries,
-	// keeping the wave shape: a sub-batch wave keeps its order and at
-	// most its samples, as the largest group of the new microbatches
-	// that holds no more (one microbatch at least).
-	for _, mbs := range divisors(batch) {
-		if mbs == c.MicrobatchSize*2 || (c.MicrobatchSize%2 == 0 && mbs == c.MicrobatchSize/2) {
-			nb := c
-			nb.MicrobatchSize, nb.Microbatches = mbs, batch/mbs
-			if grouping(mode) && c.GroupSize > 0 {
-				g := 1
-				for _, d := range divisors(nb.Microbatches) {
-					if d*mbs <= c.GroupSize*c.MicrobatchSize {
-						g = d
-					}
-				}
-				nb = withGroup(mode, nb, g)
-			}
-			out = append(out, nb)
-		}
-	}
-	if grouping(mode) {
-		// Step the group size among divisors of m. Which order suits a
-		// pipeline depends on its group, so a step there tries both.
-		m := c.Microbatches
-		ds := divisors(m)
-		curG := c.GroupSize
-		if curG == 0 {
-			curG = m
-		}
-		for i, d := range ds {
-			if d != curG {
-				continue
-			}
-			for _, j := range []int{i - 1, i + 1} {
-				if j < 0 || j == len(ds) {
-					continue
-				}
-				nb := withGroup(mode, c, ds[j])
-				out = append(out, nb)
-				if mode.IsPipeline() && nb.GroupSize > 0 {
-					nb.Interleave = !nb.Interleave
-					out = append(out, nb)
-				}
-			}
-		}
-	}
-	// Flip the binary knobs.
-	flipped := c
-	flipped.Prefetch = !c.Prefetch
-	out = append(out, flipped)
-	if mode == sched.HarmonyDP {
-		flipped = c
-		flipped.Defer = !c.Defer
-		out = append(out, flipped)
-	}
-	if grouping(mode) && mode.IsPipeline() && c.GroupSize > 0 {
-		flipped = c
-		flipped.Interleave = !c.Interleave
-		out = append(out, flipped)
-	}
-	return out
-}
-
-// withGroup sets c's group to g of its microbatches: 0 when g spans
-// them all, with the mode's default order, the only one Space pairs
-// with it.
-func withGroup(mode sched.Mode, c Candidate, g int) Candidate {
-	c.GroupSize = g
-	if g == c.Microbatches {
-		c.GroupSize, c.Interleave = 0, sched.DefaultOptions(mode).WaveInterleave
-	}
-	return c
-}
-
-func measureAll(cfg Config, cands []Candidate) (*Result, error) {
-	res := &Result{}
 	// Candidate measurements are independent deterministic
 	// simulations: profile them on all cores.
-	ms, err := sweep.Run(cands, 0, func(c Candidate) (Measurement, error) {
+	ms, err := sweep.Run(Space(cfg.Mode, cfg.BatchPerReplica), 0, func(c Candidate) (Measurement, error) {
 		return measureOne(cfg, c), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Measurements = ms
-	res.Explored = len(ms)
-	sortMeasurements(res.Measurements)
-	if len(res.Measurements) == 0 || !res.Measurements[0].Feasible {
-		return res, noFeasible(cfg)
+	sortMeasurements(ms)
+	res := &Result{Measurements: ms}
+	if len(ms) == 0 || !ms[0].Feasible {
+		return res, fmt.Errorf("tuner: no feasible candidate for %s on %d GPUs", cfg.Model.Name, cfg.Box.TotalGPUs())
 	}
-	res.Best = res.Measurements[0]
+	res.Best = ms[0]
 	return res, nil
 }
 

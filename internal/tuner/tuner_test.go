@@ -46,6 +46,23 @@ func TestSpaceEnumeration(t *testing.T) {
 	if !hasDefer {
 		t.Fatal("dp space should explore defer")
 	}
+	// Every Tune measures the whole grid, so its size is its cost: a
+	// new search dimension shows up here.
+	batches := []int{4, 8, 32, 64}
+	for mode, want := range map[sched.Mode][4]int{
+		sched.DPBaseline: {6, 8, 12, 14},
+		sched.PPBaseline: {6, 8, 12, 14},
+		sched.TPBaseline: {6, 8, 12, 14},
+		sched.HarmonyDP:  {24, 40, 84, 112},
+		sched.HarmonyPP:  {18, 32, 72, 98},
+		sched.HarmonyTP:  {12, 20, 42, 56},
+	} {
+		for i, batch := range batches {
+			if got := len(Space(mode, batch)); got != want[i] {
+				t.Errorf("%v batch %d: %d candidates, want %d", mode, batch, got, want[i])
+			}
+		}
+	}
 }
 
 func TestValidate(t *testing.T) {
@@ -62,6 +79,11 @@ func TestValidate(t *testing.T) {
 	bad.BatchPerReplica = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero batch accepted")
+	}
+	bad = good
+	bad.Mode = sched.Mode(42)
+	if err := bad.Validate(); err == nil || err.Error() != "sched: unknown mode Mode(42)" {
+		t.Fatalf("unknown mode: got %v", err)
 	}
 }
 
@@ -136,64 +158,17 @@ func TestTangoTradeoffVisible(t *testing.T) {
 	}
 }
 
-func TestHillClimbAgreesWithExhaustive(t *testing.T) {
-	// uniform20 is an 8-layer model on two 20 MiB devices.
-	uniform20 := func(mode sched.Mode, batch int) Config {
-		box := hw.Commodity1080TiBox(2)
-		box.GPUMemBytes = 20 << 20
-		return Config{Model: models.Uniform("uniform", 8, 1_000_000, 1<<20, 5e9), Mode: mode, Box: box, BatchPerReplica: batch}
-	}
-	for _, c := range []struct {
-		name string
-		cfg  Config
-		// exact: greedy finds the exhaustive optimum itself, not just a
-		// point within 10% of it.
-		exact bool
-	}{
-		{"harmony-dp", tunerConfig(sched.HarmonyDP, 4), true},
-		// The optimum, mb=2×2 group=1 interleaved (41.63 samples/s), is
-		// reached from mb=1×4 group=2 (41.11) by a group step that also
-		// re-picks the order, then a microbatch move that keeps it.
-		{"harmony-pp uniform 20 MiB", uniform20(sched.HarmonyPP, 4), true},
-		// Reached because a microbatch move keeps the wave's samples:
-		// mb=1×8 group=4 halves to mb=2×4 group=2.
-		{"harmony-dp uniform 20 MiB batch 8", uniform20(sched.HarmonyDP, 8), true},
-	} {
-		full, err := Run(c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hc, err := HillClimb(c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hc.Explored >= full.Explored {
-			t.Errorf("%s: hill climb explored %d ≥ exhaustive %d", c.name, hc.Explored, full.Explored)
-		}
-		// Greedy should land within 10% of the exhaustive optimum.
-		if hc.Best.Throughput < 0.9*full.Best.Throughput || c.exact && hc.Best.Throughput != full.Best.Throughput {
-			t.Errorf("%s: hill climb best %.2f (%v) against exhaustive %.2f (%v)",
-				c.name, hc.Best.Throughput, hc.Best.Candidate, full.Best.Throughput, full.Best.Candidate)
-		}
-	}
-}
-
-// TestInfeasibleWorkloadReported: when nothing fits, the exhaustive
-// search and the hill climb fail alike, and neither names a best.
+// TestInfeasibleWorkloadReported: when nothing fits, the search fails
+// and names no best, but keeps every measurement.
 func TestInfeasibleWorkloadReported(t *testing.T) {
 	cfg := tunerConfig(sched.HarmonyDP, 2)
 	cfg.Box.GPUMemBytes = 1 << 10 // nothing fits
-	for _, s := range []struct {
-		name   string
-		search func(Config) (*Result, error)
-	}{{"Run", Run}, {"HillClimb", HillClimb}} {
-		res, err := s.search(cfg)
-		if err == nil || err.Error() != "tuner: no feasible candidate for tune on 2 GPUs" {
-			t.Fatalf("%s: err = %v, want no feasible candidate", s.name, err)
-		}
-		if res.Best.Feasible || res.Best.Throughput != 0 || res.Explored == 0 {
-			t.Fatalf("%s: best = %+v after %d candidates", s.name, res.Best, res.Explored)
-		}
+	res, err := Run(cfg)
+	if err == nil || err.Error() != "tuner: no feasible candidate for tune on 2 GPUs" {
+		t.Fatalf("err = %v, want no feasible candidate", err)
+	}
+	if res.Best.Feasible || res.Best.Throughput != 0 || len(res.Measurements) != len(Space(cfg.Mode, 2)) {
+		t.Fatalf("best = %+v after %d candidates", res.Best, len(res.Measurements))
 	}
 }
 

@@ -164,7 +164,11 @@ type TuneConfig struct {
 	// The single-copy modes (pipeline, op-sharded) train it per GPU, so
 	// their best candidate simulates with BestMicrobatches × GPUs.
 	BatchPerReplica int
-	// Greedy uses hill climbing instead of the exhaustive grid.
+	// Greedy is accepted and read by nothing: Tune always measures the
+	// whole grid.
+	//
+	// Deprecated: no effect; removed by the benchmark PR that drops
+	// tuner.hillclimb_ms (ROADMAP item 18a).
 	Greedy bool
 }
 
@@ -182,32 +186,23 @@ type TuneResult struct {
 	BestInterleave     bool
 	BestThroughput     float64
 	BestSwapGB         float64
-	Explored           int
+	Explored           int // candidates measured: the whole grid
 	// Table lists every measurement, best first, for reporting.
 	Table []tuner.Measurement
 }
 
 // Tune searches the memory–performance tango for the best-throughput
-// feasible configuration.
+// feasible configuration: it measures every candidate of the grid.
 func Tune(cfg TuneConfig) (*TuneResult, error) {
 	if cfg.Model.m == nil {
 		return nil, fmt.Errorf("harmony: TuneConfig.Model is required")
 	}
-	tcfg := tuner.Config{
+	res, err := tuner.Run(tuner.Config{
 		Model:           cfg.Model.m,
 		Mode:            cfg.Mode,
 		Box:             cfg.Server.cfg,
 		BatchPerReplica: cfg.BatchPerReplica,
-	}
-	var (
-		res *tuner.Result
-		err error
-	)
-	if cfg.Greedy {
-		res, err = tuner.HillClimb(tcfg)
-	} else {
-		res, err = tuner.Run(tcfg)
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +216,7 @@ func Tune(cfg TuneConfig) (*TuneResult, error) {
 		BestInterleave:     b.Candidate.Interleave,
 		BestThroughput:     b.Throughput,
 		BestSwapGB:         b.SwapGB,
-		Explored:           res.Explored,
+		Explored:           len(res.Measurements),
 		Table:              res.Measurements,
 	}, nil
 }
