@@ -16,8 +16,9 @@ const checkpointMagic uint32 = 0x48724d31 // "HrM1"
 
 // state is the trainer's persistent state at a step boundary: the step
 // counter and, per layer, replica 0's weights and optimizer state. That
-// is all of it, because every replica holds the same weights and the
-// optimizers zero the gradients they apply. It is what a checkpoint
+// is all of it, because every replica holds the same weights and an
+// update resets the gradient it applies: the next backward overwrites
+// it unread (DESIGN.md §9). It is what a checkpoint
 // encodes and what recovery rolls back to. k[l] is empty for a layer
 // without optimizer state, and for a checkpoint that carries none.
 type state struct {

@@ -188,7 +188,8 @@ func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) error
 // update (sched.Schedule.FusedUpdate): it pins every replica's weights
 // for ar's layer on that replica's device, beside the gradient views gs
 // the caller pinned, and nn.AverageSGD stores the updated range into
-// every ws view and +0 into every gs view. Each weight is marked dirty
+// every ws view and leaves the gs views for the next backward to
+// overwrite, as the Update's mark says (runRun). Each weight is marked dirty
 // while still pinned: a page that is clean and unpinned may be dropped
 // at any moment, and one dropped between this write and its Update's pin
 // would lose the update. On error the pins taken so far stay behind, as

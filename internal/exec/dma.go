@@ -261,12 +261,18 @@ func (vm *VM) writeBack(dev int, b *buffer) error {
 // PCIe transfer, which leaves it known-zero. The slice it is handed is
 // usually a spare (VM.take) still holding whatever page last used it,
 // so every element is written either way: that b.dev holds the page's
-// content on return is fill's contract, not the allocator's. No copy
-// means no link time and no fault site (internal/fault).
+// content on return is fill's contract, not the allocator's. The one
+// exception is a known-zero gradient (tensor.WeightGrad), whose bytes
+// belong to its next backward: the first one of a step overwrites them
+// unread (nn.Kernel.BackwardReset), so its fill writes nothing, and
+// only VM.Read, which reads a known-zero page as +0s, reads it before
+// then. No copy means no link time and no fault site (internal/fault).
 func (vm *VM) fill(x xfer, dev int, b *buffer) error {
 	sh := vm.shards[dev]
 	if b.state.Load() == pageZero {
-		clear(b.dev)
+		if b.t.Kind != tensor.WeightGrad {
+			clear(b.dev)
+		}
 		sh.mu.Lock()
 		sh.stats.ZeroFillBytes += b.t.Bytes
 		sh.stats.ZeroFills++

@@ -68,6 +68,12 @@ type taskState struct {
 	ready   []chan struct{}
 	losses  []float32 // per task ID, filled by final-layer backwards
 	counted []bool
+	// written[id] is set, per tensor ID, once a backward of this step has
+	// written gradient id: the first run to write it overwrites it
+	// (runRun), every later one adds to it. All writers of a gradient run
+	// in one device worker's stream, in stream order, so each entry has
+	// one writer and the same first run on either executor.
+	written []bool
 	// stamps[id] is the end of the link time task id reads — the latest
 	// reservation of its collective (book) — which its device's demand
 	// lane waits for before the task runs; the zero time when there is
@@ -92,6 +98,7 @@ func (tr *Trainer) sizeTasks() {
 		ready:   make([]chan struct{}, n),
 		losses:  make([]float32, n),
 		counted: make([]bool, n),
+		written: make([]bool, tr.g.Reg.Len()),
 		stamps:  make([]time.Time, n),
 		waited:  make([]time.Duration, n),
 	}
@@ -144,6 +151,7 @@ func newExecutor(tr *Trainer, labels []int) *executor {
 	ts := &tr.tasks
 	ex := &executor{tr: tr, ts: ts, labels: labels, abort: make(chan struct{})}
 	clear(ts.counted)
+	clear(ts.written)
 	clear(ts.stamps)
 	clear(ts.waited)
 	if tr.comm != nil {

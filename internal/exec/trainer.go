@@ -1017,7 +1017,14 @@ func (tr *Trainer) runRun(d int, run []*graph.Task, next []sched.StreamEntry, la
 		if len(t.Outputs) > 0 {
 			dx = joined(vs, 1, 0, nx, bufs[2], false)
 		}
-		layer.Backward(in[0], stash, dy, dx, in[1], k*rows)
+		// The step's first run to write dW overwrites what the last
+		// update left in it; every later one adds to it.
+		if dw := t.Inputs[1]; tr.tasks.written[dw.ID] {
+			layer.Backward(in[0], stash, dy, dx, in[1], k*rows)
+		} else {
+			tr.tasks.written[dw.ID] = true
+			layer.BackwardReset(in[0], stash, dy, dx, in[1], k*rows)
+		}
 		if dx != nil {
 			split(vs, 1, 0, nx, dx)
 		}
@@ -1030,12 +1037,13 @@ func (tr *Trainer) runRun(d int, run []*graph.Task, next []sched.StreamEntry, la
 		case tr.cfg.Adam:
 			nn.Adam(in[0][:n], in[1][:n], in[2][:n], in[2][n:2*n], tr.cfg.LR, 0.9, 0.999, 1e-8, tr.step)
 		default:
-			nn.SGD(in[0][:n], in[1][:n], tr.cfg.LR)
+			nn.ApplySGD(in[0][:n], in[1][:n], tr.cfg.LR)
 		}
-		// Every optimizer ends by resetting the gradient it applied
-		// (Fig. 5(a)'s "Reset dW′"; a checkpoint already omits dW on the
-		// strength of it), so from here to the next backward the VM need
-		// not move the page.
+		// The update resets the gradient it applied (Fig. 5(a)'s "Reset
+		// dW′"; a checkpoint already omits dW on the strength of it) by
+		// the plan's word, not by a store: the step's first backward into
+		// it overwrites it unread (BackwardReset), so it reads as +0s and
+		// from here to then the VM need not move the page.
 		zeroed = t.Inputs[1]
 	}
 	for _, m := range run {

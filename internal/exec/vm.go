@@ -41,10 +41,11 @@ type VMStats struct {
 	SwapOuts     int
 	Drops        int
 	P2PMoves     int
-	// ZeroFills counts known-zero pages (MarkZero) made resident by a
-	// memset instead of a copy, demand or prefetch; their evictions
-	// count under Drops. The Swap* counters stay what they were: bytes
-	// and copies that crossed the link.
+	// ZeroFills counts known-zero pages (MarkZero) made resident
+	// without a copy, demand or prefetch: by a memset, or, for a
+	// gradient, whose next backward overwrites it, by nothing at all;
+	// their evictions count under Drops. The Swap* counters stay what
+	// they were: bytes and copies that crossed the link.
 	ZeroFills     int
 	ZeroFillBytes int64
 	// FaultsInjected counts injected transfer faults observed by this
@@ -609,9 +610,10 @@ func (vm *VM) birth(t *tensor.Tensor) (b *buffer, fresh bool) {
 }
 
 // Read copies t's current contents into dst, which must hold exactly
-// t's floats, and moves nothing: the device copy when the page is
-// resident (it is never older than the host's), else the host backing,
-// else zeros for a known-zero page. Page state, LRU order, host backing
+// t's floats, and moves nothing: zeros for a known-zero page, resident or
+// not — its device bytes are only as zero as its fill made them — else
+// the device copy when the page is resident (it is never older than the
+// host's), else the host backing. Page state, LRU order, host backing
 // and the links are left as they were, so reading a page out — a
 // checkpoint, a recovery snapshot, an evaluation — costs the run
 // nothing it would otherwise not have spent. A claim in flight is
@@ -622,10 +624,10 @@ func (vm *VM) Read(t *tensor.Tensor, dst []float32) error {
 		switch {
 		case len(dst) != b.floats():
 			return resident, fmt.Errorf("exec: Read of %s into %d floats, want %d", t, len(dst), b.floats())
-		case resident:
-			copy(dst, b.dev)
 		case b.state.Load() == pageZero:
 			clear(dst)
+		case resident:
+			copy(dst, b.dev)
 		case b.host != nil:
 			copy(dst, b.host)
 		default:
@@ -940,15 +942,17 @@ func (vm *VM) MarkDirty(t *tensor.Tensor) error {
 	return nil
 }
 
-// MarkZero is MarkDirty for a mutation that left every element of the
-// device copy +0. The VM takes the caller's word for it and from then
-// on moves no byte of the page: it becomes the device's next victim —
-// the one page that costs no link time to lose now and none to bring
-// back — eviction drops it (releasing any host copy), and the next
-// Ensure or prefetch memsets it (DESIGN.md §9, "Known-zero pages"). The
-// next MarkDirty ends that. The naive policy writes every page back
-// unconditionally and evicts in plain LRU order, so there the page is
-// simply dirty.
+// MarkZero is MarkDirty for a mutation after which the page reads as
+// +0s: one that left every element of the device copy +0, or, for a
+// gradient, the update whose next backward overwrites the page unread
+// (DESIGN.md §9, "Known-zero pages"). The VM takes the caller's word for
+// it and from then on moves no byte of the page: it becomes the
+// device's next victim — the one page that costs no link time to lose
+// now and none to bring back — eviction drops it (releasing any host
+// copy), Read returns +0s, and the next Ensure or prefetch memsets it, a
+// gradient excepted (fill). The next MarkDirty ends that. The naive
+// policy writes every page back unconditionally and evicts in plain LRU
+// order, so there the page is simply dirty.
 func (vm *VM) MarkZero(t *tensor.Tensor) error {
 	b, ok := vm.lookup(t.ID)
 	if !ok || !b.Load().Resident() {

@@ -30,8 +30,18 @@ import (
 // Shared tensors are read-only (two tasks writing one tensor
 // concurrently is a schedule bug the VM rejects); private tensors are
 // written only by their owning device's goroutine, the flipped page
-// only by the flipper.
+// only by the flipper. The flipped page is optimizer state, whose
+// zero-fill is a memset, in one row, and a gradient in the other: there
+// a known-zero page's device bytes are its next writer's to overwrite,
+// so the flipper checks them only after a MarkDirty, and reads the page
+// out after each MarkZero, which must give +0s.
 func TestConcurrentVMHotPath(t *testing.T) {
+	for _, kind := range []tensor.Kind{tensor.OptState, tensor.WeightGrad} {
+		t.Run(kind.String(), func(t *testing.T) { testConcurrentVMHotPath(t, kind) })
+	}
+}
+
+func testConcurrentVMHotPath(t *testing.T, kind tensor.Kind) {
 	const (
 		devs    = 4
 		perDev  = 8
@@ -60,7 +70,7 @@ func TestConcurrentVMHotPath(t *testing.T) {
 		shared = append(shared, ts)
 	}
 
-	flip := reg.Add(tensor.WeightGrad, bytes, 0, -1)
+	flip := reg.Add(kind, bytes, 0, -1)
 	vm.ZeroAlloc(flip)
 
 	var wg sync.WaitGroup
@@ -158,6 +168,7 @@ func TestConcurrentVMHotPath(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer close(flipped)
+		out := make([]float32, bytes/4)
 		for i := 0; i < iters/2; i++ {
 			buf, err := vm.Ensure(0, flip)
 			if err != nil {
@@ -165,17 +176,20 @@ func TestConcurrentVMHotPath(t *testing.T) {
 				return
 			}
 			for _, v := range buf {
-				if math.Float32bits(v) != math.Float32bits(flipLast) {
+				if unread := kind == tensor.WeightGrad && flipLast == 0; !unread && math.Float32bits(v) != math.Float32bits(flipLast) {
 					errc <- errValue(flip, v, flipLast)
 					return
 				}
 			}
-			mark := vm.MarkZero
+			mark, fill := vm.MarkZero, float32(0)
+			if kind == tensor.WeightGrad {
+				fill = float32(math.NaN()) // what a gradient's update leaves
+			}
 			if flipLast = 0; i%2 == 0 {
-				flipLast, mark = float32(i+1), vm.MarkDirty
+				flipLast, mark, fill = float32(i+1), vm.MarkDirty, float32(i+1)
 			}
 			for j := range buf {
-				buf[j] = flipLast
+				buf[j] = fill
 			}
 			if err := mark(flip); err != nil {
 				errc <- err
@@ -184,6 +198,16 @@ func TestConcurrentVMHotPath(t *testing.T) {
 			if err := vm.Unpin(flip); err != nil {
 				errc <- err
 				return
+			}
+			if flipLast == 0 {
+				if err := vm.Read(flip, out); err != nil {
+					errc <- err
+					return
+				}
+				if i, ok := bitZero(out); !ok {
+					errc <- errValue(flip, out[i], 0)
+					return
+				}
 			}
 			// Unpinned: give device 0 a few visits to evict it in this state.
 			fb, _ := vm.lookup(flip.ID)

@@ -1,14 +1,18 @@
 package exec
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"harmony/internal/claimword"
 	"harmony/internal/fault"
+	"harmony/internal/graph"
 	"harmony/internal/memory"
 	"harmony/internal/sched"
+	"harmony/internal/schedcheck"
 	"harmony/internal/tensor"
 )
 
@@ -51,6 +55,26 @@ func zeroedPage(t *testing.T, vm *VM, dev int, ts *tensor.Tensor) {
 	}
 }
 
+// stalePage makes gradient ts resident on dev the way an update leaves
+// it: written, marked, unpinned, its bytes left as they were — here NaN.
+func stalePage(t *testing.T, vm *VM, dev int, ts *tensor.Tensor) {
+	t.Helper()
+	vm.ZeroAlloc(ts)
+	buf, err := vm.Ensure(dev, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = float32(math.NaN())
+	}
+	if err := vm.MarkZero(ts); err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.Unpin(ts); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // evictAll pushes everything unpinned off dev by pinning a page as large
 // as the device, then frees that page again.
 func evictAll(t *testing.T, vm *VM, dev int) {
@@ -67,39 +91,166 @@ func evictAll(t *testing.T, vm *VM, dev int) {
 	}
 }
 
-// TestStepLeavesGradientsBitZero is the mark's premise checked on the
-// bytes: on devices large enough that nothing is ever evicted — so no
-// page is ever rebuilt from its mark — every dW device buffer is +0 from
-// end to end after each Step, under both optimizers, with and without a
-// collective in between.
-func TestStepLeavesGradientsBitZero(t *testing.T) {
-	for opt, adam := range []bool{false, true} {
-		for _, devices := range []int{1, 2} {
-			cfg := trainerConfig(sched.HarmonyDP, devices)
-			cfg.Adam = adam
-			cfg.LR = 0.005
-			cfg.DeviceBytes = 1 << 30
-			tr, _ := runTrainer(t, cfg, 3)
-			if st := tr.Stats(); st.Drops != 0 || st.SwapOuts != 0 {
-				t.Fatalf("opt %d, %d devices: the roomy device evicted: %+v", opt, devices, st)
+// TestStaleGradientBytesNeverReadBitIdentical is the reset rule checked
+// end to end (DESIGN.md §9, "Known-zero pages"): an update leaves its
+// gradient's bytes as they were and the step's first backward into it
+// overwrites them unread, while every later one adds to what the step
+// has written. Between steps every dW's device and host bytes, and
+// every spare device slice a gradient's fill might be handed, are
+// salted with NaN; per-step losses and the Save after every step must
+// be bit-identical to an unsalted reference in which every dW has
+// exactly one writer run a step — the roomy grouped harmony-dp or
+// harmony-pp plan, which the other plans of its family match bit for
+// bit. The rows cover harmony-dp, harmony-pp and both baselines (whose
+// naive policy writes the stale bytes back and reads them in again),
+// the serial and parallel executors, SGD and Adam, devices under swap
+// pressure and roomy ones (where a gradient stays resident across
+// steps), a chunked plan, and a harmony plan whose runs are narrowed to
+// one task each. A baseline and a narrowed plan give every dW one
+// writer run per microbatch, so a later writer that overwrote what the
+// step had written shows there, and a first writer that added to the
+// stale bytes shows everywhere.
+func TestStaleGradientBytesNeverReadBitIdentical(t *testing.T) {
+	const steps = 3
+	type variant struct {
+		name string
+		set  func(c *TrainerConfig, narrow int64)
+	}
+	pressure := variant{"pressure", func(c *TrainerConfig, _ int64) {
+		if c.Adam { // the moments need room beside the pins
+			c.DeviceBytes = 20 << 10
+		}
+	}}
+	roomy := variant{"roomy", func(*TrainerConfig, int64) {}}
+	chunked := variant{"chunked", func(c *TrainerConfig, _ int64) { c.CommChunks = 2 }}
+	narrowed := variant{"narrowed", func(c *TrainerConfig, narrow int64) { c.DeviceBytes = narrow }}
+	for _, family := range []struct {
+		harmony, baseline sched.Mode
+	}{{sched.HarmonyDP, sched.DPBaseline}, {sched.HarmonyPP, sched.PPBaseline}} {
+		for opt, adam := range []bool{false, true} {
+			base := trainerConfig(family.harmony, 2)
+			base.Adam, base.DeviceBytes = adam, 1<<30
+			ref, err := NewTrainer(base, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for r := range tr.g.DW {
-				for _, dw := range tr.g.DW[r] {
-					b, ok := tr.vm.lookup(dw.ID)
-					if !ok || !b.Load().Resident() {
-						t.Fatalf("%s is not resident on a device nothing is evicted from", dw)
-					}
-					if len(b.dev) != int(dw.Bytes/4) {
-						t.Fatalf("%s: device copy has %d floats, tensor %d", dw, len(b.dev), dw.Bytes/4)
-					}
-					if i, ok := bitZero(b.dev); !ok {
-						t.Fatalf("opt %d, %d devices: %s[%d] = %v after Step; the optimizer did not reset it", opt, devices, dw, i, b.dev[i])
+			if w := gradWriters(t, ref); w != 1 {
+				t.Fatalf("%v: the reference has %d writer runs for a dW, want 1", family.harmony, w)
+			}
+			narrow := slices.Max(schedcheck.Check(ref.s, schedcheck.Topology{Devices: base.Devices, DeviceBytes: 1}).PeakPinBytes)
+			var wantLoss []float32
+			var wantSave [][]byte
+			for s := 0; s < steps; s++ {
+				loss, save := stepAndSave(t, ref, s)
+				wantLoss, wantSave = append(wantLoss, loss), append(wantSave, save)
+			}
+			ref.Close()
+
+			for _, mode := range []sched.Mode{family.harmony, family.baseline} {
+				variants := []variant{pressure, roomy}
+				if mode == family.harmony {
+					variants = append(variants, narrowed)
+				}
+				if mode == sched.HarmonyDP || mode == sched.DPBaseline {
+					variants = append(variants, chunked)
+				}
+				for _, v := range variants {
+					for _, serial := range []bool{false, true} {
+						cfg := trainerConfig(mode, 2)
+						cfg.Adam, cfg.Serial, cfg.DeviceBytes = adam, serial, 1<<30
+						if v.name == "pressure" {
+							cfg.DeviceBytes = trainerConfig(mode, 2).DeviceBytes
+						}
+						v.set(&cfg, narrow)
+						t.Run(fmt.Sprintf("%v/%s/opt%d/serial=%v", mode, v.name, opt, serial), func(t *testing.T) {
+							tr, err := NewTrainer(cfg, nil)
+							if err != nil {
+								t.Fatal(err)
+							}
+							defer tr.Close()
+							if w := gradWriters(t, tr); (v.name == "narrowed" || mode == family.baseline) && w < 2 {
+								t.Fatalf("no dW has more than one writer run a step (%d)", w)
+							}
+							for s := 0; s < steps; s++ {
+								saltGradients(tr)
+								loss, save := stepAndSave(t, tr, s)
+								if math.Float32bits(loss) != math.Float32bits(wantLoss[s]) {
+									t.Fatalf("step %d: loss %v, reference %v", s+1, loss, wantLoss[s])
+								}
+								if !bytes.Equal(save, wantSave[s]) {
+									t.Fatalf("step %d: Save differs from the reference's", s+1)
+								}
+							}
+							if st := tr.Stats(); v.name == "pressure" && st.Drops+st.SwapOuts == 0 {
+								t.Fatalf("nothing was evicted under pressure: %+v", st)
+							}
+						})
 					}
 				}
 			}
-			tr.Close()
 		}
 	}
+}
+
+// gradWriters checks that every backward run writing one dW is in one
+// device's stream, and returns the most runs any dW has a step.
+func gradWriters(t *testing.T, tr *Trainer) int {
+	t.Helper()
+	dev, runs := map[int]int{}, map[int]int{}
+	most := 0
+	for d, st := range tr.streams.Dev {
+		for _, e := range st {
+			if e.Task.Kind != graph.Backward {
+				continue
+			}
+			id := e.Task.Inputs[1].ID
+			if prev, ok := dev[id]; ok && prev != d {
+				t.Fatalf("%s is written on gpu%d and gpu%d", e.Task.Inputs[1], prev, d)
+			}
+			dev[id], runs[id] = d, runs[id]+1
+			most = max(most, runs[id])
+		}
+	}
+	return most
+}
+
+// saltGradients overwrites, between steps, every byte a gradient holds
+// — device copy and host backing — and every spare device slice with
+// NaN.
+func saltGradients(tr *Trainer) {
+	nan := float32(math.NaN())
+	fill := func(s []float32) {
+		for i := range s {
+			s[i] = nan
+		}
+	}
+	for r := range tr.g.DW {
+		for _, dw := range tr.g.DW[r] {
+			if b, ok := tr.vm.lookup(dw.ID); ok {
+				fill(b.dev)
+				fill(b.host)
+			}
+		}
+	}
+	for _, sh := range tr.vm.shards {
+		for _, st := range sh.spares {
+			for _, s := range st.slices {
+				fill(s)
+			}
+		}
+	}
+}
+
+// stepAndSave runs step s of runTrainer's data stream and returns its
+// loss and the checkpoint Save writes after it.
+func stepAndSave(t *testing.T, tr *Trainer, s int) (float32, []byte) {
+	t.Helper()
+	loss := stepTrainer(t, tr, s, 1)[0]
+	var buf bytes.Buffer
+	if err := tr.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return loss, buf.Bytes()
 }
 
 // TestZeroPageEvictionMovesNothing: evicting a known-zero page is a
@@ -179,7 +330,10 @@ func TestZeroPageEvictionMovesNothing(t *testing.T) {
 // device is next reached — demand Ensure, prefetch then Ensure, Read, a
 // p2p move, a bounce through the host — the reader sees +0 everywhere,
 // and only the p2p move (a real copy of the resident zeros) uses a link.
-// Read leaves the page known-zero, with no host copy.
+// Read leaves the page known-zero, with no host copy. A gradient's
+// device bytes are its next backward's, not zeros (an update leaves its
+// gradient as it was): Read of a resident one salted with NaN must
+// still give +0s.
 func TestZeroPageReadsAsZeros(t *testing.T) {
 	p2p := memory.Policy{DirtyTracking: true, P2P: true}
 	read := func(vm *VM, ts *tensor.Tensor) ([]float32, error) {
@@ -201,8 +355,9 @@ func TestZeroPageReadsAsZeros(t *testing.T) {
 		evict bool
 		read  func(*VM, *tensor.Tensor) ([]float32, error)
 		fills int // zero-fills beyond the set-up's one
+		grad  bool
 	}{
-		{"ensure", tracking, true, func(vm *VM, ts *tensor.Tensor) ([]float32, error) { return vm.Ensure(0, ts) }, 1},
+		{"ensure", tracking, true, func(vm *VM, ts *tensor.Tensor) ([]float32, error) { return vm.Ensure(0, ts) }, 1, false},
 		{"prefetch", tracking, true, func(vm *VM, ts *tensor.Tensor) ([]float32, error) {
 			vm.EnsureAsync(0, ts)
 			if err := vm.WaitIdle(); err != nil {
@@ -212,18 +367,24 @@ func TestZeroPageReadsAsZeros(t *testing.T) {
 				return nil, fmt.Errorf("the prefetch lane did not fill the known-zero page: %+v", st)
 			}
 			return vm.Ensure(0, ts)
-		}, 1},
-		{"read-evicted", tracking, true, read, 0},
-		{"read-resident", tracking, false, read, 0},
-		{"p2p", p2p, false, func(vm *VM, ts *tensor.Tensor) ([]float32, error) { return vm.Ensure(1, ts) }, 0},
-		{"bounce", tracking, false, func(vm *VM, ts *tensor.Tensor) ([]float32, error) { return vm.Ensure(1, ts) }, 1},
+		}, 1, false},
+		{"read-evicted", tracking, true, read, 0, false},
+		{"read-resident", tracking, false, read, 0, false},
+		{"read-resident-grad", tracking, false, read, 0, true},
+		{"p2p", p2p, false, func(vm *VM, ts *tensor.Tensor) ([]float32, error) { return vm.Ensure(1, ts) }, 0, false},
+		{"bounce", tracking, false, func(vm *VM, ts *tensor.Tensor) ([]float32, error) { return vm.Ensure(1, ts) }, 1, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, a, _, _ := vmTensors(t)
 			vm := NewVM(2, 500, tc.pol)
 			vm.StartEngine(400)
 			defer vm.Close()
-			zeroedPage(t, vm, 0, a)
+			if tc.grad {
+				a = &tensor.Tensor{ID: a.ID, Kind: tensor.WeightGrad, Bytes: a.Bytes}
+				stalePage(t, vm, 0, a)
+			} else {
+				zeroedPage(t, vm, 0, a)
+			}
 			if tc.evict {
 				evictAll(t, vm, 0)
 			}
@@ -288,23 +449,41 @@ func TestHostAllocOfZeroPage(t *testing.T) {
 // TestFillZeroesWhateverItIsHanded pins fill's contract apart from the
 // allocator's: the memset is fill's, not a property of the slice it was
 // given — which is usually a spare still holding another page's floats.
+// A known-zero gradient is the exception: its next backward overwrites
+// it unread, so its fill writes nothing and is still counted as a
+// zero-fill.
 func TestFillZeroesWhateverItIsHanded(t *testing.T) {
-	_, a, _, _ := vmTensors(t)
-	vm := NewVM(1, 500, tracking)
-	zeroedPage(t, vm, 0, a)
-	b, _ := vm.lookup(a.ID)
-	if !b.Claim(true, claimword.NeedUnpinned) {
-		t.Fatal("claim failed")
-	}
-	for i := range b.dev {
-		b.dev[i] = float32(math.NaN())
-	}
-	if err := vm.fill(xferIn, 0, b); err != nil {
-		t.Fatal(err)
-	}
-	b.Settle(true, 0)
-	if i, ok := bitZero(b.dev); !ok {
-		t.Fatalf("fill left element %d = %v", i, b.dev[i])
+	for _, kind := range []tensor.Kind{tensor.Weight, tensor.OptState, tensor.WeightGrad} {
+		t.Run(kind.String(), func(t *testing.T) {
+			a := &tensor.Tensor{ID: 1, Kind: kind, Bytes: 400}
+			vm := NewVM(1, 500, tracking)
+			zeroedPage(t, vm, 0, a)
+			b, _ := vm.lookup(a.ID)
+			if !b.Claim(true, claimword.NeedUnpinned) {
+				t.Fatal("claim failed")
+			}
+			for i := range b.dev {
+				b.dev[i] = float32(math.NaN())
+			}
+			before := vm.StatsSnapshot().ZeroFills
+			if err := vm.fill(xferIn, 0, b); err != nil {
+				t.Fatal(err)
+			}
+			b.Settle(true, 0)
+			if got := vm.StatsSnapshot().ZeroFills; got != before+1 {
+				t.Fatalf("zero-fills %d, want %d", got, before+1)
+			}
+			i, ok := bitZero(b.dev)
+			if kind == tensor.WeightGrad {
+				if ok || !math.IsNaN(float64(b.dev[0])) {
+					t.Fatal("the fill of a known-zero gradient wrote its bytes")
+				}
+				return
+			}
+			if !ok {
+				t.Fatalf("fill left element %d = %v", i, b.dev[i])
+			}
+		})
 	}
 }
 

@@ -32,6 +32,13 @@ type Kernel interface {
 	// with respect to the pre-activation: a ReLU kernel's consumer has
 	// already masked it. dx leaves masked by the sign of the stash.
 	Backward(params, stash, dy, dx, grad []float32, batch int)
+	// BackwardReset is Backward into a reset gradient: every parameter
+	// gradient's sum starts at +0 instead of at its element of grad,
+	// whose old bytes it never reads. It leaves the bits Backward leaves
+	// on a grad of +0s, so the first backward of a step to write a
+	// gradient overwrites it and the update before needs no reset
+	// (DESIGN.md §9, "Known-zero pages").
+	BackwardReset(params, stash, dy, dx, grad []float32, batch int)
 }
 
 // Interface conformance.
@@ -273,6 +280,20 @@ func (p MaxPool2D) Forward(_, x, y, stash []float32, batch int) {
 			}
 		}
 	})
+}
+
+// BackwardReset implements Kernel: it clears grad, once every operand
+// has been checked, and accumulates into the zeros.
+func (c Conv2D) BackwardReset(params, stash, dy, dx, grad []float32, batch int) {
+	c.validate()
+	checkBackward("Conv2D", params, stash, dy, dx, grad, batch, c.ParamCount(), c.InSize(), c.OutSize())
+	clear(grad[:c.ParamCount()])
+	c.Backward(params, stash, dy, dx, grad, batch)
+}
+
+// BackwardReset implements Kernel: a pool has no gradient to reset.
+func (p MaxPool2D) BackwardReset(params, stash, dy, dx, grad []float32, batch int) {
+	p.Backward(params, stash, dy, dx, grad, batch)
 }
 
 // Backward implements Kernel: the gradient routes to the argmax

@@ -16,10 +16,11 @@ func cpuHasAVX2() bool
 
 // axpyTermsAVX2 is axpyTerms over n floats of dst, n a multiple of 8,
 // for its m ≥ 1 terms: c[t] times the n floats off[t] floats into rows,
-// added in ascending t. Every off[t]+n is at most the length of rows.
+// added in ascending t to dst, or to +0 when fresh is set. Every
+// off[t]+n is at most the length of rows.
 //
 //go:noescape
-func axpyTermsAVX2(dst, rows *float32, off *int, c *float32, m, n int)
+func axpyTermsAVX2(dst, rows *float32, off *int, c *float32, m, n int, fresh bool)
 
 // dx4AVX2 stores dx[i*in+k] = Σ_{j<nj} w[k*out+j]·d[i*out+j], summed
 // from +0 in ascending j, for four batch rows i and k < nk; nk is a
@@ -37,10 +38,11 @@ func dx4AVX2(dx, w, d *float32, nk, nj, in, out int)
 //go:noescape
 func dxGatherAVX2(sums *[16]float32, w *float32, rows *[16]int, d *float32, nj int)
 
-// sgdAVX2 is SGD's loop over n floats, n a multiple of 32.
+// sgdAVX2 is sgd's loop over n floats, n a multiple of 32, storing +0
+// to dw when reset is set.
 //
 //go:noescape
-func sgdAVX2(w, dw *float32, n int, lr float32)
+func sgdAVX2(w, dw *float32, n int, lr float32, reset bool)
 
 // averageAVX2 is average over elements [lo, lo+n) of the nviews ≥ 1
 // slices at views, n a multiple of 32. It reads the slice headers and

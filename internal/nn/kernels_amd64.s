@@ -50,31 +50,35 @@ no:
 	VMULPS off(r), c, t; \
 	VADDPS t, s, s
 
-// func axpyTermsAVX2(dst, rows *float32, off *int, c *float32, m, n int)
+// func axpyTermsAVX2(dst, rows *float32, off *int, c *float32, m, n int, fresh bool)
 //
-// A segment of dst is loaded into registers, receives the m terms in
-// order and is stored once: 64 floats in Y0-Y7 while they last, then 8
-// in Y0. AX is the byte offset of the segment, R9 the byte length of
-// the whole vectors and R10 that of the 64-float segments; R11 is the
-// segment's column in rows, R12 counts the terms, R13 is the term's row
-// and Y15 its coefficient.
-TEXT ·axpyTermsAVX2(SB), NOSPLIT, $0-48
-	MOVQ  dst+0(FP), DI
-	MOVQ  rows+8(FP), SI
-	MOVQ  off+16(FP), BX
-	MOVQ  c+24(FP), DX
-	MOVQ  m+32(FP), CX
-	MOVQ  n+40(FP), R9
-	TESTQ CX, CX
-	JLE   termsdone
-	SHLQ  $2, R9
-	MOVQ  R9, R10
-	ANDQ  $~255, R10
-	XORQ  AX, AX
+// A segment of dst is loaded into registers — or, when fresh is set
+// (R8), the registers are cleared to +0 and dst is not read — receives
+// the m terms in order and is stored once: 64 floats in Y0-Y7 while they
+// last, then 8 in Y0. AX is the byte offset of the segment, R9 the byte
+// length of the whole vectors and R10 that of the 64-float segments; R11
+// is the segment's column in rows, R12 counts the terms, R13 is the
+// term's row and Y15 its coefficient.
+TEXT ·axpyTermsAVX2(SB), NOSPLIT, $0-49
+	MOVQ    dst+0(FP), DI
+	MOVQ    rows+8(FP), SI
+	MOVQ    off+16(FP), BX
+	MOVQ    c+24(FP), DX
+	MOVQ    m+32(FP), CX
+	MOVQ    n+40(FP), R9
+	MOVBQZX fresh+48(FP), R8
+	TESTQ   CX, CX
+	JLE     termsdone
+	SHLQ    $2, R9
+	MOVQ    R9, R10
+	ANDQ    $~255, R10
+	XORQ    AX, AX
 
 terms64:
 	CMPQ    AX, R10
 	JGE     terms8
+	TESTQ   R8, R8
+	JNZ     terms64fresh
 	VMOVUPS (DI)(AX*1), Y0
 	VMOVUPS 32(DI)(AX*1), Y1
 	VMOVUPS 64(DI)(AX*1), Y2
@@ -83,8 +87,21 @@ terms64:
 	VMOVUPS 160(DI)(AX*1), Y5
 	VMOVUPS 192(DI)(AX*1), Y6
 	VMOVUPS 224(DI)(AX*1), Y7
-	LEAQ    (SI)(AX*1), R11
-	XORQ    R12, R12
+	JMP     terms64go
+
+terms64fresh:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+terms64go:
+	LEAQ (SI)(AX*1), R11
+	XORQ R12, R12
 
 terms64t:
 	MOVQ         (BX)(R12*8), R13
@@ -115,9 +132,14 @@ terms64t:
 terms8:
 	CMPQ    AX, R9
 	JGE     termsdone
+	VXORPS  Y0, Y0, Y0
+	TESTQ   R8, R8
+	JNZ     terms8go
 	VMOVUPS (DI)(AX*1), Y0
-	LEAQ    (SI)(AX*1), R11
-	XORQ    R12, R12
+
+terms8go:
+	LEAQ (SI)(AX*1), R11
+	XORQ R12, R12
 
 terms8t:
 	MOVQ         (BX)(R12*8), R13
@@ -308,32 +330,42 @@ gatherdone:
 	RET
 
 // SGD1 updates the eight weights at off: w - (lr * g), the operand order
-// of the Go source, with lr in Y8 and t a temporary; the gradient is
-// stored as +0 from Y9.
+// of the Go source, with lr in Y8 and t a temporary.
 #define SGD1(off, w, t) \
 	VMULPS  off(SI)(AX*1), Y8, t; \
 	VMOVUPS off(DI)(AX*1), w; \
 	VSUBPS  t, w, w; \
-	VMOVUPS w, off(DI)(AX*1); \
-	VMOVUPS Y9, off(SI)(AX*1)
+	VMOVUPS w, off(DI)(AX*1)
 
-// func sgdAVX2(w, dw *float32, n int, lr float32)
-TEXT ·sgdAVX2(SB), NOSPLIT, $0-28
+// func sgdAVX2(w, dw *float32, n int, lr float32, reset bool)
+//
+// With reset (R10) set, each block of the gradient is stored as +0 from
+// Y9 once its weights are updated.
+TEXT ·sgdAVX2(SB), NOSPLIT, $0-29
 	MOVQ         w+0(FP), DI
 	MOVQ         dw+8(FP), SI
 	MOVQ         n+16(FP), R9
 	VBROADCASTSS lr+24(FP), Y8
+	MOVBQZX      reset+28(FP), R10
 	VXORPS       Y9, Y9, Y9
 	SHLQ         $2, R9
 	XORQ         AX, AX
 
 sgdx32:
-	CMPQ AX, R9
-	JGE  sgddone
+	CMPQ    AX, R9
+	JGE     sgddone
 	SGD1(0, Y0, Y4)
 	SGD1(32, Y1, Y5)
 	SGD1(64, Y2, Y6)
 	SGD1(96, Y3, Y7)
+	TESTQ   R10, R10
+	JZ      sgdnext
+	VMOVUPS Y9, (SI)(AX*1)
+	VMOVUPS Y9, 32(SI)(AX*1)
+	VMOVUPS Y9, 64(SI)(AX*1)
+	VMOVUPS Y9, 96(SI)(AX*1)
+
+sgdnext:
 	ADDQ $128, AX
 	JMP  sgdx32
 
@@ -406,10 +438,11 @@ avgdone:
 // accumulators start at +0, add the block of every gradient view in
 // index order and are scaled by inv; that mean times lr (Y9) is
 // subtracted from the first weight view's block, w - (lr * g) as in SGD1,
-// and the four results are stored to every weight view and +0 (Y10) to
-// every gradient view. SI and R11 are the first gradient and weight
-// headers, R10 the byte length of a header array; CX and BX walk the
-// two arrays in step, R12 is the first weight view's data, DX the byte
+// and the four results are stored to every weight view. No gradient
+// view is written. SI and R11 are the first gradient and weight
+// headers, R10 the byte length of a header array and R13 and AX the
+// ends of the two arrays; CX walks the gradient headers and BX the
+// weight headers, R12 is the first weight view's data, DX the byte
 // offset of the block and R9 the end of the range.
 TEXT ·averageSGDAVX2(SB), NOSPLIT, $0-48
 	MOVQ         gs+0(FP), SI
@@ -419,10 +452,10 @@ TEXT ·averageSGDAVX2(SB), NOSPLIT, $0-48
 	MOVQ         n+32(FP), R9
 	VBROADCASTSS inv+40(FP), Y8
 	VBROADCASTSS lr+44(FP), Y9
-	VXORPS       Y10, Y10, Y10
 	LEAQ         (R10)(R10*2), R10
 	SHLQ         $3, R10
 	LEAQ         (SI)(R10*1), R13
+	LEAQ         (R11)(R10*1), AX
 	MOVQ         (R11), R12
 	SHLQ         $2, DX
 	LEAQ         (DX)(R9*4), R9
@@ -461,7 +494,6 @@ asgdsum:
 	VSUBPS Y1, Y5, Y5
 	VSUBPS Y2, Y6, Y6
 	VSUBPS Y3, Y7, Y7
-	MOVQ   SI, CX
 	MOVQ   R11, BX
 
 asgdstore:
@@ -470,14 +502,8 @@ asgdstore:
 	VMOVUPS Y5, 32(DI)(DX*1)
 	VMOVUPS Y6, 64(DI)(DX*1)
 	VMOVUPS Y7, 96(DI)(DX*1)
-	MOVQ    (CX), DI
-	VMOVUPS Y10, (DI)(DX*1)
-	VMOVUPS Y10, 32(DI)(DX*1)
-	VMOVUPS Y10, 64(DI)(DX*1)
-	VMOVUPS Y10, 96(DI)(DX*1)
-	ADDQ    $24, CX
 	ADDQ    $24, BX
-	CMPQ    CX, R13
+	CMPQ    BX, AX
 	JLT     asgdstore
 	ADDQ    $128, DX
 	JMP     asgdx32

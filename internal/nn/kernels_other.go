@@ -6,7 +6,7 @@ package nn
 // path (kernels_amd64.go) is never taken.
 var useAVX2 = false
 
-func axpyTermsAVX2(dst, rows *float32, off *int, c *float32, m, n int) {
+func axpyTermsAVX2(dst, rows *float32, off *int, c *float32, m, n int, fresh bool) {
 	panic("nn: no vector kernels on this GOARCH")
 }
 
@@ -16,7 +16,9 @@ func dxGatherAVX2(sums *[16]float32, w *float32, rows *[16]int, d *float32, nj i
 	panic("nn: no vector kernels on this GOARCH")
 }
 
-func sgdAVX2(w, dw *float32, n int, lr float32) { panic("nn: no vector kernels on this GOARCH") }
+func sgdAVX2(w, dw *float32, n int, lr float32, reset bool) {
+	panic("nn: no vector kernels on this GOARCH")
+}
 
 func averageAVX2(views *[]float32, nviews, lo, n int, inv float32) {
 	panic("nn: no vector kernels on this GOARCH")

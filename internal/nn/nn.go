@@ -15,6 +15,13 @@
 // pass costs the two forwards the cost model charges
 // (models.BwdFLOPsFactor).
 //
+// A gradient is reset by being overwritten, not cleared: the first
+// backward of a step to write it sums from +0 (Kernel.BackwardReset)
+// and never reads the bytes the last update left, so the trainer's
+// update forms (ApplySGD, AverageSGD) leave the gradient as it was. SGD
+// and Adam still store the +0s, for a caller that accumulates into the
+// same buffer again (DESIGN.md §9, "Known-zero pages").
+//
 // The Dense inner loops, SGD, Average (the all-reduce across replicas)
 // and AverageSGD have two implementations with one result: the Go loops
 // in this file, which every GOARCH builds, and AVX2 assembly
@@ -90,14 +97,13 @@ func (l Dense) forwardRows(params, x, y []float32, lo, hi int) {
 			k1 := min(k0+fwdRows, l.In)
 			for i := r0; i < r1; i++ {
 				m := gather(off[:k1-k0], c[:], x[i*l.In+k0:], 1, n)
-				axpyTerms(y[i*n:(i+1)*n], w[k0*n:k1*n], off[:m], c[:m])
+				axpyTerms(y[i*n:(i+1)*n], w[k0*n:k1*n], off[:m], c[:m], false)
 			}
 		}
 		if ys := y[r0*n : r1*n]; l.ReLU {
 			for j, v := range ys {
-				if v < 0 {
-					ys[j] = 0
-				}
+				b := math.Float32bits(v)
+				ys[j] = math.Float32frombits(b &^ positive(b^signBit))
 			}
 		}
 	}
@@ -115,11 +121,29 @@ func (l Dense) forwardRows(params, x, y []float32, lo, hi int) {
 // bit-identical to a serial run. An operand too short for batch panics
 // before anything is written (checkBackward).
 func (l Dense) Backward(params, stash, dy, dx, grad []float32, batch int) {
+	l.backward(params, stash, dy, dx, grad, batch, false)
+}
+
+// BackwardReset implements Kernel: Backward with every sum of grad
+// started at +0 in place of grad's element. The weight gradient's first
+// strip of terms stores its sums over grad instead of adding them to it,
+// and a row with no terms there stores +0s.
+func (l Dense) BackwardReset(params, stash, dy, dx, grad []float32, batch int) {
+	l.backward(params, stash, dy, dx, grad, batch, true)
+}
+
+func (l Dense) backward(params, stash, dy, dx, grad []float32, batch int, reset bool) {
 	checkBackward("Dense", params, stash, dy, dx, grad, batch, l.ParamCount(), l.In, l.Out)
 	nw := l.In * l.Out
 	stash = stash[:batch*l.In]
 	gw := grad[:nw]
 	gb := grad[nw : nw+l.Out]
+	if reset {
+		clear(gb)
+		if batch == 0 { // no strip starts the weight sums
+			clear(gw)
+		}
+	}
 	// Bias gradient: each column sums the batch in order. It is 1/In of
 	// the pass's work, so it does not fan out.
 	for i := 0; i < batch; i++ {
@@ -130,9 +154,9 @@ func (l Dense) Backward(params, stash, dy, dx, grad []float32, batch int) {
 	// Weight gradient: chunk over weight rows k (the input dimension);
 	// each gw row accumulates the batch in order.
 	if grain := grainFor(2 * batch * l.Out); runsInline(l.In, grain) {
-		l.weightGradRows(stash, dy, gw, batch, 0, l.In)
+		l.weightGradRows(stash, dy, gw, batch, reset, 0, l.In)
 	} else {
-		ParallelFor(l.In, grain, func(lo, hi int) { l.weightGradRows(stash, dy, gw, batch, lo, hi) })
+		ParallelFor(l.In, grain, func(lo, hi int) { l.weightGradRows(stash, dy, gw, batch, reset, lo, hi) })
 	}
 	// Input gradient, masked: rows are disjoint over the batch.
 	if dx == nil {
@@ -146,12 +170,13 @@ func (l Dense) Backward(params, stash, dy, dx, grad []float32, batch int) {
 }
 
 // weightGradRows accumulates gw rows [lo, hi): gw[k,j] += x[i,k]·d[i,j]
-// for ascending i, zero x skipped. Each row takes the batch in strips of
-// termCap rows, one list of terms a strip, strip after strip, so every
-// element still adds its terms in ascending i. (Tiling the columns, so
-// that a strip of dY stays in L1 across weight rows, did not pay:
-// EXPERIMENTS.md, "Cache-blocking the Dense loops".)
-func (l Dense) weightGradRows(stash, dy, gw []float32, batch, lo, hi int) {
+// for ascending i, zero x skipped — from +0 rather than from gw when
+// reset is set. Each row takes the batch in strips of termCap rows, one
+// list of terms a strip, strip after strip, so every element still adds
+// its terms in ascending i, and only the first strip starts from +0.
+// (Tiling the columns, so that a strip of dY stays in L1 across weight
+// rows, did not pay: EXPERIMENTS.md, "Cache-blocking the Dense loops".)
+func (l Dense) weightGradRows(stash, dy, gw []float32, batch int, reset bool, lo, hi int) {
 	n := l.Out
 	var off [termCap]int
 	var c [termCap]float32
@@ -159,7 +184,7 @@ func (l Dense) weightGradRows(stash, dy, gw []float32, batch, lo, hi int) {
 		i1 := min(i0+termCap, batch)
 		for k := lo; k < hi; k++ {
 			m := gather(off[:i1-i0], c[:], stash[i0*l.In+k:], l.In, n)
-			axpyTerms(gw[k*n:(k+1)*n], dy[i0*n:i1*n], off[:m], c[:m])
+			axpyTerms(gw[k*n:(k+1)*n], dy[i0*n:i1*n], off[:m], c[:m], reset && i0 == 0)
 		}
 	}
 }
@@ -169,14 +194,27 @@ func (l Dense) weightGradRows(stash, dy, gw []float32, batch, lo, hi int) {
 // on the consumer's side. A ReLU writes +0 or leaves its input, so
 // x > 0 exactly where that layer's pre-activation was > 0, ±0 and NaN
 // included, and a zeroed element is the +0 the producer's own mask
-// would have written.
+// would have written. The mask is a select on the bits, not a branch:
+// about half of a hidden layer's inputs are masked, in no order a
+// branch predictor could learn.
 func maskBySign(dx, x []float32) {
 	x = x[:len(dx)]
 	for i, v := range x {
-		if !(v > 0) {
-			dx[i] = 0
-		}
+		dx[i] = math.Float32frombits(math.Float32bits(dx[i]) & positive(math.Float32bits(v)))
 	}
+}
+
+// signBit is a float32's sign: b^signBit is the bits of -v.
+const signBit = 1 << 31
+
+// positive is all ones where b is the bits of a float32 > 0 and 0
+// elsewhere, without a branch. Those are 1 (the smallest denormal)
+// through 0x7f800000 (+Inf): ±0, NaN of either sign and every negative
+// lie outside. So b-1 is below 0x7f800000 for them alone, compared as
+// unsigned numbers by the borrow of a 64-bit subtraction.
+// positive(b^signBit) is the mask of v < 0, ReLU's.
+func positive(b uint32) uint32 {
+	return uint32(int64(uint64(b-1)-0x7f800000) >> 63)
 }
 
 // inputGradRows computes dx for batch rows [lo, hi): dx[i,k] = Σ_j
@@ -321,20 +359,28 @@ func gather(off []int, c, coef []float32, stride, rowLen int) int {
 
 // axpyTerms adds c[t]·rows[off[t]+j] to dst[j] for t = 0, 1, … in order,
 // with one load and one store of each dst element for the whole list.
-// Every off[t]+len(dst) is at most len(rows).
-func axpyTerms(dst, rows []float32, off []int, c []float32) {
+// With fresh set each sum starts at +0 instead of at dst[j], which is
+// stored over and never read, and an empty list stores +0s. Every
+// off[t]+len(dst) is at most len(rows).
+func axpyTerms(dst, rows []float32, off []int, c []float32, fresh bool) {
 	if len(off) == 0 {
+		if fresh {
+			clear(dst)
+		}
 		return
 	}
 	c = c[:len(off)]
 	if n := len(dst) &^ 7; useAVX2 && n > 0 {
-		axpyTermsAVX2(&dst[0], &rows[0], &off[0], &c[0], len(off), n)
+		axpyTermsAVX2(&dst[0], &rows[0], &off[0], &c[0], len(off), n, fresh)
 		dst, rows = dst[n:], rows[n:]
 	}
 	j := 0
 	for ; j+4 <= len(dst); j += 4 {
 		d := dst[j : j+4 : j+4]
-		s0, s1, s2, s3 := d[0], d[1], d[2], d[3]
+		var s0, s1, s2, s3 float32
+		if !fresh {
+			s0, s1, s2, s3 = d[0], d[1], d[2], d[3]
+		}
 		for t, o := range off {
 			r, v := rows[o+j:o+j+4:o+j+4], c[t]
 			s0 += v * r[0]
@@ -345,7 +391,10 @@ func axpyTerms(dst, rows []float32, off []int, c []float32) {
 		d[0], d[1], d[2], d[3] = s0, s1, s2, s3
 	}
 	for ; j < len(dst); j++ {
-		s := dst[j]
+		var s float32
+		if !fresh {
+			s = dst[j]
+		}
 		for t, o := range off {
 			s += c[t] * rows[o+j]
 		}
@@ -438,21 +487,34 @@ func SoftmaxXent(logits []float32, labels []int, dlogits []float32, batch, class
 }
 
 // SGD applies w -= lr·g and zeroes the gradient buffer: every element
-// of g is +0 on return, which internal/exec relies on to never move a
-// just-applied gradient (VM.MarkZero). Any optimizer added beside these
-// two owes the same reset. A gradient shorter than w panics.
+// of g is +0 on return, for a caller that accumulates the next gradient
+// into it with Backward. A gradient shorter than w panics.
 func SGD(w, g []float32, lr float32) {
+	sgd("SGD", w, g, lr, true)
+}
+
+// ApplySGD is SGD that leaves g as it was: the trainer's update, whose
+// next backward into g overwrites it (Kernel.BackwardReset), so the
+// reset costs no store.
+func ApplySGD(w, g []float32, lr float32) {
+	sgd("ApplySGD", w, g, lr, false)
+}
+
+// sgd is SGD's loop, with the +0 stores to g when reset is set.
+func sgd(name string, w, g []float32, lr float32, reset bool) {
 	if len(g) < len(w) {
-		panic(fmt.Sprintf("nn: SGD gradient has %d floats for %d weights", len(g), len(w)))
+		panic(fmt.Sprintf("nn: %s gradient has %d floats for %d weights", name, len(g), len(w)))
 	}
 	g = g[:len(w)]
 	if n := len(w) &^ 31; useAVX2 && n > 0 {
-		sgdAVX2(&w[0], &g[0], n, lr)
+		sgdAVX2(&w[0], &g[0], n, lr, reset)
 		w, g = w[n:], g[n:]
 	}
 	for i := range w {
 		w[i] -= lr * g[i]
-		g[i] = 0
+	}
+	if reset {
+		clear(g)
 	}
 }
 
@@ -511,10 +573,11 @@ func average(views [][]float32, lo, hi int, inv float32) {
 // each element of [lo, hi) it sums the gradient views gs to +0 in index
 // order and scales the sum by inv, as Average does, then computes
 // w - lr·mean from the first weight view, as SGD does (a multiply, then
-// a subtract), stores that to every weight view and +0 to every
-// gradient view. ws[i] is replica i's weights beside its gradient
-// gs[i]; data-parallel replicas hold the same weights, so the result is
-// the one Average and a per-replica SGD would leave. The range fans out
+// a subtract), and stores that to every weight view. It writes no
+// gradient view: like ApplySGD it leaves the reset to the next backward
+// (Kernel.BackwardReset). ws[i] is replica i's weights beside its
+// gradient gs[i]; data-parallel replicas hold the same weights, so the
+// weights are the ones Average and a per-replica SGD would leave. The range fans out
 // across the worker pool like Average's. Every view is checked before
 // anything is written: unequal view counts, or a view shorter than hi,
 // panic.
@@ -569,9 +632,8 @@ func averageSGD(gs, ws [][]float32, lo, hi int, inv, lr float32) {
 			w -= lr * blk[j]
 			blk[j] = w
 		}
-		for i := range gs {
+		for i := range ws {
 			copy(ws[i][lo:], blk)
-			clear(gs[i][lo:][:len(blk)])
 		}
 	}
 }
@@ -579,7 +641,8 @@ func averageSGD(gs, ws [][]float32, lo, hi int, inv, lr float32) {
 // Adam applies one Adam step with bias correction; m and v are the
 // first and second moment buffers (the optimizer state K of the
 // paper's swap model). step is 1-based. The gradient buffer is
-// zeroed, matching the "Reset dW′" of Fig. 5(a). A gradient or moment
+// zeroed, matching the "Reset dW′" of Fig. 5(a), though the trainer's
+// next backward would overwrite it anyway. A gradient or moment
 // buffer shorter than w panics before anything is written.
 func Adam(w, g, m, v []float32, lr, beta1, beta2, eps float32, step int) {
 	if len(g) < len(w) {

@@ -1358,15 +1358,18 @@ func TestVectorKernelsMatchGoTiles(t *testing.T) {
 		sameBits(t, name, got, want)
 	}
 	// terms runs axpyTerms over n floats with m terms whose rows lie
-	// anywhere in one buffer, overlapping or repeated.
+	// anywhere in one buffer, overlapping or repeated, adding to dst and
+	// to +0 in its place.
 	terms := func(n, m int) {
 		rows, c, off := salted(n+m*3+1), salted(m), make([]int, m)
 		for t := range off {
 			off[t] = rng.Intn(len(rows) - n + 1)
 		}
-		both(fmt.Sprintf("axpyTerms n=%d m=%d", n, m), salted(n), func(dst []float32) {
-			axpyTerms(dst, rows, off, c)
-		})
+		for _, fresh := range []bool{false, true} {
+			both(fmt.Sprintf("axpyTerms n=%d m=%d fresh=%v", n, m, fresh), salted(n), func(dst []float32) {
+				axpyTerms(dst, rows, off, c, fresh)
+			})
+		}
 	}
 	for _, n := range []int{56, 63, 64, 65, 72, 127, 128, 129, 136, 200} {
 		for m := 1; m <= 9; m++ {
@@ -1378,9 +1381,11 @@ func TestVectorKernelsMatchGoTiles(t *testing.T) {
 			terms(n, 1+rep)
 			// SGD zeroes its gradient, so each run gets a fresh copy.
 			g, lr := salted(n), float32(rng.NormFloat64())
-			both(fmt.Sprintf("sgd n=%d", n), salted(n), func(w []float32) {
-				SGD(w, append([]float32(nil), g...), lr)
-			})
+			for _, reset := range []bool{false, true} {
+				both(fmt.Sprintf("sgd n=%d reset=%v", n, reset), salted(n), func(w []float32) {
+					sgd("SGD", w, append([]float32(nil), g...), lr, reset)
+				})
+			}
 		}
 		for in := 0; in <= 40; in++ {
 			for batch := 1; batch <= 6; batch++ {
@@ -1462,8 +1467,9 @@ func TestAverageRejectsShortView(t *testing.T) {
 	t.Error("Average accepted a 40-float view for the range [0, 64)")
 }
 
-// AverageSGD must leave what Average followed by an SGD on every view
-// leaves, bit for bit: for 1–5 replicas holding the same weights, at
+// AverageSGD must leave the weights Average followed by an SGD on every
+// view leaves, bit for bit, and every gradient view as it found it: for
+// 1–5 replicas holding the same weights, at
 // every length from 0 to 97 — every split between the 32-float blocks and
 // the Go tail — over sub-ranges that start at 0 and at an odd element,
 // and over one span past two of the Go loop's blocks. Gradients and weights
@@ -1490,24 +1496,25 @@ func testAverageSGDMatchesAverageThenSGD(t *testing.T) {
 			w := make([]float32, span[1]+rng.Intn(9))
 			salt(rng, w, 0.05, specials...)
 			gs, ws := make([][]float32, replicas), make([][]float32, replicas)
-			wantG, wantW := make([][]float32, replicas), make([][]float32, replicas)
+			g0, avgG, wantW := make([][]float32, replicas), make([][]float32, replicas), make([][]float32, replicas)
 			for r := range gs {
 				gs[r] = unaligned(rng, len(w))
 				salt(rng, gs[r], 0.125, specials...)
 				ws[r] = unaligned(rng, len(w))
 				copy(ws[r], w)
-				wantG[r] = append([]float32(nil), gs[r]...)
+				g0[r] = append([]float32(nil), gs[r]...)
+				avgG[r] = append([]float32(nil), gs[r]...)
 				wantW[r] = append([]float32(nil), ws[r]...)
 			}
 			AverageSGD(gs, ws, span[0], span[1], inv, lr)
-			Average(wantG, span[0], span[1], inv)
-			for r := range wantG {
-				SGD(wantW[r][span[0]:span[1]], wantG[r][span[0]:span[1]], lr)
+			Average(avgG, span[0], span[1], inv)
+			for r := range avgG {
+				SGD(wantW[r][span[0]:span[1]], avgG[r][span[0]:span[1]], lr)
 			}
 			for r := range gs {
 				name := fmt.Sprintf("%d replicas, range %v, view %d", replicas, span, r)
 				sameBits(t, name+" W", ws[r], wantW[r])
-				sameBits(t, name+" dW", gs[r], wantG[r])
+				sameBits(t, name+" dW", gs[r], g0[r])
 			}
 		}
 	}
@@ -1586,6 +1593,8 @@ func testSteadyStateAllocs(t *testing.T) {
 		"Dense.Forward":             func() { l.Forward(params, x, y, stash, batch) },
 		"Dense.Backward":            func() { l.Backward(params, stash, dy, dx, grad, batch) },
 		"SGD":                       func() { SGD(params, grad, 0.01) },
+		"ApplySGD":                  func() { ApplySGD(params, grad, 0.01) },
+		"Dense.BackwardReset":       func() { l.BackwardReset(params, stash, dy, dx, grad, batch) },
 		"Average":                   func() { Average(views, 3, len(x), 0.25) },
 		"AverageSGD":                func() { AverageSGD(views[:2], views[2:], 3, len(x), 0.5, 0.01) },
 	} {
@@ -1676,7 +1685,8 @@ func BenchmarkDenseStep(b *testing.B) {
 
 // BenchmarkSGD applies one replica's update of harmonybench's train-comm
 // step: SGD over every layer of a 64·1536·1536·1536·10 MLP, 4.83 M
-// floats, on both kernel paths.
+// floats, on both kernel paths — the SGD that resets its gradient and
+// the trainer's ApplySGD, which does not write it.
 func BenchmarkSGD(b *testing.B) {
 	eachKernelPath(b, func(b *testing.B) {
 		widths := []int{64, 1536, 1536, 1536, 10}
@@ -1688,13 +1698,20 @@ func BenchmarkSGD(b *testing.B) {
 			fillRand(w[i], uint64(i+1))
 			floats += n
 		}
-		b.SetBytes(int64(16 * floats)) // w and g each read and written once
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for l := range w {
-				SGD(w[l], g[l], 0.005)
-			}
+		for _, f := range []struct {
+			name  string
+			fn    func(w, g []float32, lr float32)
+			bytes int // per float: w read and written, g read and, by SGD, written
+		}{{"SGD", SGD, 16}, {"ApplySGD", ApplySGD, 12}} {
+			b.Run(f.name, func(b *testing.B) {
+				b.SetBytes(int64(f.bytes * floats))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for l := range w {
+						f.fn(w[l], g[l], 0.005)
+					}
+				}
+			})
 		}
 	})
 }
@@ -1724,7 +1741,7 @@ func BenchmarkReduceChunk(b *testing.B) {
 // BenchmarkAverageSGD is BenchmarkReduceChunk's chunk with the update
 // applied in the same pass, on both kernel paths: four replicas' weights
 // beside their gradients. The unfused row is that chunk's Average
-// followed by an SGD on every replica, the work the reducer and the four
+// followed by an ApplySGD on every replica, the work the reducer and the four
 // updates share when the update is not folded into the reduction.
 func BenchmarkAverageSGD(b *testing.B) {
 	eachKernelPath(b, func(b *testing.B) {
@@ -1741,7 +1758,7 @@ func BenchmarkAverageSGD(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				Average(gs, 0, n, 1.0/replicas)
 				for r := range gs {
-					SGD(ws[r], gs[r], 0.005)
+					ApplySGD(ws[r], gs[r], 0.005)
 				}
 			}
 		})
