@@ -95,7 +95,8 @@ race:
 # the linter's layer row, warm: ten iterations, not the first), and one
 # iteration of every BenchmarkDenseStep row, the nn kernels' layer row
 # (one replica's Dense kernel sequence on each harmonybench train
-# shape, forward and backward GFLOP/s apart). The ns/op
+# shape, forward and backward GFLOP/s apart, and the swap and pp
+# shapes' backward with its SGD update, fused against unfused). The ns/op
 # numbers are by hand; what the Ensure curve shows — a resident Ensure
 # takes no lock another device can hold — is a test
 # (TestEnsureHitTakesOnlyItsOwnShard), so this target only proves the

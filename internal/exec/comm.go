@@ -169,7 +169,7 @@ func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) error
 		tr.commStats.BytesReduced += int64(hi-lo) * 4
 		tr.commMu.Unlock()
 	}
-	if err := tr.release(ar, nil); err != nil {
+	if err := tr.release(ar); err != nil {
 		return err
 	}
 	if r := tr.rec; r != nil && tr.vm.cfg.bps <= 0 {

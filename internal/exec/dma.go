@@ -264,7 +264,7 @@ func (vm *VM) writeBack(dev int, b *buffer) error {
 // content on return is fill's contract, not the allocator's. The one
 // exception is a known-zero gradient (tensor.WeightGrad), whose bytes
 // belong to its next backward: the first one of a step overwrites them
-// unread (nn.Kernel.BackwardReset), so its fill writes nothing, and
+// unread (nn.Update.Reset), so its fill writes nothing, and
 // only VM.Read, which reads a known-zero page as +0s, reads it before
 // then. No copy means no link time and no fault site (internal/fault).
 func (vm *VM) fill(x xfer, dev int, b *buffer) error {

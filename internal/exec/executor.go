@@ -60,10 +60,13 @@ type rendezvous struct {
 // the ready channels.
 type taskState struct {
 	// runOf[id] is the task ID that heads task id's run — its own ID for
-	// a run's head, a collective and an update. deps and ready are kept
-	// at the head: the run's remaining outside dependencies (parallel
-	// executor) and the channel closed when they hit zero.
+	// a run's head and a collective. need, deps and ready are kept at the
+	// head: the run's dependencies from outside it, those still to
+	// complete this step (parallel executor), and the channel closed when
+	// they hit zero. An edge inside a run — a closing Update's on the
+	// backwards before it — counts nowhere.
 	runOf   []int32
+	need    []int32
 	deps    []int32
 	ready   []chan struct{}
 	losses  []float32 // per task ID, filled by final-layer backwards
@@ -94,6 +97,7 @@ func (tr *Trainer) sizeTasks() {
 	n := len(tr.g.Tasks)
 	tr.tasks = taskState{
 		runOf:   make([]int32, n),
+		need:    make([]int32, n),
 		deps:    make([]int32, n),
 		ready:   make([]chan struct{}, n),
 		losses:  make([]float32, n),
@@ -119,6 +123,14 @@ func (tr *Trainer) sizeTasks() {
 				l := tr.layers[e.Task.Layer]
 				longest = max(longest, k)
 				operand = max(operand, k*rows*max(l.InSize(), l.OutSize(), l.StashSize()))
+			}
+		}
+	}
+	for _, t := range tr.g.Tasks {
+		h := tr.tasks.runOf[t.ID]
+		for _, dep := range t.Deps {
+			if tr.tasks.runOf[dep.ID] != h {
+				tr.tasks.need[h]++
 			}
 		}
 	}
@@ -162,10 +174,7 @@ func newExecutor(tr *Trainer, labels []int) *executor {
 	if tr.cfg.Serial {
 		return ex
 	}
-	clear(ts.deps)
-	for _, t := range tr.g.Tasks {
-		ts.deps[ts.runOf[t.ID]] += int32(len(t.Deps))
-	}
+	copy(ts.deps, ts.need)
 	for _, t := range tr.g.Tasks {
 		if ts.runOf[t.ID] != int32(t.ID) {
 			continue // released with its run's head
@@ -192,6 +201,9 @@ func (ex *executor) fail(err error) {
 func (ex *executor) complete(t *graph.Task) {
 	for _, s := range t.Succs {
 		h := ex.ts.runOf[s.ID]
+		if h == ex.ts.runOf[t.ID] {
+			continue // inside t's run
+		}
 		if atomic.AddInt32(&ex.ts.deps[h], -1) == 0 {
 			if ex.tr.comm != nil && s.Kind == graph.AllReduce {
 				ex.tr.book(s)

@@ -948,7 +948,9 @@ type memberViews [2][maxViews][]float32
 // to end in the worker's operand buffers (runBufs) — one pass of W and
 // dW through the cache for the whole wave — and its outputs are copied
 // back to each member's views; a run of one computes on its views in
-// place.
+// place. A backward run that the layer's Update closes applies the SGD
+// update in that same call (nn.Update.SGD), so W is read and written
+// once for the backward and its update.
 // Every kernel's output rows are independent and its dW and db sum the
 // batch in row order, so the bits are those of one call per member
 // (DESIGN.md §7). Then each member is released. Pins match schedcheck's
@@ -971,6 +973,12 @@ func (tr *Trainer) runRun(d int, run []*graph.Task, next []sched.StreamEntry, la
 			r.add(dev, trace.Compute, sched.StreamEntry{Task: t, Run: run}.Label(), start, tr.vm.clk.Now())
 		}()
 	}
+	// fused: the layer's Update closes this backward run; the kernel's
+	// rows are those of the other members.
+	fused := k > 1 && run[k-1].Kind == graph.Update
+	if fused {
+		k--
+	}
 	layer := tr.layers[t.Layer]
 	rows := tr.g.Cfg.MicrobatchSize
 	bufs := &tr.runBufs[d]
@@ -983,13 +991,13 @@ func (tr *Trainer) runRun(d int, run []*graph.Task, next []sched.StreamEntry, la
 		if err := tr.injectOp(fault.Kernel, dev, m.Layer); err != nil {
 			return m, err
 		}
-		if counted {
+		if counted && i < k {
 			if err := tr.lossRead(dev, m, labels, dy[i*rows*tr.classes:(i+1)*rows*tr.classes]); err != nil {
 				return m, err
 			}
 		}
 	}
-	vs := tr.runViews[d][:k]
+	vs := tr.runViews[d][:len(run)]
 	for i, m := range run {
 		if err := tr.acquire(m, dev, vs[i][0][:len(m.Inputs)], vs[i][1][:len(m.Outputs)]); err != nil {
 			return m, err
@@ -998,7 +1006,7 @@ func (tr *Trainer) runRun(d int, run []*graph.Task, next []sched.StreamEntry, la
 	if tr.pf != nil {
 		tr.pf.issue(d, next)
 	}
-	var zeroed *tensor.Tensor
+	vs = vs[:k]
 	switch in := &vs[0][0]; t.Kind {
 	case graph.Forward: // W, x → y, stash
 		nx, ny, ns := rows*layer.InSize(), rows*layer.OutSize(), rows*layer.StashSize()
@@ -1019,12 +1027,10 @@ func (tr *Trainer) runRun(d int, run []*graph.Task, next []sched.StreamEntry, la
 		}
 		// The step's first run to write dW overwrites what the last
 		// update left in it; every later one adds to it.
-		if dw := t.Inputs[1]; tr.tasks.written[dw.ID] {
-			layer.Backward(in[0], stash, dy, dx, in[1], k*rows)
-		} else {
-			tr.tasks.written[dw.ID] = true
-			layer.BackwardReset(in[0], stash, dy, dx, in[1], k*rows)
-		}
+		dw := t.Inputs[1]
+		u := nn.Update{Reset: !tr.tasks.written[dw.ID], SGD: fused, LR: tr.cfg.LR}
+		tr.tasks.written[dw.ID] = true
+		layer.BackwardUpdate(in[0], stash, dy, dx, in[1], k*rows, u)
 		if dx != nil {
 			split(vs, 1, 0, nx, dx)
 		}
@@ -1039,17 +1045,17 @@ func (tr *Trainer) runRun(d int, run []*graph.Task, next []sched.StreamEntry, la
 		default:
 			nn.ApplySGD(in[0][:n], in[1][:n], tr.cfg.LR)
 		}
-		// The update resets the gradient it applied (Fig. 5(a)'s "Reset
-		// dW′"; a checkpoint already omits dW on the strength of it) by
-		// the plan's word, not by a store: the step's first backward into
-		// it overwrites it unread (BackwardReset), so it reads as +0s and
-		// from here to then the VM need not move the page.
-		zeroed = t.Inputs[1]
 	}
 	for _, m := range run {
-		if err := tr.release(m, zeroed); err != nil {
+		if err := tr.release(m); err != nil {
 			return m, err
 		}
+	}
+	if fused && tr.pf != nil {
+		// The issue point the update had as a run of its own: with the
+		// backward's pages unpinned, the window finds the room the run
+		// held.
+		tr.pf.issue(d, next)
 	}
 	return nil, nil
 }
@@ -1135,19 +1141,23 @@ func (tr *Trainer) acquire(t *graph.Task, dev int, in, out [][]float32) error {
 }
 
 // release retires what acquire pinned once the kernel has run: in-place
-// mutations are marked dirty — zeroed, when non-nil, is the one of them
-// the kernel left all zeros, and is marked so instead — inputs and
-// outputs unpinned, and tensors whose last use this was destroyed. A
-// failure here is a plumbing bug, but it surfaces as a returned error
-// (not a panic) so the executor can abort the iteration cleanly and the
-// recovery layer can decide what to do with it.
-func (tr *Trainer) release(t *graph.Task, zeroed *tensor.Tensor) error {
+// mutations are marked dirty — an Update's dW is marked zero instead —
+// inputs and outputs unpinned, and tensors whose last use this was
+// destroyed. An Update resets the gradient it applied (Fig. 5(a)'s
+// "Reset dW′"; a checkpoint already omits dW on the strength of it) by
+// the plan's word, not by a store: the step's first backward into it
+// overwrites it unread (nn.Update.Reset), so it reads as +0s and from
+// here to then the VM need not move the page. A failure here is a
+// plumbing bug, but it surfaces as a returned error (not a panic) so the
+// executor can abort the iteration cleanly and the recovery layer can
+// decide what to do with it.
+func (tr *Trainer) release(t *graph.Task) error {
 	for _, x := range t.Mutates {
 		if x.Bytes == 0 {
 			continue
 		}
 		var err error
-		if x == zeroed {
+		if t.Kind == graph.Update && x.Kind == tensor.WeightGrad {
 			err = tr.vm.MarkZero(x)
 		} else {
 			err = tr.vm.MarkDirty(x)

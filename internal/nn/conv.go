@@ -32,13 +32,27 @@ type Kernel interface {
 	// with respect to the pre-activation: a ReLU kernel's consumer has
 	// already masked it. dx leaves masked by the sign of the stash.
 	Backward(params, stash, dy, dx, grad []float32, batch int)
-	// BackwardReset is Backward into a reset gradient: every parameter
-	// gradient's sum starts at +0 instead of at its element of grad,
-	// whose old bytes it never reads. It leaves the bits Backward leaves
+	// BackwardUpdate is Backward with what a training step does around
+	// the gradient, u: its sums started at +0, its update applied to
+	// params (Update).
+	BackwardUpdate(params, stash, dy, dx, grad []float32, batch int, u Update)
+}
+
+// Update is what a backward does with the parameter gradient besides
+// adding the batch's terms to it.
+type Update struct {
+	// Reset starts every sum at +0 instead of at its element of grad,
+	// whose old bytes are never read. It leaves the bits Backward leaves
 	// on a grad of +0s, so the first backward of a step to write a
 	// gradient overwrites it and the update before needs no reset
 	// (DESIGN.md §9, "Known-zero pages").
-	BackwardReset(params, stash, dy, dx, grad []float32, batch int)
+	Reset bool
+	// SGD applies w -= LR·g to the parameters once the gradient g is
+	// complete, with the bits ApplySGD gives after the backward. grad's
+	// bytes are unspecified afterwards — a Dense layer never stores the
+	// last of them — so the caller holds it reset, as after ApplySGD.
+	SGD bool
+	LR  float32
 }
 
 // Interface conformance.
@@ -282,17 +296,25 @@ func (p MaxPool2D) Forward(_, x, y, stash []float32, batch int) {
 	})
 }
 
-// BackwardReset implements Kernel: it clears grad, once every operand
-// has been checked, and accumulates into the zeros.
-func (c Conv2D) BackwardReset(params, stash, dy, dx, grad []float32, batch int) {
+// BackwardUpdate implements Kernel: with u.Reset it clears grad, once
+// every operand has been checked, and accumulates into the zeros; with
+// u.SGD, ApplySGD follows.
+func (c Conv2D) BackwardUpdate(params, stash, dy, dx, grad []float32, batch int, u Update) {
 	c.validate()
 	checkBackward("Conv2D", params, stash, dy, dx, grad, batch, c.ParamCount(), c.InSize(), c.OutSize())
-	clear(grad[:c.ParamCount()])
+	n := c.ParamCount()
+	if u.Reset {
+		clear(grad[:n])
+	}
 	c.Backward(params, stash, dy, dx, grad, batch)
+	if u.SGD {
+		sgd("BackwardUpdate", params[:n], grad[:n], u.LR, false)
+	}
 }
 
-// BackwardReset implements Kernel: a pool has no gradient to reset.
-func (p MaxPool2D) BackwardReset(params, stash, dy, dx, grad []float32, batch int) {
+// BackwardUpdate implements Kernel: a pool has no gradient to reset and
+// no parameter to update.
+func (p MaxPool2D) BackwardUpdate(params, stash, dy, dx, grad []float32, batch int, _ Update) {
 	p.Backward(params, stash, dy, dx, grad, batch)
 }
 

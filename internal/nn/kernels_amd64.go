@@ -16,11 +16,13 @@ func cpuHasAVX2() bool
 
 // axpyTermsAVX2 is axpyTerms over n floats of dst, n a multiple of 8,
 // for its m ≥ 1 terms: c[t] times the n floats off[t] floats into rows,
-// added in ascending t to dst, or to +0 when fresh is set. Every
-// off[t]+n is at most the length of rows.
+// added in ascending t to dst, or to +0 when fresh is set. With w
+// non-nil each sum s updates w, w - lr·s, instead of being stored to
+// dst. Every off[t]+n is at most the length of rows, and w holds n
+// floats.
 //
 //go:noescape
-func axpyTermsAVX2(dst, rows *float32, off *int, c *float32, m, n int, fresh bool)
+func axpyTermsAVX2(dst, rows *float32, off *int, c *float32, m, n int, fresh bool, w *float32, lr float32)
 
 // dx4AVX2 stores dx[i*in+k] = Σ_{j<nj} w[k*out+j]·d[i*out+j], summed
 // from +0 in ascending j, for four batch rows i and k < nk; nk is a

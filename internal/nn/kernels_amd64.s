@@ -50,16 +50,26 @@ no:
 	VMULPS off(r), c, t; \
 	VADDPS t, s, s
 
-// func axpyTermsAVX2(dst, rows *float32, off *int, c *float32, m, n int, fresh bool)
+// SGDSEG stores w - (lr * s) over the eight weights at off(R14)(AX*1),
+// SGD1's operations and operand order on the sum s, with lr in Y15.
+#define SGDSEG(s, off) \
+	VMULPS  s, Y15, Y8; \
+	VMOVUPS off(R14)(AX*1), Y9; \
+	VSUBPS  Y8, Y9, Y9; \
+	VMOVUPS Y9, off(R14)(AX*1)
+
+// func axpyTermsAVX2(dst, rows *float32, off *int, c *float32, m, n int, fresh bool, w *float32, lr float32)
 //
 // A segment of dst is loaded into registers — or, when fresh is set
 // (R8), the registers are cleared to +0 and dst is not read — receives
 // the m terms in order and is stored once: 64 floats in Y0-Y7 while they
-// last, then 8 in Y0. AX is the byte offset of the segment, R9 the byte
-// length of the whole vectors and R10 that of the 64-float segments; R11
-// is the segment's column in rows, R12 counts the terms, R13 is the
-// term's row and Y15 its coefficient.
-TEXT ·axpyTermsAVX2(SB), NOSPLIT, $0-49
+// last, then 8 in Y0. With w set (R14) the segment is not stored to dst:
+// SGDSEG updates w's segment with it, lr broadcast into Y15 once the
+// terms are done with it. AX is the byte offset of the segment, R9 the
+// byte length of the whole vectors and R10 that of the 64-float
+// segments; R11 is the segment's column in rows, R12 counts the terms,
+// R13 is the term's row and Y15 its coefficient.
+TEXT ·axpyTermsAVX2(SB), NOSPLIT, $0-68
 	MOVQ    dst+0(FP), DI
 	MOVQ    rows+8(FP), SI
 	MOVQ    off+16(FP), BX
@@ -67,6 +77,7 @@ TEXT ·axpyTermsAVX2(SB), NOSPLIT, $0-49
 	MOVQ    m+32(FP), CX
 	MOVQ    n+40(FP), R9
 	MOVBQZX fresh+48(FP), R8
+	MOVQ    w+56(FP), R14
 	TESTQ   CX, CX
 	JLE     termsdone
 	SHLQ    $2, R9
@@ -118,6 +129,8 @@ terms64t:
 	INCQ         R12
 	CMPQ         R12, CX
 	JLT          terms64t
+	TESTQ        R14, R14
+	JNZ          terms64sgd
 	VMOVUPS      Y0, (DI)(AX*1)
 	VMOVUPS      Y1, 32(DI)(AX*1)
 	VMOVUPS      Y2, 64(DI)(AX*1)
@@ -126,6 +139,19 @@ terms64t:
 	VMOVUPS      Y5, 160(DI)(AX*1)
 	VMOVUPS      Y6, 192(DI)(AX*1)
 	VMOVUPS      Y7, 224(DI)(AX*1)
+	ADDQ         $256, AX
+	JMP          terms64
+
+terms64sgd:
+	VBROADCASTSS lr+64(FP), Y15
+	SGDSEG(Y0, 0)
+	SGDSEG(Y1, 32)
+	SGDSEG(Y2, 64)
+	SGDSEG(Y3, 96)
+	SGDSEG(Y4, 128)
+	SGDSEG(Y5, 160)
+	SGDSEG(Y6, 192)
+	SGDSEG(Y7, 224)
 	ADDQ         $256, AX
 	JMP          terms64
 
@@ -149,7 +175,15 @@ terms8t:
 	INCQ         R12
 	CMPQ         R12, CX
 	JLT          terms8t
+	TESTQ        R14, R14
+	JNZ          terms8sgd
 	VMOVUPS      Y0, (DI)(AX*1)
+	ADDQ         $32, AX
+	JMP          terms8
+
+terms8sgd:
+	VBROADCASTSS lr+64(FP), Y15
+	SGDSEG(Y0, 0)
 	ADDQ         $32, AX
 	JMP          terms8
 

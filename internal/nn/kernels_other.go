@@ -6,7 +6,7 @@ package nn
 // path (kernels_amd64.go) is never taken.
 var useAVX2 = false
 
-func axpyTermsAVX2(dst, rows *float32, off *int, c *float32, m, n int, fresh bool) {
+func axpyTermsAVX2(dst, rows *float32, off *int, c *float32, m, n int, fresh bool, w *float32, lr float32) {
 	panic("nn: no vector kernels on this GOARCH")
 }
 

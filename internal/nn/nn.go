@@ -16,11 +16,12 @@
 // (models.BwdFLOPsFactor).
 //
 // A gradient is reset by being overwritten, not cleared: the first
-// backward of a step to write it sums from +0 (Kernel.BackwardReset)
-// and never reads the bytes the last update left, so the trainer's
-// update forms (ApplySGD, AverageSGD) leave the gradient as it was. SGD
-// and Adam still store the +0s, for a caller that accumulates into the
-// same buffer again (DESIGN.md §9, "Known-zero pages").
+// backward of a step to write it sums from +0 (Update.Reset) and never
+// reads the bytes the last update left, so the trainer's update forms
+// (ApplySGD, AverageSGD, a backward with Update.SGD) leave the gradient
+// as it was or never store it. SGD and Adam still store the +0s, for a
+// caller that accumulates into the same buffer again (DESIGN.md §9,
+// "Known-zero pages").
 //
 // The Dense inner loops, SGD, Average (the all-reduce across replicas)
 // and AverageSGD have two implementations with one result: the Go loops
@@ -97,7 +98,7 @@ func (l Dense) forwardRows(params, x, y []float32, lo, hi int) {
 			k1 := min(k0+fwdRows, l.In)
 			for i := r0; i < r1; i++ {
 				m := gather(off[:k1-k0], c[:], x[i*l.In+k0:], 1, n)
-				axpyTerms(y[i*n:(i+1)*n], w[k0*n:k1*n], off[:m], c[:m], false)
+				axpyTerms(y[i*n:(i+1)*n], w[k0*n:k1*n], off[:m], c[:m], false, nil, 0)
 			}
 		}
 		if ys := y[r0*n : r1*n]; l.ReLU {
@@ -121,51 +122,102 @@ func (l Dense) forwardRows(params, x, y []float32, lo, hi int) {
 // bit-identical to a serial run. An operand too short for batch panics
 // before anything is written (checkBackward).
 func (l Dense) Backward(params, stash, dy, dx, grad []float32, batch int) {
-	l.backward(params, stash, dy, dx, grad, batch, false)
+	l.BackwardUpdate(params, stash, dy, dx, grad, batch, Update{})
 }
 
-// BackwardReset implements Kernel: Backward with every sum of grad
-// started at +0 in place of grad's element. The weight gradient's first
-// strip of terms stores its sums over grad instead of adding them to it,
-// and a row with no terms there stores +0s.
-func (l Dense) BackwardReset(params, stash, dy, dx, grad []float32, batch int) {
-	l.backward(params, stash, dy, dx, grad, batch, true)
-}
-
-func (l Dense) backward(params, stash, dy, dx, grad []float32, batch int, reset bool) {
+// BackwardUpdate implements Kernel. With u.Reset the weight gradient's
+// first strip of terms stores its sums over grad instead of adding them
+// to it, and a row with no terms there stores +0s. With u.SGD and a
+// batch of rows the pass is the blocked one of backwardSGD, which reads
+// and writes each row of W once.
+func (l Dense) BackwardUpdate(params, stash, dy, dx, grad []float32, batch int, u Update) {
 	checkBackward("Dense", params, stash, dy, dx, grad, batch, l.ParamCount(), l.In, l.Out)
 	nw := l.In * l.Out
 	stash = stash[:batch*l.In]
+	l.biasGrad(dy, grad[nw:nw+l.Out], batch, u.Reset)
+	if u.SGD && batch > 0 {
+		sgd("BackwardUpdate", params[nw:nw+l.Out], grad[nw:nw+l.Out], u.LR, false)
+		l.backwardSGD(params[:nw], stash, dy, dx, grad[:nw], batch, u.Reset, u.LR)
+		return
+	}
 	gw := grad[:nw]
-	gb := grad[nw : nw+l.Out]
-	if reset {
-		clear(gb)
-		if batch == 0 { // no strip starts the weight sums
-			clear(gw)
+	if u.Reset && batch == 0 { // no strip starts the weight sums
+		clear(gw)
+	}
+	// Weight gradient: chunk over weight rows k (the input dimension);
+	// each gw row accumulates the batch in order.
+	if grain := grainFor(2 * batch * l.Out); runsInline(l.In, grain) {
+		l.weightGradRows(stash, dy, gw, nil, batch, u.Reset, 0, 0, l.In)
+	} else {
+		ParallelFor(l.In, grain, func(lo, hi int) { l.weightGradRows(stash, dy, gw, nil, batch, u.Reset, 0, lo, hi) })
+	}
+	// Input gradient, masked: rows are disjoint over the batch.
+	if dx != nil {
+		if grain := grainFor(2 * nw); runsInline(batch, grain) {
+			l.inputGradRows(params, stash, dy, dx, 0, batch, 0, l.In)
+		} else {
+			ParallelFor(batch, grain, func(lo, hi int) { l.inputGradRows(params, stash, dy, dx, lo, hi, 0, l.In) })
 		}
 	}
-	// Bias gradient: each column sums the batch in order. It is 1/In of
-	// the pass's work, so it does not fan out.
+	if u.SGD { // no rows, so no strip of terms to end in the update
+		sgd("BackwardUpdate", params[:l.ParamCount()], grad, u.LR, false)
+	}
+}
+
+// biasGrad sums the batch of dy into gb, each column in row order, from
+// +0 with reset set. It is 1/In of the pass's work, so it does not fan
+// out.
+func (l Dense) biasGrad(dy, gb []float32, batch int, reset bool) {
+	if reset {
+		clear(gb)
+	}
 	for i := 0; i < batch; i++ {
 		for j, dv := range dy[i*l.Out : (i+1)*l.Out] {
 			gb[j] += dv
 		}
 	}
-	// Weight gradient: chunk over weight rows k (the input dimension);
-	// each gw row accumulates the batch in order.
-	if grain := grainFor(2 * batch * l.Out); runsInline(l.In, grain) {
-		l.weightGradRows(stash, dy, gw, batch, reset, 0, l.In)
-	} else {
-		ParallelFor(l.In, grain, func(lo, hi int) { l.weightGradRows(stash, dy, gw, batch, reset, lo, hi) })
+}
+
+// sgdRows is how many rows of W one block of backwardSGD takes: a
+// multiple of 8, so a block's rows split between dx4AVX2 and the Go loop
+// as the whole matrix's do, and small enough that the block stays in L1
+// from its dx to its update (EXPERIMENTS.md, "The update inside the
+// backward").
+const sgdRows = 8
+
+// backwardSGD is the backward with SGD applied to W in the same pass. It
+// takes W in blocks of sgdRows rows; for each block it computes the
+// four-row tiles' dx at those k from the old rows, masked, then the
+// rows' weight gradient, whose last strip of terms subtracts lr·sum
+// from W where it would have stored the sum, so the gradient's last
+// bytes are never stored. The rows the tile leaves (all of them on the
+// Go tiles) compute their dx whole first, from the old W, since the k a
+// one-row group takes together span blocks. Each element of dx, gw and
+// W gets the operations Backward then ApplySGD give it, in the same
+// order and by the same code, so the bits are theirs, NaN payloads
+// included. Blocks read and write disjoint rows of W and gw and
+// disjoint columns of dx, so they fan out over the pool.
+func (l Dense) backwardSGD(w, stash, dy, dx, gw []float32, batch int, reset bool, lr float32) {
+	tiled := 0 // the rows whose dx the blocks compute
+	if dx != nil {
+		if l.tiles4() {
+			tiled = batch &^ 3
+		}
+		l.inputGradRows(w, stash, dy, dx, tiled, batch, 0, l.In)
 	}
-	// Input gradient, masked: rows are disjoint over the batch.
-	if dx == nil {
-		return
-	}
-	if grain := grainFor(2 * nw); runsInline(batch, grain) {
-		l.inputGradRows(params, stash, dy, dx, 0, batch)
+	blocks := (l.In + sgdRows - 1) / sgdRows
+	if grain := grainFor(4 * batch * sgdRows * l.Out); runsInline(blocks, grain) {
+		l.sgdBlocks(w, stash, dy, dx, gw, batch, tiled, reset, lr, 0, blocks)
 	} else {
-		ParallelFor(batch, grain, func(lo, hi int) { l.inputGradRows(params, stash, dy, dx, lo, hi) })
+		ParallelFor(blocks, grain, func(lo, hi int) { l.sgdBlocks(w, stash, dy, dx, gw, batch, tiled, reset, lr, lo, hi) })
+	}
+}
+
+func (l Dense) sgdBlocks(w, stash, dy, dx, gw []float32, batch, tiled int, reset bool, lr float32, lo, hi int) {
+	for b := lo; b < hi; b++ {
+		k0, k1 := b*sgdRows, min((b+1)*sgdRows, l.In)
+		l.inputGradRows(w, stash, dy, dx, 0, tiled, k0, k1)
+		l.weightGradRows(stash, dy, gw, w, batch, reset, lr, k0, k1)
 	}
 }
 
@@ -174,17 +226,23 @@ func (l Dense) backward(params, stash, dy, dx, grad []float32, batch int, reset 
 // reset is set. Each row takes the batch in strips of termCap rows, one
 // list of terms a strip, strip after strip, so every element still adds
 // its terms in ascending i, and only the first strip starts from +0.
-// (Tiling the columns, so that a strip of dY stays in L1 across weight
-// rows, did not pay: EXPERIMENTS.md, "Cache-blocking the Dense loops".)
-func (l Dense) weightGradRows(stash, dy, gw []float32, batch int, reset bool, lo, hi int) {
+// With w set, the last strip applies SGD to W's rows instead of storing
+// the sums (axpyTerms). (Tiling the columns, so that a strip of dY stays
+// in L1 across weight rows, did not pay: EXPERIMENTS.md, "Cache-blocking
+// the Dense loops".)
+func (l Dense) weightGradRows(stash, dy, gw, w []float32, batch int, reset bool, lr float32, lo, hi int) {
 	n := l.Out
 	var off [termCap]int
 	var c [termCap]float32
 	for i0 := 0; i0 < batch; i0 += termCap {
 		i1 := min(i0+termCap, batch)
 		for k := lo; k < hi; k++ {
+			var wk []float32
+			if w != nil && i1 == batch {
+				wk = w[k*n : (k+1)*n]
+			}
 			m := gather(off[:i1-i0], c[:], stash[i0*l.In+k:], l.In, n)
-			axpyTerms(gw[k*n:(k+1)*n], dy[i0*n:i1*n], off[:m], c[:m], reset && i0 == 0)
+			axpyTerms(gw[k*n:(k+1)*n], dy[i0*n:i1*n], off[:m], c[:m], reset && i0 == 0, wk, lr)
 		}
 	}
 }
@@ -217,36 +275,44 @@ func positive(b uint32) uint32 {
 	return uint32(int64(uint64(b-1)-0x7f800000) >> 63)
 }
 
-// inputGradRows computes dx for batch rows [lo, hi): dx[i,k] = Σ_j
-// W[k,j]·dy[i,j] where the stashed input x[i,k] is > 0, and +0 where it
-// is not, the mask of maskBySign. On the vector path the four-row tile
-// computes its rows densely and masks them afterwards: its rows share
-// each transposed block of W, and the union of their four masks keeps
-// most k. Every other row — the last one to three of a chunk, and every
-// row on the Go tiles — computes only the elements its mask keeps.
-func (l Dense) inputGradRows(params, stash, dy, dx []float32, lo, hi int) {
-	n, w := l.Out, params[:l.In*l.Out]
+// inputGradRows computes dx for batch rows [lo, hi) at k in [k0, k1):
+// dx[i,k] = Σ_j W[k,j]·dy[i,j] where the stashed input x[i,k] is > 0,
+// and +0 where it is not, the mask of maskBySign. On the vector path the
+// four-row tile computes its rows densely and masks them afterwards: its
+// rows share each transposed block of W, and the union of their four
+// masks keeps most k. Every other row — the last one to three of a
+// chunk, and every row on the Go tiles — computes only the elements its
+// mask keeps. Which path a row takes depends on its place in [lo, hi)
+// alone, not on [k0, k1).
+func (l Dense) inputGradRows(w, stash, dy, dx []float32, lo, hi, k0, k1 int) {
+	n, in := l.Out, l.In
 	i := lo
-	if useAVX2 && l.In >= 8 && n >= 4 {
+	if l.tiles4() {
 		for ; i+4 <= hi; i += 4 {
-			l.inputGrad4(w, dy[i*n:(i+4)*n], dx[i*l.In:(i+4)*l.In])
+			l.inputGrad4(w[k0*n:], dy[i*n:(i+4)*n], dx[i*in+k0:], k1-k0)
 		}
-		maskBySign(dx[lo*l.In:i*l.In], stash[lo*l.In:])
+		for r := lo; r < i; r++ {
+			maskBySign(dx[r*in+k0:r*in+k1], stash[r*in+k0:])
+		}
 	}
 	for ; i < hi; i++ {
-		l.activeInputGrad(w, stash[i*l.In:(i+1)*l.In], dy[i*n:(i+1)*n], dx[i*l.In:(i+1)*l.In])
+		l.activeInputGrad(w[k0*n:], stash[i*in+k0:i*in+k1], dy[i*n:(i+1)*n], dx[i*in+k0:i*in+k1])
 	}
 }
 
-// inputGrad4 computes four batch rows of dx densely: dx4AVX2 sums the
-// whole 8k × 4j blocks, and the Go loop continues those sums over the
-// last j and computes the k past the last block whole.
-func (l Dense) inputGrad4(w, d, dx []float32) {
+// tiles4 reports whether dx rows go through the four-row vector tile.
+func (l Dense) tiles4() bool { return useAVX2 && l.In >= 8 && l.Out >= 4 }
+
+// inputGrad4 computes four batch rows of dx densely at the nk k whose
+// rows of W start w: dx4AVX2 sums the whole 8k × 4j blocks, and the Go
+// loop continues those sums over the last j and computes the k past the
+// last block whole. The rows of dx are l.In apart.
+func (l Dense) inputGrad4(w, d, dx []float32, nk int) {
 	n := l.Out
-	k8, n4 := l.In&^7, n&^3
+	k8, n4 := nk&^7, n&^3
 	dx4AVX2(&dx[0], &w[0], &d[0], k8, n4, l.In, n)
 	for r := 0; r < 4; r++ {
-		dr, dxr := d[r*n:(r+1)*n], dx[r*l.In:(r+1)*l.In]
+		dr, dxr := d[r*n:(r+1)*n], dx[r*l.In:r*l.In+nk]
 		// A sum the vector tile began goes on from where it stands.
 		for k := 0; k < k8 && n4 < n; k++ {
 			s := dxr[k]
@@ -256,11 +322,11 @@ func (l Dense) inputGrad4(w, d, dx []float32) {
 			dxr[k] = s
 		}
 		k := k8
-		for ; k+4 <= l.In; k += 4 {
+		for ; k+4 <= nk; k += 4 {
 			w4 := w[k*n : (k+4)*n]
 			dxr[k], dxr[k+1], dxr[k+2], dxr[k+3] = dot4(dr, w4[:n], w4[n:2*n], w4[2*n:3*n], w4[3*n:])
 		}
-		for ; k < l.In; k++ {
+		for ; k < nk; k++ {
 			dxr[k] = dot(dr, w[k*n:(k+1)*n])
 		}
 	}
@@ -360,18 +426,26 @@ func gather(off []int, c, coef []float32, stride, rowLen int) int {
 // axpyTerms adds c[t]·rows[off[t]+j] to dst[j] for t = 0, 1, … in order,
 // with one load and one store of each dst element for the whole list.
 // With fresh set each sum starts at +0 instead of at dst[j], which is
-// stored over and never read, and an empty list stores +0s. Every
-// off[t]+len(dst) is at most len(rows).
-func axpyTerms(dst, rows []float32, off []int, c []float32, fresh bool) {
-	if len(off) == 0 {
+// stored over and never read, and an empty list stores +0s. With w set,
+// a sum s is not stored to dst: w[j] -= lr·s is, SGD's statement, and
+// dst keeps what it held. Every off[t]+len(dst) is at most len(rows).
+func axpyTerms(dst, rows []float32, off []int, c []float32, fresh bool, w []float32, lr float32) {
+	if len(off) == 0 && w == nil {
 		if fresh {
 			clear(dst)
 		}
 		return
 	}
 	c = c[:len(off)]
-	if n := len(dst) &^ 7; useAVX2 && n > 0 {
-		axpyTermsAVX2(&dst[0], &rows[0], &off[0], &c[0], len(off), n, fresh)
+	if w != nil {
+		w = w[:len(dst)]
+	}
+	if n := len(dst) &^ 7; useAVX2 && n > 0 && len(off) > 0 {
+		var wp *float32
+		if w != nil {
+			wp, w = &w[0], w[n:]
+		}
+		axpyTermsAVX2(&dst[0], &rows[0], &off[0], &c[0], len(off), n, fresh, wp, lr)
 		dst, rows = dst[n:], rows[n:]
 	}
 	j := 0
@@ -388,7 +462,15 @@ func axpyTerms(dst, rows []float32, off []int, c []float32, fresh bool) {
 			s2 += v * r[2]
 			s3 += v * r[3]
 		}
-		d[0], d[1], d[2], d[3] = s0, s1, s2, s3
+		if w == nil {
+			d[0], d[1], d[2], d[3] = s0, s1, s2, s3
+			continue
+		}
+		u := w[j : j+4 : j+4]
+		u[0] -= lr * s0
+		u[1] -= lr * s1
+		u[2] -= lr * s2
+		u[3] -= lr * s3
 	}
 	for ; j < len(dst); j++ {
 		var s float32
@@ -398,7 +480,11 @@ func axpyTerms(dst, rows []float32, off []int, c []float32, fresh bool) {
 		for t, o := range off {
 			s += c[t] * rows[o+j]
 		}
-		dst[j] = s
+		if w == nil {
+			dst[j] = s
+		} else {
+			w[j] -= lr * s
+		}
 	}
 }
 
@@ -494,8 +580,8 @@ func SGD(w, g []float32, lr float32) {
 }
 
 // ApplySGD is SGD that leaves g as it was: the trainer's update, whose
-// next backward into g overwrites it (Kernel.BackwardReset), so the
-// reset costs no store.
+// next backward into g overwrites it (Update.Reset), so the reset costs
+// no store.
 func ApplySGD(w, g []float32, lr float32) {
 	sgd("ApplySGD", w, g, lr, false)
 }
@@ -575,7 +661,7 @@ func average(views [][]float32, lo, hi int, inv float32) {
 // w - lr·mean from the first weight view, as SGD does (a multiply, then
 // a subtract), and stores that to every weight view. It writes no
 // gradient view: like ApplySGD it leaves the reset to the next backward
-// (Kernel.BackwardReset). ws[i] is replica i's weights beside its
+// (Update.Reset). ws[i] is replica i's weights beside its
 // gradient gs[i]; data-parallel replicas hold the same weights, so the
 // weights are the ones Average and a per-replica SGD would leave. The range fans out
 // across the worker pool like Average's. Every view is checked before

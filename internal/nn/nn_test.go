@@ -1305,8 +1305,10 @@ func refPoolBackward(p MaxPool2D, stash, dy, dx []float32, batch int) {
 // prefix and the Go tail, the 32-float and 8-float loops, the four-row
 // dx tile with and without a last block of eight, and the gathered rows
 // a batch of 1–6 leaves after it, their active count on both sides of
-// every group of sixteen — and axpyTerms, lists of 1–9 terms, at every
-// length to 40 and around its 64-float segments, on operands salted
+// every group of sixteen, and a block of k past the first eight, as
+// backwardSGD asks for one — and axpyTerms, lists of 1–9 terms, storing
+// its sums and with its SGD epilogue, at every length to 40 and around
+// its 64-float segments, on operands salted
 // with ±Inf, NaN, -0, denormals and values whose products overflow, in
 // buffers at odd alignments. Average has its own test below, against
 // the element-at-a-time oracle.
@@ -1367,7 +1369,14 @@ func TestVectorKernelsMatchGoTiles(t *testing.T) {
 		}
 		for _, fresh := range []bool{false, true} {
 			both(fmt.Sprintf("axpyTerms n=%d m=%d fresh=%v", n, m, fresh), salted(n), func(dst []float32) {
-				axpyTerms(dst, rows, off, c, fresh)
+				axpyTerms(dst, rows, off, c, fresh, nil, 0)
+			})
+			// The SGD epilogue: dst is read, not written, and w updated.
+			acc, lr := salted(n), float32(rng.NormFloat64())
+			both(fmt.Sprintf("axpyTerms SGD n=%d m=%d fresh=%v", n, m, fresh), salted(n), func(w []float32) {
+				dst := append([]float32(nil), acc...)
+				axpyTerms(dst, rows, off, c, fresh, w, lr)
+				sameBits(t, "axpyTerms SGD's dst", dst, acc)
 			})
 		}
 	}
@@ -1392,8 +1401,13 @@ func TestVectorKernelsMatchGoTiles(t *testing.T) {
 				l := Dense{In: in, Out: n}
 				params, masked, x := salted(l.ParamCount()), salted(batch*n), maskStash(batch, in)
 				both(fmt.Sprintf("dx in=%d out=%d batch=%d", in, n, batch), salted(batch*in), func(dx []float32) {
-					l.inputGradRows(params, x, masked, dx, 0, batch)
+					l.inputGradRows(params, x, masked, dx, 0, batch, 0, in)
 				})
+				if in > sgdRows { // a block of k, as backwardSGD asks for one
+					both(fmt.Sprintf("dx in=%d out=%d batch=%d k≥%d", in, n, batch, sgdRows), salted(batch*in), func(dx []float32) {
+						l.inputGradRows(params, x, masked, dx, 0, batch, sgdRows, in)
+					})
+				}
 			}
 		}
 	}
@@ -1563,8 +1577,9 @@ func poolRetains() bool {
 
 // TestSteadyStateAllocs pins the zero-allocation claims: on a
 // one-worker pool a scratch round trip, a Dense.Forward, a
-// Dense.Backward, an SGD, an Average and an AverageSGD allocate nothing once the pool
-// is warm, on either kernel path.
+// Dense.Backward, a Dense.BackwardUpdate reset and with SGD, an SGD, an
+// Average and an AverageSGD allocate nothing once the pool is warm, on
+// either kernel path.
 func TestSteadyStateAllocs(t *testing.T) {
 	eachKernelPath(t, testSteadyStateAllocs)
 }
@@ -1589,14 +1604,17 @@ func testSteadyStateAllocs(t *testing.T) {
 	grad := make([]float32, l.ParamCount())
 	views := [][]float32{params, grad, x, stash}
 	for name, fn := range map[string]func(){
-		"PutScratch(GetScratch(n))": func() { PutScratch(GetScratch(4096)) },
-		"Dense.Forward":             func() { l.Forward(params, x, y, stash, batch) },
-		"Dense.Backward":            func() { l.Backward(params, stash, dy, dx, grad, batch) },
-		"SGD":                       func() { SGD(params, grad, 0.01) },
-		"ApplySGD":                  func() { ApplySGD(params, grad, 0.01) },
-		"Dense.BackwardReset":       func() { l.BackwardReset(params, stash, dy, dx, grad, batch) },
-		"Average":                   func() { Average(views, 3, len(x), 0.25) },
-		"AverageSGD":                func() { AverageSGD(views[:2], views[2:], 3, len(x), 0.5, 0.01) },
+		"PutScratch(GetScratch(n))":  func() { PutScratch(GetScratch(4096)) },
+		"Dense.Forward":              func() { l.Forward(params, x, y, stash, batch) },
+		"Dense.Backward":             func() { l.Backward(params, stash, dy, dx, grad, batch) },
+		"SGD":                        func() { SGD(params, grad, 0.01) },
+		"ApplySGD":                   func() { ApplySGD(params, grad, 0.01) },
+		"Dense.BackwardUpdate reset": func() { l.BackwardUpdate(params, stash, dy, dx, grad, batch, Update{Reset: true}) },
+		"Dense.BackwardUpdate SGD": func() {
+			l.BackwardUpdate(params, stash, dy, dx, grad, batch, Update{Reset: true, SGD: true, LR: 0.01})
+		},
+		"Average":    func() { Average(views, 3, len(x), 0.25) },
+		"AverageSGD": func() { AverageSGD(views[:2], views[2:], 3, len(x), 0.5, 0.01) },
 	} {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", name, n)
@@ -1680,6 +1698,71 @@ func BenchmarkDenseStep(b *testing.B) {
 			b.ReportMetric(flops*float64(b.N)/fwd.Seconds()/1e9, "fwd-GFLOP/s")
 			b.ReportMetric(2*flops*float64(b.N)/bwd.Seconds()/1e9, "bwd-GFLOP/s")
 		})
+	}
+	// The backward with its update, as the trainer's last backward run of
+	// a layer makes it on a single-replica SGD plan: a reset backward
+	// over the eight rows then ApplySGD (unfused), against one
+	// BackwardUpdate with SGD (fused), down the whole stack. One op is
+	// one step's backward and update.
+	for _, shape := range []struct {
+		name   string
+		widths []int
+	}{
+		{"swap-256x512x512x512x10-mb8x1", []int{256, 512, 512, 512, 10}},
+		{"pp-256x640x640x640x10-mb8x1", []int{256, 640, 640, 640, 10}},
+	} {
+		for _, fused := range []bool{false, true} {
+			name := shape.name + "-bwd+sgd/unfused"
+			if fused {
+				name = shape.name + "-bwd+sgd/fused"
+			}
+			b.Run(name, func(b *testing.B) {
+				SetWorkers(runtime.GOMAXPROCS(0))
+				const batch = 8
+				var layers []Dense
+				var params, grads, stash, dxs [][]float32
+				var flops float64
+				for i := 0; i+1 < len(shape.widths); i++ {
+					l := Dense{In: shape.widths[i], Out: shape.widths[i+1], ReLU: i+2 < len(shape.widths)}
+					layers = append(layers, l)
+					p := make([]float32, l.ParamCount())
+					XavierInit(l, p, uint64(i+1))
+					params = append(params, p)
+					grads = append(grads, make([]float32, l.ParamCount()))
+					st := make([]float32, batch*l.In)
+					fillRand(st, uint64(i+7))
+					if i > 0 { // a rectified input: about half of it zero
+						for k, v := range st {
+							st[k] = max(v, 0)
+						}
+					}
+					stash = append(stash, st)
+					dxs = append(dxs, make([]float32, batch*l.In))
+					flops += 4 * float64(l.In*l.Out) * batch
+				}
+				dy := make([]float32, batch*shape.widths[len(layers)])
+				fillRand(dy, 2)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					up := dy
+					for i := len(layers) - 1; i >= 0; i-- {
+						var dx []float32
+						if i > 0 {
+							dx = dxs[i]
+						}
+						if fused {
+							layers[i].BackwardUpdate(params[i], stash[i], up, dx, grads[i], batch, Update{Reset: true, SGD: true, LR: 1e-6})
+						} else {
+							layers[i].BackwardUpdate(params[i], stash[i], up, dx, grads[i], batch, Update{Reset: true})
+							ApplySGD(params[i], grads[i], 1e-6)
+						}
+						up = dx
+					}
+				}
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "bwd-GFLOP/s")
+			})
+		}
 	}
 }
 

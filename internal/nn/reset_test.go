@@ -45,11 +45,12 @@ func stale(rng *rand.Rand, n int) []float32 {
 }
 
 // TestBackwardResetMatchesBackwardOnZeros is the kernel half of the
-// reset rule: BackwardReset into a gradient salted with NaN, ±Inf and
-// huge values leaves the bits Backward leaves in a gradient of +0s —
+// reset rule: a backward with Update.Reset into a gradient salted with
+// NaN, ±Inf and huge values leaves the bits Backward leaves in a
+// gradient of +0s —
 // grad and dx alike — so it neither reads the stale bytes nor starts a
 // sum anywhere but +0. The second half of a split run, as a later writer
-// of the same step, accumulates on top: BackwardReset over the first
+// of the same step, accumulates on top: a reset backward over the first
 // rows and Backward over the rest give the bits of one Backward on +0s.
 // Dense on both kernel paths, widths off every multiple of 8, batches
 // 0–6 and past one and two strips of termCap (with a column whose first
@@ -102,14 +103,14 @@ func testBackwardResetMatchesBackwardOnZeros(t *testing.T) {
 		wantDx, want := unaligned(rng, batch*in), unaligned(rng, k.ParamCount())
 		k.Backward(params, stash, dy, wantDx, want, batch)
 		dx, grad := stale(rng, batch*in), stale(rng, k.ParamCount())
-		k.BackwardReset(params, stash, dy, dx, grad, batch)
+		k.BackwardUpdate(params, stash, dy, dx, grad, batch, Update{Reset: true})
 		identical(t, name+" grad", grad, want)
 		identical(t, name+" dx", dx, wantDx)
 
 		// A first writer over rows [0, cut), a later one over the rest.
 		cut := batch / 2
 		grad = stale(rng, k.ParamCount())
-		k.BackwardReset(params, stash[:cut*st], dy[:cut*out], dx[:cut*in], grad, cut)
+		k.BackwardUpdate(params, stash[:cut*st], dy[:cut*out], dx[:cut*in], grad, cut, Update{Reset: true})
 		k.Backward(params, stash[cut*st:], dy[cut*out:], dx[cut*in:], grad, batch-cut)
 		identical(t, fmt.Sprintf("%s split at %d: grad", name, cut), grad, want)
 		identical(t, fmt.Sprintf("%s split at %d: dx", name, cut), dx, wantDx)
@@ -197,4 +198,87 @@ func TestReLUMasksBranchFreeOnBoundaryBits(t *testing.T) {
 	}
 	l.Forward(params, []float32{0}, y, make([]float32, 1), 1)
 	identical(t, "ReLU", y, want)
+}
+
+// TestBackwardApplyMatchesBackwardThenApplySGD holds the fused update to
+// the two calls it replaces: a backward with Update.SGD leaves the
+// weights and dx that Backward — or the reset backward — followed by
+// ApplySGD leave, bit for bit, NaN payloads included. Dense on both
+// kernel paths at pool sizes 1 and 2, widths off every multiple of 4, 8
+// and 16 and one of them, batches 0–9, 63–65 and 131 (past two strips of
+// termCap, and at In = 257 enough blocks of W to fan out), a gradient
+// reset and one accumulated into, with ±0, NaN and ±Inf salted into the
+// stash, dy, W and the old gradient; Conv2D and MaxPool2D beside them.
+// A block of W updated before its dx is computed (on the vector path,
+// where the four-row tile computes dx a block at a time), or an update
+// applied on a strip of terms before the last, fails it.
+func TestBackwardApplyMatchesBackwardThenApplySGD(t *testing.T) {
+	eachKernelPath(t, testBackwardApplyMatchesBackwardThenApplySGD)
+}
+
+func testBackwardApplyMatchesBackwardThenApplySGD(t *testing.T) {
+	defer SetWorkers(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(59))
+	specials := []float32{0, negZero, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	batches := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, termCap - 1, termCap, termCap + 1, 2*termCap + 3}
+	var ks []Kernel
+	for _, shape := range [][2]int{{10, 17}, {33, 9}, {17, 100}, {5, 1}, {64, 13}, {21, 70}, {257, 100}} {
+		ks = append(ks, Dense{In: shape[0], Out: shape[1], ReLU: shape[0]%2 == 1})
+	}
+	ks = append(ks, Conv2D{Cin: 2, H: 6, W: 7, Cout: 3, K: 3, ReLU: true}, MaxPool2D{C: 2, H: 6, W: 4, P: 2})
+	draw := 0
+	for _, k := range ks {
+		for _, batch := range batches {
+			if _, ok := k.(Dense); !ok && batch > 9 {
+				continue
+			}
+			for _, reset := range []bool{true, false} {
+				draw++
+				SetWorkers(1 + draw%2)
+				in, out, st, np := k.InSize(), k.OutSize(), k.StashSize(), k.ParamCount()
+				params := unaligned(rng, np)
+				salt(rng, params, 0.02, specials...)
+				// Zeros are common in x and dy, NaN and ±Inf rare enough to
+				// leave most sums finite: a wrong update must show.
+				x := unaligned(rng, batch*in)
+				salt(rng, x, 0.3, 0, negZero)
+				sprinkle(rng, x, specials[2:])
+				y, stash := unaligned(rng, batch*out), unaligned(rng, batch*st)
+				k.Forward(params, x, y, stash, batch)
+				dy := unaligned(rng, batch*out)
+				salt(rng, dy, 0.2, 0, negZero)
+				sprinkle(rng, dy, specials[2:])
+				if k, ok := k.(Dense); ok && k.ReLU {
+					maskBySign(dy, y)
+				}
+				old := stale(rng, np)
+				if !reset {
+					salt(rng, old, 0.02, append(specials, math.Float32frombits(staleNaN))...)
+				}
+				lr := float32(rng.NormFloat64())
+				name := fmt.Sprintf("%s batch %d reset %v workers %d", k.Name(), batch, reset, Workers())
+
+				wantW, wantDx, g := append([]float32(nil), params...), stale(rng, batch*in), append([]float32(nil), old...)
+				if reset {
+					k.BackwardUpdate(wantW, stash, dy, wantDx, g, batch, Update{Reset: true})
+				} else {
+					k.Backward(wantW, stash, dy, wantDx, g, batch)
+				}
+				ApplySGD(wantW, g[:np], lr)
+
+				w, dx, g := append([]float32(nil), params...), stale(rng, batch*in), append([]float32(nil), old...)
+				k.BackwardUpdate(w, stash, dy, dx, g, batch, Update{Reset: reset, SGD: true, LR: lr})
+				identical(t, name+" W", w, wantW)
+				identical(t, name+" dx", dx, wantDx)
+			}
+		}
+	}
+}
+
+// sprinkle overwrites about three elements of s, at least one, with
+// draws from specials.
+func sprinkle(rng *rand.Rand, s []float32, specials []float32) {
+	for range min(len(s), 3) {
+		s[rng.Intn(len(s))] = specials[rng.Intn(len(specials))]
+	}
 }

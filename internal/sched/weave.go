@@ -28,10 +28,15 @@ import (
 // tasks of one queue with the same replica and layer and no rendezvous
 // between them: a wave's microbatches of one layer, which the queue
 // already lays back to back (input-batch grouping, Options.GroupSize).
-// Every other task is a run of one. The executor runs a run as one
-// kernel call over all its members' rows; no member depends on another,
-// since a layer's tasks depend only on the layers beside it. Run is a
-// slice of the queue, Run[0] == Task; a rendezvous has none.
+// A backward run may be closed by the layer's Update queued right after
+// it (closes): the paper's just-in-time update, applied by the run's
+// last kernel call while W and dW are still in cache. Every other task
+// is a run of one. The executor runs a run as one kernel call over all
+// its members' rows; no backward or forward member depends on another,
+// since a layer's tasks depend only on the layers beside it, and a
+// closing Update depends on members, which a run's readiness does not
+// count (Replay). Run is a slice of the queue, Run[0] == Task; a
+// rendezvous has none.
 type StreamEntry struct {
 	Task *graph.Task
 	Run  []*graph.Task
@@ -39,13 +44,18 @@ type StreamEntry struct {
 }
 
 // Label names the entry in traces and counterexamples: its task, or a
-// run of more than one as its kind, replica, layer and microbatch span.
+// run of more than one as its kind, replica, layer and microbatch span,
+// and "+UPD" after a run the layer's Update closes.
 func (e StreamEntry) Label() string {
-	if len(e.Run) < 2 {
-		return e.Task.String()
+	run, upd := e.Run, ""
+	if n := len(run); n > 1 && run[n-1].Kind == graph.Update {
+		run, upd = run[:n-1], "+UPD"
 	}
-	last := e.Run[len(e.Run)-1]
-	return fmt.Sprintf("%s[r%d,L%d,mb%d..%d]", e.Task.Kind, e.Task.Replica, e.Task.Layer, e.Task.Microbatch, last.Microbatch)
+	if len(run) < 2 {
+		return e.Task.String() + upd
+	}
+	last := run[len(run)-1]
+	return fmt.Sprintf("%s[r%d,L%d,mb%d..%d]%s", e.Task.Kind, e.Task.Replica, e.Task.Layer, e.Task.Microbatch, last.Microbatch, upd)
 }
 
 // joins reports whether queued task b extends the run a closes: both
@@ -53,6 +63,24 @@ func (e StreamEntry) Label() string {
 func joins(a, b *graph.Task) bool {
 	return a.Kind == b.Kind && (a.Kind == graph.Forward || a.Kind == graph.Backward) &&
 		a.Replica == b.Replica && a.Layer == b.Layer
+}
+
+// closes reports whether queued task u closes the backward run a ends:
+// u is the Update of a's replica and layer, it reads only what backward
+// tasks wrote — no collective's result, so a single-replica plan — and
+// the optimizer keeps no state (the test FusedUpdate makes), so its
+// footprint is the run's W and dW.
+func (s *Schedule) closes(a, u *graph.Task) bool {
+	if u.Kind != graph.Update || a.Kind != graph.Backward || a.Replica != u.Replica || a.Layer != u.Layer ||
+		s.Graph.Cfg.Model.OptStateParamsFactor != 0 {
+		return false
+	}
+	for _, dep := range u.Deps {
+		if dep.Kind != graph.Backward {
+			return false
+		}
+	}
+	return true
 }
 
 // Streams is a schedule with its rendezvous woven in. A rendezvous
@@ -174,6 +202,9 @@ func Weave(s *Schedule) (*Streams, error) {
 			for j < len(q) && len(before[d][j]) == 0 && joins(q[i], q[j]) {
 				j++
 			}
+			if j < len(q) && len(before[d][j]) == 0 && s.closes(q[j-1], q[j]) {
+				j++
+			}
 			st = append(st, StreamEntry{Task: q[i], Run: q[i:j:j], Rdv: -1})
 			i = j
 		}
@@ -183,7 +214,10 @@ func Weave(s *Schedule) (*Streams, error) {
 }
 
 // Narrow cuts every run of device d's stream into runs of one, and
-// reports whether it cut any.
+// reports whether it cut any. An Update that closed a backward run runs
+// alone again: the pair pins no more than its backward, but a device
+// whose runs do not fit gets the per-task plan it was admitted at
+// before runs, whole.
 func (ws *Streams) Narrow(d int) bool {
 	st := ws.Dev[d]
 	n := 0
@@ -220,21 +254,41 @@ func (s Stuck) String() string { return fmt.Sprintf("gpu%d@%s(%s)", s.Dev, s.Ent
 // Replay drains the streams on the calling goroutine: device by device
 // in index order, each as far as its dependencies allow, over and over
 // until no device can move. A compute entry is visited once every
-// member of its run has its dependencies done, and completing it
-// finishes every member. A rendezvous completes when every party has
-// parked at it and every member's dependencies are done; it is visited
+// member of its run has its dependencies from outside the run done, and
+// completing it finishes every member. A rendezvous completes when
+// every party has parked at it and every member's dependencies are
+// done; it is visited
 // once, on the device whose arrival completed it, and completing it
 // finishes every member. An error from visit stops the drain and is
 // returned. Streams that cannot drain leave their heads in stuck, in
 // device order, each with the reason it waits.
 func (ws *Streams) Replay(tasks []*graph.Task, visit func(d int, e StreamEntry) error) ([]Stuck, error) {
+	// head[id] is the first member of task id's run, its own ID off the
+	// streams: an edge between two members of one run is not counted.
+	head := make([]int, len(tasks))
+	for _, t := range tasks {
+		head[t.ID] = t.ID
+	}
+	for _, st := range ws.Dev {
+		for _, e := range st {
+			for _, t := range e.Run {
+				head[t.ID] = e.Task.ID
+			}
+		}
+	}
 	depsLeft := make([]int, len(tasks))
 	for _, t := range tasks {
-		depsLeft[t.ID] = len(t.Deps)
+		for _, dep := range t.Deps {
+			if head[dep.ID] != head[t.ID] {
+				depsLeft[t.ID]++
+			}
+		}
 	}
 	finish := func(t *graph.Task) {
 		for _, succ := range t.Succs {
-			depsLeft[succ.ID]--
+			if head[succ.ID] != head[t.ID] {
+				depsLeft[succ.ID]--
+			}
 		}
 	}
 	left := func(ts []*graph.Task) int {

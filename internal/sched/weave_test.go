@@ -7,12 +7,14 @@ import (
 	"testing"
 
 	"harmony/internal/graph"
+	"harmony/internal/models"
 )
 
 // checkWeave asserts the anchor rule and the run rule on one woven
 // plan: stripped of rendezvous every stream's runs, end to end, are its
 // queue, each run a maximal stretch of one replica's Forward or
-// Backward tasks of one layer; every rendezvous sits exactly
+// Backward tasks of one layer, a backward run perhaps closed by its
+// layer's Update (closes); every rendezvous sits exactly
 // once in each participant's stream (and in no one else's), after every
 // member dependency and before every member successor queued on that
 // device — at the earliest such point for comm plans, the latest for
@@ -46,8 +48,8 @@ func checkWeave(t *testing.T, s *Schedule) {
 			if e.Run[0] != e.Task {
 				t.Errorf("gpu%d[%d]: run %v labeled %s, want its first member", d, i, e.Run, e.Task)
 			}
-			for _, m := range e.Run {
-				if m != e.Task && !joins(e.Task, m) {
+			for j, m := range e.Run {
+				if m != e.Task && !joins(e.Task, m) && !(j == len(e.Run)-1 && s.closes(e.Run[j-1], m)) {
 					t.Errorf("gpu%d[%d]: %s joined the run of %s", d, i, m, e.Task)
 				}
 				at[m.ID] = i
@@ -291,5 +293,134 @@ func TestReplayCompletesStopsAndSticks(t *testing.T) {
 	stuck, err = ws.Replay(s.Graph.Tasks, func(int, StreamEntry) error { return nil })
 	if err != nil || len(stuck) != 2 || stuck[0].Entry.Rdv < 0 || stuck[1].Entry.Rdv < 0 {
 		t.Fatalf("crossed rendezvous: stuck %v, err %v; want both devices parked", stuck, err)
+	}
+}
+
+// sgdGraph is dpGraph with an optimizer that keeps no state (SGD).
+func sgdGraph(R, m, N int) *graph.Graph {
+	model := models.Uniform("u", R, 1000, 4096, 1e6)
+	model.OptStateParamsFactor = 0
+	return graph.MustBuild(graph.Config{Model: model, MicrobatchSize: 2, Microbatches: m, Replicas: N})
+}
+
+// fusedUpdates returns the Updates that close a run of ws, checking that
+// each closes a run of its own layer's backwards, in the run's last
+// slot.
+func fusedUpdates(t *testing.T, ws *Streams) []*graph.Task {
+	t.Helper()
+	var out []*graph.Task
+	for d, st := range ws.Dev {
+		for _, e := range st {
+			for j, m := range e.Run {
+				if m.Kind != graph.Update || len(e.Run) == 1 {
+					continue
+				}
+				if j != len(e.Run)-1 || e.Task.Kind != graph.Backward || e.Task.Layer != m.Layer || e.Task.Replica != m.Replica {
+					t.Errorf("gpu%d: %s sits at %d of the run %s", d, m, j, e.Label())
+				}
+				if want := e.Label(); !strings.HasSuffix(want, "+UPD") {
+					t.Errorf("gpu%d: run %s closed by %s is not labeled +UPD", d, want, m)
+				}
+				out = append(out, m)
+			}
+		}
+	}
+	return out
+}
+
+// TestWeaveClosesRunsWithTheirUpdate: on a single-replica plan whose
+// optimizer keeps no state, the layer's Update closes the backward run
+// queued right before it — with JIT on, every layer's last backward
+// wave, data-parallel on one device and pipelined alike, with or
+// without grouping and interleave. An Update behind a collective (two
+// replicas, monolithic or chunked: train-compute's and train-comm's
+// shapes) or with optimizer state (Adam) closes none. Replay drains
+// every plan, the Update's edges from its own run counted nowhere.
+func TestWeaveClosesRunsWithTheirUpdate(t *testing.T) {
+	const R, m = 4, 4
+	single := []struct {
+		mode Mode
+		devs int
+	}{{HarmonyDP, 1}, {DPBaseline, 1}, {HarmonyPP, 2}, {PPBaseline, 2}}
+	for _, p := range single {
+		for _, opts := range OptionVariants(p.mode, m) {
+			g := sgdGraph(R, m, p.devs)
+			if p.mode.IsPipeline() {
+				g = sgdGraph(R, m, 1)
+			}
+			s := MustBuild(g, opts, p.devs)
+			checkWeave(t, s)
+			checkReplay(t, s)
+			ws, err := Weave(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fusedUpdates(t, ws)
+			if opts.JIT && len(got) != R {
+				t.Errorf("%s on %d devices %+v: %d layers' updates close their runs, want %d", p.mode, p.devs, opts, len(got), R)
+			}
+			// The rule: an Update closes the run of the backward queued
+			// right before it when that is its own layer's.
+			want := 0
+			for _, q := range s.Queues {
+				for i, task := range q {
+					if i > 0 && task.Kind == graph.Update && q[i-1].Kind == graph.Backward && q[i-1].Layer == task.Layer {
+						want++
+					}
+				}
+			}
+			if len(got) != want {
+				t.Errorf("%s on %d devices %+v: %d updates close runs, %d follow their backward", p.mode, p.devs, opts, len(got), want)
+			}
+		}
+	}
+	chunked := DefaultOptions(HarmonyDP)
+	chunked.CommChunks, chunked.CommBucketBytes = 8, 12<<20
+	for _, c := range []struct {
+		name string
+		s    *Schedule
+	}{
+		{"adam-dp1", MustBuild(dpGraph(R, m, 1), DefaultOptions(HarmonyDP), 1)},
+		{"adam-pp2", MustBuild(ppGraph(R, m), DefaultOptions(HarmonyPP), 2)},
+		{"train-compute", MustBuild(sgdGraph(R, 8, 2), DefaultOptions(HarmonyDP), 2)},
+		{"train-comm", MustBuild(sgdGraph(R, 1, 4), chunked, 4)},
+		{"dp-baseline-2", MustBuild(sgdGraph(R, m, 2), DefaultOptions(DPBaseline), 2)},
+	} {
+		checkWeave(t, c.s)
+		checkReplay(t, c.s)
+		ws, err := Weave(c.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fusedUpdates(t, ws); len(got) != 0 {
+			t.Errorf("%s: %d updates close a run, want none", c.name, len(got))
+		}
+	}
+}
+
+// TestLabelNamesAFusedUpdate: a run's label spans its backwards'
+// microbatches and names the Update that closes it.
+func TestLabelNamesAFusedUpdate(t *testing.T) {
+	s := MustBuild(sgdGraph(3, 4, 1), DefaultOptions(HarmonyDP), 1)
+	ws, err := Weave(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var labels []string
+	for _, e := range ws.Dev[0] {
+		labels = append(labels, e.Label())
+	}
+	want := "[FWD[r0,L0,mb0..3] FWD[r0,L1,mb0..3] FWD[r0,L2,mb0..3] BWD[r0,L2,mb0..3]+UPD BWD[r0,L1,mb0..3]+UPD BWD[r0,L0,mb0..3]+UPD]"
+	if got := fmt.Sprint(labels); got != want {
+		t.Errorf("labels %s, want %s", got, want)
+	}
+	// A wave of one: the backward's own name.
+	s = MustBuild(sgdGraph(2, 2, 1), Options{Mode: HarmonyDP, JIT: true, GroupSize: 1, WaveInterleave: true}, 1)
+	if ws, err = Weave(s); err != nil {
+		t.Fatal(err)
+	}
+	last := ws.Dev[0][len(ws.Dev[0])-1]
+	if got, want := last.Label(), "BWD[r0,L0,mb1]+UPD"; got != want {
+		t.Errorf("last entry %s, want %s", got, want)
 	}
 }

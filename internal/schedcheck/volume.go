@@ -46,8 +46,8 @@ type touch struct {
 }
 
 // classTouches returns the tensors of the given persistent kind that
-// stream entry e touches on device dev, in touch order. Compute tasks
-// touch at most one tensor per persistent class (their own layer's); a
+// stream entry e touches on device dev, in touch order. A run of compute
+// tasks touches at most one tensor per persistent class (its layer's); a
 // rendezvous touches each member's per-device input — one tensor per
 // member for a chunked bucket, in member (descending layer) order — and,
 // on a plan whose reductions apply the update (Schedule.FusedUpdate),
@@ -68,12 +68,21 @@ func classTouches(s *sched.Schedule, ws *sched.Streams, e sched.StreamEntry, dev
 		}
 		return out
 	}
-	for _, in := range e.Task.Inputs {
-		if in.Kind == kind {
-			return []touch{{in, taskMutates(e.Task, in)}}
+	// A run's members share their layer's tensor of the kind, dirty when
+	// any member mutates it (a closing Update writes W).
+	var out []touch
+	for _, m := range e.Run {
+		for _, in := range m.Inputs {
+			if in.Kind == kind {
+				if out == nil {
+					out = []touch{{t: in}}
+				}
+				out[0].dirty = out[0].dirty || taskMutates(m, in)
+				break
+			}
 		}
 	}
-	return nil
+	return out
 }
 
 // taskMutates reports whether the task marks x dirty.
