@@ -289,7 +289,7 @@ func (ex *executor) worker(d int, stream []sched.StreamEntry, rdvs []*rendezvous
 		for _, m := range e.Run {
 			ex.tr.await(d, m)
 		}
-		if m, err := ex.tr.runRun(d, e.Run, stream[i+1:], ex.labels); err != nil {
+		if m, err := ex.tr.runRun(d, e, stream[i+1:], ex.labels); err != nil {
 			ex.fail(fmt.Errorf("exec: %s on %s: %w", m, ex.tr.where(d), err))
 			return
 		}
@@ -322,7 +322,7 @@ func (ex *executor) runSerial(ws *sched.Streams) error {
 		for _, m := range e.Run {
 			tr.await(d, m)
 		}
-		if m, err := tr.runRun(d, e.Run, nil, ex.labels); err != nil {
+		if m, err := tr.runRun(d, e, nil, ex.labels); err != nil {
 			return fmt.Errorf("exec: %s on %s: %w", m, tr.where(d), err)
 		}
 		return nil

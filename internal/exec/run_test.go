@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"harmony/internal/graph"
 	"harmony/internal/sched"
 	"harmony/internal/schedcheck"
 )
@@ -223,7 +222,7 @@ func fusedRuns(ws *sched.Streams) int {
 	n := 0
 	for _, st := range ws.Dev {
 		for _, e := range st {
-			if k := len(e.Run); k > 1 && e.Run[k-1].Kind == graph.Update {
+			if len(e.Kernel()) < len(e.Run) {
 				n++
 			}
 		}
@@ -238,9 +237,9 @@ func separateUpdates(ws *sched.Streams) *sched.Streams {
 	out.Dev = make([][]sched.StreamEntry, len(ws.Dev))
 	for d, st := range ws.Dev {
 		for _, e := range st {
-			if k := len(e.Run); k > 1 && e.Run[k-1].Kind == graph.Update {
-				out.Dev[d] = append(out.Dev[d], sched.StreamEntry{Task: e.Task, Run: e.Run[:k-1], Rdv: -1},
-					sched.StreamEntry{Task: e.Run[k-1], Run: e.Run[k-1:], Rdv: -1})
+			if k := len(e.Kernel()); k < len(e.Run) {
+				out.Dev[d] = append(out.Dev[d], sched.StreamEntry{Task: e.Task, Run: e.Run[:k], Rdv: -1},
+					sched.StreamEntry{Task: e.Run[k], Run: e.Run[k:], Rdv: -1})
 				continue
 			}
 			out.Dev[d] = append(out.Dev[d], e)

@@ -402,8 +402,12 @@ func BenchmarkTrainerSetup(b *testing.B) {
 // BenchmarkTrainerStep times a warm step of each link shape and of the
 // comm-link shape, with its allocations.
 func BenchmarkTrainerStep(b *testing.B) {
+	defer nn.SetWorkers(nn.Workers())
 	for _, shape := range benchShapes() {
 		b.Run(shape.name, func(b *testing.B) {
+			// The kernels fan out over as many workers as -cpu gives
+			// goroutines, as harmonybench's -procs sizes both.
+			nn.SetWorkers(runtime.GOMAXPROCS(0))
 			tr, err := NewTrainer(shape.cfg, nil)
 			if err != nil {
 				b.Fatal(err)

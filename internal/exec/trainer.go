@@ -957,8 +957,12 @@ type memberViews [2][maxViews][]float32
 // run bound (runPin): the run's distinct tensors, held together. A
 // final-layer member's loss lands on its own task ID. On error it
 // returns the member whose step failed.
-func (tr *Trainer) runRun(d int, run []*graph.Task, next []sched.StreamEntry, labels []int) (*graph.Task, error) {
-	t, k := run[0], len(run)
+func (tr *Trainer) runRun(d int, e sched.StreamEntry, next []sched.StreamEntry, labels []int) (*graph.Task, error) {
+	run, t := e.Run, e.Task
+	// k counts the members whose rows the kernel takes; fused: the
+	// layer's Update closes this backward run.
+	k := len(e.Kernel())
+	fused := k < len(run)
 	// Late binding happens here: d is the schedule's virtual device;
 	// all memory traffic below targets the physical device backing it.
 	dev := tr.pdev(d)
@@ -970,14 +974,8 @@ func (tr *Trainer) runRun(d int, run []*graph.Task, next []sched.StreamEntry, la
 	if r := tr.rec; r != nil {
 		start := tr.vm.clk.Now()
 		defer func() {
-			r.add(dev, trace.Compute, sched.StreamEntry{Task: t, Run: run}.Label(), start, tr.vm.clk.Now())
+			r.add(dev, trace.Compute, e.Label(), start, tr.vm.clk.Now())
 		}()
-	}
-	// fused: the layer's Update closes this backward run; the kernel's
-	// rows are those of the other members.
-	fused := k > 1 && run[k-1].Kind == graph.Update
-	if fused {
-		k--
 	}
 	layer := tr.layers[t.Layer]
 	rows := tr.g.Cfg.MicrobatchSize

@@ -115,10 +115,10 @@ func (l Dense) forwardRows(params, x, y []float32, lo, hi int) {
 // respect to the pre-activation, and the stashed input. dx may be nil
 // for the first layer.
 //
-// The pass is split into phases so each can fan across the worker
-// pool without changing any element's accumulation order: dx is
-// row-disjoint over the batch, while gw chunks over weight rows, each
-// row still accumulating the batch in order. The results are
+// The pass runs in blocks of W's rows (backwardBlocks) that fan across
+// the worker pool without changing any element's accumulation order:
+// a block owns its rows of W and gw and its columns of dx, and each gw
+// row still accumulates the batch in order. The results are
 // bit-identical to a serial run. An operand too short for batch panics
 // before anything is written (checkBackward).
 func (l Dense) Backward(params, stash, dy, dx, grad []float32, batch int) {
@@ -127,41 +127,26 @@ func (l Dense) Backward(params, stash, dy, dx, grad []float32, batch int) {
 
 // BackwardUpdate implements Kernel. With u.Reset the weight gradient's
 // first strip of terms stores its sums over grad instead of adding them
-// to it, and a row with no terms there stores +0s. With u.SGD and a
-// batch of rows the pass is the blocked one of backwardSGD, which reads
-// and writes each row of W once.
+// to it, and a row with no terms there stores +0s. With u.SGD the
+// weight gradient's last strip of terms updates W instead of being
+// stored, so each row of W is read and written once (backwardBlocks).
 func (l Dense) BackwardUpdate(params, stash, dy, dx, grad []float32, batch int, u Update) {
 	checkBackward("Dense", params, stash, dy, dx, grad, batch, l.ParamCount(), l.In, l.Out)
 	nw := l.In * l.Out
-	stash = stash[:batch*l.In]
 	l.biasGrad(dy, grad[nw:nw+l.Out], batch, u.Reset)
-	if u.SGD && batch > 0 {
-		sgd("BackwardUpdate", params[nw:nw+l.Out], grad[nw:nw+l.Out], u.LR, false)
-		l.backwardSGD(params[:nw], stash, dy, dx, grad[:nw], batch, u.Reset, u.LR)
+	if batch == 0 { // no strip of terms starts the weight sums or ends in the update
+		if u.Reset {
+			clear(grad[:nw])
+		}
+		if u.SGD {
+			sgd("BackwardUpdate", params[:l.ParamCount()], grad, u.LR, false)
+		}
 		return
 	}
-	gw := grad[:nw]
-	if u.Reset && batch == 0 { // no strip starts the weight sums
-		clear(gw)
+	if u.SGD {
+		sgd("BackwardUpdate", params[nw:nw+l.Out], grad[nw:nw+l.Out], u.LR, false)
 	}
-	// Weight gradient: chunk over weight rows k (the input dimension);
-	// each gw row accumulates the batch in order.
-	if grain := grainFor(2 * batch * l.Out); runsInline(l.In, grain) {
-		l.weightGradRows(stash, dy, gw, nil, batch, u.Reset, 0, 0, l.In)
-	} else {
-		ParallelFor(l.In, grain, func(lo, hi int) { l.weightGradRows(stash, dy, gw, nil, batch, u.Reset, 0, lo, hi) })
-	}
-	// Input gradient, masked: rows are disjoint over the batch.
-	if dx != nil {
-		if grain := grainFor(2 * nw); runsInline(batch, grain) {
-			l.inputGradRows(params, stash, dy, dx, 0, batch, 0, l.In)
-		} else {
-			ParallelFor(batch, grain, func(lo, hi int) { l.inputGradRows(params, stash, dy, dx, lo, hi, 0, l.In) })
-		}
-	}
-	if u.SGD { // no rows, so no strip of terms to end in the update
-		sgd("BackwardUpdate", params[:l.ParamCount()], grad, u.LR, false)
-	}
+	l.backwardBlocks(params[:nw], stash[:batch*l.In], dy, dx, grad[:nw], batch, u)
 }
 
 // biasGrad sums the batch of dy into gb, each column in row order, from
@@ -178,46 +163,55 @@ func (l Dense) biasGrad(dy, gb []float32, batch int, reset bool) {
 	}
 }
 
-// sgdRows is how many rows of W one block of backwardSGD takes: a
+// blockRows is how many rows of W one block of backwardBlocks takes: a
 // multiple of 8, so a block's rows split between dx4AVX2 and the Go loop
 // as the whole matrix's do, and small enough that the block stays in L1
 // from its dx to its update (EXPERIMENTS.md, "The update inside the
 // backward").
-const sgdRows = 8
+const blockRows = 8
 
-// backwardSGD is the backward with SGD applied to W in the same pass. It
-// takes W in blocks of sgdRows rows; for each block it computes the
+// backwardBlocks is the weight and input gradient of batch ≥ 1 rows. It
+// takes W in blocks of blockRows rows; for each block it computes the
 // four-row tiles' dx at those k from the old rows, masked, then the
-// rows' weight gradient, whose last strip of terms subtracts lr·sum
-// from W where it would have stored the sum, so the gradient's last
-// bytes are never stored. The rows the tile leaves (all of them on the
-// Go tiles) compute their dx whole first, from the old W, since the k a
-// one-row group takes together span blocks. Each element of dx, gw and
+// rows' weight gradient, whose last strip of terms, with u.SGD,
+// subtracts lr·sum from W where it would have stored the sum, so the
+// gradient's last bytes are never stored. The rows the tile leaves (all
+// of them on the Go tiles) compute their dx whole first, from the old
+// W, since the k a one-row group takes together span blocks; they are
+// disjoint over the batch, so they fan out. Each element of dx, gw and
 // W gets the operations Backward then ApplySGD give it, in the same
 // order and by the same code, so the bits are theirs, NaN payloads
 // included. Blocks read and write disjoint rows of W and gw and
 // disjoint columns of dx, so they fan out over the pool.
-func (l Dense) backwardSGD(w, stash, dy, dx, gw []float32, batch int, reset bool, lr float32) {
+func (l Dense) backwardBlocks(w, stash, dy, dx, gw []float32, batch int, u Update) {
 	tiled := 0 // the rows whose dx the blocks compute
 	if dx != nil {
 		if l.tiles4() {
 			tiled = batch &^ 3
 		}
-		l.inputGradRows(w, stash, dy, dx, tiled, batch, 0, l.In)
+		if grain := grainFor(2 * l.In * l.Out); runsInline(batch-tiled, grain) {
+			l.inputGradRows(w, stash, dy, dx, tiled, batch, 0, l.In)
+		} else {
+			ParallelFor(batch-tiled, grain, func(lo, hi int) { l.inputGradRows(w, stash, dy, dx, tiled+lo, tiled+hi, 0, l.In) })
+		}
 	}
-	blocks := (l.In + sgdRows - 1) / sgdRows
-	if grain := grainFor(4 * batch * sgdRows * l.Out); runsInline(blocks, grain) {
-		l.sgdBlocks(w, stash, dy, dx, gw, batch, tiled, reset, lr, 0, blocks)
+	blocks := (l.In + blockRows - 1) / blockRows
+	if grain := grainFor(4 * batch * blockRows * l.Out); runsInline(blocks, grain) {
+		l.gradBlocks(w, stash, dy, dx, gw, batch, tiled, u, 0, blocks)
 	} else {
-		ParallelFor(blocks, grain, func(lo, hi int) { l.sgdBlocks(w, stash, dy, dx, gw, batch, tiled, reset, lr, lo, hi) })
+		ParallelFor(blocks, grain, func(lo, hi int) { l.gradBlocks(w, stash, dy, dx, gw, batch, tiled, u, lo, hi) })
 	}
 }
 
-func (l Dense) sgdBlocks(w, stash, dy, dx, gw []float32, batch, tiled int, reset bool, lr float32, lo, hi int) {
+func (l Dense) gradBlocks(w, stash, dy, dx, gw []float32, batch, tiled int, u Update, lo, hi int) {
+	var wu []float32 // the W the last strip updates
+	if u.SGD {
+		wu = w
+	}
 	for b := lo; b < hi; b++ {
-		k0, k1 := b*sgdRows, min((b+1)*sgdRows, l.In)
+		k0, k1 := b*blockRows, min((b+1)*blockRows, l.In)
 		l.inputGradRows(w, stash, dy, dx, 0, tiled, k0, k1)
-		l.weightGradRows(stash, dy, gw, w, batch, reset, lr, k0, k1)
+		l.weightGradRows(stash, dy, gw, wu, batch, u.Reset, u.LR, k0, k1)
 	}
 }
 

@@ -1306,7 +1306,7 @@ func refPoolBackward(p MaxPool2D, stash, dy, dx []float32, batch int) {
 // dx tile with and without a last block of eight, and the gathered rows
 // a batch of 1–6 leaves after it, their active count on both sides of
 // every group of sixteen, and a block of k past the first eight, as
-// backwardSGD asks for one — and axpyTerms, lists of 1–9 terms, storing
+// backwardBlocks asks for one — and axpyTerms, lists of 1–9 terms, storing
 // its sums and with its SGD epilogue, at every length to 40 and around
 // its 64-float segments, on operands salted
 // with ±Inf, NaN, -0, denormals and values whose products overflow, in
@@ -1403,9 +1403,9 @@ func TestVectorKernelsMatchGoTiles(t *testing.T) {
 				both(fmt.Sprintf("dx in=%d out=%d batch=%d", in, n, batch), salted(batch*in), func(dx []float32) {
 					l.inputGradRows(params, x, masked, dx, 0, batch, 0, in)
 				})
-				if in > sgdRows { // a block of k, as backwardSGD asks for one
-					both(fmt.Sprintf("dx in=%d out=%d batch=%d k≥%d", in, n, batch, sgdRows), salted(batch*in), func(dx []float32) {
-						l.inputGradRows(params, x, masked, dx, 0, batch, sgdRows, in)
+				if in > blockRows { // a block of k, as backwardBlocks asks for one
+					both(fmt.Sprintf("dx in=%d out=%d batch=%d k≥%d", in, n, batch, blockRows), salted(batch*in), func(dx []float32) {
+						l.inputGradRows(params, x, masked, dx, 0, batch, blockRows, in)
 					})
 				}
 			}

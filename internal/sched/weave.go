@@ -43,13 +43,23 @@ type StreamEntry struct {
 	Rdv  int
 }
 
+// Kernel is the run's members less the Update that closes it, if one
+// does (closes): the members whose rows the run's kernel call takes. A
+// run is closed when Kernel is the shorter.
+func (e StreamEntry) Kernel() []*graph.Task {
+	if n := len(e.Run); n > 1 && e.Run[n-1].Kind == graph.Update {
+		return e.Run[:n-1]
+	}
+	return e.Run
+}
+
 // Label names the entry in traces and counterexamples: its task, or a
 // run of more than one as its kind, replica, layer and microbatch span,
 // and "+UPD" after a run the layer's Update closes.
 func (e StreamEntry) Label() string {
-	run, upd := e.Run, ""
-	if n := len(run); n > 1 && run[n-1].Kind == graph.Update {
-		run, upd = run[:n-1], "+UPD"
+	run, upd := e.Kernel(), ""
+	if len(run) < len(e.Run) {
+		upd = "+UPD"
 	}
 	if len(run) < 2 {
 		return e.Task.String() + upd

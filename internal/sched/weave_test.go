@@ -318,6 +318,9 @@ func fusedUpdates(t *testing.T, ws *Streams) []*graph.Task {
 				if j != len(e.Run)-1 || e.Task.Kind != graph.Backward || e.Task.Layer != m.Layer || e.Task.Replica != m.Replica {
 					t.Errorf("gpu%d: %s sits at %d of the run %s", d, m, j, e.Label())
 				}
+				if len(e.Kernel()) != j {
+					t.Errorf("gpu%d: the kernel of %s keeps %d members, want %d", d, e.Label(), len(e.Kernel()), j)
+				}
 				if want := e.Label(); !strings.HasSuffix(want, "+UPD") {
 					t.Errorf("gpu%d: run %s closed by %s is not labeled +UPD", d, want, m)
 				}
