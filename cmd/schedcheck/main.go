@@ -37,7 +37,6 @@ func main() {
 		mbSize    = flag.Int("mb-size", 1, "samples per microbatch")
 		deviceMem = flag.Int64("device-mem", 1<<20, "per-device memory bytes")
 		groupSize = flag.Int("group-size", 0, "microbatches per wave (0 = the mode's default: 1 for baselines, all for Harmony modes)")
-		prefetch  = flag.Bool("prefetch", true, "plan with prefetch enabled")
 		chunks    = flag.Int("comm-chunks", 0, "split gradient collectives into N chunks (0 = monolithic)")
 		bucket    = flag.Int64("comm-bucket", 0, "coalesce reverse-order gradients into buckets of this many bytes")
 		baseline  = flag.Bool("baseline-toggles", false, "disable all optimizations regardless of mode: waves of one microbatch, interleaved")
@@ -65,7 +64,6 @@ func main() {
 	if *groupSize > 0 {
 		opts.GroupSize = *groupSize
 	}
-	opts.Prefetch = opts.Prefetch && *prefetch
 	opts.CommChunks = *chunks
 	opts.CommBucketBytes = *bucket
 	model := models.Uniform("plan", *layers, int64(*params), 4096, 1e9)
@@ -101,8 +99,7 @@ func main() {
 	fmt.Printf("checked: %d tasks replayed\n", r.TasksChecked)
 	if *verbose {
 		for d := range r.PeakPinBytes {
-			fmt.Printf("  gpu%d: peak pinned %d bytes, expected resident %d / %d capacity\n",
-				d, r.PeakPinBytes[d], r.PeakResidentBytes[d], topo.DeviceBytes)
+			fmt.Printf("  gpu%d: peak pinned %d bytes / %d capacity\n", d, r.PeakPinBytes[d], topo.DeviceBytes)
 		}
 	}
 	if r.AnalyticWeightBytes >= 0 {

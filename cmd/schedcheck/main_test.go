@@ -24,7 +24,7 @@ func TestSeededBugsAreCaught(t *testing.T) {
 		want string // in stdout, or in stderr for a usage error
 	}{
 		{[]string{"-mode", "harmony-dp", "-devices", "2"}, 0, "PASS"},
-		{[]string{"-mode", "pp-baseline", "-devices", "4", "-layers", "16", "-prefetch=false"}, 0, "PASS"},
+		{[]string{"-mode", "pp-baseline", "-devices", "4", "-layers", "16"}, 0, "PASS"},
 		{[]string{"-mode", "harmony-tp", "-devices", "2"}, 0, "PASS"},
 		{[]string{"-mode", "dp-baseline", "-devices", "2", "-inject", "cycle"}, 1, "FAIL\nschedcheck: deadlock: "},
 		{[]string{"-mode", "dp-baseline", "-devices", "2", "-inject", "volume"}, 1, "FAIL\nschedcheck: swap-volume: "},

@@ -389,14 +389,8 @@ func (vm *VM) seededInstall(sh *vmShard, b *buffer) {
 		want: `published to the LRU under an uncommitted claim`,
 		edits: []edit{{file: "internal/exec/vm.go", old: `	b.Commit(how == landPrefetch)
 	sh.used += b.t.Bytes
-	if how == landPrefetch {
-		sh.pfBytes += b.t.Bytes
-	}
 	vm.lruPush(sh, b)
 `, new: `	sh.used += b.t.Bytes
-	if how == landPrefetch {
-		sh.pfBytes += b.t.Bytes
-	}
 	vm.lruPush(sh, b)
 	b.Commit(how == landPrefetch)
 `}},

@@ -96,8 +96,9 @@ func (c *Cell) Unpin() bool {
 	return ok
 }
 
-// ConsumePrefetch clears the prefetched mark. Exactly one caller wins
-// and must return the bytes to the prefetch budget.
+// ConsumePrefetch clears the prefetched mark. Exactly one caller wins:
+// the demand hit it is counted as, or the move that takes the page
+// off the device it was prefetched to.
 func (c *Cell) ConsumePrefetch() bool {
 	_, ok := c.apply(ConsumePrefetch)
 	return ok

@@ -147,9 +147,9 @@ func Commit(w Word, prefetched bool) (Word, bool) {
 // Settle completes w's claim: claimed and committed clear, residency is
 // set to the outcome, and pinDelta (0 or +1, for paths that hand the
 // buffer to their caller pinned) adjusts the pin count. Losing
-// residency also clears the prefetched mark — the caller returns those
-// bytes to the prefetch budget. Returns ok=false if w is not claimed or
-// the pin adjustment underflows.
+// residency also clears the prefetched mark: a page that is not on a
+// device holds no unconsumed prefetch. Returns ok=false if w is not
+// claimed or the pin adjustment underflows.
 func Settle(w Word, resident bool, pinDelta int) (Word, bool) {
 	if !w.Claimed() {
 		return w, false
@@ -192,8 +192,8 @@ func Unpin(w Word) (Word, bool) {
 
 // ConsumePrefetch clears the prefetched mark (first demand hit, or
 // eviction/relocation of an unconsumed prefetch). Returns ok=false if
-// the mark is not set; exactly one caller wins, so prefetch-budget
-// accounting stays balanced.
+// the mark is not set; exactly one caller wins, so a prefetch counts
+// as at most one hit, and only on the device it was prefetched to.
 func ConsumePrefetch(w Word) (Word, bool) {
 	if !w.Prefetched() {
 		return w, false

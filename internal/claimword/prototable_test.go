@@ -362,7 +362,7 @@ func violation(w uint64) string {
 		return "resident buffer holds an uncommitted claim: eviction cannot wait on it"
 	}
 	if !resident && w&specPrefetched != 0 {
-		return "non-resident buffer marked prefetched: budget accounting leaked"
+		return "non-resident buffer marked prefetched: its next landing could count a stale hit"
 	}
 	if claimed && specPins(w) > 0 {
 		return "claimed buffer is pinned: the claim holder would move or read a copy a task is using"

@@ -25,27 +25,23 @@ type dmaReq struct {
 	dev int // device whose DMA lane services the request
 }
 
-// StartEngine launches one DMA worker goroutine per device and allows
-// async swap-in bytes in flight per device up to budgetBytes. Call
-// Close to drain and stop the workers (recovery does, before
-// discarding a VM). Idempotent; must be called before the first
-// EnsureAsync.
+// StartEngine launches one DMA worker goroutine per device. Call Close
+// to drain and stop the workers (recovery does, before discarding a
+// VM). Idempotent; must be called before the first EnsureAsync. The
+// budgetBytes parameter is deprecated: ignored, since prefetch is
+// bounded by the caller's window and the device's free room alone; it
+// stays until the benchmark harness stops passing it.
 func (vm *VM) StartEngine(budgetBytes int64) {
 	vm.engMu.Lock()
 	defer vm.engMu.Unlock()
-	if vm.started || vm.closed.Load() {
+	if vm.engOn.Load() || vm.closed.Load() {
 		return
 	}
-	if budgetBytes <= 0 || budgetBytes > vm.capacity {
-		budgetBytes = vm.capacity / 2
-	}
-	vm.budget = budgetBytes // pre-engOn: nothing reads it yet
-	vm.started = true
 	vm.wg.Add(len(vm.shards))
 	for d := range vm.shards {
 		go vm.dmaWorker(d)
 	}
-	vm.engOn.Store(true) // publishes the budget to EnsureAsync
+	vm.engOn.Store(true) // the workers are running: EnsureAsync may enqueue
 }
 
 // Close stops the DMA workers after draining queued requests. Safe to
@@ -53,7 +49,7 @@ func (vm *VM) StartEngine(budgetBytes int64) {
 // conds are poked one at a time in ascending device order.
 func (vm *VM) Close() {
 	vm.engMu.Lock()
-	if !vm.started || vm.closed.Load() {
+	if !vm.engOn.Load() || vm.closed.Load() {
 		vm.engMu.Unlock()
 		return
 	}
@@ -76,7 +72,7 @@ func (vm *VM) Close() {
 func (vm *VM) WaitIdle() error {
 	vm.engMu.Lock()
 	defer vm.engMu.Unlock()
-	if !vm.started {
+	if !vm.engOn.Load() {
 		return nil
 	}
 	for vm.pending.Load() > 0 {
@@ -103,9 +99,10 @@ func (vm *VM) latchAsyncErr(err error) {
 // blocking: a prefetch. It never waits, never evicts, never pins —
 // it fills spare capacity only — and silently does nothing when the
 // tensor is missing, already resident or in flight, not host-backed,
-// over the per-device async budget, or the device is full. A later
-// Ensure either hits the prefetched copy or rides the in-flight DMA.
-// The whole admission runs under the destination shard's lock alone.
+// or the device has no room for it. A later Ensure either hits the
+// prefetched copy or rides the in-flight DMA. How far ahead it is
+// asked is the caller's window (Trainer.prefetch); the whole admission
+// runs under the destination shard's lock alone.
 func (vm *VM) EnsureAsync(dev int, t *tensor.Tensor) {
 	if !vm.engOn.Load() || vm.closed.Load() {
 		return
@@ -138,22 +135,15 @@ func (vm *VM) EnsureAsync(dev int, t *tensor.Tensor) {
 	if !b.backed() {
 		return
 	}
-	bytes := t.Bytes
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	// The budget counts prefetched bytes until their first demand hit
-	// (not merely while in flight), bounding how much device memory
-	// prefetch may occupy at the expense of the present working set.
-	if sh.pfBytes+bytes > vm.budget {
-		return
-	}
 	// Prefetch fills spare capacity only. Evicting on behalf of the
 	// future is a Belady bet the prefetcher always loses under
 	// pressure: dropped pages are exactly the stashes and activations
 	// the backward pass re-demands, and measured swap traffic tripled
 	// when prefetch was allowed to make room for itself. The demand
 	// path keeps sole authority over eviction.
-	if sh.used+bytes > vm.capacity {
+	if sh.used+t.Bytes > vm.capacity {
 		return
 	}
 	if _, err := vm.land(sh, b, landPrefetch); err != nil {
@@ -213,7 +203,7 @@ func (vm *VM) service(req dmaReq) {
 	b := req.b
 	if err := vm.fill(xferPrefetch, req.dev, b); err != nil {
 		// Failed prefetch: roll the residency back (dropResidency
-		// returns the bytes to the budget) and let the demand path
+		// returns the bytes to the device) and let the demand path
 		// retry (and surface) the fault. Fatal faults are also latched
 		// so WaitIdle reports them even if no demand follows.
 		vm.dropResidency(b)

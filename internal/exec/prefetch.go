@@ -10,36 +10,31 @@ import (
 	"harmony/internal/trace"
 )
 
-// prefetcher drives the VM's async DMA engine from the schedule: the
+// prefetch drives the VM's async DMA engine from the schedule: the
 // executor already knows each device's task stream, so once a run has
-// pinned its footprint and right before its kernel launches, the device
-// worker asks for the inputs of the next depth compute tasks after it
-// (EnsureAsync — never blocking, never pinning), which the DMA workers
-// fill while the kernel runs. The depth counts tasks, but the window
-// holds whole runs: a run the window reaches is asked for in full, since
-// its members are acquired together. Issued after the run's own
+// pinned its footprint and right before its kernel launches, device
+// worker d asks for the inputs of the next pfDepth compute tasks after
+// it (EnsureAsync — never blocking, never pinning), which the DMA
+// workers fill while the kernel runs; next is the rest of d's stream
+// after the run. The depth counts tasks, but the window holds whole
+// runs: a run the window reaches is asked for in full, since its
+// members are acquired together. Issued after the run's own
 // acquisition, a prefetch fills only what the run leaves spare, so the
-// run's demand never evicts it. This is the real executor's version of
-// the simulator's runtime.prefetchAhead.
-type prefetcher struct {
-	tr    *Trainer
-	depth int
-}
-
-// issue runs on device worker d between a run's acquisition and its
-// kernel; next is the rest of d's stream after the run.
-func (p *prefetcher) issue(d int, next []sched.StreamEntry) {
-	dev := p.tr.pdev(d)
+// run's demand never evicts it. The window and the device's free room
+// are all that bound it. This is the real executor's version of the
+// simulator's runtime.prefetchAhead.
+func (tr *Trainer) prefetch(d int, next []sched.StreamEntry) {
+	dev := tr.pdev(d)
 	seen := 0
 	for _, e := range next {
-		if seen >= p.depth {
+		if seen >= tr.pfDepth {
 			return
 		}
 		// Collectives ensure their own views at rendezvous.
 		for _, t := range e.Run {
 			seen++
 			for _, in := range t.Inputs {
-				p.tr.vm.EnsureAsync(dev, in)
+				tr.vm.EnsureAsync(dev, in)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"harmony/internal/memory"
 	"harmony/internal/nn"
 	"harmony/internal/sched"
+	"harmony/internal/tensor"
 )
 
 // ------------------------------------------- async DMA engine (unit)
@@ -76,14 +77,15 @@ func TestEnsureRidesInFlightPrefetch(t *testing.T) {
 	}
 }
 
-// TestEnsureAsyncRespectsBudgetAndPins: prefetch must refuse work
-// over the async byte budget and must never evict — it fills spare
-// capacity only, so a full device (even of clean droppable pages)
-// makes it a no-op until the demand path frees room.
-func TestEnsureAsyncRespectsBudgetAndPins(t *testing.T) {
+// TestEnsureAsyncFillsOnlySpareRoom: prefetch must never evict — it
+// fills spare capacity only, so a full device (even of clean droppable
+// pages) makes it a no-op until the demand path frees room — and,
+// below that, nothing else refuses it: on an empty device it fills
+// the device.
+func TestEnsureAsyncFillsOnlySpareRoom(t *testing.T) {
 	_, a, b, c := vmTensors(t)
 	vm := NewVM(1, 900, memory.Policy{DirtyTracking: true})
-	vm.StartEngine(400) // budget: one 400-byte tensor outstanding
+	vm.StartEngine(400)
 	defer vm.Close()
 	vm.HostAlloc(a)
 	vm.HostAlloc(b)
@@ -92,8 +94,8 @@ func TestEnsureAsyncRespectsBudgetAndPins(t *testing.T) {
 	if _, err := vm.Ensure(0, a); err != nil {
 		t.Fatal(err)
 	}
-	vm.EnsureAsync(0, b) // fits (400 outstanding = budget)
-	vm.EnsureAsync(0, c) // over budget AND over capacity: must no-op
+	vm.EnsureAsync(0, b) // fits beside a
+	vm.EnsureAsync(0, c) // over capacity: must no-op
 	if err := vm.WaitIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +106,9 @@ func TestEnsureAsyncRespectsBudgetAndPins(t *testing.T) {
 	if vm.Used(0) != 800 {
 		t.Fatalf("used = %d, want a+b resident", vm.Used(0))
 	}
-	// b consumed: the budget frees up, but the device is still full
-	// (800+400 > 900) and prefetch never evicts — even though clean
-	// unpinned b would be a legal demand-path victim.
+	// b consumed, but the device is still full (800+400 > 900) and
+	// prefetch never evicts — even though clean unpinned b would be a
+	// legal demand-path victim.
 	if _, err := vm.Ensure(0, b); err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +133,53 @@ func TestEnsureAsyncRespectsBudgetAndPins(t *testing.T) {
 	}
 	if st := vm.StatsSnapshot(); st.PrefetchIssued != 2 || vm.Used(0) != 800 {
 		t.Fatalf("stats = %+v used = %d, want c prefetched beside pinned a", st, vm.Used(0))
+	}
+
+	// An empty device of 1200 bytes takes three 400-byte prefetches —
+	// more than half of it, all of it — and the fourth page, which
+	// would need an eviction, stays on the host.
+	reg, a, b, c := vmTensors(t)
+	d := reg.Add(tensor.Weight, 400, 3, -1)
+	vm = NewVM(1, 1200, memory.Policy{DirtyTracking: true})
+	vm.StartEngine(0)
+	defer vm.Close()
+	for _, x := range []*tensor.Tensor{a, b, c, d} {
+		vm.HostAlloc(x)
+		vm.EnsureAsync(0, x)
+	}
+	if err := vm.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if st := vm.StatsSnapshot(); st.PrefetchIssued != 3 || st.Drops != 0 || vm.Used(0) != 1200 {
+		t.Fatalf("stats = %+v used = %d, want a, b and c prefetched to fill the device, d refused", st, vm.Used(0))
+	}
+}
+
+// TestP2PMoveOfPrefetchIsNoHit: a page prefetched onto gpu0 and moved
+// p2p to gpu1 before any demand on gpu0 is not a prefetch hit on gpu1.
+// The move keeps the page resident, so nothing but the move itself
+// clears the prefetched mark; left set, gpu1's next demand would count
+// gpu0's prefetch as its own hit.
+func TestP2PMoveOfPrefetchIsNoHit(t *testing.T) {
+	_, a, _, _ := vmTensors(t)
+	vm := NewVM(2, 500, memory.Policy{DirtyTracking: true, P2P: true})
+	vm.StartEngine(0)
+	defer vm.Close()
+	vm.HostAlloc(a)
+	vm.EnsureAsync(0, a)
+	if err := vm.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := vm.Ensure(1, a); err != nil {
+			t.Fatal(err)
+		}
+		if err := vm.Unpin(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := vm.StatsSnapshot(); st.P2PMoves != 1 || st.PrefetchIssued != 1 || st.PrefetchHits != 0 {
+		t.Fatalf("stats = %+v, want one prefetch, one p2p move and no hit", st)
 	}
 }
 

@@ -172,11 +172,11 @@ type Trainer struct {
 	// host backing (VM.HostBind), reused by every step.
 	inputs []float32
 
-	// pf, when non-nil, is the schedule-driven prefetcher the device
-	// workers call before each kernel; rec, when non-nil, records
+	// pfDepth is the resolved prefetch window (prefetchDepth), in
+	// compute tasks; 0 turns prefetch off. rec, when non-nil, records
 	// wall-clock compute/DMA spans (EnableTrace).
-	pf  *prefetcher
-	rec *runRecorder
+	pfDepth int
+	rec     *runRecorder
 
 	// Recovery state. Virtual devices are schedule constructs; devMap
 	// binds virtual device d to the physical device devMap[d] whose
@@ -373,13 +373,13 @@ func (tr *Trainer) install(s *sched.Schedule, streams *sched.Streams) {
 	tr.cfg.Microbatches = s.Graph.Cfg.Microbatches
 	tr.comm = buildCommPlan(s)
 	tr.sizeTasks()
-	tr.armPrefetch()
+	tr.pfDepth = tr.prefetchDepth()
 }
 
-// prefetchDepth resolves the configured lookahead: 0 means the
-// default of 2 when the schedule asked for prefetch, negative
-// disables. The serial reference path never prefetches — it is the
-// bit-exactness and data-movement baseline.
+// prefetchDepth resolves the configured lookahead: 0 means
+// sched.DefaultPrefetchDepth when the schedule asked for prefetch,
+// negative disables. The serial reference path never prefetches — it
+// is the bit-exactness and data-movement baseline.
 func (tr *Trainer) prefetchDepth() int {
 	switch {
 	case tr.cfg.Serial || tr.cfg.PrefetchDepth < 0:
@@ -387,7 +387,7 @@ func (tr *Trainer) prefetchDepth() int {
 	case tr.cfg.PrefetchDepth > 0:
 		return tr.cfg.PrefetchDepth
 	case tr.s.Opts.Prefetch:
-		return 2
+		return sched.DefaultPrefetchDepth
 	default:
 		return 0
 	}
@@ -427,8 +427,8 @@ func (tr *Trainer) newVM() *VM {
 	if tr.rec != nil {
 		vm.cfg.rec = tr.rec.add
 	}
-	if tr.pf != nil {
-		vm.StartEngine(0) // default budget: half the device capacity
+	if tr.pfDepth > 0 {
+		vm.StartEngine(0)
 	}
 	for r := 0; r < tr.g.Cfg.Replicas; r++ {
 		for l := range tr.layers {
@@ -493,15 +493,6 @@ func (tr *Trainer) bear(b birth, fill func([]float32) error) error {
 		return err
 	}
 	return tr.vm.Unpin(b.t)
-}
-
-// armPrefetch (re)builds the prefetcher for the current plan: none when
-// the resolved depth is 0.
-func (tr *Trainer) armPrefetch() {
-	tr.pf = nil
-	if d := tr.prefetchDepth(); d > 0 {
-		tr.pf = &prefetcher{tr: tr, depth: d}
-	}
 }
 
 // AdaptWindowStats is the per-device summary AdaptStats once returned.
@@ -942,7 +933,7 @@ type memberViews [2][maxViews][]float32
 // site is consulted, the final layer's loss read into the run's loss
 // gradient, then every member's footprint acquired (pinned) and its
 // views bound by declared position. With the run pinned, the prefetch
-// window over next, the rest of the stream, is issued (prefetcher), so
+// window over next, the rest of the stream, is issued (prefetch), so
 // async swap-ins for the tasks after the run ride the DMA lanes while
 // its kernel runs. The kernel runs once over the members' rows laid end
 // to end in the worker's operand buffers (runBufs) — one pass of W and
@@ -1001,8 +992,8 @@ func (tr *Trainer) runRun(d int, e sched.StreamEntry, next []sched.StreamEntry, 
 			return m, err
 		}
 	}
-	if tr.pf != nil {
-		tr.pf.issue(d, next)
+	if tr.pfDepth > 0 {
+		tr.prefetch(d, next)
 	}
 	vs = vs[:k]
 	switch in := &vs[0][0]; t.Kind {
@@ -1049,11 +1040,11 @@ func (tr *Trainer) runRun(d int, e sched.StreamEntry, next []sched.StreamEntry, 
 			return m, err
 		}
 	}
-	if fused && tr.pf != nil {
+	if fused && tr.pfDepth > 0 {
 		// The issue point the update had as a run of its own: with the
 		// backward's pages unpinned, the window finds the room the run
 		// held.
-		tr.pf.issue(d, next)
+		tr.prefetch(d, next)
 	}
 	return nil, nil
 }

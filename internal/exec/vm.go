@@ -169,19 +169,17 @@ func (b *buffer) backed() bool { return b.host != nil || b.state.Load() == pageZ
 type lruList struct{ head, tail *buffer }
 
 // vmShard is one device's slice of the VM: capacity accounting, LRU
-// order, prefetch bytes, DMA queue and movement stats, guarded by
-// its own mutex so devices never contend with each other on the swap
-// hot path.
+// order, DMA queue and movement stats, guarded by its own mutex so
+// devices never contend with each other on the swap hot path.
 type vmShard struct {
 	mu sync.Mutex
 
-	dev     int
-	used    int64
-	lru     lruList
-	pfBytes int64 // prefetched bytes in flight or resident-unconsumed; at most VM.budget
-	stats   VMStats
-	queue   []dmaReq
-	work    *sync.Cond // signaled when queue grows or the VM closes
+	dev   int
+	used  int64
+	lru   lruList
+	stats VMStats
+	queue []dmaReq
+	work  *sync.Cond // signaled when queue grows or the VM closes
 	// spares are the device slices of pages that left this device, in
 	// one stack per capacity, ascending, for the next pages placed here
 	// (take, give). held is the capacity in bytes of every device slice
@@ -201,13 +199,12 @@ type spareStack struct {
 //
 // Locking discipline (DESIGN.md §12): the hot path is sharded by
 // device. Each vmShard's mutex guards only that device's accounting —
-// used bytes, LRU order, prefetch bytes, DMA queue and stats.
-// Per-buffer state (residency, pins, claim) lives in a packed atomic
-// claim word driven by CAS (internal/claimword), so demand Ensure,
-// prefetch EnsureAsync, eviction and DMA completion on different
-// devices never touch a common lock. Copy execution (memcpy, modeled
-// link time, fault-retry backoff) always runs with no shard lock
-// held, under a buffer claim.
+// used bytes, LRU order, DMA queue and stats. Per-buffer state
+// (residency, pins, claim) lives in a packed atomic claim word driven
+// by CAS (internal/claimword), so demand Ensure, prefetch EnsureAsync,
+// eviction and DMA completion on different devices never touch a
+// common lock. Copy execution (memcpy, modeled link time, fault-retry
+// backoff) always runs with no shard lock held, under a buffer claim.
 //
 // Shard acquisition order: no code path holds two shard locks at
 // once. Cross-device operations (p2p moves, multi-device sweeps like
@@ -251,16 +248,13 @@ type VM struct {
 	// engine starts; closed once at Close. pending counts queued or
 	// in-flight async requests; the worker that drops it to zero
 	// broadcasts idle under engMu, and WaitIdle holds engMu between
-	// its check and its wait, so wakeups are never lost. budget is
-	// immutable after StartEngine (published by engOn).
+	// its check and its wait, so wakeups are never lost.
 	engOn    atomic.Bool
 	closed   atomic.Bool
 	pending  atomic.Int64
 	engMu    sync.Mutex
 	idle     *sync.Cond // on engMu
-	started  bool       // under engMu
 	asyncErr error      // under engMu: first fatal fault on a DMA worker
-	budget   int64      // per-device cap on pfBytes
 	wg       sync.WaitGroup
 
 	// cfg holds the transfer knobs. They are plain fields, written
@@ -708,7 +702,6 @@ func (vm *VM) Ensure(dev int, t *tensor.Tensor) ([]float32, error) {
 			sh := vm.shards[dev]
 			sh.mu.Lock()
 			if hit {
-				sh.pfBytes -= b.t.Bytes
 				sh.stats.PrefetchHits++
 			}
 			vm.touch(sh, b)
@@ -826,9 +819,6 @@ func (vm *VM) land(sh *vmShard, b *buffer, how landing) ([]float32, error) {
 	b.devID.Store(int32(sh.dev))
 	b.Commit(how == landPrefetch)
 	sh.used += b.t.Bytes
-	if how == landPrefetch {
-		sh.pfBytes += b.t.Bytes
-	}
 	vm.lruPush(sh, b)
 	return b.dev, nil
 }
@@ -869,8 +859,9 @@ func (vm *VM) moveP2P(dev int, b *buffer) ([]float32, error) {
 		return nil, err
 	}
 
-	// Prefetched to the wrong device is not a hit: unlink returns the
-	// budget charge with the source's bytes and slice.
+	// Prefetched to the wrong device is not a hit: unlink clears the
+	// mark (the move keeps the page resident, so nothing else would)
+	// and returns the source's bytes and slice.
 	ssh := vm.shards[srcDev]
 	ssh.mu.Lock()
 	vm.unlink(ssh, b)
@@ -1070,18 +1061,18 @@ func (vm *VM) dropResidency(b *buffer) {
 }
 
 // unlink takes b, resident on sh's device, off the device: out of the
-// LRU, its bytes and any unconsumed prefetch charge returned, its
-// device slice kept as one of sh's spares — and, for a known-zero page,
-// whatever stale host copy an earlier write-back left dropped, so the
-// page holds no memory anywhere until it is filled again. It is the one
-// place a page leaves a device: eviction, drop, p2p move, Free or a
-// failed fill. Requires sh.mu held and b's claim owned by the caller.
+// LRU, its bytes returned, any unconsumed prefetched mark cleared (a
+// p2p move keeps b resident, so its Settle would not clear it, and the
+// destination must not count a hit), its device slice kept as one of
+// sh's spares — and, for a known-zero page, whatever stale host copy
+// an earlier write-back left dropped, so the page holds no memory
+// anywhere until it is filled again. It is the one place a page leaves
+// a device: eviction, drop, p2p move, Free or a failed fill. Requires
+// sh.mu held and b's claim owned by the caller.
 func (vm *VM) unlink(sh *vmShard, b *buffer) {
 	vm.lruRemove(sh, b)
 	sh.used -= b.t.Bytes
-	if b.ConsumePrefetch() {
-		sh.pfBytes -= b.t.Bytes
-	}
+	b.ConsumePrefetch()
 	vm.give(sh, b.dev)
 	b.dev = nil
 	b.devID.Store(-1)

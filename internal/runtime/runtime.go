@@ -46,10 +46,6 @@ type Config struct {
 // eventLimit bounds a run's simulation events as a runaway backstop.
 const eventLimit = 200_000_000
 
-// prefetchDepth is how many queue positions ahead the simulator
-// prefetches when the schedule enables prefetching: double buffering.
-const prefetchDepth = 2
-
 // Result reports steady-state metrics.
 type Result struct {
 	// IterTime is the average steady-state time per iteration;
@@ -512,7 +508,7 @@ func (r *runner) prefetchAhead(d int) {
 	q := r.sch.Queues[d]
 	// cursor already points past the task now starting, so cursor+0
 	// is the next task in line.
-	for k := 0; k < prefetchDepth; k++ {
+	for k := 0; k < sched.DefaultPrefetchDepth; k++ {
 		idx := r.cursor[d] + k
 		if idx >= len(q) {
 			return

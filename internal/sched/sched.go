@@ -92,6 +92,12 @@ func (m Mode) IsPipeline() bool { return m == PPBaseline || m == HarmonyPP }
 // across devices (intra-op sharding).
 func (m Mode) IsSharded() bool { return m == TPBaseline || m == HarmonyTP }
 
+// DefaultPrefetchDepth is how many tasks ahead of the running one a
+// plan with Prefetch asks for inputs when nothing else is configured:
+// the paper's double buffering. The simulator always uses it; the
+// trainer's PrefetchDepth overrides it.
+const DefaultPrefetchDepth = 2
+
 // Options selects a mode and its optimization toggles.
 type Options struct {
 	Mode Mode

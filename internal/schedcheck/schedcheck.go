@@ -18,10 +18,9 @@
 //     parked demand — must fit under the device capacity the memory
 //     manager enforces at runtime. Where the runs do not fit, they are
 //     narrowed to one task on that device first, so the bound that
-//     gates is never above the per-task one. The prefetch byte budget
-//     is reported on top as the expected steady-state peak (prefetch
-//     itself only ever uses spare capacity, so it cannot make a
-//     feasible plan infeasible).
+//     gates is never above the per-task one. Prefetch is not part of
+//     the bound: it only ever uses spare capacity, so it cannot make a
+//     feasible plan infeasible.
 //  3. Swap volume: the per-iteration weight / gradient / optimizer
 //     traffic implied by the queue order (computed structurally from
 //     pin-adjacency runs) must agree with internal/analytic's closed
@@ -78,10 +77,6 @@ type Topology struct {
 	Binding []int
 }
 
-// prefetchBudget is the prefetched-byte cap per device: half the
-// capacity, exec.VM.StartEngine's default.
-func (t Topology) prefetchBudget() int64 { return t.DeviceBytes / 2 }
-
 // phys is the physical device backing plan device d.
 func (t Topology) phys(d int) int {
 	if t.Binding == nil {
@@ -134,9 +129,6 @@ type Report struct {
 	// PeakPinBytes[d] is device d's worst-case concurrently pinned
 	// bytes (one task in flight per stream, collectives parked).
 	PeakPinBytes []int64
-	// PeakResidentBytes[d] adds the prefetch budget, clamped to
-	// capacity: the steady-state residency the async engine aims for.
-	PeakResidentBytes []int64
 
 	// Structural per-iteration swap volumes implied by the queue
 	// order, summed over devices (in + out bytes).
@@ -490,19 +482,12 @@ func fitted(s *sched.Schedule, topo *Topology) (*sched.Streams, []pinPeak, error
 // either a run's pins or a member reduction's replica views — per
 // physical device, the demands sum across workers rather than max
 // (chunkedPeaks). Conservative by design: it never passes a binding
-// the VM could fail on. The prefetch budget is reported as expected
-// steady-state residency but never gates — the async engine only ever
-// claims spare capacity.
+// the VM could fail on. Prefetch adds nothing to it — the async engine
+// only ever claims spare capacity.
 func checkResidency(s *sched.Schedule, ws *sched.Streams, topo Topology, peak []pinPeak, r *Report) {
 	r.PeakPinBytes = make([]int64, topo.Devices)
-	r.PeakResidentBytes = make([]int64, topo.Devices)
-	budget := int64(0)
-	if s.Opts.Prefetch {
-		budget = topo.prefetchBudget()
-	}
 	for p, pk := range peak {
 		r.PeakPinBytes[p] = pk.bytes
-		r.PeakResidentBytes[p] = min(pk.bytes+budget, topo.DeviceBytes)
 		if pk.bytes <= topo.DeviceBytes {
 			continue
 		}
