@@ -121,11 +121,16 @@ bench-pair:
 	$(GO) run ./cmd/benchpair -ref $(REF) $(if $(PAIRS),-pairs $(PAIRS)) $(if $(WORKLOADS),-workloads $(WORKLOADS)) $(if $(CLAIM),-claim $(CLAIM)) > benchpair.jsonl
 
 # Time-boxed fuzzing: the checkpoint loader must reject arbitrary
-# bytes with errors (never panics or huge allocations), and the
-# fault-spec grammar must accept only rules an injector can evaluate.
+# bytes with errors (never panics or huge allocations), the fault-spec
+# grammar must accept only rules an injector can evaluate, and the mode,
+# -retune and -widths parsers must accept only values that render and
+# parse back to themselves.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s -test.fuzzminimizetime 5s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -test.fuzzminimizetime 5s ./internal/fault/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMode$$' -fuzztime 5s -test.fuzzminimizetime 5s ./internal/sched/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRetune$$' -fuzztime 5s -test.fuzzminimizetime 5s ./cmd/harmonytrain/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseWidths$$' -fuzztime 5s -test.fuzzminimizetime 5s ./cmd/harmonytrain/
 
 # Code-size ledger for the simplicity PRs: non-blank, non-comment,
 # non-test Go lines per package, or per file of one package with

@@ -59,7 +59,7 @@ func run() (exit int) {
 		retune    = flag.String("retune", "", `mid-run plan retune, "step=N,microbatches=M": before step N, reshape to M microbatches (schedcheck preflight; a rejection prints the counterexample and keeps the current plan)`)
 		linkBW    = flag.Int64("link-bw", 0, "bytes/sec of every modeled link — one per device plus the host uplink all swaps share; p2p copies use the two devices' links, a reduction the reducer's. A copy's lane waits out its reservation, a reduction's is waited out by the updates that read it, in sleeps of at least 2 ms, carrying less as debt (0 = memcpy cost only)")
 		swapTrace = flag.Bool("swap-trace", false, "print a compute/DMA-lane Gantt of the final step (shows swap-compute overlap)")
-		verify    = flag.Bool("verify", true, "statically verify the execution plan before training (schedcheck preflight; failures print a counterexample)")
+		verify    = flag.Bool("verify", true, "statically verify the execution plan before training (schedcheck preflight; failures print a counterexample). false waives the capacity and swap-volume proofs at start-up only: liveness is always proven, and -retune and -recover always run the full preflight")
 		commChunk = flag.Int("comm-chunks", 0, "split each gradient AllReduce into this many chunks reduced across device workers (0 = monolithic rendezvous; bit-identical at every setting)")
 		commBkt   = flag.Int64("comm-bucket", 0, "coalesce per-layer gradients into buckets of up to this many bytes sharing one rendezvous (0 = one bucket per layer; implies -comm-chunks 1)")
 	)

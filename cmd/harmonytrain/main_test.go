@@ -8,10 +8,12 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -233,4 +235,58 @@ func TestHostBackingField(t *testing.T) {
 			t.Errorf("%v: %s MB written back, host backing %s MiB, want 0.0 and %s:\n%s", args, got[1], got[2], want, stdout)
 		}
 	}
+}
+
+// FuzzParseRetune feeds arbitrary -retune values to parseRetune: it
+// must never panic, and a value it accepts, other than the empty one
+// that turns retuning off, names a positive step and microbatch count
+// that parse back the same once rendered.
+func FuzzParseRetune(f *testing.F) {
+	for _, s := range []string{"", "step=3,microbatches=8", " microbatches = 2 , step = 1 ", "step=0,microbatches=1",
+		"step=-1,microbatches=2", "step=1", "step=1,microbatches=2,step=4", "step=+5,microbatches=007", "step=1,x=2", "step"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		step, mb, err := parseRetune(s)
+		if err != nil || s == "" {
+			return
+		}
+		if step <= 0 || mb <= 0 {
+			t.Fatalf("%q accepted as step %d, microbatches %d", s, step, mb)
+		}
+		r := fmt.Sprintf("step=%d,microbatches=%d", step, mb)
+		if step2, mb2, err := parseRetune(r); err != nil || step2 != step || mb2 != mb {
+			t.Fatalf("%q parsed to %d, %d; its rendering %q to %d, %d (%v)", s, step, mb, r, step2, mb2, err)
+		}
+	})
+}
+
+// FuzzParseWidths feeds arbitrary -widths values to parseWidths: it
+// must never panic, and a value it accepts lists at least an input and
+// a class width, every one positive, that parse back the same once
+// rendered.
+func FuzzParseWidths(f *testing.F) {
+	for _, s := range []string{"256,128,64,10", "4", "", "784, 10", "0,10", "-3,4", "1,,2", "+8,0x10", "99999999999999999999,2"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		widths, err := parseWidths(s)
+		if err != nil {
+			return
+		}
+		if len(widths) < 2 {
+			t.Fatalf("%q accepted as %v: no input and class widths", s, widths)
+		}
+		parts := make([]string, len(widths))
+		for i, w := range widths {
+			if w <= 0 {
+				t.Fatalf("%q accepted as %v", s, widths)
+			}
+			parts[i] = strconv.Itoa(w)
+		}
+		r := strings.Join(parts, ",")
+		if back, err := parseWidths(r); err != nil || !slices.Equal(back, widths) {
+			t.Fatalf("%q parsed to %v; its rendering %q to %v (%v)", s, widths, r, back, err)
+		}
+	})
 }

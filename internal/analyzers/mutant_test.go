@@ -441,8 +441,8 @@ func (vm *VM) seededInstall(sh *vmShard, b *buffer) {
 		name: "live/determinism-taint/reduce-ends-its-span-on-trace.WallClock",
 		pass: Determinism,
 		want: `call to trace\.WallClock\.Now reaches time\.Now at some call depth`,
-		edits: []edit{{file: "internal/exec/comm.go", old: `		r.add(dev, trace.Comms, commLabel(ar, lo, hi, chunk), wall, tr.vm.clk.Now())
-`, new: `		r.add(dev, trace.Comms, commLabel(ar, lo, hi, chunk), wall, trace.WallClock{}.Now())
+		edits: []edit{{file: "internal/exec/comm.go", old: `		r.add(tr.pdev(k.Reducer), trace.Comms, tr.commLabel(ar, k), wall, tr.vm.clk.Now())
+`, new: `		r.add(tr.pdev(k.Reducer), trace.Comms, tr.commLabel(ar, k), wall, trace.WallClock{}.Now())
 `}},
 	},
 	{

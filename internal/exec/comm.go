@@ -1,14 +1,15 @@
-// Chunked collective execution. The scheduler's comm plan
-// (sched.Schedule.Comm) fixes bucket membership, chunk boundaries and
-// reducer assignment at plan time; this file derives the runtime view
-// the executors consume — per-device chunk lists in member order for
-// reduceBucket, and each collective's chunks for book — books a
-// collective's link time the moment its gradient exists on every
-// replica, and runs the per-range reduction, whose math is nn.Average,
-// or nn.AverageSGD when the plan's reductions apply the update
-// (sched.Schedule.FusedUpdate): on a chunked SGD plan the worker that
-// reduces a chunk updates that range of every replica's weights once,
-// and the replicas' Update tasks run no kernel.
+// Collective execution. The scheduler fixes every collective's
+// communication at plan time: on a chunked plan (sched.Schedule.Comm)
+// bucket membership, chunk boundaries and reducers; on a monolithic one
+// each AllReduce is one range [0, n) whose reducer is replica 0. This
+// file derives the runtime view the executors consume from either —
+// per-device range lists in member order for reduceBucket, and each
+// collective's ranges for book and reduceAll — books a collective's link
+// time, every range on its reducer's link, and runs the per-range
+// reduction, whose math is nn.Average, or nn.AverageSGD when the plan's
+// reductions apply the update (sched.Schedule.FusedUpdate): on a chunked
+// SGD plan the worker that reduces a chunk updates that range of every
+// replica's weights once, and the replicas' Update tasks run no kernel.
 package exec
 
 import (
@@ -22,31 +23,40 @@ import (
 	"harmony/internal/trace"
 )
 
-// commPlan is a chunked plan's runtime view, built once per plan
-// (install); the members of bucket bi, in plan order, are the woven
-// streams' (sched.Streams.Members), bucket bi being rendezvous bi.
+// commPlan is a plan's runtime view of its collectives, built once per
+// plan (install); the members of bucket bi, in plan order, are the woven
+// streams' (sched.Streams.Members), bucket bi being rendezvous bi — on a
+// monolithic plan, collective bi alone.
 type commPlan struct {
-	// byDev[bi][d] lists the chunks of bucket bi device worker d
+	// byDev[bi][d] lists the ranges of bucket bi device worker d
 	// reduces, member-major then ascending offset — the iteration order
 	// of reduceBucket.
 	byDev [][][]sched.CommChunk
-	// of[id] lists collective task id's chunks in ascending offset: what
-	// book reserves and the executor's per-run countdown counts. Nil for
-	// every other task.
+	// of[id] lists collective task id's ranges in ascending offset: what
+	// book reserves, reduceAll reduces and the executor's per-run
+	// countdown counts. Nil for every other task.
 	of [][]sched.CommChunk
 }
 
-// buildCommPlan derives the runtime comm plan from a schedule, or nil
-// when the schedule has no comm plan (monolithic rendezvous).
+// buildCommPlan derives the runtime view from a schedule: its comm
+// plan's chunks, or on a monolithic plan one range [0, n) per
+// collective, reduced by replica 0.
 func buildCommPlan(s *sched.Schedule) *commPlan {
-	if s.Comm == nil {
-		return nil
+	buckets := s.Comm
+	if buckets == nil {
+		buckets = make([]sched.CommBucket, len(s.Collectives))
+		for ci, c := range s.Collectives {
+			buckets[ci] = sched.CommBucket{
+				Members: []int{ci},
+				Chunks:  []sched.CommChunk{{Hi: int(c.CommBytes / 4)}},
+			}
+		}
 	}
 	plan := &commPlan{
-		byDev: make([][][]sched.CommChunk, len(s.Comm)),
+		byDev: make([][][]sched.CommChunk, len(buckets)),
 		of:    make([][]sched.CommChunk, len(s.Graph.Tasks)),
 	}
-	for bi, b := range s.Comm {
+	for bi, b := range buckets {
 		plan.byDev[bi] = make([][]sched.CommChunk, s.NGPUs)
 		for _, c := range b.Chunks {
 			plan.byDev[bi][c.Reducer] = append(plan.byDev[bi][c.Reducer], c)
@@ -58,11 +68,11 @@ func buildCommPlan(s *sched.Schedule) *commPlan {
 }
 
 // CommStats reports collective counters: how many chunk reductions ran
-// and the total bytes they reduced (per-replica payload), both zero on
-// monolithic plans; and WaitNanos, the modeled time the tasks that read
-// a reduction's result waited for its link time — the part of it that
-// nothing hid. Each collective adds its longest-waiting reader's wait;
-// zero when no link is modeled.
+// and the total bytes they reduced (per-replica payload), on either
+// executor, both zero on monolithic plans; and WaitNanos, the modeled
+// time the tasks that read a reduction's result waited for its link
+// time — the part of it that nothing hid. Each collective adds its
+// longest-waiting reader's wait; zero when no link is modeled.
 type CommStats struct {
 	ChunksReduced int64
 	BytesReduced  int64
@@ -73,70 +83,72 @@ type CommStats struct {
 // call between steps (same contract as Stats).
 func (tr *Trainer) CommStats() CommStats { return tr.commStats }
 
-// book reserves collective c's link time the moment it becomes ready —
-// its last dependency complete, so its gradient exists on every replica
-// — and stamps the latest end on the updates that read the result
-// (taskState.stamp). Each chunk of a chunked collective goes on its
-// plan-time reducer's link; a whole payload goes on replica 0's device's
-// link, since its reducer, the last to arrive, varies from run to run.
-// So the link timeline is a function of the plan and of readiness, not
-// of when a reducer's worker gets the CPU. Nobody waits here: the
-// updates owe the wait (Trainer.await). Each reservation is the range's
-// trace span; with no link modeled there is none, and reduce records
-// the work's wall interval instead.
+// book reserves collective c's link time, each of its ranges on its
+// plan-time reducer's link, and stamps the latest end on the updates
+// that read the result (taskState.stamp). It runs the moment c becomes
+// ready, its gradient existing on every replica: a chunked collective's
+// when its last dependency completes (executor.complete), a rendezvous
+// that one worker completes at that worker's arrival (reduceWhole). So
+// the link timeline is a function of the plan and of readiness, not of
+// when a reducer's worker gets the CPU. Nobody waits here: the updates
+// owe the wait (Trainer.await). Each reservation is its range's trace
+// span; with no link modeled there is none, and reduce records the
+// work's wall interval instead.
 func (tr *Trainer) book(c *graph.Task) {
 	var end time.Time
-	if tr.comm == nil {
-		end = tr.reserveReduce(c, tr.pdev(0), 0, int(c.CommBytes/4), false)
-	} else {
-		for _, k := range tr.comm.of[c.ID] {
-			if e := tr.reserveReduce(c, tr.pdev(k.Reducer), k.Lo, k.Hi, true); e.After(end) {
-				end = e
-			}
+	for _, k := range tr.comm.of[c.ID] {
+		dev := tr.pdev(k.Reducer)
+		start, e := tr.vm.chargeReduce(dev, len(c.Inputs), int64(k.Hi-k.Lo)*4)
+		if r := tr.rec; r != nil && !e.IsZero() {
+			r.add(dev, trace.Comms, tr.commLabel(c, k), start, e)
+		}
+		if e.After(end) {
+			end = e
 		}
 	}
 	tr.tasks.stamp(c, end)
 }
 
-// reserveReduce books the range [lo, hi) of collective c — one chunk, or
-// its whole payload — on device dev's link and records the reservation
-// as the range's span. Returns its end, the zero time when no link is
-// modeled.
-func (tr *Trainer) reserveReduce(c *graph.Task, dev, lo, hi int, chunk bool) time.Time {
-	start, end := tr.vm.chargeReduce(dev, len(c.Inputs), int64(hi-lo)*4)
-	if r := tr.rec; r != nil && !end.IsZero() {
-		r.add(dev, trace.Comms, commLabel(c, lo, hi, chunk), start, end)
-	}
-	return end
-}
-
-// commLabel names a reduced range on the comms lane: AR[Lx][lo:hi] for
-// a chunk, AR[Lx] for a whole payload.
-func commLabel(c *graph.Task, lo, hi int, chunk bool) string {
-	if !chunk {
+// commLabel names a reduced range on the comms lane and in errors:
+// AR[Lx][lo:hi] for a chunk, AR[Lx] on a monolithic plan.
+func (tr *Trainer) commLabel(c *graph.Task, k sched.CommChunk) string {
+	if tr.s.Comm == nil {
 		return c.String()
 	}
-	return fmt.Sprintf("%s[%d:%d]", c, lo, hi)
+	return fmt.Sprintf("%s[%d:%d]", c, k.Lo, k.Hi)
 }
 
-// reduce averages the element range [lo, hi) of AllReduce ar across
-// all replicas (real math: the buffers end up identical on every
-// device), on behalf of device worker dev — the one reduction both
-// rendezvous share; on a plan whose reductions apply the update it
-// updates the range of every replica's weights too (reduceUpdate).
-// chunk says the range is one plan-time chunk, counted as such;
-// otherwise it is a rendezvous's whole payload, and dev the device whose
-// arrival completed it. nn.Average and nn.AverageSGD fan the range
-// across the kernel worker pool over disjoint sub-ranges; each element
-// still sums the replicas in fixed order, so the result is
+// reduceWhole books collective m and reduces each of its ranges on
+// behalf of device worker d, the worker whose arrival completed the
+// rendezvous: the monolithic barrier's last arrival (arrive) and every
+// rendezvous of the serial executor (runSerial). m's dependencies are
+// complete. d is the fault site and the scratch slot; the plan's
+// reducers only own the links.
+func (tr *Trainer) reduceWhole(d int, m *graph.Task) error {
+	tr.book(m)
+	for _, k := range tr.comm.of[m.ID] {
+		if err := tr.reduce(d, m, k); err != nil {
+			return fmt.Errorf("exec: %s: %w", tr.commLabel(m, k), err)
+		}
+	}
+	return nil
+}
+
+// reduce averages range k of AllReduce ar across all replicas (real
+// math: the buffers end up identical on every device), on behalf of
+// device worker dev; on a plan whose reductions apply the update it
+// updates the range of every replica's weights too (reduceUpdate). A
+// chunk is counted in CommStats. nn.Average and nn.AverageSGD fan the
+// range across the kernel worker pool over disjoint sub-ranges; each
+// element still sums the replicas in fixed order, so the result is
 // bit-identical at any worker count and under any partition into
-// chunks. Each call is an independent unit of fault injection and
-// recovery: a fatal fault here retires the reducing worker's physical
-// device through the usual rollback-and-resume path.
+// ranges. Each call is an independent unit of fault injection and
+// recovery: a fatal fault here retires dev's physical device through the
+// usual rollback-and-resume path.
 //
 // reduce books no link time: book reserved the range when ar became
 // ready.
-func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) error {
+func (tr *Trainer) reduce(dev int, ar *graph.Task, k sched.CommChunk) error {
 	if ar.Kind != graph.AllReduce {
 		return fmt.Errorf("exec: unsupported collective kind %v", ar.Kind)
 	}
@@ -157,16 +169,16 @@ func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) error
 	}
 	inv := float32(1) / float32(n)
 	if tr.s.FusedUpdate() {
-		if err := tr.reduceUpdate(ar, gs, ws, lo, hi, inv); err != nil {
+		if err := tr.reduceUpdate(ar, gs, ws, k.Lo, k.Hi, inv); err != nil {
 			return err
 		}
 	} else {
-		nn.Average(gs, lo, hi, inv)
+		nn.Average(gs, k.Lo, k.Hi, inv)
 	}
-	if chunk {
+	if tr.s.Comm != nil {
 		tr.commMu.Lock()
 		tr.commStats.ChunksReduced++
-		tr.commStats.BytesReduced += int64(hi-lo) * 4
+		tr.commStats.BytesReduced += int64(k.Hi-k.Lo) * 4
 		tr.commMu.Unlock()
 	}
 	if err := tr.release(ar); err != nil {
@@ -175,11 +187,7 @@ func (tr *Trainer) reduce(dev int, ar *graph.Task, lo, hi int, chunk bool) error
 	if r := tr.rec; r != nil && tr.vm.cfg.bps <= 0 {
 		// No reservation to show (book): like a copy's, the span is the
 		// wall interval of the work, on the link book would have used.
-		dev := tr.pdev(0)
-		if chunk {
-			dev = reducer
-		}
-		r.add(dev, trace.Comms, commLabel(ar, lo, hi, chunk), wall, tr.vm.clk.Now())
+		r.add(tr.pdev(k.Reducer), trace.Comms, tr.commLabel(ar, k), wall, tr.vm.clk.Now())
 	}
 	return nil
 }

@@ -91,22 +91,48 @@ func TestChunkedDelayFaultsBitExact(t *testing.T) {
 	}
 }
 
-// CommStats must account every planned chunk exactly once per step.
+// CommStats must account every planned chunk exactly once per step, on
+// either executor: the serial one reduces a chunked plan range by range
+// as the parallel one does, so the two report equal CommStats. A
+// monolithic plan counts nothing on either.
 func TestCommStatsAccounting(t *testing.T) {
 	const steps = 2
-	tr, _ := runTrainer(t, commConfig(3, 0), steps)
-	var chunks, bytes int64
-	for _, b := range tr.s.Comm {
-		chunks += int64(len(b.Chunks))
-		bytes += b.Bytes
-	}
-	cs := tr.CommStats()
-	if cs.ChunksReduced != steps*chunks || cs.BytesReduced != steps*bytes {
-		t.Fatalf("CommStats = %+v, want %d chunks / %d bytes (%d steps × plan)",
-			cs, steps*chunks, steps*bytes, steps)
-	}
-	if mono, _ := runTrainer(t, commConfig(0, 0), 1); mono.CommStats() != (CommStats{}) {
-		t.Fatalf("monolithic plan accumulated comm stats: %+v", mono.CommStats())
+	for _, tc := range []struct {
+		name          string
+		chunks        int
+		bucket        int64
+		chunked, adam bool
+	}{
+		{"chunked", 3, 0, true, false},
+		{"chunked-bucketed-adam", 3, 4 << 10, true, true},
+		{"monolithic", 0, 0, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got [2]CommStats
+			for i, serial := range []bool{true, false} {
+				cfg := commConfig(tc.chunks, tc.bucket)
+				cfg.Serial, cfg.Adam = serial, tc.adam
+				if tc.adam {
+					cfg.DeviceBytes = 32 << 10 // room for the moments
+				}
+				tr, _ := runTrainer(t, cfg, steps)
+				var chunks, bytes int64
+				for _, b := range tr.s.Comm {
+					chunks += int64(len(b.Chunks))
+					bytes += b.Bytes
+				}
+				if tc.chunked && chunks == 0 {
+					t.Fatal("a chunked config planned no chunks")
+				}
+				got[i] = tr.CommStats()
+				if want := (CommStats{ChunksReduced: steps * chunks, BytesReduced: steps * bytes}); got[i] != want {
+					t.Errorf("serial=%v: CommStats = %+v, want %+v (%d steps × plan)", serial, got[i], want, steps)
+				}
+			}
+			if got[0] != got[1] {
+				t.Errorf("CommStats: serial %+v, parallel %+v", got[0], got[1])
+			}
+		})
 	}
 }
 
@@ -173,13 +199,13 @@ func TestChunkedPlanSurvivesRetune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.comm == nil {
-		t.Fatal("chunked config built no runtime comm plan")
+	if tr.s.Comm == nil {
+		t.Fatal("chunked config built no comm plan")
 	}
 	if err := tr.Retune(2); err != nil {
 		t.Fatal(err)
 	}
-	if tr.comm == nil {
+	if tr.s.Comm == nil {
 		t.Fatal("comm plan lost across retune")
 	}
 	if tr.s.Opts.CommChunks != 4 || tr.s.Opts.CommBucketBytes != 8<<10 {
@@ -287,8 +313,7 @@ func TestReductionsAreWaitedForByTheirReaders(t *testing.T) {
 			if tc.serial {
 				ar := tr.s.Collectives[0]
 				before := clk.Now()
-				tr.book(ar)
-				if err := tr.reduce(0, ar, 0, int(ar.CommBytes/4), false); err != nil {
+				if err := tr.reduceWhole(0, ar); err != nil {
 					t.Fatal(err)
 				}
 				if now := clk.Now(); now != before {
@@ -303,20 +328,23 @@ func TestReductionsAreWaitedForByTheirReaders(t *testing.T) {
 	}
 }
 
-// TestSerialAndParallelBookTheSameLinks: both executors book a chunked
-// collective through Trainer.book, each chunk on its plan-time reducer's
-// link, so with prefetch off — when they move the same bytes — every
-// link is busy exactly as long on either.
+// TestSerialAndParallelBookTheSameLinks: both executors book every
+// collective through Trainer.book, each range on its plan-time
+// reducer's link — a chunk's, or a monolithic collective's one range on
+// replica 0's — so with prefetch off, when they move the same bytes,
+// every link is busy exactly as long on either.
 func TestSerialAndParallelBookTheSameLinks(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
+		chunks int
 		bucket int64
 	}{
-		{"chunked", 0},
-		{"chunked-bucketed", 4 << 10},
+		{"monolithic", 0, 0},
+		{"chunked", 3, 0},
+		{"chunked-bucketed", 3, 4 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := commConfig(3, tc.bucket)
+			cfg := commConfig(tc.chunks, tc.bucket)
 			cfg.Devices, cfg.DeviceBytes, cfg.PrefetchDepth, cfg.LinkBytesPerSec = 4, 32<<10, -1, latticeBps
 			links := make([]LinkStats, 2)
 			for i, serial := range []bool{true, false} {
@@ -324,6 +352,18 @@ func TestSerialAndParallelBookTheSameLinks(t *testing.T) {
 				tr, _ := onManualClock(t, cfg)
 				stepTrainer(t, tr, 0, 3)
 				links[i] = tr.LinkStats()
+				if tc.chunks > 0 {
+					continue
+				}
+				// A byte holds a link for one quantum: what a device link
+				// carried beyond its own swaps is reductions, and every
+				// monolithic one is booked on replica 0's link.
+				for d, swapped := range swapBytesPerDevice(tr) {
+					reduced := links[i].Device[d] - time.Duration(swapped)*linkQuantum
+					if d == 0 && reduced <= 0 || d > 0 && reduced != 0 {
+						t.Errorf("serial=%v: gpu%d's link carried %v of reductions, want them all on gpu0's", serial, d, reduced)
+					}
+				}
 			}
 			if s, p := links[0], links[1]; s.Uplink != p.Uplink || !slices.Equal(s.Device, p.Device) {
 				t.Errorf("link busy time:\n  serial   %v %v\n  parallel %v %v", s.Uplink, s.Device, p.Uplink, p.Device)

@@ -8,21 +8,24 @@
 // that stream. A run is released by a dependency-count dispatcher the
 // moment the last dependency from outside it completes (one closed
 // channel per run and per collective — no polling), and its members
-// complete together once the whole run is done. On a
-// monolithic plan every participant parks there and the last to arrive
-// reduces the whole payload (arrive); on a chunked plan there is no
+// complete together once the whole run is done. Every collective is
+// a list of plan-time ranges, each with a reducer (comm.go): a chunked
+// plan's chunks, or a monolithic plan's one range [0, n) reduced by
+// replica 0. On a monolithic plan every participant parks at the
+// rendezvous and the last to arrive books and reduces the collective's
+// range (arrive, Trainer.reduceWhole); on a chunked plan there is no
 // barrier — each worker reduces the chunks the plan assigned to it and
 // moves on, overlapping the collective's tail with its compute stream
 // (reduceBucket). Both end in the same Trainer.reduce, which only does
 // the math. A collective's link time is booked without waiting for it
-// (Trainer.book): a chunked one's at the instant it becomes ready, by
-// whichever worker completes its last dependency (complete) — every
-// chunk on its plan-time reducer's link, so the link timeline follows
-// the plan and readiness, not the reducers' goroutines — a monolithic
-// one's at its last arrival. Booking stamps the reservations' end on
-// the updates that read the result, and each executor holds a task
-// until its stamp has passed (Trainer.await), so a reducer's worker goes
-// straight back to its stream.
+// (Trainer.book), every range on its reducer's link: a chunked one's at
+// the instant it becomes ready, by whichever worker completes its last
+// dependency (complete), so the link timeline follows the plan and
+// readiness, not the reducers' goroutines; a monolithic one's at its
+// last arrival. Booking stamps the reservations' end on the updates
+// that read the result, and each executor holds a task until its stamp
+// has passed (Trainer.await), so a reducer's worker goes straight back
+// to its stream.
 //
 // Determinism: per-run math is bit-identical to the serial path and to
 // one kernel call per member (see internal/nn), collectives reduce
@@ -30,9 +33,10 @@
 // losses are accumulated in task-ID order by
 // Trainer.Step — so the parallel executor produces bit-identical weights
 // and losses to the serial one, regardless of interleaving. The serial
-// executor drains the same woven streams (runSerial) and books the same
-// ranges on the same links, so on a data-parallel plan with prefetch off
-// the two move the same bytes and busy each link as long.
+// executor drains the same woven streams (runSerial) and books and
+// reduces the same ranges on the same links, so on a data-parallel plan
+// with prefetch off the two move the same bytes, busy each link as long
+// and count the same chunks.
 // Only where the workers time a move — a prefetch window, a pipeline's
 // cross-device reads — may the data-movement counters differ.
 package exec
@@ -85,8 +89,8 @@ type taskState struct {
 	stamps []time.Time
 	waited []time.Duration
 	// commLeft[id] counts collective task id's chunks not yet reduced
-	// this run; the worker that retires the last one completes it. Nil on
-	// the monolithic path.
+	// this step; on a chunked plan the worker that retires the last one
+	// completes it.
 	commLeft []int32
 }
 
@@ -96,18 +100,16 @@ type taskState struct {
 func (tr *Trainer) sizeTasks() {
 	n := len(tr.g.Tasks)
 	tr.tasks = taskState{
-		runOf:   make([]int32, n),
-		need:    make([]int32, n),
-		deps:    make([]int32, n),
-		ready:   make([]chan struct{}, n),
-		losses:  make([]float32, n),
-		counted: make([]bool, n),
-		written: make([]bool, tr.g.Reg.Len()),
-		stamps:  make([]time.Time, n),
-		waited:  make([]time.Duration, n),
-	}
-	if tr.comm != nil {
-		tr.tasks.commLeft = make([]int32, n)
+		runOf:    make([]int32, n),
+		need:     make([]int32, n),
+		deps:     make([]int32, n),
+		ready:    make([]chan struct{}, n),
+		losses:   make([]float32, n),
+		counted:  make([]bool, n),
+		written:  make([]bool, tr.g.Reg.Len()),
+		stamps:   make([]time.Time, n),
+		waited:   make([]time.Duration, n),
+		commLeft: make([]int32, n),
 	}
 	for id := range tr.tasks.runOf {
 		tr.tasks.runOf[id] = int32(id)
@@ -166,10 +168,8 @@ func newExecutor(tr *Trainer, labels []int) *executor {
 	clear(ts.written)
 	clear(ts.stamps)
 	clear(ts.waited)
-	if tr.comm != nil {
-		for _, c := range tr.s.Collectives {
-			ts.commLeft[c.ID] = int32(len(tr.comm.of[c.ID]))
-		}
+	for _, c := range tr.s.Collectives {
+		ts.commLeft[c.ID] = int32(len(tr.comm.of[c.ID]))
 	}
 	if tr.cfg.Serial {
 		return ex
@@ -205,7 +205,7 @@ func (ex *executor) complete(t *graph.Task) {
 			continue // inside t's run
 		}
 		if atomic.AddInt32(&ex.ts.deps[h], -1) == 0 {
-			if ex.tr.comm != nil && s.Kind == graph.AllReduce {
+			if ex.tr.s.Comm != nil && s.Kind == graph.AllReduce {
 				ex.tr.book(s)
 			}
 			close(ex.ts.ready[h])
@@ -272,7 +272,7 @@ func (ex *executor) worker(d int, stream []sched.StreamEntry, rdvs []*rendezvous
 		default:
 		}
 		if e.Rdv >= 0 {
-			if ex.tr.comm != nil {
+			if ex.tr.s.Comm != nil {
 				if !ex.reduceBucket(d, e.Rdv) {
 					return
 				}
@@ -302,19 +302,18 @@ func (ex *executor) worker(d int, stream []sched.StreamEntry, rdvs []*rendezvous
 // runSerial is the reference executor: it runs the woven streams on
 // the calling goroutine in the order sched.Streams.Replay drains them —
 // the order schedcheck's liveness proof walks. Per rendezvous it books
-// each member's link time as the parallel executor does, chunk by chunk
-// on the plan's links when the plan has chunks, and reduces the
-// member's whole payload on behalf of the device whose arrival
-// completed the rendezvous, as arrive does. Kept as the reference path
-// (TrainerConfig.Serial) for determinism tests and ablation benchmarks.
+// and reduces each member as arrive does, range by range on behalf of
+// the device whose arrival completed the rendezvous (reduceWhole), so it
+// books the parallel executor's ranges on the same links and counts the
+// same chunks. Kept as the reference path (TrainerConfig.Serial) for
+// determinism tests and ablation benchmarks.
 func (ex *executor) runSerial(ws *sched.Streams) error {
 	tr := ex.tr
 	stuck, err := ws.Replay(tr.g.Tasks, func(d int, e sched.StreamEntry) error {
 		if e.Rdv >= 0 {
 			for _, m := range ws.Members[e.Rdv] {
-				tr.book(m)
-				if err := tr.reduce(d, m, 0, int(m.CommBytes/4), false); err != nil {
-					return fmt.Errorf("exec: %s: %w", m, err)
+				if err := tr.reduceWhole(d, m); err != nil {
+					return err
 				}
 			}
 			return nil
@@ -333,10 +332,10 @@ func (ex *executor) runSerial(ws *sched.Streams) error {
 	return err
 }
 
-// arrive parks device worker d at a collective's rendezvous. The last
-// participant to arrive waits for the collective's own dependencies,
-// books its link time and performs the reduction; everyone else resumes
-// when it finishes.
+// arrive parks device worker d at a monolithic collective's rendezvous.
+// The last participant to arrive waits for the collective's own
+// dependencies, then books and reduces it (reduceWhole); everyone else
+// resumes when it finishes.
 // Because all participants are parked, per-device pin pressure during
 // the collective is identical to the serial executor's. d attributes
 // injected collective faults to the worker that hit them.
@@ -355,9 +354,8 @@ func (ex *executor) arrive(d int, r *rendezvous, t *graph.Task) bool {
 	case <-ex.abort:
 		return false
 	}
-	ex.tr.book(t)
-	if err := ex.tr.reduce(d, t, 0, int(t.CommBytes/4), false); err != nil {
-		ex.fail(fmt.Errorf("exec: %s: %w", t, err))
+	if err := ex.tr.reduceWhole(d, t); err != nil {
+		ex.fail(err)
 		return false
 	}
 	ex.complete(t)
@@ -392,8 +390,8 @@ func (ex *executor) reduceBucket(d int, bi int) bool {
 			return false
 		}
 		for _, c := range chunks[lo:idx] {
-			if err := ex.tr.reduce(d, m, c.Lo, c.Hi, true); err != nil {
-				ex.fail(fmt.Errorf("exec: %s[%d:%d]: %w", m, c.Lo, c.Hi, err))
+			if err := ex.tr.reduce(d, m, c); err != nil {
+				ex.fail(fmt.Errorf("exec: %s: %w", ex.tr.commLabel(m, c), err))
 				return false
 			}
 		}

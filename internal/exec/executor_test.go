@@ -268,7 +268,7 @@ func TestCyclicScheduleReportsDeadlock(t *testing.T) {
 		last.Succs = append(last.Succs, first)
 
 		running := tr.s
-		err = tr.adopt(s)
+		err = tr.adopt(s, !tc.noVerify)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("NoVerify=%v: cyclic schedule adopted or refused without %q: %v", tc.noVerify, tc.want, err)
 		}

@@ -2,8 +2,9 @@ package exec
 
 import (
 	"math"
+	"regexp"
 	"runtime"
-	"strings"
+	"slices"
 	"testing"
 
 	"harmony/internal/data"
@@ -186,24 +187,32 @@ func TestEndToEndRecovery(t *testing.T) {
 	}
 }
 
-// TestRecoveryRefusesInfeasiblePinBudget: when the survivors cannot
-// hold the re-bound work within DeviceBytes, recovery must fail with a
+// TestRecoveryRefusesInfeasiblePinBudget: when the survivor cannot hold
+// the re-bound work within DeviceBytes, recovery must fail with a
 // diagnosable error instead of deadlocking the VM on an impossible
-// reservation.
+// reservation. Recovery runs the full preflight whatever NoVerify says,
+// so the refusal is the same with it: it names the surviving binding
+// and the device over capacity, and the trainer keeps its plan, its
+// binding and its device.
 func TestRecoveryRefusesInfeasiblePinBudget(t *testing.T) {
-	spec := "op=kernel,mode=fatal,dev=1,step=1"
-	cfg := faultyConfig(sched.HarmonyDP, spec, true)
-	// Default 12 KiB holds one virtual device's pins but not two.
-	tr, err := NewTrainer(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, y := data.NewBlobs(tr.inDim, tr.classes, 0.5, 7).Batch(tr.SamplesPerStep(), 0)
-	_, err = tr.Step(x, y)
-	if err == nil {
-		t.Fatal("infeasible recovery reported success")
-	}
-	if !strings.Contains(err.Error(), "recover") {
-		t.Fatalf("error does not mention recovery: %v", err)
+	for _, noVerify := range []bool{false, true} {
+		cfg := faultyConfig(sched.HarmonyDP, "op=kernel,mode=fatal,dev=1,step=1", true)
+		cfg.NoVerify = noVerify
+		// Default 12 KiB holds one virtual device's pins but not two.
+		tr, err := NewTrainer(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, streams, binding := tr.s, tr.streams, slices.Clone(tr.devMap)
+		x, y := data.NewBlobs(tr.inDim, tr.classes, 0.5, 7).Batch(tr.SamplesPerStep(), 0)
+		_, err = tr.Step(x, y)
+		if err == nil || !regexp.MustCompile(`recovery onto binding \[0 0\] refused: plan rejected by preflight verification:\n`+
+			`schedcheck: capacity: gpu0 peak pinned bytes \d+ exceed capacity 12288`).MatchString(err.Error()) {
+			t.Fatalf("NoVerify=%v: recovery onto gpu0 alone not refused by its capacity: %v", noVerify, err)
+		}
+		if tr.s != s || tr.streams != streams || !slices.Equal(tr.devMap, binding) || !tr.alive[1] || tr.Recoveries() != 0 {
+			t.Fatalf("NoVerify=%v: a refused recovery moved the trainer: binding %v, gpu1 alive %v, plan kept %v",
+				noVerify, tr.devMap, tr.alive[1], tr.s == s && tr.streams == streams)
+		}
 	}
 }

@@ -17,9 +17,9 @@ import (
 //
 //	swap-in, write-back, prefetch                device link + uplink
 //	p2p move                                     both devices' links
-//	reduction (pull n-1 slices, push n-1 back)   a chunk's plan-time
-//	                                             reducer's link; a whole
-//	                                             payload's, replica 0's
+//	reduction (pull n-1 slices, push n-1 back)   each range's plan-time
+//	                                             reducer's link (replica
+//	                                             0's on a monolithic plan)
 //
 // so N devices swapping at once share the uplink's bandwidth instead of
 // each getting all of it (Fig. 2(a)), while p2p moves and reductions on
@@ -29,9 +29,10 @@ import (
 // asked owes its lane a wait until the reservation ends. A reduction is
 // waited for by the tasks that read its result: it is booked from the
 // clock when its collective becomes ready (Trainer.book) — a chunked
-// one's when its last dependency completes, a monolithic one's at its
-// last arrival — by no lane, and each consumer's demand lane owes the
-// wait until the reservation ends before the consumer runs (await).
+// one's when its last dependency completes, one a single worker reduces
+// at that worker's arrival — by no lane, and each consumer's demand
+// lane owes the wait until the reservation ends before the consumer
+// runs (await).
 //
 // Waiting is batched, never forgiven. A lane — one device's demand
 // path or its DMA worker — sleeps only when what it owes reaches

@@ -81,7 +81,7 @@ func TestLinkTimeMovesNoData(t *testing.T) {
 				t.Errorf("device links busy %v, less than the swaps' %v and the p2p moves' 2×%v", reserved+p2p, links.Uplink, p2p)
 			}
 			owed := reserved
-			if b.comm != nil {
+			if b.s.Comm != nil {
 				owed = links.Uplink + p2p + time.Duration(b.CommStats().WaitNanos)
 			}
 			lanes := time.Duration(len(b.vm.link.debt))

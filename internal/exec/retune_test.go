@@ -44,7 +44,9 @@ func TestRetuneMicrobatchReshapeDeterministic(t *testing.T) {
 
 // TestRetuneRejectionKeepsPlan: an infeasible retune must return the
 // verifier's counterexample and leave the running plan untouched — the
-// remaining steps match an undisturbed run bit for bit.
+// remaining steps match an undisturbed run bit for bit. Retune runs the
+// full preflight whatever NoVerify says, so the refusal is the same
+// with it.
 func TestRetuneRejectionKeepsPlan(t *testing.T) {
 	nn.SetWorkers(4)
 	defer nn.SetWorkers(runtime.GOMAXPROCS(0))
@@ -54,25 +56,28 @@ func TestRetuneRejectionKeepsPlan(t *testing.T) {
 	ref.Serial = true
 	a, lossA := runTrainer(t, ref, steps)
 
-	// A device one byte above what the running plan ever pins at once:
-	// the plan is admitted, any coarser split is not.
-	cfg := trainerConfig(mode, 2)
-	cfg.DeviceBytes = slices.Max(schedcheck.Check(a.s, a.topology()).PeakPinBytes) + 1
-	tr, losses := runTrainer(t, cfg, 1)
-	defer tr.Close()
-	// One microbatch of the whole batch quadruples every activation: the
-	// verifier refuses the reshape with its counterexample before
-	// anything is swapped.
-	err := tr.Retune(1)
-	if err == nil || !strings.Contains(err.Error(), "plan unchanged") ||
-		!regexp.MustCompile(`peak pinned bytes \d+ exceed capacity`).MatchString(err.Error()) {
-		t.Fatalf("over-capacity reshape not rejected with a counterexample: %v", err)
+	for _, noVerify := range []bool{false, true} {
+		// A device one byte above what the running plan ever pins at
+		// once: the plan is admitted, any coarser split is not.
+		cfg := trainerConfig(mode, 2)
+		cfg.DeviceBytes = slices.Max(schedcheck.Check(a.s, a.topology()).PeakPinBytes) + 1
+		cfg.NoVerify = noVerify
+		tr, losses := runTrainer(t, cfg, 1)
+		// One microbatch of the whole batch quadruples every activation:
+		// the verifier refuses the reshape with its counterexample before
+		// anything is swapped.
+		err := tr.Retune(1)
+		if err == nil || !strings.Contains(err.Error(), "plan unchanged") ||
+			!regexp.MustCompile(`peak pinned bytes \d+ exceed capacity`).MatchString(err.Error()) {
+			t.Fatalf("NoVerify=%v: over-capacity reshape not rejected with a counterexample: %v", noVerify, err)
+		}
+		// The trainer's own divisibility rule also rejects with the plan
+		// untouched.
+		if err := tr.Retune(3); err == nil || !strings.Contains(err.Error(), "cannot split BatchSize 32 into 3 microbatches") {
+			t.Fatalf("NoVerify=%v: indivisible batch not rejected: %v", noVerify, err)
+		}
+		losses = append(losses, stepTrainer(t, tr, 1, steps-1)...)
+		assertSameRun(t, a, tr, lossA, losses)
+		tr.Close()
 	}
-	// The trainer's own divisibility rule also rejects with the plan
-	// untouched.
-	if err := tr.Retune(3); err == nil || !strings.Contains(err.Error(), "cannot split BatchSize 32 into 3 microbatches") {
-		t.Fatalf("indivisible batch not rejected: %v", err)
-	}
-	losses = append(losses, stepTrainer(t, tr, 1, steps-1)...)
-	assertSameRun(t, a, tr, lossA, losses)
 }

@@ -72,12 +72,15 @@ type TrainerConfig struct {
 	MaxRetries int
 	// Recover enables rollback-and-resume after fatal device faults:
 	// the trainer retires the device, re-binds its stream to a
-	// surviving device, rechecks pin budgets, rolls weights and
+	// surviving device, proves the plan under the new binding with the
+	// full preflight (whatever NoVerify says), rolls weights and
 	// optimizer state back to the start of the step (an in-memory copy
 	// of what Save writes, read without moving a page) and re-runs the
-	// step. Recovery only remaps where tensors live, so recovered runs
-	// stay bit-identical to fault-free ones, and a run that never faults
-	// moves and holds exactly what it would without Recover.
+	// step. A binding the preflight refuses fails the step and leaves
+	// the plan and binding as they were. Recovery only remaps where
+	// tensors live, so recovered runs stay bit-identical to fault-free
+	// ones, and a run that never faults moves and holds exactly what it
+	// would without Recover.
 	Recover bool
 	// PrefetchDepth controls schedule-driven prefetch in the parallel
 	// executor: before each kernel launches, its device worker issues
@@ -107,11 +110,13 @@ type TrainerConfig struct {
 	// memcpy time); negative is rejected. Trainer.LinkStats shows which
 	// link bounds a plan.
 	LinkBytesPerSec int64
-	// NoVerify skips the static preflight verification of the
-	// execution plan (internal/schedcheck): happens-before liveness,
-	// peak-residency fit and swap-volume agreement with the analytic
-	// model. Verification is on by default; a rejected plan fails
-	// NewTrainer with a counterexample trace.
+	// NoVerify waives two proofs of the static preflight verification
+	// of the execution plan (internal/schedcheck) at NewTrainer only:
+	// peak-residency fit against DeviceBytes and swap-volume agreement
+	// with the analytic model. The woven streams' happens-before
+	// liveness is proven whatever it says, and Retune and recovery
+	// always run the full preflight. A rejected plan fails with a
+	// counterexample trace.
 	NoVerify bool
 	// CommChunks splits each gradient AllReduce into that many
 	// plan-time chunk rendezvous, each reduced by a deterministically
@@ -296,7 +301,7 @@ func NewTrainer(cfg TrainerConfig, kernels []nn.Kernel) (*Trainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := tr.adopt(s); err != nil {
+	if err := tr.adopt(s, !cfg.NoVerify); err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
 	}
 	tr.views = make([][][]float32, cfg.Devices)
@@ -339,18 +344,20 @@ func (tr *Trainer) plan(opts sched.Options, microbatches int) (*sched.Schedule, 
 	}, opts, tr.cfg.Devices)
 }
 
-// adopt weaves s, fits its runs to the live device binding, proves it
-// and installs it as the running plan: the full preflight
-// (schedcheck.Check), or with verification off the liveness of the
-// woven streams alone, so no device worker ever drains a stream that
-// can deadlock. A plan that fails leaves the running one as it was. The
-// caller gives the plan its VM (newVM) and its state.
-func (tr *Trainer) adopt(s *sched.Schedule) error {
+// adopt is the one way a plan is installed: it weaves s, fits its runs
+// to the live device binding, proves it and installs it as the running
+// plan. full runs the whole preflight (schedcheck.Check): capacity,
+// liveness and volume; without it — NewTrainer under NoVerify, nowhere
+// else — the woven streams' liveness alone, so no device worker ever
+// drains a stream that can deadlock. A plan that fails leaves the
+// running one as it was. The caller gives the plan its VM and its
+// state: newVM at NewTrainer, reload after.
+func (tr *Trainer) adopt(s *sched.Schedule, full bool) error {
 	var streams *sched.Streams
-	if !tr.cfg.NoVerify {
+	if full {
 		r := schedcheck.Check(s, tr.topology())
 		if err := r.Err(); err != nil {
-			return fmt.Errorf("plan rejected by preflight verification (-verify=false or NoVerify to skip):\n%w", err)
+			return fmt.Errorf("plan rejected by preflight verification:\n%w", err)
 		}
 		streams = r.Streams
 	} else {
@@ -791,10 +798,11 @@ func (tr *Trainer) runStep(inputs []float32, labels []int) (float32, error) {
 
 // recoverFrom retires physical device dev after a fatal fault: every
 // virtual device bound to it is re-bound to a surviving physical
-// device, the re-bound assignment is checked against the survivors'
-// pin budgets, and the trainer state is rolled back to the last
-// completed step by rebuilding the VM and restoring the snapshot. The
-// caller then re-runs the step.
+// device, the running plan is adopted again under that binding with the
+// full preflight, and the trainer state is rolled back to the last
+// completed step by restoring the snapshot into a fresh VM (reload).
+// The caller then re-runs the step. A binding the preflight refuses
+// leaves the plan, the binding and the device as they were.
 func (tr *Trainer) recoverFrom(dev int) error {
 	if dev < 0 || dev >= len(tr.alive) {
 		return fmt.Errorf("exec: fatal fault on unknown device %d", dev)
@@ -802,46 +810,41 @@ func (tr *Trainer) recoverFrom(dev int) error {
 	if !tr.alive[dev] {
 		return fmt.Errorf("exec: device %d already retired", dev)
 	}
-	tr.alive[dev] = false
 	var survivors []int
 	for p, ok := range tr.alive {
-		if ok {
+		if ok && p != dev {
 			survivors = append(survivors, p)
 		}
 	}
 	if len(survivors) == 0 {
 		return fmt.Errorf("exec: no devices left")
 	}
-	// Re-bind: spread virtual devices over the survivors round-robin,
-	// keeping still-alive identity bindings where possible so healthy
-	// devices keep their own streams.
+	// Re-bind: spread the dead device's virtual devices over the
+	// survivors round-robin, keeping still-alive identity bindings so
+	// healthy devices keep their own streams. Streams that now share a
+	// survivor add their pin demands up, which the preflight bounds.
+	prev := slices.Clone(tr.devMap)
 	next := 0
 	for d := range tr.devMap {
-		if tr.alive[d] {
+		if tr.alive[d] && d != dev {
 			tr.devMap[d] = d
 			continue
 		}
 		tr.devMap[d] = survivors[next%len(survivors)]
 		next++
 	}
-	// Streams that now share a survivor add their pin demands up:
-	// regroup the runs for the new binding, and refuse one the VM could
-	// fail on even with runs of one.
-	streams, err := schedcheck.Residency(tr.s, tr.topology())
-	if err != nil {
-		return fmt.Errorf("exec: pin budget exceeded under the surviving binding: %w", err)
+	if err := tr.adopt(tr.s, true); err != nil {
+		err = fmt.Errorf("exec: recovery onto binding %v refused: %w", tr.devMap, err)
+		copy(tr.devMap, prev)
+		return err
 	}
-	tr.install(tr.s, streams)
-
-	// Roll back: discard the (possibly mid-iteration) VM wholesale —
-	// runStep already drained its in-flight DMAs — and restore the
-	// step's starting state into a fresh one. Rebuilding re-materializes
-	// persistent tensors as NewTrainer did — each weight born on the
-	// survivor now reading it — so the restored state is bit-identical
-	// to a fresh trainer that loaded the same checkpoint.
-	tr.retire(tr.vm)
-	tr.vm = tr.newVM()
-	if err := tr.restore(&tr.snap); err != nil {
+	tr.alive[dev] = false
+	// Roll back: runStep already drained the failed step's in-flight
+	// DMAs. Restoring re-materializes persistent tensors as NewTrainer
+	// did — each weight born on the survivor now reading it — so the
+	// restored state is bit-identical to a fresh trainer that loaded the
+	// same checkpoint.
+	if err := tr.reload(&tr.snap); err != nil {
 		return fmt.Errorf("exec: rollback: %w", err)
 	}
 	return nil
@@ -850,17 +853,18 @@ func (tr *Trainer) recoverFrom(dev int) error {
 // Retune reshapes the execution plan between Steps to the given number
 // of microbatches per replica: it rebuilds the task graph and schedule
 // under the current options, runs the full schedcheck preflight on the
-// candidate plan, and adopts it only if verification passes. BatchSize
-// must divide into them; the batch itself never changes, so Step keeps
+// candidate plan under the live device binding (whatever NoVerify
+// says), and adopts it only if verification passes. BatchSize must
+// divide into them; the batch itself never changes, so Step keeps
 // accepting the same input shape. An infeasible retune returns the
 // verifier's Gantt counterexample and leaves the running plan untouched
 // — the next Step continues exactly as before. Training state survives
 // adoption: weights, optimizer state and the step counter are
 // microbatch-independent, captured from the old VM and restored into a
-// fresh one. The switch commits only with its state: a restore that
-// fails (a fatal fault writing a page back, say) puts the old plan, VM
-// and counters back, so the next Step trains as if Retune had not been
-// called.
+// fresh one (reload). The switch commits only with its state: a restore
+// that fails (a fatal fault writing a page back, say) puts the old plan,
+// VM and counters back, so the next Step trains as if Retune had not
+// been called.
 //
 // Call only between Steps (same non-concurrency contract as Step).
 func (tr *Trainer) Retune(microbatches int) error {
@@ -875,21 +879,13 @@ func (tr *Trainer) Retune(microbatches int) error {
 	if err != nil {
 		return fmt.Errorf("exec: retune: %w", err)
 	}
-	// The candidate must fit under the live device binding (after a
-	// recovery, several streams may share a survivor): the preflight in
-	// adopt proves it, and with verification off it is checked here.
-	if tr.cfg.NoVerify {
-		if _, err := schedcheck.Residency(s, tr.topology()); err != nil {
-			return fmt.Errorf("exec: retune, plan unchanged: %w", err)
-		}
-	}
 	// Captured while the old graph's tensor handles are still live.
 	var st state
 	if err := tr.capture(&st); err != nil {
 		return fmt.Errorf("exec: retune: %w", err)
 	}
 	prev, prevStreams := tr.s, tr.streams
-	if err := tr.adopt(s); err != nil {
+	if err := tr.adopt(s, true); err != nil {
 		return fmt.Errorf("exec: retune, plan unchanged: %w", err)
 	}
 	if err := tr.reload(&st); err != nil {
@@ -901,10 +897,11 @@ func (tr *Trainer) Retune(microbatches int) error {
 
 // reload restores st into a fresh VM for the running plan and swaps it
 // in only if the restore succeeds, retiring the old VM (at a step
-// boundary: WaitIdle already drained its in-flight DMAs). A restore that
-// fails — a fatal fault writing a page back, say — discards the
-// half-born VM and its counters and keeps the old one, which never
-// stopped holding the state.
+// boundary: WaitIdle already drained its in-flight DMAs). It is the one
+// way the trainer rebuilds its VM after NewTrainer: Load, Retune and
+// recovery. A restore that fails — a fatal fault writing a page back,
+// say — discards the half-born VM and its counters and keeps the old
+// one.
 func (tr *Trainer) reload(st *state) error {
 	prev := tr.vm
 	tr.vm = tr.newVM()

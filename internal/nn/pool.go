@@ -11,8 +11,8 @@ import (
 //   - a persistent worker pool sized to runtime.GOMAXPROCS(0), shared
 //     by every kernel invocation (no per-call goroutine spawn), and
 //   - sync.Pool-backed float32 scratch buffers for a caller's
-//     transient buffers (exec's loss gradient and Predict's
-//     activations), so those allocate nothing in the steady state.
+//     transient buffers (exec's Predict: its weights, activations and
+//     stash), so those allocate nothing in the steady state.
 //
 // Parallel kernels are written to be bit-identical to their serial
 // counterparts: work is only split along axes whose per-element

@@ -4,9 +4,11 @@ package sched
 // can emit for a mode — the lattice of toggles that change task order,
 // grouping, partitioning or collective placement. It exists for
 // exhaustive property sweeps (schedcheck verifies every variant of
-// every mode) and deliberately excludes knobs that do not alter the
-// plan shape itself (P2P, LookaheadEviction: runtime policies carried
-// on MemPolicy but identical queues).
+// every mode, and the weave tests weave them) and deliberately
+// excludes the runtime policies that leave the plan as it is: Prefetch,
+// DeferBlockedUpdates, LookaheadEviction and P2P change how a plan is
+// run, never Build, Weave or schedcheck.Check
+// (TestBuildIgnoresRuntimePolicy in internal/schedcheck holds that).
 //
 // microbatches bounds the GroupSize axis: group sizes beyond m
 // collapse to one wave of all m, so only {all, 1, 2} are distinct. Each
@@ -22,20 +24,17 @@ func OptionVariants(mode Mode, microbatches int) []Options {
 	var out []Options
 	for _, jit := range []bool{false, true} {
 		for _, dirty := range []bool{false, true} {
-			for _, prefetch := range []bool{false, true} {
-				for _, gs := range groupSizes {
-					o := Options{
-						Mode:          mode,
-						GroupSize:     gs,
-						JIT:           jit,
-						DirtyTracking: dirty,
-						Prefetch:      prefetch,
-					}
+			for _, gs := range groupSizes {
+				o := Options{
+					Mode:          mode,
+					GroupSize:     gs,
+					JIT:           jit,
+					DirtyTracking: dirty,
+				}
+				out = append(out, o)
+				if gs > 0 {
+					o.WaveInterleave = true
 					out = append(out, o)
-					if gs > 0 {
-						o.WaveInterleave = true
-						out = append(out, o)
-					}
 				}
 			}
 		}
@@ -51,25 +50,13 @@ func OptionVariants(mode Mode, microbatches int) []Options {
 		}
 		out = packed
 	}
-	// DeferBlockedUpdates does not reorder queues, but it changes how
-	// the simulator's runtime dispatches a blocked update at a queue's
-	// head (runtime.dispatch); include it on the canonical Harmony
-	// profile so the sweep covers both dispatch paths. The trainer's
-	// executor has no such path: NewTrainer refuses the toggle.
-	for _, o := range out {
-		if o.JIT && o.DirtyTracking && o.GroupSize == 0 {
-			d := o
-			d.DeferBlockedUpdates = true
-			out = append(out, d)
-		}
-	}
 	// Chunked collectives restructure the rendezvous, and bucketing
 	// additionally regroups JIT updates — both are plan shapes the
 	// checker must prove (sharded modes reject the knobs; pipeline
 	// plans have no gradient collectives, so they would be no-ops).
 	if !mode.IsPipeline() && !mode.IsSharded() {
 		for _, o := range out {
-			if o.JIT && o.DirtyTracking && !o.Prefetch && o.GroupSize == 0 && !o.DeferBlockedUpdates {
+			if o.JIT && o.DirtyTracking && o.GroupSize == 0 {
 				c := o
 				c.CommChunks = 4
 				b := o

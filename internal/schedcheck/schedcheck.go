@@ -40,12 +40,13 @@
 // on goroutines released by a dispatcher, and the residency bound and
 // the volume model share no code with the executor at all.
 //
-// The executor runs Check as a preflight gate (exec.TrainerConfig
-// .NoVerify opts out) and installs the streams it proved, with their
-// runs fitted to the topology (Report.Streams); it calls Fit,
-// Liveness and Residency where it needs just those: with verification
-// off, after a device dies, before adopting a retuned plan.
-// cmd/schedcheck exposes Check as a CLI.
+// The executor runs Check before it installs any plan — at start-up,
+// on a retune and on recovery, where a dead device's stream is re-bound
+// to a survivor (Topology.Binding) — and installs the streams it
+// proved, with their runs fitted to the topology (Report.Streams). Only
+// at start-up with exec.TrainerConfig.NoVerify does it run less: Fit
+// and Liveness, the streams and their deadlock-freedom without the
+// capacity and volume proofs. cmd/schedcheck exposes Check as a CLI.
 package schedcheck
 
 import (
@@ -213,24 +214,6 @@ func Liveness(tasks []*graph.Task, ws *sched.Streams) error {
 	r := &Report{}
 	replay(tasks, ws, r)
 	return r.Err()
-}
-
-// Residency is the pin-budget proof on its own: the plan's streams with
-// their runs fitted to topo (Fit), or the capacity violation of the
-// first physical device the plan cannot fit on under topo.Binding even
-// with every run narrowed to one task. Recovery re-runs it when a device
-// dies and its stream is re-bound to a survivor, and drains the streams
-// it returns.
-func Residency(s *sched.Schedule, topo Topology) (*sched.Streams, error) {
-	ws, peak, err := fitted(s, &topo)
-	if err != nil {
-		return nil, err
-	}
-	r := &Report{}
-	if checkResidency(s, ws, topo, peak, r); !r.OK() {
-		return nil, r.Err()
-	}
-	return ws, nil
 }
 
 // checkShape validates task coverage: every graph task appears exactly
@@ -453,22 +436,16 @@ func fit(s *sched.Schedule, ws *sched.Streams, topo Topology) []pinPeak {
 // else: the streams a run with verification off drains. It fails only
 // on a plan that does not weave or a topology it cannot be placed on.
 func Fit(s *sched.Schedule, topo Topology) (*sched.Streams, error) {
-	ws, _, err := fitted(s, &topo)
-	return ws, err
-}
-
-// fitted is Fit, with the pin bound the fitted streams have on topo,
-// whose defaults it resolves.
-func fitted(s *sched.Schedule, topo *Topology) (*sched.Streams, []pinPeak, error) {
 	r := &Report{}
 	if !topo.fit(s, r) {
-		return nil, nil, r.Err()
+		return nil, r.Err()
 	}
 	ws, err := sched.Weave(s)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return ws, fit(s, ws, *topo), nil
+	fit(s, ws, topo)
+	return ws, nil
 }
 
 // checkResidency reports peak, the pin bound of ws on topo, and rejects

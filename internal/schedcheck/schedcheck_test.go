@@ -1,6 +1,7 @@
 package schedcheck
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -73,6 +74,103 @@ func TestPropertySweep(t *testing.T) {
 		}
 	}
 	t.Logf("swept %d plans", plans)
+}
+
+// TestBuildIgnoresRuntimePolicy is why sched.OptionVariants leaves the
+// runtime policies out: over every mode and every variant, turning
+// Prefetch, DeferBlockedUpdates, LookaheadEviction or P2P on — each
+// alone, then all four — leaves the queues, the collectives, the comm
+// plan, the stage map, the woven streams and Check's report as they
+// were, so a sweep over them would prove no plan it does not already.
+func TestBuildIgnoresRuntimePolicy(t *testing.T) {
+	policies := []func(*sched.Options){
+		func(o *sched.Options) { o.Prefetch = true },
+		func(o *sched.Options) { o.DeferBlockedUpdates = true },
+		func(o *sched.Options) { o.LookaheadEviction = true },
+		func(o *sched.Options) { o.P2P = true },
+	}
+	all := func(o *sched.Options) {
+		for _, p := range policies {
+			p(o)
+		}
+	}
+	plans := 0
+	for _, sh := range []struct {
+		mode sched.Mode
+		devs []int
+	}{
+		{sched.DPBaseline, []int{1, 2, 3}},
+		{sched.HarmonyDP, []int{1, 2, 3}},
+		{sched.PPBaseline, []int{2, 3}},
+		{sched.HarmonyPP, []int{2, 3}},
+		{sched.TPBaseline, []int{2}},
+		{sched.HarmonyTP, []int{2}},
+	} {
+		for _, n := range sh.devs {
+			for _, m := range []int{1, 4} {
+				for _, opts := range sched.OptionVariants(sh.mode, m) {
+					want := planPrint(t, buildPlan(t, opts, 6, m, n))
+					for i, p := range append(policies[:len(policies):len(policies)], all) {
+						o := opts
+						p(&o)
+						if got := planPrint(t, buildPlan(t, o, 6, m, n)); got != want {
+							t.Fatalf("%v n=%d m=%d policy %d changes the plan of %+v:\n%s\nwant\n%s", sh.mode, n, m, i, opts, got, want)
+						}
+					}
+					plans++
+				}
+			}
+		}
+	}
+	t.Logf("%d plans, each unchanged by every runtime policy", plans)
+}
+
+// planPrint renders what s is — its queues, collectives, comm plan and
+// stage map, by task ID — with its woven streams and what Check reports
+// of it.
+func planPrint(t *testing.T, s *sched.Schedule) string {
+	t.Helper()
+	var b strings.Builder
+	ids := func(ts []*graph.Task) {
+		for _, x := range ts {
+			fmt.Fprintf(&b, " %d", x.ID)
+		}
+		b.WriteString(";")
+	}
+	streams := func(ws *sched.Streams) {
+		for d, st := range ws.Dev {
+			fmt.Fprintf(&b, "\ngpu%d:", d)
+			for _, e := range st {
+				fmt.Fprintf(&b, " %d@%d[", e.Task.ID, e.Rdv)
+				ids(e.Run)
+				b.WriteString("]")
+			}
+		}
+		b.WriteString("\nmembers:")
+		for _, m := range ws.Members {
+			ids(m)
+		}
+		fmt.Fprintf(&b, " parties %v", ws.Parties)
+	}
+	b.WriteString("queues:")
+	for _, q := range s.Queues {
+		ids(q)
+	}
+	b.WriteString("\ncollectives:")
+	ids(s.Collectives)
+	fmt.Fprintf(&b, "\ncomm %v\nstages %v", s.Comm, s.StageOfLayer)
+	ws, err := sched.Weave(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams(ws)
+	r := Check(s, roomy())
+	fmt.Fprintf(&b, "\ncheck: %v peaks %v volume %d/%d/%d analytic %d tasks %d",
+		r.Err(), r.PeakPinBytes, r.WeightSwapBytes, r.GradSwapBytes, r.OptStateSwapBytes, r.AnalyticWeightBytes, r.TasksChecked)
+	if r.Streams != nil {
+		streams(r.Streams)
+	}
+	return b.String()
 }
 
 // The closed-form cross-check must actually engage on the canonical
@@ -402,19 +500,10 @@ func TestIdentityBindingMatchesNil(t *testing.T) {
 			for _, m := range []int{1, 4} {
 				for _, opts := range sched.OptionVariants(mode, m) {
 					s := buildPlan(t, opts, 6, m, n)
-					a, b := &Report{}, &Report{}
-					for _, c := range []struct {
-						topo Topology
-						r    *Report
-					}{
-						{Topology{Devices: n, DeviceBytes: 1 << 30}, a},
-						{Topology{Devices: n, DeviceBytes: 1 << 30, Binding: identity}, b},
-					} {
-						ws, peak, err := fitted(s, &c.topo)
-						if err != nil {
-							t.Fatal(err)
-						}
-						checkResidency(s, ws, c.topo, peak, c.r)
+					a := Check(s, Topology{Devices: n, DeviceBytes: 1 << 30})
+					b := Check(s, Topology{Devices: n, DeviceBytes: 1 << 30, Binding: identity})
+					if !a.OK() || !b.OK() {
+						t.Fatalf("%v n=%d m=%d opts=%+v: nil binding %v, identity %v", mode, n, m, opts, a.Err(), b.Err())
 					}
 					if !reflect.DeepEqual(a.PeakPinBytes, b.PeakPinBytes) {
 						t.Errorf("%v n=%d m=%d opts=%+v: nil binding %v, identity %v", mode, n, m, opts, a.PeakPinBytes, b.PeakPinBytes)
@@ -459,20 +548,17 @@ func TestAliasedBindingResidency(t *testing.T) {
 		if !r.OK() || !reflect.DeepEqual(r.PeakPinBytes, []int64{0, tc.groupedBoth}) {
 			t.Fatalf("%s, both streams on gpu1: peaks %v (%v), want [0 %d]", tc.name, r.PeakPinBytes, r.Err(), tc.groupedBoth)
 		}
-		// The standalone proof gates on exactly the per-task bound: a
-		// survivor big enough for one stream but not two is refused.
+		// The proof gates on exactly the per-task bound: a survivor big
+		// enough for one stream but not two is refused.
 		onto1.DeviceBytes = tc.both
 		if r = Check(s, onto1); !r.OK() || !reflect.DeepEqual(r.PeakPinBytes, []int64{0, tc.both}) {
 			t.Fatalf("%s, both streams on gpu1 at the per-task bound: peaks %v (%v), want [0 %d]", tc.name, r.PeakPinBytes, r.Err(), tc.both)
 		}
-		if _, err := Residency(s, onto1); err != nil {
-			t.Errorf("%s: capacity at the bound rejected: %v", tc.name, err)
-		}
 		onto1.DeviceBytes = tc.both - 1
-		if _, err := Residency(s, onto1); err == nil || !strings.Contains(err.Error(), "gpu1") {
+		if err := Check(s, onto1).Err(); err == nil || !strings.Contains(err.Error(), "capacity: gpu1 peak pinned bytes") {
 			t.Errorf("%s: capacity below the aliased bound accepted: %v", tc.name, err)
 		}
-		if _, err := Residency(s, Topology{DeviceBytes: tc.both - 1}); err != nil {
+		if err := Check(s, Topology{DeviceBytes: tc.both - 1}).Err(); err != nil {
 			t.Errorf("%s: the same capacity must fit unaliased: %v", tc.name, err)
 		}
 	}
