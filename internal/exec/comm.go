@@ -4,8 +4,8 @@
 // each AllReduce is one range [0, n) whose reducer is replica 0. This
 // file derives the runtime view the executors consume from either —
 // per-device range lists in member order for reduceBucket, and each
-// collective's ranges for book and reduceAll — books a collective's link
-// time, every range on its reducer's link, and runs the per-range
+// collective's ranges for book and reduceWhole — books a collective's
+// link time, every range on its reducer's link, and runs the per-range
 // reduction, whose math is nn.Average, or nn.AverageSGD when the plan's
 // reductions apply the update (sched.Schedule.FusedUpdate): on a chunked
 // SGD plan the worker that reduces a chunk updates that range of every
@@ -33,7 +33,7 @@ type commPlan struct {
 	// of reduceBucket.
 	byDev [][][]sched.CommChunk
 	// of[id] lists collective task id's ranges in ascending offset: what
-	// book reserves, reduceAll reduces and the executor's per-run
+	// book reserves, reduceWhole reduces and the executor's per-step
 	// countdown counts. Nil for every other task.
 	of [][]sched.CommChunk
 }

@@ -156,9 +156,9 @@ type Trainer struct {
 	// installed.
 	streams *sched.Streams
 
-	// comm is the chunked-collective runtime plan (nil = monolithic);
-	// commStats counts chunk reductions, guarded by commMu because
-	// chunks retire concurrently on different device workers.
+	// comm is the collectives' runtime view (buildCommPlan); commStats
+	// counts chunk reductions, guarded by commMu because chunks retire
+	// concurrently on different device workers.
 	comm      *commPlan
 	commMu    sync.Mutex
 	commStats CommStats
@@ -404,15 +404,6 @@ func (tr *Trainer) prefetchDepth() int {
 // configured devices under the current virtual→physical binding.
 func (tr *Trainer) topology() schedcheck.Topology {
 	return schedcheck.Topology{Devices: tr.cfg.Devices, DeviceBytes: tr.cfg.DeviceBytes, Binding: tr.devMap}
-}
-
-// retire closes vm, a VM the trainer stops using, and folds its
-// counters into statsBase and linkBase. Only at a step boundary: its
-// in-flight DMAs must already be drained.
-func (tr *Trainer) retire(vm *VM) {
-	vm.Close()
-	tr.statsBase = tr.statsBase.add(vm.StatsSnapshot())
-	tr.linkBase = tr.linkBase.add(vm.LinkStats())
 }
 
 // newVM builds an empty VM for the current plan, armed with fault
@@ -896,12 +887,12 @@ func (tr *Trainer) Retune(microbatches int) error {
 }
 
 // reload restores st into a fresh VM for the running plan and swaps it
-// in only if the restore succeeds, retiring the old VM (at a step
-// boundary: WaitIdle already drained its in-flight DMAs). It is the one
-// way the trainer rebuilds its VM after NewTrainer: Load, Retune and
-// recovery. A restore that fails — a fatal fault writing a page back,
-// say — discards the half-born VM and its counters and keeps the old
-// one.
+// in only if the restore succeeds, retiring the old VM: it is closed and
+// its counters fold into statsBase and linkBase (at a step boundary:
+// WaitIdle already drained its in-flight DMAs). It is the one way the
+// trainer rebuilds its VM after NewTrainer: Load, Retune and recovery.
+// A restore that fails — a fatal fault writing a page back, say —
+// discards the half-born VM and its counters and keeps the old one.
 func (tr *Trainer) reload(st *state) error {
 	prev := tr.vm
 	tr.vm = tr.newVM()
@@ -910,7 +901,9 @@ func (tr *Trainer) reload(st *state) error {
 		tr.vm = prev
 		return err
 	}
-	tr.retire(prev)
+	prev.Close()
+	tr.statsBase = tr.statsBase.add(prev.StatsSnapshot())
+	tr.linkBase = tr.linkBase.add(prev.LinkStats())
 	return nil
 }
 
